@@ -247,6 +247,11 @@ impl UpAnnsEngine {
         sys.reset_clock();
 
         // ---- Stage 1: cluster filtering (host CPU) ------------------------
+        // A probed list that is empty (never populated, or emptied by
+        // deletes) contributes no candidate and is staged on no DPU, so it
+        // is dropped here rather than scheduled. The snapshot's cached size
+        // slice keeps the per-batch host steps allocation-free.
+        let cluster_sizes = snapshot.list_sizes();
         let filtered: Vec<Vec<usize>> = queries
             .iter()
             .map(|q| {
@@ -254,6 +259,7 @@ impl UpAnnsEngine {
                     .filter_clusters(q, nprobe)
                     .into_iter()
                     .map(|(c, _)| c)
+                    .filter(|&c| cluster_sizes[c] > 0)
                     .collect()
             })
             .collect();
@@ -261,9 +267,6 @@ impl UpAnnsEngine {
         sys.advance_host("cluster_filtering", filter_seconds);
 
         // ---- Stage 2: query scheduling (host CPU, Algorithm 2) ------------
-        // The snapshot's cached size slice keeps this per-batch step
-        // allocation-free.
-        let cluster_sizes = snapshot.list_sizes();
         let schedule: Schedule = schedule_queries(&filtered, placement, cluster_sizes);
         *last_schedule_ratio = schedule.max_to_avg_workload();
         let total_assignments = schedule.total_assignments();
@@ -638,6 +641,57 @@ mod tests {
                 b.iter().take(5).map(|n| n.id).collect::<Vec<_>>()
             );
         }
+    }
+
+    fn ids(results: &[Vec<annkit::topk::Neighbor>]) -> Vec<Vec<u64>> {
+        results
+            .iter()
+            .map(|r| r.iter().map(|n| n.id).collect())
+            .collect()
+    }
+
+    #[test]
+    fn probing_a_never_populated_list_answers_like_the_reference_search() {
+        // Trained on the whole corpus, populated with eight vectors: at
+        // least half of the 16 lists are empty, and nprobe = 16 probes them
+        // all. (It used to panic: "DPU .. was assigned cluster .. it does
+        // not host" — empty lists are staged on no DPU.)
+        let fix = shared_index();
+        let params = IvfPqParams::new(16, 16).with_train_size(800);
+        let mut sparse = IvfPqIndex::train_empty(&fix.data, &params, 6);
+        sparse.add(&fix.data.gather(&(0..8).map(|i| i * 250).collect::<Vec<_>>()), 0);
+        assert!(sparse.list_sizes().contains(&0));
+        let mut engine = UpAnnsBuilder::new(&sparse)
+            .with_config(UpAnnsConfig::pim_naive())
+            .with_pim_config(PimConfig::with_dpus(4))
+            .build();
+        let queries = fix.data.gather(&[1, 50, 333, 999, 1500]);
+        let served = engine.search_batch(&queries, 16, 5);
+        assert_eq!(ids(&served.results), ids(&sparse.search_batch(&queries, 16, 5)));
+    }
+
+    #[test]
+    fn a_list_emptied_by_deletes_answers_like_the_snapshot_search() {
+        use annkit::mutation::{MutableIvf, SnapshotTimeline};
+        let fix = shared_index();
+        // The query sits in list `c`; deleting every vector of that list
+        // leaves the query's *first* probe empty from t = 10 on.
+        let (c, _) = fix.index.filter_clusters(fix.data.vector(3), 1)[0];
+        let mut live = MutableIvf::new(&fix.index);
+        let mut timeline = SnapshotTimeline::new(live.snapshot());
+        for &id in fix.index.list(c).ids() {
+            assert!(live.delete(id));
+        }
+        timeline.install(10.0, live.snapshot());
+        assert_eq!(timeline.at(12.0).list_sizes()[c], 0);
+        let mut engine = build(UpAnnsConfig::pim_naive(), 8);
+        assert!(engine.install_timeline(timeline.clone()));
+        let queries = fix.data.gather(&[3, 77, 1234]);
+        let served = engine.execute(&SearchRequest::uniform(&queries, 4, 10).with_at(12.0));
+        assert_eq!(
+            ids(&served.results),
+            ids(&timeline.at(12.0).search_batch(&queries, 4, 10))
+        );
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   vendored stubs must appear in that stub's `API.txt` manifest, so the
 //!   real registry crates can swap in without code changes.
 //! * **no-unwrap-in-hot-path** — `.unwrap()`/`.expect()` in the serve
-//!   dispatch/service/batcher files, where a panic aborts live queries.
+//!   dispatch/service/batcher/core files and the runtime's pipeline, where
+//!   a panic aborts live queries.
 //! * **no-unsafe-outside-simd** — the `unsafe` keyword is banned everywhere
 //!   except the one sanctioned SIMD module (`crates/annkit/src/simd.rs`),
 //!   whose intrinsics are proven bitwise-equal to scalar references by the
@@ -105,11 +106,14 @@ const SORT_FAMILY: &[&str] = &[
 /// How many tokens after an iteration site to scan for a sort.
 const SORT_WINDOW: usize = 80;
 
-/// Serve files whose panic on a bad query would abort unrelated tenants.
+/// Files whose panic on a bad query would abort unrelated tenants: the
+/// serve hot path, the serving core, and the thread driver that steps it.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/serve/src/dispatch.rs",
     "crates/serve/src/service.rs",
     "crates/serve/src/batcher.rs",
+    "crates/serve/src/core.rs",
+    "crates/runtime/src/pipeline.rs",
 ];
 
 /// The only files allowed to contain `unsafe`: the sanctioned SIMD module,
@@ -697,6 +701,8 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "no-unwrap-in-hot-path");
 
+        assert_eq!(check("crates/serve/src/core.rs", src).len(), 1);
+        assert_eq!(check("crates/runtime/src/pipeline.rs", src).len(), 1);
         assert!(check("crates/serve/src/cache.rs", src).is_empty());
 
         let gated = "#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { Some(1).unwrap(); }\n}\n";

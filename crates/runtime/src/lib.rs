@@ -1,19 +1,21 @@
 //! # upanns-runtime — the threaded serving runtime and its replay twin
 //!
-//! Everything below `upanns-serve` in this workspace is a *discrete-event
-//! replay*: one thread, a logical clock, perfectly reproducible. This
-//! crate is the other half of the story — the same admission / batching /
-//! dispatch / caching components assembled into a **real multi-threaded
-//! pipeline** (`std::thread` + `mpsc`, no async runtime) that serves a
-//! query stream against the wall clock, plus a **deterministic twin mode**
-//! that re-runs the identical pipeline against the stream's logical
-//! timestamps and is byte-diffed against
+//! `upanns-serve` holds the serving core — admission, batching, dispatch,
+//! caching, policy feedback and reporting, clock-free and engine-free — and
+//! its first driver, a *discrete-event replay*: one thread, a simulated
+//! clock, perfectly reproducible. This crate is the core's second driver: a
+//! **real multi-threaded pipeline** (`std::thread` + `mpsc`, no async
+//! runtime; one control thread that owns the core, one worker thread per
+//! engine) that serves a query stream against the wall clock, plus a
+//! **deterministic twin mode** that steps the identical pipeline from the
+//! stream's logical timestamps and is byte-diffed against
 //! [`SearchService::replay`](upanns_serve::SearchService::replay) in CI.
 //!
-//! See [`pipeline`] for the stage/channel topology, the two clocks, the
-//! twin contract and the shutdown protocol; see [`report`] for what a run
-//! measures. The `serve` binary (this crate's `src/bin/serve.rs`) fronts
-//! both the replay benchmark and the threaded runtime.
+//! See [`pipeline`] for the thread/channel topology, the two clocks, the
+//! twin contract and shutdown (clean, and on an engine panic); see
+//! [`report`] for what a run measures. The `serve` binary (this crate's
+//! `src/bin/serve.rs`) fronts both the replay benchmark and the threaded
+//! runtime.
 //!
 //! This is the one crate in the workspace allowed to read the wall clock
 //! (`std::time::Instant`) — `upanns-lint`'s `no-wall-clock` rule scopes
@@ -149,8 +151,8 @@ mod tests {
 
     #[test]
     fn single_query_stream_drains_cleanly() {
-        // The degenerate stream exercises the shutdown protocol with the
-        // batcher's trailing-window close on the critical path.
+        // The degenerate stream exercises shutdown with the trailing-window
+        // close on the critical path.
         let (data, index) = fixture();
         let stream = stream_spec(1, 100.0, 17).generate(&data);
         let report = run(&stream, &index, 4, RuntimeConfig::wall(ServiceConfig::default()));

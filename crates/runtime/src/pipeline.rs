@@ -1,35 +1,39 @@
-//! The five-stage threaded serving pipeline.
+//! The thread driver of the serving core: one control thread, N engine
+//! workers.
 //!
 //! ```text
-//!                 bounded                bounded               cap-1
-//!  admission ───────────────▶ batcher ───────────▶ dispatcher ═══════▶ worker 0..N
-//!  (AdmissionQueue,           (BatchFormer,        (ChunkQueue,           (one engine
-//!   ResultCache)               BatchPolicy)         SloTable, idle set)    each)
-//!      ▲                          ▲                                          │
-//!      │ releases +               │ policy feedback        completions       │
-//!      │ cache inserts            │ (lossy under backpressure)  bounded      │
-//!      └──────────────────── completion ◀──────────────────────────────────┘
-//!                            (results, latencies, conservation counters)
+//!                         ┌──────────────── control thread ────────────────┐
+//!   stream arrivals ────▶ │  ServingCore (admission queue, result cache,   │
+//!   (paced by the wall    │  batch former, chunk queue, policy, ledger)    │
+//!    clock, or taken at   │  tick → close_due → arrive → pop_chunk         │
+//!    their timestamps)    └───────┬─────────────────────────────▲──────────┘
+//!                     one cap-1   │ QueuedChunk            Done │  one shared
+//!                     channel per ▼                             │  channel
+//!                     worker   worker 0..N: request_for → execute → (sleep out
+//!                              the modeled occupancy) → the chunk and response back
 //! ```
 //!
-//! Every serve-crate structure is owned by exactly one stage thread —
-//! there is no shared mutable state, no lock, and no `unsafe`; stages
-//! communicate only by message over `std::sync::mpsc` channels. Forward
-//! edges are *bounded* ([`sync_channel`]) so a slow stage exerts
-//! backpressure instead of ballooning memory; the two feedback edges into
-//! admission and the batcher run on channels that can never participate in
-//! a send-cycle deadlock: completion→admission is unbounded (its occupancy
-//! is bounded in practice by the admission queue's capacity, which caps
-//! in-flight queries), and completion→batcher uses `try_send` — policy
-//! feedback is advisory, and stale feedback a saturated batcher cannot
-//! accept yet is precisely the feedback not worth blocking a completion
-//! stage for.
+//! Every serving semantic — admit, batch, dispatch order, cache, policy
+//! feedback, the report — lives in [`ServingCore`], which the control
+//! thread owns outright and steps exactly as
+//! [`SearchService::replay`](upanns_serve::SearchService::replay) steps it;
+//! this file adds only what threads need. There is no shared mutable state,
+//! no lock, and no `unsafe`: the control thread waits for
+//! `min(next arrival, next window deadline)` with
+//! [`recv_timeout`](Receiver::recv_timeout) on the single worker→control
+//! channel, so a completion, an arrival and a closing window are all the same
+//! wake-up. A worker is handed a chunk only while it is idle (its cap-1
+//! channel is empty and it is blocked in `recv`), so no send ever stalls the
+//! control loop, and the workers' sends are unbounded, so no cycle of full
+//! channels exists to deadlock on. Backpressure is the core's own: admitted
+//! queries hold their seats in the admission queue until their chunk
+//! finishes, and arrivals beyond its capacity are shed.
 //!
 //! # The two clocks
 //!
-//! [`RuntimeMode::Wall`] runs the pipeline against real time: admission
-//! paces arrivals with [`thread::sleep`], the batcher turns window
-//! deadlines into [`recv_timeout`](Receiver::recv_timeout) waits, and each
+//! [`RuntimeMode::Wall`] runs against real time: the control thread paces
+//! arrivals and window deadlines with its `recv_timeout` waits, stamps each
+//! arrival with the clock reading it was actually processed at, and each
 //! worker *emulates its engine's modeled occupancy* — after computing a
 //! chunk's answers it sleeps until `start + response.seconds` has elapsed,
 //! so one worker thread behaves like one modeled PIM device and adding
@@ -37,57 +41,60 @@
 //! (this is what makes 1→4 worker scaling measurable on a single host
 //! core: the bottleneck is the emulated device, not the host CPU).
 //!
-//! [`RuntimeMode::Logical`] is the deterministic twin: no thread ever
-//! sleeps, the batcher's windows are driven by `AdvanceTo(arrival)`
-//! messages that mirror the replay's `advance(arrival)` calls, and the
-//! admission queue is widened to the stream length so nothing is shed.
+//! [`RuntimeMode::Logical`] is the deterministic twin: the clock *is* the
+//! stream's arrival timestamps, so no thread ever sleeps or waits for a
+//! timer; a chunk occupies its engine over `[closed_at, closed_at +
+//! response.seconds]`; and the admission queue is widened to the stream
+//! length so nothing is shed.
 //!
 //! # The twin contract
 //!
-//! Answers in this workspace are pure functions of `(query vector, k,
-//! nprobe, index)` — batch shape, dispatch order, policy steering and
-//! cache routing change *when* a query is answered, never *what* it is
-//! answered (the serve crate's policy-invariance and dispatch-discipline
-//! tests prove this for the replay; the runtime's twin tests extend it
-//! across threads). Logical mode therefore produces, for every stream
-//! index, byte-for-byte the same neighbor ids as
-//! [`SearchService::replay`](upanns_serve::SearchService::replay) on the
-//! same stream with a shed-proof queue — regardless of worker count or
-//! thread interleaving. Latencies, batch counts and cache hit rates are
-//! *not* part of the contract; only the answer map is.
+//! The replay and this pipeline run the **same core**, so admission,
+//! batching, dispatch order, cache semantics, feedback and reporting agree
+//! by construction, not by a test. What still differs between a logical run
+//! and the replay is *when* completions reach the core: here a response
+//! arrives whenever its worker thread gets to it, so which repeats hit the
+//! cache, and hence batch shapes, depend on thread interleaving. Answers in
+//! this workspace are pure functions of `(query vector, k, nprobe, index
+//! snapshot at the query's arrival)`, so none of that may change *what* is
+//! answered: logical mode produces, for every stream index, byte-for-byte
+//! the same neighbor ids as the replay on the same stream with a shed-proof
+//! queue — regardless of worker count. That is what the twin proptests and
+//! the CI byte-diff (1, 2 and 4 workers) check: thread interleaving and
+//! cache timing, nothing else. Latencies, batch counts and cache hit rates
+//! are *not* part of the contract; only the answer map is.
 //!
-//! # Clean shutdown
+//! # Clean shutdown, and unclean
 //!
-//! Admission sends `Eos` after the last arrival; the batcher closes its
-//! trailing windows (at their own deadlines in wall mode, at `+∞` in
-//! logical mode — the same trailing-deadline close as the replay) and
-//! forwards `Eos`; the dispatcher drains its chunk queue, waits for every
-//! worker to report idle, shuts the workers down and sends `Drained` to
-//! completion. Channel FIFO plus the happens-before chain through those
-//! hops guarantees `Drained` is dequeued after every completion message,
-//! so the conservation check (`completed + shed == offered`, zero lost,
-//! zero duplicated) is exact, not racy.
+//! The control loop ends when nothing can happen any more: the stream is
+//! exhausted, no window is open, the chunk queue is empty and every worker
+//! is idle. Trailing windows close at their own deadlines (at `+∞` on the
+//! logical clock), exactly as in the replay. Every completion has by then
+//! been accounted on the one thread that owns the ledger, so the
+//! conservation check (`completed + shed == offered`, zero lost, zero
+//! duplicated) is exact, not racy. Returning drops the chunk senders; each
+//! worker's `recv` fails and it exits; the scope joins them.
+//!
+//! A panic inside an engine is caught in its worker and shipped to the
+//! control thread as that chunk's outcome; the control thread stops at once
+//! and [`run_pipeline`] resumes the panic on the caller's thread, as it does
+//! for a panic of the control thread itself (`options_of`, the policy). The
+//! other workers finish the chunk they hold and exit as above — nothing is
+//! left waiting on a thread that is gone.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use annkit::topk::Neighbor;
 use annkit::workload::QueryStream;
-use baselines::engine::{AnnEngine, QueryOptions, SearchRequest, TenantId};
-use upanns_serve::admission::AdmissionQueue;
-use upanns_serve::batcher::{BatchFormer, FormedBatch, PendingQuery};
-use upanns_serve::cache::ResultCache;
+use baselines::engine::{AnnEngine, QueryOptions, SearchResponse};
 use upanns_serve::controller::BatchPolicy;
-use upanns_serve::dispatch::{ChunkQueue, DispatchOrder, QueuedChunk};
-use upanns_serve::service::{effective_chunk, ServiceConfig, SloTable};
+use upanns_serve::core::{request_for, ServingCore};
+use upanns_serve::dispatch::QueuedChunk;
+use upanns_serve::service::ServiceConfig;
 
-use crate::report::{RuntimeReport, RuntimeTenantRow};
-
-/// Bound of the forward data-path channels. Deep enough that stages only
-/// stall under genuine overload, shallow enough that backpressure reaches
-/// admission while shedding is still useful.
-const STAGE_CHANNEL_BOUND: usize = 1024;
+use crate::report::RuntimeReport;
 
 /// Which clock drives the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +167,7 @@ impl RuntimeConfig {
     }
 }
 
-/// The wall clock every stage shares: seconds since pipeline start, so
+/// The wall clock every thread shares: seconds since pipeline start, so
 /// wall-mode timestamps are directly comparable with the replay's
 /// stream-relative seconds.
 #[derive(Clone, Copy)]
@@ -175,113 +182,30 @@ impl WallClock {
         self.0.elapsed().as_secs_f64()
     }
 
+    /// How long until `t` seconds since pipeline start (zero if already
+    /// past).
+    fn until(&self, t: f64) -> Duration {
+        Duration::try_from_secs_f64(t - self.elapsed_s()).unwrap_or(Duration::ZERO)
+    }
+
     /// Sleeps until `t` seconds since pipeline start (no-op if already
     /// past).
     fn sleep_until(&self, t: f64) {
-        let now = self.elapsed_s();
-        if t > now && t.is_finite() {
-            thread::sleep(Duration::from_secs_f64(t - now));
-        }
+        thread::sleep(self.until(t));
     }
 }
 
-/// Into the batcher stage (from admission, and feedback from completion).
-enum ToBatcher {
-    /// An admitted query to fold into a batch.
-    Query(PendingQuery),
-    /// Logical mode only: the replay clock reached this arrival — close
-    /// every window whose deadline has passed (mirrors `advance(arrival)`).
-    AdvanceTo(f64),
-    /// A query finished: per-query policy feedback.
-    QueryDone {
-        tenant: TenantId,
-        at: f64,
-        latency_s: f64,
-    },
-    /// A lead chunk finished: batch-level policy feedback.
-    BatchDone {
-        tenant: TenantId,
-        at: f64,
-        len: usize,
-        wait_s: f64,
-    },
-    /// No more arrivals: close trailing windows and forward `Eos`.
-    Eos,
-}
-
-/// Into the dispatcher stage (from the batcher, and idle notices from
-/// workers).
-enum ToDispatcher {
-    /// A closed batch, with its per-tenant chunk cap already resolved by
-    /// the batcher (the policy lives there).
-    Batch { batch: FormedBatch, chunk_cap: usize },
-    /// Worker `i` finished its chunk and is ready for the next.
-    WorkerIdle(usize),
-    /// No more batches will arrive.
-    Eos,
-}
-
-/// Into one engine worker.
-enum ToWorker {
-    /// Execute this chunk.
-    Chunk(QueuedChunk),
-    /// Drain complete: exit.
-    Shutdown,
-}
-
-/// Into the completion stage.
-enum ToCompletion {
-    /// Admission answered a query straight from the result cache.
-    CacheHit {
-        stream_index: usize,
-        tenant: TenantId,
-        latency_s: f64,
-        finish_s: f64,
-        neighbors: Vec<Neighbor>,
-    },
-    /// Admission rejected a query (queue full).
-    Shed { tenant: TenantId },
-    /// A worker executed a chunk.
-    Executed {
-        members: Vec<PendingQuery>,
-        answers: Vec<Vec<Neighbor>>,
-        tenant: TenantId,
-        finish_s: f64,
-        modeled_s: f64,
-        lead: bool,
-        wait_s: f64,
-        /// Per-member epoch of the snapshot that computed each answer
-        /// (resolved from the query's own arrival — the replay stamps
-        /// identically), aligned with `members`.
-        answer_epochs: Vec<u64>,
-        /// Fault-tolerance counters from the engine's `WorkloadStats`
-        /// (nonzero only for replicated engines under a fault schedule).
-        degraded: u64,
-        hedged: u64,
-        redispatched: u64,
-    },
-    /// The dispatcher drained: every completion message is already queued
-    /// ahead of this one (see the module docs' happens-before argument).
-    Drained,
-}
-
-/// Back into admission from completion.
-enum ToAdmission {
-    /// A chunk finished: free its tenant's seats in the waiting room.
-    Release { tenant: TenantId, n: usize },
-    /// An answered query's neighbors, for the result cache.
-    CacheInsert {
-        stream_index: usize,
-        options: QueryOptions,
-        neighbors: Vec<Neighbor>,
-        ready_at: f64,
-        /// Epoch of the snapshot that computed the answer.
-        epoch: u64,
-    },
+/// A worker's account of one chunk: the chunk back, and either the engine's
+/// response with the `[start, finish]` it occupied the (emulated) device
+/// for, or the payload of the panic that killed the worker.
+struct Done {
+    worker: usize,
+    chunk: QueuedChunk,
+    outcome: thread::Result<(SearchResponse, f64, f64)>,
 }
 
 /// Runs the full pipeline over `stream`, one engine instance per worker
-/// thread, and returns the merged report once every stage has joined.
+/// thread, and returns the report once every thread has joined.
 ///
 /// `engines` determines the worker count; every element must answer
 /// identically for the same `(query, k, nprobe)` — in this workspace that
@@ -292,7 +216,9 @@ enum ToAdmission {
 ///
 /// # Panics
 ///
-/// Panics if `engines` is empty, or if a stage thread panics.
+/// Panics if `engines` is empty. A panic in an engine, in `options_of` or in
+/// the policy is propagated to the caller with its original payload once
+/// the remaining threads have stopped.
 pub fn run_pipeline<E, F>(
     engines: Vec<E>,
     stream: &QueryStream,
@@ -304,712 +230,178 @@ where
     E: AnnEngine + Send,
     F: FnMut(usize) -> QueryOptions + Send,
 {
-    assert!(!engines.is_empty(), "the pipeline needs at least one engine worker");
-    let workers = engines.len();
-    let mode = config.mode;
-    let svc = config.service;
-    let epoch_schedule = config.epoch_schedule;
-    let epochs: &[(f64, u64)] = &epoch_schedule;
-    // The twin must be lossless: whether a query is shed depends on thread
-    // timing, so logical mode widens the waiting room to hold the whole
-    // stream. Wall mode sheds exactly as configured.
-    let queue_capacity = match mode {
-        RuntimeMode::Logical => svc.queue_capacity.max(stream.len()),
-        RuntimeMode::Wall => svc.queue_capacity,
-    };
-    let slo_p99_s = svc.slo_p99_s.or(stream.slo_p99_s);
-    let policy_label = match svc.max_chunk {
-        Some(_) => format!("{}-chunked", policy.name()),
-        None => policy.name().to_string(),
-    };
+    assert!(
+        !engines.is_empty(),
+        "the pipeline needs at least one engine worker"
+    );
+    let engine_name = engines[0].name().to_string();
     let clock = WallClock::start();
-
-    let (outcome, engine_name) = thread::scope(|scope| {
-        let (to_batcher, batcher_rx) = sync_channel::<ToBatcher>(STAGE_CHANNEL_BOUND);
-        let (to_dispatcher, dispatcher_rx) = sync_channel::<ToDispatcher>(STAGE_CHANNEL_BOUND);
-        let (to_completion, completion_rx) = sync_channel::<ToCompletion>(STAGE_CHANNEL_BOUND);
-        let (to_admission, admission_rx) = channel::<ToAdmission>();
-        let mut worker_txs = Vec::with_capacity(workers);
-        let mut worker_rxs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = sync_channel::<ToWorker>(1);
-            worker_txs.push(tx);
-            worker_rxs.push(rx);
-        }
-
-        let admission = {
-            let to_batcher = to_batcher.clone();
-            let to_completion = to_completion.clone();
-            let mut options_of = options_of;
-            scope.spawn(move || {
-                admission_stage(
-                    stream,
-                    &mut options_of,
-                    mode,
-                    clock,
-                    svc,
-                    epochs,
-                    queue_capacity,
-                    &admission_rx,
-                    &to_batcher,
-                    &to_completion,
-                )
+    let outcome = thread::scope(|scope| {
+        let (to_control, from_workers) = channel::<Done>();
+        let to_workers: Vec<SyncSender<QueuedChunk>> = engines
+            .into_iter()
+            .enumerate()
+            .map(|(worker, engine)| {
+                let (tx, rx) = sync_channel(1);
+                let to_control = to_control.clone();
+                scope.spawn(move || {
+                    worker_thread(worker, engine, stream, config.mode, clock, &rx, &to_control)
+                });
+                tx
             })
-        };
-
-        let batcher = {
-            let to_dispatcher = to_dispatcher.clone();
-            scope.spawn(move || {
-                batcher_stage(stream, policy, mode, clock, svc, &batcher_rx, &to_dispatcher)
-            })
-        };
-
-        let dispatcher = {
-            let to_completion = to_completion.clone();
-            let worker_txs_for_dispatch = worker_txs;
-            scope.spawn(move || {
-                dispatcher_stage(
-                    stream,
-                    svc,
-                    &dispatcher_rx,
-                    &worker_txs_for_dispatch,
-                    &to_completion,
-                )
-            })
-        };
-
-        let mut worker_handles = Vec::with_capacity(workers);
-        for (w, (engine, rx)) in engines.into_iter().zip(worker_rxs).enumerate() {
-            let to_completion = to_completion.clone();
-            let to_dispatcher = to_dispatcher.clone();
-            worker_handles.push(scope.spawn(move || {
-                worker_stage(
-                    w,
-                    engine,
-                    stream,
-                    mode,
-                    clock,
-                    epochs,
-                    &rx,
-                    &to_completion,
-                    &to_dispatcher,
-                )
-            }));
-        }
-        // Only the stages hold senders now, so every receiver's disconnect
-        // tracks its true producer set. (The batcher's sender survives in
-        // the completion stage for feedback, but the batcher exits on the
-        // explicit `Eos`, never on disconnect.)
-        drop(to_dispatcher);
-        drop(to_completion);
-
-        let completion = scope.spawn(move || {
-            completion_stage(stream.len(), &completion_rx, &to_admission, &to_batcher)
+            .collect();
+        drop(to_control);
+        let control = scope.spawn(move || {
+            control_thread(
+                stream,
+                options_of,
+                policy,
+                &config,
+                clock,
+                &engine_name,
+                &to_workers,
+                &from_workers,
+            )
         });
-
-        let (cache_hits, cache_misses, cache_invalidated) =
-            admission.join().expect("admission stage panicked");
-        batcher.join().expect("batcher stage panicked");
-        let (dispatched_chunks, split_batches) =
-            dispatcher.join().expect("dispatcher stage panicked");
-        let mut engine_name = String::new();
-        for handle in worker_handles {
-            engine_name = handle.join().expect("worker stage panicked");
-        }
-        let mut outcome = completion.join().expect("completion stage panicked");
-        outcome.cache_hits = cache_hits;
-        outcome.cache_misses = cache_misses;
-        outcome.cache_invalidated = cache_invalidated;
-        outcome.dispatched_chunks = dispatched_chunks;
-        outcome.split_batches = split_batches;
-        (outcome, engine_name)
+        // Returning drops the control thread's chunk senders, which is what
+        // stops the workers; the scope then joins them.
+        control.join()
     });
-
-    finish_report(
-        outcome,
-        engine_name,
-        policy_label,
-        mode,
-        workers,
-        stream,
-        slo_p99_s,
-        svc.slo_p99_s,
-    )
+    // The one propagation point: an engine panic shipped by its worker, or
+    // a panic of the control thread itself.
+    match outcome {
+        Ok(Ok(report)) => report,
+        Ok(Err(payload)) | Err(payload) => resume_unwind(payload),
+    }
 }
 
-/// Stage 1: paces arrivals, consults the cache, admits or sheds, and keeps
-/// draining releases so bounded senders can never block on a dead stage.
+/// The control thread: owns the serving core and steps it from the wall
+/// clock (or the stream's timestamps) and the workers' completions.
 #[allow(clippy::too_many_arguments)]
-fn admission_stage<F: FnMut(usize) -> QueryOptions>(
+fn control_thread<F: FnMut(usize) -> QueryOptions>(
     stream: &QueryStream,
-    options_of: &mut F,
-    mode: RuntimeMode,
-    clock: WallClock,
-    svc: ServiceConfig,
-    epochs: &[(f64, u64)],
-    queue_capacity: usize,
-    admission_rx: &Receiver<ToAdmission>,
-    to_batcher: &SyncSender<ToBatcher>,
-    to_completion: &SyncSender<ToCompletion>,
-) -> (u64, u64, u64) {
-    let mut queue = AdmissionQueue::new(queue_capacity);
-    for p in &stream.tenant_profiles {
-        queue.register(p.id, p.weight);
-    }
-    let mut cache = ResultCache::new(svc.cache_capacity);
-    let drain = |queue: &mut AdmissionQueue, cache: &mut ResultCache| {
-        while let Ok(msg) = admission_rx.try_recv() {
-            match msg {
-                ToAdmission::Release { tenant, n } => queue.release(tenant, n),
-                ToAdmission::CacheInsert {
-                    stream_index,
-                    options,
-                    neighbors,
-                    ready_at,
-                    epoch,
-                } => cache.insert_at_epoch(
-                    stream.batch.queries.vector(stream_index),
-                    &options,
-                    neighbors,
-                    ready_at,
-                    epoch,
-                ),
-            }
-        }
-    };
-    for (arrival, index) in stream.iter() {
-        let now = match mode {
-            RuntimeMode::Wall => {
-                clock.sleep_until(arrival);
-                clock.elapsed_s()
-            }
-            RuntimeMode::Logical => arrival,
-        };
-        drain(&mut queue, &mut cache);
-        if mode == RuntimeMode::Logical {
-            // Close every window the replay clock would have closed before
-            // processing this arrival.
-            let _ = to_batcher.send(ToBatcher::AdvanceTo(arrival));
-        }
-        let options = options_of(index);
-        let tenant = options.tenant;
-        if let Some((neighbors, ready_at)) = cache.lookup_at_epoch(
-            stream.batch.queries.vector(index),
-            &options,
-            ResultCache::epoch_at(epochs, now),
-        ) {
-            // Wall mode has no modeled ready-at guard: the entry physically
-            // exists, so the hit is served now. Logical mode keeps the
-            // replay's guard so twin latencies stay meaningful.
-            let finish = match mode {
-                RuntimeMode::Wall => now + svc.cache_lookup_s,
-                RuntimeMode::Logical => now.max(ready_at) + svc.cache_lookup_s,
-            };
-            let _ = to_completion.send(ToCompletion::CacheHit {
-                stream_index: index,
-                tenant,
-                latency_s: finish - now,
-                finish_s: finish,
-                neighbors,
-            });
-            continue;
-        }
-        if !queue.try_admit(tenant) {
-            let _ = to_completion.send(ToCompletion::Shed { tenant });
-            continue;
-        }
-        let _ = to_batcher.send(ToBatcher::Query(PendingQuery {
-            arrival_s: now,
-            stream_index: index,
-            options,
-        }));
-    }
-    let _ = to_batcher.send(ToBatcher::Eos);
-    // The pipeline is still draining: keep accepting releases (blocking,
-    // not spinning) until completion hangs up its sender.
-    while let Ok(msg) = admission_rx.recv() {
-        if let ToAdmission::Release { tenant, n } = msg {
-            queue.release(tenant, n);
-        }
-        // A cache insert after the last arrival can no longer produce a
-        // hit; dropping it is harmless.
-    }
-    (cache.hits(), cache.misses(), cache.invalidated())
-}
-
-/// Stage 2: owns the batch former and the policy; closes windows by real
-/// deadline (wall) or by `AdvanceTo` (logical) and forwards closed batches
-/// with their chunk cap resolved.
-fn batcher_stage(
-    stream: &QueryStream,
+    mut options_of: F,
     mut policy: Box<dyn BatchPolicy>,
-    mode: RuntimeMode,
+    config: &RuntimeConfig,
     clock: WallClock,
-    svc: ServiceConfig,
-    batcher_rx: &Receiver<ToBatcher>,
-    to_dispatcher: &SyncSender<ToDispatcher>,
-) {
-    let mut former = BatchFormer::new(policy.current());
-    let mut tenants_seen: Vec<TenantId> = stream.tenant_profiles.iter().map(|p| p.id).collect();
-    for &t in &tenants_seen {
-        former.set_tenant_config(t, policy.current_for(t));
+    engine_name: &str,
+    to_workers: &[SyncSender<QueuedChunk>],
+    from_workers: &Receiver<Done>,
+) -> thread::Result<RuntimeReport> {
+    let mode = config.mode;
+    let mut service = config.service;
+    if mode == RuntimeMode::Logical {
+        // The twin must be lossless: whether a query is shed depends on
+        // thread timing, so logical mode widens the waiting room to hold
+        // the whole stream. Wall mode sheds exactly as configured.
+        service.queue_capacity = service.queue_capacity.max(stream.len());
     }
-    let forward = |batch: FormedBatch, policy: &dyn BatchPolicy| {
-        let cap = effective_chunk(policy, batch.options.tenant, svc.max_chunk);
-        let _ = to_dispatcher.send(ToDispatcher::Batch {
-            batch,
-            chunk_cap: cap,
-        });
-    };
-    let refresh = |former: &mut BatchFormer, policy: &dyn BatchPolicy, tenants: &[TenantId]| {
-        former.set_config(policy.current());
-        for &t in tenants {
-            former.set_tenant_config(t, policy.current_for(t));
-        }
-    };
+    let mut core = ServingCore::new(stream, service, policy.as_mut(), &config.epoch_schedule);
+    let mut idle: Vec<usize> = (0..to_workers.len()).collect();
+    let mut next = 0usize;
     loop {
-        let msg = match mode {
-            RuntimeMode::Wall => match former.next_deadline() {
-                Some(deadline) => {
-                    let now = clock.elapsed_s();
-                    if deadline <= now {
-                        for batch in former.due(now) {
-                            forward(batch, policy.as_ref());
-                        }
-                        continue;
-                    }
-                    match batcher_rx.recv_timeout(Duration::from_secs_f64(deadline - now)) {
-                        Ok(msg) => msg,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => ToBatcher::Eos,
-                    }
-                }
-                None => batcher_rx.recv().unwrap_or(ToBatcher::Eos),
-            },
-            RuntimeMode::Logical => batcher_rx.recv().unwrap_or(ToBatcher::Eos),
+        // The next timed event — the next arrival or the earliest window
+        // deadline — or, failing both, the next completion.
+        let arrival = stream.arrivals.get(next).copied();
+        let timer = match (arrival, core.next_deadline()) {
+            (Some(a), Some(d)) => Some(a.min(d)),
+            (a, d) => a.or(d),
         };
-        match msg {
-            ToBatcher::Query(query) => {
-                let tenant = query.options.tenant;
-                if !tenants_seen.contains(&tenant) {
-                    tenants_seen.push(tenant);
-                }
-                refresh(&mut former, policy.as_ref(), &tenants_seen);
-                let now = match mode {
-                    RuntimeMode::Wall => {
-                        // Close anything whose real deadline passed while
-                        // this message sat in the channel.
-                        let now = clock.elapsed_s();
-                        for batch in former.due(now) {
-                            forward(batch, policy.as_ref());
-                        }
-                        now
-                    }
-                    RuntimeMode::Logical => query.arrival_s,
-                };
-                if let Some(batch) = former.push(query, now) {
-                    forward(batch, policy.as_ref());
-                }
-            }
-            ToBatcher::AdvanceTo(t) => {
-                refresh(&mut former, policy.as_ref(), &tenants_seen);
-                for batch in former.due(t) {
-                    forward(batch, policy.as_ref());
-                }
-            }
-            ToBatcher::QueryDone {
-                tenant,
-                at,
-                latency_s,
-            } => policy.observe_for(tenant, at, latency_s),
-            ToBatcher::BatchDone {
-                tenant,
-                at,
-                len,
-                wait_s,
-            } => policy.observe_batch_for(tenant, at, len, wait_s),
-            ToBatcher::Eos => {
-                match mode {
-                    // The replay closes trailing groups at their own
-                    // deadlines, never flushing early; both modes mirror
-                    // that.
-                    RuntimeMode::Logical => {
-                        for batch in former.due(f64::INFINITY) {
-                            forward(batch, policy.as_ref());
-                        }
-                    }
-                    RuntimeMode::Wall => {
-                        while let Some(deadline) = former.next_deadline() {
-                            clock.sleep_until(deadline);
-                            for batch in former.due(clock.elapsed_s()) {
-                                forward(batch, policy.as_ref());
-                            }
-                        }
-                    }
-                }
-                let _ = to_dispatcher.send(ToDispatcher::Eos);
-                return;
-            }
+        let first = match (timer, mode) {
+            (Some(t), RuntimeMode::Wall) => match from_workers.recv_timeout(clock.until(t)) {
+                Ok(done) => Some(done),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => break,
+            },
+            // The logical clock is the stream's: nothing ever waits for it.
+            (Some(_), RuntimeMode::Logical) => None,
+            (None, _) if idle.len() < to_workers.len() => match from_workers.recv() {
+                Ok(done) => Some(done),
+                Err(_) => break,
+            },
+            (None, _) => break,
+        };
+        for done in first.into_iter().chain(from_workers.try_iter()) {
+            let (response, start, finish) = done.outcome?;
+            core.complete(done.chunk, response, start, finish);
+            idle.push(done.worker);
         }
-    }
-}
-
-/// Stage 3: owns the chunk queue and the idle-worker set; hands the most
-/// urgent ready chunk to the first idle worker, and runs the drain
-/// protocol once the batcher signals `Eos`.
-fn dispatcher_stage(
-    stream: &QueryStream,
-    svc: ServiceConfig,
-    dispatcher_rx: &Receiver<ToDispatcher>,
-    worker_txs: &[SyncSender<ToWorker>],
-    to_completion: &SyncSender<ToCompletion>,
-) -> (usize, usize) {
-    let order = match svc.max_chunk {
-        Some(_) => DispatchOrder::SloUrgency,
-        None => DispatchOrder::CloseOrder,
-    };
-    let mut queue = ChunkQueue::new(order);
-    let slos = SloTable::new(stream, svc.slo_p99_s);
-    let mut idle: Vec<usize> = (0..worker_txs.len()).collect();
-    let mut eos = false;
-    loop {
-        while !idle.is_empty() {
-            let Some(chunk) = queue.pop_most_urgent() else {
+        let now = match mode {
+            RuntimeMode::Wall => clock.elapsed_s(),
+            RuntimeMode::Logical => arrival.unwrap_or(f64::INFINITY),
+        };
+        core.tick(now);
+        core.close_due(now);
+        if arrival.is_some_and(|a| a <= now) {
+            core.arrive(now, next, options_of(next));
+            next += 1;
+        }
+        while let Some(&worker) = idle.last() {
+            let Some(chunk) = core.pop_chunk(f64::INFINITY) else {
                 break;
             };
-            let Some(worker) = idle.pop() else { break };
-            // Cap-1 channel to a worker that reported idle (i.e. is blocked
-            // in recv), so this send cannot stall the dispatch loop.
-            let _ = worker_txs[worker].send(ToWorker::Chunk(chunk));
-        }
-        if eos && queue.is_empty() && idle.len() == worker_txs.len() {
-            for tx in worker_txs {
-                let _ = tx.send(ToWorker::Shutdown);
+            // A worker listed idle is blocked in `recv` on its cap-1
+            // channel, so this send cannot stall the control loop.
+            if to_workers[worker].send(chunk).is_ok() {
+                idle.pop();
             }
-            let _ = to_completion.send(ToCompletion::Drained);
-            return (queue.dispatched_chunks(), queue.split_batches());
-        }
-        match dispatcher_rx.recv() {
-            Ok(ToDispatcher::Batch { batch, chunk_cap }) => {
-                let slo = slos.slo_of(batch.options.tenant);
-                queue.submit(batch, slo, chunk_cap);
-            }
-            Ok(ToDispatcher::WorkerIdle(worker)) => idle.push(worker),
-            Ok(ToDispatcher::Eos) => eos = true,
-            // All senders gone without Eos: a stage panicked; exit so the
-            // scope can surface that panic instead of deadlocking here.
-            Err(_) => return (queue.dispatched_chunks(), queue.split_batches()),
         }
     }
+    let conservation = core.conservation();
+    Ok(RuntimeReport::new(
+        core.into_report(engine_name),
+        mode.label(),
+        to_workers.len(),
+        stream.len(),
+        conservation,
+    ))
 }
 
-/// Stage 4 (×N): one engine per worker. Computes a chunk's answers, then —
-/// in wall mode — sleeps out the engine's modeled occupancy so the thread
-/// behaves like one modeled device. Returns the engine's name.
-#[allow(clippy::too_many_arguments)]
-fn worker_stage<E: AnnEngine>(
+/// One engine worker: builds each chunk's request, executes it and — in
+/// wall mode — sleeps out the engine's modeled occupancy so the thread
+/// behaves like one modeled device. A panic while serving a chunk is caught
+/// and shipped to the control thread, which is otherwise left waiting for a
+/// completion that will never come.
+fn worker_thread<E: AnnEngine>(
     worker: usize,
     mut engine: E,
     stream: &QueryStream,
     mode: RuntimeMode,
     clock: WallClock,
-    epochs: &[(f64, u64)],
-    rx: &Receiver<ToWorker>,
-    to_completion: &SyncSender<ToCompletion>,
-    to_dispatcher: &SyncSender<ToDispatcher>,
-) -> String {
+    chunks: &Receiver<QueuedChunk>,
+    to_control: &Sender<Done>,
+) {
     // Distinct id ranges per worker keep request ids unique without
     // cross-thread coordination (ids label requests; answers ignore them).
-    let mut next_request_id = (worker as u64) << 32;
-    while let Ok(ToWorker::Chunk(chunk)) = rx.recv() {
-        let batch = chunk.batch;
-        // Chunks are tenant-pure (the former never mixes tenants and the
-        // dispatcher splits without mixing), so the batch options name the
-        // one tenant the release and feedback belong to.
-        let tenant = batch.options.tenant;
-        let indices: Vec<usize> = batch.members.iter().map(|m| m.stream_index).collect();
-        let options: Vec<QueryOptions> = batch.members.iter().map(|m| m.options).collect();
-        let queries = stream.batch.queries.gather(&indices);
-        next_request_id += 1;
-        let started = clock.elapsed_s();
-        // The batch close time is the one timestamp identical between this
-        // runtime and the replay twin, so fault membership stays a pure
-        // function of the schedule and the request. Per-query arrivals ride
-        // along so a live-mutation engine resolves each query's snapshot at
-        // its own arrival — answers stay a pure function of (query,
-        // arrival) even though this pipeline's cache hits (and hence batch
-        // shapes) are thread-timing dependent.
-        let request = SearchRequest::new(queries, options)
-            .with_id(next_request_id)
-            .with_at(batch.closed_at)
-            .with_arrivals(batch.members.iter().map(|m| m.arrival_s).collect());
-        let response = engine.execute(&request);
-        let (finish, wait_s) = match mode {
-            RuntimeMode::Wall => {
-                // The real computation is nearly free at fixture scale; the
-                // modeled seconds are the device occupancy being emulated.
-                clock.sleep_until(started + response.seconds);
-                (clock.elapsed_s(), (started - batch.closed_at).max(0.0))
-            }
-            RuntimeMode::Logical => (batch.closed_at + response.seconds, 0.0),
+    let first_request_id = ((worker as u64) << 32) + 1;
+    for (request_id, chunk) in (first_request_id..).zip(chunks) {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let request = request_for(stream, &chunk, request_id);
+            let started = clock.elapsed_s();
+            let response = engine.execute(&request);
+            let (start, finish) = match mode {
+                RuntimeMode::Wall => {
+                    // The real computation is nearly free at fixture scale;
+                    // the modeled seconds are the occupancy being emulated.
+                    clock.sleep_until(started + response.seconds);
+                    (started, clock.elapsed_s())
+                }
+                RuntimeMode::Logical => {
+                    let closed_at = chunk.batch.closed_at;
+                    (closed_at, closed_at + response.seconds)
+                }
+            };
+            (response, start, finish)
+        }));
+        // The engine's state is suspect after a panic: serve nothing more.
+        let panicked = outcome.is_err();
+        let done = Done {
+            worker,
+            chunk,
+            outcome,
         };
-        let answer_epochs = batch
-            .members
-            .iter()
-            .map(|m| ResultCache::epoch_at(epochs, m.arrival_s))
-            .collect();
-        let _ = to_completion.send(ToCompletion::Executed {
-            members: batch.members,
-            answers: response.results,
-            tenant,
-            finish_s: finish,
-            modeled_s: response.seconds,
-            lead: chunk.lead,
-            wait_s,
-            answer_epochs,
-            degraded: response.stats.degraded,
-            hedged: response.stats.hedged,
-            redispatched: response.stats.redispatched,
-        });
-        let _ = to_dispatcher.send(ToDispatcher::WorkerIdle(worker));
-    }
-    engine.name().to_string()
-}
-
-/// Everything the completion stage accumulates; the missing counters
-/// (cache, dispatch) are filled in from the other stages' join results.
-struct Outcome {
-    results: Vec<Vec<Neighbor>>,
-    latencies: Vec<f64>,
-    tenant_latencies: Vec<(TenantId, f64)>,
-    tenant_order: Vec<TenantId>,
-    shed_of: Vec<(TenantId, usize)>,
-    completed: usize,
-    shed: usize,
-    duplicated: usize,
-    lost: usize,
-    busy_modeled_s: f64,
-    makespan_s: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_invalidated: u64,
-    dispatched_chunks: usize,
-    split_batches: usize,
-    degraded: u64,
-    hedged: u64,
-    redispatched: u64,
-}
-
-/// Stage 5: the single writer of results, latencies and conservation
-/// counters; routes releases and cache inserts back to admission and
-/// (lossily) policy feedback back to the batcher.
-fn completion_stage(
-    expected: usize,
-    completion_rx: &Receiver<ToCompletion>,
-    to_admission: &Sender<ToAdmission>,
-    to_batcher: &SyncSender<ToBatcher>,
-) -> Outcome {
-    // Policy feedback is advisory: if the batcher is saturated (or already
-    // gone), dropping the observation beats blocking the completion stage
-    // on it — hence try_send, never send.
-    let feedback = |msg: ToBatcher| {
-        let _ = to_batcher.try_send(msg);
-    };
-    let mut out = Outcome {
-        results: vec![Vec::new(); expected],
-        latencies: Vec::new(),
-        tenant_latencies: Vec::new(),
-        tenant_order: Vec::new(),
-        shed_of: Vec::new(),
-        completed: 0,
-        shed: 0,
-        duplicated: 0,
-        lost: 0,
-        busy_modeled_s: 0.0,
-        makespan_s: 0.0,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_invalidated: 0,
-        dispatched_chunks: 0,
-        split_batches: 0,
-        degraded: 0,
-        hedged: 0,
-        redispatched: 0,
-    };
-    let mut answered = vec![false; expected];
-    let mut accounted = 0usize;
-    let note_tenant = |order: &mut Vec<TenantId>, t: TenantId| {
-        if !order.contains(&t) {
-            order.push(t);
+        if to_control.send(done).is_err() || panicked {
+            return;
         }
-    };
-    while let Ok(msg) = completion_rx.recv() {
-        match msg {
-            ToCompletion::CacheHit {
-                stream_index,
-                tenant,
-                latency_s,
-                finish_s,
-                neighbors,
-            } => {
-                note_tenant(&mut out.tenant_order, tenant);
-                if answered[stream_index] {
-                    out.duplicated += 1;
-                } else {
-                    answered[stream_index] = true;
-                    out.results[stream_index] = neighbors;
-                }
-                out.completed += 1;
-                accounted += 1;
-                out.latencies.push(latency_s);
-                out.tenant_latencies.push((tenant, latency_s));
-                out.makespan_s = out.makespan_s.max(finish_s);
-            }
-            ToCompletion::Shed { tenant } => {
-                note_tenant(&mut out.tenant_order, tenant);
-                out.shed += 1;
-                accounted += 1;
-                match out.shed_of.iter_mut().find(|(t, _)| *t == tenant) {
-                    Some((_, n)) => *n += 1,
-                    None => out.shed_of.push((tenant, 1)),
-                }
-            }
-            ToCompletion::Executed {
-                members,
-                answers,
-                tenant,
-                finish_s,
-                modeled_s,
-                lead,
-                wait_s,
-                answer_epochs,
-                degraded,
-                hedged,
-                redispatched,
-            } => {
-                note_tenant(&mut out.tenant_order, tenant);
-                out.busy_modeled_s += modeled_s;
-                out.makespan_s = out.makespan_s.max(finish_s);
-                out.degraded += degraded;
-                out.hedged += hedged;
-                out.redispatched += redispatched;
-                let n = members.len();
-                if lead {
-                    feedback(ToBatcher::BatchDone {
-                        tenant,
-                        at: finish_s,
-                        len: n,
-                        wait_s,
-                    });
-                }
-                for ((member, neighbors), epoch) in
-                    members.into_iter().zip(answers).zip(answer_epochs)
-                {
-                    let latency = finish_s - member.arrival_s;
-                    out.completed += 1;
-                    accounted += 1;
-                    out.latencies.push(latency);
-                    out.tenant_latencies.push((tenant, latency));
-                    let _ = to_admission.send(ToAdmission::CacheInsert {
-                        stream_index: member.stream_index,
-                        options: member.options,
-                        neighbors: neighbors.clone(),
-                        ready_at: finish_s,
-                        epoch,
-                    });
-                    feedback(ToBatcher::QueryDone {
-                        tenant,
-                        at: finish_s,
-                        latency_s: latency,
-                    });
-                    if answered[member.stream_index] {
-                        out.duplicated += 1;
-                    } else {
-                        answered[member.stream_index] = true;
-                        out.results[member.stream_index] = neighbors;
-                    }
-                }
-                let _ = to_admission.send(ToAdmission::Release { tenant, n });
-            }
-            ToCompletion::Drained => break,
-        }
-    }
-    out.lost = expected.saturating_sub(accounted);
-    out
-}
-
-/// Sorts, groups per tenant and assembles the final [`RuntimeReport`].
-#[allow(clippy::too_many_arguments)]
-fn finish_report(
-    out: Outcome,
-    engine: String,
-    policy: String,
-    mode: RuntimeMode,
-    workers: usize,
-    stream: &QueryStream,
-    slo_p99_s: Option<f64>,
-    config_slo: Option<f64>,
-) -> RuntimeReport {
-    let slos = SloTable::new(stream, config_slo);
-    // Profile order first, then tenants first seen mid-stream — the same
-    // row order as the replay's report.
-    let mut tenant_rows: Vec<TenantId> = stream.tenant_profiles.iter().map(|p| p.id).collect();
-    for &t in &out.tenant_order {
-        if !tenant_rows.contains(&t) {
-            tenant_rows.push(t);
-        }
-    }
-    let tenants = tenant_rows
-        .into_iter()
-        .map(|t| {
-            let mut lats: Vec<f64> = out
-                .tenant_latencies
-                .iter()
-                .filter(|(id, _)| *id == t)
-                .map(|(_, l)| *l)
-                .collect();
-            lats.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            RuntimeTenantRow {
-                id: t,
-                name: stream
-                    .profile(t)
-                    .map_or_else(|| t.to_string(), |p| p.name.clone()),
-                slo_p99_s: slos.slo_of(t),
-                completed: lats.len(),
-                shed: out
-                    .shed_of
-                    .iter()
-                    .find(|(id, _)| *id == t)
-                    .map_or(0, |(_, n)| *n),
-                latencies_s: lats,
-            }
-        })
-        .collect();
-    let mut latencies = out.latencies;
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    RuntimeReport {
-        engine,
-        policy,
-        mode: mode.label(),
-        workers,
-        offered: stream.len(),
-        completed: out.completed,
-        shed: out.shed,
-        lost: out.lost,
-        duplicated: out.duplicated,
-        cache_hits: out.cache_hits,
-        cache_misses: out.cache_misses,
-        cache_invalidated: out.cache_invalidated,
-        dispatched_chunks: out.dispatched_chunks,
-        split_batches: out.split_batches,
-        degraded: out.degraded,
-        hedged: out.hedged,
-        redispatched: out.redispatched,
-        busy_modeled_s: out.busy_modeled_s,
-        makespan_s: out.makespan_s,
-        slo_p99_s,
-        latencies_s: latencies,
-        results: out.results,
-        tenants,
     }
 }

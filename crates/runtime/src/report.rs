@@ -1,87 +1,21 @@
 //! What a threaded runtime run measured.
 //!
-//! The shape deliberately mirrors
-//! [`ServiceReport`](upanns_serve::ServiceReport) — same percentile
-//! convention, same shed-aware miss accounting — so wall-clock rows and
-//! replay rows can sit side by side in one table. The runtime adds the
-//! conservation counters ([`lost`](RuntimeReport::lost) /
+//! A [`RuntimeReport`] is built from the serving core's one
+//! [`ServiceReport`] — the report the replay returns — so wall-clock rows and
+//! replay rows share their percentile convention, their shed-aware miss
+//! accounting and their per-tenant row type, and can sit side by side in one
+//! table. The runtime adds its clock, its worker count, and the conservation
+//! counters ([`lost`](RuntimeReport::lost) /
 //! [`duplicated`](RuntimeReport::duplicated)) that a single-threaded replay
 //! cannot violate but a pipeline with a shutdown protocol must prove it
 //! does not.
 
 use annkit::topk::Neighbor;
-use baselines::engine::TenantId;
+use upanns_serve::service::{miss_fraction_of, percentile_of, ServiceReport, TenantReport};
 
-/// Nearest-rank percentile over an ascending-sorted latency list (0 when
-/// empty) — the same convention as the replay's reports.
-fn percentile_of(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p.clamp(0.0, 100.0) / 100.0 * (sorted.len() - 1) as f64).round();
-    sorted[rank as usize]
-}
-
-/// Shed-aware SLO miss fraction (see
-/// [`ServiceReport::slo_miss_fraction`](upanns_serve::ServiceReport::slo_miss_fraction)
-/// for the rationale: a shed query is the worst possible latency).
-fn miss_fraction_of(sorted: &[f64], completed: usize, shed: usize, slo: Option<f64>) -> f64 {
-    let offered = completed + shed;
-    if offered == 0 {
-        return 0.0;
-    }
-    let late = match slo {
-        Some(slo) => sorted.iter().filter(|&&l| l > slo).count(),
-        None => 0,
-    };
-    (late + shed) as f64 / offered as f64
-}
-
-/// One tenant's slice of a [`RuntimeReport`].
-#[derive(Debug, Clone)]
-pub struct RuntimeTenantRow {
-    /// The tenant.
-    pub id: TenantId,
-    /// Report name (from the stream's profile, or the id's display form).
-    pub name: String,
-    /// The SLO this tenant is judged by (same resolution rules as the
-    /// replay's [`SloTable`](upanns_serve::SloTable)).
-    pub slo_p99_s: Option<f64>,
-    /// Queries of this tenant answered (engine or cache).
-    pub completed: usize,
-    /// Queries of this tenant rejected at admission.
-    pub shed: usize,
-    /// This tenant's end-to-end wall-clock latencies, sorted ascending.
-    pub latencies_s: Vec<f64>,
-}
-
-impl RuntimeTenantRow {
-    /// The `p`-th latency percentile in seconds (nearest rank).
-    pub fn percentile(&self, p: f64) -> f64 {
-        percentile_of(&self.latencies_s, p)
-    }
-
-    /// Median latency in seconds.
-    pub fn p50(&self) -> f64 {
-        self.percentile(50.0)
-    }
-
-    /// Tail latency in seconds.
-    pub fn p99(&self) -> f64 {
-        self.percentile(99.0)
-    }
-
-    /// Shed-aware SLO miss fraction for this tenant.
-    pub fn slo_miss_fraction(&self) -> f64 {
-        miss_fraction_of(&self.latencies_s, self.completed, self.shed, self.slo_p99_s)
-    }
-
-    /// Whether this tenant met its SLO (at most 1 % of offered queries
-    /// missed; vacuously true without a target).
-    pub fn meets_slo(&self) -> bool {
-        self.slo_p99_s.is_none() || self.slo_miss_fraction() <= 0.01
-    }
-}
+/// One tenant's slice of a [`RuntimeReport`] — the replay's row type
+/// (latencies are wall-clock seconds in wall mode).
+pub type RuntimeTenantRow = TenantReport;
 
 /// What one threaded pipeline run measured.
 #[derive(Debug, Clone)]
@@ -115,7 +49,7 @@ pub struct RuntimeReport {
     /// arrival's (neither hit nor miss; always 0 without a live-index
     /// epoch schedule).
     pub cache_invalidated: u64,
-    /// Chunks the dispatcher handed to workers.
+    /// Chunks the control thread handed to workers.
     pub dispatched_chunks: usize,
     /// Formed batches split into more than one chunk.
     pub split_batches: usize,
@@ -138,13 +72,49 @@ pub struct RuntimeReport {
     pub latencies_s: Vec<f64>,
     /// Per-query results in stream order (empty vector for shed queries) —
     /// the twin byte-diff compares exactly this against
-    /// [`ServiceReport::results`](upanns_serve::ServiceReport::results).
+    /// [`ServiceReport::results`].
     pub results: Vec<Vec<Neighbor>>,
     /// Per-tenant breakdown, stream-profile order first.
     pub tenants: Vec<RuntimeTenantRow>,
 }
 
 impl RuntimeReport {
+    /// The core's report of a threaded run, plus what only the thread
+    /// driver knows.
+    pub(crate) fn new(
+        service: ServiceReport,
+        mode: &'static str,
+        workers: usize,
+        offered: usize,
+        (lost, duplicated): (usize, usize),
+    ) -> Self {
+        Self {
+            engine: service.engine,
+            policy: service.policy,
+            mode,
+            workers,
+            offered,
+            completed: service.completed,
+            shed: service.shed,
+            lost,
+            duplicated,
+            cache_hits: service.cache_hits,
+            cache_misses: service.cache_misses,
+            cache_invalidated: service.cache_invalidated,
+            dispatched_chunks: service.dispatched_chunks,
+            split_batches: service.split_batches,
+            degraded: service.degraded,
+            hedged: service.hedged,
+            redispatched: service.redispatched,
+            busy_modeled_s: service.engine_busy_s,
+            makespan_s: service.makespan_s,
+            slo_p99_s: service.slo_p99_s,
+            latencies_s: service.latencies_s,
+            results: service.results,
+            tenants: service.tenants,
+        }
+    }
+
     /// Completed queries per second of makespan.
     pub fn sustained_qps(&self) -> f64 {
         if self.makespan_s <= 0.0 {

@@ -73,10 +73,10 @@ impl FormedBatch {
 
     /// Splits the batch into consecutive, arrival-ordered chunks of at most
     /// `max_chunk` members each — the dispatch granularity of the
-    /// [`EngineScheduler`](crate::dispatch::EngineScheduler). Every chunk
-    /// keeps the batch's options, open/close times and close reason (the
-    /// batch still *closed* once; chunking only bounds how long the serial
-    /// engine is committed per dispatch). A batch already within the cap
+    /// [`ChunkQueue`](crate::dispatch::ChunkQueue). Every chunk keeps the
+    /// batch's options, open/close times and close reason (the batch still
+    /// *closed* once; chunking only bounds how long an engine is committed
+    /// per dispatch). A batch already within the cap
     /// comes back whole.
     ///
     /// # Panics

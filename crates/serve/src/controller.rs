@@ -144,8 +144,8 @@ pub trait BatchPolicy: Send {
     }
 
     /// The dispatch chunk cap the policy steers, if any — how many queries
-    /// of one batch the [`EngineScheduler`](crate::dispatch::EngineScheduler)
-    /// may commit the serial engine to per dispatch. `None` (the default, and
+    /// of one batch the [`ChunkQueue`](crate::dispatch::ChunkQueue) may
+    /// commit an engine to per dispatch. `None` (the default, and
     /// every static policy's answer) defers to the service-level cap
     /// ([`ServiceConfig::max_chunk`](crate::service::ServiceConfig)). The
     /// service clamps the answer to that cap: a policy may trade amortization

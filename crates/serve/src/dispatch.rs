@@ -5,18 +5,18 @@
 //! batches ran in **close order**: a tight-SLO tenant whose batch closed just
 //! after a bulk tenant's large batch waited for the *entire* bulk batch —
 //! window-level tenant isolation (per-tenant close conditions) cannot help
-//! once the interference moves behind the former. The [`EngineScheduler`]
-//! fixes both halves of that problem:
+//! once the interference moves behind the former. The [`ChunkQueue`] fixes
+//! both halves of that problem:
 //!
 //! * **Priority.** Queued work is dispatched in SLO-urgency order — earliest
 //!   `arrival + tenant SLO` deadline first (EDF), FIFO within a tenant (and
 //!   between equally urgent chunks) via a submission sequence number. A
 //!   tenant with no SLO sorts last: bulk work yields to everyone.
 //! * **Chunking.** Bulk batches are split into size-capped *chunks*
-//!   ([`FormedBatch::into_chunks`]) at submission, so the serial engine is
-//!   never committed for more than one chunk's service time. A tight-SLO
-//!   batch arriving while a bulk batch drains therefore waits at most one
-//!   chunk — not the whole batch. The cap is per-submission (the service
+//!   ([`FormedBatch::into_chunks`]) at submission, so an engine is never
+//!   committed for more than one chunk's service time. A tight-SLO batch
+//!   arriving while a bulk batch drains therefore waits at most one chunk —
+//!   not the whole batch. The cap is per-submission (the serving core
 //!   resolves it per tenant from the
 //!   [`BatchPolicy`](crate::controller::BatchPolicy)).
 //!
@@ -26,15 +26,18 @@
 //! with nobody to isolate) and the baseline the committed head-of-line
 //! benchmark scenario compares against.
 //!
-//! The scheduler owns the engine-occupancy bookkeeping (`engine_free_at`,
-//! busy time) that used to live inline in the replay loop. It never calls
-//! the engine itself: [`pop_next`](EngineScheduler::pop_next) hands the
-//! caller the next chunk plus its simulated start time, and the caller
-//! reports the modeled service time back via
-//! [`complete`](EngineScheduler::complete). That keeps the scheduler a pure
-//! discrete-event queue, directly checkable by property tests.
+//! The [`ChunkQueue`] is the one queue: the serving core
+//! ([`ServingCore`](crate::core::ServingCore)) owns an instance and both of
+//! its drivers dispatch from it. The [`EngineScheduler`] is that queue plus
+//! the occupancy clock of one serial simulated engine (`engine_free_at`,
+//! busy time) — the discipline the replay driver applies, packaged as a
+//! pure discrete-event queue so property tests can check it directly. It
+//! never calls an engine itself: [`pop_next`](EngineScheduler::pop_next)
+//! hands the caller the next chunk plus its simulated start time, and the
+//! caller reports the modeled service time back via
+//! [`complete`](EngineScheduler::complete).
 //!
-//! # Invariants
+//! # Invariants (of a serial engine in front of the queue)
 //!
 //! * **Work conservation** — the engine never idles while a submitted chunk
 //!   is ready: the next dispatch time is `max(engine_free_at, earliest
@@ -132,32 +135,36 @@ impl QueuedChunk {
     }
 }
 
-/// The dispatch queue in front of the serial engine: batches enter as
-/// (possibly chunked) [`QueuedChunk`]s at close time and leave in
-/// [`DispatchOrder`] whenever the engine frees. See the module docs for the
-/// scheduling discipline and invariants.
+/// The dispatch queue: formed batches enter as (possibly chunked)
+/// [`QueuedChunk`]s at close time and leave in [`DispatchOrder`] — minimum
+/// `(deadline, seq)` under [`DispatchOrder::SloUrgency`] (no-SLO chunks sort
+/// last, FIFO tie-break), strict submission FIFO under
+/// [`DispatchOrder::CloseOrder`].
+///
+/// The queue is clock-free and occupancy-free: *who* runs a popped chunk and
+/// *when* is its owner's business. The serving core owns the one queue both
+/// drivers dispatch from — the simulated-clock replay pops chunks ready by
+/// its serial engine's next start ([`pop_ready`](Self::pop_ready)), the
+/// thread driver hands [`pop_most_urgent`](Self::pop_most_urgent) to
+/// whichever worker is idle (a batch reaching it has already closed in real
+/// time, so every queued chunk is ready by definition). The
+/// [`EngineScheduler`] is this queue plus a serial engine's clock.
 #[derive(Debug, Clone)]
-pub struct EngineScheduler {
+pub struct ChunkQueue {
     order: DispatchOrder,
     queue: Vec<QueuedChunk>,
-    engine_free_at: f64,
-    busy_s: f64,
     seq: u64,
-    in_flight: bool,
     dispatched_chunks: usize,
     split_batches: usize,
 }
 
-impl EngineScheduler {
-    /// An empty scheduler over an idle engine.
+impl ChunkQueue {
+    /// An empty queue under the given discipline.
     pub fn new(order: DispatchOrder) -> Self {
         Self {
             order,
             queue: Vec::new(),
-            engine_free_at: 0.0,
-            busy_s: 0.0,
             seq: 0,
-            in_flight: false,
             dispatched_chunks: 0,
             split_batches: 0,
         }
@@ -179,80 +186,158 @@ impl EngineScheduler {
     /// # Panics
     /// Panics if the batch is empty or `max_chunk` is zero.
     pub fn submit(&mut self, batch: FormedBatch, slo_p99_s: Option<f64>, max_chunk: usize) {
-        if enqueue_chunks(self.order, batch, slo_p99_s, max_chunk, &mut self.seq, &mut self.queue)
-        {
+        assert!(!batch.is_empty(), "the former never emits empty batches");
+        let chunks = match self.order {
+            DispatchOrder::CloseOrder => vec![batch],
+            DispatchOrder::SloUrgency => batch.into_chunks(max_chunk),
+        };
+        if chunks.len() > 1 {
             self.split_batches += 1;
+        }
+        for (i, chunk) in chunks.into_iter().enumerate() {
+            let deadline = match slo_p99_s {
+                Some(slo) => chunk.members[0].arrival_s + slo,
+                None => f64::INFINITY,
+            };
+            self.queue.push(QueuedChunk {
+                batch: chunk,
+                deadline,
+                seq: self.seq,
+                lead: i == 0,
+            });
+            self.seq += 1;
         }
     }
 
-    /// When the next dispatch would start, if any work is queued: the engine
-    /// frees *and* a chunk is ready — `max(engine_free_at, earliest
-    /// ready_at)` (under [`DispatchOrder::CloseOrder`], the head-of-queue's
-    /// ready time). The replay loop uses this to interleave dispatches with
-    /// batcher deadlines in simulated-time order.
-    pub fn next_dispatch_at(&self) -> Option<f64> {
-        let ready = match self.order {
+    /// When the earliest queued chunk became ready (under
+    /// [`DispatchOrder::CloseOrder`], the head of the FIFO's ready time) —
+    /// what a serial engine combines with its own free time to find the
+    /// next dispatch start. `None` when empty.
+    pub fn next_ready_at(&self) -> Option<f64> {
+        match self.order {
             DispatchOrder::CloseOrder => self.queue.first().map(QueuedChunk::ready_at),
             DispatchOrder::SloUrgency => self
                 .queue
                 .iter()
                 .map(QueuedChunk::ready_at)
                 .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)),
-        }?;
-        Some(ready.max(self.engine_free_at))
+        }
     }
 
-    /// Pops the chunk the engine should run next, with its simulated start
-    /// time, if that start is no later than `now`. The caller executes the
-    /// chunk and must report the modeled service time via
-    /// [`complete`](Self::complete) before the next pop — the engine is
-    /// serial.
+    /// Removes and returns the chunk to run next among those ready by
+    /// `ready_by`: the minimum `(deadline, seq)` under
+    /// [`DispatchOrder::SloUrgency`] — chunks that become ready later, even
+    /// more urgent ones, cannot claim the slot (dispatch is non-preemptive) —
+    /// and the head of the FIFO under [`DispatchOrder::CloseOrder`]. `None`
+    /// when no chunk qualifies.
+    pub fn pop_ready(&mut self, ready_by: f64) -> Option<QueuedChunk> {
+        let index = match self.order {
+            DispatchOrder::CloseOrder => (!self.queue.is_empty()).then_some(0),
+            DispatchOrder::SloUrgency => self
+                .queue
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.ready_at() <= ready_by)
+                .min_by(|(_, a), (_, b)| {
+                    a.deadline
+                        .partial_cmp(&b.deadline)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.seq.cmp(&b.seq))
+                })
+                .map(|(i, _)| i),
+        }?;
+        self.dispatched_chunks += 1;
+        Some(self.queue.remove(index))
+    }
+
+    /// [`pop_ready`](Self::pop_ready) with every queued chunk ready — what
+    /// an idle worker of the thread driver should run next.
+    pub fn pop_most_urgent(&mut self) -> Option<QueuedChunk> {
+        self.pop_ready(f64::INFINITY)
+    }
+
+    /// Chunks waiting to run.
+    pub fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Whether no chunk is waiting.
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// Queries waiting, across all queued chunks.
+    pub fn queued_queries(&self) -> usize {
+        self.queue.iter().map(|c| c.batch.len()).sum()
+    }
+
+    /// Chunks handed out so far.
+    pub fn dispatched_chunks(&self) -> usize {
+        self.dispatched_chunks
+    }
+
+    /// Submitted batches that were split into more than one chunk.
+    pub fn split_batches(&self) -> usize {
+        self.split_batches
+    }
+}
+
+/// A [`ChunkQueue`] in front of one serial simulated engine: the queue plus
+/// the engine-occupancy clock (`engine_free_at`, busy time). See the module
+/// docs for the scheduling discipline and invariants.
+#[derive(Debug, Clone)]
+pub struct EngineScheduler {
+    queue: ChunkQueue,
+    engine_free_at: f64,
+    busy_s: f64,
+    in_flight: bool,
+}
+
+impl EngineScheduler {
+    /// An empty scheduler over an idle engine.
+    pub fn new(order: DispatchOrder) -> Self {
+        Self {
+            queue: ChunkQueue::new(order),
+            engine_free_at: 0.0,
+            busy_s: 0.0,
+            in_flight: false,
+        }
+    }
+
+    /// The scheduling discipline.
+    pub fn order(&self) -> DispatchOrder {
+        self.queue.order()
+    }
+
+    /// Enqueues a formed batch — see [`ChunkQueue::submit`].
     ///
-    /// Under [`DispatchOrder::SloUrgency`] the winner is the minimum
-    /// `(deadline, seq)` among chunks ready by the start time; chunks that
-    /// become ready later — even more urgent ones — cannot claim this slot
-    /// (dispatch is non-preemptive and never idles a free engine while work
-    /// waits).
+    /// # Panics
+    /// Panics if the batch is empty or `max_chunk` is zero.
+    pub fn submit(&mut self, batch: FormedBatch, slo_p99_s: Option<f64>, max_chunk: usize) {
+        self.queue.submit(batch, slo_p99_s, max_chunk);
+    }
+
+    /// When the next dispatch would start, if any work is queued: the engine
+    /// frees *and* a chunk is ready — `max(engine_free_at, earliest
+    /// ready_at)`.
+    pub fn next_dispatch_at(&self) -> Option<f64> {
+        Some(self.queue.next_ready_at()?.max(self.engine_free_at))
+    }
+
+    /// Pops the chunk the engine should run next
+    /// ([`ChunkQueue::pop_ready`] by the start time), with its simulated
+    /// start time, if that start is no later than `now`. The caller executes
+    /// the chunk and must report the modeled service time via
+    /// [`complete`](Self::complete) before the next pop — the engine is
+    /// serial, and it never idles while ready work waits.
     ///
     /// # Panics
     /// Panics if the previous dispatch was never completed.
     pub fn pop_next(&mut self, now: f64) -> Option<(QueuedChunk, f64)> {
         assert!(!self.in_flight, "complete() the in-flight chunk first");
-        let start = self.next_dispatch_at()?;
-        if start > now {
-            return None;
-        }
-        let index = match self.order {
-            DispatchOrder::CloseOrder => 0,
-            DispatchOrder::SloUrgency => {
-                let most_urgent = self
-                    .queue
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.ready_at() <= start)
-                    .min_by(|(_, a), (_, b)| {
-                        a.deadline
-                            .partial_cmp(&b.deadline)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.seq.cmp(&b.seq))
-                    })
-                    .map(|(i, _)| i);
-                match most_urgent {
-                    Some(i) => i,
-                    None => {
-                        // `next_dispatch_at` derived `start` from a ready
-                        // chunk, so no candidate here means a scheduler bug;
-                        // degrade to "nothing to dispatch" rather than
-                        // panicking live queries in release builds.
-                        debug_assert!(false, "no chunk ready at the computed start time");
-                        return None;
-                    }
-                }
-            }
-        };
-        let chunk = self.queue.remove(index);
+        let start = self.next_dispatch_at().filter(|&start| start <= now)?;
+        let chunk = self.queue.pop_ready(start)?;
         self.in_flight = true;
-        self.dispatched_chunks += 1;
         Some((chunk, start))
     }
 
@@ -291,7 +376,7 @@ impl EngineScheduler {
 
     /// Queries waiting for the engine, across all queued chunks.
     pub fn queued_queries(&self) -> usize {
-        self.queue.iter().map(|c| c.batch.len()).sum()
+        self.queue.queued_queries()
     }
 
     /// Whether nothing is queued or in flight.
@@ -301,162 +386,12 @@ impl EngineScheduler {
 
     /// Chunks handed to the engine so far.
     pub fn dispatched_chunks(&self) -> usize {
-        self.dispatched_chunks
+        self.queue.dispatched_chunks()
     }
 
     /// Submitted batches that were split into more than one chunk.
     pub fn split_batches(&self) -> usize {
-        self.split_batches
-    }
-}
-
-/// Splits `batch` per `order`, derives each chunk's urgency deadline, and
-/// appends the chunks to `queue` with sequence numbers drawn from `seq`.
-/// Returns whether the batch was split — the one piece of chunking logic the
-/// serial [`EngineScheduler`] and the multi-worker [`ChunkQueue`] share.
-///
-/// # Panics
-/// Panics if the batch is empty or `max_chunk` is zero.
-fn enqueue_chunks(
-    order: DispatchOrder,
-    batch: FormedBatch,
-    slo_p99_s: Option<f64>,
-    max_chunk: usize,
-    seq: &mut u64,
-    queue: &mut Vec<QueuedChunk>,
-) -> bool {
-    assert!(!batch.is_empty(), "the former never emits empty batches");
-    let chunks = match order {
-        DispatchOrder::CloseOrder => vec![batch],
-        DispatchOrder::SloUrgency => batch.into_chunks(max_chunk),
-    };
-    let split = chunks.len() > 1;
-    for (i, chunk) in chunks.into_iter().enumerate() {
-        let deadline = match slo_p99_s {
-            Some(slo) => chunk.members[0].arrival_s + slo,
-            None => f64::INFINITY,
-        };
-        queue.push(QueuedChunk {
-            batch: chunk,
-            deadline,
-            seq: *seq,
-            lead: i == 0,
-        });
-        *seq += 1;
-    }
-    split
-}
-
-/// The dispatch queue of the **threaded runtime**'s dispatcher stage: the
-/// same chunking and SLO-urgency discipline as the [`EngineScheduler`], but
-/// feeding *N concurrent* engine workers instead of one serial simulated
-/// engine — so there is no `engine_free_at`, no single in-flight slot, and
-/// no simulated clock at all.
-///
-/// Two differences from the serial scheduler, both forced by real time:
-///
-/// * **Readiness is implicit.** A batch reaching this queue has already
-///   closed in real time, so every queued chunk is ready by definition;
-///   [`pop_most_urgent`](Self::pop_most_urgent) never needs a `now`.
-/// * **No occupancy bookkeeping.** Worker occupancy lives in the dispatcher
-///   thread's idle-set (it only dispatches to workers that reported idle),
-///   not here — this stays a pure priority queue, clock-free, so the
-///   `no-wall-clock` lint invariant keeps holding for `crates/serve`.
-///
-/// Ordering is identical to the serial scheduler: minimum
-/// `(deadline, seq)` under [`DispatchOrder::SloUrgency`] (no-SLO chunks sort
-/// last, FIFO tie-break), strict submission FIFO under
-/// [`DispatchOrder::CloseOrder`].
-#[derive(Debug, Clone)]
-pub struct ChunkQueue {
-    order: DispatchOrder,
-    queue: Vec<QueuedChunk>,
-    seq: u64,
-    dispatched_chunks: usize,
-    split_batches: usize,
-}
-
-impl ChunkQueue {
-    /// An empty queue under the given discipline.
-    pub fn new(order: DispatchOrder) -> Self {
-        Self {
-            order,
-            queue: Vec::new(),
-            seq: 0,
-            dispatched_chunks: 0,
-            split_batches: 0,
-        }
-    }
-
-    /// The scheduling discipline.
-    pub fn order(&self) -> DispatchOrder {
-        self.order
-    }
-
-    /// Enqueues a formed batch, split into chunks of at most `max_chunk`
-    /// queries exactly like [`EngineScheduler::submit`] (never split under
-    /// [`DispatchOrder::CloseOrder`]; `slo_p99_s` derives each chunk's
-    /// urgency deadline).
-    ///
-    /// # Panics
-    /// Panics if the batch is empty or `max_chunk` is zero.
-    pub fn submit(&mut self, batch: FormedBatch, slo_p99_s: Option<f64>, max_chunk: usize) {
-        if enqueue_chunks(self.order, batch, slo_p99_s, max_chunk, &mut self.seq, &mut self.queue)
-        {
-            self.split_batches += 1;
-        }
-    }
-
-    /// Removes and returns the chunk an idle worker should run next: the
-    /// minimum `(deadline, seq)` under [`DispatchOrder::SloUrgency`], the
-    /// head of the FIFO under [`DispatchOrder::CloseOrder`]. `None` when
-    /// empty.
-    pub fn pop_most_urgent(&mut self) -> Option<QueuedChunk> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        let index = match self.order {
-            DispatchOrder::CloseOrder => 0,
-            DispatchOrder::SloUrgency => {
-                self.queue
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| {
-                        a.deadline
-                            .partial_cmp(&b.deadline)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.seq.cmp(&b.seq))
-                    })
-                    .map(|(i, _)| i)?
-            }
-        };
-        self.dispatched_chunks += 1;
-        Some(self.queue.remove(index))
-    }
-
-    /// Chunks waiting for a worker.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether no chunk is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Queries waiting, across all queued chunks.
-    pub fn queued_queries(&self) -> usize {
-        self.queue.iter().map(|c| c.batch.len()).sum()
-    }
-
-    /// Chunks handed to workers so far.
-    pub fn dispatched_chunks(&self) -> usize {
-        self.dispatched_chunks
-    }
-
-    /// Submitted batches that were split into more than one chunk.
-    pub fn split_batches(&self) -> usize {
-        self.split_batches
+        self.queue.split_batches()
     }
 }
 

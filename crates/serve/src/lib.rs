@@ -8,16 +8,23 @@
 //! builds the layer between the two:
 //!
 //! ```text
-//!   QueryStream ──► AdmissionQueue ──► BatchFormer ──► EngineScheduler ──► AnnEngine::execute
-//!     (timed, tenant-  (bounded,          (tenant-pure     (size-capped        │
-//!      tagged          weighted-fair       groups close     chunks, SLO-       ▼
-//!      arrivals)       DRR shedding)       on size or       urgency order   ResultCache
-//!                            ▲             per-tenant       or whole-batch (LRU over exact
-//!                            │             deadline)        close order)    query + options)
-//!                     BatchPolicy / SloController / ControllerBank
-//!                     (per-arrival window + chunk-cap steering from causal feedback)
+//!   ┌─ ServingCore ────────────────────────────────────────────────────────────────────────────────────┐
+//!   │ arrive(now) ──► ResultCache ─miss─► AdmissionQueue ──► BatchFormer ──► ChunkQueue ──► pop_chunk  │
+//!   │                 (LRU over exact     (bounded,          (tenant-pure    (size-capped   (a driver  │
+//!   │                  query + options;    weighted-fair      groups close    chunks, SLO-    executes │
+//!   │                  a hit is answered)  DRR shedding)      on size or      urgency or      it)      │
+//!   │                                                         deadline)       close order)             │
+//!   │ tick(now) ────► BatchPolicy / SloController / ControllerBank                                     │
+//!   │                 (window + chunk-cap steering from causal feedback)                               │
+//!   │ complete() ───► cache entries · deferred seat release and feedback · the ledger ──► into_report  │
+//!   └──────────────────────────────────────────────────────────────────────────────────────────────────┘
+//!   driver 1: SearchService::replay — simulated clock, one serial virtual engine
+//!   driver 2: upanns_runtime::run_pipeline — one control thread + N engine workers
 //! ```
 //!
+//! * [`core::ServingCore`] — the one place each serving semantic (admit,
+//!   batch, dispatch, cache, feedback, report) exists. It reads no clock and
+//!   calls no engine; a driver tells it the time and hands it responses.
 //! * [`admission::AdmissionQueue`] — a bounded waiting room; arrivals beyond
 //!   capacity are shed instead of growing the tail latency without bound.
 //!   Capacity is shared **weighted-fair** across tenants: freed room returns
@@ -36,16 +43,19 @@
 //!   tail-latency target; or the [`controller::ControllerBank`] holding one
 //!   `SloController` per tenant, so a tight-SLO tenant's narrow window and a
 //!   batch-hungry tenant's wide one coexist on one engine.
-//! * [`dispatch::EngineScheduler`] — the stage between the former and the
-//!   serial engine: formed batches queue as (optionally size-capped) chunks
-//!   and dispatch earliest-SLO-deadline-first, so a tight-SLO tenant's
-//!   batch waits at most one chunk of a bulk co-tenant's work instead of
-//!   the whole batch — engine-level head-of-line isolation that window-level
+//! * [`dispatch::ChunkQueue`] — the stage between the former and the
+//!   engines: formed batches queue as (optionally size-capped) chunks and
+//!   dispatch earliest-SLO-deadline-first, so a tight-SLO tenant's batch
+//!   waits at most one chunk of a bulk co-tenant's work instead of the whole
+//!   batch — engine-level head-of-line isolation that window-level
 //!   (per-tenant close conditions) isolation cannot provide.
+//!   ([`dispatch::EngineScheduler`] is the queue plus one serial engine's
+//!   clock, the model the dispatch property tests check.)
 //! * [`cache::ResultCache`] — an LRU of exact (query, options) → neighbors
 //!   entries; repeated questions (common in RAG streams) bypass the engine.
-//! * [`service::SearchService`] — ties the pieces together and replays an
-//!   [`annkit::workload::QueryStream`] against the simulated clock, reporting
+//! * [`service::SearchService`] — the simulated-clock driver: replays an
+//!   [`annkit::workload::QueryStream`] through the core on one serial
+//!   virtual engine, reporting
 //!   sustained QPS, latency percentiles and shed-aware SLO attainment per
 //!   engine, per policy, and per tenant ([`service::TenantReport`]).
 //!
@@ -117,6 +127,7 @@ pub mod autoscale;
 pub mod batcher;
 pub mod cache;
 pub mod controller;
+pub mod core;
 pub mod dispatch;
 pub mod envelope;
 pub mod service;
@@ -139,4 +150,4 @@ pub mod prelude {
 pub use autoscale::{Autoscaler, CapacityModel};
 pub use controller::{BatchPolicy, ControllerBank, FixedPolicy, SloController, SloControllerConfig};
 pub use envelope::RecoveryEnvelope;
-pub use service::{SearchService, ServiceConfig, ServiceReport, SloTable, TenantReport};
+pub use service::{SearchService, ServiceConfig, ServiceReport, TenantReport};

@@ -1,32 +1,35 @@
-//! The serving front-end: admission → batching → dispatch → cache → engine,
-//! replayed against the simulated clock.
+//! The serving front-end's public surface — [`ServiceConfig`],
+//! [`ServiceReport`] — and [`SearchService`], the simulated-clock driver of
+//! the serving core.
 //!
 //! [`SearchService`] wraps any [`AnnEngine`] and replays a timed
-//! [`QueryStream`]: every arrival is admitted (or shed), checked against the
-//! result cache, and batched with compatible queries; formed batches enter
-//! the [`EngineScheduler`], which hands
-//! them to the engine (a single serial resource) either whole in close
-//! order, or — with [`ServiceConfig::max_chunk`] set — as size-capped
-//! chunks in SLO-urgency order, so a tight-SLO tenant's batch waits at most
-//! one chunk of a bulk co-tenant's work instead of the whole batch. All
-//! times are simulated seconds — the engines' own timing models drive the
-//! clock, so sustained QPS and latency percentiles are comparable across
-//! the CPU, GPU and PIM engines exactly like the batch benchmarks.
+//! [`QueryStream`] through a [`ServingCore`]: every arrival is admitted (or
+//! shed), checked against the result cache, and batched with compatible
+//! queries; formed batches queue for the engine (a single serial resource)
+//! either whole in close order, or — with [`ServiceConfig::max_chunk`] set —
+//! as size-capped chunks in SLO-urgency order, so a tight-SLO tenant's batch
+//! waits at most one chunk of a bulk co-tenant's work instead of the whole
+//! batch. The core holds all of that; this driver holds only what is
+//! particular to a *simulated* serial engine: when it frees, the
+//! time-ordered interleave of window deadlines and dispatches, and the
+//! autoscaler hook. All times are simulated seconds — the engines' own
+//! timing models drive the clock, so sustained QPS and latency percentiles
+//! are comparable across the CPU, GPU and PIM engines exactly like the
+//! batch benchmarks.
 
-use crate::admission::AdmissionQueue;
 use crate::autoscale::Autoscaler;
-use crate::batcher::{BatchFormer, BatchFormerConfig, CloseReason, FormedBatch, PendingQuery};
-use crate::cache::ResultCache;
+use crate::batcher::BatchFormerConfig;
 use crate::controller::{BatchPolicy, FixedPolicy};
-use crate::dispatch::{DispatchOrder, EngineScheduler, QueuedChunk};
+use crate::core::{request_for, ServingCore};
+use crate::dispatch::DispatchOrder;
 use annkit::mutation::SnapshotTimeline;
 use annkit::topk::Neighbor;
 use annkit::workload::QueryStream;
-use baselines::engine::{AnnEngine, QueryOptions, SearchRequest, TenantId};
+use baselines::engine::{AnnEngine, QueryOptions, TenantId};
 
 /// Nearest-rank percentile over an ascending-sorted latency list (0 when
 /// empty) — shared by the aggregate and per-tenant report rows.
-fn percentile_of(sorted: &[f64], p: f64) -> f64 {
+pub fn percentile_of(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -36,7 +39,7 @@ fn percentile_of(sorted: &[f64], p: f64) -> f64 {
 
 /// Shed-aware SLO miss fraction: completed queries over the target plus
 /// every shed query, over the offered total (0 when nothing was offered).
-fn miss_fraction_of(sorted: &[f64], completed: usize, shed: usize, slo: Option<f64>) -> f64 {
+pub fn miss_fraction_of(sorted: &[f64], completed: usize, shed: usize, slo: Option<f64>) -> f64 {
     let offered = completed + shed;
     if offered == 0 {
         return 0.0;
@@ -188,11 +191,11 @@ pub struct ServiceReport {
     /// close at their own deadlines on the replay clock (kept for
     /// record-schema stability and custom front-ends that still flush).
     pub flushed_batches: usize,
-    /// Chunks the dispatcher handed to the engine — equal to
+    /// Chunks the chunk queue handed to an engine — equal to
     /// [`batches`](Self::batches) under whole-batch (close-order) dispatch,
     /// larger when [`ServiceConfig::max_chunk`] splits bulk batches.
     pub dispatched_chunks: usize,
-    /// Formed batches the dispatcher split into more than one chunk.
+    /// Formed batches the chunk queue split into more than one chunk.
     pub split_batches: usize,
     /// Simulated seconds the engine spent executing chunks.
     pub engine_busy_s: f64,
@@ -329,243 +332,56 @@ impl ServiceReport {
     }
 }
 
-/// Policy feedback queued until the arrival clock catches up with the
-/// completion it describes (the causality guarantee of
-/// [`SearchService::replay`]). Each observation carries its tenant so a
-/// per-tenant policy bank can route it to the owning controller.
-#[derive(Clone, Copy)]
-enum Feedback {
-    Query {
-        at: f64,
-        tenant: TenantId,
-        latency_s: f64,
-    },
-    Batch {
-        at: f64,
-        tenant: TenantId,
-        len: usize,
-        wait_s: f64,
-    },
-}
-
-impl Feedback {
-    fn at(&self) -> f64 {
-        match *self {
-            Feedback::Query { at, .. } | Feedback::Batch { at, .. } => at,
-        }
-    }
-}
-
-/// The SLO each tenant's dispatch urgency and report row are judged by:
-/// a profiled tenant's own target (or the config override), the config
-/// override alone for tenants the stream never announced — never the
-/// stream-level SLO, which is the tightest *profiled* tenant's target.
-///
-/// Public because the threaded runtime's dispatcher stage resolves chunk
-/// deadlines with exactly the same table the replay twin uses.
-#[derive(Debug, Clone)]
-pub struct SloTable {
-    entries: Vec<(TenantId, Option<f64>)>,
-    fallback: Option<f64>,
-}
-
-impl SloTable {
-    /// Builds the table from the stream's tenant profiles and the service
-    /// config's explicit override (which also covers unannounced tenants).
-    pub fn new(stream: &QueryStream, config_slo: Option<f64>) -> Self {
-        Self {
-            entries: stream
-                .tenant_profiles
-                .iter()
-                .map(|p| (p.id, p.slo_p99_s.or(config_slo)))
-                .collect(),
-            fallback: config_slo,
-        }
-    }
-
-    /// The SLO `tenant` is judged (and dispatched) by, if any.
-    pub fn slo_of(&self, tenant: TenantId) -> Option<f64> {
-        self.entries
-            .iter()
-            .find(|(id, _)| *id == tenant)
-            .map_or(self.fallback, |(_, slo)| *slo)
-    }
-}
-
-/// The per-tenant dispatch chunk cap: the policy's steered cap clamped by
-/// the service-level ceiling (`usize::MAX` — never split — when chunked
-/// dispatch is off). Public for the same reason as [`SloTable`]: the
-/// threaded runtime's batcher stage resolves chunk caps identically.
-pub fn effective_chunk(
-    policy: &dyn BatchPolicy,
-    tenant: TenantId,
-    max_chunk: Option<usize>,
-) -> usize {
-    match max_chunk {
-        None => usize::MAX,
-        Some(cap) => policy.chunk_for(tenant).map_or(cap, |c| c.min(cap)).max(1),
-    }
-}
-
-/// The replay simulation: the former, the dispatch scheduler and all the
-/// bookkeeping arrival processing and dispatch-driven completions share.
-/// The engine and policy stay parameters — they are borrowed from the
-/// service alongside this state.
-struct ReplayState<'s> {
-    stream: &'s QueryStream,
-    former: BatchFormer,
-    scheduler: EngineScheduler,
-    slos: SloTable,
-    max_chunk: Option<usize>,
-    cache: ResultCache,
-    /// The installed timeline's `(activation, epoch)` schedule — empty for a
-    /// frozen index, where every query and cache entry sits at epoch 0.
-    epochs: &'s [(f64, u64)],
-    /// `(finish, tenant, queries)` of every executed chunk, pushed in
-    /// dispatch order. The serial engine makes finish times non-decreasing
-    /// in this order (a `debug_assert` guards it) even though they are not
-    /// monotone in *close* order under priority dispatch — which is exactly
-    /// why admission release walks this vector, not the close sequence.
-    completions: Vec<(f64, TenantId, usize)>,
-    pending_feedback: Vec<Feedback>,
-    latencies: Vec<f64>,
-    tenant_latencies: Vec<(TenantId, f64)>,
-    results: Vec<Vec<Neighbor>>,
-    /// Per-query `(arrival, Some(latency) | None)` — shed queries are `None`.
-    outcomes: Vec<(f64, Option<f64>)>,
-    /// `(time, missed)` SLO observations an attached autoscaler has not yet
-    /// consumed; drained causally, like `pending_feedback`.
-    pending_slo_events: Vec<(f64, bool)>,
-    /// Fault-tolerance work counters accumulated from engine responses.
-    degraded: u64,
-    hedged: u64,
-    redispatched: u64,
-    makespan_s: f64,
-    size_closed: usize,
-    deadline_closed: usize,
-    flushed: usize,
-}
-
-impl ReplayState<'_> {
-    /// Counts the batch's close reason and enqueues it for dispatch, under
-    /// its tenant's SLO deadline and effective chunk cap.
-    ///
-    /// Under [`DispatchOrder::CloseOrder`] the batch also *executes*
-    /// immediately: FIFO dispatch is fully determined at close
-    /// (`start = max(closed_at, engine free)`), so running it now — with a
+/// The simulated serial engine [`SearchService::replay`] steps the core
+/// with: it executes each dispatched chunk the instant it starts and tells
+/// the core the (possibly future) finish, so the only clock state is when
+/// the engine frees.
+struct SerialEngine<'e, E: AnnEngine> {
+    engine: &'e mut E,
+    stream: &'e QueryStream,
+    next_request_id: &'e mut u64,
+    free_at: f64,
+    /// Under [`DispatchOrder::CloseOrder`] a batch *executes* the moment it
+    /// closes: FIFO dispatch is fully determined at close
+    /// (`start = max(closed_at, engine free)`), so running it then — with a
     /// finish possibly in the simulated future — is timing-identical to
     /// waiting, and it makes the batch's cache entries visible from close
     /// time (a repeat of a closed-but-unfinished query coalesces onto the
-    /// pending answer via `ready_at`, exactly the pre-scheduler
-    /// semantics). Under [`DispatchOrder::SloUrgency`] execution must wait
-    /// for [`advance`](Self::advance): a more urgent later close may
-    /// overtake this batch, so its start is genuinely undetermined here.
-    fn submit<E: AnnEngine>(
-        &mut self,
-        engine: &mut E,
-        next_request_id: &mut u64,
-        policy: &dyn BatchPolicy,
-        batch: FormedBatch,
-    ) {
-        match batch.reason {
-            CloseReason::Size => self.size_closed += 1,
-            CloseReason::Deadline => self.deadline_closed += 1,
-            CloseReason::Flush => self.flushed += 1,
-        }
-        let tenant = batch.options.tenant;
-        self.scheduler.submit(
-            batch,
-            self.slos.slo_of(tenant),
-            effective_chunk(policy, tenant, self.max_chunk),
-        );
-        if self.scheduler.order() == DispatchOrder::CloseOrder {
-            while let Some((chunk, start)) = self.scheduler.pop_next(f64::INFINITY) {
-                self.run_chunk(engine, next_request_id, chunk, start);
-            }
-        }
+    /// pending answer via `ready_at`). Under
+    /// `SloUrgency` execution must wait for [`advance`](Self::advance): a
+    /// more urgent later close may overtake a queued chunk, so its start is
+    /// genuinely undetermined until the engine picks it.
+    execute_at_close: bool,
+}
+
+impl<E: AnnEngine> SerialEngine<'_, E> {
+    /// When the next dispatch would start: the engine frees *and* a chunk
+    /// is ready.
+    fn next_start(&self, core: &ServingCore) -> Option<f64> {
+        Some(core.next_ready_at()?.max(self.free_at))
     }
 
-    /// Executes one dispatched chunk on the engine at its simulated start
-    /// time: records the completion, the causal policy feedback, the cache
-    /// entries (available from `finish` — the ready-at guard keeps repeats
-    /// honest) and the per-query results and latencies.
-    fn run_chunk<E: AnnEngine>(
-        &mut self,
-        engine: &mut E,
-        next_request_id: &mut u64,
-        chunk: QueuedChunk,
-        start: f64,
-    ) {
-        let batch = chunk.batch;
-        // Chunks are tenant-pure (the former never mixes tenants and the
-        // dispatcher splits batches without mixing), so the options name
-        // the one tenant all feedback and the admission release belong to.
-        let tenant = batch.options.tenant;
-        let indices: Vec<usize> = batch.members.iter().map(|m| m.stream_index).collect();
-        let options: Vec<QueryOptions> = batch.members.iter().map(|m| m.options).collect();
-        let queries = self.stream.batch.queries.gather(&indices);
-        *next_request_id += 1;
-        // The request is stamped with the batch's *close* time — the one
-        // timestamp the threaded twin reproduces exactly — so an engine with
-        // a fault schedule evaluates host liveness identically in replay and
-        // twin runs. Per-query arrivals ride along so a live-mutation engine
-        // resolves each query's snapshot at its own arrival, keeping every
-        // answer a pure function of (query, arrival) no matter how the
-        // twin's asynchronous cache happened to shape this batch.
-        let request = SearchRequest::new(queries, options)
-            .with_id(*next_request_id)
-            .with_at(batch.closed_at)
-            .with_arrivals(batch.members.iter().map(|m| m.arrival_s).collect());
-        let response = engine.execute(&request);
-        self.degraded += response.stats.degraded;
-        self.hedged += response.stats.hedged;
-        self.redispatched += response.stats.redispatched;
-        let finish = self.scheduler.complete(start, response.seconds);
-        debug_assert!(
-            self.completions.last().is_none_or(|&(f, _, _)| f <= finish),
-            "serial dispatch must finish in non-decreasing order"
-        );
-        self.makespan_s = self.makespan_s.max(finish);
-        self.completions.push((finish, tenant, batch.len()));
-        // The time the batch sat behind a busy engine after it closed — the
-        // saturation signal an adaptive policy steers by. Only the *lead*
-        // chunk reports it: trailing chunks queue behind their own
-        // siblings, and that self-inflicted wait is not engine saturation
-        // (a controller reading it as such would widen the window and make
-        // the blocking worse).
-        if chunk.lead {
-            self.pending_feedback.push(Feedback::Batch {
-                at: finish,
-                tenant,
-                len: batch.len(),
-                wait_s: start - batch.closed_at,
-            });
+    /// Dispatches the chunk due to start at `start` and executes it.
+    fn run(&mut self, core: &mut ServingCore, start: f64) {
+        let Some(chunk) = core.pop_chunk(start) else {
+            debug_assert!(false, "a dispatch was due but no chunk was ready");
+            return;
+        };
+        *self.next_request_id += 1;
+        let request = request_for(self.stream, &chunk, *self.next_request_id);
+        let response = self.engine.execute(&request);
+        self.free_at = start + response.seconds;
+        core.complete(chunk, response, start, self.free_at);
+    }
+
+    /// Executes everything that just closed, when that is this engine's
+    /// discipline (see [`execute_at_close`](Self::execute_at_close)).
+    fn run_closed(&mut self, core: &mut ServingCore) {
+        if !self.execute_at_close {
+            return;
         }
-        let slo = self.slos.slo_of(tenant);
-        for (member, neighbors) in batch.members.iter().zip(response.results) {
-            let latency = finish - member.arrival_s;
-            self.latencies.push(latency);
-            self.tenant_latencies.push((tenant, latency));
-            self.outcomes.push((member.arrival_s, Some(latency)));
-            self.pending_slo_events
-                .push((finish, slo.is_some_and(|s| latency > s)));
-            self.pending_feedback.push(Feedback::Query {
-                at: finish,
-                tenant,
-                latency_s: latency,
-            });
-            // The answer was computed against the snapshot active at the
-            // query's own arrival — stamp the entry with that epoch so a
-            // later-epoch arrival invalidates it (and recomputes byte-
-            // identically) instead of serving a stale answer.
-            self.cache.insert_at_epoch(
-                self.stream.batch.queries.vector(member.stream_index),
-                &member.options,
-                neighbors.clone(),
-                finish,
-                ResultCache::epoch_at(self.epochs, member.arrival_s),
-            );
-            self.results[member.stream_index] = neighbors;
+        while let Some(start) = self.next_start(core) {
+            self.run(core, start);
         }
     }
 
@@ -573,66 +389,19 @@ impl ReplayState<'_> {
     /// runs every due dispatch, interleaved in simulated-time order — a
     /// deadline that closes a batch before the engine frees lets that batch
     /// compete for the next dispatch slot.
-    fn advance<E: AnnEngine>(
-        &mut self,
-        engine: &mut E,
-        next_request_id: &mut u64,
-        policy: &dyn BatchPolicy,
-        now: f64,
-    ) {
+    fn advance(&mut self, core: &mut ServingCore, now: f64) {
         loop {
-            let deadline = self.former.next_deadline().filter(|&d| d <= now);
-            let dispatch = self.scheduler.next_dispatch_at().filter(|&t| t <= now);
+            let deadline = core.next_deadline().filter(|&d| d <= now);
+            let dispatch = self.next_start(core).filter(|&t| t <= now);
             match (deadline, dispatch) {
                 (Some(d), t) if t.is_none_or(|t| d <= t) => {
-                    for batch in self.former.due(d) {
-                        self.submit(engine, next_request_id, policy, batch);
-                    }
+                    core.close_due(d);
+                    self.run_closed(core);
                 }
-                (_, Some(_)) => {
-                    // The guard just observed a due dispatch, so `None` here
-                    // means a scheduler bug; stop advancing rather than
-                    // panicking mid-dispatch in release builds.
-                    let Some((chunk, start)) = self.scheduler.pop_next(now) else {
-                        debug_assert!(false, "a dispatch was due but pop_next returned None");
-                        break;
-                    };
-                    self.run_chunk(engine, next_request_id, chunk, start);
-                }
+                (_, Some(start)) => self.run(core, start),
                 // `(Some, None)` with a failed guard cannot occur — the
                 // guard always passes when no dispatch is due.
                 _ => break,
-            }
-        }
-    }
-
-    /// Delivers every queued observation the clock has caught up with to
-    /// the policy, in completion-time order (engine finishes are
-    /// non-decreasing but cache-hit times can interleave with them).
-    fn deliver_feedback(&mut self, policy: &mut dyn BatchPolicy, now: f64) {
-        let mut due = Vec::new();
-        self.pending_feedback.retain(|obs| {
-            if obs.at() <= now {
-                due.push(*obs);
-                false
-            } else {
-                true
-            }
-        });
-        due.sort_by(|a, b| a.at().partial_cmp(&b.at()).unwrap_or(std::cmp::Ordering::Equal));
-        for obs in due {
-            match obs {
-                Feedback::Query {
-                    at,
-                    tenant,
-                    latency_s,
-                } => policy.observe_for(tenant, at, latency_s),
-                Feedback::Batch {
-                    at,
-                    tenant,
-                    len,
-                    wait_s,
-                } => policy.observe_batch_for(tenant, at, len, wait_s),
             }
         }
     }
@@ -729,9 +498,8 @@ impl<E: AnnEngine> SearchService<E> {
     /// batch still executing in the simulated future never steers earlier
     /// arrivals.
     ///
-    /// Formed batches run through the
-    /// [`EngineScheduler`]: whole and in
-    /// close order by default, size-capped and SLO-urgency-ordered with
+    /// Formed batches queue for the serial engine whole and in close order
+    /// by default, size-capped and SLO-urgency-ordered with
     /// [`ServiceConfig::max_chunk`] set. Completions, admission releases
     /// and policy feedback are all driven by *dispatch finishes* (which the
     /// serial engine keeps non-decreasing) rather than close order, so
@@ -757,258 +525,59 @@ impl<E: AnnEngine> SearchService<E> {
         stream: &QueryStream,
         mut options_of: impl FnMut(usize) -> QueryOptions,
     ) -> ServiceReport {
-        let engine = &mut self.engine;
-        let policy = &mut self.policy;
         let autoscaler = &mut self.autoscaler;
-        let next_request_id = &mut self.next_request_id;
-        let config = self.config;
-        let mut scale_events = 0usize;
-        let mut migration_s = 0.0f64;
-        if let (Some(scaler), Some(hosts)) = (autoscaler.as_mut(), engine.live_hosts()) {
+        if let (Some(scaler), Some(hosts)) = (autoscaler.as_mut(), self.engine.live_hosts()) {
             scaler.sync(hosts);
         }
-        let mut queue = AdmissionQueue::new(config.queue_capacity);
-        for p in &stream.tenant_profiles {
-            queue.register(p.id, p.weight);
-        }
-        let mut former = BatchFormer::new(policy.current());
-        // Tenants whose windows the policy steers: the announced profiles
-        // plus any tenant the options closure invents mid-stream.
-        let mut tenants_seen: Vec<TenantId> =
-            stream.tenant_profiles.iter().map(|p| p.id).collect();
-        for &t in &tenants_seen {
-            former.set_tenant_config(t, policy.current_for(t));
-        }
-        let slo_p99_s = config.slo_p99_s.or(stream.slo_p99_s);
-        // Admitted queries occupy the waiting room until their chunk
-        // *finishes* on the engine, so an engine backlog exerts backpressure
-        // on admission (per tenant — chunks are tenant-pure). Completions
-        // are released lazily as the clock passes them.
-        let mut state = ReplayState {
+        let mut core =
+            ServingCore::new(stream, self.config, self.policy.as_mut(), &self.epoch_schedule);
+        let mut sim = SerialEngine {
+            engine: &mut self.engine,
             stream,
-            former,
-            scheduler: EngineScheduler::new(match config.max_chunk {
-                Some(_) => DispatchOrder::SloUrgency,
-                None => DispatchOrder::CloseOrder,
-            }),
-            slos: SloTable::new(stream, config.slo_p99_s),
-            max_chunk: config.max_chunk,
-            cache: ResultCache::new(config.cache_capacity),
-            epochs: &self.epoch_schedule,
-            completions: Vec::new(),
-            pending_feedback: Vec::new(),
-            latencies: Vec::with_capacity(stream.len()),
-            tenant_latencies: Vec::with_capacity(stream.len()),
-            results: vec![Vec::new(); stream.len()],
-            outcomes: Vec::with_capacity(stream.len()),
-            pending_slo_events: Vec::new(),
-            degraded: 0,
-            hedged: 0,
-            redispatched: 0,
-            makespan_s: 0.0,
-            size_closed: 0,
-            deadline_closed: 0,
-            flushed: 0,
+            next_request_id: &mut self.next_request_id,
+            free_at: 0.0,
+            execute_at_close: core.order() == DispatchOrder::CloseOrder,
         };
-
-        let mut released_upto = 0usize;
+        let mut scale_events = 0usize;
+        let mut migration_s = 0.0f64;
         for (arrival, index) in stream.iter() {
-            // Deliver every completion the clock has caught up with, let the
-            // policy re-steer the close conditions (the default window plus
-            // every known tenant's own), then run the simulation — batcher
-            // deadlines and engine dispatches, interleaved in time order —
-            // up to this arrival.
-            state.deliver_feedback(policy.as_mut(), arrival);
-            state.former.set_config(policy.current());
-            for &t in &tenants_seen {
-                state.former.set_tenant_config(t, policy.current_for(t));
-            }
-            state.advance(engine, next_request_id, policy.as_ref(), arrival);
+            // Deliver every completion the clock has caught up with and let
+            // the policy re-steer the close conditions, then run the
+            // simulation — batcher deadlines and engine dispatches,
+            // interleaved in time order — up to this arrival.
+            core.tick(arrival);
+            sim.advance(&mut core, arrival);
 
             // The elasticity loop: deliver the SLO outcomes the clock has
             // caught up with to the autoscaler (causally, like policy
             // feedback) and apply any step it decides through the engine's
             // own scale hook, charging the modeled migration time.
             if let Some(scaler) = autoscaler.as_mut() {
-                let mut due = Vec::new();
-                state.pending_slo_events.retain(|&(t, missed)| {
-                    if t <= arrival {
-                        due.push((t, missed));
-                        false
-                    } else {
-                        true
-                    }
-                });
-                for (t, missed) in due {
+                for (t, missed) in core.take_slo_events(arrival) {
                     scaler.observe(t, missed);
                 }
                 if let Some(target) = scaler.decide(arrival) {
-                    if let Some(cost) = engine.scale_to(target, arrival) {
+                    if let Some(cost) = sim.engine.scale_to(target, arrival) {
                         scale_events += 1;
                         migration_s += cost;
                     }
                 }
             }
 
-            // Free the waiting room of every chunk finished by now (the
-            // engine is serial, so finish times are non-decreasing in
-            // dispatch order — the order completions were pushed).
-            while released_upto < state.completions.len()
-                && state.completions[released_upto].0 <= arrival
-            {
-                let (_, tenant, n) = state.completions[released_upto];
-                queue.release(tenant, n);
-                released_upto += 1;
-            }
-
-            let options = options_of(index);
-            let tenant = options.tenant;
-            if !tenants_seen.contains(&tenant) {
-                tenants_seen.push(tenant);
-                state.former.set_tenant_config(tenant, policy.current_for(tenant));
-            }
-            if let Some((cached, ready_at)) = state.cache.lookup_at_epoch(
-                stream.batch.queries.vector(index),
-                &options,
-                ResultCache::epoch_at(state.epochs, arrival),
-            ) {
-                // A repeat arriving before the original answer is ready waits
-                // for it; afterwards the hit costs only the lookup.
-                let finish = arrival.max(ready_at) + config.cache_lookup_s;
-                state.latencies.push(finish - arrival);
-                state.tenant_latencies.push((tenant, finish - arrival));
-                state.outcomes.push((arrival, Some(finish - arrival)));
-                state.pending_slo_events.push((
-                    finish,
-                    state
-                        .slos
-                        .slo_of(tenant)
-                        .is_some_and(|s| finish - arrival > s),
-                ));
-                state.pending_feedback.push(Feedback::Query {
-                    at: finish,
-                    tenant,
-                    latency_s: finish - arrival,
-                });
-                state.makespan_s = state.makespan_s.max(finish);
-                state.results[index] = cached;
-                continue;
-            }
-            if !queue.try_admit(tenant) {
-                // Shed at the door, charged to this tenant — and recorded:
-                // a query that got no answer is the worst SLO outcome.
-                state.outcomes.push((arrival, None));
-                state.pending_slo_events.push((arrival, true));
-                continue;
-            }
-            let pending = PendingQuery {
-                arrival_s: arrival,
-                stream_index: index,
-                options,
-            };
-            if let Some(batch) = state.former.push(pending, arrival) {
-                state.submit(engine, next_request_id, policy.as_ref(), batch);
-            }
+            core.arrive(arrival, index, options_of(index));
+            sim.run_closed(&mut core);
         }
 
         // Stream over — but the replay clock keeps running: every group
         // still open closes at its *own* deadline (`advance` drains the
         // remaining deadlines and dispatches in time order), not at the
-        // last arrival. Flushing at `stream.duration()` here used to snap
-        // trailing windows shut the instant the stream ended, understating
-        // exactly the trailing latencies a real server would observe.
-        state.advance(engine, next_request_id, policy.as_ref(), f64::INFINITY);
-        debug_assert!(
-            state.scheduler.is_idle(),
-            "every submitted chunk was dispatched"
-        );
-        debug_assert_eq!(
-            state.former.open_queries(),
-            0,
-            "every open group was closed"
-        );
-
-        // Drain the remaining feedback (in completion order) so the
-        // reported final controller state reflects every observation.
-        state.deliver_feedback(policy.as_mut(), f64::INFINITY);
-
-        let ReplayState {
-            scheduler,
-            slos,
-            cache,
-            mut latencies,
-            tenant_latencies,
-            results,
-            outcomes,
-            degraded,
-            hedged,
-            redispatched,
-            makespan_s,
-            size_closed,
-            deadline_closed,
-            flushed,
-            ..
-        } = state;
-        latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-
-        // Per-tenant rows, in profile order (tenants the options closure
-        // invented follow, in first-seen order).
-        let tenants = tenants_seen
-            .iter()
-            .map(|&t| {
-                let profile = stream.profile(t);
-                let mut lats: Vec<f64> = tenant_latencies
-                    .iter()
-                    .filter(|(id, _)| *id == t)
-                    .map(|(_, l)| *l)
-                    .collect();
-                lats.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                TenantReport {
-                    id: t,
-                    name: profile.map_or_else(|| t.to_string(), |p| p.name.clone()),
-                    weight: profile.map_or(1, |p| p.weight),
-                    // Every tenant is measured against its own SLO (or the
-                    // explicit config override) — never against another
-                    // tenant's target; see the field docs and `SloTable`.
-                    slo_p99_s: slos.slo_of(t),
-                    completed: lats.len(),
-                    shed: queue.shed_of(t) as usize,
-                    latencies_s: lats,
-                    final_batcher: self.policy.current_for(t),
-                }
-            })
-            .collect();
-
+        // last arrival.
+        sim.advance(&mut core, f64::INFINITY);
+        debug_assert_eq!(core.conservation(), (0, 0), "the replay drained the core");
         ServiceReport {
-            engine: self.engine.name().to_string(),
-            policy: match config.max_chunk {
-                Some(_) => format!("{}-chunked", self.policy.name()),
-                None => self.policy.name().to_string(),
-            },
-            slo_p99_s,
-            controller_adjustments: self.policy.adjustments(),
-            final_batcher: self.policy.current(),
-            completed: latencies.len(),
-            shed: queue.shed() as usize,
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            cache_invalidated: cache.invalidated(),
-            size_closed_batches: size_closed,
-            deadline_closed_batches: deadline_closed,
-            flushed_batches: flushed,
-            dispatched_chunks: scheduler.dispatched_chunks(),
-            split_batches: scheduler.split_batches(),
-            engine_busy_s: scheduler.busy_s(),
-            makespan_s,
-            latencies_s: latencies,
-            results,
-            outcomes,
-            degraded,
-            hedged,
-            redispatched,
             scale_events,
             migration_s,
-            tenants,
+            ..core.into_report(self.engine.name())
         }
     }
 
