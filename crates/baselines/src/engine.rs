@@ -516,9 +516,103 @@ pub trait AnnEngine {
     }
 }
 
+/// A boxed engine is an engine, so a caller that picks the engine type at
+/// run time can hand `Box<dyn AnnEngine + Send>` to anything generic over
+/// `E: AnnEngine`. **Every** method forwards — the optional hooks included:
+/// one left to the trait default would silently turn the box's live
+/// timeline or host elasticity into a no-op.
+impl<E: AnnEngine + ?Sized> AnnEngine for Box<E> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn execute(&mut self, request: &SearchRequest) -> SearchResponse {
+        (**self).execute(request)
+    }
+
+    fn search_batch(&mut self, queries: &Dataset, nprobe: usize, k: usize) -> SearchOutcome {
+        (**self).search_batch(queries, nprobe, k)
+    }
+
+    fn energy_model(&self) -> EnergyModel {
+        (**self).energy_model()
+    }
+
+    fn install_timeline(&mut self, timeline: annkit::mutation::SnapshotTimeline) -> bool {
+        (**self).install_timeline(timeline)
+    }
+
+    fn scale_to(&mut self, hosts: usize, now: f64) -> Option<f64> {
+        (**self).scale_to(hosts, now)
+    }
+
+    fn live_hosts(&self) -> Option<usize> {
+        (**self).live_hosts()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Answers every [`AnnEngine`] method with a value no trait default
+    /// produces.
+    struct RecordingEngine;
+
+    impl AnnEngine for RecordingEngine {
+        fn name(&self) -> &str {
+            "recording"
+        }
+
+        fn execute(&mut self, request: &SearchRequest) -> SearchResponse {
+            response(request.len(), 1.5)
+        }
+
+        fn search_batch(&mut self, queries: &Dataset, _nprobe: usize, _k: usize) -> SearchOutcome {
+            response(queries.len(), 2.5)
+        }
+
+        fn energy_model(&self) -> EnergyModel {
+            EnergyModel::new("recording-hw", 42.0, 4242.0)
+        }
+
+        fn install_timeline(&mut self, _timeline: annkit::mutation::SnapshotTimeline) -> bool {
+            true
+        }
+
+        fn scale_to(&mut self, hosts: usize, now: f64) -> Option<f64> {
+            Some(hosts as f64 + now)
+        }
+
+        fn live_hosts(&self) -> Option<usize> {
+            Some(7)
+        }
+    }
+
+    /// Called through the box *and* the vtable: a forwarder missing from
+    /// `impl AnnEngine for Box<E>` is a compile error for the three required
+    /// methods and answers with the trait default for the other four.
+    #[test]
+    fn boxed_dyn_engine_forwards_all_seven_methods() {
+        use annkit::ivf::{IvfPqIndex, IvfPqParams};
+        use annkit::mutation::{MutableIvf, SnapshotTimeline};
+
+        let index = IvfPqIndex::train(&queries(256), &IvfPqParams::new(2, 2), 1);
+        let timeline = SnapshotTimeline::new(MutableIvf::new(&index).snapshot());
+
+        let mut engine: Box<dyn AnnEngine + Send> = Box::new(RecordingEngine);
+        assert_eq!(engine.name(), "recording");
+        assert_eq!(engine.execute(&SearchRequest::uniform(&queries(3), 4, 2)).seconds, 1.5);
+        assert_eq!(
+            engine.search_batch(&queries(2), 4, 2).seconds,
+            2.5,
+            "the default shim answers through execute"
+        );
+        assert_eq!(engine.energy_model().peak_watts, 42.0);
+        assert!(engine.install_timeline(timeline), "the default declines timelines");
+        assert_eq!(engine.scale_to(3, 0.5), Some(3.5), "the default has no elasticity");
+        assert_eq!(engine.live_hosts(), Some(7), "the default reports no hosts");
+    }
 
     fn response(batch: usize, seconds: f64) -> SearchResponse {
         SearchResponse {

@@ -85,12 +85,14 @@ fn vendor_api_bad_flagged_good_clean() {
 #[test]
 fn unwrap_hot_path_bad_flagged_good_clean() {
     let report = lint("unwrap_hot_path/bad");
-    // The hot path is the serve dispatch/batcher files, the serving core
-    // and the thread driver that steps it — every fixture file is flagged.
+    // The hot path is the serve dispatch/batcher files, the serving core,
+    // the thread driver that steps it and the bench's spec parsers — every
+    // fixture file is flagged.
     for file in [
         "crates/serve/src/dispatch.rs",
         "crates/serve/src/core.rs",
         "crates/runtime/src/pipeline.rs",
+        "crates/runtime/src/scenario.rs",
     ] {
         assert!(
             report

@@ -1,6 +1,5 @@
-//! `serve` — replay a timed query stream through the serving front-end on
-//! every engine, under both a fixed and an SLO-adaptive batch policy, and
-//! report sustained QPS, latency percentiles and SLO attainment.
+//! `serve` — the serving bench binary: flag parsing, a loop over the
+//! scenarios of [`upanns_runtime::scenario`], and printing.
 //!
 //! ```text
 //! cargo run --release -p upanns-runtime --bin serve -- [--queries N] [--qps R]
@@ -13,250 +12,47 @@
 //!     [--mutations upsert=QPS,delete=QPS[,seed=N] | none]
 //! ```
 //!
-//! # Runtimes
+//! * `--runtime replay` (the default) replays every scenario on the
+//!   discrete-event [`SearchService`](upanns_serve::SearchService) — one
+//!   thread, a simulated clock, byte-reproducible — and prints one table per
+//!   scenario. With the default flags `--json PATH` regenerates the committed
+//!   `BENCH_serving.json` byte for byte.
+//! * `--runtime threaded` runs the real multi-threaded pipeline
+//!   ([`upanns_runtime::pipeline`]) against the wall clock: one row per
+//!   `--workers` value per `--sweep-qps` rate, then the tenant mix, then the
+//!   failover and live-mutation scenarios in logical mode. `--json PATH`
+//!   writes the `BENCH_runtime.json` schema; the numbers are
+//!   machine-dependent, the conservation invariants are not.
+//! * `--answers PATH` writes the answer map (one `section TAB index TAB
+//!   id,...` line per query) of `--runtime replay`, or of `--runtime twin`
+//!   (the pipeline in logical mode), and exits. The two files are
+//!   byte-identical at every worker count; CI diffs them.
 //!
-//! `--runtime replay` (the default) is the discrete-event replay described
-//! below — single-threaded, simulated clock, byte-reproducible.
-//!
-//! `--runtime threaded` runs the **real multi-threaded pipeline**
-//! ([`upanns_runtime::pipeline`]) against the wall clock: for every worker
-//! count in `--workers` and every offered rate in `--sweep-qps` it serves a
-//! fresh stream on a PIM-backed engine (each worker emulating one modeled
-//! device's occupancy in real time) and reports *measured* wall-clock
-//! sustained QPS and latency percentiles, plus one multi-tenant row per
-//! worker count. `--work-scale` sets the threaded engines' modeled work
-//! scale (smaller than the replay's billion-scale projection so one bench
-//! run finishes in minutes; the scaling *shape* is what the sweep records).
-//! The wall-clock numbers are machine-dependent — CI checks the report's
-//! schema and conservation invariants, not the numbers.
-//!
-//! `--runtime twin` runs the same pipeline in logical-trace mode: the
-//! stream's arrival timestamps drive the batcher exactly as the replay
-//! clock would, nothing sleeps, nothing is shed. Its answer map is
-//! **byte-identical** to the replay's — `--answers PATH` writes the map
-//! (one `workload TAB index TAB id,...` line per query, single-tenant
-//! stream then the multi-tenant scenario) and exits; CI diffs the twin's
-//! file against the replay's.
-//!
-//! Besides the single-tenant sweep, the binary replays a **multi-tenant
-//! scenario** on the UpANNS engine (whenever `upanns` is among the selected
-//! engines): several tenants with their own Poisson rates, option mixes,
-//! weights and p99 SLOs share one serving front-end, under four policies —
-//! the fixed global window, one global [`SloController`] (which can only
-//! target the *tightest* SLO in the mix), the per-tenant [`ControllerBank`]
-//! with whole-batch close-order dispatch (window-level isolation only), and
-//! the same bank under **priority-chunked engine dispatch** (`--max-chunk`,
-//! the `adaptive-tenant-chunked` row): bulk batches hit the serial engine
-//! in size-capped chunks, earliest SLO deadline first, so the tight tenant
-//! waits at most one chunk instead of a whole bulk batch. The committed
-//! default is a tight-SLO low-rate tenant next to a loose-SLO bulk tenant
-//! whose batches are individually longer than the tight tenant's slack:
-//! chunked priority dispatch meets both SLOs where per-tenant windows alone
-//! (and every single-window policy) miss the tight tenant — head-of-line
-//! blocking is an engine-level problem the batching window cannot fix.
-//!
-//! `--tenants` replaces the built-in mix. The grammar is
-//! `NAME:key=val,...;NAME:...` with keys `qps` (required), `queries`,
-//! `slo-ms`, `weight`, `repeat` and `mix` (`KxN` pairs joined by `+`), e.g.
-//! `tight:qps=3,queries=240,slo-ms=2500,weight=2,mix=10x8;bulk:qps=30,mix=10x4+20x8`.
-//!
-//! The replay is fully deterministic (fixed seeds, simulated clock), so the
-//! `--json` output doubles as the committed `BENCH_serving.json` regression
-//! baseline: rerun with the default arguments and diff.
-//!
-//! The default offered load is deliberately *small* relative to the PIM
-//! engines' large-batch capacity: under the fixed low-latency batching window
-//! the per-(query,cluster) granules don't amortize and the PIM engines
-//! collapse, while the [`SloController`] widens the window until batches are
-//! large enough to keep up — without letting the observed p99 cross the SLO.
-//!
-//! # The kill-a-host failover scenario
-//!
-//! Whenever `multihost` is among the selected engines, the replay also runs
-//! the committed **failover scenario**: a replicated deployment
-//! ([`ReplicatedMultiHost`], `--replicas` copies of each shard) serves a
-//! dedicated single-tenant stream while the `--fault` schedule takes one
-//! host down mid-stream. Hedged retries (`--hedge-ms`) and an SLO-feedback
-//! [`Autoscaler`] (driven by the linear capacity model the
-//! `capacity_planning` example fits) absorb the outage; the report row
-//! carries the fault counters (`degraded`, `hedged`, `redispatched`,
-//! `scale_events`, `migration_s`) and a [`RecoveryEnvelope`] — baseline SLO
-//! attainment, the max dip after the failure instant, and the recovery time
-//! — which CI asserts stays inside the committed bounds. The threaded path
-//! adds one logical-mode failover row per worker count (same schedule, same
-//! conservation checks), and `--answers` adds a `failover` section to the
-//! twin byte-diff, proving the fault injection itself is deterministic.
-//!
-//! # The live-mutation scenario
-//!
-//! Whenever `upanns` is among the selected engines and `--mutations` is not
-//! `none`, the replay also serves the single-tenant stream against a **live
-//! index**: a deterministic per-tenant upsert/delete stream
-//! ([`MutationSpec`]) is folded into an epoch-stamped [`SnapshotTimeline`]
-//! (snapshot refresh every [`LIVE_REFRESH_S`] seconds, background compaction
-//! per [`CompactionPolicy`]), queries resolve the snapshot active at their
-//! *own arrival*, and the result cache invalidates entries stamped with an
-//! older epoch. The row's audit ([`LiveSummary`]) re-executes every answer
-//! at its arrival (`stale_served` must be 0 — CI asserts it), splits p99 by
-//! compaction-window membership, and buckets recall against the
-//! *exact up-to-the-second corpus* by mutation lag — the recall-vs-staleness
-//! curve. A second row (`live-growth`) replays the multi-tenant scenario
-//! while the bulk tenant's corpus grows mid-stream at
-//! [`LIVE_GROWTH_UPSERT_QPS`] upserts/s. The threaded path adds one
-//! logical-mode `live-mutation` row per worker count, and `--answers` adds a
-//! `live` section to the twin byte-diff, proving mutation visibility is
-//! deterministic across runtimes. `--mutations none` disables all of it and
-//! reproduces the frozen-index rows bytewise.
-//!
-//! [`MutationSpec`]: annkit::workload::MutationSpec
-//! [`SnapshotTimeline`]: annkit::mutation::SnapshotTimeline
-//! [`CompactionPolicy`]: upanns::compaction::CompactionPolicy
+//! What the scenarios are and how the three paths share them is documented
+//! in [`upanns_runtime::scenario`]; the record layouts in
+//! [`upanns_runtime::record`]; the spec grammars in
+//! [`parse_tenants`], [`parse_mutations`] and
+//! [`FaultSchedule::parse`]; `--help` prints the flag reference. Malformed
+//! input of any kind exits 2 with an `error:` line before any work is done.
 
 #![forbid(unsafe_code)]
 
-use annkit::ivf::{IvfPqIndex, IvfPqParams};
-use annkit::mutation::MutableIvf;
-use annkit::synthetic::SyntheticSpec;
-use annkit::topk::Neighbor;
-use annkit::vector::Dataset;
-use annkit::workload::{
-    MultiTenantSpec, MutationOp, MutationSpec, MutationStream, QueryStream, StreamSpec, TenantId,
-    TenantSpec, WorkloadSpec,
+use std::str::FromStr;
+
+use annkit::workload::QueryStream;
+use upanns::replica::FaultSchedule;
+use upanns_runtime::record::{record, runtime_row, serving_row, Json};
+use upanns_runtime::scenario::{
+    parse_mutations, parse_tenants, service_config, EngineKind, Fixture, FixtureSpec, Policy,
+    ReplayRow, Scenario, StalenessBucket, DATASET_N, DEFAULT_FAULT, DEFAULT_HEDGE_MS,
+    DEFAULT_MUTATIONS, DEFAULT_REPLICAS, DEFAULT_TENANTS, DPUS, FAILOVER_HOSTS, FAILOVER_SHARDS,
+    LIVE_REFRESH_S, NLIST, REPLAY_WORK_SCALE, THREADED_TENANTS,
 };
-use baselines::cpu::CpuFaissEngine;
-use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
-use baselines::gpu::GpuFaissEngine;
-use pim_sim::config::PimConfig;
-use upanns::builder::{BatchCapacity, UpAnnsBuilder};
-use upanns::compaction::{plan_live_index, CompactionPolicy, LiveIndexPlan};
-use upanns::config::UpAnnsConfig;
-use upanns::multihost::{shard_ranges, InterconnectModel, MultiHostUpAnns};
-use upanns::engine::UpAnnsEngine;
-use upanns::replica::{FaultSchedule, ReplicatedMultiHost};
-use upanns_runtime::{run_pipeline, RuntimeConfig, RuntimeReport};
-use upanns_serve::batcher::BatchFormerConfig;
-use upanns_serve::controller::{ControllerBank, SloController};
-use upanns_serve::{
-    Autoscaler, CapacityModel, FixedPolicy, RecoveryEnvelope, SearchService, ServiceConfig,
-    ServiceReport,
-};
-
-/// Fixed tiny-scale evaluation shape (kept stable so the JSON baseline is
-/// comparable PR-over-PR).
-const DATASET_N: usize = 4_000;
-const NLIST: usize = 512;
-const PQ_M: usize = 16;
-const DPUS: usize = 896;
-/// Modeled dataset size for the work-scale projection. Chosen so the modeled
-/// per-cluster size (MODELED_N / NLIST = 244k vectors) matches the reference
-/// billion-scale configuration (10^9 / 4096) that the `figures` experiments
-/// use — per-DPU granule times are then comparable to fig12's.
-const MODELED_N: f64 = 1.25e8;
-
-/// Every engine the binary knows how to build, in report order.
-const KNOWN_ENGINES: [&str; 5] = ["cpu", "gpu", "pim-naive", "upanns", "multihost"];
-
-/// Fixed shape of the committed kill-a-host failover scenario (see the
-/// module docs). Three shards on three hosts with `--replicas 2` means one
-/// host death leaves every shard covered — the dip comes from halved
-/// effective parallelism and mid-flight redispatch, not lost answers.
-const FAILOVER_SHARDS: usize = 3;
-const FAILOVER_HOSTS: usize = 3;
-/// The failover scenario's own stream: ~30 healthy seconds before the
-/// default outage to establish a baseline, ~55 after it ends to drain the
-/// backlog and prove recovery. The rate puts the chunk-capped deployment
-/// near 80 % utilization, so stacking two shards on one surviving host
-/// during the outage pushes it past saturation — the dip is real queueing,
-/// not noise.
-const FAILOVER_QUERIES: usize = 2_200;
-const FAILOVER_QPS: f64 = 22.0;
-/// Chunk cap for the failover scenario's dispatcher. Bounding the batch
-/// amortization keeps the deployment's capacity roughly flat in offered
-/// load, so losing a host genuinely saturates it instead of being absorbed
-/// by ever-larger batches.
-const FAILOVER_MAX_CHUNK: usize = 8;
-const FAILOVER_SLO_MS: f64 = 2_500.0;
-/// Envelope bucket width: wide enough that one bucket smooths Poisson
-/// arrival noise at [`FAILOVER_QPS`], narrow enough to resolve the dip.
-const ENVELOPE_BUCKET_S: f64 = 5.0;
-/// Defaults for the failover flags — the committed baseline uses exactly
-/// these, so a default-flag rerun reproduces `BENCH_serving.json` bytewise.
-/// The down instant lands while a host-1 leg is in flight (so the committed
-/// run exercises the redispatch path), and the hedge budget sits just above
-/// one healthy shard leg (~0.2 s) and below a stacked two-leg pile-up
-/// (~0.45 s), so hedges fire only while the outage is queueing work.
-const DEFAULT_REPLICAS: usize = 2;
-const DEFAULT_FAULT: &str = "1@31..45";
-const DEFAULT_HEDGE_MS: f64 = 400.0;
-/// `(hosts, sustained QPS)` samples for the autoscaler's linear capacity
-/// model — the same OLS fit the `capacity_planning` example runs. The
-/// samples are deliberately conservative (measured under small fixed
-/// chunks, the scenario's worst case) so the planner keeps headroom; the
-/// actual scale-up trigger is the SLO-miss window, with [`CapacityModel`]
-/// bounding how far a step may reach.
-const CAPACITY_SAMPLES: [(f64, f64); 4] = [(1.0, 5.8), (2.0, 11.2), (3.0, 16.4), (4.0, 21.3)];
-
-/// The committed head-of-line (HOL) scenario: a tight-SLO low-rate tenant
-/// sharing the engine with a loose-SLO bulk tenant whose batches are
-/// individually *longer than the tight tenant's whole SLO*. Per-tenant
-/// windows (the `adaptive-tenant` row) fix the window-level coupling but
-/// not the engine-level one — the tight tenant still waits out whichever
-/// bulk batch is in flight or already queued, and misses. Only the
-/// priority-chunked dispatcher (`adaptive-tenant-chunked`) bounds that wait
-/// to one chunk and meets both SLOs.
-const DEFAULT_TENANTS: &str = "tight:qps=2,queries=200,slo-ms=700,weight=2,mix=10x8;\
-                               bulk:qps=18,queries=1400,slo-ms=30000,weight=1,mix=10x4+10x8+20x8";
-
-/// The threaded runtime's default multi-tenant mix: the same HOL shape as
-/// [`DEFAULT_TENANTS`] but 3× the rate over an ~8-second arrival window,
-/// because threaded rows burn *real* wall-clock time and run at a smaller
-/// `--work-scale` (where the engine is proportionally faster). Calibrated
-/// so the bulk tenant keeps one worker busy without overflowing the
-/// admission queue — the committed rows show both tenants meeting their
-/// SLOs under priority-chunked dispatch at every worker count.
-const THREADED_TENANTS: &str = "tight:qps=6,queries=48,slo-ms=500,weight=2,mix=10x8;\
-                                bulk:qps=54,queries=432,slo-ms=15000,weight=1,mix=10x4+10x8+20x8";
-
-/// The committed live-mutation stream: upserts dominate (the corpus grows),
-/// deletes churn, seed pinned so the epoch timeline — and therefore every
-/// answer — is byte-reproducible. `--mutations none` turns the live rows
-/// off entirely and reproduces the frozen-index baseline bytewise.
-const DEFAULT_MUTATIONS: &str = "upsert=24,delete=8,seed=77";
-/// Snapshot refresh cadence for the live-index plan: how many replay-clock
-/// seconds of mutations accumulate before a new epoch becomes visible to
-/// queries. Coarse enough that the default stream (~83 s) sees ~20 epochs
-/// (a real staleness spread), fine enough that the recall-vs-staleness
-/// buckets past lag 100 stay populated under the default rates.
-const LIVE_REFRESH_S: f64 = 4.0;
-/// The live growth scenario: the *last* tenant in the mix (the bulk tenant
-/// in the committed default) grows its corpus mid-stream at this upsert
-/// rate, with no deletes — the tenant-corpus-grows-mid-stream case.
-const LIVE_GROWTH_UPSERT_QPS: f64 = 40.0;
-/// The bench's compaction policy: the default skew trigger and cooldown but
-/// a deliberately slow modeled fold. At the tiny fixture scale the default
-/// 64 MiB/s folds the whole corpus in microseconds — no arrival ever lands
-/// inside a window and the p99-during-compaction column measures nothing.
-/// 256 KiB/s stretches each window to the order of a second, so the
-/// committed rows catch real arrivals mid-compaction (and charge them the
-/// modeled stall).
-fn bench_compaction_policy() -> CompactionPolicy {
-    CompactionPolicy {
-        bytes_per_second: 256.0 * 1024.0,
-        ..CompactionPolicy::default()
-    }
-}
-
-/// Recall-vs-staleness bucket edges, by mutation lag: how many mutations the
-/// served snapshot trails the exact corpus by at the query's arrival.
-const STALENESS_BUCKETS: [(&str, u64, u64); 4] = [
-    ("lag=0", 0, 0),
-    ("lag=1-10", 1, 10),
-    ("lag=11-100", 11, 100),
-    ("lag=101+", 101, u64::MAX),
-];
+use upanns_runtime::{RuntimeMode, RuntimeReport};
+use upanns_serve::ServiceConfig;
 
 /// Modeled work scale of the threaded engines. The replay projects to
-/// billion scale (`MODELED_N / DATASET_N` ≈ 31250) because simulated seconds
+/// billion scale ([`REPLAY_WORK_SCALE`] ≈ 31250) because simulated seconds
 /// are free; the threaded runtime *emulates* modeled seconds in real time,
 /// so it defaults to a smaller projection that keeps a full sweep under a
 /// few minutes while leaving per-batch service times (milliseconds) far
@@ -273,10 +69,10 @@ struct Args {
     slo_ms: f64,
     hosts: usize,
     max_chunk: usize,
-    engines: Vec<String>,
+    engines: Vec<EngineKind>,
+    /// [`Policy::Fixed`] and/or [`Policy::Slo`], in row order.
     policies: Vec<Policy>,
     tenants: String,
-    tenants_overridden: bool,
     json: Option<String>,
     runtime: RuntimeKind,
     workers: Vec<usize>,
@@ -290,20 +86,11 @@ struct Args {
     mutations: String,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Policy {
-    Fixed,
-    Adaptive,
-}
-
-/// Which front-end serves the stream (see the module docs).
+/// Which front-end serves the streams (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RuntimeKind {
-    /// Single-threaded discrete-event replay (the committed baseline).
     Replay,
-    /// The real multi-threaded pipeline against the wall clock.
     Threaded,
-    /// The multi-threaded pipeline in deterministic logical-trace mode.
     Twin,
 }
 
@@ -316,10 +103,9 @@ impl Default for Args {
             slo_ms: 6_000.0,
             hosts: 2,
             max_chunk: 32,
-            engines: KNOWN_ENGINES.iter().map(|s| s.to_string()).collect(),
-            policies: vec![Policy::Fixed, Policy::Adaptive],
+            engines: EngineKind::SELECTABLE.to_vec(),
+            policies: vec![Policy::Fixed, Policy::Slo],
             tenants: DEFAULT_TENANTS.to_string(),
-            tenants_overridden: false,
             json: None,
             runtime: RuntimeKind::Replay,
             workers: vec![1, 2, 4],
@@ -378,234 +164,75 @@ fn usage() -> ! {
     std::process::exit(0);
 }
 
-/// Exits nonzero with a clear message — the fate of an unknown engine,
-/// policy name, or malformed tenant spec (silently skipping it would fake a
-/// clean bench run).
-fn reject(message: String) -> ! {
+/// Exits 2 with a clear message — the fate of every flag value the bench
+/// cannot honor (silently skipping it would fake a clean bench run).
+fn reject(message: impl std::fmt::Display) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2);
 }
 
-/// Parses the `--tenants` grammar (see [`usage`]) into a [`MultiTenantSpec`].
-/// Tenant ids are assigned by position (1-based).
-fn parse_tenants(spec: &str) -> MultiTenantSpec {
-    let mut mix = MultiTenantSpec::new();
-    for (index, entry) in spec.split(';').enumerate() {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            reject(format!("--tenants: empty tenant entry at position {index}"));
-        }
-        let (name, body) = entry
-            .split_once(':')
-            .unwrap_or_else(|| reject(format!("--tenants: '{entry}' has no NAME: prefix")));
-        let name = name.trim();
-        // Names are echoed verbatim into the JSON baseline, so keep them to
-        // characters that need no escaping anywhere.
-        if name.is_empty()
-            || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-        {
-            reject(format!(
-                "--tenants: tenant name '{name}' must be non-empty [A-Za-z0-9_-]"
-            ));
-        }
-        let mut qps: Option<f64> = None;
-        let mut queries = 600usize;
-        let mut slo_ms: Option<f64> = None;
-        let mut weight = 1u32;
-        let mut repeat = 0.0f64;
-        let mut option_mix: Vec<(usize, usize)> = vec![(10, 8)];
-        fn bad<T>(kv: &str, what: &str) -> T {
-            reject(format!("--tenants: {kv}: {what}"))
-        }
-        for kv in body.split(',') {
-            let (key, value) = kv
-                .split_once('=')
-                .unwrap_or_else(|| reject(format!("--tenants: '{kv}' is not key=value")));
-            match key.trim() {
-                "qps" => qps = Some(value.parse().unwrap_or_else(|_| bad(kv, "not a number"))),
-                "queries" => queries = value.parse().unwrap_or_else(|_| bad(kv, "not an integer")),
-                "slo-ms" => slo_ms = Some(value.parse().unwrap_or_else(|_| bad(kv, "not a number"))),
-                "weight" => weight = value.parse().unwrap_or_else(|_| bad(kv, "not an integer")),
-                "repeat" => repeat = value.parse().unwrap_or_else(|_| bad(kv, "not a number")),
-                "mix" => {
-                    option_mix = value
-                        .split('+')
-                        .map(|tier| {
-                            let (k, nprobe) = tier
-                                .split_once('x')
-                                .unwrap_or_else(|| bad(kv, "mix tiers are KxN"));
-                            (
-                                k.parse().unwrap_or_else(|_| bad(kv, "k not an integer")),
-                                nprobe
-                                    .parse()
-                                    .unwrap_or_else(|_| bad(kv, "nprobe not an integer")),
-                            )
-                        })
-                        .collect();
-                }
-                other => reject(format!(
-                    "--tenants: unknown key '{other}' (known: qps, queries, slo-ms, weight, repeat, mix)"
-                )),
-            }
-        }
-        let qps =
-            qps.unwrap_or_else(|| reject(format!("--tenants: tenant '{name}' needs qps=")));
-        if !(qps > 0.0 && qps.is_finite()) {
-            reject(format!("--tenants: tenant '{name}': qps must be positive"));
-        }
-        if queries == 0 {
-            reject(format!("--tenants: tenant '{name}': queries must be at least 1"));
-        }
-        if weight == 0 {
-            reject(format!("--tenants: tenant '{name}': weight must be at least 1"));
-        }
-        if !(0.0..=1.0).contains(&repeat) {
-            reject(format!("--tenants: tenant '{name}': repeat must be in [0, 1]"));
-        }
-        if option_mix.iter().any(|&(k, nprobe)| k == 0 || nprobe == 0) {
-            reject(format!("--tenants: tenant '{name}': mix tiers need k and nprobe >= 1"));
-        }
-        let mut stream = StreamSpec::new(queries, qps).with_repeat_fraction(repeat);
-        if let Some(ms) = slo_ms {
-            if !(ms > 0.0 && ms.is_finite()) {
-                reject(format!("--tenants: tenant '{name}': slo-ms must be positive"));
-            }
-            stream = stream.with_slo_p99(ms / 1e3);
-        }
-        mix = mix.with_tenant(
-            TenantSpec::new(TenantId(index as u32 + 1), stream)
-                .with_name(name)
-                .with_weight(weight)
-                .with_option_mix(option_mix),
-        );
+/// `text` as a `what`: it must parse *and* pass `ok`.
+fn checked<T: FromStr>(flag: &str, text: &str, what: &str, ok: impl Fn(&T) -> bool) -> T {
+    match text.parse() {
+        Ok(value) if ok(&value) => value,
+        _ => reject(format!("{flag}: '{text}' is not {what}")),
     }
-    mix
 }
 
-/// The `--mutations` rates, parsed. `None` means `--mutations none`.
-#[derive(Debug, Clone, Copy)]
-struct LiveMutationArgs {
-    upsert_qps: f64,
-    delete_qps: f64,
-    seed: u64,
+/// `text` as a comma list, every element a `what`.
+fn list<T: FromStr>(flag: &str, text: &str, what: &str, ok: impl Fn(&T) -> bool) -> Vec<T> {
+    text.split(',').map(|item| checked(flag, item.trim(), what, &ok)).collect()
 }
 
-/// Parses the `--mutations` grammar: `upsert=QPS,delete=QPS[,seed=N]` (any
-/// subset of keys, rates default to 0, seed to the committed default) or the
-/// literal `none`. Malformed specs exit 2 — silently serving a frozen index
-/// when live rows were asked for would fake a clean bench run.
-fn parse_mutations(spec: &str) -> Option<LiveMutationArgs> {
-    if spec.trim() == "none" {
-        return None;
-    }
-    let mut out = LiveMutationArgs {
-        upsert_qps: 0.0,
-        delete_qps: 0.0,
-        seed: 77,
-    };
-    for kv in spec.split(',') {
-        let kv = kv.trim();
-        let (key, value) = kv.split_once('=').unwrap_or_else(|| {
-            reject(format!(
-                "--mutations: '{kv}' is not key=value \
-                 (grammar: upsert=QPS,delete=QPS[,seed=N], or 'none')"
-            ))
-        });
-        fn bad<T>(kv: &str, what: &str) -> T {
-            reject(format!("--mutations: {kv}: {what}"))
-        }
-        match key.trim() {
-            "upsert" => {
-                out.upsert_qps = value.parse().unwrap_or_else(|_| bad(kv, "not a number"));
-            }
-            "delete" => {
-                out.delete_qps = value.parse().unwrap_or_else(|_| bad(kv, "not a number"));
-            }
-            "seed" => out.seed = value.parse().unwrap_or_else(|_| bad(kv, "not an integer")),
-            other => reject(format!(
-                "--mutations: unknown key '{other}' (known: upsert, delete, seed)"
-            )),
-        }
-    }
-    for (name, rate) in [("upsert", out.upsert_qps), ("delete", out.delete_qps)] {
-        if !(rate >= 0.0 && rate.is_finite()) {
-            reject(format!("--mutations: {name} rate must be non-negative and finite"));
-        }
-    }
-    if out.upsert_qps == 0.0 && out.delete_qps == 0.0 {
-        reject(
-            "--mutations: at least one rate must be positive (use 'none' to disable)".to_string(),
-        );
-    }
-    Some(out)
+fn positive(x: &f64) -> bool {
+    *x > 0.0 && x.is_finite()
 }
 
 fn parse_args() -> Args {
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
+    let mut tenants_overridden = false;
+    let it = &mut std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--queries" => args.queries = value("--queries").parse().expect("--queries: integer"),
-            "--qps" => args.qps = value("--qps").parse().expect("--qps: number"),
-            "--repeat" => args.repeat = value("--repeat").parse().expect("--repeat: number"),
-            "--slo-ms" => args.slo_ms = value("--slo-ms").parse().expect("--slo-ms: number"),
-            "--max-chunk" => {
-                args.max_chunk = value("--max-chunk").parse().expect("--max-chunk: integer");
-                if args.max_chunk == 0 {
-                    reject("--max-chunk must be at least 1".to_string());
-                }
+        let flag = flag.as_str();
+        let mut arg = || it.next().unwrap_or_else(|| reject(format!("{flag} needs a value")));
+        match flag {
+            "--queries" => args.queries = checked(flag, &arg(), "an integer >= 1", |&n| n >= 1),
+            "--qps" => args.qps = checked(flag, &arg(), "a positive number", positive),
+            "--repeat" => {
+                args.repeat = checked(flag, &arg(), "a fraction in [0, 1]", |x| (0.0..=1.0).contains(x));
             }
+            "--slo-ms" => args.slo_ms = checked(flag, &arg(), "a positive number", positive),
+            "--max-chunk" => args.max_chunk = checked(flag, &arg(), "an integer >= 1", |&c| c >= 1),
+            // Each host needs a meaningful share of the fixed tiny-scale
+            // fixture (DPUs, IVF lists, training vectors).
             "--hosts" => {
-                args.hosts = value("--hosts").parse().expect("--hosts: integer");
-                // Each host needs a meaningful share of the fixed tiny-scale
-                // fixture (DPUs, IVF lists, training vectors).
-                if !(1..=16).contains(&args.hosts) {
-                    reject(format!(
-                        "--hosts {} out of range (the tiny-scale fixture supports 1..=16 hosts)",
-                        args.hosts
-                    ));
-                }
+                args.hosts = checked(flag, &arg(), "a host count in 1..=16", |h| (1..=16).contains(h));
             }
             "--engines" => {
-                args.engines = value("--engines")
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
+                let names = arg();
+                let names = names.split(',').map(str::trim).filter(|name| !name.is_empty());
+                let kinds = names.map(|name| EngineKind::parse(name).unwrap_or_else(|e| reject(e)));
+                args.engines = kinds.collect();
                 if args.engines.is_empty() {
-                    reject("--engines: empty engine list".to_string());
-                }
-                for name in &args.engines {
-                    if !KNOWN_ENGINES.contains(&name.as_str()) {
-                        reject(format!(
-                            "unknown engine '{name}' (known engines: {})",
-                            KNOWN_ENGINES.join(", ")
-                        ));
-                    }
+                    reject("--engines: empty engine list");
                 }
             }
             "--policy" => {
-                args.policies = match value("--policy").as_str() {
+                args.policies = match arg().as_str() {
                     "fixed" => vec![Policy::Fixed],
-                    "adaptive" => vec![Policy::Adaptive],
-                    "both" => vec![Policy::Fixed, Policy::Adaptive],
+                    "adaptive" => vec![Policy::Slo],
+                    "both" => vec![Policy::Fixed, Policy::Slo],
                     other => reject(format!(
                         "unknown policy '{other}' (known policies: fixed, adaptive, both)"
                     )),
                 };
             }
             "--tenants" => {
-                args.tenants = value("--tenants");
-                args.tenants_overridden = true;
-                // Parse eagerly so a malformed spec exits 2 before any replay.
-                let _ = parse_tenants(&args.tenants);
+                args.tenants = arg();
+                tenants_overridden = true;
             }
             "--runtime" => {
-                args.runtime = match value("--runtime").as_str() {
+                args.runtime = match arg().as_str() {
                     "replay" => RuntimeKind::Replay,
                     "threaded" => RuntimeKind::Threaded,
                     "twin" => RuntimeKind::Twin,
@@ -615,1442 +242,308 @@ fn parse_args() -> Args {
                 };
             }
             "--workers" => {
-                args.workers = value("--workers")
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .unwrap_or_else(|_| reject(format!("--workers: '{s}' is not an integer")))
-                    })
-                    .collect();
-                if args.workers.is_empty()
-                    || args.workers.iter().any(|&w| w == 0 || w > 32)
-                {
-                    reject("--workers: need a comma list of counts in 1..=32".to_string());
-                }
+                args.workers = list(flag, &arg(), "a worker count in 1..=32", |w| (1..=32).contains(w));
             }
-            "--sweep-qps" => {
-                args.sweep_qps = value("--sweep-qps")
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .unwrap_or_else(|_| reject(format!("--sweep-qps: '{s}' is not a number")))
-                    })
-                    .collect();
-                if args.sweep_qps.is_empty()
-                    || args.sweep_qps.iter().any(|&q: &f64| !(q > 0.0 && q.is_finite()))
-                {
-                    reject("--sweep-qps: need a comma list of positive rates".to_string());
-                }
-            }
+            "--sweep-qps" => args.sweep_qps = list(flag, &arg(), "a positive rate", positive),
             "--work-scale" => {
-                args.work_scale = value("--work-scale").parse().expect("--work-scale: number");
-                if !(args.work_scale >= 1.0 && args.work_scale.is_finite()) {
-                    reject("--work-scale must be at least 1".to_string());
-                }
+                let ok = |x: &f64| *x >= 1.0 && x.is_finite();
+                args.work_scale = checked(flag, &arg(), "a number >= 1", ok);
             }
-            "--queue" => {
-                args.queue = Some(value("--queue").parse().expect("--queue: integer"));
-                if args.queue == Some(0) {
-                    reject("--queue must be at least 1".to_string());
-                }
-            }
-            "--answers" => args.answers = Some(value("--answers")),
+            "--queue" => args.queue = Some(checked(flag, &arg(), "an integer >= 1", |&n| n >= 1)),
+            // More replicas than hosts would co-locate two copies of a shard
+            // on one failure domain.
             "--replicas" => {
-                args.replicas = value("--replicas")
-                    .parse()
-                    .unwrap_or_else(|_| reject("--replicas: not an integer".to_string()));
-                if args.replicas == 0 {
-                    reject("--replicas must be at least 1".to_string());
-                }
-                if args.replicas > FAILOVER_HOSTS {
-                    reject(format!(
-                        "--replicas {} exceeds the failover deployment's {FAILOVER_HOSTS} hosts; \
-                         refusing to co-locate replicas on one failure domain",
-                        args.replicas
-                    ));
-                }
+                let what = format!("a replica factor in 1..={FAILOVER_HOSTS} (its hosts)");
+                args.replicas = checked(flag, &arg(), &what, |r| (1..=FAILOVER_HOSTS).contains(r));
             }
-            "--fault" => {
-                args.fault = value("--fault");
-                // Parse eagerly so a malformed schedule exits 2 before any
-                // replay.
-                if let Err(err) = FaultSchedule::parse(&args.fault) {
-                    reject(format!("--fault: {err}"));
-                }
-            }
-            "--hedge-ms" => {
-                args.hedge_ms = value("--hedge-ms")
-                    .parse()
-                    .unwrap_or_else(|_| reject("--hedge-ms: not a number".to_string()));
-                if !(args.hedge_ms > 0.0 && args.hedge_ms.is_finite()) {
-                    reject("--hedge-ms must be a positive number".to_string());
-                }
-            }
-            "--mutations" => {
-                args.mutations = value("--mutations");
-                // Parse eagerly so a malformed spec exits 2 before any replay.
-                let _ = parse_mutations(&args.mutations);
-            }
-            "--json" => args.json = Some(value("--json")),
+            "--hedge-ms" => args.hedge_ms = checked(flag, &arg(), "a positive number", positive),
+            "--fault" => args.fault = arg(),
+            "--mutations" => args.mutations = arg(),
+            "--answers" => args.answers = Some(arg()),
+            "--json" => args.json = Some(arg()),
             "--help" | "-h" => usage(),
             other => reject(format!("unknown flag {other} (try --help)")),
         }
     }
+    // The threaded default tenant mix is rescaled for wall-clock runs; an
+    // explicit --tenants always wins.
+    if args.runtime == RuntimeKind::Threaded && !tenants_overridden {
+        args.tenants = THREADED_TENANTS.to_string();
+    }
     args
 }
 
-/// The per-query options mix: two nprobe tiers at k=10 plus a k=20 tier
-/// carrying a latency budget (exercises mixed-options batching end to end).
-fn options_of(index: usize) -> QueryOptions {
-    match index % 3 {
-        0 => QueryOptions::new(10, 8),
-        1 => QueryOptions::new(10, 4),
-        _ => QueryOptions::new(20, 8).with_latency_budget(0.05),
-    }
-}
-
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-fn tenant_json(t: &upanns_serve::TenantReport) -> String {
-    format!(
-        concat!(
-            "        {{\n",
-            "          \"tenant\": \"{}\",\n",
-            "          \"weight\": {},\n",
-            "          \"slo_ms\": {},\n",
-            "          \"completed\": {},\n",
-            "          \"shed\": {},\n",
-            "          \"p50_ms\": {},\n",
-            "          \"p99_ms\": {},\n",
-            "          \"slo_miss_fraction\": {},\n",
-            "          \"meets_slo\": {},\n",
-            "          \"final_max_batch\": {},\n",
-            "          \"final_max_delay_ms\": {}\n",
-            "        }}"
-        ),
-        t.name,
-        t.weight,
-        t.slo_p99_s.map_or_else(|| "null".to_string(), |s| json_num(s * 1e3)),
-        t.completed,
-        t.shed,
-        json_num(t.p50() * 1e3),
-        json_num(t.p99() * 1e3),
-        json_num(t.slo_miss_fraction()),
-        t.meets_slo(),
-        t.final_batcher.max_batch,
-        json_num(t.final_batcher.max_delay_s * 1e3),
-    )
-}
-
-/// The recovery envelope as a JSON object (`null` for rows without one —
-/// every workload except `failover`). `recovery_s` is `null` when attainment
-/// never recovered inside the observed timeline.
-fn envelope_json(env: Option<&RecoveryEnvelope>) -> String {
-    match env {
-        None => "null".to_string(),
-        Some(e) => format!(
-            "{{ \"bucket_s\": {}, \"t_down\": {}, \"baseline_attainment\": {}, \
-             \"max_dip\": {}, \"dip_at\": {}, \"recovery_s\": {}, \"recovered\": {} }}",
-            json_num(e.bucket_s),
-            json_num(e.t_down),
-            json_num(e.baseline_attainment),
-            json_num(e.max_dip),
-            json_num(e.dip_at),
-            if e.recovery_s.is_finite() {
-                json_num(e.recovery_s)
-            } else {
-                "null".to_string()
-            },
-            e.recovered,
-        ),
-    }
-}
-
-fn report_json(
-    r: &ServiceReport,
-    workload: &str,
-    env: Option<&RecoveryEnvelope>,
-    live: Option<&LiveSummary>,
-) -> String {
-    let tenants: Vec<String> = r.tenants.iter().map(tenant_json).collect();
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"name\": \"{}\",\n",
-            "      \"workload\": \"{}\",\n",
-            "      \"policy\": \"{}\",\n",
-            "      \"sustained_qps\": {},\n",
-            "      \"p50_ms\": {},\n",
-            "      \"p99_ms\": {},\n",
-            "      \"mean_ms\": {},\n",
-            "      \"slo_miss_fraction\": {},\n",
-            "      \"meets_slo\": {},\n",
-            "      \"all_tenants_meet_slo\": {},\n",
-            "      \"completed\": {},\n",
-            "      \"shed\": {},\n",
-            "      \"cache_hit_rate\": {},\n",
-            "      \"cache_invalidated\": {},\n",
-            "      \"batches\": {},\n",
-            "      \"mean_batch_size\": {},\n",
-            "      \"dispatched_chunks\": {},\n",
-            "      \"mean_chunk_size\": {},\n",
-            "      \"final_max_batch\": {},\n",
-            "      \"final_max_delay_ms\": {},\n",
-            "      \"controller_adjustments\": {},\n",
-            "      \"engine_busy_s\": {},\n",
-            "      \"degraded\": {},\n",
-            "      \"hedged\": {},\n",
-            "      \"redispatched\": {},\n",
-            "      \"scale_events\": {},\n",
-            "      \"migration_s\": {},\n",
-            "      \"envelope\": {},\n",
-            "      \"live\": {},\n",
-            "      \"tenants\": [\n{}\n      ]\n",
-            "    }}"
-        ),
-        r.engine,
-        workload,
-        r.policy,
-        json_num(r.sustained_qps()),
-        json_num(r.p50() * 1e3),
-        json_num(r.p99() * 1e3),
-        json_num(r.mean_latency() * 1e3),
-        json_num(r.slo_miss_fraction()),
-        r.meets_slo(),
-        r.all_tenants_meet_slo(),
-        r.completed,
-        r.shed,
-        json_num(r.cache_hit_rate()),
-        r.cache_invalidated,
-        r.batches(),
-        json_num(r.mean_batch_size()),
-        r.dispatched_chunks,
-        json_num(r.mean_chunk_size()),
-        r.final_batcher.max_batch,
-        json_num(r.final_batcher.max_delay_s * 1e3),
-        r.controller_adjustments,
-        json_num(r.engine_busy_s),
-        r.degraded,
-        r.hedged,
-        r.redispatched,
-        r.scale_events,
-        json_num(r.migration_s),
-        envelope_json(env),
-        live_json(live),
-        tenants.join(",\n"),
-    )
-}
-
-/// The options closure of [`SearchService::replay_planned`], shared with the
-/// threaded pipeline so both runtimes ask the exact same questions on a
-/// multi-tenant stream.
-fn planned_options(stream: &QueryStream, i: usize) -> QueryOptions {
-    let (k, nprobe) = stream
-        .option_plan
-        .get(i)
-        .copied()
-        .unwrap_or_else(|| (QueryOptions::default().k, QueryOptions::default().nprobe));
-    QueryOptions::new(k, nprobe).with_tenant(stream.tenant(i))
-}
-
-/// Serializes answer maps as `workload TAB index TAB id,id,...` lines —
-/// the byte format CI diffs between `--runtime replay` and `--runtime twin`.
-/// Only neighbor ids appear: the twin contract is about *which* answers come
-/// back, and ids are byte-stable across platforms where float formatting
-/// might not be.
-fn write_answers(
-    path: &str,
-    single: &[Vec<Neighbor>],
-    multi: &[Vec<Neighbor>],
-    failover: &[Vec<Neighbor>],
-    live: &[Vec<Neighbor>],
-) {
-    let mut out = String::new();
-    for (label, results) in [
-        ("single", single),
-        ("multi", multi),
-        ("failover", failover),
-        ("live", live),
-    ] {
-        for (i, neighbors) in results.iter().enumerate() {
-            out.push_str(label);
-            out.push('\t');
-            out.push_str(&i.to_string());
-            out.push('\t');
-            let ids: Vec<String> = neighbors.iter().map(|n| n.id.to_string()).collect();
-            out.push_str(&ids.join(","));
-            out.push('\n');
+impl Args {
+    /// The checked form of the flags: each spec grammar is parsed here,
+    /// once, so a malformed one exits 2 before any fixture is built.
+    fn fixture_spec(&self) -> FixtureSpec {
+        let bad = |flag: &str, err: String| -> ! { reject(format!("{flag}: {err}")) };
+        FixtureSpec {
+            queries: self.queries,
+            qps: self.qps,
+            repeat: self.repeat,
+            slo_s: self.slo_ms / 1e3,
+            hosts: self.hosts,
+            engines: self.engines.clone(),
+            tenants: parse_tenants(&self.tenants).unwrap_or_else(|e| bad("--tenants", e)),
+            mutations: parse_mutations(&self.mutations).unwrap_or_else(|e| bad("--mutations", e)),
+            // Only the replay rows serve the growth scenario.
+            growth: self.runtime == RuntimeKind::Replay && self.answers.is_none(),
+            replicas: self.replicas,
+            faults: FaultSchedule::parse(&self.fault).unwrap_or_else(|e| bad("--fault", e)),
+            hedge_s: self.hedge_ms / 1e3,
         }
     }
-    std::fs::write(path, out).expect("write answers file");
+
+    /// The `config` block of either record. Most keys are shared; `Some`
+    /// marks a key only the threaded (`true`) or only the replay (`false`)
+    /// record carries.
+    fn config_json(&self, service: &ServiceConfig, threaded: bool) -> Json {
+        use Json::{Int, List, Num, Str};
+        let scale = if threaded { self.work_scale } else { REPLAY_WORK_SCALE };
+        let workers = self.workers.iter().map(|&w| Int(w as u64)).collect();
+        let sweep_qps = self.sweep_qps.iter().map(|&q| Num(q)).collect();
+        let fields = [
+            (None, "dataset_n", Int(DATASET_N as u64)),
+            (None, "nlist", Int(NLIST as u64)),
+            (None, "dpus", Int(DPUS as u64)),
+            (None, "work_scale", Num(scale)),
+            (Some(true), "workers", List(workers)),
+            (Some(true), "sweep_qps", List(sweep_qps)),
+            (Some(false), "num_queries", Int(self.queries as u64)),
+            (Some(false), "offered_qps", Num(self.qps)),
+            (None, "repeat_fraction", Num(self.repeat)),
+            (None, "slo_p99_ms", Num(self.slo_ms)),
+            (Some(false), "hosts", Int(self.hosts as u64)),
+            (None, "max_chunk", Int(self.max_chunk as u64)),
+            (None, "queue_capacity", Int(service.queue_capacity as u64)),
+            (None, "fixed_max_batch", Int(service.batcher.max_batch as u64)),
+            (None, "fixed_max_delay_ms", Num(service.batcher.max_delay_s * 1e3)),
+            (None, "cache_capacity", Int(service.cache_capacity as u64)),
+            (None, "replicas", Int(self.replicas as u64)),
+            (None, "fault", Str(self.fault.clone())),
+            (None, "hedge_ms", Num(self.hedge_ms)),
+            (None, "mutations", Str(self.mutations.clone())),
+            (Some(false), "live_refresh_s", Num(LIVE_REFRESH_S)),
+            (None, "tenants", Str(self.tenants.clone())),
+        ];
+        let kept = fields.into_iter().filter(|(only, ..)| only.is_none_or(|t| t == threaded));
+        Json::Object(kept.map(|(_, key, value)| (key, value)).collect())
+    }
+}
+
+/// Writes an output file; a failure is reported after the run, as exit 1.
+fn write_file(path: &str, contents: String) {
+    if let Err(err) = std::fs::write(path, contents) {
+        eprintln!("error: cannot write {path}: {err}");
+        std::process::exit(1);
+    }
     eprintln!("wrote {path}");
-}
-
-/// One recall-vs-staleness bucket: queries whose serving snapshot trailed
-/// the exact corpus by a mutation lag inside the bucket's range.
-struct StalenessBucket {
-    label: &'static str,
-    queries: usize,
-    mean_recall: f64,
-}
-
-/// The post-replay audit of a live-mutation row (see the module docs).
-struct LiveSummary {
-    final_epoch: u64,
-    snapshots: usize,
-    compactions: usize,
-    mutation_events: usize,
-    /// Served answers that differ from re-executing the query at its own
-    /// arrival on the same engine. The consistency contract says 0.
-    stale_served: usize,
-    /// Completed queries whose arrival fell inside a compaction window.
-    answered_in_window: usize,
-    p99_steady_ms: f64,
-    p99_compaction_ms: f64,
-    buckets: Vec<StalenessBucket>,
-}
-
-/// Nearest-rank p99 over unsorted millisecond latencies (0 when empty).
-fn p99_ms(latencies_ms: &mut [f64]) -> f64 {
-    if latencies_ms.is_empty() {
-        return 0.0;
-    }
-    latencies_ms.sort_by(f64::total_cmp);
-    let rank = ((0.99 * latencies_ms.len() as f64).ceil() as usize).max(1) - 1;
-    latencies_ms[rank.min(latencies_ms.len() - 1)]
-}
-
-/// Audits a live-mutation replay after the fact:
-///
-/// - **stale_served** — every completed answer is re-executed as a
-///   single-query request at its own arrival time on `oracle` (the engine
-///   that served the replay, timeline still installed). Answers are a pure
-///   function of (query, arrival), so any difference means a stale cache
-///   entry or a wrong snapshot was served. Must be 0.
-/// - **p99 split** — completed latencies split by whether the arrival fell
-///   inside a compaction window (the stall the plan charges).
-/// - **recall-vs-staleness** — a [`MutableIvf`] replays the mutation events
-///   alongside the arrivals, so each query's served ids are scored against
-///   an exact search of the *up-to-the-second* corpus; buckets group by how
-///   many mutations the serving snapshot trailed by.
-fn live_summary<E: AnnEngine, F: Fn(usize) -> QueryOptions>(
-    report: &ServiceReport,
-    oracle: &mut E,
-    base: &IvfPqIndex,
-    stream: &QueryStream,
-    options: F,
-    events: &MutationStream,
-    plan: &LiveIndexPlan,
-) -> LiveSummary {
-    let mut steady_ms: Vec<f64> = Vec::new();
-    let mut window_ms: Vec<f64> = Vec::new();
-    for &(arrival, latency) in &report.outcomes {
-        let Some(latency) = latency else { continue };
-        if plan.timeline.windows().iter().any(|w| w.contains(arrival)) {
-            window_ms.push(latency * 1e3);
-        } else {
-            steady_ms.push(latency * 1e3);
-        }
-    }
-    let answered_in_window = window_ms.len();
-
-    // The exact-corpus twin of the timeline: same base, same events, but
-    // refreshed at *every* event instead of every LIVE_REFRESH_S.
-    let mut exact = MutableIvf::new(base);
-    let mut next_event = 0usize;
-    let mut stale_served = 0usize;
-    let mut buckets: Vec<(usize, f64)> = vec![(0, 0.0); STALENESS_BUCKETS.len()];
-    for (i, &arrival) in stream.arrivals.iter().enumerate() {
-        while next_event < events.events.len() && events.events[next_event].at <= arrival {
-            match &events.events[next_event].op {
-                MutationOp::Upsert { id, vector } => {
-                    exact.upsert(vector, *id);
-                }
-                MutationOp::Delete { id } => {
-                    exact.delete(*id);
-                }
-            }
-            next_event += 1;
-        }
-        let served = &report.results[i];
-        if served.is_empty() {
-            continue; // shed
-        }
-        let opt = options(i);
-        let query = stream.batch.queries.vector(i);
-
-        let mut one = Dataset::with_capacity(stream.batch.queries.dim(), 1);
-        one.push(query);
-        let expect = oracle
-            .execute(&SearchRequest::new(one, vec![opt]).with_at(arrival))
-            .results
-            .swap_remove(0);
-        if served.len() != expect.len()
-            || served.iter().zip(&expect).any(|(a, b)| a.id != b.id)
-        {
-            stale_served += 1;
-        }
-
-        let exact_top = exact.snapshot().search(query, opt.nprobe, opt.k);
-        let exact_ids: std::collections::HashSet<u64> =
-            exact_top.iter().map(|n| n.id).collect();
-        let recall = if exact_ids.is_empty() {
-            1.0
-        } else {
-            served.iter().filter(|n| exact_ids.contains(&n.id)).count() as f64
-                / exact_ids.len() as f64
-        };
-        let lag = exact.epoch() - plan.timeline.epoch_at(arrival);
-        let bucket = STALENESS_BUCKETS
-            .iter()
-            .position(|&(_, lo, hi)| lo <= lag && lag <= hi)
-            .expect("staleness buckets cover all lags");
-        buckets[bucket].0 += 1;
-        buckets[bucket].1 += recall;
-    }
-
-    LiveSummary {
-        final_epoch: plan.final_epoch,
-        snapshots: plan.timeline.entries().len(),
-        compactions: plan.compactions.len(),
-        mutation_events: events.len(),
-        stale_served,
-        answered_in_window,
-        p99_steady_ms: p99_ms(&mut steady_ms),
-        p99_compaction_ms: p99_ms(&mut window_ms),
-        buckets: STALENESS_BUCKETS
-            .iter()
-            .zip(buckets)
-            .map(|(&(label, _, _), (queries, recall_sum))| StalenessBucket {
-                label,
-                queries,
-                mean_recall: if queries == 0 { 1.0 } else { recall_sum / queries as f64 },
-            })
-            .collect(),
-    }
-}
-
-/// The live-mutation audit as a JSON object (`null` for frozen-index rows).
-fn live_json(live: Option<&LiveSummary>) -> String {
-    match live {
-        None => "null".to_string(),
-        Some(s) => {
-            let buckets: Vec<String> = s
-                .buckets
-                .iter()
-                .map(|b| {
-                    format!(
-                        "{{ \"lag\": \"{}\", \"queries\": {}, \"mean_recall\": {} }}",
-                        b.label,
-                        b.queries,
-                        json_num(b.mean_recall)
-                    )
-                })
-                .collect();
-            format!(
-                "{{ \"final_epoch\": {}, \"snapshots\": {}, \"compactions\": {}, \
-                 \"mutation_events\": {}, \"stale_served\": {}, \"answered_in_window\": {}, \
-                 \"p99_steady_ms\": {}, \"p99_compaction_ms\": {}, \
-                 \"recall_vs_staleness\": [{}] }}",
-                s.final_epoch,
-                s.snapshots,
-                s.compactions,
-                s.mutation_events,
-                s.stale_served,
-                s.answered_in_window,
-                json_num(s.p99_steady_ms),
-                json_num(s.p99_compaction_ms),
-                buckets.join(", "),
-            )
-        }
-    }
-}
-
-/// One threaded-sweep row as JSON (schema `upanns-runtime-bench-v3`).
-fn runtime_row_json(r: &RuntimeReport, workload: &str, offered_qps: f64, num_queries: usize) -> String {
-    let tenants: Vec<String> = r
-        .tenants
-        .iter()
-        .map(|t| {
-            format!(
-                concat!(
-                    "        {{\n",
-                    "          \"tenant\": \"{}\",\n",
-                    "          \"slo_ms\": {},\n",
-                    "          \"completed\": {},\n",
-                    "          \"shed\": {},\n",
-                    "          \"p50_ms\": {},\n",
-                    "          \"p99_ms\": {},\n",
-                    "          \"slo_miss_fraction\": {},\n",
-                    "          \"meets_slo\": {}\n",
-                    "        }}"
-                ),
-                t.name,
-                t.slo_p99_s.map_or_else(|| "null".to_string(), |s| json_num(s * 1e3)),
-                t.completed,
-                t.shed,
-                json_num(t.p50() * 1e3),
-                json_num(t.p99() * 1e3),
-                json_num(t.slo_miss_fraction()),
-                t.meets_slo(),
-            )
-        })
-        .collect();
-    let emulated_utilization = if r.makespan_s > 0.0 && r.workers > 0 {
-        r.busy_modeled_s / (r.makespan_s * r.workers as f64)
-    } else {
-        0.0
-    };
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"engine\": \"{}\",\n",
-            "      \"workload\": \"{}\",\n",
-            "      \"mode\": \"{}\",\n",
-            "      \"policy\": \"{}\",\n",
-            "      \"workers\": {},\n",
-            "      \"offered_qps\": {},\n",
-            "      \"num_queries\": {},\n",
-            "      \"sustained_qps\": {},\n",
-            "      \"p50_ms\": {},\n",
-            "      \"p99_ms\": {},\n",
-            "      \"mean_ms\": {},\n",
-            "      \"completed\": {},\n",
-            "      \"shed\": {},\n",
-            "      \"lost\": {},\n",
-            "      \"duplicated\": {},\n",
-            "      \"degraded\": {},\n",
-            "      \"hedged\": {},\n",
-            "      \"redispatched\": {},\n",
-            "      \"cache_hit_rate\": {},\n",
-            "      \"cache_invalidated\": {},\n",
-            "      \"dispatched_chunks\": {},\n",
-            "      \"busy_modeled_s\": {},\n",
-            "      \"makespan_s\": {},\n",
-            "      \"emulated_utilization\": {},\n",
-            "      \"tenants\": [\n{}\n      ]\n",
-            "    }}"
-        ),
-        r.engine,
-        workload,
-        r.mode,
-        r.policy,
-        r.workers,
-        json_num(offered_qps),
-        num_queries,
-        json_num(r.sustained_qps()),
-        json_num(r.p50() * 1e3),
-        json_num(r.p99() * 1e3),
-        json_num(r.mean_latency() * 1e3),
-        r.completed,
-        r.shed,
-        r.lost,
-        r.duplicated,
-        r.degraded,
-        r.hedged,
-        r.redispatched,
-        json_num(r.cache_hit_rate()),
-        r.cache_invalidated,
-        r.dispatched_chunks,
-        json_num(r.busy_modeled_s),
-        json_num(r.makespan_s),
-        json_num(emulated_utilization),
-        tenants.join(",\n"),
-    )
-}
-
-/// Prints one threaded/twin run as a markdown table row.
-fn print_runtime_row(r: &RuntimeReport, workload: &str, offered_qps: f64) {
-    println!(
-        "| {} | {} | {} | {} | {:.1} | {:.1} | {:.3} | {:.3} | {} | {} | {} | {} | {:.0}% |",
-        r.engine,
-        workload,
-        r.mode,
-        r.workers,
-        offered_qps,
-        r.sustained_qps(),
-        r.p50() * 1e3,
-        r.p99() * 1e3,
-        r.completed,
-        r.shed,
-        r.lost,
-        r.duplicated,
-        r.cache_hit_rate() * 100.0,
-    );
-}
-
-/// Replays both answer streams (single-tenant, then the multi-tenant
-/// scenario) on one engine and returns the two answer maps. The queue is
-/// widened so nothing is shed — the answer map must be total on both sides
-/// of the twin diff.
-fn replay_answers<E: AnnEngine>(
-    engine: E,
-    stream: &QueryStream,
-    tstream: &QueryStream,
-    config: ServiceConfig,
-) -> (Vec<Vec<Neighbor>>, Vec<Vec<Neighbor>>) {
-    let mut service = SearchService::new(engine, config);
-    let single = service.replay(stream, options_of).results;
-    let mut service = SearchService::new(service.into_engine(), config);
-    let multi = service.replay_planned(tstream).results;
-    (single, multi)
-}
-
-/// The twin side of [`replay_answers`]: the same two streams through the
-/// threaded pipeline in logical-trace mode, `workers` engine instances each.
-fn twin_answers<E: AnnEngine + Send>(
-    engines_single: Vec<E>,
-    engines_multi: Vec<E>,
-    stream: &QueryStream,
-    tstream: &QueryStream,
-    config: ServiceConfig,
-) -> (RuntimeReport, RuntimeReport) {
-    let single = run_pipeline(
-        engines_single,
-        stream,
-        options_of,
-        Box::new(FixedPolicy(config.batcher)),
-        RuntimeConfig::logical(config),
-    );
-    let multi = run_pipeline(
-        engines_multi,
-        tstream,
-        |i| planned_options(tstream, i),
-        Box::new(FixedPolicy(config.batcher)),
-        RuntimeConfig::logical(config),
-    );
-    (single, multi)
 }
 
 fn main() {
     let args = parse_args();
-    let work_scale = (MODELED_N / DATASET_N as f64).max(1.0);
-    let slo_s = args.slo_ms / 1e3;
-    assert!(slo_s > 0.0, "--slo-ms must be positive");
-    assert!(args.hosts >= 1, "--hosts must be at least 1");
-
+    let spec = args.fixture_spec();
     eprintln!(
         "building fixture: n={DATASET_N}, nlist={NLIST}, dpus={DPUS}, \
          stream of {} queries at {} qps (repeat fraction {}, p99 SLO {} ms)",
         args.queries, args.qps, args.repeat, args.slo_ms
     );
-    let dataset = SyntheticSpec::sift_like(DATASET_N)
-        .with_clusters(16)
-        .with_seed(7)
-        .generate_with_meta();
-    let index = IvfPqIndex::train(
-        &dataset.vectors,
-        &IvfPqParams::new(NLIST, PQ_M).with_train_size(2_400),
-        5,
-    );
-    let history = WorkloadSpec::new(600).with_seed(8).generate(&dataset).queries;
-    let stream = StreamSpec::new(args.queries, args.qps)
-        .with_repeat_fraction(args.repeat)
-        .with_slo_p99(slo_s)
-        .generate(&dataset);
-
-    // The fixed policy's close conditions: a low-latency batching window.
-    // The adaptive controller starts from the same point and widens it only
-    // while the observed p99 holds the SLO.
-    let fixed_batcher = BatchFormerConfig {
-        max_batch: 256,
-        max_delay_s: 25e-3,
-    };
-    let service_config = ServiceConfig {
-        queue_capacity: args.queue.unwrap_or(512),
-        batcher: fixed_batcher,
-        cache_capacity: 512,
-        cache_lookup_s: 2e-6,
-        slo_p99_s: None, // the stream's annotation carries the target
-        // The single-tenant sweep keeps whole-batch close-order dispatch:
-        // with nobody to isolate, chunking only sheds batch amortization.
-        max_chunk: None,
-    };
-
-    // The live-mutation plan: the committed mutation stream folded into an
-    // epoch-stamped snapshot timeline, shared by every runtime path below.
-    // Only the UpANNS engine serves it (the single-host tiers install
-    // timelines; the multihost tiers decline — documented residue).
-    let live_args = parse_mutations(&args.mutations);
-    let live_on = live_args.is_some() && args.engines.iter().any(|e| e == "upanns");
-    if live_args.is_some() && !live_on {
-        eprintln!("note: --mutations set but upanns is not selected; skipping live rows");
-    }
-    let (live_events, live_plan) = if live_on {
-        let la = live_args.expect("gated on is_some");
-        let events = MutationSpec::new(stream.duration())
-            .with_tenant(TenantId::DEFAULT, la.upsert_qps, la.delete_qps)
-            .with_seed(la.seed)
-            .generate(&dataset, index.ntotal());
-        let plan = plan_live_index(&index, &events, LIVE_REFRESH_S, &bench_compaction_policy());
+    let fixture = Fixture::build(spec);
+    if let Some(live) = &fixture.live {
         eprintln!(
             "live-mutation plan: {} events -> {} snapshots, {} compaction(s), final epoch {}",
-            events.len(),
-            plan.timeline.entries().len(),
-            plan.compactions.len(),
-            plan.final_epoch
+            live.events.len(),
+            live.plan.timeline.entries().len(),
+            live.plan.compactions.len(),
+            live.plan.final_epoch
         );
-        (Some(events), Some(plan))
-    } else {
-        (None, None)
-    };
-
-    // Multihost shards: one IVFPQ index per host over a contiguous slice of
-    // the corpus, with globally unique ids; each stored vector keeps the same
-    // modeled scale, so the deployment models the same corpus.
-    let shard_indexes: Vec<IvfPqIndex> = if args.engines.iter().any(|e| e == "multihost") {
-        shard_ranges(dataset.vectors.len(), args.hosts)
-            .iter()
-            .map(|r| {
-                let rows: Vec<usize> = r.clone().collect();
-                let shard = dataset.vectors.gather(&rows);
-                let nlist = (NLIST / args.hosts).max(16);
-                let mut ix = IvfPqIndex::train_empty(
-                    &shard,
-                    &IvfPqParams::new(nlist, PQ_M).with_train_size(2_400 / args.hosts),
-                    5,
-                );
-                ix.add(&shard, r.start as u64);
-                ix
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    fn build_pim(
-        index: &IvfPqIndex,
-        config: UpAnnsConfig,
-        dpus: usize,
-        work_scale: f64,
-        history: &annkit::vector::Dataset,
-    ) -> UpAnnsEngine {
-        UpAnnsBuilder::new(index)
-            .with_config(config.with_work_scale(work_scale))
-            .with_pim_config(PimConfig::with_dpus(dpus))
-            .with_history(history, 8)
-            .with_batch_capacity(BatchCapacity {
-                batch_size: 64,
-                nprobe: 8,
-                max_k: 20,
-            })
-            .build()
+    } else if fixture.spec.mutations.is_some() {
+        eprintln!("note: --mutations set but upanns is not selected; skipping live rows");
     }
-    let build_multihost = |ws: f64| {
-        let engines: Vec<UpAnnsEngine> = shard_indexes
-            .iter()
-            .map(|ix| build_pim(ix, UpAnnsConfig::upanns(), DPUS / args.hosts, ws, &history))
-            .collect();
-        MultiHostUpAnns::new(engines, InterconnectModel::default())
-    };
+    let base = service_config(args.queue);
+    match args.runtime {
+        RuntimeKind::Threaded => threaded_rows(&args, &fixture, base),
+        RuntimeKind::Replay if args.answers.is_none() => replay_rows(&args, &fixture, base),
+        RuntimeKind::Replay | RuntimeKind::Twin => answer_maps(&args, &fixture, base),
+    }
+}
 
-    // The failover scenario's fixed-shape replicated deployment (see the
-    // module docs): its own shard set, stream and outage schedule, decoupled
-    // from --hosts so the committed recovery envelope stays comparable.
-    let failover_on = args.engines.iter().any(|e| e == "multihost");
-    let faults = FaultSchedule::parse(&args.fault)
-        .unwrap_or_else(|err| reject(format!("--fault: {err}")));
-    let failover_indexes: Vec<IvfPqIndex> = if failover_on {
-        shard_ranges(dataset.vectors.len(), FAILOVER_SHARDS)
-            .iter()
-            .map(|r| {
-                let rows: Vec<usize> = r.clone().collect();
-                let shard = dataset.vectors.gather(&rows);
-                let nlist = (NLIST / FAILOVER_SHARDS).max(16);
-                let mut ix = IvfPqIndex::train_empty(
-                    &shard,
-                    &IvfPqParams::new(nlist, PQ_M).with_train_size(2_400 / FAILOVER_SHARDS),
-                    5,
-                );
-                ix.add(&shard, r.start as u64);
-                ix
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let failover_stream = StreamSpec::new(FAILOVER_QUERIES, FAILOVER_QPS)
-        .with_repeat_fraction(args.repeat)
-        .with_slo_p99(FAILOVER_SLO_MS / 1e3)
-        .generate(&dataset);
-    let build_failover = |ws: f64| {
-        let engines: Vec<UpAnnsEngine> = failover_indexes
-            .iter()
-            .map(|ix| build_pim(ix, UpAnnsConfig::upanns(), DPUS / FAILOVER_SHARDS, ws, &history))
-            .collect();
-        match ReplicatedMultiHost::new(
-            engines,
-            FAILOVER_HOSTS,
-            args.replicas,
-            InterconnectModel::default(),
-        ) {
-            Ok(engine) => engine
-                .with_faults(faults.clone())
-                .with_hedge_budget(args.hedge_ms / 1e3),
-            Err(err) => reject(format!("--replicas: {err}")),
-        }
-    };
-
-    // ------------------------------------------------------------------
-    // Threaded and twin runtimes (and the answer-map writer) exit early;
-    // everything below this block is the replay path, byte-identical to
-    // the committed baseline under the default flags.
-    // ------------------------------------------------------------------
-
-    // The threaded/twin engine: the UpANNS PIM engine when selected (the
-    // paper's engine is what the scaling sweep is about), else the first
-    // engine the user listed.
-    let chosen_engine: &str = if args.engines.iter().any(|e| e == "upanns") {
-        "upanns"
-    } else {
-        args.engines[0].as_str()
-    };
-
-    if args.runtime == RuntimeKind::Twin
-        || (args.runtime == RuntimeKind::Replay && args.answers.is_some())
-    {
-        let tmix = parse_tenants(&args.tenants);
-        let tstream = tmix.generate(&dataset);
-        // The answer map must be total: widen the waiting room past both
-        // streams so neither side of the twin diff sheds anything.
-        let answers_config = ServiceConfig {
-            queue_capacity: service_config
-                .queue_capacity
-                .max(stream.len())
-                .max(tstream.len())
-                .max(failover_stream.len()),
-            ..service_config
-        };
-        let workers = args.workers[0];
-        macro_rules! answer_maps {
-            ($build:expr) => {{
-                if args.runtime == RuntimeKind::Twin {
-                    let singles: Vec<_> = (0..workers).map(|_| $build).collect();
-                    let multis: Vec<_> = (0..workers).map(|_| $build).collect();
-                    eprintln!(
-                        "twin: {chosen_engine} logical-trace pipeline, {workers} worker(s), \
-                         {} + {} queries ...",
-                        stream.len(),
-                        tstream.len()
-                    );
-                    let (s, m) = twin_answers(singles, multis, &stream, &tstream, answers_config);
-                    assert!(
-                        s.is_conserving() && m.is_conserving(),
-                        "twin run lost or duplicated queries"
-                    );
-                    assert_eq!(s.shed + m.shed, 0, "twin runs shed nothing");
-                    (s.results, m.results)
-                } else {
-                    eprintln!(
-                        "replay: {chosen_engine} answer maps, {} + {} queries ...",
-                        stream.len(),
-                        tstream.len()
-                    );
-                    replay_answers($build, &stream, &tstream, answers_config)
-                }
-            }};
-        }
-        let (single, multi) = match chosen_engine {
-            "cpu" => answer_maps!(CpuFaissEngine::new(&index).with_work_scale(work_scale)),
-            "gpu" => answer_maps!(GpuFaissEngine::new(&index).with_work_scale(work_scale)),
-            "pim-naive" => {
-                answer_maps!(build_pim(&index, UpAnnsConfig::pim_naive(), DPUS, work_scale, &history))
-            }
-            "upanns" => {
-                answer_maps!(build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history))
-            }
-            "multihost" => answer_maps!(build_multihost(work_scale)),
-            other => unreachable!("engine '{other}' escaped --engines validation"),
-        };
-        // The failover section: the replicated deployment under the fault
-        // schedule, on both sides of the diff — fault membership is a pure
-        // function of the batch close time, so the maps must stay
-        // byte-identical even while hosts die and recover.
-        let failover = if failover_on {
-            // Same fixed chunk cap as the scenario rows, on both sides of
-            // the diff.
-            let failover_config = ServiceConfig {
-                max_chunk: Some(FAILOVER_MAX_CHUNK),
-                ..answers_config
-            };
-            if args.runtime == RuntimeKind::Twin {
-                let engines: Vec<_> = (0..workers).map(|_| build_failover(work_scale)).collect();
-                eprintln!(
-                    "twin: failover logical-trace pipeline, {workers} worker(s), \
-                     {} queries under fault schedule {:?} ...",
-                    failover_stream.len(),
-                    args.fault
-                );
-                let report = run_pipeline(
-                    engines,
-                    &failover_stream,
-                    options_of,
-                    Box::new(FixedPolicy(failover_config.batcher)),
-                    RuntimeConfig::logical(failover_config),
-                );
-                assert!(report.is_conserving(), "twin failover run lost or duplicated queries");
-                assert_eq!(report.shed, 0, "twin runs shed nothing");
-                report.results
-            } else {
-                eprintln!(
-                    "replay: failover answer map, {} queries under fault schedule {:?} ...",
-                    failover_stream.len(),
-                    args.fault
-                );
-                let mut service = SearchService::new(build_failover(work_scale), failover_config);
-                service.replay(&failover_stream, options_of).results
-            }
+/// The answer maps: `single`, `multi`, `failover` and `live-mutation` under
+/// the fixed policy, through the replay or (twin) the logical pipeline with
+/// the first `--workers` count. Lines are `section TAB index TAB id,id,...`
+/// — only neighbor ids: the twin contract is about *which* answers come
+/// back, and ids are byte-stable across platforms where float formatting
+/// might not be.
+fn answer_maps(args: &Args, fixture: &Fixture, base: ServiceConfig) {
+    // The answer map must be total: widen the waiting room past every
+    // stream so neither side of the twin diff sheds anything.
+    let streams = [&fixture.stream, &fixture.tenant_stream, &fixture.failover_stream];
+    let longest = streams.iter().map(|s| s.len()).max().unwrap_or(0);
+    let scenarios = fixture.scenarios(ServiceConfig {
+        queue_capacity: base.queue_capacity.max(longest),
+        ..base
+    });
+    let sections = [
+        ("single", Some(scenarios.single)),
+        ("multi", Some(scenarios.multi)),
+        ("failover", scenarios.failover),
+        ("live", scenarios.live),
+    ];
+    let twin = args.runtime == RuntimeKind::Twin;
+    let mut out = String::new();
+    for (section, scenario) in sections {
+        let Some(scenario) = scenario else { continue };
+        eprintln!("answering {scenario} ...");
+        let results = if twin {
+            let (workers, logical) = (args.workers[0], RuntimeMode::Logical);
+            let report =
+                fixture.pipeline(&scenario, Policy::Fixed, workers, logical, REPLAY_WORK_SCALE);
+            assert_eq!(report.shed, 0, "twin runs shed nothing");
+            report.results
         } else {
-            Vec::new()
+            let engine = fixture.engine(scenario.engine, REPLAY_WORK_SCALE);
+            fixture.replay(&scenario, Policy::Fixed, engine).0.results
         };
-        // The live section: the single-tenant stream against the mutating
-        // index, on both sides of the diff — snapshot resolution is a pure
-        // function of each query's own arrival time, so the maps must stay
-        // byte-identical even while epochs advance and compactions run.
-        let live = if live_on {
-            let plan = live_plan.as_ref().expect("live_on implies a plan");
-            if args.runtime == RuntimeKind::Twin {
-                let engines: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let mut engine =
-                            build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history);
-                        assert!(
-                            engine.install_timeline(plan.timeline.clone()),
-                            "the upanns engine accepts snapshot timelines"
-                        );
-                        engine
-                    })
-                    .collect();
-                eprintln!(
-                    "twin: live-mutation logical-trace pipeline, {workers} worker(s), \
-                     {} queries over {} epochs ...",
-                    stream.len(),
-                    plan.final_epoch
-                );
-                let report = run_pipeline(
-                    engines,
-                    &stream,
-                    options_of,
-                    Box::new(FixedPolicy(answers_config.batcher)),
-                    RuntimeConfig::logical(answers_config)
-                        .with_epoch_schedule(plan.timeline.epoch_schedule()),
-                );
-                assert!(report.is_conserving(), "twin live run lost or duplicated queries");
-                assert_eq!(report.shed, 0, "twin runs shed nothing");
-                report.results
-            } else {
-                eprintln!(
-                    "replay: live-mutation answer map, {} queries over {} epochs ...",
-                    stream.len(),
-                    plan.final_epoch
-                );
-                let (mut service, accepted) = SearchService::new(
-                    build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history),
-                    answers_config,
-                )
-                .with_live_index(&plan.timeline);
-                assert!(accepted, "the upanns engine accepts snapshot timelines");
-                service.replay(&stream, options_of).results
-            }
-        } else {
-            Vec::new()
-        };
-        match &args.answers {
-            Some(path) => write_answers(path, &single, &multi, &failover, &live),
-            None => eprintln!(
-                "twin run complete ({} + {} + {} + {} answers, all conserved); \
-                 use --answers PATH to write the map",
-                single.len(),
-                multi.len(),
-                failover.len(),
-                live.len()
-            ),
+        for (i, neighbors) in results.iter().enumerate() {
+            let ids: Vec<String> = neighbors.iter().map(|n| n.id.to_string()).collect();
+            out.push_str(&format!("{section}\t{i}\t{}\n", ids.join(",")));
         }
+    }
+    match &args.answers {
+        Some(path) => write_file(path, out),
+        None => eprintln!(
+            "twin run complete ({} answers, all conserved); use --answers PATH to write the map",
+            out.lines().count()
+        ),
+    }
+}
+
+/// The threaded rows: per worker count, the wall-clock single-tenant sweep,
+/// the wall-clock tenant mix under the chunked tenant bank, then failover
+/// and live-mutation in deterministic logical mode — fault schedules and
+/// epoch visibility live on the simulated clock, and those rows' point is
+/// conservation under faults and mutation, not wall time.
+fn threaded_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
+    let scenarios = fixture.scenarios(base);
+    // Bound each sweep row's real duration to roughly six wall-clock seconds
+    // of offered stream: enough arrivals to smooth the Poisson noise, capped
+    // by --queries.
+    let sweep_stream = |&qps: &f64| {
+        fixture.single_stream(args.queries.min(((qps * 6.0) as usize).max(240)), qps)
+    };
+    let sweep: Vec<QueryStream> = args.sweep_qps.iter().map(sweep_stream).collect();
+    let mut plan: Vec<(Scenario, Policy, RuntimeMode)> = Vec::new();
+    for (stream, &offered_qps) in sweep.iter().zip(&args.sweep_qps) {
+        let scenario = Scenario { stream, offered_qps, ..scenarios.single };
+        plan.push((scenario, Policy::Fixed, RuntimeMode::Wall));
+    }
+    plan.push((scenarios.multi, Policy::TenantBank(Some(args.max_chunk)), RuntimeMode::Wall));
+    for scenario in [scenarios.failover, scenarios.live].into_iter().flatten() {
+        plan.push((scenario, Policy::Fixed, RuntimeMode::Logical));
+    }
+
+    let mut rows: Vec<(&Scenario, RuntimeReport)> = Vec::new();
+    for &workers in &args.workers {
+        for (scenario, policy, mode) in &plan {
+            eprintln!("threaded ({}): {scenario}, {workers} worker(s) ...", mode.label());
+            let report = fixture.pipeline(scenario, *policy, workers, *mode, args.work_scale);
+            rows.push((scenario, report));
+        }
+    }
+
+    let header = "| engine | workload | mode | workers | offered QPS | sustained QPS | p50 (ms) | p99 (ms) | completed | shed | lost | dup | cache hit |";
+    let table = rows.iter().map(|(scenario, r)| {
+        format!(
+            "| {} | {} | {} | {} | {:.1} | {:.1} | {:.3} | {:.3} | {} | {} | {} | {} | {:.0}% |",
+            r.engine,
+            scenario.workload,
+            r.mode,
+            r.workers,
+            scenario.offered_qps,
+            r.sustained_qps(),
+            r.p50() * 1e3,
+            r.p99() * 1e3,
+            r.completed,
+            r.shed,
+            r.lost,
+            r.duplicated,
+            r.cache_hit_rate() * 100.0,
+        )
+    });
+    print_table(None, header, table.collect());
+    if let Some(path) = &args.json {
+        let rows = rows
+            .iter()
+            .map(|(s, r)| runtime_row(r, s.workload, s.offered_qps, s.stream.len()))
+            .collect();
+        let config = args.config_json(&base, true);
+        write_file(path, record("upanns-runtime-bench-v3", config, "rows", rows));
+    }
+}
+
+/// The replay rows: `single` on every selected engine under `--policy`,
+/// then (on UpANNS) the tenant mix under the fixed window, the global
+/// controller, the tenant bank and the chunked tenant bank, then failover
+/// and the two live scenarios. The last three always run adaptive: the
+/// fixed window collapses the PIM engines at this offered load, and a
+/// collapsed row's envelope or p99 split would measure queueing, not the
+/// outage or the compaction.
+fn replay_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
+    let scenarios = fixture.scenarios(base);
+    let mut plan: Vec<(Scenario, Vec<Policy>)> = EngineKind::SELECTABLE
+        .into_iter()
+        .filter(|kind| args.engines.contains(kind))
+        .map(|engine| Scenario { engine, ..scenarios.single })
+        .map(|scenario| (scenario, args.policies.clone()))
+        .collect();
+    if args.engines.contains(&EngineKind::UpAnns) {
+        let mut policies = args.policies.clone();
+        if policies.contains(&Policy::Slo) {
+            policies.extend([Policy::TenantBank(None), Policy::TenantBank(Some(args.max_chunk))]);
+        }
+        plan.push((scenarios.multi, policies));
+    }
+    plan.extend(scenarios.failover.map(|s| (s, vec![Policy::SloAutoscaled])));
+    for scenario in [scenarios.live, scenarios.growth].into_iter().flatten() {
+        plan.push((scenario, vec![Policy::Slo]));
+    }
+
+    let mut rows: Vec<ReplayRow> = Vec::new();
+    for (scenario, policies) in &plan {
+        eprintln!("replaying {scenario} ...");
+        rows.extend(fixture.replay_rows(scenario, policies, REPLAY_WORK_SCALE));
+    }
+    print_replay_tables(args, &rows);
+    if let Some(path) = &args.json {
+        let config = args.config_json(&base, false);
+        let rows = rows.iter().map(serving_row).collect();
+        write_file(path, record("upanns-serving-bench-v6", config, "engines", rows));
+    }
+}
+
+/// Prints a markdown table — after a blank line and its title, for the
+/// titled ones — unless it has no rows.
+fn print_table(title: Option<String>, header: &str, rows: Vec<String>) {
+    if rows.is_empty() {
         return;
     }
-
-    if args.runtime == RuntimeKind::Threaded {
-        // The threaded default tenant mix is rescaled for wall-clock runs;
-        // an explicit --tenants always wins.
-        let threaded_tenants = if args.tenants_overridden {
-            args.tenants.clone()
-        } else {
-            THREADED_TENANTS.to_string()
-        };
-        let tmix = parse_tenants(&threaded_tenants);
-        let tstream = tmix.generate(&dataset);
-        let multi_offered: f64 = tmix.tenants.iter().map(|t| t.stream.mean_qps).sum();
-        let mut rows: Vec<(String, f64, usize, RuntimeReport)> = Vec::new();
-        macro_rules! wall_run {
-            ($w:expr, $stream:expr, $opts:expr, $policy:expr, $cfg:expr) => {
-                match chosen_engine {
-                    "cpu" => run_pipeline(
-                        (0..$w)
-                            .map(|_| CpuFaissEngine::new(&index).with_work_scale(args.work_scale))
-                            .collect(),
-                        $stream,
-                        $opts,
-                        $policy,
-                        $cfg,
-                    ),
-                    "gpu" => run_pipeline(
-                        (0..$w)
-                            .map(|_| GpuFaissEngine::new(&index).with_work_scale(args.work_scale))
-                            .collect(),
-                        $stream,
-                        $opts,
-                        $policy,
-                        $cfg,
-                    ),
-                    "pim-naive" => run_pipeline(
-                        (0..$w)
-                            .map(|_| {
-                                build_pim(&index, UpAnnsConfig::pim_naive(), DPUS, args.work_scale, &history)
-                            })
-                            .collect(),
-                        $stream,
-                        $opts,
-                        $policy,
-                        $cfg,
-                    ),
-                    "upanns" => run_pipeline(
-                        (0..$w)
-                            .map(|_| {
-                                build_pim(&index, UpAnnsConfig::upanns(), DPUS, args.work_scale, &history)
-                            })
-                            .collect(),
-                        $stream,
-                        $opts,
-                        $policy,
-                        $cfg,
-                    ),
-                    "multihost" => run_pipeline(
-                        (0..$w).map(|_| build_multihost(args.work_scale)).collect(),
-                        $stream,
-                        $opts,
-                        $policy,
-                        $cfg,
-                    ),
-                    other => unreachable!("engine '{other}' escaped --engines validation"),
-                }
-            };
-        }
-        for &w in &args.workers {
-            for &qps in &args.sweep_qps {
-                // Bound each row's real duration to roughly six wall-clock
-                // seconds of offered stream: enough arrivals to smooth the
-                // Poisson noise, capped by --queries.
-                let n = args.queries.min(((qps * 6.0) as usize).max(240));
-                let row_stream = StreamSpec::new(n, qps)
-                    .with_repeat_fraction(args.repeat)
-                    .with_slo_p99(slo_s)
-                    .generate(&dataset);
-                eprintln!(
-                    "threaded: {chosen_engine} single-tenant, {w} worker(s), \
-                     {qps} qps offered, {n} queries ..."
-                );
-                let report = wall_run!(
-                    w,
-                    &row_stream,
-                    options_of,
-                    Box::new(FixedPolicy(service_config.batcher)),
-                    RuntimeConfig::wall(service_config)
-                );
-                assert!(report.is_conserving(), "threaded run lost or duplicated queries");
-                rows.push(("single".to_string(), qps, n, report));
-            }
-            eprintln!(
-                "threaded: {chosen_engine} multi-tenant ({} tenants, {} queries), {w} worker(s) ...",
-                tmix.tenants.len(),
-                tstream.len()
-            );
-            let chunked = ServiceConfig {
-                max_chunk: Some(args.max_chunk),
-                ..service_config
-            };
-            let report = wall_run!(
-                w,
-                &tstream,
-                |i| planned_options(&tstream, i),
-                Box::new(ControllerBank::for_profiles(
-                    &tstream.tenant_profiles,
-                    service_config.batcher
-                )),
-                RuntimeConfig::wall(chunked)
-            );
-            assert!(report.is_conserving(), "threaded run lost or duplicated queries");
-            rows.push(("multi".to_string(), multi_offered, tstream.len(), report));
-            if failover_on {
-                // The kill-a-host row runs in deterministic logical mode —
-                // the fault schedule lives on the simulated clock, and the
-                // row's point is conservation under faults, not wall time.
-                eprintln!(
-                    "threaded: failover (logical) under fault schedule {:?}, {w} worker(s), \
-                     {} queries ...",
-                    args.fault,
-                    failover_stream.len()
-                );
-                let failover_config = ServiceConfig {
-                    max_chunk: Some(FAILOVER_MAX_CHUNK),
-                    ..service_config
-                };
-                let report = run_pipeline(
-                    (0..w).map(|_| build_failover(args.work_scale)).collect(),
-                    &failover_stream,
-                    options_of,
-                    Box::new(FixedPolicy(failover_config.batcher)),
-                    RuntimeConfig::logical(failover_config),
-                );
-                assert!(
-                    report.is_conserving(),
-                    "failover run lost or duplicated queries"
-                );
-                rows.push(("failover".to_string(), FAILOVER_QPS, failover_stream.len(), report));
-            }
-            if live_on {
-                // The live-mutation row runs in deterministic logical mode —
-                // epoch visibility lives on the simulated clock, and the
-                // row's point is conservation and zero stale answers while
-                // the index mutates, not wall time.
-                let plan = live_plan.as_ref().expect("live_on implies a plan");
-                eprintln!(
-                    "threaded: live-mutation (logical), {w} worker(s), \
-                     {} queries over {} epochs ...",
-                    stream.len(),
-                    plan.final_epoch
-                );
-                let report = run_pipeline(
-                    (0..w)
-                        .map(|_| {
-                            let mut engine = build_pim(
-                                &index,
-                                UpAnnsConfig::upanns(),
-                                DPUS,
-                                args.work_scale,
-                                &history,
-                            );
-                            assert!(
-                                engine.install_timeline(plan.timeline.clone()),
-                                "the upanns engine accepts snapshot timelines"
-                            );
-                            engine
-                        })
-                        .collect(),
-                    &stream,
-                    options_of,
-                    Box::new(FixedPolicy(service_config.batcher)),
-                    RuntimeConfig::logical(service_config)
-                        .with_epoch_schedule(plan.timeline.epoch_schedule()),
-                );
-                assert!(
-                    report.is_conserving(),
-                    "live-mutation run lost or duplicated queries"
-                );
-                rows.push(("live-mutation".to_string(), args.qps, stream.len(), report));
-            }
-        }
-
-        println!(
-            "| engine | workload | mode | workers | offered QPS | sustained QPS | p50 (ms) | p99 (ms) | completed | shed | lost | dup | cache hit |"
-        );
-        println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|");
-        for (workload, qps, _n, r) in &rows {
-            print_runtime_row(r, workload, *qps);
-        }
-
-        if let Some(path) = &args.json {
-            let body: Vec<String> = rows
-                .iter()
-                .map(|(workload, qps, n, r)| runtime_row_json(r, workload, *qps, *n))
-                .collect();
-            let workers_list: Vec<String> = args.workers.iter().map(|w| w.to_string()).collect();
-            let sweep_list: Vec<String> = args.sweep_qps.iter().map(|&q| json_num(q)).collect();
-            let json = format!(
-                concat!(
-                    "{{\n",
-                    "  \"schema\": \"upanns-runtime-bench-v3\",\n",
-                    "  \"config\": {{\n",
-                    "    \"dataset_n\": {},\n",
-                    "    \"nlist\": {},\n",
-                    "    \"dpus\": {},\n",
-                    "    \"work_scale\": {},\n",
-                    "    \"workers\": [{}],\n",
-                    "    \"sweep_qps\": [{}],\n",
-                    "    \"repeat_fraction\": {},\n",
-                    "    \"slo_p99_ms\": {},\n",
-                    "    \"max_chunk\": {},\n",
-                    "    \"queue_capacity\": {},\n",
-                    "    \"fixed_max_batch\": {},\n",
-                    "    \"fixed_max_delay_ms\": {},\n",
-                    "    \"cache_capacity\": {},\n",
-                    "    \"replicas\": {},\n",
-                    "    \"fault\": \"{}\",\n",
-                    "    \"hedge_ms\": {},\n",
-                    "    \"mutations\": \"{}\",\n",
-                    "    \"tenants\": \"{}\"\n",
-                    "  }},\n",
-                    "  \"rows\": [\n{}\n  ]\n",
-                    "}}\n"
-                ),
-                DATASET_N,
-                NLIST,
-                DPUS,
-                json_num(args.work_scale),
-                workers_list.join(", "),
-                sweep_list.join(", "),
-                json_num(args.repeat),
-                json_num(args.slo_ms),
-                args.max_chunk,
-                service_config.queue_capacity,
-                service_config.batcher.max_batch,
-                json_num(service_config.batcher.max_delay_s * 1e3),
-                service_config.cache_capacity,
-                args.replicas,
-                args.fault,
-                json_num(args.hedge_ms),
-                args.mutations,
-                threaded_tenants,
-                body.join(",\n"),
-            );
-            std::fs::write(path, json).expect("write JSON report");
-            eprintln!("wrote {path}");
-        }
-        return;
+    if let Some(title) = title {
+        println!("\n{title}");
     }
-
-    // Replays one engine under every requested policy, rebuilding nothing:
-    // the engine is threaded through `into_engine` between replays.
-    let mut reports: Vec<ServiceReport> = Vec::new();
-    let run = |engine_name: &str, reports: &mut Vec<ServiceReport>| {
-        macro_rules! replay_policies {
-            ($engine:expr) => {{
-                let mut engine = $engine;
-                for &policy in &args.policies {
-                    let service = SearchService::new(engine, service_config);
-                    let mut service = match policy {
-                        Policy::Fixed => service,
-                        Policy::Adaptive => service.with_policy(Box::new(
-                            SloController::for_slo(slo_s),
-                        )),
-                    };
-                    reports.push(service.replay(&stream, options_of));
-                    engine = service.into_engine();
-                }
-                let _ = engine;
-            }};
-        }
-        match engine_name {
-            "cpu" => replay_policies!(CpuFaissEngine::new(&index).with_work_scale(work_scale)),
-            "gpu" => replay_policies!(GpuFaissEngine::new(&index).with_work_scale(work_scale)),
-            "pim-naive" => replay_policies!(build_pim(&index, UpAnnsConfig::pim_naive(), DPUS, work_scale, &history)),
-            "upanns" => replay_policies!(build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history)),
-            "multihost" => replay_policies!(build_multihost(work_scale)),
-            // parse_args rejects anything outside KNOWN_ENGINES and the
-            // caller iterates exactly that list.
-            other => unreachable!("engine '{other}' escaped --engines validation"),
-        }
-    };
-    for name in KNOWN_ENGINES {
-        if args.engines.iter().any(|e| e == name) {
-            eprintln!("replaying {name} ...");
-            run(name, &mut reports);
-        }
+    println!("{header}\n{}|", "|---".repeat(header.matches(" | ").count() + 1));
+    for row in rows {
+        println!("{row}");
     }
+}
 
-    // The multi-tenant scenario: several tenants share one UpANNS engine,
-    // under the fixed global window, one global SloController (targeting the
-    // tightest SLO in the mix — the only honest choice for a tenant-blind
-    // controller), the per-tenant ControllerBank with whole-batch dispatch
-    // (window-level isolation only), and the same bank under priority-
-    // chunked engine dispatch (the head-of-line fix).
-    let mut multi_reports: Vec<ServiceReport> = Vec::new();
-    if args.engines.iter().any(|e| e == "upanns") {
-        let tenant_mix = parse_tenants(&args.tenants);
-        let tstream = tenant_mix.generate(&dataset);
-        eprintln!(
-            "replaying multi-tenant scenario on upanns ({} tenants, {} queries) ...",
-            tstream.tenant_profiles.len(),
-            tstream.len()
-        );
-        let tightest_slo = tstream.slo_p99_s.unwrap_or(slo_s);
-        let mut scenario_policies: Vec<(&str, Option<usize>)> = Vec::new();
-        if args.policies.contains(&Policy::Fixed) {
-            scenario_policies.push(("fixed", None));
-        }
-        if args.policies.contains(&Policy::Adaptive) {
-            scenario_policies.push(("adaptive-slo", None));
-            scenario_policies.push(("adaptive-tenant", None));
-            scenario_policies.push(("adaptive-tenant", Some(args.max_chunk)));
-        }
-        let mut engine = build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history);
-        for (policy, max_chunk) in scenario_policies {
-            let config = ServiceConfig {
-                max_chunk,
-                ..service_config
-            };
-            let service = SearchService::new(engine, config);
-            let mut service = match policy {
-                "fixed" => service,
-                "adaptive-slo" => {
-                    service.with_policy(Box::new(SloController::for_slo(tightest_slo)))
-                }
-                "adaptive-tenant" => service.with_policy(Box::new(ControllerBank::for_profiles(
-                    &tstream.tenant_profiles,
-                    fixed_batcher,
-                ))),
-                other => unreachable!("scenario policy '{other}'"),
-            };
-            multi_reports.push(service.replay_planned(&tstream));
-            engine = service.into_engine();
-        }
-    }
-
-    // The kill-a-host failover scenario: the replicated deployment serves
-    // its own stream under the outage schedule, with hedged retries and the
-    // capacity-model autoscaler in the loop; the recovery envelope is the
-    // committed deliverable CI asserts on.
-    let mut failover_reports: Vec<(ServiceReport, Option<RecoveryEnvelope>)> = Vec::new();
-    if failover_on {
-        eprintln!(
-            "replaying failover scenario ({FAILOVER_SHARDS} shards on {FAILOVER_HOSTS} hosts, \
-             r={}, fault {:?}, hedge {} ms, {} queries at {} qps) ...",
-            args.replicas,
-            args.fault,
-            args.hedge_ms,
-            failover_stream.len(),
-            FAILOVER_QPS
-        );
-        let scaler = Autoscaler::new(
-            CapacityModel::fit(&CAPACITY_SAMPLES),
-            FAILOVER_QPS,
-            FAILOVER_HOSTS,
-            // Never below the committed shape (scale-downs would change the
-            // healthy baseline), two hosts of elastic headroom above it.
-            FAILOVER_HOSTS,
-            FAILOVER_HOSTS + 2,
-        );
-        let failover_config = ServiceConfig {
-            max_chunk: Some(FAILOVER_MAX_CHUNK),
-            ..service_config
-        };
-        let mut service = SearchService::new(build_failover(work_scale), failover_config)
-            .with_policy(Box::new(SloController::for_slo(FAILOVER_SLO_MS / 1e3)))
-            .with_autoscaler(scaler);
-        let report = service.replay(&failover_stream, options_of);
-        let t_down = faults
-            .events()
-            .iter()
-            .map(|e| e.down_at)
-            .fold(f64::INFINITY, f64::min);
-        let envelope = RecoveryEnvelope::from_outcomes(
-            &report.outcomes,
-            FAILOVER_SLO_MS / 1e3,
-            t_down,
-            ENVELOPE_BUCKET_S,
-        );
-        failover_reports.push((report, envelope));
-    }
-
-    // The live-mutation scenario: the single-tenant stream served against
-    // the mutating index, then the tenant-corpus-grows-mid-stream variant
-    // on the multi-tenant mix. Each row is audited after the fact — the
-    // served answers are re-executed at their own arrivals (zero tolerance
-    // for stale answers), p99 splits by compaction-window membership, and
-    // recall is scored against the exact up-to-the-second corpus.
-    let mut live_reports: Vec<(&'static str, ServiceReport, LiveSummary)> = Vec::new();
-    if live_on {
-        let plan = live_plan.as_ref().expect("live_on implies a plan");
-        let events = live_events.as_ref().expect("live_on implies events");
-        eprintln!(
-            "replaying live-mutation scenario on upanns ({} events, {} epochs, \
-             {} compaction(s)) ...",
-            events.len(),
-            plan.final_epoch,
-            plan.compactions.len()
-        );
-        // Like the failover scenario, the live rows always run under the
-        // adaptive policy: the fixed window collapses the UpANNS engine at
-        // this offered load, and a collapsed row's p99 split would measure
-        // queueing, not compaction.
-        let (service, accepted) = SearchService::new(
-            build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history),
-            service_config,
-        )
-        .with_live_index(&plan.timeline);
-        assert!(accepted, "the upanns engine accepts snapshot timelines");
-        let mut service = service.with_policy(Box::new(SloController::for_slo(slo_s)));
-        let report = service.replay(&stream, options_of);
-        let mut oracle = service.into_engine();
-        let summary =
-            live_summary(&report, &mut oracle, &index, &stream, options_of, events, plan);
-        assert_eq!(
-            summary.stale_served, 0,
-            "live-mutation replay served answers that differ from their arrival snapshot"
-        );
-        live_reports.push(("live-mutation", report, summary));
-
-        // The growth variant: the last tenant in the mix (the bulk tenant in
-        // the committed default) grows its corpus mid-stream, upserts only.
-        let tenant_mix = parse_tenants(&args.tenants);
-        let tstream = tenant_mix.generate(&dataset);
-        let growth_tenant = TenantId(tenant_mix.tenants.len() as u32);
-        let growth_events = MutationSpec::new(tstream.duration())
-            .with_tenant(growth_tenant, LIVE_GROWTH_UPSERT_QPS, 0.0)
-            .with_seed(live_args.expect("gated on live_on").seed ^ 0x9E37_79B9)
-            .generate(&dataset, index.ntotal());
-        let growth_plan = plan_live_index(
-            &index,
-            &growth_events,
-            LIVE_REFRESH_S,
-            &bench_compaction_policy(),
-        );
-        eprintln!(
-            "replaying live-growth scenario (tenant {growth_tenant} grows at \
-             {LIVE_GROWTH_UPSERT_QPS} upserts/s: {} events, {} epochs, {} compaction(s)) ...",
-            growth_events.len(),
-            growth_plan.final_epoch,
-            growth_plan.compactions.len()
-        );
-        let (service, accepted) = SearchService::new(
-            build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history),
-            service_config,
-        )
-        .with_live_index(&growth_plan.timeline);
-        assert!(accepted, "the upanns engine accepts snapshot timelines");
-        let tightest = tstream.slo_p99_s.unwrap_or(slo_s);
-        let mut service = service.with_policy(Box::new(SloController::for_slo(tightest)));
-        let report = service.replay_planned(&tstream);
-        let mut oracle = service.into_engine();
-        let summary = live_summary(
-            &report,
-            &mut oracle,
-            &index,
-            &tstream,
-            |i| planned_options(&tstream, i),
-            &growth_events,
-            &growth_plan,
-        );
-        assert_eq!(
-            summary.stale_served, 0,
-            "live-growth replay served answers that differ from their arrival snapshot"
-        );
-        live_reports.push(("live-growth", report, summary));
-    }
-
-    println!(
-        "| engine | policy | sustained QPS | p50 (ms) | p99 (ms) | SLO miss | completed | shed | batches | chunks | mean batch | final window (ms) |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
-    for r in &reports {
-        println!(
+/// The stdout tables of the replay rows, one per scenario that ran.
+fn print_replay_tables(args: &Args, rows: &[ReplayRow]) {
+    let of = |workload: &'static str| rows.iter().filter(move |row| row.workload == workload);
+    let header = "| engine | policy | sustained QPS | p50 (ms) | p99 (ms) | SLO miss | completed | shed | batches | chunks | mean batch | final window (ms) |";
+    let singles = of("single").map(|row| {
+        let r = &row.report;
+        format!(
             "| {} | {} | {:.1} | {:.3} | {:.3} | {:.1}% | {} | {} | {} | {} | {:.1} | {:.1} |",
             r.engine,
             r.policy,
@@ -2064,189 +557,89 @@ fn main() {
             r.dispatched_chunks,
             r.mean_batch_size(),
             r.final_batcher.max_delay_s * 1e3,
-        );
-    }
+        )
+    });
+    print_table(None, header, singles.collect());
 
-    if !multi_reports.is_empty() {
-        println!();
-        println!("Multi-tenant scenario (upanns): {}", args.tenants);
-        println!(
-            "| policy | tenant | weight | SLO (ms) | completed | shed | p50 (ms) | p99 (ms) | SLO miss | meets | final window (ms) |"
-        );
-        println!("|---|---|---|---|---|---|---|---|---|---|---|");
-        for r in &multi_reports {
-            for t in &r.tenants {
-                println!(
-                    "| {} | {} | {} | {} | {} | {} | {:.3} | {:.3} | {:.1}% | {} | {:.1} |",
-                    r.policy,
-                    t.name,
-                    t.weight,
-                    t.slo_p99_s.map_or_else(|| "-".to_string(), |s| format!("{:.0}", s * 1e3)),
-                    t.completed,
-                    t.shed,
-                    t.p50() * 1e3,
-                    t.p99() * 1e3,
-                    t.slo_miss_fraction() * 100.0,
-                    if t.meets_slo() { "yes" } else { "NO" },
-                    t.final_batcher.max_delay_s * 1e3,
-                );
-            }
-        }
-    }
+    let title = format!("Multi-tenant scenario (upanns): {}", args.tenants);
+    let header = "| policy | tenant | weight | SLO (ms) | completed | shed | p50 (ms) | p99 (ms) | SLO miss | meets | final window (ms) |";
+    let tenants = of("multi").flat_map(|row| row.report.tenants.iter().map(|t| (&row.report, t)));
+    let tenants = tenants.map(|(r, t)| {
+        format!(
+            "| {} | {} | {} | {} | {} | {} | {:.3} | {:.3} | {:.1}% | {} | {:.1} |",
+            r.policy,
+            t.name,
+            t.weight,
+            t.slo_p99_s.map_or_else(|| "-".to_string(), |s| format!("{:.0}", s * 1e3)),
+            t.completed,
+            t.shed,
+            t.p50() * 1e3,
+            t.p99() * 1e3,
+            t.slo_miss_fraction() * 100.0,
+            if t.meets_slo() { "yes" } else { "NO" },
+            t.final_batcher.max_delay_s * 1e3,
+        )
+    });
+    print_table(Some(title), header, tenants.collect());
 
-    if !failover_reports.is_empty() {
-        println!();
-        println!(
-            "Failover scenario: {FAILOVER_SHARDS} shards / {FAILOVER_HOSTS} hosts, r={}, \
-             fault {}, hedge {} ms",
-            args.replicas, args.fault, args.hedge_ms
+    let title = format!(
+        "Failover scenario: {FAILOVER_SHARDS} shards / {FAILOVER_HOSTS} hosts, r={}, \
+         fault {}, hedge {} ms",
+        args.replicas, args.fault, args.hedge_ms
+    );
+    let header = "| policy | sustained QPS | p99 (ms) | SLO miss | degraded | hedged | redisp | scale events | migration (s) | baseline | max dip | recovery (s) |";
+    let failovers = of("failover").map(|row| {
+        let r = &row.report;
+        let envelope = row.envelope.as_ref().map_or_else(
+            || "- | - | -".to_string(),
+            |e| {
+                let recovery = if e.recovered {
+                    format!("{:.1}", e.recovery_s)
+                } else {
+                    "never".to_string()
+                };
+                format!("{:.3} | {:.3} | {recovery}", e.baseline_attainment, e.max_dip)
+            },
         );
-        println!(
-            "| policy | sustained QPS | p99 (ms) | SLO miss | degraded | hedged | redisp | scale events | migration (s) | baseline | max dip | recovery (s) |"
-        );
-        println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
-        for (r, env) in &failover_reports {
-            let (baseline, dip, recovery) = env.as_ref().map_or_else(
-                || ("-".to_string(), "-".to_string(), "-".to_string()),
-                |e| {
-                    (
-                        format!("{:.3}", e.baseline_attainment),
-                        format!("{:.3}", e.max_dip),
-                        if e.recovered {
-                            format!("{:.1}", e.recovery_s)
-                        } else {
-                            "never".to_string()
-                        },
-                    )
-                },
-            );
-            println!(
-                "| {} | {:.1} | {:.3} | {:.1}% | {} | {} | {} | {} | {:.3} | {} | {} | {} |",
-                r.policy,
-                r.sustained_qps(),
-                r.p99() * 1e3,
-                r.slo_miss_fraction() * 100.0,
-                r.degraded,
-                r.hedged,
-                r.redispatched,
-                r.scale_events,
-                r.migration_s,
-                baseline,
-                dip,
-                recovery,
-            );
-        }
-    }
+        format!(
+            "| {} | {:.1} | {:.3} | {:.1}% | {} | {} | {} | {} | {:.3} | {envelope} |",
+            r.policy,
+            r.sustained_qps(),
+            r.p99() * 1e3,
+            r.slo_miss_fraction() * 100.0,
+            r.degraded,
+            r.hedged,
+            r.redispatched,
+            r.scale_events,
+            r.migration_s,
+        )
+    });
+    print_table(Some(title), header, failovers.collect());
 
-    if !live_reports.is_empty() {
-        println!();
-        println!(
-            "Live-mutation scenario (upanns): {} (snapshot refresh every {} s)",
-            args.mutations, LIVE_REFRESH_S
-        );
-        println!(
-            "| workload | events | epochs | compactions | invalidated | stale | in-window | p99 steady (ms) | p99 compaction (ms) | recall lag=0 | lag=1-10 | lag=11-100 | lag=101+ |"
-        );
-        println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|");
-        for (workload, r, s) in &live_reports {
-            let recalls: Vec<String> = s
-                .buckets
-                .iter()
-                .map(|b| {
-                    if b.queries == 0 {
-                        "-".to_string()
-                    } else {
-                        format!("{:.3} ({})", b.mean_recall, b.queries)
-                    }
-                })
-                .collect();
-            println!(
-                "| {} | {} | {} | {} | {} | {} | {} | {:.3} | {:.3} | {} | {} | {} | {} |",
-                workload,
-                s.mutation_events,
-                s.final_epoch,
-                s.compactions,
-                r.cache_invalidated,
-                s.stale_served,
-                s.answered_in_window,
-                s.p99_steady_ms,
-                s.p99_compaction_ms,
-                recalls[0],
-                recalls[1],
-                recalls[2],
-                recalls[3],
-            );
-        }
-    }
-
-    if let Some(path) = args.json {
-        let engines: Vec<String> = reports
-            .iter()
-            .map(|r| report_json(r, "single", None, None))
-            .chain(multi_reports.iter().map(|r| report_json(r, "multi", None, None)))
-            .chain(
-                failover_reports
-                    .iter()
-                    .map(|(r, env)| report_json(r, "failover", env.as_ref(), None)),
-            )
-            .chain(
-                live_reports
-                    .iter()
-                    .map(|(workload, r, s)| report_json(r, workload, None, Some(s))),
-            )
-            .collect();
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"schema\": \"upanns-serving-bench-v6\",\n",
-                "  \"config\": {{\n",
-                "    \"dataset_n\": {},\n",
-                "    \"nlist\": {},\n",
-                "    \"dpus\": {},\n",
-                "    \"work_scale\": {},\n",
-                "    \"num_queries\": {},\n",
-                "    \"offered_qps\": {},\n",
-                "    \"repeat_fraction\": {},\n",
-                "    \"slo_p99_ms\": {},\n",
-                "    \"hosts\": {},\n",
-                "    \"max_chunk\": {},\n",
-                "    \"queue_capacity\": {},\n",
-                "    \"fixed_max_batch\": {},\n",
-                "    \"fixed_max_delay_ms\": {},\n",
-                "    \"cache_capacity\": {},\n",
-                "    \"replicas\": {},\n",
-                "    \"fault\": \"{}\",\n",
-                "    \"hedge_ms\": {},\n",
-                "    \"mutations\": \"{}\",\n",
-                "    \"live_refresh_s\": {},\n",
-                "    \"tenants\": \"{}\"\n",
-                "  }},\n",
-                "  \"engines\": [\n{}\n  ]\n",
-                "}}\n"
-            ),
-            DATASET_N,
-            NLIST,
-            DPUS,
-            json_num(work_scale),
-            args.queries,
-            json_num(args.qps),
-            json_num(args.repeat),
-            json_num(args.slo_ms),
-            args.hosts,
-            args.max_chunk,
-            service_config.queue_capacity,
-            fixed_batcher.max_batch,
-            json_num(fixed_batcher.max_delay_s * 1e3),
-            service_config.cache_capacity,
-            args.replicas,
-            args.fault,
-            json_num(args.hedge_ms),
-            args.mutations,
-            json_num(LIVE_REFRESH_S),
-            args.tenants,
-            engines.join(",\n"),
-        );
-        std::fs::write(&path, json).expect("write JSON baseline");
-        eprintln!("wrote {path}");
-    }
+    let title = format!(
+        "Live-mutation scenario (upanns): {} (snapshot refresh every {LIVE_REFRESH_S} s)",
+        args.mutations
+    );
+    let header = "| workload | events | epochs | compactions | invalidated | stale | in-window | p99 steady (ms) | p99 compaction (ms) | recall lag=0 | lag=1-10 | lag=11-100 | lag=101+ |";
+    let audited = rows.iter().filter_map(|row| Some((row, row.live.as_ref()?)));
+    let audited = audited.map(|(row, s)| {
+        let recall = |b: &StalenessBucket| match b.queries {
+            0 => "-".to_string(),
+            n => format!("{:.3} ({n})", b.mean_recall),
+        };
+        format!(
+            "| {} | {} | {} | {} | {} | {} | {} | {:.3} | {:.3} | {} |",
+            row.workload,
+            s.mutation_events,
+            s.final_epoch,
+            s.compactions,
+            row.report.cache_invalidated,
+            s.stale_served,
+            s.answered_in_window,
+            s.p99_steady_ms,
+            s.p99_compaction_ms,
+            s.buckets.iter().map(recall).collect::<Vec<_>>().join(" | "),
+        )
+    });
+    print_table(Some(title), header, audited.collect());
 }

@@ -13,9 +13,15 @@
 //!
 //! See [`pipeline`] for the thread/channel topology, the two clocks, the
 //! twin contract and shutdown (clean, and on an engine panic); see
-//! [`report`] for what a run measures. The `serve` binary (this crate's
-//! `src/bin/serve.rs`) fronts both the replay benchmark and the threaded
-//! runtime.
+//! [`report`] for what a run measures.
+//!
+//! The crate also hosts the serving bench. [`scenario`] is the bench as
+//! data — one fixture, one engine factory behind `Box<dyn AnnEngine>`, the
+//! five scenarios, the `--tenants` / `--mutations` grammars, and the two
+//! runners (one per driver) every run goes through; [`record`] turns the
+//! rows into the two committed JSON records through one ordered writer. The
+//! `serve` binary (this crate's `src/bin/serve.rs`) is what is left: flag
+//! parsing, a loop over the scenarios, and the stdout tables.
 //!
 //! This is the one crate in the workspace allowed to read the wall clock
 //! (`std::time::Instant`) — `upanns-lint`'s `no-wall-clock` rule scopes
@@ -46,7 +52,9 @@
 #![warn(missing_docs)]
 
 pub mod pipeline;
+pub mod record;
 pub mod report;
+pub mod scenario;
 
 pub use pipeline::{run_pipeline, RuntimeConfig, RuntimeMode};
 pub use report::{RuntimeReport, RuntimeTenantRow};
