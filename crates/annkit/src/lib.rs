@@ -11,8 +11,9 @@
 //!   ([`mutation`]),
 //! * asymmetric-distance lookup tables (LUTs) and ADC scans ([`lut`]),
 //! * bounded heaps and exact top-k selection ([`topk`]),
-//! * runtime-dispatched SIMD fast paths for the scan/distance/top-k hot
-//!   loops, bitwise-equal to their scalar references ([`simd`]),
+//! * runtime-dispatched SIMD fast paths for the distance and top-k hot
+//!   loops and the one cache-blocked ADC scan, bitwise-equal to their
+//!   scalar references ([`simd`]),
 //! * brute-force exact search and recall metrics ([`flat`], [`recall`]),
 //! * synthetic SIFT1B/DEEP1B/SPACEV1B-like dataset generators with skewed
 //!   cluster popularity and injected code co-occurrence ([`synthetic`]),

@@ -78,9 +78,11 @@ impl LookupTable {
     /// the ADC distance of every code. This is the memory-bound inner loop
     /// that dominates billion-scale IVFPQ (Figure 1 / Figure 19).
     ///
-    /// Dispatches to the best runtime-detected backend in [`crate::simd`]
-    /// (AVX2 gathers, 8 records in flight); every backend is bitwise-equal
-    /// to the naive record-major scalar scan.
+    /// Runs the one cache-blocked scan, [`simd::adc_scan_blocked`] (8 records
+    /// in flight), bitwise-equal to the naive record-major scan.
+    ///
+    /// # Panics
+    /// Panics if `packed_codes.len()` is not a multiple of `m`.
     pub fn adc_scan(&self, packed_codes: &[u8]) -> Vec<f32> {
         let mut out = Vec::new();
         self.adc_scan_into(packed_codes, &mut out);
@@ -92,17 +94,16 @@ impl LookupTable {
     /// kernel's functional scan) reuse one buffer across chunks.
     #[inline]
     pub fn adc_scan_into(&self, packed_codes: &[u8], out: &mut Vec<f32>) {
-        self.adc_scan_with(simd::active(), packed_codes, out);
+        simd::adc_scan_blocked(&self.table, self.m, packed_codes, out);
     }
 
-    /// [`adc_scan_into`](Self::adc_scan_into) on an explicit [`Backend`],
-    /// used by the equivalence tests and the bench variants to pin a path
-    /// regardless of what the dispatcher detected.
-    ///
-    /// # Panics
-    /// Panics if `packed_codes.len()` is not a multiple of `m`.
-    pub fn adc_scan_with(&self, backend: Backend, packed_codes: &[u8], out: &mut Vec<f32>) {
-        simd::adc_scan_with(backend, &self.table, self.m, packed_codes, out);
+    /// Vestige: [`adc_scan_into`](Self::adc_scan_into); `_backend` is
+    /// ignored. There is one scan since the AVX2 gather path was deleted for
+    /// losing to it; this name survives only because the repo benchmark
+    /// (`benchmark/src/micro.rs`, not editable alongside a code change)
+    /// calls it. Drop it at the next benchmark revision.
+    pub fn adc_scan_with(&self, _backend: Backend, packed_codes: &[u8], out: &mut Vec<f32>) {
+        self.adc_scan_into(packed_codes, out);
     }
 
     /// The raw table (`m * 256` floats).
@@ -243,24 +244,6 @@ mod tests {
         let (qz, sz) = zero.quantize_u16();
         assert!(sz.is_normal());
         assert!(qz.iter().all(|&e| e == 0));
-    }
-
-    #[test]
-    fn scan_backends_agree_bitwise() {
-        let (pq, ds) = setup(8, 4);
-        let lut = LookupTable::build(&pq, ds.vector(2));
-        // 19 records: two full 8-lane blocks plus a 3-record tail.
-        let codes: Vec<Vec<u8>> = (0..19).map(|i| pq.encode(ds.vector(i))).collect();
-        let packed = crate::pq::pack_codes(&codes, 4);
-        let dispatched = lut.adc_scan(&packed);
-        for backend in [Backend::Scalar, crate::simd::detect()] {
-            let mut out = Vec::new();
-            lut.adc_scan_with(backend, &packed, &mut out);
-            assert_eq!(out.len(), dispatched.len());
-            for (a, b) in out.iter().zip(&dispatched) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{backend:?}");
-            }
-        }
     }
 
     #[test]

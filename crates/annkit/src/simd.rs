@@ -1,6 +1,11 @@
-//! Explicitly vectorized fast paths for the three hot kernels — the ADC
-//! scan, the L2/inner-product distances, and the top-k pre-filter — behind
-//! runtime feature detection.
+//! Explicitly vectorized fast paths for the two hot kernels where AVX2 wins
+//! on record — the L2/inner-product distances and the top-k pre-filter —
+//! behind runtime feature detection, plus the one (portable) ADC scan.
+//!
+//! The ADC scan has no vector path: an AVX2 gather over the `m × 256` f32
+//! LUT measured 1.15–1.30× *slower* than the cache-blocked scalar loop on
+//! the repo benchmark's `batch-scan` workload, so [`adc_scan_blocked`] is
+//! the scan and [`adc_scan_reference`] the oracle it is tested against.
 //!
 //! # The answer-identity contract
 //!
@@ -8,11 +13,11 @@
 //! replay twin depend on search answers being a pure function of
 //! `(query, k, nprobe, index)` — *never* of which machine ran the kernel.
 //! This module therefore holds itself to a stronger bar than "epsilon
-//! close": **every vectorized path is bitwise-identical to its scalar
+//! close": **every fast path is bitwise-identical to its scalar
 //! reference**, proven by the `simd_equivalence` proptests:
 //!
-//! * the AVX2 ADC scan sums the same `m` table entries per record in the
-//!   same order as the scalar loop (lanes are independent records);
+//! * the blocked ADC scan sums the same `m` table entries per record in the
+//!   same order as the naive loop (lanes are independent records);
 //! * the AVX2 distance kernels keep the scalar reference's exact reduction
 //!   tree — a 4-lane accumulator fed in chunk order with explicit
 //!   multiply-then-add (FMA contraction is deliberately *not* used: its
@@ -27,19 +32,19 @@
 //! permitted: the crate root demotes `#![forbid(unsafe_code)]` to `deny`
 //! and this file alone re-allows it, the `upanns-lint`
 //! `no-unsafe-outside-simd` rule machine-checks that no other file uses
-//! the keyword, and every unsafe block here is an `std::arch` intrinsic
-//! call whose preconditions (CPU features, in-bounds gathers from a
-//! 256-entry LUT row indexed by a `u8`) are established by the dispatcher
-//! and by construction.
+//! the keyword, and every unsafe block here (three: the two distance
+//! kernels and the pre-filter mask) is an `std::arch` intrinsic call whose
+//! preconditions (CPU features, in-bounds unaligned loads) are established
+//! by the dispatcher and by an explicit length check.
 //!
 //! # Dispatch policy
 //!
 //! [`active`] resolves once per process: an explicit [`force_backend`]
 //! call (used by the forced-fallback equivalence tests) wins, then the
 //! `UPANNS_FORCE_SCALAR` environment variable, then
-//! `is_x86_feature_detected!("avx2")`+`fma`. All kernels also expose
-//! `*_with(Backend, ..)` entry points so benches and tests can pin either
-//! path explicitly inside a single process.
+//! `is_x86_feature_detected!("avx2")`+`fma`. Both dispatched kernels also
+//! expose `*_with(Backend, ..)` entry points so benches and tests can pin
+//! either path explicitly inside a single process.
 #![allow(unsafe_code)]
 
 use std::sync::OnceLock;
@@ -183,10 +188,9 @@ pub fn inner_product_with(backend: Backend, a: &[f32], b: &[f32]) -> f32 {
 // ADC scan
 // ---------------------------------------------------------------------------
 
-/// How many records the blocked/vectorized scans keep in flight. Eight
-/// records share one LUT row per sub-quantizer step (a 1 KB row of the
-/// table), which is the cache-blocked access pattern the AVX2 gather path
-/// uses natively.
+/// How many records the blocked scan keeps in flight — eight records share
+/// one LUT row per sub-quantizer step (a 1 KB row of the table) — and the
+/// lane count of the top-k pre-filter mask.
 pub const SCAN_LANES: usize = 8;
 
 /// Naive record-major scalar ADC scan — the reference implementation every
@@ -206,15 +210,23 @@ pub fn adc_scan_reference(table: &[f32], m: usize, packed: &[u8], out: &mut Vec<
     }
 }
 
-/// Portable cache-blocked ADC scan: [`SCAN_LANES`] records in flight,
-/// iterated sub-major so all lanes read the *same* 256-entry LUT row before
-/// moving to the next — a transposed access pattern over the row-major
-/// table that the autovectorizer can turn into gathers/unrolled loads.
-/// Per record the `m` partial sums are added in sub order, so the result
-/// is bitwise-identical to [`adc_scan_reference`].
+/// The ADC scan: appends one distance per record into `out` (cleared
+/// first). Cache-blocked — [`SCAN_LANES`] records in flight, iterated
+/// sub-major so all lanes read the *same* 256-entry LUT row before moving
+/// to the next, a transposed access pattern over the row-major table that
+/// the compiler unrolls into independent loads. Per record the `m` partial
+/// sums are added in sub order, so the result is bitwise-identical to
+/// [`adc_scan_reference`].
+///
+/// # Panics
+/// Panics if `table.len() != m * 256` or `packed.len()` is not a multiple
+/// of `m`.
 pub fn adc_scan_blocked(table: &[f32], m: usize, packed: &[u8], out: &mut Vec<f32>) {
-    debug_assert_eq!(table.len(), m * 256, "LUT table size mismatch");
-    debug_assert!(packed.len().is_multiple_of(m), "packed code buffer not a multiple of m");
+    assert_eq!(table.len(), m * 256, "LUT table size mismatch");
+    assert!(
+        packed.len().is_multiple_of(m),
+        "packed code buffer not a multiple of m"
+    );
     let n = packed.len() / m;
     out.clear();
     out.reserve(n);
@@ -238,30 +250,6 @@ pub fn adc_scan_blocked(table: &[f32], m: usize, packed: &[u8], out: &mut Vec<f3
         }
         out.push(sum);
     }
-}
-
-/// ADC scan on an explicit backend, appending one distance per record into
-/// `out` (cleared first). Bitwise-equal across backends.
-///
-/// # Panics
-/// Panics if `table.len() != m * 256` or `packed.len()` is not a multiple
-/// of `m`.
-pub fn adc_scan_with(backend: Backend, table: &[f32], m: usize, packed: &[u8], out: &mut Vec<f32>) {
-    assert_eq!(table.len(), m * 256, "LUT table size mismatch");
-    assert!(
-        packed.len().is_multiple_of(m),
-        "packed code buffer not a multiple of m"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 {
-        // Safety: feature availability as in `l2_squared_with`; gather
-        // indices are u8 codes (0..=255) into 256-entry rows, in bounds by
-        // the table-size assertion above.
-        unsafe { x86::adc_scan_avx2(table, m, packed, out) };
-        return;
-    }
-    let _ = backend;
-    adc_scan_blocked(table, m, packed, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,7 +288,6 @@ pub fn le_mask_with(backend: Backend, values: &[f32], threshold: f32) -> u32 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::SCAN_LANES;
     use std::arch::x86_64::*;
 
     /// Bitwise twin of `l2_squared_scalar`: 8 lanes of subtract/multiply
@@ -376,53 +363,6 @@ mod x86 {
         sum
     }
 
-    /// Eight records in flight: per sub-quantizer, gather the eight lanes'
-    /// table entries from one 256-entry LUT row and accumulate. Each lane
-    /// is an independent record whose `m` adds happen in sub order, so
-    /// every output is bitwise-equal to the scalar reference.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available, `table.len() == m * 256`, and
-    /// `packed.len().is_multiple_of(m)` (gather indices are u8 codes, in bounds of
-    /// their 256-entry row by construction).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn adc_scan_avx2(table: &[f32], m: usize, packed: &[u8], out: &mut Vec<f32>) {
-        let n = packed.len() / m;
-        out.clear();
-        out.reserve(n);
-        let mut r = 0;
-        while r + SCAN_LANES <= n {
-            let block = &packed[r * m..];
-            let mut acc = _mm256_setzero_ps();
-            for sub in 0..m {
-                // Lane l gathers row entry `block[l * m + sub]`.
-                let idx = _mm256_set_epi32(
-                    block[7 * m + sub] as i32,
-                    block[6 * m + sub] as i32,
-                    block[5 * m + sub] as i32,
-                    block[4 * m + sub] as i32,
-                    block[3 * m + sub] as i32,
-                    block[2 * m + sub] as i32,
-                    block[m + sub] as i32,
-                    block[sub] as i32,
-                );
-                let row = table.as_ptr().add(sub * 256);
-                acc = _mm256_add_ps(acc, _mm256_i32gather_ps::<4>(row, idx));
-            }
-            let mut lanes = [0.0f32; SCAN_LANES];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-            out.extend_from_slice(&lanes);
-            r += SCAN_LANES;
-        }
-        for code in packed[r * m..].chunks_exact(m) {
-            let mut sum = 0.0f32;
-            for (sub, &c) in code.iter().enumerate() {
-                sum += table[sub * 256 + c as usize];
-            }
-            out.push(sum);
-        }
-    }
-
     /// 8-lane `v <= threshold` movemask.
     ///
     /// # Safety
@@ -468,19 +408,18 @@ mod tests {
     }
 
     #[test]
-    fn adc_scan_paths_agree_bitwise() {
+    fn adc_scan_blocked_matches_reference_bitwise() {
         let m = 6;
         let table: Vec<f32> = (0..m * 256).map(|i| (i as f32 * 0.013).sin()).collect();
+        // 21 records: two full 8-lane blocks plus a 5-record tail.
         let packed: Vec<u8> = (0..m * 21).map(|i| ((i * 37 + 11) % 256) as u8).collect();
         let mut reference = Vec::new();
         adc_scan_reference(&table, m, &packed, &mut reference);
-        for backend in [Backend::Scalar, detect()] {
-            let mut got = Vec::new();
-            adc_scan_with(backend, &table, m, &packed, &mut got);
-            assert_eq!(got.len(), reference.len());
-            for (g, r) in got.iter().zip(&reference) {
-                assert_eq!(g.to_bits(), r.to_bits(), "{backend:?}");
-            }
+        let mut got = Vec::new();
+        adc_scan_blocked(&table, m, &packed, &mut got);
+        assert_eq!(got.len(), reference.len());
+        for (g, r) in got.iter().zip(&reference) {
+            assert_eq!(g.to_bits(), r.to_bits());
         }
     }
 

@@ -1,13 +1,14 @@
-//! Property proofs that every SIMD fast path is *bitwise* equivalent to its
-//! scalar reference — the contract that keeps search answers (and therefore
-//! the replay twin and every committed bench record) identical across
-//! machines with and without AVX2.
+//! Property proofs that every kernel fast path is *bitwise* equivalent to
+//! its scalar reference — the contract that keeps search answers (and
+//! therefore the replay twin and every committed bench record) identical
+//! across machines with and without AVX2.
 //!
-//! Each test exercises both `Backend::Scalar` and the runtime-detected
-//! backend through the explicit `*_with` entry points, so on AVX2 hardware
-//! the vector code is proven against the scalar code in one process, and on
-//! non-AVX2 hardware the suite degenerates to scalar-vs-scalar (still
-//! validating the blocked fallbacks against the naive references). CI
+//! The distance and top-k tests exercise both `Backend::Scalar` and the
+//! runtime-detected backend through the explicit `*_with` entry points, so
+//! on AVX2 hardware the vector code is proven against the scalar code in one
+//! process, and on non-AVX2 hardware they degenerate to scalar-vs-scalar.
+//! The ADC scan has one implementation (cache-blocked scalar), proven against
+//! the naive record-major reference. CI
 //! additionally re-runs the whole test suite under `UPANNS_FORCE_SCALAR=1`
 //! so the dispatcher's fallback path is exercised end to end.
 
@@ -45,8 +46,8 @@ proptest! {
         }
     }
 
-    /// ADC scan: blocked and gathered paths reproduce the naive record-major
-    /// scan bit for bit, including record counts that leave 1..7-lane tails.
+    /// ADC scan: the blocked scan reproduces the naive record-major scan
+    /// bit for bit, including record counts that leave 1..7-lane tails.
     #[test]
     fn adc_scan_bitwise_equal(
         m in 1usize..24,
@@ -58,13 +59,11 @@ proptest! {
         let packed: Vec<u8> = (0..m * n).map(|_| rng.gen_range(0u8..=255)).collect();
         let mut reference = Vec::new();
         simd::adc_scan_reference(&table, m, &packed, &mut reference);
-        for backend in backends() {
-            let mut got = Vec::new();
-            simd::adc_scan_with(backend, &table, m, &packed, &mut got);
-            prop_assert_eq!(got.len(), reference.len());
-            for (g, r) in got.iter().zip(&reference) {
-                prop_assert_eq!(g.to_bits(), r.to_bits());
-            }
+        let mut got = Vec::new();
+        simd::adc_scan_blocked(&table, m, &packed, &mut got);
+        prop_assert_eq!(got.len(), reference.len());
+        for (g, r) in got.iter().zip(&reference) {
+            prop_assert_eq!(g.to_bits(), r.to_bits());
         }
     }
 
@@ -105,12 +104,13 @@ proptest! {
     }
 }
 
-/// End-to-end: a LookupTable built from a real trained PQ scans identically
-/// on every backend, and the dispatching `adc_scan` agrees with whichever
-/// backend `active()` selected (honouring `UPANNS_FORCE_SCALAR` when CI
-/// sets it).
+/// End-to-end: a LookupTable built from a real trained PQ scans to the same
+/// bits through `adc_scan`, `adc_scan_into` and the benchmark-pinned
+/// `adc_scan_with` under either backend argument (which it ignores), and
+/// `UPANNS_FORCE_SCALAR` still pins the dispatcher the two remaining
+/// vectorized kernels consult.
 #[test]
-fn trained_lut_scan_dispatch_consistent() {
+fn trained_lut_scan_ignores_the_backend() {
     let mut rng = SmallRng::seed_from_u64(77);
     let dim = 16;
     let mut ds = Dataset::new(dim);
@@ -126,12 +126,15 @@ fn trained_lut_scan_dispatch_consistent() {
     let codes: Vec<Vec<u8>> = (0..37).map(|i| pq.encode(ds.vector(i))).collect();
     let packed = annkit::pq::pack_codes(&codes, 8);
 
-    let dispatched = lut.adc_scan(&packed);
-    let mut via_active = Vec::new();
-    lut.adc_scan_with(simd::active(), &packed, &mut via_active);
-    assert_eq!(dispatched.len(), via_active.len());
-    for (a, b) in dispatched.iter().zip(&via_active) {
-        assert_eq!(a.to_bits(), b.to_bits());
+    let mut into = Vec::new();
+    lut.adc_scan_into(&packed, &mut into);
+    assert_eq!(into.len(), 37);
+    let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&lut.adc_scan(&packed)), bits(&into));
+    for backend in backends() {
+        let mut out = Vec::new();
+        lut.adc_scan_with(backend, &packed, &mut out);
+        assert_eq!(bits(&out), bits(&into), "{backend:?}");
     }
 
     if std::env::var_os("UPANNS_FORCE_SCALAR").is_some_and(|s| s != "0") {
@@ -140,13 +143,5 @@ fn trained_lut_scan_dispatch_consistent() {
             Backend::Scalar,
             "UPANNS_FORCE_SCALAR must pin the dispatcher to the fallback"
         );
-    }
-
-    for backend in backends() {
-        let mut out = Vec::new();
-        lut.adc_scan_with(backend, &packed, &mut out);
-        for (a, b) in dispatched.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{backend:?}");
-        }
     }
 }

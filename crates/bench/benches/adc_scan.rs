@@ -41,23 +41,6 @@ fn bench_adc_scan(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(lut.adc_scan(&packed)));
         });
 
-        // Pinned-backend variants: `simd` is the best runtime-detected
-        // backend (AVX2 gathers where available), `scalar` the portable
-        // blocked fallback. Both names must exist on every machine so the
-        // committed BENCH_criterion.json name check stays portable.
-        let mut out = Vec::new();
-        for (variant, backend) in [
-            ("plain_lut_scan_simd", annkit::simd::detect()),
-            ("plain_lut_scan_scalar", annkit::simd::Backend::Scalar),
-        ] {
-            group.bench_with_input(BenchmarkId::new(variant, m), &m, |b, _| {
-                b.iter(|| {
-                    lut.adc_scan_with(backend, &packed, &mut out);
-                    std::hint::black_box(out.last().copied())
-                });
-            });
-        }
-
         let combos = mine_cluster_combos(&packed, m, &MiningParams::default());
         let cae = CaeList::encode(&packed, m, &combos);
         let sums = combos.partial_sums(&lut);

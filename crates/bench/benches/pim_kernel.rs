@@ -72,10 +72,11 @@ fn bench_kernel_launch(c: &mut Criterion) {
 }
 
 /// The full batch kernel (LUT build, functional ADC scan, pruned merge,
-/// mailbox write) on one DPU, with the host-side scan pinned to either the
-/// best detected SIMD backend or the portable scalar fallback. The modeled
-/// DPU cost is identical for both — this measures harness wall-clock, i.e.
-/// how much simulation throughput the vectorized scan buys.
+/// mailbox write) on one DPU, with the host-side top-k pre-filter pinned to
+/// either the best detected SIMD backend or the portable scalar fallback
+/// (the ADC scan has one implementation). The modeled DPU cost is identical
+/// for both — this measures harness wall-clock, i.e. how much simulation
+/// throughput the vectorized pre-filter buys.
 fn bench_adc_kernel(c: &mut Criterion) {
     let data = SyntheticSpec::sift_like(2_000)
         .with_clusters(8)

@@ -80,11 +80,14 @@ pub struct KernelShared<'a> {
     pub config: &'a UpAnnsConfig,
     /// Requested top-k size.
     pub k: usize,
-    /// SIMD backend for the functional ADC scan and top-k pre-filter.
-    /// Answers are bitwise-identical across backends (annkit's equivalence
-    /// contract), so this only affects host-side wall-clock speed — never
-    /// the modeled DPU cost or the results. Engines pass
-    /// [`annkit::simd::active()`]; benches pin one explicitly.
+    /// SIMD backend for the top-k pre-filter — and only that: the ADC scan
+    /// has a single implementation. The field keeps its old name because the
+    /// repo benchmark (`benchmark/src/micro.rs`) builds this struct
+    /// literally; rename it at the next benchmark revision. Answers are
+    /// bitwise-identical across backends (annkit's equivalence contract), so
+    /// this only affects host-side wall-clock speed — never the modeled DPU
+    /// cost or the results. Engines pass [`annkit::simd::active()`]; benches
+    /// pin one explicitly.
     pub scan_backend: annkit::simd::Backend,
 }
 
@@ -263,9 +266,9 @@ pub fn run_batch_kernel(
                     ListEncoding::PlainU8 => {
                         // Functional scan: fixed-size records, read
                         // `read_bytes` worth of codes at a time, then the
-                        // vectorized ADC scan + batch top-k insert (bitwise
-                        // equal to the per-record scalar sum on every
-                        // backend). `read_bytes >= m` is guaranteed by
+                        // blocked ADC scan + batch top-k insert (bitwise
+                        // equal to the per-record scalar sum and push on
+                        // every backend). `read_bytes >= m` is guaranteed by
                         // `kernel_read_bytes`, so every chunk holds at least
                         // one whole record.
                         let mut dist_buf = Vec::new();
@@ -278,7 +281,7 @@ pub fn run_batch_kernel(
                                 .mram_read_uncharged(replica.codes_addr + v * m, len)
                                 .to_vec();
                             bytes_read += len as u64;
-                            lut.adc_scan_with(shared.scan_backend, &data, &mut dist_buf);
+                            lut.adc_scan_into(&data, &mut dist_buf);
                             heap.push_batch_with(shared.scan_backend, v as u64, &dist_buf);
                             lookups += len as u64;
                             v += chunk_vectors;

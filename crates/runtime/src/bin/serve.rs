@@ -32,7 +32,7 @@
 //! in [`upanns_runtime::scenario`]; the record layouts in
 //! [`upanns_runtime::record`]; the spec grammars in
 //! [`parse_tenants`], [`parse_mutations`] and
-//! [`FaultSchedule::parse`]; `--help` prints the flag reference. Malformed
+//! [`parse_fault`]; `--help` prints the flag reference. Malformed
 //! input of any kind exits 2 with an `error:` line before any work is done.
 
 #![forbid(unsafe_code)]
@@ -40,10 +40,9 @@
 use std::str::FromStr;
 
 use annkit::workload::QueryStream;
-use upanns::replica::FaultSchedule;
 use upanns_runtime::record::{record, runtime_row, serving_row, Json};
 use upanns_runtime::scenario::{
-    parse_mutations, parse_tenants, service_config, EngineKind, Fixture, FixtureSpec, Policy,
+    parse_fault, parse_mutations, parse_tenants, service_config, EngineKind, Fixture, FixtureSpec, Policy,
     ReplayRow, Scenario, StalenessBucket, DATASET_N, DEFAULT_FAULT, DEFAULT_HEDGE_MS,
     DEFAULT_MUTATIONS, DEFAULT_REPLICAS, DEFAULT_TENANTS, DPUS, FAILOVER_HOSTS, FAILOVER_SHARDS,
     LIVE_REFRESH_S, NLIST, REPLAY_WORK_SCALE, THREADED_TENANTS,
@@ -142,8 +141,9 @@ fn usage() -> ! {
          replicated deployment under the --fault outage schedule: --replicas\n\
          copies of each shard (default 2; must be 1..=3 for the 3-host\n\
          deployment), hedged retries past --hedge-ms, and an SLO-feedback\n\
-         autoscaler. The report row carries the fault counters and the\n\
-         recovery envelope CI asserts on.\n\
+         autoscaler (up to 5 hosts, so --fault HOST must be 0..=4). The report\n\
+         row carries the fault counters and the recovery envelope CI asserts\n\
+         on.\n\
          \n\
          --runtime threaded runs the real multi-threaded pipeline (wall clock):\n\
          one row per --workers value per --sweep-qps offered rate, plus one\n\
@@ -290,7 +290,7 @@ impl Args {
             // Only the replay rows serve the growth scenario.
             growth: self.runtime == RuntimeKind::Replay && self.answers.is_none(),
             replicas: self.replicas,
-            faults: FaultSchedule::parse(&self.fault).unwrap_or_else(|e| bad("--fault", e)),
+            faults: parse_fault(&self.fault).unwrap_or_else(|e| bad("--fault", e)),
             hedge_s: self.hedge_ms / 1e3,
         }
     }
@@ -400,7 +400,7 @@ fn answer_maps(args: &Args, fixture: &Fixture, base: ServiceConfig) {
             let report =
                 fixture.pipeline(&scenario, Policy::Fixed, workers, logical, REPLAY_WORK_SCALE);
             assert_eq!(report.shed, 0, "twin runs shed nothing");
-            report.results
+            report.service.results
         } else {
             let engine = fixture.engine(scenario.engine, REPLAY_WORK_SCALE);
             fixture.replay(&scenario, Policy::Fixed, engine).0.results

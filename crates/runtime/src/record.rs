@@ -375,7 +375,7 @@ mod tests {
         let runtime = include_str!("../../../BENCH_runtime.json");
         for (workload, tenants) in [("single", 1), ("multi", 2)] {
             let mut report = threaded.clone();
-            report.tenants = vec![threaded.tenants[0].clone(); tenants];
+            report.service.tenants = vec![threaded.tenants[0].clone(); tenants];
             assert_eq!(
                 keys(&runtime_row(&report, workload, 60.0, 12).to_string()),
                 keys(committed_row(runtime, workload)),

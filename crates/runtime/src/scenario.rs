@@ -109,6 +109,10 @@ pub const REPLAY_WORK_SCALE: f64 = MODELED_N / DATASET_N as f64;
 pub const FAILOVER_SHARDS: usize = 3;
 /// Hosts of the failover deployment (`--replicas` may not exceed it).
 pub const FAILOVER_HOSTS: usize = 3;
+/// The autoscaler's ceiling: two hosts of elastic headroom above the
+/// committed shape. No host index at or past it can ever exist, so
+/// [`parse_fault`] rejects outages there.
+pub const FAILOVER_MAX_HOSTS: usize = FAILOVER_HOSTS + 2;
 /// The failover scenario's own stream: ~30 healthy seconds before the
 /// default outage to establish a baseline, ~55 after it ends to drain the
 /// backlog and prove recovery. The rate puts the chunk-capped deployment
@@ -382,6 +386,22 @@ pub fn parse_mutations(spec: &str) -> Result<Option<MutationRates>, String> {
         return Err("at least one rate must be positive (use 'none' to disable)".to_string());
     }
     Ok(Some(rates))
+}
+
+/// Parses the `--fault` grammar ([`FaultSchedule::parse`]) for the failover
+/// deployment: an outage on a host index the deployment can never reach
+/// ([`FAILOVER_MAX_HOSTS`], the autoscaler's ceiling) is an error — it would
+/// replay as a no-op and write a row that "recovers" from nothing.
+pub fn parse_fault(spec: &str) -> Result<FaultSchedule, String> {
+    let faults = FaultSchedule::parse(spec)?;
+    match faults.events().iter().find(|e| e.host >= FAILOVER_MAX_HOSTS) {
+        Some(e) => Err(format!(
+            "host {} does not exist: the failover deployment has {FAILOVER_HOSTS} hosts \
+             and scales to at most {FAILOVER_MAX_HOSTS} (indices 0..{FAILOVER_MAX_HOSTS})",
+            e.host
+        )),
+        None => Ok(faults),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -842,9 +862,9 @@ impl Fixture {
                 FAILOVER_QPS,
                 FAILOVER_HOSTS,
                 // Never below the committed shape (scale-downs would change
-                // the healthy baseline), two hosts of elastic headroom above.
+                // the healthy baseline).
                 FAILOVER_HOSTS,
-                FAILOVER_HOSTS + 2,
+                FAILOVER_MAX_HOSTS,
             ));
         }
         let report = service.replay(scenario.stream, |i| options_for(scenario.stream, i));
@@ -1104,5 +1124,24 @@ fn live_summary(
                 mean_recall: if queries == 0 { 1.0 } else { recall_sum / queries as f64 },
             })
             .collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn outages_on_hosts_that_cannot_exist_are_rejected() {
+        for spec in ["7@20..45", "5@1..2", "1@31..45,5@50..60"] {
+            let err = parse_fault(spec).expect_err(spec);
+            assert!(err.contains("does not exist"), "{spec}: {err}");
+        }
+        // Host 4 exists once the autoscaler has stepped out twice.
+        for spec in ["4@1..2", DEFAULT_FAULT] {
+            assert_eq!(parse_fault(spec).expect(spec).events().len(), 1);
+        }
+        // The grammar's own errors pass through.
+        assert!(parse_fault("bogus").is_err());
     }
 }

@@ -182,7 +182,7 @@ proptest! {
                 );
                 prop_assert!(report.is_conserving(), "twin run lost or duplicated queries");
                 prop_assert_eq!(report.shed, 0, "logical mode is shed-proof");
-                (replay_results, report.results)
+                (replay_results, report.service.results)
             }};
         }
 

@@ -76,10 +76,6 @@ pub struct Autoscaler {
     model: CapacityModel,
     /// The design load the deployment must keep sustaining.
     offered_qps: f64,
-    /// Windowed miss fraction above which the controller steps up.
-    miss_target: f64,
-    /// Sliding observation window, simulated seconds.
-    window_s: f64,
     /// Minimum simulated seconds between steps.
     cooldown_s: f64,
     min_hosts: usize,
@@ -93,10 +89,14 @@ pub struct Autoscaler {
 impl Autoscaler {
     /// Fewest windowed observations before the miss fraction is trusted.
     const MIN_SAMPLES: usize = 20;
+    /// Windowed miss fraction above which the controller steps up.
+    const MISS_TARGET: f64 = 0.01;
+    /// Sliding observation window, simulated seconds.
+    const WINDOW_S: f64 = 5.0;
 
     /// A controller holding `initial` hosts within `[min_hosts, max_hosts]`,
-    /// sized against `model` for the design load `offered_qps`. Defaults:
-    /// 1 % miss target, 5 s window, 10 s cooldown.
+    /// sized against `model` for the design load `offered_qps`, with a 1 %
+    /// miss target over a 5 s window and a default 10 s cooldown.
     pub fn new(
         model: CapacityModel,
         offered_qps: f64,
@@ -108,8 +108,6 @@ impl Autoscaler {
         Self {
             model,
             offered_qps,
-            miss_target: 0.01,
-            window_s: 5.0,
             cooldown_s: 10.0,
             min_hosts,
             max_hosts,
@@ -119,24 +117,10 @@ impl Autoscaler {
         }
     }
 
-    /// Overrides the sliding window length.
-    pub fn with_window(mut self, seconds: f64) -> Self {
-        assert!(seconds > 0.0);
-        self.window_s = seconds;
-        self
-    }
-
     /// Overrides the cooldown between steps.
     pub fn with_cooldown(mut self, seconds: f64) -> Self {
         assert!(seconds >= 0.0);
         self.cooldown_s = seconds;
-        self
-    }
-
-    /// Overrides the windowed miss fraction that triggers a step up.
-    pub fn with_miss_target(mut self, fraction: f64) -> Self {
-        assert!((0.0..1.0).contains(&fraction));
-        self.miss_target = fraction;
         self
     }
 
@@ -158,7 +142,7 @@ impl Autoscaler {
 
     /// The windowed miss fraction at `now`, once enough samples are in.
     fn miss_fraction(&mut self, now: f64) -> Option<f64> {
-        let horizon = now - self.window_s;
+        let horizon = now - Self::WINDOW_S;
         self.window.retain(|&(t, _)| t > horizon);
         if self.window.len() < Self::MIN_SAMPLES {
             return None;
@@ -179,9 +163,9 @@ impl Autoscaler {
             .model
             .hosts_for(self.offered_qps)
             .clamp(self.min_hosts, self.max_hosts);
-        let target = if miss > self.miss_target {
+        let target = if miss > Self::MISS_TARGET {
             (self.current + 1).min(self.max_hosts)
-        } else if miss <= self.miss_target / 4.0 && self.current > floor {
+        } else if miss <= Self::MISS_TARGET / 4.0 && self.current > floor {
             self.current - 1
         } else {
             self.current

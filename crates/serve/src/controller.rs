@@ -13,8 +13,8 @@
 //!
 //! * [`FixedPolicy`] — the static [`BatchFormerConfig`] of the original
 //!   service, now expressed as the trivial controller.
-//! * [`SloController`] — a two-regime AIMD loop on the replay clock: every
-//!   `adjust_interval_s` of simulated time it compares the window's observed
+//! * [`SloController`] — a two-regime AIMD loop on the replay clock: once
+//!   per SLO of simulated time it compares the window's observed
 //!   p99 against the SLO. A miss has two distinct causes with *opposite*
 //!   fixes, which the controller separates with the engine-backlog signal:
 //!   when closed batches sit waiting for a saturated engine, the batches are
@@ -23,7 +23,6 @@
 //!   when the engine is keeping up, the batching window itself is the
 //!   latency, so it shrinks multiplicatively. Comfortably below the SLO it
 //!   grows additively, harvesting batch amortization without overshooting.
-
 //!
 //! With multiple tenants in one stream, a single window — however adaptive —
 //! must serve the tightest SLO in the mix, giving up the amortization the
@@ -176,80 +175,6 @@ impl BatchPolicy for FixedPolicy {
     }
 }
 
-/// Tuning knobs of the [`SloController`].
-#[derive(Debug, Clone, Copy)]
-pub struct SloControllerConfig {
-    /// The p99 latency target in simulated seconds.
-    pub slo_p99_s: f64,
-    /// Simulated seconds between control decisions.
-    pub adjust_interval_s: f64,
-    /// Bounds on the batching window the controller may choose.
-    pub min_delay_s: f64,
-    /// Upper bound on the batching window.
-    pub max_delay_s: f64,
-    /// Bounds on the batch-size cap the controller may choose.
-    pub min_batch: usize,
-    /// Upper bound on the batch-size cap.
-    pub max_batch: usize,
-    /// Multiplicative back-off applied when the window's p99 exceeds the SLO
-    /// while the engine is keeping up (in `(0, 1)`).
-    pub decrease_factor: f64,
-    /// Multiplicative window growth applied when the p99 exceeds the SLO
-    /// *because the engine is saturated* — wider windows mean bigger batches,
-    /// which is what raises a PIM engine's capacity (must be > 1).
-    pub saturated_growth: f64,
-    /// Additive window growth (seconds) applied when p99 is below
-    /// `grow_below` × SLO.
-    pub increase_delay_s: f64,
-    /// Additive batch-cap growth applied together with the window growth.
-    pub increase_batch: usize,
-    /// Fraction of the SLO below which the controller considers itself safe
-    /// to grow (the AIMD guard band; in `(0, 1)`).
-    pub grow_below: f64,
-    /// The engine counts as saturated when the average time closed batches
-    /// spend queued behind it exceeds this multiple of the current window.
-    pub saturation_wait_ratio: f64,
-    /// Bounds on the dispatch chunk cap the controller may choose. The
-    /// chunk is steered like the window (saturated misses grow it — bigger
-    /// chunks amortize the per-dispatch overheads — unsaturated misses
-    /// shrink it, comfort grows it additively), so `max_chunk` is the most
-    /// head-of-line delay this tenant may ever inflict per dispatch.
-    pub min_chunk: usize,
-    /// Upper bound on the dispatch chunk cap.
-    pub max_chunk: usize,
-    /// Additive chunk growth applied together with the window growth.
-    pub increase_chunk: usize,
-}
-
-impl SloControllerConfig {
-    /// Defaults for a given p99 target: decisions every SLO interval, window
-    /// bounded by `[slo/100, slo/2]`, batches in `[1, 1024]`, halve on miss,
-    /// grow by `slo/50` while under 70 % of the SLO.
-    pub fn for_slo(slo_p99_s: f64) -> Self {
-        assert!(
-            slo_p99_s > 0.0 && slo_p99_s.is_finite(),
-            "the SLO must be a positive time"
-        );
-        Self {
-            slo_p99_s,
-            adjust_interval_s: slo_p99_s,
-            min_delay_s: slo_p99_s / 100.0,
-            max_delay_s: slo_p99_s / 2.0,
-            min_batch: 1,
-            max_batch: 1024,
-            decrease_factor: 0.5,
-            saturated_growth: 2.0,
-            increase_delay_s: slo_p99_s / 50.0,
-            increase_batch: 32,
-            grow_below: 0.7,
-            saturation_wait_ratio: 1.0,
-            min_chunk: 8,
-            max_chunk: 64,
-            increase_chunk: 8,
-        }
-    }
-}
-
 /// Closed-loop AIMD controller steering the batch former toward the largest
 /// batching window whose observed p99 still meets the SLO.
 ///
@@ -272,9 +197,13 @@ impl SloControllerConfig {
 /// assert_eq!(controller.adjustments(), 1);
 /// assert!(controller.current().max_delay_s <= before.max_delay_s / 2.0 + 1e-12);
 /// ```
+///
+/// The SLO is the only tuning value a caller chooses. Every other one is an
+/// associated constant or a fixed fraction of the SLO — no caller ever set
+/// them to anything else, so they are not configuration.
 #[derive(Debug, Clone)]
 pub struct SloController {
-    config: SloControllerConfig,
+    slo_p99_s: f64,
     current: BatchFormerConfig,
     /// The dispatch chunk cap, steered alongside the window.
     chunk: usize,
@@ -287,58 +216,61 @@ pub struct SloController {
 }
 
 impl SloController {
-    /// A controller starting from `initial` close conditions.
+    /// Bounds on the batch-size cap the controller may choose.
+    pub const MIN_BATCH: usize = 1;
+    /// Upper bound on the batch-size cap.
+    pub const MAX_BATCH: usize = 1024;
+    /// Additive batch-cap growth applied together with the window growth.
+    pub const BATCH_STEP: usize = 32;
+    /// Bounds on the dispatch chunk cap the controller may choose. The
+    /// chunk is steered like the window (saturated misses grow it — bigger
+    /// chunks amortize the per-dispatch overheads — unsaturated misses
+    /// shrink it, comfort grows it additively), so `MAX_CHUNK` is the most
+    /// head-of-line delay a tenant may ever inflict per dispatch.
+    pub const MIN_CHUNK: usize = 8;
+    /// Upper bound on the dispatch chunk cap.
+    pub const MAX_CHUNK: usize = 64;
+    /// Additive chunk growth applied together with the window growth.
+    pub const CHUNK_STEP: usize = 8;
+    /// Multiplicative back-off applied when the window's p99 exceeds the SLO
+    /// while the engine is keeping up.
+    pub const DECREASE_FACTOR: f64 = 0.5;
+    /// Multiplicative window growth applied when the p99 exceeds the SLO
+    /// *because the engine is saturated* — wider windows mean bigger batches,
+    /// which is what raises a PIM engine's capacity.
+    pub const SATURATED_GROWTH: f64 = 2.0;
+    /// Fraction of the SLO below which the controller considers itself safe
+    /// to grow (the AIMD guard band).
+    pub const GROW_BELOW: f64 = 0.7;
+    /// The engine counts as saturated when the average time closed batches
+    /// spend queued behind it exceeds this multiple of the current window.
+    pub const SATURATION_WAIT_RATIO: f64 = 1.0;
+
+    /// A controller for the given p99 target (simulated seconds) starting
+    /// from `initial` close conditions, clamped into the controller's bounds.
     ///
     /// # Panics
-    /// Panics if the config's bounds are empty or its factors are out of
-    /// range.
-    pub fn new(config: SloControllerConfig, initial: BatchFormerConfig) -> Self {
+    /// Panics unless the SLO is a positive, finite time.
+    pub fn new(slo_p99_s: f64, initial: BatchFormerConfig) -> Self {
         assert!(
-            config.min_delay_s >= 0.0 && config.min_delay_s <= config.max_delay_s,
-            "empty delay range"
+            slo_p99_s > 0.0 && slo_p99_s.is_finite(),
+            "the SLO must be a positive time"
         );
-        assert!(
-            config.min_batch >= 1 && config.min_batch <= config.max_batch,
-            "empty batch range"
-        );
-        assert!(
-            config.decrease_factor > 0.0 && config.decrease_factor < 1.0,
-            "decrease factor must be in (0, 1)"
-        );
-        assert!(
-            config.saturated_growth > 1.0 && config.saturated_growth.is_finite(),
-            "saturated growth must exceed 1"
-        );
-        assert!(
-            config.saturation_wait_ratio > 0.0 && config.saturation_wait_ratio.is_finite(),
-            "saturation wait ratio must be positive"
-        );
-        assert!(
-            config.grow_below > 0.0 && config.grow_below < 1.0,
-            "grow threshold must be in (0, 1)"
-        );
-        assert!(
-            config.adjust_interval_s > 0.0 && config.adjust_interval_s.is_finite(),
-            "decision interval must be a positive time"
-        );
-        assert!(
-            config.min_chunk >= 1 && config.min_chunk <= config.max_chunk,
-            "empty chunk range"
-        );
-        let current = BatchFormerConfig {
-            max_batch: initial.max_batch.clamp(config.min_batch, config.max_batch),
-            max_delay_s: initial.max_delay_s.clamp(config.min_delay_s, config.max_delay_s),
-        };
-        Self {
-            config,
-            current,
+        let mut controller = Self {
+            slo_p99_s,
+            current: initial,
             // Start mid-range: room to amortize up and to isolate down.
-            chunk: (config.min_chunk + config.max_chunk) / 2,
+            chunk: (Self::MIN_CHUNK + Self::MAX_CHUNK) / 2,
             window: Vec::new(),
             waits: Vec::new(),
-            next_decision_at: config.adjust_interval_s,
+            next_decision_at: slo_p99_s,
             adjustments: 0,
-        }
+        };
+        controller.current.max_batch = initial.max_batch.clamp(Self::MIN_BATCH, Self::MAX_BATCH);
+        controller.current.max_delay_s = initial
+            .max_delay_s
+            .clamp(controller.min_delay_s(), controller.max_delay_s());
+        controller
     }
 
     /// A controller for the given SLO starting from the SLO-derived prior:
@@ -348,17 +280,37 @@ impl SloController {
     /// the controller shrinks it in one multiplicative step if the window
     /// itself turns out to be the latency.
     pub fn for_slo(slo_p99_s: f64) -> Self {
-        let config = SloControllerConfig::for_slo(slo_p99_s);
         let initial = BatchFormerConfig {
             max_batch: 256,
             max_delay_s: slo_p99_s / 4.0,
         };
-        Self::new(config, initial)
+        Self::new(slo_p99_s, initial)
     }
 
-    /// The controller's tuning knobs.
-    pub fn config(&self) -> &SloControllerConfig {
-        &self.config
+    /// The p99 latency target in simulated seconds.
+    pub fn slo_p99_s(&self) -> f64 {
+        self.slo_p99_s
+    }
+
+    /// Simulated seconds between control decisions: one SLO.
+    pub fn adjust_interval_s(&self) -> f64 {
+        self.slo_p99_s
+    }
+
+    /// Lower bound on the batching window the controller may choose.
+    pub fn min_delay_s(&self) -> f64 {
+        self.slo_p99_s / 100.0
+    }
+
+    /// Upper bound on the batching window.
+    pub fn max_delay_s(&self) -> f64 {
+        self.slo_p99_s / 2.0
+    }
+
+    /// Additive window growth applied while p99 is below
+    /// [`GROW_BELOW`](Self::GROW_BELOW) × SLO.
+    pub fn delay_step_s(&self) -> f64 {
+        self.slo_p99_s / 50.0
     }
 
     /// Nearest-rank p99 of the current observation window (`None` while the
@@ -393,46 +345,34 @@ impl SloController {
             return;
         };
         let before = self.current;
-        if p99 > self.config.slo_p99_s {
-            let saturated = self.window_mean_wait()
-                > self.config.saturation_wait_ratio * self.current.max_delay_s;
-            if saturated {
-                // Batches queue behind a busy engine: the batches are too
-                // small to amortize the per-batch overheads, so a narrower
-                // window would make the miss *worse*. Widen multiplicatively
-                // to escape the collapse quickly.
-                self.current.max_delay_s = (self.current.max_delay_s
-                    * self.config.saturated_growth)
-                    .min(self.config.max_delay_s);
-                self.current.max_batch = ((self.current.max_batch as f64
-                    * self.config.saturated_growth)
-                    .round() as usize)
-                    .min(self.config.max_batch);
-                self.chunk = ((self.chunk as f64 * self.config.saturated_growth).round()
-                    as usize)
-                    .min(self.config.max_chunk);
+        if p99 > self.slo_p99_s {
+            let saturated =
+                self.window_mean_wait() > Self::SATURATION_WAIT_RATIO * self.current.max_delay_s;
+            // Batches queue behind a busy engine: they are too small to
+            // amortize the per-batch overheads, so a narrower window would
+            // make the miss *worse* — widen multiplicatively to escape the
+            // collapse quickly. Otherwise the engine keeps up and the
+            // batching window itself is the latency: back off
+            // multiplicatively, which recovers in one step.
+            let factor = if saturated {
+                Self::SATURATED_GROWTH
             } else {
-                // The engine keeps up; the batching window itself is the
-                // latency. Back off multiplicatively — recovers in one step.
-                self.current.max_delay_s = (self.current.max_delay_s
-                    * self.config.decrease_factor)
-                    .max(self.config.min_delay_s);
-                self.current.max_batch = ((self.current.max_batch as f64
-                    * self.config.decrease_factor)
-                    .round() as usize)
-                    .max(self.config.min_batch);
-                self.chunk = ((self.chunk as f64 * self.config.decrease_factor).round()
-                    as usize)
-                    .max(self.config.min_chunk);
-            }
-        } else if p99 < self.config.grow_below * self.config.slo_p99_s {
+                Self::DECREASE_FACTOR
+            };
+            let scaled = |n: usize| (n as f64 * factor).round() as usize;
+            self.current.max_delay_s = (self.current.max_delay_s * factor)
+                .clamp(self.min_delay_s(), self.max_delay_s());
+            self.current.max_batch =
+                scaled(self.current.max_batch).clamp(Self::MIN_BATCH, Self::MAX_BATCH);
+            self.chunk = scaled(self.chunk).clamp(Self::MIN_CHUNK, Self::MAX_CHUNK);
+        } else if p99 < Self::GROW_BELOW * self.slo_p99_s {
             // Comfortably under: grow additively — harvest batch
             // amortization gradually without overshooting the SLO.
             self.current.max_delay_s =
-                (self.current.max_delay_s + self.config.increase_delay_s).min(self.config.max_delay_s);
+                (self.current.max_delay_s + self.delay_step_s()).min(self.max_delay_s());
             self.current.max_batch =
-                (self.current.max_batch + self.config.increase_batch).min(self.config.max_batch);
-            self.chunk = (self.chunk + self.config.increase_chunk).min(self.config.max_chunk);
+                (self.current.max_batch + Self::BATCH_STEP).min(Self::MAX_BATCH);
+            self.chunk = (self.chunk + Self::CHUNK_STEP).min(Self::MAX_CHUNK);
         }
         // Chunk-only moves are not counted: `adjustments` keeps its
         // original meaning (close-condition changes), and the chunk knob is
@@ -471,7 +411,7 @@ impl BatchPolicy for SloController {
             self.decide();
             // Skip idle intervals instead of replaying a decision per elapsed
             // interval: the next decision is one interval after *now*.
-            self.next_decision_at = now + self.config.adjust_interval_s;
+            self.next_decision_at = now + self.adjust_interval_s();
         }
     }
 
@@ -625,7 +565,7 @@ mod tests {
     fn misses_shrink_the_window_multiplicatively() {
         // Start mid-range so there is room to back off.
         let mut c = SloController::new(
-            SloControllerConfig::for_slo(0.1),
+            0.1,
             BatchFormerConfig {
                 max_batch: 128,
                 max_delay_s: 0.04,
@@ -648,7 +588,7 @@ mod tests {
         // Same miss pattern as the shrink test, but batches are reported
         // stuck behind a busy engine: the fix is a *wider* window.
         let mut c = SloController::new(
-            SloControllerConfig::for_slo(0.1),
+            0.1,
             BatchFormerConfig {
                 max_batch: 32,
                 max_delay_s: 0.004,
@@ -683,7 +623,7 @@ mod tests {
         let grown = c.current().max_delay_s;
         assert!(grown > delay0, "should grow: {grown} vs {delay0}");
         assert!(
-            (grown - delay0 - c.config().increase_delay_s).abs() < 1e-12,
+            (grown - delay0 - c.delay_step_s()).abs() < 1e-12,
             "growth is additive"
         );
     }
@@ -710,8 +650,8 @@ mod tests {
                 c.observe(interval as f64 + 0.01 * i as f64, 5.0);
             }
         }
-        assert!(c.current().max_delay_s >= c.config().min_delay_s - 1e-15);
-        assert!(c.current().max_batch >= c.config().min_batch);
+        assert!(c.current().max_delay_s >= c.min_delay_s() - 1e-15);
+        assert!(c.current().max_batch >= SloController::MIN_BATCH);
         // Sustained comfort: must stop at max bounds.
         let mut g = controller(0.1);
         for interval in 0..1000 {
@@ -719,8 +659,8 @@ mod tests {
                 g.observe(interval as f64 + 0.01 * i as f64, 1e-4);
             }
         }
-        assert!(g.current().max_delay_s <= g.config().max_delay_s + 1e-15);
-        assert!(g.current().max_batch <= g.config().max_batch);
+        assert!(g.current().max_delay_s <= g.max_delay_s() + 1e-15);
+        assert!(g.current().max_batch <= SloController::MAX_BATCH);
     }
 
     #[test]
@@ -740,22 +680,49 @@ mod tests {
 
     #[test]
     fn initial_config_is_clamped_into_bounds() {
-        let cfg = SloControllerConfig::for_slo(0.1);
         let c = SloController::new(
-            cfg,
+            0.1,
             BatchFormerConfig {
                 max_batch: 1_000_000,
                 max_delay_s: 99.0,
             },
         );
-        assert_eq!(c.current().max_batch, cfg.max_batch);
-        assert_eq!(c.current().max_delay_s, cfg.max_delay_s);
+        assert_eq!(c.current().max_batch, SloController::MAX_BATCH);
+        assert_eq!(c.current().max_delay_s, c.max_delay_s());
+    }
+
+    #[test]
+    fn derived_values_are_pinned_for_two_slos() {
+        // The 0.1 s guard for what the byte-diffed 48 s serving record
+        // checks in CI: every tuning value is a constant or this fraction
+        // of the SLO, and `for_slo` starts at SLO/4 × 256, chunk mid-range.
+        for (slo, interval, min, max, step, start) in [
+            (0.1, 0.1, 0.001, 0.05, 0.002, 0.025),
+            (48.0, 48.0, 0.48, 24.0, 0.96, 12.0),
+        ] {
+            let c = controller(slo);
+            assert_eq!(c.slo_p99_s(), slo);
+            assert_eq!(c.adjust_interval_s(), interval);
+            assert_eq!(c.min_delay_s(), min);
+            assert_eq!(c.max_delay_s(), max);
+            assert_eq!(c.delay_step_s(), step);
+            assert_eq!(c.current().max_delay_s, start);
+            assert_eq!(c.current().max_batch, 256);
+            assert_eq!(c.current_chunk(), 36);
+        }
+        assert_eq!((SloController::MIN_BATCH, SloController::MAX_BATCH), (1, 1024));
+        assert_eq!((SloController::MIN_CHUNK, SloController::MAX_CHUNK), (8, 64));
+        assert_eq!((SloController::BATCH_STEP, SloController::CHUNK_STEP), (32, 8));
+        assert_eq!(SloController::DECREASE_FACTOR, 0.5);
+        assert_eq!(SloController::SATURATED_GROWTH, 2.0);
+        assert_eq!(SloController::GROW_BELOW, 0.7);
+        assert_eq!(SloController::SATURATION_WAIT_RATIO, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "positive time")]
     fn non_positive_slo_is_rejected() {
-        let _ = SloControllerConfig::for_slo(0.0);
+        let _ = SloController::for_slo(0.0);
     }
 
     #[test]
@@ -763,7 +730,7 @@ mod tests {
         // Unsaturated misses shrink the chunk alongside the window...
         let mut c = controller(0.1);
         let chunk0 = c.current_chunk();
-        assert!(chunk0 >= c.config().min_chunk && chunk0 <= c.config().max_chunk);
+        assert!((SloController::MIN_CHUNK..=SloController::MAX_CHUNK).contains(&chunk0));
         for i in 0..50 {
             c.observe(0.002 * i as f64, 1.0);
         }
@@ -783,15 +750,15 @@ mod tests {
             s.observe(t, 1.0);
         }
         s.observe(0.2, 1.0);
-        assert!(s.current_chunk() >= (chunk0 * 2).min(s.config().max_chunk));
+        assert!(s.current_chunk() >= (chunk0 * 2).min(SloController::MAX_CHUNK));
         // ...and sustained pressure in either direction stops at the bounds.
         for interval in 0..64 {
             for i in 0..10 {
                 c.observe(interval as f64 + 0.01 * i as f64, 5.0);
             }
         }
-        assert_eq!(c.current_chunk(), c.config().min_chunk);
-        assert_eq!(c.chunk(), Some(c.config().min_chunk));
+        assert_eq!(c.current_chunk(), SloController::MIN_CHUNK);
+        assert_eq!(c.chunk(), Some(SloController::MIN_CHUNK));
         // Static policies steer no chunk at all.
         assert_eq!(FixedPolicy(BatchFormerConfig::default()).chunk(), None);
         assert_eq!(

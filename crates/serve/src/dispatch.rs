@@ -28,19 +28,17 @@
 //!
 //! The [`ChunkQueue`] is the one queue: the serving core
 //! ([`ServingCore`](crate::core::ServingCore)) owns an instance and both of
-//! its drivers dispatch from it. The [`EngineScheduler`] is that queue plus
-//! the occupancy clock of one serial simulated engine (`engine_free_at`,
-//! busy time) — the discipline the replay driver applies, packaged as a
-//! pure discrete-event queue so property tests can check it directly. It
-//! never calls an engine itself: [`pop_next`](EngineScheduler::pop_next)
-//! hands the caller the next chunk plus its simulated start time, and the
-//! caller reports the modeled service time back via
-//! [`complete`](EngineScheduler::complete).
+//! its drivers dispatch from it. It keeps no clock and never calls an
+//! engine: a serial driver (the replay's simulated engine, or the dispatch
+//! property tests' model of it) tracks when its engine frees, starts the
+//! next chunk at the later of that and
+//! [`next_ready_at`](ChunkQueue::next_ready_at), and takes it with
+//! [`pop_ready`](ChunkQueue::pop_ready) by that start.
 //!
 //! # Invariants (of a serial engine in front of the queue)
 //!
 //! * **Work conservation** — the engine never idles while a submitted chunk
-//!   is ready: the next dispatch time is `max(engine_free_at, earliest
+//!   is ready: the next dispatch time is `max(engine free, earliest
 //!   ready_at)`.
 //! * **No early answers** — a chunk never starts before its batch closed
 //!   (`start ≥ closed_at`); the former's close is still the only thing that
@@ -53,7 +51,7 @@
 //!
 //! ```
 //! use upanns_serve::batcher::{BatchFormer, BatchFormerConfig, PendingQuery};
-//! use upanns_serve::dispatch::{DispatchOrder, EngineScheduler};
+//! use upanns_serve::dispatch::{ChunkQueue, DispatchOrder};
 //! use baselines::engine::{QueryOptions, TenantId};
 //!
 //! let mut former = BatchFormer::new(BatchFormerConfig {
@@ -65,7 +63,7 @@
 //!     max_batch: 1,
 //!     max_delay_s: 1.0,
 //! });
-//! let mut scheduler = EngineScheduler::new(DispatchOrder::SloUrgency);
+//! let mut queue = ChunkQueue::new(DispatchOrder::SloUrgency);
 //!
 //! // A bulk tenant's 4-query batch fills (closing at t=0.75) ...
 //! let mut bulk = None;
@@ -75,28 +73,32 @@
 //!     bulk = former.push(q, 0.25 * i as f64).or(bulk);
 //! }
 //! // ... and is submitted with no SLO, chunked in pairs.
-//! scheduler.submit(bulk.expect("full"), None, 2);
+//! queue.submit(bulk.expect("full"), None, 2);
 //!
-//! // A tight-SLO query closes its singleton batch at t=1.0, while the
-//! // first bulk chunk is already running (it started at t=0.75).
+//! // The engine is free, so the first bulk chunk starts the moment it is
+//! // ready (t=0.75) and runs for 0.3 s.
+//! let start = queue.next_ready_at().expect("work is queued");
+//! let first = queue.pop_ready(start).expect("ready by its own close");
+//! let engine_free_at = start + 0.3;
+//!
+//! // A tight-SLO query closes its singleton batch at t=1.0, while that
+//! // chunk is still running.
 //! let options = QueryOptions::new(10, 8).with_tenant(TenantId(1));
 //! let q = PendingQuery { arrival_s: 1.0, stream_index: 4, options };
 //! let tight = former.push(q, 1.0).expect("singleton closes on arrival");
-//! scheduler.submit(tight, Some(0.5), 2);
+//! queue.submit(tight, Some(0.5), 2);
 //!
-//! // Dispatch order: the in-flight bulk chunk finishes (non-preemptive),
+//! // Dispatch is non-preemptive, so the in-flight bulk chunk finishes;
 //! // then the tight batch overtakes the second bulk chunk.
-//! let mut tenants = Vec::new();
-//! while let Some((chunk, start)) = scheduler.pop_next(f64::INFINITY) {
-//!     tenants.push(chunk.batch.options.tenant);
-//!     scheduler.complete(start, 0.3);
-//! }
-//! assert_eq!(tenants, vec![TenantId(2), TenantId(1), TenantId(2)]);
+//! let second = queue.pop_ready(engine_free_at).expect("both are ready");
+//! let third = queue.pop_most_urgent().expect("one left");
+//! let tenants = [first, second, third].map(|c| c.batch.options.tenant);
+//! assert_eq!(tenants, [TenantId(2), TenantId(1), TenantId(2)]);
 //! ```
 
 use crate::batcher::FormedBatch;
 
-/// How the [`EngineScheduler`] orders queued work.
+/// How the [`ChunkQueue`] orders queued work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchOrder {
     /// Whole batches, strict FIFO in close order — the serial execute-on-
@@ -147,8 +149,7 @@ impl QueuedChunk {
 /// its serial engine's next start ([`pop_ready`](Self::pop_ready)), the
 /// thread driver hands [`pop_most_urgent`](Self::pop_most_urgent) to
 /// whichever worker is idle (a batch reaching it has already closed in real
-/// time, so every queued chunk is ready by definition). The
-/// [`EngineScheduler`] is this queue plus a serial engine's clock.
+/// time, so every queued chunk is ready by definition).
 #[derive(Debug, Clone)]
 pub struct ChunkQueue {
     order: DispatchOrder,
@@ -282,119 +283,6 @@ impl ChunkQueue {
     }
 }
 
-/// A [`ChunkQueue`] in front of one serial simulated engine: the queue plus
-/// the engine-occupancy clock (`engine_free_at`, busy time). See the module
-/// docs for the scheduling discipline and invariants.
-#[derive(Debug, Clone)]
-pub struct EngineScheduler {
-    queue: ChunkQueue,
-    engine_free_at: f64,
-    busy_s: f64,
-    in_flight: bool,
-}
-
-impl EngineScheduler {
-    /// An empty scheduler over an idle engine.
-    pub fn new(order: DispatchOrder) -> Self {
-        Self {
-            queue: ChunkQueue::new(order),
-            engine_free_at: 0.0,
-            busy_s: 0.0,
-            in_flight: false,
-        }
-    }
-
-    /// The scheduling discipline.
-    pub fn order(&self) -> DispatchOrder {
-        self.queue.order()
-    }
-
-    /// Enqueues a formed batch — see [`ChunkQueue::submit`].
-    ///
-    /// # Panics
-    /// Panics if the batch is empty or `max_chunk` is zero.
-    pub fn submit(&mut self, batch: FormedBatch, slo_p99_s: Option<f64>, max_chunk: usize) {
-        self.queue.submit(batch, slo_p99_s, max_chunk);
-    }
-
-    /// When the next dispatch would start, if any work is queued: the engine
-    /// frees *and* a chunk is ready — `max(engine_free_at, earliest
-    /// ready_at)`.
-    pub fn next_dispatch_at(&self) -> Option<f64> {
-        Some(self.queue.next_ready_at()?.max(self.engine_free_at))
-    }
-
-    /// Pops the chunk the engine should run next
-    /// ([`ChunkQueue::pop_ready`] by the start time), with its simulated
-    /// start time, if that start is no later than `now`. The caller executes
-    /// the chunk and must report the modeled service time via
-    /// [`complete`](Self::complete) before the next pop — the engine is
-    /// serial, and it never idles while ready work waits.
-    ///
-    /// # Panics
-    /// Panics if the previous dispatch was never completed.
-    pub fn pop_next(&mut self, now: f64) -> Option<(QueuedChunk, f64)> {
-        assert!(!self.in_flight, "complete() the in-flight chunk first");
-        let start = self.next_dispatch_at().filter(|&start| start <= now)?;
-        let chunk = self.queue.pop_ready(start)?;
-        self.in_flight = true;
-        Some((chunk, start))
-    }
-
-    /// Reports the dispatched chunk's modeled service time, occupying the
-    /// engine for `[start, start + seconds)`. Returns the finish time.
-    ///
-    /// # Panics
-    /// Panics without a matching [`pop_next`](Self::pop_next), or on a
-    /// negative/non-finite service time.
-    pub fn complete(&mut self, start: f64, seconds: f64) -> f64 {
-        assert!(self.in_flight, "complete() without a dispatched chunk");
-        assert!(
-            seconds >= 0.0 && seconds.is_finite(),
-            "service time must be a finite non-negative duration"
-        );
-        self.in_flight = false;
-        self.engine_free_at = start + seconds;
-        self.busy_s += seconds;
-        self.engine_free_at
-    }
-
-    /// When the engine frees (0 before the first dispatch).
-    pub fn engine_free_at(&self) -> f64 {
-        self.engine_free_at
-    }
-
-    /// Total simulated seconds the engine has spent executing chunks.
-    pub fn busy_s(&self) -> f64 {
-        self.busy_s
-    }
-
-    /// Chunks waiting for the engine.
-    pub fn queued_chunks(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Queries waiting for the engine, across all queued chunks.
-    pub fn queued_queries(&self) -> usize {
-        self.queue.queued_queries()
-    }
-
-    /// Whether nothing is queued or in flight.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && !self.in_flight
-    }
-
-    /// Chunks handed to the engine so far.
-    pub fn dispatched_chunks(&self) -> usize {
-        self.queue.dispatched_chunks()
-    }
-
-    /// Submitted batches that were split into more than one chunk.
-    pub fn split_batches(&self) -> usize {
-        self.queue.split_batches()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,105 +309,64 @@ mod tests {
     }
 
     #[test]
-    fn close_order_is_strict_fifo_over_whole_batches() {
-        let mut s = EngineScheduler::new(DispatchOrder::CloseOrder);
-        s.submit(batch(2, &[0.0, 0.1, 0.2], 0.3), None, 1);
-        s.submit(batch(1, &[0.35], 0.4), Some(0.01), 1);
-        // FIFO: the bulk batch goes first whole despite the cap of 1 and the
-        // urgent rival behind it.
-        let (first, start) = s.pop_next(10.0).expect("work is queued");
-        assert_eq!(first.batch.len(), 3, "never split in close order");
-        assert_eq!(first.batch.options.tenant, TenantId(2));
-        assert_eq!(start, 0.3);
-        s.complete(start, 1.0);
-        let (second, start) = s.pop_next(10.0).expect("one left");
-        assert_eq!(second.batch.options.tenant, TenantId(1));
-        assert_eq!(start, 1.3, "waits for the engine to free");
-        s.complete(start, 0.5);
-        assert!(s.is_idle());
-        assert_eq!(s.dispatched_chunks(), 2);
-        assert_eq!(s.split_batches(), 0);
-        assert!((s.busy_s() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn urgent_chunk_overtakes_bulk_chunks_but_not_the_one_in_flight() {
-        let mut s = EngineScheduler::new(DispatchOrder::SloUrgency);
-        s.submit(batch(2, &[0.0, 0.1, 0.2, 0.3], 0.4), None, 2);
-        assert_eq!(s.queued_chunks(), 2, "bulk split at the cap");
-        assert_eq!(s.queued_queries(), 4);
-        assert_eq!(s.split_batches(), 1);
-        // First bulk chunk dispatches (nothing else is ready)...
-        let (c1, start1) = s.pop_next(10.0).expect("ready");
-        assert_eq!((c1.batch.options.tenant, start1), (TenantId(2), 0.4));
-        s.complete(start1, 1.0);
+        let mut q = ChunkQueue::new(DispatchOrder::SloUrgency);
+        q.submit(batch(2, &[0.0, 0.1, 0.2, 0.3], 0.4), None, 2);
+        // First bulk chunk dispatches at its close (nothing else is ready)
+        // and occupies the engine until 1.4...
+        let c1 = q.pop_ready(0.4).expect("ready");
+        assert_eq!(c1.batch.options.tenant, TenantId(2));
         // ...the tight batch closes while it runs...
-        s.submit(batch(1, &[0.5], 0.6), Some(0.25), 2);
+        q.submit(batch(1, &[0.5], 0.6), Some(0.25), 2);
         // ...and overtakes the second bulk chunk when the engine frees.
-        let (c2, start2) = s.pop_next(10.0).expect("ready");
-        assert_eq!((c2.batch.options.tenant, start2), (TenantId(1), 1.4));
-        s.complete(start2, 0.1);
-        let (c3, _) = s.pop_next(10.0).expect("ready");
+        let c2 = q.pop_ready(1.4).expect("ready");
+        assert_eq!(c2.batch.options.tenant, TenantId(1));
+        let c3 = q.pop_ready(1.5).expect("ready");
         assert_eq!(c3.batch.options.tenant, TenantId(2));
     }
 
     #[test]
     fn fifo_breaks_deadline_ties_within_a_tenant() {
-        let mut s = EngineScheduler::new(DispatchOrder::SloUrgency);
+        let mut q = ChunkQueue::new(DispatchOrder::SloUrgency);
         // Same deadline (same arrival + SLO): submission order wins.
-        s.submit(batch(1, &[0.0], 0.1), Some(1.0), 8);
-        s.submit(batch(1, &[0.0], 0.1), Some(1.0), 8);
-        let (first, start) = s.pop_next(10.0).expect("ready");
-        assert_eq!(first.seq, 0);
-        s.complete(start, 0.0);
-        let (second, _) = s.pop_next(10.0).expect("ready");
-        assert_eq!(second.seq, 1);
+        q.submit(batch(1, &[0.0], 0.1), Some(1.0), 8);
+        q.submit(batch(1, &[0.0], 0.1), Some(1.0), 8);
+        assert_eq!(q.pop_most_urgent().expect("ready").seq, 0);
+        assert_eq!(q.pop_most_urgent().expect("ready").seq, 1);
     }
 
     #[test]
     fn no_slo_sorts_after_any_deadline() {
-        let mut s = EngineScheduler::new(DispatchOrder::SloUrgency);
-        s.submit(batch(2, &[0.0], 0.1), None, 8);
-        s.submit(batch(1, &[0.05], 0.1), Some(1e6), 8);
-        let (first, _) = s.pop_next(10.0).expect("ready");
+        let mut q = ChunkQueue::new(DispatchOrder::SloUrgency);
+        q.submit(batch(2, &[0.0], 0.1), None, 8);
+        q.submit(batch(1, &[0.05], 0.1), Some(1e6), 8);
         assert_eq!(
-            first.batch.options.tenant,
+            q.pop_most_urgent().expect("ready").batch.options.tenant,
             TenantId(1),
             "even a huge finite SLO beats no SLO"
         );
     }
 
     #[test]
-    fn dispatch_never_starts_before_the_close_or_after_now() {
-        let mut s = EngineScheduler::new(DispatchOrder::SloUrgency);
-        s.submit(batch(1, &[0.0], 0.5), Some(1.0), 8);
-        assert_eq!(s.next_dispatch_at(), Some(0.5));
-        assert!(s.pop_next(0.4).is_none(), "not ready yet");
-        let (_, start) = s.pop_next(0.5).expect("ready exactly at the close");
-        assert_eq!(start, 0.5);
-        s.complete(start, 0.0);
-        assert_eq!(s.next_dispatch_at(), None);
+    fn a_chunk_is_never_ready_before_its_close() {
+        let mut q = ChunkQueue::new(DispatchOrder::SloUrgency);
+        q.submit(batch(1, &[0.0], 0.5), Some(1.0), 8);
+        assert_eq!(q.next_ready_at(), Some(0.5));
+        assert!(q.pop_ready(0.4).is_none(), "not ready yet");
+        assert!(q.pop_ready(0.5).is_some(), "ready exactly at the close");
+        assert_eq!(q.next_ready_at(), None);
     }
 
     #[test]
     fn late_closing_urgent_work_cannot_claim_an_earlier_slot() {
         // Non-preemptive, work-conserving: at t=1.0 only the bulk chunk is
         // ready, so it runs even though a more urgent chunk closes at 1.5.
-        let mut s = EngineScheduler::new(DispatchOrder::SloUrgency);
-        s.submit(batch(2, &[0.0], 1.0), None, 8);
-        s.submit(batch(1, &[1.4], 1.5), Some(0.1), 8);
-        let (first, start) = s.pop_next(10.0).expect("ready");
-        assert_eq!((first.batch.options.tenant, start), (TenantId(2), 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "complete() the in-flight chunk first")]
-    fn double_dispatch_without_completion_is_a_bug() {
-        let mut s = EngineScheduler::new(DispatchOrder::SloUrgency);
-        s.submit(batch(1, &[0.0], 0.0), None, 8);
-        s.submit(batch(1, &[0.0], 0.0), None, 8);
-        let _ = s.pop_next(1.0);
-        let _ = s.pop_next(1.0);
+        let mut q = ChunkQueue::new(DispatchOrder::SloUrgency);
+        q.submit(batch(2, &[0.0], 1.0), None, 8);
+        q.submit(batch(1, &[1.4], 1.5), Some(0.1), 8);
+        assert_eq!(q.next_ready_at(), Some(1.0));
+        let first = q.pop_ready(1.0).expect("ready");
+        assert_eq!(first.batch.options.tenant, TenantId(2));
     }
 
     #[test]
@@ -551,33 +398,5 @@ mod tests {
         assert_eq!(second.batch.options.tenant, TenantId(1));
         assert!(q.pop_most_urgent().is_none());
         assert_eq!(q.split_batches(), 0);
-    }
-
-    #[test]
-    fn chunk_queue_matches_serial_scheduler_order() {
-        // The multi-worker queue must pick chunks in exactly the order the
-        // serial scheduler would when drained one at a time with the engine
-        // always free — same (deadline, seq) discipline, same chunking.
-        let submissions = [
-            (batch(2, &[0.0, 0.1, 0.2, 0.3], 0.4), None, 2usize),
-            (batch(1, &[0.1], 0.2), Some(0.5), 2),
-            (batch(3, &[0.15], 0.2), Some(0.1), 2),
-            (batch(1, &[0.3, 0.35], 0.4), Some(0.5), 1),
-        ];
-        let mut serial = EngineScheduler::new(DispatchOrder::SloUrgency);
-        let mut multi = ChunkQueue::new(DispatchOrder::SloUrgency);
-        for (b, slo, cap) in submissions {
-            serial.submit(b.clone(), slo, cap);
-            multi.submit(b, slo, cap);
-        }
-        let mut serial_order = Vec::new();
-        while let Some((chunk, start)) = serial.pop_next(f64::INFINITY) {
-            serial_order.push((chunk.seq, chunk.deadline.to_bits()));
-            serial.complete(start, 0.0);
-        }
-        let multi_order: Vec<(u64, u64)> = std::iter::from_fn(|| multi.pop_most_urgent())
-            .map(|c| (c.seq, c.deadline.to_bits()))
-            .collect();
-        assert_eq!(serial_order, multi_order);
     }
 }

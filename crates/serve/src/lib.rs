@@ -48,9 +48,9 @@
 //!   dispatch earliest-SLO-deadline-first, so a tight-SLO tenant's batch
 //!   waits at most one chunk of a bulk co-tenant's work instead of the whole
 //!   batch — engine-level head-of-line isolation that window-level
-//!   (per-tenant close conditions) isolation cannot provide.
-//!   ([`dispatch::EngineScheduler`] is the queue plus one serial engine's
-//!   clock, the model the dispatch property tests check.)
+//!   (per-tenant close conditions) isolation cannot provide. The queue is
+//!   clock-free; each driver supplies the engine occupancy it dispatches
+//!   against.
 //! * [`cache::ResultCache`] — an LRU of exact (query, options) → neighbors
 //!   entries; repeated questions (common in RAG streams) bypass the engine.
 //! * [`service::SearchService`] — the simulated-clock driver: replays an
@@ -139,15 +139,13 @@ pub mod prelude {
     pub use crate::batcher::{BatchFormer, BatchFormerConfig, CloseReason, FormedBatch, PendingQuery};
     pub use crate::envelope::RecoveryEnvelope;
     pub use crate::cache::ResultCache;
-    pub use crate::controller::{
-        BatchPolicy, ControllerBank, FixedPolicy, SloController, SloControllerConfig,
-    };
-    pub use crate::dispatch::{ChunkQueue, DispatchOrder, EngineScheduler, QueuedChunk};
+    pub use crate::controller::{BatchPolicy, ControllerBank, FixedPolicy, SloController};
+    pub use crate::dispatch::{ChunkQueue, DispatchOrder, QueuedChunk};
     pub use crate::service::{SearchService, ServiceConfig, ServiceReport, TenantReport};
     pub use annkit::workload::{MultiTenantSpec, TenantId, TenantProfile, TenantSpec};
 }
 
 pub use autoscale::{Autoscaler, CapacityModel};
-pub use controller::{BatchPolicy, ControllerBank, FixedPolicy, SloController, SloControllerConfig};
+pub use controller::{BatchPolicy, ControllerBank, FixedPolicy, SloController};
 pub use envelope::RecoveryEnvelope;
 pub use service::{SearchService, ServiceConfig, ServiceReport, TenantReport};

@@ -1,13 +1,14 @@
-//! Property-based tests (proptest) over the engine dispatch scheduler: work
-//! conservation, close-before-dispatch, chunk-cap respect, EDF ordering
-//! among ready chunks, the one-chunk head-of-line bound for a tight-SLO
-//! tenant, and causal completion ordering at the service level under
-//! non-monotone (priority) finishes.
+//! Property-based tests (proptest) over the dispatch queue in front of a
+//! serial engine (the clock lives here, in [`pop_due`]): work conservation,
+//! close-before-dispatch, chunk-cap respect, EDF ordering among ready
+//! chunks, the one-chunk head-of-line bound for a tight-SLO tenant, and
+//! causal completion ordering at the service level under non-monotone
+//! (priority) finishes.
 
 use baselines::engine::{QueryOptions, TenantId};
 use proptest::prelude::*;
 use upanns_serve::batcher::{CloseReason, FormedBatch, PendingQuery};
-use upanns_serve::dispatch::{DispatchOrder, EngineScheduler};
+use upanns_serve::dispatch::{ChunkQueue, DispatchOrder, QueuedChunk};
 
 /// A synthetic formed batch: `n` members of `tenant`, arrivals spread up to
 /// `closed_at`.
@@ -39,22 +40,34 @@ struct Dispatch {
     stream_indices: Vec<usize>,
 }
 
-/// Drives the scheduler the way the service does — submissions in close
-/// order, every due dispatch run before the clock passes it — with a
+/// The next dispatch of a serial engine that frees at `free_at`, the way the
+/// replay driver picks it: the start is `max(free_at, earliest ready_at)`,
+/// the chunk is the queue's choice among those ready by that start. `None`
+/// when nothing is queued or the start would be after `now`.
+fn pop_due(queue: &mut ChunkQueue, free_at: f64, now: f64) -> Option<(QueuedChunk, f64)> {
+    let start = queue.next_ready_at()?.max(free_at);
+    if start > now {
+        return None;
+    }
+    Some((queue.pop_ready(start)?, start))
+}
+
+/// Drives the queue the way the service does — submissions in close order,
+/// every due dispatch run before the clock passes it — with a
 /// linear-in-batch-size service-time model. Returns the dispatch log.
 fn drive(
-    scheduler: &mut EngineScheduler,
+    queue: &mut ChunkQueue,
     submissions: &[(FormedBatch, Option<f64>, usize)],
     per_query_s: f64,
 ) -> Vec<Dispatch> {
     let mut log = Vec::new();
-    let run_due = |scheduler: &mut EngineScheduler, now: f64, log: &mut Vec<Dispatch>| {
-        while let Some((chunk, start)) = scheduler.pop_next(now) {
-            let service = per_query_s * chunk.batch.len() as f64;
-            let finish = scheduler.complete(start, service);
+    let mut free_at = 0.0f64;
+    let mut run_due = |queue: &mut ChunkQueue, now: f64| {
+        while let Some((chunk, start)) = pop_due(queue, free_at, now) {
+            free_at = start + per_query_s * chunk.batch.len() as f64;
             log.push(Dispatch {
                 start,
-                finish,
+                finish: free_at,
                 ready_at: chunk.ready_at(),
                 len: chunk.batch.len(),
                 stream_indices: chunk.batch.members.iter().map(|m| m.stream_index).collect(),
@@ -62,10 +75,10 @@ fn drive(
         }
     };
     for (batch, slo, cap) in submissions {
-        run_due(scheduler, batch.closed_at, &mut log);
-        scheduler.submit(batch.clone(), *slo, *cap);
+        run_due(queue, batch.closed_at);
+        queue.submit(batch.clone(), *slo, *cap);
     }
-    run_due(scheduler, f64::INFINITY, &mut log);
+    run_due(queue, f64::INFINITY);
     log
 }
 
@@ -102,9 +115,9 @@ proptest! {
     ) {
         let subs = submissions_from(&encoded, cap);
         let total: usize = subs.iter().map(|(b, _, _)| b.len()).sum();
-        let mut scheduler = EngineScheduler::new(DispatchOrder::SloUrgency);
-        let log = drive(&mut scheduler, &subs, 0.003);
-        prop_assert!(scheduler.is_idle(), "everything submitted was dispatched");
+        let mut queue = ChunkQueue::new(DispatchOrder::SloUrgency);
+        let log = drive(&mut queue, &subs, 0.003);
+        prop_assert!(queue.is_empty(), "everything submitted was dispatched");
         // Every query leaves in exactly one chunk.
         let mut seen: Vec<usize> = log.iter().flat_map(|d| d.stream_indices.clone()).collect();
         seen.sort_unstable();
@@ -119,13 +132,11 @@ proptest! {
             );
         }
         // The engine is serial: finishes are non-decreasing in dispatch
-        // order, and busy time sums the service times exactly.
+        // order.
         for pair in log.windows(2) {
             prop_assert!(pair[0].finish <= pair[1].start + 1e-12);
             prop_assert!(pair[0].finish <= pair[1].finish + 1e-12);
         }
-        let busy: f64 = log.iter().map(|d| d.finish - d.start).sum();
-        prop_assert!((scheduler.busy_s() - busy).abs() < 1e-9);
     }
 
     /// Work conservation: the engine never idles while a submitted chunk is
@@ -137,8 +148,8 @@ proptest! {
         cap in 1usize..9,
     ) {
         let subs = submissions_from(&encoded, cap);
-        let mut scheduler = EngineScheduler::new(DispatchOrder::SloUrgency);
-        let log = drive(&mut scheduler, &subs, 0.004);
+        let mut queue = ChunkQueue::new(DispatchOrder::SloUrgency);
+        let log = drive(&mut queue, &subs, 0.004);
         for i in 1..log.len() {
             let gap_start = log[i - 1].finish;
             let gap_end = log[i].start;
@@ -168,18 +179,20 @@ proptest! {
         cap in 1usize..9,
     ) {
         let subs = submissions_from(&encoded, cap);
-        // Mirror of the scheduler's queue — (ready, deadline, seq) per
+        // Mirror of the queue — (ready, deadline, seq) per
         // chunk, replicated exactly as submit() chunks, and mutated only at
         // the same points the real queue is (submission and dispatch).
         let mut mirror: Vec<(f64, f64, u64)> = Vec::new();
         let mut seq = 0u64;
-        let mut scheduler = EngineScheduler::new(DispatchOrder::SloUrgency);
+        let mut queue = ChunkQueue::new(DispatchOrder::SloUrgency);
+        let mut free_at = 0.0f64;
         fn check_pop(
-            scheduler: &mut EngineScheduler,
+            queue: &mut ChunkQueue,
+            free_at: &mut f64,
             mirror: &mut Vec<(f64, f64, u64)>,
             now: f64,
         ) {
-            while let Some((chunk, start)) = scheduler.pop_next(now) {
+            while let Some((chunk, start)) = pop_due(queue, *free_at, now) {
                 let best = mirror
                     .iter()
                     .filter(|(ready, _, _)| *ready <= start + 1e-12)
@@ -196,19 +209,19 @@ proptest! {
                     "dispatch was not the most urgent ready chunk"
                 );
                 mirror.retain(|&(_, _, s)| s != chunk.seq);
-                scheduler.complete(start, 0.002 * chunk.batch.len() as f64);
+                *free_at = start + 0.002 * chunk.batch.len() as f64;
             }
         }
         for (b, slo, cap) in &subs {
-            check_pop(&mut scheduler, &mut mirror, b.closed_at);
+            check_pop(&mut queue, &mut free_at, &mut mirror, b.closed_at);
             for chunk in b.members.chunks(*cap) {
                 let deadline = slo.map_or(f64::INFINITY, |s| chunk[0].arrival_s + s);
                 mirror.push((b.closed_at, deadline, seq));
                 seq += 1;
             }
-            scheduler.submit(b.clone(), *slo, *cap);
+            queue.submit(b.clone(), *slo, *cap);
         }
-        check_pop(&mut scheduler, &mut mirror, f64::INFINITY);
+        check_pop(&mut queue, &mut free_at, &mut mirror, f64::INFINITY);
         prop_assert!(mirror.is_empty());
     }
 
@@ -240,8 +253,8 @@ proptest! {
             .position(|(b, _, _)| b.closed_at > tight_at)
             .unwrap_or(subs.len());
         subs.insert(pos, (tight, Some(0.05), cap));
-        let mut scheduler = EngineScheduler::new(DispatchOrder::SloUrgency);
-        let log = drive(&mut scheduler, &subs, per_query_s);
+        let mut queue = ChunkQueue::new(DispatchOrder::SloUrgency);
+        let log = drive(&mut queue, &subs, per_query_s);
         let tight_dispatch = log
             .iter()
             .find(|d| d.stream_indices == vec![id_base])
@@ -266,10 +279,10 @@ proptest! {
     ) {
         // Caps are ignored in close order: pass an aggressive one.
         let subs = submissions_from(&encoded, 1);
-        let mut scheduler = EngineScheduler::new(DispatchOrder::CloseOrder);
-        let log = drive(&mut scheduler, &subs, 0.003);
+        let mut queue = ChunkQueue::new(DispatchOrder::CloseOrder);
+        let log = drive(&mut queue, &subs, 0.003);
         prop_assert_eq!(log.len(), subs.len(), "one dispatch per batch, never split");
-        prop_assert_eq!(scheduler.split_batches(), 0);
+        prop_assert_eq!(queue.split_batches(), 0);
         let mut free = 0.0f64;
         for (d, (b, _, _)) in log.iter().zip(&subs) {
             prop_assert_eq!(d.len, b.len(), "batches stay whole");

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use upanns_serve::admission::AdmissionQueue;
 use upanns_serve::batcher::{BatchFormer, BatchFormerConfig, CloseReason, FormedBatch, PendingQuery};
 use upanns_serve::cache::ResultCache;
-use upanns_serve::controller::{BatchPolicy, SloController, SloControllerConfig};
+use upanns_serve::controller::{BatchPolicy, SloController};
 
 /// The small universe of per-query option mixes the properties draw from
 /// (three compat keys; the budget variant of key 0 must share its group).
@@ -454,14 +454,14 @@ proptest! {
         slo_ms in 20.0f64..500.0,
     ) {
         let slo = slo_ms * 1e-3;
-        let config = SloControllerConfig::for_slo(slo);
         let mut controller = SloController::new(
-            config,
+            slo,
             upanns_serve::batcher::BatchFormerConfig {
                 max_batch: 64,
-                max_delay_s: (start_fraction * slo).max(config.min_delay_s),
+                max_delay_s: start_fraction * slo,
             },
         );
+        let interval = controller.adjust_interval_s();
         // Latency model: p99 ≈ 3 × window (waiting + queueing + execution all
         // scale with the window at a loaded engine that is keeping up).
         let mut now = 0.0f64;
@@ -470,14 +470,14 @@ proptest! {
             let window = controller.current().max_delay_s;
             let mut worst = 0.0f64;
             for (j, n) in noise.iter().enumerate() {
-                now += config.adjust_interval_s / noise.len() as f64;
+                now += interval / noise.len() as f64;
                 let latency = 3.0 * window * n * (0.97 + 0.03 * (j % 2) as f64);
                 worst = worst.max(latency);
                 controller.observe(now, latency);
             }
             last_p99 = worst;
         }
-        let band_low = config.grow_below * slo;
+        let band_low = SloController::GROW_BELOW * slo;
         prop_assert!(
             last_p99 <= slo * 1.02,
             "p99 {last_p99} settled above the SLO {slo}"
@@ -489,7 +489,7 @@ proptest! {
         // And it holds still once inside the band.
         let settled = controller.current();
         for j in 0..32 {
-            now += config.adjust_interval_s / 16.0;
+            now += interval / 16.0;
             controller.observe(now, 3.0 * settled.max_delay_s * noise[j % noise.len()]);
         }
         prop_assert_eq!(controller.current().max_batch, settled.max_batch);
