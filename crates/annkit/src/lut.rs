@@ -7,13 +7,13 @@
 //! Distance Computation (ADC). The LUT is the central data structure the
 //! UpANNS DPU kernel keeps in WRAM (8 KB at `m = 16` with `u16` entries).
 
-use crate::distance::l2_squared;
 use crate::pq::{ProductQuantizer, KSUB};
 use crate::simd::{self, Backend};
 
 /// A lookup table of `m * 256` partial distances for one (query, cluster)
-/// pair.
-#[derive(Debug, Clone)]
+/// pair. The default is the empty table of zero sub-quantizers, a starting
+/// point for [`rebuild`](Self::rebuild).
+#[derive(Debug, Clone, Default)]
 pub struct LookupTable {
     m: usize,
     /// Row-major: entry `(sub, code)` is at `sub * KSUB + code`.
@@ -27,17 +27,32 @@ impl LookupTable {
     /// # Panics
     /// Panics if `residual.len() != pq.dim()`.
     pub fn build(pq: &ProductQuantizer, residual: &[f32]) -> Self {
+        let mut lut = Self::default();
+        lut.rebuild(pq, residual);
+        lut
+    }
+
+    /// [`build`](Self::build) into this table's allocation, for loops that
+    /// build one LUT per (query, cluster) pair.
+    ///
+    /// Row-wise: each residual sub-vector against the 256 contiguous
+    /// centroids of its sub-quantizer ([`simd::l2_squared_rows`]), bitwise
+    /// equal to one [`l2_squared`](crate::distance::l2_squared) per entry.
+    ///
+    /// # Panics
+    /// Panics if `residual.len() != pq.dim()`.
+    pub fn rebuild(&mut self, pq: &ProductQuantizer, residual: &[f32]) {
         assert_eq!(residual.len(), pq.dim(), "LUT residual dimension mismatch");
-        let m = pq.m();
         let dsub = pq.dsub();
-        let mut table = vec![0.0f32; m * KSUB];
-        for sub in 0..m {
-            let rv = &residual[sub * dsub..(sub + 1) * dsub];
-            for code in 0..KSUB {
-                table[sub * KSUB + code] = l2_squared(rv, pq.centroid(sub, code as u8));
-            }
+        self.m = pq.m();
+        self.table.resize(self.m * KSUB, 0.0);
+        for ((rv, centroids), row) in residual
+            .chunks_exact(dsub)
+            .zip(pq.codebooks_flat().chunks_exact(KSUB * dsub))
+            .zip(self.table.chunks_exact_mut(KSUB))
+        {
+            simd::l2_squared_rows(rv, centroids, row);
         }
-        Self { m, table }
     }
 
     /// Number of sub-quantizers.
@@ -142,6 +157,7 @@ impl LookupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::l2_squared;
     use crate::vector::Dataset;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};

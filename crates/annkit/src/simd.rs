@@ -119,23 +119,45 @@ pub fn force_backend(backend: Backend) -> bool {
 /// Scalar reference for [`l2_squared_with`]: 4-lane accumulators fed in
 /// chunk order, combined left-associatively, sequential tail. This is the
 /// exact reduction tree the AVX2 path reproduces bitwise.
+#[inline]
 pub fn l2_squared_scalar(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "distance dimension mismatch");
     let mut acc = [0.0f32; 4];
-    let chunks = a.len() / 4;
-    for c in 0..chunks {
-        let i = c * 4;
+    let (a_chunks, a_tail) = a.as_chunks::<4>();
+    let (b_chunks, b_tail) = b.as_chunks::<4>();
+    for (ca, cb) in a_chunks.iter().zip(b_chunks) {
         for lane in 0..4 {
-            let d = a[i + lane] - b[i + lane];
+            let d = ca[lane] - cb[lane];
             acc[lane] += d * d;
         }
     }
     let mut sum = acc[0] + acc[1] + acc[2] + acc[3];
-    for i in chunks * 4..a.len() {
-        let d = a[i] - b[i];
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        let d = x - y;
         sum += d * d;
     }
     sum
+}
+
+/// Squared L2 distance from `query` to each of `out.len()` contiguous rows
+/// of `rows` (row `r` is `rows[r * d..(r + 1) * d]`, `d = query.len()`) —
+/// the shape of a LUT row: one residual sub-vector against the 256
+/// centroids of one sub-quantizer.
+///
+/// Every entry is [`l2_squared_scalar`]'s reduction tree, so the result is
+/// bitwise-equal to `l2_squared_with(backend, query, row)` on every backend;
+/// what the row form saves is the per-entry dispatch and call, and it lets
+/// the compiler keep `query` in registers across rows.
+///
+/// # Panics
+/// Panics if `query` is empty or `rows.len() != out.len() * query.len()`.
+pub fn l2_squared_rows(query: &[f32], rows: &[f32], out: &mut [f32]) {
+    let d = query.len();
+    assert!(d > 0, "row distance needs a non-empty query");
+    assert_eq!(rows.len(), out.len() * d, "row buffer size mismatch");
+    for (slot, row) in out.iter_mut().zip(rows.chunks_exact(d)) {
+        *slot = l2_squared_scalar(query, row);
+    }
 }
 
 /// Scalar reference for [`inner_product_with`]; same reduction tree as

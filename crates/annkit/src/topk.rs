@@ -89,6 +89,16 @@ impl TopK {
         }
     }
 
+    /// Empties the collector (neighbors and offered/accepted counters),
+    /// keeping `k` and the heap's allocation — for scan loops that fill one
+    /// collector per (query, cluster) pair.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.pushed = 0;
+        self.inserted = 0;
+    }
+
     /// The configured `k`.
     #[inline]
     pub fn k(&self) -> usize {

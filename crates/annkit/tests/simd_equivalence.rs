@@ -67,6 +67,37 @@ proptest! {
         }
     }
 
+    /// LUT build: the row-wise build (one residual sub-vector against the
+    /// 256 contiguous centroids of its sub-quantizer) equals one
+    /// `l2_squared_with` per entry bit for bit on every backend, across
+    /// sub-vector widths below, at and above the 4- and 8-lane boundaries.
+    #[test]
+    fn lut_build_equals_per_entry_distance(
+        dsub_pick in 0usize..8,
+        m in 1usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let dsub = [1usize, 2, 3, 4, 8, 12, 16, 32][dsub_pick];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let codebooks: Vec<f32> =
+            (0..m * 256 * dsub).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
+        let pq = ProductQuantizer::from_codebooks(m * dsub, m, codebooks);
+        let residual: Vec<f32> = (0..m * dsub).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
+        let lut = LookupTable::build(&pq, &residual);
+        let mut rebuilt = LookupTable::build(&pq, &vec![0.0; m * dsub]);
+        rebuilt.rebuild(&pq, &residual);
+        for backend in backends() {
+            for sub in 0..m {
+                let rv = &residual[sub * dsub..(sub + 1) * dsub];
+                for code in 0..=255u8 {
+                    let want = simd::l2_squared_with(backend, rv, pq.centroid(sub, code)).to_bits();
+                    prop_assert_eq!(lut.get(sub, code).to_bits(), want);
+                    prop_assert_eq!(rebuilt.get(sub, code).to_bits(), want);
+                }
+            }
+        }
+    }
+
     /// push_batch: same final heap (ids and bitwise distances) and the same
     /// offered/accepted counters as sequential push, on every backend,
     /// with NaNs injected to stress the filter's ordering semantics.

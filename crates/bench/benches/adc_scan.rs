@@ -43,14 +43,14 @@ fn bench_adc_scan(c: &mut Criterion) {
 
         let combos = mine_cluster_combos(&packed, m, &MiningParams::default());
         let cae = CaeList::encode(&packed, m, &combos);
-        let sums = combos.partial_sums(&lut);
+        // The scan the DPU kernel runs: the encoded stream against the
+        // unified LUT ++ combination-sum table.
+        let unified = [lut.as_flat(), &combos.partial_sums(&lut)[..]].concat();
+        let mut distances = Vec::new();
         group.bench_with_input(BenchmarkId::new("cae_scan", m), &m, |b, _| {
             b.iter(|| {
-                let mut total = 0.0f32;
-                for i in 0..cae.len() {
-                    total += cae.adc_distance(i, &lut, &sums);
-                }
-                std::hint::black_box(total)
+                cae.adc_scan_range(&unified, 0, cae.len(), &mut distances);
+                std::hint::black_box(distances.last().copied())
             });
         });
     }

@@ -70,11 +70,6 @@ impl Combo {
         false
     }
 
-    /// Flat LUT addresses of the member elements.
-    pub fn lut_addresses(&self) -> Vec<usize> {
-        self.elements.iter().map(|e| e.lut_address()).collect()
-    }
-
     /// Whether the PQ code `code` (of length `m`) contains this combo at the
     /// right positions.
     pub fn matches(&self, code: &[u8]) -> bool {
@@ -132,10 +127,21 @@ impl ComboTable {
     /// (the online step executed right after LUT construction, Figure 6's
     /// "Comb. Sum" stage).
     pub fn partial_sums(&self, lut: &annkit::lut::LookupTable) -> Vec<f32> {
-        self.combos
-            .iter()
-            .map(|c| c.lut_addresses().iter().map(|&a| lut.get_flat(a)).sum())
-            .collect()
+        let mut sums = Vec::with_capacity(self.combos.len());
+        self.extend_partial_sums(lut, &mut sums);
+        sums
+    }
+
+    /// Appends [`partial_sums`](Self::partial_sums) to `out` — after the
+    /// flat LUT this forms the unified table the encoded stream addresses
+    /// (§4.3).
+    pub fn extend_partial_sums(&self, lut: &annkit::lut::LookupTable, out: &mut Vec<f32>) {
+        out.extend(self.combos.iter().map(|c| {
+            c.elements()
+                .iter()
+                .map(|e| lut.get_flat(e.lut_address()))
+                .sum::<f32>()
+        }));
     }
 }
 
@@ -313,7 +319,8 @@ mod tests {
         // Elements are sorted by position.
         assert_eq!(combo.elements()[0].position, 0);
         assert_eq!(combo.positions(), vec![0, 2]);
-        assert_eq!(combo.lut_addresses(), vec![3, 2 * 256 + 7]);
+        let addresses: Vec<usize> = combo.elements().iter().map(Element::lut_address).collect();
+        assert_eq!(addresses, vec![3, 2 * 256 + 7]);
         assert!(combo.matches(&[3, 99, 7, 0]));
         assert!(!combo.matches(&[3, 99, 8, 0]));
         assert_eq!(combo.len(), 2);

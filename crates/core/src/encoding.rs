@@ -16,6 +16,7 @@
 
 use crate::cooccurrence::ComboTable;
 use annkit::lut::LookupTable;
+use annkit::simd::SCAN_LANES;
 
 /// A co-occurrence-aware encoded inverted list (one cluster).
 #[derive(Debug, Clone)]
@@ -162,7 +163,9 @@ impl CaeList {
 
     /// Computes the ADC distance of vector `i` given a LUT and the cluster's
     /// cached combo partial sums (must come from the same [`ComboTable`] the
-    /// list was encoded with). This is the arithmetic the DPU kernel executes.
+    /// list was encoded with). The per-record definition of the arithmetic
+    /// the DPU kernel executes — the oracle [`adc_scan_range`]
+    /// (Self::adc_scan_range) is tested against, bit for bit.
     pub fn adc_distance(&self, i: usize, lut: &LookupTable, combo_sums: &[f32]) -> f32 {
         let mut sum = 0.0f32;
         for &entry in self.record(i) {
@@ -175,6 +178,72 @@ impl CaeList {
         }
         sum
     }
+
+    /// The ADC scan of records `[start, end)`: clears `out` and appends one
+    /// distance per record.
+    ///
+    /// `unified` is §4.3's single WRAM region — the flat LUT (`256·m`
+    /// entries) followed by the cluster's combination partial sums — so every
+    /// entry of the stream, direct or combination, is one load and one add
+    /// with no branch on its kind. The scan walks the entry stream itself
+    /// (one `offsets` lookup for the whole range) with [`SCAN_LANES`]
+    /// records in flight, so the float adds of different records overlap;
+    /// each record still sums its own entries in stream order from `0.0`,
+    /// which keeps every distance bitwise-equal to
+    /// [`adc_distance`](Self::adc_distance).
+    ///
+    /// # Panics
+    /// Panics if the range is not within the list or `unified` is shorter
+    /// than `256·m + num_combos`.
+    pub fn adc_scan_range(&self, unified: &[f32], start: usize, end: usize, out: &mut Vec<f32>) {
+        assert!(start <= end && end <= self.len(), "record range out of bounds");
+        assert!(
+            unified.len() >= 256 * self.m + self.num_combos,
+            "unified table shorter than the list's address space"
+        );
+        out.clear();
+        if start == end {
+            return;
+        }
+        out.reserve(end - start);
+        let stream = &self.entries[self.offsets[start] as usize..];
+        let sum_record = |record: &[u16], mut sum: f32| {
+            for &entry in record {
+                sum += unified[entry as usize];
+            }
+            sum
+        };
+        let mut pos = 0usize;
+        let mut remaining = end - start;
+        while remaining >= SCAN_LANES {
+            // Slice the next SCAN_LANES records off the stream; their common
+            // prefix length runs lane-interleaved, the ragged rest per lane.
+            let mut records = [&stream[..0]; SCAN_LANES];
+            let mut common = usize::MAX;
+            for record in &mut records {
+                let len = stream[pos] as usize;
+                *record = &stream[pos + 1..pos + 1 + len];
+                common = common.min(len);
+                pos += 1 + len;
+            }
+            let mut acc = [0.0f32; SCAN_LANES];
+            for j in 0..common {
+                for (a, record) in acc.iter_mut().zip(&records) {
+                    *a += unified[record[j] as usize];
+                }
+            }
+            for (a, record) in acc.iter_mut().zip(&records) {
+                *a = sum_record(&record[common..], *a);
+            }
+            out.extend_from_slice(&acc);
+            remaining -= SCAN_LANES;
+        }
+        for _ in 0..remaining {
+            let len = stream[pos] as usize;
+            out.push(sum_record(&stream[pos + 1..pos + 1 + len], 0.0));
+            pos += 1 + len;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -183,6 +252,7 @@ mod tests {
     use crate::cooccurrence::{mine_cluster_combos, MiningParams};
     use annkit::pq::ProductQuantizer;
     use annkit::vector::Dataset;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -326,6 +396,61 @@ mod tests {
             cae_heavy.reduction_rate(),
             cae_light.reduction_rate()
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The blocked range scan equals per-record `adc_distance` bit for
+        /// bit: arbitrary entry streams (any mix of direct and combination
+        /// addresses, record lengths from 0 up past `m`, lists with zero
+        /// combos), arbitrary table contents, and every kind of range —
+        /// empty, shorter than SCAN_LANES, ragged tails, the whole list.
+        #[test]
+        fn range_scan_equals_per_record_adc_distance_bitwise(
+            m in 1usize..7,
+            num_combos in 0usize..30,
+            lens in prop::collection::vec(0usize..10, 0..70),
+            cut in (0usize..1000, 0usize..1000),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // A LUT with arbitrary contents: one-dimensional sub-spaces, so
+            // entry (sub, code) is (residual[sub] − codebook[sub][code])².
+            let codebooks: Vec<f32> = (0..m * 256).map(|_| rng.gen_range(-9.0f32..9.0)).collect();
+            let pq = ProductQuantizer::from_codebooks(m, m, codebooks);
+            let residual: Vec<f32> = (0..m).map(|_| rng.gen_range(-9.0f32..9.0)).collect();
+            let lut = LookupTable::build(&pq, &residual);
+            let combo_sums: Vec<f32> = (0..num_combos).map(|_| rng.gen_range(0.0f32..500.0)).collect();
+            let unified = [lut.as_flat(), &combo_sums[..]].concat();
+
+            let mut entries = Vec::new();
+            let mut offsets = Vec::new();
+            for &len in &lens {
+                offsets.push(entries.len() as u32);
+                entries.push(len as u16);
+                entries.extend((0..len).map(|_| rng.gen_range(0..256 * m + num_combos) as u16));
+            }
+            let cae = CaeList { m, num_combos, entries, offsets };
+
+            let n = cae.len();
+            let (a, b) = (cut.0 % (n + 1), cut.1 % (n + 1));
+            let mut out = vec![f32::NAN; 3]; // stale contents must be cleared
+            for (start, end) in [(a.min(b), a.max(b)), (0, n), (a, a)] {
+                cae.adc_scan_range(&unified, start, end, &mut out);
+                prop_assert_eq!(out.len(), end - start);
+                for (i, got) in (start..end).zip(&out) {
+                    prop_assert_eq!(got.to_bits(), cae.adc_distance(i, &lut, &combo_sums).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "record range out of bounds")]
+    fn range_scan_rejects_a_range_past_the_list() {
+        let cae = CaeList::encode_plain(&patterned_codes(4, 8), 8);
+        cae.adc_scan_range(&vec![0.0; 8 * 256], 2, 5, &mut Vec::new());
     }
 
     #[test]

@@ -26,12 +26,13 @@
 
 use crate::builder::{build_epoch_state, BuildRecipe};
 use crate::cooccurrence::ComboTable;
+use crate::config::UpAnnsConfig;
 use crate::kernel::{
-    mailbox_slot_bytes, parse_mailbox, run_batch_kernel, DpuBatchPlan, DpuStore, KernelOutput,
-    KernelShared,
+    mailbox_slot_bytes, parse_mailbox, run_batch_kernel_with_scratch, DpuBatchPlan, DpuStore,
+    KernelOutput, KernelScratch, KernelShared,
 };
 use crate::placement::Placement;
-use crate::scheduling::{schedule_queries, Assignment, Schedule};
+use crate::scheduling::{schedule_queries, Schedule};
 use annkit::mutation::{IndexSnapshot, SnapshotTimeline};
 use annkit::topk::{Neighbor, TopK};
 use annkit::vector::{residual, Dataset};
@@ -149,7 +150,7 @@ impl UpAnnsEngine {
     }
 
     /// The engine configuration.
-    pub fn config(&self) -> &crate::config::UpAnnsConfig {
+    pub fn config(&self) -> &UpAnnsConfig {
         &self.recipe.config
     }
 
@@ -214,6 +215,20 @@ impl UpAnnsEngine {
         self.last_exec_report.as_ref()
     }
 
+}
+
+/// Everything of the engine one launch reads and writes — all of it but the
+/// timeline, so [`UpAnnsEngine::execute`] can resolve entries on the
+/// timeline by reference while launches mutate the rest.
+struct Launcher<'a> {
+    epochs: &'a mut [EpochState],
+    config: &'a UpAnnsConfig,
+    host_cpu: &'a CpuSpec,
+    last_exec_report: &'a mut Option<ExecReport>,
+    last_schedule_ratio: &'a mut f64,
+}
+
+impl Launcher<'_> {
     /// One uniform sub-batch through the full six-stage PIM pipeline, against
     /// the epoch state at index `epoch`.
     fn run_uniform(
@@ -223,14 +238,8 @@ impl UpAnnsEngine {
         nprobe: usize,
         k: usize,
     ) -> SearchResponse {
-        let Self {
-            epochs,
-            recipe,
-            host_cpu,
-            last_exec_report,
-            last_schedule_ratio,
-            ..
-        } = self;
+        let config = self.config;
+        let host_cpu = self.host_cpu;
         let EpochState {
             snapshot,
             placement,
@@ -238,8 +247,7 @@ impl UpAnnsEngine {
             stores,
             sys,
             ..
-        } = &mut epochs[epoch];
-        let config = &recipe.config;
+        } = &mut self.epochs[epoch];
         assert_eq!(queries.dim(), snapshot.dim(), "query dimension mismatch");
         assert!(k > 0, "k must be positive");
         let nprobe = nprobe.min(snapshot.nlist()).max(1);
@@ -268,7 +276,7 @@ impl UpAnnsEngine {
 
         // ---- Stage 2: query scheduling (host CPU, Algorithm 2) ------------
         let schedule: Schedule = schedule_queries(&filtered, placement, cluster_sizes);
-        *last_schedule_ratio = schedule.max_to_avg_workload();
+        *self.last_schedule_ratio = schedule.max_to_avg_workload();
         let total_assignments = schedule.total_assignments();
         let schedule_seconds = host_schedule_seconds(host_cpu, total_assignments, snapshot.dim());
         sys.advance_host("query_scheduling", schedule_seconds);
@@ -280,7 +288,7 @@ impl UpAnnsEngine {
         let uniform_query_bytes = max_assignments * record_bytes;
         let mut plans: Vec<DpuBatchPlan> = vec![DpuBatchPlan::default(); sys.num_dpus()];
         let mut writes = Vec::new();
-        for (dpu, plan_slot) in plans.iter_mut().enumerate() {
+        for (dpu, plan) in plans.iter_mut().enumerate() {
             let assignments = &schedule.per_dpu[dpu];
             if assignments.is_empty() {
                 continue;
@@ -289,30 +297,24 @@ impl UpAnnsEngine {
                 assignments.len().min(nq) * mailbox_slot_bytes(k).max(mailbox_slot_bytes(1));
             ensure_capacity(sys, stores, dpu, uniform_query_bytes, mailbox_needed);
 
+            // The residual is computed once, into the plan (the kernel's
+            // functional input), and serialized from there.
             let mut buffer = Vec::with_capacity(uniform_query_bytes);
-            let mut plan = DpuBatchPlan::default();
-            let mut seen_queries = Vec::new();
+            plan.assignments.extend_from_slice(assignments);
+            plan.residuals.reserve(assignments.len());
             for a in assignments {
                 let q = queries.vector(a.query);
                 let res = residual(q, snapshot.coarse().centroid(a.cluster));
                 buffer.extend_from_slice(&(a.query as u32).to_le_bytes());
                 buffer.extend_from_slice(&(a.cluster as u32).to_le_bytes());
-                for &x in &res {
-                    buffer.extend_from_slice(&x.to_le_bytes());
-                }
-                plan.assignments.push(Assignment {
-                    query: a.query,
-                    cluster: a.cluster,
-                });
+                buffer.extend(res.iter().flat_map(|x| x.to_le_bytes()));
                 plan.residuals.push(res);
-                if !seen_queries.contains(&a.query) {
-                    seen_queries.push(a.query);
+                if !plan.queries.contains(&a.query) {
+                    plan.queries.push(a.query);
                 }
             }
             buffer.resize(uniform_query_bytes, 0); // pad to the uniform size
             writes.push(DpuWrite::new(dpu, stores[dpu].query_buffer_addr, buffer));
-            plan.queries = seen_queries;
-            *plan_slot = plan;
         }
         sys.push_to_dpus("query_transfer", &writes)
             .expect("query staging buffers are sized by ensure_capacity");
@@ -327,12 +329,19 @@ impl UpAnnsEngine {
             scan_backend: annkit::simd::active(),
         };
         let mut outputs: Vec<KernelOutput> = vec![KernelOutput::default(); sys.num_dpus()];
+        let mut scratch = KernelScratch::default();
         let report = sys.execute("dpu_search", |ctx| {
             let dpu = ctx.dpu_id();
             if plans[dpu].is_empty() {
                 return;
             }
-            outputs[dpu] = run_batch_kernel(ctx, &stores_ref[dpu], &plans[dpu], &shared);
+            outputs[dpu] = run_batch_kernel_with_scratch(
+                ctx,
+                &stores_ref[dpu],
+                &plans[dpu],
+                &shared,
+                &mut scratch,
+            );
         });
 
         // ---- Stage 5: result transfer (DPU → host) -------------------------
@@ -406,7 +415,7 @@ impl UpAnnsEngine {
             }
             breakdown = detailed;
         }
-        *last_exec_report = Some(report);
+        *self.last_exec_report = Some(report);
         let seconds = sys.elapsed_seconds();
 
         SearchResponse {
@@ -425,10 +434,16 @@ impl AnnEngine for UpAnnsEngine {
     }
 
     fn execute(&mut self, request: &SearchRequest) -> SearchResponse {
-        let timeline = self.timeline.clone();
-        execute_by_entry(&timeline, request, |epoch, sub| {
+        let mut launcher = Launcher {
+            epochs: &mut self.epochs,
+            config: &self.recipe.config,
+            host_cpu: &self.host_cpu,
+            last_exec_report: &mut self.last_exec_report,
+            last_schedule_ratio: &mut self.last_schedule_ratio,
+        };
+        execute_by_entry(&self.timeline, request, |epoch, sub| {
             execute_grouped(sub, |queries, nprobe, k| {
-                self.run_uniform(epoch, queries, nprobe, k)
+                launcher.run_uniform(epoch, queries, nprobe, k)
             })
         })
     }
@@ -452,7 +467,6 @@ impl AnnEngine for UpAnnsEngine {
 mod tests {
     use super::*;
     use crate::builder::{BatchCapacity, UpAnnsBuilder};
-    use crate::config::UpAnnsConfig;
     use annkit::ivf::{IvfPqIndex, IvfPqParams};
     use annkit::recall::recall_at_k;
     use annkit::synthetic::SyntheticSpec;

@@ -17,6 +17,7 @@ use crate::wram_layout::{WramPlan, WramPlanInput};
 use annkit::lut::LookupTable;
 use annkit::pq::ProductQuantizer;
 use annkit::topk::{Neighbor, TopK};
+use pim_sim::config::MAX_TASKLETS;
 use pim_sim::mram::MramAddr;
 use pim_sim::tasklet::DpuKernelCtx;
 use std::collections::BTreeMap;
@@ -131,17 +132,61 @@ pub fn mailbox_slot_bytes(k: usize) -> usize {
     4 + k * 12 // u32 query id + k × (u64 id, f32 distance)
 }
 
-/// Runs the UpANNS batch kernel on one DPU.
-///
-/// Follows the stage/barrier structure of Figure 6 for every assignment:
-/// `lut_construction` → (barrier) → `combo_sum` → (barrier) →
-/// `distance_calc` → (barrier) → `topk`, then a single `result_write` at the
-/// end of the batch.
+/// WRAM region names of the per-tasklet MRAM read buffers (Figure 6), one
+/// per hardware thread.
+const READBUF_REGIONS: [&str; MAX_TASKLETS] = [
+    "readbuf0", "readbuf1", "readbuf2", "readbuf3", "readbuf4", "readbuf5", "readbuf6", "readbuf7",
+    "readbuf8", "readbuf9", "readbuf10", "readbuf11", "readbuf12", "readbuf13", "readbuf14",
+    "readbuf15", "readbuf16", "readbuf17", "readbuf18", "readbuf19", "readbuf20", "readbuf21",
+    "readbuf22", "readbuf23",
+];
+
+/// WRAM region names of the per-tasklet local top-k heaps (Figure 6).
+const HEAP_REGIONS: [&str; MAX_TASKLETS] = [
+    "heap0", "heap1", "heap2", "heap3", "heap4", "heap5", "heap6", "heap7", "heap8", "heap9",
+    "heap10", "heap11", "heap12", "heap13", "heap14", "heap15", "heap16", "heap17", "heap18",
+    "heap19", "heap20", "heap21", "heap22", "heap23",
+];
+
+/// Host-side buffers the functional half of the kernel reuses across the
+/// assignments (and DPUs) of one launch, so the simulator's steady state
+/// allocates nothing per assignment. Holds no state between uses: every
+/// buffer is rebuilt before it is read.
+#[derive(Debug, Default)]
+pub struct KernelScratch {
+    lut: LookupTable,
+    /// §4.3's unified WRAM region: the flat LUT followed by the cluster's
+    /// combination partial sums, addressed directly by the encoded stream.
+    unified: Vec<f32>,
+    /// Distances of the records one tasklet scanned.
+    distances: Vec<f32>,
+    /// The tasklets' local top-k heaps.
+    heaps: Vec<TopK>,
+}
+
+/// Runs the UpANNS batch kernel on one DPU with fresh scratch buffers; see
+/// [`run_batch_kernel_with_scratch`].
 pub fn run_batch_kernel(
     ctx: &mut DpuKernelCtx<'_>,
     store: &DpuStore,
     plan: &DpuBatchPlan,
     shared: &KernelShared<'_>,
+) -> KernelOutput {
+    run_batch_kernel_with_scratch(ctx, store, plan, shared, &mut KernelScratch::default())
+}
+
+/// Runs the UpANNS batch kernel on one DPU.
+///
+/// Follows the stage/barrier structure of Figure 6 for every assignment:
+/// `lut_construction` → (barrier) → `combo_sum` → (barrier) →
+/// `distance_calc` → (barrier) → `topk`, then a single `result_write` at the
+/// end of the batch. `scratch` is the launch's reusable host-side buffers.
+pub fn run_batch_kernel_with_scratch(
+    ctx: &mut DpuKernelCtx<'_>,
+    store: &DpuStore,
+    plan: &DpuBatchPlan,
+    shared: &KernelShared<'_>,
+    scratch: &mut KernelScratch,
 ) -> KernelOutput {
     let mut output = KernelOutput::default();
     if plan.is_empty() {
@@ -153,6 +198,16 @@ pub fn run_batch_kernel(
     let dim = shared.pq.dim();
     let k = shared.k;
     let tasklets = config.tasklets;
+    let KernelScratch {
+        lut,
+        unified,
+        distances,
+        heaps,
+    } = scratch;
+    if heaps.first().is_some_and(|h| h.k() != k) {
+        heaps.clear();
+    }
+    heaps.resize_with(tasklets, || TopK::new(k));
 
     // Verify the WRAM reuse plan fits before doing anything (the layout of
     // Figure 6). The allocator peak is recorded in the DPU stats.
@@ -184,22 +239,23 @@ pub fn run_batch_kernel(
                 )
             });
         let residual = &plan.residuals[a_idx];
-        let combos = shared.combos.get(&assignment.cluster);
+        let combos = shared
+            .combos
+            .get(&assignment.cluster)
+            .filter(|table| !table.is_empty());
 
         // ---- Stage 1: LUT construction (Barrier 0/1) --------------------
         ctx.wram().alloc("codebook", wplan.codebook_bytes).expect("planned");
         ctx.wram().alloc("lut", wplan.lut_bytes).expect("planned");
-        let lut = LookupTable::build(shared.pq, residual);
+        lut.rebuild(shared.pq, residual);
         let codebook_addr = store.codebook_addr;
         let codebook_bytes = store.codebook_bytes;
-        let query_buffer_addr = store.query_buffer_addr;
         ctx.parallel("lut_construction", tasklets, |t| {
             // Read this assignment's residual (q − c) from the staging buffer
-            // (tasklet 0 only) and a slice of the codebook, then compute the
-            // corresponding LUT entries.
+            // (tasklet 0 only; staged by the host transfer) and a slice of
+            // the codebook, then compute the corresponding LUT entries.
             if t.tasklet_id == 0 {
                 t.charge_dma((dim * 4).min(store.query_buffer_bytes.max(8)));
-                let _ = query_buffer_addr; // staged by the host transfer
             }
             let share = codebook_bytes.div_ceil(tasklets);
             let offset = t.tasklet_id * share;
@@ -214,20 +270,22 @@ pub fn run_batch_kernel(
         ctx.wram().free("codebook").expect("allocated above");
 
         // ---- Stage 2: combination partial sums (Barrier 1/2) ------------
-        let combo_sums: Vec<f32> = match combos {
-            Some(table) if !table.is_empty() => {
-                ctx.wram().alloc("combo_sums", wplan.combo_bytes.max(2)).expect("planned");
-                let sums = table.partial_sums(&lut);
-                let per_tasklet = table.len().div_ceil(tasklets) as u64;
-                let avg_len = 3u64;
-                ctx.parallel("combo_sum", tasklets, |t| {
-                    t.charge_wram(per_tasklet * (avg_len + 1));
-                    t.charge_arith(per_tasklet * avg_len, 0);
-                });
-                sums
+        if let Some(table) = combos {
+            ctx.wram().alloc("combo_sums", wplan.combo_bytes.max(2)).expect("planned");
+            let per_tasklet = table.len().div_ceil(tasklets) as u64;
+            let avg_len = 3u64;
+            ctx.parallel("combo_sum", tasklets, |t| {
+                t.charge_wram(per_tasklet * (avg_len + 1));
+                t.charge_arith(per_tasklet * avg_len, 0);
+            });
+        }
+        if let ListEncoding::CaeU16(_) = &replica.encoding {
+            unified.clear();
+            unified.extend_from_slice(lut.as_flat());
+            if let Some(table) = combos {
+                table.extend_partial_sums(lut, unified);
             }
-            _ => Vec::new(),
-        };
+        }
 
         // ---- Stage 3: distance calculation (Barrier 2/3) ----------------
         //
@@ -241,12 +299,8 @@ pub fn run_batch_kernel(
         // (per-vector DMA setup latency, idle tasklets on ten-vector
         // clusters) onto the modeled system; see DESIGN.md's projection notes.
         for t in 0..tasklets {
-            ctx.wram()
-                .alloc(&format!("readbuf{t}"), read_bytes)
-                .expect("planned");
-            ctx.wram()
-                .alloc(&format!("heap{t}"), wplan.heap_bytes)
-                .expect("planned");
+            ctx.wram().alloc(READBUF_REGIONS[t], read_bytes).expect("planned");
+            ctx.wram().alloc(HEAP_REGIONS[t], wplan.heap_bytes).expect("planned");
         }
         let n = replica.num_vectors;
         let per_tasklet_vectors = n.div_ceil(tasklets);
@@ -255,116 +309,107 @@ pub fn run_batch_kernel(
         let modeled_share = |tasklet_id: usize, total: u64| -> u64 {
             total / tasklets as u64 + u64::from((tasklet_id as u64) < total % tasklets as u64)
         };
-        let locals: Vec<(TopK, u64, u64, u64)> =
-            ctx.parallel("distance_calc", tasklets, |t| {
-                let start = (t.tasklet_id * per_tasklet_vectors).min(n);
-                let end = ((t.tasklet_id + 1) * per_tasklet_vectors).min(n);
-                let mut heap = TopK::new(k);
-                let mut lookups = 0u64;
-                let mut bytes_read = 0u64;
-                match &replica.encoding {
-                    ListEncoding::PlainU8 => {
-                        // Functional scan: fixed-size records, read
-                        // `read_bytes` worth of codes at a time, then the
-                        // blocked ADC scan + batch top-k insert (bitwise
-                        // equal to the per-record scalar sum and push on
-                        // every backend). `read_bytes >= m` is guaranteed by
-                        // `kernel_read_bytes`, so every chunk holds at least
-                        // one whole record.
-                        let mut dist_buf = Vec::new();
-                        let mut v = start;
-                        while v < end {
-                            let chunk_vectors =
-                                (((end - v) * m).min(read_bytes) / m).min(end - v);
-                            let len = chunk_vectors * m;
-                            let data = t
-                                .mram_read_uncharged(replica.codes_addr + v * m, len)
-                                .to_vec();
-                            bytes_read += len as u64;
-                            lut.adc_scan_into(&data, &mut dist_buf);
-                            heap.push_batch_with(shared.scan_backend, v as u64, &dist_buf);
-                            lookups += len as u64;
-                            v += chunk_vectors;
-                        }
-                        // Charged cost of this tasklet's modeled share:
-                        // full-width DMA chunks; per element one WRAM load of
-                        // the code byte, one add to form the LUT address
-                        // (`pos·256 + code` — the position base lives in a
-                        // register), one WRAM LUT load and one accumulate add;
-                        // plus one heap threshold compare per record.
-                        let share = modeled_share(t.tasklet_id, scaled_vectors);
-                        let share_bytes = share * m as u64;
-                        let full_chunks = share_bytes / read_bytes as u64;
-                        let tail = (share_bytes % read_bytes as u64) as usize;
-                        t.charge_dma_repeated(read_bytes, full_chunks);
-                        t.charge_dma(tail);
-                        t.charge_wram(share * m as u64 * 2);
-                        t.charge_arith(share * (2 * m as u64 + 1), 0);
+        ctx.parallel("distance_calc", tasklets, |t| {
+            let start = (t.tasklet_id * per_tasklet_vectors).min(n);
+            let end = ((t.tasklet_id + 1) * per_tasklet_vectors).min(n);
+            let heap = &mut heaps[t.tasklet_id];
+            heap.clear();
+            output.candidates_scanned += (end - start) as u64;
+            match &replica.encoding {
+                ListEncoding::PlainU8 => {
+                    // Functional scan: fixed-size records, read
+                    // `read_bytes` worth of codes at a time, then the
+                    // blocked ADC scan + batch top-k insert (bitwise
+                    // equal to the per-record scalar sum and push on
+                    // every backend). `read_bytes >= m` is guaranteed by
+                    // `kernel_read_bytes`, so every chunk holds at least
+                    // one whole record.
+                    let mut v = start;
+                    while v < end {
+                        let chunk_vectors = (((end - v) * m).min(read_bytes) / m).min(end - v);
+                        let len = chunk_vectors * m;
+                        let data = t.mram_read_uncharged(replica.codes_addr + v * m, len);
+                        lut.adc_scan_into(data, distances);
+                        heap.push_batch_with(shared.scan_backend, v as u64, distances);
+                        output.code_bytes_read += len as u64;
+                        output.lut_lookups += len as u64;
+                        v += chunk_vectors;
                     }
-                    ListEncoding::CaeU16(cae) => {
-                        // Functional scan: variable-length records decoded
-                        // against LUT + combo sums.
-                        let mut entries_actual = 0u64;
-                        if start < end {
-                            let (first_b, _) = cae.record_byte_range(start);
-                            let (_, last_b) = cae.record_byte_range(end - 1);
-                            let _ = t.mram_read_uncharged(
-                                replica.codes_addr + first_b,
-                                (last_b - first_b).max(2),
-                            );
-                            bytes_read += (last_b - first_b) as u64;
-                            for v in start..end {
-                                let sum = cae.adc_distance(v, &lut, &combo_sums);
-                                let len = cae.record(v).len() as u64;
-                                entries_actual += len;
-                                heap.push(v as u64, sum);
-                            }
-                            lookups += entries_actual;
-                        }
-                        // Charged cost of this tasklet's modeled share of the
-                        // co-occurrence-encoded stream: full-width DMA chunks
-                        // over the scaled byte volume; per entry one WRAM load
-                        // of the *direct address* (no address arithmetic —
-                        // that is precisely what §4.3's re-encoding buys), one
-                        // WRAM load of the unified LUT/combo-sum region and
-                        // one accumulate add; plus one heap compare per record.
-                        let scaled_bytes =
-                            (cae.bytes() as f64 * config.work_scale).round().max(cae.bytes() as f64)
-                                as u64;
-                        let scaled_entries = (cae.total_entries() as f64 * config.work_scale)
-                            .round()
-                            .max(cae.total_entries() as f64)
-                            as u64;
-                        let share_records = modeled_share(t.tasklet_id, scaled_vectors);
-                        let share_bytes = modeled_share(t.tasklet_id, scaled_bytes);
-                        let share_entries = modeled_share(t.tasklet_id, scaled_entries);
-                        let full_chunks = share_bytes / read_bytes as u64;
-                        let tail = (share_bytes % read_bytes as u64) as usize;
-                        t.charge_dma_repeated(read_bytes, full_chunks);
-                        t.charge_dma(tail);
-                        t.charge_wram(share_entries * 2);
-                        t.charge_arith(share_entries + share_records, 0);
-                    }
+                    // Charged cost of this tasklet's modeled share:
+                    // full-width DMA chunks; per element one WRAM load of
+                    // the code byte, one add to form the LUT address
+                    // (`pos·256 + code` — the position base lives in a
+                    // register), one WRAM LUT load and one accumulate add;
+                    // plus one heap threshold compare per record.
+                    let share = modeled_share(t.tasklet_id, scaled_vectors);
+                    let share_bytes = share * m as u64;
+                    let full_chunks = share_bytes / read_bytes as u64;
+                    let tail = (share_bytes % read_bytes as u64) as usize;
+                    t.charge_dma_repeated(read_bytes, full_chunks);
+                    t.charge_dma(tail);
+                    t.charge_wram(share * m as u64 * 2);
+                    t.charge_arith(share * (2 * m as u64 + 1), 0);
                 }
-                (heap, lookups, bytes_read, (end - start) as u64)
-            });
+                ListEncoding::CaeU16(cae) => {
+                    // Functional scan: the variable-length records of this
+                    // tasklet's range against the unified LUT + combo-sum
+                    // table, SCAN_LANES records in flight, then one batch
+                    // top-k insert (bitwise equal to a per-record
+                    // `adc_distance` + `push`).
+                    if start < end {
+                        let (first_b, _) = cae.record_byte_range(start);
+                        let (_, last_b) = cae.record_byte_range(end - 1);
+                        // The stream itself is scanned from the host-side
+                        // mirror; this only faults if the range is not
+                        // resident in MRAM.
+                        let _ = t.mram_read_uncharged(
+                            replica.codes_addr + first_b,
+                            (last_b - first_b).max(2),
+                        );
+                        cae.adc_scan_range(unified, start, end, distances);
+                        heap.push_batch_with(shared.scan_backend, start as u64, distances);
+                        output.code_bytes_read += (last_b - first_b) as u64;
+                        // Every u16 of the range is a record's length slot
+                        // or an address that was looked up.
+                        output.lut_lookups += ((last_b - first_b) / 2 - (end - start)) as u64;
+                    }
+                    // Charged cost of this tasklet's modeled share of the
+                    // co-occurrence-encoded stream: full-width DMA chunks
+                    // over the scaled byte volume; per entry one WRAM load
+                    // of the *direct address* (no address arithmetic —
+                    // that is precisely what §4.3's re-encoding buys), one
+                    // WRAM load of the unified LUT/combo-sum region and
+                    // one accumulate add; plus one heap compare per record.
+                    let scaled_bytes =
+                        (cae.bytes() as f64 * config.work_scale).round().max(cae.bytes() as f64)
+                            as u64;
+                    let scaled_entries = (cae.total_entries() as f64 * config.work_scale)
+                        .round()
+                        .max(cae.total_entries() as f64)
+                        as u64;
+                    let share_records = modeled_share(t.tasklet_id, scaled_vectors);
+                    let share_bytes = modeled_share(t.tasklet_id, scaled_bytes);
+                    let share_entries = modeled_share(t.tasklet_id, scaled_entries);
+                    let full_chunks = share_bytes / read_bytes as u64;
+                    let tail = (share_bytes % read_bytes as u64) as usize;
+                    t.charge_dma_repeated(read_bytes, full_chunks);
+                    t.charge_dma(tail);
+                    t.charge_wram(share_entries * 2);
+                    t.charge_arith(share_entries + share_records, 0);
+                }
+            }
+        });
         for t in 0..tasklets {
-            ctx.wram().free(&format!("readbuf{t}")).expect("allocated");
-            ctx.wram().free(&format!("heap{t}")).expect("allocated");
+            ctx.wram().free(READBUF_REGIONS[t]).expect("allocated");
+            ctx.wram().free(HEAP_REGIONS[t]).expect("allocated");
         }
-        if !combo_sums.is_empty() {
+        if combos.is_some() {
             ctx.wram().free("combo_sums").expect("allocated");
         }
         ctx.wram().free("lut").expect("allocated");
 
         // ---- Stage 4: pruned top-k merge (Barrier 3) ---------------------
-        let heaps: Vec<TopK> = locals.iter().map(|(h, _, _, _)| h.clone()).collect();
-        for (_, lookups, bytes, scanned) in &locals {
-            output.lut_lookups += lookups;
-            output.code_bytes_read += bytes;
-            output.candidates_scanned += scanned;
-        }
-        let (merged_local, stats) = merge_thread_local(&heaps, k, config.topk_pruning);
+        let (merged_local, stats) = merge_thread_local(heaps, k, config.topk_pruning);
         ctx.sequential("topk", |t| {
             for _ in 0..stats.semaphore_ops {
                 t.charge_semaphore();
@@ -381,34 +426,32 @@ pub fn run_batch_kernel(
         // Translate local vector indices into global ids (k MRAM reads of the
         // id array) and fold into the per-query heap.
         let ids_addr = replica.ids_addr;
-        let resolved: Vec<Neighbor> = ctx.sequential("topk", |t| {
-            merged_local
-                .sorted()
-                .iter()
-                .map(|n| {
-                    let raw = t.mram_read(ids_addr + (n.id as usize) * 8, 8);
-                    let id = u64::from_le_bytes(raw.try_into().expect("8-byte id"));
-                    Neighbor::new(id, n.distance)
-                })
-                .collect()
-        });
-        let entry = query_heaps
+        let query_heap = query_heaps
             .entry(assignment.query)
             .or_insert_with(|| TopK::new(k));
-        for n in &resolved {
-            entry.push(n.id, n.distance);
-        }
+        ctx.sequential("topk", |t| {
+            for n in merged_local.into_sorted() {
+                let raw = t.mram_read(ids_addr + (n.id as usize) * 8, 8);
+                let id = u64::from_le_bytes(raw.try_into().expect("8-byte id"));
+                query_heap.push(id, n.distance);
+            }
+        });
     }
 
     // ---- Result write-back ------------------------------------------------
+    output.partials = query_heaps
+        .into_iter()
+        .map(|(q, h)| (q, h.into_sorted()))
+        .collect();
     let slot = mailbox_slot_bytes(k);
     let mut mailbox = Vec::with_capacity(plan.queries.len() * slot);
     for &q in &plan.queries {
         mailbox.extend_from_slice(&(q as u32).to_le_bytes());
-        let sorted = query_heaps
-            .get(&q)
-            .map(|h| h.sorted())
-            .unwrap_or_default();
+        // `partials` is in ascending query order (it came out of a BTreeMap).
+        let sorted = output
+            .partials
+            .binary_search_by_key(&q, |(query, _)| *query)
+            .map_or(&[][..], |i| &output.partials[i].1[..]);
         for i in 0..k {
             if let Some(n) = sorted.get(i) {
                 mailbox.extend_from_slice(&n.id.to_le_bytes());
@@ -429,11 +472,6 @@ pub fn run_batch_kernel(
     ctx.mram_write("result_write", store.mailbox_addr, &mailbox)
         .expect("mailbox region allocated by the builder");
     output.mailbox_bytes_written = mailbox.len();
-
-    output.partials = query_heaps
-        .into_iter()
-        .map(|(q, h)| (q, h.into_sorted()))
-        .collect();
     output
 }
 
@@ -729,6 +767,56 @@ mod tests {
             if m <= 2048 {
                 assert_eq!(rb, config.mram_read_bytes(m));
             }
+        }
+    }
+
+    #[test]
+    fn per_tasklet_regions_are_named_by_tasklet_id() {
+        for t in 0..MAX_TASKLETS {
+            assert_eq!(READBUF_REGIONS[t], format!("readbuf{t}"));
+            assert_eq!(HEAP_REGIONS[t], format!("heap{t}"));
+        }
+    }
+
+    #[test]
+    fn wram_peak_follows_the_figure_6_reuse_schedule() {
+        // Codebook + LUT first; the codebook is freed before the combination
+        // sums, the per-tasklet read buffers and the heaps are allocated, so
+        // the launch's peak is the larger of phase 1 and phase 3 — never
+        // their sum.
+        let fix = fixture();
+        let (m, k) = (fix.index.m(), 10);
+        for tasklets in [1usize, 11, 24] {
+            let config = UpAnnsConfig::upanns().with_tasklets(tasklets);
+            let mut sys = PimSystem::new(PimConfig::with_dpus(1));
+            let (store, combos) = build_store(&mut sys, &fix.index, true, k, 4);
+            let plan = plan_for_queries(&fix.index, &fix.data, &[5, 300], 8);
+            let shared = KernelShared {
+                pq: fix.index.pq(),
+                combos: &combos,
+                config: &config,
+                k,
+                scan_backend: annkit::simd::active(),
+            };
+            sys.execute("search", |ctx| {
+                run_batch_kernel(ctx, &store, &plan, &shared);
+            });
+            let max_combos = combos.values().map(|t| t.len()).max().unwrap();
+            assert!(max_combos > 0, "the fixture must mine combinations");
+            let wplan = WramPlan::plan(&WramPlanInput::new(
+                fix.index.dim(),
+                m,
+                k,
+                max_combos,
+                tasklets,
+                kernel_read_bytes(&config, m),
+            ))
+            .unwrap();
+            assert_eq!(
+                sys.dpu(0).stats().wram_peak_bytes,
+                wplan.phase1_peak.max(wplan.phase3_peak),
+                "{tasklets} tasklets"
+            );
         }
     }
 

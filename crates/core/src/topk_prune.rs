@@ -46,6 +46,7 @@ impl MergeStats {
 pub fn merge_thread_local(locals: &[TopK], k: usize, prune: bool) -> (TopK, MergeStats) {
     let mut global = TopK::new(k);
     let mut stats = MergeStats::default();
+    let mut ascending: Vec<Neighbor> = Vec::with_capacity(k);
 
     for local in locals {
         if local.is_empty() {
@@ -54,7 +55,9 @@ pub fn merge_thread_local(locals: &[TopK], k: usize, prune: bool) -> (TopK, Merg
         stats.semaphore_ops += 1;
         // Convert the local max-heap into ascending order — the min-heap view
         // of Figure 9.
-        let ascending = local.sorted();
+        ascending.clear();
+        ascending.extend_from_slice(local.as_heap_slice());
+        ascending.sort_by(Neighbor::cmp);
         for (i, n) in ascending.iter().enumerate() {
             if prune && global.len() == k && n.distance >= global.threshold() {
                 // Everything further in this tasklet's heap is at least as

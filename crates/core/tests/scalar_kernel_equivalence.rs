@@ -5,28 +5,81 @@
 //! dispatcher and with each backend pinned explicitly, and requires
 //! identical ids and bitwise-identical distances everywhere — including
 //! against the host-side `IvfPqIndex::search` reference.
+//!
+//! Both payload encodings are staged: `PlainU8` (PIM-naive) and the `CaeU16`
+//! direct-address stream the UpANNS engine actually runs. For the latter the
+//! kernel's blocked range scan + batch top-k insert is held against a
+//! per-record reference (`CaeList::adc_distance` + `TopK::push` per tasklet
+//! range, one `l2_squared` per LUT entry): ids, distance bits, the
+//! `KernelOutput` counters and `MergeStats` must all agree.
 
+use annkit::distance::l2_squared;
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
+use annkit::lut::LookupTable;
 use annkit::simd::{self, Backend};
 use annkit::synthetic::SyntheticSpec;
-use annkit::topk::Neighbor;
-use annkit::vector::residual;
+use annkit::topk::{Neighbor, TopK};
+use annkit::vector::{residual, Dataset};
 use pim_sim::config::PimConfig;
 use pim_sim::prelude::PimSystem;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use upanns::config::UpAnnsConfig;
+use upanns::cooccurrence::{mine_cluster_combos, ComboTable, MiningParams};
+use upanns::encoding::CaeList;
 use upanns::kernel::{
-    mailbox_slot_bytes, run_batch_kernel, ClusterReplica, DpuBatchPlan, DpuStore, KernelShared,
-    ListEncoding,
+    mailbox_slot_bytes, run_batch_kernel, ClusterReplica, DpuBatchPlan, DpuStore, KernelOutput,
+    KernelShared, ListEncoding,
 };
 use upanns::scheduling::Assignment;
+use upanns::topk_prune::merge_thread_local;
 
-fn run_kernel(backend: Backend, k: usize) -> Vec<(usize, Vec<Neighbor>)> {
+const QUERY_ROWS: [usize; 3] = [7, 250, 800];
+
+fn fixture() -> (Dataset, IvfPqIndex) {
     let data = SyntheticSpec::sift_like(1200)
         .with_clusters(8)
         .with_seed(19)
         .generate();
     let index = IvfPqIndex::train(&data, &IvfPqParams::new(8, 16).with_train_size(600), 3);
+    (data, index)
+}
+
+fn plan_for(data: &Dataset, index: &IvfPqIndex) -> DpuBatchPlan {
+    let mut plan = DpuBatchPlan::default();
+    for (qi, &row) in QUERY_ROWS.iter().enumerate() {
+        let q = data.vector(row);
+        for (c, _) in index.filter_clusters(q, 8) {
+            plan.assignments.push(Assignment { query: qi, cluster: c });
+            plan.residuals.push(residual(q, index.coarse().centroid(c)));
+        }
+        plan.queries.push(qi);
+    }
+    plan
+}
+
+/// Mined combination table and encoded list of every non-empty cluster.
+fn encode_lists(index: &IvfPqIndex) -> (HashMap<usize, ComboTable>, HashMap<usize, CaeList>) {
+    let mut combos = HashMap::new();
+    let mut lists = HashMap::new();
+    for c in 0..index.nlist() {
+        let list = index.list(c);
+        if list.is_empty() {
+            continue;
+        }
+        let table = mine_cluster_combos(list.packed_codes(), index.m(), &MiningParams::default());
+        lists.insert(c, CaeList::encode(list.packed_codes(), index.m(), &table));
+        combos.insert(c, table);
+    }
+    (combos, lists)
+}
+
+fn run_kernel(backend: Backend, k: usize, cae: bool) -> KernelOutput {
+    let (data, index) = fixture();
+    let (combos, mut cae_lists) = if cae {
+        encode_lists(&index)
+    } else {
+        (HashMap::new(), HashMap::new())
+    };
 
     let mut sys = PimSystem::new(PimConfig::with_dpus(1));
     let mut store = DpuStore::default();
@@ -48,7 +101,10 @@ fn run_kernel(backend: Backend, k: usize) -> Vec<(usize, Vec<Neighbor>)> {
         }
         let ids_addr = sys.mram_alloc(0, ids_bytes.len()).unwrap();
         sys.dpu_mut(0).mram_mut().write(ids_addr, &ids_bytes).unwrap();
-        let codes = list.packed_codes().to_vec();
+        let (codes, encoding) = match cae_lists.remove(&c) {
+            Some(cae_list) => (cae_list.to_bytes(), ListEncoding::CaeU16(cae_list)),
+            None => (list.packed_codes().to_vec(), ListEncoding::PlainU8),
+        };
         let codes_addr = sys.mram_alloc(0, codes.len()).unwrap();
         sys.dpu_mut(0).mram_mut().write(codes_addr, &codes).unwrap();
         store.replicas.insert(
@@ -59,7 +115,7 @@ fn run_kernel(backend: Backend, k: usize) -> Vec<(usize, Vec<Neighbor>)> {
                 ids_addr,
                 codes_addr,
                 codes_bytes: codes.len(),
-                encoding: ListEncoding::PlainU8,
+                encoding,
             },
         );
     }
@@ -68,18 +124,12 @@ fn run_kernel(backend: Backend, k: usize) -> Vec<(usize, Vec<Neighbor>)> {
     store.mailbox_bytes = 4 * mailbox_slot_bytes(k);
     store.mailbox_addr = sys.mram_alloc(0, store.mailbox_bytes).unwrap();
 
-    let mut plan = DpuBatchPlan::default();
-    for (qi, &row) in [7usize, 250, 800].iter().enumerate() {
-        let q = data.vector(row);
-        for (c, _) in index.filter_clusters(q, 8) {
-            plan.assignments.push(Assignment { query: qi, cluster: c });
-            plan.residuals.push(residual(q, index.coarse().centroid(c)));
-        }
-        plan.queries.push(qi);
-    }
-
-    let config = UpAnnsConfig::pim_naive();
-    let combos = HashMap::new();
+    let plan = plan_for(&data, &index);
+    let config = if cae {
+        UpAnnsConfig::upanns()
+    } else {
+        UpAnnsConfig::pim_naive()
+    };
     let shared = KernelShared {
         pq: index.pq(),
         combos: &combos,
@@ -87,23 +137,101 @@ fn run_kernel(backend: Backend, k: usize) -> Vec<(usize, Vec<Neighbor>)> {
         k,
         scan_backend: backend,
     };
-    let mut partials = Vec::new();
+    let mut output = KernelOutput::default();
     sys.execute("search", |ctx| {
-        partials = run_batch_kernel(ctx, &store, &plan, &shared).partials;
+        output = run_batch_kernel(ctx, &store, &plan, &shared);
     });
 
     // The host-side reference must agree on ids for every query too (the
-    // kernel scans exactly the probed clusters).
-    for (qi, &row) in [7usize, 250, 800].iter().enumerate() {
-        let reference = index.search(data.vector(row), 8, k);
-        let got = &partials.iter().find(|(q, _)| *q == qi).unwrap().1;
-        assert_eq!(
-            got.iter().map(|n| n.id).collect::<Vec<_>>(),
-            reference.iter().map(|n| n.id).collect::<Vec<_>>(),
-            "query {qi} disagrees with host reference on {backend:?}"
-        );
+    // kernel scans exactly the probed clusters). With combination sums the
+    // distances differ from the plain ADC sum by float rounding, so the CAE
+    // arm is held to its own per-record reference instead.
+    if !cae {
+        for (qi, &row) in QUERY_ROWS.iter().enumerate() {
+            let reference = index.search(data.vector(row), 8, k);
+            let got = &output.partials.iter().find(|(q, _)| *q == qi).unwrap().1;
+            assert_eq!(
+                got.iter().map(|n| n.id).collect::<Vec<_>>(),
+                reference.iter().map(|n| n.id).collect::<Vec<_>>(),
+                "query {qi} disagrees with host reference on {backend:?}"
+            );
+        }
     }
-    partials
+    output
+}
+
+/// What the kernel must compute on the `CaeU16` arm, one record at a time:
+/// every LUT entry its own `l2_squared`, every record `adc_distance` +
+/// `push` into its tasklet's heap, then the pruned merge and the id lookup.
+fn cae_reference(k: usize) -> KernelOutput {
+    let (data, index) = fixture();
+    let (combos, cae_lists) = encode_lists(&index);
+    let plan = plan_for(&data, &index);
+    let config = UpAnnsConfig::upanns();
+    let pq = index.pq();
+    let mut output = KernelOutput::default();
+    let mut query_heaps: BTreeMap<usize, TopK> = BTreeMap::new();
+    for (assignment, residual) in plan.assignments.iter().zip(&plan.residuals) {
+        let lut = LookupTable::build(pq, residual);
+        for sub in 0..pq.m() {
+            let rv = &residual[sub * pq.dsub()..(sub + 1) * pq.dsub()];
+            for code in 0..=255u8 {
+                assert_eq!(
+                    lut.get(sub, code).to_bits(),
+                    l2_squared(rv, pq.centroid(sub, code)).to_bits()
+                );
+            }
+        }
+        let cae = &cae_lists[&assignment.cluster];
+        let sums = combos[&assignment.cluster].partial_sums(&lut);
+        let n = cae.len();
+        let per_tasklet = n.div_ceil(config.tasklets);
+        let mut locals = Vec::new();
+        for t in 0..config.tasklets {
+            let mut heap = TopK::new(k);
+            for v in (t * per_tasklet).min(n)..((t + 1) * per_tasklet).min(n) {
+                heap.push(v as u64, cae.adc_distance(v, &lut, &sums));
+                output.candidates_scanned += 1;
+                output.lut_lookups += cae.record(v).len() as u64;
+                let (first, last) = cae.record_byte_range(v);
+                output.code_bytes_read += (last - first) as u64;
+            }
+            locals.push(heap);
+        }
+        let (merged, stats) = merge_thread_local(&locals, k, config.topk_pruning);
+        output.merge_stats.comparisons += stats.comparisons;
+        output.merge_stats.insertions += stats.insertions;
+        output.merge_stats.pruned += stats.pruned;
+        output.merge_stats.semaphore_ops += stats.semaphore_ops;
+        let ids = index.list(assignment.cluster).ids();
+        let heap = query_heaps
+            .entry(assignment.query)
+            .or_insert_with(|| TopK::new(k));
+        for neighbor in merged.into_sorted() {
+            heap.push(ids[neighbor.id as usize], neighbor.distance);
+        }
+    }
+    output.partials = query_heaps
+        .into_iter()
+        .map(|(q, h)| (q, h.into_sorted()))
+        .collect();
+    output
+}
+
+fn assert_same_answers(a: &[(usize, Vec<Neighbor>)], b: &[(usize, Vec<Neighbor>)], what: &str) {
+    assert_eq!(a.len(), b.len());
+    for ((qa, na), (qb, nb)) in a.iter().zip(b) {
+        assert_eq!(qa, qb);
+        assert_eq!(na.len(), nb.len());
+        for (x, y) in na.iter().zip(nb) {
+            assert_eq!(x.id, y.id, "query {qa}: {what} changed an id");
+            assert_eq!(
+                x.distance.to_bits(),
+                y.distance.to_bits(),
+                "query {qa}: {what} changed a distance bit pattern"
+            );
+        }
+    }
 }
 
 #[test]
@@ -117,19 +245,23 @@ fn kernel_answers_identical_across_backends_and_dispatch() {
     );
     assert_eq!(simd::active(), Backend::Scalar);
 
-    let scalar = run_kernel(Backend::Scalar, 10);
-    let vectorized = run_kernel(simd::detect(), 10);
-    assert_eq!(scalar.len(), vectorized.len());
-    for ((qa, na), (qb, nb)) in scalar.iter().zip(&vectorized) {
-        assert_eq!(qa, qb);
-        assert_eq!(na.len(), nb.len());
-        for (a, b) in na.iter().zip(nb) {
-            assert_eq!(a.id, b.id, "query {qa}: SIMD routing changed an id");
-            assert_eq!(
-                a.distance.to_bits(),
-                b.distance.to_bits(),
-                "query {qa}: SIMD routing changed a distance bit pattern"
-            );
-        }
+    let scalar = run_kernel(Backend::Scalar, 10, false);
+    let vectorized = run_kernel(simd::detect(), 10, false);
+    assert_same_answers(&scalar.partials, &vectorized.partials, "SIMD routing");
+
+    // The CaeU16 arm, on both backends, against the per-record reference.
+    let reference = cae_reference(10);
+    assert!(
+        reference.lut_lookups < reference.candidates_scanned * 16,
+        "the fixture must exercise combination entries"
+    );
+    assert!(reference.merge_stats.pruned > 0, "the fixture must exercise pruning");
+    for backend in [Backend::Scalar, simd::detect()] {
+        let got = run_kernel(backend, 10, true);
+        assert_same_answers(&got.partials, &reference.partials, "the blocked CAE scan");
+        assert_eq!(got.candidates_scanned, reference.candidates_scanned, "{backend:?}");
+        assert_eq!(got.lut_lookups, reference.lut_lookups, "{backend:?}");
+        assert_eq!(got.code_bytes_read, reference.code_bytes_read, "{backend:?}");
+        assert_eq!(got.merge_stats, reference.merge_stats, "{backend:?}");
     }
 }

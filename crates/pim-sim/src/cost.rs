@@ -104,19 +104,13 @@ pub fn align_dma(bytes: usize) -> usize {
 }
 
 /// Splits a logical transfer of `bytes` into the sequence of hardware DMA
-/// transfers needed (each ≤ 2048 B), returning their sizes.
-pub fn split_dma(bytes: usize) -> Vec<usize> {
-    if bytes == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut remaining = bytes;
-    while remaining > 0 {
-        let chunk = remaining.min(DMA_MAX_BYTES);
-        out.push(align_dma(chunk));
-        remaining -= chunk;
-    }
-    out
+/// transfers needed (each ≤ 2048 B), yielding their sizes: full 2 KB
+/// transfers first, then the aligned remainder. Allocation-free — every
+/// `charge_dma` of every tasklet walks it.
+pub fn split_dma(bytes: usize) -> impl Iterator<Item = usize> {
+    let full = bytes / DMA_MAX_BYTES;
+    let tail = bytes % DMA_MAX_BYTES;
+    std::iter::repeat_n(DMA_MAX_BYTES, full).chain((tail > 0).then(|| align_dma(tail)))
 }
 
 #[cfg(test)]
@@ -183,9 +177,12 @@ mod tests {
         assert_eq!(align_dma(8), 8);
         assert_eq!(align_dma(9), 16);
         assert_eq!(align_dma(5000), 2048);
-        assert_eq!(split_dma(0), Vec::<usize>::new());
-        assert_eq!(split_dma(100), vec![104]);
-        assert_eq!(split_dma(5000), vec![2048, 2048, 904]);
+        let split = |bytes| split_dma(bytes).collect::<Vec<usize>>();
+        assert_eq!(split(0), Vec::<usize>::new());
+        assert_eq!(split(100), vec![104]);
+        assert_eq!(split(2048), vec![2048]);
+        assert_eq!(split(4096), vec![2048, 2048]);
+        assert_eq!(split(5000), vec![2048, 2048, 904]);
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub struct TaskletCtx<'a> {
     dma_cycles: u64,
     dma_transfers: u64,
     mram_bytes_read: u64,
-    scratch: Vec<u8>,
 }
 
 impl<'a> TaskletCtx<'a> {
@@ -55,26 +54,21 @@ impl<'a> TaskletCtx<'a> {
             dma_cycles: 0,
             dma_transfers: 0,
             mram_bytes_read: 0,
-            scratch: Vec::new(),
         }
     }
 
-    /// Reads `len` bytes from MRAM at `addr` into the tasklet's WRAM buffer,
-    /// charging DMA latency (split into ≤ 2 KB hardware transfers). The
-    /// returned slice is valid until the next `mram_read` call.
+    /// Reads `len` bytes from MRAM at `addr`, charging DMA latency (split
+    /// into ≤ 2 KB hardware transfers). The returned slice borrows the MRAM
+    /// itself — it stands for the tasklet's WRAM buffer without a host-side
+    /// copy, and MRAM cannot change while a region runs.
     ///
     /// # Panics
     /// Panics if the read is out of bounds — that is a kernel bug, exactly as
     /// it would be on hardware.
-    pub fn mram_read(&mut self, addr: MramAddr, len: usize) -> &[u8] {
-        let bytes = self
-            .mram
-            .read(addr, len)
-            .unwrap_or_else(|e| panic!("tasklet {} MRAM read failed: {e}", self.tasklet_id));
-        self.scratch.clear();
-        self.scratch.extend_from_slice(bytes);
+    pub fn mram_read(&mut self, addr: MramAddr, len: usize) -> &'a [u8] {
+        let bytes = self.mram_read_uncharged(addr, len);
         self.charge_dma(len);
-        &self.scratch
+        bytes
     }
 
     /// Reads `len` bytes from MRAM at `addr` *without* charging DMA cycles.
@@ -86,14 +80,10 @@ impl<'a> TaskletCtx<'a> {
     ///
     /// # Panics
     /// Panics if the read is out of bounds.
-    pub fn mram_read_uncharged(&mut self, addr: MramAddr, len: usize) -> &[u8] {
-        let bytes = self
-            .mram
+    pub fn mram_read_uncharged(&self, addr: MramAddr, len: usize) -> &'a [u8] {
+        self.mram
             .read(addr, len)
-            .unwrap_or_else(|e| panic!("tasklet {} MRAM read failed: {e}", self.tasklet_id));
-        self.scratch.clear();
-        self.scratch.extend_from_slice(bytes);
-        &self.scratch
+            .unwrap_or_else(|e| panic!("tasklet {} MRAM read failed: {e}", self.tasklet_id))
     }
 
     /// Reads `len` bytes from MRAM into a caller-provided buffer.
@@ -102,12 +92,7 @@ impl<'a> TaskletCtx<'a> {
     /// Panics if `out.len() != len` or the read is out of bounds.
     pub fn mram_read_into(&mut self, addr: MramAddr, len: usize, out: &mut [u8]) {
         assert_eq!(out.len(), len, "output buffer size mismatch");
-        let bytes = self
-            .mram
-            .read(addr, len)
-            .unwrap_or_else(|e| panic!("tasklet {} MRAM read failed: {e}", self.tasklet_id));
-        out.copy_from_slice(bytes);
-        self.charge_dma(len);
+        out.copy_from_slice(self.mram_read(addr, len));
     }
 
     /// Charges the DMA cost of transferring `len` bytes without touching data
@@ -248,21 +233,22 @@ impl<'a> DpuKernelCtx<'a> {
             "tasklet count {tasklets} outside 1..=24"
         );
         let mut results = Vec::with_capacity(tasklets);
-        let mut per_tasklet_compute = Vec::with_capacity(tasklets);
+        let mut per_tasklet_compute = [0u64; crate::config::MAX_TASKLETS];
+        let per_tasklet_compute = &mut per_tasklet_compute[..tasklets];
         let mut total_dma = 0u64;
         let mut total_compute = 0u64;
         let mut dma_transfers = 0u64;
         let mut bytes_read = 0u64;
-        for t in 0..tasklets {
+        for (t, compute) in per_tasklet_compute.iter_mut().enumerate() {
             let mut ctx = TaskletCtx::new(t, self.dpu.mram(), self.cost);
             results.push(body(&mut ctx));
-            per_tasklet_compute.push(ctx.compute_cycles);
+            *compute = ctx.compute_cycles;
             total_compute += ctx.compute_cycles;
             total_dma += ctx.dma_cycles;
             dma_transfers += ctx.dma_transfers;
             bytes_read += ctx.mram_bytes_read;
         }
-        let compute_time = self.cost.region_compute_cycles(&per_tasklet_compute);
+        let compute_time = self.cost.region_compute_cycles(per_tasklet_compute);
         let barrier = self.cost.barrier_cycles_per_tasklet * tasklets as u64;
         // DMA overlaps with other tasklets' compute but serializes on the
         // engine: the region lasts as long as the longer of the two.

@@ -47,10 +47,14 @@ impl std::fmt::Display for WramError {
 impl std::error::Error for WramError {}
 
 /// A capacity-enforcing, named-region WRAM allocator.
+///
+/// Region names are `&'static str`: a kernel's layout is a fixed set of
+/// regions known at compile time, and an owned name per `alloc` was a heap
+/// allocation per tasklet per assignment on the kernel's hot path.
 #[derive(Debug, Clone)]
 pub struct WramAllocator {
     capacity: usize,
-    regions: BTreeMap<String, usize>,
+    regions: BTreeMap<&'static str, usize>,
     in_use: usize,
     peak: usize,
 }
@@ -92,7 +96,7 @@ impl WramAllocator {
     }
 
     /// Allocates a named region of `bytes`.
-    pub fn alloc(&mut self, region: &str, bytes: usize) -> Result<(), WramError> {
+    pub fn alloc(&mut self, region: &'static str, bytes: usize) -> Result<(), WramError> {
         if self.regions.contains_key(region) {
             return Err(WramError::DuplicateRegion(region.to_string()));
         }
@@ -103,7 +107,7 @@ impl WramAllocator {
                 available: self.available(),
             });
         }
-        self.regions.insert(region.to_string(), bytes);
+        self.regions.insert(region, bytes);
         self.in_use += bytes;
         self.peak = self.peak.max(self.in_use);
         Ok(())
@@ -127,11 +131,8 @@ impl WramAllocator {
     }
 
     /// Names of all live regions (sorted).
-    pub fn regions(&self) -> Vec<(String, usize)> {
-        self.regions
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
+    pub fn regions(&self) -> Vec<(&'static str, usize)> {
+        self.regions.iter().map(|(k, v)| (*k, *v)).collect()
     }
 
     /// Frees everything and clears the peak statistic.
