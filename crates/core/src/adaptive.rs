@@ -18,7 +18,7 @@
 //! [`with_placement`](crate::builder::UpAnnsBuilder::with_placement), so a
 //! serving loop can periodically re-derive frequencies from recent traffic,
 //! call [`plan_adaptation`], and rebuild only when needed (see
-//! `examples/adaptive_serving.rs`).
+//! `tests/adaptive_and_robustness.rs`).
 
 use crate::placement::{place_pim_aware, Placement, PlacementInput};
 use baselines::engine::{SearchRequest, SearchResponse};
@@ -489,7 +489,7 @@ fn usize_max_or(v: usize) -> usize {
 /// per-probe cost
 /// estimate starts from a prior and is recalibrated from observed responses
 /// with an exponential moving average, so the policy tracks the engine it
-/// actually runs against (see `examples/adaptive_serving.rs`).
+/// actually runs against (see `examples/serving.rs`).
 #[derive(Debug, Clone)]
 pub struct NprobePolicy {
     /// Lower bound on the selected `nprobe` (recall floor).

@@ -164,8 +164,8 @@ impl CaeList {
     /// Computes the ADC distance of vector `i` given a LUT and the cluster's
     /// cached combo partial sums (must come from the same [`ComboTable`] the
     /// list was encoded with). The per-record definition of the arithmetic
-    /// the DPU kernel executes — the oracle [`adc_scan_range`]
-    /// (Self::adc_scan_range) is tested against, bit for bit.
+    /// the DPU kernel executes — the oracle
+    /// [`adc_scan_range`](Self::adc_scan_range) is tested against, bit for bit.
     pub fn adc_distance(&self, i: usize, lut: &LookupTable, combo_sums: &[f32]) -> f32 {
         let mut sum = 0.0f32;
         for &entry in self.record(i) {

@@ -98,7 +98,7 @@ fn host_merge_seconds(host: &CpuSpec, partials: usize, k: usize) -> f64 {
 }
 
 /// The UpANNS search engine (also the PIM-naive baseline, depending on the
-/// [`UpAnnsConfig`](crate::config::UpAnnsConfig) it was built with).
+/// [`UpAnnsConfig`] it was built with).
 pub struct UpAnnsEngine {
     timeline: SnapshotTimeline,
     /// One derived state per timeline entry (parallel to

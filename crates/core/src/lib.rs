@@ -19,8 +19,8 @@
 //! | Query-pattern drift adaptation (replica adjustment / full relocation) | §4.1.2 | [`adaptive`] |
 //! | Latency-budget-aware per-query nprobe selection | §4.1.2 (request-time tier) | [`adaptive::NprobePolicy`] |
 //! | Live index mutation (epoch-snapshot serving + skew-triggered background compaction) | production extension | [`compaction`], `annkit::mutation` |
-//! | Multi-host scale-out (sharding + coordinator merge) | §5.5 | [`multihost`] |
-//! | Fault-tolerant replication (replica map, fault injection, hedging, elasticity) | §5.5 extension | [`replica`] |
+//! | Multi-host scale-out (sharding + interconnect model) | §5.5 | [`multihost`] |
+//! | The multi-host engine (coordinator merge; replica map, fault injection, hedging, elasticity) | §5.5 + extension | [`replica`] |
 //! | Serving front-end (admission, dynamic batching, result cache) | §5 (online phase) | `upanns-serve` crate |
 //! | SLO-driven adaptive batching (closed-loop max_delay/max_batch control) | §5 batching argument | `upanns-serve::controller` |
 //! | Multi-tenant serving (weighted-fair DRR admission, per-tenant SLO windows) | §5 multi-client setting | `upanns-serve::admission`, `upanns-serve::controller::ControllerBank` |
@@ -86,7 +86,7 @@ pub mod prelude {
     pub use crate::cooccurrence::{Combo, ComboTable, Element, MiningParams};
     pub use crate::encoding::CaeList;
     pub use crate::engine::UpAnnsEngine;
-    pub use crate::multihost::{shard_ranges, InterconnectModel, MultiHostUpAnns};
+    pub use crate::multihost::{shard_ranges, InterconnectModel};
     pub use crate::placement::{place_pim_aware, place_round_robin, Placement, PlacementInput};
     pub use crate::replica::{
         FaultEvent, FaultSchedule, MigrationPlan, ReplicaMap, ReplicaMapError,

@@ -5,27 +5,24 @@
 //! The paper's scalability discussion notes that UpANNS "can be easily
 //! extended to multi-host configurations. Only query distribution and result
 //! aggregation require cross-host communication. The core memory-intensive
-//! search operations remain local to each host." This module implements that
-//! extension on top of the single-host [`UpAnnsEngine`]:
+//! search operations remain local to each host." This module holds the two
+//! pieces of that extension that are not an engine:
 //!
-//! * the dataset is **sharded** — every host owns a disjoint slice of the
-//!   vectors (with globally unique ids), trains its own IVFPQ index over its
-//!   shard, and runs a full single-host UpANNS engine on its own DIMMs;
-//! * per batch, the coordinator **broadcasts** the query vectors to every
-//!   host, each host searches its shard in parallel, and the coordinator
-//!   **aggregates** the per-host top-k lists into the global answer;
-//! * the added cost is exactly the two network legs plus the final merge,
-//!   modeled by [`InterconnectModel`].
+//! * [`shard_ranges`] — the dataset is **sharded**: every host owns a
+//!   disjoint slice of the vectors (with globally unique ids), trains its own
+//!   IVFPQ index over its shard, and runs a full single-host
+//!   [`UpAnnsEngine`] on its own DIMMs;
+//! * [`InterconnectModel`] — the cost of the two network legs (the
+//!   coordinator **broadcasts** the query vectors to every host and
+//!   **gathers** the per-host top-k lists).
 //!
-//! See `examples/multihost_scaleout.rs` for an end-to-end walk-through.
-
-use annkit::topk::{Neighbor, TopK};
-use baselines::engine::{AnnEngine, SearchRequest, SearchResponse};
-use baselines::workload_stats::WorkloadStats;
-use pim_sim::energy::EnergyModel;
-use pim_sim::stats::StageBreakdown;
+//! The engine that broadcasts, waits for the slowest shard, gathers and
+//! merges is [`ReplicatedMultiHost`]; the paper's deployment is its
+//! one-host-per-shard, `replicas = 1`, no-faults configuration
+//! (`ReplicatedMultiHost::new(engines, engines.len(), 1, interconnect)`).
 
 use crate::engine::UpAnnsEngine;
+use crate::replica::ReplicatedMultiHost;
 
 /// The network connecting the coordinator to the PIM hosts.
 #[derive(Debug, Clone)]
@@ -74,146 +71,23 @@ pub fn shard_ranges(n: usize, hosts: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// A multi-host UpANNS deployment: one single-host engine per shard plus the
-/// coordinator-side network and merge model.
-pub struct MultiHostUpAnns {
-    hosts: Vec<UpAnnsEngine>,
-    interconnect: InterconnectModel,
-    name: String,
-}
+/// Benchmark-pinned constructor of the paper's §5.5 deployment: one host per
+/// shard engine, no replication, no faults. A vestige — `benchmark/` names
+/// `MultiHostUpAnns::new` and is edited only by `[benchmark]` PRs; drop this
+/// at the next benchmark revision, like `LookupTable::adc_scan_with`.
+/// In-workspace code calls [`ReplicatedMultiHost::new`] directly.
+pub struct MultiHostUpAnns;
 
 impl MultiHostUpAnns {
-    /// Assembles a deployment from per-shard engines (each built by
-    /// [`UpAnnsBuilder`](crate::builder::UpAnnsBuilder) over that shard's
-    /// index, with globally unique vector ids).
+    /// `ReplicatedMultiHost::new(hosts, hosts.len(), 1, interconnect)`.
     ///
     /// # Panics
     /// Panics if no engines are supplied.
-    pub fn new(hosts: Vec<UpAnnsEngine>, interconnect: InterconnectModel) -> Self {
-        assert!(!hosts.is_empty(), "a deployment needs at least one host");
-        let name = format!("UpANNS x{} hosts", hosts.len());
-        Self {
-            hosts,
-            interconnect,
-            name,
-        }
-    }
-
-    /// Number of hosts.
-    pub fn num_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// The per-host engines (for inspection).
-    pub fn hosts(&self) -> &[UpAnnsEngine] {
-        &self.hosts
-    }
-
-    /// The interconnect model in use.
-    pub fn interconnect(&self) -> &InterconnectModel {
-        &self.interconnect
-    }
-
-    /// The worst per-host DPU balance ratio of the last batch. Non-finite
-    /// per-host values (a host that has not executed anything since its
-    /// engine was rebuilt, or a degenerate 0/0 workload ratio) are discarded
-    /// rather than poisoning the max, so the value stays well-defined when
-    /// the host set changes between batches; with no finite contribution it
-    /// is 1.0 (perfectly balanced, vacuously).
-    pub fn last_balance_ratio(&self) -> f64 {
-        self.hosts
-            .iter()
-            .map(|h| h.last_balance_ratio())
-            .filter(|r| r.is_finite())
-            .fold(1.0f64, f64::max)
-    }
-}
-
-impl AnnEngine for MultiHostUpAnns {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn execute(&mut self, request: &SearchRequest) -> SearchResponse {
-        if request.is_empty() {
-            return SearchResponse::empty(request.id);
-        }
-        let queries = request.queries();
-        let peers = self.hosts.len().saturating_sub(1);
-        let query_bytes = queries.len() * queries.dim() * 4;
-        let broadcast_s = self.interconnect.transfer_seconds(query_bytes, peers);
-
-        // Every host receives the full request (per-query options included)
-        // and searches its shard in parallel: the search leg lasts as long as
-        // the slowest host.
-        let mut host_outcomes = Vec::with_capacity(self.hosts.len());
-        for host in self.hosts.iter_mut() {
-            host_outcomes.push(host.execute(request));
-        }
-        let search_s = host_outcomes
-            .iter()
-            .map(|o| o.seconds)
-            .fold(0.0f64, f64::max);
-
-        // Result aggregation: each peer returns k_i neighbors for query i;
-        // the coordinator merges all lists under the query's own k.
-        let returned_k: usize = request.options().iter().map(|o| o.k).sum();
-        let result_bytes = returned_k * 12;
-        let gather_s = self.interconnect.transfer_seconds(result_bytes, peers);
-        let merge_ops = (self.hosts.len() * returned_k) as f64;
-        let merge_s = merge_ops * 8.0 / 2.1e9; // scalar heap ops on the coordinator CPU
-
-        let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(queries.len());
-        for (q, opt) in request.options().iter().enumerate() {
-            let mut heap = TopK::new(opt.k);
-            for outcome in &host_outcomes {
-                for n in &outcome.results[q] {
-                    heap.push(n.id, n.distance);
-                }
-            }
-            results.push(heap.into_sorted());
-        }
-
-        let mut breakdown = StageBreakdown::new();
-        breakdown.add("query_broadcast", broadcast_s);
-        // Fold the slowest host's stage breakdown in, scaled to the search leg.
-        let critical = host_outcomes
-            .iter()
-            .max_by(|a, b| a.seconds.partial_cmp(&b.seconds).unwrap_or(std::cmp::Ordering::Equal))
-            .expect("at least one host");
-        let critical_total = critical.breakdown.total().max(f64::MIN_POSITIVE);
-        for (label, secs) in critical.breakdown.entries() {
-            breakdown.add(&label, secs / critical_total * search_s);
-        }
-        breakdown.add("result_gather", gather_s);
-        breakdown.add("coordinator_merge", merge_s);
-
-        let mut stats = WorkloadStats::default();
-        for o in &host_outcomes {
-            stats.merge(&o.stats);
-        }
-        stats.queries = queries.len();
-        stats.k = request.max_k();
-        stats.nprobe = request.options().iter().map(|o| o.nprobe).max().unwrap_or(0);
-
-        SearchResponse {
-            request_id: request.id,
-            results,
-            seconds: broadcast_s + search_s + gather_s + merge_s,
-            breakdown,
-            stats,
-        }
-    }
-
-    fn energy_model(&self) -> EnergyModel {
-        let mut watts = 0.0;
-        let mut price = 0.0;
-        for host in &self.hosts {
-            let m = host.energy_model();
-            watts += m.peak_watts;
-            price += m.price_usd;
-        }
-        EnergyModel::new(self.name.clone(), watts, price)
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(hosts: Vec<UpAnnsEngine>, interconnect: InterconnectModel) -> ReplicatedMultiHost {
+        let n = hosts.len();
+        ReplicatedMultiHost::new(hosts, n, 1, interconnect)
+            .expect("a deployment needs at least one host")
     }
 }
 
@@ -223,21 +97,23 @@ mod tests {
     use crate::builder::{BatchCapacity, UpAnnsBuilder};
     use crate::config::UpAnnsConfig;
     use annkit::flat::FlatIndex;
-    use annkit::vector::Dataset;
     use annkit::ivf::{IvfPqIndex, IvfPqParams};
     use annkit::recall::recall_at_k;
     use annkit::synthetic::SyntheticSpec;
+    use annkit::vector::Dataset;
+    use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
     use pim_sim::config::PimConfig;
+    use std::sync::OnceLock;
 
     /// Compile-time Send audit: a multi-host deployment is a vector of
-    /// single-host engines plus plain interconnect parameters, so it is
-    /// `Send` exactly when `UpAnnsEngine` is (see `upanns_engine_is_send`).
+    /// single-host engines plus plain placement, fault and interconnect
+    /// data, so it is `Send` exactly when `UpAnnsEngine` is (see
+    /// `upanns_engine_is_send`).
     #[test]
     fn multihost_engine_is_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<MultiHostUpAnns>();
+        assert_send::<ReplicatedMultiHost>();
     }
-    use std::sync::OnceLock;
 
     struct Deployment {
         data: Dataset,
@@ -287,6 +163,18 @@ mod tests {
             .build()
     }
 
+    /// One 8-DPU host per shard, no faults; `replicas = 1` is the paper's
+    /// deployment.
+    fn deploy(
+        shards: &[IvfPqIndex],
+        replicas: usize,
+        interconnect: InterconnectModel,
+    ) -> ReplicatedMultiHost {
+        let engines: Vec<UpAnnsEngine> = shards.iter().map(|ix| host_engine(ix, 8)).collect();
+        ReplicatedMultiHost::new(engines, shards.len(), replicas, interconnect)
+            .expect("valid shape")
+    }
+
     #[test]
     fn shard_ranges_cover_everything_without_overlap() {
         let ranges = shard_ranges(10, 3);
@@ -309,10 +197,8 @@ mod tests {
     #[test]
     fn two_hosts_return_global_ids_and_sane_recall() {
         let dep = deployment();
-        let hosts: Vec<UpAnnsEngine> =
-            dep.shards.iter().map(|ix| host_engine(ix, 8)).collect();
-        let mut multi = MultiHostUpAnns::new(hosts, InterconnectModel::default());
-        assert_eq!(multi.num_hosts(), 2);
+        let mut multi = deploy(&dep.shards, 1, InterconnectModel::default());
+        assert_eq!(multi.live_hosts(), Some(2));
 
         let queries = dep.data.gather(&(0..24).map(|i| i * 113 % 3000).collect::<Vec<_>>());
         let out = multi.search_batch(&queries, 6, 10);
@@ -342,26 +228,48 @@ mod tests {
     #[test]
     fn search_time_includes_network_and_slowest_host() {
         let dep = deployment();
-        let hosts: Vec<UpAnnsEngine> =
-            dep.shards.iter().map(|ix| host_engine(ix, 8)).collect();
-        let mut multi = MultiHostUpAnns::new(hosts, InterconnectModel::default());
+        let net = InterconnectModel::default();
+        let mut multi = deploy(&dep.shards, 1, net.clone());
         let queries = dep.data.gather(&[1, 2, 3, 4]);
-        let out = multi.search_batch(&queries, 4, 5);
-        assert!(out.breakdown.seconds("query_broadcast") > 0.0);
-        assert!(out.breakdown.seconds("result_gather") > 0.0);
-        assert!(out.breakdown.seconds("coordinator_merge") > 0.0);
-        assert!(out.seconds >= out.breakdown.seconds("query_broadcast"));
+        let options = vec![QueryOptions::new(5, 4); 4];
+        // Dispatched at a non-zero simulated time: the engine works on the
+        // absolute clock internally, the response must not.
+        let request = SearchRequest::new(queries.clone(), options).with_at(7.5);
+        let out = multi.execute(&request);
+
+        // With hosts == shards, r = 1 and no faults the response is exactly
+        // the paper's four legs: broadcast, the slowest shard, gather, merge.
+        let slowest = dep
+            .shards
+            .iter()
+            .map(|ix| host_engine(ix, 8).execute(&request).seconds)
+            .fold(0.0f64, f64::max);
+        let broadcast = net.transfer_seconds(4 * queries.dim() * 4, 1);
+        let gather = net.transfer_seconds(4 * 5 * 12, 1);
+        let merge = (2 * 4 * 5) as f64 * 8.0 / 2.1e9;
+        let expected = broadcast + slowest + gather + merge;
+        // Relative, not bitwise: `(start + s) - start` need not equal `s`.
+        assert!(
+            (out.seconds - expected).abs() <= 1e-12 * expected,
+            "modeled {} s, four legs sum to {expected} s",
+            out.seconds
+        );
+        assert_eq!(out.breakdown.seconds("query_broadcast"), broadcast);
+        assert_eq!(out.breakdown.seconds("result_gather"), gather);
+        assert_eq!(out.breakdown.seconds("coordinator_merge"), merge);
+        assert!(broadcast > 0.0 && gather > 0.0 && merge > 0.0);
+        assert_eq!(
+            (out.stats.degraded, out.stats.hedged, out.stats.redispatched),
+            (0, 0, 0)
+        );
         assert!(out.qps() > 0.0);
 
         // A slower fabric makes the same batch slower, all else equal.
-        let hosts2: Vec<UpAnnsEngine> =
-            dep.shards.iter().map(|ix| host_engine(ix, 8)).collect();
         let slow = InterconnectModel {
             bandwidth_bytes_per_s: 1e6,
             latency_s: 5e-3,
         };
-        let mut slow_multi = MultiHostUpAnns::new(hosts2, slow);
-        let slow_out = slow_multi.search_batch(&queries, 4, 5);
+        let slow_out = deploy(&dep.shards, 1, slow).execute(&request);
         assert!(slow_out.seconds > out.seconds);
         // The answers do not depend on the fabric.
         for (a, b) in out.results.iter().zip(&slow_out.results) {
@@ -375,19 +283,18 @@ mod tests {
     #[test]
     fn energy_model_aggregates_hosts() {
         let dep = deployment();
-        let one = MultiHostUpAnns::new(
-            vec![host_engine(&dep.shards[0], 8)],
-            InterconnectModel::default(),
-        );
-        let two = MultiHostUpAnns::new(
-            dep.shards.iter().map(|ix| host_engine(ix, 8)).collect(),
-            InterconnectModel::default(),
-        );
+        let one = deploy(&dep.shards[..1], 1, InterconnectModel::default());
+        let two = deploy(&dep.shards, 1, InterconnectModel::default());
         let e1 = one.energy_model();
         let e2 = two.energy_model();
         assert!((e2.peak_watts - 2.0 * e1.peak_watts).abs() < 1e-9);
         assert!(e2.price_usd > e1.price_usd);
-        assert_eq!(two.name(), "UpANNS x2 hosts");
+        assert_eq!(two.name(), "UpANNS x2 hosts r1 (2 shards)");
+
+        // Two replicas store and power every shard's DPUs twice.
+        let e2x = deploy(&dep.shards, 2, InterconnectModel::default()).energy_model();
+        assert!((e2x.peak_watts - 2.0 * e2.peak_watts).abs() < 1e-9);
+        assert!((e2x.price_usd - 2.0 * e2.price_usd).abs() < 1e-9);
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Fault-tolerant replicated multihost serving (ROADMAP item 4).
+//! The multi-host engine (§5.5), with replication and fault tolerance.
 //!
-//! [`MultiHostUpAnns`](crate::multihost::MultiHostUpAnns) assumes every host
-//! is healthy forever. This module drops that assumption:
+//! The paper's multi-host extension needs exactly two cross-host legs —
+//! query distribution and result aggregation — and [`ReplicatedMultiHost`] is
+//! the one engine that models them: broadcast the request, wait for the
+//! slowest shard, gather the per-shard top-k lists, merge. The paper's own
+//! deployment (one host per shard, every host healthy forever) is the
+//! `replicas = 1`, empty-[`FaultSchedule`] configuration; everything else
+//! here is what that configuration leaves switched off:
 //!
 //! * [`ReplicaMap`] places every shard on `r ≥ 1` hosts (ring placement over
-//!   the existing [`shard_ranges`](crate::multihost::shard_ranges) shards),
-//!   and rebalances with an explicit [`MigrationPlan`] when the host count
+//!   the [`shard_ranges`](crate::multihost::shard_ranges) shards), and
+//!   rebalances with an explicit [`MigrationPlan`] when the host count
 //!   changes;
 //! * [`FaultSchedule`] injects host down/up events at *simulated* times — no
 //!   wall clock, so the `upanns-lint` determinism rules and the runtime's
@@ -13,12 +18,12 @@
 //!   [`SearchRequest::at`](baselines::engine::SearchRequest::at), which the
 //!   serving layers set to the batch close time (identical between the
 //!   discrete-event replay and the threaded twin);
-//! * [`ReplicatedMultiHost`] is the engine: per batch it picks one live
-//!   replica per shard, re-dispatches a shard **exactly once** to a surviving
-//!   replica when its host dies with the work in flight (stalling until the
-//!   outage ends when nobody survives), hedges a shard to a second replica
-//!   when the primary's modeled completion exceeds the hedging budget, and
-//!   merges per-query top-k lists (dedup by id) across shards.
+//! * per batch the engine picks one live replica per shard, re-dispatches a
+//!   shard **exactly once** to a surviving replica when its host dies with
+//!   the work in flight (stalling until the outage ends when nobody
+//!   survives), hedges a shard to a second replica when the primary's modeled
+//!   completion exceeds the hedging budget, and merges per-query top-k lists
+//!   (dedup by id) across shards.
 //!
 //! **Answer purity.** Each shard is served by one underlying engine; which
 //! *host* answers only moves simulated time. The merged answers are therefore
@@ -417,6 +422,23 @@ impl ReplicatedMultiHost {
             .filter(|&h| self.host_live(h, t))
             .collect()
     }
+
+    /// The least-loaded live replica of `shard` at time `at` other than
+    /// `primary` (first in ring order on ties), if any.
+    fn least_loaded_other(
+        &self,
+        shard: usize,
+        primary: usize,
+        at: f64,
+        host_busy: &[f64],
+    ) -> Option<usize> {
+        self.live_replicas(shard, at)
+            .into_iter()
+            .filter(|&h| h != primary)
+            .fold(None, |best: Option<usize>, h| {
+                Some(best.map_or(h, |b| if host_busy[h] < host_busy[b] { h } else { b }))
+            })
+    }
 }
 
 impl AnnEngine for ReplicatedMultiHost {
@@ -475,21 +497,7 @@ impl AnnEngine for ReplicatedMultiHost {
                 // The host died with this shard in flight: move the work to a
                 // surviving replica exactly once (no second hop — a double
                 // failure inside one batch window keeps the late answer).
-                let fallback = self
-                    .map
-                    .hosts_of(s)
-                    .into_iter()
-                    .filter(|&h| h != primary && self.host_live(h, died_at))
-                    .fold(None, |best: Option<usize>, h| {
-                        Some(best.map_or(h, |b| {
-                            if host_busy[h] < host_busy[b] {
-                                h
-                            } else {
-                                b
-                            }
-                        }))
-                    });
-                match fallback {
+                match self.least_loaded_other(s, primary, died_at, &host_busy) {
                     Some(alt) => {
                         redispatched += 1;
                         let retry_start = died_at.max(start + host_busy[alt]);
@@ -516,21 +524,7 @@ impl AnnEngine for ReplicatedMultiHost {
                     if finish - t0 > budget {
                         // Straggler: clone the shard to the least-loaded
                         // other live replica; first finish wins.
-                        let alt = self
-                            .map
-                            .hosts_of(s)
-                            .into_iter()
-                            .filter(|&h| h != primary && self.host_live(h, t0))
-                            .fold(None, |best: Option<usize>, h| {
-                                Some(best.map_or(h, |b| {
-                                    if host_busy[h] < host_busy[b] {
-                                        h
-                                    } else {
-                                        b
-                                    }
-                                }))
-                            });
-                        if let Some(alt) = alt {
+                        if let Some(alt) = self.least_loaded_other(s, primary, t0, &host_busy) {
                             hedged += 1;
                             let hedge_finish = start + host_busy[alt] + shard_sec;
                             host_busy[alt] += shard_sec;
@@ -606,6 +600,8 @@ impl AnnEngine for ReplicatedMultiHost {
     }
 
     fn energy_model(&self) -> EnergyModel {
+        // Every replica stores and powers its shard's DPUs.
+        let copies = self.map.replicas() as f64;
         let mut watts = 0.0;
         let mut price = 0.0;
         for shard in &self.shards {
@@ -613,7 +609,7 @@ impl AnnEngine for ReplicatedMultiHost {
             watts += m.peak_watts;
             price += m.price_usd;
         }
-        EnergyModel::new(self.name.clone(), watts, price)
+        EnergyModel::new(self.name.clone(), copies * watts, copies * price)
     }
 
     /// Rebalances the replica map to `hosts` hosts at simulated time `now`,

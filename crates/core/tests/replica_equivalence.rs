@@ -1,6 +1,7 @@
 //! Replica-equivalence and fault-injection properties for
 //! [`ReplicatedMultiHost`] — the answer-purity contract the module docs
-//! state, checked against the unreplicated [`MultiHostUpAnns`] merge:
+//! state, checked against [`unreplicated_merge`], an oracle that shares no
+//! code with the engine:
 //!
 //! * **healthy equivalence** — with every host up, the replicated engine's
 //!   per-query ids *and* distance bit patterns are identical to the
@@ -23,7 +24,7 @@ use std::sync::OnceLock;
 
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
 use annkit::synthetic::SyntheticSpec;
-use annkit::topk::Neighbor;
+use annkit::topk::{Neighbor, TopK};
 use annkit::vector::Dataset;
 use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
 use pim_sim::config::PimConfig;
@@ -31,7 +32,7 @@ use proptest::prelude::*;
 use upanns::builder::{BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
-use upanns::multihost::{shard_ranges, InterconnectModel, MultiHostUpAnns};
+use upanns::multihost::{shard_ranges, InterconnectModel};
 use upanns::replica::{
     FaultEvent, FaultSchedule, ReplicaMap, ReplicaMapError, ReplicatedMultiHost,
 };
@@ -91,6 +92,28 @@ fn engines_for(shards: &[IvfPqIndex]) -> Vec<UpAnnsEngine> {
     shards.iter().map(shard_engine).collect()
 }
 
+/// The independent oracle: every shard engine answers the request on its
+/// own, and each query keeps its `k` best over all shards' lists. No hosts,
+/// no clock, no dedup — shard id ranges are disjoint by construction.
+fn unreplicated_merge(shards: &[IvfPqIndex], request: &SearchRequest) -> Vec<Vec<Neighbor>> {
+    let per_shard: Vec<Vec<Vec<Neighbor>>> = engines_for(shards)
+        .iter_mut()
+        .map(|engine| engine.execute(request).results)
+        .collect();
+    request
+        .options()
+        .iter()
+        .enumerate()
+        .map(|(q, opt)| {
+            let mut heap = TopK::new(opt.k);
+            for n in per_shard.iter().flat_map(|lists| &lists[q]) {
+                heap.push(n.id, n.distance);
+            }
+            heap.into_sorted()
+        })
+        .collect()
+}
+
 /// The option universe the properties mix (all inside the batch capacity).
 fn option_of(tag: u8) -> QueryOptions {
     match tag % 3 {
@@ -138,11 +161,7 @@ proptest! {
         let fx = fixture();
         let request = request_of(&rows, &tags, id, at);
 
-        let mut reference = MultiHostUpAnns::new(
-            engines_for(&fx.sharded[shards - 1]),
-            InterconnectModel::default(),
-        );
-        let expected = reference.execute(&request);
+        let expected = unreplicated_merge(&fx.sharded[shards - 1], &request);
 
         let mut replicated = ReplicatedMultiHost::new(
             engines_for(&fx.sharded[shards - 1]),
@@ -153,7 +172,7 @@ proptest! {
         .expect("valid shape");
         let got = replicated.execute(&request);
 
-        prop_assert_eq!(bits(&got.results), bits(&expected.results));
+        prop_assert_eq!(bits(&got.results), bits(&expected));
         prop_assert_eq!(got.stats.degraded, 0);
         prop_assert_eq!(got.stats.hedged, 0);
         prop_assert_eq!(got.stats.redispatched, 0);
@@ -205,10 +224,8 @@ proptest! {
             // than silently partial.
             prop_assert!(got.results.iter().all(Vec::is_empty));
         } else {
-            let mut reference =
-                MultiHostUpAnns::new(engines_for(&survivors), InterconnectModel::default());
-            let expected = reference.execute(&request);
-            prop_assert_eq!(bits(&got.results), bits(&expected.results));
+            let expected = unreplicated_merge(&survivors, &request);
+            prop_assert_eq!(bits(&got.results), bits(&expected));
         }
     }
 
@@ -231,11 +248,7 @@ proptest! {
         let fx = fixture();
         let request = request_of(&rows, &tags, id, at);
 
-        let mut reference = MultiHostUpAnns::new(
-            engines_for(&fx.sharded[shards - 1]),
-            InterconnectModel::default(),
-        );
-        let expected = reference.execute(&request);
+        let expected = unreplicated_merge(&fx.sharded[shards - 1], &request);
 
         let faults = FaultSchedule::new(vec![FaultEvent {
             host: down,
@@ -252,7 +265,7 @@ proptest! {
         .with_faults(faults);
         let got = replicated.execute(&request);
 
-        prop_assert_eq!(bits(&got.results), bits(&expected.results));
+        prop_assert_eq!(bits(&got.results), bits(&expected));
         prop_assert_eq!(got.stats.degraded, 0);
     }
 }
@@ -437,12 +450,9 @@ fn scale_to_conserves_replication_and_gates_fresh_hosts() {
     // unreplicated deployment over the same shards.
     let after = engine.execute(&request_of(&rows, &tags, 0, 5.0 + migration + 1.0));
     assert_eq!(after.stats.degraded, 0);
-    let mut reference = MultiHostUpAnns::new(
-        engines_for(&fx.sharded[2]),
-        InterconnectModel::default(),
-    );
-    let expected = reference.execute(&request_of(&rows, &tags, 0, 5.0 + migration + 1.0));
-    assert_eq!(bits(&after.results), bits(&expected.results));
+    let expected =
+        unreplicated_merge(&fx.sharded[2], &request_of(&rows, &tags, 0, 5.0 + migration + 1.0));
+    assert_eq!(bits(&after.results), bits(&expected));
 
     // Shrinking below the replica factor clamps to it instead of silently
     // under-replicating; a no-op target charges nothing.

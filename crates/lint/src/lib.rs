@@ -38,7 +38,7 @@ const SKIP_DIRS: &[&str] = &["target", "fixtures"];
 
 /// The vendored stubs whose `API.txt` manifests the vendor-api-surface
 /// rule consults.
-const VENDOR_STUBS: &[&str] = &["rand", "criterion", "proptest"];
+const VENDOR_STUBS: &[&str] = &["rand", "proptest"];
 
 /// Lints every `.rs` file under `root`, returning a deterministic report.
 pub fn lint_root(root: &Path) -> io::Result<LintReport> {

@@ -2,10 +2,9 @@
 //! ARCHITECTURE.md, "Static invariants"):
 //!
 //! * **no-wall-clock** — `Instant`/`SystemTime` are banned outside the
-//!   allowlisted vendor timer shim and the `crates/runtime/` subtree (the
-//!   threaded runtime is the one subsystem whose *job* is real time), so
-//!   the replay clock stays the only time source the model crates can
-//!   observe.
+//!   `crates/runtime/` subtree (the threaded runtime is the one subsystem
+//!   whose *job* is real time), so the replay clock stays the only time
+//!   source the model crates can observe.
 //! * **no-ambient-rng** — entropy-seeded RNG constructors are banned outside
 //!   tests; every production stream must derive from an explicit seed.
 //! * **no-unordered-iteration** — iterating a `HashMap`/`HashSet` binding in
@@ -57,10 +56,6 @@ pub struct VendorManifests {
     /// `(stub crate name, manifest entries)` pairs, in declaration order.
     pub stubs: Vec<(String, Option<Vec<String>>)>,
 }
-
-/// Exact files allowed to touch wall-clock types: the vendored criterion
-/// shim is the one place benchmarking genuinely needs real elapsed time.
-const WALL_CLOCK_ALLOWLIST: &[&str] = &["vendor/criterion/src/lib.rs"];
 
 /// Path *prefixes* allowed to touch wall-clock types: `upanns-runtime`
 /// (`crates/runtime/`) is the threaded serving runtime — driving real
@@ -219,11 +214,7 @@ fn in_ranges(ranges: &[(u32, u32)], line: u32) -> bool {
 // ---------------------------------------------------------------------------
 
 fn no_wall_clock(input: &FileInput<'_>, out: &mut Vec<Violation>) {
-    if WALL_CLOCK_ALLOWLIST.contains(&input.rel)
-        || WALL_CLOCK_ALLOWED_PREFIXES
-            .iter()
-            .any(|p| input.rel.starts_with(p))
-    {
+    if WALL_CLOCK_ALLOWED_PREFIXES.iter().any(|p| input.rel.starts_with(p)) {
         return;
     }
     for t in &input.lexed.tokens {
@@ -590,9 +581,6 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "no-wall-clock");
         assert_eq!(v[0].line, 1);
-
-        let v = check("vendor/criterion/src/lib.rs", "use std::time::Instant;\n");
-        assert!(v.is_empty());
     }
 
     #[test]

@@ -28,8 +28,6 @@ fn rules_hit(report: &LintReport) -> Vec<&'static str> {
 #[test]
 fn wall_clock_bad_flagged_good_clean() {
     assert!(rules_hit(&lint("wall_clock/bad")).contains(&"no-wall-clock"));
-    // The good tree includes an allowlisted vendored-criterion file that
-    // reads the wall clock legitimately.
     assert!(lint("wall_clock/good").is_clean());
 }
 

@@ -74,7 +74,7 @@ use upanns::builder::{BatchCapacity, UpAnnsBuilder};
 use upanns::compaction::{plan_live_index, CompactionPolicy, LiveIndexPlan};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
-use upanns::multihost::{shard_ranges, InterconnectModel, MultiHostUpAnns};
+use upanns::multihost::{shard_ranges, InterconnectModel};
 use upanns::replica::{FaultSchedule, ReplicatedMultiHost};
 use upanns_serve::batcher::BatchFormerConfig;
 use upanns_serve::controller::{BatchPolicy, ControllerBank, SloController};
@@ -142,11 +142,10 @@ pub const DEFAULT_FAULT: &str = "1@31..45";
 /// See [`DEFAULT_REPLICAS`].
 pub const DEFAULT_HEDGE_MS: f64 = 400.0;
 /// `(hosts, sustained QPS)` samples for the autoscaler's linear capacity
-/// model — the same OLS fit the `capacity_planning` example runs. The
-/// samples are deliberately conservative (measured under small fixed
-/// chunks, the scenario's worst case) so the planner keeps headroom; the
-/// actual scale-up trigger is the SLO-miss window, with [`CapacityModel`]
-/// bounding how far a step may reach.
+/// model ([`CapacityModel::fit`]). The samples are deliberately
+/// conservative (measured under small fixed chunks, the scenario's worst
+/// case) so the planner keeps headroom; the actual scale-up trigger is the
+/// SLO-miss window, with [`CapacityModel`] bounding how far a step may reach.
 const CAPACITY_SAMPLES: [(f64, f64); 4] = [(1.0, 5.8), (2.0, 11.2), (3.0, 16.4), (4.0, 21.3)];
 
 /// The committed head-of-line (HOL) scenario: a tight-SLO low-rate tenant
@@ -670,6 +669,13 @@ impl Fixture {
             let dpus = DPUS / shards.len();
             shards.iter().map(|index| pim(index, UpAnnsConfig::upanns(), dpus)).collect()
         };
+        let replicated = |shards: &[IvfPqIndex], hosts: usize, replicas: usize| {
+            let ic = InterconnectModel::default();
+            match ReplicatedMultiHost::new(sharded(shards), hosts, replicas, ic) {
+                Ok(engine) => engine,
+                Err(err) => unreachable!("Fixture::build checked the replica factor: {err}"),
+            }
+        };
         match kind {
             EngineKind::Cpu => {
                 Box::new(CpuFaissEngine::new(&self.index).with_work_scale(work_scale))
@@ -679,23 +685,13 @@ impl Fixture {
             }
             EngineKind::PimNaive => Box::new(pim(&self.index, UpAnnsConfig::pim_naive(), DPUS)),
             EngineKind::UpAnns => Box::new(pim(&self.index, UpAnnsConfig::upanns(), DPUS)),
-            EngineKind::MultiHost => Box::new(MultiHostUpAnns::new(
-                sharded(&self.shards),
-                InterconnectModel::default(),
-            )),
-            EngineKind::Failover => match ReplicatedMultiHost::new(
-                sharded(&self.failover_shards),
-                FAILOVER_HOSTS,
-                self.spec.replicas,
-                InterconnectModel::default(),
-            ) {
-                Ok(engine) => Box::new(
-                    engine
-                        .with_faults(self.spec.faults.clone())
-                        .with_hedge_budget(self.spec.hedge_s),
-                ),
-                Err(err) => unreachable!("Fixture::build checked the replica factor: {err}"),
-            },
+            // The paper's §5.5 deployment: one host per shard, r = 1, healthy.
+            EngineKind::MultiHost => Box::new(replicated(&self.shards, self.shards.len(), 1)),
+            EngineKind::Failover => Box::new(
+                replicated(&self.failover_shards, FAILOVER_HOSTS, self.spec.replicas)
+                    .with_faults(self.spec.faults.clone())
+                    .with_hedge_budget(self.spec.hedge_s),
+            ),
         }
     }
 

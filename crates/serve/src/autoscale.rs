@@ -1,21 +1,21 @@
 //! SLO-feedback-driven host autoscaling against a linear capacity model.
 //!
-//! Closes the elasticity loop sketched in `examples/capacity_planning.rs`:
-//! that example fits sustained QPS ≈ `a · hosts + b` offline and sizes a
-//! deployment for a design load; this module runs the same model *online*.
-//! An [`Autoscaler`] watches per-query SLO outcomes on the replay clock and,
-//! when the windowed miss fraction leaves its band, steps the host count —
-//! up under sustained misses, down toward the capacity floor when the
-//! deployment is comfortably over-provisioned. The engine applies the step
-//! through [`AnnEngine::scale_to`](baselines::engine::AnnEngine::scale_to),
-//! which charges shard migration through the interconnect model.
+//! Closes the elasticity loop: offline capacity planning fits sustained QPS ≈
+//! `a · hosts + b` and sizes a deployment for a design load; this module
+//! runs the same model *online*. An [`Autoscaler`] watches per-query SLO
+//! outcomes on the replay clock and, when the windowed miss fraction leaves
+//! its band, steps the host count — up under sustained misses, down toward
+//! the capacity floor when the deployment is comfortably over-provisioned.
+//! The engine applies the step through
+//! [`AnnEngine::scale_to`](baselines::engine::AnnEngine::scale_to), which
+//! charges shard migration through the interconnect model.
 //!
 //! Everything here is driven by simulated time handed in by the caller — no
 //! wall clock, no ambient randomness — so autoscaled replays stay
 //! deterministic.
 
 /// The linear capacity model `sustained_qps ≈ qps_per_host · hosts +
-/// base_qps`, as fitted by `examples/capacity_planning.rs`.
+/// base_qps`, as fitted by [`CapacityModel::fit`].
 #[derive(Debug, Clone, Copy)]
 pub struct CapacityModel {
     /// Marginal sustained QPS each additional host buys.
@@ -26,8 +26,7 @@ pub struct CapacityModel {
 }
 
 impl CapacityModel {
-    /// Ordinary-least-squares fit of `(hosts, sustained_qps)` samples —
-    /// the same math as the capacity-planning example.
+    /// Ordinary-least-squares fit of `(hosts, sustained_qps)` samples.
     ///
     /// # Panics
     /// Panics on fewer than two samples or a degenerate (single-x) design.

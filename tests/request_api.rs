@@ -14,7 +14,8 @@ use std::sync::OnceLock;
 use upanns::builder::{BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
-use upanns::multihost::{shard_ranges, InterconnectModel, MultiHostUpAnns};
+use upanns::multihost::{shard_ranges, InterconnectModel};
+use upanns::replica::ReplicatedMultiHost;
 
 struct Fixture {
     dataset: SyntheticDataset,
@@ -157,7 +158,9 @@ fn multihost_execute_honors_per_query_k() {
                 .build()
         })
         .collect();
-    let mut multi = MultiHostUpAnns::new(hosts, InterconnectModel::default());
+    let n = hosts.len();
+    let mut multi = ReplicatedMultiHost::new(hosts, n, 1, InterconnectModel::default())
+        .expect("one host per shard");
 
     let qs = queries(8);
     let options: Vec<QueryOptions> = (0..qs.len())
