@@ -59,20 +59,31 @@ pub fn norm_squared(a: &[f32]) -> f32 {
 
 /// Finds the index of the closest centroid to `v` among `centroids` (a flat
 /// row-major buffer of `k` rows of length `dim`), returning
-/// `(index, distance)`.
+/// `(index, distance)`; the first of several equally close centroids wins.
+///
+/// Distances come from [`simd::l2_squared_rows`] a stack block of rows at a
+/// time — bitwise what one [`l2_squared`] per centroid returns, without the
+/// per-centroid dispatch and call that dominate at PQ sub-vector widths.
 ///
 /// # Panics
 /// Panics if `centroids` is empty or not a multiple of `dim`.
 pub fn nearest_centroid(v: &[f32], centroids: &[f32], dim: usize) -> (usize, f32) {
+    /// Rows per [`simd::l2_squared_rows`] call: a 256-entry PQ codebook in
+    /// four calls, 256 B of distances on the stack.
+    const BLOCK: usize = 64;
     assert!(!centroids.is_empty(), "no centroids");
     assert!(centroids.len().is_multiple_of(dim), "centroid buffer not a multiple of dim");
+    let mut distances = [0.0f32; BLOCK];
     let mut best = 0usize;
     let mut best_d = f32::INFINITY;
-    for (i, c) in centroids.chunks_exact(dim).enumerate() {
-        let d = l2_squared(v, c);
-        if d < best_d {
-            best_d = d;
-            best = i;
+    for (block, rows) in centroids.chunks(BLOCK * dim).enumerate() {
+        let distances = &mut distances[..rows.len() / dim];
+        simd::l2_squared_rows(v, rows, distances);
+        for (i, &d) in distances.iter().enumerate() {
+            if d < best_d {
+                best_d = d;
+                best = block * BLOCK + i;
+            }
         }
     }
     (best, best_d)

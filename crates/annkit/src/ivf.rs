@@ -10,13 +10,14 @@
 //! lists across DPUs.
 
 use crate::distance::nearest_centroids;
-use crate::kmeans::{KMeans, KMeansParams};
+use crate::kmeans::{sample_indices, KMeans, KMeansParams};
 use crate::lut::LookupTable;
+use crate::par;
 use crate::pq::{pack_codes, PqCode, ProductQuantizer};
 use crate::topk::{Neighbor, TopK};
 use crate::vector::{residual, Dataset};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Training / structural parameters of an IVFPQ index.
 #[derive(Debug, Clone)]
@@ -175,13 +176,7 @@ impl IvfPqIndex {
         let sampled;
         let train: &Dataset = match params.train_size {
             Some(cap) if data.len() > cap && cap >= params.nlist && cap >= crate::pq::KSUB => {
-                let mut idx: Vec<usize> = (0..data.len()).collect();
-                for i in 0..cap {
-                    let j = rng.gen_range(i..data.len());
-                    idx.swap(i, j);
-                }
-                idx.truncate(cap);
-                sampled = data.gather(&idx);
+                sampled = data.gather(&sample_indices(data.len(), cap, &mut rng));
                 &sampled
             }
             _ => data,
@@ -213,10 +208,23 @@ impl IvfPqIndex {
     /// Adds all vectors of `data` to the index, assigning row ids
     /// `id_offset..id_offset + data.len()`.
     pub fn add(&mut self, data: &Dataset, id_offset: u64) {
+        /// Rows per work item: enough that a worker thread pays for itself,
+        /// and a single-digit ingest stays on the calling thread.
+        const BLOCK: usize = 256;
         assert_eq!(data.dim(), self.dim, "add dimension mismatch");
-        for (i, v) in data.iter().enumerate() {
-            let (c, _) = self.coarse.assign(v);
-            let code = self.pq.encode(&residual(v, self.coarse.centroid(c)));
+        // Assign + encode is independent per row; the lists are then filled
+        // serially in row order, exactly as the one-loop version filled them.
+        let (coarse, pq) = (&self.coarse, &self.pq);
+        let blocks = par::map_indexed(data.len().div_ceil(BLOCK), |block| {
+            (block * BLOCK..data.len().min((block + 1) * BLOCK))
+                .map(|i| {
+                    let v = data.vector(i);
+                    let (c, _) = coarse.assign(v);
+                    (c, pq.encode(&residual(v, coarse.centroid(c))))
+                })
+                .collect::<Vec<_>>()
+        });
+        for (i, (c, code)) in blocks.into_iter().flatten().enumerate() {
             self.lists[c].push(id_offset + i as u64, &code);
         }
         self.ntotal += data.len() as u64;
@@ -477,6 +485,58 @@ mod tests {
         assert_eq!(ids.first(), Some(&1000));
         assert_eq!(ids.last(), Some(&1399));
         assert_eq!(ids.len(), 400);
+    }
+
+    /// FNV-1a over everything training produces: the bits of the coarse
+    /// centroids and PQ codebooks, then every list's ids and codes.
+    fn fingerprint(index: &IvfPqIndex) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let quantizers = [index.coarse().centroids_flat(), index.pq().codebooks_flat()];
+        for x in quantizers.into_iter().flatten() {
+            eat(&x.to_bits().to_le_bytes());
+        }
+        for list in index.lists() {
+            for id in list.ids() {
+                eat(&id.to_le_bytes());
+            }
+            eat(list.packed_codes());
+        }
+        hash
+    }
+
+    /// "Same index" as a number: the fingerprints below were taken at the
+    /// commit before training moved onto the row kernel and scoped threads
+    /// (serial loops, one `l2_squared` per centroid). One worker, several
+    /// workers and the machine's own count must all reproduce them. The
+    /// second shape trains on a sample, so it also pins the sampler's draw
+    /// sequence; both add more rows than one `add` block.
+    #[test]
+    fn training_fingerprint_is_pinned_for_one_worker_and_many() {
+        let small = clustered_dataset(900, 16, 8, 1);
+        let sampled = clustered_dataset(1200, 32, 10, 4);
+        let sampled_params = IvfPqParams::new(12, 8)
+            .with_train_size(500)
+            .with_coarse_iterations(10);
+        let train_both = || {
+            (
+                fingerprint(&IvfPqIndex::train(&small, &IvfPqParams::new(8, 4), 42)),
+                fingerprint(&IvfPqIndex::train(&sampled, &sampled_params, 9)),
+            )
+        };
+        let pinned = (0x7b00_2f56_e41f_ae2a_u64, 0xf0bd_1c9c_95a0_5c3a_u64);
+        assert_eq!(train_both(), pinned, "available_parallelism() workers");
+        for workers in [1, 2, 5] {
+            assert_eq!(
+                crate::par::with_workers(workers, train_both),
+                pinned,
+                "{workers} worker(s)"
+            );
+        }
     }
 
     #[test]

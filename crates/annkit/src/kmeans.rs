@@ -92,6 +92,8 @@ impl KMeans {
         let dim = train.dim();
         let mut centroids = kmeanspp_init(train, params.k, &mut rng);
         let mut assignments = vec![0usize; train.len()];
+        let mut sums = vec![0.0f64; params.k * dim];
+        let mut counts = vec![0usize; params.k];
         let mut prev_mse = f32::INFINITY;
         let mut mse = f32::INFINITY;
         let mut iterations_run = 0;
@@ -108,8 +110,8 @@ impl KMeans {
             mse = (total / train.len() as f64) as f32;
 
             // Update step.
-            let mut sums = vec![0.0f64; params.k * dim];
-            let mut counts = vec![0usize; params.k];
+            sums.fill(0.0);
+            counts.fill(0);
             for (i, v) in train.iter().enumerate() {
                 let c = assignments[i];
                 counts[c] += 1;
@@ -244,8 +246,9 @@ fn kmeanspp_init(data: &Dataset, k: usize, rng: &mut SmallRng) -> Vec<f32> {
 
 /// Samples `count` distinct indices from `0..n` (Floyd's algorithm would be
 /// overkill; a partial Fisher-Yates over an index vector is fine at the
-/// scales used for training subsets).
-fn sample_indices(n: usize, count: usize, rng: &mut SmallRng) -> Vec<usize> {
+/// scales used for training subsets). The one sampler of the crate: k-means
+/// and `IvfPqIndex::train_empty` both draw their training subsets here.
+pub(crate) fn sample_indices(n: usize, count: usize, rng: &mut SmallRng) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..n).collect();
     for i in 0..count.min(n) {
         let j = rng.gen_range(i..n);

@@ -9,6 +9,7 @@
 
 use crate::distance::nearest_centroid;
 use crate::kmeans::{KMeans, KMeansParams};
+use crate::par;
 use crate::vector::Dataset;
 
 /// Number of centroids per sub-quantizer. Fixed at 256 so codes fit in `u8`,
@@ -51,13 +52,20 @@ impl ProductQuantizer {
         );
         let dim = data.dim();
         let dsub = dim / m;
-        let mut codebooks = vec![0.0f32; m * KSUB * dsub];
-        for sub in 0..m {
-            let sub_data = data.subspace(m, sub);
-            let params = KMeansParams::new(KSUB).with_max_iterations(15);
-            let km = KMeans::train(&sub_data, &params, seed.wrapping_add(sub as u64));
-            codebooks[sub * KSUB * dsub..(sub + 1) * KSUB * dsub]
-                .copy_from_slice(km.centroids_flat());
+        // The sub-quantizers share nothing (each has its own seed), so they
+        // train side by side; concatenated in `sub` order the codebooks are
+        // the serial loop's.
+        let params = KMeansParams::new(KSUB).with_max_iterations(15);
+        let trained = par::map_indexed(m, |sub| {
+            KMeans::train(
+                &data.subspace(m, sub),
+                &params,
+                seed.wrapping_add(sub as u64),
+            )
+        });
+        let mut codebooks = Vec::with_capacity(m * KSUB * dsub);
+        for km in &trained {
+            codebooks.extend_from_slice(km.centroids_flat());
         }
         Self {
             dim,

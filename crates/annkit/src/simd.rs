@@ -1,6 +1,7 @@
-//! Explicitly vectorized fast paths for the two hot kernels where AVX2 wins
-//! on record — the L2/inner-product distances and the top-k pre-filter —
-//! behind runtime feature detection, plus the one (portable) ADC scan.
+//! Explicitly vectorized fast paths for the hot kernels where AVX2 wins
+//! on record — the L2/inner-product distances, the one-query-against-many-
+//! rows distance block and the top-k pre-filter — behind runtime feature
+//! detection, plus the one (portable) ADC scan.
 //!
 //! The ADC scan has no vector path: an AVX2 gather over the `m × 256` f32
 //! LUT measured 1.15–1.30× *slower* than the cache-blocked scalar loop on
@@ -24,6 +25,9 @@
 //!   single rounding would fork the sums from the scalar path and thereby
 //!   fork kmeans trajectories, index contents, and the byte-diffed serving
 //!   records across machines);
+//! * the AVX2 row kernel builds each row's 4-lane accumulator the same way
+//!   and only replaces four horizontal sums by a 4 × 4 transpose and three
+//!   vertical adds in the reference's left-to-right order;
 //! * the top-k pre-filter compares exactly (no rounding is involved).
 //!
 //! # Where `unsafe` lives
@@ -32,8 +36,9 @@
 //! permitted: the crate root demotes `#![forbid(unsafe_code)]` to `deny`
 //! and this file alone re-allows it, the `upanns-lint`
 //! `no-unsafe-outside-simd` rule machine-checks that no other file uses
-//! the keyword, and every unsafe block here (three: the two distance
-//! kernels and the pre-filter mask) is an `std::arch` intrinsic call whose
+//! the keyword, and every unsafe block here (four: the two distance
+//! kernels, the row kernel and the pre-filter mask) is an `std::arch`
+//! intrinsic call whose
 //! preconditions (CPU features, in-bounds unaligned loads) are established
 //! by the dispatcher and by an explicit length check.
 //!
@@ -42,8 +47,8 @@
 //! [`active`] resolves once per process: an explicit [`force_backend`]
 //! call (used by the forced-fallback equivalence tests) wins, then the
 //! `UPANNS_FORCE_SCALAR` environment variable, then
-//! `is_x86_feature_detected!("avx2")`+`fma`. Both dispatched kernels also
-//! expose `*_with(Backend, ..)` entry points so benches and tests can pin
+//! `is_x86_feature_detected!("avx2")`+`fma`. Every dispatched kernel also
+//! exposes a `*_with(Backend, ..)` entry point so benches and tests can pin
 //! either path explicitly inside a single process.
 #![allow(unsafe_code)]
 
@@ -141,8 +146,9 @@ pub fn l2_squared_scalar(a: &[f32], b: &[f32]) -> f32 {
 
 /// Squared L2 distance from `query` to each of `out.len()` contiguous rows
 /// of `rows` (row `r` is `rows[r * d..(r + 1) * d]`, `d = query.len()`) —
-/// the shape of a LUT row: one residual sub-vector against the 256
-/// centroids of one sub-quantizer.
+/// the shape of a LUT row, and of a k-means assignment: one (sub-)vector
+/// against the 256 centroids of one sub-quantizer. Runs on the best
+/// runtime-detected backend.
 ///
 /// Every entry is [`l2_squared_scalar`]'s reduction tree, so the result is
 /// bitwise-equal to `l2_squared_with(backend, query, row)` on every backend;
@@ -151,10 +157,24 @@ pub fn l2_squared_scalar(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// # Panics
 /// Panics if `query` is empty or `rows.len() != out.len() * query.len()`.
+#[inline]
 pub fn l2_squared_rows(query: &[f32], rows: &[f32], out: &mut [f32]) {
+    l2_squared_rows_with(active(), query, rows, out)
+}
+
+/// [`l2_squared_rows`] on an explicit backend (bitwise-equal across
+/// backends).
+pub fn l2_squared_rows_with(backend: Backend, query: &[f32], rows: &[f32], out: &mut [f32]) {
     let d = query.len();
     assert!(d > 0, "row distance needs a non-empty query");
     assert_eq!(rows.len(), out.len() * d, "row buffer size mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Avx2 {
+        // Safety: feature availability as in `l2_squared_with`; the length
+        // check above is the bound every load of the kernel stays inside.
+        return unsafe { x86::l2_squared_rows_avx2(query, rows, out) };
+    }
+    let _ = backend;
     for (slot, row) in out.iter_mut().zip(rows.chunks_exact(d)) {
         *slot = l2_squared_scalar(query, row);
     }
@@ -349,6 +369,74 @@ mod x86 {
             sum += d * d;
         }
         sum
+    }
+
+    /// The 4-lane accumulator of `l2_squared_avx2` over the first `lanes`
+    /// components (a multiple of 4) of one row, before the horizontal sum.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available and `lanes` floats are readable
+    /// behind both pointers.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn l2_lane_sums_avx2(a: *const f32, b: *const f32, lanes: usize) -> __m128 {
+        let mut acc = _mm_setzero_ps();
+        let mut i = 0;
+        while i + 8 <= lanes {
+            let d = _mm256_sub_ps(_mm256_loadu_ps(a.add(i)), _mm256_loadu_ps(b.add(i)));
+            let sq = _mm256_mul_ps(d, d);
+            acc = _mm_add_ps(acc, _mm256_castps256_ps128(sq));
+            acc = _mm_add_ps(acc, _mm256_extractf128_ps::<1>(sq));
+            i += 8;
+        }
+        if i + 4 <= lanes {
+            let d = _mm_sub_ps(_mm_loadu_ps(a.add(i)), _mm_loadu_ps(b.add(i)));
+            acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
+        }
+        acc
+    }
+
+    /// Bitwise twin of one `l2_squared_scalar` per row, four rows at a time:
+    /// each row's 4-lane accumulator is built as in `l2_squared_avx2`, then
+    /// a 4 × 4 transpose turns the four horizontal sums
+    /// `((acc0 + acc1) + acc2) + acc3` into three vertical adds — at a PQ
+    /// sub-vector's 8 floats the horizontal sum is most of a distance. The
+    /// sequential tail (`d % 4` components) and the last `rows % 4` rows
+    /// take the per-row path.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available and
+    /// `rows.len() == out.len() * query.len()`, `query` non-empty.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn l2_squared_rows_avx2(query: &[f32], rows: &[f32], out: &mut [f32]) {
+        let d = query.len();
+        debug_assert_eq!(rows.len(), out.len() * d, "row buffer size mismatch");
+        let lanes = d / 4 * 4;
+        let q = query.as_ptr();
+        let (quads, rest) = out.as_chunks_mut::<4>();
+        for (r, sums) in quads.iter_mut().enumerate() {
+            let base = rows.as_ptr().add(r * 4 * d);
+            let mut a0 = l2_lane_sums_avx2(q, base, lanes);
+            let mut a1 = l2_lane_sums_avx2(q, base.add(d), lanes);
+            let mut a2 = l2_lane_sums_avx2(q, base.add(2 * d), lanes);
+            let mut a3 = l2_lane_sums_avx2(q, base.add(3 * d), lanes);
+            _MM_TRANSPOSE4_PS(&mut a0, &mut a1, &mut a2, &mut a3);
+            _mm_storeu_ps(
+                sums.as_mut_ptr(),
+                _mm_add_ps(_mm_add_ps(_mm_add_ps(a0, a1), a2), a3),
+            );
+            for (row, sum) in sums.iter_mut().enumerate() {
+                let row = &rows[(r * 4 + row) * d..][..d];
+                for j in lanes..d {
+                    let t = query[j] - row[j];
+                    *sum += t * t;
+                }
+            }
+        }
+        let done = quads.len() * 4;
+        for (slot, row) in rest.iter_mut().zip(rows[done * d..].chunks_exact(d)) {
+            *slot = l2_squared_avx2(query, row);
+        }
     }
 
     /// Bitwise twin of `inner_product_scalar`; same structure as

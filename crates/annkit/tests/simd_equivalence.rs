@@ -3,7 +3,7 @@
 //! therefore the replay twin and every committed bench record) identical
 //! across machines with and without AVX2.
 //!
-//! The distance and top-k tests exercise both `Backend::Scalar` and the
+//! The distance, row-distance and top-k tests exercise both `Backend::Scalar` and the
 //! runtime-detected backend through the explicit `*_with` entry points, so
 //! on AVX2 hardware the vector code is proven against the scalar code in one
 //! process, and on non-AVX2 hardware they degenerate to scalar-vs-scalar.
@@ -65,6 +65,65 @@ proptest! {
         for (g, r) in got.iter().zip(&reference) {
             prop_assert_eq!(g.to_bits(), r.to_bits());
         }
+    }
+
+    /// Row kernel: on every backend, each of `rows` distances is the scalar
+    /// reference's bits — across widths below, at and past the 4- and 8-lane
+    /// boundaries (sequential tails of 1–3 components) and row counts that
+    /// leave 0–3 rows after the last group of four.
+    #[test]
+    fn row_distances_bitwise_equal(
+        dim in 1usize..40,
+        rows in 0usize..23,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
+        let table: Vec<f32> = (0..dim * rows).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
+        for backend in backends() {
+            let mut out = vec![f32::NAN; rows];
+            simd::l2_squared_rows_with(backend, &query, &table, &mut out);
+            for (got, row) in out.iter().zip(table.chunks_exact(dim)) {
+                prop_assert_eq!(got.to_bits(), simd::l2_squared_scalar(&query, row).to_bits());
+            }
+        }
+    }
+
+    /// `nearest_centroid` (row kernel, stack blocks of 64) returns the index
+    /// and the distance bits of the loop it replaced — one `l2_squared` per
+    /// centroid, first minimum wins — with row counts off the block size,
+    /// duplicated rows (ties) and a NaN row (never selected, never hiding a
+    /// later finite row).
+    #[test]
+    fn nearest_centroid_equals_the_per_pair_loop(
+        dim_pick in 0usize..6,
+        rows in 1usize..200,
+        nan_row in 0usize..400,
+        seed in 0u64..1_000_000,
+    ) {
+        let dim = [1usize, 2, 7, 8, 12, 128][dim_pick];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
+        let mut table: Vec<f32> = (0..dim * rows).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
+        // Every third row repeats an earlier one; `nan_row` (when in range)
+        // is poisoned.
+        for r in (2..rows).step_by(3) {
+            let source = rng.gen_range(0..r);
+            table.copy_within(source * dim..(source + 1) * dim, r * dim);
+        }
+        if nan_row < rows {
+            table[nan_row * dim] = f32::NAN;
+        }
+        let mut want = (0usize, f32::INFINITY);
+        for (i, row) in table.chunks_exact(dim).enumerate() {
+            let d = annkit::distance::l2_squared(&query, row);
+            if d < want.1 {
+                want = (i, d);
+            }
+        }
+        let got = annkit::distance::nearest_centroid(&query, &table, dim);
+        prop_assert_eq!(got.0, want.0);
+        prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
     }
 
     /// LUT build: the row-wise build (one residual sub-vector against the

@@ -26,6 +26,7 @@ use annkit::vector::Dataset;
 use pim_sim::config::PimConfig;
 use pim_sim::host::PimSystem;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Capacity hints for the per-DPU staging buffers allocated at build time.
 /// The engine grows them on demand if a batch exceeds the hints.
@@ -212,8 +213,9 @@ pub(crate) fn build_epoch_state(
         .expect("placement must satisfy structural invariants");
 
     // 3. Mining + re-encoding (Opt3).
+    // Each cluster is encoded once; its replicas share the result.
     let mut combos: HashMap<usize, ComboTable> = HashMap::new();
-    let mut encoded: HashMap<usize, CaeList> = HashMap::new();
+    let mut encoded: HashMap<usize, Arc<CaeList>> = HashMap::new();
     if recipe.config.cooccurrence_encoding {
         for c in 0..nlist {
             let list = snapshot.list(c);
@@ -223,7 +225,7 @@ pub(crate) fn build_epoch_state(
             let table = mine_cluster_combos(list.packed_codes(), m, &recipe.mining);
             let cae = CaeList::encode(list.packed_codes(), m, &table);
             combos.insert(c, table);
-            encoded.insert(c, cae);
+            encoded.insert(c, Arc::new(cae));
         }
     }
 
@@ -293,7 +295,7 @@ pub(crate) fn build_epoch_state(
                 .write(codes_addr, &payload)
                 .expect("codes write");
             let encoding = match encoded.get(&cluster) {
-                Some(cae) => ListEncoding::CaeU16(cae.clone()),
+                Some(cae) => ListEncoding::CaeU16(Arc::clone(cae)),
                 None => ListEncoding::PlainU8,
             };
             stores[dpu].replicas.insert(

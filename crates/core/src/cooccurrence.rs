@@ -11,8 +11,6 @@
 //! WRAM at query time so the distance loop replaces several lookups + adds
 //! with one.
 
-use std::collections::HashMap;
-
 /// A positioned code element: `code` appearing at PQ position `position`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Element {
@@ -170,8 +168,21 @@ impl Default for MiningParams {
 /// Mines the top combinations of one cluster's packed PQ codes.
 ///
 /// `packed_codes` is the cluster's inverted-list payload (`n × m` bytes).
+///
+/// Exact and deterministic: every positioned pair that reaches the support
+/// threshold is counted, count ties break by element order (seed edges and
+/// final ranking) or towards the smallest third element, and no hash-map
+/// order is involved. A pair or triple can only reach the threshold if each
+/// of its elements does, so all counting happens in the dense space of the
+/// cluster's *frequent* elements (`FrequentElements`): one small
+/// `(wᵢ+1) × (wⱼ+1)` counter table per position pair instead of a hash map
+/// over `n × C(m, 2)` keys.
+///
+/// # Panics
+/// Panics if `m` is not in `2..=256` (an [`Element`]'s position is a `u8`)
+/// or `packed_codes.len()` is not a multiple of `m`.
 pub fn mine_cluster_combos(packed_codes: &[u8], m: usize, params: &MiningParams) -> ComboTable {
-    assert!(m >= 2, "PQ codes need at least two positions");
+    assert!((2..=256).contains(&m), "PQ codes need 2..=256 positions");
     assert!(
         packed_codes.len().is_multiple_of(m),
         "packed code buffer not a multiple of m"
@@ -181,82 +192,239 @@ pub fn mine_cluster_combos(packed_codes: &[u8], m: usize, params: &MiningParams)
         return ComboTable::empty();
     }
     let min_support = ((n as f64 * params.min_support).ceil() as usize).max(2);
+    let frequent = FrequentElements::of(packed_codes, m, min_support);
 
-    // ECG edges: co-occurrence counts of positioned element pairs.
-    let mut pair_counts: HashMap<(Element, Element), usize> = HashMap::new();
-    for code in packed_codes.chunks_exact(m) {
-        for i in 0..m {
-            for j in (i + 1)..m {
-                let a = Element::new(i as u8, code[i]);
-                let b = Element::new(j as u8, code[j]);
-                *pair_counts.entry((a, b)).or_default() += 1;
-            }
-        }
-    }
-
-    // Keep the heaviest edges as candidate seeds.
-    let mut edges: Vec<((Element, Element), usize)> = pair_counts
-        .into_iter()
-        .filter(|(_, c)| *c >= min_support)
-        .collect();
-    // Break count ties by element order so the surviving seed set (and hence
-    // the offline encoding and simulated time) is identical across runs.
-    edges.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    edges.truncate(params.max_combos * 4);
+    // ECG edges: positioned element pairs with enough co-occurrences, the
+    // heaviest kept as candidate seeds. Count ties break by element order so
+    // the surviving seed set (and hence the offline encoding and simulated
+    // time) is identical across runs.
+    let mut edges = frequent.supported_pairs(min_support);
+    edges.sort_unstable_by(|a, b| b.support.cmp(&a.support).then_with(|| a.pair.cmp(&b.pair)));
+    edges.truncate(params.max_combos.saturating_mul(4));
     if edges.is_empty() {
         return ComboTable::empty();
     }
 
-    // Extend each frequent edge to a triple by counting third elements.
-    let mut triple_counts: HashMap<(usize, Element), usize> = HashMap::new();
-    if params.combo_len >= 3 {
+    // For each seed edge, take its strongest third element if supported,
+    // otherwise keep the pair.
+    let thirds = if params.combo_len >= 3 {
+        frequent.best_thirds(&mut edges)
+    } else {
+        vec![None; edges.len()]
+    };
+    let mut ranked: Vec<(ElementSet, usize)> = edges
+        .iter()
+        .zip(thirds)
+        .map(|(edge, third)| {
+            let (a, b) = edge.pair;
+            match third {
+                Some((t, support)) if support >= min_support => {
+                    let mut triple = [a, b, t];
+                    triple.sort_unstable();
+                    ((triple[0], triple[1], Some(triple[2])), support)
+                }
+                _ => ((a, b, None), edge.support),
+            }
+        })
+        .collect();
+    // One triple is reachable from up to three seed edges: keep one row per
+    // element set (its largest support), then rank.
+    ranked.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| b.1.cmp(&a.1)));
+    ranked.dedup_by_key(|row| row.0);
+    ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    ranked.truncate(params.max_combos);
+
+    let mut combos = Vec::with_capacity(ranked.len());
+    let mut support = Vec::with_capacity(ranked.len());
+    for ((a, b, third), s) in ranked {
+        combos.push(Combo {
+            elements: [a, b].into_iter().chain(third).collect(),
+        });
+        support.push(s);
+    }
+    ComboTable { combos, support }
+}
+
+/// A candidate combination's elements, sorted by position. `None < Some(_)`,
+/// so the derived tuple order is the lexicographic order of the element
+/// lists (a pair sorts before the triples it prefixes).
+type ElementSet = (Element, Element, Option<Element>);
+
+/// A positioned pair `(a, b)` with `a.position < b.position` and the number
+/// of vectors containing both.
+struct Edge {
+    pair: (Element, Element),
+    support: usize,
+}
+
+/// A cluster's codes re-expressed over its *frequent* elements — the
+/// `(position, code)` values at least `min_support` vectors carry.
+///
+/// Every position `p` owns `codes[p].len() + 1` consecutive slots starting
+/// at `offset[p]`: one per frequent code in ascending code order, then one
+/// shared by all its infrequent codes. Mapping every code byte to its slot
+/// lets the counting loops below index dense tables unconditionally.
+struct FrequentElements {
+    m: usize,
+    /// Frequent codes of each position, ascending.
+    codes: Vec<Vec<u8>>,
+    /// First slot of each position.
+    offset: Vec<usize>,
+    /// Number of slots over all positions.
+    total_slots: usize,
+    /// `m × 256`: the slot of every possible `(position, code)`.
+    slot_of: Vec<u32>,
+    /// `n × m`: the slot of every code byte of the cluster.
+    slots: Vec<u32>,
+}
+
+impl FrequentElements {
+    fn of(packed_codes: &[u8], m: usize, min_support: usize) -> Self {
+        let mut histogram = vec![0usize; m * 256];
         for code in packed_codes.chunks_exact(m) {
-            for (edge_idx, ((a, b), _)) in edges.iter().enumerate() {
-                if code[a.position as usize] == a.code && code[b.position as usize] == b.code {
-                    for (p, &cp) in code.iter().enumerate() {
-                        if p != a.position as usize && p != b.position as usize {
-                            let third = Element::new(p as u8, cp);
-                            *triple_counts.entry((edge_idx, third)).or_default() += 1;
+            for (p, &c) in code.iter().enumerate() {
+                histogram[p * 256 + c as usize] += 1;
+            }
+        }
+        let mut codes = Vec::with_capacity(m);
+        let mut offset = Vec::with_capacity(m);
+        let mut slot_of = vec![0u32; m * 256];
+        let mut total_slots = 0usize;
+        for p in 0..m {
+            let counts = &histogram[p * 256..(p + 1) * 256];
+            let frequent: Vec<u8> = (0..=255u8)
+                .filter(|&c| counts[c as usize] >= min_support)
+                .collect();
+            offset.push(total_slots);
+            let row = &mut slot_of[p * 256..(p + 1) * 256];
+            row.fill((total_slots + frequent.len()) as u32);
+            for (rank, &c) in frequent.iter().enumerate() {
+                row[c as usize] = (total_slots + rank) as u32;
+            }
+            total_slots += frequent.len() + 1;
+            codes.push(frequent);
+        }
+        let slots = packed_codes
+            .chunks_exact(m)
+            .flat_map(|code| {
+                let slot_of = &slot_of;
+                code.iter()
+                    .enumerate()
+                    .map(move |(p, &c)| slot_of[p * 256 + c as usize])
+            })
+            .collect();
+        Self {
+            m,
+            codes,
+            offset,
+            total_slots,
+            slot_of,
+            slots,
+        }
+    }
+
+    /// The element behind frequent code number `rank` of position `p`.
+    fn element(&self, p: usize, rank: usize) -> Element {
+        Element::new(p as u8, self.codes[p][rank])
+    }
+
+    fn slot(&self, e: Element) -> u32 {
+        self.slot_of[e.lut_address()]
+    }
+
+    /// The dense table of position pair `(i, j)`: its cell count, and the
+    /// cell of a `(slot at i, slot at j)` pair. Row `wᵢ` and column `wⱼ`
+    /// collect the infrequent codes and are never read back.
+    fn pair_table(&self, i: usize, j: usize) -> (usize, impl Fn(u32, u32) -> usize) {
+        let (wi, wj) = (self.codes[i].len(), self.codes[j].len());
+        let (oi, oj) = (self.offset[i] as u32, self.offset[j] as u32);
+        let cell = move |si: u32, sj: u32| (si - oi) as usize * (wj + 1) + (sj - oj) as usize;
+        ((wi + 1) * (wj + 1), cell)
+    }
+
+    /// Every positioned pair at least `min_support` vectors contain.
+    fn supported_pairs(&self, min_support: usize) -> Vec<Edge> {
+        let mut edges = Vec::new();
+        let mut table: Vec<u32> = Vec::new();
+        for i in 0..self.m {
+            for j in (i + 1)..self.m {
+                if self.codes[i].is_empty() || self.codes[j].is_empty() {
+                    continue;
+                }
+                let (cells, cell) = self.pair_table(i, j);
+                table.clear();
+                table.resize(cells, 0);
+                for row in self.slots.chunks_exact(self.m) {
+                    table[cell(row[i], row[j])] += 1;
+                }
+                for ri in 0..self.codes[i].len() {
+                    for rj in 0..self.codes[j].len() {
+                        let (a, b) = (self.element(i, ri), self.element(j, rj));
+                        let support = table[cell(self.slot(a), self.slot(b))] as usize;
+                        if support >= min_support {
+                            edges.push(Edge {
+                                pair: (a, b),
+                                support,
+                            });
                         }
                     }
                 }
             }
         }
+        edges
     }
 
-    // Assemble combos: for each seed edge, take its strongest third element if
-    // supported, otherwise keep the pair. Deduplicate element sets.
-    let mut seen: HashMap<Vec<Element>, usize> = HashMap::new();
-    for (edge_idx, ((a, b), pair_support)) in edges.iter().enumerate() {
-        let best_third = triple_counts
-            .iter()
-            .filter(|((e, _), _)| *e == edge_idx)
-            // Prefer the smallest element on count ties to keep mining
-            // independent of HashMap iteration order.
-            .max_by(|((_, ta), ca), ((_, tb), cb)| ca.cmp(cb).then_with(|| tb.cmp(ta)))
-            .map(|((_, third), &c)| (*third, c));
-        let (mut elements, support) = match best_third {
-            Some((third, c)) if c >= min_support && params.combo_len >= 3 => {
-                (vec![*a, *b, third], c)
+    /// For every edge, the element outside its two positions that most of
+    /// its vectors also contain, with that count — the smallest element on
+    /// count ties. Only frequent elements are candidates: a third element
+    /// below the support threshold alone cannot lift a triple over it.
+    ///
+    /// Sorts `edges` by element pair, which makes position pairs contiguous:
+    /// one pass over the cluster per *position pair* finds every edge's
+    /// vectors through the pair's dense table. The result is parallel to the
+    /// sorted order.
+    fn best_thirds(&self, edges: &mut [Edge]) -> Vec<Option<(Element, usize)>> {
+        edges.sort_unstable_by_key(|e| e.pair);
+        let total = self.total_slots;
+        let mut best = Vec::with_capacity(edges.len());
+        let mut edge_of: Vec<u32> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        let positions = |e: &Edge| (e.pair.0.position as usize, e.pair.1.position as usize);
+        for group in edges.chunk_by(|x, y| positions(x) == positions(y)) {
+            let (i, j) = positions(&group[0]);
+            let (cells, cell) = self.pair_table(i, j);
+            edge_of.clear();
+            edge_of.resize(cells, 0);
+            for (e, edge) in group.iter().enumerate() {
+                edge_of[cell(self.slot(edge.pair.0), self.slot(edge.pair.1))] = e as u32 + 1;
             }
-            _ => (vec![*a, *b], *pair_support),
-        };
-        elements.sort();
-        let entry = seen.entry(elements).or_insert(0);
-        *entry = (*entry).max(support);
+            counts.clear();
+            counts.resize(group.len() * total, 0);
+            for row in self.slots.chunks_exact(self.m) {
+                let e = edge_of[cell(row[i], row[j])];
+                if e == 0 {
+                    continue;
+                }
+                let counts = &mut counts[(e as usize - 1) * total..][..total];
+                for &slot in row {
+                    counts[slot as usize] += 1;
+                }
+            }
+            for counts in counts.chunks_exact(total) {
+                let mut top: Option<(Element, usize)> = None;
+                for p in (0..self.m).filter(|&p| p != i && p != j) {
+                    for rank in 0..self.codes[p].len() {
+                        let c = counts[self.offset[p] + rank] as usize;
+                        if c > top.map_or(0, |(_, best)| best) {
+                            top = Some((self.element(p, rank), c));
+                        }
+                    }
+                }
+                best.push(top);
+            }
+        }
+        best
     }
-
-    let mut ranked: Vec<(Vec<Element>, usize)> = seen.into_iter().collect();
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    ranked.truncate(params.max_combos);
-
-    let mut combos = Vec::with_capacity(ranked.len());
-    let mut support = Vec::with_capacity(ranked.len());
-    for (elements, s) in ranked {
-        combos.push(Combo::new(elements));
-        support.push(s);
-    }
-    ComboTable { combos, support }
 }
 
 #[cfg(test)]

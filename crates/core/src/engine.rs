@@ -182,12 +182,17 @@ impl UpAnnsEngine {
 
     /// Mean co-occurrence length-reduction rate across encoded clusters
     /// (0 when CAE is disabled) — the x-axis quantity of Figure 14.
+    ///
+    /// Summed in ascending cluster order: an `f64` sum depends on its order,
+    /// and the map's is a different one in every engine.
     pub fn mean_reduction_rate(&self) -> f64 {
         let rates = &self.current().reduction_rates;
         if rates.is_empty() {
             return 0.0;
         }
-        rates.values().sum::<f64>() / rates.len() as f64
+        let mut by_cluster: Vec<(usize, f64)> = rates.iter().map(|(&c, &r)| (c, r)).collect();
+        by_cluster.sort_unstable_by_key(|&(c, _)| c);
+        by_cluster.iter().map(|&(_, r)| r).sum::<f64>() / rates.len() as f64
     }
 
     /// Per-cluster reduction rates (clusters without CAE encoding are absent).
@@ -453,11 +458,32 @@ impl AnnEngine for UpAnnsEngine {
     }
 
     fn install_timeline(&mut self, timeline: SnapshotTimeline) -> bool {
-        self.epochs = timeline
-            .entries()
-            .iter()
-            .map(|(_, snapshot)| build_epoch_state(snapshot.clone(), &self.recipe, None))
-            .collect();
+        // An epoch state is a pure function of (snapshot, recipe), so the
+        // epochs are built side by side — contiguous runs of the timeline,
+        // one per worker, concatenated in timeline order.
+        let entries = timeline.entries();
+        let recipe = &self.recipe;
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |p| p.get())
+            .min(entries.len());
+        self.epochs = std::thread::scope(|scope| {
+            let runs: Vec<_> = entries
+                .chunks(entries.len().div_ceil(workers))
+                .map(|run| {
+                    scope.spawn(move || {
+                        run.iter()
+                            .map(|(_, snapshot)| build_epoch_state(snapshot.clone(), recipe, None))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            runs.into_iter()
+                .flat_map(|run| match run.join() {
+                    Ok(states) => states,
+                    Err(panic) => std::panic::resume_unwind(panic),
+                })
+                .collect()
+        });
         self.timeline = timeline;
         true
     }
@@ -706,6 +732,77 @@ mod tests {
             ids(&served.results),
             ids(&timeline.at(12.0).search_batch(&queries, 4, 10))
         );
+    }
+
+    /// Everything a response carries, with floats as bits.
+    fn response_bits(r: &SearchResponse) -> impl PartialEq + std::fmt::Debug {
+        let answers: Vec<Vec<(u64, u32)>> = r
+            .results
+            .iter()
+            .map(|q| q.iter().map(|n| (n.id, n.distance.to_bits())).collect())
+            .collect();
+        let breakdown: Vec<(String, u64)> = r
+            .breakdown
+            .entries()
+            .into_iter()
+            .map(|(stage, s)| (stage, s.to_bits()))
+            .collect();
+        (answers, r.seconds.to_bits(), breakdown, r.stats.clone())
+    }
+
+    #[test]
+    fn every_installed_epoch_equals_an_engine_built_from_its_snapshot() {
+        use annkit::mutation::{MutableIvf, SnapshotTimeline};
+        let fix = shared_index();
+        // Five entries, so concurrent builders each get a run of several and
+        // a misplaced run would serve the wrong corpus.
+        let mut live = MutableIvf::new(&fix.index);
+        let mut timeline = SnapshotTimeline::new(live.snapshot());
+        for step in 0..4u64 {
+            for i in 0..40 {
+                let row = (step as usize * 97 + i * 13) % fix.data.len();
+                live.upsert(fix.data.vector(row), 50_000 + step * 100 + i as u64);
+                live.delete((step * 211 + i as u64 * 7) % 2000);
+            }
+            timeline.install(10.0 * (step + 1) as f64, live.snapshot());
+        }
+        let rows: Vec<usize> = (0..24).map(|i| i * 83 % 2000).collect();
+        let queries = fix.data.gather(&rows);
+        let request = SearchRequest::uniform(&queries, 4, 10);
+
+        let mut first = build(UpAnnsConfig::upanns(), 8);
+        let mut second = build(UpAnnsConfig::upanns(), 8);
+        assert!(first.install_timeline(timeline.clone()));
+        assert!(second.install_timeline(timeline.clone()));
+        let recipe = first.recipe.clone();
+        for (at, snapshot) in timeline.entries() {
+            let at = at.max(0.0) + 1.0;
+            let served = first.execute(&request.clone().with_at(at));
+            let again = second.execute(&request.clone().with_at(at));
+            assert_eq!(
+                response_bits(&served),
+                response_bits(&again),
+                "two installs, t = {at}"
+            );
+            let state = build_epoch_state(snapshot.clone(), &recipe, None);
+            let mut scratch = UpAnnsEngine::from_build(recipe.clone(), state);
+            let reference = scratch.execute(&request);
+            assert_eq!(
+                response_bits(&served),
+                response_bits(&reference),
+                "t = {at}"
+            );
+        }
+    }
+
+    #[test]
+    fn mean_reduction_rate_is_the_same_bits_in_every_build() {
+        let first = build(UpAnnsConfig::upanns(), 8).mean_reduction_rate();
+        assert!(first > 0.0);
+        for _ in 0..5 {
+            let again = build(UpAnnsConfig::upanns(), 8).mean_reduction_rate();
+            assert_eq!(again.to_bits(), first.to_bits());
+        }
     }
 
     #[test]

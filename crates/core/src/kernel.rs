@@ -22,6 +22,7 @@ use pim_sim::mram::MramAddr;
 use pim_sim::tasklet::DpuKernelCtx;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How a cluster replica's payload is laid out in MRAM.
 #[derive(Debug, Clone)]
@@ -31,8 +32,9 @@ pub enum ListEncoding {
     PlainU8,
     /// Co-occurrence aware `u16` direct-address stream. The host-side
     /// [`CaeList`] mirror is kept for record-boundary metadata and functional
-    /// decoding; the byte stream itself is resident in MRAM.
-    CaeU16(CaeList),
+    /// decoding; the byte stream itself is resident in MRAM. Every replica
+    /// of a cluster shares the one mirror its encoding produced.
+    CaeU16(Arc<CaeList>),
 }
 
 /// One cluster replica resident in a DPU's MRAM.
@@ -574,7 +576,7 @@ mod tests {
                 let cae_list = CaeList::encode(list.packed_codes(), m, &table);
                 let bytes = cae_list.to_bytes();
                 combos.insert(c, table);
-                (bytes, ListEncoding::CaeU16(cae_list))
+                (bytes, ListEncoding::CaeU16(Arc::new(cae_list)))
             } else {
                 (list.packed_codes().to_vec(), ListEncoding::PlainU8)
             };

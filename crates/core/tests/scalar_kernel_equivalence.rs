@@ -23,6 +23,7 @@ use annkit::vector::{residual, Dataset};
 use pim_sim::config::PimConfig;
 use pim_sim::prelude::PimSystem;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use upanns::config::UpAnnsConfig;
 use upanns::cooccurrence::{mine_cluster_combos, ComboTable, MiningParams};
 use upanns::encoding::CaeList;
@@ -102,7 +103,7 @@ fn run_kernel(backend: Backend, k: usize, cae: bool) -> KernelOutput {
         let ids_addr = sys.mram_alloc(0, ids_bytes.len()).unwrap();
         sys.dpu_mut(0).mram_mut().write(ids_addr, &ids_bytes).unwrap();
         let (codes, encoding) = match cae_lists.remove(&c) {
-            Some(cae_list) => (cae_list.to_bytes(), ListEncoding::CaeU16(cae_list)),
+            Some(cae_list) => (cae_list.to_bytes(), ListEncoding::CaeU16(Arc::new(cae_list))),
             None => (list.packed_codes().to_vec(), ListEncoding::PlainU8),
         };
         let codes_addr = sys.mram_alloc(0, codes.len()).unwrap();

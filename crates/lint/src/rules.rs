@@ -7,9 +7,11 @@
 //!   source the model crates can observe.
 //! * **no-ambient-rng** — entropy-seeded RNG constructors are banned outside
 //!   tests; every production stream must derive from an explicit seed.
-//! * **no-unordered-iteration** — iterating a `HashMap`/`HashSet` binding in
-//!   `crates/serve` or `crates/runtime` without a subsequent sort, which
-//!   would let hash-order leak into byte-diffed reports and answer maps.
+//! * **no-unordered-iteration** — iterating a `HashMap`/`HashSet` binding
+//!   (or a `let` alias of one) in `crates/serve`, `crates/runtime`, the
+//!   live-index modules or the engine without a subsequent sort, which
+//!   would let hash-order leak into byte-diffed reports, answer maps and
+//!   exact-per-seed metrics.
 //! * **vendor-api-surface** — qualified paths and `use` imports into the
 //!   vendored stubs must appear in that stub's `API.txt` manifest, so the
 //!   real registry crates can swap in without code changes.
@@ -266,7 +268,8 @@ fn no_unordered_iteration(input: &FileInput<'_>, out: &mut Vec<Violation>) {
     if !(input.rel.starts_with("crates/serve/")
         || input.rel.starts_with("crates/runtime/")
         || input.rel == "crates/annkit/src/mutation.rs"
-        || input.rel == "crates/core/src/compaction.rs")
+        || input.rel == "crates/core/src/compaction.rs"
+        || input.rel == "crates/core/src/engine.rs")
     {
         return;
     }
@@ -307,6 +310,36 @@ fn no_unordered_iteration(input: &FileInput<'_>, out: &mut Vec<Violation>) {
     if unordered.is_empty() {
         return;
     }
+
+    // Pass 1b: `let alias = [&][mut] path.to.name;` — a borrow of an
+    // unordered binding under another name iterates in the same hash order
+    // (`let rates = &self.current().reduction_rates; rates.values().sum()`
+    // is how an order-dependent f64 sum once got past this rule).
+    let mut aliases: Vec<&str> = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let ends_statement = toks.get(i + 1).is_some_and(|p| p.is_punct(";"));
+        if t.kind != TokenKind::Ident || !unordered.contains(&t.text.as_str()) || !ends_statement {
+            continue;
+        }
+        // The nearest statement boundary or `=` to the left; an alias has
+        // `let [mut] alias` right before the `=`.
+        let boundary = ["=", ";", "{", "}"];
+        let Some(eq) = (0..i)
+            .rev()
+            .find(|&j| boundary.iter().any(|p| toks[j].is_punct(p)))
+        else {
+            continue;
+        };
+        let is_let = |j: usize| {
+            toks[j].is_ident("let")
+                || (toks[j].is_ident("mut") && j >= 1 && toks[j - 1].is_ident("let"))
+        };
+        let names_alias = eq >= 2 && toks[eq - 1].kind == TokenKind::Ident && is_let(eq - 2);
+        if toks[eq].is_punct("=") && names_alias {
+            aliases.push(&toks[eq - 1].text);
+        }
+    }
+    unordered.extend(aliases);
 
     let flag = |name: &str, idx: usize, out: &mut Vec<Violation>| {
         let sorted_after = toks[idx..toks.len().min(idx + SORT_WINDOW)]
@@ -639,6 +672,19 @@ mod tests {
         let v = check("crates/serve/src/dispatch_helpers.rs", bad);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 2);
+    }
+
+    #[test]
+    fn iteration_through_a_let_alias_is_flagged() {
+        let bad = "struct S { rates: HashMap<usize, f64> }\n\
+                   fn mean(s: &S) -> f64 { let r = &s.rates; r.values().sum::<f64>() }\n";
+        let v = check("crates/core/src/engine.rs", bad);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "no-unordered-iteration");
+        let good = "struct S { rates: HashMap<usize, f64> }\n\
+                    fn mean(s: &S) -> f64 { let r = &s.rates;\n\
+                    let mut rows: Vec<_> = r.iter().collect(); rows.sort(); fold(rows) }\n";
+        assert!(check("crates/core/src/engine.rs", good).is_empty());
     }
 
     #[test]
