@@ -56,7 +56,7 @@ pub mod ivf;
 pub mod kmeans;
 pub mod lut;
 pub mod mutation;
-mod par;
+pub mod par;
 pub mod pq;
 pub mod recall;
 pub mod simd;

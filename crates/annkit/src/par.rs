@@ -1,8 +1,9 @@
 //! Index-ordered fan-out of independent work items over scoped threads.
 //!
-//! Training has two loops whose items do not depend on each other — the
-//! `m` PQ sub-quantizers (each with its own seed) and the assign + encode
-//! of every added vector. [`map_indexed`] runs such a loop on the machine's
+//! The offline phase has loops whose items do not depend on each other — the
+//! `m` PQ sub-quantizers (each with its own seed), the assign + encode of
+//! every added vector, and (in `upanns`) one epoch state per snapshot of an
+//! installed timeline. [`map_indexed`] runs such a loop on the machine's
 //! cores and hands the results back **in index order**, so what is built
 //! from them (codebooks, inverted lists) is byte-identical to the serial
 //! loop's whatever the worker count or the interleaving was.
@@ -12,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `(0..items).map(f).collect()`, with `f` called from up to
 /// `available_parallelism()` scoped threads (never more than `items`; the
 /// calling thread alone when that is one).
-pub(crate) fn map_indexed<T: Send>(items: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+pub fn map_indexed<T: Send>(items: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let workers = workers().min(items);
     if workers <= 1 {
         return (0..items).map(f).collect();

@@ -112,8 +112,7 @@ pub struct CpuFaissEngine {
     /// Work-scale factor: the timing model treats every stored vector as
     /// representing this many vectors of the modeled (billion-scale) dataset.
     /// Functional results are always computed at actual scale; only the
-    /// per-candidate work counts are multiplied. See DESIGN.md's substitution
-    /// table and EXPERIMENTS.md for the factors used per experiment.
+    /// per-candidate work counts are multiplied.
     work_scale: f64,
 }
 

@@ -26,7 +26,7 @@ use std::path::PathBuf;
 /// evaluation uses 10⁹ vectors, |C| ∈ {4096, 8192, 16384}, nprobe ∈
 /// {64, 128, 256}, 896 DPUs and 1,000-query batches; the defaults below keep
 /// the same nprobe/|C| ratios and project per-vector work to 10⁹ with the
-/// work-scale factor (see DESIGN.md's substitution table).
+/// work-scale factor ([`UpAnnsConfig::work_scale`]).
 #[derive(Debug, Clone)]
 pub struct EvalParams {
     /// Number of base vectors generated per dataset.

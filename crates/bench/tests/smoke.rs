@@ -96,3 +96,22 @@ fn figures_binary_runs_the_cheap_experiments() {
     );
     std::fs::remove_dir_all(&out_dir).ok();
 }
+
+#[test]
+fn figures_binary_rejects_an_unknown_id_before_any_work() {
+    // The typo comes *after* a valid id: nothing may run or be written, and
+    // the status is exactly 2 (a panic's 101 is not a rejection).
+    let out_dir = std::env::temp_dir().join("upanns_figures_unknown_id");
+    std::fs::create_dir_all(&out_dir).expect("create temp dir");
+    let output = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["tab1", "fig99"])
+        .current_dir(&out_dir)
+        .output()
+        .expect("figures binary runs");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.starts_with("error: unknown experiment id 'fig99'"), "stderr: {stderr}");
+    assert!(output.stdout.is_empty(), "work was done before the id check");
+    assert!(!out_dir.join("results").exists(), "a CSV was written before the id check");
+    std::fs::remove_dir_all(&out_dir).ok();
+}

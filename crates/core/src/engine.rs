@@ -459,30 +459,11 @@ impl AnnEngine for UpAnnsEngine {
 
     fn install_timeline(&mut self, timeline: SnapshotTimeline) -> bool {
         // An epoch state is a pure function of (snapshot, recipe), so the
-        // epochs are built side by side — contiguous runs of the timeline,
-        // one per worker, concatenated in timeline order.
+        // epochs are built side by side and gathered in timeline order.
         let entries = timeline.entries();
         let recipe = &self.recipe;
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(entries.len());
-        self.epochs = std::thread::scope(|scope| {
-            let runs: Vec<_> = entries
-                .chunks(entries.len().div_ceil(workers))
-                .map(|run| {
-                    scope.spawn(move || {
-                        run.iter()
-                            .map(|(_, snapshot)| build_epoch_state(snapshot.clone(), recipe, None))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            runs.into_iter()
-                .flat_map(|run| match run.join() {
-                    Ok(states) => states,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
+        self.epochs = annkit::par::map_indexed(entries.len(), |i| {
+            build_epoch_state(entries[i].1.clone(), recipe, None)
         });
         self.timeline = timeline;
         true

@@ -299,7 +299,7 @@ pub fn run_batch_kernel_with_scratch(
         // the cluster really is that large. Charging the reduced-scale loop
         // and multiplying it would instead project reduced-scale artifacts
         // (per-vector DMA setup latency, idle tasklets on ten-vector
-        // clusters) onto the modeled system; see DESIGN.md's projection notes.
+        // clusters) onto the modeled system.
         for t in 0..tasklets {
             ctx.wram().alloc(READBUF_REGIONS[t], read_bytes).expect("planned");
             ctx.wram().alloc(HEAP_REGIONS[t], wplan.heap_bytes).expect("planned");

@@ -15,21 +15,25 @@
 //! * `--runtime replay` (the default) replays every scenario on the
 //!   discrete-event [`SearchService`](upanns_serve::SearchService) — one
 //!   thread, a simulated clock, byte-reproducible — and prints one table per
-//!   scenario. With the default flags `--json PATH` regenerates the committed
-//!   `BENCH_serving.json` byte for byte.
+//!   scenario. `--json PATH` writes the rows as a record once they pass
+//!   [`audit`] (else exit 1, a `record:` line naming the failed clause, and
+//!   nothing written); with the default flags the record is the committed
+//!   `BENCH_serving.json`, byte for byte, and the audit adds the claims that
+//!   file carries.
 //! * `--runtime threaded` runs the real multi-threaded pipeline
 //!   ([`upanns_runtime::pipeline`]) against the wall clock: one row per
 //!   `--workers` value per `--sweep-qps` rate, then the tenant mix, then the
 //!   failover and live-mutation scenarios in logical mode. `--json PATH`
-//!   writes the `BENCH_runtime.json` schema; the numbers are
-//!   machine-dependent, the conservation invariants are not.
+//!   writes the same record with [`threaded_row`]s; the numbers are
+//!   machine-dependent (nothing commits them), the conservation invariants
+//!   every row is asserted against are not.
 //! * `--answers PATH` writes the answer map (one `section TAB index TAB
 //!   id,...` line per query) of `--runtime replay`, or of `--runtime twin`
 //!   (the pipeline in logical mode), and exits. The two files are
 //!   byte-identical at every worker count; CI diffs them.
 //!
 //! What the scenarios are and how the three paths share them is documented
-//! in [`upanns_runtime::scenario`]; the record layouts in
+//! in [`upanns_runtime::scenario`]; the record's layout and contract in
 //! [`upanns_runtime::record`]; the spec grammars in
 //! [`parse_tenants`], [`parse_mutations`] and
 //! [`parse_fault`]; `--help` prints the flag reference. Malformed
@@ -40,7 +44,7 @@
 use std::str::FromStr;
 
 use annkit::workload::QueryStream;
-use upanns_runtime::record::{record, runtime_row, serving_row, Json};
+use upanns_runtime::record::{audit, record, serving_row, threaded_row, Json};
 use upanns_runtime::scenario::{
     parse_fault, parse_mutations, parse_tenants, service_config, EngineKind, Fixture, FixtureSpec, Policy,
     ReplayRow, Scenario, StalenessBucket, DATASET_N, DEFAULT_FAULT, DEFAULT_HEDGE_MS,
@@ -61,6 +65,7 @@ use upanns_serve::ServiceConfig;
 /// workers still keep up — the scaling knee lands inside the sweep.
 const THREADED_WORK_SCALE: f64 = 4_000.0;
 
+#[derive(Clone, PartialEq)]
 struct Args {
     queries: usize,
     qps: f64,
@@ -295,40 +300,46 @@ impl Args {
         }
     }
 
-    /// The `config` block of either record. Most keys are shared; `Some`
-    /// marks a key only the threaded (`true`) or only the replay (`false`)
-    /// record carries.
-    fn config_json(&self, service: &ServiceConfig, threaded: bool) -> Json {
-        use Json::{Int, List, Num, Str};
-        let scale = if threaded { self.work_scale } else { REPLAY_WORK_SCALE };
-        let workers = self.workers.iter().map(|&w| Int(w as u64)).collect();
-        let sweep_qps = self.sweep_qps.iter().map(|&q| Num(q)).collect();
-        let fields = [
-            (None, "dataset_n", Int(DATASET_N as u64)),
-            (None, "nlist", Int(NLIST as u64)),
-            (None, "dpus", Int(DPUS as u64)),
-            (None, "work_scale", Num(scale)),
-            (Some(true), "workers", List(workers)),
-            (Some(true), "sweep_qps", List(sweep_qps)),
-            (Some(false), "num_queries", Int(self.queries as u64)),
-            (Some(false), "offered_qps", Num(self.qps)),
-            (None, "repeat_fraction", Num(self.repeat)),
-            (None, "slo_p99_ms", Num(self.slo_ms)),
-            (Some(false), "hosts", Int(self.hosts as u64)),
-            (None, "max_chunk", Int(self.max_chunk as u64)),
-            (None, "queue_capacity", Int(service.queue_capacity as u64)),
-            (None, "fixed_max_batch", Int(service.batcher.max_batch as u64)),
-            (None, "fixed_max_delay_ms", Num(service.batcher.max_delay_s * 1e3)),
-            (None, "cache_capacity", Int(service.cache_capacity as u64)),
-            (None, "replicas", Int(self.replicas as u64)),
-            (None, "fault", Str(self.fault.clone())),
-            (None, "hedge_ms", Num(self.hedge_ms)),
-            (None, "mutations", Str(self.mutations.clone())),
-            (Some(false), "live_refresh_s", Num(LIVE_REFRESH_S)),
-            (None, "tenants", Str(self.tenants.clone())),
-        ];
-        let kept = fields.into_iter().filter(|(only, ..)| only.is_none_or(|t| t == threaded));
-        Json::Object(kept.map(|(_, key, value)| (key, value)).collect())
+    /// Whether the flags that shape the replay scenarios are the defaults —
+    /// the ones `BENCH_serving.json` is generated with. Output paths and the
+    /// threaded-only knobs do not shape a replay row.
+    fn shapes_committed_scenarios(&self) -> bool {
+        let defaults = Args::default();
+        let shaping = Args {
+            json: None,
+            workers: defaults.workers.clone(),
+            sweep_qps: defaults.sweep_qps.clone(),
+            work_scale: defaults.work_scale,
+            ..self.clone()
+        };
+        shaping == defaults
+    }
+
+    /// The record's `config` block, for rows served at `work_scale`.
+    fn config_json(&self, service: &ServiceConfig, work_scale: f64) -> Json {
+        use Json::{Int, Num, Str};
+        Json::Object(vec![
+            ("dataset_n", Int(DATASET_N as u64)),
+            ("nlist", Int(NLIST as u64)),
+            ("dpus", Int(DPUS as u64)),
+            ("work_scale", Num(work_scale)),
+            ("num_queries", Int(self.queries as u64)),
+            ("offered_qps", Num(self.qps)),
+            ("repeat_fraction", Num(self.repeat)),
+            ("slo_p99_ms", Num(self.slo_ms)),
+            ("hosts", Int(self.hosts as u64)),
+            ("max_chunk", Int(self.max_chunk as u64)),
+            ("queue_capacity", Int(service.queue_capacity as u64)),
+            ("fixed_max_batch", Int(service.batcher.max_batch as u64)),
+            ("fixed_max_delay_ms", Num(service.batcher.max_delay_s * 1e3)),
+            ("cache_capacity", Int(service.cache_capacity as u64)),
+            ("replicas", Int(self.replicas as u64)),
+            ("fault", Str(self.fault.clone())),
+            ("hedge_ms", Num(self.hedge_ms)),
+            ("mutations", Str(self.mutations.clone())),
+            ("live_refresh_s", Num(LIVE_REFRESH_S)),
+            ("tenants", Str(self.tenants.clone())),
+        ])
     }
 }
 
@@ -339,6 +350,18 @@ fn write_file(path: &str, contents: String) {
         std::process::exit(1);
     }
     eprintln!("wrote {path}");
+}
+
+/// Writes a record — unless it failed its contract: then nothing is written
+/// and the run exits 1 with a `record:` line naming the clause.
+fn write_record(path: &str, record: Result<String, String>) {
+    match record {
+        Ok(text) => write_file(path, text),
+        Err(clause) => {
+            eprintln!("record: {clause}");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn main() {
@@ -473,12 +496,8 @@ fn threaded_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
     });
     print_table(None, header, table.collect());
     if let Some(path) = &args.json {
-        let rows = rows
-            .iter()
-            .map(|(s, r)| runtime_row(r, s.workload, s.offered_qps, s.stream.len()))
-            .collect();
-        let config = args.config_json(&base, true);
-        write_file(path, record("upanns-runtime-bench-v3", config, "rows", rows));
+        let rows = rows.iter().map(|(s, r)| threaded_row(r, s.workload, s.offered_qps)).collect();
+        write_record(path, record(args.config_json(&base, args.work_scale), rows));
     }
 }
 
@@ -516,9 +535,10 @@ fn replay_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
     }
     print_replay_tables(args, &rows);
     if let Some(path) = &args.json {
-        let config = args.config_json(&base, false);
-        let rows = rows.iter().map(serving_row).collect();
-        write_file(path, record("upanns-serving-bench-v6", config, "engines", rows));
+        let config = args.config_json(&base, REPLAY_WORK_SCALE);
+        let written = audit(&rows, args.shapes_committed_scenarios())
+            .and_then(|()| record(config, rows.iter().map(serving_row).collect()));
+        write_record(path, written);
     }
 }
 

@@ -18,8 +18,9 @@
 //! The crate also hosts the serving bench. [`scenario`] is the bench as
 //! data — one fixture, one engine factory behind `Box<dyn AnnEngine>`, the
 //! five scenarios, the `--tenants` / `--mutations` grammars, and the two
-//! runners (one per driver) every run goes through; [`record`] turns the
-//! rows into the two committed JSON records through one ordered writer. The
+//! runners (one per driver) every run goes through; [`record`] is the serving
+//! record — field lists, one ordered writer, and the contract
+//! ([`record::audit`]) rows must pass before they are written. The
 //! `serve` binary (this crate's `src/bin/serve.rs`) is what is left: flag
 //! parsing, a loop over the scenarios, and the stdout tables.
 //!

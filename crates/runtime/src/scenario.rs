@@ -30,11 +30,13 @@
 //!
 //! * **replay rows** — scenario × policy list through
 //!   [`Fixture::replay_rows`], which adds the failover envelope and the live
-//!   audit; this is `BENCH_serving.json`;
+//!   audit; this is `BENCH_serving.json`, once [`crate::record::audit`]
+//!   accepts the rows;
 //! * **answer maps** — `single`, `multi`, `failover`, `live-mutation` under
 //!   [`Policy::Fixed`], once through each runner; CI byte-diffs the two;
 //! * **threaded rows** — worker count × {wall sweep, wall `multi`, logical
-//!   `failover`, logical `live-mutation`}; this is `BENCH_runtime.json`.
+//!   `failover`, logical `live-mutation`}; wall-clock numbers, so nothing
+//!   commits them — each run is asserted to conserve instead.
 //!
 //! Both sides of the twin diff therefore serve the same stream under the
 //! same config on the same engine kind because they are handed the same
@@ -201,7 +203,7 @@ fn bench_compaction_policy() -> CompactionPolicy {
 /// Recall-vs-staleness buckets as `(label, highest mutation lag)`: how many
 /// mutations the served snapshot trails the exact corpus by at the query's
 /// arrival. The last bucket is open-ended.
-const STALENESS_BUCKETS: [(&str, u64); 4] = [
+pub(crate) const STALENESS_BUCKETS: [(&str, u64); 4] = [
     ("lag=0", 0),
     ("lag=1-10", 10),
     ("lag=11-100", 100),

@@ -1,0 +1,57 @@
+//! The `serve` binary's must-fail contract: a flag value, name or spec the
+//! bench cannot honor exits with status **exactly 2** and an `error:` line,
+//! before any fixture is built — "nonzero" would let a panic (101) pass for
+//! a rejection, and a rejection after the fixture would cost its build time.
+//!
+//! Nine of these cases used to panic (in the flag parser, or later in an
+//! assert deep inside `annkit::workload`), and the out-of-range `--fault`
+//! host used to exit 0 with a row that "recovered" from an outage on a host
+//! that never existed.
+
+use std::process::Command;
+
+const MUST_FAIL: [&[&str]; 25] = [
+    &["--engines", "bogus"],
+    &["--policy", "bogus"],
+    &["--tenants", "broken"],
+    &["--tenants", "a:qps=1,bogus=2"],
+    &["--runtime", "bogus"],
+    &["--workers", "0"],
+    &["--fault", "bogus"],
+    &["--fault", "1@9..5"],
+    &["--fault", "7@20..45"],
+    &["--replicas", "0"],
+    &["--replicas", "99"],
+    &["--hedge-ms", "0"],
+    &["--mutations", "broken"],
+    &["--mutations", "upsert=x"],
+    &["--mutations", "bogus=1"],
+    &["--mutations", "upsert=0,delete=0"],
+    &["--queries", "abc"],
+    &["--queries"],
+    &["--qps", "x"],
+    &["--hosts", "x"],
+    &["--json"],
+    &["--slo-ms", "0"],
+    &["--repeat", "7"],
+    &["--qps", "0"],
+    &["--queries", "0"],
+];
+
+#[test]
+fn malformed_flags_names_and_specs_exit_with_status_exactly_2() {
+    for args in MUST_FAIL {
+        let output = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(args)
+            .output()
+            .expect("the serve binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "serve {args:?}: stderr: {stderr}");
+        assert!(stderr.starts_with("error:"), "serve {args:?}: stderr: {stderr}");
+        // `main` announces the fixture on stderr before building it: a
+        // rejection that comes first is the only line there (which is why
+        // the whole table runs in well under a second).
+        assert_eq!(stderr.lines().count(), 1, "serve {args:?}: stderr: {stderr}");
+        assert!(output.stdout.is_empty(), "serve {args:?} printed rows before rejecting");
+    }
+}

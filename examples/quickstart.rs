@@ -25,7 +25,7 @@ fn main() {
         .generate_with_meta();
     // Work-scale projection: timing models treat every stored vector as
     // `scale` vectors of the modeled billion-entry dataset (results and
-    // recall are computed on the actual data). See DESIGN.md.
+    // recall are computed on the actual data) — `UpAnnsConfig::work_scale`.
     let scale = 1e9 / n as f64;
 
     // ------------------------------------------------------------------
