@@ -1,6 +1,9 @@
-//! Golden record of everything the cycle model and the functional kernel
-//! produce for one small fixed request, captured at the commit *before* the
-//! functional half of `run_batch_kernel` was rewritten for host speed.
+//! Golden records of everything the cycle model and the functional kernel
+//! produce for two small fixed requests, each captured at the commit *before*
+//! a host-speed rewrite: long lists on a busy fleet (before the functional
+//! half of `run_batch_kernel` was rewritten) and short lists on a mostly idle
+//! fleet with mixed options (before the filter / LUT / region-bookkeeping
+//! rewrite).
 //!
 //! A host-only change must leave every modeled number bit-identical: the
 //! response's modeled seconds, each breakdown entry, the workload counters,
@@ -8,32 +11,95 @@
 //! counts, MRAM bytes, WRAM peak) and the answers (ids and distance bits). The
 //! benchmark checks that on its own fixtures; this test makes it part of
 //! `cargo test`. To move the golden on purpose (a cost-model change), print
-//! `observed(..)` and replace `tests/golden/modeled_invariance.txt`.
+//! `observed(..)` and replace the shape's file under `tests/golden/`.
 //!
-//! The fixture avoids libm: uniform cluster sizes (`powf(0.0)` is exact) and
+//! The fixtures avoid libm: uniform cluster sizes (`powf(0.0)` is exact) and
 //! dataset rows as history and queries, so the record does not depend on the
 //! platform's last-bit rounding of `powf` / `ln`.
 
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
 use annkit::synthetic::SyntheticSpec;
-use baselines::engine::{AnnEngine, SearchRequest};
+use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
 use pim_sim::config::PimConfig;
 use std::fmt::Write;
 use upanns::builder::{BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 
 const GOLDEN: &str = include_str!("golden/modeled_invariance.txt");
+const GOLDEN_SHORT_LISTS: &str = include_str!("golden/modeled_invariance_short_lists.txt");
 
-fn observed() -> String {
-    let data = SyntheticSpec::sift_like(2400)
-        .with_clusters(16)
+/// One fixed index, fleet and request whose record is pinned by a golden.
+struct Shape {
+    vectors: usize,
+    nlist: usize,
+    train_size: usize,
+    seed: u64,
+    dpus: usize,
+    history_nprobe: usize,
+    capacity: BatchCapacity,
+    /// `(k, nprobe)` of query `i` is `options[i % options.len()]`.
+    queries: usize,
+    options: &'static [(usize, usize)],
+}
+
+/// 150-vector lists on 8 DPUs that are all busy, one uniform request.
+const LONG_LISTS: Shape = Shape {
+    vectors: 2400,
+    nlist: 16,
+    train_size: 900,
+    seed: 1606,
+    dpus: 8,
+    history_nprobe: 5,
+    capacity: BatchCapacity {
+        batch_size: 24,
+        nprobe: 5,
+        max_k: 10,
+    },
+    queries: 24,
+    options: &[(10, 5)],
+};
+
+/// The serving fixtures' shape: ~6-vector lists (fewer than the 11 tasklets,
+/// so most tasklets scan nothing), 64 DPUs most of which are idle in a
+/// launch, and one request with mixed options that `execute_grouped` splits
+/// into four launches.
+const SHORT_LISTS: Shape = Shape {
+    vectors: 2048,
+    nlist: 512,
+    train_size: 1536,
+    seed: 2011,
+    dpus: 64,
+    history_nprobe: 8,
+    capacity: BatchCapacity {
+        batch_size: 12,
+        nprobe: 8,
+        max_k: 20,
+    },
+    queries: 12,
+    options: &[(10, 4), (20, 8), (10, 8), (20, 4)],
+};
+
+fn observed(shape: &Shape) -> String {
+    let n = shape.vectors;
+    let data = SyntheticSpec::sift_like(n)
+        .with_clusters(shape.nlist)
         .with_size_skew(0.0)
-        .with_seed(1606)
+        .with_seed(shape.seed)
         .generate();
-    let index = IvfPqIndex::train(&data, &IvfPqParams::new(16, 16).with_train_size(900), 5);
-    let history = data.gather(&(0..160).map(|i| i * 13 % 2400).collect::<Vec<_>>());
-    let queries = data.gather(&(0..24).map(|i| i * 97 % 2400).collect::<Vec<_>>());
-    let request = SearchRequest::uniform(&queries, 5, 10);
+    let index = IvfPqIndex::train(
+        &data,
+        &IvfPqParams::new(shape.nlist, 16).with_train_size(shape.train_size),
+        5,
+    );
+    let history = data.gather(&(0..160).map(|i| i * 13 % n).collect::<Vec<_>>());
+    let queries = data.gather(&(0..shape.queries).map(|i| i * 97 % n).collect::<Vec<_>>());
+    let options = (0..shape.queries)
+        .map(|i| {
+            let (k, nprobe) = shape.options[i % shape.options.len()];
+            QueryOptions::new(k, nprobe)
+        })
+        .collect();
+    let request = SearchRequest::new(queries, options);
 
     let mut out = String::new();
     for (name, config) in [
@@ -42,13 +108,9 @@ fn observed() -> String {
     ] {
         let mut engine = UpAnnsBuilder::new(&index)
             .with_config(config.with_work_scale(150.0))
-            .with_pim_config(PimConfig::with_dpus(8))
-            .with_history(&history, 5)
-            .with_batch_capacity(BatchCapacity {
-                batch_size: 24,
-                nprobe: 5,
-                max_k: 10,
-            })
+            .with_pim_config(PimConfig::with_dpus(shape.dpus))
+            .with_history(&history, shape.history_nprobe)
+            .with_batch_capacity(shape.capacity.clone())
             .build();
         let response = engine.execute(&request);
         writeln!(out, "[{name}]").unwrap();
@@ -78,13 +140,21 @@ fn observed() -> String {
     out
 }
 
-#[test]
-fn modeled_numbers_and_answers_match_the_pre_rewrite_golden() {
-    let got = observed();
-    if got != GOLDEN {
-        for (i, (g, w)) in got.lines().zip(GOLDEN.lines()).enumerate() {
+fn assert_matches(got: &str, golden: &str) {
+    if got != golden {
+        for (i, (g, w)) in got.lines().zip(golden.lines()).enumerate() {
             assert_eq!(g, w, "first difference at golden line {}", i + 1);
         }
-        assert_eq!(got.lines().count(), GOLDEN.lines().count(), "line count differs");
+        assert_eq!(got.lines().count(), golden.lines().count(), "line count differs");
     }
+}
+
+#[test]
+fn modeled_numbers_and_answers_match_the_pre_rewrite_golden() {
+    assert_matches(&observed(&LONG_LISTS), GOLDEN);
+}
+
+#[test]
+fn short_lists_idle_dpus_and_mixed_options_match_their_golden() {
+    assert_matches(&observed(&SHORT_LISTS), GOLDEN_SHORT_LISTS);
 }
