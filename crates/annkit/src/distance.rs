@@ -10,7 +10,6 @@
 //! twin) see the same answers on every machine.
 
 use crate::simd;
-use crate::topk::Neighbor;
 
 /// The similarity metric of an index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,26 +91,67 @@ pub fn nearest_centroid(v: &[f32], centroids: &[f32], dim: usize) -> (usize, f32
 /// Finds the indices of the `n` closest centroids to `v`, ordered from
 /// closest to furthest. Used for cluster filtering (selecting `nprobe`
 /// clusters per query).
+///
+/// All distances come from one [`simd::l2_squared_rows`] call (bitwise what
+/// one [`l2_squared`] per centroid returns); the `n` best are selected and
+/// only those sorted, which is element for element the prefix of a full
+/// sort under [`Neighbor`](crate::topk::Neighbor)'s order because that order
+/// is total.
 pub fn nearest_centroids(v: &[f32], centroids: &[f32], dim: usize, n: usize) -> Vec<(usize, f32)> {
     assert!(centroids.len().is_multiple_of(dim), "centroid buffer not a multiple of dim");
     let k = centroids.len() / dim;
-    let mut all: Vec<(usize, f32)> = centroids
-        .chunks_exact(dim)
-        .enumerate()
-        .map(|(i, c)| (i, l2_squared(v, c)))
-        .collect();
     let n = n.min(k);
-    // Total order via Neighbor::cmp: a NaN distance (e.g. a poisoned
-    // centroid) sorts last instead of comparing Equal-to-everything, so it
-    // can never displace a finite centroid from the probe set.
-    all.sort_by(|a, b| Neighbor::new(a.0 as u64, a.1).cmp(&Neighbor::new(b.0 as u64, b.1)));
-    all.truncate(n);
-    all
+    if n == 0 {
+        return Vec::new();
+    }
+    let mut distances = vec![0.0f32; k];
+    simd::l2_squared_rows(v, centroids, &mut distances);
+    let mut keys: Vec<u64> = distances
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| order_key(i, d))
+        .collect();
+    if n < k {
+        keys.select_nth_unstable(n - 1);
+        keys.truncate(n);
+    }
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|key| {
+            let i = key as u32 as usize; // the key's low half
+            (i, distances[i])
+        })
+        .collect()
+}
+
+/// `(index, distance)` as one integer whose order is
+/// [`Neighbor::cmp`](crate::topk::Neighbor)'s on
+/// `Neighbor::new(index, distance)`: by distance, a NaN distance (e.g. a
+/// poisoned centroid) after every number instead of comparing
+/// Equal-to-everything — so it can never displace a finite centroid from the
+/// probe set — and the index breaking ties, so no two keys are equal. An
+/// integer compare has no data-dependent branch, which on unpredictable
+/// distances is most of a selection's cost.
+fn order_key(index: usize, distance: f32) -> u64 {
+    let index = u32::try_from(index).expect("fewer than 2^32 centroids");
+    // The usual monotone map of IEEE-754 bits onto unsigned integers, after
+    // folding -0.0 into +0.0 (they compare equal) and every NaN into the
+    // greatest key.
+    let bits = (distance + 0.0).to_bits();
+    let rank = if distance.is_nan() {
+        u32::MAX
+    } else if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    };
+    u64::from(rank) << 32 | u64::from(index)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topk::Neighbor;
 
     #[test]
     fn l2_matches_naive() {
@@ -168,6 +208,32 @@ mod tests {
         // n larger than the number of centroids is clamped.
         let all = nearest_centroids(&[0.0, 0.0], &centroids, 2, 100);
         assert_eq!(all.len(), 4);
+    }
+
+    #[test]
+    fn order_key_is_neighbor_order() {
+        let distances = [
+            0.0f32,
+            -0.0,
+            1.5,
+            1.5,
+            f32::MIN_POSITIVE,
+            -2.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            3.0e38,
+        ];
+        for (i, &a) in distances.iter().enumerate() {
+            for (j, &b) in distances.iter().enumerate() {
+                assert_eq!(
+                    order_key(i, a).cmp(&order_key(j, b)),
+                    Neighbor::new(i as u64, a).cmp(&Neighbor::new(j as u64, b)),
+                    "({i}, {a}) vs ({j}, {b})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -35,9 +35,10 @@ impl LookupTable {
     /// [`build`](Self::build) into this table's allocation, for loops that
     /// build one LUT per (query, cluster) pair.
     ///
-    /// Row-wise: each residual sub-vector against the 256 contiguous
-    /// centroids of its sub-quantizer ([`simd::l2_squared_rows`]), bitwise
-    /// equal to one [`l2_squared`](crate::distance::l2_squared) per entry.
+    /// Each residual sub-vector against the 256 centroids of its
+    /// sub-quantizer, one centroid per SIMD lane over the quantizer's
+    /// column-major codebooks ([`simd::l2_squared_cols`]), bitwise equal to
+    /// one [`l2_squared`](crate::distance::l2_squared) per entry.
     ///
     /// # Panics
     /// Panics if `residual.len() != pq.dim()`.
@@ -48,10 +49,10 @@ impl LookupTable {
         self.table.resize(self.m * KSUB, 0.0);
         for ((rv, centroids), row) in residual
             .chunks_exact(dsub)
-            .zip(pq.codebooks_flat().chunks_exact(KSUB * dsub))
+            .zip(pq.codebooks_cols().chunks_exact(KSUB * dsub))
             .zip(self.table.chunks_exact_mut(KSUB))
         {
-            simd::l2_squared_rows(rv, centroids, row);
+            simd::l2_squared_cols(rv, centroids, row);
         }
     }
 

@@ -28,6 +28,10 @@ pub struct ProductQuantizer {
     /// Codebooks stored as `m` contiguous blocks of `KSUB * dsub` floats:
     /// `codebooks[sub][code]` is at `sub * KSUB * dsub + code * dsub`.
     codebooks: Vec<f32>,
+    /// The same centroids column-major within each sub-quantizer:
+    /// component `j` of `(sub, code)` is at `sub * KSUB * dsub + j * KSUB +
+    /// code`. Built once with the quantizer; what LUT construction reads.
+    codebooks_cols: Vec<f32>,
 }
 
 impl ProductQuantizer {
@@ -67,12 +71,7 @@ impl ProductQuantizer {
         for km in &trained {
             codebooks.extend_from_slice(km.centroids_flat());
         }
-        Self {
-            dim,
-            m,
-            dsub,
-            codebooks,
-        }
+        Self::from_codebooks(dim, m, codebooks)
     }
 
     /// Builds a quantizer from pre-existing codebooks (used by tests and by
@@ -85,11 +84,23 @@ impl ProductQuantizer {
         assert!(m > 0 && dim.is_multiple_of(m));
         let dsub = dim / m;
         assert_eq!(codebooks.len(), m * KSUB * dsub, "codebook size mismatch");
+        let mut codebooks_cols = vec![0.0; codebooks.len()];
+        for (rows, cols) in codebooks
+            .chunks_exact(KSUB * dsub)
+            .zip(codebooks_cols.chunks_exact_mut(KSUB * dsub))
+        {
+            for (code, centroid) in rows.chunks_exact(dsub).enumerate() {
+                for (j, &x) in centroid.iter().enumerate() {
+                    cols[j * KSUB + code] = x;
+                }
+            }
+        }
         Self {
             dim,
             m,
             dsub,
             codebooks,
+            codebooks_cols,
         }
     }
 
@@ -124,6 +135,16 @@ impl ProductQuantizer {
     #[inline]
     pub fn codebooks_flat(&self) -> &[f32] {
         &self.codebooks
+    }
+
+    /// The codebooks column-major within each sub-quantizer (`m` blocks of
+    /// `dsub` columns of 256 floats): component `j` of `(sub, code)` is at
+    /// `sub * 256 * dsub + j * 256 + code`. The layout
+    /// [`simd::l2_squared_cols`](crate::simd::l2_squared_cols) takes, so a
+    /// LUT row is built with one centroid per SIMD lane.
+    #[inline]
+    pub fn codebooks_cols(&self) -> &[f32] {
+        &self.codebooks_cols
     }
 
     /// Size in bytes of the codebook if stored at `bytes_per_component`

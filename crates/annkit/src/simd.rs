@@ -1,7 +1,8 @@
 //! Explicitly vectorized fast paths for the hot kernels where AVX2 wins
 //! on record — the L2/inner-product distances, the one-query-against-many-
-//! rows distance block and the top-k pre-filter — behind runtime feature
-//! detection, plus the one (portable) ADC scan.
+//! rows distance block in its row-major and column-major forms and the
+//! top-k pre-filter — behind runtime feature detection, plus the one
+//! (portable) ADC scan.
 //!
 //! The ADC scan has no vector path: an AVX2 gather over the `m × 256` f32
 //! LUT measured 1.15–1.30× *slower* than the cache-blocked scalar loop on
@@ -28,6 +29,10 @@
 //! * the AVX2 row kernel builds each row's 4-lane accumulator the same way
 //!   and only replaces four horizontal sums by a 4 × 4 transpose and three
 //!   vertical adds in the reference's left-to-right order;
+//! * the column kernel (LUT construction) makes each SIMD lane one row that
+//!   runs the scalar reduction tree on its own — the blocked scan's idea, so
+//!   there is no horizontal sum and no transpose whose order could differ —
+//!   and is plain Rust compiled with and without AVX2;
 //! * the top-k pre-filter compares exactly (no rounding is involved).
 //!
 //! # Where `unsafe` lives
@@ -36,11 +41,12 @@
 //! permitted: the crate root demotes `#![forbid(unsafe_code)]` to `deny`
 //! and this file alone re-allows it, the `upanns-lint`
 //! `no-unsafe-outside-simd` rule machine-checks that no other file uses
-//! the keyword, and every unsafe block here (four: the two distance
-//! kernels, the row kernel and the pre-filter mask) is an `std::arch`
-//! intrinsic call whose
-//! preconditions (CPU features, in-bounds unaligned loads) are established
-//! by the dispatcher and by an explicit length check.
+//! the keyword, and every unsafe block here (five: the two distance
+//! kernels, the row kernel, the column kernel and the pre-filter mask) is a
+//! call into a `#[target_feature]` function whose preconditions (CPU
+//! features and, for the four written in `std::arch` intrinsics, in-bounds
+//! unaligned loads) are established by the dispatcher and by an explicit
+//! length check.
 //!
 //! # Dispatch policy
 //!
@@ -146,14 +152,20 @@ pub fn l2_squared_scalar(a: &[f32], b: &[f32]) -> f32 {
 
 /// Squared L2 distance from `query` to each of `out.len()` contiguous rows
 /// of `rows` (row `r` is `rows[r * d..(r + 1) * d]`, `d = query.len()`) —
-/// the shape of a LUT row, and of a k-means assignment: one (sub-)vector
-/// against the 256 centroids of one sub-quantizer. Runs on the best
-/// runtime-detected backend.
+/// the shape of a k-means assignment and of a PQ encode (one (sub-)vector
+/// against the centroids of one quantizer, both through
+/// [`nearest_centroid`](crate::distance::nearest_centroid)) and of cluster
+/// filtering ([`nearest_centroids`](crate::distance::nearest_centroids)).
+/// Runs on the best runtime-detected backend.
 ///
 /// Every entry is [`l2_squared_scalar`]'s reduction tree, so the result is
 /// bitwise-equal to `l2_squared_with(backend, query, row)` on every backend;
 /// what the row form saves is the per-entry dispatch and call, and it lets
-/// the compiler keep `query` in registers across rows.
+/// the compiler keep `query` in registers across rows. LUT construction,
+/// the online caller at PQ sub-vector widths, uses [`l2_squared_cols`]
+/// instead; the row form keeps the offline callers (k-means assignment and
+/// PQ encode, until a record shows the column form winning there) and the
+/// coarse filter (128-d rows, where the two forms measured equal).
 ///
 /// # Panics
 /// Panics if `query` is empty or `rows.len() != out.len() * query.len()`.
@@ -177,6 +189,98 @@ pub fn l2_squared_rows_with(backend: Backend, query: &[f32], rows: &[f32], out: 
     let _ = backend;
     for (slot, row) in out.iter_mut().zip(rows.chunks_exact(d)) {
         *slot = l2_squared_scalar(query, row);
+    }
+}
+
+/// [`l2_squared_rows`] over a *column-major* table: component `j` of row `r`
+/// is `cols[j * out.len() + r]` — the layout of
+/// [`ProductQuantizer::codebooks_cols`](crate::pq::ProductQuantizer::codebooks_cols),
+/// and the kernel of LUT construction. Runs on the best runtime-detected
+/// backend.
+///
+/// Each SIMD lane is one row running [`l2_squared_scalar`]'s reduction tree
+/// on its own, so every entry is bitwise-equal to
+/// `l2_squared_scalar(query, row)` on every backend, with no horizontal sum
+/// and no transpose to argue about.
+///
+/// # Panics
+/// Panics if `query` is empty or `cols.len() != out.len() * query.len()`.
+#[inline]
+pub fn l2_squared_cols(query: &[f32], cols: &[f32], out: &mut [f32]) {
+    l2_squared_cols_with(active(), query, cols, out)
+}
+
+/// [`l2_squared_cols`] on an explicit backend (bitwise-equal across
+/// backends).
+pub fn l2_squared_cols_with(backend: Backend, query: &[f32], cols: &[f32], out: &mut [f32]) {
+    assert!(!query.is_empty(), "column distance needs a non-empty query");
+    assert_eq!(
+        cols.len(),
+        out.len() * query.len(),
+        "column buffer size mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Avx2 {
+        // SAFETY: feature availability as in `l2_squared_with`. The callee is
+        // the safe portable kernel below compiled with AVX2 enabled — no
+        // intrinsics, every access bounds-checked.
+        return unsafe { x86::l2_squared_cols_avx2(query, cols, out) };
+    }
+    let _ = backend;
+    l2_squared_cols_lanes(query, cols, out)
+}
+
+/// The column kernel: [`SCAN_LANES`] rows at a time, then the remaining
+/// rows one at a time. Plain Rust, compiled twice — as is, and inlined into
+/// `x86::l2_squared_cols_avx2` where the lane loops become 8-wide vector
+/// instructions. Rust never contracts a multiply and an add into an FMA, so
+/// both compilations round identically.
+#[inline(always)]
+fn l2_squared_cols_lanes(query: &[f32], cols: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    let full = n / SCAN_LANES * SCAN_LANES;
+    for first in (0..full).step_by(SCAN_LANES) {
+        l2_squared_cols_block::<SCAN_LANES>(query, cols, n, first, out);
+    }
+    for first in full..n {
+        l2_squared_cols_block::<1>(query, cols, n, first, out);
+    }
+}
+
+/// Rows `first..first + L` of the column kernel, lane `l` being row
+/// `first + l`. Per lane this is [`l2_squared_scalar`] verbatim: four
+/// accumulators fed by component index mod 4, `((a0 + a1) + a2) + a3`, then
+/// the `d % 4` tail components in order; lanes never mix.
+#[inline(always)]
+fn l2_squared_cols_block<const L: usize>(
+    query: &[f32],
+    cols: &[f32],
+    n: usize,
+    first: usize,
+    out: &mut [f32],
+) {
+    // The one bound every column slice below stays inside.
+    assert!(first + L <= n, "row block out of range");
+    let (quads, tail) = query.as_chunks::<4>();
+    let (quad_cols, tail_cols) = cols.split_at(quads.len() * 4 * n);
+    let mut acc = [[0.0f32; L]; 4];
+    for (quad, cols) in quads.iter().zip(quad_cols.chunks_exact(4 * n)) {
+        for (a, (&q, column)) in acc.iter_mut().zip(quad.iter().zip(cols.chunks_exact(n))) {
+            for (a, &c) in a.iter_mut().zip(&column[first..first + L]) {
+                let d = q - c;
+                *a += d * d;
+            }
+        }
+    }
+    let sums = &mut out[first..first + L];
+    for (l, sum) in sums.iter_mut().enumerate() {
+        *sum = acc[0][l] + acc[1][l] + acc[2][l] + acc[3][l];
+    }
+    for (&q, column) in tail.iter().zip(tail_cols.chunks_exact(n)) {
+        for (sum, &c) in sums.iter_mut().zip(&column[first..first + L]) {
+            let d = q - c;
+            *sum += d * d;
+        }
     }
 }
 
@@ -437,6 +541,16 @@ mod x86 {
         for (slot, row) in rest.iter_mut().zip(rows[done * d..].chunks_exact(d)) {
             *slot = l2_squared_avx2(query, row);
         }
+    }
+
+    /// `l2_squared_cols_lanes` compiled with AVX2 enabled, so its 8-lane
+    /// loops are single vector instructions.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn l2_squared_cols_avx2(query: &[f32], cols: &[f32], out: &mut [f32]) {
+        super::l2_squared_cols_lanes(query, cols, out)
     }
 
     /// Bitwise twin of `inner_product_scalar`; same structure as

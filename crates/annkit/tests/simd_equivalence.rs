@@ -3,10 +3,11 @@
 //! therefore the replay twin and every committed bench record) identical
 //! across machines with and without AVX2.
 //!
-//! The distance, row-distance and top-k tests exercise both `Backend::Scalar` and the
-//! runtime-detected backend through the explicit `*_with` entry points, so
-//! on AVX2 hardware the vector code is proven against the scalar code in one
-//! process, and on non-AVX2 hardware they degenerate to scalar-vs-scalar.
+//! The distance, row-distance, column-distance and top-k tests exercise both
+//! `Backend::Scalar` and the runtime-detected backend through the explicit
+//! `*_with` entry points, so on AVX2 hardware the vector code is proven
+//! against the scalar code in one process, and on non-AVX2 hardware they
+//! degenerate to scalar-vs-scalar.
 //! The ADC scan has one implementation (cache-blocked scalar), proven against
 //! the naive record-major reference. CI
 //! additionally re-runs the whole test suite under `UPANNS_FORCE_SCALAR=1`
@@ -15,7 +16,7 @@
 use annkit::lut::LookupTable;
 use annkit::pq::ProductQuantizer;
 use annkit::simd::{self, Backend};
-use annkit::topk::TopK;
+use annkit::topk::{Neighbor, TopK};
 use annkit::vector::Dataset;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -23,6 +24,39 @@ use rand::{Rng, SeedableRng};
 
 fn backends() -> [Backend; 2] {
     [Backend::Scalar, simd::detect()]
+}
+
+/// The quantizer's column-major codebooks hold, at
+/// `sub * 256 * dsub + j * 256 + code`, component `j` of `centroid(sub, code)`.
+fn assert_cols_are_the_transposed_rows(pq: &ProductQuantizer) {
+    let dsub = pq.dsub();
+    let cols = pq.codebooks_cols();
+    assert_eq!(cols.len(), pq.codebooks_flat().len());
+    for sub in 0..pq.m() {
+        for code in 0..=255u8 {
+            for (j, x) in pq.centroid(sub, code).iter().enumerate() {
+                let col = cols[sub * 256 * dsub + j * 256 + code as usize];
+                assert_eq!(
+                    col.to_bits(),
+                    x.to_bits(),
+                    "sub {sub} code {code} component {j}"
+                );
+            }
+        }
+    }
+}
+
+/// What `nearest_centroids` replaced: one distance per centroid, a full sort
+/// under `Neighbor`'s total order, the first `n` kept.
+fn full_sort_oracle(v: &[f32], centroids: &[f32], dim: usize, n: usize) -> Vec<(usize, f32)> {
+    let mut all: Vec<(usize, f32)> = centroids
+        .chunks_exact(dim)
+        .enumerate()
+        .map(|(i, c)| (i, annkit::distance::l2_squared(v, c)))
+        .collect();
+    all.sort_by(|a, b| Neighbor::new(a.0 as u64, a.1).cmp(&Neighbor::new(b.0 as u64, b.1)));
+    all.truncate(n);
+    all
 }
 
 proptest! {
@@ -89,6 +123,78 @@ proptest! {
         }
     }
 
+    /// Column kernel: on every backend, each of `rows` distances over the
+    /// column-major table is the scalar reference's bits on that row — widths
+    /// off the 4-accumulator boundary, row counts off the 8-lane block, and
+    /// NaN / ±inf / −0.0 components. Infinities go in the table only:
+    /// `inf − inf` in a lane that also holds an input NaN would put two NaN
+    /// payloads into one sum, and which of them an add keeps is the
+    /// compiler's operand order, not the reduction tree.
+    #[test]
+    fn column_distances_bitwise_equal(
+        dim in 1usize..=40,
+        rows in 1usize..=300,
+        special_stride in 3usize..50,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
+        let mut table: Vec<f32> = (0..dim * rows).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        for (pick, i) in (0..table.len()).step_by(special_stride).enumerate() {
+            table[i] = specials[pick % specials.len()];
+        }
+        for (pick, i) in (0..dim).step_by(special_stride).enumerate() {
+            query[i] = [-0.0, f32::NAN][pick % 2];
+        }
+        let mut cols = vec![0.0f32; table.len()];
+        for (r, row) in table.chunks_exact(dim).enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                cols[j * rows + r] = x;
+            }
+        }
+        for backend in backends() {
+            let mut out = vec![0.5f32; rows];
+            simd::l2_squared_cols_with(backend, &query, &cols, &mut out);
+            for (got, row) in out.iter().zip(table.chunks_exact(dim)) {
+                prop_assert_eq!(got.to_bits(), simd::l2_squared_scalar(&query, row).to_bits());
+            }
+        }
+    }
+
+    /// `nearest_centroids` (one row-kernel call, select the `n` best, sort
+    /// those) is element for element the full sort's prefix: duplicated
+    /// centroids (distance ties broken by index), NaN-poisoned centroids
+    /// (last), `n` = 0, 1, in between and past the centroid count.
+    #[test]
+    fn nearest_centroids_equals_the_full_sort(
+        dim_pick in 0usize..5,
+        rows in 1usize..160,
+        n_pick in 0usize..6,
+        nan_stride in 2usize..40,
+        seed in 0u64..1_000_000,
+    ) {
+        let dim = [1usize, 3, 8, 13, 128][dim_pick];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
+        let mut table: Vec<f32> = (0..dim * rows).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
+        for r in (2..rows).step_by(3) {
+            let source = rng.gen_range(0..r);
+            table.copy_within(source * dim..(source + 1) * dim, r * dim);
+        }
+        for r in (1..rows).step_by(nan_stride) {
+            table[r * dim] = f32::NAN;
+        }
+        let n = [0, 1, rows / 2, rows.saturating_sub(1), rows, rows + 7][n_pick];
+        let got = annkit::distance::nearest_centroids(&query, &table, dim, n);
+        let want = full_sort_oracle(&query, &table, dim, n);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g.0, w.0);
+            prop_assert_eq!(g.1.to_bits(), w.1.to_bits());
+        }
+    }
+
     /// `nearest_centroid` (row kernel, stack blocks of 64) returns the index
     /// and the distance bits of the loop it replaced — one `l2_squared` per
     /// centroid, first minimum wins — with row counts off the block size,
@@ -126,10 +232,11 @@ proptest! {
         prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
     }
 
-    /// LUT build: the row-wise build (one residual sub-vector against the
-    /// 256 contiguous centroids of its sub-quantizer) equals one
-    /// `l2_squared_with` per entry bit for bit on every backend, across
-    /// sub-vector widths below, at and above the 4- and 8-lane boundaries.
+    /// LUT build: the column-kernel build (one residual sub-vector against
+    /// the 256 centroids of its sub-quantizer, a centroid per lane) equals
+    /// one `l2_squared_with` per entry bit for bit on every backend, across
+    /// sub-vector widths below, at and above the 4- and 8-lane boundaries —
+    /// and the column twin it reads is the transposed row codebooks.
     #[test]
     fn lut_build_equals_per_entry_distance(
         dsub_pick in 0usize..8,
@@ -141,6 +248,7 @@ proptest! {
         let codebooks: Vec<f32> =
             (0..m * 256 * dsub).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
         let pq = ProductQuantizer::from_codebooks(m * dsub, m, codebooks);
+        assert_cols_are_the_transposed_rows(&pq);
         let residual: Vec<f32> = (0..m * dsub).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
         let lut = LookupTable::build(&pq, &residual);
         let mut rebuilt = LookupTable::build(&pq, &vec![0.0; m * dsub]);
@@ -212,6 +320,7 @@ fn trained_lut_scan_ignores_the_backend() {
         ds.push(&v);
     }
     let pq = ProductQuantizer::train(&ds, 8, 5);
+    assert_cols_are_the_transposed_rows(&pq);
     let lut = LookupTable::build(&pq, ds.vector(1));
     let codes: Vec<Vec<u8>> = (0..37).map(|i| pq.encode(ds.vector(i))).collect();
     let packed = annkit::pq::pack_codes(&codes, 8);
@@ -233,5 +342,14 @@ fn trained_lut_scan_ignores_the_backend() {
             Backend::Scalar,
             "UPANNS_FORCE_SCALAR must pin the dispatcher to the fallback"
         );
+    }
+}
+
+/// `nearest_centroids` over no centroids at all: nothing to return for any
+/// `n`, and `n - 1` is never computed.
+#[test]
+fn nearest_centroids_of_an_empty_buffer_is_empty() {
+    for n in [0, 1, 8] {
+        assert!(annkit::distance::nearest_centroids(&[1.0, 2.0], &[], 2, n).is_empty());
     }
 }

@@ -145,7 +145,11 @@ fn assert_matches(got: &str, golden: &str) {
         for (i, (g, w)) in got.lines().zip(golden.lines()).enumerate() {
             assert_eq!(g, w, "first difference at golden line {}", i + 1);
         }
-        assert_eq!(got.lines().count(), golden.lines().count(), "line count differs");
+        assert_eq!(
+            got.lines().count(),
+            golden.lines().count(),
+            "line count differs"
+        );
     }
 }
 

@@ -118,7 +118,7 @@ const HOT_PATH_FILES: &[&str] = &[
 ];
 
 /// The only files allowed to contain `unsafe`: the sanctioned SIMD module,
-/// where every unsafe block is an `std::arch` intrinsic call whose
+/// where every unsafe block is a call into a `#[target_feature]` kernel whose
 /// preconditions are established by runtime feature detection and whose
 /// results are proven bitwise-equal to scalar references.
 const UNSAFE_ALLOWLIST: &[&str] = &["crates/annkit/src/simd.rs"];

@@ -231,7 +231,7 @@ impl PimSystem {
 
         let mut breakdown = StageBreakdown::new();
         for region in &per_dpu_regions[critical_dpu] {
-            breakdown.add(&region.label, region.region_cycles as f64 * spc);
+            breakdown.add(region.label, region.region_cycles as f64 * spc);
         }
 
         self.advance(stage, max_dpu_seconds);

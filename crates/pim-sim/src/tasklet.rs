@@ -19,8 +19,9 @@ use crate::wram::WramAllocator;
 /// Execution record of one parallel region.
 #[derive(Debug, Clone)]
 pub struct RegionRecord {
-    /// Stage label supplied by the kernel.
-    pub label: String,
+    /// Stage label supplied by the kernel: a kernel's stages are a fixed set
+    /// known at compile time, like its WRAM regions.
+    pub label: &'static str,
     /// Number of tasklets the region ran with.
     pub tasklets: usize,
     /// Sum of instruction cycles charged by all tasklets.
@@ -224,7 +225,7 @@ impl<'a> DpuKernelCtx<'a> {
     /// Panics if `tasklets` is zero or exceeds the hardware maximum of 24.
     pub fn parallel<R>(
         &mut self,
-        label: &str,
+        label: &'static str,
         tasklets: usize,
         mut body: impl FnMut(&mut TaskletCtx<'_>) -> R,
     ) -> Vec<R> {
@@ -261,7 +262,7 @@ impl<'a> DpuKernelCtx<'a> {
         self.launch_stats.cycles += region_cycles;
 
         self.regions.push(RegionRecord {
-            label: label.to_string(),
+            label,
             tasklets,
             compute_cycles: total_compute,
             dma_cycles: total_dma,
@@ -272,7 +273,11 @@ impl<'a> DpuKernelCtx<'a> {
 
     /// Runs a single-threaded region (e.g. the final merge a lone tasklet or
     /// the host-visible result write performs).
-    pub fn sequential<R>(&mut self, label: &str, body: impl FnOnce(&mut TaskletCtx<'_>) -> R) -> R {
+    pub fn sequential<R>(
+        &mut self,
+        label: &'static str,
+        body: impl FnOnce(&mut TaskletCtx<'_>) -> R,
+    ) -> R {
         let mut only = None;
         let mut body = Some(body);
         self.parallel(label, 1, |t| {
@@ -284,7 +289,12 @@ impl<'a> DpuKernelCtx<'a> {
 
     /// Writes `bytes` to this DPU's MRAM at `addr`, charging DMA write cycles
     /// as its own region.
-    pub fn mram_write(&mut self, label: &str, addr: MramAddr, bytes: &[u8]) -> Result<(), MramError> {
+    pub fn mram_write(
+        &mut self,
+        label: &'static str,
+        addr: MramAddr,
+        bytes: &[u8],
+    ) -> Result<(), MramError> {
         self.dpu.mram_mut().write(addr, bytes)?;
         let mut dma = 0u64;
         let mut transfers = 0u64;
@@ -297,7 +307,7 @@ impl<'a> DpuKernelCtx<'a> {
         self.launch_stats.mram_bytes_written += bytes.len() as u64;
         self.launch_stats.cycles += dma;
         self.regions.push(RegionRecord {
-            label: label.to_string(),
+            label,
             tasklets: 1,
             compute_cycles: 0,
             dma_cycles: dma,

@@ -7,8 +7,6 @@
 //! capacity is enforced, and the peak footprint is recorded so kernels (and
 //! tests) can verify their layout actually fits in 64 KB.
 
-use std::collections::BTreeMap;
-
 /// Errors raised by WRAM allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WramError {
@@ -50,11 +48,13 @@ impl std::error::Error for WramError {}
 ///
 /// Region names are `&'static str`: a kernel's layout is a fixed set of
 /// regions known at compile time, and an owned name per `alloc` was a heap
-/// allocation per tasklet per assignment on the kernel's hot path.
+/// allocation per tasklet per assignment on the kernel's hot path. The live
+/// regions — at most two per tasklet plus a handful — are an unordered list
+/// searched linearly, for the same reason: no tree node per `alloc`/`free`.
 #[derive(Debug, Clone)]
 pub struct WramAllocator {
     capacity: usize,
-    regions: BTreeMap<&'static str, usize>,
+    regions: Vec<(&'static str, usize)>,
     in_use: usize,
     peak: usize,
 }
@@ -64,7 +64,7 @@ impl WramAllocator {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            regions: BTreeMap::new(),
+            regions: Vec::new(),
             in_use: 0,
             peak: 0,
         }
@@ -97,7 +97,7 @@ impl WramAllocator {
 
     /// Allocates a named region of `bytes`.
     pub fn alloc(&mut self, region: &'static str, bytes: usize) -> Result<(), WramError> {
-        if self.regions.contains_key(region) {
+        if self.region_size(region).is_some() {
             return Err(WramError::DuplicateRegion(region.to_string()));
         }
         if bytes > self.available() {
@@ -107,7 +107,7 @@ impl WramAllocator {
                 available: self.available(),
             });
         }
-        self.regions.insert(region, bytes);
+        self.regions.push((region, bytes));
         self.in_use += bytes;
         self.peak = self.peak.max(self.in_use);
         Ok(())
@@ -116,8 +116,9 @@ impl WramAllocator {
     /// Frees a named region, making its space reusable (the essence of the
     /// Opt2 reuse strategy).
     pub fn free(&mut self, region: &str) -> Result<usize, WramError> {
-        match self.regions.remove(region) {
-            Some(bytes) => {
+        match self.regions.iter().position(|&(name, _)| name == region) {
+            Some(at) => {
+                let (_, bytes) = self.regions.swap_remove(at);
                 self.in_use -= bytes;
                 Ok(bytes)
             }
@@ -127,12 +128,17 @@ impl WramAllocator {
 
     /// Size of a named region, if allocated.
     pub fn region_size(&self, region: &str) -> Option<usize> {
-        self.regions.get(region).copied()
+        self.regions
+            .iter()
+            .find(|&&(name, _)| name == region)
+            .map(|&(_, bytes)| bytes)
     }
 
     /// Names of all live regions (sorted).
     pub fn regions(&self) -> Vec<(&'static str, usize)> {
-        self.regions.iter().map(|(k, v)| (*k, *v)).collect()
+        let mut regions = self.regions.clone();
+        regions.sort_unstable();
+        regions
     }
 
     /// Frees everything and clears the peak statistic.
