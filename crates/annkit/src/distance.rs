@@ -50,12 +50,6 @@ pub fn inner_product(a: &[f32], b: &[f32]) -> f32 {
     simd::inner_product_with(simd::active(), a, b)
 }
 
-/// Squared L2 norm of a vector.
-#[inline]
-pub fn norm_squared(a: &[f32]) -> f32 {
-    inner_product(a, a)
-}
-
 /// Finds the index of the closest centroid to `v` among `centroids` (a flat
 /// row-major buffer of `k` rows of length `dim`), returning
 /// `(index, distance)`; the first of several equally close centroids wins.
@@ -184,7 +178,7 @@ mod tests {
     #[test]
     fn norm_is_self_inner_product() {
         let v = vec![3.0, 4.0];
-        assert_eq!(norm_squared(&v), 25.0);
+        assert_eq!(inner_product(&v, &v), 25.0);
     }
 
     #[test]

@@ -42,12 +42,6 @@ impl KMeansParams {
         self.max_iterations = it;
         self
     }
-
-    /// Overrides the training-point cap (`None` disables sampling).
-    pub fn with_max_training_points(mut self, cap: Option<usize>) -> Self {
-        self.max_training_points = cap;
-        self
-    }
 }
 
 /// A trained k-means model: `k` centroids of dimension `dim`, stored flat.
@@ -177,25 +171,6 @@ impl KMeans {
     pub fn assign(&self, v: &[f32]) -> (usize, f32) {
         nearest_centroid(v, &self.centroids, self.dim)
     }
-
-    /// Assigns every vector of `data` to its nearest centroid.
-    pub fn assign_all(&self, data: &Dataset) -> Vec<usize> {
-        data.iter().map(|v| self.assign(v).0).collect()
-    }
-
-    /// Builds a model directly from existing centroids (used by tests and by
-    /// synthetic dataset generation, where ground-truth centroids are known).
-    pub fn from_centroids(dim: usize, centroids: Vec<f32>) -> Self {
-        assert!(centroids.len().is_multiple_of(dim) && !centroids.is_empty());
-        let k = centroids.len() / dim;
-        Self {
-            dim,
-            k,
-            centroids,
-            final_mse: 0.0,
-            iterations_run: 0,
-        }
-    }
 }
 
 /// k-means++ seeding: the first centroid is uniform, each subsequent centroid
@@ -301,11 +276,9 @@ mod tests {
     fn assignment_is_consistent_with_centroids() {
         let ds = blob_dataset(5);
         let km = KMeans::train(&ds, &KMeansParams::new(3), 1);
-        let assignments = km.assign_all(&ds);
-        assert_eq!(assignments.len(), ds.len());
-        for (i, v) in ds.iter().enumerate() {
+        for v in ds.iter() {
             let (c, _) = nearest_centroid(v, km.centroids_flat(), 2);
-            assert_eq!(assignments[i], c);
+            assert_eq!(km.assign(v).0, c);
         }
     }
 
@@ -320,7 +293,10 @@ mod tests {
     #[test]
     fn subsampling_caps_training_points() {
         let ds = blob_dataset(11);
-        let params = KMeansParams::new(3).with_max_training_points(Some(30));
+        let params = KMeansParams {
+            max_training_points: Some(30),
+            ..KMeansParams::new(3)
+        };
         let km = KMeans::train(&ds, &params, 0);
         assert_eq!(km.k(), 3);
         // Still produces sensible clusters despite sampling.
@@ -332,13 +308,6 @@ mod tests {
     fn rejects_too_few_points() {
         let ds = Dataset::from_rows(&[vec![0.0, 0.0], vec![1.0, 1.0]]);
         let _ = KMeans::train(&ds, &KMeansParams::new(5), 0);
-    }
-
-    #[test]
-    fn from_centroids_roundtrip() {
-        let km = KMeans::from_centroids(2, vec![0.0, 0.0, 5.0, 5.0]);
-        assert_eq!(km.k(), 2);
-        assert_eq!(km.assign(&[4.9, 5.2]).0, 1);
     }
 
     #[test]

@@ -127,32 +127,6 @@ impl LookupTable {
     pub fn as_flat(&self) -> &[f32] {
         &self.table
     }
-
-    /// Size of the LUT in bytes when stored at `bytes_per_entry` precision.
-    /// The paper stores `u16` entries: 8 KB for `m = 16`.
-    pub fn size_bytes(&self, bytes_per_entry: usize) -> usize {
-        self.m * KSUB * bytes_per_entry
-    }
-
-    /// Quantizes the table to `u16` with a per-table scale, mirroring the
-    /// fixed-point LUT the DPU kernel stores in WRAM. Returns the quantized
-    /// entries and the scale such that `value ≈ entry as f32 * scale`.
-    pub fn quantize_u16(&self) -> (Vec<u16>, f32) {
-        let max = self.table.iter().copied().fold(0.0f32, f32::max);
-        // Clamp the *scale* (not the max) away from the subnormal range: for
-        // an all-near-zero table, `max / u16::MAX` could be subnormal and
-        // `v / scale` would overflow to inf, saturating every entry to
-        // u16::MAX and inverting the ordering. A floor of MIN_POSITIVE keeps
-        // the scale normal; entries then quantize to ~0, which is correct
-        // for a degenerate table (and exact for the all-zero one).
-        let scale = (max / (u16::MAX as f32)).max(f32::MIN_POSITIVE);
-        let q = self
-            .table
-            .iter()
-            .map(|&v| ((v / scale).round().min(u16::MAX as f32)) as u16)
-            .collect();
-        (q, scale)
-    }
 }
 
 #[cfg(test)]
@@ -217,50 +191,6 @@ mod tests {
                 assert_eq!(lut.get(sub, code), lut.get_flat(sub * 256 + code as usize));
             }
         }
-    }
-
-    #[test]
-    fn size_and_quantization() {
-        let (pq, ds) = setup(16, 16);
-        let lut = LookupTable::build(&pq, ds.vector(0));
-        assert_eq!(lut.size_bytes(2), 16 * 256 * 2); // the paper's 8 KB
-        let (q, scale) = lut.quantize_u16();
-        assert_eq!(q.len(), 16 * 256);
-        // Quantized values must reconstruct within one quantization step.
-        for (i, &orig) in lut.as_flat().iter().enumerate() {
-            let rec = q[i] as f32 * scale;
-            assert!((rec - orig).abs() <= scale + 1e-6);
-        }
-    }
-
-    #[test]
-    fn quantize_handles_all_near_zero_table() {
-        // Regression: with `max(f32::MIN_POSITIVE)` applied to the *max*, the
-        // scale `MIN_POSITIVE / u16::MAX` was subnormal and `v / scale`
-        // overflowed to inf for any nonzero v, saturating entries to
-        // u16::MAX and inverting the ordering. The scale floor keeps the
-        // division finite and the ordering monotone.
-        let tiny = LookupTable {
-            m: 1,
-            table: (0..KSUB).map(|i| i as f32 * 1e-42).collect(),
-        };
-        let (q, scale) = tiny.quantize_u16();
-        assert!(scale.is_normal(), "scale {scale} must not be subnormal");
-        assert!(
-            q.iter().all(|&e| e < u16::MAX),
-            "near-zero entries must not saturate"
-        );
-        // Ordering of the original (monotone) table is preserved.
-        assert!(q.windows(2).all(|w| w[0] <= w[1]));
-
-        // Exactly-zero table quantizes to exactly zero.
-        let zero = LookupTable {
-            m: 1,
-            table: vec![0.0; KSUB],
-        };
-        let (qz, sz) = zero.quantize_u16();
-        assert!(sz.is_normal());
-        assert!(qz.iter().all(|&e| e == 0));
     }
 
     #[test]

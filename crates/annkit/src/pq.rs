@@ -169,11 +169,6 @@ impl ProductQuantizer {
         code
     }
 
-    /// Encodes every vector of a dataset.
-    pub fn encode_all(&self, data: &Dataset) -> Vec<PqCode> {
-        data.iter().map(|v| self.encode(v)).collect()
-    }
-
     /// Decodes a code back to its reconstruction (the concatenation of the
     /// selected centroids).
     pub fn decode(&self, code: &[u8]) -> Vec<f32> {
@@ -183,20 +178,6 @@ impl ProductQuantizer {
             out.extend_from_slice(self.centroid(sub, c));
         }
         out
-    }
-
-    /// Mean squared reconstruction error of the quantizer over `data` — the
-    /// standard quality metric for a PQ codebook.
-    pub fn reconstruction_mse(&self, data: &Dataset) -> f32 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0f64;
-        for v in data.iter() {
-            let rec = self.decode(&self.encode(v));
-            total += crate::distance::l2_squared(v, &rec) as f64;
-        }
-        (total / data.len() as f64) as f32
     }
 }
 
@@ -273,7 +254,11 @@ mod tests {
     fn reconstruction_mse_is_finite_and_smallish() {
         let ds = random_dataset(512, 16, 5);
         let pq = ProductQuantizer::train(&ds, 8, 5);
-        let mse = pq.reconstruction_mse(&ds);
+        let total: f64 = ds
+            .iter()
+            .map(|v| l2_squared(v, &pq.decode(&pq.encode(v))) as f64)
+            .sum();
+        let mse = (total / ds.len() as f64) as f32;
         assert!(mse.is_finite());
         // Uniform data in [0,255): per-dimension variance ≈ 5400; PQ with 256
         // centroids per 2-d subspace should do far better than no quantization

@@ -147,20 +147,6 @@ impl Dataset {
     pub fn raw_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
-
-    /// Element-wise residual `self[i] - other`, written into `out`.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    #[inline]
-    pub fn residual_into(&self, i: usize, other: &[f32], out: &mut [f32]) {
-        let v = self.vector(i);
-        assert_eq!(v.len(), other.len());
-        assert_eq!(v.len(), out.len());
-        for ((o, a), b) in out.iter_mut().zip(v).zip(other) {
-            *o = a - b;
-        }
-    }
 }
 
 /// Computes `a - b` into a freshly allocated vector.
@@ -171,26 +157,6 @@ impl Dataset {
 pub fn residual(a: &[f32], b: &[f32]) -> Vec<f32> {
     assert_eq!(a.len(), b.len(), "residual dimension mismatch");
     a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
-/// Computes the element-wise mean of the rows of `vectors` (each of length
-/// `dim`), returning the centroid. Returns a zero vector when `vectors` is
-/// empty.
-pub fn mean_vector(dim: usize, vectors: impl Iterator<Item = impl AsRef<[f32]>>) -> Vec<f32> {
-    let mut sum = vec![0.0f64; dim];
-    let mut count = 0usize;
-    for v in vectors {
-        let v = v.as_ref();
-        debug_assert_eq!(v.len(), dim);
-        for (s, x) in sum.iter_mut().zip(v) {
-            *s += *x as f64;
-        }
-        count += 1;
-    }
-    if count == 0 {
-        return vec![0.0; dim];
-    }
-    sum.iter().map(|s| (*s / count as f64) as f32).collect()
 }
 
 #[cfg(test)]
@@ -258,23 +224,8 @@ mod tests {
     }
 
     #[test]
-    fn residual_and_mean() {
+    fn residual_subtracts_elementwise() {
         let r = residual(&[3.0, 5.0], &[1.0, 1.0]);
         assert_eq!(r, vec![2.0, 4.0]);
-
-        let m = mean_vector(2, [[0.0f32, 2.0], [2.0, 4.0]].iter());
-        assert_eq!(m, vec![1.0, 3.0]);
-
-        let empty: Vec<Vec<f32>> = vec![];
-        assert_eq!(mean_vector(2, empty.iter()), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn residual_into_matches_residual() {
-        let ds = small();
-        let c = vec![1.0, 1.0, 1.0, 1.0];
-        let mut out = vec![0.0; 4];
-        ds.residual_into(1, &c, &mut out);
-        assert_eq!(out, residual(ds.vector(1), &c));
     }
 }

@@ -167,16 +167,6 @@ impl QueryBatch {
         }
         freq
     }
-
-    /// Max/min (non-zero) ratio of the access-frequency histogram — the skew
-    /// statistic quoted in the paper ("popular clusters receive 500× more
-    /// queries than others").
-    pub fn access_skew_ratio(&self, num_clusters: usize) -> f64 {
-        let freq = self.access_frequency(num_clusters);
-        let max = freq.iter().copied().max().unwrap_or(0);
-        let min = freq.iter().copied().filter(|&f| f > 0).min().unwrap_or(1);
-        max as f64 / min as f64
-    }
 }
 
 /// Per-cluster access frequencies normalized to probabilities, as used by the
@@ -566,11 +556,6 @@ impl QueryStream {
     pub fn profile(&self, tenant: TenantId) -> Option<&TenantProfile> {
         self.tenant_profiles.iter().find(|p| p.id == tenant)
     }
-
-    /// Queries belonging to `tenant`.
-    pub fn tenant_query_count(&self, tenant: TenantId) -> usize {
-        self.tenant_of.iter().filter(|&&t| t == tenant).count()
-    }
 }
 
 /// One mutation operation against the live index.
@@ -860,11 +845,17 @@ mod tests {
         let ds = dataset();
         let skewed = WorkloadSpec::new(2000).with_skew(1.2).with_seed(3).generate(&ds);
         let uniform = WorkloadSpec::new(2000).with_skew(0.0).with_seed(3).generate(&ds);
+        let ratio = |batch: &QueryBatch| {
+            let freq = batch.access_frequency(24);
+            let max = freq.iter().copied().max().unwrap_or(0);
+            let min = freq.iter().copied().filter(|&f| f > 0).min().unwrap_or(1);
+            max as f64 / min as f64
+        };
         assert!(
-            skewed.access_skew_ratio(24) > 3.0 * uniform.access_skew_ratio(24).max(1.0),
+            ratio(&skewed) > 3.0 * ratio(&uniform).max(1.0),
             "skewed {} vs uniform {}",
-            skewed.access_skew_ratio(24),
-            uniform.access_skew_ratio(24)
+            ratio(&skewed),
+            ratio(&uniform)
         );
     }
 
@@ -970,8 +961,9 @@ mod tests {
         assert_eq!(stream.option_plan.len(), 420);
         assert!(stream.arrivals.windows(2).all(|w| w[0] <= w[1]));
         // Per-tenant counts and FIFO order survive the merge.
-        assert_eq!(stream.tenant_query_count(TenantId(1)), 120);
-        assert_eq!(stream.tenant_query_count(TenantId(2)), 300);
+        let count_of = |t| stream.tenant_of.iter().filter(|&&x| x == t).count();
+        assert_eq!(count_of(TenantId(1)), 120);
+        assert_eq!(count_of(TenantId(2)), 300);
         let t2_arrivals: Vec<f64> = stream
             .iter()
             .filter(|&(_, i)| stream.tenant(i) == TenantId(2))

@@ -22,7 +22,7 @@ use annkit::ivf::IvfPqIndex;
 use annkit::mutation::{IndexSnapshot, SnapshotTimeline};
 use annkit::vector::Dataset;
 use pim_sim::energy::EnergyModel;
-use pim_sim::stats::StageBreakdown;
+use pim_sim::stats::{Stage, StageBreakdown};
 
 /// Performance characteristics of the CPU platform.
 #[derive(Debug, Clone)]
@@ -177,11 +177,11 @@ impl CpuFaissEngine {
         let filter_bytes = stats.queries as f64 * index.nlist() as f64 * dim * 4.0;
         let t_filter = (filter_flops / spec.compute_flops())
             .max(filter_bytes / spec.dram_bandwidth);
-        b.add("cluster_filtering", t_filter);
+        b.add(Stage::ClusterFiltering, t_filter);
 
         // Stage (b): LUT construction — nprobe × m × 256 sub-distances/query.
         let lut_flops = stats.lut_entries as f64 * dsub * 3.0;
-        b.add("lut_construction", lut_flops / spec.compute_flops());
+        b.add(Stage::LutConstruction, lut_flops / spec.compute_flops());
 
         // Stage (c): distance calculation — the memory-bound ADC scan.
         // Per-candidate quantities are projected by the work-scale factor.
@@ -198,12 +198,12 @@ impl CpuFaissEngine {
         let t_mem = stats.code_bytes_read as f64 * scale / scan_bw;
         let t_compute = stats.lut_lookups as f64 * scale * spec.cycles_per_lookup
             / spec.scalar_cycles_per_second();
-        b.add("distance_calc", t_mem.max(t_compute));
+        b.add(Stage::DistanceCalc, t_mem.max(t_compute));
 
         // Stage (d): top-k selection — cheap on the CPU (heap in L1).
         let t_topk = stats.topk_candidates as f64 * scale * spec.cycles_per_topk_candidate
             / spec.scalar_cycles_per_second();
-        b.add("topk", t_topk);
+        b.add(Stage::TopK, t_topk);
 
         b
     }
@@ -292,10 +292,10 @@ mod tests {
         assert_eq!(out.batch_size(), 50);
         assert!(out.qps() > 0.0);
         // Figure 19: distance calculation is by far the largest CPU stage.
-        let frac = out.breakdown.fraction("distance_calc");
+        let frac = out.breakdown.fraction(Stage::DistanceCalc);
         assert!(frac > 0.7, "distance_calc fraction {frac}");
         // Top-k is negligible on the CPU.
-        assert!(out.breakdown.fraction("topk") < 0.1);
+        assert!(out.breakdown.fraction(Stage::TopK) < 0.1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use annkit::topk::Neighbor;
 use annkit::vector::Dataset;
 pub use annkit::workload::TenantId;
 use pim_sim::energy::EnergyModel;
-use pim_sim::stats::StageBreakdown;
+use pim_sim::stats::{Stage, StageBreakdown};
 
 /// Per-query search parameters inside a [`SearchRequest`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,10 +30,9 @@ pub struct QueryOptions {
     pub k: usize,
     /// Number of IVF clusters to probe.
     pub nprobe: usize,
-    /// Optional per-query latency budget in (simulated) seconds. Engines do
-    /// not enforce it, and it never splits a batch; it exists for upstream
-    /// parameter selection — `upanns::adaptive::NprobePolicy` translates it
-    /// into a per-query `nprobe` when the caller wires the policy in.
+    /// Optional per-query latency budget in (simulated) seconds. It is
+    /// carried and compared, and [`compat_key`](Self::compat_key) ignores it
+    /// so it never splits a batch; no engine or serve module reads it.
     pub latency_budget_s: Option<f64>,
     /// The tenant (traffic class) this query belongs to. Like the latency
     /// budget, the tenant never changes what an engine answers and never
@@ -309,6 +308,27 @@ impl SearchResponse {
         }
     }
 
+    /// The answer to `request` assembled from answers to disjoint subsets of
+    /// its queries: each part is (positions in `request`, the response to
+    /// those queries in that order), run back to back. Results scatter to
+    /// request order, seconds add up, breakdowns and work counters merge.
+    pub fn gather(
+        request: &SearchRequest,
+        parts: impl IntoIterator<Item = (Vec<usize>, SearchResponse)>,
+    ) -> Self {
+        let mut out = Self::empty(request.id);
+        out.results = vec![Vec::new(); request.len()];
+        for (members, part) in parts {
+            for (slot, result) in members.iter().zip(part.results) {
+                out.results[*slot] = result;
+            }
+            out.seconds += part.seconds;
+            out.breakdown.merge(&part.breakdown);
+            out.stats.merge(&part.stats);
+        }
+        out
+    }
+
     /// Number of queries answered.
     pub fn batch_size(&self) -> usize {
         self.results.len()
@@ -361,27 +381,14 @@ where
         return response;
     }
 
-    let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); request.len()];
-    let mut seconds = 0.0;
-    let mut breakdown = StageBreakdown::new();
-    let mut stats = WorkloadStats::default();
-    for (opt, members) in request.option_groups() {
-        let sub = request.queries().gather(&members);
-        let group = run_uniform(&sub, opt.nprobe, opt.k);
-        for (slot, result) in members.iter().zip(group.results) {
-            results[*slot] = result;
-        }
-        seconds += group.seconds;
-        breakdown.merge(&group.breakdown);
-        stats.merge(&group.stats);
-    }
-    SearchResponse {
-        request_id: request.id,
-        results,
-        seconds,
-        breakdown,
-        stats,
-    }
+    SearchResponse::gather(
+        request,
+        request.option_groups().into_iter().map(|(opt, members)| {
+            let sub = request.queries().gather(&members);
+            let group = run_uniform(&sub, opt.nprobe, opt.k);
+            (members, group)
+        }),
+    )
 }
 
 /// Runs `request` with every query served by the timeline entry active at
@@ -426,32 +433,19 @@ where
                 None => groups.push((entry, vec![i])),
             }
         }
-        let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); request.len()];
-        let mut seconds = 0.0;
-        let mut breakdown = StageBreakdown::new();
-        let mut stats = WorkloadStats::default();
-        for (entry, members) in groups {
-            let part = run_entry(entry, &request.subset(&members));
-            for (slot, result) in members.iter().zip(part.results) {
-                results[*slot] = result;
-            }
-            seconds += part.seconds;
-            breakdown.merge(&part.breakdown);
-            stats.merge(&part.stats);
-        }
-        SearchResponse {
-            request_id: request.id,
-            results,
-            seconds,
-            breakdown,
-            stats,
-        }
+        SearchResponse::gather(
+            request,
+            groups.into_iter().map(|(entry, members)| {
+                let part = run_entry(entry, &request.subset(&members));
+                (members, part)
+            }),
+        )
     };
     response.request_id = request.id;
     let stall = timeline.stall_after(request.at);
     if stall > 0.0 {
         response.seconds += stall;
-        response.breakdown.add("compaction_stall", stall);
+        response.breakdown.add(Stage::CompactionStall, stall);
     }
     response
 }

@@ -21,7 +21,7 @@ use annkit::ivf::IvfPqIndex;
 use annkit::mutation::{IndexSnapshot, SnapshotTimeline};
 use annkit::vector::Dataset;
 use pim_sim::energy::EnergyModel;
-use pim_sim::stats::StageBreakdown;
+use pim_sim::stats::{Stage, StageBreakdown};
 
 /// Performance characteristics of the GPU platform.
 #[derive(Debug, Clone)]
@@ -193,14 +193,14 @@ impl GpuFaissEngine {
         // Stage (a): cluster filtering is a dense GEMM — trivially fast.
         let filter_flops = stats.centroid_comparisons as f64 * dim * 2.0;
         b.add(
-            "cluster_filtering",
+            Stage::ClusterFiltering,
             filter_flops / effective_flops + spec.sync_overhead_s,
         );
 
         // Stage (b): LUT construction.
         let lut_flops = stats.lut_entries as f64 * dsub * 3.0;
         b.add(
-            "lut_construction",
+            Stage::LutConstruction,
             lut_flops / effective_flops + spec.sync_overhead_s,
         );
 
@@ -208,7 +208,7 @@ impl GpuFaissEngine {
         // projected by the work-scale factor.
         let scan_bytes = stats.code_bytes_read as f64 * self.work_scale;
         b.add(
-            "distance_calc",
+            Stage::DistanceCalc,
             scan_bytes / (spec.hbm_bandwidth * spec.scan_efficiency) + spec.sync_overhead_s,
         );
 
@@ -221,7 +221,7 @@ impl GpuFaissEngine {
             .map(|&c| c as f64 * self.work_scale / spec.topk_candidates_per_second * k_factor)
             .sum();
         let topk_time = per_query_total / spec.topk_concurrent_queries + spec.sync_overhead_s;
-        b.add("topk", topk_time);
+        b.add(Stage::TopK, topk_time);
 
         b
     }
@@ -304,9 +304,9 @@ mod tests {
         let out = gpu.search_batch(&queries, 8, 10);
         // Figure 19: the top-k stage consumes well over half of GPU time.
         assert!(
-            out.breakdown.fraction("topk") > 0.6,
+            out.breakdown.fraction(Stage::TopK) > 0.6,
             "topk fraction {}",
-            out.breakdown.fraction("topk")
+            out.breakdown.fraction(Stage::TopK)
         );
         assert!(out.qps() > 0.0);
         assert_eq!(gpu.name(), "Faiss-GPU");
@@ -320,7 +320,7 @@ mod tests {
         let small_k = gpu.search_batch(&queries, 8, 10);
         let large_k = gpu.search_batch(&queries, 8, 100);
         assert!(
-            large_k.breakdown.fraction("topk") > small_k.breakdown.fraction("topk"),
+            large_k.breakdown.fraction(Stage::TopK) > small_k.breakdown.fraction(Stage::TopK),
             "expected top-k fraction to grow with k"
         );
         assert!(large_k.qps() < small_k.qps());

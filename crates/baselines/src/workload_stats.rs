@@ -64,27 +64,8 @@ impl WorkloadStats {
         self.redispatched += other.redispatched;
     }
 
-    /// Average memory accesses (LUT lookups) per query — the quantity the
-    /// paper quotes as 250 million per query at billion scale.
-    pub fn memory_accesses_per_query(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.lut_lookups as f64 / self.queries as f64
-        }
-    }
-
-    /// Average candidates scanned per query.
-    pub fn candidates_per_query(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.candidates_scanned as f64 / self.queries as f64
-        }
-    }
-
     /// Fraction of offered top-k candidates that were rejected without
-    /// entering the heap (useful for quantifying pruning).
+    /// entering the heap — Figure 15's `pruned_comparisons_fraction`.
     pub fn topk_rejection_rate(&self) -> f64 {
         if self.topk_candidates == 0 {
             0.0
@@ -124,16 +105,12 @@ mod tests {
         assert_eq!(a.queries, 4);
         assert_eq!(a.candidates_scanned, 800);
         assert_eq!(a.nprobe, 8);
-        assert!((a.memory_accesses_per_query() - 3200.0).abs() < 1e-9);
-        assert!((a.candidates_per_query() - 200.0).abs() < 1e-9);
         assert!((a.topk_rejection_rate() - (1.0 - 50.0 / 800.0)).abs() < 1e-9);
     }
 
     #[test]
     fn empty_stats_do_not_divide_by_zero() {
         let s = WorkloadStats::default();
-        assert_eq!(s.memory_accesses_per_query(), 0.0);
-        assert_eq!(s.candidates_per_query(), 0.0);
         assert_eq!(s.topk_rejection_rate(), 0.0);
     }
 }

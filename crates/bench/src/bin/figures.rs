@@ -23,6 +23,7 @@ use baselines::hardware::hardware_table_markdown;
 use pim_sim::config::PimConfig;
 use pim_sim::cost::CostModel;
 use pim_sim::energy::EnergyModel;
+use pim_sim::stats::{Stage, StageBreakdown};
 use std::collections::HashMap;
 use upanns::config::UpAnnsConfig;
 use upanns_bench::{fmt, EvalContext, EvalParams, ResultTable};
@@ -60,7 +61,7 @@ fn main() {
     let mut ids: Vec<String> = raw.into_iter().filter(|a| a != "--full").collect();
     let all_ids = [
         "tab1", "fig1", "fig4", "fig7", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-        "fig16", "fig17", "fig18", "fig19", "fig20", "headline",
+        "fig16", "fig17", "fig18", "fig19", "fig20", "headline", "drift",
     ];
     // Every id is checked before any context is built: a typo in the last
     // one must not cost the minutes the ids before it take.
@@ -101,6 +102,7 @@ fn main() {
             "fig19" => fig19(&mut cache),
             "fig20" => fig20(&mut cache),
             "headline" => headline(&mut cache),
+            "drift" => drift(&mut cache),
             other => unreachable!("'{other}' passed the id check above"),
         };
         for table in tables {
@@ -111,6 +113,25 @@ fn main() {
             }
         }
     }
+}
+
+/// The four stages Figures 1 and 19 split a search into.
+const PAPER_STAGES: [Stage; 4] = [
+    Stage::ClusterFiltering,
+    Stage::LutConstruction,
+    Stage::DistanceCalc,
+    Stage::TopK,
+];
+
+/// `lead` followed by one column per paper stage.
+fn stage_share_header<'a>(lead: &[&'a str]) -> Vec<&'a str> {
+    lead.iter().copied().chain(PAPER_STAGES.map(Stage::label)).collect()
+}
+
+/// `lead` followed by each paper stage's share of `breakdown`.
+fn stage_share_row(mut lead: Vec<String>, breakdown: &StageBreakdown) -> Vec<String> {
+    lead.extend(PAPER_STAGES.map(|s| fmt(breakdown.fraction(s), 3)));
+    lead
 }
 
 /// Table 1: hardware specifications.
@@ -141,7 +162,7 @@ fn fig1(cache: &mut ContextCache) -> Vec<ResultTable> {
     let ctx = cache.get(DatasetKind::SiftLike, nlist);
     let mut t = ResultTable::new(
         "fig1_breakdown_vs_scale",
-        &["device", "modeled_scale", "cluster_filtering", "lut_construction", "distance_calc", "topk"],
+        &stage_share_header(&["device", "modeled_scale"]),
     );
     for &(label, modeled) in &[("1M", 1e6), ("100M", 1e8), ("1B", 1e9)] {
         let scale = (modeled / n).max(1.0);
@@ -149,24 +170,10 @@ fn fig1(cache: &mut ContextCache) -> Vec<ResultTable> {
             .with_billion_scale_regime(false)
             .with_work_scale(scale);
         let out = cpu.search_batch(&ctx.queries, nprobe, k);
-        t.push_row(vec![
-            "CPU".into(),
-            label.into(),
-            fmt(out.breakdown.fraction("cluster_filtering"), 3),
-            fmt(out.breakdown.fraction("lut_construction"), 3),
-            fmt(out.breakdown.fraction("distance_calc"), 3),
-            fmt(out.breakdown.fraction("topk"), 3),
-        ]);
+        t.push_row(stage_share_row(vec!["CPU".into(), label.into()], &out.breakdown));
         let mut gpu = GpuFaissEngine::new(&ctx.index).with_work_scale(scale);
         let out = gpu.search_batch(&ctx.queries, nprobe, k);
-        t.push_row(vec![
-            "GPU".into(),
-            label.into(),
-            fmt(out.breakdown.fraction("cluster_filtering"), 3),
-            fmt(out.breakdown.fraction("lut_construction"), 3),
-            fmt(out.breakdown.fraction("distance_calc"), 3),
-            fmt(out.breakdown.fraction("topk"), 3),
-        ]);
+        t.push_row(stage_share_row(vec!["GPU".into(), label.into()], &out.breakdown));
     }
     vec![t]
 }
@@ -433,14 +440,12 @@ fn fig15(cache: &mut ContextCache) -> Vec<ResultTable> {
     for &k in &[10usize, 20, 50, 100] {
         let off = unpruned.search_batch(&ctx.queries, nprobe, k);
         let on = pruned.search_batch(&ctx.queries, nprobe, k);
-        let frac_pruned = 1.0
-            - on.stats.topk_insertions as f64 / on.stats.topk_candidates.max(1) as f64;
         t.push_row(vec![
             k.to_string(),
-            fmt(off.breakdown.seconds("topk"), 6),
-            fmt(on.breakdown.seconds("topk"), 6),
-            fmt(off.breakdown.seconds("topk") / on.breakdown.seconds("topk").max(1e-12), 2),
-            fmt(frac_pruned, 3),
+            fmt(off.breakdown.seconds(Stage::TopK), 6),
+            fmt(on.breakdown.seconds(Stage::TopK), 6),
+            fmt(off.breakdown.seconds(Stage::TopK) / on.breakdown.seconds(Stage::TopK).max(1e-12), 2),
+            fmt(on.stats.topk_rejection_rate(), 3),
         ]);
     }
     vec![t]
@@ -548,7 +553,7 @@ fn fig19(cache: &mut ContextCache) -> Vec<ResultTable> {
     let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
     let mut t = ResultTable::new(
         "fig19_breakdown",
-        &["dataset", "engine", "k", "cluster_filtering", "lut_construction", "distance_calc", "topk", "other"],
+        &[stage_share_header(&["dataset", "engine", "k"]), vec!["other"]].concat(),
     );
     for kind in DatasetKind::all() {
         let ctx = cache.get(kind, nlist);
@@ -561,22 +566,36 @@ fn fig19(cache: &mut ContextCache) -> Vec<ResultTable> {
                 ("Faiss-GPU", gpu.search_batch(&ctx.queries, nprobe, k)),
                 ("UpANNS", upanns.search_batch(&ctx.queries, nprobe, k)),
             ] {
-                let main: f64 = ["cluster_filtering", "lut_construction", "distance_calc", "topk"]
-                    .iter()
-                    .map(|s| out.breakdown.fraction(s))
-                    .sum();
-                t.push_row(vec![
-                    kind.name().into(),
-                    name.into(),
-                    k.to_string(),
-                    fmt(out.breakdown.fraction("cluster_filtering"), 3),
-                    fmt(out.breakdown.fraction("lut_construction"), 3),
-                    fmt(out.breakdown.fraction("distance_calc"), 3),
-                    fmt(out.breakdown.fraction("topk"), 3),
-                    fmt((1.0 - main).max(0.0), 3),
-                ]);
+                let main: f64 = PAPER_STAGES.iter().map(|&s| out.breakdown.fraction(s)).sum();
+                let mut row = stage_share_row(
+                    vec![kind.name().into(), name.into(), k.to_string()],
+                    &out.breakdown,
+                );
+                row.push(fmt((1.0 - main).max(0.0), 3));
+                t.push_row(row);
             }
         }
+    }
+    vec![t]
+}
+
+/// §4.1.2: drifted traffic on a stale placement against the two adaptation
+/// tiers ([`EvalContext::drift_study`]).
+fn drift(cache: &mut ContextCache) -> Vec<ResultTable> {
+    let nlist = cache.default_nlist();
+    let ctx = cache.get(DatasetKind::SiftLike, nlist);
+    let mut t = ResultTable::new(
+        "drift_adaptation",
+        &["popularity_seed", "placement", "seconds", "last_balance_ratio", "replicas_restaged"],
+    );
+    for row in ctx.drift_study(&[4242, 31337, 99]) {
+        t.push_row(vec![
+            row.popularity_seed.map_or("undrifted".into(), |s| s.to_string()),
+            row.placement.into(),
+            fmt(row.seconds, 2),
+            fmt(row.balance_ratio, 1),
+            row.replicas_restaged.to_string(),
+        ]);
     }
     vec![t]
 }

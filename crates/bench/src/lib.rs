@@ -16,9 +16,14 @@ use annkit::workload::WorkloadSpec;
 use baselines::cpu::CpuFaissEngine;
 use baselines::gpu::GpuFaissEngine;
 use pim_sim::config::PimConfig;
+use baselines::engine::AnnEngine;
+use upanns::adaptive::{
+    apply_adjustment, full_relocation, plan_adaptation, AdaptationDecision, AdaptationPolicy,
+};
 use upanns::builder::{frequencies_from_queries, BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
+use upanns::placement::Placement;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -170,6 +175,89 @@ impl EvalContext {
             .build()
     }
 
+    /// The §4.1.2 question measured: what serving drifted traffic on a stale
+    /// placement costs, and what each adaptation tier buys back.
+    ///
+    /// The placement is built from a 600-query history of the default
+    /// popularity ranking. For each seed in `popularity_seeds` a 500-query
+    /// batch is drawn from the ranking [`WorkloadSpec::with_popularity_seed`]
+    /// gives (nprobe 8) and served three times: on the stale placement, on
+    /// that placement after the minor-drift tier's replica adjustment, and
+    /// after the major-drift tier's full relocation — each tier forced,
+    /// whatever [`AdaptationPolicy`]'s thresholds would pick, with the new
+    /// frequencies taken from a 600-query history of the drifted ranking.
+    /// The first row is the floor: the stale placement serving a batch of
+    /// the ranking it was built for.
+    pub fn drift_study(&self, popularity_seeds: &[u64]) -> Vec<DriftRow> {
+        const NPROBE: usize = 8;
+        let seed = self.params.seed;
+        let draw = |queries: usize, seed: u64, popularity: Option<u64>| {
+            let mut spec = WorkloadSpec::new(queries).with_seed(seed);
+            if let Some(p) = popularity {
+                spec = spec.with_popularity_seed(p);
+            }
+            spec.generate(&self.dataset).queries
+        };
+        let old_freqs = frequencies_from_queries(&self.index, &draw(600, seed + 20, None), NPROBE);
+        let sizes = self.index.list_sizes();
+        let pim = PimConfig::with_dpus(self.params.dpus);
+        let max_dpu_vectors = pim.mram_bytes / (self.index.m().max(2) * 2 + 8);
+        let build = |placement: Option<Placement>| {
+            let builder = UpAnnsBuilder::new(&self.index)
+                .with_config(UpAnnsConfig::upanns().with_work_scale(self.params.work_scale()))
+                .with_pim_config(pim.clone())
+                .with_frequencies(old_freqs.clone())
+                .with_batch_capacity(BatchCapacity {
+                    batch_size: 500,
+                    nprobe: NPROBE,
+                    max_k: 16,
+                });
+            match placement {
+                Some(p) => builder.with_placement(p),
+                None => builder,
+            }
+            .build()
+        };
+        let mut rows = Vec::new();
+        let mut serve = |engine: &mut UpAnnsEngine, popularity_seed, placement, restaged, batch: &Dataset| {
+            let seconds = engine.search_batch(batch, NPROBE, self.params.k).seconds;
+            rows.push(DriftRow {
+                popularity_seed,
+                placement,
+                seconds,
+                balance_ratio: engine.last_balance_ratio(),
+                replicas_restaged: restaged,
+            });
+        };
+        let mut stale_engine = build(None);
+        let stale = stale_engine.placement().clone();
+        serve(&mut stale_engine, None, "stale", 0, &draw(500, seed + 21, None));
+        // Thresholds that always pick the cheap tier.
+        let always_adjust = AdaptationPolicy {
+            minor_drift: 0.0,
+            major_drift: f64::INFINITY,
+            ..AdaptationPolicy::default()
+        };
+        for &p in popularity_seeds {
+            let new_freqs =
+                frequencies_from_queries(&self.index, &draw(600, seed + 22, Some(p)), NPROBE);
+            let batch = draw(500, seed + 23, Some(p));
+            serve(&mut stale_engine, Some(p), "stale", 0, &batch);
+            if let AdaptationDecision::AdjustReplicas(_, adjustment) =
+                plan_adaptation(&stale, &sizes, &old_freqs, &new_freqs, &always_adjust)
+            {
+                let adjusted =
+                    apply_adjustment(&stale, &adjustment, &sizes, &new_freqs, max_dpu_vectors);
+                let added = adjustment.add.iter().map(|&(_, replicas)| replicas).sum();
+                serve(&mut build(Some(adjusted)), Some(p), "replica-adjusted", added, &batch);
+            }
+            let relocated = full_relocation(&sizes, &new_freqs, self.params.dpus, max_dpu_vectors);
+            let restaged = relocated.total_replicas();
+            serve(&mut build(Some(relocated)), Some(p), "full-relocation", restaged, &batch);
+        }
+        rows
+    }
+
     /// Builds the Faiss-CPU baseline (work-scale projected).
     pub fn cpu(&self) -> CpuFaissEngine {
         CpuFaissEngine::new(&self.index).with_work_scale(self.params.work_scale())
@@ -179,6 +267,23 @@ impl EvalContext {
     pub fn gpu(&self) -> GpuFaissEngine {
         GpuFaissEngine::new(&self.index).with_work_scale(self.params.work_scale())
     }
+}
+
+/// One served batch of [`EvalContext::drift_study`].
+#[derive(Debug, Clone)]
+pub struct DriftRow {
+    /// The popularity ranking the batch was drawn from (`None`: the ranking
+    /// the stale placement was built for).
+    pub popularity_seed: Option<u64>,
+    /// `"stale"`, `"replica-adjusted"` or `"full-relocation"`.
+    pub placement: &'static str,
+    /// Modeled seconds of the batch.
+    pub seconds: f64,
+    /// [`UpAnnsEngine::last_balance_ratio`] of the batch.
+    pub balance_ratio: f64,
+    /// Cluster replicas the host had to stage to get from the stale placement
+    /// to this one.
+    pub replicas_restaged: usize,
 }
 
 /// A simple markdown/CSV table accumulator used by every experiment.

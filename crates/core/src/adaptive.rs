@@ -18,10 +18,11 @@
 //! [`with_placement`](crate::builder::UpAnnsBuilder::with_placement), so a
 //! serving loop can periodically re-derive frequencies from recent traffic,
 //! call [`plan_adaptation`], and rebuild only when needed (see
-//! `tests/adaptive_and_robustness.rs`).
+//! `tests/adaptive_and_robustness.rs`). What the tiers buy is measured by
+//! `figures -- drift` and pinned by `tests/experiment_shapes.rs`; nothing
+//! calls them at serve time yet.
 
 use crate::placement::{place_pim_aware, Placement, PlacementInput};
-use baselines::engine::{SearchRequest, SearchResponse};
 
 /// How much the cluster-access distribution moved between two observation
 /// windows.
@@ -476,87 +477,6 @@ fn usize_max_or(v: usize) -> usize {
     }
 }
 
-/// Request-time adaptation: picking each query's `nprobe` from its latency
-/// budget.
-///
-/// The placement tiers above react to *drift between observation windows*;
-/// this policy reacts per request. A query carrying a
-/// [`latency_budget_s`](baselines::engine::QueryOptions::latency_budget_s)
-/// gets the largest `nprobe` whose estimated cost fits the budget (more
-/// probes ⇒ better recall), clamped to `[min_nprobe, max_nprobe]`; queries
-/// without a budget keep their requested `nprobe`, clamped to the same
-/// bounds (the bounds are the policy's SLO rails and always win). The
-/// per-probe cost
-/// estimate starts from a prior and is recalibrated from observed responses
-/// with an exponential moving average, so the policy tracks the engine it
-/// actually runs against (see `examples/serving.rs`).
-#[derive(Debug, Clone)]
-pub struct NprobePolicy {
-    /// Lower bound on the selected `nprobe` (recall floor).
-    pub min_nprobe: usize,
-    /// Upper bound on the selected `nprobe` (latency ceiling).
-    pub max_nprobe: usize,
-    /// Current estimate of per-query seconds per probed cluster.
-    pub seconds_per_probe: f64,
-    /// EMA weight of a new observation during [`calibrate`](Self::calibrate).
-    pub calibration_gain: f64,
-}
-
-impl NprobePolicy {
-    /// A policy selecting within `[min_nprobe, max_nprobe]`, with an initial
-    /// per-probe cost estimate of `seconds_per_probe`.
-    ///
-    /// # Panics
-    /// Panics if the bounds are empty or the cost prior is not positive.
-    pub fn new(min_nprobe: usize, max_nprobe: usize, seconds_per_probe: f64) -> Self {
-        assert!(min_nprobe > 0 && min_nprobe <= max_nprobe, "empty nprobe range");
-        assert!(
-            seconds_per_probe > 0.0 && seconds_per_probe.is_finite(),
-            "per-probe cost must be positive"
-        );
-        Self {
-            min_nprobe,
-            max_nprobe,
-            seconds_per_probe,
-            calibration_gain: 0.3,
-        }
-    }
-
-    /// The `nprobe` for one query: the largest count whose estimated cost
-    /// fits `budget_s`, clamped to the policy bounds. `None` (no budget)
-    /// keeps `requested`, still clamped.
-    pub fn select(&self, requested: usize, budget_s: Option<f64>) -> usize {
-        let chosen = match budget_s {
-            None => requested,
-            Some(b) if b <= 0.0 => self.min_nprobe,
-            Some(b) => (b / self.seconds_per_probe).floor() as usize,
-        };
-        chosen.clamp(self.min_nprobe, self.max_nprobe)
-    }
-
-    /// Rewrites a request's per-query `nprobe` in place according to each
-    /// query's latency budget.
-    pub fn plan_request(&self, request: &mut SearchRequest) {
-        for opt in request.options_mut() {
-            opt.nprobe = self.select(opt.nprobe, opt.latency_budget_s);
-        }
-    }
-
-    /// Updates the per-probe cost estimate from an executed request/response
-    /// pair (observed mean per-query seconds divided by mean probes per
-    /// query, blended by `calibration_gain`). Empty or zero-time responses
-    /// are ignored.
-    pub fn calibrate(&mut self, request: &SearchRequest, response: &SearchResponse) {
-        let probes: usize = request.options().iter().map(|o| o.nprobe).sum();
-        if probes == 0 || response.seconds <= 0.0 {
-            return;
-        }
-        let observed = response.seconds / probes as f64;
-        let g = self.calibration_gain.clamp(0.0, 1.0);
-        self.seconds_per_probe = (1.0 - g) * self.seconds_per_probe + g * observed;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -767,57 +687,6 @@ mod tests {
         let input = PlacementInput::new(sizes.clone(), normalize(&new), 8, 1_000_000);
         let fresh = place_pim_aware(&input);
         assert_eq!(relocated.cluster_to_dpus, fresh.cluster_to_dpus);
-    }
-
-    #[test]
-    fn nprobe_policy_select_honors_budget_and_bounds() {
-        let policy = NprobePolicy::new(2, 64, 1e-4);
-        // No budget: the requested nprobe survives, clamped.
-        assert_eq!(policy.select(16, None), 16);
-        assert_eq!(policy.select(1, None), 2);
-        assert_eq!(policy.select(500, None), 64);
-        // Budgeted: largest nprobe whose cost fits.
-        assert_eq!(policy.select(64, Some(8e-4)), 8);
-        assert_eq!(policy.select(64, Some(1.0)), 64);
-        assert_eq!(policy.select(64, Some(0.0)), 2);
-    }
-
-    #[test]
-    fn nprobe_policy_rewrites_only_budgeted_queries() {
-        use annkit::vector::Dataset;
-        use baselines::engine::QueryOptions;
-        let mut queries = Dataset::new(4);
-        queries.push(&[0.0; 4]);
-        queries.push(&[1.0; 4]);
-        let opts = vec![
-            QueryOptions::new(10, 32),
-            QueryOptions::new(10, 32).with_latency_budget(4e-4),
-        ];
-        let mut request = SearchRequest::new(queries, opts);
-        NprobePolicy::new(2, 64, 1e-4).plan_request(&mut request);
-        assert_eq!(request.options()[0].nprobe, 32);
-        assert_eq!(request.options()[1].nprobe, 4);
-        assert_eq!(request.options()[1].k, 10);
-    }
-
-    #[test]
-    fn nprobe_policy_calibrates_toward_observations() {
-        use annkit::vector::Dataset;
-        let mut policy = NprobePolicy::new(1, 64, 1e-4);
-        let mut queries = Dataset::new(2);
-        queries.push(&[0.0, 0.0]);
-        let request = SearchRequest::uniform(&queries, 10, 5);
-        let response = SearchResponse {
-            seconds: 10.0 * 1e-2, // 1e-2 s per probe: 100× the prior
-            ..SearchResponse::empty(0)
-        };
-        policy.calibrate(&request, &response);
-        assert!(policy.seconds_per_probe > 1e-4);
-        assert!(policy.seconds_per_probe < 1e-2);
-        // Degenerate responses leave the estimate untouched.
-        let before = policy.seconds_per_probe;
-        policy.calibrate(&request, &SearchResponse::empty(0));
-        assert_eq!(policy.seconds_per_probe, before);
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl ComboTable {
         self.combos.is_empty()
     }
 
-    /// WRAM bytes needed to cache the partial sums (one entry per combo).
-    pub fn partial_sums_bytes(&self, bytes_per_entry: usize) -> usize {
-        self.combos.len() * bytes_per_entry
-    }
-
     /// Computes the partial LUT sums of every combo against a concrete LUT
     /// (the online step executed right after LUT construction, Figure 6's
     /// "Comb. Sum" stage).
@@ -522,7 +517,6 @@ mod tests {
         let sums = table.partial_sums(&lut);
         let expected = lut.get(1, 10) + lut.get(3, 200);
         assert!((sums[0] - expected).abs() < 1e-6);
-        assert_eq!(table.partial_sums_bytes(4), 4);
     }
 
     #[test]
@@ -536,6 +530,5 @@ mod tests {
         let table = mine_cluster_combos(&[], 8, &MiningParams::default());
         assert!(table.is_empty());
         assert_eq!(table.len(), 0);
-        assert_eq!(table.partial_sums_bytes(2), 0);
     }
 }

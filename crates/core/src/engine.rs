@@ -41,6 +41,7 @@ use baselines::engine::{execute_by_entry, execute_grouped, AnnEngine, SearchRequ
 use baselines::workload_stats::WorkloadStats;
 use pim_sim::energy::EnergyModel;
 use pim_sim::host::{DpuRead, DpuWrite, ExecReport, PimSystem};
+use pim_sim::stats::Stage;
 use std::collections::HashMap;
 
 /// Everything the six-stage pipeline needs to serve one installed snapshot:
@@ -277,14 +278,14 @@ impl Launcher<'_> {
             })
             .collect();
         let filter_seconds = host_filter_seconds(host_cpu, nq, snapshot.nlist(), snapshot.dim());
-        sys.advance_host("cluster_filtering", filter_seconds);
+        sys.advance_host(Stage::ClusterFiltering, filter_seconds);
 
         // ---- Stage 2: query scheduling (host CPU, Algorithm 2) ------------
         let schedule: Schedule = schedule_queries(&filtered, placement, cluster_sizes);
         *self.last_schedule_ratio = schedule.max_to_avg_workload();
         let total_assignments = schedule.total_assignments();
         let schedule_seconds = host_schedule_seconds(host_cpu, total_assignments, snapshot.dim());
-        sys.advance_host("query_scheduling", schedule_seconds);
+        sys.advance_host(Stage::QueryScheduling, schedule_seconds);
 
         // ---- Stage 3: query transfer (host → DPU, uniform padded buffers) -
         let dim = snapshot.dim();
@@ -321,7 +322,7 @@ impl Launcher<'_> {
             buffer.resize(uniform_query_bytes, 0); // pad to the uniform size
             writes.push(DpuWrite::new(dpu, stores[dpu].query_buffer_addr, buffer));
         }
-        sys.push_to_dpus("query_transfer", &writes)
+        sys.push_to_dpus(Stage::QueryTransfer, &writes)
             .expect("query staging buffers are sized by ensure_capacity");
 
         // ---- Stage 4: DPU kernel -------------------------------------------
@@ -335,7 +336,7 @@ impl Launcher<'_> {
         };
         let mut outputs: Vec<KernelOutput> = vec![KernelOutput::default(); sys.num_dpus()];
         let mut scratch = KernelScratch::default();
-        let report = sys.execute("dpu_search", |ctx| {
+        let report = sys.execute(Stage::DpuSearch, |ctx| {
             let dpu = ctx.dpu_id();
             if plans[dpu].is_empty() {
                 return;
@@ -363,7 +364,7 @@ impl Launcher<'_> {
             })
             .collect();
         let mailboxes = sys
-            .pull_from_dpus("result_transfer", &reads)
+            .pull_from_dpus(Stage::ResultTransfer, &reads)
             .expect("mailboxes were allocated by the builder");
 
         // ---- Stage 6: host merge -------------------------------------------
@@ -380,7 +381,7 @@ impl Launcher<'_> {
             }
         }
         let merge_seconds = host_merge_seconds(host_cpu, partial_count, k);
-        sys.advance_host("host_merge", merge_seconds);
+        sys.advance_host(Stage::HostMerge, merge_seconds);
 
         let results: Vec<Vec<Neighbor>> = merged.into_iter().map(|h| h.into_sorted()).collect();
 
@@ -402,24 +403,10 @@ impl Launcher<'_> {
             stats.topk_insertions += o.merge_stats.insertions;
         }
 
-        let mut breakdown = sys.breakdown().clone();
-        // Fold the kernel-internal stage labels of the critical DPU into the
-        // top-level breakdown in place of the opaque "dpu_search" total.
-        let dpu_total = breakdown.seconds("dpu_search");
-        if dpu_total > 0.0 {
-            let mut detailed = pim_sim::stats::StageBreakdown::new();
-            for (label, secs) in breakdown.entries() {
-                if label != "dpu_search" {
-                    detailed.add(&label, secs);
-                }
-            }
-            let kernel_breakdown = &report.breakdown;
-            let kernel_total = kernel_breakdown.total().max(f64::MIN_POSITIVE);
-            for (label, secs) in kernel_breakdown.entries() {
-                detailed.add(&label, secs / kernel_total * dpu_total);
-            }
-            breakdown = detailed;
-        }
+        // The critical DPU's kernel regions take the place of the launch's
+        // opaque total.
+        let mut breakdown = *sys.breakdown();
+        breakdown.splice(Stage::DpuSearch, &report.breakdown);
         *self.last_exec_report = Some(report);
         let seconds = sys.elapsed_seconds();
 
@@ -608,18 +595,18 @@ mod tests {
         let queries = fix.data.gather(&[0, 10, 20]);
         let out = engine.search_batch(&queries, 4, 10);
         for stage in [
-            "cluster_filtering",
-            "query_scheduling",
-            "query_transfer",
-            "distance_calc",
-            "lut_construction",
-            "topk",
-            "result_transfer",
-            "host_merge",
+            Stage::ClusterFiltering,
+            Stage::QueryScheduling,
+            Stage::QueryTransfer,
+            Stage::DistanceCalc,
+            Stage::LutConstruction,
+            Stage::TopK,
+            Stage::ResultTransfer,
+            Stage::HostMerge,
         ] {
             assert!(
                 out.breakdown.seconds(stage) > 0.0,
-                "missing stage {stage} in breakdown: {}",
+                "missing stage {stage:?} in breakdown: {}",
                 out.breakdown
             );
         }
@@ -820,7 +807,7 @@ mod tests {
 
         // A request inside the compaction window pays the stall.
         let stalled = engine.execute(&SearchRequest::uniform(&queries, 4, 10).with_at(20.5));
-        assert!(stalled.breakdown.seconds("compaction_stall") > 0.9);
+        assert!(stalled.breakdown.seconds(Stage::CompactionStall) > 0.9);
         assert!(stalled.seconds > late.seconds);
     }
 }

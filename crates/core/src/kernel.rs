@@ -19,6 +19,7 @@ use annkit::pq::ProductQuantizer;
 use annkit::topk::{Neighbor, TopK};
 use pim_sim::config::MAX_TASKLETS;
 use pim_sim::mram::MramAddr;
+use pim_sim::stats::Stage;
 use pim_sim::tasklet::DpuKernelCtx;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -252,7 +253,7 @@ pub fn run_batch_kernel_with_scratch(
         lut.rebuild(shared.pq, residual);
         let codebook_addr = store.codebook_addr;
         let codebook_bytes = store.codebook_bytes;
-        ctx.parallel("lut_construction", tasklets, |t| {
+        ctx.parallel(Stage::LutConstruction, tasklets, |t| {
             // Read this assignment's residual (q − c) from the staging buffer
             // (tasklet 0 only; staged by the host transfer) and a slice of
             // the codebook, then compute the corresponding LUT entries.
@@ -276,7 +277,7 @@ pub fn run_batch_kernel_with_scratch(
             ctx.wram().alloc("combo_sums", wplan.combo_bytes.max(2)).expect("planned");
             let per_tasklet = table.len().div_ceil(tasklets) as u64;
             let avg_len = 3u64;
-            ctx.parallel("combo_sum", tasklets, |t| {
+            ctx.parallel(Stage::ComboSum, tasklets, |t| {
                 t.charge_wram(per_tasklet * (avg_len + 1));
                 t.charge_arith(per_tasklet * avg_len, 0);
             });
@@ -311,7 +312,7 @@ pub fn run_batch_kernel_with_scratch(
         let modeled_share = |tasklet_id: usize, total: u64| -> u64 {
             total / tasklets as u64 + u64::from((tasklet_id as u64) < total % tasklets as u64)
         };
-        ctx.parallel("distance_calc", tasklets, |t| {
+        ctx.parallel(Stage::DistanceCalc, tasklets, |t| {
             let start = (t.tasklet_id * per_tasklet_vectors).min(n);
             let end = ((t.tasklet_id + 1) * per_tasklet_vectors).min(n);
             let heap = &mut heaps[t.tasklet_id];
@@ -412,7 +413,7 @@ pub fn run_batch_kernel_with_scratch(
 
         // ---- Stage 4: pruned top-k merge (Barrier 3) ---------------------
         let (merged_local, stats) = merge_thread_local(heaps, k, config.topk_pruning);
-        ctx.sequential("topk", |t| {
+        ctx.sequential(Stage::TopK, |t| {
             for _ in 0..stats.semaphore_ops {
                 t.charge_semaphore();
             }
@@ -431,7 +432,7 @@ pub fn run_batch_kernel_with_scratch(
         let query_heap = query_heaps
             .entry(assignment.query)
             .or_insert_with(|| TopK::new(k));
-        ctx.sequential("topk", |t| {
+        ctx.sequential(Stage::TopK, |t| {
             for n in merged_local.into_sorted() {
                 let raw = t.mram_read(ids_addr + (n.id as usize) * 8, 8);
                 let id = u64::from_le_bytes(raw.try_into().expect("8-byte id"));
@@ -471,7 +472,7 @@ pub fn run_batch_kernel_with_scratch(
         mailbox.len(),
         store.mailbox_bytes
     );
-    ctx.mram_write("result_write", store.mailbox_addr, &mailbox)
+    ctx.mram_write(Stage::ResultWrite, store.mailbox_addr, &mailbox)
         .expect("mailbox region allocated by the builder");
     output.mailbox_bytes_written = mailbox.len();
     output
@@ -644,7 +645,7 @@ mod tests {
             scan_backend: annkit::simd::active(),
         };
         let mut output = KernelOutput::default();
-        let report = sys.execute("search", |ctx| {
+        let report = sys.execute(Stage::DpuSearch, |ctx| {
             output = run_batch_kernel(ctx, &store, &plan, &shared);
         });
         (output.partials.clone(), output, report.max_dpu_seconds)
@@ -703,7 +704,7 @@ mod tests {
             scan_backend: annkit::simd::active(),
         };
         let mut output = KernelOutput::default();
-        sys.execute("search", |ctx| {
+        sys.execute(Stage::DpuSearch, |ctx| {
             output = run_batch_kernel(ctx, &store, &plan, &shared);
         });
         let mailbox = sys
@@ -800,7 +801,7 @@ mod tests {
                 k,
                 scan_backend: annkit::simd::active(),
             };
-            sys.execute("search", |ctx| {
+            sys.execute(Stage::DpuSearch, |ctx| {
                 run_batch_kernel(ctx, &store, &plan, &shared);
             });
             let max_combos = combos.values().map(|t| t.len()).max().unwrap();
@@ -836,7 +837,7 @@ mod tests {
             scan_backend: annkit::simd::active(),
         };
         let mut output = KernelOutput::default();
-        sys.execute("search", |ctx| {
+        sys.execute(Stage::DpuSearch, |ctx| {
             output = run_batch_kernel(ctx, &store, &DpuBatchPlan::default(), &shared);
         });
         assert!(output.partials.is_empty());

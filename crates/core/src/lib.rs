@@ -17,7 +17,6 @@
 //! | Extension | Paper | Module |
 //! |---|---|---|
 //! | Query-pattern drift adaptation (replica adjustment / full relocation) | §4.1.2 | [`adaptive`] |
-//! | Latency-budget-aware per-query nprobe selection | §4.1.2 (request-time tier) | [`adaptive::NprobePolicy`] |
 //! | Live index mutation (epoch-snapshot serving + skew-triggered background compaction) | production extension | [`compaction`], `annkit::mutation` |
 //! | Multi-host scale-out (sharding + interconnect model) | §5.5 | [`multihost`] |
 //! | The multi-host engine (coordinator merge; replica map, fault injection, hedging, elasticity) | §5.5 + extension | [`replica`] |
@@ -76,7 +75,7 @@ pub mod wram_layout;
 pub mod prelude {
     pub use crate::adaptive::{
         adapt_placement, measure_drift, plan_adaptation, AdaptationDecision, AdaptationPolicy,
-        DriftReport, NprobePolicy, ReplicaAdjustment,
+        DriftReport, ReplicaAdjustment,
     };
     pub use crate::builder::{BatchCapacity, UpAnnsBuilder};
     pub use crate::compaction::{

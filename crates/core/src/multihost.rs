@@ -103,6 +103,7 @@ mod tests {
     use annkit::vector::Dataset;
     use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
     use pim_sim::config::PimConfig;
+    use pim_sim::stats::Stage;
     use std::sync::OnceLock;
 
     /// Compile-time Send audit: a multi-host deployment is a vector of
@@ -254,9 +255,9 @@ mod tests {
             "modeled {} s, four legs sum to {expected} s",
             out.seconds
         );
-        assert_eq!(out.breakdown.seconds("query_broadcast"), broadcast);
-        assert_eq!(out.breakdown.seconds("result_gather"), gather);
-        assert_eq!(out.breakdown.seconds("coordinator_merge"), merge);
+        assert_eq!(out.breakdown.seconds(Stage::QueryBroadcast), broadcast);
+        assert_eq!(out.breakdown.seconds(Stage::ResultGather), gather);
+        assert_eq!(out.breakdown.seconds(Stage::CoordinatorMerge), merge);
         assert!(broadcast > 0.0 && gather > 0.0 && merge > 0.0);
         assert_eq!(
             (out.stats.degraded, out.stats.hedged, out.stats.redispatched),

@@ -42,7 +42,7 @@ use annkit::topk::{Neighbor, TopK};
 use baselines::engine::{AnnEngine, SearchRequest, SearchResponse};
 use baselines::workload_stats::WorkloadStats;
 use pim_sim::energy::EnergyModel;
-use pim_sim::stats::StageBreakdown;
+use pim_sim::stats::{Stage, StageBreakdown};
 
 use crate::engine::UpAnnsEngine;
 use crate::multihost::InterconnectModel;
@@ -564,20 +564,19 @@ impl AnnEngine for ReplicatedMultiHost {
             results.push(heap.into_sorted());
         }
 
+        // The slowest shard's stages stand for the search leg.
         let mut breakdown = StageBreakdown::new();
-        breakdown.add("query_broadcast", broadcast_s);
+        breakdown.add(Stage::QueryBroadcast, broadcast_s);
         if let Some(critical) = served.iter().map(|(_, o)| o).max_by(|a, b| {
             a.seconds
                 .partial_cmp(&b.seconds)
                 .unwrap_or(std::cmp::Ordering::Equal)
         }) {
-            let critical_total = critical.breakdown.total().max(f64::MIN_POSITIVE);
-            for (label, secs) in critical.breakdown.entries() {
-                breakdown.add(&label, secs / critical_total * search_s);
-            }
+            breakdown.add(Stage::DpuSearch, search_s);
+            breakdown.splice(Stage::DpuSearch, &critical.breakdown);
         }
-        breakdown.add("result_gather", gather_s);
-        breakdown.add("coordinator_merge", merge_s);
+        breakdown.add(Stage::ResultGather, gather_s);
+        breakdown.add(Stage::CoordinatorMerge, merge_s);
 
         let mut stats = WorkloadStats::default();
         for (_, o) in &served {

@@ -25,18 +25,6 @@ pub struct MergeStats {
     pub semaphore_ops: u64,
 }
 
-impl MergeStats {
-    /// Fraction of candidates skipped without a comparison.
-    pub fn pruned_fraction(&self) -> f64 {
-        let total = self.comparisons + self.pruned;
-        if total == 0 {
-            0.0
-        } else {
-            self.pruned as f64 / total as f64
-        }
-    }
-}
-
 /// Merges thread-local heaps into a global top-k.
 ///
 /// With `prune = false` this is the naive merge (every local element is
@@ -74,12 +62,6 @@ pub fn merge_thread_local(locals: &[TopK], k: usize, prune: bool) -> (TopK, Merg
     (global, stats)
 }
 
-/// Convenience wrapper returning the merged neighbors sorted ascending.
-pub fn merge_to_sorted(locals: &[TopK], k: usize, prune: bool) -> (Vec<Neighbor>, MergeStats) {
-    let (heap, stats) = merge_thread_local(locals, k, prune);
-    (heap.into_sorted(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,8 +81,8 @@ mod tests {
     fn pruned_and_naive_merges_agree() {
         for t in [1, 4, 8, 16] {
             let locals = make_locals(t, 10, 5_000);
-            let (pruned, _) = merge_to_sorted(&locals, 10, true);
-            let (naive, _) = merge_to_sorted(&locals, 10, false);
+            let pruned = merge_thread_local(&locals, 10, true).0.into_sorted();
+            let naive = merge_thread_local(&locals, 10, false).0.into_sorted();
             assert_eq!(pruned.len(), naive.len());
             for (a, b) in pruned.iter().zip(&naive) {
                 assert_eq!(a.id, b.id);
@@ -124,11 +106,9 @@ mod tests {
         );
         // The paper reports ~68 % of comparisons skipped; with 16 tasklets of
         // 64 candidates each we should prune a substantial share.
-        assert!(
-            pruned_stats.pruned_fraction() > 0.4,
-            "pruned fraction {}",
-            pruned_stats.pruned_fraction()
-        );
+        let fraction =
+            pruned_stats.pruned as f64 / (pruned_stats.comparisons + pruned_stats.pruned) as f64;
+        assert!(fraction > 0.4, "pruned fraction {fraction}");
     }
 
     #[test]
@@ -165,6 +145,6 @@ mod tests {
     fn stats_fraction_is_zero_when_nothing_to_merge() {
         let (global, stats) = merge_thread_local(&[], 5, true);
         assert!(global.is_empty());
-        assert_eq!(stats.pruned_fraction(), 0.0);
+        assert_eq!(stats, MergeStats::default());
     }
 }

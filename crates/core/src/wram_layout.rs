@@ -14,6 +14,7 @@
 //! the maximum tasklet count a configuration admits.
 
 use pim_sim::config::WRAM_BYTES_PER_DPU;
+use pim_sim::stats::Stage;
 
 /// Byte sizes used by the planner. The codebook is staged at 1 B per
 /// component (the uint8 representation the paper quotes: 32 KB for SIFT's
@@ -85,8 +86,8 @@ pub struct WramPlan {
 /// Why a layout cannot be realized.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WramPlanError {
-    /// Which phase overflowed.
-    pub phase: &'static str,
+    /// Which phase overflowed, named by the kernel region it backs.
+    pub phase: Stage,
     /// Bytes that phase needs.
     pub required: usize,
     /// WRAM capacity.
@@ -98,7 +99,9 @@ impl std::fmt::Display for WramPlanError {
         write!(
             f,
             "WRAM plan overflow in {}: needs {} B of {} B",
-            self.phase, self.required, self.capacity
+            self.phase.label(),
+            self.required,
+            self.capacity
         )
     }
 }
@@ -118,7 +121,7 @@ impl WramPlan {
         let phase2_peak = lut_bytes + combo_bytes;
         let phase3_peak = lut_bytes + combo_bytes + input.tasklets * per_tasklet;
 
-        let check = |phase: &'static str, required: usize| {
+        let check = |phase: Stage, required: usize| {
             if required > input.wram_capacity {
                 Err(WramPlanError {
                     phase,
@@ -129,9 +132,9 @@ impl WramPlan {
                 Ok(())
             }
         };
-        check("lut_construction", phase1_peak)?;
-        check("combo_sum", phase2_peak)?;
-        check("distance_calc", phase3_peak)?;
+        check(Stage::LutConstruction, phase1_peak)?;
+        check(Stage::ComboSum, phase2_peak)?;
+        check(Stage::DistanceCalc, phase3_peak)?;
 
         Ok(Self {
             codebook_bytes,
@@ -196,7 +199,7 @@ mod tests {
         input.tasklets = 24;
         input.k = 100;
         let err = WramPlan::plan(&input).unwrap_err();
-        assert_eq!(err.phase, "distance_calc");
+        assert_eq!(err.phase, Stage::DistanceCalc);
         assert!(err.to_string().contains("distance_calc"));
         // A reduced tasklet count fits again.
         let max = WramPlan::max_tasklets(&input, 24);
@@ -210,7 +213,7 @@ mod tests {
         // A 300-dimensional codebook at 1 B/component is 75 KB > 64 KB.
         let input = WramPlanInput::new(300, 20, 10, 0, 4, 64);
         let err = WramPlan::plan(&input).unwrap_err();
-        assert_eq!(err.phase, "lut_construction");
+        assert_eq!(err.phase, Stage::LutConstruction);
     }
 
     #[test]

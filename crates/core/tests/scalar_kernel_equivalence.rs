@@ -21,7 +21,7 @@ use annkit::synthetic::SyntheticSpec;
 use annkit::topk::{Neighbor, TopK};
 use annkit::vector::{residual, Dataset};
 use pim_sim::config::PimConfig;
-use pim_sim::prelude::PimSystem;
+use pim_sim::prelude::{PimSystem, Stage};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use upanns::config::UpAnnsConfig;
@@ -139,7 +139,7 @@ fn run_kernel(backend: Backend, k: usize, cae: bool) -> KernelOutput {
         scan_backend: backend,
     };
     let mut output = KernelOutput::default();
-    sys.execute("search", |ctx| {
+    sys.execute(Stage::DpuSearch, |ctx| {
         output = run_batch_kernel(ctx, &store, &plan, &shared);
     });
 

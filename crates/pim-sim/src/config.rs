@@ -122,13 +122,6 @@ impl PimConfig {
     pub fn seconds_per_cycle(&self) -> f64 {
         1.0 / self.clock_hz
     }
-
-    /// Overrides the number of DPUs, keeping everything else.
-    pub fn scaled_to(&self, num_dpus: usize) -> Self {
-        let mut c = self.clone();
-        c.num_dpus = num_dpus;
-        c
-    }
 }
 
 impl Default for PimConfig {
@@ -155,7 +148,7 @@ mod tests {
 
     #[test]
     fn scaling_preserves_other_fields() {
-        let c = PimConfig::paper_seven_dimms().scaled_to(2560);
+        let c = PimConfig::with_dpus(2560);
         assert_eq!(c.num_dpus, 2560);
         assert_eq!(c.num_dimms(), 20);
         assert_eq!(c.clock_hz, 350e6);

@@ -73,13 +73,6 @@ impl CostModel {
         }
     }
 
-    /// Effective MRAM bandwidth (bytes per cycle) achieved by back-to-back
-    /// transfers of `bytes` each — a convenience for roofline sanity checks.
-    pub fn mram_bandwidth_bytes_per_cycle(&self, bytes: usize) -> f64 {
-        let bytes = align_dma(bytes);
-        bytes as f64 / self.mram_transfer_cycles(bytes) as f64
-    }
-
     /// Per-DPU region time in cycles given the per-tasklet issued instruction
     /// cycles of one parallel region.
     ///
@@ -137,9 +130,8 @@ mod tests {
     #[test]
     fn bandwidth_improves_with_larger_transfers() {
         let cm = CostModel::default();
-        assert!(
-            cm.mram_bandwidth_bytes_per_cycle(1024) > 3.0 * cm.mram_bandwidth_bytes_per_cycle(16)
-        );
+        let bytes_per_cycle = |bytes: usize| bytes as f64 / cm.mram_transfer_cycles(bytes) as f64;
+        assert!(bytes_per_cycle(1024) > 3.0 * bytes_per_cycle(16));
     }
 
     #[test]

@@ -35,16 +35,6 @@ impl DpuStats {
         self.launches += other.launches;
         self.wram_peak_bytes = self.wram_peak_bytes.max(other.wram_peak_bytes);
     }
-
-    /// Effective MRAM read bandwidth in bytes/cycle over the DPU's lifetime
-    /// (0 when no DMA has happened).
-    pub fn mram_read_bandwidth(&self) -> f64 {
-        if self.dma_cycles == 0 {
-            0.0
-        } else {
-            self.mram_bytes_read as f64 / self.dma_cycles as f64
-        }
-    }
 }
 
 /// One simulated DPU.
@@ -119,7 +109,7 @@ mod tests {
         assert_eq!(total.dma_transfers, 8);
         assert_eq!(total.launches, 2);
         assert_eq!(total.wram_peak_bytes, 1000);
-        assert!((total.mram_read_bandwidth() - 1024.0 / 80.0).abs() < 1e-9);
+        assert_eq!((total.mram_bytes_read, total.dma_cycles), (1024, 80));
     }
 
     #[test]
@@ -128,6 +118,5 @@ mod tests {
         assert_eq!(dpu.id(), 3);
         assert_eq!(dpu.mram().allocated(), 0);
         assert_eq!(dpu.stats().cycles, 0);
-        assert_eq!(dpu.stats().mram_read_bandwidth(), 0.0);
     }
 }

@@ -6,7 +6,7 @@ use crate::cost::CostModel;
 use crate::dpu::Dpu;
 use crate::energy::EnergyModel;
 use crate::mram::{MramAddr, MramError};
-use crate::stats::StageBreakdown;
+use crate::stats::{Stage, StageBreakdown};
 use crate::tasklet::DpuKernelCtx;
 
 /// A host→DPU copy request: `data` is written to `addr` in DPU `dpu`'s MRAM.
@@ -56,7 +56,7 @@ pub struct ExecReport {
     pub per_dpu_seconds: Vec<f64>,
     /// Cycles per DPU.
     pub per_dpu_cycles: Vec<u64>,
-    /// Stage breakdown of the critical DPU (region label → seconds), which
+    /// Stage breakdown of the critical DPU (region stage → seconds), which
     /// is what determines the end-to-end stage ratios of Figure 19.
     pub breakdown: StageBreakdown,
 }
@@ -159,7 +159,7 @@ impl PimSystem {
     /// Transfers across DPUs proceed in parallel only when every buffer has
     /// the same size; otherwise they serialize (§2.2), which is the reason
     /// UpANNS keeps per-DPU query buffers uniform.
-    pub fn push_to_dpus(&mut self, stage: &str, writes: &[DpuWrite]) -> Result<(), MramError> {
+    pub fn push_to_dpus(&mut self, stage: impl Into<Stage>, writes: &[DpuWrite]) -> Result<(), MramError> {
         if writes.is_empty() {
             return Ok(());
         }
@@ -174,7 +174,7 @@ impl PimSystem {
             self.config.host_push_bw_serial
         };
         let seconds = total_bytes as f64 / bw + self.config.launch_overhead_s;
-        self.advance(stage, seconds);
+        self.advance_host(stage, seconds);
         Ok(())
     }
 
@@ -182,7 +182,7 @@ impl PimSystem {
     /// with the same uniform/serial rule as [`push_to_dpus`](Self::push_to_dpus).
     pub fn pull_from_dpus(
         &mut self,
-        stage: &str,
+        stage: impl Into<Stage>,
         reads: &[DpuRead],
     ) -> Result<Vec<Vec<u8>>, MramError> {
         if reads.is_empty() {
@@ -200,7 +200,7 @@ impl PimSystem {
             self.config.host_pull_bw_serial
         };
         let seconds = total_bytes as f64 / bw + self.config.launch_overhead_s;
-        self.advance(stage, seconds);
+        self.advance_host(stage, seconds);
         Ok(out)
     }
 
@@ -208,7 +208,7 @@ impl PimSystem {
     /// fresh [`DpuKernelCtx`]; the simulated launch time is the slowest DPU's
     /// time plus a fixed launch overhead, and it is added to the system clock
     /// under `stage`.
-    pub fn execute(&mut self, stage: &str, mut kernel: impl FnMut(&mut DpuKernelCtx<'_>)) -> ExecReport {
+    pub fn execute(&mut self, stage: impl Into<Stage>, mut kernel: impl FnMut(&mut DpuKernelCtx<'_>)) -> ExecReport {
         let spc = self.config.seconds_per_cycle();
         let mut per_dpu_cycles = Vec::with_capacity(self.dpus.len());
         let mut per_dpu_regions = Vec::with_capacity(self.dpus.len());
@@ -231,10 +231,10 @@ impl PimSystem {
 
         let mut breakdown = StageBreakdown::new();
         for region in &per_dpu_regions[critical_dpu] {
-            breakdown.add(region.label, region.region_cycles as f64 * spc);
+            breakdown.add(region.stage, region.region_cycles as f64 * spc);
         }
 
-        self.advance(stage, max_dpu_seconds);
+        self.advance_host(stage, max_dpu_seconds);
         ExecReport {
             max_dpu_seconds,
             critical_dpu,
@@ -246,14 +246,10 @@ impl PimSystem {
 
     /// Adds host-side compute time (e.g. cluster filtering or scheduling run
     /// on the CPU) to the simulated clock.
-    pub fn advance_host(&mut self, stage: &str, seconds: f64) {
-        self.advance(stage, seconds);
-    }
-
-    fn advance(&mut self, stage: &str, seconds: f64) {
+    pub fn advance_host(&mut self, stage: impl Into<Stage>, seconds: f64) {
         assert!(seconds >= 0.0 && seconds.is_finite(), "invalid time advance");
         self.clock_seconds += seconds;
-        self.breakdown.add(stage, seconds);
+        self.breakdown.add(stage.into(), seconds);
     }
 
     /// Simulated seconds elapsed since creation or the last
@@ -307,14 +303,14 @@ mod tests {
         let uniform: Vec<DpuWrite> = (0..sys.num_dpus())
             .map(|d| DpuWrite::new(d, addrs[d], vec![1u8; 1024]))
             .collect();
-        sys.push_to_dpus("load", &uniform).unwrap();
+        sys.push_to_dpus(Stage::QueryTransfer, &uniform).unwrap();
         let t_uniform = sys.elapsed_seconds();
 
         sys.reset_clock();
         let skewed: Vec<DpuWrite> = (0..sys.num_dpus())
             .map(|d| DpuWrite::new(d, addrs[d], vec![1u8; 256 + 512 * d]))
             .collect();
-        sys.push_to_dpus("load", &skewed).unwrap();
+        sys.push_to_dpus(Stage::QueryTransfer, &skewed).unwrap();
         let t_skewed = sys.elapsed_seconds();
         // Skewed transfer moves fewer total bytes here yet still takes longer
         // because it serializes.
@@ -327,12 +323,12 @@ mod tests {
     #[test]
     fn execute_uses_slowest_dpu() {
         let (mut sys, addrs) = loaded_system();
-        let report = sys.execute("scan", |ctx| {
+        let report = sys.execute(Stage::DpuSearch, |ctx| {
             let id = ctx.dpu_id();
             let addr = addrs[id];
             // DPU 3 does 4x the work of the others.
             let reps = if id == 3 { 4 } else { 1 };
-            ctx.parallel("dist", 2, |t| {
+            ctx.parallel(Stage::DistanceCalc, 2, |t| {
                 for _ in 0..reps {
                     let _ = t.mram_read(addr, 512);
                     t.charge_arith(512, 0);
@@ -342,7 +338,7 @@ mod tests {
         assert_eq!(report.critical_dpu, 3);
         assert!(report.max_to_avg_ratio() > 1.5);
         assert_eq!(report.per_dpu_seconds.len(), 4);
-        assert!(report.breakdown.seconds("dist") > 0.0);
+        assert!(report.breakdown.seconds(Stage::DistanceCalc) > 0.0);
         assert!(sys.elapsed_seconds() >= report.max_dpu_seconds);
         assert!(sys.energy_joules() > 0.0);
         assert!(sys.dpu(3).stats().mram_bytes_read > sys.dpu(0).stats().mram_bytes_read);
@@ -354,23 +350,23 @@ mod tests {
         let writes: Vec<DpuWrite> = (0..sys.num_dpus())
             .map(|d| DpuWrite::new(d, addrs[d], vec![d as u8; 64]))
             .collect();
-        sys.push_to_dpus("load", &writes).unwrap();
+        sys.push_to_dpus(Stage::QueryTransfer, &writes).unwrap();
         let reads: Vec<DpuRead> = (0..sys.num_dpus())
             .map(|d| DpuRead::new(d, addrs[d], 64))
             .collect();
         let before = sys.elapsed_seconds();
-        let data = sys.pull_from_dpus("gather", &reads).unwrap();
+        let data = sys.pull_from_dpus(Stage::ResultTransfer, &reads).unwrap();
         assert!(sys.elapsed_seconds() > before);
         for (d, buf) in data.iter().enumerate() {
             assert_eq!(buf, &vec![d as u8; 64]);
         }
-        assert!(sys.breakdown().seconds("gather") > 0.0);
+        assert!(sys.breakdown().seconds(Stage::ResultTransfer) > 0.0);
     }
 
     #[test]
     fn reset_clock_clears_time_but_not_data() {
         let (mut sys, addrs) = loaded_system();
-        sys.push_to_dpus("load", &[DpuWrite::new(0, addrs[0], vec![9u8; 128])])
+        sys.push_to_dpus(Stage::QueryTransfer, &[DpuWrite::new(0, addrs[0], vec![9u8; 128])])
             .unwrap();
         assert!(sys.elapsed_seconds() > 0.0);
         sys.reset_clock();
@@ -383,8 +379,8 @@ mod tests {
     #[test]
     fn advance_host_accumulates_under_stage() {
         let mut sys = PimSystem::new(PimConfig::small_test());
-        sys.advance_host("cluster_filtering", 0.001);
-        sys.advance_host("cluster_filtering", 0.002);
-        assert!((sys.breakdown().seconds("cluster_filtering") - 0.003).abs() < 1e-12);
+        sys.advance_host(Stage::ClusterFiltering, 0.001);
+        sys.advance_host(Stage::ClusterFiltering, 0.002);
+        assert!((sys.breakdown().seconds(Stage::ClusterFiltering) - 0.003).abs() < 1e-12);
     }
 }

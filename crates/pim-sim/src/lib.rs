@@ -33,11 +33,11 @@
 //! let mut sys = PimSystem::new(PimConfig::small_test());
 //! // Stage some bytes into DPU 0's MRAM.
 //! let addr = sys.mram_alloc(0, 1024).unwrap();
-//! sys.push_to_dpus("load", &[DpuWrite::new(0, addr, vec![7u8; 1024])]).unwrap();
+//! sys.push_to_dpus(Stage::QueryTransfer, &[DpuWrite::new(0, addr, vec![7u8; 1024])]).unwrap();
 //! // Run a kernel on every DPU that reads the data back with 4 tasklets.
-//! let report = sys.execute("scan", |ctx| {
+//! let report = sys.execute(Stage::DpuSearch, |ctx| {
 //!     if ctx.dpu_id() == 0 {
-//!         ctx.parallel("read", 4, |t| {
+//!         ctx.parallel(Stage::DistanceCalc, 4, |t| {
 //!             let bytes = t.mram_read(addr, 256).to_vec();
 //!             t.charge_arith(bytes.len() as u64, 0);
 //!         });
@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::energy::EnergyModel;
     pub use crate::host::{DpuRead, DpuWrite, ExecReport, PimSystem};
     pub use crate::mram::{Mram, MramAddr};
-    pub use crate::stats::StageBreakdown;
+    pub use crate::stats::{Stage, StageBreakdown};
     pub use crate::tasklet::{DpuKernelCtx, TaskletCtx};
     pub use crate::wram::WramAllocator;
 }

@@ -14,14 +14,14 @@ use crate::config::PimConfig;
 use crate::cost::{split_dma, CostModel};
 use crate::dpu::{Dpu, DpuStats};
 use crate::mram::{Mram, MramAddr, MramError};
+use crate::stats::Stage;
 use crate::wram::WramAllocator;
 
 /// Execution record of one parallel region.
 #[derive(Debug, Clone)]
 pub struct RegionRecord {
-    /// Stage label supplied by the kernel: a kernel's stages are a fixed set
-    /// known at compile time, like its WRAM regions.
-    pub label: &'static str,
+    /// The stage the kernel charges this region to.
+    pub stage: Stage,
     /// Number of tasklets the region ran with.
     pub tasklets: usize,
     /// Sum of instruction cycles charged by all tasklets.
@@ -87,15 +87,6 @@ impl<'a> TaskletCtx<'a> {
             .unwrap_or_else(|e| panic!("tasklet {} MRAM read failed: {e}", self.tasklet_id))
     }
 
-    /// Reads `len` bytes from MRAM into a caller-provided buffer.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != len` or the read is out of bounds.
-    pub fn mram_read_into(&mut self, addr: MramAddr, len: usize, out: &mut [u8]) {
-        assert_eq!(out.len(), len, "output buffer size mismatch");
-        out.copy_from_slice(self.mram_read(addr, len));
-    }
-
     /// Charges the DMA cost of transferring `len` bytes without touching data
     /// (used when a kernel models a write or an already-consumed read).
     pub fn charge_dma(&mut self, len: usize) {
@@ -125,12 +116,6 @@ impl<'a> TaskletCtx<'a> {
         self.dma_cycles += per_cycles * times;
         self.dma_transfers += per_transfers * times;
         self.mram_bytes_read += per_bytes * times;
-    }
-
-    /// Charges `n` simple ALU/branch instructions.
-    #[inline]
-    pub fn charge_instrs(&mut self, n: u64) {
-        self.compute_cycles += n * self.cost.alu_cycles;
     }
 
     /// Charges `adds` additive/compare operations and `muls` multiplications
@@ -225,7 +210,7 @@ impl<'a> DpuKernelCtx<'a> {
     /// Panics if `tasklets` is zero or exceeds the hardware maximum of 24.
     pub fn parallel<R>(
         &mut self,
-        label: &'static str,
+        stage: Stage,
         tasklets: usize,
         mut body: impl FnMut(&mut TaskletCtx<'_>) -> R,
     ) -> Vec<R> {
@@ -262,7 +247,7 @@ impl<'a> DpuKernelCtx<'a> {
         self.launch_stats.cycles += region_cycles;
 
         self.regions.push(RegionRecord {
-            label,
+            stage,
             tasklets,
             compute_cycles: total_compute,
             dma_cycles: total_dma,
@@ -275,12 +260,12 @@ impl<'a> DpuKernelCtx<'a> {
     /// the host-visible result write performs).
     pub fn sequential<R>(
         &mut self,
-        label: &'static str,
+        stage: Stage,
         body: impl FnOnce(&mut TaskletCtx<'_>) -> R,
     ) -> R {
         let mut only = None;
         let mut body = Some(body);
-        self.parallel(label, 1, |t| {
+        self.parallel(stage, 1, |t| {
             let f = body.take().expect("sequential body runs once");
             only = Some(f(t));
         });
@@ -291,7 +276,7 @@ impl<'a> DpuKernelCtx<'a> {
     /// as its own region.
     pub fn mram_write(
         &mut self,
-        label: &'static str,
+        stage: Stage,
         addr: MramAddr,
         bytes: &[u8],
     ) -> Result<(), MramError> {
@@ -307,7 +292,7 @@ impl<'a> DpuKernelCtx<'a> {
         self.launch_stats.mram_bytes_written += bytes.len() as u64;
         self.launch_stats.cycles += dma;
         self.regions.push(RegionRecord {
-            label,
+            stage,
             tasklets: 1,
             compute_cycles: 0,
             dma_cycles: dma,
@@ -351,7 +336,7 @@ mod tests {
     fn parallel_region_charges_and_returns_results() {
         let (mut dpu, cost, config) = setup();
         let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
-        let results = ctx.parallel("scan", 4, |t| {
+        let results = ctx.parallel(Stage::DistanceCalc, 4, |t| {
             let data = t.mram_read(t.tasklet_id * 64, 64).to_vec();
             t.charge_arith(data.len() as u64, 0);
             data.iter().map(|&b| b as u64).sum::<u64>()
@@ -376,8 +361,8 @@ mod tests {
         let work_per_region = 11_000u64;
         let mut region_time = |tasklets: usize| {
             let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
-            ctx.parallel("w", tasklets, |t| {
-                t.charge_instrs(work_per_region / tasklets as u64);
+            ctx.parallel(Stage::DistanceCalc, tasklets, |t| {
+                t.charge_arith(work_per_region / tasklets as u64, 0);
             });
             ctx.regions()[0].region_cycles
         };
@@ -394,13 +379,13 @@ mod tests {
     fn sequential_region_and_mram_write() {
         let (mut dpu, cost, config) = setup();
         let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
-        let sum = ctx.sequential("merge", |t| {
-            t.charge_instrs(10);
+        let sum = ctx.sequential(Stage::TopK, |t| {
+            t.charge_arith(10, 0);
             t.charge_semaphore();
             123u32
         });
         assert_eq!(sum, 123);
-        ctx.mram_write("writeback", 0, &[7u8; 16]).unwrap();
+        ctx.mram_write(Stage::ResultWrite, 0, &[7u8; 16]).unwrap();
         assert_eq!(ctx.mram().read(0, 4).unwrap(), &[7, 7, 7, 7]);
         assert!(ctx.total_cycles() > 0);
         let (stats, _) = ctx.finish();
@@ -424,7 +409,7 @@ mod tests {
     fn too_many_tasklets_panics() {
         let (mut dpu, cost, config) = setup();
         let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
-        ctx.parallel("bad", 25, |_| {});
+        ctx.parallel(Stage::DistanceCalc, 25, |_| {});
     }
 
     #[test]
@@ -432,7 +417,7 @@ mod tests {
     fn out_of_bounds_read_panics_like_hardware_fault() {
         let (mut dpu, cost, config) = setup();
         let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
-        ctx.parallel("oob", 1, |t| {
+        ctx.parallel(Stage::DistanceCalc, 1, |t| {
             let _ = t.mram_read(1 << 20, 64);
         });
     }

@@ -147,12 +147,6 @@ impl WramAllocator {
         self.in_use = 0;
         self.peak = 0;
     }
-
-    /// Checks whether a hypothetical set of simultaneous regions would fit,
-    /// without allocating. Used by layout planners.
-    pub fn would_fit(&self, extra_bytes: usize) -> bool {
-        extra_bytes <= self.available()
-    }
 }
 
 #[cfg(test)]
@@ -193,8 +187,7 @@ mod tests {
     #[test]
     fn capacity_enforced_and_reported() {
         let mut w = WramAllocator::new(256);
-        assert!(w.would_fit(256));
-        assert!(!w.would_fit(257));
+        assert_eq!(w.available(), 256);
         let err = w.alloc("big", 300).unwrap_err();
         assert!(err.to_string().contains("out of memory"));
         w.alloc("half", 128).unwrap();

@@ -47,11 +47,6 @@ impl CapacityModel {
         }
     }
 
-    /// The sustained QPS the model predicts for `hosts` hosts.
-    pub fn qps_of(&self, hosts: usize) -> f64 {
-        self.qps_per_host * hosts as f64 + self.base_qps
-    }
-
     /// The fewest hosts predicted to sustain `qps` (at least 1).
     pub fn hosts_for(&self, qps: f64) -> usize {
         if self.qps_per_host <= 0.0 {
@@ -190,7 +185,6 @@ mod tests {
         let model = CapacityModel::fit(&samples);
         assert!((model.qps_per_host - 300.0).abs() < 1e-9);
         assert!((model.base_qps + 50.0).abs() < 1e-9);
-        assert!((model.qps_of(4) - 1150.0).abs() < 1e-9);
         assert_eq!(model.hosts_for(1150.0), 4);
         assert_eq!(model.hosts_for(1151.0), 5, "partial hosts round up");
         assert_eq!(model.hosts_for(-1e9), 1, "never fewer than one host");

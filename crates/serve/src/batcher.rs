@@ -41,8 +41,6 @@ pub enum CloseReason {
     Size,
     /// The group's oldest member hit the `max_delay_s` deadline.
     Deadline,
-    /// The stream ended and the group was flushed.
-    Flush,
 }
 
 /// A closed batch, ready for the engine.
@@ -299,30 +297,6 @@ impl BatchFormer {
         });
         closed
     }
-
-    /// Closes everything still open (stream end), oldest group first.
-    pub fn flush(&mut self, now: f64) -> Vec<FormedBatch> {
-        let mut groups = std::mem::take(&mut self.open);
-        groups.sort_by(|a, b| {
-            a.opened_at
-                .partial_cmp(&b.opened_at)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        groups
-            .into_iter()
-            .map(|g| g.close(now, CloseReason::Flush))
-            .collect()
-    }
-
-    /// Queries currently waiting in open groups.
-    pub fn open_queries(&self) -> usize {
-        self.open.iter().map(|g| g.members.len()).sum()
-    }
-
-    /// Number of open groups (distinct compatibility keys in flight).
-    pub fn open_groups(&self) -> usize {
-        self.open.len()
-    }
 }
 
 #[cfg(test)]
@@ -350,7 +324,7 @@ mod tests {
         assert_eq!(batch.len(), 3);
         assert_eq!(batch.closed_at, 0.2);
         assert_eq!(batch.opened_at, 0.0);
-        assert_eq!(former.open_queries(), 0);
+        assert!(former.open.is_empty());
     }
 
     #[test]
@@ -380,14 +354,14 @@ mod tests {
         assert!(former.push(pending(0, 0.0, 10, 8), 0.0).is_none());
         assert!(former.push(pending(1, 0.0, 20, 8), 0.0).is_none());
         assert!(former.push(pending(2, 0.0, 10, 4), 0.0).is_none());
-        assert_eq!(former.open_groups(), 3);
+        assert_eq!(former.open.len(), 3);
         // Filling the (k=10, nprobe=8) group closes only that group.
         let batch = former.push(pending(3, 0.1, 10, 8), 0.1).expect("full");
         assert_eq!(
             batch.members.iter().map(|m| m.stream_index).collect::<Vec<_>>(),
             vec![0, 3]
         );
-        assert_eq!(former.open_groups(), 2);
+        assert_eq!(former.open.len(), 2);
     }
 
     #[test]
@@ -400,19 +374,6 @@ mod tests {
         budgeted.options = budgeted.options.with_latency_budget(1e-3);
         assert!(former.push(budgeted, 0.0).is_none());
         assert!(former.push(pending(1, 0.0, 10, 8), 0.0).is_some());
-    }
-
-    #[test]
-    fn flush_closes_all_groups_oldest_first() {
-        let mut former = BatchFormer::new(BatchFormerConfig::default());
-        former.push(pending(0, 0.3, 5, 4), 0.3);
-        former.push(pending(1, 0.1, 10, 8), 0.1);
-        let flushed = former.flush(1.0);
-        assert_eq!(flushed.len(), 2);
-        assert!(flushed.iter().all(|b| b.reason == CloseReason::Flush));
-        assert_eq!(flushed[0].opened_at, 0.1);
-        assert_eq!(flushed[1].opened_at, 0.3);
-        assert_eq!(former.open_queries(), 0);
     }
 
     #[test]
@@ -435,7 +396,7 @@ mod tests {
         assert_eq!(closed[1].opened_at, 2.0);
         assert_eq!(closed[0].members[0].stream_index, 1);
         assert_eq!(closed[1].members[0].stream_index, 2);
-        assert_eq!(former.open_groups(), 0);
+        assert!(former.open.is_empty());
     }
 
     #[test]
@@ -477,14 +438,14 @@ mod tests {
             former.push(b, 0.0).is_none(),
             "same compat key, different tenant: separate groups"
         );
-        assert_eq!(former.open_groups(), 2);
+        assert_eq!(former.open.len(), 2);
         // Filling tenant 1's group closes only tenant 1's group.
         let mut a2 = pending(2, 0.1, 10, 8);
         a2.options = a2.options.with_tenant(TenantId(1));
         let batch = former.push(a2, 0.1).expect("full");
         assert_eq!(batch.options.tenant, TenantId(1));
         assert!(batch.members.iter().all(|m| m.options.tenant == TenantId(1)));
-        assert_eq!(former.open_groups(), 1);
+        assert_eq!(former.open.len(), 1);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! tenant-pure groups, so the routing is exact).
 
 use crate::batcher::BatchFormerConfig;
+use crate::service::percentile_of;
 use annkit::workload::TenantProfile;
 use baselines::engine::TenantId;
 
@@ -313,16 +314,15 @@ impl SloController {
         self.slo_p99_s / 50.0
     }
 
-    /// Nearest-rank p99 of the current observation window (`None` while the
-    /// window is empty).
+    /// p99 of the current observation window (`None` while the window is
+    /// empty), by the reports' rank rule.
     fn window_p99(&self) -> Option<f64> {
         if self.window.is_empty() {
             return None;
         }
         let mut sorted = self.window.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = (0.99 * (sorted.len() - 1) as f64).round() as usize;
-        Some(sorted[rank])
+        Some(percentile_of(&sorted, 99.0))
     }
 
     /// Mean engine-queue wait of the batches dispatched in this window.
@@ -385,12 +385,6 @@ impl SloController {
         }
         self.window.clear();
         self.waits.clear();
-    }
-
-    /// The dispatch chunk cap the controller currently answers
-    /// [`BatchPolicy::chunk`] with.
-    pub fn current_chunk(&self) -> usize {
-        self.chunk
     }
 }
 
@@ -708,7 +702,7 @@ mod tests {
             assert_eq!(c.delay_step_s(), step);
             assert_eq!(c.current().max_delay_s, start);
             assert_eq!(c.current().max_batch, 256);
-            assert_eq!(c.current_chunk(), 36);
+            assert_eq!(c.chunk, 36);
         }
         assert_eq!((SloController::MIN_BATCH, SloController::MAX_BATCH), (1, 1024));
         assert_eq!((SloController::MIN_CHUNK, SloController::MAX_CHUNK), (8, 64));
@@ -729,35 +723,35 @@ mod tests {
     fn chunk_cap_is_steered_with_the_window() {
         // Unsaturated misses shrink the chunk alongside the window...
         let mut c = controller(0.1);
-        let chunk0 = c.current_chunk();
+        let chunk0 = c.chunk;
         assert!((SloController::MIN_CHUNK..=SloController::MAX_CHUNK).contains(&chunk0));
         for i in 0..50 {
             c.observe(0.002 * i as f64, 1.0);
         }
         c.observe(0.2, 1.0);
         assert!(
-            c.current_chunk() <= chunk0.div_ceil(2) + 1,
+            c.chunk <= chunk0.div_ceil(2) + 1,
             "chunk should shrink with the window: {} vs {}",
-            c.current_chunk(),
+            c.chunk,
             chunk0
         );
         // ...saturated misses grow it (amortization per dispatch)...
         let mut s = controller(0.1);
-        let chunk0 = s.current_chunk();
+        let chunk0 = s.chunk;
         for i in 0..50 {
             let t = 0.002 * i as f64;
             s.observe_batch(t, 2, 1.0);
             s.observe(t, 1.0);
         }
         s.observe(0.2, 1.0);
-        assert!(s.current_chunk() >= (chunk0 * 2).min(SloController::MAX_CHUNK));
+        assert!(s.chunk >= (chunk0 * 2).min(SloController::MAX_CHUNK));
         // ...and sustained pressure in either direction stops at the bounds.
         for interval in 0..64 {
             for i in 0..10 {
                 c.observe(interval as f64 + 0.01 * i as f64, 5.0);
             }
         }
-        assert_eq!(c.current_chunk(), SloController::MIN_CHUNK);
+        assert_eq!(c.chunk, SloController::MIN_CHUNK);
         assert_eq!(c.chunk(), Some(SloController::MIN_CHUNK));
         // Static policies steer no chunk at all.
         assert_eq!(FixedPolicy(BatchFormerConfig::default()).chunk(), None);

@@ -146,7 +146,6 @@ pub struct ServingCore<'a> {
     makespan_s: f64,
     size_closed: usize,
     deadline_closed: usize,
-    flushed: usize,
 }
 
 impl<'a> ServingCore<'a> {
@@ -193,7 +192,6 @@ impl<'a> ServingCore<'a> {
             makespan_s: 0.0,
             size_closed: 0,
             deadline_closed: 0,
-            flushed: 0,
             config,
             policy,
         }
@@ -252,7 +250,6 @@ impl<'a> ServingCore<'a> {
         match batch.reason {
             CloseReason::Size => self.size_closed += 1,
             CloseReason::Deadline => self.deadline_closed += 1,
-            CloseReason::Flush => self.flushed += 1,
         }
         let tenant = batch.options.tenant;
         let cap = match self.config.max_chunk {
@@ -489,7 +486,6 @@ impl<'a> ServingCore<'a> {
             cache_invalidated: self.cache.invalidated(),
             size_closed_batches: self.size_closed,
             deadline_closed_batches: self.deadline_closed,
-            flushed_batches: self.flushed,
             dispatched_chunks: self.chunks.dispatched_chunks(),
             split_batches: self.chunks.split_batches(),
             engine_busy_s: self.busy_s,

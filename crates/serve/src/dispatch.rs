@@ -267,11 +267,6 @@ impl ChunkQueue {
         self.queue.is_empty()
     }
 
-    /// Queries waiting, across all queued chunks.
-    pub fn queued_queries(&self) -> usize {
-        self.queue.iter().map(|c| c.batch.len()).sum()
-    }
-
     /// Chunks handed out so far.
     pub fn dispatched_chunks(&self) -> usize {
         self.dispatched_chunks
@@ -375,7 +370,6 @@ mod tests {
         q.submit(batch(2, &[0.0, 0.1, 0.2, 0.3], 0.4), None, 2);
         q.submit(batch(1, &[0.5], 0.6), Some(0.25), 2);
         assert_eq!(q.len(), 3, "bulk split in two plus the tight singleton");
-        assert_eq!(q.queued_queries(), 5);
         assert_eq!(q.split_batches(), 1);
         let order: Vec<TenantId> = std::iter::from_fn(|| q.pop_most_urgent())
             .map(|c| c.batch.options.tenant)

@@ -27,8 +27,9 @@ use annkit::topk::Neighbor;
 use annkit::workload::QueryStream;
 use baselines::engine::{AnnEngine, QueryOptions, TenantId};
 
-/// Nearest-rank percentile over an ascending-sorted latency list (0 when
-/// empty) — shared by the aggregate and per-tenant report rows.
+/// Percentile over an ascending-sorted latency list: the element at rank
+/// `round(p/100 · (n − 1))`, 0 when empty — shared by the aggregate and
+/// per-tenant report rows and the SLO controller's observation window.
 pub fn percentile_of(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -130,7 +131,7 @@ pub struct TenantReport {
 }
 
 impl TenantReport {
-    /// The `p`-th latency percentile in seconds (nearest rank).
+    /// The `p`-th latency percentile in seconds ([`percentile_of`]'s rank).
     pub fn percentile(&self, p: f64) -> f64 {
         percentile_of(&self.latencies_s, p)
     }
@@ -187,10 +188,6 @@ pub struct ServiceReport {
     pub size_closed_batches: usize,
     /// Batches closed by the waiting deadline.
     pub deadline_closed_batches: usize,
-    /// Batches flushed at stream end. Always 0 since trailing batches
-    /// close at their own deadlines on the replay clock (kept for
-    /// record-schema stability and custom front-ends that still flush).
-    pub flushed_batches: usize,
     /// Chunks the chunk queue handed to an engine — equal to
     /// [`batches`](Self::batches) under whole-batch (close-order) dispatch,
     /// larger when [`ServiceConfig::max_chunk`] splits bulk batches.
@@ -237,8 +234,8 @@ impl ServiceReport {
         }
     }
 
-    /// The `p`-th latency percentile in seconds (nearest-rank on the sorted
-    /// latencies; 0 when nothing completed).
+    /// The `p`-th latency percentile in seconds ([`percentile_of`]'s rank; 0
+    /// when nothing completed).
     pub fn percentile(&self, p: f64) -> f64 {
         percentile_of(&self.latencies_s, p)
     }
@@ -304,7 +301,7 @@ impl ServiceReport {
 
     /// Total batches the engine executed.
     pub fn batches(&self) -> usize {
-        self.size_closed_batches + self.deadline_closed_batches + self.flushed_batches
+        self.size_closed_batches + self.deadline_closed_batches
     }
 
     /// Mean queries per executed batch (0 without batches).
@@ -778,7 +775,6 @@ mod tests {
             cache_invalidated: 0,
             size_closed_batches: 0,
             deadline_closed_batches: 0,
-            flushed_batches: 0,
             dispatched_chunks: 0,
             split_batches: 0,
             engine_busy_s: 0.0,
@@ -1024,8 +1020,7 @@ mod tests {
         // The end-of-stream regression: a batch whose close deadline fires
         // after the final arrival must still close at that deadline on the
         // replay clock — its members' latency is window + service, exactly
-        // like mid-stream deadline closes. (It used to be flushed the
-        // instant the stream ended, snapping the window shut early.)
+        // like mid-stream deadline closes.
         let (dataset, index) = fixture();
         let window = 0.5;
         let config = ServiceConfig {
@@ -1041,7 +1036,6 @@ mod tests {
         let report = service.replay_uniform(&stream, QueryOptions::new(10, 4));
         assert_eq!(report.completed, 1);
         assert_eq!(report.deadline_closed_batches, 1, "closed by its deadline");
-        assert_eq!(report.flushed_batches, 0, "nothing was flushed early");
         let latency = report.latencies_s[0];
         assert!(
             latency >= window,

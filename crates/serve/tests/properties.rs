@@ -29,13 +29,9 @@ fn option_of(tag: u8) -> QueryOptions {
 }
 
 /// Replays a byte-encoded arrival sequence through a former exactly the way
-/// the service does (deadlines drained before each arrival, flush at the
-/// end), returning every formed batch plus the final clock.
-fn drive_former(
-    config: BatchFormerConfig,
-    encoded: &[u8],
-    gap_scale: f64,
-) -> (Vec<FormedBatch>, f64) {
+/// the service does (deadlines drained before each arrival, trailing windows
+/// closed at their own deadlines), returning every formed batch.
+fn drive_former(config: BatchFormerConfig, encoded: &[u8], gap_scale: f64) -> Vec<FormedBatch> {
     let mut former = BatchFormer::new(config);
     let mut batches = Vec::new();
     let mut now = 0.0f64;
@@ -57,8 +53,10 @@ fn drive_former(
             batches.push(batch);
         }
     }
-    batches.extend(former.flush(now));
-    (batches, now)
+    while let Some(deadline) = former.next_deadline() {
+        batches.extend(former.due(deadline));
+    }
+    batches
 }
 
 proptest! {
@@ -72,7 +70,7 @@ proptest! {
         max_batch in 1usize..12,
     ) {
         let config = BatchFormerConfig { max_batch, max_delay_s: 4e-3 };
-        let (batches, _) = drive_former(config, &encoded, 1e-3);
+        let batches = drive_former(config, &encoded, 1e-3);
         for batch in &batches {
             prop_assert!(batch.len() <= max_batch, "batch of {} > cap {}", batch.len(), max_batch);
             prop_assert!(!batch.is_empty(), "the former never emits empty batches");
@@ -87,8 +85,7 @@ proptest! {
     }
 
     /// No query waits in the former past `max_delay` (plus the close-slack of
-    /// the size trigger firing exactly at the cap), except queries flushed at
-    /// stream end, whose wait is bounded by the stream itself.
+    /// the size trigger firing exactly at the cap).
     #[test]
     fn former_never_overholds_a_query(
         encoded in prop::collection::vec(0u8..=255, 1..300),
@@ -97,7 +94,7 @@ proptest! {
     ) {
         let max_delay_s = delay_ms * 1e-3;
         let config = BatchFormerConfig { max_batch, max_delay_s };
-        let (batches, end) = drive_former(config, &encoded, 1e-3);
+        let batches = drive_former(config, &encoded, 1e-3);
         for batch in &batches {
             prop_assert!(batch.closed_at + 1e-12 >= batch.opened_at);
             match batch.reason {
@@ -112,21 +109,16 @@ proptest! {
                     // (overdue groups are drained before every push).
                     prop_assert!(batch.closed_at <= batch.opened_at + max_delay_s + 1e-12);
                 }
-                CloseReason::Flush => {
-                    prop_assert!(batch.closed_at <= end + 1e-12);
-                }
             }
             for member in &batch.members {
                 prop_assert!(member.arrival_s + 1e-12 >= batch.opened_at);
                 prop_assert!(member.arrival_s <= batch.closed_at + 1e-12);
-                if batch.reason != CloseReason::Flush {
-                    prop_assert!(
-                        batch.closed_at - member.arrival_s <= max_delay_s + 1e-12,
-                        "query waited {} s with max_delay {} s",
-                        batch.closed_at - member.arrival_s,
-                        max_delay_s
-                    );
-                }
+                prop_assert!(
+                    batch.closed_at - member.arrival_s <= max_delay_s + 1e-12,
+                    "query waited {} s with max_delay {} s",
+                    batch.closed_at - member.arrival_s,
+                    max_delay_s
+                );
             }
         }
     }
@@ -139,7 +131,7 @@ proptest! {
         max_batch in 1usize..12,
     ) {
         let config = BatchFormerConfig { max_batch, max_delay_s: 3e-3 };
-        let (batches, _) = drive_former(config, &encoded, 1e-3);
+        let batches = drive_former(config, &encoded, 1e-3);
         for batch in &batches {
             let key = batch.options.compat_key();
             for member in &batch.members {

@@ -8,8 +8,7 @@
 //! delay. This example
 //!
 //! * builds an UpANNS engine,
-//! * uses [`NprobePolicy`] to turn per-query latency budgets into per-query
-//!   `nprobe` choices,
+//! * gives each traffic class its own per-query `k` and `nprobe`,
 //! * replays a timed [`QueryStream`] through [`SearchService`]
 //!   (admission queue → dynamic batch former → LRU result cache → engine),
 //! * and reports sustained QPS, latency percentiles, and cache efficiency.
@@ -71,20 +70,10 @@ fn main() {
         stream.offered_qps()
     );
 
-    // Interactive queries carry a latency budget instead of an nprobe; the
-    // adaptive policy translates budget -> nprobe (tighter budget, fewer
-    // probes). Bulk queries pin their parameters explicitly.
-    let nprobe_policy = NprobePolicy::new(2, 16, 2e-3);
     let options_of = |i: usize| -> QueryOptions {
         match i % 3 {
-            // Interactive tier: k=10, 12 ms budget -> policy picks nprobe.
-            0 => {
-                let opt = QueryOptions::new(10, 16).with_latency_budget(12e-3);
-                QueryOptions {
-                    nprobe: nprobe_policy.select(opt.nprobe, opt.latency_budget_s),
-                    ..opt
-                }
-            }
+            // Interactive tier: k=10 at a narrow probe width.
+            0 => QueryOptions::new(10, 6),
             // Standard tier: k=10, nprobe=8.
             1 => QueryOptions::new(10, 8),
             // Re-ranking tier: deep k=50 at full probe width.
@@ -127,11 +116,10 @@ fn main() {
         report.mean_latency() * 1e3
     );
     println!(
-        "Batches:         {} total ({} size-closed, {} deadline-closed, {} flushed), {:.1} queries/batch",
+        "Batches:         {} total ({} size-closed, {} deadline-closed), {:.1} queries/batch",
         report.batches(),
         report.size_closed_batches,
         report.deadline_closed_batches,
-        report.flushed_batches,
         report.mean_batch_size()
     );
     println!(

@@ -130,56 +130,6 @@ fn adaptive_flow_preserves_results_and_balance() {
 }
 
 #[test]
-fn adapted_engine_balances_drifted_traffic_at_least_as_well() {
-    let fix = fixture();
-    let dpus = 12;
-    // Drifted history and a batch drawn from the *drifted* distribution.
-    let drifted_history = WorkloadSpec::new(400)
-        .with_seed(91)
-        .with_popularity_seed(31337)
-        .generate(&fix.dataset)
-        .queries;
-    let drifted_batch = WorkloadSpec::new(64)
-        .with_seed(92)
-        .with_popularity_seed(31337)
-        .generate(&fix.dataset)
-        .queries;
-    let old_freqs = frequencies_from_queries(&fix.index, &fix.history, 6);
-    let new_freqs = frequencies_from_queries(&fix.index, &drifted_history, 6);
-    let sizes = fix.index.list_sizes();
-
-    let mut stale = build(
-        fix,
-        UpAnnsConfig::upanns().with_work_scale(1e4),
-        dpus,
-        None,
-    );
-    let (adapted_placement, _) = adapt_placement(
-        stale.placement(),
-        &sizes,
-        &old_freqs,
-        &new_freqs,
-        0,
-        &AdaptationPolicy::default(),
-    );
-    let mut adapted = build(
-        fix,
-        UpAnnsConfig::upanns().with_work_scale(1e4),
-        dpus,
-        Some(adapted_placement),
-    );
-
-    stale.search_batch(&drifted_batch, 6, 10);
-    adapted.search_batch(&drifted_batch, 6, 10);
-    assert!(
-        adapted.last_schedule_ratio() <= stale.last_schedule_ratio() + 0.25,
-        "adapted schedule ratio {} much worse than stale {}",
-        adapted.last_schedule_ratio(),
-        stale.last_schedule_ratio()
-    );
-}
-
-#[test]
 #[should_panic(expected = "different DPU count")]
 fn placement_override_with_wrong_dpu_count_is_rejected() {
     let fix = fixture();
@@ -285,7 +235,7 @@ fn wram_planner_rejects_layouts_that_cannot_fit() {
     let input = WramPlanInput::new(128, 16, 100, 256, 24, 2048);
     let err = WramPlan::plan(&input).unwrap_err();
     assert!(err.required > err.capacity);
-    assert!(!err.phase.is_empty());
+    assert_eq!(err.phase, pim_sim::stats::Stage::DistanceCalc);
     assert!(err.to_string().contains("WRAM plan overflow"));
 
     // The paper's default configuration (11 tasklets, 16-vector reads, k ≤ 100)

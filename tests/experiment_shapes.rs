@@ -3,7 +3,7 @@
 //! the figures regenerated by the `figures` harness.
 
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
-use annkit::synthetic::{SyntheticDataset, SyntheticSpec};
+use annkit::synthetic::{DatasetKind, SyntheticDataset, SyntheticSpec};
 use annkit::vector::Dataset;
 use annkit::workload::WorkloadSpec;
 use baselines::cpu::CpuFaissEngine;
@@ -11,10 +11,12 @@ use baselines::engine::AnnEngine;
 use baselines::gpu::{GpuFaissEngine, GpuMemoryCheck};
 use pim_sim::config::PimConfig;
 use pim_sim::cost::CostModel;
+use pim_sim::stats::Stage;
 use std::sync::OnceLock;
 use upanns::builder::{BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
+use upanns_bench::{EvalContext, EvalParams};
 
 struct Fixture {
     dataset: SyntheticDataset,
@@ -69,7 +71,7 @@ fn cpu_distance_stage_dominates_at_scale() {
     let fix = fixture();
     let mut cpu = CpuFaissEngine::new(&fix.index).with_work_scale(SCALE);
     let out = cpu.search_batch(&fix.queries, 8, 10);
-    assert!(out.breakdown.fraction("distance_calc") > 0.9);
+    assert!(out.breakdown.fraction(Stage::DistanceCalc) > 0.9);
 }
 
 /// Figure 19 (GPU): the top-k stage dominates GPU time and grows with k.
@@ -79,8 +81,8 @@ fn gpu_topk_stage_dominates_and_grows_with_k() {
     let mut gpu = GpuFaissEngine::new(&fix.index).with_work_scale(SCALE);
     let k10 = gpu.search_batch(&fix.queries, 8, 10);
     let k100 = gpu.search_batch(&fix.queries, 8, 100);
-    assert!(k10.breakdown.fraction("topk") > 0.6);
-    assert!(k100.breakdown.fraction("topk") > k10.breakdown.fraction("topk"));
+    assert!(k10.breakdown.fraction(Stage::TopK) > 0.6);
+    assert!(k100.breakdown.fraction(Stage::TopK) > k10.breakdown.fraction(Stage::TopK));
 }
 
 /// Figure 10 / headline: UpANNS beats the CPU baseline at billion-projected
@@ -158,10 +160,10 @@ fn cae_improves_distance_calculation() {
     let on = with_cae.search_batch(&fix.queries, 8, 10);
     let off = without.search_batch(&fix.queries, 8, 10);
     assert!(
-        on.breakdown.seconds("distance_calc") < off.breakdown.seconds("distance_calc"),
+        on.breakdown.seconds(Stage::DistanceCalc) < off.breakdown.seconds(Stage::DistanceCalc),
         "CAE should shrink the distance stage: {} vs {}",
-        on.breakdown.seconds("distance_calc"),
-        off.breakdown.seconds("distance_calc")
+        on.breakdown.seconds(Stage::DistanceCalc),
+        off.breakdown.seconds(Stage::DistanceCalc)
     );
 }
 
@@ -178,7 +180,7 @@ fn topk_pruning_reduces_topk_stage_time() {
     );
     let on = pruned.search_batch(&fix.queries, 8, 100);
     let off = unpruned.search_batch(&fix.queries, 8, 100);
-    assert!(on.breakdown.seconds("topk") < off.breakdown.seconds("topk"));
+    assert!(on.breakdown.seconds(Stage::TopK) < off.breakdown.seconds(Stage::TopK));
 }
 
 /// Figure 17: larger MRAM reads help up to a point and then saturate.
@@ -252,4 +254,54 @@ fn qps_scales_with_dpu_count() {
         q48 > 1.8 * q16,
         "tripling DPUs should give close-to-linear scaling: {q16} -> {q48}"
     );
+}
+
+/// §4.1.2 at the `figures -- drift` shape (N = 40 000, |C| = 4 096, 896
+/// DPUs): serving a drifted pattern on the stale placement costs a multiple
+/// of the replica-adjusted placement's time, and the cheap tier lands near
+/// full relocation while re-staging a fraction of the replicas. This is the
+/// measurement that keeps `upanns::adaptive`'s placement tiers.
+#[test]
+fn replica_adjustment_recovers_most_of_what_drift_costs() {
+    let ctx = EvalContext::build(DatasetKind::SiftLike, &EvalParams::default());
+    let rows = ctx.drift_study(&[4242, 31337, 99]);
+    let of = |seed: u64, placement: &str| {
+        rows.iter()
+            .find(|r| r.popularity_seed == Some(seed) && r.placement == placement)
+            .unwrap_or_else(|| panic!("no {placement} row for seed {seed}"))
+    };
+    let mut clearly_faster = 0;
+    for seed in [4242, 31337, 99] {
+        let (stale, adjusted, relocated) = (
+            of(seed, "stale"),
+            of(seed, "replica-adjusted"),
+            of(seed, "full-relocation"),
+        );
+        assert!(
+            adjusted.seconds <= 1.05 * stale.seconds,
+            "seed {seed}: adjusted {} s slower than stale {} s",
+            adjusted.seconds,
+            stale.seconds
+        );
+        assert!(
+            adjusted.balance_ratio < stale.balance_ratio,
+            "seed {seed}: balance {} -> {}",
+            stale.balance_ratio,
+            adjusted.balance_ratio
+        );
+        assert!(
+            adjusted.seconds <= 1.5 * relocated.seconds,
+            "seed {seed}: the cheap tier {} s is far from full relocation {} s",
+            adjusted.seconds,
+            relocated.seconds
+        );
+        assert!(
+            2 * adjusted.replicas_restaged < relocated.replicas_restaged,
+            "seed {seed}: the cheap tier re-staged {} of {} replicas",
+            adjusted.replicas_restaged,
+            relocated.replicas_restaged
+        );
+        clearly_faster += usize::from(stale.seconds >= 1.5 * adjusted.seconds);
+    }
+    assert!(clearly_faster >= 2, "only {clearly_faster} of 3 seeds gained 1.5x");
 }
