@@ -1,36 +1,14 @@
 //! Distance kernels used throughout the substrate.
 //!
-//! IVFPQ (and the UpANNS paper) use L2 distance; inner-product is provided
-//! because DEEP1B-style embedding workloads are usually maximum-inner-product
-//! searches that Faiss maps onto the same machinery.
+//! IVFPQ, the UpANNS paper's three datasets and the PQ look-up table all use
+//! L2 distance; it is the one metric here.
 //!
-//! [`l2_squared`] and [`inner_product`] dispatch to the best runtime-detected
-//! backend in [`crate::simd`]; every backend is bitwise-identical to the
-//! scalar reference, so callers (kmeans, `IvfPqIndex::search`, the replay
-//! twin) see the same answers on every machine.
+//! [`l2_squared`] dispatches to the best runtime-detected backend in
+//! [`crate::simd`]; every backend is bitwise-identical to the scalar
+//! reference, so callers (kmeans, `IvfPqIndex::search`, the replay twin) see
+//! the same answers on every machine.
 
 use crate::simd;
-
-/// The similarity metric of an index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Metric {
-    /// Squared Euclidean distance (smaller is closer).
-    L2,
-    /// Negative inner product (smaller is closer), so that all metrics can be
-    /// minimized uniformly.
-    InnerProduct,
-}
-
-impl Metric {
-    /// Computes the metric between two vectors (smaller = closer for both).
-    #[inline]
-    pub fn distance(self, a: &[f32], b: &[f32]) -> f32 {
-        match self {
-            Metric::L2 => l2_squared(a, b),
-            Metric::InnerProduct => -inner_product(a, b),
-        }
-    }
-}
 
 /// Squared L2 distance between two equal-length vectors, on the best
 /// runtime-detected backend (bitwise-equal to the scalar reference — see
@@ -41,13 +19,6 @@ impl Metric {
 #[inline]
 pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
     simd::l2_squared_with(simd::active(), a, b)
-}
-
-/// Plain inner product of two equal-length vectors, on the best
-/// runtime-detected backend (bitwise-equal to the scalar reference).
-#[inline]
-pub fn inner_product(a: &[f32], b: &[f32]) -> f32 {
-    simd::inner_product_with(simd::active(), a, b)
 }
 
 /// Finds the index of the closest centroid to `v` among `centroids` (a flat
@@ -157,31 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn inner_product_matches_naive() {
-        let a: Vec<f32> = (0..9).map(|i| i as f32).collect();
-        let b: Vec<f32> = (0..9).map(|i| (i as f32) * 2.0).collect();
-        let naive: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        assert!((inner_product(&a, &b) - naive).abs() < 1e-3);
-    }
-
-    #[test]
-    fn metric_orders_consistently() {
-        let q = vec![1.0, 0.0];
-        let close = vec![1.0, 0.1];
-        let far = vec![-1.0, 0.0];
-        assert!(Metric::L2.distance(&q, &close) < Metric::L2.distance(&q, &far));
-        assert!(
-            Metric::InnerProduct.distance(&q, &close) < Metric::InnerProduct.distance(&q, &far)
-        );
-    }
-
-    #[test]
-    fn norm_is_self_inner_product() {
-        let v = vec![3.0, 4.0];
-        assert_eq!(inner_product(&v, &v), 25.0);
-    }
-
-    #[test]
     fn nearest_centroid_picks_minimum() {
         let centroids = vec![0.0, 0.0, /* c0 */ 10.0, 10.0, /* c1 */ 2.0, 2.0 /* c2 */];
         let (idx, d) = nearest_centroid(&[1.9, 2.1], &centroids, 2);
@@ -255,10 +201,6 @@ mod tests {
             assert_eq!(
                 l2_squared(&a, &b).to_bits(),
                 simd::l2_squared_scalar(&a, &b).to_bits()
-            );
-            assert_eq!(
-                inner_product(&a, &b).to_bits(),
-                simd::inner_product_scalar(&a, &b).to_bits()
             );
         }
     }

@@ -4,7 +4,7 @@
 //! against the datasets' published ground truth; at our synthetic scale the
 //! exact answer is cheap to compute directly).
 
-use crate::distance::Metric;
+use crate::distance::l2_squared;
 use crate::topk::{Neighbor, TopK};
 use crate::vector::Dataset;
 
@@ -12,21 +12,12 @@ use crate::vector::Dataset;
 #[derive(Debug, Clone)]
 pub struct FlatIndex<'a> {
     data: &'a Dataset,
-    metric: Metric,
 }
 
 impl<'a> FlatIndex<'a> {
     /// Creates an exact L2 index over `data` (no copies are made).
     pub fn new(data: &'a Dataset) -> Self {
-        Self {
-            data,
-            metric: Metric::L2,
-        }
-    }
-
-    /// Creates an exact index with an explicit metric.
-    pub fn with_metric(data: &'a Dataset, metric: Metric) -> Self {
-        Self { data, metric }
+        Self { data }
     }
 
     /// Number of indexed vectors.
@@ -43,7 +34,7 @@ impl<'a> FlatIndex<'a> {
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         let mut topk = TopK::new(k);
         for (i, v) in self.data.iter().enumerate() {
-            topk.push(i as u64, self.metric.distance(query, v));
+            topk.push(i as u64, l2_squared(query, v));
         }
         topk.into_sorted()
     }
@@ -94,13 +85,5 @@ mod tests {
         assert_eq!(gt[1], vec![9, 8]);
         assert_eq!(idx.len(), 10);
         assert!(!idx.is_empty());
-    }
-
-    #[test]
-    fn inner_product_metric_prefers_aligned_vectors() {
-        let ds = Dataset::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![2.0, 0.0]]);
-        let idx = FlatIndex::with_metric(&ds, Metric::InnerProduct);
-        let res = idx.search(&[1.0, 0.0], 1);
-        assert_eq!(res[0].id, 2); // largest inner product
     }
 }

@@ -309,16 +309,6 @@ impl IvfPqIndex {
         }
     }
 
-    /// Adds a single vector under an explicit row id (streaming-ingest path;
-    /// the batch [`add`](Self::add) derives ids from an offset instead).
-    pub fn add_one(&mut self, v: &[f32], id: u64) {
-        assert_eq!(v.len(), self.dim, "add dimension mismatch");
-        let (c, _) = self.coarse.assign(v);
-        let code = self.pq.encode(&residual(v, self.coarse.centroid(c)));
-        self.lists[c].push(id, &code);
-        self.ntotal += 1;
-    }
-
     /// Replaces the inverted lists wholesale (compaction fold support); the
     /// caller is responsible for `lists` holding exactly `ntotal` entries.
     pub(crate) fn replace_lists(&mut self, lists: Vec<InvertedList>, ntotal: u64) {

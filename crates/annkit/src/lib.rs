@@ -67,7 +67,7 @@ pub mod workload;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::distance::{l2_squared, Metric};
+    pub use crate::distance::l2_squared;
     pub use crate::flat::FlatIndex;
     pub use crate::ivf::{IvfPqIndex, IvfPqParams, ListEntry};
     pub use crate::kmeans::{KMeans, KMeansParams};

@@ -1,8 +1,7 @@
 //! Explicitly vectorized fast paths for the hot kernels where AVX2 wins
-//! on record — the L2/inner-product distances, the one-query-against-many-
-//! rows distance block in its row-major and column-major forms and the
-//! top-k pre-filter — behind runtime feature detection, plus the one
-//! (portable) ADC scan.
+//! on record — the L2 distance, the one-query-against-many-rows distance
+//! block in its row-major and column-major forms and the top-k pre-filter —
+//! behind runtime feature detection, plus the one (portable) ADC scan.
 //!
 //! The ADC scan has no vector path: an AVX2 gather over the `m × 256` f32
 //! LUT measured 1.15–1.30× *slower* than the cache-blocked scalar loop on
@@ -20,7 +19,7 @@
 //!
 //! * the blocked ADC scan sums the same `m` table entries per record in the
 //!   same order as the naive loop (lanes are independent records);
-//! * the AVX2 distance kernels keep the scalar reference's exact reduction
+//! * the AVX2 distance kernel keeps the scalar reference's exact reduction
 //!   tree — a 4-lane accumulator fed in chunk order with explicit
 //!   multiply-then-add (FMA contraction is deliberately *not* used: its
 //!   single rounding would fork the sums from the scalar path and thereby
@@ -41,10 +40,10 @@
 //! permitted: the crate root demotes `#![forbid(unsafe_code)]` to `deny`
 //! and this file alone re-allows it, the `upanns-lint`
 //! `no-unsafe-outside-simd` rule machine-checks that no other file uses
-//! the keyword, and every unsafe block here (five: the two distance
-//! kernels, the row kernel, the column kernel and the pre-filter mask) is a
+//! the keyword, and every unsafe block here (four: the distance kernel,
+//! the row kernel, the column kernel and the pre-filter mask) is a
 //! call into a `#[target_feature]` function whose preconditions (CPU
-//! features and, for the four written in `std::arch` intrinsics, in-bounds
+//! features and, for the three written in `std::arch` intrinsics, in-bounds
 //! unaligned loads) are established by the dispatcher and by an explicit
 //! length check.
 //!
@@ -284,25 +283,6 @@ fn l2_squared_cols_block<const L: usize>(
     }
 }
 
-/// Scalar reference for [`inner_product_with`]; same reduction tree as
-/// [`l2_squared_scalar`].
-pub fn inner_product_scalar(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "distance dimension mismatch");
-    let mut acc = [0.0f32; 4];
-    let chunks = a.len() / 4;
-    for c in 0..chunks {
-        let i = c * 4;
-        for lane in 0..4 {
-            acc[lane] += a[i + lane] * b[i + lane];
-        }
-    }
-    let mut sum = acc[0] + acc[1] + acc[2] + acc[3];
-    for i in chunks * 4..a.len() {
-        sum += a[i] * b[i];
-    }
-    sum
-}
-
 /// Squared L2 distance on an explicit backend (bitwise-equal across
 /// backends; see the module docs).
 #[inline]
@@ -316,18 +296,6 @@ pub fn l2_squared_with(backend: Backend, a: &[f32], b: &[f32]) -> f32 {
     }
     let _ = backend;
     l2_squared_scalar(a, b)
-}
-
-/// Inner product on an explicit backend (bitwise-equal across backends).
-#[inline]
-pub fn inner_product_with(backend: Backend, a: &[f32], b: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 {
-        // Safety: as in `l2_squared_with`.
-        return unsafe { x86::inner_product_avx2(a, b) };
-    }
-    let _ = backend;
-    inner_product_scalar(a, b)
 }
 
 // ---------------------------------------------------------------------------
@@ -553,40 +521,6 @@ mod x86 {
         super::l2_squared_cols_lanes(query, cols, out)
     }
 
-    /// Bitwise twin of `inner_product_scalar`; same structure as
-    /// [`l2_squared_avx2`].
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn inner_product_avx2(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len(), "distance dimension mismatch");
-        let n = a.len();
-        let mut acc = _mm_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            let va = _mm256_loadu_ps(a.as_ptr().add(i));
-            let vb = _mm256_loadu_ps(b.as_ptr().add(i));
-            let p = _mm256_mul_ps(va, vb);
-            acc = _mm_add_ps(acc, _mm256_castps256_ps128(p));
-            acc = _mm_add_ps(acc, _mm256_extractf128_ps::<1>(p));
-            i += 8;
-        }
-        if i + 4 <= n {
-            let va = _mm_loadu_ps(a.as_ptr().add(i));
-            let vb = _mm_loadu_ps(b.as_ptr().add(i));
-            acc = _mm_add_ps(acc, _mm_mul_ps(va, vb));
-            i += 4;
-        }
-        let mut lanes = [0.0f32; 4];
-        _mm_storeu_ps(lanes.as_mut_ptr(), acc);
-        let mut sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-        for j in i..n {
-            sum += a[j] * b[j];
-        }
-        sum
-    }
-
     /// 8-lane `v <= threshold` movemask.
     ///
     /// # Safety
@@ -622,11 +556,6 @@ mod tests {
                 l2_squared_with(backend, &a, &b).to_bits(),
                 l2_squared_scalar(&a, &b).to_bits(),
                 "l2 dim {n}"
-            );
-            assert_eq!(
-                inner_product_with(backend, &a, &b).to_bits(),
-                inner_product_scalar(&a, &b).to_bits(),
-                "ip dim {n}"
             );
         }
     }

@@ -62,7 +62,7 @@ fn full_sort_oracle(v: &[f32], centroids: &[f32], dim: usize, n: usize) -> Vec<(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// l2/ip: every backend reproduces the scalar reduction bit for bit,
+    /// l2: every backend reproduces the scalar reduction bit for bit,
     /// across dims that cover empty, sub-lane, full-lane, and ragged tails.
     #[test]
     fn distances_bitwise_equal(
@@ -73,10 +73,8 @@ proptest! {
         let a: Vec<f32> = (0..dim).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
         let b: Vec<f32> = (0..dim).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
         let l2_ref = simd::l2_squared_scalar(&a, &b);
-        let ip_ref = simd::inner_product_scalar(&a, &b);
         for backend in backends() {
             prop_assert_eq!(simd::l2_squared_with(backend, &a, &b).to_bits(), l2_ref.to_bits());
-            prop_assert_eq!(simd::inner_product_with(backend, &a, &b).to_bits(), ip_ref.to_bits());
         }
     }
 

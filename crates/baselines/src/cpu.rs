@@ -127,12 +127,6 @@ impl CpuFaissEngine {
         }
     }
 
-    /// Overrides the CPU spec (for sensitivity studies).
-    pub fn with_spec(mut self, spec: CpuSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
     /// Sets the work-scale factor used to project reduced-scale runs to the
     /// modeled dataset size (1.0 = no projection).
     pub fn with_work_scale(mut self, scale: f64) -> Self {

@@ -225,12 +225,6 @@ impl SearchRequest {
         &self.options
     }
 
-    /// Mutable access to the per-query options, for policies that rewrite
-    /// parameters in place (e.g. adaptive nprobe selection).
-    pub fn options_mut(&mut self) -> &mut [QueryOptions] {
-        &mut self.options
-    }
-
     /// Number of queries in the request.
     pub fn len(&self) -> usize {
         self.queries.len()

@@ -105,12 +105,6 @@ impl GpuFaissEngine {
         }
     }
 
-    /// Overrides the GPU spec.
-    pub fn with_spec(mut self, spec: GpuSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
     /// Sets the work-scale factor used to project reduced-scale runs to the
     /// modeled dataset size (1.0 = no projection).
     pub fn with_work_scale(mut self, scale: f64) -> Self {

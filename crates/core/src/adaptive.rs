@@ -97,12 +97,6 @@ impl ReplicaAdjustment {
     pub fn is_empty(&self) -> bool {
         self.add.is_empty() && self.remove.is_empty()
     }
-
-    /// Total number of replica additions and removals.
-    pub fn total_changes(&self) -> usize {
-        self.add.iter().map(|(_, n)| n).sum::<usize>()
-            + self.remove.iter().map(|(_, n)| n).sum::<usize>()
-    }
 }
 
 /// The outcome of [`plan_adaptation`].

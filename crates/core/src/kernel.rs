@@ -17,7 +17,6 @@ use crate::wram_layout::{WramPlan, WramPlanInput};
 use annkit::lut::LookupTable;
 use annkit::pq::ProductQuantizer;
 use annkit::topk::{Neighbor, TopK};
-use pim_sim::config::MAX_TASKLETS;
 use pim_sim::mram::MramAddr;
 use pim_sim::stats::Stage;
 use pim_sim::tasklet::DpuKernelCtx;
@@ -135,22 +134,6 @@ pub fn mailbox_slot_bytes(k: usize) -> usize {
     4 + k * 12 // u32 query id + k × (u64 id, f32 distance)
 }
 
-/// WRAM region names of the per-tasklet MRAM read buffers (Figure 6), one
-/// per hardware thread.
-const READBUF_REGIONS: [&str; MAX_TASKLETS] = [
-    "readbuf0", "readbuf1", "readbuf2", "readbuf3", "readbuf4", "readbuf5", "readbuf6", "readbuf7",
-    "readbuf8", "readbuf9", "readbuf10", "readbuf11", "readbuf12", "readbuf13", "readbuf14",
-    "readbuf15", "readbuf16", "readbuf17", "readbuf18", "readbuf19", "readbuf20", "readbuf21",
-    "readbuf22", "readbuf23",
-];
-
-/// WRAM region names of the per-tasklet local top-k heaps (Figure 6).
-const HEAP_REGIONS: [&str; MAX_TASKLETS] = [
-    "heap0", "heap1", "heap2", "heap3", "heap4", "heap5", "heap6", "heap7", "heap8", "heap9",
-    "heap10", "heap11", "heap12", "heap13", "heap14", "heap15", "heap16", "heap17", "heap18",
-    "heap19", "heap20", "heap21", "heap22", "heap23",
-];
-
 /// Host-side buffers the functional half of the kernel reuses across the
 /// assignments (and DPUs) of one launch, so the simulator's steady state
 /// allocates nothing per assignment. Holds no state between uses: every
@@ -213,7 +196,9 @@ pub fn run_batch_kernel_with_scratch(
     heaps.resize_with(tasklets, || TopK::new(k));
 
     // Verify the WRAM reuse plan fits before doing anything (the layout of
-    // Figure 6). The allocator peak is recorded in the DPU stats.
+    // Figure 6): the codebook's space is reused by the combination sums, the
+    // read buffers and the heaps, and every assignment below follows that one
+    // schedule, so its peak is the launch's.
     let max_combos = plan
         .assignments
         .iter()
@@ -221,9 +206,13 @@ pub fn run_batch_kernel_with_scratch(
         .max()
         .unwrap_or(0);
     let read_bytes = kernel_read_bytes(config, m);
-    let plan_input = WramPlanInput::new(dim, m, k, max_combos, tasklets, read_bytes);
+    let plan_input = WramPlanInput {
+        wram_capacity: ctx.config().wram_bytes,
+        ..WramPlanInput::new(dim, m, k, max_combos, tasklets, read_bytes)
+    };
     let wplan = WramPlan::plan(&plan_input)
         .unwrap_or_else(|e| panic!("DPU {}: WRAM layout does not fit: {e}", ctx.dpu_id()));
+    ctx.record_wram_peak(wplan.peak());
 
     // Per-query partial heaps, local to this DPU (held in the WRAM heap
     // region; co-located clusters of the same query merge here without any
@@ -248,8 +237,6 @@ pub fn run_batch_kernel_with_scratch(
             .filter(|table| !table.is_empty());
 
         // ---- Stage 1: LUT construction (Barrier 0/1) --------------------
-        ctx.wram().alloc("codebook", wplan.codebook_bytes).expect("planned");
-        ctx.wram().alloc("lut", wplan.lut_bytes).expect("planned");
         lut.rebuild(shared.pq, residual);
         let codebook_addr = store.codebook_addr;
         let codebook_bytes = store.codebook_bytes;
@@ -270,11 +257,9 @@ pub fn run_batch_kernel_with_scratch(
             t.charge_arith(entries * dsub as u64 * 3, 0);
             t.charge_wram(entries);
         });
-        ctx.wram().free("codebook").expect("allocated above");
 
         // ---- Stage 2: combination partial sums (Barrier 1/2) ------------
         if let Some(table) = combos {
-            ctx.wram().alloc("combo_sums", wplan.combo_bytes.max(2)).expect("planned");
             let per_tasklet = table.len().div_ceil(tasklets) as u64;
             let avg_len = 3u64;
             ctx.parallel(Stage::ComboSum, tasklets, |t| {
@@ -301,10 +286,6 @@ pub fn run_batch_kernel_with_scratch(
         // and multiplying it would instead project reduced-scale artifacts
         // (per-vector DMA setup latency, idle tasklets on ten-vector
         // clusters) onto the modeled system.
-        for t in 0..tasklets {
-            ctx.wram().alloc(READBUF_REGIONS[t], read_bytes).expect("planned");
-            ctx.wram().alloc(HEAP_REGIONS[t], wplan.heap_bytes).expect("planned");
-        }
         let n = replica.num_vectors;
         let per_tasklet_vectors = n.div_ceil(tasklets);
         let scaled_vectors = (n as f64 * config.work_scale).round().max(n as f64) as u64;
@@ -402,14 +383,6 @@ pub fn run_batch_kernel_with_scratch(
                 }
             }
         });
-        for t in 0..tasklets {
-            ctx.wram().free(READBUF_REGIONS[t]).expect("allocated");
-            ctx.wram().free(HEAP_REGIONS[t]).expect("allocated");
-        }
-        if combos.is_some() {
-            ctx.wram().free("combo_sums").expect("allocated");
-        }
-        ctx.wram().free("lut").expect("allocated");
 
         // ---- Stage 4: pruned top-k merge (Barrier 3) ---------------------
         let (merged_local, stats) = merge_thread_local(heaps, k, config.topk_pruning);
@@ -774,25 +747,25 @@ mod tests {
     }
 
     #[test]
-    fn per_tasklet_regions_are_named_by_tasklet_id() {
-        for t in 0..MAX_TASKLETS {
-            assert_eq!(READBUF_REGIONS[t], format!("readbuf{t}"));
-            assert_eq!(HEAP_REGIONS[t], format!("heap{t}"));
-        }
-    }
-
-    #[test]
     fn wram_peak_follows_the_figure_6_reuse_schedule() {
-        // Codebook + LUT first; the codebook is freed before the combination
-        // sums, the per-tasklet read buffers and the heaps are allocated, so
+        // Codebook + LUT first; the codebook's space is reused by the
+        // combination sums, the per-tasklet read buffers and the heaps, so
         // the launch's peak is the larger of phase 1 and phase 3 — never
-        // their sum.
+        // their sum. A PIM-naive store has no combination sums at all.
         let fix = fixture();
-        let (m, k) = (fix.index.m(), 10);
-        for tasklets in [1usize, 11, 24] {
-            let config = UpAnnsConfig::upanns().with_tasklets(tasklets);
+        let m = fix.index.m();
+        for (config, k, tasklets) in [
+            (UpAnnsConfig::upanns(), 10, 1usize),
+            (UpAnnsConfig::upanns(), 10, 11),
+            (UpAnnsConfig::upanns(), 10, 24),
+            (UpAnnsConfig::upanns(), 100, 11),
+            (UpAnnsConfig::pim_naive(), 10, 11),
+            (UpAnnsConfig::pim_naive(), 100, 24),
+        ] {
+            let config = config.with_tasklets(tasklets);
+            let cae = config.cooccurrence_encoding;
             let mut sys = PimSystem::new(PimConfig::with_dpus(1));
-            let (store, combos) = build_store(&mut sys, &fix.index, true, k, 4);
+            let (store, combos) = build_store(&mut sys, &fix.index, cae, k, 4);
             let plan = plan_for_queries(&fix.index, &fix.data, &[5, 300], 8);
             let shared = KernelShared {
                 pq: fix.index.pq(),
@@ -804,8 +777,8 @@ mod tests {
             sys.execute(Stage::DpuSearch, |ctx| {
                 run_batch_kernel(ctx, &store, &plan, &shared);
             });
-            let max_combos = combos.values().map(|t| t.len()).max().unwrap();
-            assert!(max_combos > 0, "the fixture must mine combinations");
+            let max_combos = combos.values().map(|t| t.len()).max().unwrap_or(0);
+            assert_eq!(max_combos > 0, cae, "only CAE mines combinations");
             let wplan = WramPlan::plan(&WramPlanInput::new(
                 fix.index.dim(),
                 m,
@@ -815,12 +788,37 @@ mod tests {
                 kernel_read_bytes(&config, m),
             ))
             .unwrap();
+            assert_eq!(wplan.combo_bytes, 2 * max_combos);
             assert_eq!(
                 sys.dpu(0).stats().wram_peak_bytes,
                 wplan.phase1_peak.max(wplan.phase3_peak),
-                "{tasklets} tasklets"
+                "cae {cae}, k {k}, {tasklets} tasklets"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "WRAM layout does not fit: WRAM plan overflow in distance_calc")]
+    fn a_wram_smaller_than_the_plan_is_refused_by_the_phase_that_overflows() {
+        // Phase 1 (32 KB codebook + 8 KB LUT) fits in 41 KB; phase 3 (the LUT
+        // + 24 × (256 B read buffer + 1 200 B heap) = 43 136 B) does not.
+        let fix = fixture();
+        let config = UpAnnsConfig::pim_naive().with_tasklets(24);
+        let mut pim = PimConfig::with_dpus(1);
+        pim.wram_bytes = 41 * 1024;
+        let mut sys = PimSystem::new(pim);
+        let (store, combos) = build_store(&mut sys, &fix.index, false, 100, 4);
+        let plan = plan_for_queries(&fix.index, &fix.data, &[5], 2);
+        let shared = KernelShared {
+            pq: fix.index.pq(),
+            combos: &combos,
+            config: &config,
+            k: 100,
+            scan_backend: annkit::simd::active(),
+        };
+        sys.execute(Stage::DpuSearch, |ctx| {
+            run_batch_kernel(ctx, &store, &plan, &shared);
+        });
     }
 
     #[test]

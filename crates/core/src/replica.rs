@@ -39,6 +39,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use annkit::topk::{Neighbor, TopK};
+use baselines::cpu::CpuSpec;
 use baselines::engine::{AnnEngine, SearchRequest, SearchResponse};
 use baselines::workload_stats::WorkloadStats;
 use pim_sim::energy::EnergyModel;
@@ -46,10 +47,6 @@ use pim_sim::stats::{Stage, StageBreakdown};
 
 use crate::engine::UpAnnsEngine;
 use crate::multihost::InterconnectModel;
-
-/// Modeled bytes a host must pull per migrated vector: a 16-byte PQ code
-/// plus the 8-byte global id.
-const MIGRATION_BYTES_PER_VECTOR: usize = 24;
 
 /// Why a [`ReplicaMap`] could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -341,8 +338,10 @@ impl ReplicatedMultiHost {
         let shard_bytes = shards
             .iter()
             .map(|e| {
+                // A host pulls each migrated vector's PQ code (`m` bytes)
+                // and its 8-byte global id.
                 let vectors: usize = e.placement().dpu_vectors.iter().sum();
-                vectors * MIGRATION_BYTES_PER_VECTOR
+                vectors * (e.timeline().at(f64::INFINITY).m() + 8)
             })
             .collect();
         let name = Self::display_name(shards.len(), hosts, replicas);
@@ -545,7 +544,7 @@ impl AnnEngine for ReplicatedMultiHost {
         let result_bytes = returned_k * 12;
         let gather_s = self.interconnect.transfer_seconds(result_bytes, peers);
         let merge_ops = (served.len() * returned_k) as f64;
-        let merge_s = merge_ops * 8.0 / 2.1e9;
+        let merge_s = merge_ops * 8.0 / CpuSpec::default().freq_hz;
 
         // Per-query merge in shard order with an id dedup guard: shard id
         // ranges are disjoint by construction, and a hedged clone's answers

@@ -166,9 +166,10 @@ impl WramPlan {
         best
     }
 
-    /// Peak footprint across all phases.
+    /// Peak footprint across all phases. Phase 3 holds everything phase 2
+    /// does, so it is the larger of phases 1 and 3.
     pub fn peak(&self) -> usize {
-        self.phase1_peak.max(self.phase2_peak).max(self.phase3_peak)
+        self.phase1_peak.max(self.phase3_peak)
     }
 }
 

@@ -13,10 +13,6 @@ pub const MRAM_BYTES_PER_DPU: usize = 64 * 1024 * 1024;
 /// WRAM capacity per DPU (64 KB).
 pub const WRAM_BYTES_PER_DPU: usize = 64 * 1024;
 
-/// IRAM capacity per DPU (24 KB) — tracked for completeness; kernels in this
-/// repository never exceed it.
-pub const IRAM_BYTES_PER_DPU: usize = 24 * 1024;
-
 /// Maximum number of hardware threads (tasklets) per DPU.
 pub const MAX_TASKLETS: usize = 24;
 

@@ -96,18 +96,12 @@ pub struct PimSystem {
 impl PimSystem {
     /// Creates a system according to `config` with the default cost model.
     pub fn new(config: PimConfig) -> Self {
-        Self::with_cost_model(config, CostModel::default())
-    }
-
-    /// Creates a system with an explicit cost model (used by calibration
-    /// sweeps).
-    pub fn with_cost_model(config: PimConfig, cost: CostModel) -> Self {
         let dpus = (0..config.num_dpus)
             .map(|i| Dpu::new(i, config.mram_bytes))
             .collect();
         Self {
             config,
-            cost,
+            cost: CostModel::default(),
             dpus,
             clock_seconds: 0.0,
             breakdown: StageBreakdown::new(),
@@ -118,12 +112,6 @@ impl PimSystem {
     #[inline]
     pub fn config(&self) -> &PimConfig {
         &self.config
-    }
-
-    /// The cost model in use.
-    #[inline]
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Number of DPUs in the system.
@@ -211,28 +199,22 @@ impl PimSystem {
     pub fn execute(&mut self, stage: impl Into<Stage>, mut kernel: impl FnMut(&mut DpuKernelCtx<'_>)) -> ExecReport {
         let spc = self.config.seconds_per_cycle();
         let mut per_dpu_cycles = Vec::with_capacity(self.dpus.len());
-        let mut per_dpu_regions = Vec::with_capacity(self.dpus.len());
-        for dpu in self.dpus.iter_mut() {
+        // The slowest DPU so far — the last of them on a tie — and its
+        // regions' seconds per stage.
+        let (mut critical_dpu, mut max_cycles) = (0, 0);
+        let mut breakdown = StageBreakdown::new();
+        for (id, dpu) in self.dpus.iter_mut().enumerate() {
             let mut ctx = DpuKernelCtx::new(dpu, &self.cost, &self.config);
             kernel(&mut ctx);
-            let cycles = ctx.total_cycles();
-            let (stats, regions) = ctx.finish();
+            let (stats, stage_seconds) = ctx.finish();
+            if stats.cycles >= max_cycles {
+                (critical_dpu, max_cycles, breakdown) = (id, stats.cycles, stage_seconds);
+            }
+            per_dpu_cycles.push(stats.cycles);
             dpu.stats_mut().absorb(&stats);
-            per_dpu_cycles.push(cycles);
-            per_dpu_regions.push(regions);
         }
-        let (critical_dpu, &max_cycles) = per_dpu_cycles
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .expect("system has at least one DPU");
         let per_dpu_seconds: Vec<f64> = per_dpu_cycles.iter().map(|&c| c as f64 * spc).collect();
         let max_dpu_seconds = max_cycles as f64 * spc + self.config.launch_overhead_s;
-
-        let mut breakdown = StageBreakdown::new();
-        for region in &per_dpu_regions[critical_dpu] {
-            breakdown.add(region.stage, region.region_cycles as f64 * spc);
-        }
 
         self.advance_host(stage, max_dpu_seconds);
         ExecReport {

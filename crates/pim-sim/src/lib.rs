@@ -21,11 +21,16 @@
 //!   paper uses.
 //!
 //! Kernels are ordinary Rust closures executed *functionally* against a
-//! [`DpuKernelCtx`]; every MRAM transfer, WRAM byte, arithmetic
+//! [`DpuKernelCtx`]; every MRAM transfer, WRAM access, arithmetic
 //! instruction and synchronization point they perform is charged to a cycle
 //! cost model, and the simulated batch time is the maximum over DPUs (the
 //! paper: "the largest workload among DPUs determines the overall
-//! performance").
+//! performance"). WRAM has no allocator here, as it has none on the
+//! hardware: a kernel plans its layout, reports the plan's peak with
+//! [`DpuKernelCtx::record_wram_peak`], and the context refuses a peak
+//! beyond [`PimConfig::wram_bytes`]. A launch reports, besides each DPU's
+//! cycles, the seconds per [`Stage`](stats::Stage) of its slowest DPU's
+//! regions, accumulated as each region ends.
 //!
 //! ```
 //! use pim_sim::prelude::*;
@@ -57,7 +62,6 @@ pub mod host;
 pub mod mram;
 pub mod stats;
 pub mod tasklet;
-pub mod wram;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
@@ -69,7 +73,6 @@ pub mod prelude {
     pub use crate::mram::{Mram, MramAddr};
     pub use crate::stats::{Stage, StageBreakdown};
     pub use crate::tasklet::{DpuKernelCtx, TaskletCtx};
-    pub use crate::wram::WramAllocator;
 }
 
 pub use config::PimConfig;

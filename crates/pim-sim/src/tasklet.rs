@@ -9,28 +9,17 @@
 //! with an implicit barrier (the paper's Barriers 0–3 are simply region
 //! boundaries), and DMA transfers from all tasklets serialize on the DPU's
 //! single DMA engine while overlapping with other tasklets' compute.
+//!
+//! What a launch keeps of a region is what a launch reports: its cycles,
+//! added to the DPU's counters, and its seconds, added to the stage the
+//! kernel names. WRAM is not allocated here — a kernel plans its layout and
+//! reports the peak ([`DpuKernelCtx::record_wram_peak`]).
 
 use crate::config::PimConfig;
 use crate::cost::{split_dma, CostModel};
 use crate::dpu::{Dpu, DpuStats};
 use crate::mram::{Mram, MramAddr, MramError};
-use crate::stats::Stage;
-use crate::wram::WramAllocator;
-
-/// Execution record of one parallel region.
-#[derive(Debug, Clone)]
-pub struct RegionRecord {
-    /// The stage the kernel charges this region to.
-    pub stage: Stage,
-    /// Number of tasklets the region ran with.
-    pub tasklets: usize,
-    /// Sum of instruction cycles charged by all tasklets.
-    pub compute_cycles: u64,
-    /// Sum of DMA cycles charged by all tasklets (serialized engine).
-    pub dma_cycles: u64,
-    /// Resulting region duration in cycles (compute/DMA overlap + barrier).
-    pub region_cycles: u64,
-}
+use crate::stats::{Stage, StageBreakdown};
 
 /// Per-tasklet execution context: charges cycles and performs functional
 /// MRAM reads.
@@ -150,26 +139,24 @@ impl<'a> TaskletCtx<'a> {
     }
 }
 
-/// Per-DPU kernel context: WRAM management, parallel regions, MRAM writes and
+/// Per-DPU kernel context: parallel regions, MRAM writes, the WRAM peak and
 /// cycle accounting for one launch on one DPU.
 pub struct DpuKernelCtx<'a> {
     dpu: &'a mut Dpu,
     cost: &'a CostModel,
     config: &'a PimConfig,
-    wram: WramAllocator,
-    regions: Vec<RegionRecord>,
+    /// Seconds per stage of the regions run so far, added in region order.
+    breakdown: StageBreakdown,
     launch_stats: DpuStats,
 }
 
 impl<'a> DpuKernelCtx<'a> {
     pub(crate) fn new(dpu: &'a mut Dpu, cost: &'a CostModel, config: &'a PimConfig) -> Self {
-        let wram = WramAllocator::new(config.wram_bytes);
         Self {
             dpu,
             cost,
             config,
-            wram,
-            regions: Vec::new(),
+            breakdown: StageBreakdown::new(),
             launch_stats: DpuStats {
                 launches: 1,
                 ..DpuStats::default()
@@ -196,10 +183,22 @@ impl<'a> DpuKernelCtx<'a> {
         self.dpu.mram()
     }
 
-    /// The DPU's WRAM allocator, enforcing the 64 KB capacity.
-    #[inline]
-    pub fn wram(&mut self) -> &mut WramAllocator {
-        &mut self.wram
+    /// Records that the kernel's WRAM layout occupies `bytes` at its fullest
+    /// moment. The DPU has no MMU, so a kernel plans its buffer reuse ahead
+    /// of the launch (Figure 6) and reports the plan's peak here; the
+    /// largest one reported is the launch's [`DpuStats::wram_peak_bytes`].
+    ///
+    /// # Panics
+    /// Panics if `bytes` exceeds [`PimConfig::wram_bytes`] — a layout that
+    /// does not fit is a kernel bug, exactly as it would be on hardware.
+    pub fn record_wram_peak(&mut self, bytes: usize) {
+        assert!(
+            bytes <= self.config.wram_bytes,
+            "DPU {}: WRAM layout of {bytes} B exceeds the {} B capacity",
+            self.dpu.id(),
+            self.config.wram_bytes
+        );
+        self.launch_stats.wram_peak_bytes = self.launch_stats.wram_peak_bytes.max(bytes);
     }
 
     /// Runs a parallel region with `tasklets` hardware threads, each
@@ -244,15 +243,7 @@ impl<'a> DpuKernelCtx<'a> {
         self.launch_stats.dma_cycles += total_dma;
         self.launch_stats.dma_transfers += dma_transfers;
         self.launch_stats.mram_bytes_read += bytes_read;
-        self.launch_stats.cycles += region_cycles;
-
-        self.regions.push(RegionRecord {
-            stage,
-            tasklets,
-            compute_cycles: total_compute,
-            dma_cycles: total_dma,
-            region_cycles,
-        });
+        self.end_region(stage, region_cycles);
         results
     }
 
@@ -290,15 +281,15 @@ impl<'a> DpuKernelCtx<'a> {
         self.launch_stats.dma_cycles += dma;
         self.launch_stats.dma_transfers += transfers;
         self.launch_stats.mram_bytes_written += bytes.len() as u64;
-        self.launch_stats.cycles += dma;
-        self.regions.push(RegionRecord {
-            stage,
-            tasklets: 1,
-            compute_cycles: 0,
-            dma_cycles: dma,
-            region_cycles: dma,
-        });
+        self.end_region(stage, dma);
         Ok(())
+    }
+
+    /// Closes a region of `region_cycles` charged to `stage`.
+    fn end_region(&mut self, stage: Stage, region_cycles: u64) {
+        self.launch_stats.cycles += region_cycles;
+        let seconds = region_cycles as f64 * self.config.seconds_per_cycle();
+        self.breakdown.add(stage, seconds);
     }
 
     /// Total cycles accumulated on this DPU so far in this launch.
@@ -306,16 +297,10 @@ impl<'a> DpuKernelCtx<'a> {
         self.launch_stats.cycles
     }
 
-    /// Per-region records of this launch.
-    pub fn regions(&self) -> &[RegionRecord] {
-        &self.regions
-    }
-
-    /// Finalizes the launch: records the WRAM peak and returns
-    /// (stats, regions) for the host to absorb.
-    pub(crate) fn finish(mut self) -> (DpuStats, Vec<RegionRecord>) {
-        self.launch_stats.wram_peak_bytes = self.wram.peak();
-        (self.launch_stats, self.regions)
+    /// Finalizes the launch: its counters and its seconds per stage, for the
+    /// host to absorb.
+    pub(crate) fn finish(self) -> (DpuStats, StageBreakdown) {
+        (self.launch_stats, self.breakdown)
     }
 }
 
@@ -342,16 +327,19 @@ mod tests {
             data.iter().map(|&b| b as u64).sum::<u64>()
         });
         assert_eq!(results, vec![42 * 64; 4]);
-        assert_eq!(ctx.regions().len(), 1);
-        let r = &ctx.regions()[0];
-        assert_eq!(r.tasklets, 4);
-        assert_eq!(r.compute_cycles, 4 * 64);
-        assert!(r.dma_cycles > 0);
-        assert!(r.region_cycles >= r.compute_cycles.max(r.dma_cycles));
-        let (stats, regions) = ctx.finish();
+        let cycles = ctx.total_cycles();
+        let (stats, breakdown) = ctx.finish();
         assert_eq!(stats.launches, 1);
+        assert_eq!(stats.compute_cycles, 4 * 64);
+        assert!(stats.dma_cycles > 0);
+        assert!(cycles >= stats.compute_cycles.max(stats.dma_cycles));
+        assert_eq!(stats.cycles, cycles);
         assert_eq!(stats.mram_bytes_read, 4 * 64);
-        assert_eq!(regions.len(), 1);
+        let seconds = cycles as f64 * config.seconds_per_cycle();
+        assert_eq!(
+            breakdown.entries(),
+            [("distance_calc".to_string(), seconds)]
+        );
     }
 
     #[test]
@@ -364,7 +352,7 @@ mod tests {
             ctx.parallel(Stage::DistanceCalc, tasklets, |t| {
                 t.charge_arith(work_per_region / tasklets as u64, 0);
             });
-            ctx.regions()[0].region_cycles
+            ctx.total_cycles()
         };
         let t1 = region_time(1);
         let t8 = region_time(8);
@@ -396,12 +384,19 @@ mod tests {
     fn wram_capacity_is_visible_to_kernels() {
         let (mut dpu, cost, config) = setup();
         let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
-        ctx.wram().alloc("lut", 8 * 1024).unwrap();
-        assert!(ctx.wram().alloc("too_big", 60 * 1024).is_err());
-        ctx.wram().free("lut").unwrap();
-        ctx.wram().alloc("codebook", 32 * 1024).unwrap();
+        ctx.record_wram_peak(8 * 1024);
+        ctx.record_wram_peak(config.wram_bytes);
+        ctx.record_wram_peak(32 * 1024);
         let (stats, _) = ctx.finish();
-        assert_eq!(stats.wram_peak_bytes, 32 * 1024);
+        assert_eq!(stats.wram_peak_bytes, config.wram_bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 65536 B capacity")]
+    fn a_wram_peak_beyond_the_capacity_panics() {
+        let (mut dpu, cost, config) = setup();
+        let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
+        ctx.record_wram_peak(config.wram_bytes + 1);
     }
 
     #[test]

@@ -111,3 +111,46 @@ proptest! {
         }
     }
 }
+
+/// A launch reports its critical DPU's regions as seconds per stage. The
+/// kernel context adds `region_cycles × seconds_per_cycle` at every region
+/// end; the record it replaced was the list of regions, folded after the
+/// launch. A region of one tasklet that charges `c` additions and no DMA
+/// lasts `c × REVISIT_INTERVAL + barrier` cycles, so the list is known here
+/// without asking the context for it.
+#[test]
+fn a_launch_breakdown_is_the_fold_over_its_regions_in_order() {
+    use pim_sim::prelude::*;
+
+    let regions: [(Stage, u64); 7] = [
+        (Stage::LutConstruction, 3_000),
+        (Stage::ComboSum, 17),
+        (Stage::DistanceCalc, 123_457),
+        (Stage::TopK, 911),
+        (Stage::LutConstruction, 2_999),
+        (Stage::DistanceCalc, 7),
+        (Stage::TopK, 0),
+    ];
+    let config = PimConfig::small_test();
+    let cost = CostModel::default();
+    let mut sys = PimSystem::new(config.clone());
+    let report = sys.execute(Stage::DpuSearch, |ctx| {
+        // DPU 2 runs the whole list, the others a prefix of it.
+        let take = if ctx.dpu_id() == 2 { regions.len() } else { 2 };
+        for &(stage, adds) in &regions[..take] {
+            ctx.sequential(stage, |t| t.charge_arith(adds, 0));
+        }
+    });
+    assert_eq!(report.critical_dpu, 2);
+
+    let spc = config.seconds_per_cycle();
+    let mut expected = Oracle::new();
+    let mut total_cycles = 0u64;
+    for (stage, adds) in regions {
+        let cycles = adds * cost.alu_cycles * REVISIT_INTERVAL + cost.barrier_cycles_per_tasklet;
+        total_cycles += cycles;
+        oracle_add(&mut expected, stage.label(), cycles as f64 * spc);
+    }
+    assert_eq!(report.per_dpu_cycles[2], total_cycles);
+    assert_same(&report.breakdown, &expected);
+}
