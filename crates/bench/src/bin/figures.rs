@@ -26,7 +26,7 @@ use pim_sim::energy::EnergyModel;
 use pim_sim::stats::{Stage, StageBreakdown};
 use std::collections::HashMap;
 use upanns::config::UpAnnsConfig;
-use upanns_bench::{fmt, EvalContext, EvalParams, ResultTable};
+use upanns_bench::{balance_study, fmt, EvalContext, EvalParams, ResultTable};
 
 /// Lazily built evaluation contexts, keyed by (dataset kind, nlist).
 struct ContextCache {
@@ -61,7 +61,7 @@ fn main() {
     let mut ids: Vec<String> = raw.into_iter().filter(|a| a != "--full").collect();
     let all_ids = [
         "tab1", "fig1", "fig4", "fig7", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-        "fig16", "fig17", "fig18", "fig19", "fig20", "headline", "drift",
+        "fig16", "fig17", "fig18", "fig19", "fig20", "headline", "drift", "balance",
     ];
     // Every id is checked before any context is built: a typo in the last
     // one must not cost the minutes the ids before it take.
@@ -103,6 +103,7 @@ fn main() {
             "fig20" => fig20(&mut cache),
             "headline" => headline(&mut cache),
             "drift" => drift(&mut cache),
+            "balance" => balance(&mut cache),
             other => unreachable!("'{other}' passed the id check above"),
         };
         for table in tables {
@@ -595,6 +596,42 @@ fn drift(cache: &mut ContextCache) -> Vec<ResultTable> {
             fmt(row.seconds, 2),
             fmt(row.balance_ratio, 1),
             row.replicas_restaged.to_string(),
+        ]);
+    }
+    vec![t]
+}
+
+/// What Opt1 reaches on the full fleet from far fewer lists than DPUs to
+/// several per DPU ([`balance_study`]: placement and scheduling, no engine).
+/// nprobe is the benchmark fixtures' 8 up to 512 lists and the paper's
+/// 64-of-4 096 ratio above.
+fn balance(cache: &mut ContextCache) -> Vec<ResultTable> {
+    let mut t = ResultTable::new(
+        "balance_by_nlist",
+        &[
+            "nlist",
+            "nprobe",
+            "dpus",
+            "replicas",
+            "final_thld",
+            "static_max_over_avg",
+            "scheduled_max_over_avg",
+            "pair_granularity_floor",
+        ],
+    );
+    for nlist in [32, 64, 512, 4096] {
+        let ctx = cache.get(DatasetKind::SiftLike, nlist);
+        let nprobe = (nlist / 64).max(8);
+        let row = balance_study(&ctx.index, &ctx.history, &ctx.queries, ctx.params.dpus, nprobe);
+        t.push_row(vec![
+            nlist.to_string(),
+            nprobe.to_string(),
+            ctx.params.dpus.to_string(),
+            row.replicas.to_string(),
+            fmt(row.threshold, 2),
+            fmt(row.static_ratio, 3),
+            fmt(row.scheduled_ratio, 3),
+            fmt(row.granularity_floor, 3),
         ]);
     }
     vec![t]

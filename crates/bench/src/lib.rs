@@ -23,7 +23,8 @@ use upanns::adaptive::{
 use upanns::builder::{frequencies_from_queries, BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
-use upanns::placement::Placement;
+use upanns::placement::{place_pim_aware, Placement, PlacementInput};
+use upanns::scheduling::schedule_queries;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -201,7 +202,7 @@ impl EvalContext {
         let old_freqs = frequencies_from_queries(&self.index, &draw(600, seed + 20, None), NPROBE);
         let sizes = self.index.list_sizes();
         let pim = PimConfig::with_dpus(self.params.dpus);
-        let max_dpu_vectors = pim.mram_bytes / (self.index.m().max(2) * 2 + 8);
+        let max_dpu_vectors = max_dpu_vectors(&self.index, &pim);
         let build = |placement: Option<Placement>| {
             let builder = UpAnnsBuilder::new(&self.index)
                 .with_config(UpAnnsConfig::upanns().with_work_scale(self.params.work_scale()))
@@ -267,6 +268,70 @@ impl EvalContext {
     pub fn gpu(&self) -> GpuFaissEngine {
         GpuFaissEngine::new(&self.index).with_work_scale(self.params.work_scale())
     }
+}
+
+/// Opt1 with no engine behind it: Algorithm 1 on the frequencies of
+/// `history`, Algorithm 2 on `queries`, both at `nprobe`.
+pub fn balance_study(
+    index: &IvfPqIndex,
+    history: &Dataset,
+    queries: &Dataset,
+    dpus: usize,
+    nprobe: usize,
+) -> BalanceRow {
+    let sizes = index.list_sizes();
+    let placement = place_pim_aware(&PlacementInput::new(
+        sizes.clone(),
+        frequencies_from_queries(index, history, nprobe),
+        dpus,
+        max_dpu_vectors(index, &PimConfig::with_dpus(dpus)),
+    ));
+    let filtered: Vec<Vec<usize>> = queries
+        .iter()
+        .map(|q| index.filter_clusters(q, nprobe).into_iter().map(|(c, _)| c).collect())
+        .collect();
+    let schedule = schedule_queries(&filtered, &placement, &sizes);
+    let scheduled_ratio = schedule.max_to_avg_workload();
+    let max_load = schedule.dpu_workload.iter().copied().max().unwrap_or(0).max(1);
+    // Some replica of a cluster takes at least ⌈pairs / replicas⌉ of its
+    // (query, cluster) pairs, whatever the scheduler does.
+    let mut pairs = vec![0usize; sizes.len()];
+    for &c in filtered.iter().flatten() {
+        pairs[c] += 1;
+    }
+    let floor = (0..sizes.len())
+        .map(|c| pairs[c].div_ceil(placement.replicas(c)) * sizes[c])
+        .max()
+        .unwrap_or(0);
+    BalanceRow {
+        replicas: placement.total_replicas(),
+        threshold: placement.threshold,
+        static_ratio: placement.max_to_avg_workload(),
+        scheduled_ratio,
+        // Over the mean `scheduled_ratio` is over.
+        granularity_floor: scheduled_ratio * (floor as f64 / max_load as f64),
+    }
+}
+
+/// The builder's default vector cap per DPU: MRAM over a vector's staged bytes.
+fn max_dpu_vectors(index: &IvfPqIndex, pim: &PimConfig) -> usize {
+    pim.mram_bytes / (index.m().max(2) * 2 + 8)
+}
+
+/// What [`balance_study`] measures.
+#[derive(Debug, Clone)]
+pub struct BalanceRow {
+    /// (cluster, DPU) replica pairs Algorithm 1 placed.
+    pub replicas: usize,
+    /// The `thld` Algorithm 1's relaxation settled at.
+    pub threshold: f64,
+    /// Max / mean estimated workload over the DPUs the placement uses.
+    pub static_ratio: f64,
+    /// Max / mean scheduled workload over the busy DPUs of the batch.
+    pub scheduled_ratio: f64,
+    /// The least `scheduled_ratio` any scheduler could reach on this
+    /// placement: `max_c ⌈pairs_c / replicas_c⌉·s_c` over the mean.
+    pub granularity_floor: f64,
 }
 
 /// One served batch of [`EvalContext::drift_study`].

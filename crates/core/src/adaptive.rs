@@ -22,7 +22,9 @@
 //! `figures -- drift` and pinned by `tests/experiment_shapes.rs`; nothing
 //! calls them at serve time yet.
 
-use crate::placement::{place_pim_aware, Placement, PlacementInput};
+use crate::placement::{
+    floored_frequencies, place_pim_aware, replica_count, Placement, PlacementInput,
+};
 
 /// How much the cluster-access distribution moved between two observation
 /// windows.
@@ -66,8 +68,9 @@ pub struct AdaptationPolicy {
     /// Fraction of total access mass that defines the "hot set" used for the
     /// overlap metric (default 0.5: the clusters receiving half the traffic).
     pub hot_mass: f64,
-    /// A cluster gains a replica when its expected workload exceeds this
-    /// multiple of the per-DPU average (1.0 mirrors Algorithm 1's `⌈w/W⌉`).
+    /// A cluster gains a replica when its expected workload per replica
+    /// exceeds this multiple of the per-DPU average (1.0 is Algorithm 1's
+    /// unrelaxed threshold).
     pub replica_headroom: f64,
 }
 
@@ -88,7 +91,7 @@ pub struct ReplicaAdjustment {
     /// `(cluster, additional replicas)` for clusters that heated up.
     pub add: Vec<(usize, usize)>,
     /// `(cluster, replicas to drop)` for clusters that cooled down (never
-    /// below one replica).
+    /// below the two every cluster keeps).
     pub remove: Vec<(usize, usize)>,
 }
 
@@ -205,8 +208,9 @@ pub fn measure_drift(old: &[f64], new: &[f64], policy: &AdaptationPolicy) -> Dri
     }
 }
 
-/// The desired replica count of a cluster under Algorithm 1's rule
-/// `n_cpy = ⌈sᵢ·fᵢ / W⌉`, bounded by the DPU count.
+/// The desired replica count of a cluster of workload `sᵢ·fᵢ` when a DPU may
+/// carry `headroom` times the per-DPU average: the placement's own rule
+/// ([`replica_count`], so never fewer than two on a fleet of two or more).
 pub fn desired_replicas(
     cluster_size: usize,
     frequency: f64,
@@ -214,11 +218,7 @@ pub fn desired_replicas(
     num_dpus: usize,
     headroom: f64,
 ) -> usize {
-    if per_dpu_target <= 0.0 {
-        return 1;
-    }
-    let w = cluster_size as f64 * frequency;
-    (((w / (per_dpu_target * headroom.max(f64::MIN_POSITIVE))).ceil() as usize).max(1)).min(num_dpus)
+    replica_count(cluster_size as f64 * frequency, per_dpu_target * headroom, num_dpus)
 }
 
 /// Decides how to react to a new access pattern: keep the placement, adjust
@@ -251,7 +251,7 @@ pub fn plan_adaptation(
     }
 
     let num_dpus = placement.dpu_workload.len();
-    let new_n = normalize(new_freqs);
+    let new_n = floored_frequencies(&normalize(new_freqs));
     let total_workload: f64 = cluster_sizes
         .iter()
         .zip(&new_n)
@@ -266,8 +266,8 @@ pub fn plan_adaptation(
         let have = placement.replicas(c);
         match want.cmp(&have) {
             std::cmp::Ordering::Greater => add.push((c, want - have)),
-            std::cmp::Ordering::Less if have > 1 => remove.push((c, (have - want).min(have - 1))),
-            _ => {}
+            std::cmp::Ordering::Less => remove.push((c, have - want)),
+            std::cmp::Ordering::Equal => {}
         }
     }
     let adjustment = ReplicaAdjustment { add, remove };
@@ -383,6 +383,7 @@ pub fn apply_adjustment(
         cluster_to_dpus,
         dpu_workload,
         dpu_vectors,
+        threshold: placement.threshold,
     }
 }
 
@@ -449,6 +450,7 @@ pub fn adapt_placement(
                 num_dpus,
             ),
             dpu_vectors: placement.dpu_vectors.clone(),
+            threshold: placement.threshold,
         },
         AdaptationDecision::AdjustReplicas(_, adj) => {
             apply_adjustment(placement, adj, cluster_sizes, new_freqs, usize_max_or(max_dpu_vectors))
@@ -583,8 +585,10 @@ mod tests {
     #[test]
     fn applying_an_adjustment_improves_balance_under_the_new_pattern() {
         let (sizes, freqs, placement) = base_setup(32, 8);
+        // Every cluster starts at the floor of two replicas; cluster 25 must
+        // heat past two DPUs' worth of work to gain a third.
         let mut new = freqs.clone();
-        let boost: f64 = freqs.iter().sum::<f64>() * 0.30;
+        let boost: f64 = freqs.iter().sum::<f64>() * 0.42;
         new[25] += boost;
         let policy = AdaptationPolicy::default();
         let (adapted, decision) =
@@ -601,6 +605,7 @@ mod tests {
                 8,
             ),
             dpu_vectors: placement.dpu_vectors.clone(),
+            threshold: placement.threshold,
         };
         assert!(
             adapted.max_to_avg_workload() <= stale.max_to_avg_workload() + 1e-9,
@@ -614,13 +619,13 @@ mod tests {
     }
 
     #[test]
-    fn cooled_clusters_lose_surplus_replicas_but_keep_one() {
+    fn cooled_clusters_lose_surplus_replicas_but_keep_two() {
         let (sizes, mut freqs, _) = base_setup(16, 8);
         // Build a placement where cluster 0 is extremely hot (many replicas).
         freqs[0] = freqs.iter().sum::<f64>() * 2.0;
         let input = PlacementInput::new(sizes.clone(), freqs.clone(), 8, 1_000_000);
         let placement = place_pim_aware(&input);
-        assert!(placement.replicas(0) > 1);
+        assert!(placement.replicas(0) > 2);
 
         // Cluster 0 cools down to an average share; the rest warms slightly.
         let mut new = vec![1.0; 16];
@@ -637,8 +642,7 @@ mod tests {
                     "expected cluster 0 to lose replicas: {adj:?}"
                 );
                 let adapted = apply_adjustment(&placement, adj, &sizes, &new, 1_000_000);
-                assert!(adapted.replicas(0) >= 1);
-                assert!(adapted.replicas(0) < placement.replicas(0));
+                assert_eq!(adapted.replicas(0), 2);
             }
             other => panic!("expected AdjustReplicas, got {other:?}"),
         }
@@ -666,11 +670,16 @@ mod tests {
 
     #[test]
     fn desired_replica_math_matches_algorithm_one() {
-        assert_eq!(desired_replicas(100, 1.0, 50.0, 16, 1.0), 2);
-        assert_eq!(desired_replicas(100, 1.0, 100.0, 16, 1.0), 1);
+        assert_eq!(desired_replicas(100, 1.0, 30.0, 16, 1.0), 4);
+        assert_eq!(desired_replicas(100, 1.0, 30.0, 16, 2.0), 2); // ⌈100/60⌉
         assert_eq!(desired_replicas(1000, 1.0, 10.0, 16, 1.0), 16); // capped
-        assert_eq!(desired_replicas(0, 1.0, 10.0, 16, 1.0), 1);
-        assert_eq!(desired_replicas(100, 0.0, 10.0, 16, 1.0), 1);
+        // The floor of two, however cold or small the cluster.
+        assert_eq!(desired_replicas(100, 1.0, 100.0, 16, 1.0), 2);
+        assert_eq!(desired_replicas(0, 1.0, 10.0, 16, 1.0), 2);
+        assert_eq!(desired_replicas(100, 0.0, 10.0, 16, 1.0), 2);
+        assert_eq!(desired_replicas(100, 1.0, 10.0, 1, 1.0), 1); // one DPU
+        // One rule: the placement counts the same.
+        assert_eq!(desired_replicas(100, 1.0, 30.0, 16, 1.0), replica_count(100.0, 30.0, 16));
     }
 
     #[test]

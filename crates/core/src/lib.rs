@@ -12,6 +12,15 @@
 //! | Opt3 — Co-occurrence aware encoding | §4.3, Fig. 8 | [`cooccurrence`], [`encoding`] |
 //! | Opt4 — Top-K pruning | §4.4, Fig. 9 | [`topk_prune`] |
 //!
+//! Opt1's offline half departs from Algorithm 1 as printed, which is written
+//! for |C| ≫ DPUs while every fixture here has fewer clusters than DPUs: the
+//! relaxed threshold also governs the replica *counts*
+//! (`⌈wᵢ / (W·thld)⌉`, recounted at every relaxation), replicas go to the
+//! least-loaded DPU instead of a round-robin cursor, a never-probed cluster
+//! counts at half the smallest observed frequency, and every cluster gets at
+//! least two replicas so Algorithm 2 has a choice ([`placement`]'s module
+//! docs say why each is needed). Algorithm 2 is the paper's.
+//!
 //! Runtime extensions built on the engine:
 //!
 //! | Extension | Paper | Module |

@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 use upanns::builder::{BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
-use upanns_bench::{EvalContext, EvalParams};
+use upanns_bench::{balance_study, EvalContext, EvalParams};
 
 struct Fixture {
     dataset: SyntheticDataset,
@@ -254,6 +254,27 @@ fn qps_scales_with_dpu_count() {
         q48 > 1.8 * q16,
         "tripling DPUs should give close-to-linear scaling: {q16} -> {q48}"
     );
+}
+
+/// Opt1 at the benchmark's `batch-scan` shape (fixture L: 32 long lists on
+/// 896 DPUs, a 600-query history, a 1 000-query request at nprobe 8), where
+/// every list is hot and `Σ⌈wᵢ/W⌉` exceeds the fleet: the scheduled max/avg
+/// must sit on the floor the (query, cluster) pair granularity leaves, not
+/// on stacked replicas (1.59 before the threshold governed the counts).
+#[test]
+fn few_long_lists_balance_down_to_pair_granularity() {
+    let dataset = SyntheticSpec::sift_like(40_000)
+        .with_clusters(16)
+        .with_seed(7)
+        .generate_with_meta();
+    let index =
+        IvfPqIndex::train(&dataset.vectors, &IvfPqParams::new(32, 16).with_train_size(3_000), 5);
+    let history = WorkloadSpec::new(600).with_seed(8).generate(&dataset).queries;
+    let request =
+        WorkloadSpec::new(1_000).with_seed(20260927 ^ 0x00B4_7C5C).generate(&dataset).queries;
+    let row = balance_study(&index, &history, &request, 896, 8);
+    assert!(row.scheduled_ratio <= 1.35, "{row:?}");
+    assert!(row.scheduled_ratio <= 1.05 * row.granularity_floor, "{row:?}");
 }
 
 /// §4.1.2 at the `figures -- drift` shape (N = 40 000, |C| = 4 096, 896
