@@ -19,6 +19,9 @@ pub fn read_fvecs(path: impl AsRef<Path>) -> Result<Dataset, AnnError> {
 }
 
 /// Reads `fvecs`-framed vectors from any reader.
+///
+/// A NaN or infinite component is [`AnnError::MalformedFile`]: no distance,
+/// k-means step or PQ code means anything for it.
 pub fn read_fvecs_from(mut reader: impl Read) -> Result<Dataset, AnnError> {
     let mut dataset: Option<Dataset> = None;
     while let Some(d) = read_u32(&mut reader)? {
@@ -30,6 +33,14 @@ pub fn read_fvecs_from(mut reader: impl Read) -> Result<Dataset, AnnError> {
             .chunks_exact(4)
             .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
             .collect();
+        if let Some(x) = row.iter().find(|x| !x.is_finite()) {
+            return Err(AnnError::MalformedFile {
+                reason: format!(
+                    "row {} has a non-finite component ({x})",
+                    dataset.as_ref().map_or(0, Dataset::len)
+                ),
+            });
+        }
         dataset.get_or_insert_with(|| Dataset::new(dim)).push(&row);
     }
     dataset.ok_or_else(|| AnnError::MalformedFile {

@@ -10,18 +10,14 @@
 //! paper is built on (Figure 1a / Figure 19: distance calculation is ~99.5 %
 //! of CPU time).
 //!
-//! The model always applies the *billion-scale regime* (working set ≫ LLC).
-//! A dedicated cache-aware variant used by the Figure 1 scale sweep exposes
-//! the effective-bandwidth curve explicitly via
-//! [`CpuSpec::effective_scan_bandwidth`].
+//! The model applies the *billion-scale regime* (working set ≫ LLC) unless
+//! [`CpuSpec::billion_scale_regime`] is off: the cache-aware variant the
+//! Figure 1 scale sweep uses reads the effective-bandwidth curve
+//! [`CpuSpec::effective_scan_bandwidth`] instead.
 
-use crate::engine::{execute_by_entry, execute_grouped, AnnEngine, SearchRequest, SearchResponse};
-use crate::exec::run_ivfpq;
+use crate::faiss::{FaissEngine, FunctionalRun, Roofline};
 use crate::hardware::HardwareSpec;
-use annkit::ivf::IvfPqIndex;
-use annkit::mutation::{IndexSnapshot, SnapshotTimeline};
-use annkit::vector::Dataset;
-use pim_sim::energy::EnergyModel;
+use annkit::mutation::IndexSnapshot;
 use pim_sim::stats::{Stage, StageBreakdown};
 
 /// Performance characteristics of the CPU platform.
@@ -48,6 +44,10 @@ pub struct CpuSpec {
     /// Last-level cache size in bytes (2 × 11 MB); only used by the
     /// cache-aware effective-bandwidth curve for the Figure 1 sweep.
     pub llc_bytes: f64,
+    /// When `true` (default) the distance-calculation stage is modeled in the
+    /// billion-scale (DRAM-bound) regime regardless of the actual reduced
+    /// dataset size; when `false` the cache-aware curve is used.
+    pub billion_scale_regime: bool,
 }
 
 impl Default for CpuSpec {
@@ -62,6 +62,7 @@ impl Default for CpuSpec {
             cycles_per_lookup: 1.0,
             cycles_per_topk_candidate: 1.5,
             llc_bytes: 22.0 * 1024.0 * 1024.0,
+            billion_scale_regime: true,
         }
     }
 }
@@ -97,162 +98,79 @@ impl CpuSpec {
 }
 
 /// The Faiss-CPU-like engine: exact IVFPQ results, dual-Xeon timing.
-///
-/// Holds a [`SnapshotTimeline`] rather than a borrowed index: a frozen
-/// timeline for the classic frozen-index case, or a live-mutation timeline
-/// installed via [`AnnEngine::install_timeline`] — each request searches the
-/// snapshot active at its dispatch time.
-pub struct CpuFaissEngine {
-    timeline: SnapshotTimeline,
-    spec: CpuSpec,
-    /// When `true` (default) the distance-calculation stage is modeled in the
-    /// billion-scale (DRAM-bound) regime regardless of the actual reduced
-    /// dataset size; when `false` the cache-aware curve is used.
-    billion_scale_regime: bool,
-    /// Work-scale factor: the timing model treats every stored vector as
-    /// representing this many vectors of the modeled (billion-scale) dataset.
-    /// Functional results are always computed at actual scale; only the
-    /// per-candidate work counts are multiplied.
-    work_scale: f64,
-}
+pub type CpuFaissEngine = FaissEngine<CpuSpec>;
 
 impl CpuFaissEngine {
-    /// Creates an engine over a trained index with the paper's CPU spec.
-    pub fn new(index: &IvfPqIndex) -> Self {
-        Self {
-            timeline: SnapshotTimeline::frozen(index),
-            spec: CpuSpec::default(),
-            billion_scale_regime: true,
-            work_scale: 1.0,
-        }
-    }
-
-    /// Sets the work-scale factor used to project reduced-scale runs to the
-    /// modeled dataset size (1.0 = no projection).
-    pub fn with_work_scale(mut self, scale: f64) -> Self {
-        assert!(scale >= 1.0 && scale.is_finite(), "work scale must be >= 1");
-        self.work_scale = scale;
-        self
-    }
-
     /// Selects between the billion-scale (DRAM-bound) regime and the
     /// cache-aware model (used by the Figure 1 sweep).
     pub fn with_billion_scale_regime(mut self, enabled: bool) -> Self {
-        self.billion_scale_regime = enabled;
+        self.spec.billion_scale_regime = enabled;
         self
     }
+}
 
-    /// The spec in use.
-    pub fn spec(&self) -> &CpuSpec {
-        &self.spec
+impl Roofline for CpuSpec {
+    const NAME: &'static str = "Faiss-CPU";
+
+    fn hardware() -> HardwareSpec {
+        HardwareSpec::cpu()
     }
 
-    /// The snapshot this engine searches for requests at time 0 (the base
-    /// index view when no timeline was installed).
-    pub fn snapshot(&self) -> &IndexSnapshot {
-        &self.timeline.entries()[0].1
-    }
-
-    /// Computes the stage timing for a given functional run. Exposed so the
-    /// Figure 1 / Figure 19 harness can report breakdowns directly.
-    pub fn stage_seconds(
+    fn stage_seconds(
         &self,
-        stats: &crate::workload_stats::WorkloadStats,
+        index: &IndexSnapshot,
+        run: &FunctionalRun,
+        scale: f64,
     ) -> StageBreakdown {
-        let spec = &self.spec;
-        let index = self.snapshot();
+        let stats = &run.stats;
         let dim = index.dim() as f64;
         let dsub = (index.dim() / index.m()) as f64;
-        let scale = self.work_scale;
         let mut b = StageBreakdown::new();
 
         // Stage (a): cluster filtering — dense distance to all centroids.
         let filter_flops = stats.centroid_comparisons as f64 * dim * 2.0;
         let filter_bytes = stats.queries as f64 * index.nlist() as f64 * dim * 4.0;
-        let t_filter = (filter_flops / spec.compute_flops())
-            .max(filter_bytes / spec.dram_bandwidth);
+        let t_filter =
+            (filter_flops / self.compute_flops()).max(filter_bytes / self.dram_bandwidth);
         b.add(Stage::ClusterFiltering, t_filter);
 
         // Stage (b): LUT construction — nprobe × m × 256 sub-distances/query.
         let lut_flops = stats.lut_entries as f64 * dsub * 3.0;
-        b.add(Stage::LutConstruction, lut_flops / spec.compute_flops());
+        b.add(Stage::LutConstruction, lut_flops / self.compute_flops());
 
         // Stage (c): distance calculation — the memory-bound ADC scan.
         // Per-candidate quantities are projected by the work-scale factor.
         let scan_bw = if self.billion_scale_regime {
-            spec.dram_bandwidth * spec.scan_efficiency
+            self.dram_bandwidth * self.scan_efficiency
         } else {
             let per_query_ws = if stats.queries > 0 {
                 stats.code_bytes_read as f64 * scale / stats.queries as f64
             } else {
                 0.0
             };
-            spec.effective_scan_bandwidth(per_query_ws)
+            self.effective_scan_bandwidth(per_query_ws)
         };
         let t_mem = stats.code_bytes_read as f64 * scale / scan_bw;
-        let t_compute = stats.lut_lookups as f64 * scale * spec.cycles_per_lookup
-            / spec.scalar_cycles_per_second();
+        let t_compute = stats.lut_lookups as f64 * scale * self.cycles_per_lookup
+            / self.scalar_cycles_per_second();
         b.add(Stage::DistanceCalc, t_mem.max(t_compute));
 
         // Stage (d): top-k selection — cheap on the CPU (heap in L1).
-        let t_topk = stats.topk_candidates as f64 * scale * spec.cycles_per_topk_candidate
-            / spec.scalar_cycles_per_second();
+        let t_topk = stats.topk_candidates as f64 * scale * self.cycles_per_topk_candidate
+            / self.scalar_cycles_per_second();
         b.add(Stage::TopK, t_topk);
 
         b
-    }
-
-    /// One uniform sub-batch: functional IVFPQ search plus the roofline
-    /// timing of the dual-Xeon platform.
-    fn run_uniform(
-        &mut self,
-        snapshot: &IndexSnapshot,
-        queries: &Dataset,
-        nprobe: usize,
-        k: usize,
-    ) -> SearchResponse {
-        let run = run_ivfpq(snapshot, queries, nprobe, k);
-        let breakdown = self.stage_seconds(&run.stats);
-        SearchResponse {
-            request_id: 0,
-            results: run.results,
-            seconds: breakdown.total(),
-            breakdown,
-            stats: run.stats,
-        }
-    }
-}
-
-impl AnnEngine for CpuFaissEngine {
-    fn name(&self) -> &str {
-        "Faiss-CPU"
-    }
-
-    fn execute(&mut self, request: &SearchRequest) -> SearchResponse {
-        let timeline = self.timeline.clone();
-        execute_by_entry(&timeline, request, |entry, sub| {
-            let snapshot = &timeline.entries()[entry].1;
-            execute_grouped(sub, |queries, nprobe, k| {
-                self.run_uniform(snapshot, queries, nprobe, k)
-            })
-        })
-    }
-
-    fn energy_model(&self) -> EnergyModel {
-        HardwareSpec::cpu().energy_model()
-    }
-
-    fn install_timeline(&mut self, timeline: SnapshotTimeline) -> bool {
-        self.timeline = timeline;
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use annkit::ivf::IvfPqParams;
+    use crate::engine::AnnEngine;
+    use annkit::ivf::{IvfPqIndex, IvfPqParams};
     use annkit::synthetic::SyntheticSpec;
+    use annkit::vector::Dataset;
 
     /// Compile-time Send audit: the threaded runtime (`upanns-runtime`)
     /// moves each engine worker into its own thread, so every engine must be

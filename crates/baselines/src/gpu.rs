@@ -14,13 +14,9 @@
 //! DEEP1B in Figure 12 (Faiss needs the raw float vectors resident for that
 //! configuration, and 10⁹ × 96 × 4 B = 384 GB does not fit).
 
-use crate::engine::{execute_by_entry, execute_grouped, AnnEngine, SearchRequest, SearchResponse};
-use crate::exec::run_ivfpq;
+use crate::faiss::{FaissEngine, FunctionalRun, Roofline};
 use crate::hardware::HardwareSpec;
-use annkit::ivf::IvfPqIndex;
-use annkit::mutation::{IndexSnapshot, SnapshotTimeline};
-use annkit::vector::Dataset;
-use pim_sim::energy::EnergyModel;
+use annkit::mutation::IndexSnapshot;
 use pim_sim::stats::{Stage, StageBreakdown};
 
 /// Performance characteristics of the GPU platform.
@@ -84,40 +80,9 @@ pub enum GpuMemoryCheck {
 }
 
 /// The Faiss-GPU-like engine: exact IVFPQ results, A100 timing.
-///
-/// Like the CPU baseline, holds a [`SnapshotTimeline`] so live-mutation
-/// timelines can be installed via [`AnnEngine::install_timeline`].
-pub struct GpuFaissEngine {
-    timeline: SnapshotTimeline,
-    spec: GpuSpec,
-    /// Work-scale factor projecting reduced-scale runs to the modeled dataset
-    /// size (see [`CpuFaissEngine::with_work_scale`](crate::cpu::CpuFaissEngine::with_work_scale)).
-    work_scale: f64,
-}
+pub type GpuFaissEngine = FaissEngine<GpuSpec>;
 
 impl GpuFaissEngine {
-    /// Creates an engine over a trained index with the default A100 spec.
-    pub fn new(index: &IvfPqIndex) -> Self {
-        Self {
-            timeline: SnapshotTimeline::frozen(index),
-            spec: GpuSpec::default(),
-            work_scale: 1.0,
-        }
-    }
-
-    /// Sets the work-scale factor used to project reduced-scale runs to the
-    /// modeled dataset size (1.0 = no projection).
-    pub fn with_work_scale(mut self, scale: f64) -> Self {
-        assert!(scale >= 1.0 && scale.is_finite(), "work scale must be >= 1");
-        self.work_scale = scale;
-        self
-    }
-
-    /// The spec in use.
-    pub fn spec(&self) -> &GpuSpec {
-        &self.spec
-    }
-
     /// Device memory needed to host an index of `ntotal` vectors of `dim`
     /// dimensions compressed to `m` bytes. `store_raw_vectors` corresponds to
     /// Faiss GPU configurations that keep the float vectors resident (e.g.
@@ -139,129 +104,78 @@ impl GpuFaissEngine {
         compressed + overhead + raw
     }
 
-    /// The snapshot this engine searches for requests at time 0 (the base
-    /// index view when no timeline was installed).
-    pub fn snapshot(&self) -> &IndexSnapshot {
-        &self.timeline.entries()[0].1
-    }
-
     /// Checks whether a (possibly billion-scale, extrapolated) configuration
     /// fits in device memory.
-    pub fn check_memory(
-        &self,
-        ntotal: u64,
-        store_raw_vectors: bool,
-    ) -> GpuMemoryCheck {
+    pub fn check_memory(&self, ntotal: u64, store_raw_vectors: bool) -> GpuMemoryCheck {
         let index = self.snapshot();
-        let required = Self::memory_required_bytes(
-            ntotal,
-            index.dim(),
-            index.m(),
-            store_raw_vectors,
-        );
-        if required <= self.spec.memory_bytes {
+        let required =
+            Self::memory_required_bytes(ntotal, index.dim(), index.m(), store_raw_vectors);
+        if required <= self.spec().memory_bytes {
             GpuMemoryCheck::Fits { required }
         } else {
             GpuMemoryCheck::OutOfMemory {
                 required,
-                capacity: self.spec.memory_bytes,
+                capacity: self.spec().memory_bytes,
             }
         }
     }
+}
 
-    /// Stage timing for a given functional run (exposed for the breakdown
-    /// figures).
-    pub fn stage_seconds(
+impl Roofline for GpuSpec {
+    const NAME: &'static str = "Faiss-GPU";
+
+    fn hardware() -> HardwareSpec {
+        HardwareSpec::gpu()
+    }
+
+    fn stage_seconds(
         &self,
-        stats: &crate::workload_stats::WorkloadStats,
-        per_query_candidates: &[u64],
+        index: &IndexSnapshot,
+        run: &FunctionalRun,
+        work_scale: f64,
     ) -> StageBreakdown {
-        let spec = &self.spec;
-        let index = self.snapshot();
+        let stats = &run.stats;
         let dim = index.dim() as f64;
         let dsub = (index.dim() / index.m()) as f64;
         let mut b = StageBreakdown::new();
 
-        let effective_flops = spec.peak_flops * spec.compute_efficiency;
+        let effective_flops = self.peak_flops * self.compute_efficiency;
 
         // Stage (a): cluster filtering is a dense GEMM — trivially fast.
         let filter_flops = stats.centroid_comparisons as f64 * dim * 2.0;
         b.add(
             Stage::ClusterFiltering,
-            filter_flops / effective_flops + spec.sync_overhead_s,
+            filter_flops / effective_flops + self.sync_overhead_s,
         );
 
         // Stage (b): LUT construction.
         let lut_flops = stats.lut_entries as f64 * dsub * 3.0;
         b.add(
             Stage::LutConstruction,
-            lut_flops / effective_flops + spec.sync_overhead_s,
+            lut_flops / effective_flops + self.sync_overhead_s,
         );
 
         // Stage (c): ADC scan at HBM bandwidth. Per-candidate quantities are
         // projected by the work-scale factor.
-        let scan_bytes = stats.code_bytes_read as f64 * self.work_scale;
+        let scan_bytes = stats.code_bytes_read as f64 * work_scale;
         b.add(
             Stage::DistanceCalc,
-            scan_bytes / (spec.hbm_bandwidth * spec.scan_efficiency) + spec.sync_overhead_s,
+            scan_bytes / (self.hbm_bandwidth * self.scan_efficiency) + self.sync_overhead_s,
         );
 
         // Stage (d): k-selection — the GPU bottleneck. Per-query selection
         // time is candidates / throughput, scaled up with k, with limited
         // cross-query concurrency.
-        let k_factor = 1.0 + spec.topk_k_penalty * stats.k as f64;
-        let per_query_total: f64 = per_query_candidates
+        let k_factor = 1.0 + self.topk_k_penalty * stats.k as f64;
+        let per_query_total: f64 = run
+            .per_query_candidates
             .iter()
-            .map(|&c| c as f64 * self.work_scale / spec.topk_candidates_per_second * k_factor)
+            .map(|&c| c as f64 * work_scale / self.topk_candidates_per_second * k_factor)
             .sum();
-        let topk_time = per_query_total / spec.topk_concurrent_queries + spec.sync_overhead_s;
+        let topk_time = per_query_total / self.topk_concurrent_queries + self.sync_overhead_s;
         b.add(Stage::TopK, topk_time);
 
         b
-    }
-
-    /// One uniform sub-batch: functional IVFPQ search plus the A100 timing.
-    fn run_uniform(
-        &mut self,
-        snapshot: &IndexSnapshot,
-        queries: &Dataset,
-        nprobe: usize,
-        k: usize,
-    ) -> SearchResponse {
-        let run = run_ivfpq(snapshot, queries, nprobe, k);
-        let breakdown = self.stage_seconds(&run.stats, &run.per_query_candidates);
-        SearchResponse {
-            request_id: 0,
-            results: run.results,
-            seconds: breakdown.total(),
-            breakdown,
-            stats: run.stats,
-        }
-    }
-}
-
-impl AnnEngine for GpuFaissEngine {
-    fn name(&self) -> &str {
-        "Faiss-GPU"
-    }
-
-    fn execute(&mut self, request: &SearchRequest) -> SearchResponse {
-        let timeline = self.timeline.clone();
-        execute_by_entry(&timeline, request, |entry, sub| {
-            let snapshot = &timeline.entries()[entry].1;
-            execute_grouped(sub, |queries, nprobe, k| {
-                self.run_uniform(snapshot, queries, nprobe, k)
-            })
-        })
-    }
-
-    fn energy_model(&self) -> EnergyModel {
-        HardwareSpec::gpu().energy_model()
-    }
-
-    fn install_timeline(&mut self, timeline: SnapshotTimeline) -> bool {
-        self.timeline = timeline;
-        true
     }
 }
 
@@ -269,8 +183,10 @@ impl AnnEngine for GpuFaissEngine {
 mod tests {
     use super::*;
     use crate::cpu::CpuFaissEngine;
-    use annkit::ivf::IvfPqParams;
+    use crate::engine::AnnEngine;
+    use annkit::ivf::{IvfPqIndex, IvfPqParams};
     use annkit::synthetic::SyntheticSpec;
+    use annkit::vector::Dataset;
 
     /// Compile-time Send audit for the threaded runtime's worker threads
     /// (see `cpu_engine_is_send` for the rationale).

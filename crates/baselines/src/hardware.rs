@@ -1,5 +1,11 @@
 //! Hardware specifications of the three evaluated platforms (Table 1).
+//!
+//! The CPU and GPU rows take their bandwidth (and the GPU its capacity) from
+//! the roofline specs the engines are timed with, so each Table 1 number is
+//! written down once.
 
+use crate::cpu::CpuSpec;
+use crate::gpu::GpuSpec;
 use pim_sim::config::PimConfig;
 use pim_sim::energy::EnergyModel;
 
@@ -29,19 +35,20 @@ impl HardwareSpec {
             price_usd: 1_400.0,
             memory_bytes: 128 * 1024 * 1024 * 1024,
             peak_watts: 190.0,
-            bandwidth_bytes_per_s: 85.3e9,
+            bandwidth_bytes_per_s: CpuSpec::default().dram_bandwidth,
         }
     }
 
     /// The paper's GPU platform: NVIDIA A100 PCIe 80 GB.
     pub fn gpu() -> Self {
+        let spec = GpuSpec::default();
         Self {
             name: "GPU",
             description: "NVIDIA A100 PCI-e 80GB".to_string(),
             price_usd: 20_000.0,
-            memory_bytes: 80 * 1024 * 1024 * 1024,
+            memory_bytes: spec.memory_bytes,
             peak_watts: 300.0,
-            bandwidth_bytes_per_s: 1_935.0e9,
+            bandwidth_bytes_per_s: spec.hbm_bandwidth,
         }
     }
 
@@ -112,6 +119,7 @@ pub fn hardware_table_markdown() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_sim::energy::EnergyModel;
 
     #[test]
     fn table1_values_match_paper() {
@@ -133,6 +141,34 @@ mod tests {
         assert!((pim.peak_watts - 162.5).abs() < 1.0);
         assert!((pim.bandwidth_gb_s() - 612.5).abs() < 1.0);
         assert!((pim.memory_gib() - 56.0).abs() < 0.1);
+    }
+
+    #[test]
+    fn paper_devices_match_table1() {
+        // The energy models of the three platforms carry Table 1's power
+        // and price; the PIM engines' own model is the PIM row's.
+        let cpu = HardwareSpec::cpu().energy_model();
+        let gpu = HardwareSpec::gpu().energy_model();
+        let pim = EnergyModel::pim(&PimConfig::paper_seven_dimms());
+        assert_eq!(cpu.peak_watts, 190.0);
+        assert_eq!(gpu.peak_watts, 300.0);
+        assert!((pim.peak_watts - 162.5).abs() < 1.0);
+        assert!(pim.price_usd <= 2_800.0);
+        assert!(gpu.price_usd > 7.0 * pim.price_usd.max(1.0) / 2.0);
+        let pim_row = HardwareSpec::pim().energy_model();
+        assert_eq!(pim.peak_watts, pim_row.peak_watts);
+        assert_eq!(pim.price_usd, pim_row.price_usd);
+    }
+
+    #[test]
+    fn same_qps_pim_wins_efficiency() {
+        // At equal QPS, the 7-DIMM PIM system should beat the A100 on both
+        // QPS/W and QPS/$ — the premise of the paper's efficiency claims.
+        let pim = HardwareSpec::pim().energy_model();
+        let gpu = HardwareSpec::gpu().energy_model();
+        let qps = 1_000.0;
+        assert!(pim.qps_per_watt(qps) > gpu.qps_per_watt(qps));
+        assert!(pim.qps_per_dollar(qps) > gpu.qps_per_dollar(qps));
     }
 
     #[test]

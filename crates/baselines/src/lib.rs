@@ -1,4 +1,4 @@
-//! # baselines — Faiss-CPU-like and Faiss-GPU-like IVFPQ engines
+//! # baselines — one Faiss-like IVFPQ engine, two rooflines
 //!
 //! The UpANNS paper compares against the CPU and GPU implementations of IVFPQ
 //! in Meta's Faiss library on the hardware of Table 1. Neither that hardware
@@ -9,23 +9,25 @@
 //! * [`engine`] — the request-centric [`AnnEngine`] trait with its
 //!   [`SearchRequest`] / [`SearchResponse`] types shared by every engine
 //!   in the repository (CPU, GPU, PIM-naive, UpANNS),
-//! * [`cpu`] — a functional IVFPQ engine whose stage times follow a roofline
-//!   model of the paper's dual-Xeon platform,
-//! * [`gpu`] — a functional IVFPQ engine whose stage times follow an A100
-//!   model, including the low-parallelism top-k stage that dominates GPU
-//!   runtime (Figure 19) and the 80 GB capacity limit that makes DEEP1B
+//! * [`faiss`] — [`FaissEngine`](faiss::FaissEngine), the one functional
+//!   IVFPQ engine, whose stage times come from a [`Roofline`](faiss::Roofline),
+//! * [`cpu`] — the roofline of the paper's dual-Xeon platform;
+//!   [`CpuFaissEngine`] is the engine over it,
+//! * [`gpu`] — the roofline of the A100, including the low-parallelism top-k
+//!   stage that dominates GPU runtime (Figure 19); [`GpuFaissEngine`] is the
+//!   engine over it, with the 80 GB capacity limit that makes DEEP1B
 //!   configurations go out-of-memory (Figure 12).
 //!
-//! Both engines share the *functional* search path of
-//! [`annkit::ivf::IvfPqIndex`], so their answers (and hence recall) are
-//! identical; only their timing models differ. This mirrors the paper's
-//! setup, where all baselines implement the same IVFPQ algorithm.
+//! Both engines run the same functional pass, so their answers and work
+//! counters (and hence recall) are identical; only their rooflines differ.
+//! This mirrors the paper's setup, where all baselines implement the same
+//! IVFPQ algorithm.
 
 #![forbid(unsafe_code)]
 
 pub mod cpu;
 pub mod engine;
-pub mod exec;
+pub mod faiss;
 pub mod gpu;
 pub mod hardware;
 pub mod workload_stats;

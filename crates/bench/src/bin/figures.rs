@@ -19,7 +19,7 @@ use annkit::synthetic::DatasetKind;
 use annkit::workload::WorkloadSpec;
 use baselines::engine::AnnEngine;
 use baselines::gpu::{GpuFaissEngine, GpuMemoryCheck};
-use baselines::hardware::hardware_table_markdown;
+use baselines::hardware::{hardware_table_markdown, HardwareSpec};
 use pim_sim::config::PimConfig;
 use pim_sim::cost::CostModel;
 use pim_sim::energy::EnergyModel;
@@ -324,7 +324,7 @@ fn fig12(cache: &mut ContextCache) -> Vec<ResultTable> {
         &["dataset", "nprobe", "gpu_qps", "upanns_qps", "upanns_over_gpu", "gpu_qps_per_w", "upanns_qps_per_w", "qps_per_w_ratio", "gpu_1b_memory"],
     );
     let pim_energy = EnergyModel::pim(&PimConfig::with_dpus(dpus));
-    let gpu_energy = EnergyModel::paper_gpu();
+    let gpu_energy = HardwareSpec::gpu().energy_model();
     for kind in DatasetKind::all() {
         let ctx = cache.get(kind, nlist);
         let mut gpu = ctx.gpu();
@@ -373,7 +373,7 @@ fn fig13(cache: &mut ContextCache) -> Vec<ResultTable> {
         let config = UpAnnsConfig::upanns()
             .with_work_scale(work_scale)
             .with_tasklets(tasklets);
-        let mut engine = ctx.upanns_with(config);
+        let mut engine = ctx.upanns_with(config, ctx.params.dpus);
         let out = engine.search_batch(&ctx.queries, nprobe, k);
         if tasklets == 1 {
             base_qps = out.qps();
@@ -404,6 +404,7 @@ fn fig14(cache: &mut ContextCache) -> Vec<ResultTable> {
             UpAnnsConfig::upanns()
                 .with_work_scale(work_scale)
                 .with_cooccurrence(false),
+            ctx.params.dpus,
         );
         let rate = with_cae.mean_reduction_rate();
         for &nprobe in &nprobes {
@@ -433,6 +434,7 @@ fn fig15(cache: &mut ContextCache) -> Vec<ResultTable> {
         UpAnnsConfig::upanns()
             .with_work_scale(work_scale)
             .with_topk_pruning(false),
+        ctx.params.dpus,
     );
     let mut t = ResultTable::new(
         "fig15_topk_pruning",
@@ -504,7 +506,7 @@ fn fig17(cache: &mut ContextCache) -> Vec<ResultTable> {
                 .with_work_scale(work_scale)
                 .with_mram_read_vectors(vectors);
             let read_bytes = config.mram_read_bytes(ctx.index.m());
-            let mut engine = ctx.upanns_with(config);
+            let mut engine = ctx.upanns_with(config, ctx.params.dpus);
             let out = engine.search_batch(&ctx.queries, nprobe, k);
             t.push_row(vec![
                 kind.name().into(),
@@ -644,7 +646,6 @@ fn fig20(cache: &mut ContextCache) -> Vec<ResultTable> {
     let k = cache.params.k;
     // The paper's scalability study uses a 500M-scale dataset.
     let work_scale = (5e8 / cache.params.n as f64).max(1.0);
-    let base_params = cache.params.clone();
     let ctx = cache.get(DatasetKind::SiftLike, nlist);
     let mut gpu = GpuFaissEngine::new(&ctx.index).with_work_scale(work_scale);
     let gpu_out = gpu.search_batch(&ctx.queries, nprobe, k);
@@ -656,10 +657,7 @@ fn fig20(cache: &mut ContextCache) -> Vec<ResultTable> {
     let mut samples = Vec::new();
     for &dpus in &[512usize, 640, 768, 896] {
         let config = UpAnnsConfig::upanns().with_work_scale(work_scale);
-        let mut params = base_params.clone();
-        params.dpus = dpus;
-        let engine_ctx = EvalContextProxy { ctx, params };
-        let mut engine = engine_ctx.build_engine(config);
+        let mut engine = ctx.upanns_with(config, dpus);
         let out = engine.search_batch(&ctx.queries, nprobe, k);
         samples.push((dpus as f64, out.qps()));
         t.push_row(vec![
@@ -687,7 +685,7 @@ fn fig20(cache: &mut ContextCache) -> Vec<ResultTable> {
         ]);
     }
     let mut g = ResultTable::new("fig20_gpu_reference", &["gpu_qps", "gpu_watts"]);
-    g.push_row(vec![fmt(gpu_out.qps(), 1), fmt(300.0, 0)]);
+    g.push_row(vec![fmt(gpu_out.qps(), 1), fmt(HardwareSpec::gpu().peak_watts, 0)]);
     vec![t, g]
 }
 
@@ -702,8 +700,7 @@ fn headline(cache: &mut ContextCache) -> Vec<ResultTable> {
         &["dataset", "metric", "paper", "measured"],
     );
     let pim_energy = EnergyModel::pim(&PimConfig::with_dpus(dpus));
-    let gpu_energy = EnergyModel::paper_gpu();
-    let cpu_energy = EnergyModel::paper_cpu();
+    let gpu_energy = HardwareSpec::gpu().energy_model();
     for kind in DatasetKind::all() {
         let ctx = cache.get(kind, nlist);
         let mut cpu = ctx.cpu();
@@ -755,32 +752,8 @@ fn headline(cache: &mut ContextCache) -> Vec<ResultTable> {
                 fmt(recall_at_k(&c.results, &exact, k), 3)
             ),
         ]);
-        let _ = cpu_energy.peak_watts; // CPU efficiency is implied by the QPS ratio.
     }
     vec![t]
-}
-
-/// Helper for Figure 20: builds an engine against an existing context but a
-/// different DPU count.
-struct EvalContextProxy<'a> {
-    ctx: &'a EvalContext,
-    params: EvalParams,
-}
-
-impl<'a> EvalContextProxy<'a> {
-    fn build_engine(&self, config: UpAnnsConfig) -> upanns::engine::UpAnnsEngine {
-        let nprobe_max = self.params.nprobes.iter().copied().max().unwrap_or(16);
-        upanns::builder::UpAnnsBuilder::new(&self.ctx.index)
-            .with_config(config)
-            .with_pim_config(PimConfig::with_dpus(self.params.dpus))
-            .with_history(&self.ctx.history, nprobe_max)
-            .with_batch_capacity(upanns::builder::BatchCapacity {
-                batch_size: self.params.batch,
-                nprobe: nprobe_max,
-                max_k: 100,
-            })
-            .build()
-    }
 }
 
 /// Ordinary least squares for y = a·x + b.

@@ -20,7 +20,7 @@ use baselines::engine::AnnEngine;
 use upanns::adaptive::{
     apply_adjustment, full_relocation, plan_adaptation, AdaptationDecision, AdaptationPolicy,
 };
-use upanns::builder::{frequencies_from_queries, BatchCapacity, UpAnnsBuilder};
+use upanns::builder::{frequencies_from_queries, max_dpu_vectors, BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
 use upanns::placement::{place_pim_aware, Placement, PlacementInput};
@@ -134,17 +134,19 @@ impl EvalContext {
 
     /// Builds a full UpANNS engine (all optimizations, work-scale projected).
     pub fn upanns(&self) -> UpAnnsEngine {
-        self.upanns_with(UpAnnsConfig::upanns().with_work_scale(self.params.work_scale()))
+        let config = UpAnnsConfig::upanns().with_work_scale(self.params.work_scale());
+        self.upanns_with(config, self.params.dpus)
     }
 
     /// Builds the PIM-naive baseline engine.
     pub fn pim_naive(&self) -> UpAnnsEngine {
-        self.upanns_with(UpAnnsConfig::pim_naive().with_work_scale(self.params.work_scale()))
+        let config = UpAnnsConfig::pim_naive().with_work_scale(self.params.work_scale());
+        self.upanns_with(config, self.params.dpus)
     }
 
-    /// Builds a PIM engine with an explicit configuration (work scale is NOT
-    /// added automatically here).
-    pub fn upanns_with(&self, config: UpAnnsConfig) -> UpAnnsEngine {
+    /// Builds a PIM engine with an explicit configuration on `dpus` DPUs
+    /// (work scale is NOT added automatically here).
+    pub fn upanns_with(&self, config: UpAnnsConfig, dpus: usize) -> UpAnnsEngine {
         let nprobe_max = self.params.nprobes.iter().copied().max().unwrap_or(16);
         // One engine serves every nprobe of the sweep, so the placement
         // frequencies are estimated at *every* swept nprobe and summed. This
@@ -166,7 +168,7 @@ impl EvalContext {
         }
         UpAnnsBuilder::new(&self.index)
             .with_config(config)
-            .with_pim_config(PimConfig::with_dpus(self.params.dpus))
+            .with_pim_config(PimConfig::with_dpus(dpus))
             .with_frequencies(freqs)
             .with_batch_capacity(BatchCapacity {
                 batch_size: self.params.batch,
@@ -202,7 +204,7 @@ impl EvalContext {
         let old_freqs = frequencies_from_queries(&self.index, &draw(600, seed + 20, None), NPROBE);
         let sizes = self.index.list_sizes();
         let pim = PimConfig::with_dpus(self.params.dpus);
-        let max_dpu_vectors = max_dpu_vectors(&self.index, &pim);
+        let max_dpu_vectors = max_dpu_vectors(self.index.m(), &pim);
         let build = |placement: Option<Placement>| {
             let builder = UpAnnsBuilder::new(&self.index)
                 .with_config(UpAnnsConfig::upanns().with_work_scale(self.params.work_scale()))
@@ -284,7 +286,7 @@ pub fn balance_study(
         sizes.clone(),
         frequencies_from_queries(index, history, nprobe),
         dpus,
-        max_dpu_vectors(index, &PimConfig::with_dpus(dpus)),
+        max_dpu_vectors(index.m(), &PimConfig::with_dpus(dpus)),
     ));
     let filtered: Vec<Vec<usize>> = queries
         .iter()
@@ -311,11 +313,6 @@ pub fn balance_study(
         // Over the mean `scheduled_ratio` is over.
         granularity_floor: scheduled_ratio * (floor as f64 / max_load as f64),
     }
-}
-
-/// The builder's default vector cap per DPU: MRAM over a vector's staged bytes.
-fn max_dpu_vectors(index: &IvfPqIndex, pim: &PimConfig) -> usize {
-    pim.mram_bytes / (index.m().max(2) * 2 + 8)
 }
 
 /// What [`balance_study`] measures.

@@ -59,7 +59,6 @@ pub struct UpAnnsBuilder<'a> {
     frequencies: Option<Vec<f64>>,
     placement_override: Option<Placement>,
     capacity: BatchCapacity,
-    mining: MiningParams,
 }
 
 impl<'a> UpAnnsBuilder<'a> {
@@ -73,15 +72,12 @@ impl<'a> UpAnnsBuilder<'a> {
             frequencies: None,
             placement_override: None,
             capacity: BatchCapacity::default(),
-            mining: MiningParams::default(),
         }
     }
 
     /// Sets the engine configuration (use [`UpAnnsConfig::pim_naive`] for the
     /// baseline).
     pub fn with_config(mut self, config: UpAnnsConfig) -> Self {
-        self.mining.max_combos = config.combos_per_cluster;
-        self.mining.combo_len = config.combo_len;
         self.config = config;
         self
     }
@@ -140,7 +136,6 @@ impl<'a> UpAnnsBuilder<'a> {
             pim_config: self.pim_config,
             frequencies: self.frequencies,
             capacity: self.capacity,
-            mining: self.mining,
         };
         let state = build_epoch_state(
             IndexSnapshot::from(self.index),
@@ -162,7 +157,6 @@ pub(crate) struct BuildRecipe {
     pub(crate) pim_config: PimConfig,
     pub(crate) frequencies: Option<Vec<f64>>,
     pub(crate) capacity: BatchCapacity,
-    pub(crate) mining: MiningParams,
 }
 
 /// Runs steps 1–4 of the offline phase against one snapshot: placement (so
@@ -184,18 +178,12 @@ pub(crate) fn build_epoch_state(
         .unwrap_or_else(|| vec![1.0 / nlist as f64; nlist]);
 
     // 2. Placement.
-    let bytes_per_vector = m.max(2) * 2 + 8;
-    let max_dpu_vectors = recipe
-        .config
-        .max_dpu_vectors
-        .unwrap_or(recipe.pim_config.mram_bytes / bytes_per_vector);
-    let mut placement_input = PlacementInput::new(
+    let placement_input = PlacementInput::new(
         snapshot.list_sizes().to_vec(),
         frequencies,
         num_dpus,
-        max_dpu_vectors,
+        max_dpu_vectors(m, &recipe.pim_config),
     );
-    placement_input.threshold_rate = recipe.config.placement_threshold_rate;
     let placement: Placement = match placement_override {
         Some(p) => {
             assert_eq!(
@@ -222,7 +210,7 @@ pub(crate) fn build_epoch_state(
             if list.is_empty() {
                 continue;
             }
-            let table = mine_cluster_combos(list.packed_codes(), m, &recipe.mining);
+            let table = mine_cluster_combos(list.packed_codes(), m, &MiningParams::default());
             let cae = CaeList::encode(list.packed_codes(), m, &table);
             combos.insert(c, table);
             encoded.insert(c, Arc::new(cae));
@@ -325,6 +313,13 @@ pub(crate) fn build_epoch_state(
         stores,
         sys,
     }
+}
+
+/// The placement's cap on vectors per DPU (`MAX_DPU_SIZE` of Algorithm 1):
+/// MRAM over the bytes a vector of `m`-byte codes may be staged as (its code
+/// at the CAE's two bytes per element, plus its 8-byte id).
+pub fn max_dpu_vectors(m: usize, pim: &PimConfig) -> usize {
+    pim.mram_bytes / (m.max(2) * 2 + 8)
 }
 
 /// Derives per-cluster access frequencies by cluster-filtering a historical

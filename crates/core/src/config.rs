@@ -21,21 +21,10 @@ pub struct UpAnnsConfig {
     pub cooccurrence_encoding: bool,
     /// Opt4: top-k pruning during the per-DPU merge.
     pub topk_pruning: bool,
-    /// Number of high-frequency combinations cached per cluster (the paper's
-    /// `m = 256` default, bounded by WRAM).
-    pub combos_per_cluster: usize,
-    /// Length of each mined combination (3 by default; longer combinations
-    /// need more WRAM).
-    pub combo_len: usize,
     /// Work-scale factor: the timing model treats every stored vector as
     /// representing this many vectors of the modeled billion-scale dataset.
     /// Functional results are unaffected. 1.0 disables projection.
     pub work_scale: f64,
-    /// Workload-threshold growth rate of Algorithm 1 (`rate`, default 0.02).
-    pub placement_threshold_rate: f64,
-    /// Cap on vectors per DPU used by Algorithm 1 (`MAX_DPU_SIZE`). `None`
-    /// derives it from MRAM capacity.
-    pub max_dpu_vectors: Option<usize>,
 }
 
 impl Default for UpAnnsConfig {
@@ -46,11 +35,7 @@ impl Default for UpAnnsConfig {
             pim_aware_placement: true,
             cooccurrence_encoding: true,
             topk_pruning: true,
-            combos_per_cluster: 256,
-            combo_len: 3,
             work_scale: 1.0,
-            placement_threshold_rate: 0.02,
-            max_dpu_vectors: None,
         }
     }
 }

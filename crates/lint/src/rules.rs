@@ -16,9 +16,10 @@
 //!   vendored stubs must appear in that stub's `API.txt` manifest, so the
 //!   real registry crates can swap in without code changes.
 //! * **no-unwrap-in-hot-path** — `.unwrap()`/`.expect()` in the serve
-//!   dispatch/service/batcher/core files and the runtime's pipeline, where
-//!   a panic aborts live queries, and in the runtime's scenario module,
-//!   whose spec parsers read the command line.
+//!   dispatch/service/batcher/core files, the runtime's pipeline and the
+//!   engines' request paths (`baselines`' `engine.rs` and `faiss.rs`,
+//!   `upanns`' `replica.rs`), where a panic aborts live queries, and in the
+//!   runtime's scenario module, whose spec parsers read the command line.
 //! * **no-unsafe-outside-simd** — the `unsafe` keyword is banned everywhere
 //!   except the one sanctioned SIMD module (`crates/annkit/src/simd.rs`),
 //!   whose intrinsics are proven bitwise-equal to scalar references by the
@@ -105,9 +106,11 @@ const SORT_FAMILY: &[&str] = &[
 const SORT_WINDOW: usize = 80;
 
 /// Files whose panic on a bad query would abort unrelated tenants — the
-/// serve hot path, the serving core, and the thread driver that steps it —
-/// plus the bench's scenario module, whose spec parsers take text straight
-/// from the command line and must answer it with an `Err`, not a panic.
+/// serve hot path, the serving core, and the thread driver that steps it;
+/// the request path every engine runs through (`engine.rs`), the baselines'
+/// (`faiss.rs`) and the multi-host tier's (`replica.rs`) — plus the bench's
+/// scenario module, whose spec parsers take text straight from the command
+/// line and must answer it with an `Err`, not a panic.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/serve/src/dispatch.rs",
     "crates/serve/src/service.rs",
@@ -115,6 +118,9 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/serve/src/core.rs",
     "crates/runtime/src/pipeline.rs",
     "crates/runtime/src/scenario.rs",
+    "crates/baselines/src/engine.rs",
+    "crates/baselines/src/faiss.rs",
+    "crates/core/src/replica.rs",
 ];
 
 /// The only files allowed to contain `unsafe`: the sanctioned SIMD module,
@@ -747,5 +753,19 @@ mod tests {
 
         let gated = "#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { Some(1).unwrap(); }\n}\n";
         assert!(check("crates/serve/src/dispatch.rs", gated).is_empty());
+    }
+
+    #[test]
+    fn unwrap_flagged_on_the_engines_request_paths() {
+        let src = "fn run(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
+        let v = check("crates/baselines/src/faiss.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "no-unwrap-in-hot-path");
+        assert_eq!(v[0].line, 2);
+        let expect = "fn run(x: Option<u32>) -> u32 { x.expect(\"seeded\") }\n";
+        assert_eq!(check("crates/baselines/src/engine.rs", expect).len(), 1);
+        assert_eq!(check("crates/core/src/replica.rs", expect).len(), 1);
+        // The rooflines are arithmetic over counters, not a request path.
+        assert!(check("crates/baselines/src/cpu.rs", src).is_empty());
     }
 }

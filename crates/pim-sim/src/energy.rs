@@ -2,7 +2,9 @@
 //!
 //! The paper compares architectures by QPS per watt (Figure 12b) and QPS per
 //! dollar (§5.2), both computed from the peak-power / list-price figures in
-//! Table 1. This module provides that arithmetic for any device.
+//! Table 1. This module provides that arithmetic for any device; the CPU and
+//! GPU rows of Table 1 are `baselines::hardware::HardwareSpec::{cpu, gpu}`,
+//! whose `energy_model()` is the model of those platforms.
 
 use crate::config::PimConfig;
 
@@ -38,16 +40,6 @@ impl EnergyModel {
         )
     }
 
-    /// The paper's CPU platform: 2× Xeon Silver 4110, 190 W, ~1,400 USD.
-    pub fn paper_cpu() -> Self {
-        Self::new("2x Intel Xeon Silver 4110", 190.0, 1_400.0)
-    }
-
-    /// The paper's GPU platform: NVIDIA A100 80 GB PCIe, 300 W, ~20,000 USD.
-    pub fn paper_gpu() -> Self {
-        Self::new("NVIDIA A100 80GB", 300.0, 20_000.0)
-    }
-
     /// Energy consumed over `seconds` of runtime under the peak-power
     /// approximation, in joules.
     pub fn energy_joules(&self, seconds: f64) -> f64 {
@@ -74,34 +66,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_devices_match_table1() {
-        let cpu = EnergyModel::paper_cpu();
-        let gpu = EnergyModel::paper_gpu();
-        let pim = EnergyModel::pim(&PimConfig::paper_seven_dimms());
-        assert_eq!(cpu.peak_watts, 190.0);
-        assert_eq!(gpu.peak_watts, 300.0);
-        assert!((pim.peak_watts - 162.5).abs() < 1.0);
-        assert!(pim.price_usd <= 2_800.0);
-        assert!(gpu.price_usd > 7.0 * pim.price_usd.max(1.0) / 2.0);
-    }
-
-    #[test]
     fn efficiency_math() {
-        let gpu = EnergyModel::paper_gpu();
+        let gpu = EnergyModel::new("gpu", 300.0, 20_000.0);
         assert!((gpu.energy_joules(2.0) - 600.0).abs() < 1e-9);
         assert!((gpu.qps_per_watt(3000.0) - 10.0).abs() < 1e-9);
         assert!((gpu.qps_per_dollar(20_000.0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn same_qps_pim_wins_efficiency() {
-        // At equal QPS, the 7-DIMM PIM system should beat the A100 on both
-        // QPS/W and QPS/$ — the premise of the paper's efficiency claims.
-        let pim = EnergyModel::pim(&PimConfig::paper_seven_dimms());
-        let gpu = EnergyModel::paper_gpu();
-        let qps = 1_000.0;
-        assert!(pim.qps_per_watt(qps) > gpu.qps_per_watt(qps));
-        assert!(pim.qps_per_dollar(qps) > gpu.qps_per_dollar(qps));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The request-centric engine API: equivalence with the legacy positional
-//! API, and per-query options honored end to end on every engine.
+//! API, per-query options honored end to end on every engine, and the two
+//! Faiss rooflines answering and counting identically on live timelines.
 
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
+use annkit::mutation::{MutableIvf, SnapshotTimeline};
 use annkit::synthetic::{SyntheticDataset, SyntheticSpec};
 use annkit::vector::Dataset;
 use annkit::workload::WorkloadSpec;
 use baselines::cpu::CpuFaissEngine;
-use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
+use baselines::engine::{AnnEngine, QueryOptions, SearchRequest, SearchResponse, TenantId};
 use baselines::gpu::GpuFaissEngine;
 use pim_sim::config::PimConfig;
 use proptest::prelude::*;
@@ -189,6 +191,38 @@ fn multihost_execute_honors_per_query_k() {
     assert_uniform_equivalence(&mut multi, 6, 10);
 }
 
+/// A live timeline of `entries` snapshots of one `MutableIvf`, activating at
+/// t = 0, 1, 2, …: each later entry has upserted and deleted a few ids.
+fn live_timeline(entries: usize) -> SnapshotTimeline {
+    let fix = fixture();
+    let mut live = MutableIvf::new(&fix.index);
+    let mut timeline = SnapshotTimeline::new(live.snapshot());
+    for e in 1..entries {
+        for i in 0..30 {
+            let row = (e * 131 + i * 17) % 1_600;
+            let id = (100_000 + e * 100 + i) as u64;
+            live.upsert(fix.dataset.vectors.vector(row), id);
+            live.delete(((e * 37 + i * 11) % 1_600) as u64);
+        }
+        timeline.install(e as f64, live.snapshot());
+    }
+    timeline
+}
+
+/// A response's seconds are its breakdown's total: bit for bit when it ran
+/// as one part, and to rounding when `SearchResponse::gather` summed parts
+/// (part totals added up, against stage sums added up — the same terms in
+/// another order).
+fn assert_seconds_are_the_breakdown(response: &SearchResponse, one_part: bool, engine: &str) {
+    let (seconds, total) = (response.seconds, response.breakdown.total());
+    if one_part {
+        assert_eq!(seconds.to_bits(), total.to_bits(), "{engine}: {seconds} vs {total}");
+    } else {
+        let rounding = 8.0 * f64::EPSILON * seconds;
+        assert!((seconds - total).abs() <= rounding, "{engine}: {seconds} vs {total}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -206,5 +240,55 @@ proptest! {
     fn execute_equals_search_batch_on_pim_engines(nprobe in 1usize..8, k in 1usize..16) {
         assert_uniform_equivalence(&mut pim_engine(UpAnnsConfig::upanns()), nprobe, k);
         assert_uniform_equivalence(&mut pim_engine(UpAnnsConfig::pim_naive()), nprobe, k);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Faiss-CPU and Faiss-GPU are one engine over two rooflines: on any
+    /// option mix and any live timeline they answer every query identically
+    /// — each from the snapshot active at its own arrival — and count the
+    /// same work; only the seconds differ, and each engine's seconds are its
+    /// breakdown's total.
+    #[test]
+    fn cpu_and_gpu_answer_and_count_identically_on_live_timelines(
+        entries in 2usize..=4,
+        queries_spec in prop::collection::vec((1usize..=50, 1usize..=19, 0u32..2, 0.0f64..1.0), 1..14),
+    ) {
+        let fix = fixture();
+        let timeline = live_timeline(entries);
+        let qs = queries(queries_spec.len());
+        let options: Vec<QueryOptions> = queries_spec
+            .iter()
+            .map(|&(k, nprobe, tenant, _)| QueryOptions::new(k, nprobe).with_tenant(TenantId(tenant)))
+            .collect();
+        let arrivals: Vec<f64> = queries_spec.iter().map(|q| q.3 * entries as f64).collect();
+        let request = SearchRequest::new(qs.clone(), options.clone()).with_arrivals(arrivals.clone());
+
+        let mut cpu = CpuFaissEngine::new(&fix.index);
+        let mut gpu = GpuFaissEngine::new(&fix.index);
+        prop_assert!(cpu.install_timeline(timeline.clone()));
+        prop_assert!(gpu.install_timeline(timeline.clone()));
+        let c = cpu.execute(&request);
+        let g = gpu.execute(&request);
+
+        prop_assert_eq!(&c.results, &g.results);
+        prop_assert_eq!(&c.stats, &g.stats);
+        for (i, got) in c.results.iter().enumerate() {
+            let expected =
+                timeline.at(arrivals[i]).search(qs.vector(i), options[i].nprobe, options[i].k);
+            prop_assert_eq!(got, &expected, "query {} diverges from its snapshot's search", i);
+        }
+        let entry = |t: f64| timeline.index_at(t);
+        let one_part = request.uniform_options().is_some()
+            && arrivals.iter().all(|&t| entry(t) == entry(arrivals[0]));
+        assert_seconds_are_the_breakdown(&c, one_part, "Faiss-CPU");
+        assert_seconds_are_the_breakdown(&g, one_part, "Faiss-GPU");
+
+        // The first query's options for every query, no arrivals: one part.
+        let uniform = SearchRequest::new(qs.clone(), vec![options[0]; qs.len()]);
+        assert_seconds_are_the_breakdown(&cpu.execute(&uniform), true, "Faiss-CPU");
+        assert_seconds_are_the_breakdown(&gpu.execute(&uniform), true, "Faiss-GPU");
     }
 }
