@@ -44,8 +44,8 @@
 
 // `deny`, not `forbid`: the one sanctioned exception is [`simd`], which
 // re-allows `unsafe` for `std::arch` intrinsics behind runtime feature
-// detection. The `upanns-lint` rule `no-unsafe-outside-simd` machine-checks
-// that no other file in the workspace uses the keyword.
+// detection. The workspace lints deny `unsafe_code` in every other file of
+// every target, tests and examples included.
 #![deny(unsafe_code)]
 
 pub mod distance;

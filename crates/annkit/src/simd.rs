@@ -37,10 +37,9 @@
 //! # Where `unsafe` lives
 //!
 //! This module is the **only** place in the workspace where `unsafe` is
-//! permitted: the crate root demotes `#![forbid(unsafe_code)]` to `deny`
-//! and this file alone re-allows it, the `upanns-lint`
-//! `no-unsafe-outside-simd` rule machine-checks that no other file uses
-//! the keyword, and every unsafe block here (four: the distance kernel,
+//! permitted: the workspace lints deny `unsafe_code` in every target and
+//! this file alone re-allows it, so `cargo build` rejects the keyword
+//! anywhere else, and every unsafe block here (four: the distance kernel,
 //! the row kernel, the column kernel and the pre-filter mask) is a
 //! call into a `#[target_feature]` function whose preconditions (CPU
 //! features and, for the three written in `std::arch` intrinsics, in-bounds
@@ -55,7 +54,10 @@
 //! `is_x86_feature_detected!("avx2")`+`fma`. Every dispatched kernel also
 //! exposes a `*_with(Backend, ..)` entry point so benches and tests can pin
 //! either path explicitly inside a single process.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "calls into `#[target_feature]` kernels, proven bitwise-equal to scalar references"
+)]
 
 use std::sync::OnceLock;
 

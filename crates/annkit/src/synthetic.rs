@@ -390,6 +390,7 @@ mod tests {
                 }
             }
         }
+        #[expect(clippy::disallowed_methods, reason = "a max is order-independent")]
         let max_freq = triplet_counts.values().copied().max().unwrap_or(0) as f64
             / total_codes.max(1) as f64;
         // The paper reports 5.7% for SIFT1B's most frequent triplet; our

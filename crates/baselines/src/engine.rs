@@ -16,6 +16,8 @@
 //! request into compatible option groups, runs each group back-to-back, and
 //! reassembles per-query results in request order.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::workload_stats::WorkloadStats;
 use annkit::topk::Neighbor;
 use annkit::vector::Dataset;

@@ -10,6 +10,8 @@
 //! [`CpuFaissEngine`](crate::cpu::CpuFaissEngine) and
 //! [`GpuFaissEngine`](crate::gpu::GpuFaissEngine) are this engine over them.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::engine::{execute_by_entry, execute_grouped, AnnEngine, SearchRequest, SearchResponse};
 use crate::hardware::HardwareSpec;
 use crate::workload_stats::WorkloadStats;

@@ -300,6 +300,7 @@ pub(crate) fn build_epoch_state(
         }
     }
 
+    #[expect(clippy::disallowed_methods, reason = "map to map: no order survives")]
     let reduction_rates: HashMap<usize, f64> = encoded
         .iter()
         .map(|(&c, cae)| (c, cae.reduction_rate()))
@@ -416,6 +417,11 @@ mod tests {
             .build();
         assert_eq!(engine.placement().total_replicas(), index.nlist());
         for store in engine.stores() {
+            #[expect(
+                clippy::iter_over_hash_type,
+                clippy::disallowed_methods,
+                reason = "every replica is checked; order is moot"
+            )]
             for replica in store.replicas.values() {
                 assert!(matches!(replica.encoding, ListEncoding::PlainU8));
             }

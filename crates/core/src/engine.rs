@@ -191,6 +191,7 @@ impl UpAnnsEngine {
         if rates.is_empty() {
             return 0.0;
         }
+        #[expect(clippy::disallowed_methods, reason = "sorted by cluster below")]
         let mut by_cluster: Vec<(usize, f64)> = rates.iter().map(|(&c, &r)| (c, r)).collect();
         by_cluster.sort_unstable_by_key(|&(c, _)| c);
         by_cluster.iter().map(|&(_, r)| r).sum::<f64>() / rates.len() as f64

@@ -777,6 +777,7 @@ mod tests {
             sys.execute(Stage::DpuSearch, |ctx| {
                 run_batch_kernel(ctx, &store, &plan, &shared);
             });
+            #[expect(clippy::disallowed_methods, reason = "a max is order-independent")]
             let max_combos = combos.values().map(|t| t.len()).max().unwrap_or(0);
             assert_eq!(max_combos > 0, cae, "only CAE mines combinations");
             let wplan = WramPlan::plan(&WramPlanInput::new(

@@ -83,7 +83,7 @@ impl MultiHostUpAnns {
     ///
     /// # Panics
     /// Panics if no engines are supplied.
-    #[allow(clippy::new_ret_no_self)]
+    #[expect(clippy::new_ret_no_self, reason = "a constructor shim for the general type")]
     pub fn new(hosts: Vec<UpAnnsEngine>, interconnect: InterconnectModel) -> ReplicatedMultiHost {
         let n = hosts.len();
         ReplicatedMultiHost::new(hosts, n, 1, interconnect)
@@ -101,6 +101,7 @@ mod tests {
     use annkit::recall::recall_at_k;
     use annkit::synthetic::SyntheticSpec;
     use annkit::vector::Dataset;
+    use baselines::cpu::CpuSpec;
     use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
     use pim_sim::config::PimConfig;
     use pim_sim::stats::Stage;
@@ -247,7 +248,7 @@ mod tests {
             .fold(0.0f64, f64::max);
         let broadcast = net.transfer_seconds(4 * queries.dim() * 4, 1);
         let gather = net.transfer_seconds(4 * 5 * 12, 1);
-        let merge = (2 * 4 * 5) as f64 * 8.0 / 2.1e9;
+        let merge = (2 * 4 * 5) as f64 * 8.0 / CpuSpec::default().freq_hz;
         let expected = broadcast + slowest + gather + merge;
         // Relative, not bitwise: `(start + s) - start` need not equal `s`.
         assert!(

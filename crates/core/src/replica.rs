@@ -13,7 +13,7 @@
 //!   rebalances with an explicit [`MigrationPlan`] when the host count
 //!   changes;
 //! * [`FaultSchedule`] injects host down/up events at *simulated* times — no
-//!   wall clock, so the `upanns-lint` determinism rules and the runtime's
+//!   wall clock, so the workspace's no-wall-clock lint and the runtime's
 //!   byte-diffed twin still hold. The schedule is evaluated at
 //!   [`SearchRequest::at`](baselines::engine::SearchRequest::at), which the
 //!   serving layers set to the batch close time (identical between the
@@ -34,6 +34,8 @@
 //! query×shard pairs counted in `stats.degraded` (never a silent partial
 //! answer). A mid-flight death only moves completion times (re-dispatch or
 //! stall), never the answer.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::HashSet;
 use std::fmt;
@@ -382,11 +384,6 @@ impl ReplicatedMultiHost {
     /// The shard→host placement currently in force.
     pub fn replica_map(&self) -> &ReplicaMap {
         &self.map
-    }
-
-    /// The outage schedule.
-    pub fn faults(&self) -> &FaultSchedule {
-        &self.faults
     }
 
     /// Total modeled migration seconds charged by `scale_to` so far.

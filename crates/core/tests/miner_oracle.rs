@@ -76,6 +76,7 @@ fn oracle(packed_codes: &[u8], m: usize, params: &MiningParams) -> Vec<(Vec<Elem
     // supported, otherwise keep the pair. Deduplicate element sets.
     let mut seen: HashMap<Vec<Element>, usize> = HashMap::new();
     for (edge_idx, ((a, b), pair_support)) in edges.iter().enumerate() {
+        #[expect(clippy::disallowed_methods, reason = "ties broken by element below")]
         let best_third = triple_counts
             .iter()
             .filter(|((e, _), _)| *e == edge_idx)

@@ -19,7 +19,7 @@
 //!   simulated time, never the answer, plus `scale_to` migration
 //!   conservation and the degenerate-shape errors.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
@@ -434,7 +434,7 @@ fn scale_to_conserves_replication_and_gates_fresh_hosts() {
     assert_eq!(engine.live_hosts(), Some(4));
     let map = engine.replica_map();
     for s in 0..3 {
-        let hosts: HashSet<usize> = map.hosts_of(s).into_iter().collect();
+        let hosts: BTreeSet<usize> = map.hosts_of(s).into_iter().collect();
         assert_eq!(hosts.len(), 2, "shard {s} not on exactly r hosts");
         assert!(hosts.iter().all(|&h| h < 4));
     }

@@ -24,9 +24,9 @@
 //! `serve` binary (this crate's `src/bin/serve.rs`) is what is left: flag
 //! parsing, a loop over the scenarios, and the stdout tables.
 //!
-//! This is the one crate in the workspace allowed to read the wall clock
-//! (`std::time::Instant`) — `upanns-lint`'s `no-wall-clock` rule scopes
-//! its allowlist to `crates/runtime/` and keeps every model crate banned.
+//! This crate's [`pipeline`] is the one module in the workspace that reads
+//! the wall clock (`std::time::Instant`): `clippy.toml` bans the type
+//! everywhere, and `pipeline.rs` alone expects `clippy::disallowed_types`.
 //!
 //! ```
 //! use annkit::ivf::{IvfPqIndex, IvfPqParams};

@@ -82,6 +82,12 @@
 //! other workers finish the chunk they hold and exit as above — nothing is
 //! left waiting on a thread that is gone.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "`WallClock` below is the one wall clock the workspace reads"
+)]
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::thread;
@@ -277,7 +283,7 @@ where
 
 /// The control thread: owns the serving core and steps it from the wall
 /// clock (or the stream's timestamps) and the workers' completions.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the control thread's whole world, passed once")]
 fn control_thread<F: FnMut(usize) -> QueryOptions>(
     stream: &QueryStream,
     mut options_of: F,

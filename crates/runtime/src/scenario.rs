@@ -60,6 +60,8 @@
 //! change shows up as a decision about the record, not as an accident of a
 //! loop.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
 use annkit::mutation::MutableIvf;
 use annkit::synthetic::{SyntheticDataset, SyntheticSpec};

@@ -21,6 +21,8 @@
 //! therefore always tenant-pure, which is also what lets the service feed
 //! each completion back to exactly one tenant's controller.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use baselines::engine::{QueryOptions, TenantId};
 
 /// One admitted query waiting for (or leaving in) a batch.

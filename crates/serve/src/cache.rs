@@ -146,7 +146,7 @@ impl ResultCache {
             // Scanning the map in hash order is safe here: `last_used` ticks
             // are unique per entry, so the minimum is unique and the scan
             // order cannot affect which key wins.
-            // lint: allow(unordered-iter, reason = "min over unique last_used ticks is order-independent")
+            #[expect(clippy::disallowed_methods, reason = "min over unique ticks")]
             let lru = self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone());
             if let Some(lru) = lru {
                 self.entries.remove(&lru);

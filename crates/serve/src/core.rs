@@ -28,6 +28,8 @@
 //!
 //! [`SearchService::replay`]: crate::service::SearchService::replay
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::VecDeque;
 
 use crate::admission::AdmissionQueue;

@@ -96,6 +96,8 @@
 //! assert_eq!(tenants, [TenantId(2), TenantId(1), TenantId(2)]);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::batcher::FormedBatch;
 
 /// How the [`ChunkQueue`] orders queued work.

@@ -17,6 +17,8 @@
 //! are comparable across the CPU, GPU and PIM engines exactly like the
 //! batch benchmarks.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::autoscale::Autoscaler;
 use crate::batcher::BatchFormerConfig;
 use crate::controller::{BatchPolicy, FixedPolicy};
