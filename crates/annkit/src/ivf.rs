@@ -8,16 +8,22 @@
 //! This structure is shared by every engine in the repository: the CPU/GPU
 //! baselines scan it directly, and the PIM engines re-distribute its inverted
 //! lists across DPUs.
+//!
+//! Every inverted list and both trained quantizers sit behind an [`Arc`], so
+//! cloning an index copies no list: a clone is a point-in-time snapshot, and
+//! [`crate::mutation::MutableIvf`] copies a list only on its first write
+//! while a snapshot still shares it.
 
 use crate::distance::nearest_centroids;
 use crate::kmeans::{sample_indices, KMeans, KMeansParams};
 use crate::lut::LookupTable;
 use crate::par;
-use crate::pq::{pack_codes, PqCode, ProductQuantizer};
+use crate::pq::ProductQuantizer;
 use crate::topk::{Neighbor, TopK};
 use crate::vector::{residual, Dataset};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Training / structural parameters of an IVFPQ index.
 #[derive(Debug, Clone)]
@@ -58,15 +64,6 @@ impl IvfPqParams {
         self.coarse_iterations = it;
         self
     }
-}
-
-/// One entry of an inverted list: the original row id and its PQ code.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ListEntry {
-    /// Row id in the original dataset.
-    pub id: u64,
-    /// `m`-byte PQ code of the residual.
-    pub code: PqCode,
 }
 
 /// One inverted list (cluster): parallel arrays of ids and packed codes.
@@ -118,32 +115,22 @@ impl InvertedList {
         self.ids.push(id);
         self.packed.extend_from_slice(code);
     }
-
-    /// Rebuilds the list without the entry at position `i`, preserving the
-    /// order of the remaining entries (copy-on-write delete support).
-    pub(crate) fn without_entry(&self, i: usize, m: usize) -> InvertedList {
-        let mut ids = Vec::with_capacity(self.ids.len().saturating_sub(1));
-        let mut packed = Vec::with_capacity(self.packed.len().saturating_sub(m));
-        for (j, &id) in self.ids.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            ids.push(id);
-            packed.extend_from_slice(&self.packed[j * m..(j + 1) * m]);
-        }
-        InvertedList { ids, packed }
-    }
 }
 
-/// A trained, populated IVFPQ index.
+/// A trained, populated IVFPQ index, stamped with its mutation epoch.
+///
+/// `Clone` shares every list and both quantizers (reference-count bumps
+/// only), which is all a snapshot is.
 #[derive(Debug, Clone)]
 pub struct IvfPqIndex {
     params: IvfPqParams,
-    coarse: KMeans,
-    pq: ProductQuantizer,
-    lists: Vec<InvertedList>,
+    coarse: Arc<KMeans>,
+    pq: Arc<ProductQuantizer>,
+    lists: Vec<Arc<InvertedList>>,
     dim: usize,
     ntotal: u64,
+    /// Advanced by `MutableIvf`, once per effective mutation.
+    pub(crate) epoch: u64,
 }
 
 impl IvfPqIndex {
@@ -194,14 +181,14 @@ impl IvfPqIndex {
         }
         let pq = ProductQuantizer::train(&residuals, params.m, seed.wrapping_add(1));
 
-        let lists = vec![InvertedList::default(); params.nlist];
         Self {
             params: params.clone(),
-            coarse,
-            pq,
-            lists,
+            coarse: Arc::new(coarse),
+            pq: Arc::new(pq),
+            lists: vec![Arc::default(); params.nlist],
             dim,
             ntotal: 0,
+            epoch: 0,
         }
     }
 
@@ -214,7 +201,7 @@ impl IvfPqIndex {
         assert_eq!(data.dim(), self.dim, "add dimension mismatch");
         // Assign + encode is independent per row; the lists are then filled
         // serially in row order, exactly as the one-loop version filled them.
-        let (coarse, pq) = (&self.coarse, &self.pq);
+        let (coarse, pq) = (&*self.coarse, &*self.pq);
         let blocks = par::map_indexed(data.len().div_ceil(BLOCK), |block| {
             (block * BLOCK..data.len().min((block + 1) * BLOCK))
                 .map(|i| {
@@ -224,8 +211,10 @@ impl IvfPqIndex {
                 })
                 .collect::<Vec<_>>()
         });
+        // A list still shared with a clone is copied before it is written.
+        let mut lists: Vec<&mut InvertedList> = self.lists.iter_mut().map(Arc::make_mut).collect();
         for (i, (c, code)) in blocks.into_iter().flatten().enumerate() {
-            self.lists[c].push(id_offset + i as u64, &code);
+            lists[c].push(id_offset + i as u64, &code);
         }
         self.ntotal += data.len() as u64;
     }
@@ -254,6 +243,13 @@ impl IvfPqIndex {
         self.ntotal
     }
 
+    /// The mutation epoch: the number of effective upserts and deletes a
+    /// [`MutableIvf`](crate::mutation::MutableIvf) applied (0 when trained).
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// The trained coarse quantizer.
     #[inline]
     pub fn coarse(&self) -> &KMeans {
@@ -274,47 +270,48 @@ impl IvfPqIndex {
 
     /// All inverted lists.
     #[inline]
-    pub fn lists(&self) -> &[InvertedList] {
+    pub fn lists(&self) -> &[Arc<InvertedList>] {
         &self.lists
     }
 
-    /// Sizes of all inverted lists (the cluster-size skew of Figure 4b).
-    ///
-    /// Allocates a fresh `Vec` per call; hot paths that only need to *read*
-    /// the sizes (per-batch scheduling, compaction-skew decision ticks)
-    /// should use [`iter_list_sizes`](Self::iter_list_sizes) or the cached
-    /// slice on [`crate::mutation::IndexSnapshot::list_sizes`] instead.
+    /// Sizes of all inverted lists (the cluster-size skew of Figure 4b), in
+    /// a fresh `Vec` of `nlist` entries.
     pub fn list_sizes(&self) -> Vec<usize> {
-        self.iter_list_sizes().collect()
+        self.lists.iter().map(|l| l.len()).collect()
     }
 
-    /// Allocation-free view of the inverted-list sizes.
-    #[inline]
-    pub fn iter_list_sizes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.lists.iter().map(|l| l.len())
+    /// Appends `(id, code)` to list `c`, copying the list first if a clone
+    /// still shares it.
+    pub(crate) fn push(&mut self, c: usize, id: u64, code: &[u8]) {
+        Arc::make_mut(&mut self.lists[c]).push(id, code);
+        self.ntotal += 1;
     }
 
-    /// A structurally identical index with the same trained quantizers but
-    /// empty inverted lists — the starting point for rebuilding the corpus
-    /// from a mutation log (see `tests/mutation_snapshot.rs`) or folding a
-    /// compacted view back into a base index.
+    /// Removes `id` from list `c`, which must hold it, keeping the order of
+    /// the rest; the list is copied first if a clone still shares it.
+    pub(crate) fn remove(&mut self, c: usize, id: u64) {
+        let m = self.params.m;
+        let list = Arc::make_mut(&mut self.lists[c]);
+        let i = list
+            .ids
+            .iter()
+            .position(|&x| x == id)
+            .expect("the id's list holds the id");
+        list.ids.remove(i);
+        list.packed.drain(i * m..(i + 1) * m);
+        self.ntotal -= 1;
+    }
+
+    /// An index with the same trained quantizers (shared, not copied) but
+    /// empty inverted lists, at epoch 0 — the starting point for adding a
+    /// shard of the corpus.
     pub fn fresh_like(&self) -> IvfPqIndex {
         Self {
-            params: self.params.clone(),
-            coarse: self.coarse.clone(),
-            pq: self.pq.clone(),
-            lists: vec![InvertedList::default(); self.params.nlist],
-            dim: self.dim,
+            lists: vec![Arc::default(); self.params.nlist],
             ntotal: 0,
+            epoch: 0,
+            ..self.clone()
         }
-    }
-
-    /// Replaces the inverted lists wholesale (compaction fold support); the
-    /// caller is responsible for `lists` holding exactly `ntotal` entries.
-    pub(crate) fn replace_lists(&mut self, lists: Vec<InvertedList>, ntotal: u64) {
-        assert_eq!(lists.len(), self.params.nlist, "list count mismatch");
-        self.lists = lists;
-        self.ntotal = ntotal;
     }
 
     /// Total compressed footprint in bytes (ids + codes), the number that
@@ -357,17 +354,6 @@ impl IvfPqIndex {
             .iter()
             .map(|q| self.search(q, nprobe, k))
             .collect()
-    }
-}
-
-/// Re-packs a set of [`ListEntry`]s into an [`InvertedList`]; helper for
-/// engines that need to build per-DPU list replicas.
-pub fn build_list(entries: &[ListEntry], m: usize) -> InvertedList {
-    let ids: Vec<u64> = entries.iter().map(|e| e.id).collect();
-    let codes: Vec<PqCode> = entries.iter().map(|e| e.code.clone()).collect();
-    InvertedList {
-        ids,
-        packed: pack_codes(&codes, m),
     }
 }
 
@@ -527,18 +513,5 @@ mod tests {
                 "{workers} worker(s)"
             );
         }
-    }
-
-    #[test]
-    fn build_list_roundtrip() {
-        let entries = vec![
-            ListEntry { id: 5, code: vec![1, 2] },
-            ListEntry { id: 9, code: vec![3, 4] },
-        ];
-        let list = build_list(&entries, 2);
-        assert_eq!(list.len(), 2);
-        assert_eq!(list.ids(), &[5, 9]);
-        assert_eq!(list.code(1, 2), &[3, 4]);
-        assert_eq!(list.bytes(2), 2 * (8 + 2));
     }
 }

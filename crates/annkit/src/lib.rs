@@ -6,9 +6,10 @@
 //! * dense vector datasets and distance kernels ([`vector`], [`distance`]),
 //! * k-means / k-means++ coarse quantization ([`kmeans`]),
 //! * product quantization — codebook training, encoding, decoding ([`pq`]),
-//! * the inverted-file index with per-cluster residual PQ codes ([`ivf`]),
-//! * streaming upserts/deletes with epoch-stamped copy-on-write snapshots
-//!   ([`mutation`]),
+//! * the inverted-file index with per-cluster residual PQ codes, its lists
+//!   shared so that a clone is a snapshot ([`ivf`]),
+//! * streaming upserts/deletes over a live index, each snapshot an
+//!   epoch-stamped clone of it ([`mutation`]),
 //! * asymmetric-distance lookup tables (LUTs) and ADC scans ([`lut`]),
 //! * bounded heaps and exact top-k selection ([`topk`]),
 //! * runtime-dispatched SIMD fast paths for the distance and top-k hot
@@ -69,10 +70,10 @@ pub mod workload;
 pub mod prelude {
     pub use crate::distance::l2_squared;
     pub use crate::flat::FlatIndex;
-    pub use crate::ivf::{IvfPqIndex, IvfPqParams, ListEntry};
+    pub use crate::ivf::{IvfPqIndex, IvfPqParams};
     pub use crate::kmeans::{KMeans, KMeansParams};
     pub use crate::lut::LookupTable;
-    pub use crate::mutation::{IndexSnapshot, MutableIvf, SnapshotTimeline};
+    pub use crate::mutation::{MutableIvf, SnapshotTimeline};
     pub use crate::pq::{PqCode, ProductQuantizer};
     pub use crate::recall::{recall_at_k, RecallReport};
     pub use crate::synthetic::{DatasetKind, SyntheticSpec};

@@ -1,240 +1,78 @@
 //! Live index mutation: streaming upserts/deletes over an [`IvfPqIndex`]
 //! with epoch-stamped copy-on-write snapshots.
 //!
-//! Production ANN never serves a frozen index. [`MutableIvf`] layers
-//! per-list copy-on-write segments over an immutable base index: an upsert
-//! or delete clones only the touched inverted list, bumps a monotonically
-//! increasing **epoch**, and leaves every previously taken snapshot
-//! untouched. [`snapshot`](MutableIvf::snapshot) is cheap — a handful of
-//! `Arc` clones — and returns an [`IndexSnapshot`] that mirrors the whole
-//! read API of [`IvfPqIndex`], so every engine can search a consistent view
-//! while mutations continue.
+//! Production ANN never serves a frozen index. [`MutableIvf`] is the live
+//! [`IvfPqIndex`] plus its id → list map. An upsert appends to the vector's
+//! list, a delete rebuilds its list without the entry (the order of the
+//! rest is kept), and each bumps a monotonically increasing **epoch**. The
+//! index shares its lists through `Arc`s, so a write copies only the list
+//! it touches, and only while a snapshot still shares it.
+//! [`snapshot`](MutableIvf::snapshot) is a clone of the live index — one
+//! reference-count bump per list — and every engine searches it like any
+//! other index while mutations continue.
 //!
 //! [`SnapshotTimeline`] maps the replay clock onto snapshots: the serving
-//! layer installs a snapshot at each refresh point and every request
-//! resolves the snapshot (and epoch) active at its batch-close time. Because
-//! activation times come from the deterministic replay clock, the threaded
-//! twin resolves the exact same snapshot per request — answers stay a pure
-//! function of `(query, options, mutation stream, close time)`.
+//! layer installs a snapshot at each refresh point and every query resolves
+//! the snapshot (and epoch) active at its own arrival time. Because
+//! activation and arrival times come from the deterministic replay clock,
+//! the threaded twin resolves the exact same snapshot per query — answers
+//! stay a pure function of `(query, options, mutation stream, arrival)`.
 //!
-//! Compaction ([`MutableIvf::compact`]) folds the overlays into a fresh base
-//! index. It preserves the effective entry order of every list, so answers
-//! at the same epoch are bitwise identical before and after — the epoch
-//! deliberately does **not** advance. Its cost is modeled as a
-//! [`CompactionWindow`] on the timeline; requests landing inside a window
-//! are stalled to the window's end by the engines.
+//! Compaction ([`MutableIvf::compact`]) changes no list: it reports the lists
+//! written since the previous compaction — the data a real system would
+//! rewrite — and starts a new count. Answers and the epoch are untouched.
+//! Its cost is modeled as a [`CompactionWindow`] on the timeline; requests
+//! landing inside a window are stalled to the window's end by the engines.
 
-use crate::ivf::{InvertedList, IvfPqIndex};
-use crate::lut::LookupTable;
-use crate::topk::{Neighbor, TopK};
-use crate::vector::{residual, Dataset};
+use crate::ivf::IvfPqIndex;
+use crate::vector::residual;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Deref;
 
-/// An immutable, epoch-stamped view of a (possibly mutated) IVFPQ index.
-///
-/// Cloning is cheap (`Arc` bumps); the view mirrors the read API of
-/// [`IvfPqIndex`] so engines are generic over "frozen index" and "live
-/// snapshot" without code duplication.
-#[derive(Debug, Clone)]
-pub struct IndexSnapshot {
-    base: Arc<IvfPqIndex>,
-    /// Per-list copy-on-write overrides; `None` means the base list is live.
-    overlays: Arc<Vec<Option<Arc<InvertedList>>>>,
-    /// Cached per-list sizes — hot paths (per-batch scheduling, skew checks)
-    /// read this slice instead of allocating via `IvfPqIndex::list_sizes`.
-    sizes: Arc<Vec<usize>>,
-    epoch: u64,
-    ntotal: u64,
-}
-
-impl IndexSnapshot {
-    /// The mutation epoch this snapshot was taken at (0 = unmutated base).
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Vector dimensionality.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.base.dim()
-    }
-
-    /// Number of coarse clusters.
-    #[inline]
-    pub fn nlist(&self) -> usize {
-        self.base.nlist()
-    }
-
-    /// Number of PQ sub-quantizers.
-    #[inline]
-    pub fn m(&self) -> usize {
-        self.base.m()
-    }
-
-    /// Total number of indexed vectors at this epoch.
-    #[inline]
-    pub fn ntotal(&self) -> u64 {
-        self.ntotal
-    }
-
-    /// The trained coarse quantizer (shared with the base; quantizers never
-    /// change under mutation — only compaction retrains placement, not
-    /// codebooks).
-    #[inline]
-    pub fn coarse(&self) -> &crate::kmeans::KMeans {
-        self.base.coarse()
-    }
-
-    /// The trained product quantizer.
-    #[inline]
-    pub fn pq(&self) -> &crate::pq::ProductQuantizer {
-        self.base.pq()
-    }
-
-    /// The inverted list of cluster `c` as seen by this snapshot.
-    #[inline]
-    pub fn list(&self, c: usize) -> &InvertedList {
-        match &self.overlays[c] {
-            Some(list) => list,
-            None => self.base.list(c),
-        }
-    }
-
-    /// Cached sizes of all inverted lists — no allocation per call.
-    #[inline]
-    pub fn list_sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// Total compressed footprint in bytes (ids + codes) at this epoch.
-    pub fn compressed_bytes(&self) -> usize {
-        (0..self.nlist()).map(|c| self.list(c).bytes(self.m())).sum()
-    }
-
-    /// Stage (a) — cluster filtering against the (immutable) coarse
-    /// centroids.
-    pub fn filter_clusters(&self, query: &[f32], nprobe: usize) -> Vec<(usize, f32)> {
-        self.base.filter_clusters(query, nprobe)
-    }
-
-    /// Stage (b) — LUT construction for one probed cluster.
-    pub fn build_lut(&self, query: &[f32], cluster: usize) -> LookupTable {
-        self.base.build_lut(query, cluster)
-    }
-
-    /// Reference single-query search over this snapshot's list views; agrees
-    /// bitwise with [`IvfPqIndex::search`] when the snapshot is unmutated.
-    pub fn search(&self, query: &[f32], nprobe: usize, k: usize) -> Vec<Neighbor> {
-        assert_eq!(query.len(), self.dim(), "query dimension mismatch");
-        let m = self.m();
-        let mut topk = TopK::new(k);
-        for (cluster, _) in self.filter_clusters(query, nprobe) {
-            let lut = self.build_lut(query, cluster);
-            let list = self.list(cluster);
-            for (i, code) in list.packed_codes().chunks_exact(m).enumerate() {
-                topk.push(list.ids()[i], lut.adc_distance(code));
-            }
-        }
-        topk.into_sorted()
-    }
-
-    /// Batched reference search.
-    pub fn search_batch(&self, queries: &Dataset, nprobe: usize, k: usize) -> Vec<Vec<Neighbor>> {
-        queries.iter().map(|q| self.search(q, nprobe, k)).collect()
-    }
-}
-
-impl From<&IvfPqIndex> for IndexSnapshot {
-    fn from(index: &IvfPqIndex) -> Self {
-        Arc::new(index.clone()).into()
-    }
-}
-
-impl From<IvfPqIndex> for IndexSnapshot {
-    fn from(index: IvfPqIndex) -> Self {
-        Arc::new(index).into()
-    }
-}
-
-impl From<Arc<IvfPqIndex>> for IndexSnapshot {
-    fn from(base: Arc<IvfPqIndex>) -> Self {
-        let sizes: Vec<usize> = base.iter_list_sizes().collect();
-        let overlays = vec![None; base.nlist()];
-        let ntotal = base.ntotal();
-        Self {
-            base,
-            overlays: Arc::new(overlays),
-            sizes: Arc::new(sizes),
-            epoch: 0,
-            ntotal,
-        }
-    }
-}
-
-/// Statistics returned by a [`MutableIvf::compact`] fold.
+/// Statistics returned by a [`MutableIvf::compact`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CompactionStats {
-    /// Inverted lists that carried an overlay and were folded.
+    /// Inverted lists written since the previous compaction.
     pub folded_lists: usize,
-    /// Bytes (ids + codes) of the folded lists — the data a real system
+    /// Bytes (ids + codes) of those lists now — the data a real system
     /// would rewrite, and the quantity the cost model charges.
     pub moved_bytes: usize,
 }
 
-/// The mutable layer: per-list copy-on-write segments over an immutable
-/// base, with a monotonically increasing epoch.
+/// The live index: an [`IvfPqIndex`] (read through `Deref`) plus the map
+/// from id to the list holding it.
 #[derive(Debug, Clone)]
 pub struct MutableIvf {
-    base: Arc<IvfPqIndex>,
-    overlays: Vec<Option<Arc<InvertedList>>>,
-    /// Incrementally maintained per-list sizes: the compaction-skew decision
-    /// tick reads this slice without allocating.
-    sizes: Vec<usize>,
+    index: IvfPqIndex,
     /// id → cluster, for O(1)-ish deletes. Point lookups only — never
     /// iterated, so hash order cannot leak into any answer.
     locations: HashMap<u64, usize>,
-    epoch: u64,
-    ntotal: u64,
+    /// `written[c]`: list `c` changed since the last compaction.
+    written: Vec<bool>,
+}
+
+impl Deref for MutableIvf {
+    type Target = IvfPqIndex;
+
+    fn deref(&self) -> &IvfPqIndex {
+        &self.index
+    }
 }
 
 impl MutableIvf {
-    /// Wraps a trained index as the epoch-0 base.
-    pub fn new(base: &IvfPqIndex) -> Self {
-        Self::from_arc(Arc::new(base.clone()))
-    }
-
-    /// Wraps an already-shared index without cloning it.
-    pub fn from_arc(base: Arc<IvfPqIndex>) -> Self {
-        let sizes: Vec<usize> = base.iter_list_sizes().collect();
-        let mut locations = HashMap::with_capacity(base.ntotal() as usize);
-        for (c, list) in base.lists().iter().enumerate() {
+    /// Makes `index` live, sharing its lists until they are written.
+    pub fn new(index: &IvfPqIndex) -> Self {
+        let mut locations = HashMap::with_capacity(index.ntotal() as usize);
+        for (c, list) in index.lists().iter().enumerate() {
             for &id in list.ids() {
                 locations.insert(id, c);
             }
         }
-        let ntotal = base.ntotal();
         Self {
-            overlays: vec![None; base.nlist()],
-            sizes,
+            index: index.clone(),
             locations,
-            epoch: 0,
-            ntotal,
-            base,
+            written: vec![false; index.nlist()],
         }
-    }
-
-    /// The current mutation epoch (number of effective upserts + deletes).
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Total number of live vectors.
-    #[inline]
-    pub fn ntotal(&self) -> u64 {
-        self.ntotal
     }
 
     /// Whether `id` is currently indexed.
@@ -243,111 +81,57 @@ impl MutableIvf {
         self.locations.contains_key(&id)
     }
 
-    /// Allocation-free view of the current per-list sizes (the
-    /// compaction-skew trigger reads this every decision tick).
-    #[inline]
-    pub fn list_sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    fn overlay_mut(&mut self, c: usize) -> &mut InvertedList {
-        let slot = &mut self.overlays[c];
-        if slot.is_none() {
-            *slot = Some(Arc::new(self.base.list(c).clone()));
-        }
-        Arc::make_mut(slot.as_mut().expect("overlay was just installed"))
-    }
-
     /// Inserts `vector` under `id`, replacing any existing entry with that
     /// id (upsert semantics). Bumps the epoch exactly once.
     pub fn upsert(&mut self, vector: &[f32], id: u64) {
-        assert_eq!(vector.len(), self.base.dim(), "upsert dimension mismatch");
-        if self.remove_entry(id) {
-            self.ntotal -= 1;
-        }
-        let (c, _) = self.base.coarse().assign(vector);
+        assert_eq!(vector.len(), self.dim(), "upsert dimension mismatch");
+        self.remove_entry(id);
+        let (c, _) = self.coarse().assign(vector);
         let code = self
-            .base
             .pq()
-            .encode(&residual(vector, self.base.coarse().centroid(c)));
-        self.overlay_mut(c).push(id, &code);
-        self.sizes[c] += 1;
+            .encode(&residual(vector, self.coarse().centroid(c)));
+        self.index.push(c, id, &code);
+        self.written[c] = true;
         self.locations.insert(id, c);
-        self.ntotal += 1;
-        self.epoch += 1;
+        self.index.epoch += 1;
     }
 
     /// Deletes `id` if present. Returns whether anything was removed; a
     /// no-op delete does **not** bump the epoch (no snapshot changed).
     pub fn delete(&mut self, id: u64) -> bool {
-        if self.remove_entry(id) {
-            self.ntotal -= 1;
-            self.epoch += 1;
-            true
-        } else {
-            false
-        }
+        let removed = self.remove_entry(id);
+        self.index.epoch += u64::from(removed);
+        removed
     }
 
     fn remove_entry(&mut self, id: u64) -> bool {
         let Some(c) = self.locations.remove(&id) else {
             return false;
         };
-        let m = self.base.m();
-        let pos = {
-            let list = match &self.overlays[c] {
-                Some(list) => list.as_ref(),
-                None => self.base.list(c),
-            };
-            list.ids()
-                .iter()
-                .position(|&x| x == id)
-                .expect("locations map points at a list holding the id")
-        };
-        let folded = match &self.overlays[c] {
-            Some(list) => list.without_entry(pos, m),
-            None => self.base.list(c).without_entry(pos, m),
-        };
-        self.overlays[c] = Some(Arc::new(folded));
-        self.sizes[c] -= 1;
+        self.index.remove(c, id);
+        self.written[c] = true;
         true
     }
 
-    /// Takes a cheap immutable snapshot of the current state. In-flight
-    /// readers of earlier snapshots are unaffected by later mutations.
-    pub fn snapshot(&self) -> IndexSnapshot {
-        IndexSnapshot {
-            base: Arc::clone(&self.base),
-            overlays: Arc::new(self.overlays.clone()),
-            sizes: Arc::new(self.sizes.clone()),
-            epoch: self.epoch,
-            ntotal: self.ntotal,
-        }
+    /// A point-in-time snapshot: a clone of the live index, sharing every
+    /// list. Later mutations copy a list before writing it, so the snapshot
+    /// never changes.
+    pub fn snapshot(&self) -> IvfPqIndex {
+        self.index.clone()
     }
 
-    /// Folds every copy-on-write overlay into a fresh base index.
-    ///
-    /// The effective content and **order** of every list is preserved, so
-    /// searches at the same epoch return bitwise-identical answers before
-    /// and after — which is why the epoch does not advance. Snapshots taken
-    /// earlier keep their own `Arc` to the old base and stay valid.
+    /// Reports the lists written since the previous compaction, and their
+    /// bytes now, then starts a new count. No list or answer changes, and
+    /// the epoch does not advance.
     pub fn compact(&mut self) -> CompactionStats {
-        let m = self.base.m();
+        let m = self.m();
         let mut stats = CompactionStats::default();
-        let mut lists = Vec::with_capacity(self.base.nlist());
-        for (c, slot) in self.overlays.iter_mut().enumerate() {
-            match slot.take() {
-                Some(list) => {
-                    stats.folded_lists += 1;
-                    stats.moved_bytes += list.bytes(m);
-                    lists.push(list.as_ref().clone());
-                }
-                None => lists.push(self.base.list(c).clone()),
+        for (c, written) in self.written.iter_mut().enumerate() {
+            if std::mem::take(written) {
+                stats.folded_lists += 1;
+                stats.moved_bytes += self.index.list(c).bytes(m);
             }
         }
-        let mut folded = self.base.fresh_like();
-        folded.replace_lists(lists, self.ntotal);
-        self.base = Arc::new(folded);
         stats
     }
 }
@@ -374,36 +158,36 @@ impl CompactionWindow {
 /// Maps the deterministic replay clock onto installed snapshots.
 ///
 /// The serving layer installs a snapshot at each refresh point; engines
-/// resolve the snapshot active at a request's batch-close time, so the
-/// replay and the threaded twin — which agree on close times by
-/// construction — serve identical epochs.
+/// resolve the snapshot active at each query's arrival time, so the replay
+/// and the threaded twin — which agree on arrival times by construction —
+/// serve identical epochs.
 #[derive(Debug, Clone)]
 pub struct SnapshotTimeline {
     /// `(activation_time, snapshot)`, sorted by activation time. The first
     /// entry activates at `-inf` (it serves everything before the first
     /// refresh).
-    entries: Vec<(f64, IndexSnapshot)>,
+    entries: Vec<(f64, IvfPqIndex)>,
     windows: Vec<CompactionWindow>,
 }
 
 impl SnapshotTimeline {
     /// A timeline that serves `initial` forever (until more snapshots are
     /// installed).
-    pub fn new(initial: IndexSnapshot) -> Self {
+    pub fn new(initial: IvfPqIndex) -> Self {
         Self {
             entries: vec![(f64::NEG_INFINITY, initial)],
             windows: Vec::new(),
         }
     }
 
-    /// Convenience: a frozen (never-mutated) timeline over a plain index.
+    /// Convenience: a frozen timeline over `index` (which it shares).
     pub fn frozen(index: &IvfPqIndex) -> Self {
-        Self::new(IndexSnapshot::from(index))
+        Self::new(index.clone())
     }
 
     /// Installs `snapshot` to activate at time `at` (must not precede the
     /// previously installed activation).
-    pub fn install(&mut self, at: f64, snapshot: IndexSnapshot) {
+    pub fn install(&mut self, at: f64, snapshot: IvfPqIndex) {
         let last = self.entries.last().map(|(t, _)| *t).unwrap_or(f64::NEG_INFINITY);
         assert!(at >= last, "snapshot activations must be monotone: {at} < {last}");
         self.entries.push((at, snapshot));
@@ -418,7 +202,7 @@ impl SnapshotTimeline {
 
     /// The snapshot active at time `t`: the installed entry with the
     /// largest activation `<= t`.
-    pub fn at(&self, t: f64) -> &IndexSnapshot {
+    pub fn at(&self, t: f64) -> &IvfPqIndex {
         &self.entries[self.index_at(t)].1
     }
 
@@ -446,7 +230,7 @@ impl SnapshotTimeline {
     }
 
     /// All installed `(activation, snapshot)` entries, in activation order.
-    pub fn entries(&self) -> &[(f64, IndexSnapshot)] {
+    pub fn entries(&self) -> &[(f64, IvfPqIndex)] {
         &self.entries
     }
 
@@ -478,6 +262,8 @@ mod tests {
     use super::*;
     use crate::ivf::IvfPqParams;
     use crate::synthetic::SyntheticSpec;
+    use crate::topk::Neighbor;
+    use crate::vector::Dataset;
 
     fn fixture() -> (IvfPqIndex, Dataset) {
         let data = SyntheticSpec::sift_like(600)
@@ -491,7 +277,7 @@ mod tests {
     #[test]
     fn unmutated_snapshot_matches_base_bitwise() {
         let (index, data) = fixture();
-        let snap = IndexSnapshot::from(&index);
+        let snap = MutableIvf::new(&index).snapshot();
         assert_eq!(snap.epoch(), 0);
         assert_eq!(snap.ntotal(), index.ntotal());
         assert_eq!(snap.list_sizes(), index.list_sizes().as_slice());
@@ -567,6 +353,71 @@ mod tests {
                 assert_eq!(x.distance.to_bits(), y.distance.to_bits());
             }
         }
+    }
+
+    /// Whether `a` and `b` hold list `c` in the same allocation.
+    fn shares(a: &IvfPqIndex, b: &IvfPqIndex, c: usize) -> bool {
+        std::ptr::eq(a.list(c), b.list(c))
+    }
+
+    #[test]
+    fn untouched_lists_are_shared_and_a_write_copies_its_list_once() {
+        let (index, data) = fixture();
+        let clone = index.clone();
+        let mut live = MutableIvf::new(&index);
+        let before = live.snapshot();
+        for c in 0..index.nlist() {
+            assert!(shares(&index, &clone, c), "clone, list {c}");
+            assert!(shares(&index, &live, c), "MutableIvf::new, list {c}");
+            assert!(shares(&index, &before, c), "snapshot, list {c}");
+        }
+        let answers = before.search(data.vector(5), 8, 10);
+
+        let (target, _) = index.coarse().assign(data.vector(5));
+        live.upsert(data.vector(5), 9000);
+        assert!(!shares(&index, &live, target), "first write");
+        let copy: *const crate::ivf::InvertedList = live.list(target);
+        live.upsert(data.vector(5), 9001);
+        assert!(std::ptr::eq(live.list(target), copy), "second write");
+
+        let after = live.snapshot();
+        for c in 0..index.nlist() {
+            assert_eq!(shares(&index, &after, c), c != target, "list {c}");
+            assert!(shares(&index, &before, c), "old snapshot, list {c}");
+        }
+        let bits = |answer: &[Neighbor]| -> Vec<(u64, u32)> {
+            answer
+                .iter()
+                .map(|n| (n.id, n.distance.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&before.search(data.vector(5), 8, 10)), bits(&answers));
+    }
+
+    #[test]
+    fn compaction_counts_the_lists_written_since_the_last_one() {
+        let (index, data) = fixture();
+        let m = index.m();
+        let (a, _) = index.coarse().assign(data.vector(5));
+        let b = (0..index.nlist())
+            .find(|&c| c != a && !index.list(c).is_empty())
+            .expect("a second populated list");
+        let mut live = MutableIvf::new(&index);
+        live.upsert(data.vector(5), 9000);
+        live.upsert(data.vector(5), 9001);
+        assert!(live.delete(index.list(b).ids()[0]));
+        assert!(!live.delete(123_456), "an absent id writes no list");
+        let epoch = live.epoch();
+        let moved_bytes = live.list(a).bytes(m) + live.list(b).bytes(m);
+        assert_eq!(
+            live.compact(),
+            CompactionStats {
+                folded_lists: 2,
+                moved_bytes
+            }
+        );
+        assert_eq!(live.epoch(), epoch);
+        assert_eq!(live.compact(), CompactionStats::default());
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //!    mutation prefix, bit for bit.
 //! 3. **Delete-then-upsert id reuse** — an id deleted and re-upserted is
 //!    indexed exactly once, under its new vector.
-//! 4. **Compaction answer-invariance** — folding the overlays never changes
-//!    an answer at the same epoch (and never advances the epoch).
+//! 4. **Compaction answer-invariance** — compacting never changes an answer
+//!    at the same epoch (and never advances the epoch).
 //!
 //! Like `simd_equivalence.rs`, CI re-runs this whole suite under
 //! `UPANNS_FORCE_SCALAR=1`, so the invariants are proven on both the SIMD
 //! and the scalar ADC paths.
 
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
-use annkit::mutation::{IndexSnapshot, MutableIvf};
+use annkit::mutation::MutableIvf;
 use annkit::synthetic::{SyntheticDataset, SyntheticSpec};
 use annkit::topk::Neighbor;
 use proptest::prelude::*;
@@ -40,7 +40,7 @@ fn fixture() -> &'static (SyntheticDataset, IvfPqIndex) {
 
 /// One generated mutation: upsert (`true`) of dataset vector `vector_of`
 /// under `id`, or delete (`false`) of `id`. Ids overlap the base id space
-/// (0..700) *and* a fresh range, so deletes hit base entries, overlay
+/// (0..700) *and* a fresh range, so deletes hit base entries, upserted
 /// entries, and absent ids (no-ops that must not bump the epoch).
 type Op = (bool, u64, usize);
 
@@ -69,7 +69,7 @@ fn assert_bitwise_equal(a: &[Vec<Neighbor>], b: &[Vec<Neighbor>]) {
     }
 }
 
-fn search_all(snapshot: &IndexSnapshot, data: &SyntheticDataset) -> Vec<Vec<Neighbor>> {
+fn search_all(snapshot: &IvfPqIndex, data: &SyntheticDataset) -> Vec<Vec<Neighbor>> {
     (0..5)
         .map(|q| snapshot.search(data.vectors.vector(q), 4, 10))
         .collect()
@@ -107,7 +107,7 @@ proptest! {
 
     /// At every checkpoint epoch, the incrementally mutated index equals an
     /// index rebuilt from scratch by replaying the same mutation prefix —
-    /// the COW overlays introduce no path dependence.
+    /// copy-on-write lists introduce no path dependence.
     #[test]
     fn incremental_equals_rebuilt_at_each_epoch(ops in ops_strategy()) {
         let (data, index) = fixture();
@@ -189,7 +189,8 @@ proptest! {
         prop_assert_eq!(after.ntotal(), before.ntotal());
         prop_assert_eq!(after.list_sizes(), before.list_sizes());
         assert_bitwise_equal(&search_all(&after, data), &answers);
-        // Every overlay was folded, so an immediate second fold moves nothing.
+        // Compaction started a new count, so an immediate second one moves
+        // nothing.
         if stats.folded_lists > 0 {
             let again = live.compact();
             prop_assert_eq!(again.folded_lists, 0);

@@ -17,7 +17,7 @@
 
 use crate::faiss::{FaissEngine, FunctionalRun, Roofline};
 use crate::hardware::HardwareSpec;
-use annkit::mutation::IndexSnapshot;
+use annkit::ivf::IvfPqIndex;
 use pim_sim::stats::{Stage, StageBreakdown};
 
 /// Performance characteristics of the CPU platform.
@@ -116,12 +116,7 @@ impl Roofline for CpuSpec {
         HardwareSpec::cpu()
     }
 
-    fn stage_seconds(
-        &self,
-        index: &IndexSnapshot,
-        run: &FunctionalRun,
-        scale: f64,
-    ) -> StageBreakdown {
+    fn stage_seconds(&self, index: &IvfPqIndex, run: &FunctionalRun, scale: f64) -> StageBreakdown {
         let stats = &run.stats;
         let dim = index.dim() as f64;
         let dsub = (index.dim() / index.m()) as f64;

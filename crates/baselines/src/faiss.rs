@@ -16,7 +16,7 @@ use crate::engine::{execute_by_entry, execute_grouped, AnnEngine, SearchRequest,
 use crate::hardware::HardwareSpec;
 use crate::workload_stats::WorkloadStats;
 use annkit::ivf::IvfPqIndex;
-use annkit::mutation::{IndexSnapshot, SnapshotTimeline};
+use annkit::mutation::SnapshotTimeline;
 use annkit::topk::{Neighbor, TopK};
 use annkit::vector::Dataset;
 use pim_sim::energy::EnergyModel;
@@ -35,7 +35,7 @@ pub trait Roofline {
     /// per-candidate work projected by `work_scale`.
     fn stage_seconds(
         &self,
-        index: &IndexSnapshot,
+        index: &IvfPqIndex,
         run: &FunctionalRun,
         work_scale: f64,
     ) -> StageBreakdown;
@@ -96,7 +96,7 @@ impl<R: Roofline> FaissEngine<R> {
 
     /// The snapshot this engine searches for requests at time 0 (the base
     /// index view when no timeline was installed).
-    pub fn snapshot(&self) -> &IndexSnapshot {
+    pub fn snapshot(&self) -> &IvfPqIndex {
         &self.timeline.entries()[0].1
     }
 
@@ -104,7 +104,7 @@ impl<R: Roofline> FaissEngine<R> {
     /// timing of the platform.
     fn run_uniform(
         &self,
-        snapshot: &IndexSnapshot,
+        snapshot: &IvfPqIndex,
         queries: &Dataset,
         nprobe: usize,
         k: usize,
@@ -149,13 +149,9 @@ impl<R: Roofline> AnnEngine for FaissEngine<R> {
 /// Runs cluster filtering, LUT construction, ADC distance calculation and
 /// top-k selection for every query, counting the work of each stage.
 ///
-/// Takes an [`IndexSnapshot`] so the same code path serves both a frozen
-/// index (an epoch-0 snapshot, bitwise identical to scanning the index
-/// directly) and any live-mutation epoch.
-///
 /// # Panics
 /// Panics if `queries.dim() != index.dim()` or `k == 0`.
-fn run_ivfpq(index: &IndexSnapshot, queries: &Dataset, nprobe: usize, k: usize) -> FunctionalRun {
+fn run_ivfpq(index: &IvfPqIndex, queries: &Dataset, nprobe: usize, k: usize) -> FunctionalRun {
     assert_eq!(queries.dim(), index.dim(), "query dimension mismatch");
     assert!(k > 0, "k must be positive");
     let m = index.m();
@@ -227,7 +223,6 @@ mod tests {
     #[test]
     fn matches_reference_search() {
         let (index, data) = small_index();
-        let index = IndexSnapshot::from(index);
         let queries = data.gather(&[0, 100, 500]);
         let run = run_ivfpq(&index, &queries, 4, 10);
         let reference = index.search_batch(&queries, 4, 10);
@@ -242,7 +237,6 @@ mod tests {
     #[test]
     fn stats_are_consistent() {
         let (index, data) = small_index();
-        let index = IndexSnapshot::from(index);
         let queries = data.gather(&[1, 2, 3, 4]);
         let run = run_ivfpq(&index, &queries, 3, 5);
         let s = &run.stats;
@@ -264,7 +258,6 @@ mod tests {
     #[test]
     fn nprobe_is_clamped_to_nlist() {
         let (index, data) = small_index();
-        let index = IndexSnapshot::from(index);
         let queries = data.gather(&[7]);
         let run = run_ivfpq(&index, &queries, 100, 3);
         // nprobe clamped to 8: every list scanned, so every indexed vector is

@@ -16,7 +16,7 @@
 
 use crate::faiss::{FaissEngine, FunctionalRun, Roofline};
 use crate::hardware::HardwareSpec;
-use annkit::mutation::IndexSnapshot;
+use annkit::ivf::IvfPqIndex;
 use pim_sim::stats::{Stage, StageBreakdown};
 
 /// Performance characteristics of the GPU platform.
@@ -130,7 +130,7 @@ impl Roofline for GpuSpec {
 
     fn stage_seconds(
         &self,
-        index: &IndexSnapshot,
+        index: &IvfPqIndex,
         run: &FunctionalRun,
         work_scale: f64,
     ) -> StageBreakdown {

@@ -20,7 +20,6 @@ use crate::engine::{EpochState, UpAnnsEngine};
 use crate::kernel::{mailbox_slot_bytes, ClusterReplica, DpuStore, ListEncoding};
 use crate::placement::{place_pim_aware, place_round_robin, Placement, PlacementInput};
 use annkit::ivf::IvfPqIndex;
-use annkit::mutation::IndexSnapshot;
 use annkit::pq::ProductQuantizer;
 use annkit::vector::Dataset;
 use pim_sim::config::PimConfig;
@@ -137,11 +136,7 @@ impl<'a> UpAnnsBuilder<'a> {
             frequencies: self.frequencies,
             capacity: self.capacity,
         };
-        let state = build_epoch_state(
-            IndexSnapshot::from(self.index),
-            &recipe,
-            self.placement_override,
-        );
+        let state = build_epoch_state(self.index.clone(), &recipe, self.placement_override);
         UpAnnsEngine::from_build(recipe, state)
     }
 }
@@ -163,7 +158,7 @@ pub(crate) struct BuildRecipe {
 /// every epoch gets re-placed against its own list sizes), co-occurrence
 /// mining/re-encoding, and MRAM staging.
 pub(crate) fn build_epoch_state(
-    snapshot: IndexSnapshot,
+    snapshot: IvfPqIndex,
     recipe: &BuildRecipe,
     placement_override: Option<Placement>,
 ) -> EpochState {
@@ -179,7 +174,7 @@ pub(crate) fn build_epoch_state(
 
     // 2. Placement.
     let placement_input = PlacementInput::new(
-        snapshot.list_sizes().to_vec(),
+        snapshot.list_sizes(),
         frequencies,
         num_dpus,
         max_dpu_vectors(m, &recipe.pim_config),

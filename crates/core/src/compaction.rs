@@ -10,17 +10,17 @@
 //! the served snapshot is the **staleness** the benchmark sweeps.
 //!
 //! At every refresh point the planner also runs the compaction decision
-//! tick: if the per-list size skew (max/avg over the incrementally
-//! maintained, allocation-free [`MutableIvf::list_sizes`] slice) exceeds the
-//! policy threshold, the overlays are folded ([`MutableIvf::compact`] — same
-//! epoch, bitwise-identical answers) and a
+//! tick: if the per-list size skew (max/avg over the live index's
+//! [`list_sizes`](annkit::ivf::IvfPqIndex::list_sizes)) exceeds the policy
+//! threshold, [`MutableIvf::compact`] reports the lists written since the
+//! last compaction (same epoch, no answer changes) and a
 //! [`CompactionWindow`](annkit::mutation::CompactionWindow) charging the
-//! modeled fold + re-placement cost is recorded. Engines stall requests that
-//! land inside a window; that stall is the "p99 during compaction" the
-//! benchmark reports. Re-placement itself falls out of the design for free:
-//! each installed snapshot gets its own offline phase (placement,
-//! co-occurrence mining, MRAM staging) when the timeline is installed into
-//! an engine.
+//! modeled rewrite of those lists plus re-placement is recorded. Engines
+//! stall requests that land inside a window; that stall is the "p99 during
+//! compaction" the benchmark reports. Re-placement itself falls out of the
+//! design for free: each installed snapshot gets its own offline phase
+//! (placement, co-occurrence mining, MRAM staging) when the timeline is
+//! installed into an engine.
 
 use annkit::ivf::IvfPqIndex;
 use annkit::mutation::{CompactionStats, MutableIvf, SnapshotTimeline};
@@ -74,8 +74,8 @@ pub struct LiveIndexPlan {
     pub final_epoch: u64,
 }
 
-/// Max/avg ratio over the current list sizes (1.0 for a degenerate empty
-/// index). Reads the incrementally maintained slice — no allocation.
+/// Max/avg ratio over the list sizes `sizes` (1.0 for a degenerate empty
+/// index).
 pub fn list_size_skew(sizes: &[usize]) -> f64 {
     let max = sizes.iter().copied().max().unwrap_or(0) as f64;
     let total: usize = sizes.iter().sum();
@@ -116,7 +116,7 @@ pub fn plan_live_index(
                        compactions: &mut Vec<PlannedCompaction>,
                        t: f64| {
         let mut compacted = false;
-        let skew = list_size_skew(live.list_sizes());
+        let skew = list_size_skew(&live.list_sizes());
         if skew > policy.skew_threshold && t - last_compaction >= policy.min_interval_s {
             let stats = live.compact();
             if stats.folded_lists > 0 {

@@ -17,8 +17,8 @@
 //! The engine serves a [`SnapshotTimeline`] rather than a frozen index: each
 //! installed snapshot gets its own epoch state — placement, combo tables
 //! and staged MRAM derived from that snapshot by re-running the offline
-//! phase — and every request runs against the state active at its
-//! batch-close time. A freshly built engine holds a single frozen entry, so
+//! phase — and every query runs against the state active at its own
+//! arrival time. A freshly built engine holds a single frozen entry, so
 //! the unmutated path is bitwise identical to the pre-mutation design.
 //!
 //! The engine implements [`AnnEngine`], so the benchmark harness sweeps it
@@ -33,7 +33,8 @@ use crate::kernel::{
 };
 use crate::placement::Placement;
 use crate::scheduling::{schedule_queries, Schedule};
-use annkit::mutation::{IndexSnapshot, SnapshotTimeline};
+use annkit::ivf::IvfPqIndex;
+use annkit::mutation::SnapshotTimeline;
 use annkit::topk::{Neighbor, TopK};
 use annkit::vector::{residual, Dataset};
 use baselines::cpu::CpuSpec;
@@ -48,7 +49,7 @@ use std::collections::HashMap;
 /// the snapshot itself plus the offline artifacts (placement, combo tables,
 /// reduction rates, staged MRAM and the simulated system) derived from it.
 pub(crate) struct EpochState {
-    pub(crate) snapshot: IndexSnapshot,
+    pub(crate) snapshot: IvfPqIndex,
     pub(crate) placement: Placement,
     pub(crate) combos: HashMap<usize, ComboTable>,
     pub(crate) reduction_rates: HashMap<usize, f64>,
@@ -264,8 +265,7 @@ impl Launcher<'_> {
         // ---- Stage 1: cluster filtering (host CPU) ------------------------
         // A probed list that is empty (never populated, or emptied by
         // deletes) contributes no candidate and is staged on no DPU, so it
-        // is dropped here rather than scheduled. The snapshot's cached size
-        // slice keeps the per-batch host steps allocation-free.
+        // is dropped here rather than scheduled.
         let cluster_sizes = snapshot.list_sizes();
         let filtered: Vec<Vec<usize>> = queries
             .iter()
@@ -282,7 +282,7 @@ impl Launcher<'_> {
         sys.advance_host(Stage::ClusterFiltering, filter_seconds);
 
         // ---- Stage 2: query scheduling (host CPU, Algorithm 2) ------------
-        let schedule: Schedule = schedule_queries(&filtered, placement, cluster_sizes);
+        let schedule: Schedule = schedule_queries(&filtered, placement, &cluster_sizes);
         *self.last_schedule_ratio = schedule.max_to_avg_workload();
         let total_assignments = schedule.total_assignments();
         let schedule_seconds = host_schedule_seconds(host_cpu, total_assignments, snapshot.dim());
@@ -462,7 +462,7 @@ impl AnnEngine for UpAnnsEngine {
 mod tests {
     use super::*;
     use crate::builder::{BatchCapacity, UpAnnsBuilder};
-    use annkit::ivf::{IvfPqIndex, IvfPqParams};
+    use annkit::ivf::IvfPqParams;
     use annkit::recall::recall_at_k;
     use annkit::synthetic::SyntheticSpec;
     use baselines::cpu::CpuFaissEngine;

@@ -208,8 +208,8 @@ proptest! {
     /// upsert/delete schedule planned into a snapshot timeline (including
     /// skew-triggered compaction windows), the threaded logical pipeline
     /// answers identically to the replay and conserves every query. Both
-    /// sides resolve the serving snapshot at the batch close time and stamp
-    /// cache entries with that snapshot's epoch, so batching, chunking and
+    /// sides resolve each query's serving snapshot at its arrival time and
+    /// stamp cache entries with that snapshot's epoch, so batching, chunking and
     /// worker count still cannot change *what* is answered — only *when*.
     #[test]
     fn mutating_stream_twin_matches_replay(

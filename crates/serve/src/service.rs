@@ -433,8 +433,8 @@ impl<E: AnnEngine> SearchService<E> {
     }
 
     /// Installs a live-index [`SnapshotTimeline`]: the engine serves each
-    /// request from the snapshot active at its batch-close time (and charges
-    /// compaction-window stalls), while the result cache stamps entries with
+    /// query from the snapshot active at its own arrival time (and charges
+    /// compaction-window stalls at the batch's dispatch time), while the result cache stamps entries with
     /// the computing snapshot's epoch and invalidates them when a newer
     /// epoch's arrival finds them. Returns whether the engine accepted the
     /// timeline ([`AnnEngine::install_timeline`] — engines without live-
