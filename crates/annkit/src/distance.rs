@@ -25,7 +25,7 @@ pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
 /// row-major buffer of `k` rows of length `dim`), returning
 /// `(index, distance)`; the first of several equally close centroids wins.
 ///
-/// Distances come from [`simd::l2_squared_rows`] a stack block of rows at a
+/// Distances come from `simd::l2_squared_rows` a stack block of rows at a
 /// time — bitwise what one [`l2_squared`] per centroid returns, without the
 /// per-centroid dispatch and call that dominate at PQ sub-vector widths.
 ///
@@ -57,7 +57,7 @@ pub fn nearest_centroid(v: &[f32], centroids: &[f32], dim: usize) -> (usize, f32
 /// closest to furthest. Used for cluster filtering (selecting `nprobe`
 /// clusters per query).
 ///
-/// All distances come from one [`simd::l2_squared_rows`] call (bitwise what
+/// All distances come from one `simd::l2_squared_rows` call (bitwise what
 /// one [`l2_squared`] per centroid returns); the `n` best are selected and
 /// only those sorted, which is element for element the prefix of a full
 /// sort under [`Neighbor`](crate::topk::Neighbor)'s order because that order

@@ -20,16 +20,6 @@ impl<'a> FlatIndex<'a> {
         Self { data }
     }
 
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Returns the exact `k` nearest neighbors of `query`.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         let mut topk = TopK::new(k);
@@ -42,15 +32,6 @@ impl<'a> FlatIndex<'a> {
     /// Exact search for a batch of queries.
     pub fn search_batch(&self, queries: &Dataset, k: usize) -> Vec<Vec<Neighbor>> {
         queries.iter().map(|q| self.search(q, k)).collect()
-    }
-
-    /// Returns only the ids of the exact top-k (the usual ground-truth
-    /// format).
-    pub fn ground_truth(&self, queries: &Dataset, k: usize) -> Vec<Vec<u64>> {
-        self.search_batch(queries, k)
-            .into_iter()
-            .map(|r| r.into_iter().map(|n| n.id).collect())
-            .collect()
     }
 }
 
@@ -71,19 +52,5 @@ mod tests {
         let ids: Vec<u64> = res.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![3, 4, 2]);
         assert!(res[0].distance < res[1].distance);
-    }
-
-    #[test]
-    fn batch_and_ground_truth_agree() {
-        let ds = grid();
-        let idx = FlatIndex::new(&ds);
-        let queries = Dataset::from_rows(&[vec![0.0, 0.0], vec![9.0, 0.0]]);
-        let batch = idx.search_batch(&queries, 2);
-        let gt = idx.ground_truth(&queries, 2);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(gt[0], vec![0, 1]);
-        assert_eq!(gt[1], vec![9, 8]);
-        assert_eq!(idx.len(), 10);
-        assert!(!idx.is_empty());
     }
 }

@@ -99,15 +99,9 @@ impl InvertedList {
         &self.packed
     }
 
-    /// The code of entry `i` given the index's `m`.
-    #[inline]
-    pub fn code(&self, i: usize, m: usize) -> &[u8] {
-        &self.packed[i * m..(i + 1) * m]
-    }
-
     /// Byte footprint of this list (ids + codes), the quantity the placement
     /// algorithm balances across DPUs.
-    pub fn bytes(&self, m: usize) -> usize {
+    pub(crate) fn bytes(&self, m: usize) -> usize {
         self.ids.len() * (std::mem::size_of::<u64>() + m)
     }
 

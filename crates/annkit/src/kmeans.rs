@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 /// Parameters controlling k-means training.
 #[derive(Debug, Clone)]
-pub struct KMeansParams {
+pub(crate) struct KMeansParams {
     /// Number of centroids to produce.
     pub k: usize,
     /// Maximum number of Lloyd iterations.
@@ -28,7 +28,7 @@ pub struct KMeansParams {
 impl KMeansParams {
     /// Reasonable defaults for `k` centroids: 25 iterations, 1e-4 tolerance,
     /// at most 256 training points per centroid.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         Self {
             k,
             max_iterations: 25,
@@ -38,7 +38,7 @@ impl KMeansParams {
     }
 
     /// Overrides the iteration cap.
-    pub fn with_max_iterations(mut self, it: usize) -> Self {
+    pub(crate) fn with_max_iterations(mut self, it: usize) -> Self {
         self.max_iterations = it;
         self
     }
@@ -48,7 +48,6 @@ impl KMeansParams {
 #[derive(Debug, Clone)]
 pub struct KMeans {
     dim: usize,
-    k: usize,
     centroids: Vec<f32>,
     /// Mean squared distance of training points to their centroid at the end
     /// of training (a quality indicator surfaced for diagnostics).
@@ -62,7 +61,7 @@ impl KMeans {
     ///
     /// # Panics
     /// Panics if `data` holds fewer points than `params.k` or `k == 0`.
-    pub fn train(data: &Dataset, params: &KMeansParams, seed: u64) -> Self {
+    pub(crate) fn train(data: &Dataset, params: &KMeansParams, seed: u64) -> Self {
         assert!(params.k > 0, "k must be positive");
         assert!(
             data.len() >= params.k,
@@ -134,23 +133,10 @@ impl KMeans {
 
         Self {
             dim,
-            k: params.k,
             centroids,
             final_mse: mse,
             iterations_run,
         }
-    }
-
-    /// Number of centroids.
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Centroid dimensionality.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Centroid `c` as a slice.
@@ -161,14 +147,14 @@ impl KMeans {
 
     /// The flat row-major centroid buffer (`k * dim` floats).
     #[inline]
-    pub fn centroids_flat(&self) -> &[f32] {
+    pub(crate) fn centroids_flat(&self) -> &[f32] {
         &self.centroids
     }
 
     /// Assigns a single vector to its nearest centroid, returning
     /// `(centroid index, squared distance)`.
     #[inline]
-    pub fn assign(&self, v: &[f32]) -> (usize, f32) {
+    pub(crate) fn assign(&self, v: &[f32]) -> (usize, f32) {
         nearest_centroid(v, &self.centroids, self.dim)
     }
 }
@@ -257,8 +243,7 @@ mod tests {
     fn recovers_separated_blobs() {
         let ds = blob_dataset(3);
         let km = KMeans::train(&ds, &KMeansParams::new(3), 42);
-        assert_eq!(km.k(), 3);
-        assert_eq!(km.dim(), 2);
+        assert_eq!(km.centroids_flat().len(), 3 * 2);
         // Every learned centroid should be within 2 units of a true center.
         let truth = [[0.0f32, 0.0], [10.0, 10.0], [-10.0, 10.0]];
         for c in 0..3 {
@@ -298,7 +283,7 @@ mod tests {
             ..KMeansParams::new(3)
         };
         let km = KMeans::train(&ds, &params, 0);
-        assert_eq!(km.k(), 3);
+        assert_eq!(km.centroids_flat().len(), 3 * 2);
         // Still produces sensible clusters despite sampling.
         assert!(km.final_mse < 50.0);
     }
@@ -317,7 +302,7 @@ mod tests {
         let rows: Vec<Vec<f32>> = (0..20).map(|_| vec![1.0, 2.0, 3.0]).collect();
         let ds = Dataset::from_rows(&rows);
         let km = KMeans::train(&ds, &KMeansParams::new(2), 0);
-        assert_eq!(km.k(), 2);
+        assert_eq!(km.centroids_flat().len(), 2 * 3);
         assert!(km.final_mse.abs() < 1e-6);
     }
 }

@@ -4,7 +4,7 @@
 //! (SC '25) takes for granted, implemented from scratch:
 //!
 //! * dense vector datasets and distance kernels ([`vector`], [`distance`]),
-//! * k-means / k-means++ coarse quantization ([`kmeans`]),
+//! * k-means / k-means++ coarse quantization (`kmeans`),
 //! * product quantization — codebook training, encoding, decoding ([`pq`]),
 //! * the inverted-file index with per-cluster residual PQ codes, its lists
 //!   shared so that a clone is a snapshot ([`ivf`]),
@@ -18,8 +18,7 @@
 //! * brute-force exact search and recall metrics ([`flat`], [`recall`]),
 //! * synthetic SIFT1B/DEEP1B/SPACEV1B-like dataset generators with skewed
 //!   cluster popularity and injected code co-occurrence ([`synthetic`]),
-//! * skewed (Zipfian) query workload generators ([`workload`]),
-//! * `fvecs`/`bvecs`/`ivecs` dataset file I/O ([`io`]).
+//! * skewed (Zipfian) query workload generators ([`workload`]).
 //!
 //! Higher layers (`baselines`, `upanns`) build the CPU/GPU/PIM search engines
 //! on top of these primitives.
@@ -27,7 +26,8 @@
 //! ## Quick example
 //!
 //! ```
-//! use annkit::prelude::*;
+//! use annkit::ivf::{IvfPqIndex, IvfPqParams};
+//! use annkit::synthetic::SyntheticSpec;
 //!
 //! // A tiny synthetic SIFT-like dataset.
 //! let spec = SyntheticSpec::sift_like(2_000).with_clusters(16).with_seed(7);
@@ -50,11 +50,9 @@
 #![deny(unsafe_code)]
 
 pub mod distance;
-pub mod error;
 pub mod flat;
-pub mod io;
 pub mod ivf;
-pub mod kmeans;
+mod kmeans;
 pub mod lut;
 pub mod mutation;
 pub mod par;
@@ -65,25 +63,3 @@ pub mod synthetic;
 pub mod topk;
 pub mod vector;
 pub mod workload;
-
-/// Commonly used items, re-exported for convenience.
-pub mod prelude {
-    pub use crate::distance::l2_squared;
-    pub use crate::flat::FlatIndex;
-    pub use crate::ivf::{IvfPqIndex, IvfPqParams};
-    pub use crate::kmeans::{KMeans, KMeansParams};
-    pub use crate::lut::LookupTable;
-    pub use crate::mutation::{MutableIvf, SnapshotTimeline};
-    pub use crate::pq::{PqCode, ProductQuantizer};
-    pub use crate::recall::{recall_at_k, RecallReport};
-    pub use crate::synthetic::{DatasetKind, SyntheticSpec};
-    pub use crate::topk::{Neighbor, TopK};
-    pub use crate::vector::Dataset;
-    pub use crate::workload::{
-        MultiTenantSpec, MutationEvent, MutationOp, MutationSpec, MutationStream, QueryBatch,
-        QueryStream, StreamSpec, TenantId, TenantProfile, TenantSpec, WorkloadSpec,
-    };
-}
-
-pub use error::AnnError;
-pub use vector::Dataset;

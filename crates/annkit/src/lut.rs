@@ -37,7 +37,7 @@ impl LookupTable {
     ///
     /// Each residual sub-vector against the 256 centroids of its
     /// sub-quantizer, one centroid per SIMD lane over the quantizer's
-    /// column-major codebooks ([`simd::l2_squared_cols`]), bitwise equal to
+    /// column-major codebooks (`simd::l2_squared_cols`), bitwise equal to
     /// one [`l2_squared`](crate::distance::l2_squared) per entry.
     ///
     /// # Panics
@@ -54,12 +54,6 @@ impl LookupTable {
         {
             simd::l2_squared_cols(rv, centroids, row);
         }
-    }
-
-    /// Number of sub-quantizers.
-    #[inline]
-    pub fn m(&self) -> usize {
-        self.m
     }
 
     /// Partial distance for `(sub, code)`.

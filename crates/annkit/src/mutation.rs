@@ -239,17 +239,6 @@ impl SnapshotTimeline {
         &self.windows
     }
 
-    /// The epoch of the last installed snapshot.
-    pub fn max_epoch(&self) -> u64 {
-        self.entries.last().map(|(_, s)| s.epoch()).unwrap_or(0)
-    }
-
-    /// Whether this timeline can never change an answer relative to the
-    /// frozen base: one epoch-0 snapshot and no compaction windows.
-    pub fn is_frozen(&self) -> bool {
-        self.entries.len() == 1 && self.entries[0].1.epoch() == 0 && self.windows.is_empty()
-    }
-
     /// The `(activation, epoch)` schedule, for layers that only need epochs
     /// (the result cache stamps entries with these).
     pub fn epoch_schedule(&self) -> Vec<(f64, u64)> {
@@ -435,9 +424,9 @@ mod tests {
         assert_eq!(timeline.epoch_at(10.0), 1);
         assert_eq!(timeline.epoch_at(15.0), 1);
         assert_eq!(timeline.epoch_at(25.0), 2);
-        assert_eq!(timeline.max_epoch(), 2);
-        assert!(!timeline.is_frozen());
-        assert!(SnapshotTimeline::frozen(&index).is_frozen());
+        let frozen = SnapshotTimeline::frozen(&index);
+        assert_eq!(frozen.epoch_schedule(), vec![(f64::NEG_INFINITY, 0)]);
+        assert!(frozen.windows().is_empty());
         assert_eq!(timeline.stall_after(11.0), 0.0);
         assert!((timeline.stall_after(12.5) - 1.0).abs() < 1e-12);
         assert_eq!(timeline.stall_after(13.5), 0.0);

@@ -17,7 +17,7 @@ use crate::vector::Dataset;
 pub const KSUB: usize = 256;
 
 /// A PQ code: `m` bytes, one codebook index per sub-vector.
-pub type PqCode = Vec<u8>;
+pub(crate) type PqCode = Vec<u8>;
 
 /// A trained product quantizer.
 #[derive(Debug, Clone)]
@@ -140,17 +140,11 @@ impl ProductQuantizer {
     /// The codebooks column-major within each sub-quantizer (`m` blocks of
     /// `dsub` columns of 256 floats): component `j` of `(sub, code)` is at
     /// `sub * 256 * dsub + j * 256 + code`. The layout
-    /// [`simd::l2_squared_cols`](crate::simd::l2_squared_cols) takes, so a
+    /// `simd::l2_squared_cols` takes, so a
     /// LUT row is built with one centroid per SIMD lane.
     #[inline]
     pub fn codebooks_cols(&self) -> &[f32] {
         &self.codebooks_cols
-    }
-
-    /// Size in bytes of the codebook if stored at `bytes_per_component`
-    /// precision (the paper stores uint8 components ⇒ `dim * 256` bytes).
-    pub fn codebook_bytes(&self, bytes_per_component: usize) -> usize {
-        self.dim * KSUB * bytes_per_component
     }
 
     /// Encodes one vector into an `m`-byte PQ code.
@@ -292,6 +286,5 @@ mod tests {
         let code = pq.encode(&[42.3, 17.8]);
         assert_eq!(code, vec![42, 18]);
         assert_eq!(pq.decode(&code), vec![42.0, 18.0]);
-        assert_eq!(pq.codebook_bytes(1), 2 * 256);
     }
 }

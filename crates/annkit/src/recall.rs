@@ -2,81 +2,32 @@
 
 use crate::topk::Neighbor;
 
-/// Recall@k aggregated over a batch of queries, plus per-query details.
-#[derive(Debug, Clone)]
-pub struct RecallReport {
-    /// Mean fraction of ground-truth ids recovered per query.
-    pub recall: f64,
-    /// Per-query recall values.
-    pub per_query: Vec<f64>,
-    /// `k` used for the computation.
-    pub k: usize,
-}
-
 /// Computes recall@k between approximate results and exact results
-/// (both as [`Neighbor`] lists; only ids are compared).
-///
-/// Recall@k of a query = |approx top-k ∩ exact top-k| / k (capped by the
-/// number of available ground-truth entries).
+/// (both as [`Neighbor`] lists; only ids are compared): the mean over
+/// queries of |approx top-k ∩ exact top-k| / k (capped by the number of
+/// available ground-truth entries; a query without any counts as 1).
 ///
 /// # Panics
 /// Panics if the two batches have different numbers of queries.
 pub fn recall_at_k(approx: &[Vec<Neighbor>], exact: &[Vec<Neighbor>], k: usize) -> f64 {
-    recall_report(approx, exact, k).recall
-}
-
-/// Like [`recall_at_k`] but returns per-query detail.
-pub fn recall_report(approx: &[Vec<Neighbor>], exact: &[Vec<Neighbor>], k: usize) -> RecallReport {
     assert_eq!(
         approx.len(),
         exact.len(),
         "approx and exact batches differ in query count"
     );
     assert!(k > 0, "k must be positive");
-    let mut per_query = Vec::with_capacity(approx.len());
-    for (a, e) in approx.iter().zip(exact) {
-        let truth: Vec<u64> = e.iter().take(k).map(|n| n.id).collect();
-        if truth.is_empty() {
-            per_query.push(1.0);
-            continue;
-        }
-        let hits = a
-            .iter()
-            .take(k)
-            .filter(|n| truth.contains(&n.id))
-            .count();
-        per_query.push(hits as f64 / truth.len() as f64);
-    }
-    let recall = if per_query.is_empty() {
-        1.0
-    } else {
-        per_query.iter().sum::<f64>() / per_query.len() as f64
-    };
-    RecallReport {
-        recall,
-        per_query,
-        k,
-    }
-}
-
-/// Recall@k computed against ground truth expressed as id lists (the format
-/// shipped with the public billion-scale datasets).
-pub fn recall_against_ids(approx: &[Vec<Neighbor>], truth: &[Vec<u64>], k: usize) -> f64 {
-    assert_eq!(approx.len(), truth.len());
     if approx.is_empty() {
         return 1.0;
     }
-    let mut total = 0.0;
-    for (a, t) in approx.iter().zip(truth) {
-        let t: Vec<u64> = t.iter().copied().take(k).collect();
-        if t.is_empty() {
-            total += 1.0;
-            continue;
+    let per_query = approx.iter().zip(exact).map(|(a, e)| {
+        let truth: Vec<u64> = e.iter().take(k).map(|n| n.id).collect();
+        if truth.is_empty() {
+            return 1.0;
         }
-        let hits = a.iter().take(k).filter(|n| t.contains(&n.id)).count();
-        total += hits as f64 / t.len() as f64;
-    }
-    total / approx.len() as f64
+        let hits = a.iter().take(k).filter(|n| truth.contains(&n.id)).count();
+        hits as f64 / truth.len() as f64
+    });
+    per_query.sum::<f64>() / approx.len() as f64
 }
 
 #[cfg(test)]
@@ -101,11 +52,10 @@ mod tests {
     fn partial_recall() {
         let approx = vec![n(&[1, 9, 3]), n(&[7, 8])];
         let exact = vec![n(&[1, 2, 3]), n(&[5, 6])];
-        let report = recall_report(&approx, &exact, 2);
         // Query 0: approx top-2 {1,9} vs truth {1,2} → 0.5. Query 1: 0.0.
-        assert_eq!(report.per_query, vec![0.5, 0.0]);
-        assert!((report.recall - 0.25).abs() < 1e-12);
-        assert_eq!(report.k, 2);
+        assert_eq!(recall_at_k(&approx[..1], &exact[..1], 2), 0.5);
+        assert_eq!(recall_at_k(&approx[1..], &exact[1..], 2), 0.0);
+        assert!((recall_at_k(&approx, &exact, 2) - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -113,14 +63,6 @@ mod tests {
         let approx = vec![n(&[3, 2, 1])];
         let exact = vec![n(&[1, 2, 3])];
         assert_eq!(recall_at_k(&approx, &exact, 3), 1.0);
-    }
-
-    #[test]
-    fn recall_against_id_lists() {
-        let approx = vec![n(&[4, 5, 6])];
-        let truth = vec![vec![4u64, 9, 6]];
-        let r = recall_against_ids(&approx, &truth, 3);
-        assert!((r - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

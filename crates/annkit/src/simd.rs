@@ -71,17 +71,6 @@ pub enum Backend {
     Avx2,
 }
 
-impl Backend {
-    /// Stable lowercase name (`"scalar"` / `"avx2"`), used in bench ids
-    /// and diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Avx2 => "avx2",
-        }
-    }
-}
-
 static FORCED: OnceLock<Backend> = OnceLock::new();
 static ACTIVE: OnceLock<Backend> = OnceLock::new();
 
@@ -171,11 +160,11 @@ pub fn l2_squared_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// # Panics
 /// Panics if `query` is empty or `rows.len() != out.len() * query.len()`.
 #[inline]
-pub fn l2_squared_rows(query: &[f32], rows: &[f32], out: &mut [f32]) {
+pub(crate) fn l2_squared_rows(query: &[f32], rows: &[f32], out: &mut [f32]) {
     l2_squared_rows_with(active(), query, rows, out)
 }
 
-/// [`l2_squared_rows`] on an explicit backend (bitwise-equal across
+/// `l2_squared_rows` on an explicit backend (bitwise-equal across
 /// backends).
 pub fn l2_squared_rows_with(backend: Backend, query: &[f32], rows: &[f32], out: &mut [f32]) {
     let d = query.len();
@@ -207,11 +196,11 @@ pub fn l2_squared_rows_with(backend: Backend, query: &[f32], rows: &[f32], out: 
 /// # Panics
 /// Panics if `query` is empty or `cols.len() != out.len() * query.len()`.
 #[inline]
-pub fn l2_squared_cols(query: &[f32], cols: &[f32], out: &mut [f32]) {
+pub(crate) fn l2_squared_cols(query: &[f32], cols: &[f32], out: &mut [f32]) {
     l2_squared_cols_with(active(), query, cols, out)
 }
 
-/// [`l2_squared_cols`] on an explicit backend (bitwise-equal across
+/// `l2_squared_cols` on an explicit backend (bitwise-equal across
 /// backends).
 pub fn l2_squared_cols_with(backend: Backend, query: &[f32], cols: &[f32], out: &mut [f32]) {
     assert!(!query.is_empty(), "column distance needs a non-empty query");
@@ -380,7 +369,7 @@ pub fn adc_scan_blocked(table: &[f32], m: usize, packed: &[u8], out: &mut Vec<f3
 ///
 /// # Panics
 /// Panics if `values.len() > SCAN_LANES`.
-pub fn le_mask_with(backend: Backend, values: &[f32], threshold: f32) -> u32 {
+pub(crate) fn le_mask_with(backend: Backend, values: &[f32], threshold: f32) -> u32 {
     assert!(values.len() <= SCAN_LANES, "at most SCAN_LANES values");
     #[cfg(target_arch = "x86_64")]
     if backend == Backend::Avx2 && values.len() == SCAN_LANES {
@@ -589,11 +578,5 @@ mod tests {
         }
         // Short tails take the scalar path on every backend.
         assert_eq!(le_mask_with(detect(), &[1.0, 3.0, 2.0], 2.0), 0b101);
-    }
-
-    #[test]
-    fn backend_names_are_stable() {
-        assert_eq!(Backend::Scalar.name(), "scalar");
-        assert_eq!(Backend::Avx2.name(), "avx2");
     }
 }

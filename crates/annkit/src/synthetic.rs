@@ -36,7 +36,7 @@ pub enum DatasetKind {
 
 impl DatasetKind {
     /// Vector dimensionality of the mimicked dataset.
-    pub fn dim(self) -> usize {
+    pub(crate) fn dim(self) -> usize {
         match self {
             DatasetKind::SiftLike => 128,
             DatasetKind::DeepLike => 96,
@@ -127,16 +127,6 @@ impl SyntheticSpec {
         Self::new(DatasetKind::SiftLike, n)
     }
 
-    /// DEEP1B-like spec with `n` vectors.
-    pub fn deep_like(n: usize) -> Self {
-        Self::new(DatasetKind::DeepLike, n)
-    }
-
-    /// SPACEV1B-like spec with `n` vectors.
-    pub fn spacev_like(n: usize) -> Self {
-        Self::new(DatasetKind::SpacevLike, n)
-    }
-
     /// Generic constructor with default knobs.
     pub fn new(kind: DatasetKind, n: usize) -> Self {
         Self {
@@ -159,18 +149,6 @@ impl SyntheticSpec {
     /// Overrides the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the cluster-size skew exponent.
-    pub fn with_size_skew(mut self, skew: f64) -> Self {
-        self.size_skew = skew;
-        self
-    }
-
-    /// Overrides the co-occurrence injection rate.
-    pub fn with_cooccurrence(mut self, rate: f64) -> Self {
-        self.cooccurrence_rate = rate;
         self
     }
 
@@ -337,9 +315,12 @@ mod tests {
 
     #[test]
     fn size_skew_produces_imbalance() {
-        let skewed = SyntheticSpec::spacev_like(2000)
+        let spacev = |size_skew| SyntheticSpec {
+            size_skew,
+            ..SyntheticSpec::new(DatasetKind::SpacevLike, 2000)
+        };
+        let skewed = spacev(1.1)
             .with_clusters(32)
-            .with_size_skew(1.1)
             .with_seed(3)
             .generate_with_meta();
         let ratio = |d: &SyntheticDataset| {
@@ -349,9 +330,8 @@ mod tests {
         };
         assert!(ratio(&skewed) > 10.0, "ratio {}", ratio(&skewed));
 
-        let uniform = SyntheticSpec::spacev_like(2000)
+        let uniform = spacev(0.0)
             .with_clusters(32)
-            .with_size_skew(0.0)
             .with_seed(3)
             .generate_with_meta();
         assert!(ratio(&uniform) < 3.0, "ratio {}", ratio(&uniform));
@@ -359,30 +339,38 @@ mod tests {
 
     #[test]
     fn values_respect_kind_ranges() {
-        let sift = SyntheticSpec::sift_like(200).with_seed(4).generate();
-        assert!(sift.as_flat().iter().all(|&x| (0.0..=255.0).contains(&x)));
-        let deep = SyntheticSpec::deep_like(200).with_seed(4).generate();
-        assert!(deep.as_flat().iter().all(|&x| (-4.0..=4.0).contains(&x)));
-        let spacev = SyntheticSpec::spacev_like(200).with_seed(4).generate();
-        assert!(spacev.as_flat().iter().all(|&x| (-128.0..=127.0).contains(&x)));
+        for kind in DatasetKind::all() {
+            let range = match kind {
+                DatasetKind::SiftLike => 0.0..=255.0,
+                DatasetKind::DeepLike => -4.0..=4.0,
+                DatasetKind::SpacevLike => -128.0..=127.0,
+            };
+            let data = SyntheticSpec::new(kind, 200).with_seed(4).generate();
+            assert!(
+                data.iter().flatten().all(|x| range.contains(x)),
+                "{}",
+                kind.name()
+            );
+        }
     }
 
     #[test]
     fn cooccurrence_injection_yields_repeated_code_triplets() {
         // Encode the generated data with IVFPQ and check that at least one
         // positioned code triplet repeats far more often than chance.
-        let spec = SyntheticSpec::sift_like(1500)
-            .with_clusters(8)
-            .with_cooccurrence(0.5)
-            .with_seed(5);
+        let spec = SyntheticSpec {
+            cooccurrence_rate: 0.5,
+            ..SyntheticSpec::sift_like(1500)
+        }
+        .with_clusters(8)
+        .with_seed(5);
         let ds = spec.generate();
         let index = IvfPqIndex::train(&ds, &IvfPqParams::new(8, 16).with_train_size(800), 2);
 
         let mut triplet_counts: HashMap<(usize, [u8; 3]), usize> = HashMap::new();
         let mut total_codes = 0usize;
         for list in index.lists() {
-            for i in 0..list.len() {
-                let code = list.code(i, 16);
+            for code in list.packed_codes().chunks_exact(16) {
                 total_codes += 1;
                 for start in 0..(16 - 3) {
                     let key = (start, [code[start], code[start + 1], code[start + 2]]);

@@ -149,21 +149,14 @@ impl TopK {
     }
 
     /// Offers a run of candidates with consecutive ids (`base_id`,
-    /// `base_id + 1`, …) — the shape every scan loop produces — on the best
-    /// runtime-detected backend. Returns the number inserted.
+    /// `base_id + 1`, …) — the shape every scan loop produces — on `backend`
+    /// (callers pass [`simd::active`]). Returns the number inserted.
     ///
     /// Behaves exactly like calling [`push`](Self::push) for each candidate
     /// in order (same final heap, same offered/accepted counters), but once
     /// the heap is full it pre-filters each block of [`SCAN_LANES`]
     /// distances against [`threshold`](Self::threshold) with one vector
     /// compare, so the common all-rejected case never touches the heap.
-    #[inline]
-    pub fn push_batch(&mut self, base_id: u64, distances: &[f32]) -> usize {
-        self.push_batch_with(simd::active(), base_id, distances)
-    }
-
-    /// [`push_batch`](Self::push_batch) on an explicit [`Backend`], used by
-    /// the equivalence tests and bench variants.
     pub fn push_batch_with(&mut self, backend: Backend, base_id: u64, distances: &[f32]) -> usize {
         let mut inserted = 0usize;
         let mut i = 0usize;
@@ -206,13 +199,6 @@ impl TopK {
             i = end;
         }
         inserted
-    }
-
-    /// Merges another collector into this one.
-    pub fn merge(&mut self, other: &TopK) {
-        for n in &other.heap {
-            self.push(n.id, n.distance);
-        }
     }
 
     /// Total number of candidates offered via [`push`](Self::push).
@@ -345,19 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_collectors() {
-        let mut a = TopK::new(3);
-        a.push(1, 1.0);
-        a.push(2, 5.0);
-        let mut b = TopK::new(3);
-        b.push(3, 0.5);
-        b.push(4, 4.0);
-        a.merge(&b);
-        let ids: Vec<u64> = a.into_sorted().iter().map(|n| n.id).collect();
-        assert_eq!(ids, vec![3, 1, 4]);
-    }
-
-    #[test]
     fn counts_offered_and_accepted() {
         let mut tk = TopK::new(1);
         tk.push(0, 1.0);
@@ -442,7 +415,11 @@ mod tests {
         // beats the root's — the pre-filter must use `<=`, not `<`.
         let mut tk = TopK::new(1);
         tk.push(50, 2.0);
-        let inserted = tk.push_batch(10, &[2.0, 3.0, 2.0, 9.0, 2.0, 4.0, 5.0, 6.0]);
+        let inserted = tk.push_batch_with(
+            simd::active(),
+            10,
+            &[2.0, 3.0, 2.0, 9.0, 2.0, 4.0, 5.0, 6.0],
+        );
         assert_eq!(inserted, 1);
         let out = tk.into_sorted();
         assert_eq!(out[0].id, 10); // lowest id at distance 2.0 wins
@@ -457,7 +434,11 @@ mod tests {
         let mut tk = TopK::new(2);
         tk.push(0, f32::NAN);
         tk.push(1, f32::NAN);
-        let inserted = tk.push_batch(10, &[5.0, f32::NAN, 1.0, 7.0, 3.0, 8.0, 9.0, 2.0]);
+        let inserted = tk.push_batch_with(
+            simd::active(),
+            10,
+            &[5.0, f32::NAN, 1.0, 7.0, 3.0, 8.0, 9.0, 2.0],
+        );
         assert!(inserted >= 2);
         let out = tk.into_sorted();
         assert_eq!(out.len(), 2);

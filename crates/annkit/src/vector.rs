@@ -33,21 +33,6 @@ impl Dataset {
         }
     }
 
-    /// Builds a dataset from a flat buffer of `n * dim` floats.
-    ///
-    /// # Panics
-    /// Panics if the buffer length is not a multiple of `dim`.
-    pub fn from_flat(dim: usize, data: Vec<f32>) -> Self {
-        assert!(dim > 0, "vector dimension must be positive");
-        assert!(
-            data.len().is_multiple_of(dim),
-            "flat buffer length {} is not a multiple of dim {}",
-            data.len(),
-            dim
-        );
-        Self { dim, data }
-    }
-
     /// Builds a dataset from a slice of rows.
     ///
     /// # Panics
@@ -102,15 +87,9 @@ impl Dataset {
 
     /// Returns a mutable slice of vector `i`.
     #[inline]
-    pub fn vector_mut(&mut self, i: usize) -> &mut [f32] {
+    pub(crate) fn vector_mut(&mut self, i: usize) -> &mut [f32] {
         let start = i * self.dim;
         &mut self.data[start..start + self.dim]
-    }
-
-    /// The underlying flat buffer.
-    #[inline]
-    pub fn as_flat(&self) -> &[f32] {
-        &self.data
     }
 
     /// Iterates over all vectors in index order.
@@ -132,7 +111,7 @@ impl Dataset {
     ///
     /// # Panics
     /// Panics if `dim % m != 0` or `sub >= m`.
-    pub fn subspace(&self, m: usize, sub: usize) -> Dataset {
+    pub(crate) fn subspace(&self, m: usize, sub: usize) -> Dataset {
         assert!(self.dim.is_multiple_of(m), "dim {} not divisible by m {}", self.dim, m);
         assert!(sub < m, "subspace index out of range");
         let dsub = self.dim / m;
@@ -180,20 +159,6 @@ mod tests {
         assert_eq!(ds.vector(1), &[5.0, 6.0, 7.0, 8.0]);
         assert_eq!(ds.iter().count(), 3);
         assert_eq!(ds.raw_bytes(), 3 * 4 * 4);
-    }
-
-    #[test]
-    fn from_flat_roundtrip() {
-        let ds = Dataset::from_flat(2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds.vector(1), &[3.0, 4.0]);
-        assert_eq!(ds.as_flat(), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of dim")]
-    fn from_flat_rejects_ragged() {
-        let _ = Dataset::from_flat(3, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

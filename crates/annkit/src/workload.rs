@@ -4,8 +4,7 @@
 //! popular clusters receive up to 500× more queries than unpopular ones
 //! (Figure 4a), which is what makes the PIM-aware data placement (Opt1)
 //! necessary. This module generates query batches whose *cluster popularity*
-//! follows a Zipf distribution over the generative clusters, plus helpers to
-//! measure the resulting access-frequency histogram.
+//! follows a Zipf distribution over the generative clusters.
 
 use crate::synthetic::SyntheticDataset;
 use crate::vector::Dataset;
@@ -43,12 +42,6 @@ impl WorkloadSpec {
             seed: 0xBEEF,
             popularity_seed: 0x9_0DD,
         }
-    }
-
-    /// Overrides the popularity skew exponent.
-    pub fn with_skew(mut self, skew: f64) -> Self {
-        self.popularity_skew = skew;
-        self
     }
 
     /// Overrides the RNG seed (which queries get sampled).
@@ -147,39 +140,9 @@ pub struct QueryBatch {
 
 impl QueryBatch {
     /// Number of queries in the batch.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queries.len()
     }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-
-    /// Histogram of target-cluster popularity (Figure 4a's access-frequency
-    /// distribution), indexed by cluster id.
-    pub fn access_frequency(&self, num_clusters: usize) -> Vec<usize> {
-        let mut freq = vec![0usize; num_clusters];
-        for &c in &self.target_cluster {
-            if c < num_clusters {
-                freq[c] += 1;
-            }
-        }
-        freq
-    }
-}
-
-/// Per-cluster access frequencies normalized to probabilities, as used by the
-/// data-placement algorithm (its `f_i` input). Computed from a *historical*
-/// query batch, mirroring how the paper derives frequencies from past
-/// workload.
-pub fn cluster_frequencies(batch: &QueryBatch, num_clusters: usize) -> Vec<f64> {
-    let freq = batch.access_frequency(num_clusters);
-    let total: usize = freq.iter().sum();
-    if total == 0 {
-        return vec![1.0 / num_clusters as f64; num_clusters];
-    }
-    freq.iter().map(|&f| f as f64 / total as f64).collect()
 }
 
 /// Identifier of a serving *tenant* — one traffic class among the many a
@@ -655,14 +618,6 @@ impl MutationSpec {
         self
     }
 
-    /// Whether the spec can generate no events (the frozen-index fast path).
-    pub fn is_empty(&self) -> bool {
-        self.tenants
-            .iter()
-            .all(|t| t.upsert_qps <= 0.0 && t.delete_qps <= 0.0)
-            || self.duration_s <= 0.0
-    }
-
     /// Generates the arrival-ordered event stream against `dataset`, whose
     /// first `base_ntotal` row ids form the initially live corpus. Upserted
     /// vectors are seeded perturbations of existing dataset vectors; fresh
@@ -771,11 +726,6 @@ impl MutationStream {
         self.events.is_empty()
     }
 
-    /// Time of the last event (0 for an empty stream).
-    pub fn duration(&self) -> f64 {
-        self.events.last().map(|e| e.at).unwrap_or(0.0)
-    }
-
     /// Number of upsert events.
     pub fn upserts(&self) -> usize {
         self.events
@@ -835,7 +785,6 @@ mod tests {
         let ds = dataset();
         let batch = WorkloadSpec::new(300).with_seed(1).generate(&ds);
         assert_eq!(batch.len(), 300);
-        assert!(!batch.is_empty());
         assert_eq!(batch.queries.dim(), 128);
         assert_eq!(batch.target_cluster.len(), 300);
     }
@@ -843,10 +792,17 @@ mod tests {
     #[test]
     fn skewed_workload_is_more_imbalanced_than_uniform() {
         let ds = dataset();
-        let skewed = WorkloadSpec::new(2000).with_skew(1.2).with_seed(3).generate(&ds);
-        let uniform = WorkloadSpec::new(2000).with_skew(0.0).with_seed(3).generate(&ds);
+        let spec = |popularity_skew| WorkloadSpec {
+            popularity_skew,
+            ..WorkloadSpec::new(2000)
+        };
+        let skewed = spec(1.2).with_seed(3).generate(&ds);
+        let uniform = spec(0.0).with_seed(3).generate(&ds);
         let ratio = |batch: &QueryBatch| {
-            let freq = batch.access_frequency(24);
+            let mut freq = [0usize; 24];
+            for &c in &batch.target_cluster {
+                freq[c] += 1;
+            }
             let max = freq.iter().copied().max().unwrap_or(0);
             let min = freq.iter().copied().filter(|&f| f > 0).min().unwrap_or(1);
             max as f64 / min as f64
@@ -857,27 +813,6 @@ mod tests {
             ratio(&skewed),
             ratio(&uniform)
         );
-    }
-
-    #[test]
-    fn frequencies_sum_to_one() {
-        let ds = dataset();
-        let batch = WorkloadSpec::new(500).with_seed(7).generate(&ds);
-        let freqs = cluster_frequencies(&batch, 24);
-        assert_eq!(freqs.len(), 24);
-        let sum: f64 = freqs.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-        assert!(freqs.iter().all(|&f| f >= 0.0));
-    }
-
-    #[test]
-    fn empty_history_falls_back_to_uniform_frequencies() {
-        let batch = QueryBatch {
-            queries: Dataset::new(4),
-            target_cluster: vec![],
-        };
-        let freqs = cluster_frequencies(&batch, 10);
-        assert!(freqs.iter().all(|&f| (f - 0.1).abs() < 1e-12));
     }
 
     #[test]
@@ -1028,11 +963,10 @@ mod tests {
             .with_tenant(TenantId(1), 4.0, 1.0)
             .with_tenant(TenantId(2), 0.5, 0.5)
             .with_seed(77);
-        assert!(!spec.is_empty());
         let stream = spec.generate(&ds, 1200);
         assert!(!stream.is_empty());
         assert!(stream.events.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(stream.duration() <= 30.0);
+        assert!(stream.events.iter().all(|e| e.at <= 30.0));
         assert_eq!(stream.upserts() + stream.deletes(), stream.len());
         // Tenant 1 mutates ~5×/s, tenant 2 ~1×/s: the split shows it.
         let t1 = stream.events.iter().filter(|e| e.tenant == TenantId(1)).count();
@@ -1056,7 +990,6 @@ mod tests {
         // Deterministic replay.
         assert_eq!(stream, spec.generate(&ds, 1200));
         // The empty spec generates nothing.
-        assert!(MutationSpec::new(30.0).is_empty());
         assert!(MutationSpec::new(30.0).generate(&ds, 1200).is_empty());
     }
 

@@ -13,7 +13,7 @@
 //! The model applies the *billion-scale regime* (working set ≫ LLC) unless
 //! [`CpuSpec::billion_scale_regime`] is off: the cache-aware variant the
 //! Figure 1 scale sweep uses reads the effective-bandwidth curve
-//! [`CpuSpec::effective_scan_bandwidth`] instead.
+//! `CpuSpec::effective_scan_bandwidth` instead.
 
 use crate::faiss::{FaissEngine, FunctionalRun, Roofline};
 use crate::hardware::HardwareSpec;
@@ -75,7 +75,7 @@ impl CpuSpec {
 
     /// Aggregate scalar-ish throughput in cycles/s for the scan and top-k
     /// inner loops.
-    pub fn scalar_cycles_per_second(&self) -> f64 {
+    pub(crate) fn scalar_cycles_per_second(&self) -> f64 {
         self.cores as f64 * self.freq_hz * self.parallel_efficiency
     }
 
@@ -83,7 +83,7 @@ impl CpuSpec {
     /// `working_set_bytes`: close to LLC bandwidth when everything fits in
     /// cache (million-scale), degrading to `scan_efficiency × DRAM` when it
     /// does not (billion-scale). Used by the Figure 1 scale sweep.
-    pub fn effective_scan_bandwidth(&self, working_set_bytes: f64) -> f64 {
+    pub(crate) fn effective_scan_bandwidth(&self, working_set_bytes: f64) -> f64 {
         let dram = self.dram_bandwidth * self.scan_efficiency;
         let llc = self.dram_bandwidth * 3.0; // cache-resident scans are ~3× faster
         if working_set_bytes <= self.llc_bytes {

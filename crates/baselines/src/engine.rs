@@ -272,8 +272,8 @@ impl SearchRequest {
 /// An engine's answer to a [`SearchRequest`].
 ///
 /// This is also the single home of the repository's latency/QPS accounting:
-/// every division guard lives here, and the legacy [`SearchOutcome`] name is
-/// an alias of this type, so engines and harnesses share one implementation.
+/// every division guard lives here, so engines and harnesses share one
+/// implementation.
 #[derive(Debug, Clone)]
 pub struct SearchResponse {
     /// The id of the request this response answers.
@@ -287,10 +287,6 @@ pub struct SearchResponse {
     /// Work counters collected during the functional execution.
     pub stats: WorkloadStats,
 }
-
-/// Legacy name of [`SearchResponse`], kept so positional `search_batch` call
-/// sites read naturally.
-pub type SearchOutcome = SearchResponse;
 
 impl SearchResponse {
     /// An empty response (no queries, zero time).
@@ -308,7 +304,7 @@ impl SearchResponse {
     /// its queries: each part is (positions in `request`, the response to
     /// those queries in that order), run back to back. Results scatter to
     /// request order, seconds add up, breakdowns and work counters merge.
-    pub fn gather(
+    pub(crate) fn gather(
         request: &SearchRequest,
         parts: impl IntoIterator<Item = (Vec<usize>, SearchResponse)>,
     ) -> Self {
@@ -466,7 +462,7 @@ pub trait AnnEngine {
     /// [`SearchRequest`] directly when queries need distinct options. The
     /// shim clones `queries` into the owned request — one memcpy, dwarfed by
     /// the functional search it precedes.
-    fn search_batch(&mut self, queries: &Dataset, nprobe: usize, k: usize) -> SearchOutcome {
+    fn search_batch(&mut self, queries: &Dataset, nprobe: usize, k: usize) -> SearchResponse {
         self.execute(&SearchRequest::uniform(queries, nprobe, k))
     }
 
@@ -520,7 +516,7 @@ impl<E: AnnEngine + ?Sized> AnnEngine for Box<E> {
         (**self).execute(request)
     }
 
-    fn search_batch(&mut self, queries: &Dataset, nprobe: usize, k: usize) -> SearchOutcome {
+    fn search_batch(&mut self, queries: &Dataset, nprobe: usize, k: usize) -> SearchResponse {
         (**self).search_batch(queries, nprobe, k)
     }
 
@@ -558,7 +554,7 @@ mod tests {
             response(request.len(), 1.5)
         }
 
-        fn search_batch(&mut self, queries: &Dataset, _nprobe: usize, _k: usize) -> SearchOutcome {
+        fn search_batch(&mut self, queries: &Dataset, _nprobe: usize, _k: usize) -> SearchResponse {
             response(queries.len(), 2.5)
         }
 

@@ -90,13 +90,13 @@ impl<R: Roofline> FaissEngine<R> {
     }
 
     /// The spec in use.
-    pub fn spec(&self) -> &R {
+    pub(crate) fn spec(&self) -> &R {
         &self.spec
     }
 
     /// The snapshot this engine searches for requests at time 0 (the base
     /// index view when no timeline was installed).
-    pub fn snapshot(&self) -> &IvfPqIndex {
+    pub(crate) fn snapshot(&self) -> &IvfPqIndex {
         &self.timeline.entries()[0].1
     }
 

@@ -9,7 +9,7 @@
 //! is bandwidth-bound at HBM speed, top-k is throughput-limited per query and
 //! carries a per-batch synchronization overhead that grows with `k`.
 //!
-//! The 80 GB device capacity is also modeled: [`GpuFaissEngine::check_memory`]
+//! The 80 GB device capacity is also modeled: `GpuFaissEngine::check_memory`
 //! reports the out-of-memory condition that produces the blue "X" marks for
 //! DEEP1B in Figure 12 (Faiss needs the raw float vectors resident for that
 //! configuration, and 10⁹ × 96 × 4 B = 384 GB does not fit).
@@ -87,7 +87,7 @@ impl GpuFaissEngine {
     /// dimensions compressed to `m` bytes. `store_raw_vectors` corresponds to
     /// Faiss GPU configurations that keep the float vectors resident (e.g.
     /// for re-ranking), which is what pushes DEEP1B past 80 GB in the paper.
-    pub fn memory_required_bytes(
+    pub(crate) fn memory_required_bytes(
         ntotal: u64,
         dim: usize,
         m: usize,

@@ -28,7 +28,7 @@ pub struct HardwareSpec {
 
 impl HardwareSpec {
     /// The paper's CPU platform: 2× Intel Xeon Silver 4110 with 4× DDR4.
-    pub fn cpu() -> Self {
+    pub(crate) fn cpu() -> Self {
         Self {
             name: "CPU",
             description: "2x Intel Xeon Silver 4110 @ 2.10GHz, 4x DDR4 DRAM".to_string(),
@@ -53,12 +53,12 @@ impl HardwareSpec {
     }
 
     /// The paper's PIM platform: 7 UPMEM DIMMs (896 DPUs).
-    pub fn pim() -> Self {
+    pub(crate) fn pim() -> Self {
         Self::pim_with_config(&PimConfig::paper_seven_dimms())
     }
 
     /// A PIM platform with an arbitrary DPU count (for the scalability study).
-    pub fn pim_with_config(config: &PimConfig) -> Self {
+    pub(crate) fn pim_with_config(config: &PimConfig) -> Self {
         // 612.5 GB/s for 7 DIMMs in Table 1 → 87.5 GB/s per DIMM.
         let per_dimm_bw = 612.5e9 / 7.0;
         Self {

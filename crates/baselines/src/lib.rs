@@ -6,17 +6,19 @@
 //!
 //! * [`hardware`] — the Table 1 hardware specifications (capacity, peak
 //!   power, bandwidth, price) as data,
-//! * [`engine`] — the request-centric [`AnnEngine`] trait with its
-//!   [`SearchRequest`] / [`SearchResponse`] types shared by every engine
+//! * [`engine`] — the request-centric [`AnnEngine`](engine::AnnEngine) trait
+//!   with its [`SearchRequest`](engine::SearchRequest) /
+//!   [`SearchResponse`](engine::SearchResponse) types shared by every engine
 //!   in the repository (CPU, GPU, PIM-naive, UpANNS),
-//! * [`faiss`] — [`FaissEngine`](faiss::FaissEngine), the one functional
-//!   IVFPQ engine, whose stage times come from a [`Roofline`](faiss::Roofline),
+//! * `faiss` (crate-private) — `FaissEngine`, the one functional IVFPQ
+//!   engine, whose stage times come from a `Roofline`,
 //! * [`cpu`] — the roofline of the paper's dual-Xeon platform;
-//!   [`CpuFaissEngine`] is the engine over it,
+//!   [`CpuFaissEngine`](cpu::CpuFaissEngine) is the engine over it,
 //! * [`gpu`] — the roofline of the A100, including the low-parallelism top-k
-//!   stage that dominates GPU runtime (Figure 19); [`GpuFaissEngine`] is the
-//!   engine over it, with the 80 GB capacity limit that makes DEEP1B
-//!   configurations go out-of-memory (Figure 12).
+//!   stage that dominates GPU runtime (Figure 19);
+//!   [`GpuFaissEngine`](gpu::GpuFaissEngine) is the engine over it, with the
+//!   80 GB capacity limit that makes DEEP1B configurations go out-of-memory
+//!   (Figure 12).
 //!
 //! Both engines run the same functional pass, so their answers and work
 //! counters (and hence recall) are identical; only their rooflines differ.
@@ -27,22 +29,7 @@
 
 pub mod cpu;
 pub mod engine;
-pub mod faiss;
+mod faiss;
 pub mod gpu;
 pub mod hardware;
 pub mod workload_stats;
-
-/// Commonly used items, re-exported for convenience.
-pub mod prelude {
-    pub use crate::cpu::{CpuFaissEngine, CpuSpec};
-    pub use crate::engine::{
-        AnnEngine, QueryOptions, SearchOutcome, SearchRequest, SearchResponse,
-    };
-    pub use crate::gpu::{GpuFaissEngine, GpuSpec};
-    pub use crate::hardware::{HardwareSpec, hardware_table};
-    pub use crate::workload_stats::WorkloadStats;
-}
-
-pub use cpu::CpuFaissEngine;
-pub use engine::{AnnEngine, QueryOptions, SearchOutcome, SearchRequest, SearchResponse};
-pub use gpu::GpuFaissEngine;

@@ -44,19 +44,6 @@ pub struct DriftReport {
     pub cooled_clusters: usize,
 }
 
-impl DriftReport {
-    /// A report describing two identical distributions.
-    pub fn none() -> Self {
-        Self {
-            total_variation: 0.0,
-            hot_set_overlap: 1.0,
-            max_cluster_shift: 0.0,
-            heated_clusters: 0,
-            cooled_clusters: 0,
-        }
-    }
-}
-
 /// Thresholds steering the two-tier adaptation policy.
 #[derive(Debug, Clone)]
 pub struct AdaptationPolicy {
@@ -97,7 +84,7 @@ pub struct ReplicaAdjustment {
 
 impl ReplicaAdjustment {
     /// Whether the adjustment changes anything.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.add.is_empty() && self.remove.is_empty()
     }
 }
@@ -159,7 +146,7 @@ fn hot_set(freqs: &[f64], mass: f64) -> Vec<usize> {
 ///
 /// # Panics
 /// Panics if the two vectors have different lengths or are empty.
-pub fn measure_drift(old: &[f64], new: &[f64], policy: &AdaptationPolicy) -> DriftReport {
+pub(crate) fn measure_drift(old: &[f64], new: &[f64], policy: &AdaptationPolicy) -> DriftReport {
     assert_eq!(old.len(), new.len(), "frequency vectors must align");
     assert!(!old.is_empty(), "need at least one cluster");
     let old_n = normalize(old);
@@ -211,7 +198,7 @@ pub fn measure_drift(old: &[f64], new: &[f64], policy: &AdaptationPolicy) -> Dri
 /// The desired replica count of a cluster of workload `sᵢ·fᵢ` when a DPU may
 /// carry `headroom` times the per-DPU average: the placement's own rule
 /// ([`replica_count`], so never fewer than two on a fleet of two or more).
-pub fn desired_replicas(
+pub(crate) fn desired_replicas(
     cluster_size: usize,
     frequency: f64,
     per_dpu_target: f64,

@@ -76,7 +76,7 @@ pub struct LiveIndexPlan {
 
 /// Max/avg ratio over the list sizes `sizes` (1.0 for a degenerate empty
 /// index).
-pub fn list_size_skew(sizes: &[usize]) -> f64 {
+pub(crate) fn list_size_skew(sizes: &[usize]) -> f64 {
     let max = sizes.iter().copied().max().unwrap_or(0) as f64;
     let total: usize = sizes.iter().sum();
     if total == 0 || sizes.is_empty() {
@@ -186,7 +186,8 @@ mod tests {
         let (index, data) = fixture();
         let stream = MutationSpec::new(10.0).generate(&data, index.ntotal());
         let plan = plan_live_index(&index, &stream, 2.0, &CompactionPolicy::default());
-        assert!(plan.timeline.is_frozen());
+        assert_eq!(plan.timeline.epoch_schedule(), vec![(f64::NEG_INFINITY, 0)]);
+        assert!(plan.timeline.windows().is_empty());
         assert!(plan.compactions.is_empty());
         assert_eq!(plan.final_epoch, 0);
     }
@@ -207,7 +208,7 @@ mod tests {
         // Epochs are monotone along the timeline and end at the final epoch.
         let epochs: Vec<u64> = entries.iter().map(|(_, s)| s.epoch()).collect();
         assert!(epochs.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(plan.timeline.max_epoch(), plan.final_epoch);
+        assert_eq!(epochs.last(), Some(&plan.final_epoch));
         assert!(plan.final_epoch > 0);
         // Between refreshes the served epoch is stale relative to the live
         // index: the epoch at t=1.9 is what was installed at t=0.
@@ -254,7 +255,8 @@ mod tests {
         let w = plan.timeline.windows()[0];
         assert!(plan.timeline.stall_after((w.start + w.end) / 2.0) > 0.0);
         // Compaction never advances the epoch by itself.
-        assert_eq!(plan.timeline.max_epoch(), plan.final_epoch);
+        let schedule = plan.timeline.epoch_schedule();
+        assert_eq!(schedule.last().map(|&(_, e)| e), Some(plan.final_epoch));
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl Element {
 
     /// The flat LUT address of this element (`position * 256 + code`), the
     /// direct-address form used by the PIM-friendly encoding.
-    pub fn lut_address(&self) -> usize {
+    pub(crate) fn lut_address(&self) -> usize {
         self.position as usize * 256 + self.code as usize
     }
 }
@@ -40,44 +40,21 @@ pub struct Combo {
 }
 
 impl Combo {
-    /// Creates a combo from elements (sorted by position internally).
-    ///
-    /// # Panics
-    /// Panics if fewer than 2 elements, or two elements share a position.
-    pub fn new(mut elements: Vec<Element>) -> Self {
-        assert!(elements.len() >= 2, "a combo needs at least two elements");
-        elements.sort();
-        for w in elements.windows(2) {
-            assert_ne!(w[0].position, w[1].position, "duplicate position in combo");
-        }
-        Self { elements }
-    }
-
     /// The combo's elements, sorted by position.
     pub fn elements(&self) -> &[Element] {
         &self.elements
     }
 
-    /// Number of elements covered (2 or 3).
-    pub fn len(&self) -> usize {
-        self.elements.len()
-    }
-
-    /// Combos are never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Whether the PQ code `code` (of length `m`) contains this combo at the
     /// right positions.
-    pub fn matches(&self, code: &[u8]) -> bool {
+    pub(crate) fn matches(&self, code: &[u8]) -> bool {
         self.elements
             .iter()
             .all(|e| code.get(e.position as usize) == Some(&e.code))
     }
 
     /// The set of positions the combo covers.
-    pub fn positions(&self) -> Vec<usize> {
+    pub(crate) fn positions(&self) -> Vec<usize> {
         self.elements.iter().map(|e| e.position as usize).collect()
     }
 }
@@ -92,7 +69,7 @@ pub struct ComboTable {
 
 impl ComboTable {
     /// An empty table (no combinations cached).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self::default()
     }
 
@@ -128,7 +105,7 @@ impl ComboTable {
     /// Appends [`partial_sums`](Self::partial_sums) to `out` — after the
     /// flat LUT this forms the unified table the encoded stream addresses
     /// (§4.3).
-    pub fn extend_partial_sums(&self, lut: &annkit::lut::LookupTable, out: &mut Vec<f32>) {
+    pub(crate) fn extend_partial_sums(&self, lut: &annkit::lut::LookupTable, out: &mut Vec<f32>) {
         out.extend(self.combos.iter().map(|c| {
             c.elements()
                 .iter()
@@ -450,11 +427,9 @@ mod tests {
         let codes = codes_with_pattern(500, 8);
         let table = mine_cluster_combos(&codes, 8, &MiningParams::default());
         assert!(!table.is_empty());
-        let target = Combo::new(vec![
-            Element::new(0, 5),
-            Element::new(1, 9),
-            Element::new(2, 13),
-        ]);
+        let target = Combo {
+            elements: vec![Element::new(0, 5), Element::new(1, 9), Element::new(2, 13)],
+        };
         let found = table.combos().contains(&target);
         assert!(found, "expected the injected triple to be mined: {:?}", table.combos().first());
         // Its support should be roughly 40 % of the cluster.
@@ -478,16 +453,14 @@ mod tests {
 
     #[test]
     fn combo_matching_and_addresses() {
-        let combo = Combo::new(vec![Element::new(2, 7), Element::new(0, 3)]);
-        // Elements are sorted by position.
-        assert_eq!(combo.elements()[0].position, 0);
+        let combo = Combo {
+            elements: vec![Element::new(0, 3), Element::new(2, 7)],
+        };
         assert_eq!(combo.positions(), vec![0, 2]);
         let addresses: Vec<usize> = combo.elements().iter().map(Element::lut_address).collect();
         assert_eq!(addresses, vec![3, 2 * 256 + 7]);
         assert!(combo.matches(&[3, 99, 7, 0]));
         assert!(!combo.matches(&[3, 99, 8, 0]));
-        assert_eq!(combo.len(), 2);
-        assert!(!combo.is_empty());
     }
 
     #[test]
@@ -510,19 +483,15 @@ mod tests {
         let pq = ProductQuantizer::train(&ds, 4, 1);
         let lut = LookupTable::build(&pq, ds.vector(0));
 
-        let combo = Combo::new(vec![Element::new(1, 10), Element::new(3, 200)]);
+        let combo = Combo {
+            elements: vec![Element::new(1, 10), Element::new(3, 200)],
+        };
         let mut table = ComboTable::empty();
         table.combos.push(combo.clone());
         table.support.push(5);
         let sums = table.partial_sums(&lut);
         let expected = lut.get(1, 10) + lut.get(3, 200);
         assert!((sums[0] - expected).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate position")]
-    fn combos_reject_duplicate_positions() {
-        let _ = Combo::new(vec![Element::new(1, 2), Element::new(1, 3)]);
     }
 
     #[test]

@@ -81,12 +81,6 @@ impl CaeList {
         }
     }
 
-    /// Re-encodes without any combinations: every vector becomes `m` direct
-    /// addresses (the representation UpANNS uses when CAE is disabled).
-    pub fn encode_plain(packed_codes: &[u8], m: usize) -> Self {
-        Self::encode(packed_codes, m, &ComboTable::empty())
-    }
-
     /// Number of vectors in the list.
     pub fn len(&self) -> usize {
         self.offsets.len()
@@ -97,23 +91,13 @@ impl CaeList {
         self.offsets.is_empty()
     }
 
-    /// Number of PQ positions of the original codes.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Number of combination addresses in use.
-    pub fn num_combos(&self) -> usize {
-        self.num_combos
-    }
-
     /// The encoded entry count (including the per-vector length slots).
-    pub fn total_entries(&self) -> usize {
+    pub(crate) fn total_entries(&self) -> usize {
         self.entries.len()
     }
 
     /// Bytes occupied by the encoded stream (2 bytes per entry).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.entries.len() * 2
     }
 
@@ -126,7 +110,7 @@ impl CaeList {
     }
 
     /// Average encoded length per vector (address entries only).
-    pub fn mean_length(&self) -> f64 {
+    pub(crate) fn mean_length(&self) -> f64 {
         if self.is_empty() {
             return 0.0;
         }
@@ -136,7 +120,7 @@ impl CaeList {
 
     /// The length reduction rate relative to the plain `m`-entry encoding
     /// (the x-axis of Figure 14).
-    pub fn reduction_rate(&self) -> f64 {
+    pub(crate) fn reduction_rate(&self) -> f64 {
         if self.m == 0 {
             return 0.0;
         }
@@ -165,7 +149,7 @@ impl CaeList {
     /// cached combo partial sums (must come from the same [`ComboTable`] the
     /// list was encoded with). The per-record definition of the arithmetic
     /// the DPU kernel executes — the oracle
-    /// [`adc_scan_range`](Self::adc_scan_range) is tested against, bit for bit.
+    /// `adc_scan_range` is tested against, bit for bit.
     pub fn adc_distance(&self, i: usize, lut: &LookupTable, combo_sums: &[f32]) -> f32 {
         let mut sum = 0.0f32;
         for &entry in self.record(i) {
@@ -195,7 +179,7 @@ impl CaeList {
     /// # Panics
     /// Panics if the range is not within the list or `unified` is shorter
     /// than `256·m + num_combos`.
-    pub fn adc_scan_range(&self, unified: &[f32], start: usize, end: usize, out: &mut Vec<f32>) {
+    pub(crate) fn adc_scan_range(&self, unified: &[f32], start: usize, end: usize, out: &mut Vec<f32>) {
         assert!(start <= end && end <= self.len(), "record range out of bounds");
         assert!(
             unified.len() >= 256 * self.m + self.num_combos,
@@ -291,13 +275,12 @@ mod tests {
     #[test]
     fn plain_encoding_has_m_entries_and_zero_reduction() {
         let codes = patterned_codes(100, 8);
-        let plain = CaeList::encode_plain(&codes, 8);
+        let plain = CaeList::encode(&codes, 8, &ComboTable::empty());
         assert_eq!(plain.len(), 100);
         assert_eq!(plain.mean_length(), 8.0);
         assert_eq!(plain.reduction_rate(), 0.0);
         assert_eq!(plain.record(0).len(), 8);
         assert_eq!(plain.bytes(), 100 * 9 * 2);
-        assert_eq!(plain.num_combos(), 0);
     }
 
     #[test]
@@ -449,13 +432,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "record range out of bounds")]
     fn range_scan_rejects_a_range_past_the_list() {
-        let cae = CaeList::encode_plain(&patterned_codes(4, 8), 8);
+        let cae = CaeList::encode(&patterned_codes(4, 8), 8, &ComboTable::empty());
         cae.adc_scan_range(&vec![0.0; 8 * 256], 2, 5, &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "not a multiple of m")]
     fn ragged_codes_rejected() {
-        let _ = CaeList::encode_plain(&[1, 2, 3], 2);
+        let _ = CaeList::encode(&[1, 2, 3], 2, &ComboTable::empty());
     }
 }

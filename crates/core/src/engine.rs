@@ -145,19 +145,8 @@ impl UpAnnsEngine {
         }
     }
 
-    /// Overrides the display name (used by ablation sweeps).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &UpAnnsConfig {
-        &self.recipe.config
-    }
-
     /// The snapshot timeline currently being served.
-    pub fn timeline(&self) -> &SnapshotTimeline {
+    pub(crate) fn timeline(&self) -> &SnapshotTimeline {
         &self.timeline
     }
 
@@ -170,11 +159,6 @@ impl UpAnnsEngine {
     /// The offline data placement (of the most recently activated epoch).
     pub fn placement(&self) -> &Placement {
         &self.current().placement
-    }
-
-    /// The per-DPU MRAM directories (exposed for tests and diagnostics).
-    pub fn stores(&self) -> &[DpuStore] {
-        &self.current().stores
     }
 
     /// The simulated PIM system (for energy and configuration queries).
@@ -196,11 +180,6 @@ impl UpAnnsEngine {
         let mut by_cluster: Vec<(usize, f64)> = rates.iter().map(|(&c, &r)| (c, r)).collect();
         by_cluster.sort_unstable_by_key(|&(c, _)| c);
         by_cluster.iter().map(|&(_, r)| r).sum::<f64>() / rates.len() as f64
-    }
-
-    /// Per-cluster reduction rates (clusters without CAE encoding are absent).
-    pub fn reduction_rates(&self) -> &HashMap<usize, f64> {
-        &self.current().reduction_rates
     }
 
     /// The max/avg DPU busy-time ratio of the most recent batch (Figure 11's
@@ -468,6 +447,14 @@ mod tests {
     use baselines::cpu::CpuFaissEngine;
     use pim_sim::config::PimConfig;
     use std::sync::OnceLock;
+
+    impl UpAnnsEngine {
+        /// The per-DPU MRAM directories of the current epoch (the builder's
+        /// tests check what it staged).
+        pub(crate) fn stores(&self) -> &[DpuStore] {
+            &self.current().stores
+        }
+    }
 
     /// Compile-time Send audit: the threaded runtime (`upanns-runtime`)
     /// moves each engine worker into its own thread. The engine's mutable

@@ -107,7 +107,7 @@ pub struct DpuBatchPlan {
 
 impl DpuBatchPlan {
     /// Whether this DPU has nothing to do this batch.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.assignments.is_empty()
     }
 }
@@ -139,7 +139,7 @@ pub fn mailbox_slot_bytes(k: usize) -> usize {
 /// allocates nothing per assignment. Holds no state between uses: every
 /// buffer is rebuilt before it is read.
 #[derive(Debug, Default)]
-pub struct KernelScratch {
+pub(crate) struct KernelScratch {
     lut: LookupTable,
     /// §4.3's unified WRAM region: the flat LUT followed by the cluster's
     /// combination partial sums, addressed directly by the encoded stream.
@@ -151,7 +151,7 @@ pub struct KernelScratch {
 }
 
 /// Runs the UpANNS batch kernel on one DPU with fresh scratch buffers; see
-/// [`run_batch_kernel_with_scratch`].
+/// `run_batch_kernel_with_scratch`.
 pub fn run_batch_kernel(
     ctx: &mut DpuKernelCtx<'_>,
     store: &DpuStore,
@@ -167,7 +167,7 @@ pub fn run_batch_kernel(
 /// `lut_construction` → (barrier) → `combo_sum` → (barrier) →
 /// `distance_calc` → (barrier) → `topk`, then a single `result_write` at the
 /// end of the batch. `scratch` is the launch's reusable host-side buffers.
-pub fn run_batch_kernel_with_scratch(
+pub(crate) fn run_batch_kernel_with_scratch(
     ctx: &mut DpuKernelCtx<'_>,
     store: &DpuStore,
     plan: &DpuBatchPlan,
@@ -452,7 +452,7 @@ pub fn run_batch_kernel_with_scratch(
 }
 
 /// Parses a result mailbox produced by [`run_batch_kernel`].
-pub fn parse_mailbox(bytes: &[u8], queries: usize, k: usize) -> Vec<(usize, Vec<Neighbor>)> {
+pub(crate) fn parse_mailbox(bytes: &[u8], queries: usize, k: usize) -> Vec<(usize, Vec<Neighbor>)> {
     let slot = mailbox_slot_bytes(k);
     let mut out = Vec::with_capacity(queries);
     for qi in 0..queries {
@@ -484,7 +484,7 @@ pub fn parse_mailbox(bytes: &[u8], queries: usize, k: usize) -> Vec<(usize, Vec<
 /// WRAM buffer it charges DMA for, silently under-charging every transfer.
 /// Sizing the buffer (and its WRAM allocation and DMA charge) to `m`
 /// instead keeps the functional read and the charged model consistent.
-pub fn kernel_read_bytes(config: &UpAnnsConfig, m: usize) -> usize {
+pub(crate) fn kernel_read_bytes(config: &UpAnnsConfig, m: usize) -> usize {
     config.mram_read_bytes(m).max(m)
 }
 
@@ -496,7 +496,7 @@ mod tests {
     use annkit::synthetic::SyntheticSpec;
     use annkit::vector::residual;
     use pim_sim::config::PimConfig;
-    use pim_sim::prelude::PimSystem;
+    use pim_sim::host::PimSystem;
     use std::sync::OnceLock;
 
     struct Fixture {

@@ -45,10 +45,11 @@
 //! is the same engine built with [`config::UpAnnsConfig::pim_naive`].
 //!
 //! ```no_run
-//! use annkit::prelude::*;
+//! use annkit::ivf::{IvfPqIndex, IvfPqParams};
+//! use annkit::synthetic::SyntheticSpec;
 //! use baselines::engine::AnnEngine;
 //! use pim_sim::config::PimConfig;
-//! use upanns::prelude::*;
+//! use upanns::builder::UpAnnsBuilder;
 //!
 //! // Offline: train IVFPQ, then build the PIM engine.
 //! let data = SyntheticSpec::sift_like(20_000).with_clusters(64).generate();
@@ -79,32 +80,3 @@ pub mod replica;
 pub mod scheduling;
 pub mod topk_prune;
 pub mod wram_layout;
-
-/// Commonly used items, re-exported for convenience.
-pub mod prelude {
-    pub use crate::adaptive::{
-        adapt_placement, measure_drift, plan_adaptation, AdaptationDecision, AdaptationPolicy,
-        DriftReport, ReplicaAdjustment,
-    };
-    pub use crate::builder::{BatchCapacity, UpAnnsBuilder};
-    pub use crate::compaction::{
-        list_size_skew, plan_live_index, CompactionPolicy, LiveIndexPlan, PlannedCompaction,
-    };
-    pub use crate::config::UpAnnsConfig;
-    pub use crate::cooccurrence::{Combo, ComboTable, Element, MiningParams};
-    pub use crate::encoding::CaeList;
-    pub use crate::engine::UpAnnsEngine;
-    pub use crate::multihost::{shard_ranges, InterconnectModel};
-    pub use crate::placement::{place_pim_aware, place_round_robin, Placement, PlacementInput};
-    pub use crate::replica::{
-        FaultEvent, FaultSchedule, MigrationPlan, ReplicaMap, ReplicaMapError,
-        ReplicatedMultiHost, ShardMove,
-    };
-    pub use crate::scheduling::{schedule_queries, Assignment, Schedule};
-    pub use crate::topk_prune::{merge_thread_local, MergeStats};
-    pub use crate::wram_layout::{WramPlan, WramPlanInput};
-}
-
-pub use builder::UpAnnsBuilder;
-pub use config::UpAnnsConfig;
-pub use engine::UpAnnsEngine;

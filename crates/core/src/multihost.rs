@@ -46,7 +46,7 @@ impl InterconnectModel {
     /// Time to move `bytes` to/from `peers` hosts (transfers to distinct
     /// hosts overlap on the fabric but each pays the per-message latency and
     /// shares the coordinator's NIC bandwidth).
-    pub fn transfer_seconds(&self, bytes: usize, peers: usize) -> f64 {
+    pub(crate) fn transfer_seconds(&self, bytes: usize, peers: usize) -> f64 {
         if peers == 0 || bytes == 0 {
             return 0.0;
         }

@@ -16,11 +16,11 @@
 //! replicas of the coldest clusters — are stacked on DPUs already at `W`,
 //! which Algorithm 2 cannot undo. Four deviations, one code path:
 //! * **the threshold governs the counts**: under `thld` a cluster gets
-//!   `⌈wᵢ / (W·thld)⌉` replicas ([`replica_count`]), so relaxing recounts
+//!   `⌈wᵢ / (W·thld)⌉` replicas (`replica_count`), so relaxing recounts
 //!   and the replicas fit the fleet instead of overflowing it;
 //! * **least-loaded packing** instead of the cursor: each replica goes to the
 //!   least-loaded DPU with room that does not host the cluster yet;
-//! * **a frequency floor** ([`floored_frequencies`]): a cluster the history
+//! * **a frequency floor** (`floored_frequencies`): a cluster the history
 //!   never probed counts as probed at half the smallest observed frequency,
 //!   or least-loaded packing would pile every such cluster on one DPU;
 //! * **two replicas for every cluster**, so Algorithm 2 always has a choice.
@@ -72,19 +72,13 @@ impl PlacementInput {
     }
 
     /// Number of clusters.
-    pub fn num_clusters(&self) -> usize {
+    pub(crate) fn num_clusters(&self) -> usize {
         self.cluster_sizes.len()
     }
 
     /// Workload of cluster `i` (`wᵢ = sᵢ·fᵢ`).
-    pub fn workload(&self, i: usize) -> f64 {
+    pub(crate) fn workload(&self, i: usize) -> f64 {
         self.cluster_sizes[i] as f64 * self.frequencies[i]
-    }
-
-    /// The balanced per-DPU workload target `W = Σwᵢ / n`.
-    pub fn target_per_dpu(&self) -> f64 {
-        let total: f64 = (0..self.num_clusters()).map(|i| self.workload(i)).sum();
-        total / self.num_dpus as f64
     }
 }
 
@@ -96,7 +90,7 @@ pub struct Placement {
     /// (at least one entry per cluster).
     pub cluster_to_dpus: Vec<Vec<usize>>,
     /// Estimated workload per DPU (`Σ wᵢ / n_cpyᵢ` over hosted replicas; under
-    /// [`floored_frequencies`] when Algorithm 1 produced it).
+    /// `floored_frequencies` when Algorithm 1 produced it).
     pub dpu_workload: Vec<f64>,
     /// Number of vectors stored per DPU (each replica stores the whole
     /// cluster).
@@ -181,7 +175,7 @@ impl Placement {
 /// smallest observed frequency, so it carries a positive share to the DPUs
 /// that host it. With no observed frequency at all every cluster counts the
 /// same.
-pub fn floored_frequencies(frequencies: &[f64]) -> Vec<f64> {
+pub(crate) fn floored_frequencies(frequencies: &[f64]) -> Vec<f64> {
     let observed = |f: &f64| f.is_finite() && *f > 0.0;
     let smallest = frequencies.iter().copied().filter(observed).fold(f64::INFINITY, f64::min);
     let floor = if smallest.is_finite() { smallest / 2.0 } else { 1.0 };
@@ -192,7 +186,7 @@ pub fn floored_frequencies(frequencies: &[f64]) -> Vec<f64> {
 /// workload `w` when a DPU may carry `threshold` (Algorithm 1's `⌈wᵢ/W⌉`
 /// with `W` relaxed to `W·thld`), never fewer than two — Algorithm 2 needs a
 /// choice — and never more than there are DPUs.
-pub fn replica_count(workload: f64, threshold: f64, num_dpus: usize) -> usize {
+pub(crate) fn replica_count(workload: f64, threshold: f64, num_dpus: usize) -> usize {
     ((workload / threshold.max(f64::MIN_POSITIVE)).ceil() as usize).max(2).min(num_dpus)
 }
 
@@ -200,7 +194,7 @@ pub fn replica_count(workload: f64, threshold: f64, num_dpus: usize) -> usize {
 /// the module docs for where it departs from the printed algorithm).
 ///
 /// For `thld = 1, 1 + rate, …` every cluster gets
-/// [`replica_count`]`(wᵢ, W·thld, n)` replicas of share `wᵢ / n_cpy`, hottest
+/// `replica_count(wᵢ, W·thld, n)` replicas of share `wᵢ / n_cpy`, hottest
 /// cluster first, each on the least-loaded DPU that has room for it and does
 /// not host it (ties: fewer stored vectors, then lower id). The first replica
 /// that would lift its DPU above `W·thld` fails the attempt; `thld` is relaxed
@@ -306,7 +300,7 @@ fn pack(
 
 /// The naive distribution used by PIM-naive and the Figure 11 ablation:
 /// cluster `c` goes to DPU `c mod n`, no replication, no workload awareness.
-pub fn place_round_robin(input: &PlacementInput) -> Placement {
+pub(crate) fn place_round_robin(input: &PlacementInput) -> Placement {
     let n = input.num_dpus;
     let mut dpu_workload = vec![0.0f64; n];
     let mut dpu_vectors = vec![0usize; n];
@@ -446,7 +440,8 @@ mod tests {
         assert_eq!(attempts, 4);
         assert_eq!(p.cluster_to_dpus, [vec![0, 1], vec![2], vec![0, 1]]);
         assert_eq!(p.dpu_workload, [110.0, 110.0, 120.0]);
-        assert!(120.0 <= input.target_per_dpu() * p.threshold);
+        // W = Σwᵢ / n = 340 / 3.
+        assert!(120.0 <= 340.0 / 3.0 * p.threshold);
     }
 
     /// The benchmark's short-list shape: 512 lists on 896 DPUs, 160 of them
@@ -480,7 +475,6 @@ mod tests {
         let input = PlacementInput::new(vec![10, 20], vec![2.0, 0.5], 2, 1000);
         assert_eq!(input.workload(0), 20.0);
         assert_eq!(input.workload(1), 10.0);
-        assert_eq!(input.target_per_dpu(), 15.0);
         assert_eq!(input.num_clusters(), 2);
     }
 

@@ -35,7 +35,7 @@ impl Schedule {
 
     /// The largest number of assignments on any DPU (drives the padded,
     /// uniform host→DPU transfer size).
-    pub fn max_assignments_per_dpu(&self) -> usize {
+    pub(crate) fn max_assignments_per_dpu(&self) -> usize {
         self.per_dpu.iter().map(|v| v.len()).max().unwrap_or(0)
     }
 

@@ -149,26 +149,9 @@ impl WramPlan {
         })
     }
 
-    /// The largest tasklet count (≤ `requested`) whose phase-3 footprint
-    /// still fits. This is the WRAM constraint of §4.2.1 that forces
-    /// intra-cluster (rather than inter-query) parallelism.
-    pub fn max_tasklets(input: &WramPlanInput, requested: usize) -> usize {
-        let mut best = 0;
-        for t in 1..=requested {
-            let candidate = WramPlanInput {
-                tasklets: t,
-                ..input.clone()
-            };
-            if Self::plan(&candidate).is_ok() {
-                best = t;
-            }
-        }
-        best
-    }
-
     /// Peak footprint across all phases. Phase 3 holds everything phase 2
     /// does, so it is the larger of phases 1 and 3.
-    pub fn peak(&self) -> usize {
+    pub(crate) fn peak(&self) -> usize {
         self.phase1_peak.max(self.phase3_peak)
     }
 }
@@ -203,10 +186,15 @@ mod tests {
         assert_eq!(err.phase, Stage::DistanceCalc);
         assert!(err.to_string().contains("distance_calc"));
         // A reduced tasklet count fits again.
-        let max = WramPlan::max_tasklets(&input, 24);
-        assert!((8..24).contains(&max), "max {max}");
-        input.tasklets = max;
-        assert!(WramPlan::plan(&input).is_ok());
+        let fits = |tasklets| {
+            WramPlan::plan(&WramPlanInput {
+                tasklets,
+                ..input.clone()
+            })
+            .is_ok()
+        };
+        let max = (1..=24).rev().find(|&t| fits(t));
+        assert!(max.is_some_and(|t| (8..24).contains(&t)), "max {max:?}");
     }
 
     #[test]
@@ -224,15 +212,5 @@ mod tests {
         let plan = WramPlan::plan(&input).unwrap();
         assert_eq!(plan.lut_bytes, 20 * 256 * 2);
         assert!(plan.peak() <= WRAM_BYTES_PER_DPU);
-    }
-
-    #[test]
-    fn max_tasklets_is_monotone_in_buffer_size() {
-        let small = WramPlanInput::new(128, 16, 10, 256, 24, 128);
-        let large = WramPlanInput::new(128, 16, 10, 256, 24, 2048);
-        assert!(
-            WramPlan::max_tasklets(&small, 24) >= WramPlan::max_tasklets(&large, 24),
-            "smaller read buffers should admit at least as many tasklets"
-        );
     }
 }

@@ -81,11 +81,13 @@ const SHORT_LISTS: Shape = Shape {
 
 fn observed(shape: &Shape) -> String {
     let n = shape.vectors;
-    let data = SyntheticSpec::sift_like(n)
-        .with_clusters(shape.nlist)
-        .with_size_skew(0.0)
-        .with_seed(shape.seed)
-        .generate();
+    let data = SyntheticSpec {
+        size_skew: 0.0,
+        ..SyntheticSpec::sift_like(n)
+    }
+    .with_clusters(shape.nlist)
+    .with_seed(shape.seed)
+    .generate();
     let index = IvfPqIndex::train(
         &data,
         &IvfPqParams::new(shape.nlist, 16).with_train_size(shape.train_size),

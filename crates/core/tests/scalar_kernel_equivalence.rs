@@ -21,7 +21,8 @@ use annkit::synthetic::SyntheticSpec;
 use annkit::topk::{Neighbor, TopK};
 use annkit::vector::{residual, Dataset};
 use pim_sim::config::PimConfig;
-use pim_sim::prelude::{PimSystem, Stage};
+use pim_sim::host::PimSystem;
+use pim_sim::stats::Stage;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use upanns::config::UpAnnsConfig;

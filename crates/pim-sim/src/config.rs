@@ -5,10 +5,10 @@
 //! 64 MB MRAM / 64 KB WRAM / 24 KB IRAM per DPU, 23.22 W peak power per DIMM.
 
 /// Number of DPUs on a single UPMEM DIMM (16 PIM chips × 8 DPUs).
-pub const DPUS_PER_DIMM: usize = 128;
+pub(crate) const DPUS_PER_DIMM: usize = 128;
 
 /// MRAM capacity per DPU (64 MB).
-pub const MRAM_BYTES_PER_DPU: usize = 64 * 1024 * 1024;
+pub(crate) const MRAM_BYTES_PER_DPU: usize = 64 * 1024 * 1024;
 
 /// WRAM capacity per DPU (64 KB).
 pub const WRAM_BYTES_PER_DPU: usize = 64 * 1024;
@@ -18,11 +18,11 @@ pub const MAX_TASKLETS: usize = 24;
 
 /// MRAM↔WRAM DMA transfer size constraints: multiples of 8 bytes, at least 8
 /// and at most 2048 bytes per transfer (§4.2.1).
-pub const DMA_MIN_BYTES: usize = 8;
+pub(crate) const DMA_MIN_BYTES: usize = 8;
 /// Maximum DMA transfer size.
 pub const DMA_MAX_BYTES: usize = 2048;
 /// DMA transfer granularity.
-pub const DMA_ALIGN_BYTES: usize = 8;
+pub(crate) const DMA_ALIGN_BYTES: usize = 8;
 
 /// Configuration of a simulated PIM deployment.
 #[derive(Debug, Clone)]

@@ -82,7 +82,7 @@ impl CostModel {
     /// `time ≈ max(Σᵢ cᵢ, REVISIT_INTERVAL · maxᵢ cᵢ)`: balanced work across
     /// ≥ 11 tasklets keeps the pipeline full, fewer (or imbalanced) tasklets
     /// leave bubbles.
-    pub fn region_compute_cycles(&self, per_tasklet_cycles: &[u64]) -> u64 {
+    pub(crate) fn region_compute_cycles(&self, per_tasklet_cycles: &[u64]) -> u64 {
         let total: u64 = per_tasklet_cycles.iter().sum();
         let max = per_tasklet_cycles.iter().copied().max().unwrap_or(0);
         total.max(max.saturating_mul(REVISIT_INTERVAL))
@@ -91,7 +91,7 @@ impl CostModel {
 
 /// Rounds a DMA transfer size up to the hardware granularity and clamps it to
 /// the legal `[8, 2048]` byte range.
-pub fn align_dma(bytes: usize) -> usize {
+pub(crate) fn align_dma(bytes: usize) -> usize {
     let aligned = bytes.max(DMA_MIN_BYTES).div_ceil(DMA_ALIGN_BYTES) * DMA_ALIGN_BYTES;
     aligned.min(DMA_MAX_BYTES)
 }
@@ -100,7 +100,7 @@ pub fn align_dma(bytes: usize) -> usize {
 /// transfers needed (each ≤ 2048 B), yielding their sizes: full 2 KB
 /// transfers first, then the aligned remainder. Allocation-free — every
 /// `charge_dma` of every tasklet walks it.
-pub fn split_dma(bytes: usize) -> impl Iterator<Item = usize> {
+pub(crate) fn split_dma(bytes: usize) -> impl Iterator<Item = usize> {
     let full = bytes / DMA_MAX_BYTES;
     let tail = bytes % DMA_MAX_BYTES;
     std::iter::repeat_n(DMA_MAX_BYTES, full).chain((tail > 0).then(|| align_dma(tail)))

@@ -25,7 +25,7 @@ pub struct DpuStats {
 
 impl DpuStats {
     /// Merges counters from one kernel launch into the running totals.
-    pub fn absorb(&mut self, other: &DpuStats) {
+    pub(crate) fn absorb(&mut self, other: &DpuStats) {
         self.cycles += other.cycles;
         self.compute_cycles += other.compute_cycles;
         self.dma_cycles += other.dma_cycles;
@@ -47,7 +47,7 @@ pub struct Dpu {
 
 impl Dpu {
     /// Creates DPU `id` with `mram_capacity` bytes of MRAM.
-    pub fn new(id: usize, mram_capacity: usize) -> Self {
+    pub(crate) fn new(id: usize, mram_capacity: usize) -> Self {
         Self {
             id,
             mram: Mram::new(mram_capacity),
@@ -57,7 +57,7 @@ impl Dpu {
 
     /// The DPU's index within the system.
     #[inline]
-    pub fn id(&self) -> usize {
+    pub(crate) fn id(&self) -> usize {
         self.id
     }
 
@@ -81,7 +81,7 @@ impl Dpu {
 
     /// Mutable statistics (used by the host when absorbing launch reports).
     #[inline]
-    pub fn stats_mut(&mut self) -> &mut DpuStats {
+    pub(crate) fn stats_mut(&mut self) -> &mut DpuStats {
         &mut self.stats
     }
 }

@@ -4,7 +4,6 @@
 use crate::config::PimConfig;
 use crate::cost::CostModel;
 use crate::dpu::Dpu;
-use crate::energy::EnergyModel;
 use crate::mram::{MramAddr, MramError};
 use crate::stats::{Stage, StageBreakdown};
 use crate::tasklet::DpuKernelCtx;
@@ -253,17 +252,6 @@ impl PimSystem {
         self.clock_seconds = 0.0;
         self.breakdown.clear();
     }
-
-    /// The energy model corresponding to this system's configuration.
-    pub fn energy_model(&self) -> EnergyModel {
-        EnergyModel::pim(&self.config)
-    }
-
-    /// Energy in joules consumed over the elapsed simulated time, using the
-    /// peak-power approximation the paper uses.
-    pub fn energy_joules(&self) -> f64 {
-        self.energy_model().energy_joules(self.clock_seconds)
-    }
 }
 
 #[cfg(test)]
@@ -322,7 +310,6 @@ mod tests {
         assert_eq!(report.per_dpu_seconds.len(), 4);
         assert!(report.breakdown.seconds(Stage::DistanceCalc) > 0.0);
         assert!(sys.elapsed_seconds() >= report.max_dpu_seconds);
-        assert!(sys.energy_joules() > 0.0);
         assert!(sys.dpu(3).stats().mram_bytes_read > sys.dpu(0).stats().mram_bytes_read);
     }
 

@@ -21,19 +21,23 @@
 //!   paper uses.
 //!
 //! Kernels are ordinary Rust closures executed *functionally* against a
-//! [`DpuKernelCtx`]; every MRAM transfer, WRAM access, arithmetic
-//! instruction and synchronization point they perform is charged to a cycle
-//! cost model, and the simulated batch time is the maximum over DPUs (the
-//! paper: "the largest workload among DPUs determines the overall
-//! performance"). WRAM has no allocator here, as it has none on the
-//! hardware: a kernel plans its layout, reports the plan's peak with
-//! [`DpuKernelCtx::record_wram_peak`], and the context refuses a peak
-//! beyond [`PimConfig::wram_bytes`]. A launch reports, besides each DPU's
-//! cycles, the seconds per [`Stage`](stats::Stage) of its slowest DPU's
-//! regions, accumulated as each region ends.
+//! [`DpuKernelCtx`](tasklet::DpuKernelCtx); every MRAM transfer, WRAM
+//! access, arithmetic instruction and synchronization point they perform is
+//! charged to a cycle cost model, and the simulated batch time is the
+//! maximum over DPUs (the paper: "the largest workload among DPUs determines
+//! the overall performance"). WRAM has no allocator here, as it has none on
+//! the hardware: a kernel plans its layout, reports the plan's peak with
+//! [`record_wram_peak`](tasklet::DpuKernelCtx::record_wram_peak), and the
+//! context refuses a peak beyond
+//! [`PimConfig::wram_bytes`](config::PimConfig::wram_bytes). A launch
+//! reports, besides each DPU's cycles, the seconds per
+//! [`Stage`](stats::Stage) of its slowest DPU's regions, accumulated as each
+//! region ends.
 //!
 //! ```
-//! use pim_sim::prelude::*;
+//! use pim_sim::config::PimConfig;
+//! use pim_sim::host::{DpuWrite, PimSystem};
+//! use pim_sim::stats::Stage;
 //!
 //! let mut sys = PimSystem::new(PimConfig::small_test());
 //! // Stage some bytes into DPU 0's MRAM.
@@ -56,25 +60,9 @@
 
 pub mod config;
 pub mod cost;
-pub mod dpu;
+mod dpu;
 pub mod energy;
 pub mod host;
 pub mod mram;
 pub mod stats;
 pub mod tasklet;
-
-/// Commonly used items, re-exported for convenience.
-pub mod prelude {
-    pub use crate::config::PimConfig;
-    pub use crate::cost::{CostModel, REVISIT_INTERVAL};
-    pub use crate::dpu::{Dpu, DpuStats};
-    pub use crate::energy::EnergyModel;
-    pub use crate::host::{DpuRead, DpuWrite, ExecReport, PimSystem};
-    pub use crate::mram::{Mram, MramAddr};
-    pub use crate::stats::{Stage, StageBreakdown};
-    pub use crate::tasklet::{DpuKernelCtx, TaskletCtx};
-}
-
-pub use config::PimConfig;
-pub use host::{DpuWrite, PimSystem};
-pub use tasklet::{DpuKernelCtx, TaskletCtx};

@@ -56,34 +56,28 @@ pub struct Mram {
 
 impl Mram {
     /// Creates an empty MRAM with the given capacity in bytes.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity,
             data: Vec::new(),
         }
     }
 
-    /// Capacity in bytes.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Bytes currently allocated (high-water mark of the bump allocator).
     #[inline]
-    pub fn allocated(&self) -> usize {
+    pub(crate) fn allocated(&self) -> usize {
         self.data.len()
     }
 
     /// Remaining allocatable bytes.
     #[inline]
-    pub fn available(&self) -> usize {
+    pub(crate) fn available(&self) -> usize {
         self.capacity - self.data.len()
     }
 
     /// Allocates `len` bytes (8-byte aligned, zero-initialized) and returns
     /// the base address.
-    pub fn alloc(&mut self, len: usize) -> Result<MramAddr, MramError> {
+    pub(crate) fn alloc(&mut self, len: usize) -> Result<MramAddr, MramError> {
         let aligned = len.div_ceil(8) * 8;
         if aligned > self.available() {
             return Err(MramError::OutOfMemory {
@@ -93,13 +87,6 @@ impl Mram {
         }
         let addr = self.data.len();
         self.data.resize(addr + aligned, 0);
-        Ok(addr)
-    }
-
-    /// Allocates and immediately fills a region with `bytes`.
-    pub fn alloc_with(&mut self, bytes: &[u8]) -> Result<MramAddr, MramError> {
-        let addr = self.alloc(bytes.len())?;
-        self.write(addr, bytes)?;
         Ok(addr)
     }
 
@@ -129,11 +116,6 @@ impl Mram {
         }
         Ok(&self.data[addr..end])
     }
-
-    /// Clears all allocations (used between offline re-distributions).
-    pub fn reset(&mut self) {
-        self.data.clear();
-    }
 }
 
 #[cfg(test)]
@@ -143,8 +125,13 @@ mod tests {
     #[test]
     fn alloc_write_read_roundtrip() {
         let mut m = Mram::new(1024);
-        let a = m.alloc_with(&[1, 2, 3, 4, 5]).unwrap();
-        let b = m.alloc_with(&[9, 9]).unwrap();
+        let mut filled = |bytes: &[u8]| {
+            let addr = m.alloc(bytes.len()).unwrap();
+            m.write(addr, bytes).unwrap();
+            addr
+        };
+        let a = filled(&[1, 2, 3, 4, 5]);
+        let b = filled(&[9, 9]);
         assert_ne!(a, b);
         assert_eq!(m.read(a, 5).unwrap(), &[1, 2, 3, 4, 5]);
         assert_eq!(m.read(b, 2).unwrap(), &[9, 9]);
@@ -161,6 +148,7 @@ mod tests {
         assert!(matches!(err, MramError::OutOfMemory { .. }));
         assert!(err.to_string().contains("out of memory"));
         assert_eq!(m.available(), 32);
+        assert_eq!(m.allocated(), 32);
     }
 
     #[test]
@@ -171,16 +159,5 @@ mod tests {
         assert!(m.write(a + 8, &[0u8; 16]).is_err());
         let err = m.read(100, 8).unwrap_err();
         assert!(err.to_string().contains("out of bounds"));
-    }
-
-    #[test]
-    fn reset_frees_everything() {
-        let mut m = Mram::new(128);
-        m.alloc(64).unwrap();
-        assert_eq!(m.allocated(), 64);
-        m.reset();
-        assert_eq!(m.allocated(), 0);
-        assert_eq!(m.available(), 128);
-        assert_eq!(m.capacity(), 128);
     }
 }

@@ -117,7 +117,7 @@ impl StageBreakdown {
     }
 
     /// The present stages and their seconds, in stage order.
-    pub fn iter(&self) -> impl Iterator<Item = (Stage, f64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Stage, f64)> + '_ {
         Stage::ALL
             .into_iter()
             .filter(|&s| self.present & (1 << s as usize) != 0)

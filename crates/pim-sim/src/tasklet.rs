@@ -5,7 +5,7 @@
 //! opens *parallel regions*: a region runs the same closure for each tasklet
 //! id, each tasklet accumulates the instruction and DMA cycles it charges,
 //! and the region's simulated duration follows the fine-grained
-//! multithreading model of [`CostModel::region_compute_cycles`]. Regions end
+//! multithreading model of `CostModel::region_compute_cycles`. Regions end
 //! with an implicit barrier (the paper's Barriers 0–3 are simply region
 //! boundaries), and DMA transfers from all tasklets serialize on the DPU's
 //! single DMA engine while overlapping with other tasklets' compute.
@@ -125,18 +125,6 @@ impl<'a> TaskletCtx<'a> {
     pub fn charge_semaphore(&mut self) {
         self.compute_cycles += self.cost.semaphore_cycles;
     }
-
-    /// Instruction cycles charged so far in this region.
-    #[inline]
-    pub fn compute_cycles(&self) -> u64 {
-        self.compute_cycles
-    }
-
-    /// DMA cycles charged so far in this region.
-    #[inline]
-    pub fn dma_cycles(&self) -> u64 {
-        self.dma_cycles
-    }
 }
 
 /// Per-DPU kernel context: parallel regions, MRAM writes, the WRAM peak and
@@ -176,17 +164,10 @@ impl<'a> DpuKernelCtx<'a> {
         self.config
     }
 
-    /// This DPU's MRAM (functional read access without cycle charges; use a
-    /// [`TaskletCtx`] for charged reads).
-    #[inline]
-    pub fn mram(&self) -> &Mram {
-        self.dpu.mram()
-    }
-
     /// Records that the kernel's WRAM layout occupies `bytes` at its fullest
     /// moment. The DPU has no MMU, so a kernel plans its buffer reuse ahead
     /// of the launch (Figure 6) and reports the plan's peak here; the
-    /// largest one reported is the launch's [`DpuStats::wram_peak_bytes`].
+    /// largest one reported is the launch's `DpuStats::wram_peak_bytes`.
     ///
     /// # Panics
     /// Panics if `bytes` exceeds [`PimConfig::wram_bytes`] — a layout that
@@ -292,11 +273,6 @@ impl<'a> DpuKernelCtx<'a> {
         self.breakdown.add(stage, seconds);
     }
 
-    /// Total cycles accumulated on this DPU so far in this launch.
-    pub fn total_cycles(&self) -> u64 {
-        self.launch_stats.cycles
-    }
-
     /// Finalizes the launch: its counters and its seconds per stage, for the
     /// host to absorb.
     pub(crate) fn finish(self) -> (DpuStats, StageBreakdown) {
@@ -312,8 +288,9 @@ mod tests {
     fn setup() -> (Dpu, CostModel, PimConfig) {
         let config = PimConfig::small_test();
         let mut dpu = Dpu::new(0, config.mram_bytes);
-        let addr = dpu.mram_mut().alloc_with(&[42u8; 4096]).unwrap();
+        let addr = dpu.mram_mut().alloc(4096).unwrap();
         assert_eq!(addr, 0);
+        dpu.mram_mut().write(addr, &[42u8; 4096]).unwrap();
         (dpu, CostModel::default(), config)
     }
 
@@ -327,13 +304,12 @@ mod tests {
             data.iter().map(|&b| b as u64).sum::<u64>()
         });
         assert_eq!(results, vec![42 * 64; 4]);
-        let cycles = ctx.total_cycles();
         let (stats, breakdown) = ctx.finish();
+        let cycles = stats.cycles;
         assert_eq!(stats.launches, 1);
         assert_eq!(stats.compute_cycles, 4 * 64);
         assert!(stats.dma_cycles > 0);
         assert!(cycles >= stats.compute_cycles.max(stats.dma_cycles));
-        assert_eq!(stats.cycles, cycles);
         assert_eq!(stats.mram_bytes_read, 4 * 64);
         let seconds = cycles as f64 * config.seconds_per_cycle();
         assert_eq!(
@@ -352,7 +328,7 @@ mod tests {
             ctx.parallel(Stage::DistanceCalc, tasklets, |t| {
                 t.charge_arith(work_per_region / tasklets as u64, 0);
             });
-            ctx.total_cycles()
+            ctx.finish().0.cycles
         };
         let t1 = region_time(1);
         let t8 = region_time(8);
@@ -374,10 +350,10 @@ mod tests {
         });
         assert_eq!(sum, 123);
         ctx.mram_write(Stage::ResultWrite, 0, &[7u8; 16]).unwrap();
-        assert_eq!(ctx.mram().read(0, 4).unwrap(), &[7, 7, 7, 7]);
-        assert!(ctx.total_cycles() > 0);
         let (stats, _) = ctx.finish();
+        assert!(stats.cycles > 0);
         assert_eq!(stats.mram_bytes_written, 16);
+        assert_eq!(dpu.mram().read(0, 4).unwrap(), &[7, 7, 7, 7]);
     }
 
     #[test]

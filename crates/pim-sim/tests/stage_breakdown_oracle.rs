@@ -120,7 +120,9 @@ proptest! {
 /// without asking the context for it.
 #[test]
 fn a_launch_breakdown_is_the_fold_over_its_regions_in_order() {
-    use pim_sim::prelude::*;
+    use pim_sim::config::PimConfig;
+    use pim_sim::cost::{CostModel, REVISIT_INTERVAL};
+    use pim_sim::host::PimSystem;
 
     let regions: [(Stage, u64); 7] = [
         (Stage::LutConstruction, 3_000),

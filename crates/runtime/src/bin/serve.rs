@@ -21,7 +21,7 @@
 //!   `BENCH_serving.json`, byte for byte, and the audit adds the claims that
 //!   file carries.
 //! * `--runtime threaded` runs the real multi-threaded pipeline
-//!   ([`upanns_runtime::pipeline`]) against the wall clock: one row per
+//!   ([`upanns_runtime::run_pipeline`]) against the wall clock: one row per
 //!   `--workers` value per `--sweep-qps` rate, then the tenant mix, then the
 //!   failover and live-mutation scenarios in logical mode. `--json PATH`
 //!   writes the same record with [`threaded_row`]s; the numbers are

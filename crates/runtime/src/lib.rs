@@ -11,9 +11,9 @@
 //! stream's logical timestamps and is byte-diffed against
 //! [`SearchService::replay`](upanns_serve::SearchService::replay) in CI.
 //!
-//! See [`pipeline`] for the thread/channel topology, the two clocks, the
+//! See [`run_pipeline`] for the thread/channel topology, the two clocks, the
 //! twin contract and shutdown (clean, and on an engine panic); see
-//! [`report`] for what a run measures.
+//! [`RuntimeReport`] for what a run measures.
 //!
 //! The crate also hosts the serving bench. [`scenario`] is the bench as
 //! data — one fixture, one engine factory behind `Box<dyn AnnEngine>`, the
@@ -24,7 +24,7 @@
 //! `serve` binary (this crate's `src/bin/serve.rs`) is what is left: flag
 //! parsing, a loop over the scenarios, and the stdout tables.
 //!
-//! This crate's [`pipeline`] is the one module in the workspace that reads
+//! This crate's `pipeline` module is the one in the workspace that reads
 //! the wall clock (`std::time::Instant`): `clippy.toml` bans the type
 //! everywhere, and `pipeline.rs` alone expects `clippy::disallowed_types`.
 //!
@@ -52,13 +52,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod pipeline;
+mod pipeline;
 pub mod record;
-pub mod report;
+mod report;
 pub mod scenario;
 
 pub use pipeline::{run_pipeline, RuntimeConfig, RuntimeMode};
-pub use report::{RuntimeReport, RuntimeTenantRow};
+pub use report::RuntimeReport;
 
 #[cfg(test)]
 mod tests {

@@ -164,13 +164,6 @@ impl RuntimeConfig {
             epoch_schedule: Vec::new(),
         }
     }
-
-    /// Attaches a live-index epoch schedule (see
-    /// [`epoch_schedule`](Self::epoch_schedule)).
-    pub fn with_epoch_schedule(mut self, schedule: Vec<(f64, u64)>) -> Self {
-        self.epoch_schedule = schedule;
-        self
-    }
 }
 
 /// The wall clock every thread shares: seconds since pipeline start, so

@@ -1,7 +1,7 @@
 //! The serving bench's record: its field lists, the one writer that turns
 //! them into bytes, and the contract a record must satisfy to be written.
 //!
-//! `serve --json` writes one schema, [`SCHEMA`]. A replay row
+//! `serve --json` writes one schema, `SCHEMA`. A replay row
 //! ([`serving_row`]) is the field list below; with the default flags the
 //! rows are the committed `BENCH_serving.json`, byte for byte. A threaded row
 //! ([`threaded_row`]) is the same list over the run's `ServiceReport`,
@@ -23,7 +23,7 @@ use crate::scenario::{LiveSummary, ReplayRow, StalenessBucket, STALENESS_BUCKETS
 use crate::RuntimeReport;
 
 /// The schema tag of every record `serve --json` writes.
-pub const SCHEMA: &str = "upanns-serving-bench-v6";
+pub(crate) const SCHEMA: &str = "upanns-serving-bench-v6";
 
 /// A JSON value whose objects keep their fields in insertion order;
 /// `to_string()` is its text (no trailing newline).

@@ -12,11 +12,7 @@
 
 use std::ops::Deref;
 
-use upanns_serve::service::{ServiceReport, TenantReport};
-
-/// One tenant's slice of a [`RuntimeReport`] — the replay's row type
-/// (latencies are wall-clock seconds in wall mode).
-pub type RuntimeTenantRow = TenantReport;
+use upanns_serve::service::ServiceReport;
 
 /// What one threaded pipeline run measured: the serving core's report —
 /// every field and method of [`ServiceReport`] reads through `Deref`

@@ -8,7 +8,7 @@
 //! [`ServiceConfig`] it is served under, the [`EngineKind`] that serves it,
 //! and — for the live-index scenarios — the [`LivePlan`] whose snapshot
 //! timeline the engine installs. Each query's options come from the stream
-//! itself ([`options_for`]). [`Fixture::scenarios`] describes the five the
+//! itself (`options_for`). [`Fixture::scenarios`] describes the five the
 //! bench knows:
 //!
 //! | workload | stream | engine | what it shows |
@@ -63,7 +63,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
-use annkit::mutation::MutableIvf;
+use annkit::mutation::{CompactionWindow, MutableIvf};
 use annkit::synthetic::{SyntheticDataset, SyntheticSpec};
 use annkit::vector::Dataset;
 use annkit::workload::{
@@ -82,6 +82,7 @@ use upanns::multihost::{shard_ranges, InterconnectModel};
 use upanns::replica::{FaultSchedule, ReplicatedMultiHost};
 use upanns_serve::batcher::BatchFormerConfig;
 use upanns_serve::controller::{BatchPolicy, ControllerBank, SloController};
+use upanns_serve::service::percentile_of;
 use upanns_serve::{
     Autoscaler, CapacityModel, FixedPolicy, RecoveryEnvelope, SearchService, ServiceConfig,
     ServiceReport,
@@ -116,7 +117,7 @@ pub const FAILOVER_HOSTS: usize = 3;
 /// The autoscaler's ceiling: two hosts of elastic headroom above the
 /// committed shape. No host index at or past it can ever exist, so
 /// [`parse_fault`] rejects outages there.
-pub const FAILOVER_MAX_HOSTS: usize = FAILOVER_HOSTS + 2;
+pub(crate) const FAILOVER_MAX_HOSTS: usize = FAILOVER_HOSTS + 2;
 /// The failover scenario's own stream: ~30 healthy seconds before the
 /// default outage to establish a baseline, ~55 after it ends to drain the
 /// backlog and prove recovery. The rate puts the chunk-capped deployment
@@ -237,7 +238,7 @@ pub fn service_config(queue_capacity: Option<usize>) -> ServiceConfig {
 /// [`MultiTenantSpec`] stream), else the single-tenant mix — two nprobe
 /// tiers at k=10 plus a k=20 tier carrying a latency budget, which
 /// exercises mixed-options batching end to end.
-pub fn options_for(stream: &QueryStream, index: usize) -> QueryOptions {
+pub(crate) fn options_for(stream: &QueryStream, index: usize) -> QueryOptions {
     match stream.option_plan.get(index) {
         Some(&(k, nprobe)) => QueryOptions::new(k, nprobe).with_tenant(stream.tenant(index)),
         None => match index % 3 {
@@ -393,7 +394,7 @@ pub fn parse_mutations(spec: &str) -> Result<Option<MutationRates>, String> {
 
 /// Parses the `--fault` grammar ([`FaultSchedule::parse`]) for the failover
 /// deployment: an outage on a host index the deployment can never reach
-/// ([`FAILOVER_MAX_HOSTS`], the autoscaler's ceiling) is an error — it would
+/// (`FAILOVER_MAX_HOSTS`, the autoscaler's ceiling) is an error — it would
 /// replay as a no-op and write a row that "recovers" from nothing.
 pub fn parse_fault(spec: &str) -> Result<FaultSchedule, String> {
     let faults = FaultSchedule::parse(spec)?;
@@ -453,7 +454,7 @@ impl EngineKind {
 /// An engine picked at run time. It borrows the fixture's indexes, which is
 /// fine for both runners: the pipeline runs its workers under
 /// `thread::scope`.
-pub type BoxedEngine<'a> = Box<dyn AnnEngine + Send + 'a>;
+pub(crate) type BoxedEngine<'a> = Box<dyn AnnEngine + Send + 'a>;
 
 // ---------------------------------------------------------------------------
 // The fixture
@@ -643,7 +644,7 @@ impl Fixture {
     /// The engine of the `multi` scenario and of every answer-map and
     /// threaded run: UpANNS when selected (the paper's engine is what the
     /// scaling sweep is about), else the first engine listed.
-    pub fn chosen_engine(&self) -> EngineKind {
+    pub(crate) fn chosen_engine(&self) -> EngineKind {
         let engines = &self.spec.engines;
         if engines.contains(&EngineKind::UpAnns) { EngineKind::UpAnns } else { engines[0] }
     }
@@ -700,7 +701,7 @@ impl Fixture {
     }
 
     /// The five scenarios over `base` (see the module docs). `single` and
-    /// `multi` name the [`chosen_engine`](Self::chosen_engine); the replay
+    /// `multi` name the chosen engine (UpANNS when selected); the replay
     /// rows re-target `single` at each selected engine in turn.
     pub fn scenarios(&self, base: ServiceConfig) -> Scenarios<'_> {
         let single = Scenario {
@@ -1012,14 +1013,31 @@ pub struct LiveSummary {
     pub buckets: Vec<StalenessBucket>,
 }
 
-/// Nearest-rank p99 over unsorted millisecond latencies (0 when empty).
-fn p99_ms(latencies_ms: &mut [f64]) -> f64 {
-    if latencies_ms.is_empty() {
-        return 0.0;
+/// The p99 split of a live-index row: completed latencies in milliseconds,
+/// split by whether the arrival fell inside a compaction window, each half's
+/// p99 at [`percentile_of`]'s rank like every other p99 of the record.
+/// Returns `(answered_in_window, p99_steady_ms, p99_compaction_ms)`.
+fn p99_split_ms(
+    outcomes: &[(f64, Option<f64>)],
+    windows: &[CompactionWindow],
+) -> (usize, f64, f64) {
+    let mut steady_ms: Vec<f64> = Vec::new();
+    let mut window_ms: Vec<f64> = Vec::new();
+    for &(arrival, latency) in outcomes {
+        let Some(latency) = latency else { continue };
+        if windows.iter().any(|w| w.contains(arrival)) {
+            window_ms.push(latency * 1e3);
+        } else {
+            steady_ms.push(latency * 1e3);
+        }
     }
-    latencies_ms.sort_by(f64::total_cmp);
-    let rank = ((0.99 * latencies_ms.len() as f64).ceil() as usize).max(1) - 1;
-    latencies_ms[rank.min(latencies_ms.len() - 1)]
+    steady_ms.sort_by(f64::total_cmp);
+    window_ms.sort_by(f64::total_cmp);
+    (
+        window_ms.len(),
+        percentile_of(&steady_ms, 99.0),
+        percentile_of(&window_ms, 99.0),
+    )
 }
 
 /// Audits a live-index replay after the fact:
@@ -1044,17 +1062,8 @@ fn live_summary(
 ) -> LiveSummary {
     let timeline = &live.plan.timeline;
     let events = &live.events.events;
-    let mut steady_ms: Vec<f64> = Vec::new();
-    let mut window_ms: Vec<f64> = Vec::new();
-    for &(arrival, latency) in &report.outcomes {
-        let Some(latency) = latency else { continue };
-        if timeline.windows().iter().any(|w| w.contains(arrival)) {
-            window_ms.push(latency * 1e3);
-        } else {
-            steady_ms.push(latency * 1e3);
-        }
-    }
-    let answered_in_window = window_ms.len();
+    let (answered_in_window, p99_steady_ms, p99_compaction_ms) =
+        p99_split_ms(&report.outcomes, timeline.windows());
 
     // The exact-corpus twin of the timeline: same base, same events, but
     // refreshed at *every* event instead of every LIVE_REFRESH_S.
@@ -1113,8 +1122,8 @@ fn live_summary(
         mutation_events: events.len(),
         stale_served,
         answered_in_window,
-        p99_steady_ms: p99_ms(&mut steady_ms),
-        p99_compaction_ms: p99_ms(&mut window_ms),
+        p99_steady_ms,
+        p99_compaction_ms,
         buckets: STALENESS_BUCKETS
             .iter()
             .zip(buckets)
@@ -1130,6 +1139,40 @@ fn live_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// 970 steady and 60 in-window completions (plus shed queries) are sizes
+    /// at which the nearest rank, `ceil(0.99 n) − 1`, and [`percentile_of`]'s
+    /// `round(0.99 (n − 1))` pick different elements: 960 vs 959 and 59 vs 58.
+    #[test]
+    fn the_live_p99_split_uses_the_record_percentile_rank() {
+        let ms = |k: usize| k as f64 * 1e-3;
+        let mut outcomes: Vec<(f64, Option<f64>)> = (0..970)
+            .map(|i| (i as f64 * 0.1, Some(ms(i + 1))))
+            .collect();
+        outcomes.extend((0..60).map(|j| (200.0 + j as f64 * 0.1, Some(ms(1000 + j + 1)))));
+        outcomes.extend((0..5).map(|j| (j as f64, None)));
+        let windows = [CompactionWindow {
+            start: 200.0,
+            end: 210.0,
+        }];
+
+        let (in_window, steady, compaction) = p99_split_ms(&outcomes, &windows);
+        assert_eq!(in_window, 60);
+        let sorted_ms =
+            |range: std::ops::Range<usize>| -> Vec<f64> { range.map(|k| ms(k) * 1e3).collect() };
+        let steady_ms = sorted_ms(1..971);
+        let window_ms = sorted_ms(1001..1061);
+        assert_eq!(steady.to_bits(), percentile_of(&steady_ms, 99.0).to_bits());
+        assert_eq!(
+            compaction.to_bits(),
+            percentile_of(&window_ms, 99.0).to_bits()
+        );
+        // The nearest-rank element is the next one up in both halves.
+        assert_eq!(steady, steady_ms[959]);
+        assert_ne!(steady, steady_ms[960]);
+        assert_eq!(compaction, window_ms[58]);
+        assert_ne!(compaction, window_ms[59]);
+    }
 
     #[test]
     fn outages_on_hosts_that_cannot_exist_are_rejected() {

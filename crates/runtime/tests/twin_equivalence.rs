@@ -267,8 +267,10 @@ proptest! {
                     &stream,
                     |i| planned(&stream, i),
                     Box::new(FixedPolicy(config.batcher)),
-                    RuntimeConfig::logical(config)
-                        .with_epoch_schedule(plan.timeline.epoch_schedule()),
+                    RuntimeConfig {
+                        epoch_schedule: plan.timeline.epoch_schedule(),
+                        ..RuntimeConfig::logical(config)
+                    },
                 );
                 prop_assert!(report.is_conserving(), "mutating twin lost or duplicated queries");
                 prop_assert_eq!(report.shed, 0, "logical mode is shed-proof under mutation");

@@ -233,11 +233,6 @@ impl AdmissionQueue {
         self.lanes.iter().map(|l| l.waiting).sum()
     }
 
-    /// Maximum concurrent waiters.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Unreserved free slots (capacity not held by waiters or reservations).
     pub fn free(&self) -> usize {
         self.free
@@ -276,11 +271,6 @@ impl AdmissionQueue {
     pub fn shed_of(&self, tenant: TenantId) -> u64 {
         self.lane(tenant).map_or(0, |l| l.shed)
     }
-
-    /// The tenants the queue has seen, in registration order.
-    pub fn tenants(&self) -> impl Iterator<Item = TenantId> + '_ {
-        self.lanes.iter().map(|l| l.id)
-    }
 }
 
 #[cfg(test)]
@@ -301,7 +291,7 @@ mod tests {
         q.release(TenantId::DEFAULT, 1);
         assert!(q.try_admit(TenantId::DEFAULT), "capacity freed by release");
         assert_eq!(q.waiting(), 2);
-        assert_eq!(q.capacity(), 2);
+        assert_eq!(q.capacity, 2);
     }
 
     #[test]
@@ -400,7 +390,7 @@ mod tests {
         }
         assert_eq!(admitted, 4, "T1 eventually reoccupies the whole room");
         assert!(
-            pre_sheds <= q.capacity(),
+            pre_sheds <= q.capacity,
             "unwedging took {pre_sheds} sheds, more than one capacity turnover"
         );
         assert_eq!(q.reserved_of(T2), 0);
@@ -412,7 +402,10 @@ mod tests {
         assert!(q.try_admit(TenantId(9)));
         assert_eq!(q.admitted_of(TenantId(9)), 1);
         assert_eq!(q.waiting_of(TenantId(9)), 1);
-        assert_eq!(q.tenants().collect::<Vec<_>>(), vec![TenantId(9)]);
+        assert_eq!(
+            q.lanes.iter().map(|l| l.id).collect::<Vec<_>>(),
+            vec![TenantId(9)]
+        );
     }
 
     #[test]

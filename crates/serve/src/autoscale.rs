@@ -48,7 +48,7 @@ impl CapacityModel {
     }
 
     /// The fewest hosts predicted to sustain `qps` (at least 1).
-    pub fn hosts_for(&self, qps: f64) -> usize {
+    pub(crate) fn hosts_for(&self, qps: f64) -> usize {
         if self.qps_per_host <= 0.0 {
             return 1;
         }
@@ -59,9 +59,9 @@ impl CapacityModel {
 
 /// A windowed, hysteresis-stepped host-count controller.
 ///
-/// Feed it per-query outcomes with [`observe`](Self::observe) (completion —
+/// Feed it per-query outcomes with `observe` (completion —
 /// or shed — time plus whether the query missed its SLO; a shed query always
-/// counts as a miss), then poll [`decide`](Self::decide) as simulated time
+/// counts as a miss), then poll `decide` as simulated time
 /// advances. One step per decision, bounded cooldown between steps, and the
 /// capacity model's floor for the offered load keeps scale-down from
 /// thrashing below what the design load needs.
@@ -111,26 +111,14 @@ impl Autoscaler {
         }
     }
 
-    /// Overrides the cooldown between steps.
-    pub fn with_cooldown(mut self, seconds: f64) -> Self {
-        assert!(seconds >= 0.0);
-        self.cooldown_s = seconds;
-        self
-    }
-
-    /// The host count the controller believes is deployed.
-    pub fn current(&self) -> usize {
-        self.current
-    }
-
     /// Re-syncs the believed host count with the engine's actual one (called
     /// once when the controller is attached to a running deployment).
-    pub fn sync(&mut self, hosts: usize) {
+    pub(crate) fn sync(&mut self, hosts: usize) {
         self.current = hosts.clamp(self.min_hosts, self.max_hosts);
     }
 
     /// Records one query outcome at simulated time `t`.
-    pub fn observe(&mut self, t: f64, missed: bool) {
+    pub(crate) fn observe(&mut self, t: f64, missed: bool) {
         self.window.push((t, missed));
     }
 
@@ -148,7 +136,7 @@ impl Autoscaler {
     /// Steps the host count if the windowed feedback warrants it, returning
     /// the new target. `None` means hold (cooldown, not enough samples, or
     /// the miss fraction is inside the band).
-    pub fn decide(&mut self, now: f64) -> Option<usize> {
+    pub(crate) fn decide(&mut self, now: f64) -> Option<usize> {
         if now - self.last_scale_at < self.cooldown_s {
             return None;
         }
@@ -197,9 +185,17 @@ mod tests {
         }
     }
 
+    /// A controller on [`model`] within 1..=8 hosts and a `cooldown_s` cooldown.
+    fn autoscaler(offered_qps: f64, initial: usize, cooldown_s: f64) -> Autoscaler {
+        Autoscaler {
+            cooldown_s,
+            ..Autoscaler::new(model(), offered_qps, initial, 1, 8)
+        }
+    }
+
     #[test]
     fn sustained_misses_step_the_host_count_up() {
-        let mut scaler = Autoscaler::new(model(), 200.0, 2, 1, 8).with_cooldown(1.0);
+        let mut scaler = autoscaler(200.0, 2, 1.0);
         for i in 0..40 {
             scaler.observe(i as f64 * 0.1, i % 2 == 0); // 50 % misses
         }
@@ -210,13 +206,13 @@ mod tests {
         }
         assert_eq!(scaler.decide(4.5), None, "cooldown");
         assert_eq!(scaler.decide(5.1), Some(4), "steps again after cooldown");
-        assert_eq!(scaler.current(), 4);
+        assert_eq!(scaler.current, 4);
     }
 
     #[test]
     fn a_healthy_overprovisioned_deployment_steps_down_to_the_floor() {
         // Design load 200 QPS needs 2 hosts; we hold 4 and never miss.
-        let mut scaler = Autoscaler::new(model(), 200.0, 4, 1, 8).with_cooldown(1.0);
+        let mut scaler = autoscaler(200.0, 4, 1.0);
         let mut now = 0.0;
         for round in 0..10 {
             for i in 0..30 {
@@ -228,14 +224,14 @@ mod tests {
                 assert_eq!(decision, Some(4 - round - 1), "steps toward the floor");
             } else {
                 assert_eq!(decision, None, "holds at the capacity floor");
-                assert_eq!(scaler.current(), 2);
+                assert_eq!(scaler.current, 2);
             }
         }
     }
 
     #[test]
     fn too_few_samples_never_trigger_a_step() {
-        let mut scaler = Autoscaler::new(model(), 200.0, 2, 1, 8).with_cooldown(0.0);
+        let mut scaler = autoscaler(200.0, 2, 0.0);
         for i in 0..(Autoscaler::MIN_SAMPLES - 1) {
             scaler.observe(i as f64 * 0.001, true);
         }
@@ -246,12 +242,12 @@ mod tests {
 
     #[test]
     fn bounds_are_respected() {
-        let mut scaler = Autoscaler::new(model(), 1e6, 8, 1, 8).with_cooldown(0.0);
+        let mut scaler = autoscaler(1e6, 8, 0.0);
         for i in 0..40 {
             scaler.observe(i as f64 * 0.01, true);
         }
         assert_eq!(scaler.decide(1.0), None, "already at max_hosts");
-        let mut down = Autoscaler::new(model(), 0.0, 1, 1, 8).with_cooldown(0.0);
+        let mut down = autoscaler(0.0, 1, 0.0);
         for i in 0..40 {
             down.observe(i as f64 * 0.01, false);
         }

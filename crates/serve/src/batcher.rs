@@ -81,7 +81,7 @@ impl FormedBatch {
     ///
     /// # Panics
     /// Panics if `max_chunk` is zero.
-    pub fn into_chunks(self, max_chunk: usize) -> Vec<FormedBatch> {
+    pub(crate) fn into_chunks(self, max_chunk: usize) -> Vec<FormedBatch> {
         assert!(max_chunk > 0, "chunks need at least one query");
         if self.members.len() <= max_chunk {
             return vec![self];
@@ -176,13 +176,8 @@ impl BatchFormer {
         }
     }
 
-    /// The default close conditions (tenants without their own config).
-    pub fn config(&self) -> &BatchFormerConfig {
-        &self.config
-    }
-
     /// The close conditions governing `tenant`'s groups.
-    pub fn config_for(&self, tenant: TenantId) -> BatchFormerConfig {
+    pub(crate) fn config_for(&self, tenant: TenantId) -> BatchFormerConfig {
         self.tenant_configs
             .iter()
             .find(|(id, _)| *id == tenant)
@@ -198,15 +193,14 @@ impl BatchFormer {
     ///
     /// # Panics
     /// Panics on the same invalid configs as [`new`](Self::new).
-    pub fn set_config(&mut self, config: BatchFormerConfig) {
+    pub(crate) fn set_config(&mut self, config: BatchFormerConfig) {
         validate(&config);
         self.config = config;
     }
 
     /// Installs (or replaces) `tenant`'s own close conditions — the seam a
     /// per-tenant controller bank steers. The same mid-stream re-derivation
-    /// rules as [`set_config`](Self::set_config) apply, to this tenant's
-    /// groups only.
+    /// rules as `set_config` apply, to this tenant's groups only.
     ///
     /// # Panics
     /// Panics on the same invalid configs as [`new`](Self::new).
@@ -270,7 +264,7 @@ impl BatchFormer {
 
     /// Closes every group whose deadline has passed by `now`, oldest first.
     /// Each batch's `closed_at` is its own deadline, not `now` — except when
-    /// [`set_config`](Self::set_config) shrank the window under an open
+    /// `set_config` shrank the window under an open
     /// group, where the close is clamped to the group's newest arrival so a
     /// batch never closes before a member existed.
     pub fn due(&mut self, now: f64) -> Vec<FormedBatch> {

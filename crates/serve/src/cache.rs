@@ -71,7 +71,7 @@ impl ResultCache {
     }
 
     /// Looks up a query's cached neighbors against a frozen (epoch-0) index.
-    /// Equivalent to [`lookup_at_epoch`](Self::lookup_at_epoch) with epoch 0.
+    /// Equivalent to `lookup_at_epoch` with epoch 0.
     pub fn lookup(&mut self, query: &[f32], options: &QueryOptions) -> Option<(Vec<Neighbor>, f64)> {
         self.lookup_at_epoch(query, options, 0)
     }
@@ -84,7 +84,7 @@ impl ResultCache {
     /// entry computed under an older epoch is removed and counted as
     /// **invalidated** — neither a hit nor a plain miss — and the caller
     /// recomputes against the fresh snapshot.
-    pub fn lookup_at_epoch(
+    pub(crate) fn lookup_at_epoch(
         &mut self,
         query: &[f32],
         options: &QueryOptions,
@@ -115,7 +115,7 @@ impl ResultCache {
     }
 
     /// Stores a frozen-index (epoch-0) answer. Equivalent to
-    /// [`insert_at_epoch`](Self::insert_at_epoch) with epoch 0.
+    /// `insert_at_epoch` with epoch 0.
     pub fn insert(
         &mut self,
         query: &[f32],
@@ -129,7 +129,7 @@ impl ResultCache {
     /// Stores a query's neighbors (available from simulated time `ready_at`,
     /// computed under index epoch `epoch`), evicting the least-recently-used
     /// entry when the cache is full.
-    pub fn insert_at_epoch(
+    pub(crate) fn insert_at_epoch(
         &mut self,
         query: &[f32],
         options: &QueryOptions,
@@ -173,25 +173,20 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Maximum entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Lookups that found an entry.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Lookups that found an entry computed under an older epoch than the
     /// query's arrival epoch — the entry was dropped and the answer
     /// recomputed. Neither hits nor misses; always 0 on a frozen index.
-    pub fn invalidated(&self) -> u64 {
+    pub(crate) fn invalidated(&self) -> u64 {
         self.invalidated
     }
 
@@ -202,19 +197,9 @@ impl ResultCache {
     /// both stamp and invalidate identically.
     ///
     /// [`SnapshotTimeline::epoch_schedule`]: annkit::mutation::SnapshotTimeline::epoch_schedule
-    pub fn epoch_at(schedule: &[(f64, u64)], t: f64) -> u64 {
+    pub(crate) fn epoch_at(schedule: &[(f64, u64)], t: f64) -> u64 {
         let idx = schedule.partition_point(|(when, _)| *when <= t);
         idx.checked_sub(1).map_or(0, |i| schedule[i].1)
-    }
-
-    /// Hits / lookups, 0 when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 
@@ -240,7 +225,6 @@ mod tests {
         assert_eq!(found[0].id, 7);
         assert_eq!(ready_at, 0.5);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -328,6 +312,5 @@ mod tests {
         cache.insert(&q, &opts(10, 8), hit(1), 0.0);
         assert!(cache.lookup(&q, &opts(10, 8)).is_none());
         assert!(cache.is_empty());
-        assert_eq!(cache.capacity(), 0);
     }
 }

@@ -218,34 +218,34 @@ pub struct SloController {
 
 impl SloController {
     /// Bounds on the batch-size cap the controller may choose.
-    pub const MIN_BATCH: usize = 1;
+    pub(crate) const MIN_BATCH: usize = 1;
     /// Upper bound on the batch-size cap.
-    pub const MAX_BATCH: usize = 1024;
+    pub(crate) const MAX_BATCH: usize = 1024;
     /// Additive batch-cap growth applied together with the window growth.
-    pub const BATCH_STEP: usize = 32;
+    pub(crate) const BATCH_STEP: usize = 32;
     /// Bounds on the dispatch chunk cap the controller may choose. The
     /// chunk is steered like the window (saturated misses grow it — bigger
     /// chunks amortize the per-dispatch overheads — unsaturated misses
     /// shrink it, comfort grows it additively), so `MAX_CHUNK` is the most
     /// head-of-line delay a tenant may ever inflict per dispatch.
-    pub const MIN_CHUNK: usize = 8;
+    pub(crate) const MIN_CHUNK: usize = 8;
     /// Upper bound on the dispatch chunk cap.
-    pub const MAX_CHUNK: usize = 64;
+    pub(crate) const MAX_CHUNK: usize = 64;
     /// Additive chunk growth applied together with the window growth.
-    pub const CHUNK_STEP: usize = 8;
+    pub(crate) const CHUNK_STEP: usize = 8;
     /// Multiplicative back-off applied when the window's p99 exceeds the SLO
     /// while the engine is keeping up.
-    pub const DECREASE_FACTOR: f64 = 0.5;
+    pub(crate) const DECREASE_FACTOR: f64 = 0.5;
     /// Multiplicative window growth applied when the p99 exceeds the SLO
     /// *because the engine is saturated* — wider windows mean bigger batches,
     /// which is what raises a PIM engine's capacity.
-    pub const SATURATED_GROWTH: f64 = 2.0;
+    pub(crate) const SATURATED_GROWTH: f64 = 2.0;
     /// Fraction of the SLO below which the controller considers itself safe
     /// to grow (the AIMD guard band).
     pub const GROW_BELOW: f64 = 0.7;
     /// The engine counts as saturated when the average time closed batches
     /// spend queued behind it exceeds this multiple of the current window.
-    pub const SATURATION_WAIT_RATIO: f64 = 1.0;
+    pub(crate) const SATURATION_WAIT_RATIO: f64 = 1.0;
 
     /// A controller for the given p99 target (simulated seconds) starting
     /// from `initial` close conditions, clamped into the controller's bounds.
@@ -288,29 +288,24 @@ impl SloController {
         Self::new(slo_p99_s, initial)
     }
 
-    /// The p99 latency target in simulated seconds.
-    pub fn slo_p99_s(&self) -> f64 {
-        self.slo_p99_s
-    }
-
     /// Simulated seconds between control decisions: one SLO.
     pub fn adjust_interval_s(&self) -> f64 {
         self.slo_p99_s
     }
 
     /// Lower bound on the batching window the controller may choose.
-    pub fn min_delay_s(&self) -> f64 {
+    pub(crate) fn min_delay_s(&self) -> f64 {
         self.slo_p99_s / 100.0
     }
 
     /// Upper bound on the batching window.
-    pub fn max_delay_s(&self) -> f64 {
+    pub(crate) fn max_delay_s(&self) -> f64 {
         self.slo_p99_s / 2.0
     }
 
     /// Additive window growth applied while p99 is below
     /// [`GROW_BELOW`](Self::GROW_BELOW) × SLO.
-    pub fn delay_step_s(&self) -> f64 {
+    pub(crate) fn delay_step_s(&self) -> f64 {
         self.slo_p99_s / 50.0
     }
 
@@ -437,7 +432,7 @@ pub struct ControllerBank {
 
 impl ControllerBank {
     /// An empty bank whose unknown tenants run `default_config`.
-    pub fn new(default_config: BatchFormerConfig) -> Self {
+    pub(crate) fn new(default_config: BatchFormerConfig) -> Self {
         Self {
             default_config,
             entries: Vec::new(),
@@ -445,7 +440,7 @@ impl ControllerBank {
     }
 
     /// Adds (or replaces) `tenant`'s controller.
-    pub fn with_controller(mut self, tenant: TenantId, controller: SloController) -> Self {
+    pub(crate) fn with_controller(mut self, tenant: TenantId, controller: SloController) -> Self {
         match self.entries.iter_mut().find(|(id, _)| *id == tenant) {
             Some((_, c)) => *c = controller,
             None => self.entries.push((tenant, controller)),
@@ -467,21 +462,11 @@ impl ControllerBank {
     }
 
     /// The controller steering `tenant`, if it has one.
-    pub fn controller(&self, tenant: TenantId) -> Option<&SloController> {
+    pub(crate) fn controller(&self, tenant: TenantId) -> Option<&SloController> {
         self.entries
             .iter()
             .find(|(id, _)| *id == tenant)
             .map(|(_, c)| c)
-    }
-
-    /// Number of per-tenant controllers in the bank.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the bank holds no controllers.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -695,7 +680,7 @@ mod tests {
             (48.0, 48.0, 0.48, 24.0, 0.96, 12.0),
         ] {
             let c = controller(slo);
-            assert_eq!(c.slo_p99_s(), slo);
+            assert_eq!(c.slo_p99_s, slo);
             assert_eq!(c.adjust_interval_s(), interval);
             assert_eq!(c.min_delay_s(), min);
             assert_eq!(c.max_delay_s(), max);
@@ -776,7 +761,7 @@ mod tests {
             .with_controller(TenantId(1), controller(0.1))
             .with_controller(TenantId(2), controller(10.0));
         assert_eq!(bank.name(), "adaptive-tenant");
-        assert_eq!(bank.len(), 2);
+        assert_eq!(bank.entries.len(), 2);
         let t1_before = bank.current_for(TenantId(1));
         let t2_before = bank.current_for(TenantId(2));
         assert!(
@@ -829,10 +814,13 @@ mod tests {
             max_delay_s: 0.25,
         };
         let bank = ControllerBank::for_profiles(&profiles, default);
-        assert_eq!(bank.len(), 1, "only SLO-carrying tenants get controllers");
+        assert_eq!(
+            bank.entries.len(),
+            1,
+            "only SLO-carrying tenants get controllers"
+        );
         assert!(bank.controller(TenantId(1)).is_some());
         assert!(bank.controller(TenantId(2)).is_none());
         assert_eq!(bank.current_for(TenantId(2)).max_batch, 7);
-        assert!(!bank.is_empty());
     }
 }

@@ -337,13 +337,13 @@ impl<'a> ServingCore<'a> {
     }
 
     /// The dispatch discipline [`ServiceConfig::max_chunk`] selected.
-    pub fn order(&self) -> DispatchOrder {
+    pub(crate) fn order(&self) -> DispatchOrder {
         self.chunks.order()
     }
 
     /// When the earliest queued chunk became dispatchable
     /// ([`ChunkQueue::next_ready_at`]).
-    pub fn next_ready_at(&self) -> Option<f64> {
+    pub(crate) fn next_ready_at(&self) -> Option<f64> {
         self.chunks.next_ready_at()
     }
 
@@ -415,7 +415,7 @@ impl<'a> ServingCore<'a> {
 
     /// Removes and returns, in recording order, the `(time, missed)` SLO
     /// outcomes the clock has caught up with — what an autoscaler observes.
-    pub fn take_slo_events(&mut self, now: f64) -> Vec<(f64, bool)> {
+    pub(crate) fn take_slo_events(&mut self, now: f64) -> Vec<(f64, bool)> {
         let (due, later) = self
             .pending_slo_events
             .iter()

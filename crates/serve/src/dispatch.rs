@@ -13,7 +13,7 @@
 //!   between equally urgent chunks) via a submission sequence number. A
 //!   tenant with no SLO sorts last: bulk work yields to everyone.
 //! * **Chunking.** Bulk batches are split into size-capped *chunks*
-//!   ([`FormedBatch::into_chunks`]) at submission, so an engine is never
+//!   (`FormedBatch::into_chunks`) at submission, so an engine is never
 //!   committed for more than one chunk's service time. A tight-SLO batch
 //!   arriving while a bulk batch drains therefore waits at most one chunk —
 //!   not the whole batch. The cap is per-submission (the serving core
@@ -174,7 +174,7 @@ impl ChunkQueue {
     }
 
     /// The scheduling discipline.
-    pub fn order(&self) -> DispatchOrder {
+    pub(crate) fn order(&self) -> DispatchOrder {
         self.order
     }
 
@@ -259,18 +259,13 @@ impl ChunkQueue {
         self.pop_ready(f64::INFINITY)
     }
 
-    /// Chunks waiting to run.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Whether no chunk is waiting.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 
     /// Chunks handed out so far.
-    pub fn dispatched_chunks(&self) -> usize {
+    pub(crate) fn dispatched_chunks(&self) -> usize {
         self.dispatched_chunks
     }
 
@@ -371,7 +366,11 @@ mod tests {
         let mut q = ChunkQueue::new(DispatchOrder::SloUrgency);
         q.submit(batch(2, &[0.0, 0.1, 0.2, 0.3], 0.4), None, 2);
         q.submit(batch(1, &[0.5], 0.6), Some(0.25), 2);
-        assert_eq!(q.len(), 3, "bulk split in two plus the tight singleton");
+        assert_eq!(
+            q.queue.len(),
+            3,
+            "bulk split in two plus the tight singleton"
+        );
         assert_eq!(q.split_batches(), 1);
         let order: Vec<TenantId> = std::iter::from_fn(|| q.pop_most_urgent())
             .map(|c| c.batch.options.tenant)

@@ -12,7 +12,7 @@
 
 /// How close (absolute attainment fraction) a post-failure bucket must get
 /// to the baseline to count as recovered.
-pub const RECOVERY_TOLERANCE: f64 = 0.05;
+pub(crate) const RECOVERY_TOLERANCE: f64 = 0.05;
 
 /// The bucketed SLO-attainment timeline around one failure instant.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub struct RecoveryEnvelope {
     /// Start of the bucket where the deepest dip occurred.
     pub dip_at: f64,
     /// Seconds from `t_down` until the end of the first post-dip bucket
-    /// whose attainment is back within [`RECOVERY_TOLERANCE`] of the
+    /// whose attainment is back within `RECOVERY_TOLERANCE` of the
     /// baseline (`f64::INFINITY` when it never recovers).
     pub recovery_s: f64,
     /// Whether attainment recovered within the observed timeline.

@@ -123,29 +123,16 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod autoscale;
+mod autoscale;
 pub mod batcher;
 pub mod cache;
 pub mod controller;
 pub mod core;
 pub mod dispatch;
-pub mod envelope;
+mod envelope;
 pub mod service;
 
-/// Commonly used items, re-exported for convenience.
-pub mod prelude {
-    pub use crate::admission::AdmissionQueue;
-    pub use crate::autoscale::{Autoscaler, CapacityModel};
-    pub use crate::batcher::{BatchFormer, BatchFormerConfig, CloseReason, FormedBatch, PendingQuery};
-    pub use crate::envelope::RecoveryEnvelope;
-    pub use crate::cache::ResultCache;
-    pub use crate::controller::{BatchPolicy, ControllerBank, FixedPolicy, SloController};
-    pub use crate::dispatch::{ChunkQueue, DispatchOrder, QueuedChunk};
-    pub use crate::service::{SearchService, ServiceConfig, ServiceReport, TenantReport};
-    pub use annkit::workload::{MultiTenantSpec, TenantId, TenantProfile, TenantSpec};
-}
-
 pub use autoscale::{Autoscaler, CapacityModel};
-pub use controller::{BatchPolicy, ControllerBank, FixedPolicy, SloController};
+pub use controller::{BatchPolicy, FixedPolicy};
 pub use envelope::RecoveryEnvelope;
 pub use service::{SearchService, ServiceConfig, ServiceReport, TenantReport};

@@ -42,7 +42,12 @@ pub fn percentile_of(sorted: &[f64], p: f64) -> f64 {
 
 /// Shed-aware SLO miss fraction: completed queries over the target plus
 /// every shed query, over the offered total (0 when nothing was offered).
-pub fn miss_fraction_of(sorted: &[f64], completed: usize, shed: usize, slo: Option<f64>) -> f64 {
+pub(crate) fn miss_fraction_of(
+    sorted: &[f64],
+    completed: usize,
+    shed: usize,
+    slo: Option<f64>,
+) -> f64 {
     let offered = completed + shed;
     if offered == 0 {
         return 0.0;
@@ -134,7 +139,7 @@ pub struct TenantReport {
 
 impl TenantReport {
     /// The `p`-th latency percentile in seconds ([`percentile_of`]'s rank).
-    pub fn percentile(&self, p: f64) -> f64 {
+    pub(crate) fn percentile(&self, p: f64) -> f64 {
         percentile_of(&self.latencies_s, p)
     }
 
@@ -236,7 +241,7 @@ impl ServiceReport {
         }
     }
 
-    /// The `p`-th latency percentile in seconds ([`percentile_of`]'s rank; 0
+    /// The `p`-th latency percentile in seconds (`percentile_of`'s rank; 0
     /// when nothing completed).
     pub fn percentile(&self, p: f64) -> f64 {
         percentile_of(&self.latencies_s, p)
@@ -465,21 +470,6 @@ impl<E: AnnEngine> SearchService<E> {
         self
     }
 
-    /// The wrapped engine.
-    pub fn engine(&self) -> &E {
-        &self.engine
-    }
-
-    /// The front-end configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
-    /// The batch policy currently steering the former.
-    pub fn policy(&self) -> &dyn BatchPolicy {
-        self.policy.as_ref()
-    }
-
     /// Unwraps the service, returning the engine.
     pub fn into_engine(self) -> E {
         self.engine
@@ -580,12 +570,6 @@ impl<E: AnnEngine> SearchService<E> {
         }
     }
 
-    /// [`replay`](Self::replay) with one shared [`QueryOptions`] for the
-    /// whole stream.
-    pub fn replay_uniform(&mut self, stream: &QueryStream, options: QueryOptions) -> ServiceReport {
-        self.replay(stream, |_| options)
-    }
-
     /// [`replay`](Self::replay) driven entirely by the stream's own
     /// annotations: each query runs under its tenant's `(k, nprobe)` plan
     /// ([`option_plan`](QueryStream::option_plan)) tagged with its tenant
@@ -642,7 +626,7 @@ mod tests {
         let mut service =
             SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
         let stream = stream(200, 50_000.0, 0.0);
-        let report = service.replay_uniform(&stream, QueryOptions::new(10, 4));
+        let report = service.replay(&stream, |_| QueryOptions::new(10, 4));
         assert_eq!(report.completed + report.shed, 200);
         assert_eq!(report.latencies_s.len(), report.completed);
         assert!(report.batches() > 0);
@@ -665,7 +649,7 @@ mod tests {
             },
         );
         let stream = stream(60, 20_000.0, 0.0);
-        let report = service.replay_uniform(&stream, QueryOptions::new(5, 6));
+        let report = service.replay(&stream, |_| QueryOptions::new(5, 6));
         assert_eq!(report.shed, 0);
         let mut engine = CpuFaissEngine::new(index);
         let direct = engine.search_batch(&stream.batch.queries, 6, 5);
@@ -683,7 +667,7 @@ mod tests {
         let mut service =
             SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
         let stream = stream(300, 50_000.0, 0.4);
-        let report = service.replay_uniform(&stream, QueryOptions::new(10, 4));
+        let report = service.replay(&stream, |_| QueryOptions::new(10, 4));
         assert!(report.cache_hits > 0, "repeats must hit the cache");
         assert!(report.cache_hit_rate() > 0.05);
         // A cached answer equals the originally computed answer.
@@ -699,13 +683,13 @@ mod tests {
         let stream = stream(300, 50_000.0, 0.4);
         let mut plain =
             SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
-        let plain_report = plain.replay_uniform(&stream, QueryOptions::new(10, 4));
+        let plain_report = plain.replay(&stream, |_| QueryOptions::new(10, 4));
         let frozen = annkit::mutation::SnapshotTimeline::frozen(index);
         let (mut live, accepted) =
             SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default())
                 .with_live_index(&frozen);
         assert!(accepted, "the CPU engine accepts timelines");
-        let live_report = live.replay_uniform(&stream, QueryOptions::new(10, 4));
+        let live_report = live.replay(&stream, |_| QueryOptions::new(10, 4));
         assert_eq!(plain_report.cache_invalidated, 0);
         assert_eq!(live_report.cache_invalidated, 0);
         assert_eq!(plain_report.cache_hits, live_report.cache_hits);
@@ -729,7 +713,7 @@ mod tests {
             SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default())
                 .with_live_index(&timeline);
         assert!(accepted);
-        let report = service.replay_uniform(&stream, QueryOptions::new(10, 4));
+        let report = service.replay(&stream, |_| QueryOptions::new(10, 4));
         assert_eq!(report.completed + report.shed, 400);
         assert!(report.cache_hits > 0, "repeats within an epoch still hit");
         assert!(
@@ -754,7 +738,7 @@ mod tests {
         };
         let mut service = SearchService::new(CpuFaissEngine::new(index), config);
         let stream = stream(100, 1.0e9, 0.0); // everything arrives at once
-        let report = service.replay_uniform(&stream, QueryOptions::new(10, 4));
+        let report = service.replay(&stream, |_| QueryOptions::new(10, 4));
         assert!(report.shed > 0, "overload must shed");
         assert!(report.completed >= 4, "admitted queries still complete");
     }
@@ -823,7 +807,7 @@ mod tests {
         let stream = StreamSpec::new(100, 1.0e9)
             .with_slo_p99(1e9)
             .generate(dataset);
-        let report = service.replay_uniform(&stream, QueryOptions::new(10, 4));
+        let report = service.replay(&stream, |_| QueryOptions::new(10, 4));
         assert!(report.shed > 0, "overload must shed");
         let expected = report.shed as f64 / (report.completed + report.shed) as f64;
         assert!((report.slo_miss_fraction() - expected).abs() < 1e-12);
@@ -844,7 +828,7 @@ mod tests {
         let tight = StreamSpec::new(150, 30_000.0)
             .with_slo_p99(1e-12)
             .generate(dataset);
-        let report = service.replay_uniform(&tight, QueryOptions::new(10, 4));
+        let report = service.replay(&tight, |_| QueryOptions::new(10, 4));
         assert_eq!(report.slo_p99_s, Some(1e-12));
         assert_eq!(report.policy, "fixed");
         assert!(!report.meets_slo());
@@ -853,12 +837,12 @@ mod tests {
         let loose = StreamSpec::new(150, 30_000.0)
             .with_slo_p99(1e9)
             .generate(dataset);
-        let report = service.replay_uniform(&loose, QueryOptions::new(10, 4));
+        let report = service.replay(&loose, |_| QueryOptions::new(10, 4));
         assert!(report.meets_slo());
         assert_eq!(report.slo_miss_fraction(), 0.0);
         // No SLO anywhere: attainment is vacuous.
         let plain = StreamSpec::new(150, 30_000.0).generate(dataset);
-        let report = service.replay_uniform(&plain, QueryOptions::new(10, 4));
+        let report = service.replay(&plain, |_| QueryOptions::new(10, 4));
         assert_eq!(report.slo_p99_s, None);
         assert!(report.meets_slo());
         assert_eq!(report.slo_miss_fraction(), 0.0);
@@ -877,7 +861,7 @@ mod tests {
         let stream = StreamSpec::new(60, 30_000.0)
             .with_slo_p99(1e-12)
             .generate(dataset);
-        let report = service.replay_uniform(&stream, QueryOptions::new(10, 4));
+        let report = service.replay(&stream, |_| QueryOptions::new(10, 4));
         assert_eq!(report.slo_p99_s, Some(2.0));
     }
 
@@ -889,11 +873,11 @@ mod tests {
         let mut service =
             SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default())
                 .with_policy(Box::new(SloController::for_slo(slo)));
-        let initial = service.policy().current();
+        let initial = service.policy.current();
         let stream = StreamSpec::new(400, 20_000.0)
             .with_slo_p99(slo)
             .generate(dataset);
-        let report = service.replay_uniform(&stream, QueryOptions::new(10, 4));
+        let report = service.replay(&stream, |_| QueryOptions::new(10, 4));
         assert_eq!(report.policy, "adaptive-slo");
         assert_eq!(report.completed + report.shed, 400);
         assert!(
@@ -909,7 +893,7 @@ mod tests {
         // changes latency, never correctness.
         let mut fixed =
             SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
-        let fixed_report = fixed.replay_uniform(&stream, QueryOptions::new(10, 4));
+        let fixed_report = fixed.replay(&stream, |_| QueryOptions::new(10, 4));
         for (a, b) in report.results.iter().zip(&fixed_report.results) {
             if a.is_empty() || b.is_empty() {
                 continue; // shed under one policy but not the other
@@ -1035,7 +1019,7 @@ mod tests {
         };
         let mut service = SearchService::new(CpuFaissEngine::new(index), config);
         let stream = StreamSpec::new(1, 100.0).generate(dataset);
-        let report = service.replay_uniform(&stream, QueryOptions::new(10, 4));
+        let report = service.replay(&stream, |_| QueryOptions::new(10, 4));
         assert_eq!(report.completed, 1);
         assert_eq!(report.deadline_closed_batches, 1, "closed by its deadline");
         let latency = report.latencies_s[0];

@@ -530,7 +530,7 @@ fn repeats_wait_for_the_original_answer() {
     let stream = StreamSpec::new(20, 1e9)
         .with_repeat_fraction(1.0)
         .generate(&dataset);
-    let report = service.replay_uniform(&stream, QueryOptions::new(5, 4));
+    let report = service.replay(&stream, |_| QueryOptions::new(5, 4));
     // With repeat fraction 1.0 every query is (transitively) a copy of the
     // first, so exactly one batch runs and all 19 repeats are cache hits.
     assert_eq!(report.completed, 20);

@@ -6,10 +6,16 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use annkit::prelude::*;
-use baselines::prelude::*;
+use annkit::flat::FlatIndex;
+use annkit::ivf::{IvfPqIndex, IvfPqParams};
+use annkit::recall::recall_at_k;
+use annkit::synthetic::SyntheticSpec;
+use annkit::workload::WorkloadSpec;
+use baselines::cpu::CpuFaissEngine;
+use baselines::engine::AnnEngine;
 use pim_sim::config::PimConfig;
-use upanns::prelude::*;
+use upanns::builder::UpAnnsBuilder;
+use upanns::config::UpAnnsConfig;
 
 fn main() {
     // ------------------------------------------------------------------

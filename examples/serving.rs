@@ -18,12 +18,16 @@
 //! cargo run --release --example serving
 //! ```
 
-use annkit::prelude::*;
-use baselines::prelude::*;
+use annkit::ivf::{IvfPqIndex, IvfPqParams};
+use annkit::synthetic::SyntheticSpec;
+use annkit::workload::{MultiTenantSpec, StreamSpec, TenantId, TenantSpec, WorkloadSpec};
+use baselines::engine::QueryOptions;
 use pim_sim::config::PimConfig;
-use upanns::prelude::*;
+use upanns::builder::{BatchCapacity, UpAnnsBuilder};
+use upanns::config::UpAnnsConfig;
 use upanns_serve::batcher::BatchFormerConfig;
-use upanns_serve::prelude::*;
+use upanns_serve::controller::{ControllerBank, SloController};
+use upanns_serve::{SearchService, ServiceConfig};
 
 fn main() {
     // ------------------------------------------------------------------

@@ -1,10 +1,7 @@
-//! Root meta-crate of the UpANNS reproduction workspace.
+//! Root package of the UpANNS reproduction workspace.
 //!
-//! Re-exports the member crates so examples and integration tests can use a
-//! single dependency.
+//! It holds the cross-crate examples (`examples/`) and integration tests
+//! (`tests/`), which name the member crates directly; the library itself
+//! exports nothing.
 
 #![forbid(unsafe_code)]
-pub use annkit;
-pub use baselines;
-pub use pim_sim;
-pub use upanns;

@@ -5,16 +5,17 @@
 use annkit::flat::FlatIndex;
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
 use annkit::recall::recall_at_k;
-use annkit::synthetic::{SyntheticDataset, SyntheticSpec};
+use annkit::synthetic::{DatasetKind, SyntheticDataset, SyntheticSpec};
 use annkit::vector::Dataset;
 use annkit::workload::WorkloadSpec;
 use baselines::engine::AnnEngine;
 use pim_sim::config::PimConfig;
 use std::sync::OnceLock;
+use upanns::adaptive::{adapt_placement, AdaptationPolicy};
 use upanns::builder::{frequencies_from_queries, BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
-use upanns::prelude::*;
+use upanns::placement::{Placement, PlacementInput};
 use upanns::wram_layout::{WramPlan, WramPlanInput};
 
 struct Fixture {
@@ -27,7 +28,7 @@ struct Fixture {
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
-        let dataset = SyntheticSpec::deep_like(3_000)
+        let dataset = SyntheticSpec::new(DatasetKind::DeepLike, 3_000)
             .with_clusters(24)
             .with_seed(77)
             .generate_with_meta();
@@ -101,12 +102,7 @@ fn adaptive_flow_preserves_results_and_balance() {
     // Whatever the tier, the adapted placement must still be structurally
     // valid and must not be less balanced (under the new pattern) than the
     // stale placement re-evaluated under that pattern.
-    let input = upanns::placement::PlacementInput::new(
-        sizes.clone(),
-        new_freqs.clone(),
-        dpus,
-        usize::MAX / 2,
-    );
+    let input = PlacementInput::new(sizes.clone(), new_freqs.clone(), dpus, usize::MAX / 2);
     adapted.validate(&input).unwrap();
 
     let mut rebuilt = build(fix, UpAnnsConfig::upanns(), dpus, Some(adapted));
