@@ -140,8 +140,8 @@ impl IvfPqIndex {
     }
 
     /// Trains quantizers only, leaving the inverted lists empty (vectors are
-    /// added separately with [`add`](Self::add)). Useful when the corpus is
-    /// generated in shards.
+    /// added separately with [`add`](Self::add)); a trained index's shards
+    /// are [`fresh_like`](Self::fresh_like) plus `add` instead.
     pub fn train_empty(data: &Dataset, params: &IvfPqParams, seed: u64) -> Self {
         assert!(params.nlist > 0, "nlist must be positive");
         assert!(
@@ -448,7 +448,8 @@ mod tests {
     #[test]
     fn add_with_offset_assigns_contiguous_ids() {
         let ds = clustered_dataset(400, 16, 4, 8);
-        let mut index = IvfPqIndex::train_empty(&ds, &IvfPqParams::new(4, 4), 21);
+        let mut index = IvfPqIndex::train(&ds, &IvfPqParams::new(4, 4), 21).fresh_like();
+        assert_eq!(index.ntotal(), 0);
         index.add(&ds, 1000);
         let mut ids: Vec<u64> = index.lists().iter().flat_map(|l| l.ids().to_vec()).collect();
         ids.sort_unstable();

@@ -8,10 +8,10 @@
 //! search operations remain local to each host." This module holds the two
 //! pieces of that extension that are not an engine:
 //!
-//! * [`shard_ranges`] — the dataset is **sharded**: every host owns a
-//!   disjoint slice of the vectors (with globally unique ids), trains its own
-//!   IVFPQ index over its shard, and runs a full single-host
-//!   [`UpAnnsEngine`] on its own DIMMs;
+//! * [`shard_indexes`] — the dataset is **sharded**: every host owns a
+//!   disjoint slice of the vectors (with globally unique ids) as a view of
+//!   the one trained index, so every host probes the same centroids with the
+//!   same codebooks, and runs a full single-host [`UpAnnsEngine`];
 //! * [`InterconnectModel`] — the cost of the two network legs (the
 //!   coordinator **broadcasts** the query vectors to every host and
 //!   **gathers** the per-host top-k lists).
@@ -20,6 +20,9 @@
 //! merges is [`ReplicatedMultiHost`]; the paper's deployment is its
 //! one-host-per-shard, `replicas = 1`, no-faults configuration
 //! (`ReplicatedMultiHost::new(engines, engines.len(), 1, interconnect)`).
+
+use annkit::ivf::IvfPqIndex;
+use annkit::vector::Dataset;
 
 use crate::engine::UpAnnsEngine;
 use crate::replica::ReplicatedMultiHost;
@@ -71,6 +74,26 @@ pub fn shard_ranges(n: usize, hosts: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
+/// One shard per host, each a view of the one trained `index`:
+/// `index.fresh_like()` (the parent's `Arc`-shared quantizers) plus its
+/// [`shard_ranges`] slice of `data` (the corpus `index` holds, row `i` under
+/// id `i`), so each list is the parent's list cut to the shard's id range,
+/// with the same codes in the same order.
+///
+/// # Panics
+/// Panics if `hosts` is zero or `index` does not hold exactly `data`'s rows.
+pub fn shard_indexes(index: &IvfPqIndex, data: &Dataset, hosts: usize) -> Vec<IvfPqIndex> {
+    assert_eq!(index.ntotal(), data.len() as u64, "shards cut the corpus the index holds");
+    shard_ranges(data.len(), hosts)
+        .into_iter()
+        .map(|rows| {
+            let mut shard = index.fresh_like();
+            shard.add(&data.gather(&rows.clone().collect::<Vec<usize>>()), rows.start as u64);
+            shard
+        })
+        .collect()
+}
+
 /// Benchmark-pinned constructor of the paper's §5.5 deployment: one host per
 /// shard engine, no replication, no faults. A vestige — `benchmark/` names
 /// `MultiHostUpAnns::new` and is edited only by `[benchmark]` PRs; drop this
@@ -96,11 +119,9 @@ mod tests {
     use super::*;
     use crate::builder::{BatchCapacity, UpAnnsBuilder};
     use crate::config::UpAnnsConfig;
-    use annkit::flat::FlatIndex;
-    use annkit::ivf::{IvfPqIndex, IvfPqParams};
-    use annkit::recall::recall_at_k;
+    use annkit::ivf::IvfPqParams;
     use annkit::synthetic::SyntheticSpec;
-    use annkit::vector::Dataset;
+    use annkit::topk::Neighbor;
     use baselines::cpu::CpuSpec;
     use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
     use pim_sim::config::PimConfig;
@@ -119,8 +140,8 @@ mod tests {
 
     struct Deployment {
         data: Dataset,
+        index: IvfPqIndex,
         shards: Vec<IvfPqIndex>,
-        whole: IvfPqIndex,
     }
 
     fn deployment() -> &'static Deployment {
@@ -130,33 +151,21 @@ mod tests {
                 .with_clusters(16)
                 .with_seed(55)
                 .generate();
-            let params = IvfPqParams::new(12, 16).with_train_size(900);
-            // Two shards with globally unique ids.
-            let ranges = shard_ranges(data.len(), 2);
-            let mut shards = Vec::new();
-            for r in &ranges {
-                let rows: Vec<usize> = r.clone().collect();
-                let shard_data = data.gather(&rows);
-                // Train codebooks on the shard, then add its vectors under
-                // their *global* ids so merged results are unambiguous.
-                let mut index = IvfPqIndex::train_empty(&shard_data, &params, 3);
-                index.add(&shard_data, r.start as u64);
-                shards.push(index);
-            }
-            let whole_params = IvfPqParams::new(12, 16).with_train_size(900);
-            let whole = IvfPqIndex::train(&data, &whole_params, 3);
+            let index = IvfPqIndex::train(&data, &IvfPqParams::new(12, 16).with_train_size(900), 3);
+            // Two shards of the one index, with globally unique ids.
+            let shards = shard_indexes(&index, &data, 2);
             Deployment {
                 data,
+                index,
                 shards,
-                whole,
             }
         })
     }
 
-    fn host_engine(index: &IvfPqIndex, dpus: usize) -> UpAnnsEngine {
+    fn host_engine(index: &IvfPqIndex, config: UpAnnsConfig) -> UpAnnsEngine {
         UpAnnsBuilder::new(index)
-            .with_config(UpAnnsConfig::upanns())
-            .with_pim_config(PimConfig::with_dpus(dpus))
+            .with_config(config)
+            .with_pim_config(PimConfig::with_dpus(8))
             .with_batch_capacity(BatchCapacity {
                 batch_size: 32,
                 nprobe: 6,
@@ -172,9 +181,39 @@ mod tests {
         replicas: usize,
         interconnect: InterconnectModel,
     ) -> ReplicatedMultiHost {
-        let engines: Vec<UpAnnsEngine> = shards.iter().map(|ix| host_engine(ix, 8)).collect();
+        let engines: Vec<UpAnnsEngine> =
+            shards.iter().map(|ix| host_engine(ix, UpAnnsConfig::upanns())).collect();
         ReplicatedMultiHost::new(engines, shards.len(), replicas, interconnect)
             .expect("valid shape")
+    }
+
+    /// Neighbor ids with distance bits.
+    fn bits(results: &[Vec<Neighbor>]) -> Vec<Vec<(u64, u32)>> {
+        let bits = |q: &Vec<Neighbor>| q.iter().map(|n| (n.id, n.distance.to_bits())).collect();
+        results.iter().map(bits).collect()
+    }
+
+    #[test]
+    fn shards_are_the_parent_lists_cut_to_their_id_ranges() {
+        let dep = deployment();
+        let ranges = shard_ranges(dep.data.len(), 2);
+        for (shard, range) in dep.shards.iter().zip(&ranges) {
+            assert_eq!(shard.ntotal(), range.len() as u64);
+            for (c, list) in shard.lists().iter().enumerate() {
+                let parent = dep.index.list(c);
+                let kept: Vec<(u64, &[u8])> = parent
+                    .ids()
+                    .iter()
+                    .copied()
+                    .zip(parent.packed_codes().chunks_exact(dep.index.m()))
+                    .filter(|&(id, _)| range.contains(&(id as usize)))
+                    .collect();
+                let ids: Vec<u64> = kept.iter().map(|&(id, _)| id).collect();
+                let codes: Vec<u8> = kept.iter().flat_map(|&(_, code)| code.to_vec()).collect();
+                assert_eq!(list.ids(), ids, "list {c}");
+                assert_eq!(list.packed_codes(), codes, "list {c}");
+            }
+        }
     }
 
     #[test]
@@ -198,8 +237,13 @@ mod tests {
 
     #[test]
     fn two_hosts_return_global_ids_and_sane_recall() {
+        // Opt3 off: with it on, each shard mines its own combination table,
+        // which regroups the float sums of a distance.
+        let exact = || UpAnnsConfig::upanns().with_cooccurrence(false);
         let dep = deployment();
-        let mut multi = deploy(&dep.shards, 1, InterconnectModel::default());
+        let engines = dep.shards.iter().map(|ix| host_engine(ix, exact())).collect();
+        let mut multi = ReplicatedMultiHost::new(engines, 2, 1, InterconnectModel::default())
+            .expect("one host per shard");
         assert_eq!(multi.live_hosts(), Some(2));
 
         let queries = dep.data.gather(&(0..24).map(|i| i * 113 % 3000).collect::<Vec<_>>());
@@ -215,16 +259,25 @@ mod tests {
             .unwrap_or(0);
         assert!(max_id >= 1_500, "results never reference the second shard");
 
-        // Recall of the sharded deployment is in the same ballpark as a
-        // single index over the whole dataset (sharded IVF probes nprobe
-        // clusters per shard, so it can only see *more* candidates).
-        let exact = FlatIndex::new(&dep.data).search_batch(&queries, 10);
-        let whole_recall = recall_at_k(&dep.whole.search_batch(&queries, 6, 10), &exact, 10);
-        let multi_recall = recall_at_k(&out.results, &exact, 10);
-        assert!(
-            multi_recall + 0.05 >= whole_recall,
-            "sharded recall {multi_recall} much worse than single-index {whole_recall}"
-        );
+        // The shards are slices of one index, so the two hosts answer (ids
+        // and distance bits, hence recall) exactly as one engine over it.
+        let single = host_engine(&dep.index, exact()).search_batch(&queries, 6, 10);
+        assert_eq!(bits(&out.results), bits(&single.results));
+    }
+
+    /// Growing one host to two moves shard 1 (ring placement), and the new
+    /// host pulls each of its vectors' code and id once, not once per DPU
+    /// replica of its list.
+    #[test]
+    fn a_shard_migrates_once_not_once_per_dpu_replica() {
+        let dep = deployment();
+        let net = InterconnectModel::default();
+        let engines = dep.shards.iter().map(|ix| host_engine(ix, UpAnnsConfig::upanns())).collect();
+        let mut multi =
+            ReplicatedMultiHost::new(engines, 1, 1, net.clone()).expect("two shards on one host");
+        let moved = multi.scale_to(2, 0.0).expect("growing is valid");
+        let bytes = dep.shards[1].ntotal() as usize * (dep.index.m() + 8);
+        assert_eq!(moved, net.transfer_seconds(bytes, 1));
     }
 
     #[test]
@@ -244,7 +297,7 @@ mod tests {
         let slowest = dep
             .shards
             .iter()
-            .map(|ix| host_engine(ix, 8).execute(&request).seconds)
+            .map(|ix| host_engine(ix, UpAnnsConfig::upanns()).execute(&request).seconds)
             .fold(0.0f64, f64::max);
         let broadcast = net.transfer_seconds(4 * queries.dim() * 4, 1);
         let gather = net.transfer_seconds(4 * 5 * 12, 1);

@@ -9,7 +9,7 @@
 //! here is what that configuration leaves switched off:
 //!
 //! * [`ReplicaMap`] places every shard on `r ≥ 1` hosts (ring placement over
-//!   the [`shard_ranges`](crate::multihost::shard_ranges) shards), and
+//!   the [`shard_indexes`](crate::multihost::shard_indexes) shards), and
 //!   rebalances with an explicit `MigrationPlan` when the host count
 //!   changes;
 //! * [`FaultSchedule`] injects host down/up events at *simulated* times — no
@@ -310,9 +310,9 @@ pub struct ReplicatedMultiHost {
 }
 
 impl ReplicatedMultiHost {
-    /// Assembles a deployment from per-shard engines (each built over that
-    /// shard's index with globally unique vector ids), `hosts` hosts and
-    /// replica factor `replicas`.
+    /// Assembles a deployment from per-shard engines (each over one of
+    /// [`shard_indexes`](crate::multihost::shard_indexes)' slices of the one
+    /// trained index), `hosts` hosts and replica factor `replicas`.
     pub fn new(
         shards: Vec<UpAnnsEngine>,
         hosts: usize,
@@ -324,9 +324,9 @@ impl ReplicatedMultiHost {
             .iter()
             .map(|e| {
                 // A host pulls each migrated vector's PQ code (`m` bytes)
-                // and its 8-byte global id.
-                let vectors: usize = e.placement().dpu_vectors.iter().sum();
-                vectors * (e.timeline().at(f64::INFINITY).m() + 8)
+                // and its 8-byte global id once, not once per DPU replica.
+                let index = e.timeline().at(f64::INFINITY);
+                index.ntotal() as usize * (index.m() + 8)
             })
             .collect();
         let name = Self::display_name(shards.len(), hosts, replicas);

@@ -1,7 +1,12 @@
 //! Replica-equivalence and fault-injection properties for
-//! [`ReplicatedMultiHost`] — the answer-purity contract the module docs
-//! state, checked against [`unreplicated_merge`], an oracle that shares no
-//! code with the engine:
+//! [`ReplicatedMultiHost`] over [`shard_indexes`]' shards of one index:
+//!
+//! * **the §5.5 contract** — with every host up and Opt3 off, the tier
+//!   answers exactly what one `UpAnnsEngine` over the whole index answers
+//!   (and Faiss-CPU), ids and distance bits.
+//!
+//! The answer-purity contract the module docs state is checked against
+//! [`unreplicated_merge`], an oracle that shares no code with the engine:
 //!
 //! * **healthy equivalence** — with every host up, the replicated engine's
 //!   per-query ids *and* distance bit patterns are identical to the
@@ -26,13 +31,14 @@ use annkit::ivf::{IvfPqIndex, IvfPqParams};
 use annkit::synthetic::SyntheticSpec;
 use annkit::topk::{Neighbor, TopK};
 use annkit::vector::Dataset;
+use baselines::cpu::CpuFaissEngine;
 use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
 use pim_sim::config::PimConfig;
 use proptest::prelude::*;
 use upanns::builder::{BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
-use upanns::multihost::{shard_ranges, InterconnectModel};
+use upanns::multihost::{shard_indexes, InterconnectModel};
 use upanns::replica::{
     FaultEvent, FaultSchedule, ReplicaMap, ReplicaMapError, ReplicatedMultiHost,
 };
@@ -43,8 +49,10 @@ const MAX_SHARDS: usize = 4;
 
 struct Fixture {
     data: Dataset,
-    /// `sharded[s - 1]` is the corpus split into `s` shards with globally
-    /// unique vector ids (the serve binary's construction).
+    /// The one trained index.
+    index: IvfPqIndex,
+    /// `sharded[s - 1]` is `index` cut into `s` shards with globally unique
+    /// vector ids (the serve binary's construction).
     sharded: Vec<Vec<IvfPqIndex>>,
 }
 
@@ -55,30 +63,22 @@ fn fixture() -> &'static Fixture {
             .with_clusters(12)
             .with_seed(23)
             .generate();
-        let params = IvfPqParams::new(8, 16).with_train_size(400);
-        let sharded = (1..=MAX_SHARDS)
-            .map(|s| {
-                shard_ranges(data.len(), s)
-                    .iter()
-                    .map(|r| {
-                        let rows: Vec<usize> = r.clone().collect();
-                        let shard_data = data.gather(&rows);
-                        let mut index = IvfPqIndex::train_empty(&shard_data, &params, 2);
-                        index.add(&shard_data, r.start as u64);
-                        index
-                    })
-                    .collect()
-            })
-            .collect();
-        Fixture { data, sharded }
+        let index = IvfPqIndex::train(&data, &IvfPqParams::new(8, 16).with_train_size(400), 2);
+        let sharded = (1..=MAX_SHARDS).map(|s| shard_indexes(&index, &data, s)).collect();
+        Fixture {
+            data,
+            index,
+            sharded,
+        }
     })
 }
 
-/// One shard's engine — the same construction for the replicated deployment
-/// and the unreplicated reference, so any divergence is the replica layer's.
-fn shard_engine(index: &IvfPqIndex) -> UpAnnsEngine {
+/// One engine of `config` over `index`: a shard, or the whole index for the
+/// single-engine side of the §5.5 contract, so the two sides differ only in
+/// how the corpus is cut.
+fn engine_with(index: &IvfPqIndex, config: UpAnnsConfig) -> UpAnnsEngine {
     UpAnnsBuilder::new(index)
-        .with_config(UpAnnsConfig::upanns())
+        .with_config(config)
         .with_pim_config(PimConfig::with_dpus(48))
         .with_batch_capacity(BatchCapacity {
             batch_size: 32,
@@ -88,8 +88,10 @@ fn shard_engine(index: &IvfPqIndex) -> UpAnnsEngine {
         .build()
 }
 
+/// One shard's engine — the same construction for the replicated deployment
+/// and the unreplicated reference, so any divergence is the replica layer's.
 fn engines_for(shards: &[IvfPqIndex]) -> Vec<UpAnnsEngine> {
-    shards.iter().map(shard_engine).collect()
+    shards.iter().map(|ix| engine_with(ix, UpAnnsConfig::upanns())).collect()
 }
 
 /// The independent oracle: every shard engine answers the request on its
@@ -144,6 +146,54 @@ fn bits(results: &[Vec<Neighbor>]) -> Vec<Vec<(u64, u32)>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The §5.5 contract: a healthy tier over [`shard_indexes`]' shards of
+    /// one index answers exactly what one engine over that index answers,
+    /// and what Faiss-CPU answers, ids and distance bits, whatever the shard
+    /// count, host count, replica factor, option mix, request id and
+    /// dispatch time. The shards share the index's quantizers, so every host
+    /// probes the same clusters with the same LUTs, and the candidates of a
+    /// list are split across hosts, not changed.
+    ///
+    /// Claimed with Opt3 off only (the naive engine, and UpANNS without
+    /// co-occurrence encoding): each shard mines its own combination table
+    /// from its own codes, which regroups the float sum of a distance, so
+    /// with Opt3 on a distance may differ in its last bits.
+    #[test]
+    fn healthy_tier_answers_exactly_what_one_engine_answers(
+        shards in 1usize..=MAX_SHARDS,
+        hosts in 1usize..=4,
+        replicas_raw in 1usize..=4,
+        naive_bit in 0u8..2,
+        rows in prop::collection::vec(0usize..1_200, 1..6),
+        tags in prop::collection::vec(0u8..3, 6),
+        id in 0u64..64,
+        at in 0.0f64..50.0,
+    ) {
+        let replicas = replicas_raw.min(hosts);
+        let config = if naive_bit == 1 {
+            UpAnnsConfig::pim_naive()
+        } else {
+            UpAnnsConfig::upanns().with_cooccurrence(false)
+        };
+        let fx = fixture();
+        let request = request_of(&rows, &tags, id, at);
+
+        let engines = fx.sharded[shards - 1]
+            .iter()
+            .map(|ix| engine_with(ix, config.clone()))
+            .collect();
+        let ic = InterconnectModel::default();
+        let mut tier =
+            ReplicatedMultiHost::new(engines, hosts, replicas, ic).expect("valid shape");
+        let got = tier.execute(&request);
+        let single = engine_with(&fx.index, config).execute(&request);
+        let cpu = CpuFaissEngine::new(&fx.index).execute(&request);
+
+        prop_assert_eq!(bits(&got.results), bits(&single.results));
+        prop_assert_eq!(bits(&got.results), bits(&cpu.results));
+        prop_assert_eq!(got.stats.degraded, 0);
+    }
 
     /// Healthy replicated execution is bitwise-identical to the
     /// unreplicated multi-host merge over the same shard engines.

@@ -208,8 +208,8 @@ fn parse_args() -> Args {
             }
             "--slo-ms" => args.slo_ms = checked(flag, &arg(), "a positive number", positive),
             "--max-chunk" => args.max_chunk = checked(flag, &arg(), "an integer >= 1", |&c| c >= 1),
-            // Each host needs a meaningful share of the fixed tiny-scale
-            // fixture (DPUs, IVF lists, training vectors).
+            // Each host gets DPUS / hosts DPUs and a slice of the one
+            // trained index (its vectors, not its own IVF lists or training).
             "--hosts" => {
                 args.hosts = checked(flag, &arg(), "a host count in 1..=16", |h| (1..=16).contains(h));
             }

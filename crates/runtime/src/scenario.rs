@@ -15,15 +15,16 @@
 //! |---|---|---|---|
 //! | `single` | `--queries` at `--qps`, one tenant | each selected engine | a fixed low-latency window collapses the PIM engines at small offered load; the [`SloController`] widens it without crossing the SLO |
 //! | `multi` | the `--tenants` mix | UpANNS | head-of-line blocking is an engine-level problem: only priority-chunked dispatch ([`Policy::TenantBank`] with a chunk cap) meets a tight tenant's SLO next to a bulk tenant |
-//! | `failover` | its own 2 200-query stream | the replicated deployment under `--fault` | hedged retries and the autoscaler keep the outage inside a [`RecoveryEnvelope`] |
+//! | `failover` | its own 2 200-query stream | three shards of the index, replicated, under `--fault` | hedged retries and the autoscaler keep the outage inside a [`RecoveryEnvelope`] |
 //! | `live-mutation` | the `single` stream | UpANNS + the `--mutations` timeline | zero stale answers, p99 split by compaction window, recall vs staleness ([`LiveSummary`]) |
 //! | `live-growth` | the `multi` stream | UpANNS + the last tenant growing its corpus | the same audit on a tenant mix |
 //!
 //! # Which paths consume it
 //!
 //! Everything is built once by [`Fixture::build`] (dataset, index, history,
-//! shard indexes, streams, live plans) and every run goes through one of two
-//! runners: [`Fixture::replay`] steps the scenario on the discrete-event
+//! streams, live plans; a sharded engine cuts its shards from the index with
+//! [`shard_indexes`]) and every run goes through one of two runners:
+//! [`Fixture::replay`] steps the scenario on the discrete-event
 //! [`SearchService`], [`Fixture::pipeline`] on the threaded
 //! [`run_pipeline`] in wall or logical mode. The binary's three paths are
 //! loops over the same scenario values:
@@ -77,8 +78,7 @@ use pim_sim::config::PimConfig;
 use upanns::builder::{BatchCapacity, UpAnnsBuilder};
 use upanns::compaction::{plan_live_index, CompactionPolicy, LiveIndexPlan};
 use upanns::config::UpAnnsConfig;
-use upanns::engine::UpAnnsEngine;
-use upanns::multihost::{shard_ranges, InterconnectModel};
+use upanns::multihost::{shard_indexes, InterconnectModel};
 use upanns::replica::{FaultSchedule, ReplicatedMultiHost};
 use upanns_serve::batcher::BatchFormerConfig;
 use upanns_serve::controller::{BatchPolicy, ControllerBank, SloController};
@@ -119,13 +119,15 @@ pub const FAILOVER_HOSTS: usize = 3;
 /// [`parse_fault`] rejects outages there.
 pub(crate) const FAILOVER_MAX_HOSTS: usize = FAILOVER_HOSTS + 2;
 /// The failover scenario's own stream: ~30 healthy seconds before the
-/// default outage to establish a baseline, ~55 after it ends to drain the
-/// backlog and prove recovery. The rate puts the chunk-capped deployment
-/// near 80 % utilization, so stacking two shards on one surviving host
+/// default outage to establish a baseline, ~35 after it ends to drain the
+/// backlog and prove recovery. The rate keeps the chunk-capped deployment
+/// ~75 % busy while healthy, so stacking two shards on one surviving host
 /// during the outage pushes it past saturation — the dip is real queueing,
-/// not noise.
+/// not noise. A sweep chose it: at 25 QPS and below no swept outage dents
+/// attainment; at 26 the default outage fires every recovery path while
+/// 0.4 % of queries miss the SLO.
 const FAILOVER_QUERIES: usize = 2_200;
-const FAILOVER_QPS: f64 = 22.0;
+const FAILOVER_QPS: f64 = 26.0;
 /// Chunk cap for the failover scenario's dispatcher. Bounding the batch
 /// amortization keeps the deployment's capacity roughly flat in offered
 /// load, so losing a host genuinely saturates it instead of being absorbed
@@ -138,18 +140,19 @@ const ENVELOPE_BUCKET_S: f64 = 5.0;
 /// Defaults for the failover flags — the committed baseline uses exactly
 /// these, so a default-flag rerun reproduces `BENCH_serving.json` bytewise.
 /// The down instant lands while a host-1 leg is in flight (so the committed
-/// run exercises the redispatch path), and the hedge budget sits just above
-/// one healthy shard leg (~0.2 s) and below a stacked two-leg pile-up
-/// (~0.45 s), so hedges fire only while the outage is queueing work.
+/// run exercises the redispatch path). The hedge budget sits above a healthy
+/// chunk (~0.19 s) and the mean two-leg pile-up on a surviving host
+/// (~0.26 s), below the pile-up's tail (~0.42 s), so hedges fire only on
+/// the worst stacked chunks of the outage.
 pub const DEFAULT_REPLICAS: usize = 2;
 /// See [`DEFAULT_REPLICAS`].
-pub const DEFAULT_FAULT: &str = "1@31..45";
+pub const DEFAULT_FAULT: &str = "1@31..50";
 /// See [`DEFAULT_REPLICAS`].
 pub const DEFAULT_HEDGE_MS: f64 = 400.0;
 /// `(hosts, sustained QPS)` samples for the autoscaler's linear capacity
-/// model ([`CapacityModel::fit`]). The samples are deliberately
-/// conservative (measured under small fixed chunks, the scenario's worst
-/// case) so the planner keeps headroom; the actual scale-up trigger is the
+/// model ([`CapacityModel::fit`]): a planning prior measured under small
+/// fixed chunks when every shard trained its own quantizers, kept as is (the
+/// failover rate was chosen against it). The actual scale-up trigger is the
 /// SLO-miss window, with [`CapacityModel`] bounding how far a step may reach.
 const CAPACITY_SAMPLES: [(f64, f64); 4] = [(1.0, 5.8), (2.0, 11.2), (3.0, 16.4), (4.0, 21.3)];
 
@@ -474,10 +477,10 @@ pub struct FixtureSpec {
     /// The single-tenant stream's p99 SLO in seconds, and the controller
     /// target for a tenant mix that declares no SLO of its own.
     pub slo_s: f64,
-    /// Shards of the multihost engine.
+    /// Hosts of the multihost engine, one shard of the index each.
     pub hosts: usize,
-    /// The selected engines; shard indexes, the failover deployment and the
-    /// live plans are only built for the engines that need them.
+    /// The selected engines; the failover scenario and the live plans are
+    /// only built for the engines that need them.
     pub engines: Vec<EngineKind>,
     /// The tenant mix of the `multi` and `live-growth` scenarios.
     pub tenants: MultiTenantSpec,
@@ -522,21 +525,15 @@ impl LivePlan {
     }
 }
 
-/// The bench fixture, built once per process: dataset, index, history,
-/// shard indexes, the three streams and the live plans.
+/// The bench fixture, built once per process: dataset, index, history, the
+/// three streams and the live plans.
 pub struct Fixture {
     /// What it was built from.
     pub spec: FixtureSpec,
     dataset: SyntheticDataset,
+    /// The one trained index: every engine serves it or shards of it.
     index: IvfPqIndex,
     history: Dataset,
-    /// One IVFPQ index per multihost shard over a contiguous slice of the
-    /// corpus, with globally unique ids; each stored vector keeps the same
-    /// modeled scale, so the deployment models the same corpus.
-    shards: Vec<IvfPqIndex>,
-    /// The failover deployment's own shard set, decoupled from `--hosts` so
-    /// the committed recovery envelope stays comparable.
-    failover_shards: Vec<IvfPqIndex>,
     /// The single-tenant stream.
     pub stream: QueryStream,
     /// The tenant mix's merged stream.
@@ -576,24 +573,6 @@ impl Fixture {
             5,
         );
         let history = WorkloadSpec::new(600).with_seed(8).generate(&dataset).queries;
-        let shard_indexes = |shards: usize| -> Vec<IvfPqIndex> {
-            shard_ranges(dataset.vectors.len(), shards)
-                .iter()
-                .map(|rows| {
-                    let shard = dataset.vectors.gather(&rows.clone().collect::<Vec<usize>>());
-                    let params = IvfPqParams::new((NLIST / shards).max(16), PQ_M)
-                        .with_train_size(2_400 / shards);
-                    let mut index = IvfPqIndex::train_empty(&shard, &params, 5);
-                    index.add(&shard, rows.start as u64);
-                    index
-                })
-                .collect()
-        };
-        let (shards, failover_shards) = if spec.engines.contains(&EngineKind::MultiHost) {
-            (shard_indexes(spec.hosts), shard_indexes(FAILOVER_SHARDS))
-        } else {
-            (Vec::new(), Vec::new())
-        };
         let stream = StreamSpec::new(spec.queries, spec.qps)
             .with_repeat_fraction(spec.repeat)
             .with_slo_p99(spec.slo_s)
@@ -622,8 +601,6 @@ impl Fixture {
             dataset,
             index,
             history,
-            shards,
-            failover_shards,
             stream,
             tenant_stream,
             failover_stream,
@@ -650,12 +627,9 @@ impl Fixture {
     }
 
     /// The one engine factory: a fresh engine of `kind` at `work_scale`,
-    /// behind a box so every caller is generic over nothing.
-    ///
-    /// # Panics
-    /// Panics if `kind` is sharded but not among the spec's selected engines
-    /// ([`EngineKind::Failover`] counts as [`EngineKind::MultiHost`]): its
-    /// shard indexes were never built.
+    /// behind a box so every caller is generic over nothing. A sharded kind
+    /// cuts its shards from the one index ([`shard_indexes`]), so it answers
+    /// what one engine over the index answers.
     pub fn engine(&self, kind: EngineKind, work_scale: f64) -> BoxedEngine<'_> {
         let pim = |index: &IvfPqIndex, config: UpAnnsConfig, dpus: usize| {
             UpAnnsBuilder::new(index)
@@ -669,14 +643,14 @@ impl Fixture {
                 })
                 .build()
         };
-        let sharded = |shards: &[IvfPqIndex]| -> Vec<UpAnnsEngine> {
-            assert!(!shards.is_empty(), "{kind:?} is not among the fixture's engines");
-            let dpus = DPUS / shards.len();
-            shards.iter().map(|index| pim(index, UpAnnsConfig::upanns(), dpus)).collect()
-        };
-        let replicated = |shards: &[IvfPqIndex], hosts: usize, replicas: usize| {
+        let replicated = |shards: usize, hosts: usize, replicas: usize| {
+            let dpus = DPUS / shards;
+            let engines = shard_indexes(&self.index, &self.dataset.vectors, shards)
+                .iter()
+                .map(|index| pim(index, UpAnnsConfig::upanns(), dpus))
+                .collect();
             let ic = InterconnectModel::default();
-            match ReplicatedMultiHost::new(sharded(shards), hosts, replicas, ic) {
+            match ReplicatedMultiHost::new(engines, hosts, replicas, ic) {
                 Ok(engine) => engine,
                 Err(err) => unreachable!("Fixture::build checked the replica factor: {err}"),
             }
@@ -691,9 +665,9 @@ impl Fixture {
             EngineKind::PimNaive => Box::new(pim(&self.index, UpAnnsConfig::pim_naive(), DPUS)),
             EngineKind::UpAnns => Box::new(pim(&self.index, UpAnnsConfig::upanns(), DPUS)),
             // The paper's §5.5 deployment: one host per shard, r = 1, healthy.
-            EngineKind::MultiHost => Box::new(replicated(&self.shards, self.shards.len(), 1)),
+            EngineKind::MultiHost => Box::new(replicated(self.spec.hosts, self.spec.hosts, 1)),
             EngineKind::Failover => Box::new(
-                replicated(&self.failover_shards, FAILOVER_HOSTS, self.spec.replicas)
+                replicated(FAILOVER_SHARDS, FAILOVER_HOSTS, self.spec.replicas)
                     .with_faults(self.spec.faults.clone())
                     .with_hedge_budget(self.spec.hedge_s),
             ),

@@ -7,6 +7,9 @@
 //! assert deep inside `annkit::workload`), and the out-of-range `--fault`
 //! host used to exit 0 with a row that "recovered" from an outage on a host
 //! that never existed.
+//!
+//! The other half: a value the parser accepts runs. The largest `--hosts`
+//! used to panic in PQ training, when every host trained its own shard.
 
 use std::process::Command;
 
@@ -54,4 +57,21 @@ fn malformed_flags_names_and_specs_exit_with_status_exactly_2() {
         assert_eq!(stderr.lines().count(), 1, "serve {args:?}: stderr: {stderr}");
         assert!(output.stdout.is_empty(), "serve {args:?} printed rows before rejecting");
     }
+}
+
+#[test]
+fn the_largest_host_count_serves_and_writes_an_audited_record() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve_hosts16.json");
+    let _ = std::fs::remove_file(&path);
+    let output = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--engines", "multihost", "--hosts", "16", "--queries", "200"])
+        .args(["--mutations", "none", "--json"])
+        .arg(&path)
+        .output()
+        .expect("the serve binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    // `--json` writes nothing unless the rows pass `record::audit`.
+    let record = std::fs::read_to_string(&path).expect("the audited record was written");
+    assert!(record.contains("\"UpANNS x16 hosts r1 (16 shards)\""), "{record}");
 }

@@ -30,7 +30,7 @@ use upanns::builder::{BatchCapacity, UpAnnsBuilder};
 use upanns::compaction::{plan_live_index, CompactionPolicy};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
-use upanns::multihost::{shard_ranges, InterconnectModel};
+use upanns::multihost::{shard_indexes, InterconnectModel};
 use upanns::replica::{FaultEvent, FaultSchedule, ReplicatedMultiHost};
 use upanns_runtime::{run_pipeline, RuntimeConfig};
 use upanns_serve::service::ServiceConfig;
@@ -51,23 +51,13 @@ fn fixture() -> &'static (SyntheticDataset, IvfPqIndex) {
     })
 }
 
-/// The same corpus split into three shards with globally unique ids, for
-/// the replicated fault-injection twin property.
+/// The same index cut into three shards with globally unique ids, for the
+/// replicated fault-injection twin property.
 fn sharded_fixture() -> &'static Vec<IvfPqIndex> {
     static SHARDS: OnceLock<Vec<IvfPqIndex>> = OnceLock::new();
     SHARDS.get_or_init(|| {
-        let (data, _) = fixture();
-        shard_ranges(data.vectors.len(), 3)
-            .iter()
-            .map(|r| {
-                let rows: Vec<usize> = r.clone().collect();
-                let shard = data.vectors.gather(&rows);
-                let mut index =
-                    IvfPqIndex::train_empty(&shard, &IvfPqParams::new(8, 8).with_train_size(260), 2);
-                index.add(&shard, r.start as u64);
-                index
-            })
-            .collect()
+        let (data, index) = fixture();
+        shard_indexes(index, &data.vectors, 3)
     })
 }
 

@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 use upanns::builder::{BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
-use upanns::multihost::{shard_ranges, InterconnectModel};
+use upanns::multihost::{shard_indexes, InterconnectModel};
 use upanns::replica::ReplicatedMultiHost;
 
 struct Fixture {
@@ -136,17 +136,7 @@ fn mixed_options_match_per_group_search_on_all_engines() {
 #[test]
 fn multihost_execute_honors_per_query_k() {
     let fix = fixture();
-    let ranges = shard_ranges(fix.dataset.vectors.len(), 2);
-    let mut shards = Vec::new();
-    for r in &ranges {
-        let rows: Vec<usize> = r.clone().collect();
-        let shard_data = fix.dataset.vectors.gather(&rows);
-        let params = IvfPqParams::new(12, 16).with_train_size(500);
-        let mut index = IvfPqIndex::train_empty(&shard_data, &params, 3);
-        index.add(&shard_data, r.start as u64);
-        shards.push(index);
-    }
-    let hosts: Vec<UpAnnsEngine> = shards
+    let hosts: Vec<UpAnnsEngine> = shard_indexes(&fix.index, &fix.dataset.vectors, 2)
         .iter()
         .map(|ix| {
             UpAnnsBuilder::new(ix)
