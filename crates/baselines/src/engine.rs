@@ -474,14 +474,10 @@ pub trait AnnEngine {
     /// dispatch time ([`SearchRequest::arrival_of`], via
     /// [`execute_by_entry`]), and requests landing inside a compaction
     /// window are stalled to its end. Returns whether the engine
-    /// supports live mutation; the default declines (engines without
-    /// support keep serving their construction-time index — the multihost
-    /// tiers, whose shard indexes are independent, are the documented
-    /// residue).
-    fn install_timeline(&mut self, timeline: annkit::mutation::SnapshotTimeline) -> bool {
-        let _ = timeline;
-        false
-    }
+    /// supports live mutation. There is no default: an engine that declines
+    /// (and keeps serving its construction-time index) says so, and why, in
+    /// its own implementation.
+    fn install_timeline(&mut self, timeline: annkit::mutation::SnapshotTimeline) -> bool;
 
     /// Asks the engine to resize itself to `hosts` serving hosts at simulated
     /// time `now`, returning the modeled migration seconds the resize costs,
@@ -576,8 +572,8 @@ mod tests {
     }
 
     /// Called through the box *and* the vtable: a forwarder missing from
-    /// `impl AnnEngine for Box<E>` is a compile error for the three required
-    /// methods and answers with the trait default for the other four.
+    /// `impl AnnEngine for Box<E>` is a compile error for the four required
+    /// methods and answers with the trait default for the other three.
     #[test]
     fn boxed_dyn_engine_forwards_all_seven_methods() {
         use annkit::ivf::{IvfPqIndex, IvfPqParams};
@@ -595,7 +591,7 @@ mod tests {
             "the default shim answers through execute"
         );
         assert_eq!(engine.energy_model().peak_watts, 42.0);
-        assert!(engine.install_timeline(timeline), "the default declines timelines");
+        assert!(engine.install_timeline(timeline), "the inner engine accepts timelines");
         assert_eq!(engine.scale_to(3, 0.5), Some(3.5), "the default has no elasticity");
         assert_eq!(engine.live_hosts(), Some(7), "the default reports no hosts");
     }

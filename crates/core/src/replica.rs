@@ -590,6 +590,14 @@ impl AnnEngine for ReplicatedMultiHost {
         EnergyModel::new(self.name.clone(), copies * watts, copies * price)
     }
 
+    /// Declines: each shard engine is cut from the index once and owns its
+    /// slice outright, so the shards share no timeline a mutation stream
+    /// could fold into — splitting one timeline across them is still to be
+    /// built. The deployment keeps serving its construction-time shards.
+    fn install_timeline(&mut self, _timeline: annkit::mutation::SnapshotTimeline) -> bool {
+        false
+    }
+
     /// Rebalances the replica map to `hosts` hosts at simulated time `now`,
     /// charging shard copies through the interconnect. Pulls to distinct
     /// destination hosts overlap, so the returned migration time is the

@@ -74,7 +74,8 @@ struct Args {
     hosts: usize,
     max_chunk: usize,
     engines: Vec<EngineKind>,
-    /// [`Policy::Fixed`] and/or [`Policy::Slo`], in row order.
+    /// [`Policy::Fixed`] and/or [`Policy::Adaptive`], in row order: the
+    /// policies of the `single` and `multi` rows.
     policies: Vec<Policy>,
     tenants: String,
     json: Option<String>,
@@ -108,7 +109,7 @@ impl Default for Args {
             hosts: 2,
             max_chunk: 32,
             engines: EngineKind::SELECTABLE.to_vec(),
-            policies: vec![Policy::Fixed, Policy::Slo],
+            policies: vec![Policy::Fixed, Policy::Adaptive],
             tenants: DEFAULT_TENANTS.to_string(),
             json: None,
             runtime: RuntimeKind::Replay,
@@ -159,7 +160,7 @@ fn usage() -> ! {
          stream). --queue overrides the admission queue capacity.\n\
          \n\
          --max-chunk caps how many queries one dispatch may commit the engine to\n\
-         in the chunked multi-tenant row (adaptive-tenant-chunked).\n\
+         in the multi-tenant and live-growth scenarios.\n\
          \n\
          --tenants grammar: NAME:key=val,...;NAME:... with keys qps (required),\n\
          queries, slo-ms, weight, repeat, mix (KxN pairs joined by '+'), e.g.\n\
@@ -225,8 +226,8 @@ fn parse_args() -> Args {
             "--policy" => {
                 args.policies = match arg().as_str() {
                     "fixed" => vec![Policy::Fixed],
-                    "adaptive" => vec![Policy::Slo],
-                    "both" => vec![Policy::Fixed, Policy::Slo],
+                    "adaptive" => vec![Policy::Adaptive],
+                    "both" => vec![Policy::Fixed, Policy::Adaptive],
                     other => reject(format!(
                         "unknown policy '{other}' (known policies: fixed, adaptive, both)"
                     )),
@@ -403,10 +404,11 @@ fn answer_maps(args: &Args, fixture: &Fixture, base: ServiceConfig) {
     // stream so neither side of the twin diff sheds anything.
     let streams = [&fixture.stream, &fixture.tenant_stream, &fixture.failover_stream];
     let longest = streams.iter().map(|s| s.len()).max().unwrap_or(0);
-    let scenarios = fixture.scenarios(ServiceConfig {
+    let base = ServiceConfig {
         queue_capacity: base.queue_capacity.max(longest),
         ..base
-    });
+    };
+    let scenarios = fixture.scenarios(base, args.max_chunk);
     let sections = [
         ("single", Some(scenarios.single)),
         ("multi", Some(scenarios.multi)),
@@ -443,12 +445,12 @@ fn answer_maps(args: &Args, fixture: &Fixture, base: ServiceConfig) {
 }
 
 /// The threaded rows: per worker count, the wall-clock single-tenant sweep,
-/// the wall-clock tenant mix under the chunked tenant bank, then failover
+/// the wall-clock tenant mix under the adaptive policy, then failover
 /// and live-mutation in deterministic logical mode — fault schedules and
 /// epoch visibility live on the simulated clock, and those rows' point is
 /// conservation under faults and mutation, not wall time.
 fn threaded_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
-    let scenarios = fixture.scenarios(base);
+    let scenarios = fixture.scenarios(base, args.max_chunk);
     // Bound each sweep row's real duration to roughly six wall-clock seconds
     // of offered stream: enough arrivals to smooth the Poisson noise, capped
     // by --queries.
@@ -461,7 +463,7 @@ fn threaded_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
         let scenario = Scenario { stream, offered_qps, ..scenarios.single };
         plan.push((scenario, Policy::Fixed, RuntimeMode::Wall));
     }
-    plan.push((scenarios.multi, Policy::TenantBank(Some(args.max_chunk)), RuntimeMode::Wall));
+    plan.push((scenarios.multi, Policy::Adaptive, RuntimeMode::Wall));
     for scenario in [scenarios.failover, scenarios.live].into_iter().flatten() {
         plan.push((scenario, Policy::Fixed, RuntimeMode::Logical));
     }
@@ -501,15 +503,14 @@ fn threaded_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
     }
 }
 
-/// The replay rows: `single` on every selected engine under `--policy`,
-/// then (on UpANNS) the tenant mix under the fixed window, the global
-/// controller, the tenant bank and the chunked tenant bank, then failover
-/// and the two live scenarios. The last three always run adaptive: the
-/// fixed window collapses the PIM engines at this offered load, and a
-/// collapsed row's envelope or p99 split would measure queueing, not the
-/// outage or the compaction.
+/// The replay rows: `single` on every selected engine and (on UpANNS) the
+/// tenant mix, each under `--policy`, then failover and the two live
+/// scenarios. The last three always run adaptive: the fixed window
+/// collapses the PIM engines at this offered load, and a collapsed row's
+/// envelope or p99 split would measure queueing, not the outage or the
+/// compaction.
 fn replay_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
-    let scenarios = fixture.scenarios(base);
+    let scenarios = fixture.scenarios(base, args.max_chunk);
     let mut plan: Vec<(Scenario, Vec<Policy>)> = EngineKind::SELECTABLE
         .into_iter()
         .filter(|kind| args.engines.contains(kind))
@@ -517,15 +518,10 @@ fn replay_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
         .map(|scenario| (scenario, args.policies.clone()))
         .collect();
     if args.engines.contains(&EngineKind::UpAnns) {
-        let mut policies = args.policies.clone();
-        if policies.contains(&Policy::Slo) {
-            policies.extend([Policy::TenantBank(None), Policy::TenantBank(Some(args.max_chunk))]);
-        }
-        plan.push((scenarios.multi, policies));
+        plan.push((scenarios.multi, args.policies.clone()));
     }
-    plan.extend(scenarios.failover.map(|s| (s, vec![Policy::SloAutoscaled])));
-    for scenario in [scenarios.live, scenarios.growth].into_iter().flatten() {
-        plan.push((scenario, vec![Policy::Slo]));
+    for scenario in [scenarios.failover, scenarios.live, scenarios.growth].into_iter().flatten() {
+        plan.push((scenario, vec![Policy::Adaptive]));
     }
 
     let mut rows: Vec<ReplayRow> = Vec::new();

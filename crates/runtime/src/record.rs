@@ -315,19 +315,15 @@ fn universal(row: &ReplayRow) -> Vec<Clause> {
 fn committed(row: &ReplayRow) -> Vec<Clause> {
     let r = &row.report;
     let mut clauses = match (row.workload, r.policy.as_str()) {
-        // The head-of-line separation: priority-chunked dispatch meets every
-        // tenant's SLO and really chunked the bulk batches ...
+        // The head-of-line separation: per-tenant windows over
+        // priority-chunked dispatch meet every tenant's SLO and really
+        // chunked the bulk batches ...
         ("multi", "adaptive-tenant-chunked") => vec![
             ("chunked dispatch meeting every tenant's SLO", r.all_tenants_meet_slo()),
             ("chunked dispatch with dispatched_chunks > batches", r.dispatched_chunks > r.batches()),
         ],
-        // ... window-only isolation still eats engine-level blocking ...
-        ("multi", "adaptive-tenant") => vec![(
-            "window-only isolation missing the tight tenant's SLO",
-            r.tenants.iter().any(|t| t.name == "tight" && !t.meets_slo()),
-        )],
-        // ... and every single-window policy fails a tenant too.
-        ("multi", _) => vec![("a single-window policy failing a tenant", !r.all_tenants_meet_slo())],
+        // ... while the fixed window fails a tenant on the same dispatcher.
+        ("multi", _) => vec![("the fixed window failing a tenant", !r.all_tenants_meet_slo())],
         // Replication masked the outage (nothing shed, nothing answered from
         // partial coverage) and every fault-tolerance path fired.
         ("failover", _) => vec![
@@ -369,7 +365,7 @@ fn committed(row: &ReplayRow) -> Vec<Clause> {
 }
 
 /// The policies the committed `multi` scenario replays under, in row order.
-const MULTI_POLICIES: [&str; 4] = ["fixed", "adaptive-slo", "adaptive-tenant", "adaptive-tenant-chunked"];
+const MULTI_POLICIES: [&str; 2] = ["fixed-chunked", "adaptive-tenant-chunked"];
 
 fn first_failed(clauses: &[Clause]) -> Option<&'static str> {
     clauses.iter().find(|(_, holds)| !holds).map(|&(clause, _)| clause)
@@ -399,7 +395,7 @@ pub fn audit(rows: &[ReplayRow], committed_scenarios: bool) -> Result<(), String
         let workloads = ["single", "multi", "failover", "live-mutation", "live-growth"];
         let shape = [
             ("all five workloads", workloads.iter().all(|w| !policies(w).is_empty())),
-            ("multi rows under exactly the four committed policies", policies("multi") == MULTI_POLICIES),
+            ("multi rows under exactly the two committed policies", policies("multi") == MULTI_POLICIES),
             ("exactly one failover row", policies("failover").len() == 1),
         ];
         if let Some(clause) = first_failed(&shape) {
@@ -571,20 +567,18 @@ mod tests {
         };
         let mut chunked = row("multi", "adaptive-tenant-chunked", true);
         chunked.report.dispatched_chunks = chunked.report.batches() + 1;
-        let mut failover = row("failover", "adaptive-slo-chunked", true);
+        let mut failover = row("failover", "adaptive-tenant-chunked", true);
         failover.envelope = Some(envelope());
         let r = &mut failover.report;
         (r.hedged, r.redispatched, r.scale_events, r.migration_s) = (1, 1, 1, 0.5);
-        let mut mutation = row("live-mutation", "adaptive-slo", true);
+        let mut mutation = row("live-mutation", "adaptive-tenant", true);
         (mutation.live, mutation.report.cache_invalidated) = (Some(live(12)), 1);
-        let mut growth = row("live-growth", "adaptive-slo", true);
+        let mut growth = row("live-growth", "adaptive-tenant-chunked", true);
         growth.live = Some(live(12));
         vec![
             row("single", "fixed", true),
-            row("single", "adaptive-slo", true),
-            row("multi", "fixed", false),
-            row("multi", "adaptive-slo", false),
-            row("multi", "adaptive-tenant", false),
+            row("single", "adaptive-tenant", true),
+            row("multi", "fixed-chunked", false),
             chunked,
             failover,
             mutation,
@@ -594,11 +588,10 @@ mod tests {
 
     const SINGLE: usize = 0;
     const MULTI_FIXED: usize = 2;
-    const WINDOW_ONLY: usize = 4;
-    const CHUNKED: usize = 5;
-    const FAILOVER: usize = 6;
-    const MUTATION: usize = 7;
-    const GROWTH: usize = 8;
+    const CHUNKED: usize = 3;
+    const FAILOVER: usize = 4;
+    const MUTATION: usize = 5;
+    const GROWTH: usize = 6;
 
     #[test]
     fn audit_accepts_rows_shaped_like_the_committed_scenarios() {
@@ -652,19 +645,16 @@ mod tests {
             }
         }
 
-        let committed: [(&str, Flip); 20] = [
+        let committed: [(&str, Flip); 19] = [
             ("all five workloads", |r| drop(r.remove(GROWTH))),
-            ("the four committed policies", |r| drop(r.remove(WINDOW_ONLY))),
+            ("the two committed policies", |r| drop(r.remove(MULTI_FIXED))),
             ("exactly one failover row", |r| {
                 let report = r[FAILOVER].report.clone();
                 r.push(ReplayRow { workload: "failover", report, envelope: Some(envelope()), live: None });
             }),
             ("chunked dispatch meeting every tenant's SLO", |r| r[CHUNKED].report.tenants[0].slo_p99_s = Some(0.0)),
             ("dispatched_chunks > batches", |r| r[CHUNKED].report.dispatched_chunks -= 1),
-            ("window-only isolation missing the tight tenant's SLO", |r| {
-                r[WINDOW_ONLY].report.tenants[0].slo_p99_s = None;
-            }),
-            ("a single-window policy failing a tenant", |r| r[MULTI_FIXED].report.tenants[0].slo_p99_s = None),
+            ("the fixed window failing a tenant", |r| r[MULTI_FIXED].report.tenants[0].slo_p99_s = None),
             ("failover shed == 0, degraded == 0", |r| r[FAILOVER].report.degraded = 1),
             ("hedged > 0 and redispatched > 0", |r| r[FAILOVER].report.redispatched = 0),
             ("scale_events > 0 and migration_s > 0", |r| r[FAILOVER].report.migration_s = 0.0),

@@ -13,11 +13,19 @@
 //!
 //! | workload | stream | engine | what it shows |
 //! |---|---|---|---|
-//! | `single` | `--queries` at `--qps`, one tenant | each selected engine | a fixed low-latency window collapses the PIM engines at small offered load; the [`SloController`] widens it without crossing the SLO |
-//! | `multi` | the `--tenants` mix | UpANNS | head-of-line blocking is an engine-level problem: only priority-chunked dispatch ([`Policy::TenantBank`] with a chunk cap) meets a tight tenant's SLO next to a bulk tenant |
-//! | `failover` | its own 2 200-query stream | three shards of the index, replicated, under `--fault` | hedged retries and the autoscaler keep the outage inside a [`RecoveryEnvelope`] |
+//! | `single` | `--queries` at `--qps`, one tenant | each selected engine | a fixed low-latency window collapses the PIM engines at small offered load; the tenant's SLO controller ([`Policy::Adaptive`]) widens it without crossing the SLO |
+//! | `multi` | the `--tenants` mix, dispatch chunked at `--max-chunk` | UpANNS | head-of-line blocking is an engine-level problem: priority-chunked dispatch under per-tenant windows ([`Policy::Adaptive`]) meets a tight tenant's SLO next to a bulk tenant; the fixed window does not |
+//! | `failover` | its own 2 200-query stream, chunked | three shards of the index, replicated, under `--fault` | hedged retries and the autoscaler keep the outage inside a [`RecoveryEnvelope`] |
 //! | `live-mutation` | the `single` stream | UpANNS + the `--mutations` timeline | zero stale answers, p99 split by compaction window, recall vs staleness ([`LiveSummary`]) |
 //! | `live-growth` | the `multi` stream | UpANNS + the last tenant growing its corpus | the same audit on a tenant mix |
+//!
+//! A policy is [`Policy::Fixed`] (the scenario's batching window) or
+//! [`Policy::Adaptive`]: a [`ControllerBank`] giving every tenant the stream
+//! declares an SLO for its own controller. On a one-tenant stream that is
+//! exactly the tenant's
+//! [`SloController`](upanns_serve::controller::SloController) — a property test in
+//! `upanns-serve` pins it. The dispatch chunk cap belongs to the scenario,
+//! not to the policy.
 //!
 //! # Which paths consume it
 //!
@@ -47,7 +55,7 @@
 //!
 //! [`Fixture::replay_rows`] builds **one** engine per scenario and threads
 //! it through the policy list: the `single` rows of an engine replay fixed
-//! then adaptive on the same instance, and all four `multi` rows share one
+//! then adaptive on the same instance, and both `multi` rows share one
 //! UpANNS engine, while `failover`, `live-mutation` and `live-growth` each
 //! get a fresh one. That is the procedure the committed `BENCH_serving.json`
 //! has always been produced by, and it saves re-running the PIM builder
@@ -81,7 +89,7 @@ use upanns::config::UpAnnsConfig;
 use upanns::multihost::{shard_indexes, InterconnectModel};
 use upanns::replica::{FaultSchedule, ReplicatedMultiHost};
 use upanns_serve::batcher::BatchFormerConfig;
-use upanns_serve::controller::{BatchPolicy, ControllerBank, SloController};
+use upanns_serve::controller::{BatchPolicy, ControllerBank};
 use upanns_serve::service::percentile_of;
 use upanns_serve::{
     Autoscaler, CapacityModel, FixedPolicy, RecoveryEnvelope, SearchService, ServiceConfig,
@@ -159,11 +167,12 @@ const CAPACITY_SAMPLES: [(f64, f64); 4] = [(1.0, 5.8), (2.0, 11.2), (3.0, 16.4),
 /// The committed head-of-line (HOL) scenario: a tight-SLO low-rate tenant
 /// sharing the engine with a loose-SLO bulk tenant whose batches are
 /// individually *longer than the tight tenant's whole SLO*. Per-tenant
-/// windows (the `adaptive-tenant` row) fix the window-level coupling but
-/// not the engine-level one — the tight tenant still waits out whichever
-/// bulk batch is in flight or already queued, and misses. Only the
-/// priority-chunked dispatcher (`adaptive-tenant-chunked`) bounds that wait
-/// to one chunk and meets both SLOs.
+/// windows alone fix the window-level coupling but not the engine-level one
+/// — the tight tenant would still wait out whichever bulk batch is in
+/// flight or already queued. The `multi` scenario therefore dispatches
+/// priority-chunked, which bounds that wait to one chunk; under per-tenant
+/// windows (the `adaptive-tenant-chunked` row) both SLOs are met, under the
+/// fixed window (`fixed-chunked`) they are not.
 pub const DEFAULT_TENANTS: &str = "tight:qps=2,queries=200,slo-ms=700,weight=2,mix=10x8;\
                                    bulk:qps=18,queries=1400,slo-ms=30000,weight=1,mix=10x4+10x8+20x8";
 
@@ -264,9 +273,11 @@ fn parsed<T: std::str::FromStr>(kv: &str, value: &str, what: &str) -> Result<T, 
 /// `NAME:key=val,...;NAME:...` with keys `qps` (required), `queries`,
 /// `slo-ms`, `weight`, `repeat` and `mix` (`KxN` pairs joined by `+`), e.g.
 /// `tight:qps=3,slo-ms=2500,weight=2,mix=10x8;bulk:qps=30,mix=10x4+20x8`.
-/// Tenant ids are assigned by position (1-based).
+/// Tenant ids are assigned by position (1-based), so names must be unique:
+/// the name is all that tells two tenants' rows apart in the record.
 pub fn parse_tenants(spec: &str) -> Result<MultiTenantSpec, String> {
     let mut mix = MultiTenantSpec::new();
+    let mut names: Vec<&str> = Vec::new();
     for (index, entry) in spec.split(';').enumerate() {
         let entry = entry.trim();
         if entry.is_empty() {
@@ -282,6 +293,10 @@ pub fn parse_tenants(spec: &str) -> Result<MultiTenantSpec, String> {
         {
             return Err(format!("tenant name '{name}' must be non-empty [A-Za-z0-9_-]"));
         }
+        if names.contains(&name) {
+            return Err(format!("duplicate tenant name '{name}'"));
+        }
+        names.push(name);
         let mut qps: Option<f64> = None;
         let mut queries = 600usize;
         let mut slo_ms: Option<f64> = None;
@@ -474,8 +489,9 @@ pub struct FixtureSpec {
     /// Fraction of queries (single-tenant and failover streams) that repeat
     /// an earlier one.
     pub repeat: f64,
-    /// The single-tenant stream's p99 SLO in seconds, and the controller
-    /// target for a tenant mix that declares no SLO of its own.
+    /// The single-tenant stream's p99 SLO in seconds. A tenant of the mix
+    /// declares its own (`slo-ms=`); one that declares none runs the fixed
+    /// window under every policy.
     pub slo_s: f64,
     /// Hosts of the multihost engine, one shard of the index each.
     pub hosts: usize,
@@ -674,10 +690,11 @@ impl Fixture {
         }
     }
 
-    /// The five scenarios over `base` (see the module docs). `single` and
-    /// `multi` name the chosen engine (UpANNS when selected); the replay
-    /// rows re-target `single` at each selected engine in turn.
-    pub fn scenarios(&self, base: ServiceConfig) -> Scenarios<'_> {
+    /// The five scenarios over `base` (see the module docs); the tenant mix
+    /// dispatches priority-chunked at `max_chunk`. `single` and `multi` name
+    /// the chosen engine (UpANNS when selected); the replay rows re-target
+    /// `single` at each selected engine in turn.
+    pub fn scenarios(&self, base: ServiceConfig, max_chunk: usize) -> Scenarios<'_> {
         let single = Scenario {
             workload: "single",
             stream: &self.stream,
@@ -690,6 +707,10 @@ impl Fixture {
             workload: "multi",
             stream: &self.tenant_stream,
             offered_qps: self.spec.tenants.tenants.iter().map(|t| t.stream.mean_qps).sum(),
+            config: ServiceConfig {
+                max_chunk: Some(max_chunk),
+                ..base
+            },
             ..single
         };
         let failover = Scenario {
@@ -776,17 +797,11 @@ pub struct Scenarios<'a> {
 pub enum Policy {
     /// The scenario's fixed batching window.
     Fixed,
-    /// One global [`SloController`] on the stream's SLO — for a tenant mix
-    /// the *tightest* one, the only honest target for a tenant-blind
-    /// controller.
-    Slo,
-    /// [`Slo`](Self::Slo) with the capacity-model [`Autoscaler`] in the loop
-    /// (the failover scenario's replay row).
-    SloAutoscaled,
-    /// The per-tenant [`ControllerBank`]: window-level isolation only with
-    /// `None`, priority-chunked engine dispatch under the given chunk cap
-    /// with `Some` (the head-of-line fix).
-    TenantBank(Option<usize>),
+    /// The per-tenant [`ControllerBank`] over the stream's profiles: one
+    /// SLO controller per tenant that declares an SLO, the fixed window for
+    /// the rest. On the failover scenario the capacity-model [`Autoscaler`]
+    /// joins the loop.
+    Adaptive,
 }
 
 /// One replay row: the report plus the scenario's after-the-fact audits.
@@ -801,20 +816,20 @@ pub struct ReplayRow {
     pub live: Option<LiveSummary>,
 }
 
-impl Fixture {
-    fn batch_policy(&self, scenario: &Scenario, policy: Policy) -> Box<dyn BatchPolicy> {
+impl Policy {
+    /// The policy serving `scenario`'s stream.
+    fn boxed(self, scenario: &Scenario) -> Box<dyn BatchPolicy> {
         let batcher = scenario.config.batcher;
-        match policy {
+        match self {
             Policy::Fixed => Box::new(FixedPolicy(batcher)),
-            Policy::Slo | Policy::SloAutoscaled => Box::new(SloController::for_slo(
-                scenario.stream.slo_p99_s.unwrap_or(self.spec.slo_s),
-            )),
-            Policy::TenantBank(_) => {
+            Policy::Adaptive => {
                 Box::new(ControllerBank::for_profiles(&scenario.stream.tenant_profiles, batcher))
             }
         }
     }
+}
 
+impl Fixture {
     /// The one replay runner: serves `scenario` under `policy` on `engine`
     /// through the discrete-event [`SearchService`] and hands the engine
     /// back (for the next policy, or as the audit's oracle).
@@ -824,14 +839,14 @@ impl Fixture {
         policy: Policy,
         engine: BoxedEngine<'e>,
     ) -> (ServiceReport, BoxedEngine<'e>) {
-        let mut service = SearchService::new(engine, service_under(scenario, policy))
-            .with_policy(self.batch_policy(scenario, policy));
+        let mut service =
+            SearchService::new(engine, scenario.config).with_policy(policy.boxed(scenario));
         if let Some(live) = scenario.live {
             let (with_index, accepted) = service.with_live_index(&live.plan.timeline);
             assert!(accepted, "{:?} declined the snapshot timeline", scenario.engine);
             service = with_index;
         }
-        if policy == Policy::SloAutoscaled {
+        if policy == Policy::Adaptive && scenario.engine == EngineKind::Failover {
             service = service.with_autoscaler(Autoscaler::new(
                 CapacityModel::fit(&CAPACITY_SAMPLES),
                 FAILOVER_QPS,
@@ -919,13 +934,13 @@ impl Fixture {
             .collect();
         let stream = scenario.stream;
         let config = RuntimeConfig {
-            service: service_under(scenario, policy),
+            service: scenario.config,
             mode,
             epoch_schedule: scenario
                 .live
                 .map_or_else(Vec::new, |live| live.plan.timeline.epoch_schedule()),
         };
-        let policy = self.batch_policy(scenario, policy);
+        let policy = policy.boxed(scenario);
         let report = run_pipeline(engines, stream, move |i| options_for(stream, i), policy, config);
         assert!(
             report.is_conserving(),
@@ -933,18 +948,6 @@ impl Fixture {
             scenario.workload
         );
         report
-    }
-}
-
-/// The scenario's configuration under `policy`: a chunked tenant bank
-/// brings its own chunk cap.
-fn service_under(scenario: &Scenario, policy: Policy) -> ServiceConfig {
-    match policy {
-        Policy::TenantBank(Some(cap)) => ServiceConfig {
-            max_chunk: Some(cap),
-            ..scenario.config
-        },
-        _ => scenario.config,
     }
 }
 

@@ -4,20 +4,23 @@
 //! a rejection, and a rejection after the fixture would cost its build time.
 //!
 //! Nine of these cases used to panic (in the flag parser, or later in an
-//! assert deep inside `annkit::workload`), and the out-of-range `--fault`
+//! assert deep inside `annkit::workload`), the out-of-range `--fault`
 //! host used to exit 0 with a row that "recovered" from an outage on a host
-//! that never existed.
+//! that never existed, and a duplicate tenant name used to exit 0 with two
+//! tenant rows nothing could tell apart.
 //!
 //! The other half: a value the parser accepts runs. The largest `--hosts`
 //! used to panic in PQ training, when every host trained its own shard.
 
 use std::process::Command;
 
-const MUST_FAIL: [&[&str]; 25] = [
+const MUST_FAIL: [&[&str]; 26] = [
     &["--engines", "bogus"],
     &["--policy", "bogus"],
     &["--tenants", "broken"],
     &["--tenants", "a:qps=1,bogus=2"],
+    // Ids are positional, so only the name tells the two rows apart.
+    &["--tenants", "a:qps=1;a:qps=2"],
     &["--runtime", "bogus"],
     &["--workers", "0"],
     &["--fault", "bogus"],

@@ -18,6 +18,7 @@ use std::thread;
 use std::time::Duration;
 
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
+use annkit::mutation::SnapshotTimeline;
 use annkit::synthetic::{SyntheticDataset, SyntheticSpec};
 use annkit::workload::{QueryStream, StreamSpec, WorkloadSpec};
 use baselines::cpu::CpuFaissEngine;
@@ -78,6 +79,10 @@ impl AnnEngine for FailingEngine {
 
     fn energy_model(&self) -> EnergyModel {
         self.inner.energy_model()
+    }
+
+    fn install_timeline(&mut self, timeline: SnapshotTimeline) -> bool {
+        self.inner.install_timeline(timeline)
     }
 }
 
@@ -140,15 +145,15 @@ impl BatchPolicy for CountingPolicy {
         self.inner.name()
     }
 
-    fn current(&self) -> BatchFormerConfig {
-        self.inner.current()
+    fn current(&self, tenant: TenantId) -> BatchFormerConfig {
+        self.inner.current(tenant)
     }
 
-    fn observe_for(&mut self, _: TenantId, _: f64, _: f64) {
+    fn observe(&mut self, _: TenantId, _: f64, _: f64) {
         self.queries.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn observe_batch_for(&mut self, _: TenantId, _: f64, _: usize, _: f64) {
+    fn observe_batch(&mut self, _: TenantId, _: f64, _: usize, _: f64) {
         self.batches.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -184,23 +184,12 @@ impl BatchFormer {
             .map_or(self.config, |(_, c)| *c)
     }
 
-    /// Replaces the *default* close conditions mid-stream (the seam an
-    /// adaptive [`BatchPolicy`](crate::controller::BatchPolicy) steers).
-    /// Open groups keep accumulating; their deadlines are re-derived from
-    /// the new `max_delay_s` at the next [`due`](Self::due) poll, and a
-    /// group already at or above a *shrunken* `max_batch` closes on its next
-    /// arrival.
-    ///
-    /// # Panics
-    /// Panics on the same invalid configs as [`new`](Self::new).
-    pub(crate) fn set_config(&mut self, config: BatchFormerConfig) {
-        validate(&config);
-        self.config = config;
-    }
-
-    /// Installs (or replaces) `tenant`'s own close conditions — the seam a
-    /// per-tenant controller bank steers. The same mid-stream re-derivation
-    /// rules as `set_config` apply, to this tenant's groups only.
+    /// Installs (or replaces) `tenant`'s own close conditions mid-stream —
+    /// the seam a [`BatchPolicy`](crate::controller::BatchPolicy) steers.
+    /// The tenant's open groups keep accumulating; their deadlines are
+    /// re-derived from the new `max_delay_s` at the next [`due`](Self::due)
+    /// poll, and a group already at or above a *shrunken* `max_batch` closes
+    /// on its next arrival.
     ///
     /// # Panics
     /// Panics on the same invalid configs as [`new`](Self::new).
@@ -264,7 +253,7 @@ impl BatchFormer {
 
     /// Closes every group whose deadline has passed by `now`, oldest first.
     /// Each batch's `closed_at` is its own deadline, not `now` — except when
-    /// `set_config` shrank the window under an open
+    /// `set_tenant_config` shrank the window under an open
     /// group, where the close is clamped to the group's newest arrival so a
     /// batch never closes before a member existed.
     pub fn due(&mut self, now: f64) -> Vec<FormedBatch> {
@@ -406,10 +395,13 @@ mod tests {
         });
         former.push(pending(0, 0.0, 10, 8), 0.0);
         former.push(pending(1, 5.0, 10, 8), 5.0);
-        former.set_config(BatchFormerConfig {
-            max_batch: 100,
-            max_delay_s: 1.0, // deadline is now t=1.0, before member 1 arrived
-        });
+        former.set_tenant_config(
+            TenantId::DEFAULT,
+            BatchFormerConfig {
+                max_batch: 100,
+                max_delay_s: 1.0, // deadline is now t=1.0, before member 1 arrived
+            },
+        );
         let closed = former.due(6.0);
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].reason, CloseReason::Deadline);

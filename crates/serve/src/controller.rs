@@ -36,19 +36,21 @@ use crate::service::percentile_of;
 use annkit::workload::TenantProfile;
 use baselines::engine::TenantId;
 
-/// A (possibly adaptive) source of batch-former close conditions.
+/// A (possibly adaptive) source of batch-former close conditions, keyed by
+/// tenant.
 ///
-/// The service calls [`current`](Self::current) before admitting each
-/// arrival, [`observe_batch`](Self::observe_batch) when a batch is handed to
-/// the engine, and [`observe`](Self::observe) once per completed query — all
-/// on the simulated clock, so a policy sees exactly the feedback a real
-/// controller would. The `*_for` variants route the same calls per tenant;
-/// tenant-blind policies inherit defaults that fold them into the global
-/// ones.
+/// The service calls [`current`](Self::current) for a tenant before its
+/// queries reach the former, [`observe_batch`](Self::observe_batch) when one
+/// of its batches is handed to the engine, and [`observe`](Self::observe)
+/// once per completed query — all on the simulated clock, so a policy sees
+/// exactly the feedback a real controller would. Formed batches are
+/// tenant-pure, so every call names the one tenant it belongs to; a policy
+/// that steers one window for everyone ignores the tenant.
 ///
 /// Implementing a custom policy takes three methods:
 ///
 /// ```
+/// use baselines::engine::TenantId;
 /// use upanns_serve::batcher::BatchFormerConfig;
 /// use upanns_serve::controller::BatchPolicy;
 ///
@@ -59,10 +61,10 @@ use baselines::engine::TenantId;
 ///     fn name(&self) -> &str {
 ///         "doubling"
 ///     }
-///     fn current(&self) -> BatchFormerConfig {
+///     fn current(&self, _tenant: TenantId) -> BatchFormerConfig {
 ///         self.0
 ///     }
-///     fn observe(&mut self, _now: f64, _latency_s: f64) {
+///     fn observe(&mut self, _tenant: TenantId, _now: f64, _latency_s: f64) {
 ///         self.0.max_batch *= 2;
 ///         self.1 += 1;
 ///     }
@@ -72,13 +74,9 @@ use baselines::engine::TenantId;
 /// }
 ///
 /// let mut policy = Doubling(BatchFormerConfig { max_batch: 8, max_delay_s: 1e-3 }, 0);
-/// policy.observe(0.5, 2e-3);
-/// assert_eq!(policy.current().max_batch, 16);
+/// policy.observe(TenantId(3), 0.5, 2e-3);
+/// assert_eq!(policy.current(TenantId::DEFAULT).max_batch, 16);
 /// assert_eq!(policy.adjustments(), 1);
-/// // Tenant-routed feedback folds into the global hooks by default:
-/// use baselines::engine::TenantId;
-/// policy.observe_for(TenantId(3), 0.6, 2e-3);
-/// assert_eq!(policy.current().max_batch, 32);
 /// ```
 ///
 /// Policies are `Send`: the threaded runtime
@@ -86,25 +84,39 @@ use baselines::engine::TenantId;
 /// thread, which owns it exclusively for the life of the pipeline. All
 /// shipped policies are plain data, so the bound costs nothing.
 pub trait BatchPolicy: Send {
-    /// Display name of the policy ("fixed", "adaptive-slo", ...).
+    /// Display name of the policy ("fixed", "adaptive-tenant", ...).
     fn name(&self) -> &str;
 
-    /// The close conditions the former should use right now.
-    fn current(&self) -> BatchFormerConfig;
+    /// The close conditions `tenant`'s groups should use right now.
+    fn current(&self, tenant: TenantId) -> BatchFormerConfig;
 
-    /// Feedback: one query completed at simulated time `now` with end-to-end
-    /// latency `latency_s`. Default: ignore (static policies).
-    fn observe(&mut self, now: f64, latency_s: f64) {
-        let _ = (now, latency_s);
+    /// Feedback: one of `tenant`'s queries completed at simulated time `now`
+    /// with end-to-end latency `latency_s`. Default: ignore (static
+    /// policies).
+    fn observe(&mut self, tenant: TenantId, now: f64, latency_s: f64) {
+        let _ = (tenant, now, latency_s);
     }
 
-    /// Feedback: a closed batch of `batch_len` queries finished at `now`
-    /// after spending `engine_wait_s` queued behind a busy engine before it
-    /// could start. A persistently large wait relative to the batching window
-    /// means the engine — not the window — is the bottleneck. Default:
-    /// ignore.
-    fn observe_batch(&mut self, now: f64, batch_len: usize, engine_wait_s: f64) {
-        let _ = (now, batch_len, engine_wait_s);
+    /// Feedback: a closed batch of `batch_len` of `tenant`'s queries finished
+    /// at `now` after spending `engine_wait_s` queued behind a busy engine
+    /// before it could start. A persistently large wait relative to the
+    /// batching window means the engine — not the window — is the
+    /// bottleneck. Default: ignore.
+    fn observe_batch(&mut self, tenant: TenantId, now: f64, batch_len: usize, engine_wait_s: f64) {
+        let _ = (tenant, now, batch_len, engine_wait_s);
+    }
+
+    /// The dispatch chunk cap `tenant`'s batches should be split at, if the
+    /// policy steers one — how many queries of one batch the
+    /// [`ChunkQueue`](crate::dispatch::ChunkQueue) may commit an engine to
+    /// per dispatch. `None` (the default, and every static policy's answer)
+    /// defers to the service-level cap
+    /// ([`ServiceConfig::max_chunk`](crate::service::ServiceConfig)). The
+    /// service clamps the answer to that cap: a policy may trade amortization
+    /// *below* the operator's isolation bound, never above it.
+    fn chunk(&self, tenant: TenantId) -> Option<usize> {
+        let _ = tenant;
+        None
     }
 
     /// How many times the policy changed its answer so far (0 for static
@@ -112,57 +124,9 @@ pub trait BatchPolicy: Send {
     fn adjustments(&self) -> usize {
         0
     }
-
-    /// The close conditions `tenant`'s groups should use right now.
-    /// Tenant-blind policies (the default) answer with the global
-    /// [`current`](Self::current).
-    fn current_for(&self, tenant: TenantId) -> BatchFormerConfig {
-        let _ = tenant;
-        self.current()
-    }
-
-    /// Tenant-routed completion feedback. Tenant-blind policies fold it into
-    /// the global [`observe`](Self::observe).
-    fn observe_for(&mut self, tenant: TenantId, now: f64, latency_s: f64) {
-        let _ = tenant;
-        self.observe(now, latency_s);
-    }
-
-    /// Tenant-routed batch feedback (formed batches are tenant-pure, so a
-    /// batch's engine wait belongs to exactly one tenant). Tenant-blind
-    /// policies fold it into the global
-    /// [`observe_batch`](Self::observe_batch).
-    fn observe_batch_for(
-        &mut self,
-        tenant: TenantId,
-        now: f64,
-        batch_len: usize,
-        engine_wait_s: f64,
-    ) {
-        let _ = tenant;
-        self.observe_batch(now, batch_len, engine_wait_s);
-    }
-
-    /// The dispatch chunk cap the policy steers, if any — how many queries
-    /// of one batch the [`ChunkQueue`](crate::dispatch::ChunkQueue) may
-    /// commit an engine to per dispatch. `None` (the default, and
-    /// every static policy's answer) defers to the service-level cap
-    /// ([`ServiceConfig::max_chunk`](crate::service::ServiceConfig)). The
-    /// service clamps the answer to that cap: a policy may trade amortization
-    /// *below* the operator's isolation bound, never above it.
-    fn chunk(&self) -> Option<usize> {
-        None
-    }
-
-    /// The chunk cap `tenant`'s batches should be split at right now.
-    /// Tenant-blind policies answer with the global [`chunk`](Self::chunk).
-    fn chunk_for(&self, tenant: TenantId) -> Option<usize> {
-        let _ = tenant;
-        self.chunk()
-    }
 }
 
-/// The static policy: always the same close conditions.
+/// The static policy: always the same close conditions, for every tenant.
 #[derive(Debug, Clone, Copy)]
 pub struct FixedPolicy(pub BatchFormerConfig);
 
@@ -171,7 +135,7 @@ impl BatchPolicy for FixedPolicy {
         "fixed"
     }
 
-    fn current(&self) -> BatchFormerConfig {
+    fn current(&self, _tenant: TenantId) -> BatchFormerConfig {
         self.0
     }
 }
@@ -180,23 +144,26 @@ impl BatchPolicy for FixedPolicy {
 /// batching window whose observed p99 still meets the SLO.
 ///
 /// ```
+/// use baselines::engine::TenantId;
 /// use upanns_serve::controller::{BatchPolicy, SloController};
 ///
 /// // Target p99 = 100 ms; the controller starts from the SLO-derived
-/// // prior (window = SLO/4) and decides once per SLO interval.
+/// // prior (window = SLO/4) and decides once per SLO interval. It steers
+/// // one window for every tenant, so the tenant it is handed is moot.
+/// let t = TenantId::DEFAULT;
 /// let mut controller = SloController::for_slo(0.1);
-/// let before = controller.current();
+/// let before = controller.current(t);
 ///
 /// // One full decision interval of latencies at 10× the SLO while the
 /// // engine keeps up (no batch-wait feedback): the window itself must be
 /// // the latency, so the controller backs off multiplicatively.
 /// for i in 0..50 {
-///     controller.observe(0.002 * i as f64, 1.0);
+///     controller.observe(t, 0.002 * i as f64, 1.0);
 /// }
-/// controller.observe(0.2, 1.0); // crosses the decision boundary
+/// controller.observe(t, 0.2, 1.0); // crosses the decision boundary
 ///
 /// assert_eq!(controller.adjustments(), 1);
-/// assert!(controller.current().max_delay_s <= before.max_delay_s / 2.0 + 1e-12);
+/// assert!(controller.current(t).max_delay_s <= before.max_delay_s / 2.0 + 1e-12);
 /// ```
 ///
 /// The SLO is the only tuning value a caller chooses. Every other one is an
@@ -383,16 +350,18 @@ impl SloController {
     }
 }
 
+/// One window for every tenant: the controller ignores the tenant and steers
+/// from every completion it is handed.
 impl BatchPolicy for SloController {
     fn name(&self) -> &str {
         "adaptive-slo"
     }
 
-    fn current(&self) -> BatchFormerConfig {
+    fn current(&self, _tenant: TenantId) -> BatchFormerConfig {
         self.current
     }
 
-    fn observe(&mut self, now: f64, latency_s: f64) {
+    fn observe(&mut self, _tenant: TenantId, now: f64, latency_s: f64) {
         if latency_s.is_finite() && latency_s >= 0.0 {
             self.window.push(latency_s);
         }
@@ -404,18 +373,18 @@ impl BatchPolicy for SloController {
         }
     }
 
-    fn observe_batch(&mut self, _now: f64, _batch_len: usize, engine_wait_s: f64) {
+    fn observe_batch(&mut self, _tenant: TenantId, _now: f64, _len: usize, engine_wait_s: f64) {
         if engine_wait_s.is_finite() && engine_wait_s >= 0.0 {
             self.waits.push(engine_wait_s);
         }
     }
 
-    fn adjustments(&self) -> usize {
-        self.adjustments
+    fn chunk(&self, _tenant: TenantId) -> Option<usize> {
+        Some(self.chunk)
     }
 
-    fn chunk(&self) -> Option<usize> {
-        Some(self.chunk)
+    fn adjustments(&self) -> usize {
+        self.adjustments
     }
 }
 
@@ -423,7 +392,9 @@ impl BatchPolicy for SloController {
 /// by its **own** SLO from its **own** completions, so a tight-SLO tenant's
 /// narrow window and a loose-SLO tenant's wide, amortization-harvesting
 /// window coexist on one engine. Tenants without a controller (no SLO of
-/// their own) run the bank's default close conditions.
+/// their own) run the bank's default close conditions. Over a single tenant
+/// with an SLO, the bank answers exactly what that tenant's
+/// [`SloController`] alone answers — the serving bench's adaptive policy.
 #[derive(Debug, Clone, Default)]
 pub struct ControllerBank {
     default_config: BatchFormerConfig,
@@ -468,6 +439,13 @@ impl ControllerBank {
             .find(|(id, _)| *id == tenant)
             .map(|(_, c)| c)
     }
+
+    fn controller_mut(&mut self, tenant: TenantId) -> Option<&mut SloController> {
+        self.entries
+            .iter_mut()
+            .find(|(id, _)| *id == tenant)
+            .map(|(_, c)| c)
+    }
 }
 
 impl BatchPolicy for ControllerBank {
@@ -475,39 +453,27 @@ impl BatchPolicy for ControllerBank {
         "adaptive-tenant"
     }
 
-    /// The *default* close conditions (tenants without a controller). The
-    /// per-tenant answers come from [`current_for`](Self::current_for).
-    fn current(&self) -> BatchFormerConfig {
-        self.default_config
+    fn current(&self, tenant: TenantId) -> BatchFormerConfig {
+        self.controller(tenant)
+            .map_or(self.default_config, |c| c.current(tenant))
     }
 
-    fn current_for(&self, tenant: TenantId) -> BatchFormerConfig {
-        self.controller(tenant)
-            .map_or(self.default_config, |c| c.current())
+    fn observe(&mut self, tenant: TenantId, now: f64, latency_s: f64) {
+        if let Some(c) = self.controller_mut(tenant) {
+            c.observe(tenant, now, latency_s);
+        }
+    }
+
+    fn observe_batch(&mut self, tenant: TenantId, now: f64, batch_len: usize, engine_wait_s: f64) {
+        if let Some(c) = self.controller_mut(tenant) {
+            c.observe_batch(tenant, now, batch_len, engine_wait_s);
+        }
     }
 
     /// Tenants with their own controller run its steered chunk cap; the
     /// rest defer to the service-level default.
-    fn chunk_for(&self, tenant: TenantId) -> Option<usize> {
-        self.controller(tenant).and_then(BatchPolicy::chunk)
-    }
-
-    fn observe_for(&mut self, tenant: TenantId, now: f64, latency_s: f64) {
-        if let Some((_, c)) = self.entries.iter_mut().find(|(id, _)| *id == tenant) {
-            c.observe(now, latency_s);
-        }
-    }
-
-    fn observe_batch_for(
-        &mut self,
-        tenant: TenantId,
-        now: f64,
-        batch_len: usize,
-        engine_wait_s: f64,
-    ) {
-        if let Some((_, c)) = self.entries.iter_mut().find(|(id, _)| *id == tenant) {
-            c.observe_batch(now, batch_len, engine_wait_s);
-        }
+    fn chunk(&self, tenant: TenantId) -> Option<usize> {
+        self.controller(tenant).and_then(|c| c.chunk(tenant))
     }
 
     /// Total adjustments across every tenant's controller.
@@ -519,6 +485,9 @@ impl BatchPolicy for ControllerBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tenant the tenant-blind policies are driven as.
+    const T: TenantId = TenantId::DEFAULT;
 
     fn controller(slo: f64) -> SloController {
         SloController::for_slo(slo)
@@ -532,10 +501,10 @@ mod tests {
         };
         let mut policy = FixedPolicy(config);
         for i in 0..100 {
-            policy.observe(i as f64, 10.0); // terrible latencies
+            policy.observe(T, i as f64, 10.0); // terrible latencies
         }
-        assert_eq!(policy.current().max_batch, 64);
-        assert_eq!(policy.current().max_delay_s, 0.01);
+        assert_eq!(policy.current(T).max_batch, 64);
+        assert_eq!(policy.current(T).max_delay_s, 0.01);
         assert_eq!(policy.adjustments(), 0);
         assert_eq!(policy.name(), "fixed");
     }
@@ -550,15 +519,15 @@ mod tests {
                 max_delay_s: 0.04,
             },
         );
-        let delay0 = c.current().max_delay_s;
-        let batch0 = c.current().max_batch;
+        let delay0 = c.current(T).max_delay_s;
+        let batch0 = c.current(T).max_batch;
         // One full interval of latencies far above the SLO.
         for i in 0..50 {
-            c.observe(0.002 * i as f64, 1.0);
+            c.observe(T, 0.002 * i as f64, 1.0);
         }
-        c.observe(0.2, 1.0); // crosses the decision boundary
-        assert!(c.current().max_delay_s <= delay0 * 0.5 + 1e-12);
-        assert!(c.current().max_batch <= batch0.div_ceil(2) + 1);
+        c.observe(T, 0.2, 1.0); // crosses the decision boundary
+        assert!(c.current(T).max_delay_s <= delay0 * 0.5 + 1e-12);
+        assert!(c.current(T).max_batch <= batch0.div_ceil(2) + 1);
         assert_eq!(c.adjustments(), 1);
     }
 
@@ -573,33 +542,33 @@ mod tests {
                 max_delay_s: 0.004,
             },
         );
-        let delay0 = c.current().max_delay_s;
-        let batch0 = c.current().max_batch;
+        let delay0 = c.current(T).max_delay_s;
+        let batch0 = c.current(T).max_batch;
         for i in 0..50 {
             let t = 0.002 * i as f64;
-            c.observe_batch(t, 2, 1.0); // waited 1 s behind the engine
-            c.observe(t, 1.0); // 10× the SLO
+            c.observe_batch(T, t, 2, 1.0); // waited 1 s behind the engine
+            c.observe(T, t, 1.0); // 10× the SLO
         }
-        c.observe(0.2, 1.0);
+        c.observe(T, 0.2, 1.0);
         assert!(
-            c.current().max_delay_s >= delay0 * 2.0 - 1e-12,
+            c.current(T).max_delay_s >= delay0 * 2.0 - 1e-12,
             "window should widen under saturation: {} vs {}",
-            c.current().max_delay_s,
+            c.current(T).max_delay_s,
             delay0
         );
-        assert!(c.current().max_batch >= batch0 * 2);
+        assert!(c.current(T).max_batch >= batch0 * 2);
         assert_eq!(c.adjustments(), 1);
     }
 
     #[test]
     fn comfortable_latencies_grow_the_window_additively() {
         let mut c = controller(0.1);
-        let delay0 = c.current().max_delay_s;
+        let delay0 = c.current(T).max_delay_s;
         for i in 0..50 {
-            c.observe(0.002 * i as f64, 0.01); // 10 % of the SLO
+            c.observe(T, 0.002 * i as f64, 0.01); // 10 % of the SLO
         }
-        c.observe(0.2, 0.01);
-        let grown = c.current().max_delay_s;
+        c.observe(T, 0.2, 0.01);
+        let grown = c.current(T).max_delay_s;
         assert!(grown > delay0, "should grow: {grown} vs {delay0}");
         assert!(
             (grown - delay0 - c.delay_step_s()).abs() < 1e-12,
@@ -610,13 +579,13 @@ mod tests {
     #[test]
     fn latencies_inside_the_guard_band_hold_steady() {
         let mut c = controller(0.1);
-        let before = c.current();
+        let before = c.current(T);
         for i in 0..50 {
-            c.observe(0.002 * i as f64, 0.09); // 90 % of SLO: no miss, no growth
+            c.observe(T, 0.002 * i as f64, 0.09); // 90 % of SLO: no miss, no growth
         }
-        c.observe(0.2, 0.09);
-        assert_eq!(c.current().max_batch, before.max_batch);
-        assert_eq!(c.current().max_delay_s, before.max_delay_s);
+        c.observe(T, 0.2, 0.09);
+        assert_eq!(c.current(T).max_batch, before.max_batch);
+        assert_eq!(c.current(T).max_delay_s, before.max_delay_s);
         assert_eq!(c.adjustments(), 0);
     }
 
@@ -626,34 +595,34 @@ mod tests {
         // Sustained misses: must stop at min bounds.
         for interval in 0..64 {
             for i in 0..10 {
-                c.observe(interval as f64 + 0.01 * i as f64, 5.0);
+                c.observe(T, interval as f64 + 0.01 * i as f64, 5.0);
             }
         }
-        assert!(c.current().max_delay_s >= c.min_delay_s() - 1e-15);
-        assert!(c.current().max_batch >= SloController::MIN_BATCH);
+        assert!(c.current(T).max_delay_s >= c.min_delay_s() - 1e-15);
+        assert!(c.current(T).max_batch >= SloController::MIN_BATCH);
         // Sustained comfort: must stop at max bounds.
         let mut g = controller(0.1);
         for interval in 0..1000 {
             for i in 0..10 {
-                g.observe(interval as f64 + 0.01 * i as f64, 1e-4);
+                g.observe(T, interval as f64 + 0.01 * i as f64, 1e-4);
             }
         }
-        assert!(g.current().max_delay_s <= g.max_delay_s() + 1e-15);
-        assert!(g.current().max_batch <= SloController::MAX_BATCH);
+        assert!(g.current(T).max_delay_s <= g.max_delay_s() + 1e-15);
+        assert!(g.current(T).max_batch <= SloController::MAX_BATCH);
     }
 
     #[test]
     fn degenerate_observations_are_ignored() {
         let mut c = controller(0.1);
-        let before = c.current();
+        let before = c.current(T);
         for i in 0..50 {
-            c.observe(0.002 * i as f64, f64::NAN);
-            c.observe(0.002 * i as f64, -1.0);
+            c.observe(T, 0.002 * i as f64, f64::NAN);
+            c.observe(T, 0.002 * i as f64, -1.0);
         }
-        c.observe(0.2, f64::INFINITY);
+        c.observe(T, 0.2, f64::INFINITY);
         // The window held nothing valid, so no decision was taken.
-        assert_eq!(c.current().max_batch, before.max_batch);
-        assert_eq!(c.current().max_delay_s, before.max_delay_s);
+        assert_eq!(c.current(T).max_batch, before.max_batch);
+        assert_eq!(c.current(T).max_delay_s, before.max_delay_s);
         assert_eq!(c.adjustments(), 0);
     }
 
@@ -666,8 +635,8 @@ mod tests {
                 max_delay_s: 99.0,
             },
         );
-        assert_eq!(c.current().max_batch, SloController::MAX_BATCH);
-        assert_eq!(c.current().max_delay_s, c.max_delay_s());
+        assert_eq!(c.current(T).max_batch, SloController::MAX_BATCH);
+        assert_eq!(c.current(T).max_delay_s, c.max_delay_s());
     }
 
     #[test]
@@ -685,8 +654,8 @@ mod tests {
             assert_eq!(c.min_delay_s(), min);
             assert_eq!(c.max_delay_s(), max);
             assert_eq!(c.delay_step_s(), step);
-            assert_eq!(c.current().max_delay_s, start);
-            assert_eq!(c.current().max_batch, 256);
+            assert_eq!(c.current(T).max_delay_s, start);
+            assert_eq!(c.current(T).max_batch, 256);
             assert_eq!(c.chunk, 36);
         }
         assert_eq!((SloController::MIN_BATCH, SloController::MAX_BATCH), (1, 1024));
@@ -711,9 +680,9 @@ mod tests {
         let chunk0 = c.chunk;
         assert!((SloController::MIN_CHUNK..=SloController::MAX_CHUNK).contains(&chunk0));
         for i in 0..50 {
-            c.observe(0.002 * i as f64, 1.0);
+            c.observe(T, 0.002 * i as f64, 1.0);
         }
-        c.observe(0.2, 1.0);
+        c.observe(T, 0.2, 1.0);
         assert!(
             c.chunk <= chunk0.div_ceil(2) + 1,
             "chunk should shrink with the window: {} vs {}",
@@ -725,23 +694,22 @@ mod tests {
         let chunk0 = s.chunk;
         for i in 0..50 {
             let t = 0.002 * i as f64;
-            s.observe_batch(t, 2, 1.0);
-            s.observe(t, 1.0);
+            s.observe_batch(T, t, 2, 1.0);
+            s.observe(T, t, 1.0);
         }
-        s.observe(0.2, 1.0);
+        s.observe(T, 0.2, 1.0);
         assert!(s.chunk >= (chunk0 * 2).min(SloController::MAX_CHUNK));
         // ...and sustained pressure in either direction stops at the bounds.
         for interval in 0..64 {
             for i in 0..10 {
-                c.observe(interval as f64 + 0.01 * i as f64, 5.0);
+                c.observe(T, interval as f64 + 0.01 * i as f64, 5.0);
             }
         }
         assert_eq!(c.chunk, SloController::MIN_CHUNK);
-        assert_eq!(c.chunk(), Some(SloController::MIN_CHUNK));
+        assert_eq!(c.chunk(T), Some(SloController::MIN_CHUNK));
         // Static policies steer no chunk at all.
-        assert_eq!(FixedPolicy(BatchFormerConfig::default()).chunk(), None);
         assert_eq!(
-            FixedPolicy(BatchFormerConfig::default()).chunk_for(TenantId(1)),
+            FixedPolicy(BatchFormerConfig::default()).chunk(TenantId(1)),
             None
         );
     }
@@ -750,9 +718,9 @@ mod tests {
     fn bank_routes_chunks_to_owned_tenants_only() {
         let bank = ControllerBank::new(BatchFormerConfig::default())
             .with_controller(TenantId(1), controller(0.1));
-        assert!(bank.chunk_for(TenantId(1)).is_some());
-        assert_eq!(bank.chunk_for(TenantId(2)), None, "no controller, no chunk");
-        assert_eq!(bank.chunk(), None, "the bank's global answer is the default");
+        assert!(bank.chunk(TenantId(1)).is_some());
+        assert_eq!(bank.chunk(TenantId(2)), None, "no controller, no chunk");
+        assert_eq!(bank.chunk(T), None, "the default tenant has no controller");
     }
 
     #[test]
@@ -762,33 +730,33 @@ mod tests {
             .with_controller(TenantId(2), controller(10.0));
         assert_eq!(bank.name(), "adaptive-tenant");
         assert_eq!(bank.entries.len(), 2);
-        let t1_before = bank.current_for(TenantId(1));
-        let t2_before = bank.current_for(TenantId(2));
+        let t1_before = bank.current(TenantId(1));
+        let t2_before = bank.current(TenantId(2));
         assert!(
             t1_before.max_delay_s < t2_before.max_delay_s,
             "SLO-derived priors scale with the SLO"
         );
         // A full interval of unsaturated misses for tenant 1 only.
         for i in 0..50 {
-            bank.observe_for(TenantId(1), 0.002 * i as f64, 1.0);
+            bank.observe(TenantId(1), 0.002 * i as f64, 1.0);
         }
-        bank.observe_for(TenantId(1), 0.2, 1.0);
+        bank.observe(TenantId(1), 0.2, 1.0);
         assert!(
-            bank.current_for(TenantId(1)).max_delay_s < t1_before.max_delay_s,
+            bank.current(TenantId(1)).max_delay_s < t1_before.max_delay_s,
             "tenant 1's window shrank"
         );
         assert_eq!(
-            bank.current_for(TenantId(2)).max_delay_s,
+            bank.current(TenantId(2)).max_delay_s,
             t2_before.max_delay_s,
             "tenant 2's window is untouched by tenant 1's misses"
         );
         assert_eq!(bank.adjustments(), 1, "adjustments sum across the bank");
         // Unknown tenants run (and keep) the default config.
         assert_eq!(
-            bank.current_for(TenantId(9)).max_batch,
+            bank.current(TenantId(9)).max_batch,
             BatchFormerConfig::default().max_batch
         );
-        bank.observe_for(TenantId(9), 1.0, 99.0); // ignored, not a crash
+        bank.observe(TenantId(9), 1.0, 99.0); // ignored, not a crash
         assert_eq!(bank.adjustments(), 1);
     }
 
@@ -821,6 +789,6 @@ mod tests {
         );
         assert!(bank.controller(TenantId(1)).is_some());
         assert!(bank.controller(TenantId(2)).is_none());
-        assert_eq!(bank.current_for(TenantId(2)).max_batch, 7);
+        assert_eq!(bank.current(TenantId(2)).max_batch, 7);
     }
 }

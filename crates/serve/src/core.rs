@@ -161,10 +161,10 @@ impl<'a> ServingCore<'a> {
         epochs: &'a [(f64, u64)],
     ) -> Self {
         let mut queue = AdmissionQueue::new(config.queue_capacity);
-        let mut former = BatchFormer::new(policy.current());
+        let mut former = BatchFormer::new(policy.current(TenantId::DEFAULT));
         for p in &stream.tenant_profiles {
             queue.register(p.id, p.weight);
-            former.set_tenant_config(p.id, policy.current_for(p.id));
+            former.set_tenant_config(p.id, policy.current(p.id));
         }
         Self {
             stream,
@@ -201,8 +201,10 @@ impl<'a> ServingCore<'a> {
 
     /// Delivers every queued observation the clock has caught up with to
     /// the policy, in completion-time order (engine finishes and cache-hit
-    /// times interleave), then lets the policy re-steer the close
-    /// conditions: the default window plus every known tenant's own.
+    /// times interleave), then lets the policy re-steer every known tenant's
+    /// close conditions. The former's default window governs no group:
+    /// [`arrive`](Self::arrive) registers a tenant before its first query
+    /// reaches the former.
     pub fn tick(&mut self, now: f64) {
         let mut due = Vec::new();
         self.pending_feedback.retain(|obs| {
@@ -220,15 +222,14 @@ impl<'a> ServingCore<'a> {
         } in due
         {
             match observed {
-                Observed::Query { latency_s } => self.policy.observe_for(tenant, at, latency_s),
+                Observed::Query { latency_s } => self.policy.observe(tenant, at, latency_s),
                 Observed::Batch { len, wait_s } => {
-                    self.policy.observe_batch_for(tenant, at, len, wait_s)
+                    self.policy.observe_batch(tenant, at, len, wait_s)
                 }
             }
         }
-        self.former.set_config(self.policy.current());
         for &t in &self.tenants_seen {
-            self.former.set_tenant_config(t, self.policy.current_for(t));
+            self.former.set_tenant_config(t, self.policy.current(t));
         }
     }
 
@@ -258,7 +259,7 @@ impl<'a> ServingCore<'a> {
             None => usize::MAX,
             Some(cap) => self
                 .policy
-                .chunk_for(tenant)
+                .chunk(tenant)
                 .map_or(cap, |c| c.min(cap))
                 .max(1),
         };
@@ -282,7 +283,7 @@ impl<'a> ServingCore<'a> {
         if !self.tenants_seen.contains(&tenant) {
             self.tenants_seen.push(tenant);
             self.former
-                .set_tenant_config(tenant, self.policy.current_for(tenant));
+                .set_tenant_config(tenant, self.policy.current(tenant));
         }
         if let Some((cached, ready_at)) = self.cache.lookup_at_epoch(
             self.stream.batch.queries.vector(index),
@@ -468,7 +469,7 @@ impl<'a> ServingCore<'a> {
                     completed: latencies_s.len(),
                     shed: self.queue.shed_of(t) as usize,
                     latencies_s,
-                    final_batcher: self.policy.current_for(t),
+                    final_batcher: self.policy.current(t),
                 }
             })
             .collect();
@@ -480,7 +481,7 @@ impl<'a> ServingCore<'a> {
             },
             slo_p99_s: self.config.slo_p99_s.or(self.stream.slo_p99_s),
             controller_adjustments: self.policy.adjustments(),
-            final_batcher: self.policy.current(),
+            final_batcher: self.policy.current(TenantId::DEFAULT),
             completed: self.latencies.len(),
             shed: self.queue.shed() as usize,
             cache_hits: self.cache.hits(),

@@ -35,7 +35,7 @@
 //!   group that closes when it reaches `max_batch` **or** when the oldest
 //!   member has waited `max_delay_s`. Groups are tenant-pure, and each
 //!   tenant may run its own close conditions.
-//! * [`controller::BatchPolicy`] — the source of the former's close
+//! * [`controller::BatchPolicy`] — the source of each tenant's close
 //!   conditions: the static [`controller::FixedPolicy`]; the closed-loop
 //!   [`controller::SloController`] (AIMD on the replay clock) that widens the
 //!   batching window while the observed p99 holds a latency SLO — recovering

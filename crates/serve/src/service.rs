@@ -81,7 +81,7 @@ pub struct ServiceConfig {
     /// SLO-urgency order ([`DispatchOrder::SloUrgency`]) — the head-of-line
     /// bound: no tenant's dispatch commits the serial engine for more than
     /// one chunk. A [`BatchPolicy`] may steer a *smaller* per-tenant cap
-    /// ([`chunk_for`](BatchPolicy::chunk_for)); `cap` stays the ceiling.
+    /// ([`chunk`](BatchPolicy::chunk)); `cap` stays the ceiling.
     /// `None` (the default) keeps whole batches in serial close order
     /// ([`DispatchOrder::CloseOrder`]) — right for single-tenant streams,
     /// where chunking trades batch amortization for isolation nobody needs.
@@ -171,13 +171,15 @@ impl TenantReport {
 pub struct ServiceReport {
     /// The engine's display name.
     pub engine: String,
-    /// The batch policy's display name ("fixed", "adaptive-slo", ...).
+    /// The batch policy's display name ("fixed", "adaptive-tenant", ...).
     pub policy: String,
     /// The p99 SLO the replay was measured against, if any.
     pub slo_p99_s: Option<f64>,
     /// How many times the policy adjusted the former's close conditions.
     pub controller_adjustments: usize,
-    /// The close conditions the policy had settled on when the stream ended.
+    /// The close conditions the policy had settled on for
+    /// [`TenantId::DEFAULT`] when the stream ended (each tenant's own are in
+    /// its [`TenantReport`]).
     pub final_batcher: BatchFormerConfig,
     /// Queries answered (engine or cache).
     pub completed: usize,
@@ -873,7 +875,7 @@ mod tests {
         let mut service =
             SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default())
                 .with_policy(Box::new(SloController::for_slo(slo)));
-        let initial = service.policy.current();
+        let initial = service.policy.current(TenantId::DEFAULT);
         let stream = StreamSpec::new(400, 20_000.0)
             .with_slo_p99(slo)
             .generate(dataset);

@@ -5,17 +5,23 @@
 //! The properties mirror the contracts the [`SearchService`] replay loop
 //! relies on: the former never over-fills or over-waits a batch and never
 //! mixes incompatible options; the cache is a faithful LRU that never
-//! answers from the future; admission accounting balances; and the
-//! controller settles its observed p99 inside the SLO band.
+//! answers from the future; admission accounting balances; the
+//! controller settles its observed p99 inside the SLO band; and a
+//! one-tenant controller bank is that tenant's controller, call by call and
+//! replay by replay.
 
+use std::sync::OnceLock;
+
+use annkit::ivf::{IvfPqIndex, IvfPqParams};
+use annkit::synthetic::{SyntheticDataset, SyntheticSpec};
 use annkit::topk::Neighbor;
-use annkit::workload::TenantId;
+use annkit::workload::{StreamSpec, TenantId, TenantProfile};
 use baselines::engine::QueryOptions;
 use proptest::prelude::*;
 use upanns_serve::admission::AdmissionQueue;
 use upanns_serve::batcher::{BatchFormer, BatchFormerConfig, CloseReason, FormedBatch, PendingQuery};
 use upanns_serve::cache::ResultCache;
-use upanns_serve::controller::{BatchPolicy, SloController};
+use upanns_serve::controller::{BatchPolicy, ControllerBank, SloController};
 
 /// The small universe of per-query option mixes the properties draw from
 /// (three compat keys; the budget variant of key 0 must share its group).
@@ -454,18 +460,19 @@ proptest! {
             },
         );
         let interval = controller.adjust_interval_s();
+        let t = TenantId::DEFAULT;
         // Latency model: p99 ≈ 3 × window (waiting + queueing + execution all
         // scale with the window at a loaded engine that is keeping up).
         let mut now = 0.0f64;
         let mut last_p99 = 0.0f64;
         for _ in 0..60 {
-            let window = controller.current().max_delay_s;
+            let window = controller.current(t).max_delay_s;
             let mut worst = 0.0f64;
             for (j, n) in noise.iter().enumerate() {
                 now += interval / noise.len() as f64;
                 let latency = 3.0 * window * n * (0.97 + 0.03 * (j % 2) as f64);
                 worst = worst.max(latency);
-                controller.observe(now, latency);
+                controller.observe(t, now, latency);
             }
             last_p99 = worst;
         }
@@ -479,13 +486,105 @@ proptest! {
             "p99 {last_p99} settled far below the band floor {band_low} — the controller left throughput on the table"
         );
         // And it holds still once inside the band.
-        let settled = controller.current();
+        let settled = controller.current(t);
         for j in 0..32 {
             now += interval / 16.0;
-            controller.observe(now, 3.0 * settled.max_delay_s * noise[j % noise.len()]);
+            controller.observe(t, now, 3.0 * settled.max_delay_s * noise[j % noise.len()]);
         }
-        prop_assert_eq!(controller.current().max_batch, settled.max_batch);
+        prop_assert_eq!(controller.current(t).max_batch, settled.max_batch);
     }
+
+    /// The serving bench's one adaptive policy rests on this: a
+    /// [`ControllerBank`] over a single tenant with SLO `s` is
+    /// `SloController::for_slo(s)`. Through any sequence of completions
+    /// (misses, comfort, degenerate latencies) and batch waits, both answer
+    /// the same window, chunk cap and adjustment count after every call.
+    #[test]
+    fn a_one_tenant_bank_is_its_slo_controller(
+        slo_ms in 1.0f64..500.0,
+        tenant in 0u32..4,
+        ops in prop::collection::vec((0u8..=255, 0.0f64..1.0, 0.0f64..3.0), 1..400),
+    ) {
+        let slo = slo_ms * 1e-3;
+        let t = TenantId(tenant);
+        let profile = TenantProfile { id: t, name: "only".to_string(), weight: 1, slo_p99_s: Some(slo) };
+        let mut bank = ControllerBank::for_profiles(&[profile], BatchFormerConfig::default());
+        let mut alone = SloController::for_slo(slo);
+        let mut now = 0.0f64;
+        for &(op, gap, scale) in &ops {
+            // About eight calls per decision interval.
+            now += gap * slo / 4.0;
+            if op & 1 == 0 {
+                let latency = if op >= 0xF0 { f64::NAN } else { scale * slo };
+                bank.observe(t, now, latency);
+                alone.observe(t, now, latency);
+            } else {
+                let wait = scale * alone.current(t).max_delay_s;
+                let len = usize::from(op >> 1) + 1;
+                bank.observe_batch(t, now, len, wait);
+                alone.observe_batch(t, now, len, wait);
+            }
+            let (b, a) = (bank.current(t), alone.current(t));
+            prop_assert_eq!(b.max_batch, a.max_batch);
+            prop_assert_eq!(b.max_delay_s.to_bits(), a.max_delay_s.to_bits());
+            prop_assert_eq!(bank.chunk(t), alone.chunk(t));
+            prop_assert_eq!(bank.adjustments(), alone.adjustments());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The same contract end to end: a single-tenant stream replayed on one
+    /// engine under the one-tenant bank and under its `SloController`
+    /// produces reports equal in every field but the policy's name —
+    /// latencies compared as bits — whole-batch or chunked.
+    #[test]
+    fn a_one_tenant_bank_replays_like_its_slo_controller(
+        slo_ms in 1.0f64..10.0,
+        qps in 500.0f64..8_000.0,
+        repeat in 0.0f64..0.5,
+        chunked in 0u8..2,
+    ) {
+        use baselines::cpu::CpuFaissEngine;
+        use upanns_serve::{SearchService, ServiceConfig};
+
+        let (dataset, index) = replay_fixture();
+        let slo = slo_ms * 1e-3;
+        let stream = StreamSpec::new(240, qps)
+            .with_repeat_fraction(repeat)
+            .with_slo_p99(slo)
+            .generate(dataset);
+        let config = ServiceConfig {
+            max_chunk: (chunked == 1).then_some(4),
+            ..ServiceConfig::default()
+        };
+        let options = |i: usize| QueryOptions::new(10, 4 + 4 * (i % 2));
+        let replay = |policy: Box<dyn BatchPolicy>| {
+            SearchService::new(CpuFaissEngine::new(index), config)
+                .with_policy(policy)
+                .replay(&stream, options)
+        };
+        let alone = replay(Box::new(SloController::for_slo(slo)));
+        let mut bank =
+            replay(Box::new(ControllerBank::for_profiles(&stream.tenant_profiles, config.batcher)));
+        let bits = |latencies: &[f64]| latencies.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&bank.latencies_s), bits(&alone.latencies_s));
+        prop_assert!(bank.policy != alone.policy);        bank.policy.clone_from(&alone.policy);
+        // `Debug` writes every field, each float in its shortest exact form.
+        prop_assert_eq!(format!("{bank:?}"), format!("{alone:?}"));
+    }
+}
+
+/// The index the replay-level property serves, built once.
+fn replay_fixture() -> &'static (SyntheticDataset, IvfPqIndex) {
+    static FIXTURE: OnceLock<(SyntheticDataset, IvfPqIndex)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let data = SyntheticSpec::sift_like(600).with_clusters(8).with_seed(11).generate_with_meta();
+        let index = IvfPqIndex::train(&data.vectors, &IvfPqParams::new(16, 8), 3);
+        (data, index)
+    })
 }
 
 /// The service-level time-travel guard: a repeat arriving after its
@@ -493,9 +592,6 @@ proptest! {
 /// answer — its latency includes the remaining execution time.
 #[test]
 fn repeats_wait_for_the_original_answer() {
-    use annkit::ivf::{IvfPqIndex, IvfPqParams};
-    use annkit::synthetic::SyntheticSpec;
-    use annkit::workload::StreamSpec;
     use baselines::cpu::CpuFaissEngine;
     use upanns_serve::{SearchService, ServiceConfig};
 
