@@ -3,56 +3,74 @@
 //! The offline phase has loops whose items do not depend on each other — the
 //! `m` PQ sub-quantizers (each with its own seed), the assign + encode of
 //! every added vector, and (in `upanns`) one epoch state per snapshot of an
-//! installed timeline. [`map_indexed`] runs such a loop on the machine's
-//! cores and hands the results back **in index order**, so what is built
-//! from them (codebooks, inverted lists) is byte-identical to the serial
-//! loop's whatever the worker count or the interleaving was.
+//! installed timeline. The online phase has one: a kernel launch, one item
+//! per busy DPU (`pim_sim::host`). [`map_mut`] runs such a loop on several
+//! threads and hands the results back **in index order**, so what is built
+//! from them (codebooks, inverted lists, launch reports) is byte-identical to
+//! the serial loop's whatever the worker count or the interleaving was.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// `(0..items).map(f).collect()`, with `f` called from up to
-/// `available_parallelism()` scoped threads (never more than `items`; the
-/// calling thread alone when that is one).
+/// The machine's cores: `available_parallelism()` (which honours CPU
+/// affinity), read once per process — on Linux each call parses cgroup
+/// files, which costs about as much as spawning a thread.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+/// `(0..items).map(f).collect()`, on [`cores`] workers (see [`map_mut`]).
 pub fn map_indexed<T: Send>(items: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = workers().min(items);
+    map_mut(&mut vec![(); items], workers(), |i, ()| f(i))
+}
+
+/// `items.iter_mut().enumerate().map(|(i, item)| f(i, item)).collect()`,
+/// with `f` called from up to `workers` threads: the calling thread and
+/// `workers − 1` scoped helpers (never more threads than items; the calling
+/// thread alone when that is one). A panic in `f` on any thread resurfaces
+/// on the caller with its own payload.
+pub fn map_mut<I: Send, T: Send>(
+    items: &mut [I],
+    workers: usize,
+    f: impl Fn(usize, &mut I) -> T + Sync,
+) -> Vec<T> {
+    let len = items.len();
+    let workers = workers.min(len);
     if workers <= 1 {
-        return (0..items).map(f).collect();
+        return items.iter_mut().enumerate().map(|(i, item)| f(i, item)).collect();
     }
-    // Items are claimed one at a time, so a sub-quantizer that converges
-    // early does not leave its worker idle. The counter only hands out
-    // indices (no data is published through it); results travel through
-    // `join`.
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..items).map(|_| None).collect();
+    // Items are claimed one at a time, so an item that runs long does not
+    // leave the other workers idle. The lock is held only to take the next
+    // item, never while `f` runs, so a panicking item cannot poison it.
+    // Results travel back through each worker's own list.
+    let queue = Mutex::new(items.iter_mut().enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, item)) = next else {
+                return done;
+            };
+            done.push((i, f(i, item)));
+        }
+    };
+    let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items {
-                            return done;
-                        }
-                        done.push((i, f(i)));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(done) => {
-                    for (i, value) in done {
-                        slots[i] = Some(value);
-                    }
-                }
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut finished = vec![work()];
+        for helper in helpers {
+            match helper.join() {
+                Ok(done) => finished.push(done),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
+        }
+        for (i, value) in finished.into_iter().flatten() {
+            slots[i] = Some(value);
         }
     });
     slots
         .into_iter()
-        .map(|slot| slot.expect("every index below `items` was claimed by one worker"))
+        .map(|slot| slot.expect("every item was claimed by one worker"))
         .collect()
 }
 
@@ -61,7 +79,7 @@ fn workers() -> usize {
     if let Some(forced) = tests::FORCED_WORKERS.get() {
         return forced;
     }
-    std::thread::available_parallelism().map_or(1, |p| p.get())
+    cores()
 }
 
 /// Runs `f` with [`map_indexed`] using exactly `workers` threads for calls
@@ -91,6 +109,25 @@ mod tests {
                 let got = with_workers(workers, || map_indexed(items, |i| i * i));
                 assert_eq!(got, (0..items).map(|i| i * i).collect::<Vec<_>>());
             }
+        }
+    }
+
+    #[test]
+    fn every_item_is_mutated_once_and_answered_in_order() {
+        for workers in [1, 2, 3, 8] {
+            // Every item waits until each worker holds one, so each worker
+            // runs exactly one item of every round of `workers` and no
+            // worker's items are a contiguous run of indices.
+            let rounds = std::sync::Barrier::new(workers);
+            let len = 5 * workers;
+            let mut items: Vec<u64> = (0..len as u64).collect();
+            let got = map_mut(&mut items, workers, |i, item| {
+                rounds.wait();
+                *item += 100;
+                (i, *item)
+            });
+            assert_eq!(got, (0..len).map(|i| (i, i as u64 + 100)).collect::<Vec<_>>());
+            assert_eq!(items, (100..100 + len as u64).collect::<Vec<_>>());
         }
     }
 

@@ -28,8 +28,7 @@ use crate::builder::{build_epoch_state, BuildRecipe};
 use crate::cooccurrence::ComboTable;
 use crate::config::UpAnnsConfig;
 use crate::kernel::{
-    mailbox_slot_bytes, parse_mailbox, run_batch_kernel_with_scratch, DpuBatchPlan, DpuStore,
-    KernelOutput, KernelScratch, KernelShared,
+    mailbox_slot_bytes, parse_mailbox, run_batch_kernel, DpuBatchPlan, DpuStore, KernelShared,
 };
 use crate::placement::Placement;
 use crate::scheduling::{schedule_queries, Schedule};
@@ -44,6 +43,11 @@ use pim_sim::energy::EnergyModel;
 use pim_sim::host::{DpuRead, DpuWrite, ExecReport, PimSystem};
 use pim_sim::stats::Stage;
 use std::collections::HashMap;
+
+/// A LUT build's host cost in scanned candidates, the unit of a launch's
+/// work estimate: `annkit.lut.build_us` over
+/// `upanns.engine.host_ns_per_candidate` in the benchmark's traced runs.
+const LUT_BUILD_WORK: u64 = 128;
 
 /// Everything the six-stage pipeline needs to serve one installed snapshot:
 /// the snapshot itself plus the offline artifacts (placement, combo tables,
@@ -314,20 +318,21 @@ impl Launcher<'_> {
             k,
             scan_backend: annkit::simd::active(),
         };
-        let mut outputs: Vec<KernelOutput> = vec![KernelOutput::default(); sys.num_dpus()];
-        let mut scratch = KernelScratch::default();
-        let report = sys.execute(Stage::DpuSearch, |ctx| {
+        // Each DPU's host cost in scanned candidates: its lists plus a LUT
+        // build per assignment. A DPU with no assignment is idle (0) and
+        // the launch does not visit it.
+        let work: Vec<u64> = plans
+            .iter()
+            .map(|plan| {
+                plan.assignments
+                    .iter()
+                    .map(|a| cluster_sizes[a.cluster] as u64 + LUT_BUILD_WORK)
+                    .sum()
+            })
+            .collect();
+        let (report, outputs) = sys.execute_scheduled(Stage::DpuSearch, &work, |ctx| {
             let dpu = ctx.dpu_id();
-            if plans[dpu].is_empty() {
-                return;
-            }
-            outputs[dpu] = run_batch_kernel_with_scratch(
-                ctx,
-                &stores_ref[dpu],
-                &plans[dpu],
-                &shared,
-                &mut scratch,
-            );
+            run_batch_kernel(ctx, &stores_ref[dpu], &plans[dpu], &shared)
         });
 
         // ---- Stage 5: result transfer (DPU → host) -------------------------
@@ -375,7 +380,7 @@ impl Launcher<'_> {
             lut_entries: (total_assignments * snapshot.m() * 256) as u64,
             ..WorkloadStats::default()
         };
-        for o in &outputs {
+        for o in outputs.iter().flatten() {
             stats.candidates_scanned += o.candidates_scanned;
             stats.lut_lookups += o.lut_lookups;
             stats.code_bytes_read += o.code_bytes_read;

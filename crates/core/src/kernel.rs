@@ -20,6 +20,7 @@ use annkit::topk::{Neighbor, TopK};
 use pim_sim::mram::MramAddr;
 use pim_sim::stats::Stage;
 use pim_sim::tasklet::DpuKernelCtx;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -135,11 +136,11 @@ pub fn mailbox_slot_bytes(k: usize) -> usize {
 }
 
 /// Host-side buffers the functional half of the kernel reuses across the
-/// assignments (and DPUs) of one launch, so the simulator's steady state
-/// allocates nothing per assignment. Holds no state between uses: every
-/// buffer is rebuilt before it is read.
+/// assignments (and DPUs) it runs on one host thread, so the simulator's
+/// steady state allocates nothing per assignment. Holds no state between
+/// uses: every buffer is rebuilt before it is read.
 #[derive(Debug, Default)]
-pub(crate) struct KernelScratch {
+struct KernelScratch {
     lut: LookupTable,
     /// §4.3's unified WRAM region: the flat LUT followed by the cluster's
     /// combination partial sums, addressed directly by the encoded stream.
@@ -150,15 +151,9 @@ pub(crate) struct KernelScratch {
     heaps: Vec<TopK>,
 }
 
-/// Runs the UpANNS batch kernel on one DPU with fresh scratch buffers; see
-/// `run_batch_kernel_with_scratch`.
-pub fn run_batch_kernel(
-    ctx: &mut DpuKernelCtx<'_>,
-    store: &DpuStore,
-    plan: &DpuBatchPlan,
-    shared: &KernelShared<'_>,
-) -> KernelOutput {
-    run_batch_kernel_with_scratch(ctx, store, plan, shared, &mut KernelScratch::default())
+thread_local! {
+    /// One scratch per host thread: a launch runs its DPUs on several.
+    static SCRATCH: RefCell<KernelScratch> = RefCell::default();
 }
 
 /// Runs the UpANNS batch kernel on one DPU.
@@ -166,8 +161,17 @@ pub fn run_batch_kernel(
 /// Follows the stage/barrier structure of Figure 6 for every assignment:
 /// `lut_construction` → (barrier) → `combo_sum` → (barrier) →
 /// `distance_calc` → (barrier) → `topk`, then a single `result_write` at the
-/// end of the batch. `scratch` is the launch's reusable host-side buffers.
-pub(crate) fn run_batch_kernel_with_scratch(
+/// end of the batch. The host-side buffers are the calling thread's.
+pub fn run_batch_kernel(
+    ctx: &mut DpuKernelCtx<'_>,
+    store: &DpuStore,
+    plan: &DpuBatchPlan,
+    shared: &KernelShared<'_>,
+) -> KernelOutput {
+    SCRATCH.with_borrow_mut(|scratch| run_with_scratch(ctx, store, plan, shared, scratch))
+}
+
+fn run_with_scratch(
     ctx: &mut DpuKernelCtx<'_>,
     store: &DpuStore,
     plan: &DpuBatchPlan,
@@ -408,7 +412,10 @@ pub(crate) fn run_batch_kernel_with_scratch(
         ctx.sequential(Stage::TopK, |t| {
             for n in merged_local.into_sorted() {
                 let raw = t.mram_read(ids_addr + (n.id as usize) * 8, 8);
-                let id = u64::from_le_bytes(raw.try_into().expect("8-byte id"));
+                let Some(&id) = raw.first_chunk() else {
+                    unreachable!("an 8-byte MRAM read returns 8 bytes")
+                };
+                let id = u64::from_le_bytes(id);
                 query_heap.push(id, n.distance);
             }
         });
@@ -451,28 +458,27 @@ pub(crate) fn run_batch_kernel_with_scratch(
     output
 }
 
-/// Parses a result mailbox produced by [`run_batch_kernel`].
+/// Parses a result mailbox produced by [`run_batch_kernel`]: the first
+/// `queries` whole slots, each a query id and its neighbors (an id of
+/// `u64::MAX` pads a slot that has fewer than `k`).
 pub(crate) fn parse_mailbox(bytes: &[u8], queries: usize, k: usize) -> Vec<(usize, Vec<Neighbor>)> {
-    let slot = mailbox_slot_bytes(k);
-    let mut out = Vec::with_capacity(queries);
-    for qi in 0..queries {
-        let base = qi * slot;
-        if base + slot > bytes.len() {
-            break;
-        }
-        let q = u32::from_le_bytes(bytes[base..base + 4].try_into().expect("4 bytes")) as usize;
-        let mut neighbors = Vec::with_capacity(k);
-        for i in 0..k {
-            let off = base + 4 + i * 12;
-            let id = u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
-            let dist = f32::from_le_bytes(bytes[off + 8..off + 12].try_into().expect("4 bytes"));
-            if id != u64::MAX {
-                neighbors.push(Neighbor::new(id, dist));
-            }
-        }
-        out.push((q, neighbors));
-    }
-    out
+    bytes
+        .chunks_exact(mailbox_slot_bytes(k))
+        .take(queries)
+        .filter_map(|slot| {
+            let (&q, records) = slot.split_first_chunk()?;
+            let neighbors = records
+                .chunks_exact(12)
+                .filter_map(|record| {
+                    let (&id, dist) = record.split_first_chunk()?;
+                    let id = u64::from_le_bytes(id);
+                    let dist = f32::from_le_bytes(*dist.first_chunk()?);
+                    (id != u64::MAX).then(|| Neighbor::new(id, dist))
+                })
+                .collect();
+            Some((u32::from_le_bytes(q) as usize, neighbors))
+        })
+        .collect()
 }
 
 /// MRAM read-buffer size (bytes per transfer) implied by the configuration
@@ -617,10 +623,10 @@ mod tests {
             k,
             scan_backend: annkit::simd::active(),
         };
-        let mut output = KernelOutput::default();
-        let report = sys.execute(Stage::DpuSearch, |ctx| {
-            output = run_batch_kernel(ctx, &store, &plan, &shared);
+        let (report, mut outputs) = sys.execute(Stage::DpuSearch, |ctx| {
+            run_batch_kernel(ctx, &store, &plan, &shared)
         });
+        let output = outputs.remove(0);
         (output.partials.clone(), output, report.max_dpu_seconds)
     }
 
@@ -676,10 +682,10 @@ mod tests {
             k: 5,
             scan_backend: annkit::simd::active(),
         };
-        let mut output = KernelOutput::default();
-        sys.execute(Stage::DpuSearch, |ctx| {
-            output = run_batch_kernel(ctx, &store, &plan, &shared);
+        let (_, mut outputs) = sys.execute(Stage::DpuSearch, |ctx| {
+            run_batch_kernel(ctx, &store, &plan, &shared)
         });
+        let output = outputs.remove(0);
         let mailbox = sys
             .dpu(0)
             .mram()
@@ -835,10 +841,10 @@ mod tests {
             k: 5,
             scan_backend: annkit::simd::active(),
         };
-        let mut output = KernelOutput::default();
-        sys.execute(Stage::DpuSearch, |ctx| {
-            output = run_batch_kernel(ctx, &store, &DpuBatchPlan::default(), &shared);
+        let (_, mut outputs) = sys.execute(Stage::DpuSearch, |ctx| {
+            run_batch_kernel(ctx, &store, &DpuBatchPlan::default(), &shared)
         });
+        let output = outputs.remove(0);
         assert!(output.partials.is_empty());
         assert_eq!(output.candidates_scanned, 0);
         assert_eq!(output.mailbox_bytes_written, 0);

@@ -139,10 +139,10 @@ fn run_kernel(backend: Backend, k: usize, cae: bool) -> KernelOutput {
         k,
         scan_backend: backend,
     };
-    let mut output = KernelOutput::default();
-    sys.execute(Stage::DpuSearch, |ctx| {
-        output = run_batch_kernel(ctx, &store, &plan, &shared);
+    let (_, mut outputs) = sys.execute(Stage::DpuSearch, |ctx| {
+        run_batch_kernel(ctx, &store, &plan, &shared)
     });
+    let output = outputs.remove(0);
 
     // The host-side reference must agree on ids for every query too (the
     // kernel scans exactly the probed clusters). With combination sums the

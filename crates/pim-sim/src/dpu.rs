@@ -17,14 +17,17 @@ pub struct DpuStats {
     pub mram_bytes_read: u64,
     /// Bytes written from WRAM back to MRAM.
     pub mram_bytes_written: u64,
-    /// Number of kernel launches this DPU participated in.
+    /// Number of kernel launches on this DPU's system, counting those in
+    /// which it was idle: the host does not visit an idle DPU, but on the
+    /// hardware it is launched all the same.
     pub launches: u64,
     /// Peak WRAM footprint observed across launches.
     pub wram_peak_bytes: usize,
 }
 
 impl DpuStats {
-    /// Merges counters from one kernel launch into the running totals.
+    /// Merges what one kernel launch charged into the running totals. The
+    /// host counts `launches` itself, for busy and idle DPUs alike.
     pub(crate) fn absorb(&mut self, other: &DpuStats) {
         self.cycles += other.cycles;
         self.compute_cycles += other.compute_cycles;
@@ -32,7 +35,6 @@ impl DpuStats {
         self.dma_transfers += other.dma_transfers;
         self.mram_bytes_read += other.mram_bytes_read;
         self.mram_bytes_written += other.mram_bytes_written;
-        self.launches += other.launches;
         self.wram_peak_bytes = self.wram_peak_bytes.max(other.wram_peak_bytes);
     }
 }
@@ -107,7 +109,7 @@ mod tests {
         total.absorb(&launch);
         assert_eq!(total.cycles, 200);
         assert_eq!(total.dma_transfers, 8);
-        assert_eq!(total.launches, 2);
+        assert_eq!(total.launches, 0, "the host counts launches");
         assert_eq!(total.wram_peak_bytes, 1000);
         assert_eq!((total.mram_bytes_read, total.dma_cycles), (1024, 80));
     }

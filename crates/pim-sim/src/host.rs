@@ -7,6 +7,47 @@ use crate::dpu::Dpu;
 use crate::mram::{MramAddr, MramError};
 use crate::stats::{Stage, StageBreakdown};
 use crate::tasklet::DpuKernelCtx;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Estimated host work, in [`PimSystem::execute_scheduled`]'s units (about
+/// 30 ns each), that pays for one more launch thread: ≈ 1 ms, some 30
+/// thread spawn-and-joins of ≈ 30 µs each. A launch below it runs on the
+/// calling thread.
+const FAN_OUT_GRAIN: u64 = 32_768;
+
+/// Host threads that in-flight launches in this process run on, their
+/// calling threads included. A count that publishes no other data, so its
+/// atomics are `Relaxed`.
+static LAUNCH_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// A launch's claim on host threads: its calling thread, plus up to
+/// `wanted − 1` helpers on cores no other in-flight launch is using, so
+/// concurrent launches (the threaded runtime's workers) never oversubscribe
+/// the machine. Handed back on drop, also when a kernel panics.
+struct Lease<'a> {
+    in_flight: &'a AtomicUsize,
+    threads: usize,
+}
+
+impl<'a> Lease<'a> {
+    fn take(in_flight: &'a AtomicUsize, cores: usize, wanted: usize) -> Self {
+        let mut held = in_flight.load(Ordering::Relaxed);
+        loop {
+            let threads = wanted.min(cores.saturating_sub(held)).max(1);
+            let claim = held + threads;
+            match in_flight.compare_exchange_weak(held, claim, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return Self { in_flight, threads },
+                Err(now) => held = now,
+            }
+        }
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        self.in_flight.fetch_sub(self.threads, Ordering::Relaxed);
+    }
+}
 
 /// A host→DPU copy request: `data` is written to `addr` in DPU `dpu`'s MRAM.
 #[derive(Debug, Clone)]
@@ -44,19 +85,22 @@ impl DpuRead {
     }
 }
 
-/// Result of one kernel launch across all DPUs.
+/// Result of one kernel launch across all DPUs. An idle DPU — one the
+/// launch did not schedule — is not visited and counts as 0 cycles.
 #[derive(Debug, Clone)]
 pub struct ExecReport {
     /// Simulated seconds of the launch (max over DPUs + launch overhead).
     pub max_dpu_seconds: f64,
-    /// Index of the slowest DPU (the "maximum process" of Figure 11).
+    /// Index of the slowest DPU (the "maximum process" of Figure 11): the
+    /// last one with the most cycles, so the last DPU when all are idle.
     pub critical_dpu: usize,
-    /// Simulated seconds per DPU.
+    /// Simulated seconds per DPU, in DPU order (0 for an idle DPU).
     pub per_dpu_seconds: Vec<f64>,
-    /// Cycles per DPU.
+    /// Cycles per DPU, in DPU order (0 for an idle DPU).
     pub per_dpu_cycles: Vec<u64>,
     /// Stage breakdown of the critical DPU (region stage → seconds), which
-    /// is what determines the end-to-end stage ratios of Figure 19.
+    /// is what determines the end-to-end stage ratios of Figure 19; empty
+    /// when the critical DPU is idle.
     pub breakdown: StageBreakdown,
 }
 
@@ -191,38 +235,92 @@ impl PimSystem {
         Ok(out)
     }
 
-    /// Launches a kernel on every DPU. The closure runs once per DPU with a
-    /// fresh [`DpuKernelCtx`]; the simulated launch time is the slowest DPU's
-    /// time plus a fixed launch overhead, and it is added to the system clock
-    /// under `stage`.
-    pub fn execute(&mut self, stage: impl Into<Stage>, mut kernel: impl FnMut(&mut DpuKernelCtx<'_>)) -> ExecReport {
-        let spc = self.config.seconds_per_cycle();
-        let mut per_dpu_cycles = Vec::with_capacity(self.dpus.len());
-        // The slowest DPU so far — the last of them on a tie — and its
-        // regions' seconds per stage.
-        let (mut critical_dpu, mut max_cycles) = (0, 0);
-        let mut breakdown = StageBreakdown::new();
-        for (id, dpu) in self.dpus.iter_mut().enumerate() {
-            let mut ctx = DpuKernelCtx::new(dpu, &self.cost, &self.config);
-            kernel(&mut ctx);
+    /// Launches a kernel on every DPU and returns each DPU's output in DPU
+    /// order. The launch runs on the calling thread; see
+    /// [`execute_scheduled`](Self::execute_scheduled).
+    pub fn execute<T: Send>(
+        &mut self,
+        stage: impl Into<Stage>,
+        kernel: impl Fn(&mut DpuKernelCtx<'_>) -> T + Sync,
+    ) -> (ExecReport, Vec<T>) {
+        let every_dpu = vec![1; self.dpus.len()];
+        let (report, outputs) = self.execute_scheduled(stage, &every_dpu, kernel);
+        (report, outputs.into_iter().flatten().collect())
+    }
+
+    /// Launches a kernel on the DPUs whose `work` is non-zero. The closure
+    /// runs once per such DPU with a fresh [`DpuKernelCtx`]; the other DPUs
+    /// are idle: not visited, 0 cycles, no output, and their launch is still
+    /// counted in the DPU's `DpuStats::launches`.
+    /// The simulated launch time is the slowest DPU's time plus a fixed
+    /// launch overhead, added to the system clock under `stage`.
+    ///
+    /// `work[d]` estimates DPU `d`'s host cost in units of about 30 ns (one
+    /// ADC-scanned candidate in `upanns`). A launch whose total covers
+    /// several grains of 32 768 runs its busy DPUs on one host thread per
+    /// grain, as far as cores are free of other in-flight launches. The
+    /// outputs and every field of the report are gathered in DPU order, so
+    /// they do not depend on the thread count.
+    pub fn execute_scheduled<T: Send>(
+        &mut self,
+        stage: impl Into<Stage>,
+        work: &[u64],
+        kernel: impl Fn(&mut DpuKernelCtx<'_>) -> T + Sync,
+    ) -> (ExecReport, Vec<Option<T>>) {
+        let n = self.dpus.len();
+        assert_eq!(work.len(), n, "one work estimate per DPU");
+        let mut busy: Vec<&mut Dpu> = self
+            .dpus
+            .iter_mut()
+            .zip(work)
+            .filter(|&(_, &w)| w > 0)
+            .map(|(dpu, _)| dpu)
+            .collect();
+        let grains = usize::try_from(work.iter().sum::<u64>() / FAN_OUT_GRAIN).unwrap_or(usize::MAX);
+        let lease = Lease::take(&LAUNCH_THREADS, annkit::par::cores(), grains.min(busy.len()));
+        let workers = lease.threads;
+        #[cfg(test)]
+        let workers = tests::FORCED_WORKERS.get().unwrap_or(workers);
+        let (cost, config) = (&self.cost, &self.config);
+        let ran = annkit::par::map_mut(&mut busy, workers, |_, dpu| {
+            let mut ctx = DpuKernelCtx::new(dpu, cost, config);
+            let output = kernel(&mut ctx);
             let (stats, stage_seconds) = ctx.finish();
-            if stats.cycles >= max_cycles {
-                (critical_dpu, max_cycles, breakdown) = (id, stats.cycles, stage_seconds);
-            }
-            per_dpu_cycles.push(stats.cycles);
             dpu.stats_mut().absorb(&stats);
+            (dpu.id(), stats.cycles, stage_seconds, output)
+        });
+        drop(lease);
+
+        // The slowest DPU — the last of them on a tie, so DPU n − 1 when
+        // all are idle — is the largest (cycles, id); an idle DPU is 0
+        // cycles and no stage.
+        let mut per_dpu_cycles = vec![0; n];
+        let mut outputs: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let (mut critical_dpu, mut max_cycles) = (n.saturating_sub(1), 0);
+        let mut breakdown = StageBreakdown::new();
+        for (id, cycles, stage_seconds, output) in ran {
+            if (cycles, id) >= (max_cycles, critical_dpu) {
+                (critical_dpu, max_cycles, breakdown) = (id, cycles, stage_seconds);
+            }
+            per_dpu_cycles[id] = cycles;
+            outputs[id] = Some(output);
         }
+        for dpu in &mut self.dpus {
+            dpu.stats_mut().launches += 1;
+        }
+        let spc = self.config.seconds_per_cycle();
         let per_dpu_seconds: Vec<f64> = per_dpu_cycles.iter().map(|&c| c as f64 * spc).collect();
         let max_dpu_seconds = max_cycles as f64 * spc + self.config.launch_overhead_s;
 
         self.advance_host(stage, max_dpu_seconds);
-        ExecReport {
+        let report = ExecReport {
             max_dpu_seconds,
             critical_dpu,
             per_dpu_seconds,
             per_dpu_cycles,
             breakdown,
-        }
+        };
+        (report, outputs)
     }
 
     /// Adds host-side compute time (e.g. cluster filtering or scheduling run
@@ -257,6 +355,154 @@ impl PimSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+    use std::fmt::Write;
+    use std::sync::atomic::AtomicBool;
+
+    thread_local! {
+        pub(super) static FORCED_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Runs `f` with every launch it makes from this thread on exactly
+    /// `workers` threads, whatever the work, the cores and the other
+    /// launches in flight.
+    fn with_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
+        let previous = FORCED_WORKERS.replace(Some(workers));
+        let out = f();
+        FORCED_WORKERS.set(previous);
+        out
+    }
+
+    /// One launch over `work.len()` DPUs on `workers` threads, and all it
+    /// leaves behind as text (f64s as bits): the report, the outputs in DPU
+    /// order, every DPU's statistics and what the kernel wrote to its MRAM.
+    /// DPU `d`'s cycles grow with `work[d]` and depend on nothing else, so
+    /// equal work is a tie; at work 1 the kernel charges nothing, so a busy
+    /// DPU can tie with the idle ones at 0 cycles.
+    fn launch_record(work: &[u64], workers: usize) -> String {
+        let mut sys = PimSystem::new(PimConfig::with_dpus(work.len()));
+        let mailboxes: Vec<MramAddr> = (0..work.len()).map(|d| sys.mram_alloc(d, 8).unwrap()).collect();
+        let visits = AtomicUsize::new(0);
+        let (report, outputs) = with_workers(workers, || {
+            sys.execute_scheduled(Stage::DpuSearch, work, |ctx| {
+                visits.fetch_add(1, Ordering::Relaxed);
+                let id = ctx.dpu_id();
+                let w = work[id];
+                if w == 1 {
+                    return (id, 0);
+                }
+                ctx.parallel(Stage::DistanceCalc, 3, |t| {
+                    t.charge_arith(w * 10 + t.tasklet_id as u64, w);
+                });
+                ctx.sequential(Stage::TopK, |t| t.charge_arith(w, 0));
+                let written = w * 1000 + id as u64;
+                ctx.mram_write(Stage::ResultWrite, mailboxes[id], &written.to_le_bytes())
+                    .unwrap();
+                (id, w * 3)
+            })
+        });
+        let busy = work.iter().filter(|&&w| w > 0).count();
+        assert_eq!(visits.into_inner(), busy, "only busy DPUs are visited");
+        let cycles = &report.per_dpu_cycles;
+        let max = cycles.iter().copied().max().unwrap();
+        let last_at_max = cycles.iter().rposition(|&c| c == max).unwrap();
+        assert_eq!(report.critical_dpu, last_at_max, "the last DPU with the most cycles");
+        let mut out = String::new();
+        writeln!(out, "seconds {:016x}", report.max_dpu_seconds.to_bits()).unwrap();
+        writeln!(out, "critical {}", report.critical_dpu).unwrap();
+        writeln!(out, "cycles {:?}", report.per_dpu_cycles).unwrap();
+        let per_dpu_bits: Vec<u64> = report.per_dpu_seconds.iter().map(|s| s.to_bits()).collect();
+        writeln!(out, "per_dpu_seconds {per_dpu_bits:?}").unwrap();
+        for (label, seconds) in report.breakdown.entries() {
+            writeln!(out, "stage {label} {:016x}", seconds.to_bits()).unwrap();
+        }
+        writeln!(out, "outputs {outputs:?}").unwrap();
+        for (d, &addr) in mailboxes.iter().enumerate() {
+            let mram = sys.dpu(d).mram().read(addr, 8).unwrap();
+            writeln!(out, "dpu{d} {:?} {mram:?}", sys.dpu(d).stats()).unwrap();
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Work drawn from 0..4 makes idle DPUs and ties at the maximum
+        /// common; the record must not tell one worker from many.
+        #[test]
+        fn a_launch_records_the_same_bytes_on_one_worker_and_many(
+            work in prop::collection::vec(0u64..4, 1..40),
+        ) {
+            let serial = launch_record(&work, 1);
+            for workers in [2, 3, 8] {
+                prop_assert_eq!(&launch_record(&work, workers), &serial);
+            }
+        }
+    }
+
+    #[test]
+    fn idle_dpus_report_zero_cycles_and_the_last_dpu_wins_ties() {
+        for workers in [1, 4] {
+            let all_idle = with_workers(workers, || {
+                let mut sys = PimSystem::new(PimConfig::with_dpus(6));
+                let (report, outputs) =
+                    sys.execute_scheduled(Stage::DpuSearch, &[0; 6], |_| unreachable!("idle DPU visited"));
+                assert!(outputs.iter().all(|&o: &Option<()>| o.is_none()));
+                assert!((0..6).all(|d| sys.dpu(d).stats().launches == 1), "an idle DPU counts the launch");
+                report
+            });
+            assert_eq!((all_idle.critical_dpu, all_idle.per_dpu_cycles), (5, vec![0; 6]));
+            assert!(all_idle.breakdown.is_empty());
+
+            let single = launch_record(&[0, 0, 3, 0, 0], workers);
+            assert!(single.contains("critical 2\n"), "{single}");
+            let tied = launch_record(&[2, 3, 1, 3, 0, 2], workers);
+            assert!(tied.contains("critical 3\n"), "{tied}");
+        }
+    }
+
+    #[test]
+    fn a_kernel_panic_on_a_helper_thread_resurfaces_with_its_own_message() {
+        let caller = std::thread::current().id();
+        let helper_ran = AtomicBool::new(false);
+        let mut sys = PimSystem::new(PimConfig::with_dpus(8));
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_workers(4, || {
+                sys.execute_scheduled(Stage::DpuSearch, &[1; 8], |ctx| {
+                    if std::thread::current().id() == caller {
+                        // Leave the helpers the rest, until one has run.
+                        while !helper_ran.load(Ordering::Relaxed) {
+                            std::thread::yield_now();
+                        }
+                        return;
+                    }
+                    helper_ran.store(true, Ordering::Relaxed);
+                    panic!("kernel fault on DPU {}", ctx.dpu_id());
+                })
+            })
+        }))
+        .expect_err("the helper's panic reaches the caller");
+        let message = panic.downcast_ref::<String>().expect("panic!'s own String payload");
+        assert!(message.starts_with("kernel fault on DPU "), "{message}");
+    }
+
+    #[test]
+    fn a_lease_borrows_only_free_cores_and_hands_them_back() {
+        let in_flight = AtomicUsize::new(0);
+        let first = Lease::take(&in_flight, 4, 3);
+        let second = Lease::take(&in_flight, 4, 3);
+        let third = Lease::take(&in_flight, 4, 3);
+        assert_eq!((first.threads, second.threads, third.threads), (3, 1, 1));
+        drop(first);
+        assert_eq!(Lease::take(&in_flight, 4, 8).threads, 2);
+        let _ = std::panic::catch_unwind(|| {
+            let _held = Lease::take(&in_flight, 4, 2);
+            panic!("a kernel fault");
+        });
+        drop((second, third));
+        assert_eq!(in_flight.into_inner(), 0);
+    }
 
     fn loaded_system() -> (PimSystem, Vec<MramAddr>) {
         let mut sys = PimSystem::new(PimConfig::small_test());
@@ -293,7 +539,7 @@ mod tests {
     #[test]
     fn execute_uses_slowest_dpu() {
         let (mut sys, addrs) = loaded_system();
-        let report = sys.execute(Stage::DpuSearch, |ctx| {
+        let (report, _) = sys.execute(Stage::DpuSearch, |ctx| {
             let id = ctx.dpu_id();
             let addr = addrs[id];
             // DPU 3 does 4x the work of the others.

@@ -32,7 +32,8 @@
 //! [`PimConfig::wram_bytes`](config::PimConfig::wram_bytes). A launch
 //! reports, besides each DPU's cycles, the seconds per
 //! [`Stage`](stats::Stage) of its slowest DPU's regions, accumulated as each
-//! region ends.
+//! region ends. A launch runs the kernel only on the DPUs it schedules; an
+//! idle DPU is not visited and reports 0 cycles.
 //!
 //! ```
 //! use pim_sim::config::PimConfig;
@@ -43,15 +44,22 @@
 //! // Stage some bytes into DPU 0's MRAM.
 //! let addr = sys.mram_alloc(0, 1024).unwrap();
 //! sys.push_to_dpus(Stage::QueryTransfer, &[DpuWrite::new(0, addr, vec![7u8; 1024])]).unwrap();
-//! // Run a kernel on every DPU that reads the data back with 4 tasklets.
-//! let report = sys.execute(Stage::DpuSearch, |ctx| {
-//!     if ctx.dpu_id() == 0 {
-//!         ctx.parallel(Stage::DistanceCalc, 4, |t| {
-//!             let bytes = t.mram_read(addr, 256).to_vec();
-//!             t.charge_arith(bytes.len() as u64, 0);
-//!         });
-//!     }
+//! // Run a kernel on DPU 0 alone (work 0 leaves a DPU idle: not visited,
+//! // 0 cycles) that reads the data back with 4 tasklets.
+//! let mut work = vec![0; sys.num_dpus()];
+//! work[0] = 1;
+//! let (report, outputs) = sys.execute_scheduled(Stage::DpuSearch, &work, |ctx| {
+//!     let sums = ctx.parallel(Stage::DistanceCalc, 4, |t| {
+//!         let bytes = t.mram_read(addr, 256);
+//!         t.charge_arith(bytes.len() as u64, 0);
+//!         bytes.iter().map(|&b| u64::from(b)).sum::<u64>()
+//!     });
+//!     sums.iter().sum::<u64>()
 //! });
+//! // Outputs come back in DPU order, whatever host threads ran them.
+//! assert_eq!(outputs[0], Some(4 * 256 * 7));
+//! assert!(outputs[1..].iter().all(Option::is_none));
+//! assert_eq!(report.critical_dpu, 0);
 //! assert!(report.max_dpu_seconds > 0.0);
 //! assert!(sys.elapsed_seconds() > 0.0);
 //! ```

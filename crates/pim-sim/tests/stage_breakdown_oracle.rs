@@ -136,7 +136,7 @@ fn a_launch_breakdown_is_the_fold_over_its_regions_in_order() {
     let config = PimConfig::small_test();
     let cost = CostModel::default();
     let mut sys = PimSystem::new(config.clone());
-    let report = sys.execute(Stage::DpuSearch, |ctx| {
+    let (report, _) = sys.execute(Stage::DpuSearch, |ctx| {
         // DPU 2 runs the whole list, the others a prefix of it.
         let take = if ctx.dpu_id() == 2 { regions.len() } else { 2 };
         for &(stage, adds) in &regions[..take] {
