@@ -213,8 +213,10 @@ pub(crate) fn build_epoch_state(
     }
 
     // 4. Stage everything into MRAM.
+    // The codebook and each list are staged once on the host; every DPU
+    // that holds them maps that one copy.
     let mut sys = PimSystem::new(recipe.pim_config.clone());
-    let codebook = quantized_codebook(snapshot.pq());
+    let codebook: Arc<[u8]> = quantized_codebook(snapshot.pq()).into();
     let expected_assignments_per_dpu = ((recipe.capacity.batch_size * recipe.capacity.nprobe)
         .div_ceil(num_dpus))
     .max(8)
@@ -224,12 +226,8 @@ pub(crate) fn build_epoch_state(
     let mut stores = Vec::with_capacity(num_dpus);
     for dpu in 0..num_dpus {
         let codebook_addr = sys
-            .mram_alloc(dpu, codebook.len())
+            .mram_map_shared(dpu, &codebook)
             .expect("codebook fits in MRAM");
-        sys.dpu_mut(dpu)
-            .mram_mut()
-            .write(codebook_addr, &codebook)
-            .expect("codebook write");
         let query_buffer_bytes = expected_assignments_per_dpu * query_record_bytes;
         let query_buffer_addr = sys
             .mram_alloc(dpu, query_buffer_bytes)
@@ -254,29 +252,18 @@ pub(crate) fn build_epoch_state(
         if list.is_empty() {
             continue;
         }
-        let mut ids_bytes = Vec::with_capacity(list.len() * 8);
-        for &id in list.ids() {
-            ids_bytes.extend_from_slice(&id.to_le_bytes());
-        }
-        let payload: Vec<u8> = match encoded.get(&cluster) {
-            Some(cae) => cae.to_bytes(),
-            None => list.packed_codes().to_vec(),
+        let ids_bytes: Arc<[u8]> = list.ids().iter().flat_map(|id| id.to_le_bytes()).collect();
+        let payload: Arc<[u8]> = match encoded.get(&cluster) {
+            Some(cae) => cae.to_bytes().into(),
+            None => list.packed_codes().into(),
         };
         for &dpu in dpus {
             let ids_addr = sys
-                .mram_alloc(dpu, ids_bytes.len())
+                .mram_map_shared(dpu, &ids_bytes)
                 .expect("ids fit in MRAM");
-            sys.dpu_mut(dpu)
-                .mram_mut()
-                .write(ids_addr, &ids_bytes)
-                .expect("ids write");
             let codes_addr = sys
-                .mram_alloc(dpu, payload.len())
+                .mram_map_shared(dpu, &payload)
                 .expect("codes fit in MRAM");
-            sys.dpu_mut(dpu)
-                .mram_mut()
-                .write(codes_addr, &payload)
-                .expect("codes write");
             let encoding = match encoded.get(&cluster) {
                 Some(cae) => ListEncoding::CaeU16(Arc::clone(cae)),
                 None => ListEncoding::PlainU8,
@@ -357,7 +344,12 @@ mod tests {
     use super::*;
     use annkit::ivf::IvfPqParams;
     use annkit::synthetic::SyntheticSpec;
+    use pim_sim::mram::MramAddr;
     use std::sync::OnceLock;
+
+    /// Modeled MRAM of the 16-DPU engine below: each DPU is charged in full
+    /// for every payload it maps, shared or not.
+    const TOTAL_MRAM_ALLOCATED: usize = 895_600;
 
     fn shared_index() -> &'static (IvfPqIndex, Dataset) {
         static IX: OnceLock<(IvfPqIndex, Dataset)> = OnceLock::new();
@@ -465,5 +457,52 @@ mod tests {
         let cb = quantized_codebook(index.pq());
         assert_eq!(cb.len(), index.dim() * 256);
         assert_eq!(cb.len(), index.pq().codebooks_flat().len());
+    }
+
+    #[test]
+    fn every_dpu_maps_one_host_copy_of_the_codebook_and_of_each_list() {
+        let (index, _) = shared_index();
+        let engine = UpAnnsBuilder::new(index)
+            .with_pim_config(PimConfig::with_dpus(16))
+            .with_batch_capacity(BatchCapacity {
+                batch_size: 16,
+                nprobe: 4,
+                max_k: 10,
+            })
+            .build();
+        let sys = engine.pim_system();
+        let stores = engine.stores();
+        let staged = |dpu: usize, addr: MramAddr, len: usize| {
+            let bytes = sys.dpu(dpu).mram().read(addr, len).expect("staged bytes");
+            bytes.as_ptr()
+        };
+        let codebook = staged(0, stores[0].codebook_addr, stores[0].codebook_bytes);
+        for (dpu, store) in stores.iter().enumerate() {
+            let here = staged(dpu, store.codebook_addr, store.codebook_bytes);
+            assert!(std::ptr::eq(here, codebook), "DPU {dpu} holds its own codebook");
+        }
+        let mut replicated = 0;
+        for c in 0..index.nlist() {
+            let hosts: Vec<(usize, &ClusterReplica)> = stores
+                .iter()
+                .enumerate()
+                .filter_map(|(dpu, store)| store.replicas.get(&c).map(|r| (dpu, r)))
+                .collect();
+            let Some(&(first, r0)) = hosts.first() else {
+                continue;
+            };
+            let ids = staged(first, r0.ids_addr, r0.num_vectors * 8);
+            let codes = staged(first, r0.codes_addr, r0.codes_bytes);
+            for &(dpu, r) in &hosts[1..] {
+                let here = staged(dpu, r.ids_addr, r.num_vectors * 8);
+                assert!(std::ptr::eq(here, ids), "cluster {c}: DPU {dpu} copied the ids");
+                let here = staged(dpu, r.codes_addr, r.codes_bytes);
+                assert!(std::ptr::eq(here, codes), "cluster {c}: DPU {dpu} copied the codes");
+            }
+            replicated += usize::from(hosts.len() > 1);
+        }
+        assert!(replicated > 0, "the fixture replicates no list");
+        // Modeled MRAM still charges every DPU each payload it maps.
+        assert_eq!(sys.total_mram_allocated(), TOTAL_MRAM_ALLOCATED);
     }
 }

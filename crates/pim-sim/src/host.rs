@@ -7,6 +7,7 @@ use crate::dpu::Dpu;
 use crate::mram::{MramAddr, MramError};
 use crate::stats::{Stage, StageBreakdown};
 use crate::tasklet::DpuKernelCtx;
+use std::sync::Arc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Estimated host work, in [`PimSystem::execute_scheduled`]'s units (about
@@ -181,7 +182,23 @@ impl PimSystem {
         self.dpus[dpu].mram_mut().alloc(len)
     }
 
-    /// Total bytes of MRAM allocated across the fleet.
+    /// Maps the read-only payload `bytes` into DPU `dpu`'s MRAM as a new
+    /// allocation without copying it, and returns its address: every DPU
+    /// that maps one `Arc` shares its host copy, while each is charged the
+    /// full length as if it held its own (no simulated time, like
+    /// [`mram_alloc`](Self::mram_alloc)). A later write copies it for that
+    /// DPU alone.
+    pub fn mram_map_shared(
+        &mut self,
+        dpu: usize,
+        bytes: &Arc<[u8]>,
+    ) -> Result<MramAddr, MramError> {
+        self.dpus[dpu].mram_mut().map_shared(Arc::clone(bytes))
+    }
+
+    /// Total bytes of modeled MRAM allocated across the fleet: a payload
+    /// mapped into many DPUs counts once per DPU, although the host holds it
+    /// once, so this is not host memory.
     pub fn total_mram_allocated(&self) -> usize {
         self.dpus.iter().map(|d| d.mram().allocated()).sum()
     }

@@ -1,9 +1,21 @@
 //! Per-DPU MRAM: bulk storage reachable only through DMA.
 //!
-//! MRAM is modeled as a growable byte buffer with a bump allocator and a hard
-//! capacity limit (64 MB per DPU on real hardware). Only the bytes actually
-//! written are backed by host memory, so simulating 896 DPUs does not
-//! allocate 56 GB.
+//! MRAM is modeled as a bump allocator with a hard capacity limit (64 MB per
+//! DPU on real hardware) over a sorted list of regions, one per allocation.
+//! A region is either bytes this DPU owns
+//! ([`PimSystem::mram_alloc`](crate::host::PimSystem::mram_alloc): zeroed,
+//! then written by the host or the kernel) or a read-only payload shared
+//! with other DPUs
+//! ([`PimSystem::mram_map_shared`](crate::host::PimSystem::mram_map_shared):
+//! one host copy of, say, the PQ codebook every DPU holds, or of a list every
+//! replica of a cluster holds). Either way the DPU is charged the region's
+//! full length, so capacity and
+//! [`PimSystem::total_mram_allocated`](crate::host::PimSystem::total_mram_allocated)
+//! are modeled MRAM, not host memory. A write into a shared region first
+//! copies it for the writing DPU alone. A read or write must lie inside one
+//! region.
+
+use std::sync::Arc;
 
 /// A byte offset within a DPU's MRAM.
 pub type MramAddr = usize;
@@ -18,7 +30,7 @@ pub enum MramError {
         /// Bytes still available.
         available: usize,
     },
-    /// A read or write touches addresses beyond the allocated region.
+    /// A read or write does not lie inside one allocated region.
     OutOfBounds {
         /// First byte of the offending access.
         addr: MramAddr,
@@ -47,11 +59,46 @@ impl std::fmt::Display for MramError {
 
 impl std::error::Error for MramError {}
 
+/// The bytes behind one allocation.
+#[derive(Debug, Clone)]
+enum Region {
+    /// Bytes only this DPU holds.
+    Owned(Box<[u8]>),
+    /// A read-only payload other DPUs may map too.
+    Shared(Arc<[u8]>),
+}
+
+impl Region {
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Region::Owned(bytes) => bytes,
+            Region::Shared(bytes) => bytes,
+        }
+    }
+
+    /// This DPU's own bytes, copying a shared payload first.
+    fn owned_mut(&mut self) -> &mut [u8] {
+        if let Region::Shared(shared) = self {
+            *self = Region::Owned(Box::from(&shared[..]));
+        }
+        match self {
+            Region::Owned(bytes) => bytes,
+            Region::Shared(_) => unreachable!("a shared region was copied above"),
+        }
+    }
+}
+
 /// The MRAM of one DPU.
 #[derive(Debug, Clone)]
 pub struct Mram {
     capacity: usize,
-    data: Vec<u8>,
+    /// The bump pointer: end of the last allocation, 8-byte aligned.
+    allocated: usize,
+    /// Base address of each region, ascending: `regions[i]` starts at
+    /// `bases[i]`.
+    bases: Vec<MramAddr>,
+    regions: Vec<Region>,
 }
 
 impl Mram {
@@ -59,25 +106,27 @@ impl Mram {
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            data: Vec::new(),
+            allocated: 0,
+            bases: Vec::new(),
+            regions: Vec::new(),
         }
     }
 
-    /// Bytes currently allocated (high-water mark of the bump allocator).
+    /// Bytes currently allocated (high-water mark of the bump allocator),
+    /// shared regions included at their full length.
     #[inline]
     pub(crate) fn allocated(&self) -> usize {
-        self.data.len()
+        self.allocated
     }
 
     /// Remaining allocatable bytes.
     #[inline]
     pub(crate) fn available(&self) -> usize {
-        self.capacity - self.data.len()
+        self.capacity - self.allocated
     }
 
-    /// Allocates `len` bytes (8-byte aligned, zero-initialized) and returns
-    /// the base address.
-    pub(crate) fn alloc(&mut self, len: usize) -> Result<MramAddr, MramError> {
+    /// Reserves `len` bytes (rounded up to 8) at the bump pointer.
+    fn reserve(&mut self, len: usize) -> Result<MramAddr, MramError> {
         let aligned = len.div_ceil(8) * 8;
         if aligned > self.available() {
             return Err(MramError::OutOfMemory {
@@ -85,36 +134,77 @@ impl Mram {
                 available: self.available(),
             });
         }
-        let addr = self.data.len();
-        self.data.resize(addr + aligned, 0);
+        let addr = self.allocated;
+        self.allocated += aligned;
+        self.bases.push(addr);
         Ok(addr)
     }
 
-    /// Writes `bytes` at `addr`.
-    pub fn write(&mut self, addr: MramAddr, bytes: &[u8]) -> Result<(), MramError> {
-        let end = addr + bytes.len();
-        if end > self.data.len() {
-            return Err(MramError::OutOfBounds {
-                addr,
-                len: bytes.len(),
-                allocated: self.data.len(),
-            });
+    /// Allocates `len` bytes (8-byte aligned, zero-initialized) and returns
+    /// the base address.
+    pub(crate) fn alloc(&mut self, len: usize) -> Result<MramAddr, MramError> {
+        let addr = self.reserve(len)?;
+        self.regions
+            .push(Region::Owned(vec![0; self.allocated - addr].into_boxed_slice()));
+        Ok(addr)
+    }
+
+    /// Maps `bytes` as a new allocation without copying them: every DPU that
+    /// maps the same payload reads one host copy, and each is charged its
+    /// full length (rounded up to 8, like [`alloc`](Self::alloc); the
+    /// padding is not readable). Returns the base address.
+    pub(crate) fn map_shared(&mut self, bytes: Arc<[u8]>) -> Result<MramAddr, MramError> {
+        let addr = self.reserve(bytes.len())?;
+        self.regions.push(Region::Shared(bytes));
+        Ok(addr)
+    }
+
+    /// The index of the region that holds all of `[addr, addr + len)`.
+    #[inline]
+    fn locate(&self, addr: MramAddr, len: usize) -> Result<usize, MramError> {
+        let i = self.bases.partition_point(|&base| base <= addr);
+        if let Some(i) = i.checked_sub(1) {
+            let offset = addr - self.bases[i];
+            if offset
+                .checked_add(len)
+                .is_some_and(|end| end <= self.regions[i].bytes().len())
+            {
+                return Ok(i);
+            }
         }
-        self.data[addr..end].copy_from_slice(bytes);
+        Err(MramError::OutOfBounds {
+            addr,
+            len,
+            allocated: self.allocated,
+        })
+    }
+
+    /// The whole region that holds `[addr, addr + len)`: its base address
+    /// and bytes. A reader that makes many reads inside one allocation keeps
+    /// it and slices it, instead of searching the regions on every read.
+    #[inline]
+    pub(crate) fn region(
+        &self,
+        addr: MramAddr,
+        len: usize,
+    ) -> Result<(MramAddr, &[u8]), MramError> {
+        let i = self.locate(addr, len)?;
+        Ok((self.bases[i], self.regions[i].bytes()))
+    }
+
+    /// Writes `bytes` at `addr`, inside one allocation. A shared region is
+    /// first copied, so only this DPU sees the write.
+    pub fn write(&mut self, addr: MramAddr, bytes: &[u8]) -> Result<(), MramError> {
+        let i = self.locate(addr, bytes.len())?;
+        let offset = addr - self.bases[i];
+        self.regions[i].owned_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
 
-    /// Reads `len` bytes starting at `addr`.
+    /// Reads `len` bytes starting at `addr`, inside one allocation.
     pub fn read(&self, addr: MramAddr, len: usize) -> Result<&[u8], MramError> {
-        let end = addr + len;
-        if end > self.data.len() {
-            return Err(MramError::OutOfBounds {
-                addr,
-                len,
-                allocated: self.data.len(),
-            });
-        }
-        Ok(&self.data[addr..end])
+        let (base, bytes) = self.region(addr, len)?;
+        Ok(&bytes[addr - base..][..len])
     }
 }
 
@@ -159,5 +249,79 @@ mod tests {
         assert!(m.write(a + 8, &[0u8; 16]).is_err());
         let err = m.read(100, 8).unwrap_err();
         assert!(err.to_string().contains("out of bounds"));
+    }
+
+    #[test]
+    fn a_shared_region_reads_back_the_staged_bytes() {
+        let payload: Arc<[u8]> = Arc::from(&[1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10][..]);
+        let mut m = Mram::new(1024);
+        let owned = m.alloc(3).unwrap();
+        let shared = m.map_shared(Arc::clone(&payload)).unwrap();
+        assert_eq!(shared, 8, "a shared region is placed like an allocation");
+        assert_eq!(m.read(shared, 10).unwrap(), &payload[..]);
+        assert_eq!(m.read(shared + 4, 3).unwrap(), &[5, 6, 7]);
+        assert!(std::ptr::eq(m.read(shared, 10).unwrap().as_ptr(), payload.as_ptr()));
+        assert_eq!(m.read(owned, 8).unwrap(), &[0; 8]);
+    }
+
+    #[test]
+    fn a_write_into_a_shared_region_changes_only_the_writers_view() {
+        let payload: Arc<[u8]> = Arc::from(&[7u8; 16][..]);
+        let mut writer = Mram::new(1024);
+        let mut other = Mram::new(1024);
+        let a = writer.map_shared(Arc::clone(&payload)).unwrap();
+        let b = other.map_shared(Arc::clone(&payload)).unwrap();
+        writer.write(a + 4, &[1, 2]).unwrap();
+        assert_eq!(writer.read(a, 8).unwrap(), &[7, 7, 7, 7, 1, 2, 7, 7]);
+        assert_eq!(other.read(b, 16).unwrap(), &[7; 16]);
+        assert!(std::ptr::eq(other.read(b, 16).unwrap().as_ptr(), payload.as_ptr()));
+        assert!(!std::ptr::eq(writer.read(a, 16).unwrap().as_ptr(), payload.as_ptr()));
+        assert_eq!(&payload[..], &[7; 16]);
+        assert_eq!(writer.allocated(), other.allocated());
+    }
+
+    #[test]
+    fn an_access_across_a_region_boundary_is_out_of_bounds() {
+        let mut m = Mram::new(1024);
+        let a = m.alloc(16).unwrap();
+        let b = m.map_shared(Arc::from(&[3u8; 16][..])).unwrap();
+        let c = m.alloc(16).unwrap();
+        assert_eq!((a, b, c), (0, 16, 32));
+        let crossing = [(a + 8, 16), (b + 8, 16), (b - 1, 2), (c + 8, 16)];
+        for (addr, len) in crossing {
+            assert!(
+                matches!(m.read(addr, len), Err(MramError::OutOfBounds { .. })),
+                "read [{addr}, +{len})"
+            );
+            assert!(
+                matches!(m.write(addr, &vec![0; len]), Err(MramError::OutOfBounds { .. })),
+                "write [{addr}, +{len})"
+            );
+        }
+        // Each region on its own is still whole.
+        assert_eq!(m.read(b, 16).unwrap(), &[3; 16]);
+        assert!(m.write(c, &[1; 16]).is_ok());
+    }
+
+    #[test]
+    fn a_shared_region_counts_in_full_toward_capacity() {
+        let payload: Arc<[u8]> = Arc::from(&[0u8; 20][..]);
+        let mut m = Mram::new(64);
+        m.map_shared(Arc::clone(&payload)).unwrap();
+        assert_eq!(m.allocated(), 24, "rounded up to 8 like an allocation");
+        m.map_shared(Arc::clone(&payload)).unwrap();
+        assert_eq!(m.allocated(), 48);
+        assert_eq!(m.available(), 16);
+        let err = m.map_shared(Arc::clone(&payload)).unwrap_err();
+        assert_eq!(
+            err,
+            MramError::OutOfMemory {
+                requested: 24,
+                available: 16
+            }
+        );
+        // The failed mapping left nothing behind.
+        assert_eq!(m.allocated(), 48);
+        assert!(m.alloc(16).is_ok());
     }
 }

@@ -27,6 +27,9 @@ pub struct TaskletCtx<'a> {
     /// The tasklet's id within its parallel region (0-based).
     pub tasklet_id: usize,
     mram: &'a Mram,
+    /// The region the last read fell in (base address, bytes): a read inside
+    /// it slices it without searching the MRAM's regions again.
+    window: (MramAddr, &'a [u8]),
     cost: &'a CostModel,
     compute_cycles: u64,
     dma_cycles: u64,
@@ -35,10 +38,16 @@ pub struct TaskletCtx<'a> {
 }
 
 impl<'a> TaskletCtx<'a> {
-    fn new(tasklet_id: usize, mram: &'a Mram, cost: &'a CostModel) -> Self {
+    fn new(
+        tasklet_id: usize,
+        mram: &'a Mram,
+        window: (MramAddr, &'a [u8]),
+        cost: &'a CostModel,
+    ) -> Self {
         Self {
             tasklet_id,
             mram,
+            window,
             cost,
             compute_cycles: 0,
             dma_cycles: 0,
@@ -69,11 +78,21 @@ impl<'a> TaskletCtx<'a> {
     /// models the full-size cluster streamed in full-width DMA chunks.
     ///
     /// # Panics
-    /// Panics if the read is out of bounds.
-    pub fn mram_read_uncharged(&self, addr: MramAddr, len: usize) -> &'a [u8] {
-        self.mram
-            .read(addr, len)
-            .unwrap_or_else(|e| panic!("tasklet {} MRAM read failed: {e}", self.tasklet_id))
+    /// Panics if the read is out of bounds or crosses an allocation boundary.
+    pub fn mram_read_uncharged(&mut self, addr: MramAddr, len: usize) -> &'a [u8] {
+        let (base, bytes) = self.window;
+        if let Some(hit) = addr
+            .checked_sub(base)
+            .and_then(|offset| bytes.get(offset..offset.checked_add(len)?))
+        {
+            return hit;
+        }
+        let (base, bytes) = self
+            .mram
+            .region(addr, len)
+            .unwrap_or_else(|e| panic!("tasklet {} MRAM read failed: {e}", self.tasklet_id));
+        self.window = (base, bytes);
+        &bytes[addr - base..][..len]
     }
 
     /// Charges the DMA cost of transferring `len` bytes without touching data
@@ -202,9 +221,14 @@ impl<'a> DpuKernelCtx<'a> {
         let mut total_compute = 0u64;
         let mut dma_transfers = 0u64;
         let mut bytes_read = 0u64;
+        // Tasklets of one parallel region mostly read the same allocation,
+        // so each starts from the MRAM region its predecessor read last.
+        let mram = self.dpu.mram();
+        let mut window: (MramAddr, &[u8]) = (0, &[]);
         for (t, compute) in per_tasklet_compute.iter_mut().enumerate() {
-            let mut ctx = TaskletCtx::new(t, self.dpu.mram(), self.cost);
+            let mut ctx = TaskletCtx::new(t, mram, window, self.cost);
             results.push(body(&mut ctx));
+            window = ctx.window;
             *compute = ctx.compute_cycles;
             total_compute += ctx.compute_cycles;
             total_dma += ctx.dma_cycles;
