@@ -2,12 +2,13 @@
 //!
 //! The offline phase has loops whose items do not depend on each other — the
 //! `m` PQ sub-quantizers (each with its own seed), the assign + encode of
-//! every added vector, and (in `upanns`) one epoch state per snapshot of an
-//! installed timeline. The online phase has one: a kernel launch, one item
-//! per busy DPU (`pim_sim::host`). [`map_mut`] runs such a loop on several
-//! threads and hands the results back **in index order**, so what is built
-//! from them (codebooks, inverted lists, launch reports) is byte-identical to
-//! the serial loop's whatever the worker count or the interleaving was.
+//! every added vector, and (in `upanns`) the placement of each snapshot of an
+//! installed timeline and the mining of each of its distinct lists. The
+//! online phase has one: a kernel launch, one item per busy DPU
+//! (`pim_sim::host`). [`map_mut`] runs such a loop on several threads and
+//! hands the results back **in index order**, so what is built from them
+//! (codebooks, inverted lists, launch reports) is byte-identical to the
+//! serial loop's whatever the worker count or the interleaving was.
 
 use std::sync::{Mutex, OnceLock, PoisonError};
 

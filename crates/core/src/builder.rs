@@ -14,12 +14,13 @@
 //! clock before every batch.
 
 use crate::config::UpAnnsConfig;
-use crate::cooccurrence::{mine_cluster_combos, ComboTable, MiningParams};
+use crate::cooccurrence::{mine_cluster_combos, MiningParams};
 use crate::encoding::CaeList;
 use crate::engine::{EpochState, UpAnnsEngine};
 use crate::kernel::{mailbox_slot_bytes, ClusterReplica, DpuStore, ListEncoding};
 use crate::placement::{place_pim_aware, place_round_robin, Placement, PlacementInput};
-use annkit::ivf::IvfPqIndex;
+use annkit::ivf::{InvertedList, IvfPqIndex};
+use annkit::mutation::SnapshotTimeline;
 use annkit::pq::ProductQuantizer;
 use annkit::vector::Dataset;
 use pim_sim::config::PimConfig;
@@ -126,104 +127,112 @@ impl<'a> UpAnnsBuilder<'a> {
 
     /// Runs the offline phase and returns a ready engine serving a frozen
     /// single-entry timeline. The builder's inputs are retained by the
-    /// engine as its build recipe, so installing a
-    /// [`SnapshotTimeline`](annkit::mutation::SnapshotTimeline) later
-    /// re-runs this same offline phase per installed snapshot.
+    /// engine as its build recipe, so installing a [`SnapshotTimeline`]
+    /// later re-runs this same offline phase over the installed entries.
     pub fn build(self) -> UpAnnsEngine {
+        let nlist = self.index.nlist();
         let recipe = BuildRecipe {
             config: self.config,
             pim_config: self.pim_config,
-            frequencies: self.frequencies,
+            frequencies: self
+                .frequencies
+                .unwrap_or_else(|| vec![1.0 / nlist as f64; nlist]),
             capacity: self.capacity,
         };
-        let state = build_epoch_state(self.index.clone(), &recipe, self.placement_override);
-        UpAnnsEngine::from_build(recipe, state)
+        let timeline = SnapshotTimeline::new(self.index.clone());
+        let fleet = build_fleet(&timeline, &recipe, self.placement_override);
+        UpAnnsEngine::from_build(recipe, timeline, fleet)
     }
 }
 
-/// The offline-phase inputs an engine keeps so it can rebuild its per-epoch
-/// state when a snapshot timeline is installed. The historical frequencies
-/// are reused across epochs: the workload history does not change when the
-/// corpus mutates, and the cluster count is invariant under mutation
-/// (upserts assign to existing coarse clusters).
+/// The offline-phase inputs an engine keeps so it can rebuild its fleet
+/// when a snapshot timeline is installed. The access frequencies (uniform
+/// when no history is supplied) are reused across epochs: the workload
+/// history does not change when the corpus mutates, and the cluster count
+/// is invariant under mutation (upserts assign to existing coarse clusters).
 #[derive(Clone)]
 pub(crate) struct BuildRecipe {
     pub(crate) config: UpAnnsConfig,
     pub(crate) pim_config: PimConfig,
-    pub(crate) frequencies: Option<Vec<f64>>,
+    pub(crate) frequencies: Vec<f64>,
     pub(crate) capacity: BatchCapacity,
 }
 
-/// Runs steps 1–4 of the offline phase against one snapshot: placement (so
-/// every epoch gets re-placed against its own list sizes), co-occurrence
-/// mining/re-encoding, and MRAM staging.
-pub(crate) fn build_epoch_state(
-    snapshot: IvfPqIndex,
+/// Runs steps 1–4 of the offline phase over every entry of `timeline` into
+/// one fleet: each entry is placed against its own list sizes (the first
+/// one by `placement_override`, if given), each distinct list `Arc` is mined,
+/// encoded and staged once, and a DPU maps it once however many epochs
+/// host it there. Returns the fleet and one epoch state per entry.
+pub(crate) fn build_fleet(
+    timeline: &SnapshotTimeline,
     recipe: &BuildRecipe,
     placement_override: Option<Placement>,
-) -> EpochState {
-    let nlist = snapshot.nlist();
-    let m = snapshot.m();
+) -> (PimSystem, Vec<EpochState>) {
+    let entries = timeline.entries();
+    let first = &entries[0].1;
     let num_dpus = recipe.pim_config.num_dpus;
 
-    // 1. Access frequencies (uniform when no history is supplied).
-    let frequencies = recipe
-        .frequencies
-        .clone()
-        .unwrap_or_else(|| vec![1.0 / nlist as f64; nlist]);
+    // 1–2. Each entry's placement, under the recipe's access frequencies.
+    let placements = annkit::par::map_indexed(entries.len(), |i| {
+        let snapshot = &entries[i].1;
+        let placement_input = PlacementInput::new(
+            snapshot.list_sizes(),
+            recipe.frequencies.clone(),
+            num_dpus,
+            max_dpu_vectors(snapshot.m(), &recipe.pim_config),
+        );
+        let placement = match placement_override.as_ref().filter(|_| i == 0) {
+            Some(p) => p.clone(),
+            None if recipe.config.pim_aware_placement => place_pim_aware(&placement_input),
+            None => place_round_robin(&placement_input),
+        };
+        placement
+            .validate(&placement_input)
+            .expect("placement must satisfy structural invariants");
+        placement
+    });
 
-    // 2. Placement.
-    let placement_input = PlacementInput::new(
-        snapshot.list_sizes(),
-        frequencies,
-        num_dpus,
-        max_dpu_vectors(m, &recipe.pim_config),
-    );
-    let placement: Placement = match placement_override {
-        Some(p) => {
-            assert_eq!(
-                p.dpu_workload.len(),
-                num_dpus,
-                "placement override targets a different DPU count"
-            );
-            p
-        }
-        None if recipe.config.pim_aware_placement => place_pim_aware(&placement_input),
-        None => place_round_robin(&placement_input),
-    };
-    placement
-        .validate(&placement_input)
-        .expect("placement must satisfy structural invariants");
-
-    // 3. Mining + re-encoding (Opt3).
-    // Each cluster is encoded once; its replicas share the result.
-    let mut combos: HashMap<usize, ComboTable> = HashMap::new();
-    let mut encoded: HashMap<usize, Arc<CaeList>> = HashMap::new();
-    if recipe.config.cooccurrence_encoding {
-        for c in 0..nlist {
-            let list = snapshot.list(c);
-            if list.is_empty() {
-                continue;
-            }
-            let table = mine_cluster_combos(list.packed_codes(), m, &MiningParams::default());
-            let cae = CaeList::encode(list.packed_codes(), m, &table);
-            combos.insert(c, table);
-            encoded.insert(c, Arc::new(cae));
+    // 3. Mining + re-encoding (Opt3), once per distinct list: an entry
+    // shares every list its mutations left alone with the entry before.
+    let mut slot_of: HashMap<(usize, *const InvertedList), usize> = HashMap::new();
+    let mut lists: Vec<&InvertedList> = Vec::new();
+    for (_, snapshot) in entries {
+        for (c, list) in snapshot.lists().iter().enumerate() {
+            slot_of.entry((c, Arc::as_ptr(list))).or_insert_with(|| {
+                lists.push(list);
+                lists.len() - 1
+            });
         }
     }
+    let m = first.m();
+    let mined = annkit::par::map_indexed(lists.len(), |i| {
+        let list = lists[i];
+        let encoded = (recipe.config.cooccurrence_encoding && !list.is_empty()).then(|| {
+            let table = mine_cluster_combos(list.packed_codes(), m, &MiningParams::default());
+            let cae = CaeList::encode(list.packed_codes(), m, &table);
+            (table, Arc::new(cae))
+        });
+        let ids: Arc<[u8]> = list.ids().iter().flat_map(|id| id.to_le_bytes()).collect();
+        let payload: Arc<[u8]> = match &encoded {
+            Some((_, cae)) => cae.to_bytes().into(),
+            None => list.packed_codes().into(),
+        };
+        (encoded, ids, payload)
+    });
 
     // 4. Stage everything into MRAM.
     // The codebook and each list are staged once on the host; every DPU
-    // that holds them maps that one copy.
+    // that holds them maps that one copy. The staging buffers are the
+    // fleet's: every epoch's directory names the same ones.
     let mut sys = PimSystem::new(recipe.pim_config.clone());
-    let codebook: Arc<[u8]> = quantized_codebook(snapshot.pq()).into();
+    let codebook: Arc<[u8]> = quantized_codebook(first.pq()).into();
     let expected_assignments_per_dpu = ((recipe.capacity.batch_size * recipe.capacity.nprobe)
         .div_ceil(num_dpus))
     .max(8)
         * 2;
     let expected_queries_per_dpu = expected_assignments_per_dpu.min(recipe.capacity.batch_size);
-    let query_record_bytes = 8 + snapshot.dim() * 4;
-    let mut stores = Vec::with_capacity(num_dpus);
+    let query_record_bytes = 8 + first.dim() * 4;
+    let mut staging = Vec::with_capacity(num_dpus);
     for dpu in 0..num_dpus {
         let codebook_addr = sys
             .mram_map_shared(dpu, &codebook)
@@ -236,7 +245,7 @@ pub(crate) fn build_epoch_state(
         let mailbox_addr = sys
             .mram_alloc(dpu, mailbox_bytes)
             .expect("mailbox fits in MRAM");
-        stores.push(DpuStore {
+        staging.push(DpuStore {
             codebook_addr,
             codebook_bytes: codebook.len(),
             query_buffer_addr,
@@ -247,55 +256,49 @@ pub(crate) fn build_epoch_state(
         });
     }
 
-    for (cluster, dpus) in placement.cluster_to_dpus.iter().enumerate() {
-        let list = snapshot.list(cluster);
-        if list.is_empty() {
-            continue;
-        }
-        let ids_bytes: Arc<[u8]> = list.ids().iter().flat_map(|id| id.to_le_bytes()).collect();
-        let payload: Arc<[u8]> = match encoded.get(&cluster) {
-            Some(cae) => cae.to_bytes().into(),
-            None => list.packed_codes().into(),
-        };
-        for &dpu in dpus {
-            let ids_addr = sys
-                .mram_map_shared(dpu, &ids_bytes)
-                .expect("ids fit in MRAM");
-            let codes_addr = sys
-                .mram_map_shared(dpu, &payload)
-                .expect("codes fit in MRAM");
-            let encoding = match encoded.get(&cluster) {
-                Some(cae) => ListEncoding::CaeU16(Arc::clone(cae)),
-                None => ListEncoding::PlainU8,
-            };
-            stores[dpu].replicas.insert(
-                cluster,
-                ClusterReplica {
+    // The replica a DPU holds of each list it maps, by (DPU, list slot).
+    let mut mapped: HashMap<(usize, usize), ClusterReplica> = HashMap::new();
+    let mut epochs = Vec::with_capacity(entries.len());
+    for (placement, (_, snapshot)) in placements.into_iter().zip(entries) {
+        let mut stores = staging.clone();
+        let mut combos = HashMap::new();
+        let mut reduction_rates = Vec::new();
+        for (cluster, dpus) in placement.cluster_to_dpus.iter().enumerate() {
+            let list = &snapshot.lists()[cluster];
+            if list.is_empty() {
+                continue;
+            }
+            let slot = slot_of[&(cluster, Arc::as_ptr(list))];
+            let (encoded, ids, payload) = &mined[slot];
+            if let Some((table, cae)) = encoded {
+                combos.insert(cluster, table.clone());
+                reduction_rates.push(cae.reduction_rate());
+            }
+            for &dpu in dpus {
+                let replica = mapped.entry((dpu, slot)).or_insert_with(|| ClusterReplica {
                     cluster,
                     num_vectors: list.len(),
-                    ids_addr,
-                    codes_addr,
+                    ids_addr: sys.mram_map_shared(dpu, ids).expect("ids fit in MRAM"),
+                    codes_addr: sys
+                        .mram_map_shared(dpu, payload)
+                        .expect("codes fit in MRAM"),
                     codes_bytes: payload.len(),
-                    encoding,
-                },
-            );
+                    encoding: match encoded {
+                        Some((_, cae)) => ListEncoding::CaeU16(Arc::clone(cae)),
+                        None => ListEncoding::PlainU8,
+                    },
+                });
+                stores[dpu].replicas.insert(cluster, replica.clone());
+            }
         }
+        epochs.push(EpochState {
+            placement,
+            combos,
+            reduction_rates,
+            stores,
+        });
     }
-
-    #[expect(clippy::disallowed_methods, reason = "map to map: no order survives")]
-    let reduction_rates: HashMap<usize, f64> = encoded
-        .iter()
-        .map(|(&c, cae)| (c, cae.reduction_rate()))
-        .collect();
-
-    EpochState {
-        snapshot,
-        placement,
-        combos,
-        reduction_rates,
-        stores,
-        sys,
-    }
+    (sys, epochs)
 }
 
 /// The placement's cap on vectors per DPU (`MAX_DPU_SIZE` of Algorithm 1):
@@ -504,5 +507,97 @@ mod tests {
         assert!(replicated > 0, "the fixture replicates no list");
         // Modeled MRAM still charges every DPU each payload it maps.
         assert_eq!(sys.total_mram_allocated(), TOTAL_MRAM_ALLOCATED);
+    }
+
+    /// Modeled MRAM of the same engine after installing the timeline below:
+    /// the fresh build's plus every list a later epoch stages anew.
+    const TIMELINE_MRAM_ALLOCATED: usize = 1_058_672;
+
+    #[test]
+    fn an_installed_timeline_stages_each_list_once_across_epochs() {
+        use annkit::mutation::MutableIvf;
+        use baselines::engine::AnnEngine;
+        let (index, data) = shared_index();
+        let mut engine = UpAnnsBuilder::new(index)
+            .with_pim_config(PimConfig::with_dpus(16))
+            .with_batch_capacity(BatchCapacity {
+                batch_size: 16,
+                nprobe: 4,
+                max_k: 10,
+            })
+            .build();
+        // Three entries; each upserts copies of two vectors, so it changes
+        // at most two of the eight lists and leaves the rest shared.
+        let mut live = MutableIvf::new(index);
+        let mut timeline = SnapshotTimeline::new(live.snapshot());
+        for step in 0..2u64 {
+            for row in [3 + step as usize * 400, 1200 - step as usize * 300] {
+                live.upsert(data.vector(row), 90_000 + step * 10 + row as u64);
+            }
+            timeline.install(10.0 * (step + 1) as f64, live.snapshot());
+        }
+        assert!(engine.install_timeline(timeline.clone()));
+        let sys = engine.pim_system();
+        let epochs = engine.epochs();
+        let staged = |dpu: usize, addr: MramAddr, len: usize| {
+            let bytes = sys.dpu(dpu).mram().read(addr, len).expect("staged bytes");
+            bytes.as_ptr()
+        };
+
+        // One codebook mapping per DPU serves every epoch, and every DPU
+        // maps one host copy.
+        let codebook = staged(0, epochs[0].stores[0].codebook_addr, index.dim() * 256);
+        for epoch in epochs {
+            for (dpu, store) in epoch.stores.iter().enumerate() {
+                assert_eq!(store.codebook_addr, epochs[0].stores[dpu].codebook_addr);
+                let here = staged(dpu, store.codebook_addr, store.codebook_bytes);
+                assert!(
+                    std::ptr::eq(here, codebook),
+                    "DPU {dpu} holds its own codebook"
+                );
+            }
+        }
+
+        // A list one entry shares with the one before is mined once and
+        // read from the same staged bytes on every DPU that hosts it in
+        // both epochs.
+        let (mut shared, mut changed, mut reused) = (0, 0, 0);
+        let entries = timeline.entries();
+        for i in 1..entries.len() {
+            let (before, after) = (&epochs[i - 1], &epochs[i]);
+            for c in 0..index.nlist() {
+                if !Arc::ptr_eq(&entries[i - 1].1.lists()[c], &entries[i].1.lists()[c]) {
+                    changed += 1;
+                    continue;
+                }
+                shared += 1;
+                let (t0, t1) = (&before.combos[&c], &after.combos[&c]);
+                assert!(
+                    std::ptr::eq(t0.combos().as_ptr(), t1.combos().as_ptr()),
+                    "list {c}: re-mined"
+                );
+                for (dpu, (s0, s1)) in before.stores.iter().zip(&after.stores).enumerate() {
+                    let (Some(r0), Some(r1)) = (s0.replicas.get(&c), s1.replicas.get(&c)) else {
+                        continue;
+                    };
+                    assert_eq!((r0.ids_addr, r0.codes_addr), (r1.ids_addr, r1.codes_addr));
+                    let (ListEncoding::CaeU16(e0), ListEncoding::CaeU16(e1)) =
+                        (&r0.encoding, &r1.encoding)
+                    else {
+                        panic!("list {c}: not CAE-encoded");
+                    };
+                    assert!(Arc::ptr_eq(e0, e1), "list {c}: DPU {dpu} re-encoded");
+                    let here = staged(dpu, r1.codes_addr, r1.codes_bytes);
+                    let before = staged(dpu, r0.codes_addr, r0.codes_bytes);
+                    assert!(std::ptr::eq(here, before), "list {c}: DPU {dpu} re-staged");
+                    reused += 1;
+                }
+            }
+        }
+        assert!(
+            changed > 0 && shared > 0 && reused > 0,
+            "{changed} changed, {shared} shared, {reused} reused"
+        );
+        assert_eq!(sys.total_mram_allocated(), TIMELINE_MRAM_ALLOCATED);
     }
 }

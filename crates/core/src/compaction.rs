@@ -18,9 +18,9 @@
 //! modeled rewrite of those lists plus re-placement is recorded. Engines
 //! stall requests that land inside a window; that stall is the "p99 during
 //! compaction" the benchmark reports. Re-placement itself falls out of the
-//! design for free: each installed snapshot gets its own offline phase
-//! (placement, co-occurrence mining, MRAM staging) when the timeline is
-//! installed into an engine.
+//! design for free: each installed snapshot gets its own placement when the
+//! timeline is installed into an engine, and each list it changed is mined
+//! and staged anew.
 
 use annkit::ivf::IvfPqIndex;
 use annkit::mutation::{CompactionStats, MutableIvf, SnapshotTimeline};

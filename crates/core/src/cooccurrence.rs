@@ -11,6 +11,8 @@
 //! WRAM at query time so the distance loop replaces several lookups + adds
 //! with one.
 
+use std::sync::Arc;
+
 /// A positioned code element: `code` appearing at PQ position `position`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Element {
@@ -60,11 +62,13 @@ impl Combo {
 }
 
 /// The mined combination table of one cluster, ordered by descending support.
+/// A clone shares the mined rows: every epoch that serves one unchanged list
+/// reads one table.
 #[derive(Debug, Clone, Default)]
 pub struct ComboTable {
-    combos: Vec<Combo>,
+    combos: Arc<[Combo]>,
     /// Support (number of matching vectors) of each combo.
-    support: Vec<usize>,
+    support: Arc<[usize]>,
 }
 
 impl ComboTable {
@@ -214,7 +218,10 @@ pub fn mine_cluster_combos(packed_codes: &[u8], m: usize, params: &MiningParams)
         });
         support.push(s);
     }
-    ComboTable { combos, support }
+    ComboTable {
+        combos: combos.into(),
+        support: support.into(),
+    }
 }
 
 /// A candidate combination's elements, sorted by position. `None < Some(_)`,
@@ -486,9 +493,10 @@ mod tests {
         let combo = Combo {
             elements: vec![Element::new(1, 10), Element::new(3, 200)],
         };
-        let mut table = ComboTable::empty();
-        table.combos.push(combo.clone());
-        table.support.push(5);
+        let table = ComboTable {
+            combos: Arc::new([combo.clone()]),
+            support: Arc::new([5]),
+        };
         let sums = table.partial_sums(&lut);
         let expected = lut.get(1, 10) + lut.get(3, 200);
         assert!((sums[0] - expected).abs() < 1e-6);

@@ -14,24 +14,24 @@
 //! 6. **Host merge** — fold per-DPU partial top-k lists into the final
 //!    answer per query.
 //!
-//! The engine serves a [`SnapshotTimeline`] rather than a frozen index: each
-//! installed snapshot gets its own epoch state — placement, combo tables
-//! and staged MRAM derived from that snapshot by re-running the offline
-//! phase — and every query runs against the state active at its own
-//! arrival time. A freshly built engine holds a single frozen entry, so
-//! the unmutated path is bitwise identical to the pre-mutation design.
+//! The engine serves a [`SnapshotTimeline`] rather than a frozen index on
+//! one PIM fleet: each installed snapshot gets its own epoch state — a
+//! placement, combo tables and a per-DPU map of the MRAM regions it reads
+//! — and every query runs against the state active at its own arrival
+//! time. Epochs share the fleet's staging buffers and every list a mutation
+//! left alone. A freshly built engine holds a single frozen entry.
 //!
 //! The engine implements [`AnnEngine`], so the benchmark harness sweeps it
 //! interchangeably with the CPU/GPU baselines.
 
-use crate::builder::{build_epoch_state, BuildRecipe};
+use crate::builder::{build_fleet, BuildRecipe};
 use crate::cooccurrence::ComboTable;
 use crate::config::UpAnnsConfig;
 use crate::kernel::{
     mailbox_slot_bytes, parse_mailbox, run_batch_kernel, DpuBatchPlan, DpuStore, KernelShared,
 };
 use crate::placement::Placement;
-use crate::scheduling::{schedule_queries, Schedule};
+use crate::scheduling::schedule_queries;
 use annkit::ivf::IvfPqIndex;
 use annkit::mutation::SnapshotTimeline;
 use annkit::topk::{Neighbor, TopK};
@@ -49,40 +49,44 @@ use std::collections::HashMap;
 /// `upanns.engine.host_ns_per_candidate` in the benchmark's traced runs.
 const LUT_BUILD_WORK: u64 = 128;
 
-/// Everything the six-stage pipeline needs to serve one installed snapshot:
-/// the snapshot itself plus the offline artifacts (placement, combo tables,
-/// reduction rates, staged MRAM and the simulated system) derived from it.
+/// What the six-stage pipeline needs to serve one installed snapshot beyond
+/// the snapshot (its timeline entry) and the fleet: the placement, combo
+/// tables and reduction rates derived from the snapshot, and each DPU's
+/// directory of the fleet's regions it reads.
 pub(crate) struct EpochState {
-    pub(crate) snapshot: IvfPqIndex,
     pub(crate) placement: Placement,
     pub(crate) combos: HashMap<usize, ComboTable>,
-    pub(crate) reduction_rates: HashMap<usize, f64>,
+    /// One per encoded cluster, in ascending cluster order.
+    pub(crate) reduction_rates: Vec<f64>,
     pub(crate) stores: Vec<DpuStore>,
-    pub(crate) sys: PimSystem,
 }
 
 /// Ensures DPU `dpu`'s staging buffers can hold `query_bytes` /
-/// `mailbox_bytes`, growing them (new MRAM allocations) if needed.
+/// `mailbox_bytes`, growing them (new MRAM allocations) if needed. The
+/// buffers are the fleet's, so every epoch's directory names the grown ones.
 fn ensure_capacity(
     sys: &mut PimSystem,
-    stores: &mut [DpuStore],
+    epochs: &mut [EpochState],
     dpu: usize,
     query_bytes: usize,
     mailbox_bytes: usize,
 ) {
-    if stores[dpu].query_buffer_bytes < query_bytes {
-        let addr = sys
-            .mram_alloc(dpu, query_bytes)
-            .expect("MRAM for enlarged query buffer");
-        stores[dpu].query_buffer_addr = addr;
-        stores[dpu].query_buffer_bytes = query_bytes;
-    }
-    if stores[dpu].mailbox_bytes < mailbox_bytes {
-        let addr = sys
-            .mram_alloc(dpu, mailbox_bytes)
-            .expect("MRAM for enlarged mailbox");
-        stores[dpu].mailbox_addr = addr;
-        stores[dpu].mailbox_bytes = mailbox_bytes;
+    let store = &epochs[0].stores[dpu];
+    let query = (store.query_buffer_bytes < query_bytes).then(|| {
+        sys.mram_alloc(dpu, query_bytes)
+            .expect("MRAM for enlarged query buffer")
+    });
+    let mailbox = (store.mailbox_bytes < mailbox_bytes).then(|| {
+        sys.mram_alloc(dpu, mailbox_bytes)
+            .expect("MRAM for enlarged mailbox")
+    });
+    for store in epochs.iter_mut().map(|epoch| &mut epoch.stores[dpu]) {
+        if let Some(addr) = query {
+            (store.query_buffer_addr, store.query_buffer_bytes) = (addr, query_bytes);
+        }
+        if let Some(addr) = mailbox {
+            (store.mailbox_addr, store.mailbox_bytes) = (addr, mailbox_bytes);
+        }
     }
 }
 
@@ -107,11 +111,13 @@ fn host_merge_seconds(host: &CpuSpec, partials: usize, k: usize) -> f64 {
 /// [`UpAnnsConfig`] it was built with).
 pub struct UpAnnsEngine {
     timeline: SnapshotTimeline,
+    /// The one simulated fleet: every epoch's regions are staged in it.
+    sys: PimSystem,
     /// One derived state per timeline entry (parallel to
     /// `timeline.entries()`).
     epochs: Vec<EpochState>,
     /// The offline-phase inputs, kept so `install_timeline` can re-run the
-    /// build for every installed snapshot.
+    /// build over the installed snapshots.
     recipe: BuildRecipe,
     host_cpu: CpuSpec,
     name: String,
@@ -123,27 +129,28 @@ impl UpAnnsEngine {
     /// Assembles an engine from the builder's outputs (use
     /// [`UpAnnsBuilder`](crate::builder::UpAnnsBuilder) rather than calling
     /// this directly).
-    pub(crate) fn from_build(recipe: BuildRecipe, state: EpochState) -> Self {
+    pub(crate) fn from_build(
+        recipe: BuildRecipe,
+        timeline: SnapshotTimeline,
+        (sys, epochs): (PimSystem, Vec<EpochState>),
+    ) -> Self {
         let config = &recipe.config;
-        let name = if config.pim_aware_placement
-            && config.cooccurrence_encoding
-            && config.topk_pruning
-        {
-            "UpANNS".to_string()
-        } else if !config.pim_aware_placement
-            && !config.cooccurrence_encoding
-            && !config.topk_pruning
-        {
-            "PIM-naive".to_string()
-        } else {
-            "UpANNS(partial)".to_string()
+        let name = match (
+            config.pim_aware_placement,
+            config.cooccurrence_encoding,
+            config.topk_pruning,
+        ) {
+            (true, true, true) => "UpANNS",
+            (false, false, false) => "PIM-naive",
+            _ => "UpANNS(partial)",
         };
         Self {
-            timeline: SnapshotTimeline::new(state.snapshot.clone()),
-            epochs: vec![state],
+            timeline,
+            sys,
+            epochs,
             recipe,
             host_cpu: CpuSpec::default(),
-            name,
+            name: name.to_string(),
             last_exec_report: None,
             last_schedule_ratio: 1.0,
         }
@@ -165,25 +172,22 @@ impl UpAnnsEngine {
         &self.current().placement
     }
 
-    /// The simulated PIM system (for energy and configuration queries).
+    /// The simulated PIM system: the one fleet that holds every installed
+    /// epoch's regions (for energy, configuration and MRAM queries).
     pub fn pim_system(&self) -> &PimSystem {
-        &self.current().sys
+        &self.sys
     }
 
     /// Mean co-occurrence length-reduction rate across encoded clusters
     /// (0 when CAE is disabled) — the x-axis quantity of Figure 14.
     ///
-    /// Summed in ascending cluster order: an `f64` sum depends on its order,
-    /// and the map's is a different one in every engine.
+    /// Summed in ascending cluster order: an `f64` sum depends on its order.
     pub fn mean_reduction_rate(&self) -> f64 {
         let rates = &self.current().reduction_rates;
         if rates.is_empty() {
             return 0.0;
         }
-        #[expect(clippy::disallowed_methods, reason = "sorted by cluster below")]
-        let mut by_cluster: Vec<(usize, f64)> = rates.iter().map(|(&c, &r)| (c, r)).collect();
-        by_cluster.sort_unstable_by_key(|&(c, _)| c);
-        by_cluster.iter().map(|&(_, r)| r).sum::<f64>() / rates.len() as f64
+        rates.iter().sum::<f64>() / rates.len() as f64
     }
 
     /// The max/avg DPU busy-time ratio of the most recent batch (Figure 11's
@@ -205,13 +209,13 @@ impl UpAnnsEngine {
     pub fn last_exec_report(&self) -> Option<&ExecReport> {
         self.last_exec_report.as_ref()
     }
-
 }
 
 /// Everything of the engine one launch reads and writes — all of it but the
 /// timeline, so [`UpAnnsEngine::execute`] can resolve entries on the
 /// timeline by reference while launches mutate the rest.
 struct Launcher<'a> {
+    sys: &'a mut PimSystem,
     epochs: &'a mut [EpochState],
     config: &'a UpAnnsConfig,
     host_cpu: &'a CpuSpec,
@@ -221,24 +225,16 @@ struct Launcher<'a> {
 
 impl Launcher<'_> {
     /// One uniform sub-batch through the full six-stage PIM pipeline, against
-    /// the epoch state at index `epoch`.
+    /// `snapshot` and its epoch state at index `epoch`.
     fn run_uniform(
         &mut self,
         epoch: usize,
+        snapshot: &IvfPqIndex,
         queries: &Dataset,
         nprobe: usize,
         k: usize,
     ) -> SearchResponse {
-        let config = self.config;
-        let host_cpu = self.host_cpu;
-        let EpochState {
-            snapshot,
-            placement,
-            combos,
-            stores,
-            sys,
-            ..
-        } = &mut self.epochs[epoch];
+        let (config, host_cpu, sys) = (self.config, self.host_cpu, &mut *self.sys);
         assert_eq!(queries.dim(), snapshot.dim(), "query dimension mismatch");
         assert!(k > 0, "k must be positive");
         let nprobe = nprobe.min(snapshot.nlist()).max(1);
@@ -265,7 +261,7 @@ impl Launcher<'_> {
         sys.advance_host(Stage::ClusterFiltering, filter_seconds);
 
         // ---- Stage 2: query scheduling (host CPU, Algorithm 2) ------------
-        let schedule: Schedule = schedule_queries(&filtered, placement, &cluster_sizes);
+        let schedule = schedule_queries(&filtered, &self.epochs[epoch].placement, &cluster_sizes);
         *self.last_schedule_ratio = schedule.max_to_avg_workload();
         let total_assignments = schedule.total_assignments();
         let schedule_seconds = host_schedule_seconds(host_cpu, total_assignments, snapshot.dim());
@@ -285,7 +281,8 @@ impl Launcher<'_> {
             }
             let mailbox_needed =
                 assignments.len().min(nq) * mailbox_slot_bytes(k).max(mailbox_slot_bytes(1));
-            ensure_capacity(sys, stores, dpu, uniform_query_bytes, mailbox_needed);
+            ensure_capacity(sys, self.epochs, dpu, uniform_query_bytes, mailbox_needed);
+            let query_buffer_addr = self.epochs[epoch].stores[dpu].query_buffer_addr;
 
             // The residual is computed once, into the plan (the kernel's
             // functional input), and serialized from there.
@@ -304,13 +301,13 @@ impl Launcher<'_> {
                 }
             }
             buffer.resize(uniform_query_bytes, 0); // pad to the uniform size
-            writes.push(DpuWrite::new(dpu, stores[dpu].query_buffer_addr, buffer));
+            writes.push(DpuWrite::new(dpu, query_buffer_addr, buffer));
         }
         sys.push_to_dpus(Stage::QueryTransfer, &writes)
             .expect("query staging buffers are sized by ensure_capacity");
 
         // ---- Stage 4: DPU kernel -------------------------------------------
-        let stores_ref: &[DpuStore] = stores;
+        let EpochState { combos, stores, .. } = &self.epochs[epoch];
         let shared = KernelShared {
             pq: snapshot.pq(),
             combos,
@@ -332,7 +329,7 @@ impl Launcher<'_> {
             .collect();
         let (report, outputs) = sys.execute_scheduled(Stage::DpuSearch, &work, |ctx| {
             let dpu = ctx.dpu_id();
-            run_batch_kernel(ctx, &stores_ref[dpu], &plans[dpu], &shared)
+            run_batch_kernel(ctx, &stores[dpu], &plans[dpu], &shared)
         });
 
         // ---- Stage 5: result transfer (DPU → host) -------------------------
@@ -343,8 +340,8 @@ impl Launcher<'_> {
             .map(|d| {
                 DpuRead::new(
                     d,
-                    stores_ref[d].mailbox_addr,
-                    uniform_mailbox.min(stores_ref[d].mailbox_bytes),
+                    stores[d].mailbox_addr,
+                    uniform_mailbox.min(stores[d].mailbox_bytes),
                 )
             })
             .collect();
@@ -412,31 +409,28 @@ impl AnnEngine for UpAnnsEngine {
 
     fn execute(&mut self, request: &SearchRequest) -> SearchResponse {
         let mut launcher = Launcher {
+            sys: &mut self.sys,
             epochs: &mut self.epochs,
             config: &self.recipe.config,
             host_cpu: &self.host_cpu,
             last_exec_report: &mut self.last_exec_report,
             last_schedule_ratio: &mut self.last_schedule_ratio,
         };
+        let entries = self.timeline.entries();
         execute_by_entry(&self.timeline, request, |epoch, sub| {
             execute_grouped(sub, |queries, nprobe, k| {
-                launcher.run_uniform(epoch, queries, nprobe, k)
+                launcher.run_uniform(epoch, &entries[epoch].1, queries, nprobe, k)
             })
         })
     }
 
     fn energy_model(&self) -> EnergyModel {
-        EnergyModel::pim(self.current().sys.config())
+        EnergyModel::pim(self.sys.config())
     }
 
     fn install_timeline(&mut self, timeline: SnapshotTimeline) -> bool {
-        // An epoch state is a pure function of (snapshot, recipe), so the
-        // epochs are built side by side and gathered in timeline order.
-        let entries = timeline.entries();
-        let recipe = &self.recipe;
-        self.epochs = annkit::par::map_indexed(entries.len(), |i| {
-            build_epoch_state(entries[i].1.clone(), recipe, None)
-        });
+        // One new fleet for the whole timeline replaces the old one.
+        (self.sys, self.epochs) = build_fleet(&timeline, &self.recipe, None);
         self.timeline = timeline;
         true
     }
@@ -458,6 +452,11 @@ mod tests {
         /// tests check what it staged).
         pub(crate) fn stores(&self) -> &[DpuStore] {
             &self.current().stores
+        }
+
+        /// Every installed epoch's state, in timeline order.
+        pub(crate) fn epochs(&self) -> &[EpochState] {
+            &self.epochs
         }
     }
 
@@ -711,9 +710,40 @@ mod tests {
         (answers, r.seconds.to_bits(), breakdown, r.stats.clone())
     }
 
+    /// An engine built from `snapshot` alone with `recipe`.
+    fn built_from(recipe: &BuildRecipe, snapshot: &IvfPqIndex) -> UpAnnsEngine {
+        let timeline = SnapshotTimeline::new(snapshot.clone());
+        let fleet = build_fleet(&timeline, recipe, None);
+        UpAnnsEngine::from_build(recipe.clone(), timeline, fleet)
+    }
+
+    /// A response's answers and stats, and every stage of its breakdown but
+    /// the result transfer, with floats as bits.
+    fn bits_but_result_transfer(r: &SearchResponse) -> impl PartialEq + std::fmt::Debug {
+        let answers: Vec<Vec<(u64, u32)>> = r
+            .results
+            .iter()
+            .map(|q| q.iter().map(|n| (n.id, n.distance.to_bits())).collect())
+            .collect();
+        let stages: Vec<(Stage, u64)> = Stage::ALL
+            .into_iter()
+            .filter(|&stage| stage != Stage::ResultTransfer)
+            .map(|stage| (stage, r.breakdown.seconds(stage).to_bits()))
+            .collect();
+        (answers, stages, r.stats.clone())
+    }
+
+    /// Every epoch of an installed timeline answers like an engine built
+    /// from its snapshot alone, whichever epochs the fleet served before.
+    /// The epochs share the fleet's staging buffers, so a request that grows
+    /// them leaves larger mailboxes behind for every epoch; the mailbox read
+    /// is clamped to the mailbox (`run_uniform`'s stage 5), so a later
+    /// request larger than the build's capacity hint may read more bytes in
+    /// the result transfer than a fresh engine would. Every other stage,
+    /// the answers and the stats stay equal; inside the hint, all of it does.
     #[test]
     fn every_installed_epoch_equals_an_engine_built_from_its_snapshot() {
-        use annkit::mutation::{MutableIvf, SnapshotTimeline};
+        use annkit::mutation::MutableIvf;
         let fix = shared_index();
         // Five entries, so concurrent builders each get a run of several and
         // a misplaced run would serve the wrong corpus.
@@ -729,14 +759,20 @@ mod tests {
         }
         let rows: Vec<usize> = (0..24).map(|i| i * 83 % 2000).collect();
         let queries = fix.data.gather(&rows);
+        // Inside `build`'s capacity hint (32 queries, nprobe 4, k ≤ 10).
         let request = SearchRequest::uniform(&queries, 4, 10);
+        let rows: Vec<usize> = (0..160).map(|i| i * 37 % 2000).collect();
+        let many = fix.data.gather(&rows);
+        let large = SearchRequest::uniform(&many, 8, 40);
 
         let mut first = build(UpAnnsConfig::upanns(), 8);
         let mut second = build(UpAnnsConfig::upanns(), 8);
         assert!(first.install_timeline(timeline.clone()));
         assert!(second.install_timeline(timeline.clone()));
         let recipe = first.recipe.clone();
-        for (at, snapshot) in timeline.entries() {
+        let entries = timeline.entries();
+        let mut references = Vec::new();
+        for (at, snapshot) in entries {
             let at = at.max(0.0) + 1.0;
             let served = first.execute(&request.clone().with_at(at));
             let again = second.execute(&request.clone().with_at(at));
@@ -745,15 +781,40 @@ mod tests {
                 response_bits(&again),
                 "two installs, t = {at}"
             );
-            let state = build_epoch_state(snapshot.clone(), &recipe, None);
-            let mut scratch = UpAnnsEngine::from_build(recipe.clone(), state);
+            let mut scratch = built_from(&recipe, snapshot);
             let reference = scratch.execute(&request);
             assert_eq!(
                 response_bits(&served),
                 response_bits(&reference),
                 "t = {at}"
             );
+            references.push((reference, scratch.execute(&large)));
         }
+
+        // A third engine serves the entries last to first, then first to
+        // last, the large request after each small one.
+        let mut shuffled = build(UpAnnsConfig::upanns(), 8);
+        assert!(shuffled.install_timeline(timeline.clone()));
+        let hinted = shuffled.stores()[0].mailbox_bytes;
+        for i in (0..entries.len()).rev().chain(0..entries.len()) {
+            let at = entries[i].0.max(0.0) + 1.0;
+            let (small, grown) = &references[i];
+            let served = shuffled.execute(&request.clone().with_at(at));
+            assert_eq!(response_bits(&served), response_bits(small), "entry {i}");
+            let served = shuffled.execute(&large.clone().with_at(at));
+            assert_eq!(
+                bits_but_result_transfer(&served),
+                bits_but_result_transfer(grown),
+                "entry {i}, large request"
+            );
+        }
+        assert!(
+            shuffled
+                .epochs()
+                .iter()
+                .all(|e| e.stores[0].mailbox_bytes > hinted),
+            "the large request grew no mailbox"
+        );
     }
 
     #[test]

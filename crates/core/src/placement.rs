@@ -135,12 +135,15 @@ impl Placement {
         }
     }
 
-    /// Checks the structural invariants every placement must satisfy:
-    /// every cluster has ≥ 1 replica, all DPU ids are in range, and no DPU
-    /// exceeds `max_dpu_vectors`.
+    /// Checks the structural invariants every placement must satisfy: it
+    /// targets `num_dpus` DPUs, every cluster has ≥ 1 replica, all DPU ids
+    /// are in range, and no DPU exceeds `max_dpu_vectors`.
     pub fn validate(&self, input: &PlacementInput) -> Result<(), String> {
         if self.cluster_to_dpus.len() != input.num_clusters() {
             return Err("placement covers wrong number of clusters".into());
+        }
+        if self.dpu_workload.len() != input.num_dpus {
+            return Err("placement targets a different DPU count".into());
         }
         for (c, dpus) in self.cluster_to_dpus.iter().enumerate() {
             if dpus.is_empty() {
@@ -428,6 +431,16 @@ mod tests {
         assert!(p.threshold.is_infinite());
         assert!(p.dpu_vectors.iter().all(|&v| v <= 60));
         assert_eq!(p.validate(&input).unwrap_err(), "cluster 10 has no replica");
+    }
+
+    #[test]
+    fn validate_refuses_a_placement_for_another_dpu_count() {
+        let input = PlacementInput::new(vec![10; 4], vec![1.0; 4], 4, 100);
+        let p = place_round_robin(&input);
+        p.validate(&input).unwrap();
+        let wider = PlacementInput::new(vec![10; 4], vec![1.0; 4], 8, 100);
+        let err = p.validate(&wider).unwrap_err();
+        assert_eq!(err, "placement targets a different DPU count");
     }
 
     #[test]
