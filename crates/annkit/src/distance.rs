@@ -54,8 +54,8 @@ pub fn nearest_centroid(v: &[f32], centroids: &[f32], dim: usize) -> (usize, f32
 }
 
 /// Finds the indices of the `n` closest centroids to `v`, ordered from
-/// closest to furthest. Used for cluster filtering (selecting `nprobe`
-/// clusters per query).
+/// closest to furthest — the row-form cluster filter, and the oracle of
+/// [`nearest_centroids_cols`].
 ///
 /// All distances come from one `simd::l2_squared_rows` call (bitwise what
 /// one [`l2_squared`] per centroid returns); the `n` best are selected and
@@ -65,12 +65,57 @@ pub fn nearest_centroid(v: &[f32], centroids: &[f32], dim: usize) -> (usize, f32
 pub fn nearest_centroids(v: &[f32], centroids: &[f32], dim: usize, n: usize) -> Vec<(usize, f32)> {
     assert!(centroids.len().is_multiple_of(dim), "centroid buffer not a multiple of dim");
     let k = centroids.len() / dim;
-    let n = n.min(k);
-    if n == 0 {
+    if n.min(k) == 0 {
         return Vec::new();
     }
     let mut distances = vec![0.0f32; k];
     simd::l2_squared_rows(v, centroids, &mut distances);
+    select_nearest(&distances, n)
+}
+
+/// [`nearest_centroids`] over the *column-major* twin of `k` centroids
+/// (component `j` of centroid `r` at `cols[j * k + r]`, see [`to_columns`]):
+/// cluster filtering ([`IvfPqIndex::filter_clusters`](crate::ivf::IvfPqIndex::filter_clusters)).
+///
+/// The distances come from `simd::l2_squared_cols`, one centroid per SIMD
+/// lane in blocks of [`simd::WIDE_ROWS`], each lane running the row
+/// kernel's reduction tree on its own — so ids and distance bits equal
+/// [`nearest_centroids`] on the row-major table.
+///
+/// # Panics
+/// Panics if `cols.len() != k * v.len()`.
+pub fn nearest_centroids_cols(v: &[f32], cols: &[f32], k: usize, n: usize) -> Vec<(usize, f32)> {
+    assert_eq!(cols.len(), k * v.len(), "centroid buffer not k columns of dim");
+    if n.min(k) == 0 {
+        return Vec::new();
+    }
+    let mut distances = vec![0.0f32; k];
+    simd::l2_squared_cols(v, cols, &mut distances);
+    select_nearest(&distances, n)
+}
+
+/// The row-major table `rows` (rows of `dim` floats) column-major: component
+/// `j` of row `r` at `j * rows + r` — the layout of the column kernel.
+///
+/// # Panics
+/// Panics if `dim` is zero or `rows.len()` is not a multiple of `dim`.
+pub fn to_columns(rows: &[f32], dim: usize) -> Vec<f32> {
+    assert!(dim > 0 && rows.len().is_multiple_of(dim), "rows not a multiple of dim");
+    let k = rows.len() / dim;
+    let mut cols = vec![0.0f32; rows.len()];
+    for (r, row) in rows.chunks_exact(dim).enumerate() {
+        for (j, &x) in row.iter().enumerate() {
+            cols[j * k + r] = x;
+        }
+    }
+    cols
+}
+
+/// The `n` smallest of `distances` (at least one), closest first, as
+/// `(index, distance)`: the `n` best are selected and only those sorted.
+fn select_nearest(distances: &[f32], n: usize) -> Vec<(usize, f32)> {
+    let k = distances.len();
+    let n = n.min(k);
     let mut keys: Vec<u64> = distances
         .iter()
         .enumerate()

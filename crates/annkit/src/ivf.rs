@@ -14,9 +14,9 @@
 //! [`crate::mutation::MutableIvf`] copies a list only on its first write
 //! while a snapshot still shares it.
 
-use crate::distance::nearest_centroids;
+use crate::distance::{nearest_centroids_cols, to_columns};
 use crate::kmeans::{sample_indices, KMeans, KMeansParams};
-use crate::lut::LookupTable;
+use crate::lut::{mark_code_blocks, LookupTable};
 use crate::par;
 use crate::pq::ProductQuantizer;
 use crate::topk::{Neighbor, TopK};
@@ -66,12 +66,16 @@ impl IvfPqParams {
     }
 }
 
-/// One inverted list (cluster): parallel arrays of ids and packed codes.
+/// One inverted list (cluster): parallel arrays of ids and packed codes,
+/// plus the list's code-block mask.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedList {
     ids: Vec<u64>,
     /// Packed codes: `len * m` bytes.
     packed: Vec<u8>,
+    /// Code-block mask ([`mark_code_blocks`]) of every code ever pushed:
+    /// `m` words once the list has held a code, empty before.
+    blocks: Vec<u32>,
 }
 
 impl InvertedList {
@@ -99,6 +103,16 @@ impl InvertedList {
         &self.packed
     }
 
+    /// The list's code-block mask (see [`crate::lut`]): one `u32` per
+    /// sub-quantizer covering every `(sub, code)` its codes use, for
+    /// [`LookupTable::rebuild_masked`]. Empty for a list that never held a
+    /// code. A removal leaves its code's bits set, so after deletes the mask
+    /// is a superset — still correct, only less sparse.
+    #[inline]
+    pub fn code_blocks(&self) -> &[u32] {
+        &self.blocks
+    }
+
     /// Byte footprint of this list (ids + codes), the quantity the placement
     /// algorithm balances across DPUs.
     pub(crate) fn bytes(&self, m: usize) -> usize {
@@ -108,6 +122,8 @@ impl InvertedList {
     pub(crate) fn push(&mut self, id: u64, code: &[u8]) {
         self.ids.push(id);
         self.packed.extend_from_slice(code);
+        self.blocks.resize(code.len(), 0);
+        mark_code_blocks(code, &mut self.blocks);
     }
 }
 
@@ -119,6 +135,9 @@ impl InvertedList {
 pub struct IvfPqIndex {
     params: IvfPqParams,
     coarse: Arc<KMeans>,
+    /// The coarse centroids column-major ([`to_columns`]), the table cluster
+    /// filtering reads.
+    coarse_cols: Arc<[f32]>,
     pq: Arc<ProductQuantizer>,
     lists: Vec<Arc<InvertedList>>,
     dim: usize,
@@ -177,6 +196,7 @@ impl IvfPqIndex {
 
         Self {
             params: params.clone(),
+            coarse_cols: to_columns(coarse.centroids_flat(), dim).into(),
             coarse: Arc::new(coarse),
             pq: Arc::new(pq),
             lists: vec![Arc::default(); params.nlist],
@@ -315,12 +335,17 @@ impl IvfPqIndex {
     }
 
     /// Stage (a) — cluster filtering: the `nprobe` coarse clusters nearest to
-    /// the query, closest first.
+    /// the query, closest first. Runs the column kernel over the centroids'
+    /// column-major twin; ids and distance bits equal the row-form
+    /// [`nearest_centroids`](crate::distance::nearest_centroids) over
+    /// the centroids themselves.
     pub fn filter_clusters(&self, query: &[f32], nprobe: usize) -> Vec<(usize, f32)> {
-        nearest_centroids(query, self.coarse.centroids_flat(), self.dim, nprobe)
+        nearest_centroids_cols(query, &self.coarse_cols, self.params.nlist, nprobe)
     }
 
-    /// Stage (b) — LUT construction for one probed cluster.
+    /// Stage (b) — LUT construction for one probed cluster: the full table,
+    /// the dense reference that list-masked builds
+    /// ([`LookupTable::rebuild_masked`]) are held to.
     pub fn build_lut(&self, query: &[f32], cluster: usize) -> LookupTable {
         let res = residual(query, self.coarse.centroid(cluster));
         LookupTable::build(&self.pq, &res)

@@ -6,9 +6,43 @@
 //! the query↔point distance by summing `m` table lookups — the Asymmetric
 //! Distance Computation (ADC). The LUT is the central data structure the
 //! UpANNS DPU kernel keeps in WRAM (8 KB at `m = 16` with `u16` entries).
+//!
+//! A list's codes rarely address the whole table: at about 8 vectors per
+//! list, a sub-quantizer's codes touch a handful of its 256 centroids. Each
+//! list therefore carries a *code-block mask* ([`mark_code_blocks`]): one
+//! `u32` per sub-quantizer, bit `b` set when some code of the list may
+//! address centroids `8b..8b + 8`. [`LookupTable::rebuild_masked`] computes
+//! those blocks only; the dense build ([`LookupTable::rebuild`]) is the same
+//! kernel with every bit set, and each entry either build writes is the same
+//! bits. Debug builds fill the skipped blocks with NaN, so a read outside
+//! the mask turns an answer-identity test red instead of reading a stale
+//! entry.
 
 use crate::pq::{ProductQuantizer, KSUB};
-use crate::simd::{self, Backend};
+use crate::simd::{self, Backend, SCAN_LANES};
+
+/// ORs into `mask` (one `u32` per sub-quantizer, `m = mask.len()`) the
+/// block of every code byte of `packed_codes` (`n × m` bytes): bit `b` of
+/// `mask[sub]` covers codes `8b..8b + 8` of sub-quantizer `sub`. The one
+/// helper behind every list's mask — an inverted list ORs each pushed code
+/// in, an encoded list computes its own from the codes it encodes.
+///
+/// # Panics
+/// Panics if `mask` is empty or `packed_codes.len()` is not a multiple of
+/// `mask.len()`.
+pub fn mark_code_blocks(packed_codes: &[u8], mask: &mut [u32]) {
+    let m = mask.len();
+    assert!(m > 0, "a code-block mask has one word per sub-quantizer");
+    assert!(
+        packed_codes.len().is_multiple_of(m),
+        "packed code buffer not a multiple of m"
+    );
+    for code in packed_codes.chunks_exact(m) {
+        for (bits, &c) in mask.iter_mut().zip(code) {
+            *bits |= 1 << (c as usize / SCAN_LANES);
+        }
+    }
+}
 
 /// A lookup table of `m * 256` partial distances for one (query, cluster)
 /// pair. The default is the empty table of zero sub-quantizers, a starting
@@ -21,8 +55,8 @@ pub struct LookupTable {
 }
 
 impl LookupTable {
-    /// Builds the LUT for a query residual (`query - centroid`) against the
-    /// quantizer's codebooks.
+    /// Builds the full LUT for a query residual (`query - centroid`) against
+    /// the quantizer's codebooks.
     ///
     /// # Panics
     /// Panics if `residual.len() != pq.dim()`.
@@ -32,27 +66,58 @@ impl LookupTable {
         lut
     }
 
-    /// [`build`](Self::build) into this table's allocation, for loops that
-    /// build one LUT per (query, cluster) pair.
-    ///
-    /// Each residual sub-vector against the 256 centroids of its
-    /// sub-quantizer, one centroid per SIMD lane over the quantizer's
-    /// column-major codebooks (`simd::l2_squared_cols`), bitwise equal to
-    /// one [`l2_squared`](crate::distance::l2_squared) per entry.
+    /// [`build`](Self::build) into this table's allocation: every block of
+    /// [`rebuild_masked`](Self::rebuild_masked), for a list whose codes are
+    /// not at hand (the PIM-naive kernel's plain payload, the reference
+    /// search).
     ///
     /// # Panics
     /// Panics if `residual.len() != pq.dim()`.
     pub fn rebuild(&mut self, pq: &ProductQuantizer, residual: &[f32]) {
+        self.rebuild_blocks(pq, residual, std::iter::repeat(u32::MAX));
+    }
+
+    /// Rebuilds only the entries a list with code-block mask `mask` (see
+    /// [`mark_code_blocks`]) can read, into this table's allocation, for
+    /// loops that build one LUT per (query, cluster) pair.
+    ///
+    /// Each residual sub-vector against the centroids of its sub-quantizer's
+    /// set blocks, one centroid per SIMD lane over the quantizer's
+    /// column-major codebooks (`simd::l2_squared_cols_blocks`): every built
+    /// entry is bitwise one [`l2_squared`](crate::distance::l2_squared).
+    /// Entries outside the mask hold whatever they held (NaN in debug
+    /// builds) and must not be read.
+    ///
+    /// # Panics
+    /// Panics if `residual.len() != pq.dim()` or `mask.len() != pq.m()`.
+    pub fn rebuild_masked(&mut self, pq: &ProductQuantizer, residual: &[f32], mask: &[u32]) {
+        assert_eq!(mask.len(), pq.m(), "one mask word per sub-quantizer");
+        self.rebuild_blocks(pq, residual, mask.iter().copied());
+    }
+
+    fn rebuild_blocks(
+        &mut self,
+        pq: &ProductQuantizer,
+        residual: &[f32],
+        mask: impl Iterator<Item = u32>,
+    ) {
         assert_eq!(residual.len(), pq.dim(), "LUT residual dimension mismatch");
         let dsub = pq.dsub();
         self.m = pq.m();
         self.table.resize(self.m * KSUB, 0.0);
-        for ((rv, centroids), row) in residual
+        for (((rv, centroids), row), blocks) in residual
             .chunks_exact(dsub)
             .zip(pq.codebooks_cols().chunks_exact(KSUB * dsub))
             .zip(self.table.chunks_exact_mut(KSUB))
+            .zip(mask)
         {
-            simd::l2_squared_cols(rv, centroids, row);
+            simd::l2_squared_cols_blocks(rv, centroids, blocks, row);
+            #[cfg(debug_assertions)]
+            for (b, block) in row.chunks_exact_mut(SCAN_LANES).enumerate() {
+                if blocks & (1 << b) == 0 {
+                    block.fill(f32::NAN);
+                }
+            }
         }
     }
 
@@ -116,7 +181,9 @@ impl LookupTable {
         self.adc_scan_into(packed_codes, out);
     }
 
-    /// The raw table (`m * 256` floats).
+    /// The raw table (`m * 256` floats; after
+    /// [`rebuild_masked`](Self::rebuild_masked), valid on the mask's blocks
+    /// only).
     #[inline]
     pub fn as_flat(&self) -> &[f32] {
         &self.table

@@ -7,7 +7,7 @@
 //! quoted in the paper's §2.1 example (it quotes 64 B because it counts the
 //! uint8 source representation of SIFT).
 
-use crate::distance::nearest_centroid;
+use crate::distance::{nearest_centroid, to_columns};
 use crate::kmeans::{KMeans, KMeansParams};
 use crate::par;
 use crate::vector::Dataset;
@@ -84,17 +84,10 @@ impl ProductQuantizer {
         assert!(m > 0 && dim.is_multiple_of(m));
         let dsub = dim / m;
         assert_eq!(codebooks.len(), m * KSUB * dsub, "codebook size mismatch");
-        let mut codebooks_cols = vec![0.0; codebooks.len()];
-        for (rows, cols) in codebooks
+        let codebooks_cols = codebooks
             .chunks_exact(KSUB * dsub)
-            .zip(codebooks_cols.chunks_exact_mut(KSUB * dsub))
-        {
-            for (code, centroid) in rows.chunks_exact(dsub).enumerate() {
-                for (j, &x) in centroid.iter().enumerate() {
-                    cols[j * KSUB + code] = x;
-                }
-            }
-        }
+            .flat_map(|rows| to_columns(rows, dsub))
+            .collect();
         Self {
             dim,
             m,
@@ -140,8 +133,8 @@ impl ProductQuantizer {
     /// The codebooks column-major within each sub-quantizer (`m` blocks of
     /// `dsub` columns of 256 floats): component `j` of `(sub, code)` is at
     /// `sub * 256 * dsub + j * 256 + code`. The layout
-    /// `simd::l2_squared_cols` takes, so a
-    /// LUT row is built with one centroid per SIMD lane.
+    /// `simd::l2_squared_cols_blocks` takes, so a LUT row is built with one
+    /// centroid per SIMD lane.
     #[inline]
     pub fn codebooks_cols(&self) -> &[f32] {
         &self.codebooks_cols

@@ -134,8 +134,21 @@ impl Dataset {
 /// Panics if the slices have different lengths.
 #[inline]
 pub fn residual(a: &[f32], b: &[f32]) -> Vec<f32> {
+    let mut out = Vec::new();
+    residual_into(a, b, &mut out);
+    out
+}
+
+/// [`residual`] into `out`'s allocation (cleared first), for loops that
+/// form one residual per (query, cluster) pair.
+///
+/// # Panics
+/// Panics if `a` and `b` have different lengths.
+#[inline]
+pub fn residual_into(a: &[f32], b: &[f32], out: &mut Vec<f32>) {
     assert_eq!(a.len(), b.len(), "residual dimension mismatch");
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
+    out.clear();
+    out.extend(a.iter().zip(b).map(|(x, y)| x - y));
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! therefore the replay twin and every committed bench record) identical
 //! across machines with and without AVX2.
 //!
-//! The distance, row-distance, column-distance and top-k tests exercise both
+//! The distance, row-distance, column-distance (dense and block-masked) and
+//! top-k tests exercise both
 //! `Backend::Scalar` and the runtime-detected backend through the explicit
 //! `*_with` entry points, so on AVX2 hardware the vector code is proven
 //! against the scalar code in one process, and on non-AVX2 hardware they
@@ -157,6 +158,118 @@ proptest! {
             for (got, row) in out.iter().zip(table.chunks_exact(dim)) {
                 prop_assert_eq!(got.to_bits(), simd::l2_squared_scalar(&query, row).to_bits());
             }
+        }
+    }
+
+    /// Masked column kernel: on every backend, the rows of each set
+    /// 8-row block are the dense kernel's bits, and every row of a clear
+    /// block is left untouched — masks of no block, every block and random
+    /// ones, over widths off the 4-accumulator boundary.
+    #[test]
+    fn masked_column_kernel_equals_dense_on_set_blocks(
+        dim in 1usize..=40,
+        mask_pick in 0usize..4,
+        random_mask in 0u32..=u32::MAX,
+        seed in 0u64..1_000_000,
+    ) {
+        let rows = simd::MASK_ROWS;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
+        let cols: Vec<f32> = (0..dim * rows).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
+        let mask = [0, u32::MAX, random_mask, random_mask][mask_pick];
+        for backend in backends() {
+            let mut dense = vec![0.0f32; rows];
+            simd::l2_squared_cols_with(backend, &query, &cols, &mut dense);
+            let stale = 0.25f32;
+            let mut masked = vec![stale; rows];
+            simd::l2_squared_cols_blocks_with(backend, &query, &cols, mask, &mut masked);
+            for (r, (m, d)) in masked.iter().zip(&dense).enumerate() {
+                let set = mask & (1 << (r / simd::SCAN_LANES)) != 0;
+                let want = if set { d.to_bits() } else { stale.to_bits() };
+                prop_assert_eq!(m.to_bits(), want, "{:?} row {} mask {:#x}", backend, r, mask);
+            }
+        }
+    }
+
+    /// Masked LUT build: `rebuild_masked` equals the dense `build` bit for
+    /// bit on every block its mask sets, on masks of no block, every block
+    /// and random ones per sub-quantizer — and in debug builds the blocks it
+    /// skipped read NaN, so a read outside the mask cannot pass for a value.
+    #[test]
+    fn masked_lut_equals_the_dense_lut_on_set_blocks(
+        dsub_pick in 0usize..5,
+        m in 1usize..5,
+        mask_pick in 0usize..3,
+        random_masks in prop::collection::vec(0u32..=u32::MAX, 4),
+        seed in 0u64..1_000_000,
+    ) {
+        let dsub = [1usize, 3, 4, 8, 12][dsub_pick];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let codebooks: Vec<f32> =
+            (0..m * 256 * dsub).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
+        let pq = ProductQuantizer::from_codebooks(m * dsub, m, codebooks);
+        let residual: Vec<f32> = (0..m * dsub).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
+        let masks: Vec<u32> = match mask_pick {
+            0 => vec![0; m],
+            1 => vec![u32::MAX; m],
+            _ => random_masks[..m].to_vec(),
+        };
+        let dense = LookupTable::build(&pq, &residual);
+        // Built first over another residual, so a skipped block holds stale
+        // entries in release builds.
+        let mut masked = LookupTable::build(&pq, &vec![1.0; m * dsub]);
+        masked.rebuild_masked(&pq, &residual, &masks);
+        for (sub, &bits) in masks.iter().enumerate() {
+            for code in 0..=255u8 {
+                let got = masked.get(sub, code);
+                if bits & (1 << (code / 8)) != 0 {
+                    prop_assert_eq!(got.to_bits(), dense.get(sub, code).to_bits());
+                } else if cfg!(debug_assertions) {
+                    prop_assert!(got.is_nan(), "sub {} code {} skipped but {}", sub, code, got);
+                }
+            }
+        }
+    }
+
+    /// The column-major cluster filter (`nearest_centroids_cols`, the
+    /// coarse filter's kernel) equals the row-form `nearest_centroids` in
+    /// ids and distance bits: centroid counts off the 32-row block width,
+    /// duplicated centroids (ties), NaN-poisoned centroids, and `n` = 0, 1,
+    /// in between and past the centroid count.
+    #[test]
+    fn column_filter_equals_the_row_filter(
+        dim_pick in 0usize..5,
+        rows in 1usize..200,
+        n_pick in 0usize..6,
+        nan_stride in 2usize..60,
+        seed in 0u64..1_000_000,
+    ) {
+        let dim = [1usize, 3, 8, 13, 128][dim_pick];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
+        let mut table: Vec<f32> = (0..dim * rows).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
+        for r in (2..rows).step_by(3) {
+            let source = rng.gen_range(0..r);
+            table.copy_within(source * dim..(source + 1) * dim, r * dim);
+        }
+        for r in (1..rows).step_by(nan_stride) {
+            table[r * dim + dim / 2] = f32::NAN;
+        }
+        let mut cols = vec![0.0f32; table.len()];
+        for (r, row) in table.chunks_exact(dim).enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                cols[j * rows + r] = x;
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&annkit::distance::to_columns(&table, dim)), bits(&cols));
+        let n = [0, 1, rows / 2, rows.saturating_sub(1), rows, rows + 7][n_pick];
+        let got = annkit::distance::nearest_centroids_cols(&query, &cols, rows, n);
+        let want = annkit::distance::nearest_centroids(&query, &table, dim, n);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g.0, w.0);
+            prop_assert_eq!(g.1.to_bits(), w.1.to_bits());
         }
     }
 

@@ -16,9 +16,10 @@ use crate::engine::{execute_by_entry, execute_grouped, AnnEngine, SearchRequest,
 use crate::hardware::HardwareSpec;
 use crate::workload_stats::WorkloadStats;
 use annkit::ivf::IvfPqIndex;
+use annkit::lut::LookupTable;
 use annkit::mutation::SnapshotTimeline;
 use annkit::topk::{Neighbor, TopK};
-use annkit::vector::Dataset;
+use annkit::vector::{residual_into, Dataset};
 use pim_sim::energy::EnergyModel;
 use pim_sim::stats::StageBreakdown;
 
@@ -149,6 +150,13 @@ impl<R: Roofline> AnnEngine for FaissEngine<R> {
 /// Runs cluster filtering, LUT construction, ADC distance calculation and
 /// top-k selection for every query, counting the work of each stage.
 ///
+/// The counters are the algorithm's: a full `m × 256` LUT per (query,
+/// probed list), which the rooflines charge at the modeled scale. The
+/// functional build computes only the blocks the list's codes can read
+/// ([`LookupTable::rebuild_masked`]), into one table, one residual and one
+/// distance buffer reused across the batch; every distance is bitwise the
+/// dense build's.
+///
 /// # Panics
 /// Panics if `queries.dim() != index.dim()` or `k == 0`.
 fn run_ivfpq(index: &IvfPqIndex, queries: &Dataset, nprobe: usize, k: usize) -> FunctionalRun {
@@ -165,6 +173,9 @@ fn run_ivfpq(index: &IvfPqIndex, queries: &Dataset, nprobe: usize, k: usize) -> 
     };
     let mut results = Vec::with_capacity(queries.len());
     let mut per_query_candidates = Vec::with_capacity(queries.len());
+    let mut lut = LookupTable::default();
+    let mut res = Vec::with_capacity(index.dim());
+    let mut distances = Vec::new();
 
     for q in queries.iter() {
         // Stage (a): cluster filtering.
@@ -175,19 +186,23 @@ fn run_ivfpq(index: &IvfPqIndex, queries: &Dataset, nprobe: usize, k: usize) -> 
         let mut topk = TopK::new(k);
         let mut candidates_this_query = 0u64;
         for &(cluster, _) in &probed {
-            let lut = index.build_lut(q, cluster);
             stats.luts_built += 1;
             stats.lut_entries += (m * 256) as u64;
 
             let list = index.list(cluster);
-            let distances = lut.adc_scan(list.packed_codes());
             candidates_this_query += list.len() as u64;
             stats.candidates_scanned += list.len() as u64;
             stats.lut_lookups += (list.len() * m) as u64;
             stats.code_bytes_read += (list.len() * m) as u64;
-
-            for (i, &d) in distances.iter().enumerate() {
-                topk.push(list.ids()[i], d);
+            // An empty list has no code to read a LUT entry.
+            if list.is_empty() {
+                continue;
+            }
+            residual_into(q, index.coarse().centroid(cluster), &mut res);
+            lut.rebuild_masked(index.pq(), &res, list.code_blocks());
+            lut.adc_scan_into(list.packed_codes(), &mut distances);
+            for (&id, &d) in list.ids().iter().zip(&distances) {
+                topk.push(id, d);
             }
         }
         stats.topk_candidates += topk.offered();

@@ -15,7 +15,7 @@
 //! faster distance calculation.
 
 use crate::cooccurrence::ComboTable;
-use annkit::lut::LookupTable;
+use annkit::lut::{mark_code_blocks, LookupTable};
 use annkit::simd::SCAN_LANES;
 
 /// A co-occurrence-aware encoded inverted list (one cluster).
@@ -27,6 +27,9 @@ pub struct CaeList {
     entries: Vec<u16>,
     /// Start offset of each vector's record within `entries`.
     offsets: Vec<u32>,
+    /// Code-block mask of the encoded codes ([`mark_code_blocks`]): the
+    /// LUT blocks a record or a combination of this list can read.
+    blocks: Vec<u32>,
 }
 
 impl CaeList {
@@ -73,12 +76,25 @@ impl CaeList {
             entries.extend_from_slice(&record);
         }
 
+        // Combinations are mined from these same codes, so their elements
+        // lie inside this mask too.
+        let mut blocks = vec![0; m];
+        mark_code_blocks(packed_codes, &mut blocks);
         Self {
             m,
             num_combos: combos.len(),
             entries,
             offsets,
+            blocks,
         }
+    }
+
+    /// The code-block mask of the codes this list encodes: the LUT the
+    /// kernel builds for it
+    /// ([`LookupTable::rebuild_masked`](annkit::lut::LookupTable::rebuild_masked))
+    /// computes these blocks only.
+    pub(crate) fn code_blocks(&self) -> &[u32] {
+        &self.blocks
     }
 
     /// Number of vectors in the list.
@@ -414,7 +430,9 @@ mod tests {
                 entries.push(len as u16);
                 entries.extend((0..len).map(|_| rng.gen_range(0..256 * m + num_combos) as u16));
             }
-            let cae = CaeList { m, num_combos, entries, offsets };
+            // The scan never reads the mask.
+            let blocks = Vec::new();
+            let cae = CaeList { m, num_combos, entries, offsets, blocks };
 
             let n = cae.len();
             let (a, b) = (cut.0 % (n + 1), cut.1 % (n + 1));

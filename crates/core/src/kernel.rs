@@ -241,7 +241,17 @@ fn run_with_scratch(
             .filter(|table| !table.is_empty());
 
         // ---- Stage 1: LUT construction (Barrier 0/1) --------------------
-        lut.rebuild(shared.pq, residual);
+        //
+        // Functionally, an encoded list's LUT holds only the blocks its
+        // codes (and so its combinations) can read; the plain payload keeps
+        // the dense build. The charge below is the dense table either way:
+        // at the modeled scale (`num_vectors × work_scale` codes per list)
+        // every block is referenced, so the mask is a reduced-scale saving
+        // of the host, not of the DPU.
+        match &replica.encoding {
+            ListEncoding::CaeU16(cae) => lut.rebuild_masked(shared.pq, residual, cae.code_blocks()),
+            ListEncoding::PlainU8 => lut.rebuild(shared.pq, residual),
+        }
         let codebook_addr = store.codebook_addr;
         let codebook_bytes = store.codebook_bytes;
         ctx.parallel(Stage::LutConstruction, tasklets, |t| {
