@@ -3,10 +3,15 @@
 //! IVFPQ, the UpANNS paper's three datasets and the PQ look-up table all use
 //! L2 distance; it is the one metric here.
 //!
-//! [`l2_squared`] dispatches to the best runtime-detected backend in
-//! [`crate::simd`]; every backend is bitwise-identical to the scalar
-//! reference, so callers (kmeans, `IvfPqIndex::search`, the replay twin) see
-//! the same answers on every machine.
+//! Two shapes of one question: [`l2_squared`] is one pair (k-means++
+//! seeding, exact search), and [`nearest_centroid`] / [`nearest_centroids`]
+//! are one vector against many centroids (k-means assignment, PQ encode,
+//! cluster filtering) over the centroids' column-major twin
+//! ([`to_columns`]), which the column kernel reads a centroid per SIMD lane.
+//! Both dispatch to the best runtime-detected backend in [`crate::simd`],
+//! and every backend is bitwise-identical to the scalar reference, so
+//! callers (kmeans, `IvfPqIndex::search`, the replay twin) see the same
+//! answers on every machine.
 
 use crate::simd;
 
@@ -21,70 +26,45 @@ pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
     simd::l2_squared_with(simd::active(), a, b)
 }
 
-/// Finds the index of the closest centroid to `v` among `centroids` (a flat
-/// row-major buffer of `k` rows of length `dim`), returning
-/// `(index, distance)`; the first of several equally close centroids wins.
+/// Finds the index of the closest of `k = distances.len()` centroids to `v`
+/// over their *column-major* twin (component `j` of centroid `r` at
+/// `cols[j * k + r]`, see [`to_columns`]), returning `(index, distance)`:
+/// k-means assignment and PQ encode. `distances` is the caller's scratch,
+/// left holding every centroid's distance.
 ///
-/// Distances come from `simd::l2_squared_rows` a stack block of rows at a
-/// time — bitwise what one [`l2_squared`] per centroid returns, without the
-/// per-centroid dispatch and call that dominate at PQ sub-vector widths.
+/// The distances come from `simd::l2_squared_cols`, bitwise what one
+/// [`l2_squared`] per centroid returns. The first strict minimum wins, so of
+/// several equally close centroids the first is taken and a NaN distance is
+/// never selected.
 ///
 /// # Panics
-/// Panics if `centroids` is empty or not a multiple of `dim`.
-pub fn nearest_centroid(v: &[f32], centroids: &[f32], dim: usize) -> (usize, f32) {
-    /// Rows per [`simd::l2_squared_rows`] call: a 256-entry PQ codebook in
-    /// four calls, 256 B of distances on the stack.
-    const BLOCK: usize = 64;
-    assert!(!centroids.is_empty(), "no centroids");
-    assert!(centroids.len().is_multiple_of(dim), "centroid buffer not a multiple of dim");
-    let mut distances = [0.0f32; BLOCK];
-    let mut best = 0usize;
-    let mut best_d = f32::INFINITY;
-    for (block, rows) in centroids.chunks(BLOCK * dim).enumerate() {
-        let distances = &mut distances[..rows.len() / dim];
-        simd::l2_squared_rows(v, rows, distances);
-        for (i, &d) in distances.iter().enumerate() {
-            if d < best_d {
-                best_d = d;
-                best = block * BLOCK + i;
-            }
+/// Panics if `v` or `distances` is empty or `cols.len() != k * v.len()`.
+pub fn nearest_centroid(v: &[f32], cols: &[f32], distances: &mut [f32]) -> (usize, f32) {
+    assert!(!distances.is_empty(), "no centroids");
+    simd::l2_squared_cols(v, cols, distances);
+    let mut best = (0usize, f32::INFINITY);
+    for (i, &d) in distances.iter().enumerate() {
+        if d < best.1 {
+            best = (i, d);
         }
     }
-    (best, best_d)
+    best
 }
 
-/// Finds the indices of the `n` closest centroids to `v`, ordered from
-/// closest to furthest — the row-form cluster filter, and the oracle of
-/// [`nearest_centroids_cols`].
+/// Finds the indices of the `n` closest of `k` centroids to `v`, ordered
+/// from closest to furthest, over their column-major twin (as in
+/// [`nearest_centroid`]): cluster filtering
+/// ([`IvfPqIndex::filter_clusters`](crate::ivf::IvfPqIndex::filter_clusters)).
 ///
-/// All distances come from one `simd::l2_squared_rows` call (bitwise what
-/// one [`l2_squared`] per centroid returns); the `n` best are selected and
-/// only those sorted, which is element for element the prefix of a full
+/// All distances come from one `simd::l2_squared_cols` call, one centroid
+/// per SIMD lane in blocks of [`simd::WIDE_ROWS`]; the `n` best are selected
+/// and only those sorted, which is element for element the prefix of a full
 /// sort under [`Neighbor`](crate::topk::Neighbor)'s order because that order
 /// is total.
-pub fn nearest_centroids(v: &[f32], centroids: &[f32], dim: usize, n: usize) -> Vec<(usize, f32)> {
-    assert!(centroids.len().is_multiple_of(dim), "centroid buffer not a multiple of dim");
-    let k = centroids.len() / dim;
-    if n.min(k) == 0 {
-        return Vec::new();
-    }
-    let mut distances = vec![0.0f32; k];
-    simd::l2_squared_rows(v, centroids, &mut distances);
-    select_nearest(&distances, n)
-}
-
-/// [`nearest_centroids`] over the *column-major* twin of `k` centroids
-/// (component `j` of centroid `r` at `cols[j * k + r]`, see [`to_columns`]):
-/// cluster filtering ([`IvfPqIndex::filter_clusters`](crate::ivf::IvfPqIndex::filter_clusters)).
-///
-/// The distances come from `simd::l2_squared_cols`, one centroid per SIMD
-/// lane in blocks of [`simd::WIDE_ROWS`], each lane running the row
-/// kernel's reduction tree on its own — so ids and distance bits equal
-/// [`nearest_centroids`] on the row-major table.
 ///
 /// # Panics
 /// Panics if `cols.len() != k * v.len()`.
-pub fn nearest_centroids_cols(v: &[f32], cols: &[f32], k: usize, n: usize) -> Vec<(usize, f32)> {
+pub fn nearest_centroids(v: &[f32], cols: &[f32], k: usize, n: usize) -> Vec<(usize, f32)> {
     assert_eq!(cols.len(), k * v.len(), "centroid buffer not k columns of dim");
     if n.min(k) == 0 {
         return Vec::new();
@@ -100,15 +80,22 @@ pub fn nearest_centroids_cols(v: &[f32], cols: &[f32], k: usize, n: usize) -> Ve
 /// # Panics
 /// Panics if `dim` is zero or `rows.len()` is not a multiple of `dim`.
 pub fn to_columns(rows: &[f32], dim: usize) -> Vec<f32> {
-    assert!(dim > 0 && rows.len().is_multiple_of(dim), "rows not a multiple of dim");
-    let k = rows.len() / dim;
     let mut cols = vec![0.0f32; rows.len()];
+    to_columns_into(rows, dim, &mut cols);
+    cols
+}
+
+/// [`to_columns`] into an existing buffer of `rows.len()` floats, which
+/// k-means reuses across its iterations.
+pub(crate) fn to_columns_into(rows: &[f32], dim: usize, cols: &mut [f32]) {
+    assert!(dim > 0 && rows.len().is_multiple_of(dim), "rows not a multiple of dim");
+    assert_eq!(cols.len(), rows.len(), "column buffer size mismatch");
+    let k = rows.len() / dim;
     for (r, row) in rows.chunks_exact(dim).enumerate() {
         for (j, &x) in row.iter().enumerate() {
             cols[j * k + r] = x;
         }
     }
-    cols
 }
 
 /// The `n` smallest of `distances` (at least one), closest first, as
@@ -175,15 +162,18 @@ mod tests {
     #[test]
     fn nearest_centroid_picks_minimum() {
         let centroids = vec![0.0, 0.0, /* c0 */ 10.0, 10.0, /* c1 */ 2.0, 2.0 /* c2 */];
-        let (idx, d) = nearest_centroid(&[1.9, 2.1], &centroids, 2);
+        let cols = to_columns(&centroids, 2);
+        let mut distances = [f32::NAN; 3];
+        let (idx, d) = nearest_centroid(&[1.9, 2.1], &cols, &mut distances);
         assert_eq!(idx, 2);
         assert!(d < 0.1);
+        assert_eq!(distances[idx].to_bits(), d.to_bits());
     }
 
     #[test]
     fn nearest_centroids_sorted_and_truncated() {
-        let centroids = vec![0.0, 0.0, 10.0, 10.0, 2.0, 2.0, 5.0, 5.0];
-        let top = nearest_centroids(&[0.1, 0.1], &centroids, 2, 3);
+        let cols = to_columns(&[0.0, 0.0, 10.0, 10.0, 2.0, 2.0, 5.0, 5.0], 2);
+        let top = nearest_centroids(&[0.1, 0.1], &cols, 4, 3);
         assert_eq!(top.len(), 3);
         assert_eq!(top[0].0, 0);
         assert_eq!(top[1].0, 2);
@@ -191,7 +181,7 @@ mod tests {
         assert!(top[0].1 <= top[1].1 && top[1].1 <= top[2].1);
 
         // n larger than the number of centroids is clamped.
-        let all = nearest_centroids(&[0.0, 0.0], &centroids, 2, 100);
+        let all = nearest_centroids(&[0.0, 0.0], &cols, 4, 100);
         assert_eq!(all.len(), 4);
     }
 
@@ -227,12 +217,12 @@ mod tests {
         // under which a NaN distance compares Equal to everything and can keep
         // its position ahead of finite centroids. With Neighbor::cmp the
         // poisoned centroid sorts strictly last.
-        let centroids = vec![5.0, 5.0, f32::NAN, 0.0, 1.0, 1.0, 3.0, 3.0];
-        let top = nearest_centroids(&[0.0, 0.0], &centroids, 2, 3);
+        let cols = to_columns(&[5.0, 5.0, f32::NAN, 0.0, 1.0, 1.0, 3.0, 3.0], 2);
+        let top = nearest_centroids(&[0.0, 0.0], &cols, 4, 3);
         assert_eq!(top.iter().map(|t| t.0).collect::<Vec<_>>(), vec![2, 3, 0]);
         assert!(top.iter().all(|t| !t.1.is_nan()));
         // Asking for all of them places the NaN centroid last.
-        let all = nearest_centroids(&[0.0, 0.0], &centroids, 2, 4);
+        let all = nearest_centroids(&[0.0, 0.0], &cols, 4, 4);
         assert_eq!(all[3].0, 1);
         assert!(all[3].1.is_nan());
     }

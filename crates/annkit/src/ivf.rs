@@ -14,7 +14,7 @@
 //! [`crate::mutation::MutableIvf`] copies a list only on its first write
 //! while a snapshot still shares it.
 
-use crate::distance::{nearest_centroids_cols, to_columns};
+use crate::distance::nearest_centroids;
 use crate::kmeans::{sample_indices, KMeans, KMeansParams};
 use crate::lut::{mark_code_blocks, LookupTable};
 use crate::par;
@@ -135,9 +135,6 @@ impl InvertedList {
 pub struct IvfPqIndex {
     params: IvfPqParams,
     coarse: Arc<KMeans>,
-    /// The coarse centroids column-major ([`to_columns`]), the table cluster
-    /// filtering reads.
-    coarse_cols: Arc<[f32]>,
     pq: Arc<ProductQuantizer>,
     lists: Vec<Arc<InvertedList>>,
     dim: usize,
@@ -196,7 +193,6 @@ impl IvfPqIndex {
 
         Self {
             params: params.clone(),
-            coarse_cols: to_columns(coarse.centroids_flat(), dim).into(),
             coarse: Arc::new(coarse),
             pq: Arc::new(pq),
             lists: vec![Arc::default(); params.nlist],
@@ -335,12 +331,15 @@ impl IvfPqIndex {
     }
 
     /// Stage (a) — cluster filtering: the `nprobe` coarse clusters nearest to
-    /// the query, closest first. Runs the column kernel over the centroids'
-    /// column-major twin; ids and distance bits equal the row-form
-    /// [`nearest_centroids`](crate::distance::nearest_centroids) over
-    /// the centroids themselves.
+    /// the query, closest first: [`nearest_centroids`] over the coarse
+    /// quantizer's column-major twin.
     pub fn filter_clusters(&self, query: &[f32], nprobe: usize) -> Vec<(usize, f32)> {
-        nearest_centroids_cols(query, &self.coarse_cols, self.params.nlist, nprobe)
+        nearest_centroids(
+            query,
+            self.coarse.centroids_cols(),
+            self.params.nlist,
+            nprobe,
+        )
     }
 
     /// Stage (b) — LUT construction for one probed cluster: the full table,
@@ -505,12 +504,16 @@ mod tests {
         hash
     }
 
-    /// "Same index" as a number: the fingerprints below were taken at the
-    /// commit before training moved onto the row kernel and scoped threads
-    /// (serial loops, one `l2_squared` per centroid). One worker, several
-    /// workers and the machine's own count must all reproduce them. The
-    /// second shape trains on a sample, so it also pins the sampler's draw
-    /// sequence; both add more rows than one `add` block.
+    /// "Same index" as a number. The first two fingerprints were taken with
+    /// serial loops and one `l2_squared` per centroid, before training
+    /// moved onto scoped threads; the third with a row-major distance
+    /// kernel, before assignment and encode moved onto the column kernel.
+    /// One worker, several workers and the machine's own count must all
+    /// reproduce them, on either backend. The second and third shapes train
+    /// on a sample, so they also pin the sampler's draw sequence; all three
+    /// add more rows than one `add` block. The third is the serving width —
+    /// 128-d, `m` 16, so `dsub` 8 — with an `nlist` of one 32-row column
+    /// block plus a 5-row tail; the first two have `dsub` 4.
     #[test]
     fn training_fingerprint_is_pinned_for_one_worker_and_many() {
         let small = clustered_dataset(900, 16, 8, 1);
@@ -518,17 +521,26 @@ mod tests {
         let sampled_params = IvfPqParams::new(12, 8)
             .with_train_size(500)
             .with_coarse_iterations(10);
-        let train_both = || {
+        let wide = clustered_dataset(600, 128, 12, 7);
+        let wide_params = IvfPqParams::new(37, 16)
+            .with_train_size(400)
+            .with_coarse_iterations(8);
+        let train_all = || {
             (
                 fingerprint(&IvfPqIndex::train(&small, &IvfPqParams::new(8, 4), 42)),
                 fingerprint(&IvfPqIndex::train(&sampled, &sampled_params, 9)),
+                fingerprint(&IvfPqIndex::train(&wide, &wide_params, 5)),
             )
         };
-        let pinned = (0x7b00_2f56_e41f_ae2a_u64, 0xf0bd_1c9c_95a0_5c3a_u64);
-        assert_eq!(train_both(), pinned, "available_parallelism() workers");
+        let pinned = (
+            0x7b00_2f56_e41f_ae2a_u64,
+            0xf0bd_1c9c_95a0_5c3a_u64,
+            0x125d_2f54_b370_1c6e_u64,
+        );
+        assert_eq!(train_all(), pinned, "available_parallelism() workers");
         for workers in [1, 2, 5] {
             assert_eq!(
-                crate::par::with_workers(workers, train_both),
+                crate::par::with_workers(workers, train_all),
                 pinned,
                 "{workers} worker(s)"
             );

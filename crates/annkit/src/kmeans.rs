@@ -4,7 +4,7 @@
 //! sub-quantizer (256 centroids over sub-vectors) are trained with this
 //! implementation, mirroring Faiss's `Clustering` object.
 
-use crate::distance::{l2_squared, nearest_centroid};
+use crate::distance::{l2_squared, nearest_centroid, to_columns_into};
 use crate::vector::Dataset;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -49,6 +49,10 @@ impl KMeansParams {
 pub struct KMeans {
     dim: usize,
     centroids: Vec<f32>,
+    /// The same centroids column-major
+    /// ([`to_columns`](crate::distance::to_columns)): what assignment and
+    /// cluster filtering read.
+    cols: Vec<f32>,
     /// Mean squared distance of training points to their centroid at the end
     /// of training (a quality indicator surfaced for diagnostics).
     pub final_mse: f32,
@@ -85,6 +89,8 @@ impl KMeans {
         let dim = train.dim();
         let mut centroids = kmeanspp_init(train, params.k, &mut rng);
         let mut assignments = vec![0usize; train.len()];
+        let mut distances = vec![0.0f32; params.k];
+        let mut cols = vec![0.0f32; centroids.len()];
         let mut sums = vec![0.0f64; params.k * dim];
         let mut counts = vec![0usize; params.k];
         let mut prev_mse = f32::INFINITY;
@@ -93,10 +99,12 @@ impl KMeans {
 
         for _iter in 0..params.max_iterations {
             iterations_run += 1;
-            // Assignment step.
+            // Assignment step, over this iteration's column-major twin: a
+            // `k × dim` copy against the step's `n × k × dim` distances.
+            to_columns_into(&centroids, dim, &mut cols);
             let mut total = 0.0f64;
             for (i, v) in train.iter().enumerate() {
-                let (c, d) = nearest_centroid(v, &centroids, dim);
+                let (c, d) = nearest_centroid(v, &cols, &mut distances);
                 assignments[i] = c;
                 total += d as f64;
             }
@@ -131,9 +139,11 @@ impl KMeans {
             prev_mse = mse;
         }
 
+        to_columns_into(&centroids, dim, &mut cols);
         Self {
             dim,
             centroids,
+            cols,
             final_mse: mse,
             iterations_run,
         }
@@ -151,11 +161,18 @@ impl KMeans {
         &self.centroids
     }
 
+    /// The centroids column-major (`dim` columns of `k` floats).
+    #[inline]
+    pub(crate) fn centroids_cols(&self) -> &[f32] {
+        &self.cols
+    }
+
     /// Assigns a single vector to its nearest centroid, returning
     /// `(centroid index, squared distance)`.
     #[inline]
     pub(crate) fn assign(&self, v: &[f32]) -> (usize, f32) {
-        nearest_centroid(v, &self.centroids, self.dim)
+        let k = self.centroids.len() / self.dim;
+        nearest_centroid(v, &self.cols, &mut vec![0.0; k])
     }
 }
 
@@ -222,6 +239,7 @@ pub(crate) fn sample_indices(n: usize, count: usize, rng: &mut SmallRng) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::to_columns;
 
     fn blob_dataset(seed: u64) -> Dataset {
         // Three well-separated 2-D blobs of 50 points each.
@@ -261,8 +279,10 @@ mod tests {
     fn assignment_is_consistent_with_centroids() {
         let ds = blob_dataset(5);
         let km = KMeans::train(&ds, &KMeansParams::new(3), 1);
+        let cols = to_columns(km.centroids_flat(), 2);
+        assert_eq!(km.centroids_cols(), cols);
         for v in ds.iter() {
-            let (c, _) = nearest_centroid(v, km.centroids_flat(), 2);
+            let (c, _) = nearest_centroid(v, &cols, &mut [0.0; 3]);
             assert_eq!(km.assign(v).0, c);
         }
     }

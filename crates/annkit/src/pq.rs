@@ -30,7 +30,8 @@ pub struct ProductQuantizer {
     codebooks: Vec<f32>,
     /// The same centroids column-major within each sub-quantizer:
     /// component `j` of `(sub, code)` is at `sub * KSUB * dsub + j * KSUB +
-    /// code`. Built once with the quantizer; what LUT construction reads.
+    /// code`. Built once with the quantizer; what LUT construction and
+    /// encode read.
     codebooks_cols: Vec<f32>,
 }
 
@@ -132,9 +133,9 @@ impl ProductQuantizer {
 
     /// The codebooks column-major within each sub-quantizer (`m` blocks of
     /// `dsub` columns of 256 floats): component `j` of `(sub, code)` is at
-    /// `sub * 256 * dsub + j * 256 + code`. The layout
-    /// `simd::l2_squared_cols_blocks` takes, so a LUT row is built with one
-    /// centroid per SIMD lane.
+    /// `sub * 256 * dsub + j * 256 + code`. The layout of the column kernel,
+    /// so a LUT row is built, and a sub-vector encoded, with one centroid per
+    /// SIMD lane.
     #[inline]
     pub fn codebooks_cols(&self) -> &[f32] {
         &self.codebooks_cols
@@ -146,14 +147,11 @@ impl ProductQuantizer {
     /// Panics if `v.len() != self.dim()`.
     pub fn encode(&self, v: &[f32]) -> PqCode {
         assert_eq!(v.len(), self.dim, "encode dimension mismatch");
-        let mut code = Vec::with_capacity(self.m);
-        for sub in 0..self.m {
-            let sv = &v[sub * self.dsub..(sub + 1) * self.dsub];
-            let table = &self.codebooks[sub * KSUB * self.dsub..(sub + 1) * KSUB * self.dsub];
-            let (idx, _) = nearest_centroid(sv, table, self.dsub);
-            code.push(idx as u8);
-        }
-        code
+        let mut distances = [0.0f32; KSUB];
+        v.chunks_exact(self.dsub)
+            .zip(self.codebooks_cols.chunks_exact(KSUB * self.dsub))
+            .map(|(sv, cols)| nearest_centroid(sv, cols, &mut distances).0 as u8)
+            .collect()
     }
 
     /// Decodes a code back to its reconstruction (the concatenation of the

@@ -1,7 +1,7 @@
 //! Explicitly vectorized fast paths for the hot kernels where AVX2 wins
-//! on record — the L2 distance, the one-query-against-many-rows distance
-//! block in its row-major and column-major (dense or block-masked) forms
-//! and the top-k pre-filter —
+//! on record — the L2 distance, the one-vector-against-many-rows distance
+//! block over a column-major table (dense or block-masked) and the top-k
+//! pre-filter —
 //! behind runtime feature detection, plus the one (portable) ADC scan.
 //!
 //! The ADC scan has no vector path: an AVX2 gather over the `m × 256` f32
@@ -26,15 +26,14 @@
 //!   single rounding would fork the sums from the scalar path and thereby
 //!   fork kmeans trajectories, index contents, and the byte-diffed serving
 //!   records across machines);
-//! * the AVX2 row kernel builds each row's 4-lane accumulator the same way
-//!   and only replaces four horizontal sums by a 4 × 4 transpose and three
-//!   vertical adds in the reference's left-to-right order;
-//! * the column kernel (LUT construction over the codebook blocks a list
-//!   can address, and the coarse cluster filter) makes each SIMD lane one
-//!   row that runs the scalar reduction tree on its own — the blocked scan's
-//!   idea, so there is no horizontal sum and no transpose whose order could
-//!   differ — and is plain Rust compiled with and without AVX2; which rows
-//!   it computes (a block mask, a block width) never changes a row's bits;
+//! * the column kernel (every one-vector-against-many-centroids distance:
+//!   k-means assignment, PQ encode, the coarse cluster filter and LUT
+//!   construction over the codebook blocks a list can address) makes each
+//!   SIMD lane one row that runs the scalar reduction tree on its own — the
+//!   blocked scan's idea, so there is no horizontal sum and no transpose
+//!   whose order could differ — and is plain Rust compiled with and without
+//!   AVX2; which rows it computes (a block mask, a block width) never
+//!   changes a row's bits;
 //! * the top-k pre-filter compares exactly (no rounding is involved).
 //!
 //! # Where `unsafe` lives
@@ -44,19 +43,20 @@
 //! this file alone re-allows it, so `cargo build` rejects the keyword
 //! anywhere else, and every unsafe block here is a call into a
 //! `#[target_feature]` function whose preconditions (CPU features and, for
-//! the three written in `std::arch` intrinsics, in-bounds unaligned loads)
+//! the two written in `std::arch` intrinsics, in-bounds unaligned loads)
 //! are established by the dispatcher and by an explicit length check. There
-//! are four, each with its online callers:
+//! are three, each with its callers:
 //!
-//! * the distance kernel — [`l2_squared`](crate::distance::l2_squared);
-//! * the row kernel — k-means assignment and PQ encode
-//!   ([`nearest_centroid`](crate::distance::nearest_centroid)) and the
-//!   row-form filter oracle
-//!   ([`nearest_centroids`](crate::distance::nearest_centroids));
-//! * the column kernel, one call for both of its shapes — LUT construction
+//! * the distance kernel — [`l2_squared`](crate::distance::l2_squared):
+//!   k-means++ seeding and exact search;
+//! * the column kernel, one call for both of its shapes — k-means
+//!   assignment and PQ encode
+//!   ([`nearest_centroid`](crate::distance::nearest_centroid)), cluster
+//!   filtering ([`nearest_centroids`](crate::distance::nearest_centroids),
+//!   run by [`IvfPqIndex::filter_clusters`](crate::ivf::IvfPqIndex::filter_clusters))
+//!   and LUT construction
 //!   ([`LookupTable::rebuild_masked`](crate::lut::LookupTable::rebuild_masked)
-//!   and its all-blocks form `rebuild`) and cluster filtering
-//!   ([`IvfPqIndex::filter_clusters`](crate::ivf::IvfPqIndex::filter_clusters));
+//!   and its all-blocks form `rebuild`);
 //! * the top-k pre-filter mask — [`TopK::push_batch_with`](crate::topk::TopK::push_batch_with).
 //!
 //! # Dispatch policy
@@ -153,56 +153,13 @@ pub fn l2_squared_scalar(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// Squared L2 distance from `query` to each of `out.len()` contiguous rows
-/// of `rows` (row `r` is `rows[r * d..(r + 1) * d]`, `d = query.len()`) —
-/// the shape of a k-means assignment and of a PQ encode (one (sub-)vector
-/// against the centroids of one quantizer, both through
-/// [`nearest_centroid`](crate::distance::nearest_centroid)) and of the
-/// row-form cluster filter
+/// Squared L2 distance from `query` to each of `out.len()` rows of a
+/// *column-major* table: component `j` of row `r` is `cols[j * out.len() +
+/// r]` ([`to_columns`](crate::distance::to_columns)) — one vector against
+/// the centroids of one quantizer, the kernel of k-means assignment, PQ
+/// encode ([`nearest_centroid`](crate::distance::nearest_centroid)) and
+/// cluster filtering
 /// ([`nearest_centroids`](crate::distance::nearest_centroids)).
-/// Runs on the best runtime-detected backend.
-///
-/// Every entry is [`l2_squared_scalar`]'s reduction tree, so the result is
-/// bitwise-equal to `l2_squared_with(backend, query, row)` on every backend;
-/// what the row form saves is the per-entry dispatch and call, and it lets
-/// the compiler keep `query` in registers across rows. The two online
-/// callers use the column kernel instead — LUT construction
-/// ([`l2_squared_cols_blocks`]) and the coarse filter ([`l2_squared_cols`]);
-/// the row form keeps the offline callers (k-means assignment and PQ
-/// encode, until a record shows the column form winning there) and is the
-/// filter's oracle
-/// ([`nearest_centroids`](crate::distance::nearest_centroids)).
-///
-/// # Panics
-/// Panics if `query` is empty or `rows.len() != out.len() * query.len()`.
-#[inline]
-pub(crate) fn l2_squared_rows(query: &[f32], rows: &[f32], out: &mut [f32]) {
-    l2_squared_rows_with(active(), query, rows, out)
-}
-
-/// `l2_squared_rows` on an explicit backend (bitwise-equal across
-/// backends).
-pub fn l2_squared_rows_with(backend: Backend, query: &[f32], rows: &[f32], out: &mut [f32]) {
-    let d = query.len();
-    assert!(d > 0, "row distance needs a non-empty query");
-    assert_eq!(rows.len(), out.len() * d, "row buffer size mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 {
-        // Safety: feature availability as in `l2_squared_with`; the length
-        // check above is the bound every load of the kernel stays inside.
-        return unsafe { x86::l2_squared_rows_avx2(query, rows, out) };
-    }
-    let _ = backend;
-    for (slot, row) in out.iter_mut().zip(rows.chunks_exact(d)) {
-        *slot = l2_squared_scalar(query, row);
-    }
-}
-
-/// [`l2_squared_rows`] over a *column-major* table: component `j` of row `r`
-/// is `cols[j * out.len() + r]` — the layout of
-/// [`IvfPqIndex`](crate::ivf::IvfPqIndex)'s coarse-centroid twin, and the
-/// kernel of cluster filtering
-/// ([`nearest_centroids_cols`](crate::distance::nearest_centroids_cols)).
 /// Runs on the best runtime-detected backend.
 ///
 /// Each SIMD lane is one row running [`l2_squared_scalar`]'s reduction tree
@@ -263,8 +220,9 @@ pub const MASK_ROWS: usize = 32 * SCAN_LANES;
 /// the sixteen 8-lane AVX2 registers, so each broadcast query component
 /// feeds four independent vector adds. On the coarse filter (512 × 128-d,
 /// nprobe 8, select included) this width measured 6.2 µs per query, where
-/// [`SCAN_LANES`]-row blocks measured 9.1 µs and the row kernel 10.1 µs
-/// (medians of eight runs on one core of a 2-vCPU Xeon VM).
+/// [`SCAN_LANES`]-row blocks measured 9.1 µs and the row-major AVX2 kernel
+/// it replaced 10.1 µs (medians of eight runs on one core of a 2-vCPU Xeon
+/// VM).
 pub const WIDE_ROWS: usize = 32;
 
 /// The one entry into the column kernel for both of its shapes: every row in
@@ -519,74 +477,6 @@ mod x86 {
             sum += d * d;
         }
         sum
-    }
-
-    /// The 4-lane accumulator of `l2_squared_avx2` over the first `lanes`
-    /// components (a multiple of 4) of one row, before the horizontal sum.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available and `lanes` floats are readable
-    /// behind both pointers.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn l2_lane_sums_avx2(a: *const f32, b: *const f32, lanes: usize) -> __m128 {
-        let mut acc = _mm_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= lanes {
-            let d = _mm256_sub_ps(_mm256_loadu_ps(a.add(i)), _mm256_loadu_ps(b.add(i)));
-            let sq = _mm256_mul_ps(d, d);
-            acc = _mm_add_ps(acc, _mm256_castps256_ps128(sq));
-            acc = _mm_add_ps(acc, _mm256_extractf128_ps::<1>(sq));
-            i += 8;
-        }
-        if i + 4 <= lanes {
-            let d = _mm_sub_ps(_mm_loadu_ps(a.add(i)), _mm_loadu_ps(b.add(i)));
-            acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
-        }
-        acc
-    }
-
-    /// Bitwise twin of one `l2_squared_scalar` per row, four rows at a time:
-    /// each row's 4-lane accumulator is built as in `l2_squared_avx2`, then
-    /// a 4 × 4 transpose turns the four horizontal sums
-    /// `((acc0 + acc1) + acc2) + acc3` into three vertical adds — at a PQ
-    /// sub-vector's 8 floats the horizontal sum is most of a distance. The
-    /// sequential tail (`d % 4` components) and the last `rows % 4` rows
-    /// take the per-row path.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available and
-    /// `rows.len() == out.len() * query.len()`, `query` non-empty.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn l2_squared_rows_avx2(query: &[f32], rows: &[f32], out: &mut [f32]) {
-        let d = query.len();
-        debug_assert_eq!(rows.len(), out.len() * d, "row buffer size mismatch");
-        let lanes = d / 4 * 4;
-        let q = query.as_ptr();
-        let (quads, rest) = out.as_chunks_mut::<4>();
-        for (r, sums) in quads.iter_mut().enumerate() {
-            let base = rows.as_ptr().add(r * 4 * d);
-            let mut a0 = l2_lane_sums_avx2(q, base, lanes);
-            let mut a1 = l2_lane_sums_avx2(q, base.add(d), lanes);
-            let mut a2 = l2_lane_sums_avx2(q, base.add(2 * d), lanes);
-            let mut a3 = l2_lane_sums_avx2(q, base.add(3 * d), lanes);
-            _MM_TRANSPOSE4_PS(&mut a0, &mut a1, &mut a2, &mut a3);
-            _mm_storeu_ps(
-                sums.as_mut_ptr(),
-                _mm_add_ps(_mm_add_ps(_mm_add_ps(a0, a1), a2), a3),
-            );
-            for (row, sum) in sums.iter_mut().enumerate() {
-                let row = &rows[(r * 4 + row) * d..][..d];
-                for j in lanes..d {
-                    let t = query[j] - row[j];
-                    *sum += t * t;
-                }
-            }
-        }
-        let done = quads.len() * 4;
-        for (slot, row) in rest.iter_mut().zip(rows[done * d..].chunks_exact(d)) {
-            *slot = l2_squared_avx2(query, row);
-        }
     }
 
     /// `l2_squared_cols_lanes` compiled with AVX2 enabled, so its 8-lane

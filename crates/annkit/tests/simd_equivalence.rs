@@ -3,8 +3,8 @@
 //! therefore the replay twin and every committed bench record) identical
 //! across machines with and without AVX2.
 //!
-//! The distance, row-distance, column-distance (dense and block-masked) and
-//! top-k tests exercise both
+//! The distance, column-distance (dense and block-masked) and top-k tests
+//! exercise both
 //! `Backend::Scalar` and the runtime-detected backend through the explicit
 //! `*_with` entry points, so on AVX2 hardware the vector code is proven
 //! against the scalar code in one process, and on non-AVX2 hardware they
@@ -45,6 +45,24 @@ fn assert_cols_are_the_transposed_rows(pq: &ProductQuantizer) {
             }
         }
     }
+}
+
+/// `to_columns` of a row-major table, checked entry by entry against the
+/// layout it promises: component `j` of row `r` at `j * rows + r`.
+fn transposed(table: &[f32], dim: usize) -> Vec<f32> {
+    let cols = annkit::distance::to_columns(table, dim);
+    let rows = table.len() / dim;
+    assert_eq!(cols.len(), table.len());
+    for (r, row) in table.chunks_exact(dim).enumerate() {
+        for (j, x) in row.iter().enumerate() {
+            assert_eq!(
+                cols[j * rows + r].to_bits(),
+                x.to_bits(),
+                "row {r} component {j}"
+            );
+        }
+    }
+    cols
 }
 
 /// What `nearest_centroids` replaced: one distance per centroid, a full sort
@@ -97,28 +115,6 @@ proptest! {
         prop_assert_eq!(got.len(), reference.len());
         for (g, r) in got.iter().zip(&reference) {
             prop_assert_eq!(g.to_bits(), r.to_bits());
-        }
-    }
-
-    /// Row kernel: on every backend, each of `rows` distances is the scalar
-    /// reference's bits — across widths below, at and past the 4- and 8-lane
-    /// boundaries (sequential tails of 1–3 components) and row counts that
-    /// leave 0–3 rows after the last group of four.
-    #[test]
-    fn row_distances_bitwise_equal(
-        dim in 1usize..40,
-        rows in 0usize..23,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
-        let table: Vec<f32> = (0..dim * rows).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
-        for backend in backends() {
-            let mut out = vec![f32::NAN; rows];
-            simd::l2_squared_rows_with(backend, &query, &table, &mut out);
-            for (got, row) in out.iter().zip(table.chunks_exact(dim)) {
-                prop_assert_eq!(got.to_bits(), simd::l2_squared_scalar(&query, row).to_bits());
-            }
         }
     }
 
@@ -231,17 +227,20 @@ proptest! {
         }
     }
 
-    /// The column-major cluster filter (`nearest_centroids_cols`, the
-    /// coarse filter's kernel) equals the row-form `nearest_centroids` in
-    /// ids and distance bits: centroid counts off the 32-row block width,
-    /// duplicated centroids (ties), NaN-poisoned centroids, and `n` = 0, 1,
-    /// in between and past the centroid count.
+    /// `nearest_centroids` (one column-kernel call over the column-major
+    /// twin, select the `n` best, sort those) is element for element the
+    /// full sort's prefix in ids and distance bits: centroid counts off the
+    /// 32-row block width, duplicated centroids (distance ties broken by
+    /// index), NaN-poisoned centroids (last) with the NaN in the first or a
+    /// middle component, and `n` = 0, 1, in between, at and past the
+    /// centroid count. The twin is `to_columns` of the row-major table.
     #[test]
-    fn column_filter_equals_the_row_filter(
+    fn nearest_centroids_equals_the_full_sort(
         dim_pick in 0usize..5,
         rows in 1usize..200,
         n_pick in 0usize..6,
         nan_stride in 2usize..60,
+        nan_middle in any::<bool>(),
         seed in 0u64..1_000_000,
     ) {
         let dim = [1usize, 3, 8, 13, 128][dim_pick];
@@ -252,52 +251,13 @@ proptest! {
             let source = rng.gen_range(0..r);
             table.copy_within(source * dim..(source + 1) * dim, r * dim);
         }
+        let poisoned = if nan_middle { dim / 2 } else { 0 };
         for r in (1..rows).step_by(nan_stride) {
-            table[r * dim + dim / 2] = f32::NAN;
+            table[r * dim + poisoned] = f32::NAN;
         }
-        let mut cols = vec![0.0f32; table.len()];
-        for (r, row) in table.chunks_exact(dim).enumerate() {
-            for (j, &x) in row.iter().enumerate() {
-                cols[j * rows + r] = x;
-            }
-        }
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&annkit::distance::to_columns(&table, dim)), bits(&cols));
+        let cols = transposed(&table, dim);
         let n = [0, 1, rows / 2, rows.saturating_sub(1), rows, rows + 7][n_pick];
-        let got = annkit::distance::nearest_centroids_cols(&query, &cols, rows, n);
-        let want = annkit::distance::nearest_centroids(&query, &table, dim, n);
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert_eq!(g.0, w.0);
-            prop_assert_eq!(g.1.to_bits(), w.1.to_bits());
-        }
-    }
-
-    /// `nearest_centroids` (one row-kernel call, select the `n` best, sort
-    /// those) is element for element the full sort's prefix: duplicated
-    /// centroids (distance ties broken by index), NaN-poisoned centroids
-    /// (last), `n` = 0, 1, in between and past the centroid count.
-    #[test]
-    fn nearest_centroids_equals_the_full_sort(
-        dim_pick in 0usize..5,
-        rows in 1usize..160,
-        n_pick in 0usize..6,
-        nan_stride in 2usize..40,
-        seed in 0u64..1_000_000,
-    ) {
-        let dim = [1usize, 3, 8, 13, 128][dim_pick];
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
-        let mut table: Vec<f32> = (0..dim * rows).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
-        for r in (2..rows).step_by(3) {
-            let source = rng.gen_range(0..r);
-            table.copy_within(source * dim..(source + 1) * dim, r * dim);
-        }
-        for r in (1..rows).step_by(nan_stride) {
-            table[r * dim] = f32::NAN;
-        }
-        let n = [0, 1, rows / 2, rows.saturating_sub(1), rows, rows + 7][n_pick];
-        let got = annkit::distance::nearest_centroids(&query, &table, dim, n);
+        let got = annkit::distance::nearest_centroids(&query, &cols, rows, n);
         let want = full_sort_oracle(&query, &table, dim, n);
         prop_assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
@@ -306,15 +266,16 @@ proptest! {
         }
     }
 
-    /// `nearest_centroid` (row kernel, stack blocks of 64) returns the index
-    /// and the distance bits of the loop it replaced — one `l2_squared` per
-    /// centroid, first minimum wins — with row counts off the block size,
+    /// `nearest_centroid` (one column-kernel call over the column-major twin)
+    /// returns the index and the distance bits of the loop it replaced — one
+    /// `l2_squared` per centroid, first minimum wins — with row counts that
+    /// run the 32-row blocks, the 1-row tail and a PQ codebook's 256,
     /// duplicated rows (ties) and a NaN row (never selected, never hiding a
     /// later finite row).
     #[test]
     fn nearest_centroid_equals_the_per_pair_loop(
         dim_pick in 0usize..6,
-        rows in 1usize..200,
+        rows in 1usize..=300,
         nan_row in 0usize..400,
         seed in 0u64..1_000_000,
     ) {
@@ -338,7 +299,9 @@ proptest! {
                 want = (i, d);
             }
         }
-        let got = annkit::distance::nearest_centroid(&query, &table, dim);
+        let mut distances = vec![0.0f32; rows];
+        let got =
+            annkit::distance::nearest_centroid(&query, &transposed(&table, dim), &mut distances);
         prop_assert_eq!(got.0, want.0);
         prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
     }
@@ -461,6 +424,6 @@ fn trained_lut_scan_ignores_the_backend() {
 #[test]
 fn nearest_centroids_of_an_empty_buffer_is_empty() {
     for n in [0, 1, 8] {
-        assert!(annkit::distance::nearest_centroids(&[1.0, 2.0], &[], 2, n).is_empty());
+        assert!(annkit::distance::nearest_centroids(&[1.0, 2.0], &[], 0, n).is_empty());
     }
 }
