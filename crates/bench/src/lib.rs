@@ -17,9 +17,7 @@ use baselines::cpu::CpuFaissEngine;
 use baselines::gpu::GpuFaissEngine;
 use pim_sim::config::PimConfig;
 use baselines::engine::AnnEngine;
-use upanns::adaptive::{
-    apply_adjustment, full_relocation, plan_adaptation, AdaptationDecision, AdaptationPolicy,
-};
+use upanns::adaptive::{apply_adjustment, full_relocation, replica_adjustment};
 use upanns::builder::{frequencies_from_queries, max_dpu_vectors, BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
@@ -186,9 +184,12 @@ impl EvalContext {
     /// batch is drawn from the ranking [`WorkloadSpec::with_popularity_seed`]
     /// gives (nprobe 8) and served three times: on the stale placement, on
     /// that placement after the minor-drift tier's replica adjustment, and
-    /// after the major-drift tier's full relocation — each tier forced,
-    /// whatever [`AdaptationPolicy`]'s thresholds would pick, with the new
-    /// frequencies taken from a 600-query history of the drifted ranking.
+    /// after the major-drift tier's full relocation — each tier called
+    /// directly, whatever the drift rule of
+    /// [`adapt_placement`](upanns::adaptive::adapt_placement) would pick, with
+    /// the new frequencies taken from a 600-query history of the drifted
+    /// ranking. An adjusted row appears only when the frequencies moved and
+    /// some replica count changes.
     /// The first row is the floor: the stale placement serving a batch of
     /// the ranking it was built for.
     pub fn drift_study(&self, popularity_seeds: &[u64]) -> Vec<DriftRow> {
@@ -235,20 +236,15 @@ impl EvalContext {
         let mut stale_engine = build(None);
         let stale = stale_engine.placement().clone();
         serve(&mut stale_engine, None, "stale", 0, &draw(500, seed + 21, None));
-        // Thresholds that always pick the cheap tier.
-        let always_adjust = AdaptationPolicy {
-            minor_drift: 0.0,
-            major_drift: f64::INFINITY,
-            ..AdaptationPolicy::default()
-        };
         for &p in popularity_seeds {
             let new_freqs =
                 frequencies_from_queries(&self.index, &draw(600, seed + 22, Some(p)), NPROBE);
             let batch = draw(500, seed + 23, Some(p));
             serve(&mut stale_engine, Some(p), "stale", 0, &batch);
-            if let AdaptationDecision::AdjustReplicas(_, adjustment) =
-                plan_adaptation(&stale, &sizes, &old_freqs, &new_freqs, &always_adjust)
-            {
+            // Both histories are 600 queries at NPROBE, so equal frequencies
+            // are exactly zero drift.
+            let adjustment = replica_adjustment(&stale, &sizes, &new_freqs);
+            if let Some(adjustment) = adjustment.filter(|_| new_freqs != old_freqs) {
                 let adjusted =
                     apply_adjustment(&stale, &adjustment, &sizes, &new_freqs, max_dpu_vectors);
                 let added = adjustment.add.iter().map(|&(_, replicas)| replicas).sum();

@@ -43,12 +43,14 @@ pub struct PlacementInput {
     /// Maximum number of vectors a single DPU may hold (`MAX_DPU_SIZE`),
     /// derived from MRAM capacity.
     pub max_dpu_vectors: usize,
-    /// Threshold relaxation rate (`rate` in Algorithm 1, default 0.02).
-    pub threshold_rate: f64,
 }
 
+/// Algorithm 1's `rate`: each failed packing attempt relaxes `thld` by this
+/// much.
+const THRESHOLD_RATE: f64 = 0.02;
+
 impl PlacementInput {
-    /// Creates an input with the default relaxation rate.
+    /// Checks and wraps the four inputs.
     pub fn new(
         cluster_sizes: Vec<usize>,
         frequencies: Vec<f64>,
@@ -67,7 +69,6 @@ impl PlacementInput {
             frequencies,
             num_dpus,
             max_dpu_vectors,
-            threshold_rate: 0.02,
         }
     }
 
@@ -95,10 +96,11 @@ pub struct Placement {
     /// Number of vectors stored per DPU (each replica stores the whole
     /// cluster).
     pub dpu_vectors: Vec<usize>,
-    /// The `thld` the placement was packed under: no DPU's estimated
-    /// workload exceeds `W·threshold`. 1.0 for a placement no relaxation
-    /// produced, infinite when the capacity cap forced single replicas;
-    /// [`crate::adaptive`] carries it over unchanged.
+    /// The `thld` the placement was packed under (`1 + k·rate` after `k`
+    /// relaxations): no DPU's estimated workload exceeds `W·threshold`. 1.0
+    /// for a placement no relaxation produced, infinite when the capacity cap
+    /// forced single replicas. [`crate::adaptive`]'s replica adjustment
+    /// carries it over unchanged, and its full relocation packs afresh.
     pub threshold: f64,
 }
 
@@ -117,22 +119,7 @@ impl Placement {
     /// DPUs that host at least one replica — the static counterpart of
     /// Figure 11's max/avg metric.
     pub fn max_to_avg_workload(&self) -> f64 {
-        let busy: Vec<f64> = self
-            .dpu_workload
-            .iter()
-            .copied()
-            .filter(|&w| w > 0.0)
-            .collect();
-        if busy.is_empty() {
-            return 1.0;
-        }
-        let max = busy.iter().cloned().fold(0.0f64, f64::max);
-        let avg = busy.iter().sum::<f64>() / busy.len() as f64;
-        if avg <= 0.0 {
-            1.0
-        } else {
-            max / avg
-        }
+        max_over_busy_mean(self.dpu_workload.iter().copied())
     }
 
     /// Checks the structural invariants every placement must satisfy: it
@@ -173,6 +160,26 @@ impl Placement {
     }
 }
 
+/// Figure 11's max/avg: the largest workload over the mean of the busy
+/// (positive) ones, 1.0 when none is busy. The static estimate
+/// ([`Placement::max_to_avg_workload`]) and a batch's schedule
+/// ([`crate::scheduling::Schedule::max_to_avg_workload`]) both read it.
+pub(crate) fn max_over_busy_mean(workloads: impl Iterator<Item = f64>) -> f64 {
+    let (mut max, mut sum, mut busy) = (0.0f64, 0.0f64, 0usize);
+    for w in workloads.filter(|&w| w > 0.0) {
+        max = max.max(w);
+        sum += w;
+        busy += 1;
+    }
+    // NaN when nothing is busy; 0 only if a subnormal sum underflows.
+    let avg = sum / busy as f64;
+    if avg > 0.0 {
+        max / avg
+    } else {
+        1.0
+    }
+}
+
 /// Frequencies as the placement sees them: a cluster the history never probed
 /// (zero, negative or non-finite frequency) counts as probed at half the
 /// smallest observed frequency, so it carries a positive share to the DPUs
@@ -206,16 +213,12 @@ pub(crate) fn replica_count(workload: f64, threshold: f64, num_dpus: usize) -> u
 /// other replicas; if that leaves a cluster with none, the extra replicas are
 /// what took its room and every cluster is placed once instead — a cluster
 /// that still fits nowhere has no replica, which `validate` reports.
-///
-/// # Panics
-/// Panics if `threshold_rate` is not positive (the relaxation would never end).
 pub fn place_pim_aware(input: &PlacementInput) -> Placement {
     relax(input).0
 }
 
 /// [`place_pim_aware`] and the number of packing attempts it took.
 fn relax(input: &PlacementInput) -> (Placement, usize) {
-    assert!(input.threshold_rate > 0.0, "threshold_rate must be positive");
     let workloads: Vec<f64> = floored_frequencies(&input.frequencies)
         .iter()
         .zip(&input.cluster_sizes)
@@ -233,7 +236,7 @@ fn relax(input: &PlacementInput) -> (Placement, usize) {
     let mut placement = loop {
         // A threshold above the total workload admits every replica, so the
         // relaxation ends.
-        let threshold = 1.0 + attempts as f64 * input.threshold_rate;
+        let threshold = 1.0 + attempts as f64 * THRESHOLD_RATE;
         attempts += 1;
         if let Some(placement) = attempt(threshold, input.num_dpus) {
             break placement;
@@ -552,7 +555,7 @@ mod tests {
             let input = PlacementInput::new(sizes.clone(), vec![1.0; sizes.len()], dpus, cap);
             let (p, attempts) = relax(&input);
             prop_assert!(p.validate(&input).is_ok());
-            prop_assert!(attempts <= 2 + (dpus as f64 / input.threshold_rate) as usize);
+            prop_assert!(attempts <= 2 + (dpus as f64 / THRESHOLD_RATE) as usize);
         }
     }
 }

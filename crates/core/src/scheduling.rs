@@ -7,7 +7,7 @@
 //! least-loaded replica DPU, which is what keeps the per-DPU workload ratio
 //! of Figure 11 close to 1 at runtime.
 
-use crate::placement::Placement;
+use crate::placement::{max_over_busy_mean, Placement};
 
 /// One unit of work for a DPU: scan cluster `cluster` for query `query`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,22 +42,8 @@ impl Schedule {
     /// Ratio of the most-loaded DPU's estimated workload to the average over
     /// busy DPUs — the runtime counterpart of Figure 11.
     pub fn max_to_avg_workload(&self) -> f64 {
-        let busy: Vec<u64> = self
-            .dpu_workload
-            .iter()
-            .copied()
-            .filter(|&w| w > 0)
-            .collect();
-        if busy.is_empty() {
-            return 1.0;
-        }
-        let max = *busy.iter().max().expect("non-empty") as f64;
-        let avg = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
-        if avg <= 0.0 {
-            1.0
-        } else {
-            max / avg
-        }
+        // Integers far below 2⁵³: the f64 sum is exact.
+        max_over_busy_mean(self.dpu_workload.iter().map(|&w| w as f64))
     }
 
     /// Checks that every (query, cluster) pair from `filtered` appears exactly

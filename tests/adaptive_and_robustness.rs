@@ -11,8 +11,8 @@ use annkit::workload::WorkloadSpec;
 use baselines::engine::AnnEngine;
 use pim_sim::config::PimConfig;
 use std::sync::OnceLock;
-use upanns::adaptive::{adapt_placement, AdaptationPolicy};
-use upanns::builder::{frequencies_from_queries, BatchCapacity, UpAnnsBuilder};
+use upanns::adaptive::adapt_placement;
+use upanns::builder::{frequencies_from_queries, max_dpu_vectors, BatchCapacity, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
 use upanns::placement::{Placement, PlacementInput};
@@ -90,19 +90,11 @@ fn adaptive_flow_preserves_results_and_balance() {
     let new_freqs = frequencies_from_queries(&fix.index, &drifted, 6);
     let sizes = fix.index.list_sizes();
 
-    let policy = AdaptationPolicy::default();
-    let (adapted, decision) = adapt_placement(
-        engine.placement(),
-        &sizes,
-        &old_freqs,
-        &new_freqs,
-        0,
-        &policy,
-    );
+    let cap = max_dpu_vectors(fix.index.m(), &PimConfig::with_dpus(dpus));
+    let (adapted, _) = adapt_placement(engine.placement(), &sizes, &old_freqs, &new_freqs, cap);
     // Whatever the tier, the adapted placement must still be structurally
-    // valid and must not be less balanced (under the new pattern) than the
-    // stale placement re-evaluated under that pattern.
-    let input = PlacementInput::new(sizes.clone(), new_freqs.clone(), dpus, usize::MAX / 2);
+    // valid, within the builder's MRAM cap.
+    let input = PlacementInput::new(sizes.clone(), new_freqs.clone(), dpus, cap);
     adapted.validate(&input).unwrap();
 
     let mut rebuilt = build(fix, UpAnnsConfig::upanns(), dpus, Some(adapted));
@@ -121,8 +113,6 @@ fn adaptive_flow_preserves_results_and_balance() {
     let r_before = recall_at_k(&before.results, &exact, 10);
     let r_after = recall_at_k(&after.results, &exact, 10);
     assert!((r_before - r_after).abs() < 1e-9);
-    // The decision must expose a finite drift report.
-    assert!(decision.drift().total_variation.is_finite());
 }
 
 #[test]
