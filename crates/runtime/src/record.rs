@@ -202,6 +202,16 @@ fn live_row(live: Option<&LiveSummary>) -> Json {
     ])
 }
 
+/// A completed query's mean latency, split by where it was spent (each
+/// part of `ServiceReport::split` over the completed count), keyed as
+/// `split_ms` writes it. Admission wait is 0 by construction: no key.
+fn split_means(r: &ServiceReport) -> [(&'static str, f64); 4] {
+    let (s, n) = (&r.split, r.completed.max(1) as f64);
+    let parts = [s.batch_wait_s, s.dispatch_wait_s, s.engine_service_s, s.cache_s];
+    let keys = ["batch_wait", "dispatch_wait", "engine_service", "cache"];
+    std::array::from_fn(|i| (keys[i], parts[i] / n))
+}
+
 /// The one row field list: what `r` measured serving `workload`.
 fn row_fields(
     workload: &str,
@@ -217,6 +227,7 @@ fn row_fields(
         ("p50_ms", ms(r.p50())),
         ("p99_ms", ms(r.p99())),
         ("mean_ms", ms(r.mean_latency())),
+        ("split_ms", Inline(split_means(r).map(|(key, mean)| (key, ms(mean))).into())),
         ("slo_miss_fraction", Num(r.slo_miss_fraction())),
         ("meets_slo", Bool(r.meets_slo())),
         ("all_tenants_meet_slo", Bool(r.all_tenants_meet_slo())),
@@ -280,11 +291,14 @@ fn unit(x: f64) -> bool {
 /// What holds for a replay row whatever the flags were.
 fn universal(row: &ReplayRow) -> Vec<Clause> {
     let r = &row.report;
+    let split_s: f64 = split_means(r).iter().map(|(_, mean)| mean).sum();
     let mut clauses = vec![
         ("a recovery envelope, on failover rows only", row.envelope.is_some() == (row.workload == "failover")),
         ("a live audit, on live rows only", row.live.is_some() == row.workload.starts_with("live")),
         ("slo_miss_fraction and cache_hit_rate in [0, 1]", unit(r.slo_miss_fraction()) && unit(r.cache_hit_rate())),
         ("every tenant's slo_miss_fraction in [0, 1]", r.tenants.iter().all(|t| unit(t.slo_miss_fraction()))),
+        // Each part telescopes: only rounding separates their sum from the mean.
+        ("split_ms parts summing to mean_ms", (split_s - r.mean_latency()).abs() <= 1e-9 * r.mean_latency()),
     ];
     if let Some(e) = &row.envelope {
         clauses.extend([
@@ -609,7 +623,7 @@ mod tests {
     #[test]
     fn every_clause_rejects_the_row_that_breaks_it() {
         type Flip = fn(&mut Vec<ReplayRow>);
-        let universal: [(&str, Flip); 15] = [
+        let universal: [(&str, Flip); 16] = [
             ("a recovery envelope, on failover rows only", |r| r[SINGLE].envelope = Some(envelope())),
             ("a recovery envelope, on failover rows only", |r| r[FAILOVER].envelope = None),
             ("a live audit, on live rows only", |r| r[SINGLE].live = Some(live(12))),
@@ -624,6 +638,7 @@ mod tests {
                 let t = &mut r[SINGLE].report.tenants[0];
                 (t.completed, t.slo_p99_s) = (1, Some(0.0));
             }),
+            ("split_ms parts summing to mean_ms", |r| r[SINGLE].report.split.dispatch_wait_s += 1e-6),
             ("envelope baseline_attainment > 0", |r| {
                 r[FAILOVER].envelope.as_mut().expect("failover").baseline_attainment = 0.0;
             }),

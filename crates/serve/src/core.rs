@@ -3,7 +3,7 @@
 //!
 //! [`ServingCore`] owns the [`AdmissionQueue`], the [`ResultCache`], the
 //! [`BatchFormer`], the dispatch [`ChunkQueue`], the per-tenant SLO table,
-//! the live-index epoch schedule and the ledger every report is built from;
+//! the live-index epoch schedule and the ledger every report is folded from;
 //! it borrows the [`BatchPolicy`] that steers it. It never reads a clock and
 //! never calls an engine — a *driver* tells it what time it is and hands it
 //! engine responses:
@@ -22,6 +22,13 @@
 //!   release it causes stay deferred until the clock passes it;
 //! * [`into_report`](ServingCore::into_report) — the one report.
 //!
+//! The ledger is two record types: a `QueryRecord` per offered query,
+//! written when its fate is decided (shed, answered from the cache, or
+//! answered by a chunk, with its close, start and finish times), and a
+//! `ChunkRecord` per completed chunk, in completion order. The report is one
+//! fold over both. Policy feedback, seat releases and SLO outcomes wait for
+//! the clock in one queue type, `Deferred`, each drained where it is due.
+//!
 //! Two drivers step it: [`SearchService::replay`] on a simulated clock with
 //! one serial virtual engine, and `upanns_runtime::run_pipeline` from one
 //! control thread fed by N engine worker threads.
@@ -30,62 +37,84 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::VecDeque;
+use std::collections::vec_deque::{Drain, VecDeque};
 
 use crate::admission::AdmissionQueue;
 use crate::batcher::{BatchFormer, CloseReason, FormedBatch, PendingQuery};
 use crate::cache::ResultCache;
 use crate::controller::BatchPolicy;
 use crate::dispatch::{ChunkQueue, DispatchOrder, QueuedChunk};
-use crate::service::{ServiceConfig, ServiceReport, TenantReport};
+use crate::service::{LatencySplit, ServiceConfig, ServiceReport, TenantReport};
 use annkit::topk::Neighbor;
 use annkit::workload::QueryStream;
 use baselines::engine::{QueryOptions, SearchRequest, SearchResponse, TenantId};
 
-/// Policy feedback queued until the driver's clock catches up with the
-/// completion it describes (the causality guarantee of the replay). Each
-/// observation carries its tenant so a per-tenant policy bank can route it
-/// to the owning controller.
-#[derive(Clone, Copy)]
-struct Feedback {
-    at: f64,
-    tenant: TenantId,
-    observed: Observed,
+/// Deliveries held back until the driver's clock passes their time (the
+/// causality guarantee of the replay), kept in time order, stable on ties.
+struct Deferred<T>(VecDeque<(f64, T)>);
+
+impl<T> Deferred<T> {
+    fn push(&mut self, at: f64, item: T) {
+        let i = self.0.partition_point(|&(t, _)| t <= at);
+        self.0.insert(i, (at, item));
+    }
+
+    /// Removes and yields, in time order, every delivery due by `now`.
+    fn due(&mut self, now: f64) -> Drain<'_, (f64, T)> {
+        let n = self.0.partition_point(|&(t, _)| t <= now);
+        self.0.drain(..n)
+    }
 }
 
+/// A completion a policy observes, routed to its tenant's controller.
 #[derive(Clone, Copy)]
 enum Observed {
     Query { latency_s: f64 },
     Batch { len: usize, wait_s: f64 },
 }
 
-/// The SLO each tenant's dispatch urgency and report row are judged by:
-/// a profiled tenant's own target (or the config override), the config
-/// override alone for tenants the stream never announced — never the
-/// stream-level SLO, which is the tightest *profiled* tenant's target.
-struct SloTable {
-    entries: Vec<(TenantId, Option<f64>)>,
-    fallback: Option<f64>,
+/// How an offered query ended.
+#[derive(Clone, Copy)]
+enum Fate {
+    Shed,
+    Cached { finish: f64 },
+    Chunk { closed_at: f64, start: f64, finish: f64 },
 }
 
-impl SloTable {
-    fn new(stream: &QueryStream, config_slo: Option<f64>) -> Self {
-        Self {
-            entries: stream
-                .tenant_profiles
-                .iter()
-                .map(|p| (p.id, p.slo_p99_s.or(config_slo)))
-                .collect(),
-            fallback: config_slo,
+impl Fate {
+    /// When the answer was ready (`None`: no answer).
+    fn finish(self) -> Option<f64> {
+        match self {
+            Fate::Shed => None,
+            Fate::Cached { finish } | Fate::Chunk { finish, .. } => Some(finish),
         }
     }
+}
 
-    fn slo_of(&self, tenant: TenantId) -> Option<f64> {
-        self.entries
-            .iter()
-            .find(|(id, _)| *id == tenant)
-            .map_or(self.fallback, |(_, slo)| *slo)
+/// The ledger's record of one offered query, written when its fate is
+/// decided — so the records stand in completion order.
+struct QueryRecord {
+    index: usize,
+    arrival: f64,
+    tenant: TenantId,
+    fate: Fate,
+    neighbors: Vec<Neighbor>,
+}
+
+impl QueryRecord {
+    fn latency(&self) -> Option<f64> {
+        Some(self.fate.finish()? - self.arrival)
     }
+}
+
+/// The ledger's record of one completed chunk, in completion order.
+struct ChunkRecord {
+    /// Its batch's close reason, on the batch's lead chunk only.
+    closed: Option<CloseReason>,
+    seconds: f64,
+    degraded: u64,
+    hedged: u64,
+    redispatched: u64,
 }
 
 /// The engine request of one dispatched chunk. It is stamped with the
@@ -123,31 +152,18 @@ pub struct ServingCore<'a> {
     queue: AdmissionQueue,
     cache: ResultCache,
     former: BatchFormer,
-    chunks: ChunkQueue,
-    slos: SloTable,
+    dispatch: ChunkQueue,
     /// Tenants whose windows the policy steers: the announced profiles plus
     /// any tenant an arrival's options invent mid-stream.
     tenants_seen: Vec<TenantId>,
-    pending_feedback: Vec<Feedback>,
-    /// `(finish, tenant, queries)` of every completed chunk, in completion
-    /// order. Admitted queries occupy the waiting room until their chunk
+    feedback: Deferred<(TenantId, Observed)>,
+    /// Admitted queries occupy the waiting room until their chunk
     /// *finishes*, so an engine backlog exerts backpressure on admission.
-    pending_releases: VecDeque<(f64, TenantId, usize)>,
-    /// `(time, missed)` SLO outcomes no autoscaler has consumed yet.
-    pending_slo_events: Vec<(f64, bool)>,
-    latencies: Vec<f64>,
-    tenant_latencies: Vec<(TenantId, f64)>,
-    results: Vec<Vec<Neighbor>>,
-    answered: Vec<bool>,
-    duplicated: usize,
-    outcomes: Vec<(f64, Option<f64>)>,
-    degraded: u64,
-    hedged: u64,
-    redispatched: u64,
-    busy_s: f64,
-    makespan_s: f64,
-    size_closed: usize,
-    deadline_closed: usize,
+    releases: Deferred<(TenantId, usize)>,
+    /// SLO outcomes (`missed`) no autoscaler has consumed yet.
+    slo_events: Deferred<bool>,
+    queries: Vec<QueryRecord>,
+    chunks: Vec<ChunkRecord>,
 }
 
 impl<'a> ServingCore<'a> {
@@ -172,28 +188,16 @@ impl<'a> ServingCore<'a> {
             queue,
             cache: ResultCache::new(config.cache_capacity),
             former,
-            chunks: ChunkQueue::new(match config.max_chunk {
+            dispatch: ChunkQueue::new(match config.max_chunk {
                 Some(_) => DispatchOrder::SloUrgency,
                 None => DispatchOrder::CloseOrder,
             }),
-            slos: SloTable::new(stream, config.slo_p99_s),
             tenants_seen: stream.tenant_profiles.iter().map(|p| p.id).collect(),
-            pending_feedback: Vec::new(),
-            pending_releases: VecDeque::new(),
-            pending_slo_events: Vec::new(),
-            latencies: Vec::with_capacity(stream.len()),
-            tenant_latencies: Vec::with_capacity(stream.len()),
-            results: vec![Vec::new(); stream.len()],
-            answered: vec![false; stream.len()],
-            duplicated: 0,
-            outcomes: Vec::with_capacity(stream.len()),
-            degraded: 0,
-            hedged: 0,
-            redispatched: 0,
-            busy_s: 0.0,
-            makespan_s: 0.0,
-            size_closed: 0,
-            deadline_closed: 0,
+            feedback: Deferred(VecDeque::new()),
+            releases: Deferred(VecDeque::new()),
+            slo_events: Deferred(VecDeque::new()),
+            queries: Vec::with_capacity(stream.len()),
+            chunks: Vec::new(),
             config,
             policy,
         }
@@ -206,26 +210,10 @@ impl<'a> ServingCore<'a> {
     /// [`arrive`](Self::arrive) registers a tenant before its first query
     /// reaches the former.
     pub fn tick(&mut self, now: f64) {
-        let mut due = Vec::new();
-        self.pending_feedback.retain(|obs| {
-            let is_due = obs.at <= now;
-            if is_due {
-                due.push(*obs);
-            }
-            !is_due
-        });
-        due.sort_by(|a, b| a.at.partial_cmp(&b.at).unwrap_or(std::cmp::Ordering::Equal));
-        for Feedback {
-            at,
-            tenant,
-            observed,
-        } in due
-        {
+        for (at, (tenant, observed)) in self.feedback.due(now) {
             match observed {
                 Observed::Query { latency_s } => self.policy.observe(tenant, at, latency_s),
-                Observed::Batch { len, wait_s } => {
-                    self.policy.observe_batch(tenant, at, len, wait_s)
-                }
+                Observed::Batch { len, wait_s } => self.policy.observe_batch(tenant, at, len, wait_s),
             }
         }
         for &t in &self.tenants_seen {
@@ -246,24 +234,24 @@ impl<'a> ServingCore<'a> {
         }
     }
 
-    /// Counts the batch's close reason and enqueues it for dispatch, under
-    /// its tenant's SLO deadline and effective chunk cap: the policy's
-    /// steered cap clamped by the service-level ceiling.
+    /// Enqueues a closed batch for dispatch, under its tenant's SLO deadline
+    /// and effective chunk cap: the policy's steered cap clamped by the
+    /// service-level ceiling.
     fn submit(&mut self, batch: FormedBatch) {
-        match batch.reason {
-            CloseReason::Size => self.size_closed += 1,
-            CloseReason::Deadline => self.deadline_closed += 1,
-        }
         let tenant = batch.options.tenant;
         let cap = match self.config.max_chunk {
             None => usize::MAX,
-            Some(cap) => self
-                .policy
-                .chunk(tenant)
-                .map_or(cap, |c| c.min(cap))
-                .max(1),
+            Some(cap) => self.policy.chunk(tenant).map_or(cap, |c| c.min(cap)).max(1),
         };
-        self.chunks.submit(batch, self.slos.slo_of(tenant), cap);
+        self.dispatch.submit(batch, self.slo_of(tenant), cap);
+    }
+
+    /// The SLO a tenant's dispatch urgency and report row are judged by: its
+    /// profile's own target, else the config override — never the
+    /// stream-level SLO, which is the tightest *profiled* tenant's target.
+    fn slo_of(&self, tenant: TenantId) -> Option<f64> {
+        let own = self.stream.profile(tenant).and_then(|p| p.slo_p99_s);
+        own.or(self.config.slo_p99_s)
     }
 
     /// Processes query `index` of the stream arriving at `now`: frees the
@@ -272,18 +260,13 @@ impl<'a> ServingCore<'a> {
     /// waits for it; afterwards the hit costs only the lookup), sheds it at
     /// the door, or adds it to its batching window.
     pub fn arrive(&mut self, now: f64, index: usize, options: QueryOptions) {
-        while let Some(&(finish, tenant, n)) = self.pending_releases.front() {
-            if finish > now {
-                break;
-            }
+        for (_, (tenant, n)) in self.releases.due(now) {
             self.queue.release(tenant, n);
-            self.pending_releases.pop_front();
         }
         let tenant = options.tenant;
         if !self.tenants_seen.contains(&tenant) {
             self.tenants_seen.push(tenant);
-            self.former
-                .set_tenant_config(tenant, self.policy.current(tenant));
+            self.former.set_tenant_config(tenant, self.policy.current(tenant));
         }
         if let Some((cached, ready_at)) = self.cache.lookup_at_epoch(
             self.stream.batch.queries.vector(index),
@@ -291,91 +274,69 @@ impl<'a> ServingCore<'a> {
             ResultCache::epoch_at(self.epochs, now),
         ) {
             let finish = now.max(ready_at) + self.config.cache_lookup_s;
-            self.answer(index, tenant, now, finish, cached);
+            self.record(index, tenant, now, Fate::Cached { finish }, cached);
         } else if !self.queue.try_admit(tenant) {
             // Charged to this tenant — and recorded: a query that got no
             // answer is the worst SLO outcome.
-            self.outcomes.push((now, None));
-            self.pending_slo_events.push((now, true));
+            self.record(index, tenant, now, Fate::Shed, Vec::new());
         } else {
-            let pending = PendingQuery {
-                arrival_s: now,
-                stream_index: index,
-                options,
-            };
+            let pending = PendingQuery { arrival_s: now, stream_index: index, options };
             if let Some(batch) = self.former.push(pending, now) {
                 self.submit(batch);
             }
         }
     }
 
-    /// Records one answered query everywhere an answer is accounted.
-    fn answer(
-        &mut self,
-        index: usize,
-        tenant: TenantId,
-        arrival: f64,
-        finish: f64,
-        neighbors: Vec<Neighbor>,
-    ) {
-        let latency = finish - arrival;
-        self.latencies.push(latency);
-        self.tenant_latencies.push((tenant, latency));
-        self.outcomes.push((arrival, Some(latency)));
-        let missed = self.slos.slo_of(tenant).is_some_and(|s| latency > s);
-        self.pending_slo_events.push((finish, missed));
-        self.pending_feedback.push(Feedback {
-            at: finish,
-            tenant,
-            observed: Observed::Query { latency_s: latency },
-        });
-        self.makespan_s = self.makespan_s.max(finish);
-        if std::mem::replace(&mut self.answered[index], true) {
-            self.duplicated += 1;
-        } else {
-            self.results[index] = neighbors;
+    /// Writes one query's fate to the ledger and defers what it causes: an
+    /// SLO outcome and, for an answer, the policy's latency observation.
+    fn record(&mut self, index: usize, tenant: TenantId, arrival: f64, fate: Fate, neighbors: Vec<Neighbor>) {
+        match fate.finish() {
+            Some(finish) => {
+                let latency_s = finish - arrival;
+                let missed = self.slo_of(tenant).is_some_and(|s| latency_s > s);
+                self.slo_events.push(finish, missed);
+                self.feedback.push(finish, (tenant, Observed::Query { latency_s }));
+            }
+            None => self.slo_events.push(arrival, true),
         }
+        self.queries.push(QueryRecord { index, arrival, tenant, fate, neighbors });
     }
 
     /// The dispatch discipline [`ServiceConfig::max_chunk`] selected.
     pub(crate) fn order(&self) -> DispatchOrder {
-        self.chunks.order()
+        self.dispatch.order()
     }
 
     /// When the earliest queued chunk became dispatchable
     /// ([`ChunkQueue::next_ready_at`]).
     pub(crate) fn next_ready_at(&self) -> Option<f64> {
-        self.chunks.next_ready_at()
+        self.dispatch.next_ready_at()
     }
 
     /// The chunk to execute next among those ready by `ready_by`
     /// ([`ChunkQueue::pop_ready`]).
     pub fn pop_chunk(&mut self, ready_by: f64) -> Option<QueuedChunk> {
-        self.chunks.pop_ready(ready_by)
+        self.dispatch.pop_ready(ready_by)
     }
 
     /// Accounts one executed chunk that occupied an engine over
     /// `[start, finish]`: the completion, the deferred seat release and
     /// policy feedback, the cache entries (available from `finish` — the
     /// ready-at guard keeps repeats honest) and the per-query answers.
-    pub fn complete(
-        &mut self,
-        chunk: QueuedChunk,
-        response: SearchResponse,
-        start: f64,
-        finish: f64,
-    ) {
+    pub fn complete(&mut self, chunk: QueuedChunk, response: SearchResponse, start: f64, finish: f64) {
         let batch = chunk.batch;
         // Chunks are tenant-pure (the former never mixes tenants and the
         // queue splits batches without mixing), so the options name the one
         // tenant all feedback and the admission release belong to.
         let tenant = batch.options.tenant;
-        self.degraded += response.stats.degraded;
-        self.hedged += response.stats.hedged;
-        self.redispatched += response.stats.redispatched;
-        self.busy_s += response.seconds;
-        self.pending_releases
-            .push_back((finish, tenant, batch.len()));
+        self.chunks.push(ChunkRecord {
+            closed: chunk.lead.then_some(batch.reason),
+            seconds: response.seconds,
+            degraded: response.stats.degraded,
+            hedged: response.stats.hedged,
+            redispatched: response.stats.redispatched,
+        });
+        self.releases.push(finish, (tenant, batch.len()));
         // The time the batch sat behind a busy engine after it closed — the
         // saturation signal an adaptive policy steers by. Only the *lead*
         // chunk reports it: trailing chunks queue behind their own
@@ -383,15 +344,10 @@ impl<'a> ServingCore<'a> {
         // (a controller reading it as such would widen the window and make
         // the blocking worse).
         if chunk.lead {
-            self.pending_feedback.push(Feedback {
-                at: finish,
-                tenant,
-                observed: Observed::Batch {
-                    len: batch.len(),
-                    wait_s: start - batch.closed_at,
-                },
-            });
+            let wait_s = start - batch.closed_at;
+            self.feedback.push(finish, (tenant, Observed::Batch { len: batch.len(), wait_s }));
         }
+        let fate = Fate::Chunk { closed_at: batch.closed_at, start, finish };
         for (member, neighbors) in batch.members.iter().zip(response.results) {
             // The answer was computed against the snapshot active at the
             // query's own arrival — stamp the entry with that epoch so a
@@ -404,46 +360,60 @@ impl<'a> ServingCore<'a> {
                 finish,
                 ResultCache::epoch_at(self.epochs, member.arrival_s),
             );
-            self.answer(
-                member.stream_index,
-                tenant,
-                member.arrival_s,
-                finish,
-                neighbors,
-            );
+            self.record(member.stream_index, tenant, member.arrival_s, fate, neighbors);
         }
     }
 
-    /// Removes and returns, in recording order, the `(time, missed)` SLO
-    /// outcomes the clock has caught up with — what an autoscaler observes.
+    /// Removes and returns, in time order, the `(time, missed)` SLO outcomes
+    /// the clock has caught up with — what an autoscaler observes.
     pub(crate) fn take_slo_events(&mut self, now: f64) -> Vec<(f64, bool)> {
-        let (due, later) = self
-            .pending_slo_events
-            .iter()
-            .copied()
-            .partition(|&(t, _)| t <= now);
-        self.pending_slo_events = later;
-        due
+        self.slo_events.due(now).collect()
     }
 
     /// `(lost, duplicated)`: offered queries neither answered nor shed so
     /// far, and answers recorded for an already-answered query. Both are 0
     /// once a correct driver has drained the core.
     pub fn conservation(&self) -> (usize, usize) {
-        let shed = self.queue.shed() as usize;
-        let lost = self
-            .stream
-            .len()
-            .saturating_sub(self.latencies.len() + shed);
-        (lost, self.duplicated)
+        let mut answered = vec![false; self.stream.len()];
+        let (mut distinct, mut duplicated, mut shed) = (0, 0, 0);
+        for q in &self.queries {
+            match q.fate {
+                Fate::Shed => shed += 1,
+                _ if std::mem::replace(&mut answered[q.index], true) => duplicated += 1,
+                _ => distinct += 1,
+            }
+        }
+        (self.stream.len().saturating_sub(distinct + shed), duplicated)
     }
 
     /// Delivers the remaining feedback (so the reported controller state
-    /// reflects every observation) and assembles the report. The core knows
-    /// no engine and no autoscaler: `engine` names the former, and
-    /// `scale_events` / `migration_s` are left at zero for the driver.
+    /// reflects every observation) and folds the report from the ledger. The
+    /// core knows no engine and no autoscaler: `engine` names the former,
+    /// and `scale_events` / `migration_s` are left at zero for the driver.
     pub fn into_report(mut self, engine: &str) -> ServiceReport {
         self.tick(f64::INFINITY);
+        let mut split = LatencySplit::default();
+        for q in &self.queries {
+            match q.fate {
+                Fate::Shed => {}
+                Fate::Cached { finish } => split.cache_s += finish - q.arrival,
+                Fate::Chunk { closed_at, start, finish } => {
+                    split.batch_wait_s += closed_at - q.arrival;
+                    split.dispatch_wait_s += start - closed_at;
+                    split.engine_service_s += finish - start;
+                }
+            }
+        }
+        // A duplicate answer never overwrites the first: fill from the last
+        // record back.
+        let mut results = vec![Vec::new(); self.stream.len()];
+        for q in self.queries.iter_mut().rev() {
+            results[q.index] = std::mem::take(&mut q.neighbors);
+        }
+        let latencies_of = |tenant: Option<TenantId>| {
+            let of = self.queries.iter().filter(|q| tenant.is_none_or(|t| q.tenant == t));
+            sorted(of.filter_map(QueryRecord::latency).collect())
+        };
         // Per-tenant rows, in profile order (tenants invented mid-stream
         // follow, in first-seen order).
         let tenants = self
@@ -451,21 +421,15 @@ impl<'a> ServingCore<'a> {
             .iter()
             .map(|&t| {
                 let profile = self.stream.profile(t);
-                let latencies_s = sorted(
-                    self.tenant_latencies
-                        .iter()
-                        .filter(|(id, _)| *id == t)
-                        .map(|(_, l)| *l)
-                        .collect(),
-                );
+                let latencies_s = latencies_of(Some(t));
                 TenantReport {
                     id: t,
                     name: profile.map_or_else(|| t.to_string(), |p| p.name.clone()),
                     weight: profile.map_or(1, |p| p.weight),
                     // Every tenant is measured against its own SLO (or the
                     // explicit config override) — never against another
-                    // tenant's target; see the field docs and `SloTable`.
-                    slo_p99_s: self.slos.slo_of(t),
+                    // tenant's target; see the field docs and `slo_of`.
+                    slo_p99_s: self.slo_of(t),
                     completed: latencies_s.len(),
                     shed: self.queue.shed_of(t) as usize,
                     latencies_s,
@@ -473,6 +437,9 @@ impl<'a> ServingCore<'a> {
                 }
             })
             .collect();
+        let latencies_s = latencies_of(None);
+        let chunks = &self.chunks;
+        let closed = |reason| chunks.iter().filter(|c| c.closed == Some(reason)).count();
         ServiceReport {
             engine: engine.to_string(),
             policy: match self.config.max_chunk {
@@ -482,25 +449,27 @@ impl<'a> ServingCore<'a> {
             slo_p99_s: self.config.slo_p99_s.or(self.stream.slo_p99_s),
             controller_adjustments: self.policy.adjustments(),
             final_batcher: self.policy.current(TenantId::DEFAULT),
-            completed: self.latencies.len(),
+            completed: latencies_s.len(),
             shed: self.queue.shed() as usize,
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             cache_invalidated: self.cache.invalidated(),
-            size_closed_batches: self.size_closed,
-            deadline_closed_batches: self.deadline_closed,
-            dispatched_chunks: self.chunks.dispatched_chunks(),
-            split_batches: self.chunks.split_batches(),
-            engine_busy_s: self.busy_s,
-            makespan_s: self.makespan_s,
-            latencies_s: sorted(self.latencies),
-            results: self.results,
-            outcomes: self.outcomes,
-            degraded: self.degraded,
-            hedged: self.hedged,
-            redispatched: self.redispatched,
+            size_closed_batches: closed(CloseReason::Size),
+            deadline_closed_batches: closed(CloseReason::Deadline),
+            dispatched_chunks: self.dispatch.dispatched_chunks(),
+            split_batches: self.dispatch.split_batches(),
+            // A fold from +0.0 in completion order (`sum` starts at −0.0).
+            engine_busy_s: chunks.iter().fold(0.0, |busy, c| busy + c.seconds),
+            makespan_s: self.queries.iter().filter_map(|q| q.fate.finish()).fold(0.0, f64::max),
+            latencies_s,
+            results,
+            outcomes: self.queries.iter().map(|q| (q.arrival, q.latency())).collect(),
+            degraded: chunks.iter().map(|c| c.degraded).sum(),
+            hedged: chunks.iter().map(|c| c.hedged).sum(),
+            redispatched: chunks.iter().map(|c| c.redispatched).sum(),
             scale_events: 0,
             migration_s: 0.0,
+            split,
             tenants,
         }
     }

@@ -52,10 +52,7 @@ pub(crate) fn miss_fraction_of(
     if offered == 0 {
         return 0.0;
     }
-    let late = match slo {
-        Some(slo) => sorted.iter().filter(|&&l| l > slo).count(),
-        None => 0,
-    };
+    let late = slo.map_or(0, |slo| sorted.iter().filter(|&&l| l > slo).count());
     (late + shed) as f64 / offered as f64
 }
 
@@ -166,6 +163,21 @@ impl TenantReport {
     }
 }
 
+/// Where completed queries' latency went, each part summed over them in
+/// seconds; the parts add up to the summed latency. Admission adds nothing:
+/// a query is admitted or shed the instant it arrives.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LatencySplit {
+    /// Σ batch close − arrival over engine answers.
+    pub batch_wait_s: f64,
+    /// Σ engine start − batch close over engine answers.
+    pub dispatch_wait_s: f64,
+    /// Σ engine finish − engine start over engine answers.
+    pub engine_service_s: f64,
+    /// Σ latency of cache answers.
+    pub cache_s: f64,
+}
+
 /// What the replay measured.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
@@ -228,6 +240,8 @@ pub struct ServiceReport {
     pub scale_events: usize,
     /// Total modeled shard-migration seconds those scale events charged.
     pub migration_s: f64,
+    /// The completed queries' latency, split by where it was spent.
+    pub split: LatencySplit,
     /// Per-tenant breakdown, in the stream's tenant-profile order (one
     /// `default` row for single-tenant replays).
     pub tenants: Vec<TenantReport>,
@@ -315,13 +329,7 @@ impl ServiceReport {
 
     /// Mean queries per executed batch (0 without batches).
     pub fn mean_batch_size(&self) -> f64 {
-        let batches = self.batches();
-        let engine_answered = self.completed as u64 - self.cache_hits;
-        if batches == 0 {
-            0.0
-        } else {
-            engine_answered as f64 / batches as f64
-        }
+        self.engine_answers_per(self.batches())
     }
 
     /// Mean queries per *dispatched chunk* — the serial engine's actual
@@ -329,11 +337,16 @@ impl ServiceReport {
     /// [`mean_batch_size`](Self::mean_batch_size) under whole-batch
     /// dispatch.
     pub fn mean_chunk_size(&self) -> f64 {
+        self.engine_answers_per(self.dispatched_chunks)
+    }
+
+    /// Engine-answered queries over `n` (0 when `n` is 0).
+    fn engine_answers_per(&self, n: usize) -> f64 {
         let engine_answered = self.completed as u64 - self.cache_hits;
-        if self.dispatched_chunks == 0 {
+        if n == 0 {
             0.0
         } else {
-            engine_answered as f64 / self.dispatched_chunks as f64
+            engine_answered as f64 / n as f64
         }
     }
 }
@@ -348,15 +361,10 @@ struct SerialEngine<'e, E: AnnEngine> {
     next_request_id: &'e mut u64,
     free_at: f64,
     /// Under [`DispatchOrder::CloseOrder`] a batch *executes* the moment it
-    /// closes: FIFO dispatch is fully determined at close
-    /// (`start = max(closed_at, engine free)`), so running it then — with a
-    /// finish possibly in the simulated future — is timing-identical to
-    /// waiting, and it makes the batch's cache entries visible from close
-    /// time (a repeat of a closed-but-unfinished query coalesces onto the
-    /// pending answer via `ready_at`). Under
-    /// `SloUrgency` execution must wait for [`advance`](Self::advance): a
-    /// more urgent later close may overtake a queued chunk, so its start is
-    /// genuinely undetermined until the engine picks it.
+    /// closes (FIFO fixes `start = max(closed_at, engine free)` there);
+    /// under `SloUrgency` it waits for [`advance`](Self::advance), since a
+    /// more urgent later close may overtake it. See
+    /// [`SearchService::replay`] on what that does to cache entries.
     execute_at_close: bool,
 }
 
@@ -775,6 +783,7 @@ mod tests {
             redispatched: 0,
             scale_events: 0,
             migration_s: 0.0,
+            split: LatencySplit::default(),
             tenants: Vec::new(),
         };
         assert_eq!(report.slo_miss_fraction(), 1.0);
