@@ -140,7 +140,7 @@ const FAILOVER_QPS: f64 = 26.0;
 /// amortization keeps the deployment's capacity roughly flat in offered
 /// load, so losing a host genuinely saturates it instead of being absorbed
 /// by ever-larger batches.
-const FAILOVER_MAX_CHUNK: usize = 8;
+const FAILOVER_CHUNK_CAP: usize = 8;
 const FAILOVER_SLO_MS: f64 = 2_500.0;
 /// Envelope bucket width: wide enough that one bucket smooths Poisson
 /// arrival noise at [`FAILOVER_QPS`], narrow enough to resolve the dip.
@@ -718,7 +718,7 @@ impl Fixture {
             stream: &self.failover_stream,
             offered_qps: FAILOVER_QPS,
             config: ServiceConfig {
-                max_chunk: Some(FAILOVER_MAX_CHUNK),
+                max_chunk: Some(FAILOVER_CHUNK_CAP),
                 ..base
             },
             engine: EngineKind::Failover,

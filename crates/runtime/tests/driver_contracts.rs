@@ -153,7 +153,7 @@ impl BatchPolicy for CountingPolicy {
         self.queries.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn observe_batch(&mut self, _: TenantId, _: f64, _: usize, _: f64) {
+    fn observe_batch(&mut self, _: TenantId, _: f64, _: f64) {
         self.batches.fetch_add(1, Ordering::Relaxed);
     }
 }

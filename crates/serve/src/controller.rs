@@ -13,16 +13,17 @@
 //!
 //! * [`FixedPolicy`] — the static [`BatchFormerConfig`] of the original
 //!   service, now expressed as the trivial controller.
-//! * [`SloController`] — a two-regime AIMD loop on the replay clock: once
-//!   per SLO of simulated time it compares the window's observed
-//!   p99 against the SLO. A miss has two distinct causes with *opposite*
-//!   fixes, which the controller separates with the engine-backlog signal:
-//!   when closed batches sit waiting for a saturated engine, the batches are
-//!   too *small* to amortize the per-batch PIM overheads, so the controller
-//!   widens the window multiplicatively (more amortization ⇒ more capacity);
-//!   when the engine is keeping up, the batching window itself is the
-//!   latency, so it shrinks multiplicatively. Comfortably below the SLO it
-//!   grows additively, harvesting batch amortization without overshooting.
+//! * [`SloController`] — a two-regime AIMD loop on the replay clock that
+//!   steers one value, the batching window: once per SLO of simulated time
+//!   it compares the window's observed p99 against the SLO. A miss has two
+//!   distinct causes with *opposite* fixes, which the controller separates
+//!   with the engine-backlog signal: when closed batches sit waiting for a
+//!   saturated engine, the batches are too *small* to amortize the
+//!   per-batch PIM overheads, so the controller widens the window
+//!   multiplicatively (more amortization ⇒ more capacity); when the engine
+//!   is keeping up, the batching window itself is the latency, so it
+//!   shrinks multiplicatively. Comfortably below the SLO it grows
+//!   additively, harvesting batch amortization without overshooting.
 //!
 //! With multiple tenants in one stream, a single window — however adaptive —
 //! must serve the tightest SLO in the mix, giving up the amortization the
@@ -97,26 +98,13 @@ pub trait BatchPolicy: Send {
         let _ = (tenant, now, latency_s);
     }
 
-    /// Feedback: a closed batch of `batch_len` of `tenant`'s queries finished
-    /// at `now` after spending `engine_wait_s` queued behind a busy engine
-    /// before it could start. A persistently large wait relative to the
-    /// batching window means the engine — not the window — is the
-    /// bottleneck. Default: ignore.
-    fn observe_batch(&mut self, tenant: TenantId, now: f64, batch_len: usize, engine_wait_s: f64) {
-        let _ = (tenant, now, batch_len, engine_wait_s);
-    }
-
-    /// The dispatch chunk cap `tenant`'s batches should be split at, if the
-    /// policy steers one — how many queries of one batch the
-    /// [`ChunkQueue`](crate::dispatch::ChunkQueue) may commit an engine to
-    /// per dispatch. `None` (the default, and every static policy's answer)
-    /// defers to the service-level cap
-    /// ([`ServiceConfig::max_chunk`](crate::service::ServiceConfig)). The
-    /// service clamps the answer to that cap: a policy may trade amortization
-    /// *below* the operator's isolation bound, never above it.
-    fn chunk(&self, tenant: TenantId) -> Option<usize> {
-        let _ = tenant;
-        None
+    /// Feedback: a closed batch of `tenant`'s queries finished at `now`
+    /// after spending `engine_wait_s` queued behind a busy engine before it
+    /// could start. A persistently large wait relative to the batching
+    /// window means the engine — not the window — is the bottleneck.
+    /// Default: ignore.
+    fn observe_batch(&mut self, tenant: TenantId, now: f64, engine_wait_s: f64) {
+        let _ = (tenant, now, engine_wait_s);
     }
 
     /// How many times the policy changed its answer so far (0 for static
@@ -141,7 +129,8 @@ impl BatchPolicy for FixedPolicy {
 }
 
 /// Closed-loop AIMD controller steering the batch former toward the largest
-/// batching window whose observed p99 still meets the SLO.
+/// batching window whose observed p99 still meets the SLO. The window is
+/// all it steers: the batch cap stays where it started.
 ///
 /// ```
 /// use baselines::engine::TenantId;
@@ -173,8 +162,6 @@ impl BatchPolicy for FixedPolicy {
 pub struct SloController {
     slo_p99_s: f64,
     current: BatchFormerConfig,
-    /// The dispatch chunk cap, steered alongside the window.
-    chunk: usize,
     /// Latencies observed since the last control decision.
     window: Vec<f64>,
     /// Engine-queue waits of batches dispatched since the last decision.
@@ -184,22 +171,6 @@ pub struct SloController {
 }
 
 impl SloController {
-    /// Bounds on the batch-size cap the controller may choose.
-    pub(crate) const MIN_BATCH: usize = 1;
-    /// Upper bound on the batch-size cap.
-    pub(crate) const MAX_BATCH: usize = 1024;
-    /// Additive batch-cap growth applied together with the window growth.
-    pub(crate) const BATCH_STEP: usize = 32;
-    /// Bounds on the dispatch chunk cap the controller may choose. The
-    /// chunk is steered like the window (saturated misses grow it — bigger
-    /// chunks amortize the per-dispatch overheads — unsaturated misses
-    /// shrink it, comfort grows it additively), so `MAX_CHUNK` is the most
-    /// head-of-line delay a tenant may ever inflict per dispatch.
-    pub(crate) const MIN_CHUNK: usize = 8;
-    /// Upper bound on the dispatch chunk cap.
-    pub(crate) const MAX_CHUNK: usize = 64;
-    /// Additive chunk growth applied together with the window growth.
-    pub(crate) const CHUNK_STEP: usize = 8;
     /// Multiplicative back-off applied when the window's p99 exceeds the SLO
     /// while the engine is keeping up.
     pub(crate) const DECREASE_FACTOR: f64 = 0.5;
@@ -215,7 +186,8 @@ impl SloController {
     pub(crate) const SATURATION_WAIT_RATIO: f64 = 1.0;
 
     /// A controller for the given p99 target (simulated seconds) starting
-    /// from `initial` close conditions, clamped into the controller's bounds.
+    /// from `initial` close conditions: the window clamped into the
+    /// controller's bounds, the batch cap as given.
     ///
     /// # Panics
     /// Panics unless the SLO is a positive, finite time.
@@ -227,14 +199,11 @@ impl SloController {
         let mut controller = Self {
             slo_p99_s,
             current: initial,
-            // Start mid-range: room to amortize up and to isolate down.
-            chunk: (Self::MIN_CHUNK + Self::MAX_CHUNK) / 2,
             window: Vec::new(),
             waits: Vec::new(),
             next_decision_at: slo_p99_s,
             adjustments: 0,
         };
-        controller.current.max_batch = initial.max_batch.clamp(Self::MIN_BATCH, Self::MAX_BATCH);
         controller.current.max_delay_s = initial
             .max_delay_s
             .clamp(controller.min_delay_s(), controller.max_delay_s());
@@ -297,16 +266,12 @@ impl SloController {
     }
 
     /// One control step against the window's p99 and the engine-wait signal.
-    /// The dispatch chunk cap moves with the window: every branch that
-    /// widens the window also grows the chunk (amortization per dispatch)
-    /// and every branch that shrinks it shrinks the chunk too (less serial
-    /// commitment while the window itself is the latency).
     fn decide(&mut self) {
         let Some(p99) = self.window_p99() else {
             self.waits.clear();
             return;
         };
-        let before = self.current;
+        let before = self.current.max_delay_s;
         if p99 > self.slo_p99_s {
             let saturated =
                 self.window_mean_wait() > Self::SATURATION_WAIT_RATIO * self.current.max_delay_s;
@@ -321,28 +286,15 @@ impl SloController {
             } else {
                 Self::DECREASE_FACTOR
             };
-            let scaled = |n: usize| (n as f64 * factor).round() as usize;
             self.current.max_delay_s = (self.current.max_delay_s * factor)
                 .clamp(self.min_delay_s(), self.max_delay_s());
-            self.current.max_batch =
-                scaled(self.current.max_batch).clamp(Self::MIN_BATCH, Self::MAX_BATCH);
-            self.chunk = scaled(self.chunk).clamp(Self::MIN_CHUNK, Self::MAX_CHUNK);
         } else if p99 < Self::GROW_BELOW * self.slo_p99_s {
             // Comfortably under: grow additively — harvest batch
             // amortization gradually without overshooting the SLO.
             self.current.max_delay_s =
                 (self.current.max_delay_s + self.delay_step_s()).min(self.max_delay_s());
-            self.current.max_batch =
-                (self.current.max_batch + Self::BATCH_STEP).min(Self::MAX_BATCH);
-            self.chunk = (self.chunk + Self::CHUNK_STEP).min(Self::MAX_CHUNK);
         }
-        // Chunk-only moves are not counted: `adjustments` keeps its
-        // original meaning (close-condition changes), and the chunk knob is
-        // inert when the service runs whole-batch dispatch — a policy
-        // cannot know which, so it must not report phantom activity.
-        if self.current.max_batch != before.max_batch
-            || self.current.max_delay_s != before.max_delay_s
-        {
+        if self.current.max_delay_s != before {
             self.adjustments += 1;
         }
         self.window.clear();
@@ -373,14 +325,10 @@ impl BatchPolicy for SloController {
         }
     }
 
-    fn observe_batch(&mut self, _tenant: TenantId, _now: f64, _len: usize, engine_wait_s: f64) {
+    fn observe_batch(&mut self, _tenant: TenantId, _now: f64, engine_wait_s: f64) {
         if engine_wait_s.is_finite() && engine_wait_s >= 0.0 {
             self.waits.push(engine_wait_s);
         }
-    }
-
-    fn chunk(&self, _tenant: TenantId) -> Option<usize> {
-        Some(self.chunk)
     }
 
     fn adjustments(&self) -> usize {
@@ -464,16 +412,10 @@ impl BatchPolicy for ControllerBank {
         }
     }
 
-    fn observe_batch(&mut self, tenant: TenantId, now: f64, batch_len: usize, engine_wait_s: f64) {
+    fn observe_batch(&mut self, tenant: TenantId, now: f64, engine_wait_s: f64) {
         if let Some(c) = self.controller_mut(tenant) {
-            c.observe_batch(tenant, now, batch_len, engine_wait_s);
+            c.observe_batch(tenant, now, engine_wait_s);
         }
-    }
-
-    /// Tenants with their own controller run its steered chunk cap; the
-    /// rest defer to the service-level default.
-    fn chunk(&self, tenant: TenantId) -> Option<usize> {
-        self.controller(tenant).and_then(|c| c.chunk(tenant))
     }
 
     /// Total adjustments across every tenant's controller.
@@ -520,14 +462,12 @@ mod tests {
             },
         );
         let delay0 = c.current(T).max_delay_s;
-        let batch0 = c.current(T).max_batch;
         // One full interval of latencies far above the SLO.
         for i in 0..50 {
             c.observe(T, 0.002 * i as f64, 1.0);
         }
         c.observe(T, 0.2, 1.0); // crosses the decision boundary
         assert!(c.current(T).max_delay_s <= delay0 * 0.5 + 1e-12);
-        assert!(c.current(T).max_batch <= batch0.div_ceil(2) + 1);
         assert_eq!(c.adjustments(), 1);
     }
 
@@ -543,10 +483,9 @@ mod tests {
             },
         );
         let delay0 = c.current(T).max_delay_s;
-        let batch0 = c.current(T).max_batch;
         for i in 0..50 {
             let t = 0.002 * i as f64;
-            c.observe_batch(T, t, 2, 1.0); // waited 1 s behind the engine
+            c.observe_batch(T, t, 1.0); // waited 1 s behind the engine
             c.observe(T, t, 1.0); // 10× the SLO
         }
         c.observe(T, 0.2, 1.0);
@@ -556,7 +495,6 @@ mod tests {
             c.current(T).max_delay_s,
             delay0
         );
-        assert!(c.current(T).max_batch >= batch0 * 2);
         assert_eq!(c.adjustments(), 1);
     }
 
@@ -599,7 +537,6 @@ mod tests {
             }
         }
         assert!(c.current(T).max_delay_s >= c.min_delay_s() - 1e-15);
-        assert!(c.current(T).max_batch >= SloController::MIN_BATCH);
         // Sustained comfort: must stop at max bounds.
         let mut g = controller(0.1);
         for interval in 0..1000 {
@@ -608,7 +545,6 @@ mod tests {
             }
         }
         assert!(g.current(T).max_delay_s <= g.max_delay_s() + 1e-15);
-        assert!(g.current(T).max_batch <= SloController::MAX_BATCH);
     }
 
     #[test]
@@ -635,15 +571,15 @@ mod tests {
                 max_delay_s: 99.0,
             },
         );
-        assert_eq!(c.current(T).max_batch, SloController::MAX_BATCH);
         assert_eq!(c.current(T).max_delay_s, c.max_delay_s());
+        assert_eq!(c.current(T).max_batch, 1_000_000, "the cap passes through");
     }
 
     #[test]
     fn derived_values_are_pinned_for_two_slos() {
         // The 0.1 s guard for what the byte-diffed 48 s serving record
         // checks in CI: every tuning value is a constant or this fraction
-        // of the SLO, and `for_slo` starts at SLO/4 × 256, chunk mid-range.
+        // of the SLO, and `for_slo` starts at SLO/4 × 256.
         for (slo, interval, min, max, step, start) in [
             (0.1, 0.1, 0.001, 0.05, 0.002, 0.025),
             (48.0, 48.0, 0.48, 24.0, 0.96, 12.0),
@@ -656,11 +592,7 @@ mod tests {
             assert_eq!(c.delay_step_s(), step);
             assert_eq!(c.current(T).max_delay_s, start);
             assert_eq!(c.current(T).max_batch, 256);
-            assert_eq!(c.chunk, 36);
         }
-        assert_eq!((SloController::MIN_BATCH, SloController::MAX_BATCH), (1, 1024));
-        assert_eq!((SloController::MIN_CHUNK, SloController::MAX_CHUNK), (8, 64));
-        assert_eq!((SloController::BATCH_STEP, SloController::CHUNK_STEP), (32, 8));
         assert_eq!(SloController::DECREASE_FACTOR, 0.5);
         assert_eq!(SloController::SATURATED_GROWTH, 2.0);
         assert_eq!(SloController::GROW_BELOW, 0.7);
@@ -671,56 +603,6 @@ mod tests {
     #[should_panic(expected = "positive time")]
     fn non_positive_slo_is_rejected() {
         let _ = SloController::for_slo(0.0);
-    }
-
-    #[test]
-    fn chunk_cap_is_steered_with_the_window() {
-        // Unsaturated misses shrink the chunk alongside the window...
-        let mut c = controller(0.1);
-        let chunk0 = c.chunk;
-        assert!((SloController::MIN_CHUNK..=SloController::MAX_CHUNK).contains(&chunk0));
-        for i in 0..50 {
-            c.observe(T, 0.002 * i as f64, 1.0);
-        }
-        c.observe(T, 0.2, 1.0);
-        assert!(
-            c.chunk <= chunk0.div_ceil(2) + 1,
-            "chunk should shrink with the window: {} vs {}",
-            c.chunk,
-            chunk0
-        );
-        // ...saturated misses grow it (amortization per dispatch)...
-        let mut s = controller(0.1);
-        let chunk0 = s.chunk;
-        for i in 0..50 {
-            let t = 0.002 * i as f64;
-            s.observe_batch(T, t, 2, 1.0);
-            s.observe(T, t, 1.0);
-        }
-        s.observe(T, 0.2, 1.0);
-        assert!(s.chunk >= (chunk0 * 2).min(SloController::MAX_CHUNK));
-        // ...and sustained pressure in either direction stops at the bounds.
-        for interval in 0..64 {
-            for i in 0..10 {
-                c.observe(T, interval as f64 + 0.01 * i as f64, 5.0);
-            }
-        }
-        assert_eq!(c.chunk, SloController::MIN_CHUNK);
-        assert_eq!(c.chunk(T), Some(SloController::MIN_CHUNK));
-        // Static policies steer no chunk at all.
-        assert_eq!(
-            FixedPolicy(BatchFormerConfig::default()).chunk(TenantId(1)),
-            None
-        );
-    }
-
-    #[test]
-    fn bank_routes_chunks_to_owned_tenants_only() {
-        let bank = ControllerBank::new(BatchFormerConfig::default())
-            .with_controller(TenantId(1), controller(0.1));
-        assert!(bank.chunk(TenantId(1)).is_some());
-        assert_eq!(bank.chunk(TenantId(2)), None, "no controller, no chunk");
-        assert_eq!(bank.chunk(T), None, "the default tenant has no controller");
     }
 
     #[test]

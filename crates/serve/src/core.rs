@@ -70,7 +70,7 @@ impl<T> Deferred<T> {
 #[derive(Clone, Copy)]
 enum Observed {
     Query { latency_s: f64 },
-    Batch { len: usize, wait_s: f64 },
+    Batch { wait_s: f64 },
 }
 
 /// How an offered query ended.
@@ -170,12 +170,16 @@ impl<'a> ServingCore<'a> {
     /// An idle core over `stream`: tenants registered by weight, every
     /// window at the policy's current conditions, dispatch chunked in
     /// SLO-urgency order iff [`ServiceConfig::max_chunk`] is set.
+    ///
+    /// # Panics
+    /// Panics if `config.max_chunk` is `Some(0)`.
     pub fn new(
         stream: &'a QueryStream,
         config: ServiceConfig,
         policy: &'a mut dyn BatchPolicy,
         epochs: &'a [(f64, u64)],
     ) -> Self {
+        assert_ne!(config.max_chunk, Some(0), "max_chunk must allow at least one query");
         let mut queue = AdmissionQueue::new(config.queue_capacity);
         let mut former = BatchFormer::new(policy.current(TenantId::DEFAULT));
         for p in &stream.tenant_profiles {
@@ -213,7 +217,7 @@ impl<'a> ServingCore<'a> {
         for (at, (tenant, observed)) in self.feedback.due(now) {
             match observed {
                 Observed::Query { latency_s } => self.policy.observe(tenant, at, latency_s),
-                Observed::Batch { len, wait_s } => self.policy.observe_batch(tenant, at, len, wait_s),
+                Observed::Batch { wait_s } => self.policy.observe_batch(tenant, at, wait_s),
             }
         }
         for &t in &self.tenants_seen {
@@ -234,16 +238,11 @@ impl<'a> ServingCore<'a> {
         }
     }
 
-    /// Enqueues a closed batch for dispatch, under its tenant's SLO deadline
-    /// and effective chunk cap: the policy's steered cap clamped by the
-    /// service-level ceiling.
+    /// Enqueues a closed batch for dispatch under its tenant's SLO deadline
+    /// and the service's chunk cap.
     fn submit(&mut self, batch: FormedBatch) {
-        let tenant = batch.options.tenant;
-        let cap = match self.config.max_chunk {
-            None => usize::MAX,
-            Some(cap) => self.policy.chunk(tenant).map_or(cap, |c| c.min(cap)).max(1),
-        };
-        self.dispatch.submit(batch, self.slo_of(tenant), cap);
+        let slo = self.slo_of(batch.options.tenant);
+        self.dispatch.submit(batch, slo, self.config.max_chunk.unwrap_or(usize::MAX));
     }
 
     /// The SLO a tenant's dispatch urgency and report row are judged by: its
@@ -345,7 +344,7 @@ impl<'a> ServingCore<'a> {
         // the blocking worse).
         if chunk.lead {
             let wait_s = start - batch.closed_at;
-            self.feedback.push(finish, (tenant, Observed::Batch { len: batch.len(), wait_s }));
+            self.feedback.push(finish, (tenant, Observed::Batch { wait_s }));
         }
         let fate = Fate::Chunk { closed_at: batch.closed_at, start, finish };
         for (member, neighbors) in batch.members.iter().zip(response.results) {

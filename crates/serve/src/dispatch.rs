@@ -17,8 +17,7 @@
 //!   committed for more than one chunk's service time. A tight-SLO batch
 //!   arriving while a bulk batch drains therefore waits at most one chunk —
 //!   not the whole batch. The cap is per-submission (the serving core
-//!   resolves it per tenant from the
-//!   [`BatchPolicy`](crate::controller::BatchPolicy)).
+//!   passes [`ServiceConfig::max_chunk`](crate::service::ServiceConfig)).
 //!
 //! [`DispatchOrder::CloseOrder`] keeps the pre-scheduler semantics — whole
 //! batches, strict FIFO in close order — and is both the single-tenant

@@ -61,9 +61,12 @@ pub(crate) fn miss_fraction_of(
 pub struct ServiceConfig {
     /// Maximum queries waiting for a batch before arrivals are shed.
     pub queue_capacity: usize,
-    /// Close conditions of the dynamic batch former — the *initial*
-    /// conditions when an adaptive [`BatchPolicy`] is installed via
-    /// [`SearchService::with_policy`], the permanent ones otherwise.
+    /// Close conditions of the dynamic batch former under the fixed policy
+    /// [`SearchService::new`] installs. An adaptive [`BatchPolicy`]
+    /// installed via [`SearchService::with_policy`] starts from its own
+    /// SLO-derived conditions instead; the serving scenarios hand this value
+    /// to [`ControllerBank::for_profiles`](crate::controller::ControllerBank::for_profiles)
+    /// as the window of tenants that declare no SLO.
     pub batcher: BatchFormerConfig,
     /// Result-cache entries (0 disables the cache).
     pub cache_capacity: usize,
@@ -77,8 +80,7 @@ pub struct ServiceConfig {
     /// batch into chunks of at most `cap` queries and dispatches them in
     /// SLO-urgency order ([`DispatchOrder::SloUrgency`]) — the head-of-line
     /// bound: no tenant's dispatch commits the serial engine for more than
-    /// one chunk. A [`BatchPolicy`] may steer a *smaller* per-tenant cap
-    /// ([`chunk`](BatchPolicy::chunk)); `cap` stays the ceiling.
+    /// one chunk; `Some(0)` is rejected when the serving core is built.
     /// `None` (the default) keeps whole batches in serial close order
     /// ([`DispatchOrder::CloseOrder`]) — right for single-tenant streams,
     /// where chunking trades batch amortization for isolation nobody needs.
@@ -474,7 +476,7 @@ impl<E: AnnEngine> SearchService<E> {
 
     /// Replaces the batch policy (e.g. with an
     /// [`SloController`](crate::controller::SloController)). The policy's own
-    /// initial conditions take over from `config.batcher`.
+    /// close conditions take over from `config.batcher`.
     pub fn with_policy(mut self, policy: Box<dyn BatchPolicy>) -> Self {
         self.policy = policy;
         self
@@ -754,6 +756,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "max_chunk must allow at least one query")]
+    fn zero_max_chunk_is_rejected() {
+        let (_, index) = fixture();
+        let config = ServiceConfig {
+            max_chunk: Some(0),
+            ..ServiceConfig::default()
+        };
+        let mut service = SearchService::new(CpuFaissEngine::new(index), config);
+        let _ = service.replay(&stream(10, 1000.0, 0.0), |_| QueryOptions::new(10, 4));
+    }
+
+    #[test]
     fn fully_shed_run_reports_total_slo_miss() {
         // The shed-accounting regression: a replay that sheds everything must
         // report a 100 % SLO miss fraction — shed queries received no answer,
@@ -896,9 +910,8 @@ mod tests {
             "the controller never moved"
         );
         assert!(
-            report.final_batcher.max_delay_s != initial.max_delay_s
-                || report.final_batcher.max_batch != initial.max_batch,
-            "final close conditions should differ from the initial ones"
+            report.final_batcher.max_delay_s != initial.max_delay_s,
+            "the final window should differ from the initial one"
         );
         // The controller's answers equal the fixed policy's: batching shape
         // changes latency, never correctness.

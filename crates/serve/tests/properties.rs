@@ -491,14 +491,14 @@ proptest! {
             now += interval / 16.0;
             controller.observe(t, now, 3.0 * settled.max_delay_s * noise[j % noise.len()]);
         }
-        prop_assert_eq!(controller.current(t).max_batch, settled.max_batch);
+        prop_assert_eq!(controller.current(t).max_delay_s.to_bits(), settled.max_delay_s.to_bits());
     }
 
     /// The serving bench's one adaptive policy rests on this: a
     /// [`ControllerBank`] over a single tenant with SLO `s` is
     /// `SloController::for_slo(s)`. Through any sequence of completions
     /// (misses, comfort, degenerate latencies) and batch waits, both answer
-    /// the same window, chunk cap and adjustment count after every call.
+    /// the same window and adjustment count after every call.
     #[test]
     fn a_one_tenant_bank_is_its_slo_controller(
         slo_ms in 1.0f64..500.0,
@@ -520,14 +520,12 @@ proptest! {
                 alone.observe(t, now, latency);
             } else {
                 let wait = scale * alone.current(t).max_delay_s;
-                let len = usize::from(op >> 1) + 1;
-                bank.observe_batch(t, now, len, wait);
-                alone.observe_batch(t, now, len, wait);
+                bank.observe_batch(t, now, wait);
+                alone.observe_batch(t, now, wait);
             }
             let (b, a) = (bank.current(t), alone.current(t));
             prop_assert_eq!(b.max_batch, a.max_batch);
             prop_assert_eq!(b.max_delay_s.to_bits(), a.max_delay_s.to_bits());
-            prop_assert_eq!(bank.chunk(t), alone.chunk(t));
             prop_assert_eq!(bank.adjustments(), alone.adjustments());
         }
     }

@@ -123,24 +123,24 @@ fn a_one_tenant_replay_with_repeats_reports_the_same_bits() {
             "engine Faiss-CPU",
             "policy adaptive-slo",
             "slo_p99_s 3f70624dd2f1a9fc",
-            "controller_adjustments 6",
-            "final_batcher 44/3f51b1d92b7fe08b",
+            "controller_adjustments 5",
+            "final_batcher 6/3f51b1d92b7fe08b",
             "completed 240",
             "shed 0",
             "cache 85 155 0",
-            "closed 11 26",
+            "closed 8 29",
             "chunks 37 0",
-            "engine_busy_s 3facbb3922974fc5",
+            "engine_busy_s 3facbb3922974fc6",
             "makespan_s 3fae554efdd36be2",
-            "latencies_s 6905dd4946c99dbb",
+            "latencies_s 32a77328384873d4",
             "results 9882ed75451b33fd",
-            "outcomes c6eda0169ac23d7e",
+            "outcomes 29984013e4390625",
             "replicas 0 0 0",
             "scale 0 0000000000000000",
             "default id t0 weight 1 slo 3f70624dd2f1a9fc",
             "default completed 240 shed 0",
-            "default latencies_s 6905dd4946c99dbb",
-            "default final_batcher 44/3f51b1d92b7fe08b",
+            "default latencies_s 32a77328384873d4",
+            "default final_batcher 6/3f51b1d92b7fe08b",
         ]
     );
 }
@@ -196,11 +196,11 @@ fn a_chunked_two_tenant_replay_with_a_small_queue_reports_the_same_bits() {
             "tight id t1 weight 2 slo 3f70624dd2f1a9fc",
             "tight completed 52 shed 8",
             "tight latencies_s a895bc5883e2d472",
-            "tight final_batcher 416/3f56f0068db8bac7",
+            "tight final_batcher 256/3f56f0068db8bac7",
             "bulk id t2 weight 1 slo 3f847ae147ae147b",
             "bulk completed 157 shed 23",
             "bulk latencies_s be871f87f5ebf623",
-            "bulk final_batcher 320/3f67c1bda5119ce1",
+            "bulk final_batcher 256/3f67c1bda5119ce1",
         ]
     );
 }
