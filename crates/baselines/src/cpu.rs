@@ -13,37 +13,62 @@
 //! The model applies the *billion-scale regime* (working set ≫ LLC) unless
 //! [`CpuSpec::billion_scale_regime`] is off: the cache-aware variant the
 //! Figure 1 scale sweep uses reads the effective-bandwidth curve
-//! `CpuSpec::effective_scan_bandwidth` instead.
+//! `effective_scan_bandwidth` instead.
 
 use crate::faiss::{FaissEngine, FunctionalRun, Roofline};
 use crate::hardware::HardwareSpec;
 use annkit::ivf::IvfPqIndex;
 use pim_sim::stats::{Stage, StageBreakdown};
 
-/// Performance characteristics of the CPU platform.
+/// Total physical cores (2 × 8 on the paper's platform).
+pub const CORES: usize = 16;
+/// Core clock in Hz.
+pub const FREQ_HZ: f64 = 2.1e9;
+/// Sustained f32 FLOPs per cycle per core for the dense kernels (cluster
+/// filtering / LUT construction are SIMD-friendly).
+pub const FLOPS_PER_CYCLE: f64 = 16.0;
+/// Peak DRAM bandwidth in bytes/s.
+pub const DRAM_BANDWIDTH: f64 = 85.3e9;
+/// Fraction of peak bandwidth achieved by the ADC code scan at billion scale
+/// (random LUT accesses + short sequential code reads).
+pub const SCAN_EFFICIENCY: f64 = 0.28;
+/// Multi-thread scaling efficiency of the compute-bound stages.
+pub const PARALLEL_EFFICIENCY: f64 = 0.75;
+/// Cycles per LUT lookup + accumulate in the scan inner loop.
+pub const CYCLES_PER_LOOKUP: f64 = 1.0;
+/// Cycles per candidate offered to the top-k heap.
+pub const CYCLES_PER_TOPK_CANDIDATE: f64 = 1.5;
+/// Last-level cache size in bytes (2 × 11 MB); only used by the cache-aware
+/// effective-bandwidth curve for the Figure 1 sweep.
+pub const LLC_BYTES: f64 = 22.0 * 1024.0 * 1024.0;
+
+/// Aggregate compute throughput in FLOPs/s for SIMD-friendly stages.
+pub const COMPUTE_FLOPS: f64 = CORES as f64 * FREQ_HZ * FLOPS_PER_CYCLE * PARALLEL_EFFICIENCY;
+
+/// Aggregate scalar-ish throughput in cycles/s for the scan and top-k inner
+/// loops.
+const SCALAR_CYCLES_PER_SECOND: f64 = CORES as f64 * FREQ_HZ * PARALLEL_EFFICIENCY;
+
+/// Effective bandwidth of the ADC scan when the per-query working set is
+/// `working_set_bytes`: close to LLC bandwidth when everything fits in cache
+/// (million-scale), degrading to `SCAN_EFFICIENCY × DRAM` when it does not
+/// (billion-scale). Used by the Figure 1 scale sweep.
+fn effective_scan_bandwidth(working_set_bytes: f64) -> f64 {
+    let dram = DRAM_BANDWIDTH * SCAN_EFFICIENCY;
+    let llc = DRAM_BANDWIDTH * 3.0; // cache-resident scans are ~3× faster
+    if working_set_bytes <= LLC_BYTES {
+        llc
+    } else {
+        // Smooth transition: the cached fraction of the working set is
+        // served at LLC speed, the rest at DRAM speed.
+        let cached_fraction = LLC_BYTES / working_set_bytes;
+        1.0 / (cached_fraction / llc + (1.0 - cached_fraction) / dram)
+    }
+}
+
+/// The CPU roofline: the constants above, in one of two regimes.
 #[derive(Debug, Clone)]
 pub struct CpuSpec {
-    /// Total physical cores (2 × 8 on the paper's platform).
-    pub cores: usize,
-    /// Core clock in Hz.
-    pub freq_hz: f64,
-    /// Sustained f32 FLOPs per cycle per core for the dense kernels
-    /// (cluster filtering / LUT construction are SIMD-friendly).
-    pub flops_per_cycle: f64,
-    /// Peak DRAM bandwidth in bytes/s.
-    pub dram_bandwidth: f64,
-    /// Fraction of peak bandwidth achieved by the ADC code scan at billion
-    /// scale (random LUT accesses + short sequential code reads).
-    pub scan_efficiency: f64,
-    /// Multi-thread scaling efficiency of the compute-bound stages.
-    pub parallel_efficiency: f64,
-    /// Cycles per LUT lookup + accumulate in the scan inner loop.
-    pub cycles_per_lookup: f64,
-    /// Cycles per candidate offered to the top-k heap.
-    pub cycles_per_topk_candidate: f64,
-    /// Last-level cache size in bytes (2 × 11 MB); only used by the
-    /// cache-aware effective-bandwidth curve for the Figure 1 sweep.
-    pub llc_bytes: f64,
     /// When `true` (default) the distance-calculation stage is modeled in the
     /// billion-scale (DRAM-bound) regime regardless of the actual reduced
     /// dataset size; when `false` the cache-aware curve is used.
@@ -53,46 +78,7 @@ pub struct CpuSpec {
 impl Default for CpuSpec {
     fn default() -> Self {
         Self {
-            cores: 16,
-            freq_hz: 2.1e9,
-            flops_per_cycle: 16.0,
-            dram_bandwidth: 85.3e9,
-            scan_efficiency: 0.28,
-            parallel_efficiency: 0.75,
-            cycles_per_lookup: 1.0,
-            cycles_per_topk_candidate: 1.5,
-            llc_bytes: 22.0 * 1024.0 * 1024.0,
             billion_scale_regime: true,
-        }
-    }
-}
-
-impl CpuSpec {
-    /// Aggregate compute throughput in FLOPs/s for SIMD-friendly stages.
-    pub fn compute_flops(&self) -> f64 {
-        self.cores as f64 * self.freq_hz * self.flops_per_cycle * self.parallel_efficiency
-    }
-
-    /// Aggregate scalar-ish throughput in cycles/s for the scan and top-k
-    /// inner loops.
-    pub(crate) fn scalar_cycles_per_second(&self) -> f64 {
-        self.cores as f64 * self.freq_hz * self.parallel_efficiency
-    }
-
-    /// Effective bandwidth of the ADC scan when the per-query working set is
-    /// `working_set_bytes`: close to LLC bandwidth when everything fits in
-    /// cache (million-scale), degrading to `scan_efficiency × DRAM` when it
-    /// does not (billion-scale). Used by the Figure 1 scale sweep.
-    pub(crate) fn effective_scan_bandwidth(&self, working_set_bytes: f64) -> f64 {
-        let dram = self.dram_bandwidth * self.scan_efficiency;
-        let llc = self.dram_bandwidth * 3.0; // cache-resident scans are ~3× faster
-        if working_set_bytes <= self.llc_bytes {
-            llc
-        } else {
-            // Smooth transition: the cached fraction of the working set is
-            // served at LLC speed, the rest at DRAM speed.
-            let cached_fraction = self.llc_bytes / working_set_bytes;
-            1.0 / (cached_fraction / llc + (1.0 - cached_fraction) / dram)
         }
     }
 }
@@ -125,34 +111,33 @@ impl Roofline for CpuSpec {
         // Stage (a): cluster filtering — dense distance to all centroids.
         let filter_flops = stats.centroid_comparisons as f64 * dim * 2.0;
         let filter_bytes = stats.queries as f64 * index.nlist() as f64 * dim * 4.0;
-        let t_filter =
-            (filter_flops / self.compute_flops()).max(filter_bytes / self.dram_bandwidth);
+        let t_filter = (filter_flops / COMPUTE_FLOPS).max(filter_bytes / DRAM_BANDWIDTH);
         b.add(Stage::ClusterFiltering, t_filter);
 
         // Stage (b): LUT construction — nprobe × m × 256 sub-distances/query.
         let lut_flops = stats.lut_entries as f64 * dsub * 3.0;
-        b.add(Stage::LutConstruction, lut_flops / self.compute_flops());
+        b.add(Stage::LutConstruction, lut_flops / COMPUTE_FLOPS);
 
         // Stage (c): distance calculation — the memory-bound ADC scan.
         // Per-candidate quantities are projected by the work-scale factor.
         let scan_bw = if self.billion_scale_regime {
-            self.dram_bandwidth * self.scan_efficiency
+            DRAM_BANDWIDTH * SCAN_EFFICIENCY
         } else {
             let per_query_ws = if stats.queries > 0 {
                 stats.code_bytes_read as f64 * scale / stats.queries as f64
             } else {
                 0.0
             };
-            self.effective_scan_bandwidth(per_query_ws)
+            effective_scan_bandwidth(per_query_ws)
         };
         let t_mem = stats.code_bytes_read as f64 * scale / scan_bw;
-        let t_compute = stats.lut_lookups as f64 * scale * self.cycles_per_lookup
-            / self.scalar_cycles_per_second();
+        let t_compute =
+            stats.lut_lookups as f64 * scale * CYCLES_PER_LOOKUP / SCALAR_CYCLES_PER_SECOND;
         b.add(Stage::DistanceCalc, t_mem.max(t_compute));
 
         // Stage (d): top-k selection — cheap on the CPU (heap in L1).
-        let t_topk = stats.topk_candidates as f64 * scale * self.cycles_per_topk_candidate
-            / self.scalar_cycles_per_second();
+        let t_topk = stats.topk_candidates as f64 * scale * CYCLES_PER_TOPK_CANDIDATE
+            / SCALAR_CYCLES_PER_SECOND;
         b.add(Stage::TopK, t_topk);
 
         b
@@ -236,12 +221,11 @@ mod tests {
 
     #[test]
     fn cache_aware_bandwidth_degrades_with_working_set() {
-        let spec = CpuSpec::default();
-        let small = spec.effective_scan_bandwidth(1.0 * 1024.0 * 1024.0);
-        let large = spec.effective_scan_bandwidth(16.0 * 1024.0 * 1024.0 * 1024.0);
+        let small = effective_scan_bandwidth(1.0 * 1024.0 * 1024.0);
+        let large = effective_scan_bandwidth(16.0 * 1024.0 * 1024.0 * 1024.0);
         assert!(small > 4.0 * large, "small {small} vs large {large}");
-        // The billion-scale value approaches scan_efficiency × DRAM.
-        assert!((large - spec.dram_bandwidth * spec.scan_efficiency).abs() / large < 0.2);
+        // The billion-scale value approaches SCAN_EFFICIENCY × DRAM.
+        assert!((large - DRAM_BANDWIDTH * SCAN_EFFICIENCY).abs() / large < 0.2);
     }
 
     #[test]

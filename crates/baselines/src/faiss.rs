@@ -90,11 +90,6 @@ impl<R: Roofline> FaissEngine<R> {
         self
     }
 
-    /// The spec in use.
-    pub(crate) fn spec(&self) -> &R {
-        &self.spec
-    }
-
     /// The snapshot this engine searches for requests at time 0 (the base
     /// index view when no timeline was installed).
     pub(crate) fn snapshot(&self) -> &IvfPqIndex {

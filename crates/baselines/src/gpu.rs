@@ -19,47 +19,31 @@ use crate::hardware::HardwareSpec;
 use annkit::ivf::IvfPqIndex;
 use pim_sim::stats::{Stage, StageBreakdown};
 
-/// Performance characteristics of the GPU platform.
-#[derive(Debug, Clone)]
-pub struct GpuSpec {
-    /// HBM bandwidth in bytes/s.
-    pub hbm_bandwidth: f64,
-    /// Peak f32 throughput in FLOPs/s.
-    pub peak_flops: f64,
-    /// Device memory in bytes.
-    pub memory_bytes: u64,
-    /// Fraction of peak HBM bandwidth achieved by the ADC scan kernel.
-    pub scan_efficiency: f64,
-    /// Fraction of peak FLOPs achieved by the dense kernels.
-    pub compute_efficiency: f64,
-    /// Effective candidate throughput (candidates/s) of the k-selection
-    /// kernel for a single query — deliberately low because the per-query
-    /// selection exposes little parallelism.
-    pub topk_candidates_per_second: f64,
-    /// Number of queries whose k-selection can proceed concurrently.
-    pub topk_concurrent_queries: f64,
-    /// Additional k-selection cost factor per unit of k (larger k ⇒ larger
-    /// selection structures ⇒ more synchronization).
-    pub topk_k_penalty: f64,
-    /// CUDA stream synchronization / kernel launch overhead per batch stage.
-    pub sync_overhead_s: f64,
-}
+/// HBM bandwidth in bytes/s.
+pub const HBM_BANDWIDTH: f64 = 1_935.0e9;
+/// Peak f32 throughput in FLOPs/s.
+pub const PEAK_FLOPS: f64 = 19.5e12;
+/// Device memory in bytes.
+pub const MEMORY_BYTES: u64 = 80 * 1024 * 1024 * 1024;
+/// Fraction of peak HBM bandwidth achieved by the ADC scan kernel.
+pub const SCAN_EFFICIENCY: f64 = 0.45;
+/// Fraction of peak FLOPs achieved by the dense kernels.
+pub const COMPUTE_EFFICIENCY: f64 = 0.35;
+/// Effective candidate throughput (candidates/s) of the k-selection kernel
+/// for a single query — deliberately low because the per-query selection
+/// exposes little parallelism.
+pub const TOPK_CANDIDATES_PER_SECOND: f64 = 1.32e9;
+/// Number of queries whose k-selection can proceed concurrently.
+pub const TOPK_CONCURRENT_QUERIES: f64 = 4.0;
+/// Additional k-selection cost factor per unit of k (larger k ⇒ larger
+/// selection structures ⇒ more synchronization).
+pub const TOPK_K_PENALTY: f64 = 0.004;
+/// CUDA stream synchronization / kernel launch overhead per batch stage.
+pub const SYNC_OVERHEAD_S: f64 = 120e-6;
 
-impl Default for GpuSpec {
-    fn default() -> Self {
-        Self {
-            hbm_bandwidth: 1_935.0e9,
-            peak_flops: 19.5e12,
-            memory_bytes: 80 * 1024 * 1024 * 1024,
-            scan_efficiency: 0.45,
-            compute_efficiency: 0.35,
-            topk_candidates_per_second: 1.32e9,
-            topk_concurrent_queries: 4.0,
-            topk_k_penalty: 0.004,
-            sync_overhead_s: 120e-6,
-        }
-    }
-}
+/// The GPU roofline: the constants above.
+#[derive(Debug, Clone, Default)]
+pub struct GpuSpec;
 
 /// Why a configuration cannot run on the GPU.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,12 +94,12 @@ impl GpuFaissEngine {
         let index = self.snapshot();
         let required =
             Self::memory_required_bytes(ntotal, index.dim(), index.m(), store_raw_vectors);
-        if required <= self.spec().memory_bytes {
+        if required <= MEMORY_BYTES {
             GpuMemoryCheck::Fits { required }
         } else {
             GpuMemoryCheck::OutOfMemory {
                 required,
-                capacity: self.spec().memory_bytes,
+                capacity: MEMORY_BYTES,
             }
         }
     }
@@ -139,20 +123,20 @@ impl Roofline for GpuSpec {
         let dsub = (index.dim() / index.m()) as f64;
         let mut b = StageBreakdown::new();
 
-        let effective_flops = self.peak_flops * self.compute_efficiency;
+        let effective_flops = PEAK_FLOPS * COMPUTE_EFFICIENCY;
 
         // Stage (a): cluster filtering is a dense GEMM — trivially fast.
         let filter_flops = stats.centroid_comparisons as f64 * dim * 2.0;
         b.add(
             Stage::ClusterFiltering,
-            filter_flops / effective_flops + self.sync_overhead_s,
+            filter_flops / effective_flops + SYNC_OVERHEAD_S,
         );
 
         // Stage (b): LUT construction.
         let lut_flops = stats.lut_entries as f64 * dsub * 3.0;
         b.add(
             Stage::LutConstruction,
-            lut_flops / effective_flops + self.sync_overhead_s,
+            lut_flops / effective_flops + SYNC_OVERHEAD_S,
         );
 
         // Stage (c): ADC scan at HBM bandwidth. Per-candidate quantities are
@@ -160,19 +144,19 @@ impl Roofline for GpuSpec {
         let scan_bytes = stats.code_bytes_read as f64 * work_scale;
         b.add(
             Stage::DistanceCalc,
-            scan_bytes / (self.hbm_bandwidth * self.scan_efficiency) + self.sync_overhead_s,
+            scan_bytes / (HBM_BANDWIDTH * SCAN_EFFICIENCY) + SYNC_OVERHEAD_S,
         );
 
         // Stage (d): k-selection — the GPU bottleneck. Per-query selection
         // time is candidates / throughput, scaled up with k, with limited
         // cross-query concurrency.
-        let k_factor = 1.0 + self.topk_k_penalty * stats.k as f64;
+        let k_factor = 1.0 + TOPK_K_PENALTY * stats.k as f64;
         let per_query_total: f64 = run
             .per_query_candidates
             .iter()
-            .map(|&c| c as f64 * work_scale / self.topk_candidates_per_second * k_factor)
+            .map(|&c| c as f64 * work_scale / TOPK_CANDIDATES_PER_SECOND * k_factor)
             .sum();
-        let topk_time = per_query_total / self.topk_concurrent_queries + self.sync_overhead_s;
+        let topk_time = per_query_total / TOPK_CONCURRENT_QUERIES + SYNC_OVERHEAD_S;
         b.add(Stage::TopK, topk_time);
 
         b
@@ -280,6 +264,6 @@ mod tests {
         let (index, _) = fixture();
         let gpu = GpuFaissEngine::new(&index);
         assert_eq!(gpu.energy_model().peak_watts, 300.0);
-        assert_eq!(gpu.spec().memory_bytes, 80 * 1024 * 1024 * 1024);
+        assert_eq!(MEMORY_BYTES, 80 * 1024 * 1024 * 1024);
     }
 }

@@ -1,11 +1,10 @@
 //! Hardware specifications of the three evaluated platforms (Table 1).
 //!
 //! The CPU and GPU rows take their bandwidth (and the GPU its capacity) from
-//! the roofline specs the engines are timed with, so each Table 1 number is
-//! written down once.
+//! the roofline constants the engines are timed with, so each Table 1 number
+//! is written down once.
 
-use crate::cpu::CpuSpec;
-use crate::gpu::GpuSpec;
+use crate::{cpu, gpu};
 use pim_sim::config::PimConfig;
 use pim_sim::energy::EnergyModel;
 
@@ -35,20 +34,19 @@ impl HardwareSpec {
             price_usd: 1_400.0,
             memory_bytes: 128 * 1024 * 1024 * 1024,
             peak_watts: 190.0,
-            bandwidth_bytes_per_s: CpuSpec::default().dram_bandwidth,
+            bandwidth_bytes_per_s: cpu::DRAM_BANDWIDTH,
         }
     }
 
     /// The paper's GPU platform: NVIDIA A100 PCIe 80 GB.
     pub fn gpu() -> Self {
-        let spec = GpuSpec::default();
         Self {
             name: "GPU",
             description: "NVIDIA A100 PCI-e 80GB".to_string(),
             price_usd: 20_000.0,
-            memory_bytes: spec.memory_bytes,
+            memory_bytes: gpu::MEMORY_BYTES,
             peak_watts: 300.0,
-            bandwidth_bytes_per_s: spec.hbm_bandwidth,
+            bandwidth_bytes_per_s: gpu::HBM_BANDWIDTH,
         }
     }
 

@@ -20,8 +20,8 @@ use annkit::workload::WorkloadSpec;
 use baselines::engine::AnnEngine;
 use baselines::gpu::{GpuFaissEngine, GpuMemoryCheck};
 use baselines::hardware::{hardware_table_markdown, HardwareSpec};
-use pim_sim::config::PimConfig;
-use pim_sim::cost::CostModel;
+use pim_sim::config::{PimConfig, CLOCK_HZ};
+use pim_sim::cost::mram_transfer_cycles;
 use pim_sim::energy::EnergyModel;
 use pim_sim::stats::{Stage, StageBreakdown};
 use std::collections::HashMap;
@@ -224,17 +224,15 @@ fn fig4(cache: &mut ContextCache) -> Vec<ResultTable> {
 
 /// Figure 7: MRAM read latency vs transfer size.
 fn fig7() -> Vec<ResultTable> {
-    let cm = CostModel::default();
-    let clock = PimConfig::default().clock_hz;
     let mut t = ResultTable::new(
         "fig7_mram_latency",
         &["bytes", "latency_cycles", "latency_ns", "bandwidth_mb_s"],
     );
     let mut bytes = 8usize;
     while bytes <= 2048 {
-        let cycles = cm.mram_transfer_cycles(bytes);
-        let ns = cycles as f64 / clock * 1e9;
-        let bw = bytes as f64 / (cycles as f64 / clock) / 1e6;
+        let cycles = mram_transfer_cycles(bytes);
+        let ns = cycles as f64 / CLOCK_HZ * 1e9;
+        let bw = bytes as f64 / (cycles as f64 / CLOCK_HZ) / 1e6;
         t.push_row(vec![
             bytes.to_string(),
             cycles.to_string(),

@@ -36,7 +36,7 @@ use annkit::ivf::IvfPqIndex;
 use annkit::mutation::SnapshotTimeline;
 use annkit::topk::{Neighbor, TopK};
 use annkit::vector::{residual, Dataset};
-use baselines::cpu::CpuSpec;
+use baselines::cpu;
 use baselines::engine::{execute_by_entry, execute_grouped, AnnEngine, SearchRequest, SearchResponse};
 use baselines::workload_stats::WorkloadStats;
 use pim_sim::energy::EnergyModel;
@@ -90,21 +90,21 @@ fn ensure_capacity(
     }
 }
 
-fn host_filter_seconds(host: &CpuSpec, queries: usize, nlist: usize, dim: usize) -> f64 {
+fn host_filter_seconds(queries: usize, nlist: usize, dim: usize) -> f64 {
     let flops = queries as f64 * nlist as f64 * dim as f64 * 2.0;
-    flops / host.compute_flops()
+    flops / cpu::COMPUTE_FLOPS
 }
 
-fn host_schedule_seconds(host: &CpuSpec, assignments: usize, dim: usize) -> f64 {
+fn host_schedule_seconds(assignments: usize, dim: usize) -> f64 {
     // Algorithm 2 is O(|Q| × nprobe) with small constants, plus the
     // residual computation for each assignment.
     let cycles = assignments as f64 * 60.0 + assignments as f64 * dim as f64;
-    cycles / host.freq_hz
+    cycles / cpu::FREQ_HZ
 }
 
-fn host_merge_seconds(host: &CpuSpec, partials: usize, k: usize) -> f64 {
+fn host_merge_seconds(partials: usize, k: usize) -> f64 {
     let cycles = partials as f64 * k as f64 * 12.0;
-    cycles / host.freq_hz
+    cycles / cpu::FREQ_HZ
 }
 
 /// The UpANNS search engine (also the PIM-naive baseline, depending on the
@@ -119,7 +119,6 @@ pub struct UpAnnsEngine {
     /// The offline-phase inputs, kept so `install_timeline` can re-run the
     /// build over the installed snapshots.
     recipe: BuildRecipe,
-    host_cpu: CpuSpec,
     name: String,
     last_exec_report: Option<ExecReport>,
     last_schedule_ratio: f64,
@@ -149,7 +148,6 @@ impl UpAnnsEngine {
             sys,
             epochs,
             recipe,
-            host_cpu: CpuSpec::default(),
             name: name.to_string(),
             last_exec_report: None,
             last_schedule_ratio: 1.0,
@@ -218,7 +216,6 @@ struct Launcher<'a> {
     sys: &'a mut PimSystem,
     epochs: &'a mut [EpochState],
     config: &'a UpAnnsConfig,
-    host_cpu: &'a CpuSpec,
     last_exec_report: &'a mut Option<ExecReport>,
     last_schedule_ratio: &'a mut f64,
 }
@@ -234,7 +231,7 @@ impl Launcher<'_> {
         nprobe: usize,
         k: usize,
     ) -> SearchResponse {
-        let (config, host_cpu, sys) = (self.config, self.host_cpu, &mut *self.sys);
+        let (config, sys) = (self.config, &mut *self.sys);
         assert_eq!(queries.dim(), snapshot.dim(), "query dimension mismatch");
         assert!(k > 0, "k must be positive");
         let nprobe = nprobe.min(snapshot.nlist()).max(1);
@@ -257,14 +254,14 @@ impl Launcher<'_> {
                     .collect()
             })
             .collect();
-        let filter_seconds = host_filter_seconds(host_cpu, nq, snapshot.nlist(), snapshot.dim());
+        let filter_seconds = host_filter_seconds(nq, snapshot.nlist(), snapshot.dim());
         sys.advance_host(Stage::ClusterFiltering, filter_seconds);
 
         // ---- Stage 2: query scheduling (host CPU, Algorithm 2) ------------
         let schedule = schedule_queries(&filtered, &self.epochs[epoch].placement, &cluster_sizes);
         *self.last_schedule_ratio = schedule.max_to_avg_workload();
         let total_assignments = schedule.total_assignments();
-        let schedule_seconds = host_schedule_seconds(host_cpu, total_assignments, snapshot.dim());
+        let schedule_seconds = host_schedule_seconds(total_assignments, snapshot.dim());
         sys.advance_host(Stage::QueryScheduling, schedule_seconds);
 
         // ---- Stage 3: query transfer (host → DPU, uniform padded buffers) -
@@ -362,7 +359,7 @@ impl Launcher<'_> {
                 }
             }
         }
-        let merge_seconds = host_merge_seconds(host_cpu, partial_count, k);
+        let merge_seconds = host_merge_seconds(partial_count, k);
         sys.advance_host(Stage::HostMerge, merge_seconds);
 
         let results: Vec<Vec<Neighbor>> = merged.into_iter().map(|h| h.into_sorted()).collect();
@@ -412,7 +409,6 @@ impl AnnEngine for UpAnnsEngine {
             sys: &mut self.sys,
             epochs: &mut self.epochs,
             config: &self.recipe.config,
-            host_cpu: &self.host_cpu,
             last_exec_report: &mut self.last_exec_report,
             last_schedule_ratio: &mut self.last_schedule_ratio,
         };

@@ -122,7 +122,7 @@ mod tests {
     use annkit::ivf::IvfPqParams;
     use annkit::synthetic::SyntheticSpec;
     use annkit::topk::Neighbor;
-    use baselines::cpu::CpuSpec;
+    use baselines::cpu;
     use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
     use pim_sim::config::PimConfig;
     use pim_sim::stats::Stage;
@@ -301,7 +301,7 @@ mod tests {
             .fold(0.0f64, f64::max);
         let broadcast = net.transfer_seconds(4 * queries.dim() * 4, 1);
         let gather = net.transfer_seconds(4 * 5 * 12, 1);
-        let merge = (2 * 4 * 5) as f64 * 8.0 / CpuSpec::default().freq_hz;
+        let merge = (2 * 4 * 5) as f64 * 8.0 / cpu::FREQ_HZ;
         let expected = broadcast + slowest + gather + merge;
         // Relative, not bitwise: `(start + s) - start` need not equal `s`.
         assert!(

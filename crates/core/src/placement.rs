@@ -28,6 +28,7 @@
 //! The naive alternative (used by PIM-naive and the Figure 11 ablation)
 //! assigns clusters to DPUs round-robin with no replication.
 
+use pim_sim::stats::max_over_busy_mean;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -157,26 +158,6 @@ impl Placement {
             }
         }
         Ok(())
-    }
-}
-
-/// Figure 11's max/avg: the largest workload over the mean of the busy
-/// (positive) ones, 1.0 when none is busy. The static estimate
-/// ([`Placement::max_to_avg_workload`]) and a batch's schedule
-/// ([`crate::scheduling::Schedule::max_to_avg_workload`]) both read it.
-pub(crate) fn max_over_busy_mean(workloads: impl Iterator<Item = f64>) -> f64 {
-    let (mut max, mut sum, mut busy) = (0.0f64, 0.0f64, 0usize);
-    for w in workloads.filter(|&w| w > 0.0) {
-        max = max.max(w);
-        sum += w;
-        busy += 1;
-    }
-    // NaN when nothing is busy; 0 only if a subnormal sum underflows.
-    let avg = sum / busy as f64;
-    if avg > 0.0 {
-        max / avg
-    } else {
-        1.0
     }
 }
 

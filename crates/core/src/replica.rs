@@ -41,7 +41,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use annkit::topk::{Neighbor, TopK};
-use baselines::cpu::CpuSpec;
+use baselines::cpu;
 use baselines::engine::{AnnEngine, SearchRequest, SearchResponse};
 use baselines::workload_stats::WorkloadStats;
 use pim_sim::energy::EnergyModel;
@@ -524,7 +524,7 @@ impl AnnEngine for ReplicatedMultiHost {
         let result_bytes = returned_k * 12;
         let gather_s = self.interconnect.transfer_seconds(result_bytes, peers);
         let merge_ops = (served.len() * returned_k) as f64;
-        let merge_s = merge_ops * 8.0 / CpuSpec::default().freq_hz;
+        let merge_s = merge_ops * 8.0 / cpu::FREQ_HZ;
 
         // Per-query merge in shard order with an id dedup guard: shard id
         // ranges are disjoint by construction, and a hedged clone's answers

@@ -7,7 +7,8 @@
 //! least-loaded replica DPU, which is what keeps the per-DPU workload ratio
 //! of Figure 11 close to 1 at runtime.
 
-use crate::placement::{max_over_busy_mean, Placement};
+use crate::placement::Placement;
+use pim_sim::stats::max_over_busy_mean;
 
 /// One unit of work for a DPU: scan cluster `cluster` for query `query`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,6 +1,6 @@
 //! Configuration of the simulated UPMEM system.
 //!
-//! Default constants follow the hardware used in the paper's evaluation
+//! The constants follow the hardware used in the paper's evaluation
 //! (Table 1 and §2.2): 7 DIMMs × 128 DPUs = 896 DPUs, 350 MHz cores,
 //! 64 MB MRAM / 64 KB WRAM / 24 KB IRAM per DPU, 23.22 W peak power per DIMM.
 
@@ -24,34 +24,46 @@ pub const DMA_MAX_BYTES: usize = 2048;
 /// DMA transfer granularity.
 pub(crate) const DMA_ALIGN_BYTES: usize = 8;
 
-/// Configuration of a simulated PIM deployment.
+/// DPU core clock in Hz (350 MHz on current UPMEM silicon).
+pub const CLOCK_HZ: f64 = 350e6;
+
+/// Seconds per DPU clock cycle.
+pub const SECONDS_PER_CYCLE: f64 = 1.0 / CLOCK_HZ;
+
+/// Peak power draw per DIMM in watts (Falevoz & Legriel measure 23.22 W).
+pub const WATTS_PER_DIMM: f64 = 23.22;
+
+// Published UPMEM host-transfer characteristics (PrIM): parallel rank-level
+// copies reach a few GB/s, serialized copies are ~10x slower.
+
+/// Aggregate host→DPU copy bandwidth (bytes/s) when every DPU receives a
+/// buffer of identical size (rank-parallel transfer).
+pub const HOST_PUSH_BW_UNIFORM: f64 = 6.0e9;
+/// Aggregate host→DPU copy bandwidth (bytes/s) when buffer sizes differ and
+/// transfers serialize.
+pub const HOST_PUSH_BW_SERIAL: f64 = 0.6e9;
+/// Aggregate DPU→host copy bandwidth (bytes/s) for uniform buffers.
+pub const HOST_PULL_BW_UNIFORM: f64 = 4.7e9;
+/// Aggregate DPU→host copy bandwidth (bytes/s) for non-uniform buffers.
+pub const HOST_PULL_BW_SERIAL: f64 = 0.5e9;
+
+/// Fixed per-launch overhead in seconds (kernel boot / host API cost).
+pub const LAUNCH_OVERHEAD_S: f64 = 20e-6;
+
+/// Approximate hardware price per DIMM in USD (Table 1: 2,800 USD for 7
+/// DIMMs), for cost-efficiency comparisons.
+pub const USD_PER_DIMM: f64 = 400.0;
+
+/// The sizes of a simulated PIM deployment — all a caller varies; the
+/// hardware's speeds, power and price are this module's constants.
 #[derive(Debug, Clone)]
 pub struct PimConfig {
     /// Total number of DPUs in the system.
     pub num_dpus: usize,
-    /// DPU core clock in Hz (350 MHz on current UPMEM silicon).
-    pub clock_hz: f64,
     /// MRAM capacity per DPU in bytes.
     pub mram_bytes: usize,
     /// WRAM capacity per DPU in bytes.
     pub wram_bytes: usize,
-    /// Peak power draw per DIMM in watts (Falevoz & Legriel measure 23.22 W).
-    pub watts_per_dimm: f64,
-    /// Aggregate host→DPU copy bandwidth (bytes/s) when every DPU receives a
-    /// buffer of identical size (rank-parallel transfer).
-    pub host_push_bw_uniform: f64,
-    /// Aggregate host→DPU copy bandwidth (bytes/s) when buffer sizes differ
-    /// and transfers serialize.
-    pub host_push_bw_serial: f64,
-    /// Aggregate DPU→host copy bandwidth (bytes/s) for uniform buffers.
-    pub host_pull_bw_uniform: f64,
-    /// Aggregate DPU→host copy bandwidth (bytes/s) for non-uniform buffers.
-    pub host_pull_bw_serial: f64,
-    /// Fixed per-launch overhead in seconds (kernel boot / host API cost).
-    pub launch_overhead_s: f64,
-    /// Approximate hardware price in USD (Table 1: 2,800 USD for 7 DIMMs),
-    /// scaled per DIMM for cost-efficiency comparisons.
-    pub usd_per_dimm: f64,
 }
 
 impl PimConfig {
@@ -66,24 +78,13 @@ impl PimConfig {
         assert!(num_dpus > 0, "a PIM system needs at least one DPU");
         Self {
             num_dpus,
-            clock_hz: 350e6,
             mram_bytes: MRAM_BYTES_PER_DPU,
             wram_bytes: WRAM_BYTES_PER_DPU,
-            watts_per_dimm: 23.22,
-            // Published UPMEM host-transfer characteristics (PrIM): parallel
-            // rank-level copies reach a few GB/s, serialized copies are ~10x
-            // slower.
-            host_push_bw_uniform: 6.0e9,
-            host_push_bw_serial: 0.6e9,
-            host_pull_bw_uniform: 4.7e9,
-            host_pull_bw_serial: 0.5e9,
-            launch_overhead_s: 20e-6,
-            usd_per_dimm: 400.0,
         }
     }
 
-    /// A deliberately tiny configuration for unit tests: 4 DPUs with small
-    /// memories so capacity-violation paths are easy to exercise.
+    /// A deliberately tiny configuration for unit tests: 4 DPUs with 1 MB of
+    /// MRAM each, so capacity-violation paths are easy to exercise.
     pub fn small_test() -> Self {
         let mut c = Self::with_dpus(4);
         c.mram_bytes = 1024 * 1024;
@@ -99,24 +100,18 @@ impl PimConfig {
     pub fn peak_watts(&self) -> f64 {
         // Power scales with the *fraction* of DPUs actually populated, so the
         // Figure 20 iso-power comparison (1654 DPUs ≈ 300 W) works out.
-        self.num_dpus as f64 / DPUS_PER_DIMM as f64 * self.watts_per_dimm
+        self.num_dpus as f64 / DPUS_PER_DIMM as f64 * WATTS_PER_DIMM
     }
 
     /// Approximate price of the PIM system in USD.
     pub fn price_usd(&self) -> f64 {
-        self.num_dimms() as f64 * self.usd_per_dimm
+        self.num_dimms() as f64 * USD_PER_DIMM
     }
 
     /// Total MRAM capacity across all DPUs in bytes — the dataset must fit
     /// here (56 GB for the paper's 7 DIMMs).
     pub fn total_mram_bytes(&self) -> usize {
         self.num_dpus * self.mram_bytes
-    }
-
-    /// Seconds per DPU clock cycle.
-    #[inline]
-    pub fn seconds_per_cycle(&self) -> f64 {
-        1.0 / self.clock_hz
     }
 }
 
@@ -147,7 +142,8 @@ mod tests {
         let c = PimConfig::with_dpus(2560);
         assert_eq!(c.num_dpus, 2560);
         assert_eq!(c.num_dimms(), 20);
-        assert_eq!(c.clock_hz, 350e6);
+        assert_eq!(c.mram_bytes, MRAM_BYTES_PER_DPU);
+        assert_eq!(c.wram_bytes, WRAM_BYTES_PER_DPU);
         // 20 DIMMs ≈ 464 W; the iso-power point with an A100 (300 W) is
         // therefore below 2560 DPUs, as in Figure 20.
         assert!(c.peak_watts() > 300.0);
@@ -157,8 +153,7 @@ mod tests {
 
     #[test]
     fn seconds_per_cycle_is_consistent() {
-        let c = PimConfig::default();
-        assert!((c.seconds_per_cycle() * c.clock_hz - 1.0).abs() < 1e-12);
+        assert!((SECONDS_PER_CYCLE * CLOCK_HZ - 1.0).abs() < 1e-12);
     }
 
     #[test]

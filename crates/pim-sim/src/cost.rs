@@ -1,4 +1,5 @@
-//! The DPU cycle cost model.
+//! The DPU cycle cost model: the cycle cost of each operation a kernel can
+//! charge, as constants, and the two rules that combine them.
 //!
 //! Calibration sources: the UPMEM user manual and the PrIM characterization
 //! (Gómez-Luna et al., IEEE Access 2022), which the paper itself cites for
@@ -14,79 +15,57 @@ use crate::config::{DMA_ALIGN_BYTES, DMA_MAX_BYTES, DMA_MIN_BYTES};
 /// (Figure 13, §5.3.2).
 pub const REVISIT_INTERVAL: u64 = 11;
 
-/// Cycle costs of the operations kernels can charge.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Cost of a simple ALU instruction (add/sub/compare/branch) in cycles.
-    pub alu_cycles: u64,
-    /// Cost of an integer multiplication. The DPU has no 32-bit hardware
-    /// multiplier; a `mul` compiles to a shift/add loop of roughly this many
-    /// cycles, which is why UpANNS's PIM-friendly encoding replaces
-    /// `idx * 256 + code` with precomputed direct addresses (§4.3).
-    pub mul_cycles: u64,
-    /// Cost of a WRAM load or store (single-cycle scratchpad).
-    pub wram_access_cycles: u64,
-    /// Fixed setup latency of an MRAM↔WRAM DMA transfer in cycles.
-    pub dma_base_cycles: u64,
-    /// Additional DMA cycles per byte once the transfer is in the linear
-    /// regime.
-    pub dma_cycles_per_byte: f64,
-    /// Transfer size (bytes) below which DMA latency is dominated by the
-    /// fixed cost — the "flat" region of Figure 7.
-    pub dma_flat_bytes: usize,
-    /// Cycles charged per tasklet for a barrier crossing.
-    pub barrier_cycles_per_tasklet: u64,
-    /// Cycles charged for a semaphore take/give pair.
-    pub semaphore_cycles: u64,
-}
+/// Cost of a simple ALU instruction (add/sub/compare/branch) in cycles.
+pub const ALU_CYCLES: u64 = 1;
+/// Cost of an integer multiplication. The DPU has no 32-bit hardware
+/// multiplier; a `mul` compiles to a shift/add loop of roughly this many
+/// cycles, which is why UpANNS's PIM-friendly encoding replaces
+/// `idx * 256 + code` with precomputed direct addresses (§4.3).
+pub const MUL_CYCLES: u64 = 32;
+/// Cost of a WRAM load or store (single-cycle scratchpad).
+pub const WRAM_ACCESS_CYCLES: u64 = 1;
+/// Fixed setup latency of an MRAM↔WRAM DMA transfer in cycles.
+pub const DMA_BASE_CYCLES: u64 = 77;
+/// Additional DMA cycles per byte once the transfer is in the linear regime.
+pub const DMA_CYCLES_PER_BYTE: f64 = 0.5;
+/// Transfer size (bytes) below which DMA latency is dominated by the fixed
+/// cost — the "flat" region of Figure 7.
+pub const DMA_FLAT_BYTES: usize = 256;
+/// Cycles charged per tasklet for a barrier crossing.
+pub const BARRIER_CYCLES_PER_TASKLET: u64 = 32;
+/// Cycles charged for a semaphore take/give pair.
+pub const SEMAPHORE_CYCLES: u64 = 16;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self {
-            alu_cycles: 1,
-            mul_cycles: 32,
-            wram_access_cycles: 1,
-            dma_base_cycles: 77,
-            dma_cycles_per_byte: 0.5,
-            dma_flat_bytes: 256,
-            barrier_cycles_per_tasklet: 32,
-            semaphore_cycles: 16,
-        }
+/// Latency in cycles of a single MRAM↔WRAM DMA transfer of `bytes` (after
+/// alignment). Reproduces the shape of the paper's Figure 7: the latency
+/// "increases slowly as data size grows from 8 B to 256 B and increases
+/// almost linearly beyond 256 B".
+pub fn mram_transfer_cycles(bytes: usize) -> u64 {
+    let bytes = align_dma(bytes);
+    if bytes <= DMA_FLAT_BYTES {
+        // Sub-linear growth in the flat region: the fixed cost dominates and
+        // per-byte cost is ~1/4 of the linear regime.
+        DMA_BASE_CYCLES + (bytes as f64 * DMA_CYCLES_PER_BYTE * 0.25).ceil() as u64
+    } else {
+        let flat = DMA_FLAT_BYTES as f64 * DMA_CYCLES_PER_BYTE * 0.25;
+        let linear = (bytes - DMA_FLAT_BYTES) as f64 * DMA_CYCLES_PER_BYTE;
+        DMA_BASE_CYCLES + (flat + linear).ceil() as u64
     }
 }
 
-impl CostModel {
-    /// Latency in cycles of a single MRAM↔WRAM DMA transfer of `bytes`
-    /// (after alignment). Reproduces the shape of the paper's Figure 7: the
-    /// latency "increases slowly as data size grows from 8 B to 256 B and
-    /// increases almost linearly beyond 256 B".
-    pub fn mram_transfer_cycles(&self, bytes: usize) -> u64 {
-        let bytes = align_dma(bytes);
-        if bytes <= self.dma_flat_bytes {
-            // Sub-linear growth in the flat region: the fixed cost dominates
-            // and per-byte cost is ~1/4 of the linear regime.
-            self.dma_base_cycles + (bytes as f64 * self.dma_cycles_per_byte * 0.25).ceil() as u64
-        } else {
-            let flat = self.dma_flat_bytes as f64 * self.dma_cycles_per_byte * 0.25;
-            let linear = (bytes - self.dma_flat_bytes) as f64 * self.dma_cycles_per_byte;
-            self.dma_base_cycles + (flat + linear).ceil() as u64
-        }
-    }
-
-    /// Per-DPU region time in cycles given the per-tasklet issued instruction
-    /// cycles of one parallel region.
-    ///
-    /// The fine-grained multithreading model: the DPU issues at most one
-    /// instruction per cycle overall, and each tasklet can issue at most once
-    /// per [`REVISIT_INTERVAL`] cycles. Hence
-    /// `time ≈ max(Σᵢ cᵢ, REVISIT_INTERVAL · maxᵢ cᵢ)`: balanced work across
-    /// ≥ 11 tasklets keeps the pipeline full, fewer (or imbalanced) tasklets
-    /// leave bubbles.
-    pub(crate) fn region_compute_cycles(&self, per_tasklet_cycles: &[u64]) -> u64 {
-        let total: u64 = per_tasklet_cycles.iter().sum();
-        let max = per_tasklet_cycles.iter().copied().max().unwrap_or(0);
-        total.max(max.saturating_mul(REVISIT_INTERVAL))
-    }
+/// Per-DPU region time in cycles given the per-tasklet issued instruction
+/// cycles of one parallel region.
+///
+/// The fine-grained multithreading model: the DPU issues at most one
+/// instruction per cycle overall, and each tasklet can issue at most once per
+/// [`REVISIT_INTERVAL`] cycles. Hence
+/// `time ≈ max(Σᵢ cᵢ, REVISIT_INTERVAL · maxᵢ cᵢ)`: balanced work across
+/// ≥ 11 tasklets keeps the pipeline full, fewer (or imbalanced) tasklets
+/// leave bubbles.
+pub(crate) fn region_compute_cycles(per_tasklet_cycles: &[u64]) -> u64 {
+    let total: u64 = per_tasklet_cycles.iter().sum();
+    let max = per_tasklet_cycles.iter().copied().max().unwrap_or(0);
+    total.max(max.saturating_mul(REVISIT_INTERVAL))
 }
 
 /// Rounds a DMA transfer size up to the hardware granularity and clamps it to
@@ -112,12 +91,11 @@ mod tests {
 
     #[test]
     fn latency_curve_is_flat_then_linear() {
-        let cm = CostModel::default();
-        let l8 = cm.mram_transfer_cycles(8);
-        let l64 = cm.mram_transfer_cycles(64);
-        let l256 = cm.mram_transfer_cycles(256);
-        let l1024 = cm.mram_transfer_cycles(1024);
-        let l2048 = cm.mram_transfer_cycles(2048);
+        let l8 = mram_transfer_cycles(8);
+        let l64 = mram_transfer_cycles(64);
+        let l256 = mram_transfer_cycles(256);
+        let l1024 = mram_transfer_cycles(1024);
+        let l2048 = mram_transfer_cycles(2048);
 
         // Monotonic non-decreasing.
         assert!(l8 <= l64 && l64 <= l256 && l256 <= l1024 && l1024 <= l2048);
@@ -129,18 +107,15 @@ mod tests {
 
     #[test]
     fn bandwidth_improves_with_larger_transfers() {
-        let cm = CostModel::default();
-        let bytes_per_cycle = |bytes: usize| bytes as f64 / cm.mram_transfer_cycles(bytes) as f64;
+        let bytes_per_cycle = |bytes: usize| bytes as f64 / mram_transfer_cycles(bytes) as f64;
         assert!(bytes_per_cycle(1024) > 3.0 * bytes_per_cycle(16));
     }
 
     #[test]
     fn region_model_saturates_at_revisit_interval() {
-        let cm = CostModel::default();
         // 1000 total cycles of work split evenly across T tasklets.
         let total = 1_000u64;
-        let time =
-            |t: usize| cm.region_compute_cycles(&vec![total / t as u64; t]);
+        let time = |t: usize| region_compute_cycles(&vec![total / t as u64; t]);
         // Speedup is linear-ish up to 11 tasklets...
         let t1 = time(1);
         let t4 = time(4);
@@ -156,9 +131,8 @@ mod tests {
 
     #[test]
     fn imbalanced_regions_are_bounded_by_slowest_tasklet() {
-        let cm = CostModel::default();
-        let balanced = cm.region_compute_cycles(&[100, 100, 100, 100]);
-        let imbalanced = cm.region_compute_cycles(&[370, 10, 10, 10]);
+        let balanced = region_compute_cycles(&[100, 100, 100, 100]);
+        let imbalanced = region_compute_cycles(&[370, 10, 10, 10]);
         assert!(imbalanced > balanced);
         assert_eq!(imbalanced, 370 * REVISIT_INTERVAL);
     }
@@ -179,7 +153,6 @@ mod tests {
 
     #[test]
     fn empty_region_is_free() {
-        let cm = CostModel::default();
-        assert_eq!(cm.region_compute_cycles(&[]), 0);
+        assert_eq!(region_compute_cycles(&[]), 0);
     }
 }

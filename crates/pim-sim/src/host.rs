@@ -1,11 +1,13 @@
 //! The host side of the simulated system: DPU fleet management, CPU↔DPU
 //! transfers, kernel launches and the simulated clock.
 
-use crate::config::PimConfig;
-use crate::cost::CostModel;
+use crate::config::{
+    PimConfig, HOST_PULL_BW_SERIAL, HOST_PULL_BW_UNIFORM, HOST_PUSH_BW_SERIAL,
+    HOST_PUSH_BW_UNIFORM, LAUNCH_OVERHEAD_S, SECONDS_PER_CYCLE,
+};
 use crate::dpu::Dpu;
 use crate::mram::{MramAddr, MramError};
-use crate::stats::{Stage, StageBreakdown};
+use crate::stats::{max_over_busy_mean, Stage, StageBreakdown};
 use crate::tasklet::DpuKernelCtx;
 use std::sync::Arc;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -106,46 +108,30 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
-    /// Ratio of the slowest DPU's time to the mean DPU time — the
+    /// Ratio of the slowest busy DPU's time to the mean busy DPU time — the
     /// "max process / average process" load-balance metric of Figure 11
-    /// (1.0 = perfectly balanced).
+    /// (1.0 = perfectly balanced). Both sides exclude the launch overhead.
     pub fn max_to_avg_ratio(&self) -> f64 {
-        let busy: Vec<f64> = self
-            .per_dpu_seconds
-            .iter()
-            .copied()
-            .filter(|&s| s > 0.0)
-            .collect();
-        if busy.is_empty() {
-            return 1.0;
-        }
-        let avg = busy.iter().sum::<f64>() / busy.len() as f64;
-        if avg <= 0.0 {
-            1.0
-        } else {
-            self.max_dpu_seconds / avg
-        }
+        max_over_busy_mean(self.per_dpu_seconds.iter().copied())
     }
 }
 
 /// The simulated PIM system: a fleet of DPUs orchestrated by the host CPU.
 pub struct PimSystem {
     config: PimConfig,
-    cost: CostModel,
     dpus: Vec<Dpu>,
     clock_seconds: f64,
     breakdown: StageBreakdown,
 }
 
 impl PimSystem {
-    /// Creates a system according to `config` with the default cost model.
+    /// Creates a system according to `config`.
     pub fn new(config: PimConfig) -> Self {
         let dpus = (0..config.num_dpus)
             .map(|i| Dpu::new(i, config.mram_bytes))
             .collect();
         Self {
             config,
-            cost: CostModel::default(),
             dpus,
             clock_seconds: 0.0,
             breakdown: StageBreakdown::new(),
@@ -217,11 +203,11 @@ impl PimSystem {
         let total_bytes: usize = writes.iter().map(|w| w.data.len()).sum();
         let uniform = writes.windows(2).all(|p| p[0].data.len() == p[1].data.len());
         let bw = if uniform {
-            self.config.host_push_bw_uniform
+            HOST_PUSH_BW_UNIFORM
         } else {
-            self.config.host_push_bw_serial
+            HOST_PUSH_BW_SERIAL
         };
-        let seconds = total_bytes as f64 / bw + self.config.launch_overhead_s;
+        let seconds = total_bytes as f64 / bw + LAUNCH_OVERHEAD_S;
         self.advance_host(stage, seconds);
         Ok(())
     }
@@ -243,11 +229,11 @@ impl PimSystem {
         let total_bytes: usize = reads.iter().map(|r| r.len).sum();
         let uniform = reads.windows(2).all(|p| p[0].len == p[1].len);
         let bw = if uniform {
-            self.config.host_pull_bw_uniform
+            HOST_PULL_BW_UNIFORM
         } else {
-            self.config.host_pull_bw_serial
+            HOST_PULL_BW_SERIAL
         };
-        let seconds = total_bytes as f64 / bw + self.config.launch_overhead_s;
+        let seconds = total_bytes as f64 / bw + LAUNCH_OVERHEAD_S;
         self.advance_host(stage, seconds);
         Ok(out)
     }
@@ -298,9 +284,8 @@ impl PimSystem {
         let workers = lease.threads;
         #[cfg(test)]
         let workers = tests::FORCED_WORKERS.get().unwrap_or(workers);
-        let (cost, config) = (&self.cost, &self.config);
         let ran = annkit::par::map_mut(&mut busy, workers, |_, dpu| {
-            let mut ctx = DpuKernelCtx::new(dpu, cost, config);
+            let mut ctx = DpuKernelCtx::new(dpu, &self.config);
             let output = kernel(&mut ctx);
             let (stats, stage_seconds) = ctx.finish();
             dpu.stats_mut().absorb(&stats);
@@ -325,9 +310,11 @@ impl PimSystem {
         for dpu in &mut self.dpus {
             dpu.stats_mut().launches += 1;
         }
-        let spc = self.config.seconds_per_cycle();
-        let per_dpu_seconds: Vec<f64> = per_dpu_cycles.iter().map(|&c| c as f64 * spc).collect();
-        let max_dpu_seconds = max_cycles as f64 * spc + self.config.launch_overhead_s;
+        let per_dpu_seconds: Vec<f64> = per_dpu_cycles
+            .iter()
+            .map(|&c| c as f64 * SECONDS_PER_CYCLE)
+            .collect();
+        let max_dpu_seconds = max_cycles as f64 * SECONDS_PER_CYCLE + LAUNCH_OVERHEAD_S;
 
         self.advance_host(stage, max_dpu_seconds);
         let report = ExecReport {
@@ -574,6 +561,18 @@ mod tests {
         assert!(report.breakdown.seconds(Stage::DistanceCalc) > 0.0);
         assert!(sys.elapsed_seconds() >= report.max_dpu_seconds);
         assert!(sys.dpu(3).stats().mram_bytes_read > sys.dpu(0).stats().mram_bytes_read);
+    }
+
+    #[test]
+    fn an_evenly_loaded_launch_is_perfectly_balanced() {
+        // Three busy DPUs charge the same cycles, one stays idle: the launch
+        // overhead is in `max_dpu_seconds` but not in the ratio's numerator.
+        let mut sys = PimSystem::new(PimConfig::small_test());
+        let (report, _) = sys.execute_scheduled(Stage::DpuSearch, &[1, 1, 0, 1], |ctx| {
+            ctx.parallel(Stage::DistanceCalc, 4, |t| t.charge_arith(1_000, 0));
+        });
+        assert!(report.max_dpu_seconds > report.per_dpu_seconds[0]);
+        assert_eq!(report.max_to_avg_ratio(), 1.0);
     }
 
     #[test]

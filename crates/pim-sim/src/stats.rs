@@ -74,6 +74,26 @@ impl From<&str> for Stage {
     }
 }
 
+/// Figure 11's max/avg: the largest value over the mean of the busy
+/// (positive) ones, 1.0 when none is busy. A launch's DPU seconds
+/// (`ExecReport::max_to_avg_ratio`), a placement's static workload estimate
+/// and a batch's schedule all read it.
+pub fn max_over_busy_mean(values: impl Iterator<Item = f64>) -> f64 {
+    let (mut max, mut sum, mut busy) = (0.0f64, 0.0f64, 0usize);
+    for v in values.filter(|&v| v > 0.0) {
+        max = max.max(v);
+        sum += v;
+        busy += 1;
+    }
+    // NaN when nothing is busy; 0 only if a subnormal sum underflows.
+    let avg = sum / busy as f64;
+    if avg > 0.0 {
+        max / avg
+    } else {
+        1.0
+    }
+}
+
 /// Accumulated simulated seconds per stage.
 ///
 /// A stage is *present* once time has been added to it, even `0.0`; absent

@@ -5,7 +5,7 @@
 //! opens *parallel regions*: a region runs the same closure for each tasklet
 //! id, each tasklet accumulates the instruction and DMA cycles it charges,
 //! and the region's simulated duration follows the fine-grained
-//! multithreading model of `CostModel::region_compute_cycles`. Regions end
+//! multithreading model of `cost::region_compute_cycles`. Regions end
 //! with an implicit barrier (the paper's Barriers 0–3 are simply region
 //! boundaries), and DMA transfers from all tasklets serialize on the DPU's
 //! single DMA engine while overlapping with other tasklets' compute.
@@ -15,8 +15,11 @@
 //! kernel names. WRAM is not allocated here — a kernel plans its layout and
 //! reports the peak ([`DpuKernelCtx::record_wram_peak`]).
 
-use crate::config::PimConfig;
-use crate::cost::{split_dma, CostModel};
+use crate::config::{PimConfig, SECONDS_PER_CYCLE};
+use crate::cost::{
+    mram_transfer_cycles, region_compute_cycles, split_dma, ALU_CYCLES, BARRIER_CYCLES_PER_TASKLET,
+    MUL_CYCLES, SEMAPHORE_CYCLES, WRAM_ACCESS_CYCLES,
+};
 use crate::dpu::{Dpu, DpuStats};
 use crate::mram::{Mram, MramAddr, MramError};
 use crate::stats::{Stage, StageBreakdown};
@@ -30,7 +33,6 @@ pub struct TaskletCtx<'a> {
     /// The region the last read fell in (base address, bytes): a read inside
     /// it slices it without searching the MRAM's regions again.
     window: (MramAddr, &'a [u8]),
-    cost: &'a CostModel,
     compute_cycles: u64,
     dma_cycles: u64,
     dma_transfers: u64,
@@ -38,17 +40,11 @@ pub struct TaskletCtx<'a> {
 }
 
 impl<'a> TaskletCtx<'a> {
-    fn new(
-        tasklet_id: usize,
-        mram: &'a Mram,
-        window: (MramAddr, &'a [u8]),
-        cost: &'a CostModel,
-    ) -> Self {
+    fn new(tasklet_id: usize, mram: &'a Mram, window: (MramAddr, &'a [u8])) -> Self {
         Self {
             tasklet_id,
             mram,
             window,
-            cost,
             compute_cycles: 0,
             dma_cycles: 0,
             dma_transfers: 0,
@@ -99,7 +95,7 @@ impl<'a> TaskletCtx<'a> {
     /// (used when a kernel models a write or an already-consumed read).
     pub fn charge_dma(&mut self, len: usize) {
         for chunk in split_dma(len) {
-            self.dma_cycles += self.cost.mram_transfer_cycles(chunk);
+            self.dma_cycles += mram_transfer_cycles(chunk);
             self.dma_transfers += 1;
             self.mram_bytes_read += chunk as u64;
         }
@@ -117,7 +113,7 @@ impl<'a> TaskletCtx<'a> {
         let mut per_transfers = 0u64;
         let mut per_bytes = 0u64;
         for chunk in split_dma(len) {
-            per_cycles += self.cost.mram_transfer_cycles(chunk);
+            per_cycles += mram_transfer_cycles(chunk);
             per_transfers += 1;
             per_bytes += chunk as u64;
         }
@@ -130,19 +126,19 @@ impl<'a> TaskletCtx<'a> {
     /// (multiplications are ~32× more expensive on the DPU).
     #[inline]
     pub fn charge_arith(&mut self, adds: u64, muls: u64) {
-        self.compute_cycles += adds * self.cost.alu_cycles + muls * self.cost.mul_cycles;
+        self.compute_cycles += adds * ALU_CYCLES + muls * MUL_CYCLES;
     }
 
     /// Charges `n` WRAM loads/stores.
     #[inline]
     pub fn charge_wram(&mut self, n: u64) {
-        self.compute_cycles += n * self.cost.wram_access_cycles;
+        self.compute_cycles += n * WRAM_ACCESS_CYCLES;
     }
 
     /// Charges one semaphore take/give pair (used by the pruned top-k merge).
     #[inline]
     pub fn charge_semaphore(&mut self) {
-        self.compute_cycles += self.cost.semaphore_cycles;
+        self.compute_cycles += SEMAPHORE_CYCLES;
     }
 }
 
@@ -150,7 +146,6 @@ impl<'a> TaskletCtx<'a> {
 /// cycle accounting for one launch on one DPU.
 pub struct DpuKernelCtx<'a> {
     dpu: &'a mut Dpu,
-    cost: &'a CostModel,
     config: &'a PimConfig,
     /// Seconds per stage of the regions run so far, added in region order.
     breakdown: StageBreakdown,
@@ -158,10 +153,9 @@ pub struct DpuKernelCtx<'a> {
 }
 
 impl<'a> DpuKernelCtx<'a> {
-    pub(crate) fn new(dpu: &'a mut Dpu, cost: &'a CostModel, config: &'a PimConfig) -> Self {
+    pub(crate) fn new(dpu: &'a mut Dpu, config: &'a PimConfig) -> Self {
         Self {
             dpu,
-            cost,
             config,
             breakdown: StageBreakdown::new(),
             launch_stats: DpuStats::default(),
@@ -226,7 +220,7 @@ impl<'a> DpuKernelCtx<'a> {
         let mram = self.dpu.mram();
         let mut window: (MramAddr, &[u8]) = (0, &[]);
         for (t, compute) in per_tasklet_compute.iter_mut().enumerate() {
-            let mut ctx = TaskletCtx::new(t, mram, window, self.cost);
+            let mut ctx = TaskletCtx::new(t, mram, window);
             results.push(body(&mut ctx));
             window = ctx.window;
             *compute = ctx.compute_cycles;
@@ -235,8 +229,8 @@ impl<'a> DpuKernelCtx<'a> {
             dma_transfers += ctx.dma_transfers;
             bytes_read += ctx.mram_bytes_read;
         }
-        let compute_time = self.cost.region_compute_cycles(per_tasklet_compute);
-        let barrier = self.cost.barrier_cycles_per_tasklet * tasklets as u64;
+        let compute_time = region_compute_cycles(per_tasklet_compute);
+        let barrier = BARRIER_CYCLES_PER_TASKLET * tasklets as u64;
         // DMA overlaps with other tasklets' compute but serializes on the
         // engine: the region lasts as long as the longer of the two.
         let region_cycles = compute_time.max(total_dma) + barrier;
@@ -277,7 +271,7 @@ impl<'a> DpuKernelCtx<'a> {
         let mut dma = 0u64;
         let mut transfers = 0u64;
         for chunk in split_dma(bytes.len()) {
-            dma += self.cost.mram_transfer_cycles(chunk);
+            dma += mram_transfer_cycles(chunk);
             transfers += 1;
         }
         self.launch_stats.dma_cycles += dma;
@@ -290,7 +284,7 @@ impl<'a> DpuKernelCtx<'a> {
     /// Closes a region of `region_cycles` charged to `stage`.
     fn end_region(&mut self, stage: Stage, region_cycles: u64) {
         self.launch_stats.cycles += region_cycles;
-        let seconds = region_cycles as f64 * self.config.seconds_per_cycle();
+        let seconds = region_cycles as f64 * SECONDS_PER_CYCLE;
         self.breakdown.add(stage, seconds);
     }
 
@@ -306,19 +300,19 @@ mod tests {
     use super::*;
     use crate::config::PimConfig;
 
-    fn setup() -> (Dpu, CostModel, PimConfig) {
+    fn setup() -> (Dpu, PimConfig) {
         let config = PimConfig::small_test();
         let mut dpu = Dpu::new(0, config.mram_bytes);
         let addr = dpu.mram_mut().alloc(4096).unwrap();
         assert_eq!(addr, 0);
         dpu.mram_mut().write(addr, &[42u8; 4096]).unwrap();
-        (dpu, CostModel::default(), config)
+        (dpu, config)
     }
 
     #[test]
     fn parallel_region_charges_and_returns_results() {
-        let (mut dpu, cost, config) = setup();
-        let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
+        let (mut dpu, config) = setup();
+        let mut ctx = DpuKernelCtx::new(&mut dpu, &config);
         let results = ctx.parallel(Stage::DistanceCalc, 4, |t| {
             let data = t.mram_read(t.tasklet_id * 64, 64).to_vec();
             t.charge_arith(data.len() as u64, 0);
@@ -332,7 +326,7 @@ mod tests {
         assert!(stats.dma_cycles > 0);
         assert!(cycles >= stats.compute_cycles.max(stats.dma_cycles));
         assert_eq!(stats.mram_bytes_read, 4 * 64);
-        let seconds = cycles as f64 * config.seconds_per_cycle();
+        let seconds = cycles as f64 * SECONDS_PER_CYCLE;
         assert_eq!(
             breakdown.entries(),
             [("distance_calc".to_string(), seconds)]
@@ -341,11 +335,11 @@ mod tests {
 
     #[test]
     fn more_tasklets_reduce_region_time_until_11() {
-        let (mut dpu, cost, config) = setup();
+        let (mut dpu, config) = setup();
         // Same total work split across different tasklet counts.
         let work_per_region = 11_000u64;
         let mut region_time = |tasklets: usize| {
-            let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
+            let mut ctx = DpuKernelCtx::new(&mut dpu, &config);
             ctx.parallel(Stage::DistanceCalc, tasklets, |t| {
                 t.charge_arith(work_per_region / tasklets as u64, 0);
             });
@@ -362,8 +356,8 @@ mod tests {
 
     #[test]
     fn sequential_region_and_mram_write() {
-        let (mut dpu, cost, config) = setup();
-        let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
+        let (mut dpu, config) = setup();
+        let mut ctx = DpuKernelCtx::new(&mut dpu, &config);
         let sum = ctx.sequential(Stage::TopK, |t| {
             t.charge_arith(10, 0);
             t.charge_semaphore();
@@ -379,8 +373,8 @@ mod tests {
 
     #[test]
     fn wram_capacity_is_visible_to_kernels() {
-        let (mut dpu, cost, config) = setup();
-        let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
+        let (mut dpu, config) = setup();
+        let mut ctx = DpuKernelCtx::new(&mut dpu, &config);
         ctx.record_wram_peak(8 * 1024);
         ctx.record_wram_peak(config.wram_bytes);
         ctx.record_wram_peak(32 * 1024);
@@ -391,24 +385,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the 65536 B capacity")]
     fn a_wram_peak_beyond_the_capacity_panics() {
-        let (mut dpu, cost, config) = setup();
-        let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
+        let (mut dpu, config) = setup();
+        let mut ctx = DpuKernelCtx::new(&mut dpu, &config);
         ctx.record_wram_peak(config.wram_bytes + 1);
     }
 
     #[test]
     #[should_panic(expected = "outside 1..=24")]
     fn too_many_tasklets_panics() {
-        let (mut dpu, cost, config) = setup();
-        let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
+        let (mut dpu, config) = setup();
+        let mut ctx = DpuKernelCtx::new(&mut dpu, &config);
         ctx.parallel(Stage::DistanceCalc, 25, |_| {});
     }
 
     #[test]
     #[should_panic(expected = "MRAM read failed")]
     fn out_of_bounds_read_panics_like_hardware_fault() {
-        let (mut dpu, cost, config) = setup();
-        let mut ctx = DpuKernelCtx::new(&mut dpu, &cost, &config);
+        let (mut dpu, config) = setup();
+        let mut ctx = DpuKernelCtx::new(&mut dpu, &config);
         ctx.parallel(Stage::DistanceCalc, 1, |t| {
             let _ = t.mram_read(1 << 20, 64);
         });

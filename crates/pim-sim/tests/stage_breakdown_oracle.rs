@@ -113,15 +113,15 @@ proptest! {
 }
 
 /// A launch reports its critical DPU's regions as seconds per stage. The
-/// kernel context adds `region_cycles × seconds_per_cycle` at every region
+/// kernel context adds `region_cycles × SECONDS_PER_CYCLE` at every region
 /// end; the record it replaced was the list of regions, folded after the
 /// launch. A region of one tasklet that charges `c` additions and no DMA
 /// lasts `c × REVISIT_INTERVAL + barrier` cycles, so the list is known here
 /// without asking the context for it.
 #[test]
 fn a_launch_breakdown_is_the_fold_over_its_regions_in_order() {
-    use pim_sim::config::PimConfig;
-    use pim_sim::cost::{CostModel, REVISIT_INTERVAL};
+    use pim_sim::config::{PimConfig, SECONDS_PER_CYCLE};
+    use pim_sim::cost::{ALU_CYCLES, BARRIER_CYCLES_PER_TASKLET, REVISIT_INTERVAL};
     use pim_sim::host::PimSystem;
 
     let regions: [(Stage, u64); 7] = [
@@ -133,9 +133,7 @@ fn a_launch_breakdown_is_the_fold_over_its_regions_in_order() {
         (Stage::DistanceCalc, 7),
         (Stage::TopK, 0),
     ];
-    let config = PimConfig::small_test();
-    let cost = CostModel::default();
-    let mut sys = PimSystem::new(config.clone());
+    let mut sys = PimSystem::new(PimConfig::small_test());
     let (report, _) = sys.execute(Stage::DpuSearch, |ctx| {
         // DPU 2 runs the whole list, the others a prefix of it.
         let take = if ctx.dpu_id() == 2 { regions.len() } else { 2 };
@@ -145,11 +143,11 @@ fn a_launch_breakdown_is_the_fold_over_its_regions_in_order() {
     });
     assert_eq!(report.critical_dpu, 2);
 
-    let spc = config.seconds_per_cycle();
+    let spc = SECONDS_PER_CYCLE;
     let mut expected = Oracle::new();
     let mut total_cycles = 0u64;
     for (stage, adds) in regions {
-        let cycles = adds * cost.alu_cycles * REVISIT_INTERVAL + cost.barrier_cycles_per_tasklet;
+        let cycles = adds * ALU_CYCLES * REVISIT_INTERVAL + BARRIER_CYCLES_PER_TASKLET;
         total_cycles += cycles;
         oracle_add(&mut expected, stage.label(), cycles as f64 * spc);
     }

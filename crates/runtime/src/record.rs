@@ -158,7 +158,6 @@ fn tenant_row(t: &TenantReport) -> Json {
         ("p99_ms", ms(t.p99())),
         ("slo_miss_fraction", Num(t.slo_miss_fraction())),
         ("meets_slo", Bool(t.meets_slo())),
-        ("final_max_batch", Int(t.final_batcher.max_batch as u64)),
         ("final_max_delay_ms", ms(t.final_batcher.max_delay_s)),
     ])
 }
@@ -239,7 +238,6 @@ fn row_fields(
         ("mean_batch_size", Num(r.mean_batch_size())),
         ("dispatched_chunks", Int(r.dispatched_chunks as u64)),
         ("mean_chunk_size", Num(r.mean_chunk_size())),
-        ("final_max_batch", Int(r.final_batcher.max_batch as u64)),
         ("final_max_delay_ms", ms(r.final_batcher.max_delay_s)),
         ("controller_adjustments", Int(r.controller_adjustments as u64)),
         ("engine_busy_s", Num(r.engine_busy_s)),
@@ -531,11 +529,14 @@ mod tests {
     /// The 0.1 s guard for what CI's 48 s byte-diff checks: rows list their
     /// keys — tenant objects, envelope and live audit included — in exactly
     /// the committed order; and a threaded row is that same list behind the
-    /// thread driver's own fields.
+    /// thread driver's own fields. No row records a batch cap: every policy
+    /// runs the one the config block records as `fixed_max_batch`.
     #[test]
     fn rows_keep_the_committed_key_order() {
         let (replayed, threaded) = reports();
         let serving = include_str!("../../../BENCH_serving.json");
+        let caps: Vec<&str> = keys(serving).into_iter().filter(|k| k.ends_with("max_batch")).collect();
+        assert_eq!(caps, ["fixed_max_batch"]);
         let unrecovered = RecoveryEnvelope { recovery_s: f64::INFINITY, recovered: false, ..envelope() };
         for (workload, tenants, envelope, live) in [
             ("single", 1, None, None),

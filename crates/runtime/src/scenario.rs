@@ -160,8 +160,11 @@ pub const DEFAULT_HEDGE_MS: f64 = 400.0;
 /// `(hosts, sustained QPS)` samples for the autoscaler's linear capacity
 /// model ([`CapacityModel::fit`]): a planning prior measured under small
 /// fixed chunks when every shard trained its own quantizers, kept as is (the
-/// failover rate was chosen against it). The actual scale-up trigger is the
-/// SLO-miss window, with [`CapacityModel`] bounding how far a step may reach.
+/// failover rate was chosen against it). The SLO-miss window alone triggers
+/// a step, one host at a time; the model only sets the scale-down floor,
+/// `hosts_for(FAILOVER_QPS)`. Its fit (5.17 QPS per host, intercept +0.75)
+/// puts that floor at 5 hosts, [`FAILOVER_MAX_HOSTS`], so this deployment
+/// can only scale out.
 const CAPACITY_SAMPLES: [(f64, f64); 4] = [(1.0, 5.8), (2.0, 11.2), (3.0, 16.4), (4.0, 21.3)];
 
 /// The committed head-of-line (HOL) scenario: a tight-SLO low-rate tenant

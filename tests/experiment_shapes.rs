@@ -10,7 +10,7 @@ use baselines::cpu::CpuFaissEngine;
 use baselines::engine::AnnEngine;
 use baselines::gpu::{GpuFaissEngine, GpuMemoryCheck};
 use pim_sim::config::PimConfig;
-use pim_sim::cost::CostModel;
+use pim_sim::cost::mram_transfer_cycles;
 use pim_sim::stats::Stage;
 use std::sync::OnceLock;
 use upanns::builder::{BatchCapacity, UpAnnsBuilder};
@@ -231,10 +231,9 @@ fn gpu_oom_and_mram_latency_shape() {
         GpuMemoryCheck::Fits { .. }
     ));
 
-    let cm = CostModel::default();
-    let l8 = cm.mram_transfer_cycles(8);
-    let l256 = cm.mram_transfer_cycles(256);
-    let l2048 = cm.mram_transfer_cycles(2048);
+    let l8 = mram_transfer_cycles(8);
+    let l256 = mram_transfer_cycles(256);
+    let l2048 = mram_transfer_cycles(2048);
     assert!((l256 as f64) < 2.0 * l8 as f64);
     assert!((l2048 as f64) > 4.0 * l256 as f64);
     let _ = &fix.dataset;
