@@ -157,7 +157,6 @@ fn tab1() -> Vec<ResultTable> {
 /// Figure 1: CPU/GPU stage breakdown as the dataset scales 1M → 100M → 1B.
 fn fig1(cache: &mut ContextCache) -> Vec<ResultTable> {
     let nlist = cache.default_nlist();
-    let n = cache.params.n as f64;
     let nprobe = *cache.params.nprobes.last().unwrap_or(&16);
     let k = cache.params.k;
     let ctx = cache.get(DatasetKind::SiftLike, nlist);
@@ -166,7 +165,7 @@ fn fig1(cache: &mut ContextCache) -> Vec<ResultTable> {
         &stage_share_header(&["device", "modeled_scale"]),
     );
     for &(label, modeled) in &[("1M", 1e6), ("100M", 1e8), ("1B", 1e9)] {
-        let scale = (modeled / n).max(1.0);
+        let scale = ctx.params.work_scale_to(modeled);
         let mut cpu = baselines::cpu::CpuFaissEngine::new(&ctx.index)
             .with_billion_scale_regime(false)
             .with_work_scale(scale);
@@ -360,7 +359,6 @@ fn fig13(cache: &mut ContextCache) -> Vec<ResultTable> {
     let nlist = cache.default_nlist();
     let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
     let k = cache.params.k;
-    let work_scale = cache.params.work_scale();
     let ctx = cache.get(DatasetKind::SiftLike, nlist);
     let mut t = ResultTable::new(
         "fig13_tasklets",
@@ -368,9 +366,7 @@ fn fig13(cache: &mut ContextCache) -> Vec<ResultTable> {
     );
     let mut base_qps = 0.0;
     for &tasklets in &[1usize, 2, 4, 6, 8, 11, 16, 24] {
-        let config = UpAnnsConfig::upanns()
-            .with_work_scale(work_scale)
-            .with_tasklets(tasklets);
+        let config = UpAnnsConfig::upanns().with_tasklets(tasklets);
         let mut engine = ctx.upanns_with(config, ctx.params.dpus);
         let out = engine.search_batch(&ctx.queries, nprobe, k);
         if tasklets == 1 {
@@ -390,7 +386,6 @@ fn fig14(cache: &mut ContextCache) -> Vec<ResultTable> {
     let nlist = cache.default_nlist();
     let nprobes = cache.params.nprobes.clone();
     let k = cache.params.k;
-    let work_scale = cache.params.work_scale();
     let mut t = ResultTable::new(
         "fig14_cae",
         &["dataset", "nprobe", "length_reduction_rate", "qps_without_cae", "qps_with_cae", "improvement"],
@@ -398,12 +393,8 @@ fn fig14(cache: &mut ContextCache) -> Vec<ResultTable> {
     for kind in DatasetKind::all() {
         let ctx = cache.get(kind, nlist);
         let mut with_cae = ctx.upanns();
-        let mut without_cae = ctx.upanns_with(
-            UpAnnsConfig::upanns()
-                .with_work_scale(work_scale)
-                .with_cooccurrence(false),
-            ctx.params.dpus,
-        );
+        let mut without_cae =
+            ctx.upanns_with(UpAnnsConfig::upanns().with_cooccurrence(false), ctx.params.dpus);
         let rate = with_cae.mean_reduction_rate();
         for &nprobe in &nprobes {
             let on = with_cae.search_batch(&ctx.queries, nprobe, k);
@@ -425,15 +416,10 @@ fn fig14(cache: &mut ContextCache) -> Vec<ResultTable> {
 fn fig15(cache: &mut ContextCache) -> Vec<ResultTable> {
     let nlist = cache.default_nlist();
     let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
-    let work_scale = cache.params.work_scale();
     let ctx = cache.get(DatasetKind::SiftLike, nlist);
     let mut pruned = ctx.upanns();
-    let mut unpruned = ctx.upanns_with(
-        UpAnnsConfig::upanns()
-            .with_work_scale(work_scale)
-            .with_topk_pruning(false),
-        ctx.params.dpus,
-    );
+    let mut unpruned =
+        ctx.upanns_with(UpAnnsConfig::upanns().with_topk_pruning(false), ctx.params.dpus);
     let mut t = ResultTable::new(
         "fig15_topk_pruning",
         &["k", "topk_seconds_no_pruning", "topk_seconds_pruned", "reduction", "pruned_comparisons_fraction"],
@@ -492,7 +478,6 @@ fn fig17(cache: &mut ContextCache) -> Vec<ResultTable> {
     let nlist = cache.default_nlist();
     let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
     let k = cache.params.k;
-    let work_scale = cache.params.work_scale();
     let mut t = ResultTable::new(
         "fig17_mram_read_size",
         &["dataset", "vectors_per_read", "read_bytes", "qps"],
@@ -500,9 +485,7 @@ fn fig17(cache: &mut ContextCache) -> Vec<ResultTable> {
     for kind in DatasetKind::all() {
         let ctx = cache.get(kind, nlist);
         for &vectors in &[2usize, 4, 8, 16, 32, 64] {
-            let config = UpAnnsConfig::upanns()
-                .with_work_scale(work_scale)
-                .with_mram_read_vectors(vectors);
+            let config = UpAnnsConfig::upanns().with_mram_read_vectors(vectors);
             let read_bytes = config.mram_read_bytes(ctx.index.m());
             let mut engine = ctx.upanns_with(config, ctx.params.dpus);
             let out = engine.search_batch(&ctx.queries, nprobe, k);
@@ -643,9 +626,9 @@ fn fig20(cache: &mut ContextCache) -> Vec<ResultTable> {
     let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
     let k = cache.params.k;
     // The paper's scalability study uses a 500M-scale dataset.
-    let work_scale = (5e8 / cache.params.n as f64).max(1.0);
+    const MODELED_N: f64 = 5e8;
     let ctx = cache.get(DatasetKind::SiftLike, nlist);
-    let mut gpu = GpuFaissEngine::new(&ctx.index).with_work_scale(work_scale);
+    let mut gpu = ctx.gpu_at(MODELED_N);
     let gpu_out = gpu.search_batch(&ctx.queries, nprobe, k);
 
     let mut t = ResultTable::new(
@@ -654,8 +637,7 @@ fn fig20(cache: &mut ContextCache) -> Vec<ResultTable> {
     );
     let mut samples = Vec::new();
     for &dpus in &[512usize, 640, 768, 896] {
-        let config = UpAnnsConfig::upanns().with_work_scale(work_scale);
-        let mut engine = ctx.upanns_with(config, dpus);
+        let mut engine = ctx.upanns_at(UpAnnsConfig::upanns(), dpus, MODELED_N);
         let out = engine.search_batch(&ctx.queries, nprobe, k);
         samples.push((dpus as f64, out.qps()));
         t.push_row(vec![

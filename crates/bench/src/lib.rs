@@ -73,7 +73,12 @@ impl EvalParams {
     /// The work-scale factor projecting the reduced dataset to the modeled
     /// size.
     pub fn work_scale(&self) -> f64 {
-        (self.modeled_n / self.n as f64).max(1.0)
+        self.work_scale_to(self.modeled_n)
+    }
+
+    /// The work-scale factor projecting the reduced dataset to `modeled_n`.
+    pub fn work_scale_to(&self, modeled_n: f64) -> f64 {
+        (modeled_n / self.n as f64).max(1.0)
     }
 }
 
@@ -130,21 +135,25 @@ impl EvalContext {
         }
     }
 
-    /// Builds a full UpANNS engine (all optimizations, work-scale projected).
+    /// Builds a full UpANNS engine (all optimizations).
     pub fn upanns(&self) -> UpAnnsEngine {
-        let config = UpAnnsConfig::upanns().with_work_scale(self.params.work_scale());
-        self.upanns_with(config, self.params.dpus)
+        self.upanns_with(UpAnnsConfig::upanns(), self.params.dpus)
     }
 
     /// Builds the PIM-naive baseline engine.
     pub fn pim_naive(&self) -> UpAnnsEngine {
-        let config = UpAnnsConfig::pim_naive().with_work_scale(self.params.work_scale());
-        self.upanns_with(config, self.params.dpus)
+        self.upanns_with(UpAnnsConfig::pim_naive(), self.params.dpus)
     }
 
-    /// Builds a PIM engine with an explicit configuration on `dpus` DPUs
-    /// (work scale is NOT added automatically here).
+    /// Builds a PIM engine with an explicit configuration on `dpus` DPUs at
+    /// the context's modeled size.
     pub fn upanns_with(&self, config: UpAnnsConfig, dpus: usize) -> UpAnnsEngine {
+        self.upanns_at(config, dpus, self.params.modeled_n)
+    }
+
+    /// Like [`upanns_with`](Self::upanns_with), projected to `modeled_n`
+    /// vectors instead; `config`'s own work scale is replaced.
+    pub fn upanns_at(&self, config: UpAnnsConfig, dpus: usize, modeled_n: f64) -> UpAnnsEngine {
         let nprobe_max = self.params.nprobes.iter().copied().max().unwrap_or(16);
         // One engine serves every nprobe of the sweep, so the placement
         // frequencies are estimated at *every* swept nprobe and summed. This
@@ -165,7 +174,7 @@ impl EvalContext {
             }
         }
         UpAnnsBuilder::new(&self.index)
-            .with_config(config)
+            .with_config(config.with_work_scale(self.params.work_scale_to(modeled_n)))
             .with_pim_config(PimConfig::with_dpus(dpus))
             .with_frequencies(freqs)
             .with_batch_capacity(BatchCapacity {
@@ -264,7 +273,12 @@ impl EvalContext {
 
     /// Builds the Faiss-GPU baseline (work-scale projected).
     pub fn gpu(&self) -> GpuFaissEngine {
-        GpuFaissEngine::new(&self.index).with_work_scale(self.params.work_scale())
+        self.gpu_at(self.params.modeled_n)
+    }
+
+    /// Builds the Faiss-GPU baseline projected to `modeled_n` vectors.
+    pub fn gpu_at(&self, modeled_n: f64) -> GpuFaissEngine {
+        GpuFaissEngine::new(&self.index).with_work_scale(self.params.work_scale_to(modeled_n))
     }
 }
 
@@ -418,6 +432,7 @@ mod tests {
             ..EvalParams::default()
         };
         assert_eq!(tiny.work_scale(), 1.0);
+        assert_eq!(p.work_scale_to(5e8), 5e8 / 40_000.0);
     }
 
     #[test]
@@ -464,5 +479,11 @@ mod tests {
         let mut cpu = ctx.cpu();
         let cpu_out = baselines::engine::AnnEngine::search_batch(&mut cpu, &ctx.queries, 4, 5);
         assert_eq!(cpu_out.results.len(), 16);
+        // An explicit configuration is built at the context's own modeled
+        // size too, not at the functional one.
+        let mut explicit = ctx.upanns_with(UpAnnsConfig::upanns(), ctx.params.dpus);
+        let explicit_out =
+            baselines::engine::AnnEngine::search_batch(&mut explicit, &ctx.queries, 4, 5);
+        assert_eq!(explicit_out.seconds.to_bits(), out.seconds.to_bits());
     }
 }

@@ -102,9 +102,10 @@ fn host_schedule_seconds(assignments: usize, dim: usize) -> f64 {
     cycles / cpu::FREQ_HZ
 }
 
-fn host_merge_seconds(partials: usize, k: usize) -> f64 {
-    let cycles = partials as f64 * k as f64 * 12.0;
-    cycles / cpu::FREQ_HZ
+/// Host time to merge `elements` (query, neighbor) candidates into the
+/// per-query top-k: the engine's Stage 6 and the §5.5 coordinator's merge.
+pub(crate) fn host_merge_seconds(elements: usize) -> f64 {
+    elements as f64 * 12.0 / cpu::FREQ_HZ
 }
 
 /// The UpANNS search engine (also the PIM-naive baseline, depending on the
@@ -350,17 +351,14 @@ impl Launcher<'_> {
         let mut merged: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
         let mut partial_count = 0usize;
         for (read, bytes) in reads.iter().zip(&mailboxes) {
-            let dpu = read.dpu;
-            let partials = parse_mailbox(bytes, plans[dpu].queries.len(), k);
-            for (q, neighbors) in partials {
+            for (q, neighbors) in parse_mailbox(bytes, plans[read.dpu].queries.len(), k) {
                 partial_count += 1;
                 for n in neighbors {
                     merged[q].push(n.id, n.distance);
                 }
             }
         }
-        let merge_seconds = host_merge_seconds(partial_count, k);
-        sys.advance_host(Stage::HostMerge, merge_seconds);
+        sys.advance_host(Stage::HostMerge, host_merge_seconds(partial_count * k));
 
         let results: Vec<Vec<Neighbor>> = merged.into_iter().map(|h| h.into_sorted()).collect();
 

@@ -302,7 +302,7 @@ fn run_with_scratch(
         // clusters) onto the modeled system.
         let n = replica.num_vectors;
         let per_tasklet_vectors = n.div_ceil(tasklets);
-        let scaled_vectors = (n as f64 * config.work_scale).round().max(n as f64) as u64;
+        let scaled_vectors = config.modeled(n);
         // Even split of the modeled cluster across tasklets.
         let modeled_share = |tasklet_id: usize, total: u64| -> u64 {
             total / tasklets as u64 + u64::from((tasklet_id as u64) < total % tasklets as u64)
@@ -378,16 +378,10 @@ fn run_with_scratch(
                     // that is precisely what §4.3's re-encoding buys), one
                     // WRAM load of the unified LUT/combo-sum region and
                     // one accumulate add; plus one heap compare per record.
-                    let scaled_bytes =
-                        (cae.bytes() as f64 * config.work_scale).round().max(cae.bytes() as f64)
-                            as u64;
-                    let scaled_entries = (cae.total_entries() as f64 * config.work_scale)
-                        .round()
-                        .max(cae.total_entries() as f64)
-                        as u64;
                     let share_records = modeled_share(t.tasklet_id, scaled_vectors);
-                    let share_bytes = modeled_share(t.tasklet_id, scaled_bytes);
-                    let share_entries = modeled_share(t.tasklet_id, scaled_entries);
+                    let share_bytes = modeled_share(t.tasklet_id, config.modeled(cae.bytes()));
+                    let share_entries =
+                        modeled_share(t.tasklet_id, config.modeled(cae.total_entries()));
                     let full_chunks = share_bytes / read_bytes as u64;
                     let tail = (share_bytes % read_bytes as u64) as usize;
                     t.charge_dma_repeated(read_bytes, full_chunks);

@@ -119,10 +119,10 @@ mod tests {
     use super::*;
     use crate::builder::{BatchCapacity, UpAnnsBuilder};
     use crate::config::UpAnnsConfig;
+    use crate::engine::host_merge_seconds;
     use annkit::ivf::IvfPqParams;
     use annkit::synthetic::SyntheticSpec;
     use annkit::topk::Neighbor;
-    use baselines::cpu;
     use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
     use pim_sim::config::PimConfig;
     use pim_sim::stats::Stage;
@@ -301,7 +301,8 @@ mod tests {
             .fold(0.0f64, f64::max);
         let broadcast = net.transfer_seconds(4 * queries.dim() * 4, 1);
         let gather = net.transfer_seconds(4 * 5 * 12, 1);
-        let merge = (2 * 4 * 5) as f64 * 8.0 / cpu::FREQ_HZ;
+        // Two shards' 4 × 5 candidates, at the engine's own merge rate.
+        let merge = host_merge_seconds(2 * 4 * 5);
         let expected = broadcast + slowest + gather + merge;
         // Relative, not bitwise: `(start + s) - start` need not equal `s`.
         assert!(

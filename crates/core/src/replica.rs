@@ -23,7 +23,7 @@
 //!   the work in flight (stalling until the outage ends when nobody
 //!   survives), hedges a shard to a second replica when the primary's modeled
 //!   completion exceeds the hedging budget, and merges per-query top-k lists
-//!   (dedup by id) across shards.
+//!   across shards.
 //!
 //! **Answer purity.** Each shard is served by one underlying engine; which
 //! *host* answers only moves simulated time. The merged answers are therefore
@@ -37,17 +37,15 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::HashSet;
 use std::fmt;
 
 use annkit::topk::{Neighbor, TopK};
-use baselines::cpu;
 use baselines::engine::{AnnEngine, SearchRequest, SearchResponse};
 use baselines::workload_stats::WorkloadStats;
 use pim_sim::energy::EnergyModel;
 use pim_sim::stats::{Stage, StageBreakdown};
 
-use crate::engine::UpAnnsEngine;
+use crate::engine::{host_merge_seconds, UpAnnsEngine};
 use crate::multihost::InterconnectModel;
 
 /// Why a [`ReplicaMap`] could not be built.
@@ -523,22 +521,16 @@ impl AnnEngine for ReplicatedMultiHost {
         let returned_k: usize = request.options().iter().map(|o| o.k).sum();
         let result_bytes = returned_k * 12;
         let gather_s = self.interconnect.transfer_seconds(result_bytes, peers);
-        let merge_ops = (served.len() * returned_k) as f64;
-        let merge_s = merge_ops * 8.0 / cpu::FREQ_HZ;
+        let merge_s = host_merge_seconds(served.len() * returned_k);
 
-        // Per-query merge in shard order with an id dedup guard: shard id
-        // ranges are disjoint by construction, and a hedged clone's answers
-        // are identical to its primary's, so each id can win at most once.
+        // Per-query merge in shard order. Shard id ranges are disjoint and
+        // each covered shard answers once (a hedged clone is timing only),
+        // so no id can arrive twice.
         let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(queries.len());
         for (q, opt) in request.options().iter().enumerate() {
             let mut heap = TopK::new(opt.k);
-            let mut seen: HashSet<u64> = HashSet::new();
-            for (_, outcome) in &served {
-                for n in &outcome.results[q] {
-                    if seen.insert(n.id) {
-                        heap.push(n.id, n.distance);
-                    }
-                }
+            for n in served.iter().flat_map(|(_, outcome)| &outcome.results[q]) {
+                heap.push(n.id, n.distance);
             }
             results.push(heap.into_sorted());
         }
@@ -647,6 +639,7 @@ impl AnnEngine for ReplicatedMultiHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn ring_placement_covers_every_shard_with_distinct_hosts() {

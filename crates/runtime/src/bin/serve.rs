@@ -7,9 +7,8 @@
 //!     [--engines cpu,gpu,pim-naive,upanns,multihost]
 //!     [--policy fixed|adaptive|both] [--tenants SPEC] [--json PATH]
 //!     [--runtime replay|threaded|twin] [--workers LIST] [--sweep-qps LIST]
-//!     [--work-scale X] [--queue N] [--answers PATH]
-//!     [--replicas R] [--fault HOST@DOWN..UP[,...]] [--hedge-ms B]
-//!     [--mutations upsert=QPS,delete=QPS[,seed=N] | none]
+//!     [--queue N] [--answers PATH] [--replicas R] [--hedge-ms B]
+//!     [--fault HOST@DOWN..UP[,...]] [--mutations upsert=QPS,delete=QPS[,seed=N] | none]
 //! ```
 //!
 //! * `--runtime replay` (the default) replays every scenario on the
@@ -49,21 +48,10 @@ use upanns_runtime::scenario::{
     parse_fault, parse_mutations, parse_tenants, service_config, EngineKind, Fixture, FixtureSpec, Policy,
     ReplayRow, Scenario, StalenessBucket, DATASET_N, DEFAULT_FAULT, DEFAULT_HEDGE_MS,
     DEFAULT_MUTATIONS, DEFAULT_REPLICAS, DEFAULT_TENANTS, DPUS, FAILOVER_HOSTS, FAILOVER_SHARDS,
-    LIVE_REFRESH_S, NLIST, REPLAY_WORK_SCALE, THREADED_TENANTS,
+    LIVE_REFRESH_S, NLIST, REPLAY_WORK_SCALE, THREADED_TENANTS, THREADED_WORK_SCALE,
 };
 use upanns_runtime::{RuntimeMode, RuntimeReport};
 use upanns_serve::ServiceConfig;
-
-/// Modeled work scale of the threaded engines. The replay projects to
-/// billion scale ([`REPLAY_WORK_SCALE`] ≈ 31250) because simulated seconds
-/// are free; the threaded runtime *emulates* modeled seconds in real time,
-/// so it defaults to a smaller projection that keeps a full sweep under a
-/// few minutes while leaving per-batch service times (milliseconds) far
-/// above the host's sleep granularity. At this scale one UpANNS worker
-/// saturates near ~300 QPS on the default stream, so the default
-/// `--sweep-qps` top end (960) drives 1 worker deep into overload while 4
-/// workers still keep up — the scaling knee lands inside the sweep.
-const THREADED_WORK_SCALE: f64 = 4_000.0;
 
 #[derive(Clone, PartialEq)]
 struct Args {
@@ -82,7 +70,6 @@ struct Args {
     runtime: RuntimeKind,
     workers: Vec<usize>,
     sweep_qps: Vec<f64>,
-    work_scale: f64,
     queue: Option<usize>,
     answers: Option<String>,
     replicas: usize,
@@ -115,7 +102,6 @@ impl Default for Args {
             runtime: RuntimeKind::Replay,
             workers: vec![1, 2, 4],
             sweep_qps: vec![60.0, 120.0, 240.0, 480.0, 960.0],
-            work_scale: THREADED_WORK_SCALE,
             queue: None,
             answers: None,
             replicas: DEFAULT_REPLICAS,
@@ -132,7 +118,7 @@ fn usage() -> ! {
          \x20            [--max-chunk C] [--engines cpu,gpu,pim-naive,upanns,multihost] \n\
          \x20            [--policy fixed|adaptive|both] [--tenants SPEC] [--json PATH]\n\
          \x20            [--runtime replay|threaded|twin] [--workers LIST]\n\
-         \x20            [--sweep-qps LIST] [--work-scale X] [--queue N] [--answers PATH]\n\
+         \x20            [--sweep-qps LIST] [--queue N] [--answers PATH]\n\
          \x20            [--replicas R] [--fault HOST@DOWN..UP[,...]] [--hedge-ms B]\n\
          \x20            [--mutations upsert=QPS,delete=QPS[,seed=N] | none]\n\
          \n\
@@ -153,11 +139,12 @@ fn usage() -> ! {
          \n\
          --runtime threaded runs the real multi-threaded pipeline (wall clock):\n\
          one row per --workers value per --sweep-qps offered rate, plus one\n\
-         multi-tenant row per worker count, on a PIM-backed engine at\n\
-         --work-scale. --runtime twin runs the same pipeline in deterministic\n\
-         logical-trace mode; with --answers PATH it writes the answer map and\n\
-         exits (byte-identical to --runtime replay --answers on the same\n\
-         stream). --queue overrides the admission queue capacity.\n\
+         multi-tenant row per worker count, on a PIM-backed engine projected\n\
+         to a 1.6e7-vector corpus (the replay projects to 1.25e8). --runtime\n\
+         twin runs the same pipeline in deterministic logical-trace mode;\n\
+         with --answers PATH it writes the answer map and exits\n\
+         (byte-identical to --runtime replay --answers on the same stream).\n\
+         --queue overrides the admission queue capacity.\n\
          \n\
          --max-chunk caps how many queries one dispatch may commit the engine to\n\
          in the multi-tenant and live-growth scenarios.\n\
@@ -251,10 +238,6 @@ fn parse_args() -> Args {
                 args.workers = list(flag, &arg(), "a worker count in 1..=32", |w| (1..=32).contains(w));
             }
             "--sweep-qps" => args.sweep_qps = list(flag, &arg(), "a positive rate", positive),
-            "--work-scale" => {
-                let ok = |x: &f64| *x >= 1.0 && x.is_finite();
-                args.work_scale = checked(flag, &arg(), "a number >= 1", ok);
-            }
             "--queue" => args.queue = Some(checked(flag, &arg(), "an integer >= 1", |&n| n >= 1)),
             // More replicas than hosts would co-locate two copies of a shard
             // on one failure domain.
@@ -298,7 +281,14 @@ impl Args {
             replicas: self.replicas,
             faults: parse_fault(&self.fault).unwrap_or_else(|e| bad("--fault", e)),
             hedge_s: self.hedge_ms / 1e3,
+            work_scale: self.work_scale(),
         }
+    }
+
+    /// The fixture's work scale: the wall clock projects less than the
+    /// replay clock (see [`THREADED_WORK_SCALE`]).
+    fn work_scale(&self) -> f64 {
+        if self.runtime == RuntimeKind::Threaded { THREADED_WORK_SCALE } else { REPLAY_WORK_SCALE }
     }
 
     /// Whether the flags that shape the replay scenarios are the defaults —
@@ -310,20 +300,19 @@ impl Args {
             json: None,
             workers: defaults.workers.clone(),
             sweep_qps: defaults.sweep_qps.clone(),
-            work_scale: defaults.work_scale,
             ..self.clone()
         };
         shaping == defaults
     }
 
-    /// The record's `config` block, for rows served at `work_scale`.
-    fn config_json(&self, service: &ServiceConfig, work_scale: f64) -> Json {
+    /// The record's `config` block.
+    fn config_json(&self, service: &ServiceConfig) -> Json {
         use Json::{Int, Num, Str};
         Json::Object(vec![
             ("dataset_n", Int(DATASET_N as u64)),
             ("nlist", Int(NLIST as u64)),
             ("dpus", Int(DPUS as u64)),
-            ("work_scale", Num(work_scale)),
+            ("work_scale", Num(self.work_scale())),
             ("num_queries", Int(self.queries as u64)),
             ("offered_qps", Num(self.qps)),
             ("repeat_fraction", Num(self.repeat)),
@@ -422,12 +411,11 @@ fn answer_maps(args: &Args, fixture: &Fixture, base: ServiceConfig) {
         eprintln!("answering {scenario} ...");
         let results = if twin {
             let (workers, logical) = (args.workers[0], RuntimeMode::Logical);
-            let report =
-                fixture.pipeline(&scenario, Policy::Fixed, workers, logical, REPLAY_WORK_SCALE);
+            let report = fixture.pipeline(&scenario, Policy::Fixed, workers, logical);
             assert_eq!(report.shed, 0, "twin runs shed nothing");
             report.service.results
         } else {
-            let engine = fixture.engine(scenario.engine, REPLAY_WORK_SCALE);
+            let engine = fixture.engine(scenario.engine);
             fixture.replay(&scenario, Policy::Fixed, engine).0.results
         };
         for (i, neighbors) in results.iter().enumerate() {
@@ -472,7 +460,7 @@ fn threaded_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
     for &workers in &args.workers {
         for (scenario, policy, mode) in &plan {
             eprintln!("threaded ({}): {scenario}, {workers} worker(s) ...", mode.label());
-            let report = fixture.pipeline(scenario, *policy, workers, *mode, args.work_scale);
+            let report = fixture.pipeline(scenario, *policy, workers, *mode);
             rows.push((scenario, report));
         }
     }
@@ -499,7 +487,7 @@ fn threaded_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
     print_table(None, header, table.collect());
     if let Some(path) = &args.json {
         let rows = rows.iter().map(|(s, r)| threaded_row(r, s.workload, s.offered_qps)).collect();
-        write_record(path, record(args.config_json(&base, args.work_scale), rows));
+        write_record(path, record(args.config_json(&base), rows));
     }
 }
 
@@ -527,11 +515,11 @@ fn replay_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
     let mut rows: Vec<ReplayRow> = Vec::new();
     for (scenario, policies) in &plan {
         eprintln!("replaying {scenario} ...");
-        rows.extend(fixture.replay_rows(scenario, policies, REPLAY_WORK_SCALE));
+        rows.extend(fixture.replay_rows(scenario, policies));
     }
     print_replay_tables(args, &rows);
     if let Some(path) = &args.json {
-        let config = args.config_json(&base, REPLAY_WORK_SCALE);
+        let config = args.config_json(&base);
         let written = audit(&rows, args.shapes_committed_scenarios())
             .and_then(|()| record(config, rows.iter().map(serving_row).collect()));
         write_record(path, written);

@@ -114,6 +114,13 @@ const MODELED_N: f64 = 1.25e8;
 /// Work scale of the replay and answer-map engines: simulated seconds are
 /// free, so they project to billion scale.
 pub const REPLAY_WORK_SCALE: f64 = MODELED_N / DATASET_N as f64;
+/// Work scale of the threaded engines (a modeled corpus of 1.6 × 10⁷): they
+/// *emulate* modeled seconds in real time, so a sweep stays minutes long and
+/// per-batch service times stay milliseconds, far above the host's sleep
+/// granularity. One UpANNS worker then saturates near 300 QPS on the default
+/// stream, so the default `--sweep-qps` top end (960) overloads 1 worker
+/// while 4 keep up: the scaling knee lands inside the sweep.
+pub const THREADED_WORK_SCALE: f64 = 4_000.0;
 
 /// Fixed shape of the committed kill-a-host failover scenario. Three shards
 /// on three hosts with `--replicas 2` means one host death leaves every
@@ -181,9 +188,9 @@ pub const DEFAULT_TENANTS: &str = "tight:qps=2,queries=200,slo-ms=700,weight=2,m
 
 /// The threaded runtime's default multi-tenant mix: the same HOL shape as
 /// [`DEFAULT_TENANTS`] but 3× the rate over an ~8-second arrival window,
-/// because threaded rows burn *real* wall-clock time and run at a smaller
-/// `--work-scale` (where the engine is proportionally faster). Calibrated
-/// so the bulk tenant keeps one worker busy without overflowing the
+/// because threaded rows burn *real* wall-clock time and run at the smaller
+/// [`THREADED_WORK_SCALE`] (where the engine is proportionally faster).
+/// Calibrated so the bulk tenant keeps one worker busy without overflowing the
 /// admission queue — the committed rows show both tenants meeting their
 /// SLOs under priority-chunked dispatch at every worker count.
 pub const THREADED_TENANTS: &str = "tight:qps=6,queries=48,slo-ms=500,weight=2,mix=10x8;\
@@ -515,6 +522,10 @@ pub struct FixtureSpec {
     pub faults: FaultSchedule,
     /// Its hedging budget in seconds.
     pub hedge_s: f64,
+    /// The work scale every engine of the fixture is built at:
+    /// [`REPLAY_WORK_SCALE`] on the replay clock, [`THREADED_WORK_SCALE`]
+    /// on the wall clock.
+    pub work_scale: f64,
 }
 
 /// A mutation stream folded into an epoch-stamped snapshot timeline
@@ -645,11 +656,12 @@ impl Fixture {
         if engines.contains(&EngineKind::UpAnns) { EngineKind::UpAnns } else { engines[0] }
     }
 
-    /// The one engine factory: a fresh engine of `kind` at `work_scale`,
-    /// behind a box so every caller is generic over nothing. A sharded kind
-    /// cuts its shards from the one index ([`shard_indexes`]), so it answers
-    /// what one engine over the index answers.
-    pub fn engine(&self, kind: EngineKind, work_scale: f64) -> BoxedEngine<'_> {
+    /// The one engine factory: a fresh engine of `kind` at the spec's work
+    /// scale, behind a box so every caller is generic over nothing. A
+    /// sharded kind cuts its shards from the one index ([`shard_indexes`]),
+    /// so it answers what one engine over the index answers.
+    pub fn engine(&self, kind: EngineKind) -> BoxedEngine<'_> {
+        let work_scale = self.spec.work_scale;
         let pim = |index: &IvfPqIndex, config: UpAnnsConfig, dpus: usize| {
             UpAnnsBuilder::new(index)
                 .with_config(config.with_work_scale(work_scale))
@@ -675,12 +687,8 @@ impl Fixture {
             }
         };
         match kind {
-            EngineKind::Cpu => {
-                Box::new(CpuFaissEngine::new(&self.index).with_work_scale(work_scale))
-            }
-            EngineKind::Gpu => {
-                Box::new(GpuFaissEngine::new(&self.index).with_work_scale(work_scale))
-            }
+            EngineKind::Cpu => Box::new(CpuFaissEngine::new(&self.index).with_work_scale(work_scale)),
+            EngineKind::Gpu => Box::new(GpuFaissEngine::new(&self.index).with_work_scale(work_scale)),
             EngineKind::PimNaive => Box::new(pim(&self.index, UpAnnsConfig::pim_naive(), DPUS)),
             EngineKind::UpAnns => Box::new(pim(&self.index, UpAnnsConfig::upanns(), DPUS)),
             // The paper's §5.5 deployment: one host per shard, r = 1, healthy.
@@ -871,13 +879,8 @@ impl Fixture {
     /// # Panics
     /// Panics if a live row served an answer that differs from its arrival
     /// snapshot — the consistency contract has zero tolerance.
-    pub fn replay_rows(
-        &self,
-        scenario: &Scenario,
-        policies: &[Policy],
-        work_scale: f64,
-    ) -> Vec<ReplayRow> {
-        let mut engine = self.engine(scenario.engine, work_scale);
+    pub fn replay_rows(&self, scenario: &Scenario, policies: &[Policy]) -> Vec<ReplayRow> {
+        let mut engine = self.engine(scenario.engine);
         let mut rows = Vec::new();
         for &policy in policies {
             let (report, served) = self.replay(scenario, policy, engine);
@@ -923,11 +926,10 @@ impl Fixture {
         policy: Policy,
         workers: usize,
         mode: RuntimeMode,
-        work_scale: f64,
     ) -> RuntimeReport {
         let engines = (0..workers)
             .map(|_| {
-                let mut engine = self.engine(scenario.engine, work_scale);
+                let mut engine = self.engine(scenario.engine);
                 if let Some(live) = scenario.live {
                     let accepted = engine.install_timeline(live.plan.timeline.clone());
                     assert!(accepted, "{:?} declined the snapshot timeline", scenario.engine);

@@ -14,7 +14,7 @@
 
 use std::process::Command;
 
-const MUST_FAIL: [&[&str]; 26] = [
+const MUST_FAIL: [&[&str]; 27] = [
     &["--engines", "bogus"],
     &["--policy", "bogus"],
     &["--tenants", "broken"],
@@ -42,6 +42,8 @@ const MUST_FAIL: [&[&str]; 26] = [
     &["--repeat", "7"],
     &["--qps", "0"],
     &["--queries", "0"],
+    // The work scale belongs to the fixture, not to a flag.
+    &["--work-scale", "4000"],
 ];
 
 #[test]
