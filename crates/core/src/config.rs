@@ -87,13 +87,6 @@ impl UpAnnsConfig {
         self
     }
 
-    /// The modeled count of `functional` stored units (vectors, code bytes,
-    /// code entries): `functional × work_scale`, rounded, never below
-    /// `functional`.
-    pub(crate) fn modeled(&self, functional: usize) -> u64 {
-        (functional as f64 * self.work_scale).round().max(functional as f64) as u64
-    }
-
     /// Enables/disables the PIM-aware placement (Opt1).
     pub fn with_placement(mut self, enabled: bool) -> Self {
         self.pim_aware_placement = enabled;

@@ -97,6 +97,11 @@ impl ComboTable {
         self.combos.is_empty()
     }
 
+    /// Elements of all combos together.
+    pub(crate) fn elements(&self) -> u64 {
+        self.combos.iter().map(|c| c.elements.len() as u64).sum()
+    }
+
     /// Computes the partial LUT sums of every combo against a concrete LUT
     /// (the online step executed right after LUT construction, Figure 6's
     /// "Comb. Sum" stage).

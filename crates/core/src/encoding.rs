@@ -107,16 +107,6 @@ impl CaeList {
         self.offsets.is_empty()
     }
 
-    /// The encoded entry count (including the per-vector length slots).
-    pub(crate) fn total_entries(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Bytes occupied by the encoded stream (2 bytes per entry).
-    pub(crate) fn bytes(&self) -> usize {
-        self.entries.len() * 2
-    }
-
     /// The record of vector `i`: its address entries (without the length
     /// slot).
     pub fn record(&self, i: usize) -> &[u16] {
@@ -296,7 +286,7 @@ mod tests {
         assert_eq!(plain.mean_length(), 8.0);
         assert_eq!(plain.reduction_rate(), 0.0);
         assert_eq!(plain.record(0).len(), 8);
-        assert_eq!(plain.bytes(), 100 * 9 * 2);
+        assert_eq!(plain.to_bytes().len(), 100 * 9 * 2);
     }
 
     #[test]
@@ -353,7 +343,7 @@ mod tests {
         let combos = mine_cluster_combos(&codes, m, &MiningParams::default());
         let cae = CaeList::encode(&codes, m, &combos);
         let bytes = cae.to_bytes();
-        assert_eq!(bytes.len(), cae.bytes());
+        assert_eq!(bytes.len(), cae.record_byte_range(cae.len() - 1).1);
         for i in 0..cae.len() {
             let (start, end) = cae.record_byte_range(i);
             assert!(end <= bytes.len());

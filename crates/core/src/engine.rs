@@ -373,11 +373,12 @@ impl Launcher<'_> {
             ..WorkloadStats::default()
         };
         for o in outputs.iter().flatten() {
-            stats.candidates_scanned += o.candidates_scanned;
-            stats.lut_lookups += o.lut_lookups;
-            stats.code_bytes_read += o.code_bytes_read;
-            stats.topk_candidates += o.merge_stats.comparisons + o.merge_stats.pruned;
-            stats.topk_insertions += o.merge_stats.insertions;
+            let work = &o.work;
+            stats.candidates_scanned += work.vectors;
+            stats.lut_lookups += work.lut_lookups;
+            stats.code_bytes_read += work.code_bytes;
+            stats.topk_candidates += work.merge.comparisons + work.merge.pruned;
+            stats.topk_insertions += work.merge.insertions;
         }
 
         // The critical DPU's kernel regions take the place of the launch's

@@ -2,11 +2,13 @@
 //! calculation and pruned top-k, executed per (query, cluster) assignment.
 //!
 //! This is the code that would be the C "DPU program" on real UPMEM hardware.
-//! Here it is ordinary Rust executed against [`pim_sim`]'s kernel context, so
-//! it is both *functional* (it reads the actual encoded points resident in
-//! MRAM and produces exact ADC results) and *costed* (every MRAM transfer,
-//! WRAM access, add and multiply is charged to the cycle model, in parallel
-//! regions that follow the Figure 6 barrier structure).
+//! Here it is ordinary Rust executed against [`pim_sim`]'s kernel context, in
+//! two halves that never read each other. The *functional* half reads the
+//! encoded points resident in MRAM, produces exact ADC results and counts
+//! what each assignment did in an [`AssignmentWork`]. The *charged* half is
+//! one pure function, `charge`, that maps those counts to the cycles of
+//! the parallel regions of Figure 6's barrier structure; it alone decides
+//! every modeled number.
 
 use crate::config::UpAnnsConfig;
 use crate::cooccurrence::ComboTable;
@@ -17,12 +19,14 @@ use crate::wram_layout::{WramPlan, WramPlanInput};
 use annkit::lut::LookupTable;
 use annkit::pq::ProductQuantizer;
 use annkit::topk::{Neighbor, TopK};
+use pim_sim::config::MAX_TASKLETS;
+use pim_sim::cost::{Dma, TaskletCost, ALU_CYCLES, SEMAPHORE_CYCLES, WRAM_ACCESS_CYCLES};
 use pim_sim::mram::MramAddr;
 use pim_sim::stats::Stage;
 use pim_sim::tasklet::DpuKernelCtx;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::AddAssign;
 use std::sync::Arc;
 
 /// How a cluster replica's payload is laid out in MRAM.
@@ -118,16 +122,175 @@ impl DpuBatchPlan {
 pub struct KernelOutput {
     /// Per-query partial top-k (local to this DPU), keyed by query index.
     pub partials: Vec<(usize, Vec<Neighbor>)>,
-    /// Aggregated top-k merge statistics.
-    pub merge_stats: MergeStats,
     /// Bytes written to the result mailbox.
     pub mailbox_bytes_written: usize,
-    /// Candidate vectors scanned (at actual, unscaled, dataset scale).
-    pub candidates_scanned: u64,
-    /// LUT/partial-sum lookups performed (actual scale).
+    /// What the launch did: the sum of its assignments' work.
+    pub work: AssignmentWork,
+}
+
+/// What one (query, cluster) assignment did, counted at the functional
+/// (stored) scale. `charge` prices it; summed over a launch it is
+/// [`KernelOutput::work`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AssignmentWork {
+    /// Residual bytes the LUT build reads from the query buffer.
+    pub residual_bytes: u64,
+    /// Codebook bytes the LUT build streams from MRAM.
+    pub codebook_bytes: u64,
+    /// LUT entries built: the dense `m × 256`.
+    pub lut_entries: u64,
+    /// Combinations whose partial sums stage 2 forms.
+    pub combos: u64,
+    /// Elements of those combinations (2 or 3 each).
+    pub combo_elements: u64,
+    /// Vectors scanned.
+    pub vectors: u64,
+    /// Code bytes of the scanned records.
+    pub code_bytes: u64,
+    /// CAE stream entries, length slots included (0 for plain codes).
+    pub cae_entries: u64,
+    /// LUT and partial-sum lookups of the scan.
     pub lut_lookups: u64,
-    /// MRAM code bytes streamed (actual scale).
-    pub code_bytes_read: u64,
+    /// The thread-local top-k merge.
+    pub merge: MergeStats,
+    /// Global ids read from the id array.
+    pub id_reads: u64,
+}
+
+impl AddAssign for AssignmentWork {
+    fn add_assign(&mut self, other: Self) {
+        self.residual_bytes += other.residual_bytes;
+        self.codebook_bytes += other.codebook_bytes;
+        self.lut_entries += other.lut_entries;
+        self.combos += other.combos;
+        self.combo_elements += other.combo_elements;
+        self.vectors += other.vectors;
+        self.code_bytes += other.code_bytes;
+        self.cae_entries += other.cae_entries;
+        self.lut_lookups += other.lut_lookups;
+        self.merge += other.merge;
+        self.id_reads += other.id_reads;
+    }
+}
+
+/// The launch-wide inputs of [`charge`] besides the counts: the PQ's `m`
+/// (a plain record's bytes) and `dsub`, `k`, the tasklets, the read buffer
+/// ([`kernel_read_bytes`]) and the modeled units per functional unit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KernelShape {
+    pub m: usize,
+    pub dsub: usize,
+    pub k: usize,
+    pub tasklets: usize,
+    pub read_bytes: usize,
+    pub work_scale: f64,
+}
+
+/// Elements every combination sum is charged for. Mined combinations have
+/// 2 or 3 ([`AssignmentWork::combo_elements`] counts them), so a pair is
+/// over-charged.
+const CHARGED_COMBO_LEN: u64 = 3;
+
+/// The modeled count of `functional` stored units (vectors, code bytes,
+/// code entries): `functional × work_scale`, rounded, never below
+/// `functional`.
+fn modeled(functional: u64, work_scale: f64) -> u64 {
+    let modeled = (functional as f64 * work_scale).round();
+    modeled.max(functional as f64) as u64
+}
+
+/// The cycle charge of one assignment that did `work` on a list laid out as
+/// `encoding`: its regions, each handed to `close` with what every tasklet
+/// of it spent, in Figure 6's order — LUT build, combination sums (only
+/// when the cluster has combinations), distance calculation, then the top-k
+/// merge and the id reads on one tasklet each. The regions depend on the
+/// arguments alone.
+///
+/// Only the distance calculation is charged at the modeled scale: its
+/// vectors, code bytes and CAE entries are projected by `work_scale` and
+/// split evenly across the tasklets, each streaming its share in full
+/// `read_bytes` transfers and a tail, which is what the scan does when the
+/// cluster really is that large (multiplying the reduced-scale scan's
+/// charge would project its per-vector DMA setup and idle tasklets onto the
+/// modeled system). The other stages are charged from the counts as they
+/// are.
+pub(crate) fn charge(
+    work: &AssignmentWork,
+    encoding: &ListEncoding,
+    shape: &KernelShape,
+    mut close: impl FnMut(Stage, &[TaskletCost]),
+) {
+    let tasklets = shape.tasklets as u64;
+    let mut costs = [TaskletCost::default(); MAX_TASKLETS];
+    let mut region = |stage, cost: &dyn Fn(u64) -> TaskletCost| {
+        let costs = &mut costs[..shape.tasklets];
+        for (t, slot) in (0..).zip(costs.iter_mut()) {
+            *slot = cost(t);
+        }
+        close(stage, costs);
+    };
+    // An even split of `total` across the tasklets.
+    let share = |t: u64, total: u64| total / tasklets + u64::from(t < total % tasklets);
+    let compute = |adds: u64, wram: u64| adds * ALU_CYCLES + wram * WRAM_ACCESS_CYCLES;
+
+    // Stage 1 (Barrier 0/1): tasklet 0 reads the residual; every tasklet
+    // reads its slice of the codebook and computes its share of the dense
+    // LUT: three ALU operations per codebook component (`dsub` of them per
+    // entry) and one WRAM store per entry.
+    let slice = work.codebook_bytes.div_ceil(tasklets);
+    let entries = work.lut_entries.div_ceil(tasklets);
+    let residual = Dma::of(work.residual_bytes);
+    region(Stage::LutConstruction, &|t| TaskletCost {
+        compute: compute(entries * shape.dsub as u64 * 3, entries),
+        dma: Dma::of(slice.min(work.codebook_bytes.saturating_sub(t * slice)))
+            + if t == 0 { residual } else { Dma::default() },
+    });
+
+    // Stage 2 (Barrier 1/2): per combination, one WRAM load and one add per
+    // element and one store of the sum.
+    if work.combos > 0 {
+        let combos = work.combos.div_ceil(tasklets);
+        region(Stage::ComboSum, &|_| TaskletCost {
+            compute: compute(combos * CHARGED_COMBO_LEN, combos * (CHARGED_COMBO_LEN + 1)),
+            dma: Dma::default(),
+        });
+    }
+
+    // Stage 3 (Barrier 2/3): per entry one WRAM load of the entry, one WRAM
+    // load of the table and one accumulate add — plus, for a plain code,
+    // one add to form its LUT address (`pos·256 + code`: the position base
+    // lives in a register), which is what §4.3's direct addresses save —
+    // and one heap threshold compare per record.
+    let records = modeled(work.vectors, shape.work_scale);
+    let code_bytes = modeled(work.code_bytes, shape.work_scale);
+    let cae_entries = modeled(work.cae_entries, shape.work_scale);
+    let read = shape.read_bytes as u64;
+    region(Stage::DistanceCalc, &|t| {
+        let records = share(t, records);
+        let plain = records * shape.m as u64;
+        let (bytes, entries, address_adds) = match encoding {
+            ListEncoding::PlainU8 => (plain, plain, plain),
+            ListEncoding::CaeU16(_) => (share(t, code_bytes), share(t, cae_entries), 0),
+        };
+        TaskletCost {
+            compute: compute(entries + address_adds + records, 2 * entries),
+            dma: Dma::of(read).times(bytes / read) + Dma::of(bytes % read),
+        }
+    });
+
+    // Stage 4 (Barrier 3): the merge takes a semaphore per contributing
+    // tasklet, compares twice per candidate and sifts each insertion down
+    // a k-heap; then one 8-byte read per id.
+    let sift = u64::from(usize::BITS - shape.k.leading_zeros()) + 1;
+    let merge = &work.merge;
+    let merge = TaskletCost {
+        compute: merge.semaphore_ops * SEMAPHORE_CYCLES
+            + compute(merge.comparisons * 2, merge.insertions * sift),
+        dma: Dma::default(),
+    };
+    close(Stage::TopK, &[merge]);
+    let ids = Dma::of(8).times(work.id_reads);
+    close(Stage::TopK, &[TaskletCost { compute: 0, dma: ids }]);
 }
 
 /// Size in bytes of one query's slot in the result mailbox.
@@ -161,7 +324,8 @@ thread_local! {
 /// Follows the stage/barrier structure of Figure 6 for every assignment:
 /// `lut_construction` → (barrier) → `combo_sum` → (barrier) →
 /// `distance_calc` → (barrier) → `topk`, then a single `result_write` at the
-/// end of the batch. The host-side buffers are the calling thread's.
+/// end of the batch. Each assignment's functional work is counted, then
+/// charged. The host-side buffers are the calling thread's.
 pub fn run_batch_kernel(
     ctx: &mut DpuKernelCtx<'_>,
     store: &DpuStore,
@@ -184,7 +348,6 @@ fn run_with_scratch(
     }
     let config = shared.config;
     let m = shared.pq.m();
-    let dsub = shared.pq.dsub();
     let dim = shared.pq.dim();
     let k = shared.k;
     let tasklets = config.tasklets;
@@ -217,6 +380,14 @@ fn run_with_scratch(
     let wplan = WramPlan::plan(&plan_input)
         .unwrap_or_else(|e| panic!("DPU {}: WRAM layout does not fit: {e}", ctx.dpu_id()));
     ctx.record_wram_peak(wplan.peak());
+    let shape = KernelShape {
+        m,
+        dsub: shared.pq.dsub(),
+        k,
+        tasklets,
+        read_bytes,
+        work_scale: config.work_scale,
+    };
 
     // Per-query partial heaps, local to this DPU (held in the WRAM heap
     // region; co-located clusters of the same query merge here without any
@@ -239,48 +410,30 @@ fn run_with_scratch(
             .combos
             .get(&assignment.cluster)
             .filter(|table| !table.is_empty());
+        let mut work = AssignmentWork {
+            // Staged by the host transfer.
+            residual_bytes: (dim * 4).min(store.query_buffer_bytes.max(8)) as u64,
+            codebook_bytes: store.codebook_bytes as u64,
+            lut_entries: (m * 256) as u64,
+            combos: combos.map_or(0, |table| table.len() as u64),
+            combo_elements: combos.map_or(0, ComboTable::elements),
+            ..AssignmentWork::default()
+        };
 
-        // ---- Stage 1: LUT construction (Barrier 0/1) --------------------
+        // ---- Stage 1: LUT construction ----------------------------------
         //
-        // Functionally, an encoded list's LUT holds only the blocks its
-        // codes (and so its combinations) can read; the plain payload keeps
-        // the dense build. The charge below is the dense table either way:
-        // at the modeled scale (`num_vectors × work_scale` codes per list)
-        // every block is referenced, so the mask is a reduced-scale saving
-        // of the host, not of the DPU.
+        // An encoded list's LUT holds only the blocks its codes can read;
+        // the work counts the dense table either way, as the modeled list
+        // references every block.
         match &replica.encoding {
             ListEncoding::CaeU16(cae) => lut.rebuild_masked(shared.pq, residual, cae.code_blocks()),
             ListEncoding::PlainU8 => lut.rebuild(shared.pq, residual),
         }
-        let codebook_addr = store.codebook_addr;
-        let codebook_bytes = store.codebook_bytes;
-        ctx.parallel(Stage::LutConstruction, tasklets, |t| {
-            // Read this assignment's residual (q − c) from the staging buffer
-            // (tasklet 0 only; staged by the host transfer) and a slice of
-            // the codebook, then compute the corresponding LUT entries.
-            if t.tasklet_id == 0 {
-                t.charge_dma((dim * 4).min(store.query_buffer_bytes.max(8)));
-            }
-            let share = codebook_bytes.div_ceil(tasklets);
-            let offset = t.tasklet_id * share;
-            if offset < codebook_bytes {
-                let len = share.min(codebook_bytes - offset);
-                let _ = t.mram_read(codebook_addr + offset, len);
-            }
-            let entries = (m * 256).div_ceil(tasklets) as u64;
-            t.charge_arith(entries * dsub as u64 * 3, 0);
-            t.charge_wram(entries);
-        });
-
-        // ---- Stage 2: combination partial sums (Barrier 1/2) ------------
-        if let Some(table) = combos {
-            let per_tasklet = table.len().div_ceil(tasklets) as u64;
-            let avg_len = 3u64;
-            ctx.parallel(Stage::ComboSum, tasklets, |t| {
-                t.charge_wram(per_tasklet * (avg_len + 1));
-                t.charge_arith(per_tasklet * avg_len, 0);
-            });
+        if store.codebook_bytes > 0 {
+            let _ = ctx.mram_read(store.codebook_addr, store.codebook_bytes);
         }
+
+        // ---- Stage 2: combination partial sums --------------------------
         if let ListEncoding::CaeU16(_) = &replica.encoding {
             unified.clear();
             unified.extend_from_slice(lut.as_flat());
@@ -289,140 +442,80 @@ fn run_with_scratch(
             }
         }
 
-        // ---- Stage 3: distance calculation (Barrier 2/3) ----------------
+        // ---- Stage 3: distance calculation ------------------------------
         //
-        // The functional scan runs at the stored (reduced) scale so results
-        // are exact, while the *charged* cost models the cluster at the
-        // modeled scale (`num_vectors × work_scale`): the scaled vector
-        // stream is split evenly across the tasklets and read from MRAM in
-        // full `read_bytes` chunks, which is exactly what this loop does when
-        // the cluster really is that large. Charging the reduced-scale loop
-        // and multiplying it would instead project reduced-scale artifacts
-        // (per-vector DMA setup latency, idle tasklets on ten-vector
-        // clusters) onto the modeled system.
+        // At the stored (reduced) scale, so results are exact: tasklet `t`
+        // scans the `t`-th run of `⌈n / tasklets⌉` vectors into its heap.
         let n = replica.num_vectors;
         let per_tasklet_vectors = n.div_ceil(tasklets);
-        let scaled_vectors = config.modeled(n);
-        // Even split of the modeled cluster across tasklets.
-        let modeled_share = |tasklet_id: usize, total: u64| -> u64 {
-            total / tasklets as u64 + u64::from((tasklet_id as u64) < total % tasklets as u64)
-        };
-        ctx.parallel(Stage::DistanceCalc, tasklets, |t| {
-            let start = (t.tasklet_id * per_tasklet_vectors).min(n);
-            let end = ((t.tasklet_id + 1) * per_tasklet_vectors).min(n);
-            let heap = &mut heaps[t.tasklet_id];
+        for (t, heap) in heaps.iter_mut().enumerate() {
+            let start = (t * per_tasklet_vectors).min(n);
+            let end = ((t + 1) * per_tasklet_vectors).min(n);
             heap.clear();
-            output.candidates_scanned += (end - start) as u64;
+            work.vectors += (end - start) as u64;
             match &replica.encoding {
                 ListEncoding::PlainU8 => {
-                    // Functional scan: fixed-size records, read
-                    // `read_bytes` worth of codes at a time, then the
-                    // blocked ADC scan + batch top-k insert (bitwise
-                    // equal to the per-record scalar sum and push on
-                    // every backend). `read_bytes >= m` is guaranteed by
-                    // `kernel_read_bytes`, so every chunk holds at least
-                    // one whole record.
+                    // `read_bytes` of codes at a time (at least one record,
+                    // by `kernel_read_bytes`), blocked ADC scan + batch
+                    // top-k insert: bitwise the per-record sum and push.
                     let mut v = start;
                     while v < end {
                         let chunk_vectors = (((end - v) * m).min(read_bytes) / m).min(end - v);
                         let len = chunk_vectors * m;
-                        let data = t.mram_read_uncharged(replica.codes_addr + v * m, len);
+                        let data = ctx.mram_read(replica.codes_addr + v * m, len);
                         lut.adc_scan_into(data, distances);
                         heap.push_batch_with(shared.scan_backend, v as u64, distances);
-                        output.code_bytes_read += len as u64;
-                        output.lut_lookups += len as u64;
+                        work.code_bytes += len as u64;
+                        work.lut_lookups += len as u64;
                         v += chunk_vectors;
                     }
-                    // Charged cost of this tasklet's modeled share:
-                    // full-width DMA chunks; per element one WRAM load of
-                    // the code byte, one add to form the LUT address
-                    // (`pos·256 + code` — the position base lives in a
-                    // register), one WRAM LUT load and one accumulate add;
-                    // plus one heap threshold compare per record.
-                    let share = modeled_share(t.tasklet_id, scaled_vectors);
-                    let share_bytes = share * m as u64;
-                    let full_chunks = share_bytes / read_bytes as u64;
-                    let tail = (share_bytes % read_bytes as u64) as usize;
-                    t.charge_dma_repeated(read_bytes, full_chunks);
-                    t.charge_dma(tail);
-                    t.charge_wram(share * m as u64 * 2);
-                    t.charge_arith(share * (2 * m as u64 + 1), 0);
                 }
                 ListEncoding::CaeU16(cae) => {
-                    // Functional scan: the variable-length records of this
-                    // tasklet's range against the unified LUT + combo-sum
-                    // table, SCAN_LANES records in flight, then one batch
-                    // top-k insert (bitwise equal to a per-record
-                    // `adc_distance` + `push`).
+                    // The range against the unified table, SCAN_LANES records
+                    // in flight, one batch top-k insert: bitwise a
+                    // per-record `adc_distance` + `push`. The stream is
+                    // scanned from the host-side mirror; the read only
+                    // faults if the range is not resident in MRAM.
                     if start < end {
                         let (first_b, _) = cae.record_byte_range(start);
                         let (_, last_b) = cae.record_byte_range(end - 1);
-                        // The stream itself is scanned from the host-side
-                        // mirror; this only faults if the range is not
-                        // resident in MRAM.
-                        let _ = t.mram_read_uncharged(
-                            replica.codes_addr + first_b,
-                            (last_b - first_b).max(2),
-                        );
+                        let len = (last_b - first_b).max(2);
+                        let _ = ctx.mram_read(replica.codes_addr + first_b, len);
                         cae.adc_scan_range(unified, start, end, distances);
                         heap.push_batch_with(shared.scan_backend, start as u64, distances);
-                        output.code_bytes_read += (last_b - first_b) as u64;
                         // Every u16 of the range is a record's length slot
                         // or an address that was looked up.
-                        output.lut_lookups += ((last_b - first_b) / 2 - (end - start)) as u64;
+                        let entries = ((last_b - first_b) / 2) as u64;
+                        work.code_bytes += (last_b - first_b) as u64;
+                        work.cae_entries += entries;
+                        work.lut_lookups += entries - (end - start) as u64;
                     }
-                    // Charged cost of this tasklet's modeled share of the
-                    // co-occurrence-encoded stream: full-width DMA chunks
-                    // over the scaled byte volume; per entry one WRAM load
-                    // of the *direct address* (no address arithmetic —
-                    // that is precisely what §4.3's re-encoding buys), one
-                    // WRAM load of the unified LUT/combo-sum region and
-                    // one accumulate add; plus one heap compare per record.
-                    let share_records = modeled_share(t.tasklet_id, scaled_vectors);
-                    let share_bytes = modeled_share(t.tasklet_id, config.modeled(cae.bytes()));
-                    let share_entries =
-                        modeled_share(t.tasklet_id, config.modeled(cae.total_entries()));
-                    let full_chunks = share_bytes / read_bytes as u64;
-                    let tail = (share_bytes % read_bytes as u64) as usize;
-                    t.charge_dma_repeated(read_bytes, full_chunks);
-                    t.charge_dma(tail);
-                    t.charge_wram(share_entries * 2);
-                    t.charge_arith(share_entries + share_records, 0);
                 }
             }
-        });
+        }
 
-        // ---- Stage 4: pruned top-k merge (Barrier 3) ---------------------
+        // ---- Stage 4: pruned top-k merge --------------------------------
         let (merged_local, stats) = merge_thread_local(heaps, k, config.topk_pruning);
-        ctx.sequential(Stage::TopK, |t| {
-            for _ in 0..stats.semaphore_ops {
-                t.charge_semaphore();
-            }
-            t.charge_arith(stats.comparisons * 2, 0);
-            let sift = (usize::BITS - k.leading_zeros()) as u64 + 1;
-            t.charge_wram(stats.insertions * sift);
-        });
-        output.merge_stats.comparisons += stats.comparisons;
-        output.merge_stats.insertions += stats.insertions;
-        output.merge_stats.pruned += stats.pruned;
-        output.merge_stats.semaphore_ops += stats.semaphore_ops;
+        work.merge = stats;
 
         // Translate local vector indices into global ids (k MRAM reads of the
         // id array) and fold into the per-query heap.
-        let ids_addr = replica.ids_addr;
         let query_heap = query_heaps
             .entry(assignment.query)
             .or_insert_with(|| TopK::new(k));
-        ctx.sequential(Stage::TopK, |t| {
-            for n in merged_local.into_sorted() {
-                let raw = t.mram_read(ids_addr + (n.id as usize) * 8, 8);
-                let Some(&id) = raw.first_chunk() else {
-                    unreachable!("an 8-byte MRAM read returns 8 bytes")
-                };
-                let id = u64::from_le_bytes(id);
-                query_heap.push(id, n.distance);
-            }
+        for n in merged_local.into_sorted() {
+            let raw = ctx.mram_read(replica.ids_addr + (n.id as usize) * 8, 8);
+            let Some(&id) = raw.first_chunk() else {
+                unreachable!("an 8-byte MRAM read returns 8 bytes")
+            };
+            query_heap.push(u64::from_le_bytes(id), n.distance);
+            work.id_reads += 1;
+        }
+
+        charge(&work, &replica.encoding, &shape, |stage, costs| {
+            ctx.close_region(stage, costs);
         });
+        output.work += work;
     }
 
     // ---- Result write-back ------------------------------------------------
@@ -507,6 +600,7 @@ mod tests {
     use annkit::vector::residual;
     use pim_sim::config::PimConfig;
     use pim_sim::host::PimSystem;
+    use proptest::prelude::*;
     use std::sync::OnceLock;
 
     struct Fixture {
@@ -648,9 +742,9 @@ mod tests {
                 "query {qi} mismatch"
             );
         }
-        assert!(output.candidates_scanned > 0);
-        assert!(output.code_bytes_read > 0);
-        assert_eq!(output.lut_lookups, output.candidates_scanned * 16);
+        assert!(output.work.vectors > 0);
+        assert!(output.work.code_bytes > 0);
+        assert_eq!(output.work.lut_lookups, output.work.vectors * 16);
     }
 
     #[test]
@@ -668,8 +762,8 @@ mod tests {
             assert!(overlap >= 9, "query {qi}: overlap {overlap}/10");
         }
         // CAE reduces LUT lookups below m per candidate.
-        assert!(output.lut_lookups < output.candidates_scanned * 16);
-        assert!(output.merge_stats.pruned > 0, "pruning should trigger");
+        assert!(output.work.lut_lookups < output.work.vectors * 16);
+        assert!(output.work.merge.pruned > 0, "pruning should trigger");
     }
 
     #[test]
@@ -850,7 +944,238 @@ mod tests {
         });
         let output = outputs.remove(0);
         assert!(output.partials.is_empty());
-        assert_eq!(output.candidates_scanned, 0);
+        assert_eq!(output.work.vectors, 0);
         assert_eq!(output.mailbox_bytes_written, 0);
+    }
+
+    // ---- The charge ledger ----------------------------------------------
+    //
+    // Per stage, what `charge` prices and at which scale:
+    //
+    // * scaled: the distance calculation — its vectors, code bytes and CAE
+    //   entries are charged at `modeled(functional)`;
+    // * exempt, correctly unscaled: the per-assignment LUT build and the
+    //   residual read (one per assignment whatever the list's length), and
+    //   the per-query transfers, which the engine charges outside the
+    //   kernel;
+    // * known offenders, unscaled although they grow with the list: the
+    //   top-k merge (and the id reads that follow it), charged from the
+    //   reduced-scale heaps; the combination sums, charged from the table
+    //   mined at the reduced scale; and the LUT, charged dense (`m × 256`
+    //   entries) while the functional build is masked.
+
+    /// The shape of the hand-computed assignments below.
+    const SHAPE: KernelShape = KernelShape {
+        m: 16,
+        dsub: 8,
+        k: 10,
+        tasklets: 4,
+        read_bytes: 256,
+        work_scale: 2.0,
+    };
+
+    /// A 100-vector plain list, `dim` 128, after a merge of 4 tasklets.
+    const PLAIN: AssignmentWork = AssignmentWork {
+        residual_bytes: 512,
+        codebook_bytes: 128 * 256,
+        lut_entries: 16 * 256,
+        combos: 0,
+        combo_elements: 0,
+        vectors: 100,
+        code_bytes: 1600,
+        cae_entries: 0,
+        lut_lookups: 1600,
+        merge: MergeStats {
+            comparisons: 40,
+            insertions: 12,
+            pruned: 3,
+            semaphore_ops: 4,
+        },
+        id_reads: 10,
+    };
+
+    /// The same list encoded with 6 combinations (15 elements): 800 lookups
+    /// plus 100 length slots.
+    const CAE: AssignmentWork = AssignmentWork {
+        combos: 6,
+        combo_elements: 15,
+        code_bytes: 1800,
+        cae_entries: 900,
+        lut_lookups: 800,
+        ..PLAIN
+    };
+
+    /// A CAE layout for `charge`, which reads only which encoding a list
+    /// has.
+    fn cae_layout() -> ListEncoding {
+        let list = CaeList::encode(&[0; 16], 16, &ComboTable::empty());
+        ListEncoding::CaeU16(Arc::new(list))
+    }
+
+    /// The regions `charge` closes, in order.
+    fn regions(
+        work: &AssignmentWork,
+        encoding: &ListEncoding,
+        shape: &KernelShape,
+    ) -> Vec<(Stage, Vec<TaskletCost>)> {
+        let mut regions = Vec::new();
+        charge(work, encoding, shape, |stage, costs| {
+            regions.push((stage, costs.to_vec()));
+        });
+        regions
+    }
+
+    /// Cycles of each region as a one-DPU launch closes it.
+    fn region_cycles(regions: &[(Stage, Vec<TaskletCost>)]) -> Vec<(Stage, u64)> {
+        regions
+            .iter()
+            .map(|(stage, costs)| {
+                let mut sys = PimSystem::new(PimConfig::with_dpus(1));
+                let (report, _) = sys.execute(Stage::DpuSearch, |ctx| {
+                    ctx.close_region(*stage, costs);
+                });
+                (*stage, report.per_dpu_cycles[0])
+            })
+            .collect()
+    }
+
+    // By hand, with `mram_transfer_cycles` 78 / 81 / 94 / 109 / 237 / 1 005
+    // at 8 / 32 / 136 / 256 / 512 / 2 048 bytes:
+    //
+    // * LUT: each tasklet reads an 8 KB codebook slice (4 × 1 005) and
+    //   builds 1 024 entries (1 024 × (8 × 3 + 1) = 25 600); tasklet 0 also
+    //   reads the residual (237). max(4 × 25 600, 11 × 25 600) + 4 × 32.
+    // * Distance (plain): 200 modeled vectors, 50 a tasklet: 800 code bytes
+    //   = 3 × 109 + 81 of DMA, 50 + 3 × 800 + 800 = 3 250 cycles.
+    //   11 × 3 250 + 128.
+    // * Distance (CAE): 50 records, 900 bytes (3 × 109 + 94), 450 entries:
+    //   50 + 3 × 450 = 1 400 cycles. 11 × 1 400 + 128.
+    // * Combination sums: 2 a tasklet at 3 elements: 2 × 3 + 2 × 4 = 14.
+    //   11 × 14 + 128.
+    // * Merge: 4 × 16 + 40 × 2 + 12 × 5 (a 10-heap sifts 5 levels) = 204,
+    //   on one tasklet: 11 × 204 + 32. Id reads: 10 × 78 + 32.
+
+    #[test]
+    fn a_plain_assignment_costs_its_hand_computed_cycles() {
+        assert_eq!(
+            region_cycles(&regions(&PLAIN, &ListEncoding::PlainU8, &SHAPE)),
+            [
+                (Stage::LutConstruction, 281_728),
+                (Stage::DistanceCalc, 35_878),
+                (Stage::TopK, 2_276),
+                (Stage::TopK, 812),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_cae_assignment_costs_its_hand_computed_cycles() {
+        assert_eq!(
+            region_cycles(&regions(&CAE, &cae_layout(), &SHAPE)),
+            [
+                (Stage::LutConstruction, 281_728),
+                (Stage::ComboSum, 282),
+                (Stage::DistanceCalc, 15_528),
+                (Stage::TopK, 2_276),
+                (Stage::TopK, 812),
+            ]
+        );
+    }
+
+    #[test]
+    fn only_the_distance_stage_is_charged_at_the_modeled_scale() {
+        let scale = 37.3;
+        for (work, stream) in [(PLAIN, ListEncoding::PlainU8), (CAE, cae_layout())] {
+            let stream = &stream;
+            let at = |work_scale| KernelShape { work_scale, ..SHAPE };
+            let scaled = regions(&work, stream, &at(scale));
+            let projected = AssignmentWork {
+                vectors: modeled(work.vectors, scale),
+                code_bytes: modeled(work.code_bytes, scale),
+                cae_entries: modeled(work.cae_entries, scale),
+                ..work
+            };
+            let unscaled = regions(&work, stream, &at(1.0));
+            for ((got, at_modeled), at_functional) in scaled
+                .iter()
+                .zip(regions(&projected, stream, &at(1.0)))
+                .zip(unscaled)
+            {
+                if got.0 == Stage::DistanceCalc {
+                    assert_eq!(got, &at_modeled, "{stream:?}");
+                    assert_ne!(got, &at_functional, "{stream:?}");
+                } else {
+                    assert_eq!(got, &at_functional, "{stream:?} {:?}", got.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_work_counts_the_dense_lut_and_every_id_read() {
+        let (partials, output, _) = run(true, UpAnnsConfig::upanns(), 8, 10);
+        let assignments = 3 * 8;
+        assert_eq!(output.work.lut_entries, assignments * 16 * 256);
+        let returned: usize = partials.iter().map(|(_, n)| n.len()).sum();
+        assert!(output.work.id_reads >= returned as u64);
+        assert!(output.work.combo_elements >= 2 * output.work.combos);
+        assert!(output.work.combo_elements <= 3 * output.work.combos);
+        assert_eq!(output.work.cae_entries, output.work.lut_lookups + output.work.vectors);
+        assert_eq!(output.work.code_bytes, 2 * output.work.cae_entries);
+    }
+
+    /// A charge's total cycles, as a one-DPU launch closes its regions.
+    fn total_cycles(regions: &[(Stage, Vec<TaskletCost>)]) -> u64 {
+        region_cycles(regions).iter().map(|(_, cycles)| cycles).sum()
+    }
+
+    fn work_of(c: &[u64]) -> AssignmentWork {
+        AssignmentWork {
+            residual_bytes: c[0],
+            codebook_bytes: c[1],
+            lut_entries: c[2],
+            combos: c[3],
+            combo_elements: c[4],
+            vectors: c[5],
+            code_bytes: c[6],
+            cae_entries: c[7],
+            lut_lookups: c[8],
+            merge: MergeStats {
+                comparisons: c[9],
+                insertions: c[10],
+                pruned: c[11],
+                semaphore_ops: c[12],
+            },
+            id_reads: c[13],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// More of any count, or a larger `work_scale`, never costs fewer
+        /// cycles.
+        #[test]
+        fn the_charge_is_monotone_in_every_count_and_in_work_scale(
+            counts in prop::collection::vec(0u64..5_000, 14),
+            grown in (0usize..15, 1u64..3_000),
+            sizes in (1usize..=24, 1usize..=256, 1usize..=32, 1usize..=16),
+            rest in (1usize..=128, 1.0f64..500.0, any::<bool>()),
+        ) {
+            let ((tasklets, read_units, m, dsub), (k, work_scale, cae)) = (sizes, rest);
+            let shape = KernelShape { m, dsub, k, tasklets, read_bytes: read_units * 8, work_scale };
+            let stream = &if cae { cae_layout() } else { ListEncoding::PlainU8 };
+            let base = total_cycles(&regions(&work_of(&counts), stream, &shape));
+            let (field, by) = grown;
+            let more = if field == 14 {
+                let larger = KernelShape { work_scale: work_scale + by as f64 / 10.0, ..shape };
+                total_cycles(&regions(&work_of(&counts), stream, &larger))
+            } else {
+                let mut counts = counts.clone();
+                counts[field] += by;
+                total_cycles(&regions(&work_of(&counts), stream, &shape))
+            };
+            prop_assert!(more >= base, "field {field} + {by}: {more} < {base}");
+        }
     }
 }

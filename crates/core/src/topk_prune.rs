@@ -11,7 +11,7 @@
 use annkit::topk::{Neighbor, TopK};
 
 /// Counters describing one merge.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeStats {
     /// Candidates examined (offered to the global heap or compared against
     /// the threshold).
@@ -23,6 +23,15 @@ pub struct MergeStats {
     /// Semaphore acquisitions (one per tasklet that contributes at least one
     /// element).
     pub semaphore_ops: u64,
+}
+
+impl std::ops::AddAssign for MergeStats {
+    fn add_assign(&mut self, other: Self) {
+        self.comparisons += other.comparisons;
+        self.insertions += other.insertions;
+        self.pruned += other.pruned;
+        self.semaphore_ops += other.semaphore_ops;
+    }
 }
 
 /// Merges thread-local heaps into a global top-k.

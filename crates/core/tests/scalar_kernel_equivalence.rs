@@ -10,8 +10,9 @@
 //! direct-address stream the UpANNS engine actually runs. For the latter the
 //! kernel's blocked range scan + batch top-k insert is held against a
 //! per-record reference (`CaeList::adc_distance` + `TopK::push` per tasklet
-//! range, one `l2_squared` per LUT entry): ids, distance bits, the
-//! `KernelOutput` counters and `MergeStats` must all agree.
+//! range, one `l2_squared` per LUT entry): ids, distance bits and the
+//! launch's summed `AssignmentWork` — every count, `MergeStats` included —
+//! must all agree.
 
 use annkit::distance::l2_squared;
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
@@ -29,8 +30,8 @@ use upanns::config::UpAnnsConfig;
 use upanns::cooccurrence::{mine_cluster_combos, ComboTable, MiningParams};
 use upanns::encoding::CaeList;
 use upanns::kernel::{
-    mailbox_slot_bytes, run_batch_kernel, ClusterReplica, DpuBatchPlan, DpuStore, KernelOutput,
-    KernelShared, ListEncoding,
+    mailbox_slot_bytes, run_batch_kernel, AssignmentWork, ClusterReplica, DpuBatchPlan, DpuStore,
+    KernelOutput, KernelShared, ListEncoding,
 };
 use upanns::scheduling::Assignment;
 use upanns::topk_prune::merge_thread_local;
@@ -174,6 +175,15 @@ fn cae_reference(k: usize) -> KernelOutput {
     let mut output = KernelOutput::default();
     let mut query_heaps: BTreeMap<usize, TopK> = BTreeMap::new();
     for (assignment, residual) in plan.assignments.iter().zip(&plan.residuals) {
+        let table = &combos[&assignment.cluster];
+        let mut work = AssignmentWork {
+            residual_bytes: (index.dim() * 4) as u64,
+            codebook_bytes: (index.dim() * 256) as u64,
+            lut_entries: (pq.m() * 256) as u64,
+            combos: table.len() as u64,
+            combo_elements: table.combos().iter().map(|c| c.elements().len() as u64).sum(),
+            ..AssignmentWork::default()
+        };
         let lut = LookupTable::build(pq, residual);
         for sub in 0..pq.m() {
             let rv = &residual[sub * pq.dsub()..(sub + 1) * pq.dsub()];
@@ -185,7 +195,7 @@ fn cae_reference(k: usize) -> KernelOutput {
             }
         }
         let cae = &cae_lists[&assignment.cluster];
-        let sums = combos[&assignment.cluster].partial_sums(&lut);
+        let sums = table.partial_sums(&lut);
         let n = cae.len();
         let per_tasklet = n.div_ceil(config.tasklets);
         let mut locals = Vec::new();
@@ -193,25 +203,25 @@ fn cae_reference(k: usize) -> KernelOutput {
             let mut heap = TopK::new(k);
             for v in (t * per_tasklet).min(n)..((t + 1) * per_tasklet).min(n) {
                 heap.push(v as u64, cae.adc_distance(v, &lut, &sums));
-                output.candidates_scanned += 1;
-                output.lut_lookups += cae.record(v).len() as u64;
+                work.vectors += 1;
+                work.lut_lookups += cae.record(v).len() as u64;
+                work.cae_entries += cae.record(v).len() as u64 + 1;
                 let (first, last) = cae.record_byte_range(v);
-                output.code_bytes_read += (last - first) as u64;
+                work.code_bytes += (last - first) as u64;
             }
             locals.push(heap);
         }
         let (merged, stats) = merge_thread_local(&locals, k, config.topk_pruning);
-        output.merge_stats.comparisons += stats.comparisons;
-        output.merge_stats.insertions += stats.insertions;
-        output.merge_stats.pruned += stats.pruned;
-        output.merge_stats.semaphore_ops += stats.semaphore_ops;
+        work.merge = stats;
         let ids = index.list(assignment.cluster).ids();
         let heap = query_heaps
             .entry(assignment.query)
             .or_insert_with(|| TopK::new(k));
         for neighbor in merged.into_sorted() {
             heap.push(ids[neighbor.id as usize], neighbor.distance);
+            work.id_reads += 1;
         }
+        output.work += work;
     }
     output.partials = query_heaps
         .into_iter()
@@ -250,20 +260,18 @@ fn kernel_answers_identical_across_backends_and_dispatch() {
     let scalar = run_kernel(Backend::Scalar, 10, false);
     let vectorized = run_kernel(simd::detect(), 10, false);
     assert_same_answers(&scalar.partials, &vectorized.partials, "SIMD routing");
+    assert_eq!(scalar.work, vectorized.work, "SIMD routing changed a count");
 
     // The CaeU16 arm, on both backends, against the per-record reference.
     let reference = cae_reference(10);
     assert!(
-        reference.lut_lookups < reference.candidates_scanned * 16,
+        reference.work.lut_lookups < reference.work.vectors * 16,
         "the fixture must exercise combination entries"
     );
-    assert!(reference.merge_stats.pruned > 0, "the fixture must exercise pruning");
+    assert!(reference.work.merge.pruned > 0, "the fixture must exercise pruning");
     for backend in [Backend::Scalar, simd::detect()] {
         let got = run_kernel(backend, 10, true);
         assert_same_answers(&got.partials, &reference.partials, "the blocked CAE scan");
-        assert_eq!(got.candidates_scanned, reference.candidates_scanned, "{backend:?}");
-        assert_eq!(got.lut_lookups, reference.lut_lookups, "{backend:?}");
-        assert_eq!(got.code_bytes_read, reference.code_bytes_read, "{backend:?}");
-        assert_eq!(got.merge_stats, reference.merge_stats, "{backend:?}");
+        assert_eq!(got.work, reference.work, "{backend:?}");
     }
 }

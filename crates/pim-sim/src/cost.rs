@@ -1,5 +1,6 @@
 //! The DPU cycle cost model: the cycle cost of each operation a kernel can
-//! charge, as constants, and the two rules that combine them.
+//! charge, as constants, the rules that combine them, and [`TaskletCost`],
+//! what one tasklet spends in one region.
 //!
 //! Calibration sources: the UPMEM user manual and the PrIM characterization
 //! (Gómez-Luna et al., IEEE Access 2022), which the paper itself cites for
@@ -53,6 +54,62 @@ pub fn mram_transfer_cycles(bytes: usize) -> u64 {
     }
 }
 
+/// DMA work: cycles on the DPU's one DMA engine, the hardware transfers
+/// issued and the bytes they move.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Dma {
+    /// Cycles the transfers occupy the DMA engine.
+    pub cycles: u64,
+    /// Hardware transfers issued.
+    pub transfers: u64,
+    /// Bytes moved, each transfer at its aligned size.
+    pub bytes: u64,
+}
+
+impl Dma {
+    /// One logical transfer of `len` bytes, split into ≤ 2 KB hardware
+    /// transfers that [`mram_transfer_cycles`] prices. Every DMA the model
+    /// charges is built here.
+    pub fn of(len: u64) -> Self {
+        split_dma(len as usize).fold(Self::default(), |dma, chunk| Self {
+            cycles: dma.cycles + mram_transfer_cycles(chunk),
+            transfers: dma.transfers + 1,
+            bytes: dma.bytes + chunk as u64,
+        })
+    }
+
+    /// `times` repetitions of this DMA.
+    pub fn times(self, times: u64) -> Self {
+        Self {
+            cycles: self.cycles * times,
+            transfers: self.transfers * times,
+            bytes: self.bytes * times,
+        }
+    }
+}
+
+impl std::ops::Add for Dma {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self {
+            cycles: self.cycles + other.cycles,
+            transfers: self.transfers + other.transfers,
+            bytes: self.bytes + other.bytes,
+        }
+    }
+}
+
+/// What one tasklet spends in one parallel region: the instruction cycles
+/// it issues and the DMA it waits for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TaskletCost {
+    /// Issued instruction cycles (ALU, multiply, WRAM and semaphore costs).
+    pub compute: u64,
+    /// Its MRAM↔WRAM transfers.
+    pub dma: Dma,
+}
+
 /// Per-DPU region time in cycles given the per-tasklet issued instruction
 /// cycles of one parallel region.
 ///
@@ -62,24 +119,24 @@ pub fn mram_transfer_cycles(bytes: usize) -> u64 {
 /// `time ≈ max(Σᵢ cᵢ, REVISIT_INTERVAL · maxᵢ cᵢ)`: balanced work across
 /// ≥ 11 tasklets keeps the pipeline full, fewer (or imbalanced) tasklets
 /// leave bubbles.
-pub(crate) fn region_compute_cycles(per_tasklet_cycles: &[u64]) -> u64 {
-    let total: u64 = per_tasklet_cycles.iter().sum();
-    let max = per_tasklet_cycles.iter().copied().max().unwrap_or(0);
+pub(crate) fn region_compute_cycles(per_tasklet_cycles: impl IntoIterator<Item = u64>) -> u64 {
+    let (total, max) = per_tasklet_cycles
+        .into_iter()
+        .fold((0, 0), |(total, max): (u64, u64), cycles| (total + cycles, max.max(cycles)));
     total.max(max.saturating_mul(REVISIT_INTERVAL))
 }
 
 /// Rounds a DMA transfer size up to the hardware granularity and clamps it to
 /// the legal `[8, 2048]` byte range.
-pub(crate) fn align_dma(bytes: usize) -> usize {
+fn align_dma(bytes: usize) -> usize {
     let aligned = bytes.max(DMA_MIN_BYTES).div_ceil(DMA_ALIGN_BYTES) * DMA_ALIGN_BYTES;
     aligned.min(DMA_MAX_BYTES)
 }
 
 /// Splits a logical transfer of `bytes` into the sequence of hardware DMA
 /// transfers needed (each ≤ 2048 B), yielding their sizes: full 2 KB
-/// transfers first, then the aligned remainder. Allocation-free — every
-/// `charge_dma` of every tasklet walks it.
-pub(crate) fn split_dma(bytes: usize) -> impl Iterator<Item = usize> {
+/// transfers first, then the aligned remainder.
+fn split_dma(bytes: usize) -> impl Iterator<Item = usize> {
     let full = bytes / DMA_MAX_BYTES;
     let tail = bytes % DMA_MAX_BYTES;
     std::iter::repeat_n(DMA_MAX_BYTES, full).chain((tail > 0).then(|| align_dma(tail)))
@@ -115,7 +172,7 @@ mod tests {
     fn region_model_saturates_at_revisit_interval() {
         // 1000 total cycles of work split evenly across T tasklets.
         let total = 1_000u64;
-        let time = |t: usize| region_compute_cycles(&vec![total / t as u64; t]);
+        let time = |t: usize| region_compute_cycles(vec![total / t as u64; t]);
         // Speedup is linear-ish up to 11 tasklets...
         let t1 = time(1);
         let t4 = time(4);
@@ -131,8 +188,8 @@ mod tests {
 
     #[test]
     fn imbalanced_regions_are_bounded_by_slowest_tasklet() {
-        let balanced = region_compute_cycles(&[100, 100, 100, 100]);
-        let imbalanced = region_compute_cycles(&[370, 10, 10, 10]);
+        let balanced = region_compute_cycles([100, 100, 100, 100]);
+        let imbalanced = region_compute_cycles([370, 10, 10, 10]);
         assert!(imbalanced > balanced);
         assert_eq!(imbalanced, 370 * REVISIT_INTERVAL);
     }
@@ -149,10 +206,15 @@ mod tests {
         assert_eq!(split(2048), vec![2048]);
         assert_eq!(split(4096), vec![2048, 2048]);
         assert_eq!(split(5000), vec![2048, 2048, 904]);
+        let dma = Dma::of(5000);
+        assert_eq!((dma.transfers, dma.bytes), (3, 2048 + 2048 + 904));
+        assert_eq!(dma.cycles, 2 * mram_transfer_cycles(2048) + mram_transfer_cycles(904));
+        assert_eq!(Dma::of(100).times(3), Dma::of(100) + Dma::of(100) + Dma::of(100));
+        assert_eq!(Dma::of(0), Dma::default());
     }
 
     #[test]
     fn empty_region_is_free() {
-        assert_eq!(region_compute_cycles(&[]), 0);
+        assert_eq!(region_compute_cycles([]), 0);
     }
 }

@@ -359,6 +359,7 @@ impl PimSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{Dma, TaskletCost, ALU_CYCLES, MUL_CYCLES};
     use proptest::prelude::*;
     use std::cell::Cell;
     use std::fmt::Write;
@@ -366,6 +367,14 @@ mod tests {
 
     thread_local! {
         pub(super) static FORCED_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// A tasklet that issues `adds` additions and no DMA.
+    fn adds(adds: u64) -> TaskletCost {
+        TaskletCost {
+            compute: adds * ALU_CYCLES,
+            ..TaskletCost::default()
+        }
     }
 
     /// Runs `f` with every launch it makes from this thread on exactly
@@ -396,10 +405,14 @@ mod tests {
                 if w == 1 {
                     return (id, 0);
                 }
-                ctx.parallel(Stage::DistanceCalc, 3, |t| {
-                    t.charge_arith(w * 10 + t.tasklet_id as u64, w);
-                });
-                ctx.sequential(Stage::TopK, |t| t.charge_arith(w, 0));
+                let scan: Vec<TaskletCost> = (0..3)
+                    .map(|t| TaskletCost {
+                        compute: (w * 10 + t) * ALU_CYCLES + w * MUL_CYCLES,
+                        ..TaskletCost::default()
+                    })
+                    .collect();
+                ctx.close_region(Stage::DistanceCalc, &scan);
+                ctx.close_region(Stage::TopK, &[adds(w)]);
                 let written = w * 1000 + id as u64;
                 ctx.mram_write(Stage::ResultWrite, mailboxes[id], &written.to_le_bytes())
                     .unwrap();
@@ -548,12 +561,14 @@ mod tests {
             let addr = addrs[id];
             // DPU 3 does 4x the work of the others.
             let reps = if id == 3 { 4 } else { 1 };
-            ctx.parallel(Stage::DistanceCalc, 2, |t| {
-                for _ in 0..reps {
-                    let _ = t.mram_read(addr, 512);
-                    t.charge_arith(512, 0);
-                }
-            });
+            for _ in 0..2 * reps {
+                let _ = ctx.mram_read(addr, 512);
+            }
+            let tasklet = TaskletCost {
+                compute: reps * 512 * ALU_CYCLES,
+                dma: Dma::of(512).times(reps),
+            };
+            ctx.close_region(Stage::DistanceCalc, &[tasklet; 2]);
         });
         assert_eq!(report.critical_dpu, 3);
         assert!(report.max_to_avg_ratio() > 1.5);
@@ -569,7 +584,7 @@ mod tests {
         // overhead is in `max_dpu_seconds` but not in the ratio's numerator.
         let mut sys = PimSystem::new(PimConfig::small_test());
         let (report, _) = sys.execute_scheduled(Stage::DpuSearch, &[1, 1, 0, 1], |ctx| {
-            ctx.parallel(Stage::DistanceCalc, 4, |t| t.charge_arith(1_000, 0));
+            ctx.close_region(Stage::DistanceCalc, &[adds(1_000); 4]);
         });
         assert!(report.max_dpu_seconds > report.per_dpu_seconds[0]);
         assert_eq!(report.max_to_avg_ratio(), 1.0);

@@ -21,11 +21,13 @@
 //!   paper uses.
 //!
 //! Kernels are ordinary Rust closures executed *functionally* against a
-//! [`DpuKernelCtx`](tasklet::DpuKernelCtx); every MRAM transfer, WRAM
-//! access, arithmetic instruction and synchronization point they perform is
-//! charged to a cycle cost model, and the simulated batch time is the
-//! maximum over DPUs (the paper: "the largest workload among DPUs determines
-//! the overall performance"). WRAM has no allocator here, as it has none on
+//! [`DpuKernelCtx`](tasklet::DpuKernelCtx), and they count and charge in
+//! two separate steps: the functional work reads MRAM uncharged, and the
+//! kernel then closes each parallel region with what each tasklet spent in
+//! it — instruction cycles built from [`cost`]'s per-operation constants
+//! and DMA built by [`cost::Dma::of`]. The simulated batch time is the
+//! maximum over DPUs (the paper: "the largest workload among DPUs
+//! determines the overall performance"). WRAM has no allocator here, as it has none on
 //! the hardware: a kernel plans its layout, reports the plan's peak with
 //! [`record_wram_peak`](tasklet::DpuKernelCtx::record_wram_peak), and the
 //! context refuses a peak beyond
@@ -37,6 +39,7 @@
 //!
 //! ```
 //! use pim_sim::config::PimConfig;
+//! use pim_sim::cost::{Dma, TaskletCost, ALU_CYCLES};
 //! use pim_sim::host::{DpuWrite, PimSystem};
 //! use pim_sim::stats::Stage;
 //!
@@ -45,16 +48,16 @@
 //! let addr = sys.mram_alloc(0, 1024).unwrap();
 //! sys.push_to_dpus(Stage::QueryTransfer, &[DpuWrite::new(0, addr, vec![7u8; 1024])]).unwrap();
 //! // Run a kernel on DPU 0 alone (work 0 leaves a DPU idle: not visited,
-//! // 0 cycles) that reads the data back with 4 tasklets.
+//! // 0 cycles) in which 4 tasklets each read the data back and add it up.
 //! let mut work = vec![0; sys.num_dpus()];
 //! work[0] = 1;
 //! let (report, outputs) = sys.execute_scheduled(Stage::DpuSearch, &work, |ctx| {
-//!     let sums = ctx.parallel(Stage::DistanceCalc, 4, |t| {
-//!         let bytes = t.mram_read(addr, 256);
-//!         t.charge_arith(bytes.len() as u64, 0);
-//!         bytes.iter().map(|&b| u64::from(b)).sum::<u64>()
-//!     });
-//!     sums.iter().sum::<u64>()
+//!     let bytes = ctx.mram_read(addr, 256);
+//!     let sum = 4 * bytes.iter().map(|&b| u64::from(b)).sum::<u64>();
+//!     // Each tasklet streamed 256 bytes and issued one add per byte.
+//!     let tasklet = TaskletCost { compute: 256 * ALU_CYCLES, dma: Dma::of(256) };
+//!     ctx.close_region(Stage::DistanceCalc, &[tasklet; 4]);
+//!     sum
 //! });
 //! // Outputs come back in DPU order, whatever host threads ran them.
 //! assert_eq!(outputs[0], Some(4 * 256 * 7));

@@ -179,17 +179,26 @@ impl Mram {
         })
     }
 
-    /// The whole region that holds `[addr, addr + len)`: its base address
-    /// and bytes. A reader that makes many reads inside one allocation keeps
-    /// it and slices it, instead of searching the regions on every read.
+    /// [`read`](Self::read) for a reader that makes many reads inside one
+    /// allocation: it looks in region `*window` first, the one the reader's
+    /// last read fell in, and searches the regions only when the read lies
+    /// outside it, leaving `*window` at the region it found.
     #[inline]
-    pub(crate) fn region(
+    pub(crate) fn read_near(
         &self,
+        window: &mut usize,
         addr: MramAddr,
         len: usize,
-    ) -> Result<(MramAddr, &[u8]), MramError> {
-        let i = self.locate(addr, len)?;
-        Ok((self.bases[i], self.regions[i].bytes()))
+    ) -> Result<&[u8], MramError> {
+        let inside = |i: usize| {
+            let offset = addr.checked_sub(*self.bases.get(i)?)?;
+            self.regions[i].bytes().get(offset..offset.checked_add(len)?)
+        };
+        if let Some(bytes) = inside(*window) {
+            return Ok(bytes);
+        }
+        *window = self.locate(addr, len)?;
+        Ok(&self.regions[*window].bytes()[addr - self.bases[*window]..][..len])
     }
 
     /// Writes `bytes` at `addr`, inside one allocation. A shared region is
@@ -203,8 +212,8 @@ impl Mram {
 
     /// Reads `len` bytes starting at `addr`, inside one allocation.
     pub fn read(&self, addr: MramAddr, len: usize) -> Result<&[u8], MramError> {
-        let (base, bytes) = self.region(addr, len)?;
-        Ok(&bytes[addr - base..][..len])
+        let i = self.locate(addr, len)?;
+        Ok(&self.regions[i].bytes()[addr - self.bases[i]..][..len])
     }
 }
 

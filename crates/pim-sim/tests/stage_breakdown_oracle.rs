@@ -121,7 +121,7 @@ proptest! {
 #[test]
 fn a_launch_breakdown_is_the_fold_over_its_regions_in_order() {
     use pim_sim::config::{PimConfig, SECONDS_PER_CYCLE};
-    use pim_sim::cost::{ALU_CYCLES, BARRIER_CYCLES_PER_TASKLET, REVISIT_INTERVAL};
+    use pim_sim::cost::{TaskletCost, ALU_CYCLES, BARRIER_CYCLES_PER_TASKLET, REVISIT_INTERVAL};
     use pim_sim::host::PimSystem;
 
     let regions: [(Stage, u64); 7] = [
@@ -138,7 +138,11 @@ fn a_launch_breakdown_is_the_fold_over_its_regions_in_order() {
         // DPU 2 runs the whole list, the others a prefix of it.
         let take = if ctx.dpu_id() == 2 { regions.len() } else { 2 };
         for &(stage, adds) in &regions[..take] {
-            ctx.sequential(stage, |t| t.charge_arith(adds, 0));
+            let tasklet = TaskletCost {
+                compute: adds * ALU_CYCLES,
+                ..TaskletCost::default()
+            };
+            ctx.close_region(stage, &[tasklet]);
         }
     });
     assert_eq!(report.critical_dpu, 2);
