@@ -11,7 +11,8 @@ pub struct UpAnnsConfig {
     /// saturates the pipeline (§5.3.2), which is the default.
     pub tasklets: usize,
     /// Number of encoded vectors fetched per MRAM read during the distance
-    /// calculation stage (§5.4.2; default 16, the paper's sweet spot).
+    /// calculation stage (§5.4.2). The default, 16, is the paper's value;
+    /// the model's Fig. 17 saturates by 8.
     pub mram_read_vectors: usize,
     /// Opt1: PIM-aware data placement + query scheduling. When disabled,
     /// clusters are assigned to DPUs round-robin without replication (the
@@ -105,10 +106,11 @@ impl UpAnnsConfig {
         self
     }
 
-    /// The MRAM read size in bytes implied by `mram_read_vectors` for codes of
-    /// `code_bytes` each, clamped to the 2 KB hardware limit.
+    /// The MRAM read buffer in bytes, which the distance calculation reads
+    /// and is charged per transfer: `mram_read_vectors` codes of `code_bytes`
+    /// each, clamped to the 8 B–2 KB DMA range but never below one record.
     pub fn mram_read_bytes(&self, code_bytes: usize) -> usize {
-        (self.mram_read_vectors * code_bytes).clamp(8, DMA_MAX_BYTES)
+        (self.mram_read_vectors * code_bytes).clamp(8, DMA_MAX_BYTES).max(code_bytes)
     }
 }
 
@@ -149,6 +151,26 @@ mod tests {
         assert_eq!(big.mram_read_bytes(16), 2048);
         let tiny = UpAnnsConfig::upanns().with_mram_read_vectors(1);
         assert_eq!(tiny.mram_read_bytes(4), 8);
+    }
+
+    #[test]
+    fn read_buffer_never_smaller_than_one_record() {
+        // For m > the 2 KB DMA ceiling the clamp alone gives a buffer smaller
+        // than one code, and the scan would read more than it is charged
+        // for. The buffer holds a whole record so the functional read, the
+        // WRAM allocation and the DMA charge all agree.
+        let config = UpAnnsConfig::pim_naive();
+        for m in [8usize, 16, 100, 2048, 3000, 4096] {
+            let rb = config.mram_read_bytes(m);
+            assert!(rb >= m, "read buffer {rb} smaller than one {m}-byte code");
+            // For record sizes within the DMA ceiling, the floor is a no-op.
+            if m <= 2048 {
+                assert_eq!(rb, (config.mram_read_vectors * m).clamp(8, DMA_MAX_BYTES));
+            }
+        }
+        // A zero read count set through the pub field still reads a record.
+        let zero = UpAnnsConfig { mram_read_vectors: 0, ..config };
+        assert_eq!(zero.mram_read_bytes(16), 16);
     }
 
     #[test]

@@ -175,7 +175,8 @@ impl AddAssign for AssignmentWork {
 
 /// The launch-wide inputs of [`charge`] besides the counts: the PQ's `m`
 /// (a plain record's bytes) and `dsub`, `k`, the tasklets, the read buffer
-/// ([`kernel_read_bytes`]) and the modeled units per functional unit.
+/// ([`UpAnnsConfig::mram_read_bytes`]) and the modeled units per functional
+/// unit.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct KernelShape {
     pub m: usize,
@@ -185,11 +186,6 @@ pub(crate) struct KernelShape {
     pub read_bytes: usize,
     pub work_scale: f64,
 }
-
-/// Elements every combination sum is charged for. Mined combinations have
-/// 2 or 3 ([`AssignmentWork::combo_elements`] counts them), so a pair is
-/// over-charged.
-const CHARGED_COMBO_LEN: u64 = 3;
 
 /// The modeled count of `functional` stored units (vectors, code bytes,
 /// code entries): `functional × work_scale`, rounded, never below
@@ -246,12 +242,13 @@ pub(crate) fn charge(
             + if t == 0 { residual } else { Dma::default() },
     });
 
-    // Stage 2 (Barrier 1/2): per combination, one WRAM load and one add per
-    // element and one store of the sum.
+    // Stage 2 (Barrier 1/2): one WRAM load and one add per counted element
+    // and one store per combination sum.
     if work.combos > 0 {
+        let elements = work.combo_elements.div_ceil(tasklets);
         let combos = work.combos.div_ceil(tasklets);
         region(Stage::ComboSum, &|_| TaskletCost {
-            compute: compute(combos * CHARGED_COMBO_LEN, combos * (CHARGED_COMBO_LEN + 1)),
+            compute: compute(elements, elements + combos),
             dma: Dma::default(),
         });
     }
@@ -372,7 +369,7 @@ fn run_with_scratch(
         .filter_map(|a| shared.combos.get(&a.cluster).map(|t| t.len()))
         .max()
         .unwrap_or(0);
-    let read_bytes = kernel_read_bytes(config, m);
+    let read_bytes = config.mram_read_bytes(m);
     let plan_input = WramPlanInput {
         wram_capacity: ctx.config().wram_bytes,
         ..WramPlanInput::new(dim, m, k, max_combos, tasklets, read_bytes)
@@ -456,7 +453,7 @@ fn run_with_scratch(
             match &replica.encoding {
                 ListEncoding::PlainU8 => {
                     // `read_bytes` of codes at a time (at least one record,
-                    // by `kernel_read_bytes`), blocked ADC scan + batch
+                    // by `mram_read_bytes`), blocked ADC scan + batch
                     // top-k insert: bitwise the per-record sum and push.
                     let mut v = start;
                     while v < end {
@@ -576,19 +573,6 @@ pub(crate) fn parse_mailbox(bytes: &[u8], queries: usize, k: usize) -> Vec<(usiz
             Some((u32::from_le_bytes(q) as usize, neighbors))
         })
         .collect()
-}
-
-/// MRAM read-buffer size (bytes per transfer) implied by the configuration
-/// for codes of `m` bytes (plain) — CAE streams use the same buffer size.
-///
-/// Clamped to at least one whole record: if the configured buffer were
-/// smaller than `m`, the scan's chunk computation would floor to zero
-/// records and the loop would then issue an `m`-byte read that exceeds the
-/// WRAM buffer it charges DMA for, silently under-charging every transfer.
-/// Sizing the buffer (and its WRAM allocation and DMA charge) to `m`
-/// instead keeps the functional read and the charged model consistent.
-pub(crate) fn kernel_read_bytes(config: &UpAnnsConfig, m: usize) -> usize {
-    config.mram_read_bytes(m).max(m)
 }
 
 #[cfg(test)]
@@ -832,25 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn read_buffer_never_smaller_than_one_record() {
-        // Regression: for m > the configured DMA ceiling, mram_read_bytes
-        // returns a buffer smaller than one code; the scan's old `.max(1)`
-        // fallback then read m bytes while charging DMA for read_bytes,
-        // under-charging every transfer. kernel_read_bytes must clamp up to
-        // a whole record so the functional read, the WRAM allocation, and
-        // the DMA charge all agree.
-        let config = UpAnnsConfig::pim_naive();
-        for m in [8usize, 16, 100, 2048, 3000, 4096] {
-            let rb = kernel_read_bytes(&config, m);
-            assert!(rb >= m, "read buffer {rb} smaller than one {m}-byte code");
-            // For record sizes within the DMA ceiling, the clamp is a no-op.
-            if m <= 2048 {
-                assert_eq!(rb, config.mram_read_bytes(m));
-            }
-        }
-    }
-
-    #[test]
     fn wram_peak_follows_the_figure_6_reuse_schedule() {
         // Codebook + LUT first; the codebook's space is reused by the
         // combination sums, the per-tasklet read buffers and the heaps, so
@@ -890,7 +855,7 @@ mod tests {
                 k,
                 max_combos,
                 tasklets,
-                kernel_read_bytes(&config, m),
+                config.mram_read_bytes(m),
             ))
             .unwrap();
             assert_eq!(wplan.combo_bytes, 2 * max_combos);
@@ -960,9 +925,10 @@ mod tests {
     //   kernel;
     // * known offenders, unscaled although they grow with the list: the
     //   top-k merge (and the id reads that follow it), charged from the
-    //   reduced-scale heaps; the combination sums, charged from the table
-    //   mined at the reduced scale; and the LUT, charged dense (`m × 256`
-    //   entries) while the functional build is masked.
+    //   reduced-scale heaps; the combination sums, charged per element the
+    //   kernel counts but from the table mined at the reduced scale; and the
+    //   LUT, charged dense (`m × 256` entries) while the functional build is
+    //   masked.
 
     /// The shape of the hand-computed assignments below.
     const SHAPE: KernelShape = KernelShape {
@@ -1039,21 +1005,21 @@ mod tests {
             .collect()
     }
 
-    // By hand, with `mram_transfer_cycles` 78 / 81 / 94 / 109 / 237 / 1 005
-    // at 8 / 32 / 136 / 256 / 512 / 2 048 bytes:
+    // By hand, with `mram_transfer_cycles` = 77 + ⌈0.5 · bytes⌉ = 81 / 93 /
+    // 145 / 205 / 333 / 1 101 at 8 / 32 / 136 / 256 / 512 / 2 048 bytes:
     //
-    // * LUT: each tasklet reads an 8 KB codebook slice (4 × 1 005) and
+    // * LUT: each tasklet reads an 8 KB codebook slice (4 × 1 101) and
     //   builds 1 024 entries (1 024 × (8 × 3 + 1) = 25 600); tasklet 0 also
-    //   reads the residual (237). max(4 × 25 600, 11 × 25 600) + 4 × 32.
+    //   reads the residual (333). max(4 × 25 600, 11 × 25 600) + 4 × 32.
     // * Distance (plain): 200 modeled vectors, 50 a tasklet: 800 code bytes
-    //   = 3 × 109 + 81 of DMA, 50 + 3 × 800 + 800 = 3 250 cycles.
+    //   = 3 × 205 + 93 of DMA, 50 + 3 × 800 + 800 = 3 250 cycles.
     //   11 × 3 250 + 128.
-    // * Distance (CAE): 50 records, 900 bytes (3 × 109 + 94), 450 entries:
+    // * Distance (CAE): 50 records, 900 bytes (3 × 205 + 145), 450 entries:
     //   50 + 3 × 450 = 1 400 cycles. 11 × 1 400 + 128.
-    // * Combination sums: 2 a tasklet at 3 elements: 2 × 3 + 2 × 4 = 14.
-    //   11 × 14 + 128.
+    // * Combination sums: 15 elements and 6 sums, 4 and 2 a tasklet:
+    //   4 adds + 4 loads + 2 stores = 10. 11 × 10 + 128.
     // * Merge: 4 × 16 + 40 × 2 + 12 × 5 (a 10-heap sifts 5 levels) = 204,
-    //   on one tasklet: 11 × 204 + 32. Id reads: 10 × 78 + 32.
+    //   on one tasklet: 11 × 204 + 32. Id reads: 10 × 81 + 32.
 
     #[test]
     fn a_plain_assignment_costs_its_hand_computed_cycles() {
@@ -1063,7 +1029,7 @@ mod tests {
                 (Stage::LutConstruction, 281_728),
                 (Stage::DistanceCalc, 35_878),
                 (Stage::TopK, 2_276),
-                (Stage::TopK, 812),
+                (Stage::TopK, 842),
             ]
         );
     }
@@ -1074,10 +1040,10 @@ mod tests {
             region_cycles(&regions(&CAE, &cae_layout(), &SHAPE)),
             [
                 (Stage::LutConstruction, 281_728),
-                (Stage::ComboSum, 282),
+                (Stage::ComboSum, 238),
                 (Stage::DistanceCalc, 15_528),
                 (Stage::TopK, 2_276),
-                (Stage::TopK, 812),
+                (Stage::TopK, 842),
             ]
         );
     }

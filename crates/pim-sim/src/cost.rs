@@ -25,33 +25,23 @@ pub const ALU_CYCLES: u64 = 1;
 pub const MUL_CYCLES: u64 = 32;
 /// Cost of a WRAM load or store (single-cycle scratchpad).
 pub const WRAM_ACCESS_CYCLES: u64 = 1;
-/// Fixed setup latency of an MRAM↔WRAM DMA transfer in cycles.
+/// Fixed setup latency α of an MRAM↔WRAM DMA transfer in cycles (PrIM).
 pub const DMA_BASE_CYCLES: u64 = 77;
-/// Additional DMA cycles per byte once the transfer is in the linear regime.
+/// DMA cycles β per transferred byte (PrIM).
 pub const DMA_CYCLES_PER_BYTE: f64 = 0.5;
-/// Transfer size (bytes) below which DMA latency is dominated by the fixed
-/// cost — the "flat" region of Figure 7.
-pub const DMA_FLAT_BYTES: usize = 256;
 /// Cycles charged per tasklet for a barrier crossing.
 pub const BARRIER_CYCLES_PER_TASKLET: u64 = 32;
 /// Cycles charged for a semaphore take/give pair.
 pub const SEMAPHORE_CYCLES: u64 = 16;
 
 /// Latency in cycles of a single MRAM↔WRAM DMA transfer of `bytes` (after
-/// alignment). Reproduces the shape of the paper's Figure 7: the latency
-/// "increases slowly as data size grows from 8 B to 256 B and increases
-/// almost linearly beyond 256 B".
+/// alignment): PrIM's `α + β·size`. On the log-size axis of the paper's
+/// Figure 7 that is its shape — the fixed α dominates up to a few hundred
+/// bytes, so latency "increases slowly as data size grows from 8 B to 256 B
+/// and increases almost linearly beyond 256 B" — and the bandwidth it
+/// implies never falls as transfers grow.
 pub fn mram_transfer_cycles(bytes: usize) -> u64 {
-    let bytes = align_dma(bytes);
-    if bytes <= DMA_FLAT_BYTES {
-        // Sub-linear growth in the flat region: the fixed cost dominates and
-        // per-byte cost is ~1/4 of the linear regime.
-        DMA_BASE_CYCLES + (bytes as f64 * DMA_CYCLES_PER_BYTE * 0.25).ceil() as u64
-    } else {
-        let flat = DMA_FLAT_BYTES as f64 * DMA_CYCLES_PER_BYTE * 0.25;
-        let linear = (bytes - DMA_FLAT_BYTES) as f64 * DMA_CYCLES_PER_BYTE;
-        DMA_BASE_CYCLES + (flat + linear).ceil() as u64
-    }
+    DMA_BASE_CYCLES + (align_dma(bytes) as f64 * DMA_CYCLES_PER_BYTE).ceil() as u64
 }
 
 /// DMA work: cycles on the DPU's one DMA engine, the hardware transfers
@@ -147,19 +137,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn latency_curve_is_flat_then_linear() {
-        let l8 = mram_transfer_cycles(8);
-        let l64 = mram_transfer_cycles(64);
-        let l256 = mram_transfer_cycles(256);
-        let l1024 = mram_transfer_cycles(1024);
-        let l2048 = mram_transfer_cycles(2048);
-
-        // Monotonic non-decreasing.
-        assert!(l8 <= l64 && l64 <= l256 && l256 <= l1024 && l1024 <= l2048);
-        // Flat region: 8 B -> 256 B grows by less than 2x.
-        assert!((l256 as f64) < 2.0 * l8 as f64, "flat region too steep: {l8} -> {l256}");
-        // Linear region: 256 B -> 2048 B grows much faster (at least 4x).
-        assert!((l2048 as f64) > 4.0 * (l256 as f64), "linear region too flat: {l256} -> {l2048}");
+    fn latency_is_alpha_plus_beta_times_size() {
+        // α = 77 cycles, β = 0.5 cycles/B, at the aligned size.
+        assert_eq!(mram_transfer_cycles(8), 81);
+        assert_eq!(mram_transfer_cycles(256), 205);
+        assert_eq!(mram_transfer_cycles(2048), 1_101);
+        assert_eq!(mram_transfer_cycles(1), mram_transfer_cycles(8));
+        assert_eq!(mram_transfer_cycles(9), 77 + 8);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   cycles, so per-DPU throughput scales linearly with tasklets up to ~11 and
 //!   then saturates (Figure 13 of the paper).
 //! * **Memory hierarchy**: per-DPU 64 MB MRAM reachable only through DMA
-//!   transfers whose latency is flat below ~256 B and linear beyond
-//!   (Figure 7), a 64 KB WRAM scratchpad with single-cycle access and *no
+//!   transfers that cost PrIM's fixed α = 77 cycles plus β = 0.5 cycles per
+//!   byte, which on Figure 7's log-size axis is slow to ~256 B and linear
+//!   beyond, a 64 KB WRAM scratchpad with single-cycle access and *no
 //!   MMU* (so buffer reuse must be planned explicitly), and a 24 KB IRAM.
 //! * **No inter-DPU communication**: all coordination goes through the host,
 //!   and host↔DPU transfers are only parallel across DPUs when every DPU's

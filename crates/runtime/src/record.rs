@@ -427,6 +427,10 @@ mod tests {
     use baselines::engine::QueryOptions;
     use upanns_serve::{FixedPolicy, SearchService, ServiceConfig};
 
+    use crate::scenario::{
+        parse_fault, parse_tenants, service_config, EngineKind, Fixture, FixtureSpec, Policy,
+        DEFAULT_FAULT, DEFAULT_REPLICAS, DEFAULT_TENANTS, REPLAY_WORK_SCALE,
+    };
     use crate::{run_pipeline, RuntimeConfig};
 
     #[test]
@@ -696,6 +700,43 @@ mod tests {
             let err = audit(&rows, true).expect_err(clause);
             assert!(err.contains(clause), "{clause}: {err}");
             assert_eq!(audit(&rows, false), Ok(()), "{clause} is not universal");
+        }
+    }
+
+    /// The committed failover row is one trajectory of a feedback system:
+    /// one hedged request more or less moves its dip and recovery. So the
+    /// committed tier's envelope clauses must hold at the neighbouring hedge
+    /// budgets too — though not `hedged > 0`, since at 500 ms nothing hedges.
+    #[test]
+    fn the_failover_envelope_holds_at_neighbouring_hedge_budgets() {
+        let mut fixture = Fixture::build(FixtureSpec {
+            queries: 40,
+            qps: 12.0,
+            repeat: 0.25,
+            slo_s: 6.0,
+            hosts: 2,
+            engines: vec![EngineKind::MultiHost],
+            tenants: parse_tenants(DEFAULT_TENANTS).expect("the default tenant mix parses"),
+            mutations: None,
+            growth: false,
+            replicas: DEFAULT_REPLICAS,
+            faults: parse_fault(DEFAULT_FAULT).expect("the default fault parses"),
+            hedge_s: 0.0,
+            work_scale: REPLAY_WORK_SCALE,
+        });
+        for hedge_ms in [390.0, 400.0, 500.0] {
+            fixture.spec.hedge_s = hedge_ms / 1e3;
+            let scenarios = fixture.scenarios(service_config(None), 32);
+            let failover = scenarios.failover.expect("multihost selects the failover scenario");
+            let rows = fixture.replay_rows(&failover, &[Policy::Adaptive]);
+            let [row] = &rows[..] else { panic!("one policy, one row") };
+            let envelope = row.envelope.as_ref().expect("a failover row has an envelope");
+            let clauses = universal(row)
+                .into_iter()
+                .chain(committed(row).into_iter().filter(|(clause, _)| clause.starts_with("envelope")));
+            for (clause, holds) in clauses {
+                assert!(holds, "hedge {hedge_ms} ms lacks {clause}: {envelope:?}");
+            }
         }
     }
 }

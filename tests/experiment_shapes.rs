@@ -217,7 +217,7 @@ fn qps_degrades_gracefully_with_k() {
     assert!(q100 > q10 * 0.5, "k=100 should not collapse throughput");
 }
 
-/// Figure 12's DEEP1B OOM marker and Figure 7's latency shape.
+/// Figure 12's DEEP1B OOM marker and Figure 7's latency and bandwidth curve.
 #[test]
 fn gpu_oom_and_mram_latency_shape() {
     let fix = fixture();
@@ -231,11 +231,12 @@ fn gpu_oom_and_mram_latency_shape() {
         GpuMemoryCheck::Fits { .. }
     ));
 
-    let l8 = mram_transfer_cycles(8);
-    let l256 = mram_transfer_cycles(256);
-    let l2048 = mram_transfer_cycles(2048);
-    assert!((l256 as f64) < 2.0 * l8 as f64);
-    assert!((l2048 as f64) > 4.0 * l256 as f64);
+    // PrIM's α + β·size: 77 cycles plus half a cycle per byte.
+    assert_eq!([8, 256, 2048].map(mram_transfer_cycles), [81, 205, 1_101]);
+    // Fig. 7's bandwidth (bytes per cycle) never falls as transfers grow.
+    let sizes = (3..=11).map(|log| 1usize << log);
+    let bandwidth: Vec<f64> = sizes.map(|b| b as f64 / mram_transfer_cycles(b) as f64).collect();
+    assert!(bandwidth.windows(2).all(|w| w[0] <= w[1]), "{bandwidth:?}");
     let _ = &fix.dataset;
 }
 
