@@ -18,7 +18,7 @@ use baselines::gpu::GpuFaissEngine;
 use pim_sim::config::PimConfig;
 use baselines::engine::AnnEngine;
 use upanns::adaptive::{apply_adjustment, full_relocation, replica_adjustment};
-use upanns::builder::{frequencies_from_queries, max_dpu_vectors, BatchCapacity, UpAnnsBuilder};
+use upanns::builder::{frequencies_from_queries, max_dpu_vectors, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
 use upanns::placement::{place_pim_aware, Placement, PlacementInput};
@@ -154,7 +154,6 @@ impl EvalContext {
     /// Like [`upanns_with`](Self::upanns_with), projected to `modeled_n`
     /// vectors instead; `config`'s own work scale is replaced.
     pub fn upanns_at(&self, config: UpAnnsConfig, dpus: usize, modeled_n: f64) -> UpAnnsEngine {
-        let nprobe_max = self.params.nprobes.iter().copied().max().unwrap_or(16);
         // One engine serves every nprobe of the sweep, so the placement
         // frequencies are estimated at *every* swept nprobe and summed. This
         // rank-decayed estimate keeps the clusters that dominate small-nprobe
@@ -177,11 +176,6 @@ impl EvalContext {
             .with_config(config.with_work_scale(self.params.work_scale_to(modeled_n)))
             .with_pim_config(PimConfig::with_dpus(dpus))
             .with_frequencies(freqs)
-            .with_batch_capacity(BatchCapacity {
-                batch_size: self.params.batch,
-                nprobe: nprobe_max,
-                max_k: 16,
-            })
             .build()
     }
 
@@ -219,12 +213,7 @@ impl EvalContext {
             let builder = UpAnnsBuilder::new(&self.index)
                 .with_config(UpAnnsConfig::upanns().with_work_scale(self.params.work_scale()))
                 .with_pim_config(pim.clone())
-                .with_frequencies(old_freqs.clone())
-                .with_batch_capacity(BatchCapacity {
-                    batch_size: 500,
-                    nprobe: NPROBE,
-                    max_k: 16,
-                });
+                .with_frequencies(old_freqs.clone());
             match placement {
                 Some(p) => builder.with_placement(p),
                 None => builder,

@@ -17,7 +17,7 @@ use crate::config::UpAnnsConfig;
 use crate::cooccurrence::{mine_cluster_combos, MiningParams};
 use crate::encoding::CaeList;
 use crate::engine::{EpochState, UpAnnsEngine};
-use crate::kernel::{mailbox_slot_bytes, ClusterReplica, DpuStore, ListEncoding};
+use crate::kernel::{ClusterReplica, DpuStore, ListEncoding};
 use crate::placement::{place_pim_aware, place_round_robin, Placement, PlacementInput};
 use annkit::ivf::{InvertedList, IvfPqIndex};
 use annkit::mutation::SnapshotTimeline;
@@ -28,26 +28,20 @@ use pim_sim::host::PimSystem;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Capacity hints for the per-DPU staging buffers allocated at build time.
-/// The engine grows them on demand if a batch exceeds the hints.
+/// What [`UpAnnsBuilder::with_batch_capacity`] takes and ignores. A launch
+/// sizes its own staging buffers (`engine`'s stage 3), so nothing is sized
+/// from a hint. The type and the method are a shim: the benchmark harness
+/// (`benchmark/src/fixtures.rs`) still calls them and is edited only by
+/// `[benchmark]` PRs; drop both at the next benchmark revision, like
+/// [`MultiHostUpAnns`](crate::multihost::MultiHostUpAnns).
 #[derive(Debug, Clone)]
 pub struct BatchCapacity {
-    /// Expected number of queries per batch.
+    /// Unread.
     pub batch_size: usize,
-    /// Expected `nprobe`.
+    /// Unread.
     pub nprobe: usize,
-    /// Largest `k` that will be requested.
+    /// Unread.
     pub max_k: usize,
-}
-
-impl Default for BatchCapacity {
-    fn default() -> Self {
-        Self {
-            batch_size: 1_000,
-            nprobe: 32,
-            max_k: 100,
-        }
-    }
 }
 
 /// Builder of [`UpAnnsEngine`]s (and, with [`UpAnnsConfig::pim_naive`], of the
@@ -58,7 +52,6 @@ pub struct UpAnnsBuilder<'a> {
     pim_config: PimConfig,
     frequencies: Option<Vec<f64>>,
     placement_override: Option<Placement>,
-    capacity: BatchCapacity,
 }
 
 impl<'a> UpAnnsBuilder<'a> {
@@ -71,7 +64,6 @@ impl<'a> UpAnnsBuilder<'a> {
             pim_config: PimConfig::paper_seven_dimms(),
             frequencies: None,
             placement_override: None,
-            capacity: BatchCapacity::default(),
         }
     }
 
@@ -119,9 +111,8 @@ impl<'a> UpAnnsBuilder<'a> {
         self
     }
 
-    /// Sets the staging-buffer capacity hints.
-    pub fn with_batch_capacity(mut self, capacity: BatchCapacity) -> Self {
-        self.capacity = capacity;
+    /// Returns the builder unchanged: see [`BatchCapacity`].
+    pub fn with_batch_capacity(self, _capacity: BatchCapacity) -> Self {
         self
     }
 
@@ -137,7 +128,6 @@ impl<'a> UpAnnsBuilder<'a> {
             frequencies: self
                 .frequencies
                 .unwrap_or_else(|| vec![1.0 / nlist as f64; nlist]),
-            capacity: self.capacity,
         };
         let timeline = SnapshotTimeline::new(self.index.clone());
         let fleet = build_fleet(&timeline, &recipe, self.placement_override);
@@ -155,7 +145,6 @@ pub(crate) struct BuildRecipe {
     pub(crate) config: UpAnnsConfig,
     pub(crate) pim_config: PimConfig,
     pub(crate) frequencies: Vec<f64>,
-    pub(crate) capacity: BatchCapacity,
 }
 
 /// Runs steps 1–4 of the offline phase over every entry of `timeline` into
@@ -222,39 +211,19 @@ pub(crate) fn build_fleet(
 
     // 4. Stage everything into MRAM.
     // The codebook and each list are staged once on the host; every DPU
-    // that holds them maps that one copy. The staging buffers are the
-    // fleet's: every epoch's directory names the same ones.
+    // that holds them maps that one copy. The query buffers and mailboxes
+    // are sized by each launch (`ensure_capacity`), not here.
     let mut sys = PimSystem::new(recipe.pim_config.clone());
     let codebook: Arc<[u8]> = quantized_codebook(first.pq()).into();
-    let expected_assignments_per_dpu = ((recipe.capacity.batch_size * recipe.capacity.nprobe)
-        .div_ceil(num_dpus))
-    .max(8)
-        * 2;
-    let expected_queries_per_dpu = expected_assignments_per_dpu.min(recipe.capacity.batch_size);
-    let query_record_bytes = 8 + first.dim() * 4;
-    let mut staging = Vec::with_capacity(num_dpus);
-    for dpu in 0..num_dpus {
-        let codebook_addr = sys
-            .mram_map_shared(dpu, &codebook)
-            .expect("codebook fits in MRAM");
-        let query_buffer_bytes = expected_assignments_per_dpu * query_record_bytes;
-        let query_buffer_addr = sys
-            .mram_alloc(dpu, query_buffer_bytes)
-            .expect("query buffer fits in MRAM");
-        let mailbox_bytes = expected_queries_per_dpu * mailbox_slot_bytes(recipe.capacity.max_k);
-        let mailbox_addr = sys
-            .mram_alloc(dpu, mailbox_bytes)
-            .expect("mailbox fits in MRAM");
-        staging.push(DpuStore {
-            codebook_addr,
+    let staging: Vec<DpuStore> = (0..num_dpus)
+        .map(|dpu| DpuStore {
+            codebook_addr: sys
+                .mram_map_shared(dpu, &codebook)
+                .expect("codebook fits in MRAM"),
             codebook_bytes: codebook.len(),
-            query_buffer_addr,
-            query_buffer_bytes,
-            mailbox_addr,
-            mailbox_bytes,
             ..DpuStore::default()
-        });
-    }
+        })
+        .collect();
 
     // The replica a DPU holds of each list it maps, by (DPU, list slot).
     let mut mapped: HashMap<(usize, usize), ClusterReplica> = HashMap::new();
@@ -351,8 +320,9 @@ mod tests {
     use std::sync::OnceLock;
 
     /// Modeled MRAM of the 16-DPU engine below: each DPU is charged in full
-    /// for every payload it maps, shared or not.
-    const TOTAL_MRAM_ALLOCATED: usize = 895_600;
+    /// for every payload it maps, shared or not. It counts only the codebook
+    /// and the mapped lists: a build allocates no staging buffer.
+    const TOTAL_MRAM_ALLOCATED: usize = 730_736;
 
     fn shared_index() -> &'static (IvfPqIndex, Dataset) {
         static IX: OnceLock<(IvfPqIndex, Dataset)> = OnceLock::new();
@@ -372,11 +342,6 @@ mod tests {
         let (index, _) = shared_index();
         let engine = UpAnnsBuilder::new(index)
             .with_pim_config(PimConfig::with_dpus(4))
-            .with_batch_capacity(BatchCapacity {
-                batch_size: 16,
-                nprobe: 4,
-                max_k: 10,
-            })
             .build();
         // Every non-empty cluster must be hosted by at least one DPU store.
         for c in 0..index.nlist() {
@@ -399,11 +364,6 @@ mod tests {
         let engine = UpAnnsBuilder::new(index)
             .with_config(UpAnnsConfig::pim_naive())
             .with_pim_config(PimConfig::with_dpus(4))
-            .with_batch_capacity(BatchCapacity {
-                batch_size: 16,
-                nprobe: 4,
-                max_k: 10,
-            })
             .build();
         assert_eq!(engine.placement().total_replicas(), index.nlist());
         for store in engine.stores() {
@@ -424,11 +384,6 @@ mod tests {
         let (index, _) = shared_index();
         let engine = UpAnnsBuilder::new(index)
             .with_pim_config(PimConfig::with_dpus(4))
-            .with_batch_capacity(BatchCapacity {
-                batch_size: 16,
-                nprobe: 4,
-                max_k: 10,
-            })
             .build();
         assert!(engine.mean_reduction_rate() >= 0.0);
         assert!(engine.mean_reduction_rate() < 1.0);
@@ -445,11 +400,6 @@ mod tests {
         let engine = UpAnnsBuilder::new(index)
             .with_history(&history, 3)
             .with_pim_config(PimConfig::with_dpus(4))
-            .with_batch_capacity(BatchCapacity {
-                batch_size: 16,
-                nprobe: 4,
-                max_k: 10,
-            })
             .build();
         assert!(engine.placement().max_to_avg_workload() < 2.0);
     }
@@ -467,11 +417,6 @@ mod tests {
         let (index, _) = shared_index();
         let engine = UpAnnsBuilder::new(index)
             .with_pim_config(PimConfig::with_dpus(16))
-            .with_batch_capacity(BatchCapacity {
-                batch_size: 16,
-                nprobe: 4,
-                max_k: 10,
-            })
             .build();
         let sys = engine.pim_system();
         let stores = engine.stores();
@@ -510,8 +455,9 @@ mod tests {
     }
 
     /// Modeled MRAM of the same engine after installing the timeline below:
-    /// the fresh build's plus every list a later epoch stages anew.
-    const TIMELINE_MRAM_ALLOCATED: usize = 1_058_672;
+    /// the fresh build's plus every list a later epoch stages anew (again
+    /// only the codebook and the mapped lists).
+    const TIMELINE_MRAM_ALLOCATED: usize = 893_808;
 
     #[test]
     fn an_installed_timeline_stages_each_list_once_across_epochs() {
@@ -520,11 +466,6 @@ mod tests {
         let (index, data) = shared_index();
         let mut engine = UpAnnsBuilder::new(index)
             .with_pim_config(PimConfig::with_dpus(16))
-            .with_batch_capacity(BatchCapacity {
-                batch_size: 16,
-                nprobe: 4,
-                max_k: 10,
-            })
             .build();
         // Three entries; each upserts copies of two vectors, so it changes
         // at most two of the eight lists and leaves the rest shared.

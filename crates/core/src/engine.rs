@@ -62,8 +62,8 @@ pub(crate) struct EpochState {
 }
 
 /// Ensures DPU `dpu`'s staging buffers can hold `query_bytes` /
-/// `mailbox_bytes`, growing them (new MRAM allocations) if needed. The
-/// buffers are the fleet's, so every epoch's directory names the grown ones.
+/// `mailbox_bytes`, allocating larger ones (new MRAM) if needed. The
+/// buffers are the fleet's, so every epoch's directory names the new ones.
 fn ensure_capacity(
     sys: &mut PimSystem,
     epochs: &mut [EpochState],
@@ -266,40 +266,38 @@ impl Launcher<'_> {
         sys.advance_host(Stage::QueryScheduling, schedule_seconds);
 
         // ---- Stage 3: query transfer (host → DPU, uniform padded buffers) -
-        let dim = snapshot.dim();
-        let record_bytes = 8 + dim * 4; // (query id, cluster id) header + residual
-        let max_assignments = schedule.max_assignments_per_dpu().max(1);
-        let uniform_query_bytes = max_assignments * record_bytes;
+        // The residual is computed once, into the plan (the kernel's
+        // functional input), and serialized from there.
         let mut plans: Vec<DpuBatchPlan> = vec![DpuBatchPlan::default(); sys.num_dpus()];
-        let mut writes = Vec::new();
-        for (dpu, plan) in plans.iter_mut().enumerate() {
-            let assignments = &schedule.per_dpu[dpu];
-            if assignments.is_empty() {
-                continue;
-            }
-            let mailbox_needed =
-                assignments.len().min(nq) * mailbox_slot_bytes(k).max(mailbox_slot_bytes(1));
-            ensure_capacity(sys, self.epochs, dpu, uniform_query_bytes, mailbox_needed);
-            let query_buffer_addr = self.epochs[epoch].stores[dpu].query_buffer_addr;
-
-            // The residual is computed once, into the plan (the kernel's
-            // functional input), and serialized from there.
-            let mut buffer = Vec::with_capacity(uniform_query_bytes);
+        for (plan, assignments) in plans.iter_mut().zip(&schedule.per_dpu) {
             plan.assignments.extend_from_slice(assignments);
-            plan.residuals.reserve(assignments.len());
             for a in assignments {
                 let q = queries.vector(a.query);
-                let res = residual(q, snapshot.coarse().centroid(a.cluster));
-                buffer.extend_from_slice(&(a.query as u32).to_le_bytes());
-                buffer.extend_from_slice(&(a.cluster as u32).to_le_bytes());
-                buffer.extend(res.iter().flat_map(|x| x.to_le_bytes()));
-                plan.residuals.push(res);
+                plan.residuals.push(residual(q, snapshot.coarse().centroid(a.cluster)));
                 if !plan.queries.contains(&a.query) {
                     plan.queries.push(a.query);
                 }
             }
+        }
+        // Every busy DPU's query buffer and mailbox hold the launch's
+        // uniform sizes, so both transfers run in parallel and no modeled
+        // byte depends on what an earlier launch staged.
+        let record_bytes = 8 + snapshot.dim() * 4; // (query id, cluster id) header + residual
+        let uniform_query_bytes = schedule.max_assignments_per_dpu().max(1) * record_bytes;
+        let max_queries_per_dpu = plans.iter().map(|p| p.queries.len()).max().unwrap_or(0);
+        let uniform_mailbox = max_queries_per_dpu * mailbox_slot_bytes(k);
+        let mut writes = Vec::new();
+        for (dpu, plan) in plans.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
+            ensure_capacity(sys, self.epochs, dpu, uniform_query_bytes, uniform_mailbox);
+            let mut buffer = Vec::with_capacity(uniform_query_bytes);
+            for (a, res) in plan.assignments.iter().zip(&plan.residuals) {
+                buffer.extend_from_slice(&(a.query as u32).to_le_bytes());
+                buffer.extend_from_slice(&(a.cluster as u32).to_le_bytes());
+                buffer.extend(res.iter().flat_map(|x| x.to_le_bytes()));
+            }
             buffer.resize(uniform_query_bytes, 0); // pad to the uniform size
-            writes.push(DpuWrite::new(dpu, query_buffer_addr, buffer));
+            let addr = self.epochs[epoch].stores[dpu].query_buffer_addr;
+            writes.push(DpuWrite::new(dpu, addr, buffer));
         }
         sys.push_to_dpus(Stage::QueryTransfer, &writes)
             .expect("query staging buffers are sized by ensure_capacity");
@@ -331,21 +329,13 @@ impl Launcher<'_> {
         });
 
         // ---- Stage 5: result transfer (DPU → host) -------------------------
-        let max_queries_per_dpu = plans.iter().map(|p| p.queries.len()).max().unwrap_or(0);
-        let uniform_mailbox = max_queries_per_dpu * mailbox_slot_bytes(k);
         let reads: Vec<DpuRead> = (0..sys.num_dpus())
-            .filter(|&d| !plans[d].is_empty() && uniform_mailbox > 0)
-            .map(|d| {
-                DpuRead::new(
-                    d,
-                    stores[d].mailbox_addr,
-                    uniform_mailbox.min(stores[d].mailbox_bytes),
-                )
-            })
+            .filter(|&d| !plans[d].is_empty())
+            .map(|d| DpuRead::new(d, stores[d].mailbox_addr, uniform_mailbox))
             .collect();
         let mailboxes = sys
             .pull_from_dpus(Stage::ResultTransfer, &reads)
-            .expect("mailboxes were allocated by the builder");
+            .expect("mailboxes are sized by ensure_capacity");
 
         // ---- Stage 6: host merge -------------------------------------------
         let mut merged: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
@@ -434,7 +424,7 @@ impl AnnEngine for UpAnnsEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{BatchCapacity, UpAnnsBuilder};
+    use crate::builder::UpAnnsBuilder;
     use annkit::ivf::IvfPqParams;
     use annkit::recall::recall_at_k;
     use annkit::synthetic::SyntheticSpec;
@@ -510,11 +500,6 @@ mod tests {
             .with_config(config)
             .with_pim_config(PimConfig::with_dpus(dpus))
             .with_history(&fix.history, 4)
-            .with_batch_capacity(BatchCapacity {
-                batch_size: 32,
-                nprobe: 4,
-                max_k: 10,
-            })
             .build()
     }
 
@@ -712,30 +697,9 @@ mod tests {
         UpAnnsEngine::from_build(recipe.clone(), timeline, fleet)
     }
 
-    /// A response's answers and stats, and every stage of its breakdown but
-    /// the result transfer, with floats as bits.
-    fn bits_but_result_transfer(r: &SearchResponse) -> impl PartialEq + std::fmt::Debug {
-        let answers: Vec<Vec<(u64, u32)>> = r
-            .results
-            .iter()
-            .map(|q| q.iter().map(|n| (n.id, n.distance.to_bits())).collect())
-            .collect();
-        let stages: Vec<(Stage, u64)> = Stage::ALL
-            .into_iter()
-            .filter(|&stage| stage != Stage::ResultTransfer)
-            .map(|stage| (stage, r.breakdown.seconds(stage).to_bits()))
-            .collect();
-        (answers, stages, r.stats.clone())
-    }
-
     /// Every epoch of an installed timeline answers like an engine built
-    /// from its snapshot alone, whichever epochs the fleet served before.
-    /// The epochs share the fleet's staging buffers, so a request that grows
-    /// them leaves larger mailboxes behind for every epoch; the mailbox read
-    /// is clamped to the mailbox (`run_uniform`'s stage 5), so a later
-    /// request larger than the build's capacity hint may read more bytes in
-    /// the result transfer than a fresh engine would. Every other stage,
-    /// the answers and the stats stay equal; inside the hint, all of it does.
+    /// from its snapshot alone, whichever epochs the fleet served before and
+    /// however large the requests that grew its staging buffers.
     #[test]
     fn every_installed_epoch_equals_an_engine_built_from_its_snapshot() {
         use annkit::mutation::MutableIvf;
@@ -754,7 +718,6 @@ mod tests {
         }
         let rows: Vec<usize> = (0..24).map(|i| i * 83 % 2000).collect();
         let queries = fix.data.gather(&rows);
-        // Inside `build`'s capacity hint (32 queries, nprobe 4, k ≤ 10).
         let request = SearchRequest::uniform(&queries, 4, 10);
         let rows: Vec<usize> = (0..160).map(|i| i * 37 % 2000).collect();
         let many = fix.data.gather(&rows);
@@ -790,7 +753,6 @@ mod tests {
         // last, the large request after each small one.
         let mut shuffled = build(UpAnnsConfig::upanns(), 8);
         assert!(shuffled.install_timeline(timeline.clone()));
-        let hinted = shuffled.stores()[0].mailbox_bytes;
         for i in (0..entries.len()).rev().chain(0..entries.len()) {
             let at = entries[i].0.max(0.0) + 1.0;
             let (small, grown) = &references[i];
@@ -798,18 +760,11 @@ mod tests {
             assert_eq!(response_bits(&served), response_bits(small), "entry {i}");
             let served = shuffled.execute(&large.clone().with_at(at));
             assert_eq!(
-                bits_but_result_transfer(&served),
-                bits_but_result_transfer(grown),
+                response_bits(&served),
+                response_bits(grown),
                 "entry {i}, large request"
             );
         }
-        assert!(
-            shuffled
-                .epochs()
-                .iter()
-                .all(|e| e.stores[0].mailbox_bytes > hinted),
-            "the large request grew no mailbox"
-        );
     }
 
     #[test]

@@ -106,7 +106,8 @@ pub struct DpuBatchPlan {
     pub assignments: Vec<Assignment>,
     /// Residual (`q − centroid`) per assignment.
     pub residuals: Vec<Vec<f32>>,
-    /// Distinct query indices handled by this DPU, in mailbox order.
+    /// Distinct query indices handled by this DPU, in mailbox order: every
+    /// assignment's query, once.
     pub queries: Vec<usize>,
 }
 
@@ -120,8 +121,6 @@ impl DpuBatchPlan {
 /// Result of running the kernel on one DPU.
 #[derive(Debug, Clone, Default)]
 pub struct KernelOutput {
-    /// Per-query partial top-k (local to this DPU), keyed by query index.
-    pub partials: Vec<(usize, Vec<Neighbor>)>,
     /// Bytes written to the result mailbox.
     pub mailbox_bytes_written: usize,
     /// What the launch did: the sum of its assignments' work.
@@ -295,6 +294,29 @@ pub fn mailbox_slot_bytes(k: usize) -> usize {
     4 + k * 12 // u32 query id + k × (u64 id, f32 distance)
 }
 
+/// Parses a result mailbox produced by [`run_batch_kernel`]: the first
+/// `queries` whole slots, each a query id and its neighbors (an id of
+/// `u64::MAX` pads a slot that has fewer than `k`).
+pub fn parse_mailbox(bytes: &[u8], queries: usize, k: usize) -> Vec<(usize, Vec<Neighbor>)> {
+    bytes
+        .chunks_exact(mailbox_slot_bytes(k))
+        .take(queries)
+        .filter_map(|slot| {
+            let (&q, records) = slot.split_first_chunk()?;
+            let neighbors = records
+                .chunks_exact(12)
+                .filter_map(|record| {
+                    let (&id, dist) = record.split_first_chunk()?;
+                    let id = u64::from_le_bytes(id);
+                    let dist = f32::from_le_bytes(*dist.first_chunk()?);
+                    (id != u64::MAX).then(|| Neighbor::new(id, dist))
+                })
+                .collect();
+            Some((u32::from_le_bytes(q) as usize, neighbors))
+        })
+        .collect()
+}
+
 /// Host-side buffers the functional half of the kernel reuses across the
 /// assignments (and DPUs) it runs on one host thread, so the simulator's
 /// steady state allocates nothing per assignment. Holds no state between
@@ -386,10 +408,14 @@ fn run_with_scratch(
         work_scale: config.work_scale,
     };
 
-    // Per-query partial heaps, local to this DPU (held in the WRAM heap
-    // region; co-located clusters of the same query merge here without any
-    // host round-trip — insight 3 of §4.1.1).
-    let mut query_heaps: BTreeMap<usize, TopK> = BTreeMap::new();
+    // Per-query partial heaps, local to this DPU, in mailbox order (held in
+    // the WRAM heap region; co-located clusters of the same query merge here
+    // without any host round-trip — insight 3 of §4.1.1).
+    let mut query_heaps: Vec<TopK> = plan.queries.iter().map(|_| TopK::new(k)).collect();
+    let slot_of: BTreeMap<usize, usize> = (0..)
+        .zip(&plan.queries)
+        .map(|(slot, &q)| (q, slot))
+        .collect();
 
     for (a_idx, assignment) in plan.assignments.iter().enumerate() {
         let replica = store
@@ -409,7 +435,7 @@ fn run_with_scratch(
             .filter(|table| !table.is_empty());
         let mut work = AssignmentWork {
             // Staged by the host transfer.
-            residual_bytes: (dim * 4).min(store.query_buffer_bytes.max(8)) as u64,
+            residual_bytes: (dim * 4) as u64,
             codebook_bytes: store.codebook_bytes as u64,
             lut_entries: (m * 256) as u64,
             combos: combos.map_or(0, |table| table.len() as u64),
@@ -497,9 +523,16 @@ fn run_with_scratch(
 
         // Translate local vector indices into global ids (k MRAM reads of the
         // id array) and fold into the per-query heap.
-        let query_heap = query_heaps
-            .entry(assignment.query)
-            .or_insert_with(|| TopK::new(k));
+        let query_heap = slot_of
+            .get(&assignment.query)
+            .map(|&slot| &mut query_heaps[slot])
+            .unwrap_or_else(|| {
+                panic!(
+                    "DPU {} was assigned query {} its plan does not list",
+                    ctx.dpu_id(),
+                    assignment.query
+                )
+            });
         for n in merged_local.into_sorted() {
             let raw = ctx.mram_read(replica.ids_addr + (n.id as usize) * 8, 8);
             let Some(&id) = raw.first_chunk() else {
@@ -516,19 +549,12 @@ fn run_with_scratch(
     }
 
     // ---- Result write-back ------------------------------------------------
-    output.partials = query_heaps
-        .into_iter()
-        .map(|(q, h)| (q, h.into_sorted()))
-        .collect();
-    let slot = mailbox_slot_bytes(k);
-    let mut mailbox = Vec::with_capacity(plan.queries.len() * slot);
-    for &q in &plan.queries {
+    // The mailbox is the kernel's one answer: a slot per query of the plan,
+    // in plan order.
+    let mut mailbox = Vec::with_capacity(plan.queries.len() * mailbox_slot_bytes(k));
+    for (&q, heap) in plan.queries.iter().zip(query_heaps) {
         mailbox.extend_from_slice(&(q as u32).to_le_bytes());
-        // `partials` is in ascending query order (it came out of a BTreeMap).
-        let sorted = output
-            .partials
-            .binary_search_by_key(&q, |(query, _)| *query)
-            .map_or(&[][..], |i| &output.partials[i].1[..]);
+        let sorted = heap.into_sorted();
         for i in 0..k {
             if let Some(n) = sorted.get(i) {
                 mailbox.extend_from_slice(&n.id.to_le_bytes());
@@ -547,32 +573,9 @@ fn run_with_scratch(
         store.mailbox_bytes
     );
     ctx.mram_write(Stage::ResultWrite, store.mailbox_addr, &mailbox)
-        .expect("mailbox region allocated by the builder");
+        .expect("the mailbox is sized by the engine's launch");
     output.mailbox_bytes_written = mailbox.len();
     output
-}
-
-/// Parses a result mailbox produced by [`run_batch_kernel`]: the first
-/// `queries` whole slots, each a query id and its neighbors (an id of
-/// `u64::MAX` pads a slot that has fewer than `k`).
-pub(crate) fn parse_mailbox(bytes: &[u8], queries: usize, k: usize) -> Vec<(usize, Vec<Neighbor>)> {
-    bytes
-        .chunks_exact(mailbox_slot_bytes(k))
-        .take(queries)
-        .filter_map(|slot| {
-            let (&q, records) = slot.split_first_chunk()?;
-            let neighbors = records
-                .chunks_exact(12)
-                .filter_map(|record| {
-                    let (&id, dist) = record.split_first_chunk()?;
-                    let id = u64::from_le_bytes(id);
-                    let dist = f32::from_le_bytes(*dist.first_chunk()?);
-                    (id != u64::MAX).then(|| Neighbor::new(id, dist))
-                })
-                .collect();
-            Some((u32::from_le_bytes(q) as usize, neighbors))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -688,6 +691,9 @@ mod tests {
         plan
     }
 
+    /// Runs the kernel on one DPU over queries 5, 300 and 900 and returns
+    /// its answers as the engine reads them, parsed from the mailbox it
+    /// staged, with its output and modeled seconds.
     fn run(
         cae: bool,
         config: UpAnnsConfig,
@@ -709,17 +715,26 @@ mod tests {
             run_batch_kernel(ctx, &store, &plan, &shared)
         });
         let output = outputs.remove(0);
-        (output.partials.clone(), output, report.max_dpu_seconds)
+        assert_eq!(output.mailbox_bytes_written, plan.queries.len() * mailbox_slot_bytes(k));
+        let mailbox = sys
+            .dpu(0)
+            .mram()
+            .read(store.mailbox_addr, output.mailbox_bytes_written)
+            .unwrap();
+        let answers = parse_mailbox(mailbox, plan.queries.len(), k);
+        let order: Vec<usize> = answers.iter().map(|(q, _)| *q).collect();
+        assert_eq!(order, plan.queries, "one slot per query, in plan order");
+        (answers, output, report.max_dpu_seconds)
     }
 
     #[test]
     fn kernel_matches_reference_adc_search_plain() {
         let fix = fixture();
-        let (partials, output, _) = run(false, UpAnnsConfig::pim_naive(), 8, 10);
-        assert_eq!(partials.len(), 3);
+        let (answers, output, _) = run(false, UpAnnsConfig::pim_naive(), 8, 10);
+        assert_eq!(answers.len(), 3);
         for (qi, row) in [5usize, 300, 900].iter().enumerate() {
             let reference = fix.index.search(fix.data.vector(*row), 8, 10);
-            let got = &partials.iter().find(|(q, _)| *q == qi).unwrap().1;
+            let got = &answers.iter().find(|(q, _)| *q == qi).unwrap().1;
             assert_eq!(
                 got.iter().map(|n| n.id).collect::<Vec<_>>(),
                 reference.iter().map(|n| n.id).collect::<Vec<_>>(),
@@ -734,10 +749,10 @@ mod tests {
     #[test]
     fn kernel_matches_reference_adc_search_with_cae() {
         let fix = fixture();
-        let (partials, output, _) = run(true, UpAnnsConfig::upanns(), 8, 10);
+        let (answers, output, _) = run(true, UpAnnsConfig::upanns(), 8, 10);
         for (qi, row) in [5usize, 300, 900].iter().enumerate() {
             let reference = fix.index.search(fix.data.vector(*row), 8, 10);
-            let got = &partials.iter().find(|(q, _)| *q == qi).unwrap().1;
+            let got = &answers.iter().find(|(q, _)| *q == qi).unwrap().1;
             let ref_ids: Vec<u64> = reference.iter().map(|n| n.id).collect();
             let got_ids: Vec<u64> = got.iter().map(|n| n.id).collect();
             // Distances are identical up to float rounding of the combo sums,
@@ -748,40 +763,6 @@ mod tests {
         // CAE reduces LUT lookups below m per candidate.
         assert!(output.work.lut_lookups < output.work.vectors * 16);
         assert!(output.work.merge.pruned > 0, "pruning should trigger");
-    }
-
-    #[test]
-    fn mailbox_roundtrip_matches_partials() {
-        let fix = fixture();
-        let mut sys = PimSystem::new(PimConfig::with_dpus(1));
-        let (store, combos) = build_store(&mut sys, &fix.index, false, 5, 4);
-        let plan = plan_for_queries(&fix.index, &fix.data, &[10, 20], 4);
-        let config = UpAnnsConfig::pim_naive();
-        let shared = KernelShared {
-            pq: fix.index.pq(),
-            combos: &combos,
-            config: &config,
-            k: 5,
-            scan_backend: annkit::simd::active(),
-        };
-        let (_, mut outputs) = sys.execute(Stage::DpuSearch, |ctx| {
-            run_batch_kernel(ctx, &store, &plan, &shared)
-        });
-        let output = outputs.remove(0);
-        let mailbox = sys
-            .dpu(0)
-            .mram()
-            .read(store.mailbox_addr, output.mailbox_bytes_written)
-            .unwrap();
-        let parsed = parse_mailbox(mailbox, plan.queries.len(), 5);
-        assert_eq!(parsed.len(), output.partials.len());
-        for ((pq, pn), (oq, on)) in parsed.iter().zip(&output.partials) {
-            assert_eq!(pq, oq);
-            assert_eq!(
-                pn.iter().map(|n| n.id).collect::<Vec<_>>(),
-                on.iter().map(|n| n.id).collect::<Vec<_>>()
-            );
-        }
     }
 
     #[test]
@@ -908,7 +889,6 @@ mod tests {
             run_batch_kernel(ctx, &store, &DpuBatchPlan::default(), &shared)
         });
         let output = outputs.remove(0);
-        assert!(output.partials.is_empty());
         assert_eq!(output.work.vectors, 0);
         assert_eq!(output.mailbox_bytes_written, 0);
     }
@@ -1079,10 +1059,10 @@ mod tests {
 
     #[test]
     fn the_work_counts_the_dense_lut_and_every_id_read() {
-        let (partials, output, _) = run(true, UpAnnsConfig::upanns(), 8, 10);
+        let (answers, output, _) = run(true, UpAnnsConfig::upanns(), 8, 10);
         let assignments = 3 * 8;
         assert_eq!(output.work.lut_entries, assignments * 16 * 256);
-        let returned: usize = partials.iter().map(|(_, n)| n.len()).sum();
+        let returned: usize = answers.iter().map(|(_, n)| n.len()).sum();
         assert!(output.work.id_reads >= returned as u64);
         assert!(output.work.combo_elements >= 2 * output.work.combos);
         assert!(output.work.combo_elements <= 3 * output.work.combos);

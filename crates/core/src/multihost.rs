@@ -117,7 +117,7 @@ impl MultiHostUpAnns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{BatchCapacity, UpAnnsBuilder};
+    use crate::builder::UpAnnsBuilder;
     use crate::config::UpAnnsConfig;
     use crate::engine::host_merge_seconds;
     use annkit::ivf::IvfPqParams;
@@ -166,11 +166,6 @@ mod tests {
         UpAnnsBuilder::new(index)
             .with_config(config)
             .with_pim_config(PimConfig::with_dpus(8))
-            .with_batch_capacity(BatchCapacity {
-                batch_size: 32,
-                nprobe: 6,
-                max_k: 20,
-            })
             .build()
     }
 

@@ -22,7 +22,7 @@ use annkit::synthetic::SyntheticSpec;
 use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
 use pim_sim::config::PimConfig;
 use std::fmt::Write;
-use upanns::builder::{BatchCapacity, UpAnnsBuilder};
+use upanns::builder::UpAnnsBuilder;
 use upanns::config::UpAnnsConfig;
 
 const GOLDEN: &str = include_str!("golden/modeled_invariance.txt");
@@ -36,7 +36,6 @@ struct Shape {
     seed: u64,
     dpus: usize,
     history_nprobe: usize,
-    capacity: BatchCapacity,
     /// `(k, nprobe)` of query `i` is `options[i % options.len()]`.
     queries: usize,
     options: &'static [(usize, usize)],
@@ -50,11 +49,6 @@ const LONG_LISTS: Shape = Shape {
     seed: 1606,
     dpus: 8,
     history_nprobe: 5,
-    capacity: BatchCapacity {
-        batch_size: 24,
-        nprobe: 5,
-        max_k: 10,
-    },
     queries: 24,
     options: &[(10, 5)],
 };
@@ -70,11 +64,6 @@ const SHORT_LISTS: Shape = Shape {
     seed: 2011,
     dpus: 64,
     history_nprobe: 8,
-    capacity: BatchCapacity {
-        batch_size: 12,
-        nprobe: 8,
-        max_k: 20,
-    },
     queries: 12,
     options: &[(10, 4), (20, 8), (10, 8), (20, 4)],
 };
@@ -112,7 +101,6 @@ fn observed(shape: &Shape) -> String {
             .with_config(config.with_work_scale(150.0))
             .with_pim_config(PimConfig::with_dpus(shape.dpus))
             .with_history(&history, shape.history_nprobe)
-            .with_batch_capacity(shape.capacity.clone())
             .build();
         let response = engine.execute(&request);
         writeln!(out, "[{name}]").unwrap();

@@ -5,17 +5,19 @@
 //! (`work_scale`) grow. And the order of the queries in a batch is not
 //! work: reversing it may move modeled seconds only through Algorithm 2's
 //! schedule, which depends on query order, by at most the tolerance stated
-//! below. Every point is a freshly built engine, so no earlier request's
-//! staging (a grown result mailbox) reaches a later one.
+//! below. Nor is what an engine served before: a request reads the same
+//! modeled seconds on a fresh engine and on one whose staging buffers an
+//! earlier, larger request grew.
 
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
 use annkit::synthetic::SyntheticSpec;
 use annkit::vector::Dataset;
-use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
+use baselines::engine::{AnnEngine, QueryOptions, SearchRequest, SearchResponse};
 use pim_sim::config::PimConfig;
 use std::sync::OnceLock;
-use upanns::builder::{BatchCapacity, UpAnnsBuilder};
+use upanns::builder::UpAnnsBuilder;
 use upanns::config::UpAnnsConfig;
+use upanns::engine::UpAnnsEngine;
 
 const QUERIES: usize = 32;
 
@@ -50,25 +52,28 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Modeled seconds of one batch of the fixture's queries, in `rows` order,
-/// on a fresh 16-DPU engine.
-fn seconds(config: UpAnnsConfig, nprobe: usize, k: usize, rows: &[usize]) -> f64 {
+/// A fresh 16-DPU engine over the fixture.
+fn engine(config: UpAnnsConfig) -> UpAnnsEngine {
     let fix = fixture();
-    let mut engine = UpAnnsBuilder::new(&fix.index)
+    UpAnnsBuilder::new(&fix.index)
         .with_config(config)
         .with_pim_config(PimConfig::with_dpus(16))
         .with_history(&fix.history, 8)
-        .with_batch_capacity(BatchCapacity {
-            batch_size: QUERIES,
-            nprobe: 16,
-            max_k: 40,
-        })
-        .build();
-    let request = SearchRequest::new(
-        fix.data.gather(rows),
+        .build()
+}
+
+/// One batch of the fixture's queries, in `rows` order.
+fn request(nprobe: usize, k: usize, rows: &[usize]) -> SearchRequest {
+    SearchRequest::new(
+        fixture().data.gather(rows),
         vec![QueryOptions::new(k, nprobe); rows.len()],
-    );
-    engine.execute(&request).seconds
+    )
+}
+
+/// Modeled seconds of one batch of the fixture's queries, in `rows` order,
+/// on a fresh engine.
+fn seconds(config: UpAnnsConfig, nprobe: usize, k: usize, rows: &[usize]) -> f64 {
+    engine(config).execute(&request(nprobe, k, rows)).seconds
 }
 
 fn engines() -> [(&'static str, UpAnnsConfig); 2] {
@@ -138,5 +143,31 @@ fn reversing_the_batch_moves_modeled_seconds_by_at_most_the_schedules_share() {
             deviation <= REVERSAL_TOLERANCE,
             "{name}: {forward} s forward, {backward} s reversed ({deviation:e})"
         );
+    }
+}
+
+/// A response's modeled seconds and breakdown, as bits.
+fn modeled_bits(response: &SearchResponse) -> (u64, Vec<(String, u64)>) {
+    let breakdown = response
+        .breakdown
+        .entries()
+        .into_iter()
+        .map(|(stage, seconds)| (stage, seconds.to_bits()))
+        .collect();
+    (response.seconds.to_bits(), breakdown)
+}
+
+#[test]
+fn a_request_reads_the_same_modeled_seconds_after_a_larger_one() {
+    let n = fixture().data.len();
+    let rows: Vec<usize> = (0..3 * QUERIES).map(|i| i * 31 % n).collect();
+    let later = request(16, 40, &rows);
+    let larger = request(16, 100, &rows);
+    for (name, config) in engines() {
+        let fresh = engine(config.clone()).execute(&later);
+        let mut served = engine(config);
+        let _ = served.execute(&larger);
+        let after = served.execute(&later);
+        assert_eq!(modeled_bits(&after), modeled_bits(&fresh), "{name}");
     }
 }

@@ -35,7 +35,7 @@ use baselines::cpu::CpuFaissEngine;
 use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
 use pim_sim::config::PimConfig;
 use proptest::prelude::*;
-use upanns::builder::{BatchCapacity, UpAnnsBuilder};
+use upanns::builder::UpAnnsBuilder;
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
 use upanns::multihost::{shard_indexes, InterconnectModel};
@@ -80,11 +80,6 @@ fn engine_with(index: &IvfPqIndex, config: UpAnnsConfig) -> UpAnnsEngine {
     UpAnnsBuilder::new(index)
         .with_config(config)
         .with_pim_config(PimConfig::with_dpus(48))
-        .with_batch_capacity(BatchCapacity {
-            batch_size: 32,
-            nprobe: 8,
-            max_k: 20,
-        })
         .build()
 }
 
@@ -116,7 +111,7 @@ fn unreplicated_merge(shards: &[IvfPqIndex], request: &SearchRequest) -> Vec<Vec
         .collect()
 }
 
-/// The option universe the properties mix (all inside the batch capacity).
+/// The option universe the properties mix.
 fn option_of(tag: u8) -> QueryOptions {
     match tag % 3 {
         0 => QueryOptions::new(10, 8),

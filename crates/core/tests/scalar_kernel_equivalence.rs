@@ -30,8 +30,8 @@ use upanns::config::UpAnnsConfig;
 use upanns::cooccurrence::{mine_cluster_combos, ComboTable, MiningParams};
 use upanns::encoding::CaeList;
 use upanns::kernel::{
-    mailbox_slot_bytes, run_batch_kernel, AssignmentWork, ClusterReplica, DpuBatchPlan, DpuStore,
-    KernelOutput, KernelShared, ListEncoding,
+    mailbox_slot_bytes, parse_mailbox, run_batch_kernel, AssignmentWork, ClusterReplica,
+    DpuBatchPlan, DpuStore, KernelShared, ListEncoding,
 };
 use upanns::scheduling::Assignment;
 use upanns::topk_prune::merge_thread_local;
@@ -76,7 +76,12 @@ fn encode_lists(index: &IvfPqIndex) -> (HashMap<usize, ComboTable>, HashMap<usiz
     (combos, lists)
 }
 
-fn run_kernel(backend: Backend, k: usize, cae: bool) -> KernelOutput {
+/// Per-query answers, in plan order, and the launch's summed work.
+type Answers = (Vec<(usize, Vec<Neighbor>)>, AssignmentWork);
+
+/// Runs the kernel and reads its answers as the engine does: parsed from
+/// the mailbox it staged.
+fn run_kernel(backend: Backend, k: usize, cae: bool) -> Answers {
     let (data, index) = fixture();
     let (combos, mut cae_lists) = if cae {
         encode_lists(&index)
@@ -144,6 +149,12 @@ fn run_kernel(backend: Backend, k: usize, cae: bool) -> KernelOutput {
         run_batch_kernel(ctx, &store, &plan, &shared)
     });
     let output = outputs.remove(0);
+    let mailbox = sys
+        .dpu(0)
+        .mram()
+        .read(store.mailbox_addr, output.mailbox_bytes_written)
+        .unwrap();
+    let answers = parse_mailbox(mailbox, plan.queries.len(), k);
 
     // The host-side reference must agree on ids for every query too (the
     // kernel scans exactly the probed clusters). With combination sums the
@@ -152,7 +163,7 @@ fn run_kernel(backend: Backend, k: usize, cae: bool) -> KernelOutput {
     if !cae {
         for (qi, &row) in QUERY_ROWS.iter().enumerate() {
             let reference = index.search(data.vector(row), 8, k);
-            let got = &output.partials.iter().find(|(q, _)| *q == qi).unwrap().1;
+            let got = &answers.iter().find(|(q, _)| *q == qi).unwrap().1;
             assert_eq!(
                 got.iter().map(|n| n.id).collect::<Vec<_>>(),
                 reference.iter().map(|n| n.id).collect::<Vec<_>>(),
@@ -160,19 +171,19 @@ fn run_kernel(backend: Backend, k: usize, cae: bool) -> KernelOutput {
             );
         }
     }
-    output
+    (answers, output.work)
 }
 
 /// What the kernel must compute on the `CaeU16` arm, one record at a time:
 /// every LUT entry its own `l2_squared`, every record `adc_distance` +
 /// `push` into its tasklet's heap, then the pruned merge and the id lookup.
-fn cae_reference(k: usize) -> KernelOutput {
+fn cae_reference(k: usize) -> Answers {
     let (data, index) = fixture();
     let (combos, cae_lists) = encode_lists(&index);
     let plan = plan_for(&data, &index);
     let config = UpAnnsConfig::upanns();
     let pq = index.pq();
-    let mut output = KernelOutput::default();
+    let mut total = AssignmentWork::default();
     let mut query_heaps: BTreeMap<usize, TopK> = BTreeMap::new();
     for (assignment, residual) in plan.assignments.iter().zip(&plan.residuals) {
         let table = &combos[&assignment.cluster];
@@ -221,13 +232,13 @@ fn cae_reference(k: usize) -> KernelOutput {
             heap.push(ids[neighbor.id as usize], neighbor.distance);
             work.id_reads += 1;
         }
-        output.work += work;
+        total += work;
     }
-    output.partials = query_heaps
+    let answers = query_heaps
         .into_iter()
         .map(|(q, h)| (q, h.into_sorted()))
         .collect();
-    output
+    (answers, total)
 }
 
 fn assert_same_answers(a: &[(usize, Vec<Neighbor>)], b: &[(usize, Vec<Neighbor>)], what: &str) {
@@ -257,21 +268,21 @@ fn kernel_answers_identical_across_backends_and_dispatch() {
     );
     assert_eq!(simd::active(), Backend::Scalar);
 
-    let scalar = run_kernel(Backend::Scalar, 10, false);
-    let vectorized = run_kernel(simd::detect(), 10, false);
-    assert_same_answers(&scalar.partials, &vectorized.partials, "SIMD routing");
-    assert_eq!(scalar.work, vectorized.work, "SIMD routing changed a count");
+    let (scalar, scalar_work) = run_kernel(Backend::Scalar, 10, false);
+    let (vectorized, vectorized_work) = run_kernel(simd::detect(), 10, false);
+    assert_same_answers(&scalar, &vectorized, "SIMD routing");
+    assert_eq!(scalar_work, vectorized_work, "SIMD routing changed a count");
 
     // The CaeU16 arm, on both backends, against the per-record reference.
-    let reference = cae_reference(10);
+    let (reference, reference_work) = cae_reference(10);
     assert!(
-        reference.work.lut_lookups < reference.work.vectors * 16,
+        reference_work.lut_lookups < reference_work.vectors * 16,
         "the fixture must exercise combination entries"
     );
-    assert!(reference.work.merge.pruned > 0, "the fixture must exercise pruning");
+    assert!(reference_work.merge.pruned > 0, "the fixture must exercise pruning");
     for backend in [Backend::Scalar, simd::detect()] {
-        let got = run_kernel(backend, 10, true);
-        assert_same_answers(&got.partials, &reference.partials, "the blocked CAE scan");
-        assert_eq!(got.work, reference.work, "{backend:?}");
+        let (got, work) = run_kernel(backend, 10, true);
+        assert_same_answers(&got, &reference, "the blocked CAE scan");
+        assert_eq!(work, reference_work, "{backend:?}");
     }
 }

@@ -83,7 +83,7 @@ use baselines::cpu::CpuFaissEngine;
 use baselines::engine::{AnnEngine, QueryOptions, SearchRequest};
 use baselines::gpu::GpuFaissEngine;
 use pim_sim::config::PimConfig;
-use upanns::builder::{BatchCapacity, UpAnnsBuilder};
+use upanns::builder::UpAnnsBuilder;
 use upanns::compaction::{plan_live_index, CompactionPolicy, LiveIndexPlan};
 use upanns::config::UpAnnsConfig;
 use upanns::multihost::{shard_indexes, InterconnectModel};
@@ -667,11 +667,6 @@ impl Fixture {
                 .with_config(config.with_work_scale(work_scale))
                 .with_pim_config(PimConfig::with_dpus(dpus))
                 .with_history(&self.history, 8)
-                .with_batch_capacity(BatchCapacity {
-                    batch_size: 64,
-                    nprobe: 8,
-                    max_k: 20,
-                })
                 .build()
         };
         let replicated = |shards: usize, hosts: usize, replicas: usize| {

@@ -26,7 +26,7 @@ use baselines::engine::{AnnEngine, QueryOptions};
 use baselines::gpu::GpuFaissEngine;
 use pim_sim::config::PimConfig;
 use proptest::prelude::*;
-use upanns::builder::{BatchCapacity, UpAnnsBuilder};
+use upanns::builder::UpAnnsBuilder;
 use upanns::compaction::{plan_live_index, CompactionPolicy};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
@@ -68,11 +68,6 @@ fn build_upanns(index: &IvfPqIndex, data: &SyntheticDataset) -> UpAnnsEngine {
         .with_config(UpAnnsConfig::upanns().with_work_scale(500.0))
         .with_pim_config(PimConfig::with_dpus(64))
         .with_history(&data.vectors, 8)
-        .with_batch_capacity(BatchCapacity {
-            batch_size: 64,
-            nprobe: 8,
-            max_k: 20,
-        })
         .build()
 }
 
@@ -322,11 +317,6 @@ proptest! {
                 UpAnnsBuilder::new(ix)
                     .with_config(UpAnnsConfig::upanns().with_work_scale(500.0))
                     .with_pim_config(PimConfig::with_dpus(48))
-                    .with_batch_capacity(BatchCapacity {
-                        batch_size: 32,
-                        nprobe: 8,
-                        max_k: 20,
-                    })
                     .build()
             }).collect();
             let engine = ReplicatedMultiHost::new(engines, 3, replicas, InterconnectModel::default())

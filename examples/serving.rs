@@ -23,7 +23,7 @@ use annkit::synthetic::SyntheticSpec;
 use annkit::workload::{MultiTenantSpec, StreamSpec, TenantId, TenantSpec, WorkloadSpec};
 use baselines::engine::QueryOptions;
 use pim_sim::config::PimConfig;
-use upanns::builder::{BatchCapacity, UpAnnsBuilder};
+use upanns::builder::UpAnnsBuilder;
 use upanns::config::UpAnnsConfig;
 use upanns_serve::batcher::BatchFormerConfig;
 use upanns_serve::controller::{ControllerBank, SloController};
@@ -52,11 +52,6 @@ fn main() {
         .with_config(UpAnnsConfig::upanns().with_work_scale(scale))
         .with_pim_config(PimConfig::with_dpus(896))
         .with_history(&history, 8)
-        .with_batch_capacity(BatchCapacity {
-            batch_size: 64,
-            nprobe: 16,
-            max_k: 50,
-        })
         .build();
 
     // ------------------------------------------------------------------

@@ -12,7 +12,7 @@ use baselines::engine::AnnEngine;
 use pim_sim::config::PimConfig;
 use std::sync::OnceLock;
 use upanns::adaptive::adapt_placement;
-use upanns::builder::{frequencies_from_queries, max_dpu_vectors, BatchCapacity, UpAnnsBuilder};
+use upanns::builder::{frequencies_from_queries, max_dpu_vectors, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
 use upanns::placement::{Placement, PlacementInput};
@@ -57,12 +57,7 @@ fn build(
     let mut b = UpAnnsBuilder::new(&fix.index)
         .with_config(config)
         .with_pim_config(PimConfig::with_dpus(dpus))
-        .with_history(&fix.history, 6)
-        .with_batch_capacity(BatchCapacity {
-            batch_size: 64,
-            nprobe: 8,
-            max_k: 64,
-        });
+        .with_history(&fix.history, 6);
     if let Some(p) = placement {
         b = b.with_placement(p);
     }
@@ -257,29 +252,19 @@ fn builder_panics_when_the_dataset_does_not_fit_in_mram() {
     tiny.mram_bytes = 64 * 1024;
     let _ = UpAnnsBuilder::new(&fix.index)
         .with_pim_config(tiny)
-        .with_batch_capacity(BatchCapacity {
-            batch_size: 8,
-            nprobe: 4,
-            max_k: 10,
-        })
         .build();
 }
 
 #[test]
 fn mailbox_capacity_grows_on_demand_instead_of_overflowing() {
     let fix = fixture();
-    // Build with deliberately tiny capacity hints, then issue a much larger
-    // batch with a large k: the engine must grow its staging buffers rather
-    // than overflow the mailbox.
+    // A small request sizes the staging buffers first; a much larger batch
+    // with a large k must then grow them rather than overflow the mailbox.
     let mut engine = UpAnnsBuilder::new(&fix.index)
         .with_pim_config(PimConfig::with_dpus(8))
         .with_history(&fix.history, 6)
-        .with_batch_capacity(BatchCapacity {
-            batch_size: 2,
-            nprobe: 2,
-            max_k: 5,
-        })
         .build();
+    let _ = engine.search_batch(&fix.queries.gather(&[0, 1]), 2, 5);
     let out = engine.search_batch(&fix.queries, 8, 50);
     assert_eq!(out.results.len(), fix.queries.len());
     assert!(out.results.iter().all(|r| !r.is_empty()));

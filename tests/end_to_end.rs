@@ -12,7 +12,7 @@ use baselines::engine::AnnEngine;
 use baselines::gpu::GpuFaissEngine;
 use pim_sim::config::PimConfig;
 use std::sync::OnceLock;
-use upanns::builder::{BatchCapacity, UpAnnsBuilder};
+use upanns::builder::UpAnnsBuilder;
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
 
@@ -52,11 +52,6 @@ fn pim_engine(config: UpAnnsConfig) -> UpAnnsEngine {
         .with_config(config)
         .with_pim_config(PimConfig::with_dpus(32))
         .with_history(&fix.history, 8)
-        .with_batch_capacity(BatchCapacity {
-            batch_size: 32,
-            nprobe: 8,
-            max_k: 20,
-        })
         .build()
 }
 

@@ -13,7 +13,7 @@ use pim_sim::config::PimConfig;
 use pim_sim::cost::mram_transfer_cycles;
 use pim_sim::stats::Stage;
 use std::sync::OnceLock;
-use upanns::builder::{BatchCapacity, UpAnnsBuilder};
+use upanns::builder::UpAnnsBuilder;
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
 use upanns_bench::{balance_study, EvalContext, EvalParams};
@@ -56,11 +56,6 @@ fn engine(config: UpAnnsConfig, dpus: usize) -> UpAnnsEngine {
         .with_config(config)
         .with_pim_config(PimConfig::with_dpus(dpus))
         .with_history(&fix.history, 12)
-        .with_batch_capacity(BatchCapacity {
-            batch_size: 32,
-            nprobe: 12,
-            max_k: 100,
-        })
         .build()
 }
 

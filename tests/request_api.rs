@@ -13,7 +13,7 @@ use baselines::gpu::GpuFaissEngine;
 use pim_sim::config::PimConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use upanns::builder::{BatchCapacity, UpAnnsBuilder};
+use upanns::builder::UpAnnsBuilder;
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
 use upanns::multihost::{shard_indexes, InterconnectModel};
@@ -52,11 +52,6 @@ fn pim_engine(config: UpAnnsConfig) -> UpAnnsEngine {
         .with_config(config)
         .with_pim_config(PimConfig::with_dpus(8))
         .with_history(&fix.history, 4)
-        .with_batch_capacity(BatchCapacity {
-            batch_size: 32,
-            nprobe: 4,
-            max_k: 10,
-        })
         .build()
 }
 
@@ -142,11 +137,6 @@ fn multihost_execute_honors_per_query_k() {
             UpAnnsBuilder::new(ix)
                 .with_config(UpAnnsConfig::upanns())
                 .with_pim_config(PimConfig::with_dpus(8))
-                .with_batch_capacity(BatchCapacity {
-                    batch_size: 32,
-                    nprobe: 6,
-                    max_k: 20,
-                })
                 .build()
         })
         .collect();
