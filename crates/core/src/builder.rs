@@ -212,10 +212,10 @@ pub(crate) fn build_fleet(
     // 4. Stage everything into MRAM.
     // The codebook and each list are staged once on the host; every DPU
     // that holds them maps that one copy. The query buffers and mailboxes
-    // are sized by each launch (`ensure_capacity`), not here.
+    // are the engine's, sized by its launches, not here.
     let mut sys = PimSystem::new(recipe.pim_config.clone());
     let codebook: Arc<[u8]> = quantized_codebook(first.pq()).into();
-    let staging: Vec<DpuStore> = (0..num_dpus)
+    let with_codebook: Vec<DpuStore> = (0..num_dpus)
         .map(|dpu| DpuStore {
             codebook_addr: sys
                 .mram_map_shared(dpu, &codebook)
@@ -229,7 +229,7 @@ pub(crate) fn build_fleet(
     let mut mapped: HashMap<(usize, usize), ClusterReplica> = HashMap::new();
     let mut epochs = Vec::with_capacity(entries.len());
     for (placement, (_, snapshot)) in placements.into_iter().zip(entries) {
-        let mut stores = staging.clone();
+        let mut stores = with_codebook.clone();
         let mut combos = HashMap::new();
         let mut reduction_rates = Vec::new();
         for (cluster, dpus) in placement.cluster_to_dpus.iter().enumerate() {

@@ -18,8 +18,8 @@
 //! one PIM fleet: each installed snapshot gets its own epoch state — a
 //! placement, combo tables and a per-DPU map of the MRAM regions it reads
 //! — and every query runs against the state active at its own arrival
-//! time. Epochs share the fleet's staging buffers and every list a mutation
-//! left alone. A freshly built engine holds a single frozen entry.
+//! time. Epochs share every list a mutation left alone; each DPU's staging
+//! pair is the engine's, not an epoch's. A fresh engine holds one entry.
 //!
 //! The engine implements [`AnnEngine`], so the benchmark harness sweeps it
 //! interchangeably with the CPU/GPU baselines.
@@ -34,13 +34,14 @@ use crate::placement::Placement;
 use crate::scheduling::schedule_queries;
 use annkit::ivf::IvfPqIndex;
 use annkit::mutation::SnapshotTimeline;
-use annkit::topk::{Neighbor, TopK};
+use annkit::topk::TopK;
 use annkit::vector::{residual, Dataset};
 use baselines::cpu;
 use baselines::engine::{execute_by_entry, execute_grouped, AnnEngine, SearchRequest, SearchResponse};
 use baselines::workload_stats::WorkloadStats;
 use pim_sim::energy::EnergyModel;
 use pim_sim::host::{DpuRead, DpuWrite, ExecReport, PimSystem};
+use pim_sim::mram::MramAddr;
 use pim_sim::stats::Stage;
 use std::collections::HashMap;
 
@@ -61,32 +62,31 @@ pub(crate) struct EpochState {
     pub(crate) stores: Vec<DpuStore>,
 }
 
-/// Ensures DPU `dpu`'s staging buffers can hold `query_bytes` /
-/// `mailbox_bytes`, allocating larger ones (new MRAM) if needed. The
-/// buffers are the fleet's, so every epoch's directory names the new ones.
-fn ensure_capacity(
-    sys: &mut PimSystem,
-    epochs: &mut [EpochState],
-    dpu: usize,
-    query_bytes: usize,
-    mailbox_bytes: usize,
-) {
-    let store = &epochs[0].stores[dpu];
-    let query = (store.query_buffer_bytes < query_bytes).then(|| {
-        sys.mram_alloc(dpu, query_bytes)
-            .expect("MRAM for enlarged query buffer")
-    });
-    let mailbox = (store.mailbox_bytes < mailbox_bytes).then(|| {
-        sys.mram_alloc(dpu, mailbox_bytes)
-            .expect("MRAM for enlarged mailbox")
-    });
-    for store in epochs.iter_mut().map(|epoch| &mut epoch.stores[dpu]) {
-        if let Some(addr) = query {
-            (store.query_buffer_addr, store.query_buffer_bytes) = (addr, query_bytes);
+/// One DPU's staging pair, its query buffer and result mailbox, each an
+/// (address, capacity) with 0 bytes for none: the fleet's, not an epoch's.
+#[derive(Clone, Copy, Default)]
+struct Staging {
+    query: (MramAddr, usize),
+    mailbox: (MramAddr, usize),
+}
+
+impl Staging {
+    /// Grows DPU `dpu`'s pair to `query` and `mailbox` bytes, freeing each buffer it outgrew.
+    fn grow(&mut self, sys: &mut PimSystem, dpu: usize, query: usize, mailbox: usize) {
+        for (buffer, bytes) in [(&mut self.query, query), (&mut self.mailbox, mailbox)] {
+            if buffer.1 < bytes {
+                if buffer.1 > 0 {
+                    sys.mram_free(dpu, buffer.0).expect("a staging buffer is a live region");
+                }
+                *buffer = (sys.mram_alloc(dpu, bytes).expect("MRAM for a staging buffer"), bytes);
+            }
         }
-        if let Some(addr) = mailbox {
-            (store.mailbox_addr, store.mailbox_bytes) = (addr, mailbox_bytes);
-        }
+    }
+
+    /// Copies the pair into `store`, the kernel's view of it for one launch.
+    fn fill(self, store: &mut DpuStore) {
+        (store.query_buffer_addr, store.query_buffer_bytes) = self.query;
+        (store.mailbox_addr, store.mailbox_bytes) = self.mailbox;
     }
 }
 
@@ -117,6 +117,7 @@ pub struct UpAnnsEngine {
     /// One derived state per timeline entry (parallel to
     /// `timeline.entries()`).
     epochs: Vec<EpochState>,
+    staging: Vec<Staging>,
     /// The offline-phase inputs, kept so `install_timeline` can re-run the
     /// build over the installed snapshots.
     recipe: BuildRecipe,
@@ -146,6 +147,7 @@ impl UpAnnsEngine {
         };
         Self {
             timeline,
+            staging: vec![Staging::default(); sys.num_dpus()],
             sys,
             epochs,
             recipe,
@@ -216,6 +218,7 @@ impl UpAnnsEngine {
 struct Launcher<'a> {
     sys: &'a mut PimSystem,
     epochs: &'a mut [EpochState],
+    staging: &'a mut [Staging],
     config: &'a UpAnnsConfig,
     last_exec_report: &'a mut Option<ExecReport>,
     last_schedule_ratio: &'a mut f64,
@@ -286,9 +289,12 @@ impl Launcher<'_> {
         let uniform_query_bytes = schedule.max_assignments_per_dpu().max(1) * record_bytes;
         let max_queries_per_dpu = plans.iter().map(|p| p.queries.len()).max().unwrap_or(0);
         let uniform_mailbox = max_queries_per_dpu * mailbox_slot_bytes(k);
-        let mut writes = Vec::new();
+        let (mut writes, mut reads) = (Vec::new(), Vec::new());
         for (dpu, plan) in plans.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
-            ensure_capacity(sys, self.epochs, dpu, uniform_query_bytes, uniform_mailbox);
+            let pair = &mut self.staging[dpu];
+            pair.grow(sys, dpu, uniform_query_bytes, uniform_mailbox);
+            pair.fill(&mut self.epochs[epoch].stores[dpu]);
+            reads.push(DpuRead::new(dpu, pair.mailbox.0, uniform_mailbox));
             let mut buffer = Vec::with_capacity(uniform_query_bytes);
             for (a, res) in plan.assignments.iter().zip(&plan.residuals) {
                 buffer.extend_from_slice(&(a.query as u32).to_le_bytes());
@@ -296,11 +302,10 @@ impl Launcher<'_> {
                 buffer.extend(res.iter().flat_map(|x| x.to_le_bytes()));
             }
             buffer.resize(uniform_query_bytes, 0); // pad to the uniform size
-            let addr = self.epochs[epoch].stores[dpu].query_buffer_addr;
-            writes.push(DpuWrite::new(dpu, addr, buffer));
+            writes.push(DpuWrite::new(dpu, pair.query.0, buffer));
         }
         sys.push_to_dpus(Stage::QueryTransfer, &writes)
-            .expect("query staging buffers are sized by ensure_capacity");
+            .expect("query buffers fit the launch");
 
         // ---- Stage 4: DPU kernel -------------------------------------------
         let EpochState { combos, stores, .. } = &self.epochs[epoch];
@@ -329,13 +334,10 @@ impl Launcher<'_> {
         });
 
         // ---- Stage 5: result transfer (DPU → host) -------------------------
-        let reads: Vec<DpuRead> = (0..sys.num_dpus())
-            .filter(|&d| !plans[d].is_empty())
-            .map(|d| DpuRead::new(d, stores[d].mailbox_addr, uniform_mailbox))
-            .collect();
         let mailboxes = sys
             .pull_from_dpus(Stage::ResultTransfer, &reads)
-            .expect("mailboxes are sized by ensure_capacity");
+            .expect("mailboxes fit the launch");
+        self.epochs[epoch].stores.iter_mut().for_each(|store| Staging::default().fill(store));
 
         // ---- Stage 6: host merge -------------------------------------------
         let mut merged: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
@@ -350,8 +352,6 @@ impl Launcher<'_> {
         }
         sys.advance_host(Stage::HostMerge, host_merge_seconds(partial_count * k));
 
-        let results: Vec<Vec<Neighbor>> = merged.into_iter().map(|h| h.into_sorted()).collect();
-
         // ---- Assemble the outcome ------------------------------------------
         let mut stats = WorkloadStats {
             queries: nq,
@@ -362,8 +362,7 @@ impl Launcher<'_> {
             lut_entries: (total_assignments * snapshot.m() * 256) as u64,
             ..WorkloadStats::default()
         };
-        for o in outputs.iter().flatten() {
-            let work = &o.work;
+        for work in outputs.iter().flatten().map(|o| &o.work) {
             stats.candidates_scanned += work.vectors;
             stats.lut_lookups += work.lut_lookups;
             stats.code_bytes_read += work.code_bytes;
@@ -376,12 +375,11 @@ impl Launcher<'_> {
         let mut breakdown = *sys.breakdown();
         breakdown.splice(Stage::DpuSearch, &report.breakdown);
         *self.last_exec_report = Some(report);
-        let seconds = sys.elapsed_seconds();
 
         SearchResponse {
             request_id: 0,
-            results,
-            seconds,
+            results: merged.into_iter().map(|h| h.into_sorted()).collect(),
+            seconds: sys.elapsed_seconds(),
             breakdown,
             stats,
         }
@@ -397,6 +395,7 @@ impl AnnEngine for UpAnnsEngine {
         let mut launcher = Launcher {
             sys: &mut self.sys,
             epochs: &mut self.epochs,
+            staging: &mut self.staging,
             config: &self.recipe.config,
             last_exec_report: &mut self.last_exec_report,
             last_schedule_ratio: &mut self.last_schedule_ratio,
@@ -416,6 +415,7 @@ impl AnnEngine for UpAnnsEngine {
     fn install_timeline(&mut self, timeline: SnapshotTimeline) -> bool {
         // One new fleet for the whole timeline replaces the old one.
         (self.sys, self.epochs) = build_fleet(&timeline, &self.recipe, None);
+        self.staging = vec![Staging::default(); self.sys.num_dpus()];
         self.timeline = timeline;
         true
     }
@@ -587,13 +587,42 @@ mod tests {
         assert!(engine.energy_model().peak_watts > 0.0);
     }
 
+    /// Modeled MRAM of the engine's staging pairs, each buffer rounded up to
+    /// 8 bytes like an allocation.
+    fn staged_bytes(engine: &UpAnnsEngine) -> usize {
+        let bytes = |(_, held): (MramAddr, usize)| held.next_multiple_of(8);
+        engine.staging.iter().map(|pair| bytes(pair.query) + bytes(pair.mailbox)).sum()
+    }
+
     #[test]
     fn repeated_batches_reuse_buffers_and_stay_consistent() {
         let fix = shared_index();
         let mut engine = build(UpAnnsConfig::upanns(), 4);
+        let built = engine.pim_system().total_mram_allocated();
         let queries = fix.data.gather(&(0..20).collect::<Vec<_>>());
-        let first = engine.search_batch(&queries, 4, 5);
-        let second = engine.search_batch(&queries, 4, 5);
+        let many = fix.data.gather(&(0..400).map(|i| i * 7 % 2000).collect::<Vec<_>>());
+        // Small, large, small: the large request outgrows every busy DPU's
+        // pair, and the small one after it reuses the grown pair.
+        let mut largest = vec![Staging::default(); 4];
+        let (mut responses, mut staged) = (Vec::new(), Vec::new());
+        for (batch, k) in [(&queries, 5), (&many, 40), (&queries, 5)] {
+            responses.push(engine.search_batch(batch, 4, k));
+            // Each pair is the largest its DPU needed so far.
+            for (pair, before) in engine.staging.iter().zip(&mut largest) {
+                assert!(pair.query.1 >= before.query.1 && pair.mailbox.1 >= before.mailbox.1);
+                *before = *pair;
+            }
+            // The MRAM in use is the build's plus the live pairs: a buffer a
+            // DPU outgrew was freed.
+            staged.push(staged_bytes(&engine));
+            assert_eq!(
+                engine.pim_system().total_mram_allocated(),
+                built + staged_bytes(&engine),
+                "k = {k}"
+            );
+        }
+        assert!(0 < staged[0] && staged[0] < staged[1] && staged[1] == staged[2], "{staged:?}");
+        let (first, second) = (&responses[0], &responses[2]);
         assert_eq!(first.results.len(), second.results.len());
         for (a, b) in first.results.iter().zip(&second.results) {
             assert_eq!(
@@ -794,10 +823,19 @@ mod tests {
         live.upsert(fix.data.vector(3), 90_000);
         timeline.install(10.0, live.snapshot());
         timeline.push_window(20.0, 21.5);
+        let as_built = build_fleet(&timeline, &engine.recipe, None).0.total_mram_allocated();
         assert!(engine.install_timeline(timeline));
+        // The new fleet holds no staging, and the next request stages in it.
+        assert_eq!(engine.pim_system().total_mram_allocated(), as_built);
+        assert_eq!(staged_bytes(&engine), 0);
 
         // Before activation the engine still serves the frozen answers.
         let early = engine.execute(&SearchRequest::uniform(&queries, 4, 10).with_at(5.0));
+        assert!(staged_bytes(&engine) > 0);
+        assert_eq!(
+            engine.pim_system().total_mram_allocated(),
+            as_built + staged_bytes(&engine)
+        );
         for (a, b) in frozen.results.iter().zip(&early.results) {
             assert_eq!(
                 a.iter().map(|n| n.id).collect::<Vec<_>>(),

@@ -59,7 +59,7 @@ pub struct ClusterReplica {
     pub encoding: ListEncoding,
 }
 
-/// Everything a DPU holds after the offline phase.
+/// One DPU's MRAM as the kernel reads it: an epoch's payloads and the launch's staging.
 #[derive(Debug, Clone, Default)]
 pub struct DpuStore {
     /// MRAM address of the (quantized) codebook staged for LUT construction.
@@ -68,13 +68,13 @@ pub struct DpuStore {
     pub codebook_bytes: usize,
     /// Cluster replicas hosted by this DPU, keyed by cluster id.
     pub replicas: HashMap<usize, ClusterReplica>,
-    /// MRAM address of the query/residual staging buffer.
+    /// The query buffer's address: the kernel's view of the launcher's staging.
     pub query_buffer_addr: MramAddr,
-    /// Capacity in bytes of the query staging buffer.
+    /// The query buffer's capacity in bytes, also the kernel's view of it.
     pub query_buffer_bytes: usize,
-    /// MRAM address of the result mailbox.
+    /// The result mailbox's address: the kernel's view of the launcher's staging.
     pub mailbox_addr: MramAddr,
-    /// Capacity in bytes of the result mailbox.
+    /// The result mailbox's capacity in bytes, also the kernel's view of it.
     pub mailbox_bytes: usize,
 }
 

@@ -182,7 +182,14 @@ impl PimSystem {
         self.dpus[dpu].mram_mut().map_shared(Arc::clone(bytes))
     }
 
-    /// Total bytes of modeled MRAM allocated across the fleet: a payload
+    /// Frees the region at `addr` in DPU `dpu`'s MRAM, so a later
+    /// allocation may reuse it (no simulated time, like
+    /// [`mram_alloc`](Self::mram_alloc)).
+    pub fn mram_free(&mut self, dpu: usize, addr: MramAddr) -> Result<(), MramError> {
+        self.dpus[dpu].mram_mut().free(addr)
+    }
+
+    /// Total bytes of modeled MRAM the fleet's live regions take: a payload
     /// mapped into many DPUs counts once per DPU, although the host holds it
     /// once, so this is not host memory.
     pub fn total_mram_allocated(&self) -> usize {

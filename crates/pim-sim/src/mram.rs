@@ -1,7 +1,10 @@
 //! Per-DPU MRAM: bulk storage reachable only through DMA.
 //!
-//! MRAM is modeled as a bump allocator with a hard capacity limit (64 MB per
-//! DPU on real hardware) over a sorted list of regions, one per allocation.
+//! MRAM is modeled as a first-fit allocator with a hard capacity limit (64
+//! MB per DPU on real hardware) over a sorted list of regions, one per live
+//! allocation. An allocation takes the lowest gap a freed region left that
+//! holds it, else the space past the last region, so until something is
+//! freed every region lies where a bump allocator would put it.
 //! A region is either bytes this DPU owns
 //! ([`PimSystem::mram_alloc`](crate::host::PimSystem::mram_alloc): zeroed,
 //! then written by the host or the kernel) or a read-only payload shared
@@ -9,11 +12,13 @@
 //! ([`PimSystem::mram_map_shared`](crate::host::PimSystem::mram_map_shared):
 //! one host copy of, say, the PQ codebook every DPU holds, or of a list every
 //! replica of a cluster holds). Either way the DPU is charged the region's
-//! full length, so capacity and
+//! full length until it is freed
+//! ([`PimSystem::mram_free`](crate::host::PimSystem::mram_free)), so capacity
+//! and
 //! [`PimSystem::total_mram_allocated`](crate::host::PimSystem::total_mram_allocated)
 //! are modeled MRAM, not host memory. A write into a shared region first
 //! copies it for the writing DPU alone. A read or write must lie inside one
-//! region.
+//! live region.
 
 use std::sync::Arc;
 
@@ -23,21 +28,26 @@ pub type MramAddr = usize;
 /// Errors raised by MRAM operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MramError {
-    /// An allocation would exceed the DPU's MRAM capacity.
+    /// No gap in the DPU's MRAM holds an allocation.
     OutOfMemory {
         /// Bytes requested by the failing allocation.
         requested: usize,
-        /// Bytes still available.
+        /// Bytes still available, in gaps that may each be too small.
         available: usize,
     },
-    /// A read or write does not lie inside one allocated region.
+    /// A read or write does not lie inside one live region.
     OutOfBounds {
         /// First byte of the offending access.
         addr: MramAddr,
         /// Length of the offending access.
         len: usize,
-        /// Current allocated size.
+        /// Bytes the live regions take.
         allocated: usize,
+    },
+    /// A free names an address at which no region starts.
+    NotARegion {
+        /// The address freed.
+        addr: MramAddr,
     },
 }
 
@@ -53,6 +63,7 @@ impl std::fmt::Display for MramError {
                 "MRAM access out of bounds: [{addr}, {}) with {allocated} bytes allocated",
                 addr + len
             ),
+            MramError::NotARegion { addr } => write!(f, "MRAM free: no region starts at {addr}"),
         }
     }
 }
@@ -77,6 +88,12 @@ impl Region {
         }
     }
 
+    /// The bytes the region takes: its length rounded up to 8.
+    #[inline]
+    fn span(&self) -> usize {
+        self.bytes().len().div_ceil(8) * 8
+    }
+
     /// This DPU's own bytes, copying a shared payload first.
     fn owned_mut(&mut self) -> &mut [u8] {
         if let Region::Shared(shared) = self {
@@ -93,7 +110,7 @@ impl Region {
 #[derive(Debug, Clone)]
 pub struct Mram {
     capacity: usize,
-    /// The bump pointer: end of the last allocation, 8-byte aligned.
+    /// Bytes the live regions take, each rounded up to 8.
     allocated: usize,
     /// Base address of each region, ascending: `regions[i]` starts at
     /// `bases[i]`.
@@ -112,41 +129,54 @@ impl Mram {
         }
     }
 
-    /// Bytes currently allocated (high-water mark of the bump allocator),
-    /// shared regions included at their full length.
+    /// Bytes the live regions take (each rounded up to 8), shared regions
+    /// included at their full length.
     #[inline]
     pub(crate) fn allocated(&self) -> usize {
         self.allocated
     }
 
-    /// Remaining allocatable bytes.
+    /// Bytes no live region takes.
     #[inline]
     pub(crate) fn available(&self) -> usize {
         self.capacity - self.allocated
     }
 
-    /// Reserves `len` bytes (rounded up to 8) at the bump pointer.
-    fn reserve(&mut self, len: usize) -> Result<MramAddr, MramError> {
-        let aligned = len.div_ceil(8) * 8;
-        if aligned > self.available() {
+    /// Where a region of `len` bytes goes, first fit: the lowest gap a freed
+    /// region left that holds it, else past the last region. Returns its
+    /// index among the regions and its base address.
+    fn place(&self, len: usize) -> Result<(usize, MramAddr), MramError> {
+        let mut end = 0;
+        for (i, (&base, region)) in self.bases.iter().zip(&self.regions).enumerate() {
+            // An empty gap holds nothing, not even an empty region.
+            if base - end >= len.max(1) {
+                return Ok((i, end));
+            }
+            end = base + region.span();
+        }
+        if self.capacity - end < len {
             return Err(MramError::OutOfMemory {
-                requested: aligned,
+                requested: len,
                 available: self.available(),
             });
         }
-        let addr = self.allocated;
-        self.allocated += aligned;
-        self.bases.push(addr);
-        Ok(addr)
+        Ok((self.regions.len(), end))
+    }
+
+    /// Puts `region` where [`place`](Self::place) found room for it.
+    fn insert(&mut self, (i, addr): (usize, MramAddr), region: Region) -> MramAddr {
+        self.allocated += region.span();
+        self.bases.insert(i, addr);
+        self.regions.insert(i, region);
+        addr
     }
 
     /// Allocates `len` bytes (8-byte aligned, zero-initialized) and returns
     /// the base address.
     pub(crate) fn alloc(&mut self, len: usize) -> Result<MramAddr, MramError> {
-        let addr = self.reserve(len)?;
-        self.regions
-            .push(Region::Owned(vec![0; self.allocated - addr].into_boxed_slice()));
-        Ok(addr)
+        let aligned = len.div_ceil(8) * 8;
+        let slot = self.place(aligned)?;
+        Ok(self.insert(slot, Region::Owned(vec![0; aligned].into_boxed_slice())))
     }
 
     /// Maps `bytes` as a new allocation without copying them: every DPU that
@@ -154,9 +184,23 @@ impl Mram {
     /// full length (rounded up to 8, like [`alloc`](Self::alloc); the
     /// padding is not readable). Returns the base address.
     pub(crate) fn map_shared(&mut self, bytes: Arc<[u8]>) -> Result<MramAddr, MramError> {
-        let addr = self.reserve(bytes.len())?;
-        self.regions.push(Region::Shared(bytes));
-        Ok(addr)
+        let slot = self.place(bytes.len().div_ceil(8) * 8)?;
+        Ok(self.insert(slot, Region::Shared(bytes)))
+    }
+
+    /// Frees the region that starts at `addr`: its bytes return to
+    /// [`available`](Self::available), and a read or write into them is out
+    /// of bounds until an allocation takes them again.
+    pub(crate) fn free(&mut self, addr: MramAddr) -> Result<(), MramError> {
+        let i = self.bases.partition_point(|&base| base <= addr);
+        match i.checked_sub(1) {
+            Some(i) if self.bases[i] == addr => {
+                self.bases.remove(i);
+                self.allocated -= self.regions.remove(i).span();
+                Ok(())
+            }
+            _ => Err(MramError::NotARegion { addr }),
+        }
     }
 
     /// The index of the region that holds all of `[addr, addr + len)`.
@@ -333,4 +377,88 @@ mod tests {
         assert_eq!(m.allocated(), 48);
         assert!(m.alloc(16).is_ok());
     }
+
+    #[test]
+    fn freed_bytes_return_to_available_and_are_out_of_bounds() {
+        let mut m = Mram::new(128);
+        let a = m.alloc(20).unwrap();
+        let b = m.map_shared(Arc::from(&[5u8; 12][..])).unwrap();
+        assert_eq!((m.allocated(), m.available()), (40, 88));
+        m.free(a).unwrap();
+        assert_eq!((m.allocated(), m.available()), (16, 112));
+        m.free(b).unwrap();
+        assert_eq!((m.allocated(), m.available()), (0, 128));
+        for (addr, len) in [(a, 8), (a + 16, 4), (b, 12)] {
+            assert!(
+                matches!(m.read(addr, len), Err(MramError::OutOfBounds { .. })),
+                "read [{addr}, +{len})"
+            );
+            assert!(
+                matches!(m.write(addr, &vec![0; len]), Err(MramError::OutOfBounds { .. })),
+                "write [{addr}, +{len})"
+            );
+        }
+    }
+
+    #[test]
+    fn an_allocation_takes_the_first_freed_gap_that_holds_it() {
+        let mut m = Mram::new(1024);
+        let [a, b, c, d] = [16, 32, 16, 8].map(|len| m.alloc(len).unwrap());
+        assert_eq!([a, b, c, d], [0, 16, 48, 64]);
+        m.free(a).unwrap();
+        m.free(c).unwrap();
+        // 24 bytes fit neither 16-byte gap: past the last region.
+        assert_eq!(m.alloc(24).unwrap(), 72);
+        // 12 bytes (16 aligned) fit the first gap, and 8 the second.
+        let e = m.alloc(12).unwrap();
+        assert_eq!(e, a);
+        assert_eq!(m.map_shared(Arc::from(&[1u8; 8][..])).unwrap(), c);
+        // The reused bytes are zeroed again, and the rest of the gap after
+        // a region that did not fill it is still free.
+        assert_eq!(m.read(e, 16).unwrap(), &[0; 16]);
+        assert_eq!(m.alloc(8).unwrap(), c + 8);
+        assert_eq!(m.allocated(), 16 + 32 + 8 + 8 + 8 + 24);
+        // Regions next to each other stay apart.
+        assert!(m.read(e + 8, 16).is_err());
+        assert!(m.read(b, 32).is_ok());
+    }
+
+    #[test]
+    fn freeing_an_address_no_region_starts_at_changes_nothing() {
+        let mut m = Mram::new(64);
+        let a = m.alloc(16).unwrap();
+        m.write(a, &[4; 16]).unwrap();
+        for addr in [a + 8, 16, 1000] {
+            assert_eq!(m.free(addr), Err(MramError::NotARegion { addr }));
+        }
+        assert!(m.free(a + 8).unwrap_err().to_string().contains("no region"));
+        assert_eq!(m.allocated(), 16);
+        assert_eq!(m.read(a, 16).unwrap(), &[4; 16]);
+        m.free(a).unwrap();
+        assert_eq!(m.free(a), Err(MramError::NotARegion { addr: a }), "freed twice");
+        assert_eq!(m.allocated(), 0);
+    }
+
+    #[test]
+    fn an_allocation_out_of_memory_succeeds_after_a_free() {
+        let mut m = Mram::new(64);
+        let a = m.alloc(32).unwrap();
+        let b = m.alloc(24).unwrap();
+        let err = m.alloc(24).unwrap_err();
+        assert_eq!(
+            err,
+            MramError::OutOfMemory {
+                requested: 24,
+                available: 8
+            }
+        );
+        m.free(b).unwrap();
+        assert_eq!(m.alloc(24), Ok(b));
+        // Enough bytes free in all, but in no one gap.
+        m.free(a).unwrap();
+        m.alloc(16).unwrap();
+        assert!(matches!(m.alloc(24), Err(MramError::OutOfMemory { available: 24, .. })));
+        assert_eq!(m.alloc(16), Ok(16));
+    }
 }
+
