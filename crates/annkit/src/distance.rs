@@ -65,7 +65,11 @@ pub fn nearest_centroid(v: &[f32], cols: &[f32], distances: &mut [f32]) -> (usiz
 /// # Panics
 /// Panics if `cols.len() != k * v.len()`.
 pub fn nearest_centroids(v: &[f32], cols: &[f32], k: usize, n: usize) -> Vec<(usize, f32)> {
-    assert_eq!(cols.len(), k * v.len(), "centroid buffer not k columns of dim");
+    assert_eq!(
+        cols.len(),
+        k * v.len(),
+        "centroid buffer not k columns of dim"
+    );
     if n.min(k) == 0 {
         return Vec::new();
     }
@@ -88,7 +92,10 @@ pub fn to_columns(rows: &[f32], dim: usize) -> Vec<f32> {
 /// [`to_columns`] into an existing buffer of `rows.len()` floats, which
 /// k-means reuses across its iterations.
 pub(crate) fn to_columns_into(rows: &[f32], dim: usize, cols: &mut [f32]) {
-    assert!(dim > 0 && rows.len().is_multiple_of(dim), "rows not a multiple of dim");
+    assert!(
+        dim > 0 && rows.len().is_multiple_of(dim),
+        "rows not a multiple of dim"
+    );
     assert_eq!(cols.len(), rows.len(), "column buffer size mismatch");
     let k = rows.len() / dim;
     for (r, row) in rows.chunks_exact(dim).enumerate() {
@@ -161,7 +168,9 @@ mod tests {
 
     #[test]
     fn nearest_centroid_picks_minimum() {
-        let centroids = vec![0.0, 0.0, /* c0 */ 10.0, 10.0, /* c1 */ 2.0, 2.0 /* c2 */];
+        let centroids = vec![
+            0.0, 0.0, /* c0 */ 10.0, 10.0, /* c1 */ 2.0, 2.0, /* c2 */
+        ];
         let cols = to_columns(&centroids, 2);
         let mut distances = [f32::NAN; 3];
         let (idx, d) = nearest_centroid(&[1.9, 2.1], &cols, &mut distances);

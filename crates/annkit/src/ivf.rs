@@ -179,8 +179,7 @@ impl IvfPqIndex {
             _ => data,
         };
 
-        let kparams = KMeansParams::new(params.nlist)
-            .with_max_iterations(params.coarse_iterations);
+        let kparams = KMeansParams::new(params.nlist).with_max_iterations(params.coarse_iterations);
         let coarse = KMeans::train(train, &kparams, seed);
 
         // PQ is trained on residuals, as in Faiss's IndexIVFPQ.
@@ -368,10 +367,7 @@ impl IvfPqIndex {
 
     /// Batched search (the paper processes 1,000 queries at a time).
     pub fn search_batch(&self, queries: &Dataset, nprobe: usize, k: usize) -> Vec<Vec<Neighbor>> {
-        queries
-            .iter()
-            .map(|q| self.search(q, nprobe, k))
-            .collect()
+        queries.iter().map(|q| self.search(q, nprobe, k)).collect()
     }
 }
 
@@ -475,7 +471,11 @@ mod tests {
         let mut index = IvfPqIndex::train(&ds, &IvfPqParams::new(4, 4), 21).fresh_like();
         assert_eq!(index.ntotal(), 0);
         index.add(&ds, 1000);
-        let mut ids: Vec<u64> = index.lists().iter().flat_map(|l| l.ids().to_vec()).collect();
+        let mut ids: Vec<u64> = index
+            .lists()
+            .iter()
+            .flat_map(|l| l.ids().to_vec())
+            .collect();
         ids.sort_unstable();
         assert_eq!(ids.first(), Some(&1000));
         assert_eq!(ids.last(), Some(&1399));

@@ -188,8 +188,15 @@ impl SnapshotTimeline {
     /// Installs `snapshot` to activate at time `at` (must not precede the
     /// previously installed activation).
     pub fn install(&mut self, at: f64, snapshot: IvfPqIndex) {
-        let last = self.entries.last().map(|(t, _)| *t).unwrap_or(f64::NEG_INFINITY);
-        assert!(at >= last, "snapshot activations must be monotone: {at} < {last}");
+        let last = self
+            .entries
+            .last()
+            .map(|(t, _)| *t)
+            .unwrap_or(f64::NEG_INFINITY);
+        assert!(
+            at >= last,
+            "snapshot activations must be monotone: {at} < {last}"
+        );
         self.entries.push((at, snapshot));
     }
 

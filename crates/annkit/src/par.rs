@@ -38,7 +38,11 @@ pub fn map_mut<I: Send, T: Send>(
     let len = items.len();
     let workers = workers.min(len);
     if workers <= 1 {
-        return items.iter_mut().enumerate().map(|(i, item)| f(i, item)).collect();
+        return items
+            .iter_mut()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect();
     }
     // Items are claimed one at a time, so an item that runs long does not
     // leave the other workers idle. The lock is held only to take the next
@@ -127,7 +131,10 @@ mod tests {
                 *item += 100;
                 (i, *item)
             });
-            assert_eq!(got, (0..len).map(|i| (i, i as u64 + 100)).collect::<Vec<_>>());
+            assert_eq!(
+                got,
+                (0..len).map(|i| (i, i as u64 + 100)).collect::<Vec<_>>()
+            );
             assert_eq!(items, (100..100 + len as u64).collect::<Vec<_>>());
         }
     }

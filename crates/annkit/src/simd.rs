@@ -348,7 +348,10 @@ pub const SCAN_LANES: usize = 8;
 /// `m * 256` entries); `packed` holds `n` records of `m` code bytes.
 pub fn adc_scan_reference(table: &[f32], m: usize, packed: &[u8], out: &mut Vec<f32>) {
     debug_assert_eq!(table.len(), m * 256, "LUT table size mismatch");
-    debug_assert!(packed.len().is_multiple_of(m), "packed code buffer not a multiple of m");
+    debug_assert!(
+        packed.len().is_multiple_of(m),
+        "packed code buffer not a multiple of m"
+    );
     out.clear();
     out.reserve(packed.len() / m);
     for code in packed.chunks_exact(m) {
@@ -513,7 +516,9 @@ mod tests {
 
     fn vecs(n: usize) -> (Vec<f32>, Vec<f32>) {
         let a: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
-        let b: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos() * 2.0 - 0.5).collect();
+        let b: Vec<f32> = (0..n)
+            .map(|i| (i as f32 * 0.11).cos() * 2.0 - 0.5)
+            .collect();
         (a, b)
     }
 

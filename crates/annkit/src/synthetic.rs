@@ -160,7 +160,10 @@ impl SyntheticSpec {
     /// Generates the dataset together with its ground-truth metadata.
     pub fn generate_with_meta(&self) -> SyntheticDataset {
         assert!(self.n > 0, "n must be positive");
-        assert!(self.clusters > 0 && self.clusters <= self.n, "invalid cluster count");
+        assert!(
+            self.clusters > 0 && self.clusters <= self.n,
+            "invalid cluster count"
+        );
         let dim = self.kind.dim();
         let mut rng = SmallRng::seed_from_u64(self.seed);
 
@@ -379,8 +382,8 @@ mod tests {
             }
         }
         #[expect(clippy::disallowed_methods, reason = "a max is order-independent")]
-        let max_freq = triplet_counts.values().copied().max().unwrap_or(0) as f64
-            / total_codes.max(1) as f64;
+        let max_freq =
+            triplet_counts.values().copied().max().unwrap_or(0) as f64 / total_codes.max(1) as f64;
         // The paper reports 5.7% for SIFT1B's most frequent triplet; our
         // injection should produce at least a few percent.
         assert!(max_freq > 0.03, "max triplet frequency {max_freq}");

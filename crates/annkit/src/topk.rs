@@ -39,10 +39,7 @@ impl Ord for Neighbor {
     fn cmp(&self, other: &Self) -> Ordering {
         // Total order by distance, then id, treating NaN as the greatest
         // possible distance so it never wins a top-k slot.
-        match self
-            .distance
-            .partial_cmp(&other.distance)
-        {
+        match self.distance.partial_cmp(&other.distance) {
             Some(o) => o.then(self.id.cmp(&other.id)),
             None => {
                 if self.distance.is_nan() && other.distance.is_nan() {

@@ -112,7 +112,12 @@ impl Dataset {
     /// # Panics
     /// Panics if `dim % m != 0` or `sub >= m`.
     pub(crate) fn subspace(&self, m: usize, sub: usize) -> Dataset {
-        assert!(self.dim.is_multiple_of(m), "dim {} not divisible by m {}", self.dim, m);
+        assert!(
+            self.dim.is_multiple_of(m),
+            "dim {} not divisible by m {}",
+            self.dim,
+            m
+        );
         assert!(sub < m, "subspace index out of range");
         let dsub = self.dim / m;
         let mut out = Dataset::with_capacity(dsub, self.len());

@@ -378,7 +378,10 @@ impl StreamSpec {
     /// A stream of `num_queries` paper-like skewed queries arriving at
     /// `mean_qps` on average.
     pub fn new(num_queries: usize, mean_qps: f64) -> Self {
-        assert!(mean_qps > 0.0 && mean_qps.is_finite(), "offered load must be positive");
+        assert!(
+            mean_qps > 0.0 && mean_qps.is_finite(),
+            "offered load must be positive"
+        );
         Self {
             workload: WorkloadSpec::new(num_queries),
             mean_qps,
@@ -395,7 +398,10 @@ impl StreamSpec {
 
     /// Sets the fraction of queries that exactly repeat an earlier one.
     pub fn with_repeat_fraction(mut self, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0, 1]");
+        assert!(
+            (0.0..=1.0).contains(&fraction),
+            "fraction must be in [0, 1]"
+        );
         self.repeat_fraction = fraction;
         self
     }
@@ -512,7 +518,10 @@ impl QueryStream {
     /// The tenant of query `index` ([`TenantId::DEFAULT`] when the stream
     /// carries no tenant tags).
     pub fn tenant(&self, index: usize) -> TenantId {
-        self.tenant_of.get(index).copied().unwrap_or(TenantId::DEFAULT)
+        self.tenant_of
+            .get(index)
+            .copied()
+            .unwrap_or(TenantId::DEFAULT)
     }
 
     /// The profile of `tenant`, if the stream knows it.
@@ -597,7 +606,10 @@ impl MutationSpec {
     /// Panics on negative or non-finite rates, or a duplicate tenant.
     pub fn with_tenant(mut self, tenant: TenantId, upsert_qps: f64, delete_qps: f64) -> Self {
         assert!(
-            upsert_qps >= 0.0 && upsert_qps.is_finite() && delete_qps >= 0.0 && delete_qps.is_finite(),
+            upsert_qps >= 0.0
+                && upsert_qps.is_finite()
+                && delete_qps >= 0.0
+                && delete_qps.is_finite(),
             "mutation rates must be non-negative and finite"
         );
         assert!(
@@ -821,10 +833,10 @@ mod tests {
         let stream = StreamSpec::new(800, 2_000.0).generate(&ds);
         assert_eq!(stream.len(), 800);
         assert!(!stream.is_empty());
-        assert!(stream
-            .arrivals
-            .windows(2)
-            .all(|w| w[0] <= w[1]), "arrivals must be non-decreasing");
+        assert!(
+            stream.arrivals.windows(2).all(|w| w[0] <= w[1]),
+            "arrivals must be non-decreasing"
+        );
         // Realized rate is within ±25 % of the offered rate at this length.
         let rate = stream.offered_qps();
         assert!(
@@ -862,7 +874,9 @@ mod tests {
         let ds = dataset();
         let plain = StreamSpec::new(50, 1_000.0).generate(&ds);
         assert_eq!(plain.slo_p99_s, None);
-        let tight = StreamSpec::new(50, 1_000.0).with_slo_p99(0.25).generate(&ds);
+        let tight = StreamSpec::new(50, 1_000.0)
+            .with_slo_p99(0.25)
+            .generate(&ds);
         assert_eq!(tight.slo_p99_s, Some(0.25));
         // The SLO annotation never changes the traffic itself.
         assert_eq!(plain.arrivals, tight.arrivals);
@@ -916,7 +930,10 @@ mod tests {
         // Profiles carry names, weights and SLOs; the global SLO is the
         // tightest tenant's.
         let p1 = stream.profile(TenantId(1)).expect("profile");
-        assert_eq!((p1.name.as_str(), p1.weight, p1.slo_p99_s), ("tight", 3, Some(0.5)));
+        assert_eq!(
+            (p1.name.as_str(), p1.weight, p1.slo_p99_s),
+            ("tight", 3, Some(0.5))
+        );
         assert_eq!(stream.slo_p99_s, Some(0.5));
         // Deterministic replay.
         let again = spec.generate(&ds);
@@ -924,15 +941,12 @@ mod tests {
         assert_eq!(stream.tenant_of, again.tenant_of);
         assert_eq!(stream.batch.queries, again.batch.queries);
         // Tenants sharing the default seeds still ask different questions.
-        assert_ne!(
-            stream.batch.queries.vector(0).to_vec(),
-            {
-                let i = (0..stream.len())
-                    .find(|&i| stream.tenant(i) != stream.tenant(0))
-                    .expect("two tenants present");
-                stream.batch.queries.vector(i).to_vec()
-            }
-        );
+        assert_ne!(stream.batch.queries.vector(0).to_vec(), {
+            let i = (0..stream.len())
+                .find(|&i| stream.tenant(i) != stream.tenant(0))
+                .expect("two tenants present");
+            stream.batch.queries.vector(i).to_vec()
+        });
     }
 
     #[test]
@@ -945,7 +959,11 @@ mod tests {
         let p = stream.profile(TenantId::DEFAULT).expect("default profile");
         assert_eq!((p.weight, p.slo_p99_s), (1, Some(2.0)));
         assert_eq!(stream.tenant(7), TenantId::DEFAULT);
-        assert_eq!(stream.tenant(10_000), TenantId::DEFAULT, "out of range is default");
+        assert_eq!(
+            stream.tenant(10_000),
+            TenantId::DEFAULT,
+            "out of range is default"
+        );
     }
 
     #[test]
@@ -969,8 +987,16 @@ mod tests {
         assert!(stream.events.iter().all(|e| e.at <= 30.0));
         assert_eq!(stream.upserts() + stream.deletes(), stream.len());
         // Tenant 1 mutates ~5×/s, tenant 2 ~1×/s: the split shows it.
-        let t1 = stream.events.iter().filter(|e| e.tenant == TenantId(1)).count();
-        let t2 = stream.events.iter().filter(|e| e.tenant == TenantId(2)).count();
+        let t1 = stream
+            .events
+            .iter()
+            .filter(|e| e.tenant == TenantId(1))
+            .count();
+        let t2 = stream
+            .events
+            .iter()
+            .filter(|e| e.tenant == TenantId(2))
+            .count();
         assert!(t1 > 2 * t2, "t1 {t1} vs t2 {t2}");
         // Fresh ids start at the base corpus size; deletes only target ids
         // that are live at that point in the stream.

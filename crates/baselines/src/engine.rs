@@ -407,32 +407,32 @@ where
     F: FnMut(usize, &SearchRequest) -> SearchResponse,
 {
     let entry_of = |i: usize| timeline.index_at(request.arrival_of(i));
-    let mut response = if request.is_empty() || (1..request.len()).all(|i| entry_of(i) == entry_of(0))
-    {
-        let entry = if request.is_empty() {
-            timeline.index_at(request.at)
+    let mut response =
+        if request.is_empty() || (1..request.len()).all(|i| entry_of(i) == entry_of(0)) {
+            let entry = if request.is_empty() {
+                timeline.index_at(request.at)
+            } else {
+                entry_of(0)
+            };
+            run_entry(entry, request)
         } else {
-            entry_of(0)
-        };
-        run_entry(entry, request)
-    } else {
-        // First-seen entry order, like execute_grouped's option groups.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for i in 0..request.len() {
-            let entry = entry_of(i);
-            match groups.iter_mut().find(|(g, _)| *g == entry) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((entry, vec![i])),
+            // First-seen entry order, like execute_grouped's option groups.
+            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+            for i in 0..request.len() {
+                let entry = entry_of(i);
+                match groups.iter_mut().find(|(g, _)| *g == entry) {
+                    Some((_, members)) => members.push(i),
+                    None => groups.push((entry, vec![i])),
+                }
             }
-        }
-        SearchResponse::gather(
-            request,
-            groups.into_iter().map(|(entry, members)| {
-                let part = run_entry(entry, &request.subset(&members));
-                (members, part)
-            }),
-        )
-    };
+            SearchResponse::gather(
+                request,
+                groups.into_iter().map(|(entry, members)| {
+                    let part = run_entry(entry, &request.subset(&members));
+                    (members, part)
+                }),
+            )
+        };
     response.request_id = request.id;
     let stall = timeline.stall_after(request.at);
     if stall > 0.0 {
@@ -584,15 +584,27 @@ mod tests {
 
         let mut engine: Box<dyn AnnEngine + Send> = Box::new(RecordingEngine);
         assert_eq!(engine.name(), "recording");
-        assert_eq!(engine.execute(&SearchRequest::uniform(&queries(3), 4, 2)).seconds, 1.5);
+        assert_eq!(
+            engine
+                .execute(&SearchRequest::uniform(&queries(3), 4, 2))
+                .seconds,
+            1.5
+        );
         assert_eq!(
             engine.search_batch(&queries(2), 4, 2).seconds,
             2.5,
             "the default shim answers through execute"
         );
         assert_eq!(engine.energy_model().peak_watts, 42.0);
-        assert!(engine.install_timeline(timeline), "the inner engine accepts timelines");
-        assert_eq!(engine.scale_to(3, 0.5), Some(3.5), "the default has no elasticity");
+        assert!(
+            engine.install_timeline(timeline),
+            "the inner engine accepts timelines"
+        );
+        assert_eq!(
+            engine.scale_to(3, 0.5),
+            Some(3.5),
+            "the default has no elasticity"
+        );
         assert_eq!(engine.live_hosts(), Some(7), "the default reports no hosts");
     }
 
@@ -680,7 +692,9 @@ mod tests {
         assert_eq!(groups.len(), 2, "tenants share execution sub-batches");
         assert_eq!(groups[0].1, vec![0, 1]);
         assert_eq!(
-            QueryOptions::new(10, 8).with_tenant(TenantId(3)).compat_key(),
+            QueryOptions::new(10, 8)
+                .with_tenant(TenantId(3))
+                .compat_key(),
             QueryOptions::new(10, 8).compat_key()
         );
         assert_eq!(QueryOptions::default().tenant, TenantId::DEFAULT);

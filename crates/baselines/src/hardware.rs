@@ -91,7 +91,11 @@ impl HardwareSpec {
 
 /// All three Table 1 rows in paper order (CPU, GPU, PIM).
 pub fn hardware_table() -> Vec<HardwareSpec> {
-    vec![HardwareSpec::cpu(), HardwareSpec::gpu(), HardwareSpec::pim()]
+    vec![
+        HardwareSpec::cpu(),
+        HardwareSpec::gpu(),
+        HardwareSpec::pim(),
+    ]
 }
 
 /// Renders the hardware table as markdown (used by the `figures tab1`

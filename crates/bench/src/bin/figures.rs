@@ -45,7 +45,10 @@ impl ContextCache {
     fn get(&mut self, kind: DatasetKind, nlist: usize) -> &EvalContext {
         let params = self.params.clone();
         self.map.entry((kind, nlist)).or_insert_with(|| {
-            eprintln!("[figures] building context: {} with |C| = {nlist} ...", kind.name());
+            eprintln!(
+                "[figures] building context: {} with |C| = {nlist} ...",
+                kind.name()
+            );
             EvalContext::build_with_nlist(kind, &params, nlist)
         })
     }
@@ -65,7 +68,10 @@ fn main() {
     ];
     // Every id is checked before any context is built: a typo in the last
     // one must not cost the minutes the ids before it take.
-    if let Some(unknown) = ids.iter().find(|id| *id != "all" && !all_ids.contains(&id.as_str())) {
+    if let Some(unknown) = ids
+        .iter()
+        .find(|id| *id != "all" && !all_ids.contains(&id.as_str()))
+    {
         eprintln!("error: unknown experiment id '{unknown}' (known: {all_ids:?})");
         std::process::exit(2);
     }
@@ -126,7 +132,10 @@ const PAPER_STAGES: [Stage; 4] = [
 
 /// `lead` followed by one column per paper stage.
 fn stage_share_header<'a>(lead: &[&'a str]) -> Vec<&'a str> {
-    lead.iter().copied().chain(PAPER_STAGES.map(Stage::label)).collect()
+    lead.iter()
+        .copied()
+        .chain(PAPER_STAGES.map(Stage::label))
+        .collect()
 }
 
 /// `lead` followed by each paper stage's share of `breakdown`.
@@ -139,7 +148,13 @@ fn stage_share_row(mut lead: Vec<String>, breakdown: &StageBreakdown) -> Vec<Str
 fn tab1() -> Vec<ResultTable> {
     let mut t = ResultTable::new(
         "tab1_hardware",
-        &["hardware", "price_usd", "memory_gib", "peak_watts", "bandwidth_gb_s"],
+        &[
+            "hardware",
+            "price_usd",
+            "memory_gib",
+            "peak_watts",
+            "bandwidth_gb_s",
+        ],
     );
     for spec in baselines::hardware::hardware_table() {
         t.push_row(vec![
@@ -170,10 +185,16 @@ fn fig1(cache: &mut ContextCache) -> Vec<ResultTable> {
             .with_billion_scale_regime(false)
             .with_work_scale(scale);
         let out = cpu.search_batch(&ctx.queries, nprobe, k);
-        t.push_row(stage_share_row(vec!["CPU".into(), label.into()], &out.breakdown));
+        t.push_row(stage_share_row(
+            vec!["CPU".into(), label.into()],
+            &out.breakdown,
+        ));
         let mut gpu = GpuFaissEngine::new(&ctx.index).with_work_scale(scale);
         let out = gpu.search_batch(&ctx.queries, nprobe, k);
-        t.push_row(stage_share_row(vec!["GPU".into(), label.into()], &out.breakdown));
+        t.push_row(stage_share_row(
+            vec!["GPU".into(), label.into()],
+            &out.breakdown,
+        ));
     }
     vec![t]
 }
@@ -255,7 +276,16 @@ fn fig10(cache: &mut ContextCache, full: bool) -> Vec<ResultTable> {
     let k = cache.params.k;
     let mut t = ResultTable::new(
         "fig10_qps_vs_cpu",
-        &["dataset", "nlist", "nprobe", "cpu_qps", "pim_naive_qps", "upanns_qps", "naive_over_cpu", "upanns_over_cpu"],
+        &[
+            "dataset",
+            "nlist",
+            "nprobe",
+            "cpu_qps",
+            "pim_naive_qps",
+            "upanns_qps",
+            "naive_over_cpu",
+            "upanns_over_cpu",
+        ],
     );
     for kind in DatasetKind::all() {
         for &nlist in &nlists {
@@ -290,7 +320,12 @@ fn fig11(cache: &mut ContextCache) -> Vec<ResultTable> {
     let k = cache.params.k;
     let mut t = ResultTable::new(
         "fig11_balance_ratio",
-        &["dataset", "nprobe", "pim_naive_max_over_avg", "upanns_max_over_avg"],
+        &[
+            "dataset",
+            "nprobe",
+            "pim_naive_max_over_avg",
+            "upanns_max_over_avg",
+        ],
     );
     for kind in DatasetKind::all() {
         let ctx = cache.get(kind, nlist);
@@ -318,7 +353,17 @@ fn fig12(cache: &mut ContextCache) -> Vec<ResultTable> {
     let dpus = cache.params.dpus;
     let mut t = ResultTable::new(
         "fig12_vs_gpu",
-        &["dataset", "nprobe", "gpu_qps", "upanns_qps", "upanns_over_gpu", "gpu_qps_per_w", "upanns_qps_per_w", "qps_per_w_ratio", "gpu_1b_memory"],
+        &[
+            "dataset",
+            "nprobe",
+            "gpu_qps",
+            "upanns_qps",
+            "upanns_over_gpu",
+            "gpu_qps_per_w",
+            "upanns_qps_per_w",
+            "qps_per_w_ratio",
+            "gpu_1b_memory",
+        ],
     );
     let pim_energy = EnergyModel::pim(&PimConfig::with_dpus(dpus));
     let gpu_energy = HardwareSpec::gpu().energy_model();
@@ -388,13 +433,22 @@ fn fig14(cache: &mut ContextCache) -> Vec<ResultTable> {
     let k = cache.params.k;
     let mut t = ResultTable::new(
         "fig14_cae",
-        &["dataset", "nprobe", "length_reduction_rate", "qps_without_cae", "qps_with_cae", "improvement"],
+        &[
+            "dataset",
+            "nprobe",
+            "length_reduction_rate",
+            "qps_without_cae",
+            "qps_with_cae",
+            "improvement",
+        ],
     );
     for kind in DatasetKind::all() {
         let ctx = cache.get(kind, nlist);
         let mut with_cae = ctx.upanns();
-        let mut without_cae =
-            ctx.upanns_with(UpAnnsConfig::upanns().with_cooccurrence(false), ctx.params.dpus);
+        let mut without_cae = ctx.upanns_with(
+            UpAnnsConfig::upanns().with_cooccurrence(false),
+            ctx.params.dpus,
+        );
         let rate = with_cae.mean_reduction_rate();
         for &nprobe in &nprobes {
             let on = with_cae.search_batch(&ctx.queries, nprobe, k);
@@ -418,11 +472,19 @@ fn fig15(cache: &mut ContextCache) -> Vec<ResultTable> {
     let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
     let ctx = cache.get(DatasetKind::SiftLike, nlist);
     let mut pruned = ctx.upanns();
-    let mut unpruned =
-        ctx.upanns_with(UpAnnsConfig::upanns().with_topk_pruning(false), ctx.params.dpus);
+    let mut unpruned = ctx.upanns_with(
+        UpAnnsConfig::upanns().with_topk_pruning(false),
+        ctx.params.dpus,
+    );
     let mut t = ResultTable::new(
         "fig15_topk_pruning",
-        &["k", "topk_seconds_no_pruning", "topk_seconds_pruned", "reduction", "pruned_comparisons_fraction"],
+        &[
+            "k",
+            "topk_seconds_no_pruning",
+            "topk_seconds_pruned",
+            "reduction",
+            "pruned_comparisons_fraction",
+        ],
     );
     for &k in &[10usize, 20, 50, 100] {
         let off = unpruned.search_batch(&ctx.queries, nprobe, k);
@@ -431,7 +493,10 @@ fn fig15(cache: &mut ContextCache) -> Vec<ResultTable> {
             k.to_string(),
             fmt(off.breakdown.seconds(Stage::TopK), 6),
             fmt(on.breakdown.seconds(Stage::TopK), 6),
-            fmt(off.breakdown.seconds(Stage::TopK) / on.breakdown.seconds(Stage::TopK).max(1e-12), 2),
+            fmt(
+                off.breakdown.seconds(Stage::TopK) / on.breakdown.seconds(Stage::TopK).max(1e-12),
+                2,
+            ),
             fmt(on.stats.topk_rejection_rate(), 3),
         ]);
     }
@@ -450,7 +515,13 @@ fn fig16(cache: &mut ContextCache) -> Vec<ResultTable> {
     let mut cpu = ctx.cpu();
     let mut t = ResultTable::new(
         "fig16_batch_size",
-        &["batch_size", "engine", "batch_latency_ms", "ms_per_query", "qps"],
+        &[
+            "batch_size",
+            "engine",
+            "batch_latency_ms",
+            "ms_per_query",
+            "qps",
+        ],
     );
     for &bs in &[10usize, 100, 1000] {
         let batch = WorkloadSpec::new(bs)
@@ -506,7 +577,15 @@ fn fig18(cache: &mut ContextCache) -> Vec<ResultTable> {
     let nprobe = cache.params.nprobes[0];
     let mut t = ResultTable::new(
         "fig18_topk_size",
-        &["dataset", "k", "cpu_qps", "gpu_qps", "upanns_qps", "upanns_over_cpu", "upanns_over_gpu"],
+        &[
+            "dataset",
+            "k",
+            "cpu_qps",
+            "gpu_qps",
+            "upanns_qps",
+            "upanns_over_cpu",
+            "upanns_over_gpu",
+        ],
     );
     for kind in DatasetKind::all() {
         let ctx = cache.get(kind, nlist);
@@ -537,7 +616,11 @@ fn fig19(cache: &mut ContextCache) -> Vec<ResultTable> {
     let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
     let mut t = ResultTable::new(
         "fig19_breakdown",
-        &[stage_share_header(&["dataset", "engine", "k"]), vec!["other"]].concat(),
+        &[
+            stage_share_header(&["dataset", "engine", "k"]),
+            vec!["other"],
+        ]
+        .concat(),
     );
     for kind in DatasetKind::all() {
         let ctx = cache.get(kind, nlist);
@@ -550,7 +633,10 @@ fn fig19(cache: &mut ContextCache) -> Vec<ResultTable> {
                 ("Faiss-GPU", gpu.search_batch(&ctx.queries, nprobe, k)),
                 ("UpANNS", upanns.search_batch(&ctx.queries, nprobe, k)),
             ] {
-                let main: f64 = PAPER_STAGES.iter().map(|&s| out.breakdown.fraction(s)).sum();
+                let main: f64 = PAPER_STAGES
+                    .iter()
+                    .map(|&s| out.breakdown.fraction(s))
+                    .sum();
                 let mut row = stage_share_row(
                     vec![kind.name().into(), name.into(), k.to_string()],
                     &out.breakdown,
@@ -570,11 +656,18 @@ fn drift(cache: &mut ContextCache) -> Vec<ResultTable> {
     let ctx = cache.get(DatasetKind::SiftLike, nlist);
     let mut t = ResultTable::new(
         "drift_adaptation",
-        &["popularity_seed", "placement", "seconds", "last_balance_ratio", "replicas_restaged"],
+        &[
+            "popularity_seed",
+            "placement",
+            "seconds",
+            "last_balance_ratio",
+            "replicas_restaged",
+        ],
     );
     for row in ctx.drift_study(&[4242, 31337, 99]) {
         t.push_row(vec![
-            row.popularity_seed.map_or("undrifted".into(), |s| s.to_string()),
+            row.popularity_seed
+                .map_or("undrifted".into(), |s| s.to_string()),
             row.placement.into(),
             fmt(row.seconds, 2),
             fmt(row.balance_ratio, 1),
@@ -605,7 +698,13 @@ fn balance(cache: &mut ContextCache) -> Vec<ResultTable> {
     for nlist in [32, 64, 512, 4096] {
         let ctx = cache.get(DatasetKind::SiftLike, nlist);
         let nprobe = (nlist / 64).max(8);
-        let row = balance_study(&ctx.index, &ctx.history, &ctx.queries, ctx.params.dpus, nprobe);
+        let row = balance_study(
+            &ctx.index,
+            &ctx.history,
+            &ctx.queries,
+            ctx.params.dpus,
+            nprobe,
+        );
         t.push_row(vec![
             nlist.to_string(),
             nprobe.to_string(),
@@ -633,7 +732,13 @@ fn fig20(cache: &mut ContextCache) -> Vec<ResultTable> {
 
     let mut t = ResultTable::new(
         "fig20_scalability",
-        &["dpus", "measured_or_predicted", "qps", "watts", "qps_over_gpu"],
+        &[
+            "dpus",
+            "measured_or_predicted",
+            "qps",
+            "watts",
+            "qps_over_gpu",
+        ],
     );
     let mut samples = Vec::new();
     for &dpus in &[512usize, 640, 768, 896] {
@@ -665,7 +770,10 @@ fn fig20(cache: &mut ContextCache) -> Vec<ResultTable> {
         ]);
     }
     let mut g = ResultTable::new("fig20_gpu_reference", &["gpu_qps", "gpu_watts"]);
-    g.push_row(vec![fmt(gpu_out.qps(), 1), fmt(HardwareSpec::gpu().peak_watts, 0)]);
+    g.push_row(vec![
+        fmt(gpu_out.qps(), 1),
+        fmt(HardwareSpec::gpu().peak_watts, 0),
+    ]);
     vec![t, g]
 }
 
@@ -720,7 +828,10 @@ fn headline(cache: &mut ContextCache) -> Vec<ResultTable> {
             kind.name().into(),
             "UpANNS QPS/$ / GPU QPS/$".into(),
             "up to 9.3x".into(),
-            fmt(u.qps_per_dollar(&pim_energy) / g.qps_per_dollar(&gpu_energy), 2),
+            fmt(
+                u.qps_per_dollar(&pim_energy) / g.qps_per_dollar(&gpu_energy),
+                2,
+            ),
         ]);
         t.push_row(vec![
             kind.name().into(),

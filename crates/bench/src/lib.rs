@@ -14,17 +14,17 @@ use annkit::synthetic::{DatasetKind, SyntheticDataset, SyntheticSpec};
 use annkit::vector::Dataset;
 use annkit::workload::WorkloadSpec;
 use baselines::cpu::CpuFaissEngine;
+use baselines::engine::AnnEngine;
 use baselines::gpu::GpuFaissEngine;
 use pim_sim::config::PimConfig;
-use baselines::engine::AnnEngine;
+use std::io::Write;
+use std::path::PathBuf;
 use upanns::adaptive::{apply_adjustment, full_relocation, replica_adjustment};
 use upanns::builder::{frequencies_from_queries, max_dpu_vectors, UpAnnsBuilder};
 use upanns::config::UpAnnsConfig;
 use upanns::engine::UpAnnsEngine;
 use upanns::placement::{place_pim_aware, Placement, PlacementInput};
 use upanns::scheduling::schedule_queries;
-use std::io::Write;
-use std::path::PathBuf;
 
 /// Default reduction-scale parameters of the reproduction. The paper's
 /// evaluation uses 10⁹ vectors, |C| ∈ {4096, 8192, 16384}, nprobe ∈
@@ -221,19 +221,26 @@ impl EvalContext {
             .build()
         };
         let mut rows = Vec::new();
-        let mut serve = |engine: &mut UpAnnsEngine, popularity_seed, placement, restaged, batch: &Dataset| {
-            let seconds = engine.search_batch(batch, NPROBE, self.params.k).seconds;
-            rows.push(DriftRow {
-                popularity_seed,
-                placement,
-                seconds,
-                balance_ratio: engine.last_balance_ratio(),
-                replicas_restaged: restaged,
-            });
-        };
+        let mut serve =
+            |engine: &mut UpAnnsEngine, popularity_seed, placement, restaged, batch: &Dataset| {
+                let seconds = engine.search_batch(batch, NPROBE, self.params.k).seconds;
+                rows.push(DriftRow {
+                    popularity_seed,
+                    placement,
+                    seconds,
+                    balance_ratio: engine.last_balance_ratio(),
+                    replicas_restaged: restaged,
+                });
+            };
         let mut stale_engine = build(None);
         let stale = stale_engine.placement().clone();
-        serve(&mut stale_engine, None, "stale", 0, &draw(500, seed + 21, None));
+        serve(
+            &mut stale_engine,
+            None,
+            "stale",
+            0,
+            &draw(500, seed + 21, None),
+        );
         for &p in popularity_seeds {
             let new_freqs =
                 frequencies_from_queries(&self.index, &draw(600, seed + 22, Some(p)), NPROBE);
@@ -246,11 +253,23 @@ impl EvalContext {
                 let adjusted =
                     apply_adjustment(&stale, &adjustment, &sizes, &new_freqs, max_dpu_vectors);
                 let added = adjustment.add.iter().map(|&(_, replicas)| replicas).sum();
-                serve(&mut build(Some(adjusted)), Some(p), "replica-adjusted", added, &batch);
+                serve(
+                    &mut build(Some(adjusted)),
+                    Some(p),
+                    "replica-adjusted",
+                    added,
+                    &batch,
+                );
             }
             let relocated = full_relocation(&sizes, &new_freqs, self.params.dpus, max_dpu_vectors);
             let restaged = relocated.total_replicas();
-            serve(&mut build(Some(relocated)), Some(p), "full-relocation", restaged, &batch);
+            serve(
+                &mut build(Some(relocated)),
+                Some(p),
+                "full-relocation",
+                restaged,
+                &batch,
+            );
         }
         rows
     }
@@ -289,11 +308,23 @@ pub fn balance_study(
     ));
     let filtered: Vec<Vec<usize>> = queries
         .iter()
-        .map(|q| index.filter_clusters(q, nprobe).into_iter().map(|(c, _)| c).collect())
+        .map(|q| {
+            index
+                .filter_clusters(q, nprobe)
+                .into_iter()
+                .map(|(c, _)| c)
+                .collect()
+        })
         .collect();
     let schedule = schedule_queries(&filtered, &placement, &sizes);
     let scheduled_ratio = schedule.max_to_avg_workload();
-    let max_load = schedule.dpu_workload.iter().copied().max().unwrap_or(0).max(1);
+    let max_load = schedule
+        .dpu_workload
+        .iter()
+        .copied()
+        .max()
+        .unwrap_or(0)
+        .max(1);
     // Some replica of a cluster takes at least ⌈pairs / replicas⌉ of its
     // (query, cluster) pairs, whatever the scheduler does.
     let mut pairs = vec![0usize; sizes.len()];

@@ -110,8 +110,17 @@ fn figures_binary_rejects_an_unknown_id_before_any_work() {
         .expect("figures binary runs");
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.starts_with("error: unknown experiment id 'fig99'"), "stderr: {stderr}");
-    assert!(output.stdout.is_empty(), "work was done before the id check");
-    assert!(!out_dir.join("results").exists(), "a CSV was written before the id check");
+    assert!(
+        stderr.starts_with("error: unknown experiment id 'fig99'"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "work was done before the id check"
+    );
+    assert!(
+        !out_dir.join("results").exists(),
+        "a CSV was written before the id check"
+    );
     std::fs::remove_dir_all(&out_dir).ok();
 }

@@ -66,7 +66,13 @@ fn normalize(freqs: &[f64]) -> Vec<f64> {
     }
     freqs
         .iter()
-        .map(|&f| if f.is_finite() && f > 0.0 { f / total } else { 0.0 })
+        .map(|&f| {
+            if f.is_finite() && f > 0.0 {
+                f / total
+            } else {
+                0.0
+            }
+        })
         .collect()
 }
 
@@ -103,7 +109,11 @@ pub fn replica_adjustment(
         cluster_sizes.len(),
         "placement and sizes must align"
     );
-    assert_eq!(cluster_sizes.len(), new_freqs.len(), "sizes and frequencies must align");
+    assert_eq!(
+        cluster_sizes.len(),
+        new_freqs.len(),
+        "sizes and frequencies must align"
+    );
     let num_dpus = placement.dpu_workload.len();
     let new_n = floored_frequencies(&normalize(new_freqs));
     let total_workload: f64 = cluster_sizes

@@ -331,8 +331,7 @@ mod tests {
                 .with_clusters(8)
                 .with_seed(8)
                 .generate();
-            let index =
-                IvfPqIndex::train(&data, &IvfPqParams::new(8, 16).with_train_size(700), 4);
+            let index = IvfPqIndex::train(&data, &IvfPqParams::new(8, 16).with_train_size(700), 4);
             (index, data)
         })
     }
@@ -427,7 +426,10 @@ mod tests {
         let codebook = staged(0, stores[0].codebook_addr, stores[0].codebook_bytes);
         for (dpu, store) in stores.iter().enumerate() {
             let here = staged(dpu, store.codebook_addr, store.codebook_bytes);
-            assert!(std::ptr::eq(here, codebook), "DPU {dpu} holds its own codebook");
+            assert!(
+                std::ptr::eq(here, codebook),
+                "DPU {dpu} holds its own codebook"
+            );
         }
         let mut replicated = 0;
         for c in 0..index.nlist() {
@@ -443,9 +445,15 @@ mod tests {
             let codes = staged(first, r0.codes_addr, r0.codes_bytes);
             for &(dpu, r) in &hosts[1..] {
                 let here = staged(dpu, r.ids_addr, r.num_vectors * 8);
-                assert!(std::ptr::eq(here, ids), "cluster {c}: DPU {dpu} copied the ids");
+                assert!(
+                    std::ptr::eq(here, ids),
+                    "cluster {c}: DPU {dpu} copied the ids"
+                );
                 let here = staged(dpu, r.codes_addr, r.codes_bytes);
-                assert!(std::ptr::eq(here, codes), "cluster {c}: DPU {dpu} copied the codes");
+                assert!(
+                    std::ptr::eq(here, codes),
+                    "cluster {c}: DPU {dpu} copied the codes"
+                );
             }
             replicated += usize::from(hosts.len() > 1);
         }

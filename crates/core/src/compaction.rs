@@ -176,8 +176,11 @@ mod tests {
             .with_clusters(8)
             .with_seed(23)
             .generate_with_meta();
-        let index =
-            IvfPqIndex::train(&data.vectors, &IvfPqParams::new(8, 8).with_train_size(500), 3);
+        let index = IvfPqIndex::train(
+            &data.vectors,
+            &IvfPqParams::new(8, 8).with_train_size(500),
+            3,
+        );
         (index, data)
     }
 

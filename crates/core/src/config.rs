@@ -110,7 +110,9 @@ impl UpAnnsConfig {
     /// and is charged per transfer: `mram_read_vectors` codes of `code_bytes`
     /// each, clamped to the 8 B–2 KB DMA range but never below one record.
     pub fn mram_read_bytes(&self, code_bytes: usize) -> usize {
-        (self.mram_read_vectors * code_bytes).clamp(8, DMA_MAX_BYTES).max(code_bytes)
+        (self.mram_read_vectors * code_bytes)
+            .clamp(8, DMA_MAX_BYTES)
+            .max(code_bytes)
     }
 }
 
@@ -169,7 +171,10 @@ mod tests {
             }
         }
         // A zero read count set through the pub field still reads a record.
-        let zero = UpAnnsConfig { mram_read_vectors: 0, ..config };
+        let zero = UpAnnsConfig {
+            mram_read_vectors: 0,
+            ..config
+        };
         assert_eq!(zero.mram_read_bytes(16), 16);
     }
 

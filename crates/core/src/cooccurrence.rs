@@ -443,7 +443,11 @@ mod tests {
             elements: vec![Element::new(0, 5), Element::new(1, 9), Element::new(2, 13)],
         };
         let found = table.combos().contains(&target);
-        assert!(found, "expected the injected triple to be mined: {:?}", table.combos().first());
+        assert!(
+            found,
+            "expected the injected triple to be mined: {:?}",
+            table.combos().first()
+        );
         // Its support should be roughly 40 % of the cluster.
         let idx = table.combos().iter().position(|c| *c == target).unwrap();
         assert!(table.support(idx) >= 150, "support {}", table.support(idx));
@@ -460,7 +464,11 @@ mod tests {
             }
         }
         let table = mine_cluster_combos(&codes, 8, &MiningParams::default());
-        assert!(table.len() <= 4, "unexpectedly many combos: {}", table.len());
+        assert!(
+            table.len() <= 4,
+            "unexpectedly many combos: {}",
+            table.len()
+        );
     }
 
     #[test]

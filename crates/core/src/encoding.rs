@@ -41,7 +41,10 @@ impl CaeList {
     /// Panics if the packed buffer is not a multiple of `m` or if
     /// `256·m + combos.len()` would not fit in a `u16` address.
     pub fn encode(packed_codes: &[u8], m: usize, combos: &ComboTable) -> Self {
-        assert!(packed_codes.len().is_multiple_of(m), "packed codes not a multiple of m");
+        assert!(
+            packed_codes.len().is_multiple_of(m),
+            "packed codes not a multiple of m"
+        );
         assert!(
             256 * m + combos.len() <= u16::MAX as usize,
             "address space overflow: m={m}, combos={}",
@@ -185,8 +188,17 @@ impl CaeList {
     /// # Panics
     /// Panics if the range is not within the list or `unified` is shorter
     /// than `256·m + num_combos`.
-    pub(crate) fn adc_scan_range(&self, unified: &[f32], start: usize, end: usize, out: &mut Vec<f32>) {
-        assert!(start <= end && end <= self.len(), "record range out of bounds");
+    pub(crate) fn adc_scan_range(
+        &self,
+        unified: &[f32],
+        start: usize,
+        end: usize,
+        out: &mut Vec<f32>,
+    ) {
+        assert!(
+            start <= end && end <= self.len(),
+            "record range out of bounds"
+        );
         assert!(
             unified.len() >= 256 * self.m + self.num_combos,
             "unified table shorter than the list's address space"
@@ -332,7 +344,10 @@ mod tests {
                     }
                 }
             }
-            assert!(covered.iter().all(|&c| c == 1), "vector {i} coverage {covered:?}");
+            assert!(
+                covered.iter().all(|&c| c == 1),
+                "vector {i} coverage {covered:?}"
+            );
         }
     }
 

@@ -25,8 +25,8 @@
 //! interchangeably with the CPU/GPU baselines.
 
 use crate::builder::{build_fleet, BuildRecipe};
-use crate::cooccurrence::ComboTable;
 use crate::config::UpAnnsConfig;
+use crate::cooccurrence::ComboTable;
 use crate::kernel::{
     mailbox_slot_bytes, parse_mailbox, run_batch_kernel, DpuBatchPlan, DpuStore, KernelShared,
 };
@@ -37,7 +37,9 @@ use annkit::mutation::SnapshotTimeline;
 use annkit::topk::TopK;
 use annkit::vector::{residual, Dataset};
 use baselines::cpu;
-use baselines::engine::{execute_by_entry, execute_grouped, AnnEngine, SearchRequest, SearchResponse};
+use baselines::engine::{
+    execute_by_entry, execute_grouped, AnnEngine, SearchRequest, SearchResponse,
+};
 use baselines::workload_stats::WorkloadStats;
 use pim_sim::energy::EnergyModel;
 use pim_sim::host::{DpuRead, DpuWrite, ExecReport, PimSystem};
@@ -76,9 +78,14 @@ impl Staging {
         for (buffer, bytes) in [(&mut self.query, query), (&mut self.mailbox, mailbox)] {
             if buffer.1 < bytes {
                 if buffer.1 > 0 {
-                    sys.mram_free(dpu, buffer.0).expect("a staging buffer is a live region");
+                    sys.mram_free(dpu, buffer.0)
+                        .expect("a staging buffer is a live region");
                 }
-                *buffer = (sys.mram_alloc(dpu, bytes).expect("MRAM for a staging buffer"), bytes);
+                *buffer = (
+                    sys.mram_alloc(dpu, bytes)
+                        .expect("MRAM for a staging buffer"),
+                    bytes,
+                );
             }
         }
     }
@@ -276,7 +283,8 @@ impl Launcher<'_> {
             plan.assignments.extend_from_slice(assignments);
             for a in assignments {
                 let q = queries.vector(a.query);
-                plan.residuals.push(residual(q, snapshot.coarse().centroid(a.cluster)));
+                plan.residuals
+                    .push(residual(q, snapshot.coarse().centroid(a.cluster)));
                 if !plan.queries.contains(&a.query) {
                     plan.queries.push(a.query);
                 }
@@ -337,7 +345,10 @@ impl Launcher<'_> {
         let mailboxes = sys
             .pull_from_dpus(Stage::ResultTransfer, &reads)
             .expect("mailboxes fit the launch");
-        self.epochs[epoch].stores.iter_mut().for_each(|store| Staging::default().fill(store));
+        self.epochs[epoch]
+            .stores
+            .iter_mut()
+            .for_each(|store| Staging::default().fill(store));
 
         // ---- Stage 6: host merge -------------------------------------------
         let mut merged: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
@@ -527,7 +538,9 @@ mod tests {
         let fix = shared_index();
         let mut upanns = build(UpAnnsConfig::upanns(), 8);
         let mut naive = build(UpAnnsConfig::pim_naive(), 8);
-        let queries = fix.data.gather(&(0..30).map(|i| i * 61 % 2000).collect::<Vec<_>>());
+        let queries = fix
+            .data
+            .gather(&(0..30).map(|i| i * 61 % 2000).collect::<Vec<_>>());
         let exact = annkit::flat::FlatIndex::new(&fix.data).search_batch(&queries, 10);
         let r_up = recall_at_k(&upanns.search_batch(&queries, 6, 10).results, &exact, 10);
         let r_naive = recall_at_k(&naive.search_batch(&queries, 6, 10).results, &exact, 10);
@@ -591,7 +604,11 @@ mod tests {
     /// 8 bytes like an allocation.
     fn staged_bytes(engine: &UpAnnsEngine) -> usize {
         let bytes = |(_, held): (MramAddr, usize)| held.next_multiple_of(8);
-        engine.staging.iter().map(|pair| bytes(pair.query) + bytes(pair.mailbox)).sum()
+        engine
+            .staging
+            .iter()
+            .map(|pair| bytes(pair.query) + bytes(pair.mailbox))
+            .sum()
     }
 
     #[test]
@@ -600,7 +617,9 @@ mod tests {
         let mut engine = build(UpAnnsConfig::upanns(), 4);
         let built = engine.pim_system().total_mram_allocated();
         let queries = fix.data.gather(&(0..20).collect::<Vec<_>>());
-        let many = fix.data.gather(&(0..400).map(|i| i * 7 % 2000).collect::<Vec<_>>());
+        let many = fix
+            .data
+            .gather(&(0..400).map(|i| i * 7 % 2000).collect::<Vec<_>>());
         // Small, large, small: the large request outgrows every busy DPU's
         // pair, and the small one after it reuses the grown pair.
         let mut largest = vec![Staging::default(); 4];
@@ -621,7 +640,10 @@ mod tests {
                 "k = {k}"
             );
         }
-        assert!(0 < staged[0] && staged[0] < staged[1] && staged[1] == staged[2], "{staged:?}");
+        assert!(
+            0 < staged[0] && staged[0] < staged[1] && staged[1] == staged[2],
+            "{staged:?}"
+        );
         let (first, second) = (&responses[0], &responses[2]);
         assert_eq!(first.results.len(), second.results.len());
         for (a, b) in first.results.iter().zip(&second.results) {
@@ -668,7 +690,11 @@ mod tests {
         let fix = shared_index();
         let params = IvfPqParams::new(16, 16).with_train_size(800);
         let mut sparse = IvfPqIndex::train_empty(&fix.data, &params, 6);
-        sparse.add(&fix.data.gather(&(0..8).map(|i| i * 250).collect::<Vec<_>>()), 0);
+        sparse.add(
+            &fix.data
+                .gather(&(0..8).map(|i| i * 250).collect::<Vec<_>>()),
+            0,
+        );
         assert!(sparse.list_sizes().contains(&0));
         let mut engine = UpAnnsBuilder::new(&sparse)
             .with_config(UpAnnsConfig::pim_naive())
@@ -676,7 +702,10 @@ mod tests {
             .build();
         let queries = fix.data.gather(&[1, 50, 333, 999, 1500]);
         let served = engine.search_batch(&queries, 16, 5);
-        assert_eq!(ids(&served.results), ids(&sparse.search_batch(&queries, 16, 5)));
+        assert_eq!(
+            ids(&served.results),
+            ids(&sparse.search_batch(&queries, 16, 5))
+        );
     }
 
     #[test]
@@ -823,7 +852,9 @@ mod tests {
         live.upsert(fix.data.vector(3), 90_000);
         timeline.install(10.0, live.snapshot());
         timeline.push_window(20.0, 21.5);
-        let as_built = build_fleet(&timeline, &engine.recipe, None).0.total_mram_allocated();
+        let as_built = build_fleet(&timeline, &engine.recipe, None)
+            .0
+            .total_mram_allocated();
         assert!(engine.install_timeline(timeline));
         // The new fleet holds no staging, and the next request stages in it.
         assert_eq!(engine.pim_system().total_mram_allocated(), as_built);

@@ -286,7 +286,13 @@ pub(crate) fn charge(
     };
     close(Stage::TopK, &[merge]);
     let ids = Dma::of(8).times(work.id_reads);
-    close(Stage::TopK, &[TaskletCost { compute: 0, dma: ids }]);
+    close(
+        Stage::TopK,
+        &[TaskletCost {
+            compute: 0,
+            dma: ids,
+        }],
+    );
 }
 
 /// Size in bytes of one query's slot in the result mailbox.
@@ -418,16 +424,13 @@ fn run_with_scratch(
         .collect();
 
     for (a_idx, assignment) in plan.assignments.iter().enumerate() {
-        let replica = store
-            .replicas
-            .get(&assignment.cluster)
-            .unwrap_or_else(|| {
-                panic!(
-                    "DPU {} was assigned cluster {} it does not host",
-                    ctx.dpu_id(),
-                    assignment.cluster
-                )
-            });
+        let replica = store.replicas.get(&assignment.cluster).unwrap_or_else(|| {
+            panic!(
+                "DPU {} was assigned cluster {} it does not host",
+                ctx.dpu_id(),
+                assignment.cluster
+            )
+        });
         let residual = &plan.residuals[a_idx];
         let combos = shared
             .combos
@@ -602,8 +605,7 @@ mod tests {
                 .with_clusters(8)
                 .with_seed(33)
                 .generate();
-            let index =
-                IvfPqIndex::train(&data, &IvfPqParams::new(8, 16).with_train_size(700), 3);
+            let index = IvfPqIndex::train(&data, &IvfPqParams::new(8, 16).with_train_size(700), 3);
             Fixture { index, data }
         })
     }
@@ -621,7 +623,10 @@ mod tests {
         let codebook = vec![1u8; index.dim() * 256];
         store.codebook_addr = sys.mram_alloc(0, codebook.len()).unwrap();
         store.codebook_bytes = codebook.len();
-        sys.dpu_mut(0).mram_mut().write(store.codebook_addr, &codebook).unwrap();
+        sys.dpu_mut(0)
+            .mram_mut()
+            .write(store.codebook_addr, &codebook)
+            .unwrap();
 
         let mut combos = HashMap::new();
         for c in 0..index.nlist() {
@@ -634,7 +639,10 @@ mod tests {
                 ids_bytes.extend_from_slice(&id.to_le_bytes());
             }
             let ids_addr = sys.mram_alloc(0, ids_bytes.len()).unwrap();
-            sys.dpu_mut(0).mram_mut().write(ids_addr, &ids_bytes).unwrap();
+            sys.dpu_mut(0)
+                .mram_mut()
+                .write(ids_addr, &ids_bytes)
+                .unwrap();
 
             let (codes_bytes_vec, encoding) = if cae {
                 let table = mine_cluster_combos(list.packed_codes(), m, &MiningParams::default());
@@ -683,8 +691,7 @@ mod tests {
                     query: qi,
                     cluster: c,
                 });
-                plan.residuals
-                    .push(residual(q, index.coarse().centroid(c)));
+                plan.residuals.push(residual(q, index.coarse().centroid(c)));
             }
             plan.queries.push(qi);
         }
@@ -715,7 +722,10 @@ mod tests {
             run_batch_kernel(ctx, &store, &plan, &shared)
         });
         let output = outputs.remove(0);
-        assert_eq!(output.mailbox_bytes_written, plan.queries.len() * mailbox_slot_bytes(k));
+        assert_eq!(
+            output.mailbox_bytes_written,
+            plan.queries.len() * mailbox_slot_bytes(k)
+        );
         let mailbox = sys
             .dpu(0)
             .mram()
@@ -1033,7 +1043,10 @@ mod tests {
         let scale = 37.3;
         for (work, stream) in [(PLAIN, ListEncoding::PlainU8), (CAE, cae_layout())] {
             let stream = &stream;
-            let at = |work_scale| KernelShape { work_scale, ..SHAPE };
+            let at = |work_scale| KernelShape {
+                work_scale,
+                ..SHAPE
+            };
             let scaled = regions(&work, stream, &at(scale));
             let projected = AssignmentWork {
                 vectors: modeled(work.vectors, scale),
@@ -1066,13 +1079,19 @@ mod tests {
         assert!(output.work.id_reads >= returned as u64);
         assert!(output.work.combo_elements >= 2 * output.work.combos);
         assert!(output.work.combo_elements <= 3 * output.work.combos);
-        assert_eq!(output.work.cae_entries, output.work.lut_lookups + output.work.vectors);
+        assert_eq!(
+            output.work.cae_entries,
+            output.work.lut_lookups + output.work.vectors
+        );
         assert_eq!(output.work.code_bytes, 2 * output.work.cae_entries);
     }
 
     /// A charge's total cycles, as a one-DPU launch closes its regions.
     fn total_cycles(regions: &[(Stage, Vec<TaskletCost>)]) -> u64 {
-        region_cycles(regions).iter().map(|(_, cycles)| cycles).sum()
+        region_cycles(regions)
+            .iter()
+            .map(|(_, cycles)| cycles)
+            .sum()
     }
 
     fn work_of(c: &[u64]) -> AssignmentWork {

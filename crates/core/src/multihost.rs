@@ -83,12 +83,19 @@ pub fn shard_ranges(n: usize, hosts: usize) -> Vec<std::ops::Range<usize>> {
 /// # Panics
 /// Panics if `hosts` is zero or `index` does not hold exactly `data`'s rows.
 pub fn shard_indexes(index: &IvfPqIndex, data: &Dataset, hosts: usize) -> Vec<IvfPqIndex> {
-    assert_eq!(index.ntotal(), data.len() as u64, "shards cut the corpus the index holds");
+    assert_eq!(
+        index.ntotal(),
+        data.len() as u64,
+        "shards cut the corpus the index holds"
+    );
     shard_ranges(data.len(), hosts)
         .into_iter()
         .map(|rows| {
             let mut shard = index.fresh_like();
-            shard.add(&data.gather(&rows.clone().collect::<Vec<usize>>()), rows.start as u64);
+            shard.add(
+                &data.gather(&rows.clone().collect::<Vec<usize>>()),
+                rows.start as u64,
+            );
             shard
         })
         .collect()
@@ -106,7 +113,10 @@ impl MultiHostUpAnns {
     ///
     /// # Panics
     /// Panics if no engines are supplied.
-    #[expect(clippy::new_ret_no_self, reason = "a constructor shim for the general type")]
+    #[expect(
+        clippy::new_ret_no_self,
+        reason = "a constructor shim for the general type"
+    )]
     pub fn new(hosts: Vec<UpAnnsEngine>, interconnect: InterconnectModel) -> ReplicatedMultiHost {
         let n = hosts.len();
         ReplicatedMultiHost::new(hosts, n, 1, interconnect)
@@ -176,8 +186,10 @@ mod tests {
         replicas: usize,
         interconnect: InterconnectModel,
     ) -> ReplicatedMultiHost {
-        let engines: Vec<UpAnnsEngine> =
-            shards.iter().map(|ix| host_engine(ix, UpAnnsConfig::upanns())).collect();
+        let engines: Vec<UpAnnsEngine> = shards
+            .iter()
+            .map(|ix| host_engine(ix, UpAnnsConfig::upanns()))
+            .collect();
         ReplicatedMultiHost::new(engines, shards.len(), replicas, interconnect)
             .expect("valid shape")
     }
@@ -220,7 +232,10 @@ mod tests {
         assert_eq!(ranges[2], 7..10);
         let total: usize = ranges.iter().map(|r| r.len()).sum();
         assert_eq!(total, 10);
-        assert_eq!(shard_ranges(4, 8).iter().filter(|r| !r.is_empty()).count(), 4);
+        assert_eq!(
+            shard_ranges(4, 8).iter().filter(|r| !r.is_empty()).count(),
+            4
+        );
     }
 
     #[test]
@@ -236,12 +251,18 @@ mod tests {
         // which regroups the float sums of a distance.
         let exact = || UpAnnsConfig::upanns().with_cooccurrence(false);
         let dep = deployment();
-        let engines = dep.shards.iter().map(|ix| host_engine(ix, exact())).collect();
+        let engines = dep
+            .shards
+            .iter()
+            .map(|ix| host_engine(ix, exact()))
+            .collect();
         let mut multi = ReplicatedMultiHost::new(engines, 2, 1, InterconnectModel::default())
             .expect("one host per shard");
         assert_eq!(multi.live_hosts(), Some(2));
 
-        let queries = dep.data.gather(&(0..24).map(|i| i * 113 % 3000).collect::<Vec<_>>());
+        let queries = dep
+            .data
+            .gather(&(0..24).map(|i| i * 113 % 3000).collect::<Vec<_>>());
         let out = multi.search_batch(&queries, 6, 10);
         assert_eq!(out.results.len(), 24);
         // Global ids span both shards.
@@ -267,7 +288,11 @@ mod tests {
     fn a_shard_migrates_once_not_once_per_dpu_replica() {
         let dep = deployment();
         let net = InterconnectModel::default();
-        let engines = dep.shards.iter().map(|ix| host_engine(ix, UpAnnsConfig::upanns())).collect();
+        let engines = dep
+            .shards
+            .iter()
+            .map(|ix| host_engine(ix, UpAnnsConfig::upanns()))
+            .collect();
         let mut multi =
             ReplicatedMultiHost::new(engines, 1, 1, net.clone()).expect("two shards on one host");
         let moved = multi.scale_to(2, 0.0).expect("growing is valid");
@@ -292,7 +317,11 @@ mod tests {
         let slowest = dep
             .shards
             .iter()
-            .map(|ix| host_engine(ix, UpAnnsConfig::upanns()).execute(&request).seconds)
+            .map(|ix| {
+                host_engine(ix, UpAnnsConfig::upanns())
+                    .execute(&request)
+                    .seconds
+            })
             .fold(0.0f64, f64::max);
         let broadcast = net.transfer_seconds(4 * queries.dim() * 4, 1);
         let gather = net.transfer_seconds(4 * 5 * 12, 1);

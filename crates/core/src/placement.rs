@@ -168,9 +168,20 @@ impl Placement {
 /// same.
 pub(crate) fn floored_frequencies(frequencies: &[f64]) -> Vec<f64> {
     let observed = |f: &f64| f.is_finite() && *f > 0.0;
-    let smallest = frequencies.iter().copied().filter(observed).fold(f64::INFINITY, f64::min);
-    let floor = if smallest.is_finite() { smallest / 2.0 } else { 1.0 };
-    frequencies.iter().map(|f| if observed(f) { *f } else { floor }).collect()
+    let smallest = frequencies
+        .iter()
+        .copied()
+        .filter(observed)
+        .fold(f64::INFINITY, f64::min);
+    let floor = if smallest.is_finite() {
+        smallest / 2.0
+    } else {
+        1.0
+    };
+    frequencies
+        .iter()
+        .map(|f| if observed(f) { *f } else { floor })
+        .collect()
 }
 
 /// The one replica-count rule: `⌈w / threshold⌉` replicas for a cluster of
@@ -178,7 +189,9 @@ pub(crate) fn floored_frequencies(frequencies: &[f64]) -> Vec<f64> {
 /// with `W` relaxed to `W·thld`), never fewer than two — Algorithm 2 needs a
 /// choice — and never more than there are DPUs.
 pub(crate) fn replica_count(workload: f64, threshold: f64, num_dpus: usize) -> usize {
-    ((workload / threshold.max(f64::MIN_POSITIVE)).ceil() as usize).max(2).min(num_dpus)
+    ((workload / threshold.max(f64::MIN_POSITIVE)).ceil() as usize)
+        .max(2)
+        .min(num_dpus)
 }
 
 /// Algorithm 1: PIM-aware data placement with hot-cluster replication (see
@@ -266,7 +279,10 @@ fn pack(
         }
         let share = workloads[c] / dpus.len().max(1) as f64;
         // `dpus` is in ascending workload order: its last is the one to check.
-        if dpus.last().is_some_and(|&d| dpu_workload[d] + share > limit) {
+        if dpus
+            .last()
+            .is_some_and(|&d| dpu_workload[d] + share > limit)
+        {
             return None;
         }
         for &d in dpus.iter() {
@@ -313,12 +329,8 @@ mod tests {
 
     fn skewed_input(clusters: usize, dpus: usize) -> PlacementInput {
         // Zipf-ish frequencies and power-law sizes, like Figure 4.
-        let sizes: Vec<usize> = (0..clusters)
-            .map(|i| 1000 / (i + 1) + 10)
-            .collect();
-        let freqs: Vec<f64> = (0..clusters)
-            .map(|i| 1.0 / ((i % 17) + 1) as f64)
-            .collect();
+        let sizes: Vec<usize> = (0..clusters).map(|i| 1000 / (i + 1) + 10).collect();
+        let freqs: Vec<f64> = (0..clusters).map(|i| 1.0 / ((i % 17) + 1) as f64).collect();
         PlacementInput::new(sizes, freqs, dpus, 100_000)
     }
 
@@ -450,11 +462,16 @@ mod tests {
         use annkit::ivf::{IvfPqIndex, IvfPqParams};
         use annkit::synthetic::SyntheticSpec;
         use annkit::workload::WorkloadSpec;
-        let dataset =
-            SyntheticSpec::sift_like(4_000).with_clusters(16).with_seed(7).generate_with_meta();
+        let dataset = SyntheticSpec::sift_like(4_000)
+            .with_clusters(16)
+            .with_seed(7)
+            .generate_with_meta();
         let params = IvfPqParams::new(512, 16).with_train_size(2_400);
         let index = IvfPqIndex::train(&dataset.vectors, &params, 5);
-        let history = WorkloadSpec::new(600).with_seed(8).generate(&dataset).queries;
+        let history = WorkloadSpec::new(600)
+            .with_seed(8)
+            .generate(&dataset)
+            .queries;
         let freqs = crate::builder::frequencies_from_queries(&index, &history, 8);
         assert_eq!(freqs.iter().filter(|&&f| f == 0.0).count(), 160);
         let input = PlacementInput::new(index.list_sizes(), freqs, 896, 1 << 20);
@@ -464,7 +481,11 @@ mod tests {
         for &d in p.cluster_to_dpus.iter().flatten() {
             hosted[d] += 1;
         }
-        assert!(hosted.iter().all(|&lists| lists <= 8), "{:?}", hosted.iter().max());
+        assert!(
+            hosted.iter().all(|&lists| lists <= 8),
+            "{:?}",
+            hosted.iter().max()
+        );
     }
 
     #[test]

@@ -143,14 +143,19 @@ impl ReplicaMap {
     /// shard's primary).
     pub fn hosts_of(&self, shard: usize) -> Vec<usize> {
         assert!(shard < self.shards, "shard {shard} out of range");
-        (0..self.replicas).map(|j| (shard + j) % self.hosts).collect()
+        (0..self.replicas)
+            .map(|j| (shard + j) % self.hosts)
+            .collect()
     }
 
     /// Recomputes the ring for a new host count and returns the new map plus
     /// the shard copies needed to realize it. Every shard ends on exactly
     /// `replicas` hosts of the *new* host set (migration conservation); the
     /// plan lists one move per placement that did not exist before.
-    pub(crate) fn rebalance(&self, new_hosts: usize) -> Result<(Self, MigrationPlan), ReplicaMapError> {
+    pub(crate) fn rebalance(
+        &self,
+        new_hosts: usize,
+    ) -> Result<(Self, MigrationPlan), ReplicaMapError> {
         let next = Self::new(self.shards, new_hosts, self.replicas)?;
         let mut moves = Vec::new();
         for s in 0..self.shards {
@@ -230,12 +235,18 @@ impl FaultSchedule {
                 .parse()
                 .map_err(|_| format!("bad up time {up_s:?} in outage {part:?}"))?;
             if !down_at.is_finite() || !up_at.is_finite() || down_at < 0.0 {
-                return Err(format!("outage {part:?} times must be finite and non-negative"));
+                return Err(format!(
+                    "outage {part:?} times must be finite and non-negative"
+                ));
             }
             if down_at >= up_at {
                 return Err(format!("outage {part:?} must have DOWN < UP"));
             }
-            events.push(FaultEvent { host, down_at, up_at });
+            events.push(FaultEvent {
+                host,
+                down_at,
+                up_at,
+            });
         }
         Ok(Self { events })
     }
@@ -555,7 +566,12 @@ impl AnnEngine for ReplicatedMultiHost {
         }
         stats.queries = queries.len();
         stats.k = request.max_k();
-        stats.nprobe = request.options().iter().map(|o| o.nprobe).max().unwrap_or(0);
+        stats.nprobe = request
+            .options()
+            .iter()
+            .map(|o| o.nprobe)
+            .max()
+            .unwrap_or(0);
         stats.degraded = degraded_shards * queries.len() as u64;
         stats.hedged = hedged;
         stats.redispatched = redispatched;
@@ -691,9 +707,18 @@ mod tests {
             assert_eq!(unique.len(), 2);
         }
         for mv in &plan.moves {
-            assert!(map.hosts_of(mv.shard).contains(&mv.from), "source held the shard");
-            assert!(!map.hosts_of(mv.shard).contains(&mv.to), "move already placed");
-            assert!(grown.hosts_of(mv.shard).contains(&mv.to), "move lands in new map");
+            assert!(
+                map.hosts_of(mv.shard).contains(&mv.from),
+                "source held the shard"
+            );
+            assert!(
+                !map.hosts_of(mv.shard).contains(&mv.to),
+                "move already placed"
+            );
+            assert!(
+                grown.hosts_of(mv.shard).contains(&mv.to),
+                "move lands in new map"
+            );
         }
         // Shrinking below the replica factor errors instead of wrapping.
         assert!(map.rebalance(1).is_err());
@@ -717,10 +742,13 @@ mod tests {
         assert_eq!(multi.events().len(), 2);
 
         for bad in [
-            "", "1", "1@", "@5..9", "1@9..5", "1@5..5", "x@5..9", "1@a..9", "1@5..b",
-            "1@-3..9", "1@nan..9", "1@5..9,,", "1@5-9",
+            "", "1", "1@", "@5..9", "1@9..5", "1@5..5", "x@5..9", "1@a..9", "1@5..b", "1@-3..9",
+            "1@nan..9", "1@5..9,,", "1@5-9",
         ] {
-            assert!(FaultSchedule::parse(bad).is_err(), "{bad:?} should be rejected");
+            assert!(
+                FaultSchedule::parse(bad).is_err(),
+                "{bad:?} should be rejected"
+            );
         }
     }
 
@@ -731,7 +759,11 @@ mod tests {
         assert_eq!(sched.down_during(1, 0.0, 15.0), Some(10.0));
         assert_eq!(sched.down_during(1, 0.0, 50.0), Some(10.0));
         assert_eq!(sched.down_during(1, 25.0, 50.0), Some(30.0));
-        assert_eq!(sched.down_during(1, 10.0, 20.0), None, "strictly after `after`");
+        assert_eq!(
+            sched.down_during(1, 10.0, 20.0),
+            None,
+            "strictly after `after`"
+        );
         assert_eq!(sched.down_during(0, 0.0, 100.0), None);
     }
 }

@@ -107,10 +107,16 @@ pub fn schedule_queries(
             let replicas = &placement.cluster_to_dpus[c];
             if replicas.len() == 1 {
                 let d = replicas[0];
-                per_dpu[d].push(Assignment { query: q, cluster: c });
+                per_dpu[d].push(Assignment {
+                    query: q,
+                    cluster: c,
+                });
                 dpu_workload[d] += cluster_sizes[c] as u64;
             } else {
-                multi_replica.push(Assignment { query: q, cluster: c });
+                multi_replica.push(Assignment {
+                    query: q,
+                    cluster: c,
+                });
             }
         }
     }
@@ -140,10 +146,7 @@ mod tests {
     use super::*;
     use crate::placement::{place_pim_aware, place_round_robin, PlacementInput};
 
-    fn skewed_setup(
-        clusters: usize,
-        dpus: usize,
-    ) -> (PlacementInput, Vec<usize>, Vec<Vec<usize>>) {
+    fn skewed_setup(clusters: usize, dpus: usize) -> (PlacementInput, Vec<usize>, Vec<Vec<usize>>) {
         let sizes: Vec<usize> = (0..clusters).map(|i| 2000 / (i + 1) + 20).collect();
         // Access frequency: the first few clusters are very hot.
         let freqs: Vec<f64> = (0..clusters).map(|i| 1.0 / (i + 1) as f64).collect();

@@ -79,7 +79,10 @@ fn seconds(config: UpAnnsConfig, nprobe: usize, k: usize, rows: &[usize]) -> f64
 fn engines() -> [(&'static str, UpAnnsConfig); 2] {
     [
         ("upanns", UpAnnsConfig::upanns().with_work_scale(100.0)),
-        ("pim_naive", UpAnnsConfig::pim_naive().with_work_scale(100.0)),
+        (
+            "pim_naive",
+            UpAnnsConfig::pim_naive().with_work_scale(100.0),
+        ),
     ]
 }
 
@@ -118,7 +121,12 @@ fn modeled_seconds_never_fall_as_work_scale_grows() {
     let rows = &fixture().rows;
     for (name, config) in engines() {
         let points: Vec<(f64, f64)> = [1.0, 10.0, 100.0, 1000.0]
-            .map(|scale| (scale, seconds(config.clone().with_work_scale(scale), 8, 10, rows)))
+            .map(|scale| {
+                (
+                    scale,
+                    seconds(config.clone().with_work_scale(scale), 8, 10, rows),
+                )
+            })
             .to_vec();
         assert_non_decreasing(name, "work_scale", &points);
     }

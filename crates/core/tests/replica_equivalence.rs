@@ -64,7 +64,9 @@ fn fixture() -> &'static Fixture {
             .with_seed(23)
             .generate();
         let index = IvfPqIndex::train(&data, &IvfPqParams::new(8, 16).with_train_size(400), 2);
-        let sharded = (1..=MAX_SHARDS).map(|s| shard_indexes(&index, &data, s)).collect();
+        let sharded = (1..=MAX_SHARDS)
+            .map(|s| shard_indexes(&index, &data, s))
+            .collect();
         Fixture {
             data,
             index,
@@ -86,7 +88,10 @@ fn engine_with(index: &IvfPqIndex, config: UpAnnsConfig) -> UpAnnsEngine {
 /// One shard's engine — the same construction for the replicated deployment
 /// and the unreplicated reference, so any divergence is the replica layer's.
 fn engines_for(shards: &[IvfPqIndex]) -> Vec<UpAnnsEngine> {
-    shards.iter().map(|ix| engine_with(ix, UpAnnsConfig::upanns())).collect()
+    shards
+        .iter()
+        .map(|ix| engine_with(ix, UpAnnsConfig::upanns()))
+        .collect()
 }
 
 /// The independent oracle: every shard engine answers the request on its
@@ -404,7 +409,10 @@ fn no_survivor_stalls_until_the_outage_ends_and_keeps_the_answer() {
     let got = faulted.execute(&request);
 
     assert_eq!(got.stats.redispatched, 1, "the stall is counted as a retry");
-    assert_eq!(got.stats.degraded, 0, "dispatched coverage is never dropped");
+    assert_eq!(
+        got.stats.degraded, 0,
+        "dispatched coverage is never dropped"
+    );
     assert_eq!(bits(&got.results), bits(&baseline.results));
     assert!(
         got.seconds >= outage_s,
@@ -495,8 +503,10 @@ fn scale_to_conserves_replication_and_gates_fresh_hosts() {
     // unreplicated deployment over the same shards.
     let after = engine.execute(&request_of(&rows, &tags, 0, 5.0 + migration + 1.0));
     assert_eq!(after.stats.degraded, 0);
-    let expected =
-        unreplicated_merge(&fx.sharded[2], &request_of(&rows, &tags, 0, 5.0 + migration + 1.0));
+    let expected = unreplicated_merge(
+        &fx.sharded[2],
+        &request_of(&rows, &tags, 0, 5.0 + migration + 1.0),
+    );
     assert_eq!(bits(&after.results), bits(&expected));
 
     // Shrinking below the replica factor clamps to it instead of silently
@@ -510,10 +520,26 @@ fn scale_to_conserves_replication_and_gates_fresh_hosts() {
 #[test]
 fn up_after_walks_chained_outages() {
     let sched = FaultSchedule::new(vec![
-        FaultEvent { host: 1, down_at: 10.0, up_at: 20.0 },
-        FaultEvent { host: 1, down_at: 20.0, up_at: 30.0 },
-        FaultEvent { host: 2, down_at: 10.0, up_at: 25.0 },
-        FaultEvent { host: 2, down_at: 20.0, up_at: 40.0 },
+        FaultEvent {
+            host: 1,
+            down_at: 10.0,
+            up_at: 20.0,
+        },
+        FaultEvent {
+            host: 1,
+            down_at: 20.0,
+            up_at: 30.0,
+        },
+        FaultEvent {
+            host: 2,
+            down_at: 10.0,
+            up_at: 25.0,
+        },
+        FaultEvent {
+            host: 2,
+            down_at: 20.0,
+            up_at: 40.0,
+        },
     ]);
     assert_eq!(sched.up_after(1, 5.0), 5.0, "already up");
     assert_eq!(sched.up_after(1, 12.0), 30.0, "chained outages are walked");
@@ -539,7 +565,10 @@ fn degenerate_shapes_error_and_empty_inputs_answer_empty() {
     ));
     assert!(matches!(
         ReplicatedMultiHost::new(engines_for(&fx.sharded[0]), 2, 3, ic()),
-        Err(ReplicaMapError::ReplicasExceedHosts { replicas: 3, hosts: 2 })
+        Err(ReplicaMapError::ReplicasExceedHosts {
+            replicas: 3,
+            hosts: 2
+        })
     ));
 
     // More hosts than shards is a valid (sparse) deployment.
@@ -552,7 +581,10 @@ fn degenerate_shapes_error_and_empty_inputs_answer_empty() {
     let response = empty.execute(&request);
     assert_eq!(response.results.len(), 2);
     assert!(response.results.iter().all(Vec::is_empty));
-    assert_eq!(response.stats.degraded, 0, "no shards means nothing to lose");
+    assert_eq!(
+        response.stats.degraded, 0,
+        "no shards means nothing to lose"
+    );
 
     // An empty request short-circuits on any deployment.
     let mut engine =

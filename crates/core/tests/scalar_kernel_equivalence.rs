@@ -52,7 +52,10 @@ fn plan_for(data: &Dataset, index: &IvfPqIndex) -> DpuBatchPlan {
     for (qi, &row) in QUERY_ROWS.iter().enumerate() {
         let q = data.vector(row);
         for (c, _) in index.filter_clusters(q, 8) {
-            plan.assignments.push(Assignment { query: qi, cluster: c });
+            plan.assignments.push(Assignment {
+                query: qi,
+                cluster: c,
+            });
             plan.residuals.push(residual(q, index.coarse().centroid(c)));
         }
         plan.queries.push(qi);
@@ -108,9 +111,15 @@ fn run_kernel(backend: Backend, k: usize, cae: bool) -> Answers {
             ids_bytes.extend_from_slice(&id.to_le_bytes());
         }
         let ids_addr = sys.mram_alloc(0, ids_bytes.len()).unwrap();
-        sys.dpu_mut(0).mram_mut().write(ids_addr, &ids_bytes).unwrap();
+        sys.dpu_mut(0)
+            .mram_mut()
+            .write(ids_addr, &ids_bytes)
+            .unwrap();
         let (codes, encoding) = match cae_lists.remove(&c) {
-            Some(cae_list) => (cae_list.to_bytes(), ListEncoding::CaeU16(Arc::new(cae_list))),
+            Some(cae_list) => (
+                cae_list.to_bytes(),
+                ListEncoding::CaeU16(Arc::new(cae_list)),
+            ),
             None => (list.packed_codes().to_vec(), ListEncoding::PlainU8),
         };
         let codes_addr = sys.mram_alloc(0, codes.len()).unwrap();
@@ -192,7 +201,11 @@ fn cae_reference(k: usize) -> Answers {
             codebook_bytes: (index.dim() * 256) as u64,
             lut_entries: (pq.m() * 256) as u64,
             combos: table.len() as u64,
-            combo_elements: table.combos().iter().map(|c| c.elements().len() as u64).sum(),
+            combo_elements: table
+                .combos()
+                .iter()
+                .map(|c| c.elements().len() as u64)
+                .sum(),
             ..AssignmentWork::default()
         };
         let lut = LookupTable::build(pq, residual);
@@ -279,7 +292,10 @@ fn kernel_answers_identical_across_backends_and_dispatch() {
         reference_work.lut_lookups < reference_work.vectors * 16,
         "the fixture must exercise combination entries"
     );
-    assert!(reference_work.merge.pruned > 0, "the fixture must exercise pruning");
+    assert!(
+        reference_work.merge.pruned > 0,
+        "the fixture must exercise pruning"
+    );
     for backend in [Backend::Scalar, simd::detect()] {
         let (got, work) = run_kernel(backend, 10, true);
         assert_same_answers(&got, &reference, "the blocked CAE scan");

@@ -112,7 +112,9 @@ pub struct TaskletCost {
 pub(crate) fn region_compute_cycles(per_tasklet_cycles: impl IntoIterator<Item = u64>) -> u64 {
     let (total, max) = per_tasklet_cycles
         .into_iter()
-        .fold((0, 0), |(total, max): (u64, u64), cycles| (total + cycles, max.max(cycles)));
+        .fold((0, 0), |(total, max): (u64, u64), cycles| {
+            (total + cycles, max.max(cycles))
+        });
     total.max(max.saturating_mul(REVISIT_INTERVAL))
 }
 
@@ -192,8 +194,14 @@ mod tests {
         assert_eq!(split(5000), vec![2048, 2048, 904]);
         let dma = Dma::of(5000);
         assert_eq!((dma.transfers, dma.bytes), (3, 2048 + 2048 + 904));
-        assert_eq!(dma.cycles, 2 * mram_transfer_cycles(2048) + mram_transfer_cycles(904));
-        assert_eq!(Dma::of(100).times(3), Dma::of(100) + Dma::of(100) + Dma::of(100));
+        assert_eq!(
+            dma.cycles,
+            2 * mram_transfer_cycles(2048) + mram_transfer_cycles(904)
+        );
+        assert_eq!(
+            Dma::of(100).times(3),
+            Dma::of(100) + Dma::of(100) + Dma::of(100)
+        );
         assert_eq!(Dma::of(0), Dma::default());
     }
 

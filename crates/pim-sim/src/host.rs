@@ -9,8 +9,8 @@ use crate::dpu::Dpu;
 use crate::mram::{MramAddr, MramError};
 use crate::stats::{max_over_busy_mean, Stage, StageBreakdown};
 use crate::tasklet::DpuKernelCtx;
-use std::sync::Arc;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Estimated host work, in [`PimSystem::execute_scheduled`]'s units (about
 /// 30 ns each), that pays for one more launch thread: ≈ 1 ms, some 30
@@ -38,7 +38,8 @@ impl<'a> Lease<'a> {
         loop {
             let threads = wanted.min(cores.saturating_sub(held)).max(1);
             let claim = held + threads;
-            match in_flight.compare_exchange_weak(held, claim, Ordering::Relaxed, Ordering::Relaxed) {
+            match in_flight.compare_exchange_weak(held, claim, Ordering::Relaxed, Ordering::Relaxed)
+            {
                 Ok(_) => return Self { in_flight, threads },
                 Err(now) => held = now,
             }
@@ -200,7 +201,11 @@ impl PimSystem {
     /// Transfers across DPUs proceed in parallel only when every buffer has
     /// the same size; otherwise they serialize (§2.2), which is the reason
     /// UpANNS keeps per-DPU query buffers uniform.
-    pub fn push_to_dpus(&mut self, stage: impl Into<Stage>, writes: &[DpuWrite]) -> Result<(), MramError> {
+    pub fn push_to_dpus(
+        &mut self,
+        stage: impl Into<Stage>,
+        writes: &[DpuWrite],
+    ) -> Result<(), MramError> {
         if writes.is_empty() {
             return Ok(());
         }
@@ -208,7 +213,9 @@ impl PimSystem {
             self.dpus[w.dpu].mram_mut().write(w.addr, &w.data)?;
         }
         let total_bytes: usize = writes.iter().map(|w| w.data.len()).sum();
-        let uniform = writes.windows(2).all(|p| p[0].data.len() == p[1].data.len());
+        let uniform = writes
+            .windows(2)
+            .all(|p| p[0].data.len() == p[1].data.len());
         let bw = if uniform {
             HOST_PUSH_BW_UNIFORM
         } else {
@@ -286,8 +293,13 @@ impl PimSystem {
             .filter(|&(_, &w)| w > 0)
             .map(|(dpu, _)| dpu)
             .collect();
-        let grains = usize::try_from(work.iter().sum::<u64>() / FAN_OUT_GRAIN).unwrap_or(usize::MAX);
-        let lease = Lease::take(&LAUNCH_THREADS, annkit::par::cores(), grains.min(busy.len()));
+        let grains =
+            usize::try_from(work.iter().sum::<u64>() / FAN_OUT_GRAIN).unwrap_or(usize::MAX);
+        let lease = Lease::take(
+            &LAUNCH_THREADS,
+            annkit::par::cores(),
+            grains.min(busy.len()),
+        );
         let workers = lease.threads;
         #[cfg(test)]
         let workers = tests::FORCED_WORKERS.get().unwrap_or(workers);
@@ -337,7 +349,10 @@ impl PimSystem {
     /// Adds host-side compute time (e.g. cluster filtering or scheduling run
     /// on the CPU) to the simulated clock.
     pub fn advance_host(&mut self, stage: impl Into<Stage>, seconds: f64) {
-        assert!(seconds >= 0.0 && seconds.is_finite(), "invalid time advance");
+        assert!(
+            seconds >= 0.0 && seconds.is_finite(),
+            "invalid time advance"
+        );
         self.clock_seconds += seconds;
         self.breakdown.add(stage.into(), seconds);
     }
@@ -402,7 +417,9 @@ mod tests {
     /// DPU can tie with the idle ones at 0 cycles.
     fn launch_record(work: &[u64], workers: usize) -> String {
         let mut sys = PimSystem::new(PimConfig::with_dpus(work.len()));
-        let mailboxes: Vec<MramAddr> = (0..work.len()).map(|d| sys.mram_alloc(d, 8).unwrap()).collect();
+        let mailboxes: Vec<MramAddr> = (0..work.len())
+            .map(|d| sys.mram_alloc(d, 8).unwrap())
+            .collect();
         let visits = AtomicUsize::new(0);
         let (report, outputs) = with_workers(workers, || {
             sys.execute_scheduled(Stage::DpuSearch, work, |ctx| {
@@ -431,7 +448,10 @@ mod tests {
         let cycles = &report.per_dpu_cycles;
         let max = cycles.iter().copied().max().unwrap();
         let last_at_max = cycles.iter().rposition(|&c| c == max).unwrap();
-        assert_eq!(report.critical_dpu, last_at_max, "the last DPU with the most cycles");
+        assert_eq!(
+            report.critical_dpu, last_at_max,
+            "the last DPU with the most cycles"
+        );
         let mut out = String::new();
         writeln!(out, "seconds {:016x}", report.max_dpu_seconds.to_bits()).unwrap();
         writeln!(out, "critical {}", report.critical_dpu).unwrap();
@@ -470,13 +490,20 @@ mod tests {
         for workers in [1, 4] {
             let all_idle = with_workers(workers, || {
                 let mut sys = PimSystem::new(PimConfig::with_dpus(6));
-                let (report, outputs) =
-                    sys.execute_scheduled(Stage::DpuSearch, &[0; 6], |_| unreachable!("idle DPU visited"));
+                let (report, outputs) = sys.execute_scheduled(Stage::DpuSearch, &[0; 6], |_| {
+                    unreachable!("idle DPU visited")
+                });
                 assert!(outputs.iter().all(|&o: &Option<()>| o.is_none()));
-                assert!((0..6).all(|d| sys.dpu(d).stats().launches == 1), "an idle DPU counts the launch");
+                assert!(
+                    (0..6).all(|d| sys.dpu(d).stats().launches == 1),
+                    "an idle DPU counts the launch"
+                );
                 report
             });
-            assert_eq!((all_idle.critical_dpu, all_idle.per_dpu_cycles), (5, vec![0; 6]));
+            assert_eq!(
+                (all_idle.critical_dpu, all_idle.per_dpu_cycles),
+                (5, vec![0; 6])
+            );
             assert!(all_idle.breakdown.is_empty());
 
             let single = launch_record(&[0, 0, 3, 0, 0], workers);
@@ -507,7 +534,9 @@ mod tests {
             })
         }))
         .expect_err("the helper's panic reaches the caller");
-        let message = panic.downcast_ref::<String>().expect("panic!'s own String payload");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("panic!'s own String payload");
         assert!(message.starts_with("kernel fault on DPU "), "{message}");
     }
 
@@ -619,8 +648,11 @@ mod tests {
     #[test]
     fn reset_clock_clears_time_but_not_data() {
         let (mut sys, addrs) = loaded_system();
-        sys.push_to_dpus(Stage::QueryTransfer, &[DpuWrite::new(0, addrs[0], vec![9u8; 128])])
-            .unwrap();
+        sys.push_to_dpus(
+            Stage::QueryTransfer,
+            &[DpuWrite::new(0, addrs[0], vec![9u8; 128])],
+        )
+        .unwrap();
         assert!(sys.elapsed_seconds() > 0.0);
         sys.reset_clock();
         assert_eq!(sys.elapsed_seconds(), 0.0);

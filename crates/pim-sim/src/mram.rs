@@ -54,11 +54,18 @@ pub enum MramError {
 impl std::fmt::Display for MramError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MramError::OutOfMemory { requested, available } => write!(
+            MramError::OutOfMemory {
+                requested,
+                available,
+            } => write!(
                 f,
                 "MRAM out of memory: requested {requested} bytes, {available} available"
             ),
-            MramError::OutOfBounds { addr, len, allocated } => write!(
+            MramError::OutOfBounds {
+                addr,
+                len,
+                allocated,
+            } => write!(
                 f,
                 "MRAM access out of bounds: [{addr}, {}) with {allocated} bytes allocated",
                 addr + len
@@ -236,7 +243,9 @@ impl Mram {
     ) -> Result<&[u8], MramError> {
         let inside = |i: usize| {
             let offset = addr.checked_sub(*self.bases.get(i)?)?;
-            self.regions[i].bytes().get(offset..offset.checked_add(len)?)
+            self.regions[i]
+                .bytes()
+                .get(offset..offset.checked_add(len)?)
         };
         if let Some(bytes) = inside(*window) {
             return Ok(bytes);
@@ -313,7 +322,10 @@ mod tests {
         assert_eq!(shared, 8, "a shared region is placed like an allocation");
         assert_eq!(m.read(shared, 10).unwrap(), &payload[..]);
         assert_eq!(m.read(shared + 4, 3).unwrap(), &[5, 6, 7]);
-        assert!(std::ptr::eq(m.read(shared, 10).unwrap().as_ptr(), payload.as_ptr()));
+        assert!(std::ptr::eq(
+            m.read(shared, 10).unwrap().as_ptr(),
+            payload.as_ptr()
+        ));
         assert_eq!(m.read(owned, 8).unwrap(), &[0; 8]);
     }
 
@@ -327,8 +339,14 @@ mod tests {
         writer.write(a + 4, &[1, 2]).unwrap();
         assert_eq!(writer.read(a, 8).unwrap(), &[7, 7, 7, 7, 1, 2, 7, 7]);
         assert_eq!(other.read(b, 16).unwrap(), &[7; 16]);
-        assert!(std::ptr::eq(other.read(b, 16).unwrap().as_ptr(), payload.as_ptr()));
-        assert!(!std::ptr::eq(writer.read(a, 16).unwrap().as_ptr(), payload.as_ptr()));
+        assert!(std::ptr::eq(
+            other.read(b, 16).unwrap().as_ptr(),
+            payload.as_ptr()
+        ));
+        assert!(!std::ptr::eq(
+            writer.read(a, 16).unwrap().as_ptr(),
+            payload.as_ptr()
+        ));
         assert_eq!(&payload[..], &[7; 16]);
         assert_eq!(writer.allocated(), other.allocated());
     }
@@ -347,7 +365,10 @@ mod tests {
                 "read [{addr}, +{len})"
             );
             assert!(
-                matches!(m.write(addr, &vec![0; len]), Err(MramError::OutOfBounds { .. })),
+                matches!(
+                    m.write(addr, &vec![0; len]),
+                    Err(MramError::OutOfBounds { .. })
+                ),
                 "write [{addr}, +{len})"
             );
         }
@@ -394,7 +415,10 @@ mod tests {
                 "read [{addr}, +{len})"
             );
             assert!(
-                matches!(m.write(addr, &vec![0; len]), Err(MramError::OutOfBounds { .. })),
+                matches!(
+                    m.write(addr, &vec![0; len]),
+                    Err(MramError::OutOfBounds { .. })
+                ),
                 "write [{addr}, +{len})"
             );
         }
@@ -435,7 +459,11 @@ mod tests {
         assert_eq!(m.allocated(), 16);
         assert_eq!(m.read(a, 16).unwrap(), &[4; 16]);
         m.free(a).unwrap();
-        assert_eq!(m.free(a), Err(MramError::NotARegion { addr: a }), "freed twice");
+        assert_eq!(
+            m.free(a),
+            Err(MramError::NotARegion { addr: a }),
+            "freed twice"
+        );
         assert_eq!(m.allocated(), 0);
     }
 
@@ -457,8 +485,10 @@ mod tests {
         // Enough bytes free in all, but in no one gap.
         m.free(a).unwrap();
         m.alloc(16).unwrap();
-        assert!(matches!(m.alloc(24), Err(MramError::OutOfMemory { available: 24, .. })));
+        assert!(matches!(
+            m.alloc(24),
+            Err(MramError::OutOfMemory { available: 24, .. })
+        ));
         assert_eq!(m.alloc(16), Ok(16));
     }
 }
-

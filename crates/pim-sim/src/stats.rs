@@ -187,7 +187,11 @@ impl std::fmt::Display for StageBreakdown {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let total = self.total();
         for (stage, secs) in self.iter() {
-            let pct = if total > 0.0 { secs / total * 100.0 } else { 0.0 };
+            let pct = if total > 0.0 {
+                secs / total * 100.0
+            } else {
+                0.0
+            };
             writeln!(f, "{:<24} {secs:>12.6} s  ({pct:>5.1} %)", stage.label())?;
         }
         writeln!(f, "{:<24} {total:>12.6} s", "total")

@@ -183,7 +183,10 @@ mod tests {
         assert_eq!(results, vec![42 * 64; 4]);
         let (stats, breakdown) = ctx.finish();
         let cycles = stats.cycles;
-        assert_eq!(stats.launches, 0, "the host counts launches, not the kernel");
+        assert_eq!(
+            stats.launches, 0,
+            "the host counts launches, not the kernel"
+        );
         assert_eq!(stats.compute_cycles, 4 * 64);
         assert!(stats.dma_cycles > 0);
         assert!(cycles >= stats.compute_cycles.max(stats.dma_cycles));

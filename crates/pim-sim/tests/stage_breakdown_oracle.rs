@@ -42,7 +42,11 @@ fn oracle_display(map: &Oracle) -> String {
     let total = oracle_total(map);
     let mut out = String::new();
     for (stage, secs) in map {
-        let pct = if total > 0.0 { secs / total * 100.0 } else { 0.0 };
+        let pct = if total > 0.0 {
+            secs / total * 100.0
+        } else {
+            0.0
+        };
         writeln!(out, "{stage:<24} {secs:>12.6} s  ({pct:>5.1} %)").unwrap();
     }
     writeln!(out, "{:<24} {total:>12.6} s", "total").unwrap();

@@ -45,8 +45,8 @@ use std::str::FromStr;
 use annkit::workload::QueryStream;
 use upanns_runtime::record::{audit, record, serving_row, threaded_row, Json};
 use upanns_runtime::scenario::{
-    parse_fault, parse_mutations, parse_tenants, service_config, EngineKind, Fixture, FixtureSpec, Policy,
-    ReplayRow, Scenario, StalenessBucket, DATASET_N, DEFAULT_FAULT, DEFAULT_HEDGE_MS,
+    parse_fault, parse_mutations, parse_tenants, service_config, EngineKind, Fixture, FixtureSpec,
+    Policy, ReplayRow, Scenario, StalenessBucket, DATASET_N, DEFAULT_FAULT, DEFAULT_HEDGE_MS,
     DEFAULT_MUTATIONS, DEFAULT_REPLICAS, DEFAULT_TENANTS, DPUS, FAILOVER_HOSTS, FAILOVER_SHARDS,
     LIVE_REFRESH_S, NLIST, REPLAY_WORK_SCALE, THREADED_TENANTS, THREADED_WORK_SCALE,
 };
@@ -174,7 +174,9 @@ fn checked<T: FromStr>(flag: &str, text: &str, what: &str, ok: impl Fn(&T) -> bo
 
 /// `text` as a comma list, every element a `what`.
 fn list<T: FromStr>(flag: &str, text: &str, what: &str, ok: impl Fn(&T) -> bool) -> Vec<T> {
-    text.split(',').map(|item| checked(flag, item.trim(), what, &ok)).collect()
+    text.split(',')
+        .map(|item| checked(flag, item.trim(), what, &ok))
+        .collect()
 }
 
 fn positive(x: &f64) -> bool {
@@ -187,23 +189,33 @@ fn parse_args() -> Args {
     let it = &mut std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let flag = flag.as_str();
-        let mut arg = || it.next().unwrap_or_else(|| reject(format!("{flag} needs a value")));
+        let mut arg = || {
+            it.next()
+                .unwrap_or_else(|| reject(format!("{flag} needs a value")))
+        };
         match flag {
             "--queries" => args.queries = checked(flag, &arg(), "an integer >= 1", |&n| n >= 1),
             "--qps" => args.qps = checked(flag, &arg(), "a positive number", positive),
             "--repeat" => {
-                args.repeat = checked(flag, &arg(), "a fraction in [0, 1]", |x| (0.0..=1.0).contains(x));
+                args.repeat = checked(flag, &arg(), "a fraction in [0, 1]", |x| {
+                    (0.0..=1.0).contains(x)
+                });
             }
             "--slo-ms" => args.slo_ms = checked(flag, &arg(), "a positive number", positive),
             "--max-chunk" => args.max_chunk = checked(flag, &arg(), "an integer >= 1", |&c| c >= 1),
             // Each host gets DPUS / hosts DPUs and a slice of the one
             // trained index (its vectors, not its own IVF lists or training).
             "--hosts" => {
-                args.hosts = checked(flag, &arg(), "a host count in 1..=16", |h| (1..=16).contains(h));
+                args.hosts = checked(flag, &arg(), "a host count in 1..=16", |h| {
+                    (1..=16).contains(h)
+                });
             }
             "--engines" => {
                 let names = arg();
-                let names = names.split(',').map(str::trim).filter(|name| !name.is_empty());
+                let names = names
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|name| !name.is_empty());
                 let kinds = names.map(|name| EngineKind::parse(name).unwrap_or_else(|e| reject(e)));
                 args.engines = kinds.collect();
                 if args.engines.is_empty() {
@@ -235,7 +247,9 @@ fn parse_args() -> Args {
                 };
             }
             "--workers" => {
-                args.workers = list(flag, &arg(), "a worker count in 1..=32", |w| (1..=32).contains(w));
+                args.workers = list(flag, &arg(), "a worker count in 1..=32", |w| {
+                    (1..=32).contains(w)
+                });
             }
             "--sweep-qps" => args.sweep_qps = list(flag, &arg(), "a positive rate", positive),
             "--queue" => args.queue = Some(checked(flag, &arg(), "an integer >= 1", |&n| n >= 1)),
@@ -288,7 +302,11 @@ impl Args {
     /// The fixture's work scale: the wall clock projects less than the
     /// replay clock (see [`THREADED_WORK_SCALE`]).
     fn work_scale(&self) -> f64 {
-        if self.runtime == RuntimeKind::Threaded { THREADED_WORK_SCALE } else { REPLAY_WORK_SCALE }
+        if self.runtime == RuntimeKind::Threaded {
+            THREADED_WORK_SCALE
+        } else {
+            REPLAY_WORK_SCALE
+        }
     }
 
     /// Whether the flags that shape the replay scenarios are the defaults —
@@ -391,7 +409,11 @@ fn main() {
 fn answer_maps(args: &Args, fixture: &Fixture, base: ServiceConfig) {
     // The answer map must be total: widen the waiting room past every
     // stream so neither side of the twin diff sheds anything.
-    let streams = [&fixture.stream, &fixture.tenant_stream, &fixture.failover_stream];
+    let streams = [
+        &fixture.stream,
+        &fixture.tenant_stream,
+        &fixture.failover_stream,
+    ];
     let longest = streams.iter().map(|s| s.len()).max().unwrap_or(0);
     let base = ServiceConfig {
         queue_capacity: base.queue_capacity.max(longest),
@@ -442,13 +464,16 @@ fn threaded_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
     // Bound each sweep row's real duration to roughly six wall-clock seconds
     // of offered stream: enough arrivals to smooth the Poisson noise, capped
     // by --queries.
-    let sweep_stream = |&qps: &f64| {
-        fixture.single_stream(args.queries.min(((qps * 6.0) as usize).max(240)), qps)
-    };
+    let sweep_stream =
+        |&qps: &f64| fixture.single_stream(args.queries.min(((qps * 6.0) as usize).max(240)), qps);
     let sweep: Vec<QueryStream> = args.sweep_qps.iter().map(sweep_stream).collect();
     let mut plan: Vec<(Scenario, Policy, RuntimeMode)> = Vec::new();
     for (stream, &offered_qps) in sweep.iter().zip(&args.sweep_qps) {
-        let scenario = Scenario { stream, offered_qps, ..scenarios.single };
+        let scenario = Scenario {
+            stream,
+            offered_qps,
+            ..scenarios.single
+        };
         plan.push((scenario, Policy::Fixed, RuntimeMode::Wall));
     }
     plan.push((scenarios.multi, Policy::Adaptive, RuntimeMode::Wall));
@@ -459,7 +484,10 @@ fn threaded_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
     let mut rows: Vec<(&Scenario, RuntimeReport)> = Vec::new();
     for &workers in &args.workers {
         for (scenario, policy, mode) in &plan {
-            eprintln!("threaded ({}): {scenario}, {workers} worker(s) ...", mode.label());
+            eprintln!(
+                "threaded ({}): {scenario}, {workers} worker(s) ...",
+                mode.label()
+            );
             let report = fixture.pipeline(scenario, *policy, workers, *mode);
             rows.push((scenario, report));
         }
@@ -486,7 +514,10 @@ fn threaded_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
     });
     print_table(None, header, table.collect());
     if let Some(path) = &args.json {
-        let rows = rows.iter().map(|(s, r)| threaded_row(r, s.workload, s.offered_qps)).collect();
+        let rows = rows
+            .iter()
+            .map(|(s, r)| threaded_row(r, s.workload, s.offered_qps))
+            .collect();
         write_record(path, record(args.config_json(&base), rows));
     }
 }
@@ -502,13 +533,19 @@ fn replay_rows(args: &Args, fixture: &Fixture, base: ServiceConfig) {
     let mut plan: Vec<(Scenario, Vec<Policy>)> = EngineKind::SELECTABLE
         .into_iter()
         .filter(|kind| args.engines.contains(kind))
-        .map(|engine| Scenario { engine, ..scenarios.single })
+        .map(|engine| Scenario {
+            engine,
+            ..scenarios.single
+        })
         .map(|scenario| (scenario, args.policies.clone()))
         .collect();
     if args.engines.contains(&EngineKind::UpAnns) {
         plan.push((scenarios.multi, args.policies.clone()));
     }
-    for scenario in [scenarios.failover, scenarios.live, scenarios.growth].into_iter().flatten() {
+    for scenario in [scenarios.failover, scenarios.live, scenarios.growth]
+        .into_iter()
+        .flatten()
+    {
         plan.push((scenario, vec![Policy::Adaptive]));
     }
 
@@ -535,7 +572,10 @@ fn print_table(title: Option<String>, header: &str, rows: Vec<String>) {
     if let Some(title) = title {
         println!("\n{title}");
     }
-    println!("{header}\n{}|", "|---".repeat(header.matches(" | ").count() + 1));
+    println!(
+        "{header}\n{}|",
+        "|---".repeat(header.matches(" | ").count() + 1)
+    );
     for row in rows {
         println!("{row}");
     }
@@ -574,7 +614,8 @@ fn print_replay_tables(args: &Args, rows: &[ReplayRow]) {
             r.policy,
             t.name,
             t.weight,
-            t.slo_p99_s.map_or_else(|| "-".to_string(), |s| format!("{:.0}", s * 1e3)),
+            t.slo_p99_s
+                .map_or_else(|| "-".to_string(), |s| format!("{:.0}", s * 1e3)),
             t.completed,
             t.shed,
             t.p50() * 1e3,
@@ -602,7 +643,10 @@ fn print_replay_tables(args: &Args, rows: &[ReplayRow]) {
                 } else {
                     "never".to_string()
                 };
-                format!("{:.3} | {:.3} | {recovery}", e.baseline_attainment, e.max_dip)
+                format!(
+                    "{:.3} | {:.3} | {recovery}",
+                    e.baseline_attainment, e.max_dip
+                )
             },
         );
         format!(
@@ -625,7 +669,9 @@ fn print_replay_tables(args: &Args, rows: &[ReplayRow]) {
         args.mutations
     );
     let header = "| workload | events | epochs | compactions | invalidated | stale | in-window | p99 steady (ms) | p99 compaction (ms) | recall lag=0 | lag=1-10 | lag=11-100 | lag=101+ |";
-    let audited = rows.iter().filter_map(|row| Some((row, row.live.as_ref()?)));
+    let audited = rows
+        .iter()
+        .filter_map(|row| Some((row, row.live.as_ref()?)));
     let audited = audited.map(|(row, s)| {
         let recall = |b: &StalenessBucket| match b.queries {
             0 => "-".to_string(),

@@ -65,7 +65,9 @@ mod tests {
     use super::*;
     use annkit::ivf::{IvfPqIndex, IvfPqParams};
     use annkit::synthetic::{SyntheticDataset, SyntheticSpec};
-    use annkit::workload::{MultiTenantSpec, QueryStream, StreamSpec, TenantId, TenantSpec, WorkloadSpec};
+    use annkit::workload::{
+        MultiTenantSpec, QueryStream, StreamSpec, TenantId, TenantSpec, WorkloadSpec,
+    };
     use baselines::cpu::CpuFaissEngine;
     use baselines::engine::QueryOptions;
     use upanns_serve::service::ServiceConfig;
@@ -108,7 +110,12 @@ mod tests {
     fn wall_pipeline_conserves_every_query() {
         let (data, index) = fixture();
         let stream = stream_spec(80, 2000.0, 3).generate(&data);
-        let report = run(&stream, &index, 2, RuntimeConfig::wall(ServiceConfig::default()));
+        let report = run(
+            &stream,
+            &index,
+            2,
+            RuntimeConfig::wall(ServiceConfig::default()),
+        );
         assert_eq!(report.mode, "wall");
         assert_eq!(report.lost, 0, "drain-then-join must not lose queries");
         assert_eq!(report.duplicated, 0);
@@ -145,11 +152,15 @@ mod tests {
                     .with_weight(2),
             )
             .with_tenant(
-                TenantSpec::new(TenantId(2), stream_spec(60, 3000.0, 9))
-                    .with_name("bulk"),
+                TenantSpec::new(TenantId(2), stream_spec(60, 3000.0, 9)).with_name("bulk"),
             );
         let stream = spec.generate(&data);
-        let report = run(&stream, &index, 2, RuntimeConfig::wall(ServiceConfig::default()));
+        let report = run(
+            &stream,
+            &index,
+            2,
+            RuntimeConfig::wall(ServiceConfig::default()),
+        );
         assert!(report.is_conserving());
         assert_eq!(report.tenants.len(), 2);
         assert_eq!(report.tenants[0].name, "tight");
@@ -164,7 +175,12 @@ mod tests {
         // close on the critical path.
         let (data, index) = fixture();
         let stream = stream_spec(1, 100.0, 17).generate(&data);
-        let report = run(&stream, &index, 4, RuntimeConfig::wall(ServiceConfig::default()));
+        let report = run(
+            &stream,
+            &index,
+            4,
+            RuntimeConfig::wall(ServiceConfig::default()),
+        );
         assert_eq!(report.offered, 1);
         assert_eq!(report.completed, 1);
         assert!(report.is_conserving());
@@ -176,7 +192,12 @@ mod tests {
         let stream = stream_spec(100, 4000.0, 13)
             .with_repeat_fraction(0.5)
             .generate(&data);
-        let report = run(&stream, &index, 1, RuntimeConfig::wall(ServiceConfig::default()));
+        let report = run(
+            &stream,
+            &index,
+            1,
+            RuntimeConfig::wall(ServiceConfig::default()),
+        );
         assert!(report.is_conserving());
         assert!(
             report.cache_hits > 0,

@@ -276,7 +276,10 @@ where
 
 /// The control thread: owns the serving core and steps it from the wall
 /// clock (or the stream's timestamps) and the workers' completions.
-#[expect(clippy::too_many_arguments, reason = "the control thread's whole world, passed once")]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the control thread's whole world, passed once"
+)]
 fn control_thread<F: FnMut(usize) -> QueryOptions>(
     stream: &QueryStream,
     mut options_of: F,

@@ -85,9 +85,12 @@ impl Json {
                 let fields = fields.iter().map(|(key, value)| (Some(*key), value));
                 write_block(out, indent, ['{', '}'], fields)
             }
-            List(items) if items.iter().any(|item| matches!(item, Object(_))) => {
-                write_block(out, indent, ['[', ']'], items.iter().map(|item| (None, item)))
-            }
+            List(items) if items.iter().any(|item| matches!(item, Object(_))) => write_block(
+                out,
+                indent,
+                ['[', ']'],
+                items.iter().map(|item| (None, item)),
+            ),
             List(items) => {
                 for (n, item) in items.iter().enumerate() {
                     out.write_str(if n == 0 { "[" } else { ", " })?;
@@ -120,7 +123,13 @@ fn write_block<'a>(
 ) -> fmt::Result {
     out.write_char(open)?;
     for (n, (key, value)) in items.enumerate() {
-        write!(out, "{}\n{:width$}", if n == 0 { "" } else { "," }, "", width = indent + 2)?;
+        write!(
+            out,
+            "{}\n{:width$}",
+            if n == 0 { "" } else { "," },
+            "",
+            width = indent + 2
+        )?;
         if let Some(key) = key {
             write!(out, "\"{key}\": ")?;
         }
@@ -138,7 +147,9 @@ pub fn record(config: Json, rows: Vec<Json>) -> Result<String, String> {
         ("engines", List(rows)),
     ]);
     match top.unwritable("") {
-        Some(key) => Err(format!("measurement `{key}` is not a finite, non-negative number")),
+        Some(key) => Err(format!(
+            "measurement `{key}` is not a finite, non-negative number"
+        )),
         None => Ok(format!("{top}\n")),
     }
 }
@@ -173,7 +184,14 @@ fn envelope_row(envelope: Option<&RecoveryEnvelope>) -> Json {
         ("baseline_attainment", Num(e.baseline_attainment)),
         ("max_dip", Num(e.max_dip)),
         ("dip_at", Num(e.dip_at)),
-        ("recovery_s", if e.recovery_s.is_finite() { Num(e.recovery_s) } else { Null }),
+        (
+            "recovery_s",
+            if e.recovery_s.is_finite() {
+                Num(e.recovery_s)
+            } else {
+                Null
+            },
+        ),
         ("recovered", Bool(e.recovered)),
     ])
 }
@@ -197,7 +215,10 @@ fn live_row(live: Option<&LiveSummary>) -> Json {
         ("answered_in_window", Int(s.answered_in_window as u64)),
         ("p99_steady_ms", Num(s.p99_steady_ms)),
         ("p99_compaction_ms", Num(s.p99_compaction_ms)),
-        ("recall_vs_staleness", List(s.buckets.iter().map(bucket).collect())),
+        (
+            "recall_vs_staleness",
+            List(s.buckets.iter().map(bucket).collect()),
+        ),
     ])
 }
 
@@ -206,7 +227,12 @@ fn live_row(live: Option<&LiveSummary>) -> Json {
 /// `split_ms` writes it. Admission wait is 0 by construction: no key.
 fn split_means(r: &ServiceReport) -> [(&'static str, f64); 4] {
     let (s, n) = (&r.split, r.completed.max(1) as f64);
-    let parts = [s.batch_wait_s, s.dispatch_wait_s, s.engine_service_s, s.cache_s];
+    let parts = [
+        s.batch_wait_s,
+        s.dispatch_wait_s,
+        s.engine_service_s,
+        s.cache_s,
+    ];
     let keys = ["batch_wait", "dispatch_wait", "engine_service", "cache"];
     std::array::from_fn(|i| (keys[i], parts[i] / n))
 }
@@ -226,7 +252,10 @@ fn row_fields(
         ("p50_ms", ms(r.p50())),
         ("p99_ms", ms(r.p99())),
         ("mean_ms", ms(r.mean_latency())),
-        ("split_ms", Inline(split_means(r).map(|(key, mean)| (key, ms(mean))).into())),
+        (
+            "split_ms",
+            Inline(split_means(r).map(|(key, mean)| (key, ms(mean))).into()),
+        ),
         ("slo_miss_fraction", Num(r.slo_miss_fraction())),
         ("meets_slo", Bool(r.meets_slo())),
         ("all_tenants_meet_slo", Bool(r.all_tenants_meet_slo())),
@@ -239,7 +268,10 @@ fn row_fields(
         ("dispatched_chunks", Int(r.dispatched_chunks as u64)),
         ("mean_chunk_size", Num(r.mean_chunk_size())),
         ("final_max_delay_ms", ms(r.final_batcher.max_delay_s)),
-        ("controller_adjustments", Int(r.controller_adjustments as u64)),
+        (
+            "controller_adjustments",
+            Int(r.controller_adjustments as u64),
+        ),
         ("engine_busy_s", Num(r.engine_busy_s)),
         ("degraded", Int(r.degraded)),
         ("hedged", Int(r.hedged)),
@@ -254,7 +286,12 @@ fn row_fields(
 
 /// One replay row.
 pub fn serving_row(row: &ReplayRow) -> Json {
-    Object(row_fields(row.workload, &row.report, row.envelope.as_ref(), row.live.as_ref()))
+    Object(row_fields(
+        row.workload,
+        &row.report,
+        row.envelope.as_ref(),
+        row.live.as_ref(),
+    ))
 }
 
 /// One threaded row: the serving row of the run's `ServiceReport` (latencies
@@ -269,7 +306,14 @@ pub fn threaded_row(r: &RuntimeReport, workload: &str, offered_qps: f64) -> Json
         ("num_queries", Int(r.offered as u64)),
         ("lost", Int(r.lost as u64)),
         ("duplicated", Int(r.duplicated as u64)),
-        ("emulated_utilization", Num(if capacity_s > 0.0 { r.engine_busy_s / capacity_s } else { 0.0 })),
+        (
+            "emulated_utilization",
+            Num(if capacity_s > 0.0 {
+                r.engine_busy_s / capacity_s
+            } else {
+                0.0
+            }),
+        ),
     ];
     fields.extend(row_fields(workload, &r.service, None, None));
     Object(fields)
@@ -291,18 +335,39 @@ fn universal(row: &ReplayRow) -> Vec<Clause> {
     let r = &row.report;
     let split_s: f64 = split_means(r).iter().map(|(_, mean)| mean).sum();
     let mut clauses = vec![
-        ("a recovery envelope, on failover rows only", row.envelope.is_some() == (row.workload == "failover")),
-        ("a live audit, on live rows only", row.live.is_some() == row.workload.starts_with("live")),
-        ("slo_miss_fraction and cache_hit_rate in [0, 1]", unit(r.slo_miss_fraction()) && unit(r.cache_hit_rate())),
-        ("every tenant's slo_miss_fraction in [0, 1]", r.tenants.iter().all(|t| unit(t.slo_miss_fraction()))),
+        (
+            "a recovery envelope, on failover rows only",
+            row.envelope.is_some() == (row.workload == "failover"),
+        ),
+        (
+            "a live audit, on live rows only",
+            row.live.is_some() == row.workload.starts_with("live"),
+        ),
+        (
+            "slo_miss_fraction and cache_hit_rate in [0, 1]",
+            unit(r.slo_miss_fraction()) && unit(r.cache_hit_rate()),
+        ),
+        (
+            "every tenant's slo_miss_fraction in [0, 1]",
+            r.tenants.iter().all(|t| unit(t.slo_miss_fraction())),
+        ),
         // Each part telescopes: only rounding separates their sum from the mean.
-        ("split_ms parts summing to mean_ms", (split_s - r.mean_latency()).abs() <= 1e-9 * r.mean_latency()),
+        (
+            "split_ms parts summing to mean_ms",
+            (split_s - r.mean_latency()).abs() <= 1e-9 * r.mean_latency(),
+        ),
     ];
     if let Some(e) = &row.envelope {
         clauses.extend([
-            ("envelope baseline_attainment and max_dip in [0, 1]", unit(e.baseline_attainment) && unit(e.max_dip)),
+            (
+                "envelope baseline_attainment and max_dip in [0, 1]",
+                unit(e.baseline_attainment) && unit(e.max_dip),
+            ),
             // Zero means the deployment was already failing before the outage.
-            ("envelope baseline_attainment > 0", e.baseline_attainment > 0.0),
+            (
+                "envelope baseline_attainment > 0",
+                e.baseline_attainment > 0.0,
+            ),
             ("envelope dip_at >= t_down", e.dip_at >= e.t_down),
         ]);
     }
@@ -311,12 +376,24 @@ fn universal(row: &ReplayRow) -> Vec<Clause> {
         clauses.extend([
             // The consistency contract: every answer equals its arrival snapshot's.
             ("live stale_served == 0", s.stale_served == 0),
-            ("live mutation_events > 0 and final_epoch > 0", s.mutation_events > 0 && s.final_epoch > 0),
+            (
+                "live mutation_events > 0 and final_epoch > 0",
+                s.mutation_events > 0 && s.final_epoch > 0,
+            ),
             // Fewer means no epoch ever became visible mid-stream.
             ("live snapshots >= 2", s.snapshots >= 2),
-            ("the four lag buckets, in order", labels.eq(STALENESS_BUCKETS.map(|(label, _)| label))),
-            ("lag buckets summing to completed", s.buckets.iter().map(|b| b.queries).sum::<usize>() == r.completed),
-            ("every lag bucket's mean_recall in [0, 1]", s.buckets.iter().all(|b| unit(b.mean_recall))),
+            (
+                "the four lag buckets, in order",
+                labels.eq(STALENESS_BUCKETS.map(|(label, _)| label)),
+            ),
+            (
+                "lag buckets summing to completed",
+                s.buckets.iter().map(|b| b.queries).sum::<usize>() == r.completed,
+            ),
+            (
+                "every lag bucket's mean_recall in [0, 1]",
+                s.buckets.iter().all(|b| unit(b.mean_recall)),
+            ),
         ]);
     }
     clauses
@@ -331,29 +408,59 @@ fn committed(row: &ReplayRow) -> Vec<Clause> {
         // priority-chunked dispatch meet every tenant's SLO and really
         // chunked the bulk batches ...
         ("multi", "adaptive-tenant-chunked") => vec![
-            ("chunked dispatch meeting every tenant's SLO", r.all_tenants_meet_slo()),
-            ("chunked dispatch with dispatched_chunks > batches", r.dispatched_chunks > r.batches()),
+            (
+                "chunked dispatch meeting every tenant's SLO",
+                r.all_tenants_meet_slo(),
+            ),
+            (
+                "chunked dispatch with dispatched_chunks > batches",
+                r.dispatched_chunks > r.batches(),
+            ),
         ],
         // ... while the fixed window fails a tenant on the same dispatcher.
-        ("multi", _) => vec![("the fixed window failing a tenant", !r.all_tenants_meet_slo())],
+        ("multi", _) => vec![(
+            "the fixed window failing a tenant",
+            !r.all_tenants_meet_slo(),
+        )],
         // Replication masked the outage (nothing shed, nothing answered from
         // partial coverage) and every fault-tolerance path fired.
         ("failover", _) => vec![
-            ("failover shed == 0, degraded == 0, completed > 0", r.shed == 0 && r.degraded == 0 && r.completed > 0),
-            ("failover hedged > 0 and redispatched > 0", r.hedged > 0 && r.redispatched > 0),
-            ("failover scale_events > 0 and migration_s > 0", r.scale_events > 0 && r.migration_s > 0.0),
+            (
+                "failover shed == 0, degraded == 0, completed > 0",
+                r.shed == 0 && r.degraded == 0 && r.completed > 0,
+            ),
+            (
+                "failover hedged > 0 and redispatched > 0",
+                r.hedged > 0 && r.redispatched > 0,
+            ),
+            (
+                "failover scale_events > 0 and migration_s > 0",
+                r.scale_events > 0 && r.migration_s > 0.0,
+            ),
         ],
         // Epoch invalidation fired: repeats straddling a refresh recompute.
-        ("live-mutation", _) => vec![("live-mutation cache_invalidated > 0", r.cache_invalidated > 0)],
-        ("live-growth", _) => vec![("live-growth riding the tenant mix (>= 2 tenants)", r.tenants.len() >= 2)],
+        ("live-mutation", _) => vec![(
+            "live-mutation cache_invalidated > 0",
+            r.cache_invalidated > 0,
+        )],
+        ("live-growth", _) => vec![(
+            "live-growth riding the tenant mix (>= 2 tenants)",
+            r.tenants.len() >= 2,
+        )],
         _ => Vec::new(),
     };
     if let Some(e) = &row.envelope {
         // The outage dents attainment, the dip stays bounded, and attainment
         // is back within six buckets of the failure instant.
         clauses.extend([
-            ("envelope recovered with baseline_attainment >= 0.99", e.recovered && e.baseline_attainment >= 0.99),
-            ("envelope 0 < max_dip <= 0.5", 0.0 < e.max_dip && e.max_dip <= 0.5),
+            (
+                "envelope recovered with baseline_attainment >= 0.99",
+                e.recovered && e.baseline_attainment >= 0.99,
+            ),
+            (
+                "envelope 0 < max_dip <= 0.5",
+                0.0 < e.max_dip && e.max_dip <= 0.5,
+            ),
             ("envelope recovery_s <= 30", e.recovery_s <= 30.0),
         ]);
     }
@@ -362,15 +469,27 @@ fn committed(row: &ReplayRow) -> Vec<Clause> {
             // Compaction ran and queries arrived inside it, or the p99 split
             // measures nothing; mid-compaction arrivals pay the modeled stall
             // but serving does not collapse.
-            ("live compactions >= 1 and answered_in_window > 0", s.compactions >= 1 && s.answered_in_window > 0),
+            (
+                "live compactions >= 1 and answered_in_window > 0",
+                s.compactions >= 1 && s.answered_in_window > 0,
+            ),
             (
                 "live p99_compaction_ms <= 2 x p99_steady_ms + 10000",
                 s.p99_compaction_ms <= 2.0 * s.p99_steady_ms + 10_000.0,
             ),
             // Fresh snapshots answer exactly; the stalest stay above 0.9.
-            ("lag=0 mean_recall >= 0.999", s.buckets.first().is_some_and(|b| b.mean_recall >= 0.999)),
-            ("every lag bucket's mean_recall >= 0.9", s.buckets.iter().all(|b| b.mean_recall >= 0.9)),
-            ("lag=11-100 populated", s.buckets.get(2).is_some_and(|b| b.queries > 0)),
+            (
+                "lag=0 mean_recall >= 0.999",
+                s.buckets.first().is_some_and(|b| b.mean_recall >= 0.999),
+            ),
+            (
+                "every lag bucket's mean_recall >= 0.9",
+                s.buckets.iter().all(|b| b.mean_recall >= 0.9),
+            ),
+            (
+                "lag=11-100 populated",
+                s.buckets.get(2).is_some_and(|b| b.queries > 0),
+            ),
         ]);
     }
     clauses
@@ -380,7 +499,10 @@ fn committed(row: &ReplayRow) -> Vec<Clause> {
 const MULTI_POLICIES: [&str; 2] = ["fixed-chunked", "adaptive-tenant-chunked"];
 
 fn first_failed(clauses: &[Clause]) -> Option<&'static str> {
-    clauses.iter().find(|(_, holds)| !holds).map(|&(clause, _)| clause)
+    clauses
+        .iter()
+        .find(|(_, holds)| !holds)
+        .map(|&(clause, _)| clause)
 }
 
 /// The contract of a replay record, checked before it is written: the
@@ -396,7 +518,10 @@ pub fn audit(rows: &[ReplayRow], committed_scenarios: bool) -> Result<(), String
         }
         if let Some(clause) = first_failed(&clauses) {
             let r = &row.report;
-            return Err(format!("the {} row of {} under {} lacks {clause}", row.workload, r.engine, r.policy));
+            return Err(format!(
+                "the {} row of {} under {} lacks {clause}",
+                row.workload, r.engine, r.policy
+            ));
         }
     }
     if committed_scenarios {
@@ -404,10 +529,22 @@ pub fn audit(rows: &[ReplayRow], committed_scenarios: bool) -> Result<(), String
             let of = rows.iter().filter(|row| row.workload == workload);
             of.map(|row| row.report.policy.as_str()).collect()
         };
-        let workloads = ["single", "multi", "failover", "live-mutation", "live-growth"];
+        let workloads = [
+            "single",
+            "multi",
+            "failover",
+            "live-mutation",
+            "live-growth",
+        ];
         let shape = [
-            ("all five workloads", workloads.iter().all(|w| !policies(w).is_empty())),
-            ("multi rows under exactly the two committed policies", policies("multi") == MULTI_POLICIES),
+            (
+                "all five workloads",
+                workloads.iter().all(|w| !policies(w).is_empty()),
+            ),
+            (
+                "multi rows under exactly the two committed policies",
+                policies("multi") == MULTI_POLICIES,
+            ),
             ("exactly one failover row", policies("failover").len() == 1),
         ];
         if let Some(clause) = first_failed(&shape) {
@@ -441,11 +578,18 @@ mod tests {
                 ("n", Int(3)),
                 ("x", Num(x)),
                 ("none", Null),
-                ("inline", Inline(vec![("ok", Bool(true)), ("list", List(vec![Int(1), Int(2)]))])),
+                (
+                    "inline",
+                    Inline(vec![
+                        ("ok", Bool(true)),
+                        ("list", List(vec![Int(1), Int(2)])),
+                    ]),
+                ),
                 ("rows", List(vec![Object(vec![("k", Null)])])),
             ])
         };
-        let expected = "{\n  \"name\": \"a\\\"b\\\\c\\u0009d\",\n  \"n\": 3,\n  \"x\": 0.500000,\n  \
+        let expected =
+            "{\n  \"name\": \"a\\\"b\\\\c\\u0009d\",\n  \"n\": 3,\n  \"x\": 0.500000,\n  \
                         \"none\": null,\n  \
                         \"inline\": { \"ok\": true, \"list\": [1, 2] },\n  \
                         \"rows\": [\n    {\n      \"k\": null\n    }\n  ]\n}";
@@ -454,14 +598,24 @@ mod tests {
         // A measurement that is not a number is refused, not written as a
         // perfect `0.0` — wherever in the record it sits.
         let written = record(value(0.5), vec![value(0.25)]).expect("finite measurements");
-        assert!(written.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA}\",\n  \"config\": {{\n")));
+        assert!(written.starts_with(&format!(
+            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"config\": {{\n"
+        )));
         assert!(written.ends_with("\n  ]\n}\n"));
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
-            let nested = Object(vec![("p99_ms", Inline(vec![("deep", List(vec![Num(bad)]))]))]);
+            let nested = Object(vec![(
+                "p99_ms",
+                Inline(vec![("deep", List(vec![Num(bad)]))]),
+            )]);
             for (config, rows) in [(value(bad), vec![]), (value(0.5), vec![value(bad)])] {
-                assert!(record(config, rows).expect_err("refused").contains("`x`"), "{bad}");
+                assert!(
+                    record(config, rows).expect_err("refused").contains("`x`"),
+                    "{bad}"
+                );
             }
-            assert!(record(value(0.5), vec![nested]).expect_err("refused").contains("`deep`"));
+            assert!(record(value(0.5), vec![nested])
+                .expect_err("refused")
+                .contains("`deep`"));
         }
     }
 
@@ -480,11 +634,14 @@ mod tests {
     fn committed_row<'a>(record: &'a str, workload: &str) -> &'a str {
         let tag = format!("\"workload\": \"{workload}\"");
         let mut rows = record.split("\n    {\n").skip(1);
-        rows.find(|row| row.contains(&tag)).expect("the committed record has the workload")
+        rows.find(|row| row.contains(&tag))
+            .expect("the committed record has the workload")
     }
 
     fn reports() -> (ServiceReport, RuntimeReport) {
-        let data = SyntheticSpec::sift_like(400).with_seed(1).generate_with_meta();
+        let data = SyntheticSpec::sift_like(400)
+            .with_seed(1)
+            .generate_with_meta();
         let index = IvfPqIndex::train(&data.vectors, &IvfPqParams::new(16, 8), 3);
         let stream = StreamSpec::new(12, 400.0).generate(&data);
         let config = ServiceConfig::default();
@@ -525,7 +682,11 @@ mod tests {
             p99_steady_ms: 1.0,
             p99_compaction_ms: 2.0,
             buckets: STALENESS_BUCKETS
-                .map(|(label, _)| StalenessBucket { label, queries: completed / 4, mean_recall: 1.0 })
+                .map(|(label, _)| StalenessBucket {
+                    label,
+                    queries: completed / 4,
+                    mean_recall: 1.0,
+                })
                 .into(),
         }
     }
@@ -539,9 +700,16 @@ mod tests {
     fn rows_keep_the_committed_key_order() {
         let (replayed, threaded) = reports();
         let serving = include_str!("../../../BENCH_serving.json");
-        let caps: Vec<&str> = keys(serving).into_iter().filter(|k| k.ends_with("max_batch")).collect();
+        let caps: Vec<&str> = keys(serving)
+            .into_iter()
+            .filter(|k| k.ends_with("max_batch"))
+            .collect();
         assert_eq!(caps, ["fixed_max_batch"]);
-        let unrecovered = RecoveryEnvelope { recovery_s: f64::INFINITY, recovered: false, ..envelope() };
+        let unrecovered = RecoveryEnvelope {
+            recovery_s: f64::INFINITY,
+            recovered: false,
+            ..envelope()
+        };
         for (workload, tenants, envelope, live) in [
             ("single", 1, None, None),
             ("multi", 2, None, None),
@@ -550,7 +718,12 @@ mod tests {
         ] {
             let mut report = replayed.clone();
             report.tenants = vec![replayed.tenants[0].clone(); tenants];
-            let row = ReplayRow { workload, report, envelope, live };
+            let row = ReplayRow {
+                workload,
+                report,
+                envelope,
+                live,
+            };
             assert_eq!(
                 keys(&serving_row(&row).to_string()),
                 keys(committed_row(serving, workload)),
@@ -559,10 +732,20 @@ mod tests {
         }
 
         let row = threaded_row(&threaded, "single", 60.0).to_string();
-        let driver =
-            ["mode", "workers", "offered_qps", "num_queries", "lost", "duplicated", "emulated_utilization"];
+        let driver = [
+            "mode",
+            "workers",
+            "offered_qps",
+            "num_queries",
+            "lost",
+            "duplicated",
+            "emulated_utilization",
+        ];
         assert_eq!(keys(&row)[..driver.len()], driver);
-        assert_eq!(keys(&row)[driver.len()..], keys(committed_row(serving, "single")));
+        assert_eq!(
+            keys(&row)[driver.len()..],
+            keys(committed_row(serving, "single"))
+        );
         record(Null, vec![threaded_row(&threaded, "single", 60.0)]).expect("a writable row");
     }
 
@@ -579,10 +762,19 @@ mod tests {
                 let mut tight = base.tenants[0].clone();
                 tight.name = "tight".to_string();
                 tight.slo_p99_s = Some(if tight_meets { slowest * 2.0 } else { 0.0 });
-                let bulk = TenantReport { name: "bulk".to_string(), slo_p99_s: None, ..tight.clone() };
+                let bulk = TenantReport {
+                    name: "bulk".to_string(),
+                    slo_p99_s: None,
+                    ..tight.clone()
+                };
                 report.tenants = vec![tight, bulk];
             }
-            ReplayRow { workload, report, envelope: None, live: None }
+            ReplayRow {
+                workload,
+                report,
+                envelope: None,
+                live: None,
+            }
         };
         let mut chunked = row("multi", "adaptive-tenant-chunked", true);
         chunked.report.dispatched_chunks = chunked.report.batches() + 1;
@@ -629,9 +821,15 @@ mod tests {
     fn every_clause_rejects_the_row_that_breaks_it() {
         type Flip = fn(&mut Vec<ReplayRow>);
         let universal: [(&str, Flip); 16] = [
-            ("a recovery envelope, on failover rows only", |r| r[SINGLE].envelope = Some(envelope())),
-            ("a recovery envelope, on failover rows only", |r| r[FAILOVER].envelope = None),
-            ("a live audit, on live rows only", |r| r[SINGLE].live = Some(live(12))),
+            ("a recovery envelope, on failover rows only", |r| {
+                r[SINGLE].envelope = Some(envelope())
+            }),
+            ("a recovery envelope, on failover rows only", |r| {
+                r[FAILOVER].envelope = None
+            }),
+            ("a live audit, on live rows only", |r| {
+                r[SINGLE].live = Some(live(12))
+            }),
             ("a live audit, on live rows only", |r| r[GROWTH].live = None),
             ("slo_miss_fraction and cache_hit_rate in [0, 1]", |r| {
                 // More late answers than offered queries.
@@ -643,18 +841,40 @@ mod tests {
                 let t = &mut r[SINGLE].report.tenants[0];
                 (t.completed, t.slo_p99_s) = (1, Some(0.0));
             }),
-            ("split_ms parts summing to mean_ms", |r| r[SINGLE].report.split.dispatch_wait_s += 1e-6),
-            ("envelope baseline_attainment > 0", |r| {
-                r[FAILOVER].envelope.as_mut().expect("failover").baseline_attainment = 0.0;
+            ("split_ms parts summing to mean_ms", |r| {
+                r[SINGLE].report.split.dispatch_wait_s += 1e-6
             }),
-            ("envelope dip_at >= t_down", |r| r[FAILOVER].envelope.as_mut().expect("failover").dip_at = 30.0),
-            ("max_dip in [0, 1]", |r| r[FAILOVER].envelope.as_mut().expect("failover").max_dip = 1.5),
-            ("live stale_served == 0", |r| r[MUTATION].live.as_mut().expect("live").stale_served = 1),
-            ("live mutation_events > 0", |r| r[GROWTH].live.as_mut().expect("live").mutation_events = 0),
-            ("live snapshots >= 2", |r| r[MUTATION].live.as_mut().expect("live").snapshots = 1),
-            ("the four lag buckets, in order", |r| r[MUTATION].live.as_mut().expect("live").buckets.swap(0, 1)),
-            ("lag buckets summing to completed", |r| r[GROWTH].live.as_mut().expect("live").buckets[3].queries += 1),
-            ("mean_recall in [0, 1]", |r| r[GROWTH].live.as_mut().expect("live").buckets[1].mean_recall = 1.5),
+            ("envelope baseline_attainment > 0", |r| {
+                r[FAILOVER]
+                    .envelope
+                    .as_mut()
+                    .expect("failover")
+                    .baseline_attainment = 0.0;
+            }),
+            ("envelope dip_at >= t_down", |r| {
+                r[FAILOVER].envelope.as_mut().expect("failover").dip_at = 30.0
+            }),
+            ("max_dip in [0, 1]", |r| {
+                r[FAILOVER].envelope.as_mut().expect("failover").max_dip = 1.5
+            }),
+            ("live stale_served == 0", |r| {
+                r[MUTATION].live.as_mut().expect("live").stale_served = 1
+            }),
+            ("live mutation_events > 0", |r| {
+                r[GROWTH].live.as_mut().expect("live").mutation_events = 0
+            }),
+            ("live snapshots >= 2", |r| {
+                r[MUTATION].live.as_mut().expect("live").snapshots = 1
+            }),
+            ("the four lag buckets, in order", |r| {
+                r[MUTATION].live.as_mut().expect("live").buckets.swap(0, 1)
+            }),
+            ("lag buckets summing to completed", |r| {
+                r[GROWTH].live.as_mut().expect("live").buckets[3].queries += 1
+            }),
+            ("mean_recall in [0, 1]", |r| {
+                r[GROWTH].live.as_mut().expect("live").buckets[1].mean_recall = 1.5
+            }),
         ];
         for (clause, flip) in universal {
             let mut rows = committed_rows();
@@ -667,32 +887,67 @@ mod tests {
 
         let committed: [(&str, Flip); 19] = [
             ("all five workloads", |r| drop(r.remove(GROWTH))),
-            ("the two committed policies", |r| drop(r.remove(MULTI_FIXED))),
+            ("the two committed policies", |r| {
+                drop(r.remove(MULTI_FIXED))
+            }),
             ("exactly one failover row", |r| {
                 let report = r[FAILOVER].report.clone();
-                r.push(ReplayRow { workload: "failover", report, envelope: Some(envelope()), live: None });
+                r.push(ReplayRow {
+                    workload: "failover",
+                    report,
+                    envelope: Some(envelope()),
+                    live: None,
+                });
             }),
-            ("chunked dispatch meeting every tenant's SLO", |r| r[CHUNKED].report.tenants[0].slo_p99_s = Some(0.0)),
-            ("dispatched_chunks > batches", |r| r[CHUNKED].report.dispatched_chunks -= 1),
-            ("the fixed window failing a tenant", |r| r[MULTI_FIXED].report.tenants[0].slo_p99_s = None),
-            ("failover shed == 0, degraded == 0", |r| r[FAILOVER].report.degraded = 1),
-            ("hedged > 0 and redispatched > 0", |r| r[FAILOVER].report.redispatched = 0),
-            ("scale_events > 0 and migration_s > 0", |r| r[FAILOVER].report.migration_s = 0.0),
-            ("envelope recovered", |r| r[FAILOVER].envelope.as_mut().expect("failover").recovered = false),
-            ("envelope 0 < max_dip <= 0.5", |r| r[FAILOVER].envelope.as_mut().expect("failover").max_dip = 0.0),
-            ("envelope recovery_s <= 30", |r| r[FAILOVER].envelope.as_mut().expect("failover").recovery_s = 35.0),
-            ("answered_in_window > 0", |r| r[GROWTH].live.as_mut().expect("live").answered_in_window = 0),
+            ("chunked dispatch meeting every tenant's SLO", |r| {
+                r[CHUNKED].report.tenants[0].slo_p99_s = Some(0.0)
+            }),
+            ("dispatched_chunks > batches", |r| {
+                r[CHUNKED].report.dispatched_chunks -= 1
+            }),
+            ("the fixed window failing a tenant", |r| {
+                r[MULTI_FIXED].report.tenants[0].slo_p99_s = None
+            }),
+            ("failover shed == 0, degraded == 0", |r| {
+                r[FAILOVER].report.degraded = 1
+            }),
+            ("hedged > 0 and redispatched > 0", |r| {
+                r[FAILOVER].report.redispatched = 0
+            }),
+            ("scale_events > 0 and migration_s > 0", |r| {
+                r[FAILOVER].report.migration_s = 0.0
+            }),
+            ("envelope recovered", |r| {
+                r[FAILOVER].envelope.as_mut().expect("failover").recovered = false
+            }),
+            ("envelope 0 < max_dip <= 0.5", |r| {
+                r[FAILOVER].envelope.as_mut().expect("failover").max_dip = 0.0
+            }),
+            ("envelope recovery_s <= 30", |r| {
+                r[FAILOVER].envelope.as_mut().expect("failover").recovery_s = 35.0
+            }),
+            ("answered_in_window > 0", |r| {
+                r[GROWTH].live.as_mut().expect("live").answered_in_window = 0
+            }),
             ("p99_compaction_ms <= 2 x p99_steady_ms + 10000", |r| {
                 r[MUTATION].live.as_mut().expect("live").p99_compaction_ms = 10_002.5;
             }),
-            ("every lag bucket's mean_recall >= 0.9", |r| r[GROWTH].live.as_mut().expect("live").buckets[3].mean_recall = 0.8),
+            ("every lag bucket's mean_recall >= 0.9", |r| {
+                r[GROWTH].live.as_mut().expect("live").buckets[3].mean_recall = 0.8
+            }),
             ("lag=11-100 populated", |r| {
                 let buckets = &mut r[MUTATION].live.as_mut().expect("live").buckets;
                 (buckets[2].queries, buckets[3].queries) = (0, 6);
             }),
-            ("live-growth riding the tenant mix", |r| r[GROWTH].report.tenants.truncate(1)),
-            ("lag=0 mean_recall >= 0.999", |r| r[MUTATION].live.as_mut().expect("live").buckets[0].mean_recall = 0.99),
-            ("live-mutation cache_invalidated > 0", |r| r[MUTATION].report.cache_invalidated = 0),
+            ("live-growth riding the tenant mix", |r| {
+                r[GROWTH].report.tenants.truncate(1)
+            }),
+            ("lag=0 mean_recall >= 0.999", |r| {
+                r[MUTATION].live.as_mut().expect("live").buckets[0].mean_recall = 0.99
+            }),
+            ("live-mutation cache_invalidated > 0", |r| {
+                r[MUTATION].report.cache_invalidated = 0
+            }),
         ];
         for (clause, flip) in committed {
             let mut rows = committed_rows();
@@ -727,13 +982,22 @@ mod tests {
         for hedge_ms in [390.0, 400.0, 500.0] {
             fixture.spec.hedge_s = hedge_ms / 1e3;
             let scenarios = fixture.scenarios(service_config(None), 32);
-            let failover = scenarios.failover.expect("multihost selects the failover scenario");
+            let failover = scenarios
+                .failover
+                .expect("multihost selects the failover scenario");
             let rows = fixture.replay_rows(&failover, &[Policy::Adaptive]);
-            let [row] = &rows[..] else { panic!("one policy, one row") };
-            let envelope = row.envelope.as_ref().expect("a failover row has an envelope");
-            let clauses = universal(row)
-                .into_iter()
-                .chain(committed(row).into_iter().filter(|(clause, _)| clause.starts_with("envelope")));
+            let [row] = &rows[..] else {
+                panic!("one policy, one row")
+            };
+            let envelope = row
+                .envelope
+                .as_ref()
+                .expect("a failover row has an envelope");
+            let clauses = universal(row).into_iter().chain(
+                committed(row)
+                    .into_iter()
+                    .filter(|(clause, _)| clause.starts_with("envelope")),
+            );
             for (clause, holds) in clauses {
                 assert!(holds, "hedge {hedge_ms} ms lacks {clause}: {envelope:?}");
             }

@@ -299,9 +299,13 @@ pub fn parse_tenants(spec: &str) -> Result<MultiTenantSpec, String> {
         let name = name.trim();
         // Names are echoed verbatim into the JSON baseline and the tables.
         if name.is_empty()
-            || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+            || !name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
         {
-            return Err(format!("tenant name '{name}' must be non-empty [A-Za-z0-9_-]"));
+            return Err(format!(
+                "tenant name '{name}' must be non-empty [A-Za-z0-9_-]"
+            ));
         }
         if names.contains(&name) {
             return Err(format!("duplicate tenant name '{name}'"));
@@ -330,7 +334,10 @@ pub fn parse_tenants(spec: &str) -> Result<MultiTenantSpec, String> {
                             let (k, nprobe) = tier
                                 .split_once('x')
                                 .ok_or_else(|| format!("{kv}: mix tiers are KxN"))?;
-                            Ok((parsed(kv, k, "an integer")?, parsed(kv, nprobe, "an integer")?))
+                            Ok((
+                                parsed(kv, k, "an integer")?,
+                                parsed(kv, nprobe, "an integer")?,
+                            ))
                         })
                         .collect::<Result<_, String>>()?;
                 }
@@ -406,7 +413,11 @@ pub fn parse_mutations(spec: &str) -> Result<Option<MutationRates>, String> {
             "upsert" => rates.upsert_qps = parsed(kv, value, "a number")?,
             "delete" => rates.delete_qps = parsed(kv, value, "a number")?,
             "seed" => rates.seed = parsed(kv, value, "an integer")?,
-            other => return Err(format!("unknown key '{other}' (known: upsert, delete, seed)")),
+            other => {
+                return Err(format!(
+                    "unknown key '{other}' (known: upsert, delete, seed)"
+                ))
+            }
         }
     }
     for (name, rate) in [("upsert", rates.upsert_qps), ("delete", rates.delete_qps)] {
@@ -426,7 +437,11 @@ pub fn parse_mutations(spec: &str) -> Result<Option<MutationRates>, String> {
 /// replay as a no-op and write a row that "recovers" from nothing.
 pub fn parse_fault(spec: &str) -> Result<FaultSchedule, String> {
     let faults = FaultSchedule::parse(spec)?;
-    match faults.events().iter().find(|e| e.host >= FAILOVER_MAX_HOSTS) {
+    match faults
+        .events()
+        .iter()
+        .find(|e| e.host >= FAILOVER_MAX_HOSTS)
+    {
         Some(e) => Err(format!(
             "host {} does not exist: the failover deployment has {FAILOVER_HOSTS} hosts \
              and scales to at most {FAILOVER_MAX_HOSTS} (indices 0..{FAILOVER_MAX_HOSTS})",
@@ -461,8 +476,13 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Every engine `--engines` can name, in report order.
-    pub const SELECTABLE: [EngineKind; 5] =
-        [Self::Cpu, Self::Gpu, Self::PimNaive, Self::UpAnns, Self::MultiHost];
+    pub const SELECTABLE: [EngineKind; 5] = [
+        Self::Cpu,
+        Self::Gpu,
+        Self::PimNaive,
+        Self::UpAnns,
+        Self::MultiHost,
+    ];
 
     /// Parses one `--engines` name.
     pub fn parse(name: &str) -> Result<Self, String> {
@@ -602,7 +622,10 @@ impl Fixture {
             &IvfPqParams::new(NLIST, PQ_M).with_train_size(2_400),
             5,
         );
-        let history = WorkloadSpec::new(600).with_seed(8).generate(&dataset).queries;
+        let history = WorkloadSpec::new(600)
+            .with_seed(8)
+            .generate(&dataset)
+            .queries;
         let stream = StreamSpec::new(spec.queries, spec.qps)
             .with_repeat_fraction(spec.repeat)
             .with_slo_p99(spec.slo_s)
@@ -612,9 +635,11 @@ impl Fixture {
             .with_repeat_fraction(spec.repeat)
             .with_slo_p99(FAILOVER_SLO_MS / 1e3)
             .generate(&dataset);
-        let rates = spec.mutations.filter(|_| spec.engines.contains(&EngineKind::UpAnns));
-        let live = rates
-            .map(|r| LivePlan::new(&dataset, &index, stream.duration(), TenantId::DEFAULT, r));
+        let rates = spec
+            .mutations
+            .filter(|_| spec.engines.contains(&EngineKind::UpAnns));
+        let live =
+            rates.map(|r| LivePlan::new(&dataset, &index, stream.duration(), TenantId::DEFAULT, r));
         // The growth variant: the last tenant in the mix (the bulk tenant in
         // the committed default) grows its corpus mid-stream, upserts only.
         let growth = rates.filter(|_| spec.growth).map(|r| {
@@ -653,7 +678,11 @@ impl Fixture {
     /// scaling sweep is about), else the first engine listed.
     pub(crate) fn chosen_engine(&self) -> EngineKind {
         let engines = &self.spec.engines;
-        if engines.contains(&EngineKind::UpAnns) { EngineKind::UpAnns } else { engines[0] }
+        if engines.contains(&EngineKind::UpAnns) {
+            EngineKind::UpAnns
+        } else {
+            engines[0]
+        }
     }
 
     /// The one engine factory: a fresh engine of `kind` at the spec's work
@@ -682,8 +711,12 @@ impl Fixture {
             }
         };
         match kind {
-            EngineKind::Cpu => Box::new(CpuFaissEngine::new(&self.index).with_work_scale(work_scale)),
-            EngineKind::Gpu => Box::new(GpuFaissEngine::new(&self.index).with_work_scale(work_scale)),
+            EngineKind::Cpu => {
+                Box::new(CpuFaissEngine::new(&self.index).with_work_scale(work_scale))
+            }
+            EngineKind::Gpu => {
+                Box::new(GpuFaissEngine::new(&self.index).with_work_scale(work_scale))
+            }
             EngineKind::PimNaive => Box::new(pim(&self.index, UpAnnsConfig::pim_naive(), DPUS)),
             EngineKind::UpAnns => Box::new(pim(&self.index, UpAnnsConfig::upanns(), DPUS)),
             // The paper's §5.5 deployment: one host per shard, r = 1, healthy.
@@ -712,7 +745,13 @@ impl Fixture {
         let multi = Scenario {
             workload: "multi",
             stream: &self.tenant_stream,
-            offered_qps: self.spec.tenants.tenants.iter().map(|t| t.stream.mean_qps).sum(),
+            offered_qps: self
+                .spec
+                .tenants
+                .tenants
+                .iter()
+                .map(|t| t.stream.mean_qps)
+                .sum(),
             config: ServiceConfig {
                 max_chunk: Some(max_chunk),
                 ..base
@@ -733,9 +772,19 @@ impl Fixture {
         Scenarios {
             single,
             multi,
-            failover: self.spec.engines.contains(&EngineKind::MultiHost).then_some(failover),
-            live: self.live.as_ref().map(|plan| single.mutating("live-mutation", plan)),
-            growth: self.growth.as_ref().map(|plan| multi.mutating("live-growth", plan)),
+            failover: self
+                .spec
+                .engines
+                .contains(&EngineKind::MultiHost)
+                .then_some(failover),
+            live: self
+                .live
+                .as_ref()
+                .map(|plan| single.mutating("live-mutation", plan)),
+            growth: self
+                .growth
+                .as_ref()
+                .map(|plan| multi.mutating("live-growth", plan)),
         }
     }
 }
@@ -766,7 +815,11 @@ pub struct Scenario<'a> {
 impl std::fmt::Display for Scenario<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (engine, queries) = (self.engine, self.stream.len());
-        write!(f, "{} on {engine:?} ({queries} queries at {} qps)", self.workload, self.offered_qps)
+        write!(
+            f,
+            "{} on {engine:?} ({queries} queries at {} qps)",
+            self.workload, self.offered_qps
+        )
     }
 }
 
@@ -828,9 +881,10 @@ impl Policy {
         let batcher = scenario.config.batcher;
         match self {
             Policy::Fixed => Box::new(FixedPolicy(batcher)),
-            Policy::Adaptive => {
-                Box::new(ControllerBank::for_profiles(&scenario.stream.tenant_profiles, batcher))
-            }
+            Policy::Adaptive => Box::new(ControllerBank::for_profiles(
+                &scenario.stream.tenant_profiles,
+                batcher,
+            )),
         }
     }
 }
@@ -849,7 +903,11 @@ impl Fixture {
             SearchService::new(engine, scenario.config).with_policy(policy.boxed(scenario));
         if let Some(live) = scenario.live {
             let (with_index, accepted) = service.with_live_index(&live.plan.timeline);
-            assert!(accepted, "{:?} declined the snapshot timeline", scenario.engine);
+            assert!(
+                accepted,
+                "{:?} declined the snapshot timeline",
+                scenario.engine
+            );
             service = with_index;
         }
         if policy == Policy::Adaptive && scenario.engine == EngineKind::Failover {
@@ -927,7 +985,11 @@ impl Fixture {
                 let mut engine = self.engine(scenario.engine);
                 if let Some(live) = scenario.live {
                     let accepted = engine.install_timeline(live.plan.timeline.clone());
-                    assert!(accepted, "{:?} declined the snapshot timeline", scenario.engine);
+                    assert!(
+                        accepted,
+                        "{:?} declined the snapshot timeline",
+                        scenario.engine
+                    );
                 }
                 engine
             })
@@ -941,7 +1003,13 @@ impl Fixture {
                 .map_or_else(Vec::new, |live| live.plan.timeline.epoch_schedule()),
         };
         let policy = policy.boxed(scenario);
-        let report = run_pipeline(engines, stream, move |i| options_for(stream, i), policy, config);
+        let report = run_pipeline(
+            engines,
+            stream,
+            move |i| options_for(stream, i),
+            policy,
+            config,
+        );
         assert!(
             report.is_conserving(),
             "the {} pipeline run lost or duplicated queries",
@@ -1107,7 +1175,11 @@ fn live_summary(
             .map(|(&(label, _), (queries, recall_sum))| StalenessBucket {
                 label,
                 queries,
-                mean_recall: if queries == 0 { 1.0 } else { recall_sum / queries as f64 },
+                mean_recall: if queries == 0 {
+                    1.0
+                } else {
+                    recall_sum / queries as f64
+                },
             })
             .collect(),
     }

@@ -54,13 +54,27 @@ fn malformed_flags_names_and_specs_exit_with_status_exactly_2() {
             .output()
             .expect("the serve binary runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(2), "serve {args:?}: stderr: {stderr}");
-        assert!(stderr.starts_with("error:"), "serve {args:?}: stderr: {stderr}");
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "serve {args:?}: stderr: {stderr}"
+        );
+        assert!(
+            stderr.starts_with("error:"),
+            "serve {args:?}: stderr: {stderr}"
+        );
         // `main` announces the fixture on stderr before building it: a
         // rejection that comes first is the only line there (which is why
         // the whole table runs in well under a second).
-        assert_eq!(stderr.lines().count(), 1, "serve {args:?}: stderr: {stderr}");
-        assert!(output.stdout.is_empty(), "serve {args:?} printed rows before rejecting");
+        assert_eq!(
+            stderr.lines().count(),
+            1,
+            "serve {args:?}: stderr: {stderr}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "serve {args:?} printed rows before rejecting"
+        );
     }
 }
 
@@ -69,7 +83,14 @@ fn the_largest_host_count_serves_and_writes_an_audited_record() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve_hosts16.json");
     let _ = std::fs::remove_file(&path);
     let output = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args(["--engines", "multihost", "--hosts", "16", "--queries", "200"])
+        .args([
+            "--engines",
+            "multihost",
+            "--hosts",
+            "16",
+            "--queries",
+            "200",
+        ])
         .args(["--mutations", "none", "--json"])
         .arg(&path)
         .output()
@@ -78,5 +99,8 @@ fn the_largest_host_count_serves_and_writes_an_audited_record() {
     assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
     // `--json` writes nothing unless the rows pass `record::audit`.
     let record = std::fs::read_to_string(&path).expect("the audited record was written");
-    assert!(record.contains("\"UpANNS x16 hosts r1 (16 shards)\""), "{record}");
+    assert!(
+        record.contains("\"UpANNS x16 hosts r1 (16 shards)\""),
+        "{record}"
+    );
 }

@@ -15,10 +15,46 @@ use upanns_runtime::scenario::{
 };
 
 const FRAGMENTS: [&str; 40] = [
-    ";", ",", "=", "x", "+", ":", "@", "..", " ", "\t", "-", ".", "", "a", "tight", "qps",
-    "queries", "slo-ms", "weight", "repeat", "mix", "upsert", "delete", "seed", "none", "0", "1",
-    "7", "10x8", "0.5", "1e3", "-1", "nan", "NaN", "inf", "-inf", "1e400",
-    "99999999999999999999", "4294967296", "é",
+    ";",
+    ",",
+    "=",
+    "x",
+    "+",
+    ":",
+    "@",
+    "..",
+    " ",
+    "\t",
+    "-",
+    ".",
+    "",
+    "a",
+    "tight",
+    "qps",
+    "queries",
+    "slo-ms",
+    "weight",
+    "repeat",
+    "mix",
+    "upsert",
+    "delete",
+    "seed",
+    "none",
+    "0",
+    "1",
+    "7",
+    "10x8",
+    "0.5",
+    "1e3",
+    "-1",
+    "nan",
+    "NaN",
+    "inf",
+    "-inf",
+    "1e400",
+    "99999999999999999999",
+    "4294967296",
+    "é",
 ];
 
 fn hostile(tokens: &[usize]) -> String {
@@ -32,12 +68,24 @@ fn parse_everything(spec: &str) {
         assert_eq!(mix.tenants.len(), spec.split(';').count(), "{spec:?}");
         for tenant in &mix.tenants {
             let stream = &tenant.stream;
-            assert!(stream.mean_qps > 0.0 && stream.mean_qps.is_finite(), "{spec:?}");
-            assert!(stream.workload.num_queries >= 1 && tenant.weight >= 1, "{spec:?}");
+            assert!(
+                stream.mean_qps > 0.0 && stream.mean_qps.is_finite(),
+                "{spec:?}"
+            );
+            assert!(
+                stream.workload.num_queries >= 1 && tenant.weight >= 1,
+                "{spec:?}"
+            );
             assert!((0.0..=1.0).contains(&stream.repeat_fraction), "{spec:?}");
-            assert!(stream.slo_p99_s.is_none_or(|s| s > 0.0 && s.is_finite()), "{spec:?}");
+            assert!(
+                stream.slo_p99_s.is_none_or(|s| s > 0.0 && s.is_finite()),
+                "{spec:?}"
+            );
             assert!(!tenant.option_mix.is_empty(), "{spec:?}");
-            assert!(tenant.option_mix.iter().all(|&(k, nprobe)| k >= 1 && nprobe >= 1));
+            assert!(tenant
+                .option_mix
+                .iter()
+                .all(|&(k, nprobe)| k >= 1 && nprobe >= 1));
         }
     }
     if let Ok(Some(rates)) = parse_mutations(spec) {
@@ -48,7 +96,10 @@ fn parse_everything(spec: &str) {
     }
     if let Ok(faults) = FaultSchedule::parse(spec) {
         for outage in faults.events() {
-            assert!(0.0 <= outage.down_at && outage.down_at < outage.up_at, "{spec:?}");
+            assert!(
+                0.0 <= outage.down_at && outage.down_at < outage.up_at,
+                "{spec:?}"
+            );
             assert!(outage.up_at.is_finite(), "{spec:?}");
         }
     }
@@ -149,22 +200,53 @@ proptest! {
 #[test]
 fn the_committed_defaults_parse() {
     for (spec, tenants) in [(DEFAULT_TENANTS, 2), (THREADED_TENANTS, 2)] {
-        assert_eq!(parse_tenants(spec).expect("a committed default").tenants.len(), tenants);
+        assert_eq!(
+            parse_tenants(spec)
+                .expect("a committed default")
+                .tenants
+                .len(),
+            tenants
+        );
     }
     let rates = parse_mutations(DEFAULT_MUTATIONS).expect("a committed default");
-    assert_eq!(rates.map(|r| (r.upsert_qps, r.delete_qps, r.seed)), Some((24.0, 8.0, 77)));
+    assert_eq!(
+        rates.map(|r| (r.upsert_qps, r.delete_qps, r.seed)),
+        Some((24.0, 8.0, 77))
+    );
     assert_eq!(parse_mutations("none"), Ok(None));
-    assert_eq!(FaultSchedule::parse(DEFAULT_FAULT).expect("a committed default").events().len(), 1);
+    assert_eq!(
+        FaultSchedule::parse(DEFAULT_FAULT)
+            .expect("a committed default")
+            .events()
+            .len(),
+        1
+    );
 }
 
 /// Every malformed spec in CI's must-fail list is an `Err` (which the binary
 /// turns into `error: ...` and exit 2).
 #[test]
 fn ci_must_fail_specs_are_errors() {
-    for spec in ["broken", "a:qps=1,bogus=2", "", "a:", "a:qps=0", "a:qps=1,mix=0x4", "a:qps=1;"] {
+    for spec in [
+        "broken",
+        "a:qps=1,bogus=2",
+        "",
+        "a:",
+        "a:qps=0",
+        "a:qps=1,mix=0x4",
+        "a:qps=1;",
+    ] {
         assert!(parse_tenants(spec).is_err(), "--tenants {spec:?}");
     }
-    for spec in ["broken", "upsert=x", "bogus=1", "upsert=0,delete=0", "", "upsert=-1", "upsert=nan"] {
+    for spec in [
+        "broken",
+        "upsert=x",
+        "bogus=1",
+        "upsert=0,delete=0",
+        "",
+        "upsert=-1",
+        "upsert=nan",
+    ] {
         assert!(parse_mutations(spec).is_err(), "--mutations {spec:?}");
     }
     for spec in ["bogus", "1@9..5", "", "1@nan..5", "-1@1..2", "1@-3..2"] {

@@ -140,9 +140,7 @@ impl AdmissionQueue {
     /// unconsumed reservations would otherwise wedge the room forever).
     pub fn try_admit(&mut self, tenant: TenantId) -> bool {
         let i = self.lane_index(tenant);
-        if self.lanes[i].reserved == 0
-            && self.free == 0
-            && self.consecutive_sheds >= self.capacity
+        if self.lanes[i].reserved == 0 && self.free == 0 && self.consecutive_sheds >= self.capacity
         {
             for lane in &mut self.lanes {
                 self.free += lane.reserved;
@@ -298,7 +296,9 @@ mod tests {
     fn free_room_is_never_withheld_across_tenants() {
         // Work conservation: while unreserved room exists, any tenant gets
         // in, whatever the weights say.
-        let mut q = AdmissionQueue::new(4).with_tenant(T1, 100).with_tenant(T2, 1);
+        let mut q = AdmissionQueue::new(4)
+            .with_tenant(T1, 100)
+            .with_tenant(T2, 1);
         assert!(q.try_admit(T2));
         assert!(q.try_admit(T2));
         assert!(q.try_admit(T2));
@@ -342,7 +342,9 @@ mod tests {
     fn low_weight_tenant_is_granted_every_round() {
         // No starvation: a weight-1 tenant is handed at least one slot per
         // DRR round even against a weight-5 rival with a deep backlog.
-        let mut q = AdmissionQueue::new(12).with_tenant(T1, 5).with_tenant(T2, 1);
+        let mut q = AdmissionQueue::new(12)
+            .with_tenant(T1, 5)
+            .with_tenant(T2, 1);
         for _ in 0..12 {
             q.try_admit(T1);
         }

@@ -38,7 +38,10 @@ impl CapacityModel {
         let sxx: f64 = samples.iter().map(|(x, _)| x * x).sum();
         let sxy: f64 = samples.iter().map(|(x, y)| x * y).sum();
         let denom = n * sxx - sx * sx;
-        assert!(denom.abs() > f64::EPSILON, "need at least two distinct host counts");
+        assert!(
+            denom.abs() > f64::EPSILON,
+            "need at least two distinct host counts"
+        );
         let a = (n * sxy - sx * sy) / denom;
         let b = (sy - a * sx) / n;
         Self {
@@ -169,7 +172,9 @@ mod tests {
 
     #[test]
     fn fit_recovers_an_exact_line() {
-        let samples: Vec<(f64, f64)> = (1..=6).map(|h| (h as f64, 300.0 * h as f64 - 50.0)).collect();
+        let samples: Vec<(f64, f64)> = (1..=6)
+            .map(|h| (h as f64, 300.0 * h as f64 - 50.0))
+            .collect();
         let model = CapacityModel::fit(&samples);
         assert!((model.qps_per_host - 300.0).abs() < 1e-9);
         assert!((model.base_qps + 50.0).abs() < 1e-9);

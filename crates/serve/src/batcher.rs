@@ -343,7 +343,11 @@ mod tests {
         // Filling the (k=10, nprobe=8) group closes only that group.
         let batch = former.push(pending(3, 0.1, 10, 8), 0.1).expect("full");
         assert_eq!(
-            batch.members.iter().map(|m| m.stream_index).collect::<Vec<_>>(),
+            batch
+                .members
+                .iter()
+                .map(|m| m.stream_index)
+                .collect::<Vec<_>>(),
             vec![0, 3]
         );
         assert_eq!(former.open.len(), 2);
@@ -373,7 +377,7 @@ mod tests {
         former.push(pending(0, 0.0, 10, 8), 0.0); // group A
         former.push(pending(1, 1.0, 20, 8), 1.0); // group B
         former.push(pending(2, 2.0, 30, 8), 2.0); // group C
-        // Fill A: swap_remove leaves open = [C, B].
+                                                  // Fill A: swap_remove leaves open = [C, B].
         assert!(former.push(pending(3, 3.0, 10, 8), 3.0).is_some());
         let closed = former.due(100.0);
         assert_eq!(closed.len(), 2);
@@ -432,7 +436,10 @@ mod tests {
         a2.options = a2.options.with_tenant(TenantId(1));
         let batch = former.push(a2, 0.1).expect("full");
         assert_eq!(batch.options.tenant, TenantId(1));
-        assert!(batch.members.iter().all(|m| m.options.tenant == TenantId(1)));
+        assert!(batch
+            .members
+            .iter()
+            .all(|m| m.options.tenant == TenantId(1)));
         assert_eq!(former.open.len(), 1);
     }
 

@@ -72,7 +72,11 @@ impl ResultCache {
 
     /// Looks up a query's cached neighbors against a frozen (epoch-0) index.
     /// Equivalent to `lookup_at_epoch` with epoch 0.
-    pub fn lookup(&mut self, query: &[f32], options: &QueryOptions) -> Option<(Vec<Neighbor>, f64)> {
+    pub fn lookup(
+        &mut self,
+        query: &[f32],
+        options: &QueryOptions,
+    ) -> Option<(Vec<Neighbor>, f64)> {
         self.lookup_at_epoch(query, options, 0)
     }
 
@@ -147,7 +151,11 @@ impl ResultCache {
             // are unique per entry, so the minimum is unique and the scan
             // order cannot affect which key wins.
             #[expect(clippy::disallowed_methods, reason = "min over unique ticks")]
-            let lru = self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone());
+            let lru = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone());
             if let Some(lru) = lru {
                 self.entries.remove(&lru);
             }
@@ -279,10 +287,16 @@ mod tests {
         assert!(cache.is_empty(), "the stale entry was dropped");
         // The next lookup of the same key is a plain miss.
         assert!(cache.lookup_at_epoch(&q, &opts(10, 8), 4).is_none());
-        assert_eq!((cache.hits(), cache.misses(), cache.invalidated()), (1, 1, 1));
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.invalidated()),
+            (1, 1, 1)
+        );
         // A re-inserted fresh answer hits again.
         cache.insert_at_epoch(&q, &opts(10, 8), hit(9), 1.0, 4);
-        assert_eq!(cache.lookup_at_epoch(&q, &opts(10, 8), 4).unwrap().0[0].id, 9);
+        assert_eq!(
+            cache.lookup_at_epoch(&q, &opts(10, 8), 4).unwrap().0[0].id,
+            9
+        );
     }
 
     #[test]

@@ -286,8 +286,8 @@ impl SloController {
             } else {
                 Self::DECREASE_FACTOR
             };
-            self.current.max_delay_s = (self.current.max_delay_s * factor)
-                .clamp(self.min_delay_s(), self.max_delay_s());
+            self.current.max_delay_s =
+                (self.current.max_delay_s * factor).clamp(self.min_delay_s(), self.max_delay_s());
         } else if p99 < Self::GROW_BELOW * self.slo_p99_s {
             // Comfortably under: grow additively — harvest batch
             // amortization gradually without overshooting the SLO.

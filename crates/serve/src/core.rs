@@ -77,8 +77,14 @@ enum Observed {
 #[derive(Clone, Copy)]
 enum Fate {
     Shed,
-    Cached { finish: f64 },
-    Chunk { closed_at: f64, start: f64, finish: f64 },
+    Cached {
+        finish: f64,
+    },
+    Chunk {
+        closed_at: f64,
+        start: f64,
+        finish: f64,
+    },
 }
 
 impl Fate {
@@ -179,7 +185,11 @@ impl<'a> ServingCore<'a> {
         policy: &'a mut dyn BatchPolicy,
         epochs: &'a [(f64, u64)],
     ) -> Self {
-        assert_ne!(config.max_chunk, Some(0), "max_chunk must allow at least one query");
+        assert_ne!(
+            config.max_chunk,
+            Some(0),
+            "max_chunk must allow at least one query"
+        );
         let mut queue = AdmissionQueue::new(config.queue_capacity);
         let mut former = BatchFormer::new(policy.current(TenantId::DEFAULT));
         for p in &stream.tenant_profiles {
@@ -242,7 +252,8 @@ impl<'a> ServingCore<'a> {
     /// and the service's chunk cap.
     fn submit(&mut self, batch: FormedBatch) {
         let slo = self.slo_of(batch.options.tenant);
-        self.dispatch.submit(batch, slo, self.config.max_chunk.unwrap_or(usize::MAX));
+        self.dispatch
+            .submit(batch, slo, self.config.max_chunk.unwrap_or(usize::MAX));
     }
 
     /// The SLO a tenant's dispatch urgency and report row are judged by: its
@@ -265,7 +276,8 @@ impl<'a> ServingCore<'a> {
         let tenant = options.tenant;
         if !self.tenants_seen.contains(&tenant) {
             self.tenants_seen.push(tenant);
-            self.former.set_tenant_config(tenant, self.policy.current(tenant));
+            self.former
+                .set_tenant_config(tenant, self.policy.current(tenant));
         }
         if let Some((cached, ready_at)) = self.cache.lookup_at_epoch(
             self.stream.batch.queries.vector(index),
@@ -279,7 +291,11 @@ impl<'a> ServingCore<'a> {
             // answer is the worst SLO outcome.
             self.record(index, tenant, now, Fate::Shed, Vec::new());
         } else {
-            let pending = PendingQuery { arrival_s: now, stream_index: index, options };
+            let pending = PendingQuery {
+                arrival_s: now,
+                stream_index: index,
+                options,
+            };
             if let Some(batch) = self.former.push(pending, now) {
                 self.submit(batch);
             }
@@ -288,17 +304,31 @@ impl<'a> ServingCore<'a> {
 
     /// Writes one query's fate to the ledger and defers what it causes: an
     /// SLO outcome and, for an answer, the policy's latency observation.
-    fn record(&mut self, index: usize, tenant: TenantId, arrival: f64, fate: Fate, neighbors: Vec<Neighbor>) {
+    fn record(
+        &mut self,
+        index: usize,
+        tenant: TenantId,
+        arrival: f64,
+        fate: Fate,
+        neighbors: Vec<Neighbor>,
+    ) {
         match fate.finish() {
             Some(finish) => {
                 let latency_s = finish - arrival;
                 let missed = self.slo_of(tenant).is_some_and(|s| latency_s > s);
                 self.slo_events.push(finish, missed);
-                self.feedback.push(finish, (tenant, Observed::Query { latency_s }));
+                self.feedback
+                    .push(finish, (tenant, Observed::Query { latency_s }));
             }
             None => self.slo_events.push(arrival, true),
         }
-        self.queries.push(QueryRecord { index, arrival, tenant, fate, neighbors });
+        self.queries.push(QueryRecord {
+            index,
+            arrival,
+            tenant,
+            fate,
+            neighbors,
+        });
     }
 
     /// The dispatch discipline [`ServiceConfig::max_chunk`] selected.
@@ -322,7 +352,13 @@ impl<'a> ServingCore<'a> {
     /// `[start, finish]`: the completion, the deferred seat release and
     /// policy feedback, the cache entries (available from `finish` — the
     /// ready-at guard keeps repeats honest) and the per-query answers.
-    pub fn complete(&mut self, chunk: QueuedChunk, response: SearchResponse, start: f64, finish: f64) {
+    pub fn complete(
+        &mut self,
+        chunk: QueuedChunk,
+        response: SearchResponse,
+        start: f64,
+        finish: f64,
+    ) {
         let batch = chunk.batch;
         // Chunks are tenant-pure (the former never mixes tenants and the
         // queue splits batches without mixing), so the options name the one
@@ -344,9 +380,14 @@ impl<'a> ServingCore<'a> {
         // the blocking worse).
         if chunk.lead {
             let wait_s = start - batch.closed_at;
-            self.feedback.push(finish, (tenant, Observed::Batch { wait_s }));
+            self.feedback
+                .push(finish, (tenant, Observed::Batch { wait_s }));
         }
-        let fate = Fate::Chunk { closed_at: batch.closed_at, start, finish };
+        let fate = Fate::Chunk {
+            closed_at: batch.closed_at,
+            start,
+            finish,
+        };
         for (member, neighbors) in batch.members.iter().zip(response.results) {
             // The answer was computed against the snapshot active at the
             // query's own arrival — stamp the entry with that epoch so a
@@ -359,7 +400,13 @@ impl<'a> ServingCore<'a> {
                 finish,
                 ResultCache::epoch_at(self.epochs, member.arrival_s),
             );
-            self.record(member.stream_index, tenant, member.arrival_s, fate, neighbors);
+            self.record(
+                member.stream_index,
+                tenant,
+                member.arrival_s,
+                fate,
+                neighbors,
+            );
         }
     }
 
@@ -382,7 +429,10 @@ impl<'a> ServingCore<'a> {
                 _ => distinct += 1,
             }
         }
-        (self.stream.len().saturating_sub(distinct + shed), duplicated)
+        (
+            self.stream.len().saturating_sub(distinct + shed),
+            duplicated,
+        )
     }
 
     /// Delivers the remaining feedback (so the reported controller state
@@ -396,7 +446,11 @@ impl<'a> ServingCore<'a> {
             match q.fate {
                 Fate::Shed => {}
                 Fate::Cached { finish } => split.cache_s += finish - q.arrival,
-                Fate::Chunk { closed_at, start, finish } => {
+                Fate::Chunk {
+                    closed_at,
+                    start,
+                    finish,
+                } => {
                     split.batch_wait_s += closed_at - q.arrival;
                     split.dispatch_wait_s += start - closed_at;
                     split.engine_service_s += finish - start;
@@ -410,7 +464,10 @@ impl<'a> ServingCore<'a> {
             results[q.index] = std::mem::take(&mut q.neighbors);
         }
         let latencies_of = |tenant: Option<TenantId>| {
-            let of = self.queries.iter().filter(|q| tenant.is_none_or(|t| q.tenant == t));
+            let of = self
+                .queries
+                .iter()
+                .filter(|q| tenant.is_none_or(|t| q.tenant == t));
             sorted(of.filter_map(QueryRecord::latency).collect())
         };
         // Per-tenant rows, in profile order (tenants invented mid-stream
@@ -459,10 +516,18 @@ impl<'a> ServingCore<'a> {
             split_batches: self.dispatch.split_batches(),
             // A fold from +0.0 in completion order (`sum` starts at −0.0).
             engine_busy_s: chunks.iter().fold(0.0, |busy, c| busy + c.seconds),
-            makespan_s: self.queries.iter().filter_map(|q| q.fate.finish()).fold(0.0, f64::max),
+            makespan_s: self
+                .queries
+                .iter()
+                .filter_map(|q| q.fate.finish())
+                .fold(0.0, f64::max),
             latencies_s,
             results,
-            outcomes: self.queries.iter().map(|q| (q.arrival, q.latency())).collect(),
+            outcomes: self
+                .queries
+                .iter()
+                .map(|q| (q.arrival, q.latency()))
+                .collect(),
             degraded: chunks.iter().map(|c| c.degraded).sum(),
             hedged: chunks.iter().map(|c| c.hedged).sum(),
             redispatched: chunks.iter().map(|c| c.redispatched).sum(),

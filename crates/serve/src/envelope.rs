@@ -152,12 +152,19 @@ mod tests {
         span(&mut o, 30.0, 60.0, 300, true); // recovered
         let env = RecoveryEnvelope::from_outcomes(&o, 1.0, 20.0, 5.0).expect("measurable");
         assert!((env.baseline_attainment - 1.0).abs() < 1e-9);
-        assert!((env.max_dip - 1.0).abs() < 1e-9, "the outage buckets hit 0 attainment");
+        assert!(
+            (env.max_dip - 1.0).abs() < 1e-9,
+            "the outage buckets hit 0 attainment"
+        );
         assert!(env.dip_at >= 20.0 && env.dip_at < 30.0);
         assert!(env.recovered);
         // Dip bottom is the 20–25 s or 25–30 s bucket; the first healthy
         // bucket after it ends at 35 s ⇒ recovery within 15 s of t_down.
-        assert!(env.recovery_s > 0.0 && env.recovery_s <= 15.0, "{}", env.recovery_s);
+        assert!(
+            env.recovery_s > 0.0 && env.recovery_s <= 15.0,
+            "{}",
+            env.recovery_s
+        );
     }
 
     #[test]

@@ -530,8 +530,12 @@ impl<E: AnnEngine> SearchService<E> {
         if let (Some(scaler), Some(hosts)) = (autoscaler.as_mut(), self.engine.live_hosts()) {
             scaler.sync(hosts);
         }
-        let mut core =
-            ServingCore::new(stream, self.config, self.policy.as_mut(), &self.epoch_schedule);
+        let mut core = ServingCore::new(
+            stream,
+            self.config,
+            self.policy.as_mut(),
+            &self.epoch_schedule,
+        );
         let mut sim = SerialEngine {
             engine: &mut self.engine,
             stream,
@@ -635,8 +639,7 @@ mod tests {
     #[test]
     fn replay_answers_every_query_or_sheds_it() {
         let (_, index) = fixture();
-        let mut service =
-            SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
+        let mut service = SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
         let stream = stream(200, 50_000.0, 0.0);
         let report = service.replay(&stream, |_| QueryOptions::new(10, 4));
         assert_eq!(report.completed + report.shed, 200);
@@ -676,8 +679,7 @@ mod tests {
     #[test]
     fn repeated_queries_hit_the_cache() {
         let (_, index) = fixture();
-        let mut service =
-            SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
+        let mut service = SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
         let stream = stream(300, 50_000.0, 0.4);
         let report = service.replay(&stream, |_| QueryOptions::new(10, 4));
         assert!(report.cache_hits > 0, "repeats must hit the cache");
@@ -693,8 +695,7 @@ mod tests {
         // answers identical to the plain replay path.
         let (_, index) = fixture();
         let stream = stream(300, 50_000.0, 0.4);
-        let mut plain =
-            SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
+        let mut plain = SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
         let plain_report = plain.replay(&stream, |_| QueryOptions::new(10, 4));
         let frozen = annkit::mutation::SnapshotTimeline::frozen(index);
         let (mut live, accepted) =
@@ -847,8 +848,7 @@ mod tests {
     #[test]
     fn slo_attainment_is_reported_from_the_stream_annotation() {
         let (dataset, index) = fixture();
-        let mut service =
-            SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
+        let mut service = SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
         // An impossibly tight SLO: everything misses.
         let tight = StreamSpec::new(150, 30_000.0)
             .with_slo_p99(1e-12)
@@ -895,9 +895,8 @@ mod tests {
         use crate::controller::SloController;
         let (dataset, index) = fixture();
         let slo = 5e-3;
-        let mut service =
-            SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default())
-                .with_policy(Box::new(SloController::for_slo(slo)));
+        let mut service = SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default())
+            .with_policy(Box::new(SloController::for_slo(slo)));
         let initial = service.policy.current(TenantId::DEFAULT);
         let stream = StreamSpec::new(400, 20_000.0)
             .with_slo_p99(slo)
@@ -915,8 +914,7 @@ mod tests {
         );
         // The controller's answers equal the fixed policy's: batching shape
         // changes latency, never correctness.
-        let mut fixed =
-            SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
+        let mut fixed = SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
         let fixed_report = fixed.replay(&stream, |_| QueryOptions::new(10, 4));
         for (a, b) in report.results.iter().zip(&fixed_report.results) {
             if a.is_empty() || b.is_empty() {
@@ -935,19 +933,24 @@ mod tests {
         let (dataset, index) = fixture();
         let spec = MultiTenantSpec::new()
             .with_tenant(
-                TenantSpec::new(TenantId(1), StreamSpec::new(60, 20_000.0).with_slo_p99(0.05))
-                    .with_name("tight")
-                    .with_weight(2)
-                    .with_option_mix(vec![(10, 4)]),
+                TenantSpec::new(
+                    TenantId(1),
+                    StreamSpec::new(60, 20_000.0).with_slo_p99(0.05),
+                )
+                .with_name("tight")
+                .with_weight(2)
+                .with_option_mix(vec![(10, 4)]),
             )
             .with_tenant(
-                TenantSpec::new(TenantId(2), StreamSpec::new(140, 50_000.0).with_slo_p99(5.0))
-                    .with_name("batchy")
-                    .with_option_mix(vec![(10, 8), (20, 8)]),
+                TenantSpec::new(
+                    TenantId(2),
+                    StreamSpec::new(140, 50_000.0).with_slo_p99(5.0),
+                )
+                .with_name("batchy")
+                .with_option_mix(vec![(10, 8), (20, 8)]),
             );
         let stream = spec.generate(dataset);
-        let mut service =
-            SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
+        let mut service = SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
         let report = service.replay_planned(&stream);
         assert_eq!(report.completed + report.shed, 200);
         assert_eq!(report.tenants.len(), 2);
@@ -999,13 +1002,10 @@ mod tests {
                 .with_option_mix(vec![(10, 8)]),
             );
         let stream = spec.generate(dataset);
-        let bank = ControllerBank::for_profiles(
-            &stream.tenant_profiles,
-            BatchFormerConfig::default(),
-        );
-        let mut service =
-            SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default())
-                .with_policy(Box::new(bank));
+        let bank =
+            ControllerBank::for_profiles(&stream.tenant_profiles, BatchFormerConfig::default());
+        let mut service = SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default())
+            .with_policy(Box::new(bank));
         let report = service.replay_planned(&stream);
         assert_eq!(report.policy, "adaptive-tenant");
         let t1 = report.tenant(TenantId(1)).expect("tight row");
@@ -1077,9 +1077,12 @@ mod tests {
             .with_option_mix(vec![(10, 4)]),
         );
         let stream = spec.generate(dataset);
-        assert_eq!(stream.slo_p99_s, Some(1e-12), "stream SLO is the tight tenant's");
-        let mut service =
-            SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
+        assert_eq!(
+            stream.slo_p99_s,
+            Some(1e-12),
+            "stream SLO is the tight tenant's"
+        );
+        let mut service = SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
         // Route half the traffic to an invented tenant the stream knows
         // nothing about.
         let report = service.replay(&stream, |i| {
@@ -1126,12 +1129,9 @@ mod tests {
         let (dataset, index) = fixture();
         let spec = MultiTenantSpec::new()
             .with_tenant(
-                TenantSpec::new(
-                    TenantId(1),
-                    StreamSpec::new(4, 2.0).with_slo_p99(0.05),
-                )
-                .with_name("tight")
-                .with_option_mix(vec![(10, 4)]),
+                TenantSpec::new(TenantId(1), StreamSpec::new(4, 2.0).with_slo_p99(0.05))
+                    .with_name("tight")
+                    .with_option_mix(vec![(10, 4)]),
             )
             .with_tenant(
                 TenantSpec::new(TenantId(2), StreamSpec::new(400, 400.0))
@@ -1189,8 +1189,7 @@ mod tests {
     #[test]
     fn mixed_options_are_batched_separately_but_all_answered() {
         let (_, index) = fixture();
-        let mut service =
-            SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
+        let mut service = SearchService::new(CpuFaissEngine::new(index), ServiceConfig::default());
         let stream = stream(120, 30_000.0, 0.0);
         let report = service.replay(&stream, |i| {
             if i % 2 == 0 {

@@ -19,7 +19,9 @@ use annkit::workload::{StreamSpec, TenantId, TenantProfile};
 use baselines::engine::QueryOptions;
 use proptest::prelude::*;
 use upanns_serve::admission::AdmissionQueue;
-use upanns_serve::batcher::{BatchFormer, BatchFormerConfig, CloseReason, FormedBatch, PendingQuery};
+use upanns_serve::batcher::{
+    BatchFormer, BatchFormerConfig, CloseReason, FormedBatch, PendingQuery,
+};
 use upanns_serve::cache::ResultCache;
 use upanns_serve::controller::{BatchPolicy, ControllerBank, SloController};
 
@@ -579,7 +581,10 @@ proptest! {
 fn replay_fixture() -> &'static (SyntheticDataset, IvfPqIndex) {
     static FIXTURE: OnceLock<(SyntheticDataset, IvfPqIndex)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let data = SyntheticSpec::sift_like(600).with_clusters(8).with_seed(11).generate_with_meta();
+        let data = SyntheticSpec::sift_like(600)
+            .with_clusters(8)
+            .with_seed(11)
+            .generate_with_meta();
         let index = IvfPqIndex::train(&data.vectors, &IvfPqParams::new(16, 8), 3);
         (data, index)
     })
@@ -619,8 +624,7 @@ fn repeats_wait_for_the_original_answer() {
     };
     // The work scale inflates the modeled execution time so it dwarfs both
     // the arrival spacing and the cache lookup.
-    let mut service =
-        SearchService::new(CpuFaissEngine::new(&index).with_work_scale(1e5), config);
+    let mut service = SearchService::new(CpuFaissEngine::new(&index).with_work_scale(1e5), config);
     let stream = StreamSpec::new(20, 1e9)
         .with_repeat_fraction(1.0)
         .generate(&dataset);

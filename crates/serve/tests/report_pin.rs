@@ -21,7 +21,11 @@ fn fixture() -> (SyntheticDataset, IvfPqIndex) {
         .with_clusters(12)
         .with_seed(41)
         .generate_with_meta();
-    let index = IvfPqIndex::train(&dataset.vectors, &IvfPqParams::new(12, 16).with_train_size(600), 3);
+    let index = IvfPqIndex::train(
+        &dataset.vectors,
+        &IvfPqParams::new(12, 16).with_train_size(600),
+        3,
+    );
     (dataset, index)
 }
 
@@ -57,7 +61,10 @@ fn batcher(c: BatchFormerConfig) -> String {
 
 fn neighbors(results: &[Vec<Neighbor>]) -> String {
     hash(results.iter().flat_map(|r| {
-        std::iter::once(r.len() as u64).chain(r.iter().flat_map(|n| [n.id, u64::from(n.distance.to_bits())]))
+        std::iter::once(r.len() as u64).chain(
+            r.iter()
+                .flat_map(|n| [n.id, u64::from(n.distance.to_bits())]),
+        )
     }))
 }
 
@@ -72,25 +79,48 @@ fn pin(r: &ServiceReport) -> Vec<String> {
         format!("final_batcher {}", batcher(r.final_batcher)),
         format!("completed {}", r.completed),
         format!("shed {}", r.shed),
-        format!("cache {} {} {}", r.cache_hits, r.cache_misses, r.cache_invalidated),
-        format!("closed {} {}", r.size_closed_batches, r.deadline_closed_batches),
+        format!(
+            "cache {} {} {}",
+            r.cache_hits, r.cache_misses, r.cache_invalidated
+        ),
+        format!(
+            "closed {} {}",
+            r.size_closed_batches, r.deadline_closed_batches
+        ),
         format!("chunks {} {}", r.dispatched_chunks, r.split_batches),
         format!("engine_busy_s {}", bits(r.engine_busy_s)),
         format!("makespan_s {}", bits(r.makespan_s)),
-        format!("latencies_s {}", hash(r.latencies_s.iter().map(|l| l.to_bits()))),
+        format!(
+            "latencies_s {}",
+            hash(r.latencies_s.iter().map(|l| l.to_bits()))
+        ),
         format!("results {}", neighbors(&r.results)),
         format!(
             "outcomes {}",
-            hash(r.outcomes.iter().flat_map(|(at, l)| [at.to_bits(), l.map_or(u64::MAX, f64::to_bits)]))
+            hash(
+                r.outcomes
+                    .iter()
+                    .flat_map(|(at, l)| [at.to_bits(), l.map_or(u64::MAX, f64::to_bits)])
+            )
         ),
         format!("replicas {} {} {}", r.degraded, r.hedged, r.redispatched),
         format!("scale {} {}", r.scale_events, bits(r.migration_s)),
     ];
     for t in &r.tenants {
         lines.extend([
-            format!("{} id {} weight {} slo {}", t.name, t.id, t.weight, slo(t.slo_p99_s)),
+            format!(
+                "{} id {} weight {} slo {}",
+                t.name,
+                t.id,
+                t.weight,
+                slo(t.slo_p99_s)
+            ),
             format!("{} completed {} shed {}", t.name, t.completed, t.shed),
-            format!("{} latencies_s {}", t.name, hash(t.latencies_s.iter().map(|l| l.to_bits()))),
+            format!(
+                "{} latencies_s {}",
+                t.name,
+                hash(t.latencies_s.iter().map(|l| l.to_bits()))
+            ),
             format!("{} final_batcher {}", t.name, batcher(t.final_batcher)),
         ]);
     }
@@ -101,15 +131,22 @@ fn pin(r: &ServiceReport) -> Vec<String> {
 fn a_one_tenant_replay_with_repeats_reports_the_same_bits() {
     let (dataset, index) = fixture();
     let stream = respaced(
-        StreamSpec::new(240, 1.0).with_repeat_fraction(0.4).with_slo_p99(4e-3).generate(&dataset),
+        StreamSpec::new(240, 1.0)
+            .with_repeat_fraction(0.4)
+            .with_slo_p99(4e-3)
+            .generate(&dataset),
         1.0 / 4096.0,
     );
     let config = ServiceConfig {
-        batcher: BatchFormerConfig { max_batch: 6, max_delay_s: 1.0 / 512.0 },
+        batcher: BatchFormerConfig {
+            max_batch: 6,
+            max_delay_s: 1.0 / 512.0,
+        },
         ..ServiceConfig::default()
     };
-    let mut service = SearchService::new(CpuFaissEngine::new(&index).with_work_scale(1200.0), config)
-        .with_policy(Box::new(SloController::new(4e-3, config.batcher)));
+    let mut service =
+        SearchService::new(CpuFaissEngine::new(&index).with_work_scale(1200.0), config)
+            .with_policy(Box::new(SloController::new(4e-3, config.batcher)));
     let report = service.replay(&stream, |_| QueryOptions::new(10, 4));
     // What the stream is for: cache hits, some of them waiting on an answer
     // still in flight (an engine answer takes far longer than 10 µs, a hit
@@ -150,10 +187,15 @@ fn a_chunked_two_tenant_replay_with_a_small_queue_reports_the_same_bits() {
     let (dataset, index) = fixture();
     let spec = MultiTenantSpec::new()
         .with_tenant(
-            TenantSpec::new(TenantId(1), StreamSpec::new(60, 1.0).with_repeat_fraction(0.2).with_slo_p99(4e-3))
-                .with_name("tight")
-                .with_weight(2)
-                .with_option_mix(vec![(10, 4)]),
+            TenantSpec::new(
+                TenantId(1),
+                StreamSpec::new(60, 1.0)
+                    .with_repeat_fraction(0.2)
+                    .with_slo_p99(4e-3),
+            )
+            .with_name("tight")
+            .with_weight(2)
+            .with_option_mix(vec![(10, 4)]),
         )
         .with_tenant(
             TenantSpec::new(TenantId(2), StreamSpec::new(180, 3.0).with_slo_p99(1e-2))
@@ -164,7 +206,10 @@ fn a_chunked_two_tenant_replay_with_a_small_queue_reports_the_same_bits() {
     let bank = ControllerBank::for_profiles(&stream.tenant_profiles, BatchFormerConfig::default());
     let config = ServiceConfig {
         queue_capacity: 16,
-        batcher: BatchFormerConfig { max_batch: 32, max_delay_s: 1.0 / 256.0 },
+        batcher: BatchFormerConfig {
+            max_batch: 32,
+            max_delay_s: 1.0 / 256.0,
+        },
         max_chunk: Some(8),
         ..ServiceConfig::default()
     };

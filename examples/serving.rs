@@ -44,7 +44,10 @@ fn main() {
         &IvfPqParams::new(512, 16).with_train_size(3_000),
         1,
     );
-    let history = WorkloadSpec::new(1_500).with_seed(4).generate(&dataset).queries;
+    let history = WorkloadSpec::new(1_500)
+        .with_seed(4)
+        .generate(&dataset)
+        .queries;
     // Modeled size chosen for per-cluster parity with the reference
     // billion-scale configuration (see the `serve` binary).
     let scale = 1.25e8 / n as f64;
@@ -130,8 +133,12 @@ fn main() {
 
     // Per-class answer sizes prove per-query k was honored end to end.
     let k_of = |i: usize| report.results[i].len();
-    let interactive = (0..stream.len()).step_by(3).find(|&i| !report.results[i].is_empty());
-    let deep = (2..stream.len()).step_by(3).find(|&i| !report.results[i].is_empty());
+    let interactive = (0..stream.len())
+        .step_by(3)
+        .find(|&i| !report.results[i].is_empty());
+    let deep = (2..stream.len())
+        .step_by(3)
+        .find(|&i| !report.results[i].is_empty());
     if let (Some(a), Some(b)) = (interactive, deep) {
         println!(
             "Per-query k:     interactive query #{a} got {} neighbors, re-ranking query #{b} got {}",
@@ -174,7 +181,11 @@ fn main() {
         "Attainment:      p99 {:.1} ms | {:.1}% of queries missed the SLO | SLO {}",
         adaptive_report.p99() * 1e3,
         adaptive_report.slo_miss_fraction() * 100.0,
-        if adaptive_report.meets_slo() { "met" } else { "MISSED" }
+        if adaptive_report.meets_slo() {
+            "met"
+        } else {
+            "MISSED"
+        }
     );
     println!(
         "Controller:      {} adjustments, settled on max_batch={} / max_delay {:.1} ms",
@@ -203,10 +214,8 @@ fn main() {
                 .with_option_mix(vec![(10, 8), (20, 8)]),
         )
         .generate(&dataset);
-    let bank = ControllerBank::for_profiles(
-        &tenant_stream.tenant_profiles,
-        BatchFormerConfig::default(),
-    );
+    let bank =
+        ControllerBank::for_profiles(&tenant_stream.tenant_profiles, BatchFormerConfig::default());
     let mut tenant_service = SearchService::new(
         adaptive.into_engine(),
         ServiceConfig {

@@ -37,8 +37,14 @@ fn fixture() -> &'static Fixture {
             &IvfPqParams::new(48, 12).with_train_size(1_200),
             5,
         );
-        let history = WorkloadSpec::new(400).with_seed(70).generate(&dataset).queries;
-        let queries = WorkloadSpec::new(48).with_seed(71).generate(&dataset).queries;
+        let history = WorkloadSpec::new(400)
+            .with_seed(70)
+            .generate(&dataset)
+            .queries;
+        let queries = WorkloadSpec::new(48)
+            .with_seed(71)
+            .generate(&dataset)
+            .queries;
         Fixture {
             dataset,
             index,
@@ -183,7 +189,10 @@ fn pim_naive_and_upanns_agree_under_every_single_optimization_toggle() {
     // Each optimization toggled on its own must leave the neighbor sets
     // essentially unchanged (accuracy is never traded for speed).
     let fix = fixture();
-    let q = fix.dataset.vectors.gather(&(0..16).map(|i| i * 131 % 3000).collect::<Vec<_>>());
+    let q = fix
+        .dataset
+        .vectors
+        .gather(&(0..16).map(|i| i * 131 % 3000).collect::<Vec<_>>());
     let mut reference = build(fix, UpAnnsConfig::pim_naive(), 8, None);
     let base = reference.search_batch(&q, 6, 10);
     for config in [
@@ -250,9 +259,7 @@ fn builder_panics_when_the_dataset_does_not_fit_in_mram() {
     // silently overcommitting the device.
     let mut tiny = PimConfig::with_dpus(1);
     tiny.mram_bytes = 64 * 1024;
-    let _ = UpAnnsBuilder::new(&fix.index)
-        .with_pim_config(tiny)
-        .build();
+    let _ = UpAnnsBuilder::new(&fix.index).with_pim_config(tiny).build();
 }
 
 #[test]

@@ -35,8 +35,14 @@ fn fixture() -> &'static Fixture {
             &IvfPqParams::new(32, 16).with_train_size(1_500),
             9,
         );
-        let history = WorkloadSpec::new(300).with_seed(1).generate(&dataset).queries;
-        let queries = WorkloadSpec::new(24).with_seed(2).generate(&dataset).queries;
+        let history = WorkloadSpec::new(300)
+            .with_seed(1)
+            .generate(&dataset)
+            .queries;
+        let queries = WorkloadSpec::new(24)
+            .with_seed(2)
+            .generate(&dataset)
+            .queries;
         Fixture {
             dataset,
             index,
@@ -114,8 +120,16 @@ fn recall_tracks_cpu_reference_across_nprobe() {
     let mut cpu = CpuFaissEngine::new(&fix.index);
     let mut previous = 0.0f64;
     for nprobe in [2usize, 8, 16] {
-        let r_cpu = recall_at_k(&cpu.search_batch(&fix.queries, nprobe, k).results, &exact, k);
-        let r_up = recall_at_k(&engine.search_batch(&fix.queries, nprobe, k).results, &exact, k);
+        let r_cpu = recall_at_k(
+            &cpu.search_batch(&fix.queries, nprobe, k).results,
+            &exact,
+            k,
+        );
+        let r_up = recall_at_k(
+            &engine.search_batch(&fix.queries, nprobe, k).results,
+            &exact,
+            k,
+        );
         assert!(
             (r_cpu - r_up).abs() < 0.02,
             "UpANNS recall diverges from CPU reference at nprobe={nprobe}: {r_cpu} vs {r_up}"
@@ -140,7 +154,10 @@ fn simulated_time_is_deterministic_across_runs() {
     let out_a = a.search_batch(&fix.queries, 6, 10);
     let out_b = b.search_batch(&fix.queries, 6, 10);
     assert_eq!(out_a.seconds, out_b.seconds);
-    assert_eq!(out_a.stats.candidates_scanned, out_b.stats.candidates_scanned);
+    assert_eq!(
+        out_a.stats.candidates_scanned,
+        out_b.stats.candidates_scanned
+    );
     for (x, y) in out_a.results.iter().zip(&out_b.results) {
         assert_eq!(
             x.iter().map(|n| n.id).collect::<Vec<_>>(),

@@ -37,8 +37,14 @@ fn fixture() -> &'static Fixture {
             &IvfPqParams::new(48, 16).with_train_size(2_000),
             7,
         );
-        let history = WorkloadSpec::new(400).with_seed(3).generate(&dataset).queries;
-        let queries = WorkloadSpec::new(32).with_seed(4).generate(&dataset).queries;
+        let history = WorkloadSpec::new(400)
+            .with_seed(3)
+            .generate(&dataset)
+            .queries;
+        let queries = WorkloadSpec::new(32)
+            .with_seed(4)
+            .generate(&dataset)
+            .queries;
         Fixture {
             dataset,
             index,
@@ -91,7 +97,10 @@ fn upanns_beats_cpu_at_scale() {
     // DPU count small enough that each DPU hosts several of the fixture's 48
     // clusters (the paper has 4096+ clusters over 896 DPUs; fewer clusters
     // than DPUs would leave the placement nothing to balance with).
-    let batch = WorkloadSpec::new(256).with_seed(9).generate(&fix.dataset).queries;
+    let batch = WorkloadSpec::new(256)
+        .with_seed(9)
+        .generate(&fix.dataset)
+        .queries;
     let dpus = 32.0;
     let mut upanns = engine(UpAnnsConfig::upanns().with_work_scale(SCALE), dpus as usize);
     let mut cpu = CpuFaissEngine::new(&fix.index).with_work_scale(SCALE);
@@ -136,8 +145,14 @@ fn tasklet_scaling_saturates_at_eleven() {
     let q1 = qps(1);
     let q11 = qps(11);
     let q24 = qps(24);
-    assert!(q11 > 5.0 * q1, "1→11 tasklets speedup too small: {q1} → {q11}");
-    assert!((q24 - q11).abs() / q11 < 0.25, "beyond 11 tasklets should saturate");
+    assert!(
+        q11 > 5.0 * q1,
+        "1→11 tasklets speedup too small: {q1} → {q11}"
+    );
+    assert!(
+        (q24 - q11).abs() / q11 < 0.25,
+        "beyond 11 tasklets should saturate"
+    );
 }
 
 /// Figure 14: co-occurrence aware encoding speeds up the distance stage.
@@ -230,7 +245,9 @@ fn gpu_oom_and_mram_latency_shape() {
     assert_eq!([8, 256, 2048].map(mram_transfer_cycles), [81, 205, 1_101]);
     // Fig. 7's bandwidth (bytes per cycle) never falls as transfers grow.
     let sizes = (3..=11).map(|log| 1usize << log);
-    let bandwidth: Vec<f64> = sizes.map(|b| b as f64 / mram_transfer_cycles(b) as f64).collect();
+    let bandwidth: Vec<f64> = sizes
+        .map(|b| b as f64 / mram_transfer_cycles(b) as f64)
+        .collect();
     assert!(bandwidth.windows(2).all(|w| w[0] <= w[1]), "{bandwidth:?}");
     let _ = &fix.dataset;
 }
@@ -262,14 +279,25 @@ fn few_long_lists_balance_down_to_pair_granularity() {
         .with_clusters(16)
         .with_seed(7)
         .generate_with_meta();
-    let index =
-        IvfPqIndex::train(&dataset.vectors, &IvfPqParams::new(32, 16).with_train_size(3_000), 5);
-    let history = WorkloadSpec::new(600).with_seed(8).generate(&dataset).queries;
-    let request =
-        WorkloadSpec::new(1_000).with_seed(20260927 ^ 0x00B4_7C5C).generate(&dataset).queries;
+    let index = IvfPqIndex::train(
+        &dataset.vectors,
+        &IvfPqParams::new(32, 16).with_train_size(3_000),
+        5,
+    );
+    let history = WorkloadSpec::new(600)
+        .with_seed(8)
+        .generate(&dataset)
+        .queries;
+    let request = WorkloadSpec::new(1_000)
+        .with_seed(20260927 ^ 0x00B4_7C5C)
+        .generate(&dataset)
+        .queries;
     let row = balance_study(&index, &history, &request, 896, 8);
     assert!(row.scheduled_ratio <= 1.35, "{row:?}");
-    assert!(row.scheduled_ratio <= 1.05 * row.granularity_floor, "{row:?}");
+    assert!(
+        row.scheduled_ratio <= 1.05 * row.granularity_floor,
+        "{row:?}"
+    );
 }
 
 /// §4.1.2 at the `figures -- drift` shape (N = 40 000, |C| = 4 096, 896
@@ -327,5 +355,8 @@ fn replica_adjustment_recovers_most_of_what_drift_costs() {
         );
         clearly_faster += usize::from(stale.seconds >= 1.5 * adjusted.seconds);
     }
-    assert!(clearly_faster >= 2, "only {clearly_faster} of 3 seeds gained 1.5x");
+    assert!(
+        clearly_faster >= 2,
+        "only {clearly_faster} of 3 seeds gained 1.5x"
+    );
 }

@@ -37,7 +37,10 @@ fn fixture() -> &'static Fixture {
             &IvfPqParams::new(16, 16).with_train_size(700),
             4,
         );
-        let history = WorkloadSpec::new(160).with_seed(92).generate(&dataset).queries;
+        let history = WorkloadSpec::new(160)
+            .with_seed(92)
+            .generate(&dataset)
+            .queries;
         Fixture {
             dataset,
             index,
@@ -105,14 +108,20 @@ fn assert_mixed_matches_per_group<E: AnnEngine>(engine: &mut E) {
 
     for (slot, expected) in a_members.iter().zip(ids(&a_expected.results)) {
         assert_eq!(
-            response.results[*slot].iter().map(|n| n.id).collect::<Vec<_>>(),
+            response.results[*slot]
+                .iter()
+                .map(|n| n.id)
+                .collect::<Vec<_>>(),
             expected,
             "query {slot} (k=5, nprobe=3) diverges from its uniform batch"
         );
     }
     for (slot, expected) in b_members.iter().zip(ids(&b_expected.results)) {
         assert_eq!(
-            response.results[*slot].iter().map(|n| n.id).collect::<Vec<_>>(),
+            response.results[*slot]
+                .iter()
+                .map(|n| n.id)
+                .collect::<Vec<_>>(),
             expected,
             "query {slot} (k=9, nprobe=6) diverges from its uniform batch"
         );
@@ -196,10 +205,17 @@ fn live_timeline(entries: usize) -> SnapshotTimeline {
 fn assert_seconds_are_the_breakdown(response: &SearchResponse, one_part: bool, engine: &str) {
     let (seconds, total) = (response.seconds, response.breakdown.total());
     if one_part {
-        assert_eq!(seconds.to_bits(), total.to_bits(), "{engine}: {seconds} vs {total}");
+        assert_eq!(
+            seconds.to_bits(),
+            total.to_bits(),
+            "{engine}: {seconds} vs {total}"
+        );
     } else {
         let rounding = 8.0 * f64::EPSILON * seconds;
-        assert!((seconds - total).abs() <= rounding, "{engine}: {seconds} vs {total}");
+        assert!(
+            (seconds - total).abs() <= rounding,
+            "{engine}: {seconds} vs {total}"
+        );
     }
 }
 
