@@ -8,22 +8,23 @@
 //! are one vector against many centroids (k-means assignment, PQ encode,
 //! cluster filtering) over the centroids' column-major twin
 //! ([`to_columns`]), which the column kernel reads a centroid per SIMD lane.
-//! Both dispatch to the best runtime-detected backend in [`crate::simd`],
-//! and every backend is bitwise-identical to the scalar reference, so
-//! callers (kmeans, `IvfPqIndex::search`, the replay twin) see the same
-//! answers on every machine.
+//! The pair is one portable reduction tree, and the column kernel runs
+//! that tree per lane on the best runtime-detected backend in
+//! [`crate::simd`], bitwise-identical on every backend, so callers (kmeans,
+//! `IvfPqIndex::search`, the replay twin) see the same answers on every
+//! machine.
 
 use crate::simd;
 
-/// Squared L2 distance between two equal-length vectors, on the best
-/// runtime-detected backend (bitwise-equal to the scalar reference — see
-/// [`crate::simd`]).
+/// Squared L2 distance between two equal-length vectors:
+/// [`simd::l2_squared_scalar`]'s reduction tree, the one each lane of the
+/// column kernel runs.
 ///
 /// # Panics
 /// Panics (in debug builds) if the lengths differ.
 #[inline]
 pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
-    simd::l2_squared_with(simd::active(), a, b)
+    simd::l2_squared_scalar(a, b)
 }
 
 /// Finds the index of the closest of `k = distances.len()` centroids to `v`

@@ -44,9 +44,9 @@
 //! ```
 
 // `deny`, not `forbid`: the one sanctioned exception is [`simd`], which
-// re-allows `unsafe` for `std::arch` intrinsics behind runtime feature
-// detection. The workspace lints deny `unsafe_code` in every other file of
-// every target, tests and examples included.
+// re-allows `unsafe` to call its `#[target_feature]` compilations behind
+// runtime feature detection. The workspace lints deny `unsafe_code` in
+// every other file of every target, tests and examples included.
 #![deny(unsafe_code)]
 
 pub mod distance;

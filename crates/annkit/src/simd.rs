@@ -1,13 +1,17 @@
-//! Explicitly vectorized fast paths for the hot kernels where AVX2 wins
-//! on record — the L2 distance, the one-vector-against-many-rows distance
-//! block over a column-major table (dense or block-masked) and the top-k
-//! pre-filter —
-//! behind runtime feature detection, plus the one (portable) ADC scan.
+//! The hot kernels, each one portable implementation: the one-vector-
+//! against-many-rows distance block over a column-major table (dense or
+//! block-masked) and the top-k pre-filter mask, each compiled twice — as
+//! is, and with AVX2 enabled behind runtime feature detection — plus the
+//! pair distance and the ADC scan, compiled once.
 //!
-//! The ADC scan has no vector path: an AVX2 gather over the `m × 256` f32
-//! LUT measured 1.15–1.30× *slower* than the cache-blocked scalar loop on
-//! the repo benchmark's `batch-scan` workload, so [`adc_scan_blocked`] is
-//! the scan and [`adc_scan_reference`] the oracle it is tested against.
+//! Neither the pair distance nor the ADC scan has a vector path: an AVX2
+//! gather over the `m × 256` f32 LUT measured 1.15–1.30× *slower* than the
+//! cache-blocked scalar loop on the repo benchmark's `batch-scan` workload,
+//! so [`adc_scan_blocked`] is the scan and [`adc_scan_reference`] the
+//! oracle it is tested against; an intrinsics pair kernel beat
+//! [`l2_squared_scalar`] by 3–11 % in isolation (29.7 vs 33.4 ns per 128-d
+//! pair) but has no caller on the query path, so the portable tree is the
+//! one pair kernel.
 //!
 //! # The answer-identity contract
 //!
@@ -15,25 +19,19 @@
 //! replay twin depend on search answers being a pure function of
 //! `(query, k, nprobe, index)` — *never* of which machine ran the kernel.
 //! This module therefore holds itself to a stronger bar than "epsilon
-//! close": **every fast path is bitwise-identical to its scalar
+//! close": **every compilation is bitwise-identical to its scalar
 //! reference**, proven by the `simd_equivalence` proptests:
 //!
 //! * the blocked ADC scan sums the same `m` table entries per record in the
 //!   same order as the naive loop (lanes are independent records);
-//! * the AVX2 distance kernel keeps the scalar reference's exact reduction
-//!   tree — a 4-lane accumulator fed in chunk order with explicit
-//!   multiply-then-add (FMA contraction is deliberately *not* used: its
-//!   single rounding would fork the sums from the scalar path and thereby
-//!   fork kmeans trajectories, index contents, and the byte-diffed serving
-//!   records across machines);
 //! * the column kernel (every one-vector-against-many-centroids distance:
 //!   k-means assignment, PQ encode, the coarse cluster filter and LUT
 //!   construction over the codebook blocks a list can address) makes each
 //!   SIMD lane one row that runs the scalar reduction tree on its own — the
 //!   blocked scan's idea, so there is no horizontal sum and no transpose
-//!   whose order could differ — and is plain Rust compiled with and without
-//!   AVX2; which rows it computes (a block mask, a block width) never
-//!   changes a row's bits;
+//!   whose order could differ — and Rust never contracts a multiply and an
+//!   add into an FMA, so both compilations round alike; which rows it
+//!   computes (a block mask, a block width) never changes a row's bits;
 //! * the top-k pre-filter compares exactly (no rounding is involved).
 //!
 //! # Where `unsafe` lives
@@ -41,14 +39,11 @@
 //! This module is the **only** place in the workspace where `unsafe` is
 //! permitted: the workspace lints deny `unsafe_code` in every target and
 //! this file alone re-allows it, so `cargo build` rejects the keyword
-//! anywhere else, and every unsafe block here is a call into a
-//! `#[target_feature]` function whose preconditions (CPU features and, for
-//! the two written in `std::arch` intrinsics, in-bounds unaligned loads)
-//! are established by the dispatcher and by an explicit length check. There
-//! are three, each with its callers:
+//! anywhere else. There are two unsafe blocks, each a call into a
+//! `#[target_feature(enable = "avx2")]` wrapper over portable,
+//! bounds-checked code, whose one precondition — the CPU has AVX2 — the
+//! dispatcher establishes:
 //!
-//! * the distance kernel — [`l2_squared`](crate::distance::l2_squared):
-//!   k-means++ seeding and exact search;
 //! * the column kernel, one call for both of its shapes — k-means
 //!   assignment and PQ encode
 //!   ([`nearest_centroid`](crate::distance::nearest_centroid)), cluster
@@ -64,9 +59,9 @@
 //! [`active`] resolves once per process: an explicit [`force_backend`]
 //! call (used by the forced-fallback equivalence tests) wins, then the
 //! `UPANNS_FORCE_SCALAR` environment variable, then
-//! `is_x86_feature_detected!("avx2")`+`fma`. Every dispatched kernel also
+//! `is_x86_feature_detected!("avx2")`. Every dispatched kernel also
 //! exposes a `*_with(Backend, ..)` entry point so benches and tests can pin
-//! either path explicitly inside a single process.
+//! either compilation explicitly inside a single process.
 #![allow(
     unsafe_code,
     reason = "calls into `#[target_feature]` kernels, proven bitwise-equal to scalar references"
@@ -79,8 +74,7 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// Portable chunked scalar code (autovectorization-friendly).
     Scalar,
-    /// x86-64 AVX2 (+FMA detected, though contraction is unused — see the
-    /// module docs) intrinsics.
+    /// The same portable code compiled with x86-64 AVX2 enabled.
     Avx2,
 }
 
@@ -106,7 +100,7 @@ pub fn active() -> Backend {
 pub fn detect() -> Backend {
     #[cfg(target_arch = "x86_64")]
     {
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        if is_x86_feature_detected!("avx2") {
             return Backend::Avx2;
         }
     }
@@ -130,9 +124,10 @@ pub fn force_backend(backend: Backend) -> bool {
 // Distance kernels
 // ---------------------------------------------------------------------------
 
-/// Scalar reference for [`l2_squared_with`]: 4-lane accumulators fed in
-/// chunk order, combined left-associatively, sequential tail. This is the
-/// exact reduction tree the AVX2 path reproduces bitwise.
+/// The pair distance ([`l2_squared`](crate::distance::l2_squared)): 4-lane
+/// accumulators fed in chunk order, combined left-associatively, sequential
+/// tail. This is the exact reduction tree each lane of the column kernel
+/// reproduces bitwise.
 #[inline]
 pub fn l2_squared_scalar(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "distance dimension mismatch");
@@ -243,9 +238,11 @@ fn l2_squared_cols_dispatch(
     );
     #[cfg(target_arch = "x86_64")]
     if backend == Backend::Avx2 {
-        // SAFETY: feature availability as in `l2_squared_with`. The callee is
-        // the safe portable kernel below compiled with AVX2 enabled — no
-        // intrinsics, every access bounds-checked.
+        // SAFETY: the Avx2 backend is only handed out by `detect()` (which
+        // verified the feature), by tests on machines where `force_backend`
+        // succeeded, or by benches that consulted `detect()` themselves. The
+        // callee is the safe portable kernel below compiled with AVX2
+        // enabled — no intrinsics, every access bounds-checked.
         return unsafe { x86::l2_squared_cols_avx2(query, cols, blocks, out) };
     }
     let _ = backend;
@@ -317,21 +314,6 @@ fn l2_squared_cols_block<const L: usize>(
             *sum += d * d;
         }
     }
-}
-
-/// Squared L2 distance on an explicit backend (bitwise-equal across
-/// backends; see the module docs).
-#[inline]
-pub fn l2_squared_with(backend: Backend, a: &[f32], b: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 {
-        // Safety: the Avx2 backend is only handed out by `detect()` (which
-        // verified the features), by tests on machines where `force_backend`
-        // succeeded, or by benches that consulted `detect()` themselves.
-        return unsafe { x86::l2_squared_avx2(a, b) };
-    }
-    let _ = backend;
-    l2_squared_scalar(a, b)
 }
 
 // ---------------------------------------------------------------------------
@@ -420,68 +402,36 @@ pub fn adc_scan_blocked(table: &[f32], m: usize, packed: &[u8], out: &mut Vec<f3
 pub(crate) fn le_mask_with(backend: Backend, values: &[f32], threshold: f32) -> u32 {
     assert!(values.len() <= SCAN_LANES, "at most SCAN_LANES values");
     #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 && values.len() == SCAN_LANES {
-        // Safety: feature availability as in `l2_squared_with`; the length
-        // check above guarantees a full 8-lane unaligned load is in bounds.
-        return unsafe { x86::le_mask_avx2(values, threshold) };
+    if backend == Backend::Avx2 {
+        if let Ok(block) = <&[f32; SCAN_LANES]>::try_from(values) {
+            // SAFETY: feature availability as in `l2_squared_cols_dispatch`;
+            // the callee is `le_mask_lanes` compiled with AVX2 enabled.
+            return unsafe { x86::le_mask_avx2(block, threshold) };
+        }
     }
     let _ = backend;
+    le_mask_lanes(values, threshold)
+}
+
+/// The pre-filter mask, one branchless compare per lane. Plain Rust,
+/// compiled twice like [`l2_squared_cols_lanes`]: as is, and inlined into
+/// `x86::le_mask_avx2` over a full block, where the compiler vectorizes
+/// part of the eight compares.
+#[inline(always)]
+fn le_mask_lanes(values: &[f32], threshold: f32) -> u32 {
     let mut mask = 0u32;
     for (i, &v) in values.iter().enumerate() {
-        if v <= threshold {
-            mask |= 1 << i;
-        }
+        mask |= u32::from(v <= threshold) << i;
     }
     mask
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 implementations
+// AVX2 compilations
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use std::arch::x86_64::*;
-
-    /// Bitwise twin of `l2_squared_scalar`: 8 lanes of subtract/multiply
-    /// per step, folded into a 4-lane accumulator as `(acc + lo) + hi` —
-    /// lane `l` receives `d²` terms in exactly the scalar order
-    /// (`8j+l` then `8j+4+l`). Explicit mul+add, no FMA contraction.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn l2_squared_avx2(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len(), "distance dimension mismatch");
-        let n = a.len();
-        let mut acc = _mm_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            let va = _mm256_loadu_ps(a.as_ptr().add(i));
-            let vb = _mm256_loadu_ps(b.as_ptr().add(i));
-            let d = _mm256_sub_ps(va, vb);
-            let sq = _mm256_mul_ps(d, d);
-            acc = _mm_add_ps(acc, _mm256_castps256_ps128(sq));
-            acc = _mm_add_ps(acc, _mm256_extractf128_ps::<1>(sq));
-            i += 8;
-        }
-        if i + 4 <= n {
-            let va = _mm_loadu_ps(a.as_ptr().add(i));
-            let vb = _mm_loadu_ps(b.as_ptr().add(i));
-            let d = _mm_sub_ps(va, vb);
-            acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
-            i += 4;
-        }
-        let mut lanes = [0.0f32; 4];
-        _mm_storeu_ps(lanes.as_mut_ptr(), acc);
-        let mut sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-        for j in i..n {
-            let d = a[j] - b[j];
-            sum += d * d;
-        }
-        sum
-    }
-
     /// `l2_squared_cols_lanes` compiled with AVX2 enabled, so its 8-lane
     /// loops are single vector instructions.
     ///
@@ -497,16 +447,13 @@ mod x86 {
         super::l2_squared_cols_lanes(query, cols, blocks, out)
     }
 
-    /// 8-lane `v <= threshold` movemask.
+    /// `le_mask_lanes` over one full block, compiled with AVX2 enabled.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available and `values.len() == 8`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn le_mask_avx2(values: &[f32], threshold: f32) -> u32 {
-        let v = _mm256_loadu_ps(values.as_ptr());
-        let t = _mm256_set1_ps(threshold);
-        let cmp = _mm256_cmp_ps::<_CMP_LE_OQ>(v, t);
-        _mm256_movemask_ps(cmp) as u32
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn le_mask_avx2(values: &[f32; super::SCAN_LANES], threshold: f32) -> u32 {
+        super::le_mask_lanes(values, threshold)
     }
 }
 
@@ -514,27 +461,31 @@ mod x86 {
 mod tests {
     use super::*;
 
-    fn vecs(n: usize) -> (Vec<f32>, Vec<f32>) {
-        let a: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
-        let b: Vec<f32> = (0..n)
-            .map(|i| (i as f32 * 0.11).cos() * 2.0 - 0.5)
-            .collect();
-        (a, b)
-    }
-
     #[test]
     fn detected_backend_matches_both_paths_bitwise() {
-        // On AVX2 hardware this proves the vector paths; elsewhere it
-        // degenerates to scalar-vs-scalar, and the proptest suite is the
-        // cross-machine evidence.
+        // On AVX2 hardware this proves the vector compilation of the column
+        // kernel; elsewhere it degenerates to scalar-vs-scalar, and the
+        // proptest suite is the cross-machine evidence. 37 rows: one
+        // 32-row block and a 5-row tail.
         let backend = detect();
-        for n in [0usize, 1, 3, 4, 7, 8, 12, 15, 16, 33, 128, 131] {
-            let (a, b) = vecs(n);
-            assert_eq!(
-                l2_squared_with(backend, &a, &b).to_bits(),
-                l2_squared_scalar(&a, &b).to_bits(),
-                "l2 dim {n}"
-            );
+        let rows = 37;
+        for n in [1usize, 3, 4, 7, 8, 12, 15, 16, 33, 128, 131] {
+            let query: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+            let table: Vec<f32> = (0..rows * n)
+                .map(|i| (i as f32 * 0.11).cos() * 2.0 - 0.5)
+                .collect();
+            let cols = crate::distance::to_columns(&table, n);
+            for b in [Backend::Scalar, backend] {
+                let mut out = vec![0.0f32; rows];
+                l2_squared_cols_with(b, &query, &cols, &mut out);
+                for (r, row) in table.chunks_exact(n).enumerate() {
+                    assert_eq!(
+                        out[r].to_bits(),
+                        l2_squared_scalar(&query, row).to_bits(),
+                        "{b:?} dim {n} row {r}"
+                    );
+                }
+            }
         }
     }
 

@@ -152,8 +152,8 @@ impl TopK {
     /// Behaves exactly like calling [`push`](Self::push) for each candidate
     /// in order (same final heap, same offered/accepted counters), but once
     /// the heap is full it pre-filters each block of [`SCAN_LANES`]
-    /// distances against [`threshold`](Self::threshold) with one vector
-    /// compare, so the common all-rejected case never touches the heap.
+    /// distances against [`threshold`](Self::threshold) with one branchless
+    /// lane mask, so the common all-rejected case never touches the heap.
     pub fn push_batch_with(&mut self, backend: Backend, base_id: u64, distances: &[f32]) -> usize {
         let mut inserted = 0usize;
         let mut i = 0usize;

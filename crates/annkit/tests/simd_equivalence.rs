@@ -3,12 +3,12 @@
 //! therefore the replay twin and every committed bench record) identical
 //! across machines with and without AVX2.
 //!
-//! The distance, column-distance (dense and block-masked) and top-k tests
-//! exercise both
-//! `Backend::Scalar` and the runtime-detected backend through the explicit
-//! `*_with` entry points, so on AVX2 hardware the vector code is proven
-//! against the scalar code in one process, and on non-AVX2 hardware they
-//! degenerate to scalar-vs-scalar.
+//! The column-distance (dense and block-masked) and top-k tests exercise
+//! both `Backend::Scalar` and the runtime-detected backend through the
+//! explicit `*_with` entry points, so on AVX2 hardware the AVX2 compilation
+//! is proven against the plain one in one process, and on non-AVX2 hardware
+//! they degenerate to scalar-vs-scalar. The pair distance
+//! (`simd::l2_squared_scalar`) has one implementation and is the oracle.
 //! The ADC scan has one implementation (cache-blocked scalar), proven against
 //! the naive record-major reference. CI
 //! additionally re-runs the whole test suite under `UPANNS_FORCE_SCALAR=1`
@@ -80,22 +80,6 @@ fn full_sort_oracle(v: &[f32], centroids: &[f32], dim: usize, n: usize) -> Vec<(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// l2: every backend reproduces the scalar reduction bit for bit,
-    /// across dims that cover empty, sub-lane, full-lane, and ragged tails.
-    #[test]
-    fn distances_bitwise_equal(
-        dim in 0usize..70,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let a: Vec<f32> = (0..dim).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
-        let b: Vec<f32> = (0..dim).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
-        let l2_ref = simd::l2_squared_scalar(&a, &b);
-        for backend in backends() {
-            prop_assert_eq!(simd::l2_squared_with(backend, &a, &b).to_bits(), l2_ref.to_bits());
-        }
-    }
 
     /// ADC scan: the blocked scan reproduces the naive record-major scan
     /// bit for bit, including record counts that leave 1..7-lane tails.
@@ -308,7 +292,7 @@ proptest! {
 
     /// LUT build: the column-kernel build (one residual sub-vector against
     /// the 256 centroids of its sub-quantizer, a centroid per lane) equals
-    /// one `l2_squared_with` per entry bit for bit on every backend, across
+    /// one `l2_squared_scalar` per entry bit for bit, across
     /// sub-vector widths below, at and above the 4- and 8-lane boundaries —
     /// and the column twin it reads is the transposed row codebooks.
     #[test]
@@ -327,14 +311,12 @@ proptest! {
         let lut = LookupTable::build(&pq, &residual);
         let mut rebuilt = LookupTable::build(&pq, &vec![0.0; m * dsub]);
         rebuilt.rebuild(&pq, &residual);
-        for backend in backends() {
-            for sub in 0..m {
-                let rv = &residual[sub * dsub..(sub + 1) * dsub];
-                for code in 0..=255u8 {
-                    let want = simd::l2_squared_with(backend, rv, pq.centroid(sub, code)).to_bits();
-                    prop_assert_eq!(lut.get(sub, code).to_bits(), want);
-                    prop_assert_eq!(rebuilt.get(sub, code).to_bits(), want);
-                }
+        for sub in 0..m {
+            let rv = &residual[sub * dsub..(sub + 1) * dsub];
+            for code in 0..=255u8 {
+                let want = simd::l2_squared_scalar(rv, pq.centroid(sub, code)).to_bits();
+                prop_assert_eq!(lut.get(sub, code).to_bits(), want);
+                prop_assert_eq!(rebuilt.get(sub, code).to_bits(), want);
             }
         }
     }

@@ -115,7 +115,6 @@ pub fn plan_live_index(
                        timeline: &mut SnapshotTimeline,
                        compactions: &mut Vec<PlannedCompaction>,
                        t: f64| {
-        let mut compacted = false;
         let skew = list_size_skew(&live.list_sizes());
         if skew > policy.skew_threshold && t - last_compaction >= policy.min_interval_s {
             let stats = live.compact();
@@ -129,12 +128,10 @@ pub fn plan_live_index(
                     skew,
                 });
                 last_compaction = t;
-                compacted = true;
             }
         }
-        // Install on epoch advance (new answers become visible) and after a
-        // compaction (the rebuilt engine state models the re-placement).
-        if live.epoch() != last_installed_epoch || compacted {
+        // Install on epoch advance, when new answers become visible.
+        if live.epoch() != last_installed_epoch {
             timeline.install(t, live.snapshot());
             last_installed_epoch = live.epoch();
         }

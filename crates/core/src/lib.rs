@@ -30,7 +30,7 @@
 //! | Multi-host scale-out (sharding + interconnect model) | §5.5 | [`multihost`] |
 //! | The multi-host engine (coordinator merge; replica map, fault injection, hedging, elasticity) | §5.5 + extension | [`replica`] |
 //! | Serving front-end (admission, dynamic batching, result cache) | §5 (online phase) | `upanns-serve` crate |
-//! | SLO-driven adaptive batching (closed-loop max_delay/max_batch control) | §5 batching argument | `upanns-serve::controller` |
+//! | SLO-driven adaptive batching (closed-loop batching-window control) | §5 batching argument | `upanns-serve::controller` |
 //! | Multi-tenant serving (weighted-fair DRR admission, per-tenant SLO windows) | §5 multi-client setting | `upanns-serve::admission`, `upanns-serve::controller::ControllerBank` |
 //!
 //! The [`builder::UpAnnsBuilder`] runs the offline phase (mining, encoding,

@@ -10,8 +10,9 @@
 //!    buffer and one top-k heap per tasklet (the codebook space is reused for
 //!    the read buffers).
 //!
-//! The plan computes each phase's footprint, verifies it fits, and derives
-//! the maximum tasklet count a configuration admits.
+//! The plan computes each phase's footprint and verifies that every phase
+//! fits; a configuration that does not is rejected with the first phase
+//! that overflows.
 
 use pim_sim::config::WRAM_BYTES_PER_DPU;
 use pim_sim::stats::Stage;

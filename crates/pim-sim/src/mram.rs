@@ -32,8 +32,8 @@ pub enum MramError {
     OutOfMemory {
         /// Bytes requested by the failing allocation.
         requested: usize,
-        /// Bytes still available, in gaps that may each be too small.
-        available: usize,
+        /// Bytes in the largest free gap, the end of MRAM included.
+        largest_gap: usize,
     },
     /// A read or write does not lie inside one live region.
     OutOfBounds {
@@ -56,10 +56,10 @@ impl std::fmt::Display for MramError {
         match self {
             MramError::OutOfMemory {
                 requested,
-                available,
+                largest_gap,
             } => write!(
                 f,
-                "MRAM out of memory: requested {requested} bytes, {available} available"
+                "MRAM out of memory: requested {requested} bytes, the largest free gap holds {largest_gap}"
             ),
             MramError::OutOfBounds {
                 addr,
@@ -143,28 +143,24 @@ impl Mram {
         self.allocated
     }
 
-    /// Bytes no live region takes.
-    #[inline]
-    pub(crate) fn available(&self) -> usize {
-        self.capacity - self.allocated
-    }
-
     /// Where a region of `len` bytes goes, first fit: the lowest gap a freed
     /// region left that holds it, else past the last region. Returns its
     /// index among the regions and its base address.
     fn place(&self, len: usize) -> Result<(usize, MramAddr), MramError> {
         let mut end = 0;
+        let mut largest_gap = 0;
         for (i, (&base, region)) in self.bases.iter().zip(&self.regions).enumerate() {
             // An empty gap holds nothing, not even an empty region.
             if base - end >= len.max(1) {
                 return Ok((i, end));
             }
+            largest_gap = largest_gap.max(base - end);
             end = base + region.span();
         }
         if self.capacity - end < len {
             return Err(MramError::OutOfMemory {
                 requested: len,
-                available: self.available(),
+                largest_gap: largest_gap.max(self.capacity - end),
             });
         }
         Ok((self.regions.len(), end))
@@ -195,9 +191,9 @@ impl Mram {
         Ok(self.insert(slot, Region::Shared(bytes)))
     }
 
-    /// Frees the region that starts at `addr`: its bytes return to
-    /// [`available`](Self::available), and a read or write into them is out
-    /// of bounds until an allocation takes them again.
+    /// Frees the region that starts at `addr`: its bytes are free again, and
+    /// a read or write into them is out of bounds until an allocation takes
+    /// them again.
     pub(crate) fn free(&mut self, addr: MramAddr) -> Result<(), MramError> {
         let i = self.bases.partition_point(|&base| base <= addr);
         match i.checked_sub(1) {
@@ -273,6 +269,13 @@ impl Mram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Mram {
+        /// Bytes no live region takes.
+        fn available(&self) -> usize {
+            self.capacity - self.allocated
+        }
+    }
 
     #[test]
     fn alloc_write_read_roundtrip() {
@@ -391,7 +394,7 @@ mod tests {
             err,
             MramError::OutOfMemory {
                 requested: 24,
-                available: 16
+                largest_gap: 16
             }
         );
         // The failed mapping left nothing behind.
@@ -477,17 +480,21 @@ mod tests {
             err,
             MramError::OutOfMemory {
                 requested: 24,
-                available: 8
+                largest_gap: 8
             }
         );
         m.free(b).unwrap();
         assert_eq!(m.alloc(24), Ok(b));
-        // Enough bytes free in all, but in no one gap.
+        // Enough bytes free in all (24), but in no one gap: the error
+        // reports the largest, 16.
         m.free(a).unwrap();
         m.alloc(16).unwrap();
         assert!(matches!(
             m.alloc(24),
-            Err(MramError::OutOfMemory { available: 24, .. })
+            Err(MramError::OutOfMemory {
+                largest_gap: 16,
+                ..
+            })
         ));
         assert_eq!(m.alloc(16), Ok(16));
     }

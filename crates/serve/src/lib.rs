@@ -15,7 +15,7 @@
 //!   │                  a hit is answered)  DRR shedding)      on size or      urgency or      it)      │
 //!   │                                                         deadline)       close order)             │
 //!   │ tick(now) ────► BatchPolicy / SloController / ControllerBank                                     │
-//!   │                 (window + chunk-cap steering from causal feedback)                               │
+//!   │                 (batching-window steering from causal feedback)                                  │
 //!   │ complete() ───► cache entries · deferred seat release and feedback · the ledger ──► into_report  │
 //!   └──────────────────────────────────────────────────────────────────────────────────────────────────┘
 //!   driver 1: SearchService::replay — simulated clock, one serial virtual engine
