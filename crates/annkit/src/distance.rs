@@ -238,14 +238,52 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_l2_matches_scalar_reference_bitwise() {
-        use crate::simd;
+    fn l2_squared_is_the_four_lane_tree_bitwise() {
+        // Four lane accumulators fed in chunk order, combined left to
+        // right, then the tail in order.
+        fn tree(a: &[f32], b: &[f32]) -> f32 {
+            let whole = a.len() / 4 * 4;
+            let mut lanes = [0.0f32; 4];
+            for i in 0..whole {
+                let d = a[i] - b[i];
+                lanes[i % 4] += d * d;
+            }
+            let mut sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+            for i in whole..a.len() {
+                let d = a[i] - b[i];
+                sum += d * d;
+            }
+            sum
+        }
+        let left_to_right = |a: &[f32], b: &[f32]| {
+            a.iter()
+                .zip(b)
+                .fold(0.0f32, |sum, (x, y)| sum + (x - y) * (x - y))
+        };
+        for n in [21usize, 33, 130] {
+            // One 10⁸ term in lane 0 and ones elsewhere: summed left to
+            // right each 1 rounds away against the 10⁸ (its ulp is 8),
+            // while lanes 1–3 sum theirs to at least 5 first.
+            let a: Vec<f32> = (0..n).map(|i| if i == 0 { 1e4 } else { 1.0 }).collect();
+            let b = vec![0.0f32; n];
+            assert_ne!(
+                tree(&a, &b).to_bits(),
+                left_to_right(&a, &b).to_bits(),
+                "n {n}: the inputs must tell the two orders apart"
+            );
+            assert_eq!(
+                l2_squared(&a, &b).to_bits(),
+                tree(&a, &b).to_bits(),
+                "n {n}"
+            );
+        }
         for n in [1usize, 4, 7, 8, 16, 37, 96, 100] {
             let a: Vec<f32> = (0..n).map(|i| (i as f32 * 0.83).sin()).collect();
             let b: Vec<f32> = (0..n).map(|i| (i as f32 * 0.29).cos()).collect();
             assert_eq!(
                 l2_squared(&a, &b).to_bits(),
-                simd::l2_squared_scalar(&a, &b).to_bits()
+                tree(&a, &b).to_bits(),
+                "n {n}"
             );
         }
     }

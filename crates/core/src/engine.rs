@@ -50,6 +50,10 @@ use std::collections::HashMap;
 /// A LUT build's host cost in scanned candidates, the unit of a launch's
 /// work estimate: `annkit.lut.build_us` over
 /// `upanns.engine.host_ns_per_candidate` in the benchmark's traced runs.
+/// Under `taskset -c 0` on a 2-vCPU Xeon VM a candidate costs 19.7–21.5 ns
+/// since the kernel merges each tasklet range as it scans it (28.3–28.8 ns
+/// before) and a build 3.7–4.5 µs in the same runs, so a build is ≈ 170–230
+/// candidates and 128 undercounts it.
 const LUT_BUILD_WORK: u64 = 128;
 
 /// What the six-stage pipeline needs to serve one installed snapshot beyond

@@ -9,12 +9,22 @@
 //! one pure function, `charge`, that maps those counts to the cycles of
 //! the parallel regions of Figure 6's barrier structure; it alone decides
 //! every modeled number.
+//!
+//! The functional half need not execute the structure it counts. Figure 9
+//! keeps a top-k heap per tasklet and merges them after the distance
+//! barrier; the kernel instead merges each tasklet's range into the DPU
+//! heap as soon as the range is scanned (`RangeMerge`, in
+//! [`topk_prune`](crate::topk_prune)), which reproduces that merge's heap
+//! and [`MergeStats`] range by range without filling the heaps a full DPU
+//! heap would prune.
+//! [`merge_thread_local`](crate::topk_prune::merge_thread_local) over
+//! per-tasklet heaps is the reference the tests hold it to.
 
 use crate::config::UpAnnsConfig;
 use crate::cooccurrence::ComboTable;
 use crate::encoding::CaeList;
 use crate::scheduling::Assignment;
-use crate::topk_prune::{merge_thread_local, MergeStats};
+use crate::topk_prune::{MergeStats, RangeMerge};
 use crate::wram_layout::{WramPlan, WramPlanInput};
 use annkit::lut::LookupTable;
 use annkit::pq::ProductQuantizer;
@@ -333,10 +343,14 @@ struct KernelScratch {
     /// §4.3's unified WRAM region: the flat LUT followed by the cluster's
     /// combination partial sums, addressed directly by the encoded stream.
     unified: Vec<f32>,
+    /// Distances of one `read_bytes` transfer of plain codes.
+    chunk: Vec<f32>,
     /// Distances of the records one tasklet scanned.
     distances: Vec<f32>,
-    /// The tasklets' local top-k heaps.
-    heaps: Vec<TopK>,
+    /// The assignment's DPU heap, into which each tasklet range is merged
+    /// as it is scanned, and the counts of Figure 9's merge of the
+    /// tasklets' heaps; built for the launch's `k`.
+    merge: Option<RangeMerge>,
 }
 
 thread_local! {
@@ -346,11 +360,15 @@ thread_local! {
 
 /// Runs the UpANNS batch kernel on one DPU.
 ///
-/// Follows the stage/barrier structure of Figure 6 for every assignment:
+/// Charges the stage/barrier structure of Figure 6 for every assignment:
 /// `lut_construction` → (barrier) → `combo_sum` → (barrier) →
 /// `distance_calc` → (barrier) → `topk`, then a single `result_write` at the
 /// end of the batch. Each assignment's functional work is counted, then
-/// charged. The host-side buffers are the calling thread's.
+/// charged. The distance calculation and the top-k merge run fused: each
+/// tasklet range is merged into the DPU heap as it is scanned, with the
+/// counts Figure 9's merge of per-tasklet heaps gives
+/// ([`merge_thread_local`](crate::topk_prune::merge_thread_local), the
+/// reference). The host-side buffers are the calling thread's.
 pub fn run_batch_kernel(
     ctx: &mut DpuKernelCtx<'_>,
     store: &DpuStore,
@@ -379,13 +397,14 @@ fn run_with_scratch(
     let KernelScratch {
         lut,
         unified,
+        chunk,
         distances,
-        heaps,
+        merge,
     } = scratch;
-    if heaps.first().is_some_and(|h| h.k() != k) {
-        heaps.clear();
+    if merge.as_ref().is_some_and(|m| m.k() != k) {
+        *merge = None;
     }
-    heaps.resize_with(tasklets, || TopK::new(k));
+    let merge = merge.get_or_insert_with(|| RangeMerge::new(k));
 
     // Verify the WRAM reuse plan fits before doing anything (the layout of
     // Figure 6): the codebook's space is reused by the combination sums, the
@@ -468,29 +487,32 @@ fn run_with_scratch(
             }
         }
 
-        // ---- Stage 3: distance calculation ------------------------------
+        // ---- Stages 3 and 4: distance calculation, pruned top-k merge ----
         //
         // At the stored (reduced) scale, so results are exact: tasklet `t`
-        // scans the `t`-th run of `⌈n / tasklets⌉` vectors into its heap.
+        // scans the `t`-th run of `⌈n / tasklets⌉` vectors, and the run is
+        // merged into the DPU heap as soon as it is scanned, with the counts
+        // of Figure 9's merge of the tasklets' heaps.
         let n = replica.num_vectors;
-        let per_tasklet_vectors = n.div_ceil(tasklets);
-        for (t, heap) in heaps.iter_mut().enumerate() {
-            let start = (t * per_tasklet_vectors).min(n);
-            let end = ((t + 1) * per_tasklet_vectors).min(n);
-            heap.clear();
+        // At least 1: `step_by` refuses 0, which an empty list would give.
+        let per_tasklet_vectors = n.div_ceil(tasklets).max(1);
+        merge.begin(config.topk_pruning);
+        for start in (0..n).step_by(per_tasklet_vectors) {
+            let end = (start + per_tasklet_vectors).min(n);
             work.vectors += (end - start) as u64;
             match &replica.encoding {
                 ListEncoding::PlainU8 => {
                     // `read_bytes` of codes at a time (at least one record,
-                    // by `mram_read_bytes`), blocked ADC scan + batch
-                    // top-k insert: bitwise the per-record sum and push.
+                    // by `mram_read_bytes`), blocked ADC scan: bitwise the
+                    // per-record sum.
+                    distances.clear();
                     let mut v = start;
                     while v < end {
                         let chunk_vectors = (((end - v) * m).min(read_bytes) / m).min(end - v);
                         let len = chunk_vectors * m;
                         let data = ctx.mram_read(replica.codes_addr + v * m, len);
-                        lut.adc_scan_into(data, distances);
-                        heap.push_batch_with(shared.scan_backend, v as u64, distances);
+                        lut.adc_scan_into(data, chunk);
+                        distances.extend_from_slice(chunk);
                         work.code_bytes += len as u64;
                         work.lut_lookups += len as u64;
                         v += chunk_vectors;
@@ -498,31 +520,25 @@ fn run_with_scratch(
                 }
                 ListEncoding::CaeU16(cae) => {
                     // The range against the unified table, SCAN_LANES records
-                    // in flight, one batch top-k insert: bitwise a
-                    // per-record `adc_distance` + `push`. The stream is
-                    // scanned from the host-side mirror; the read only
-                    // faults if the range is not resident in MRAM.
-                    if start < end {
-                        let (first_b, _) = cae.record_byte_range(start);
-                        let (_, last_b) = cae.record_byte_range(end - 1);
-                        let len = (last_b - first_b).max(2);
-                        let _ = ctx.mram_read(replica.codes_addr + first_b, len);
-                        cae.adc_scan_range(unified, start, end, distances);
-                        heap.push_batch_with(shared.scan_backend, start as u64, distances);
-                        // Every u16 of the range is a record's length slot
-                        // or an address that was looked up.
-                        let entries = ((last_b - first_b) / 2) as u64;
-                        work.code_bytes += (last_b - first_b) as u64;
-                        work.cae_entries += entries;
-                        work.lut_lookups += entries - (end - start) as u64;
-                    }
+                    // in flight: bitwise a per-record `adc_distance`. The
+                    // stream is scanned from the host-side mirror; the read
+                    // only faults if the range is not resident in MRAM.
+                    let (first_b, _) = cae.record_byte_range(start);
+                    let (_, last_b) = cae.record_byte_range(end - 1);
+                    let len = (last_b - first_b).max(2);
+                    let _ = ctx.mram_read(replica.codes_addr + first_b, len);
+                    cae.adc_scan_range(unified, start, end, distances);
+                    // Every u16 of the range is a record's length slot or an
+                    // address that was looked up.
+                    let entries = ((last_b - first_b) / 2) as u64;
+                    work.code_bytes += (last_b - first_b) as u64;
+                    work.cae_entries += entries;
+                    work.lut_lookups += entries - (end - start) as u64;
                 }
             }
+            merge.merge_range(shared.scan_backend, start as u64, distances);
         }
-
-        // ---- Stage 4: pruned top-k merge --------------------------------
-        let (merged_local, stats) = merge_thread_local(heaps, k, config.topk_pruning);
-        work.merge = stats;
+        work.merge = merge.stats();
 
         // Translate local vector indices into global ids (k MRAM reads of the
         // id array) and fold into the per-query heap.
@@ -536,7 +552,7 @@ fn run_with_scratch(
                     assignment.query
                 )
             });
-        for n in merged_local.into_sorted() {
+        for n in merge.sorted() {
             let raw = ctx.mram_read(replica.ids_addr + (n.id as usize) * 8, 8);
             let Some(&id) = raw.first_chunk() else {
                 unreachable!("an 8-byte MRAM read returns 8 bytes")

@@ -12,10 +12,13 @@ use crate::tasklet::DpuKernelCtx;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Estimated host work, in [`PimSystem::execute_scheduled`]'s units (about
-/// 30 ns each), that pays for one more launch thread: ≈ 1 ms, some 30
-/// thread spawn-and-joins of ≈ 30 µs each. A launch below it runs on the
-/// calling thread.
+/// Estimated host work, in [`PimSystem::execute_scheduled`]'s units, that
+/// pays for one more launch thread. The unit is a scanned candidate, about
+/// 20 ns of one core (`upanns.engine.host_ns_per_candidate` of a traced
+/// `batch-scan` under `taskset -c 0` on a 2-vCPU Xeon VM: 19.7–21.5 ns,
+/// 28.3–28.8 before the kernel merged each tasklet range as it scanned
+/// it), so the grain is ≈ 0.7 ms, some 20 thread spawn-and-joins of
+/// ≈ 30 µs each. A launch below it runs on the calling thread.
 const FAN_OUT_GRAIN: u64 = 32_768;
 
 /// Host threads that in-flight launches in this process run on, their
