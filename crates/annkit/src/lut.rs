@@ -74,7 +74,8 @@ impl LookupTable {
     /// # Panics
     /// Panics if `residual.len() != pq.dim()`.
     pub fn rebuild(&mut self, pq: &ProductQuantizer, residual: &[f32]) {
-        self.rebuild_blocks(pq, residual, std::iter::repeat(u32::MAX));
+        build_blocks(pq, residual, std::iter::repeat(u32::MAX), &mut self.table);
+        self.m = pq.m();
     }
 
     /// Rebuilds only the entries a list with code-block mask `mask` (see
@@ -91,34 +92,8 @@ impl LookupTable {
     /// # Panics
     /// Panics if `residual.len() != pq.dim()` or `mask.len() != pq.m()`.
     pub fn rebuild_masked(&mut self, pq: &ProductQuantizer, residual: &[f32], mask: &[u32]) {
-        assert_eq!(mask.len(), pq.m(), "one mask word per sub-quantizer");
-        self.rebuild_blocks(pq, residual, mask.iter().copied());
-    }
-
-    fn rebuild_blocks(
-        &mut self,
-        pq: &ProductQuantizer,
-        residual: &[f32],
-        mask: impl Iterator<Item = u32>,
-    ) {
-        assert_eq!(residual.len(), pq.dim(), "LUT residual dimension mismatch");
-        let dsub = pq.dsub();
+        build_masked_into(pq, residual, mask, &mut self.table);
         self.m = pq.m();
-        self.table.resize(self.m * KSUB, 0.0);
-        for (((rv, centroids), row), blocks) in residual
-            .chunks_exact(dsub)
-            .zip(pq.codebooks_cols().chunks_exact(KSUB * dsub))
-            .zip(self.table.chunks_exact_mut(KSUB))
-            .zip(mask)
-        {
-            simd::l2_squared_cols_blocks(rv, centroids, blocks, row);
-            #[cfg(debug_assertions)]
-            for (b, block) in row.chunks_exact_mut(SCAN_LANES).enumerate() {
-                if blocks & (1 << b) == 0 {
-                    block.fill(f32::NAN);
-                }
-            }
-        }
     }
 
     /// Partial distance for `(sub, code)`.
@@ -187,6 +162,48 @@ impl LookupTable {
     #[inline]
     pub fn as_flat(&self) -> &[f32] {
         &self.table
+    }
+}
+
+/// [`LookupTable::rebuild_masked`] into a caller's buffer: `table` becomes
+/// the flat `m · 256` table (entry `(sub, code)` at `sub · 256 + code`),
+/// valid on the mask's blocks only, so a caller can keep more entries after
+/// it in the same allocation (the UpANNS kernel's combination partial sums).
+///
+/// # Panics
+/// Panics if `residual.len() != pq.dim()` or `mask.len() != pq.m()`.
+pub fn build_masked_into(
+    pq: &ProductQuantizer,
+    residual: &[f32],
+    mask: &[u32],
+    table: &mut Vec<f32>,
+) {
+    assert_eq!(mask.len(), pq.m(), "one mask word per sub-quantizer");
+    build_blocks(pq, residual, mask.iter().copied(), table);
+}
+
+fn build_blocks(
+    pq: &ProductQuantizer,
+    residual: &[f32],
+    mask: impl Iterator<Item = u32>,
+    table: &mut Vec<f32>,
+) {
+    assert_eq!(residual.len(), pq.dim(), "LUT residual dimension mismatch");
+    let dsub = pq.dsub();
+    table.resize(pq.m() * KSUB, 0.0);
+    for (((rv, centroids), row), blocks) in residual
+        .chunks_exact(dsub)
+        .zip(pq.codebooks_cols().chunks_exact(KSUB * dsub))
+        .zip(table.chunks_exact_mut(KSUB))
+        .zip(mask)
+    {
+        simd::l2_squared_cols_blocks(rv, centroids, blocks, row);
+        #[cfg(debug_assertions)]
+        for (b, block) in row.chunks_exact_mut(SCAN_LANES).enumerate() {
+            if blocks & (1 << b) == 0 {
+                block.fill(f32::NAN);
+            }
+        }
     }
 }
 

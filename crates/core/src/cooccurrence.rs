@@ -59,6 +59,15 @@ impl Combo {
     pub(crate) fn positions(&self) -> Vec<usize> {
         self.elements.iter().map(|e| e.position as usize).collect()
     }
+
+    /// The combo's partial sum over the flat LUT `flat`: its elements'
+    /// entries, added in element order.
+    fn sum_over(&self, flat: &[f32]) -> f32 {
+        self.elements
+            .iter()
+            .map(|e| flat[e.lut_address()])
+            .sum::<f32>()
+    }
 }
 
 /// The mined combination table of one cluster, ordered by descending support.
@@ -106,21 +115,18 @@ impl ComboTable {
     /// (the online step executed right after LUT construction, Figure 6's
     /// "Comb. Sum" stage).
     pub fn partial_sums(&self, lut: &annkit::lut::LookupTable) -> Vec<f32> {
-        let mut sums = Vec::with_capacity(self.combos.len());
-        self.extend_partial_sums(lut, &mut sums);
-        sums
+        let flat = lut.as_flat();
+        self.combos.iter().map(|c| c.sum_over(flat)).collect()
     }
 
-    /// Appends [`partial_sums`](Self::partial_sums) to `out` — after the
-    /// flat LUT this forms the unified table the encoded stream addresses
-    /// (§4.3).
-    pub(crate) fn extend_partial_sums(&self, lut: &annkit::lut::LookupTable, out: &mut Vec<f32>) {
-        out.extend(self.combos.iter().map(|c| {
-            c.elements()
-                .iter()
-                .map(|e| lut.get_flat(e.lut_address()))
-                .sum::<f32>()
-        }));
+    /// Appends [`partial_sums`](Self::partial_sums) of the flat LUT that
+    /// `unified` holds to it, which forms the unified table the encoded
+    /// stream addresses (§4.3).
+    pub(crate) fn append_partial_sums(&self, unified: &mut Vec<f32>) {
+        for combo in self.combos.iter() {
+            let sum = combo.sum_over(unified);
+            unified.push(sum);
+        }
     }
 }
 

@@ -28,7 +28,7 @@ use crate::builder::{build_fleet, BuildRecipe};
 use crate::config::UpAnnsConfig;
 use crate::cooccurrence::ComboTable;
 use crate::kernel::{
-    mailbox_slot_bytes, parse_mailbox, run_batch_kernel, DpuBatchPlan, DpuStore, KernelShared,
+    mailbox_slot_bytes, mailbox_slots, run_batch_kernel, DpuBatchPlan, DpuStore, KernelShared,
 };
 use crate::placement::Placement;
 use crate::scheduling::schedule_queries;
@@ -47,14 +47,13 @@ use pim_sim::mram::MramAddr;
 use pim_sim::stats::Stage;
 use std::collections::HashMap;
 
-/// A LUT build's host cost in scanned candidates, the unit of a launch's
-/// work estimate: `annkit.lut.build_us` over
-/// `upanns.engine.host_ns_per_candidate` in the benchmark's traced runs.
-/// Under `taskset -c 0` on a 2-vCPU Xeon VM a candidate costs 19.7–21.5 ns
-/// since the kernel merges each tasklet range as it scans it (28.3–28.8 ns
-/// before) and a build 3.7–4.5 µs in the same runs, so a build is ≈ 170–230
-/// candidates and 128 undercounts it.
-const LUT_BUILD_WORK: u64 = 128;
+/// The kernel's fixed host cost of one assignment in scanned candidates,
+/// the unit of a launch's work estimate: its LUT build, combination sums,
+/// id reads, charge and bookkeeping. In a traced `batch-scan` under
+/// `taskset -c 0` on a 2-vCPU Xeon VM they take 4.5 µs an assignment (the
+/// LUT build 3.2) and a candidate 17.3 ns
+/// (`upanns.engine.host_ns_per_candidate`), so ≈ 258 candidates.
+const ASSIGNMENT_WORK: u64 = 256;
 
 /// What the six-stage pipeline needs to serve one installed snapshot beyond
 /// the snapshot (its timeline entry) and the fleet: the placement, combo
@@ -280,41 +279,60 @@ impl Launcher<'_> {
         sys.advance_host(Stage::QueryScheduling, schedule_seconds);
 
         // ---- Stage 3: query transfer (host → DPU, uniform padded buffers) -
-        // The residual is computed once, into the plan (the kernel's
-        // functional input), and serialized from there.
-        let mut plans: Vec<DpuBatchPlan> = vec![DpuBatchPlan::default(); sys.num_dpus()];
-        for (plan, assignments) in plans.iter_mut().zip(&schedule.per_dpu) {
-            plan.assignments.extend_from_slice(assignments);
-            for a in assignments {
-                let q = queries.vector(a.query);
-                plan.residuals
-                    .push(residual(q, snapshot.coarse().centroid(a.cluster)));
-                if !plan.queries.contains(&a.query) {
-                    plan.queries.push(a.query);
+        // A plan per busy DPU, in DPU order. The residual is computed once,
+        // into the plan (the kernel's functional input), and serialized
+        // from there.
+        let record_bytes = 8 + snapshot.dim() * 4; // (query id, cluster id) header + residual
+        let uniform_query_bytes = schedule.max_assignments_per_dpu().max(1) * record_bytes;
+        let plans: Vec<(usize, DpuBatchPlan)> = schedule
+            .per_dpu
+            .into_iter()
+            .enumerate()
+            .filter(|(_, assignments)| !assignments.is_empty())
+            .map(|(dpu, assignments)| {
+                let mut plan = DpuBatchPlan {
+                    residuals: Vec::with_capacity(assignments.len()),
+                    ..DpuBatchPlan::default()
+                };
+                for a in &assignments {
+                    let q = queries.vector(a.query);
+                    plan.residuals
+                        .push(residual(q, snapshot.coarse().centroid(a.cluster)));
+                    if !plan.queries.contains(&a.query) {
+                        plan.queries.push(a.query);
+                    }
                 }
-            }
-        }
+                plan.assignments = assignments;
+                (dpu, plan)
+            })
+            .collect();
         // Every busy DPU's query buffer and mailbox hold the launch's
         // uniform sizes, so both transfers run in parallel and no modeled
         // byte depends on what an earlier launch staged.
-        let record_bytes = 8 + snapshot.dim() * 4; // (query id, cluster id) header + residual
-        let uniform_query_bytes = schedule.max_assignments_per_dpu().max(1) * record_bytes;
-        let max_queries_per_dpu = plans.iter().map(|p| p.queries.len()).max().unwrap_or(0);
-        let uniform_mailbox = max_queries_per_dpu * mailbox_slot_bytes(k);
+        let max_queries_per_dpu = plans.iter().map(|(_, p)| p.queries.len()).max();
+        let uniform_mailbox = max_queries_per_dpu.unwrap_or(0) * mailbox_slot_bytes(k);
         let (mut writes, mut reads) = (Vec::new(), Vec::new());
-        for (dpu, plan) in plans.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
-            let pair = &mut self.staging[dpu];
-            pair.grow(sys, dpu, uniform_query_bytes, uniform_mailbox);
-            pair.fill(&mut self.epochs[epoch].stores[dpu]);
-            reads.push(DpuRead::new(dpu, pair.mailbox.0, uniform_mailbox));
-            let mut buffer = Vec::with_capacity(uniform_query_bytes);
-            for (a, res) in plan.assignments.iter().zip(&plan.residuals) {
-                buffer.extend_from_slice(&(a.query as u32).to_le_bytes());
-                buffer.extend_from_slice(&(a.cluster as u32).to_le_bytes());
-                buffer.extend(res.iter().flat_map(|x| x.to_le_bytes()));
+        for (dpu, plan) in &plans {
+            let pair = &mut self.staging[*dpu];
+            pair.grow(sys, *dpu, uniform_query_bytes, uniform_mailbox);
+            pair.fill(&mut self.epochs[epoch].stores[*dpu]);
+            reads.push(DpuRead::new(*dpu, pair.mailbox.0, uniform_mailbox));
+            // Zeroed, so the padding to the uniform size is already there.
+            let mut buffer = vec![0; uniform_query_bytes];
+            for ((a, res), record) in plan
+                .assignments
+                .iter()
+                .zip(&plan.residuals)
+                .zip(buffer.chunks_exact_mut(record_bytes))
+            {
+                let (header, values) = record.split_at_mut(8);
+                header[..4].copy_from_slice(&(a.query as u32).to_le_bytes());
+                header[4..].copy_from_slice(&(a.cluster as u32).to_le_bytes());
+                for (bytes, x) in values.chunks_exact_mut(4).zip(res) {
+                    bytes.copy_from_slice(&x.to_le_bytes());
+                }
             }
-            buffer.resize(uniform_query_bytes, 0); // pad to the uniform size
-            writes.push(DpuWrite::new(dpu, pair.query.0, buffer));
+            writes.push(DpuWrite::new(*dpu, pair.query.0, buffer));
         }
         sys.push_to_dpus(Stage::QueryTransfer, &writes)
             .expect("query buffers fit the launch");
@@ -328,37 +346,38 @@ impl Launcher<'_> {
             k,
             scan_backend: annkit::simd::active(),
         };
-        // Each DPU's host cost in scanned candidates: its lists plus a LUT
-        // build per assignment. A DPU with no assignment is idle (0) and
-        // the launch does not visit it.
-        let work: Vec<u64> = plans
-            .iter()
-            .map(|plan| {
-                plan.assignments
-                    .iter()
-                    .map(|a| cluster_sizes[a.cluster] as u64 + LUT_BUILD_WORK)
-                    .sum()
-            })
-            .collect();
+        // Each DPU's host cost in scanned candidates: its lists plus the
+        // fixed cost of each assignment. A DPU with no assignment is idle
+        // (0) and the launch does not visit it.
+        let mut work = vec![0; sys.num_dpus()];
+        for (dpu, plan) in &plans {
+            work[*dpu] = plan
+                .assignments
+                .iter()
+                .map(|a| cluster_sizes[a.cluster] as u64 + ASSIGNMENT_WORK)
+                .sum();
+        }
         let (report, outputs) = sys.execute_scheduled(Stage::DpuSearch, &work, |ctx| {
             let dpu = ctx.dpu_id();
-            run_batch_kernel(ctx, &stores[dpu], &plans[dpu], &shared)
+            let slot = plans
+                .binary_search_by_key(&dpu, |&(busy, _)| busy)
+                .expect("the launch visits busy DPUs only");
+            run_batch_kernel(ctx, &stores[dpu], &plans[slot].1, &shared)
         });
 
         // ---- Stage 5: result transfer (DPU → host) -------------------------
         let mailboxes = sys
             .pull_from_dpus(Stage::ResultTransfer, &reads)
             .expect("mailboxes fit the launch");
-        self.epochs[epoch]
-            .stores
-            .iter_mut()
-            .for_each(|store| Staging::default().fill(store));
+        for (dpu, _) in &plans {
+            Staging::default().fill(&mut self.epochs[epoch].stores[*dpu]);
+        }
 
         // ---- Stage 6: host merge -------------------------------------------
         let mut merged: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
         let mut partial_count = 0usize;
-        for (read, bytes) in reads.iter().zip(&mailboxes) {
-            for (q, neighbors) in parse_mailbox(bytes, plans[read.dpu].queries.len(), k) {
+        for ((_, plan), bytes) in plans.iter().zip(&mailboxes) {
+            for (q, neighbors) in mailbox_slots(bytes, plan.queries.len(), k) {
                 partial_count += 1;
                 for n in neighbors {
                     merged[q].push(n.id, n.distance);
@@ -377,7 +396,7 @@ impl Launcher<'_> {
             lut_entries: (total_assignments * snapshot.m() * 256) as u64,
             ..WorkloadStats::default()
         };
-        for work in outputs.iter().flatten().map(|o| &o.work) {
+        for work in outputs.iter().map(|o| &o.work) {
             stats.candidates_scanned += work.vectors;
             stats.lut_lookups += work.lut_lookups;
             stats.code_bytes_read += work.code_bytes;

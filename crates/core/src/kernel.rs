@@ -26,7 +26,7 @@ use crate::encoding::CaeList;
 use crate::scheduling::Assignment;
 use crate::topk_prune::{MergeStats, RangeMerge};
 use crate::wram_layout::{WramPlan, WramPlanInput};
-use annkit::lut::LookupTable;
+use annkit::lut::{build_masked_into, LookupTable};
 use annkit::pq::ProductQuantizer;
 use annkit::topk::{Neighbor, TopK};
 use pim_sim::config::MAX_TASKLETS;
@@ -35,7 +35,7 @@ use pim_sim::mram::MramAddr;
 use pim_sim::stats::Stage;
 use pim_sim::tasklet::DpuKernelCtx;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::AddAssign;
 use std::sync::Arc;
 
@@ -245,10 +245,13 @@ pub(crate) fn charge(
     let slice = work.codebook_bytes.div_ceil(tasklets);
     let entries = work.lut_entries.div_ceil(tasklets);
     let residual = Dma::of(work.residual_bytes);
+    let full_slice = Dma::of(slice);
     region(Stage::LutConstruction, &|t| TaskletCost {
         compute: compute(entries * shape.dsub as u64 * 3, entries),
-        dma: Dma::of(slice.min(work.codebook_bytes.saturating_sub(t * slice)))
-            + if t == 0 { residual } else { Dma::default() },
+        dma: match slice.min(work.codebook_bytes.saturating_sub(t * slice)) {
+            bytes if bytes == slice => full_slice,
+            bytes => Dma::of(bytes),
+        } + if t == 0 { residual } else { Dma::default() },
     });
 
     // Stage 2 (Barrier 1/2): one WRAM load and one add per counted element
@@ -270,17 +273,29 @@ pub(crate) fn charge(
     let records = modeled(work.vectors, shape.work_scale);
     let code_bytes = modeled(work.code_bytes, shape.work_scale);
     let cae_entries = modeled(work.cae_entries, shape.work_scale);
+    // A tasklet streams its share of the records (plain) or of the code
+    // bytes (CAE), so its DMA is one of two sizes: priced once each.
+    let (streamed, unit) = match encoding {
+        ListEncoding::PlainU8 => (records, shape.m as u64),
+        ListEncoding::CaeU16(_) => (code_bytes, 1),
+    };
     let read = shape.read_bytes as u64;
+    let full_read = Dma::of(read);
+    let stream = |units: u64| {
+        let bytes = units * unit;
+        full_read.times(bytes / read) + Dma::of(bytes % read)
+    };
+    let streams = [stream(streamed / tasklets), stream(streamed / tasklets + 1)];
     region(Stage::DistanceCalc, &|t| {
         let records = share(t, records);
         let plain = records * shape.m as u64;
-        let (bytes, entries, address_adds) = match encoding {
-            ListEncoding::PlainU8 => (plain, plain, plain),
-            ListEncoding::CaeU16(_) => (share(t, code_bytes), share(t, cae_entries), 0),
+        let (entries, address_adds) = match encoding {
+            ListEncoding::PlainU8 => (plain, plain),
+            ListEncoding::CaeU16(_) => (share(t, cae_entries), 0),
         };
         TaskletCost {
             compute: compute(entries + address_adds + records, 2 * entries),
-            dma: Dma::of(read).times(bytes / read) + Dma::of(bytes % read),
+            dma: streams[usize::from(t < streamed % tasklets)],
         }
     });
 
@@ -310,26 +325,35 @@ pub fn mailbox_slot_bytes(k: usize) -> usize {
     4 + k * 12 // u32 query id + k × (u64 id, f32 distance)
 }
 
-/// Parses a result mailbox produced by [`run_batch_kernel`]: the first
-/// `queries` whole slots, each a query id and its neighbors (an id of
-/// `u64::MAX` pads a slot that has fewer than `k`).
-pub fn parse_mailbox(bytes: &[u8], queries: usize, k: usize) -> Vec<(usize, Vec<Neighbor>)> {
+/// The first `queries` whole slots of a result mailbox produced by
+/// [`run_batch_kernel`], each a query id and its neighbors (an id of
+/// `u64::MAX` pads a slot that has fewer than `k`), read in place.
+pub(crate) fn mailbox_slots(
+    bytes: &[u8],
+    queries: usize,
+    k: usize,
+) -> impl Iterator<Item = (usize, impl Iterator<Item = Neighbor> + '_)> {
     bytes
         .chunks_exact(mailbox_slot_bytes(k))
         .take(queries)
         .filter_map(|slot| {
             let (&q, records) = slot.split_first_chunk()?;
-            let neighbors = records
-                .chunks_exact(12)
-                .filter_map(|record| {
-                    let (&id, dist) = record.split_first_chunk()?;
-                    let id = u64::from_le_bytes(id);
-                    let dist = f32::from_le_bytes(*dist.first_chunk()?);
-                    (id != u64::MAX).then(|| Neighbor::new(id, dist))
-                })
-                .collect();
+            let neighbors = records.chunks_exact(12).filter_map(|record| {
+                let (&id, dist) = record.split_first_chunk()?;
+                let id = u64::from_le_bytes(id);
+                let dist = f32::from_le_bytes(*dist.first_chunk()?);
+                (id != u64::MAX).then(|| Neighbor::new(id, dist))
+            });
             Some((u32::from_le_bytes(q) as usize, neighbors))
         })
+}
+
+/// Parses a result mailbox produced by [`run_batch_kernel`]: the first
+/// `queries` whole slots, each a query id and its neighbors (an id of
+/// `u64::MAX` pads a slot that has fewer than `k`).
+pub fn parse_mailbox(bytes: &[u8], queries: usize, k: usize) -> Vec<(usize, Vec<Neighbor>)> {
+    mailbox_slots(bytes, queries, k)
+        .map(|(q, neighbors)| (q, neighbors.collect()))
         .collect()
 }
 
@@ -339,18 +363,23 @@ pub fn parse_mailbox(bytes: &[u8], queries: usize, k: usize) -> Vec<(usize, Vec<
 /// uses: every buffer is rebuilt before it is read.
 #[derive(Debug, Default)]
 struct KernelScratch {
+    /// The dense LUT of a plain list.
     lut: LookupTable,
-    /// §4.3's unified WRAM region: the flat LUT followed by the cluster's
-    /// combination partial sums, addressed directly by the encoded stream.
+    /// §4.3's unified WRAM region of an encoded list: its masked flat LUT,
+    /// built in place, followed by the cluster's combination partial sums,
+    /// addressed directly by the encoded stream.
     unified: Vec<f32>,
     /// Distances of one `read_bytes` transfer of plain codes.
     chunk: Vec<f32>,
-    /// Distances of the records one tasklet scanned.
+    /// Distances of the records scanned: a plain tasklet range, or a whole
+    /// encoded list whose tasklet ranges are cut from it.
     distances: Vec<f32>,
     /// The assignment's DPU heap, into which each tasklet range is merged
     /// as it is scanned, and the counts of Figure 9's merge of the
     /// tasklets' heaps; built for the launch's `k`.
     merge: Option<RangeMerge>,
+    /// The launch's result mailbox, written back to MRAM at the end.
+    mailbox: Vec<u8>,
 }
 
 thread_local! {
@@ -365,8 +394,8 @@ thread_local! {
 /// `distance_calc` → (barrier) → `topk`, then a single `result_write` at the
 /// end of the batch. Each assignment's functional work is counted, then
 /// charged. The distance calculation and the top-k merge run fused: each
-/// tasklet range is merged into the DPU heap as it is scanned, with the
-/// counts Figure 9's merge of per-tasklet heaps gives
+/// tasklet range is merged into the DPU heap as soon as it is scanned, with
+/// the counts Figure 9's merge of per-tasklet heaps gives
 /// ([`merge_thread_local`](crate::topk_prune::merge_thread_local), the
 /// reference). The host-side buffers are the calling thread's.
 pub fn run_batch_kernel(
@@ -400,6 +429,7 @@ fn run_with_scratch(
         chunk,
         distances,
         merge,
+        mailbox,
     } = scratch;
     if merge.as_ref().is_some_and(|m| m.k() != k) {
         *merge = None;
@@ -437,12 +467,8 @@ fn run_with_scratch(
     // the WRAM heap region; co-located clusters of the same query merge here
     // without any host round-trip — insight 3 of §4.1.1).
     let mut query_heaps: Vec<TopK> = plan.queries.iter().map(|_| TopK::new(k)).collect();
-    let slot_of: BTreeMap<usize, usize> = (0..)
-        .zip(&plan.queries)
-        .map(|(slot, &q)| (q, slot))
-        .collect();
 
-    for (a_idx, assignment) in plan.assignments.iter().enumerate() {
+    for (assignment, residual) in plan.assignments.iter().zip(&plan.residuals) {
         let replica = store.replicas.get(&assignment.cluster).unwrap_or_else(|| {
             panic!(
                 "DPU {} was assigned cluster {} it does not host",
@@ -450,11 +476,11 @@ fn run_with_scratch(
                 assignment.cluster
             )
         });
-        let residual = &plan.residuals[a_idx];
         let combos = shared
             .combos
             .get(&assignment.cluster)
             .filter(|table| !table.is_empty());
+        let n = replica.num_vectors;
         let mut work = AssignmentWork {
             // Staged by the host transfer.
             residual_bytes: (dim * 4) as u64,
@@ -462,29 +488,27 @@ fn run_with_scratch(
             lut_entries: (m * 256) as u64,
             combos: combos.map_or(0, |table| table.len() as u64),
             combo_elements: combos.map_or(0, ComboTable::elements),
+            vectors: n as u64,
             ..AssignmentWork::default()
         };
 
-        // ---- Stage 1: LUT construction ----------------------------------
+        // ---- Stages 1 and 2: LUT construction, combination partial sums --
         //
-        // An encoded list's LUT holds only the blocks its codes can read;
-        // the work counts the dense table either way, as the modeled list
+        // An encoded list's LUT holds only the blocks its codes can read and
+        // is built in the unified region, its partial sums after it; the
+        // work counts the dense table either way, as the modeled list
         // references every block.
         match &replica.encoding {
-            ListEncoding::CaeU16(cae) => lut.rebuild_masked(shared.pq, residual, cae.code_blocks()),
+            ListEncoding::CaeU16(cae) => {
+                build_masked_into(shared.pq, residual, cae.code_blocks(), unified);
+                if let Some(table) = combos {
+                    table.append_partial_sums(unified);
+                }
+            }
             ListEncoding::PlainU8 => lut.rebuild(shared.pq, residual),
         }
         if store.codebook_bytes > 0 {
             let _ = ctx.mram_read(store.codebook_addr, store.codebook_bytes);
-        }
-
-        // ---- Stage 2: combination partial sums --------------------------
-        if let ListEncoding::CaeU16(_) = &replica.encoding {
-            unified.clear();
-            unified.extend_from_slice(lut.as_flat());
-            if let Some(table) = combos {
-                table.extend_partial_sums(lut, unified);
-            }
         }
 
         // ---- Stages 3 and 4: distance calculation, pruned top-k merge ----
@@ -493,58 +517,67 @@ fn run_with_scratch(
         // scans the `t`-th run of `⌈n / tasklets⌉` vectors, and the run is
         // merged into the DPU heap as soon as it is scanned, with the counts
         // of Figure 9's merge of the tasklets' heaps.
-        let n = replica.num_vectors;
         // At least 1: `step_by` refuses 0, which an empty list would give.
         let per_tasklet_vectors = n.div_ceil(tasklets).max(1);
+        let ranges = (0..n)
+            .step_by(per_tasklet_vectors)
+            .map(|start| start..(start + per_tasklet_vectors).min(n));
         merge.begin(config.topk_pruning);
-        for start in (0..n).step_by(per_tasklet_vectors) {
-            let end = (start + per_tasklet_vectors).min(n);
-            work.vectors += (end - start) as u64;
-            match &replica.encoding {
-                ListEncoding::PlainU8 => {
+        match &replica.encoding {
+            ListEncoding::PlainU8 => {
+                for range in ranges {
                     // `read_bytes` of codes at a time (at least one record,
                     // by `mram_read_bytes`), blocked ADC scan: bitwise the
                     // per-record sum.
                     distances.clear();
-                    let mut v = start;
-                    while v < end {
-                        let chunk_vectors = (((end - v) * m).min(read_bytes) / m).min(end - v);
+                    let mut v = range.start;
+                    while v < range.end {
+                        let chunk_vectors =
+                            (((range.end - v) * m).min(read_bytes) / m).min(range.end - v);
                         let len = chunk_vectors * m;
                         let data = ctx.mram_read(replica.codes_addr + v * m, len);
                         lut.adc_scan_into(data, chunk);
                         distances.extend_from_slice(chunk);
-                        work.code_bytes += len as u64;
-                        work.lut_lookups += len as u64;
                         v += chunk_vectors;
                     }
+                    merge.merge_range(shared.scan_backend, range.start as u64, distances);
                 }
-                ListEncoding::CaeU16(cae) => {
-                    // The range against the unified table, SCAN_LANES records
-                    // in flight: bitwise a per-record `adc_distance`. The
-                    // stream is scanned from the host-side mirror; the read
-                    // only faults if the range is not resident in MRAM.
-                    let (first_b, _) = cae.record_byte_range(start);
-                    let (_, last_b) = cae.record_byte_range(end - 1);
-                    let len = (last_b - first_b).max(2);
-                    let _ = ctx.mram_read(replica.codes_addr + first_b, len);
-                    cae.adc_scan_range(unified, start, end, distances);
-                    // Every u16 of the range is a record's length slot or an
-                    // address that was looked up.
-                    let entries = ((last_b - first_b) / 2) as u64;
-                    work.code_bytes += (last_b - first_b) as u64;
-                    work.cae_entries += entries;
-                    work.lut_lookups += entries - (end - start) as u64;
-                }
+                work.code_bytes = (n * m) as u64;
+                work.lut_lookups = work.code_bytes;
             }
-            merge.merge_range(shared.scan_backend, start as u64, distances);
+            ListEncoding::CaeU16(cae) if n > 0 => {
+                // The whole list against the unified table, SCAN_LANES
+                // records in flight: each record is bitwise a per-record
+                // `adc_distance` whatever range it is scanned in, so the
+                // tasklet ranges are cut from one scan. The stream is
+                // scanned from the host-side mirror; the read only faults
+                // if the list is not resident in MRAM.
+                let (first_b, _) = cae.record_byte_range(0);
+                let (_, last_b) = cae.record_byte_range(n - 1);
+                let _ = ctx.mram_read(replica.codes_addr + first_b, (last_b - first_b).max(2));
+                cae.adc_scan_range(unified, 0, n, distances);
+                for range in ranges {
+                    let start = range.start as u64;
+                    merge.merge_range(shared.scan_backend, start, &distances[range]);
+                }
+                // Every u16 of the list is a record's length slot or an
+                // address that was looked up.
+                work.code_bytes = (last_b - first_b) as u64;
+                work.cae_entries = work.code_bytes / 2;
+                work.lut_lookups = work.cae_entries - n as u64;
+            }
+            // An empty list scans nothing.
+            ListEncoding::CaeU16(_) => {}
         }
         work.merge = merge.stats();
 
-        // Translate local vector indices into global ids (k MRAM reads of the
-        // id array) and fold into the per-query heap.
-        let query_heap = slot_of
-            .get(&assignment.query)
-            .map(|&slot| &mut query_heaps[slot])
+        // Translate local vector indices into global ids (k reads of the id
+        // array, read once) and fold into the per-query heap.
+        let query_heap = plan
+            .queries
+            .iter()
+            .position(|&q| q == assignment.query)
+            .map(|slot| &mut query_heaps[slot])
             .unwrap_or_else(|| {
                 panic!(
                     "DPU {} was assigned query {} its plan does not list",
@@ -552,13 +585,16 @@ fn run_with_scratch(
                     assignment.query
                 )
             });
-        for n in merge.sorted() {
-            let raw = ctx.mram_read(replica.ids_addr + (n.id as usize) * 8, 8);
-            let Some(&id) = raw.first_chunk() else {
-                unreachable!("an 8-byte MRAM read returns 8 bytes")
-            };
-            query_heap.push(u64::from_le_bytes(id), n.distance);
-            work.id_reads += 1;
+        let best = merge.sorted();
+        if !best.is_empty() {
+            let ids = ctx.mram_read(replica.ids_addr, n * 8);
+            for nb in best {
+                let Some(&id) = ids[nb.id as usize * 8..].first_chunk() else {
+                    unreachable!("the id array holds 8 bytes per vector")
+                };
+                query_heap.push(u64::from_le_bytes(id), nb.distance);
+            }
+            work.id_reads = best.len() as u64;
         }
 
         charge(&work, &replica.encoding, &shape, |stage, costs| {
@@ -570,7 +606,7 @@ fn run_with_scratch(
     // ---- Result write-back ------------------------------------------------
     // The mailbox is the kernel's one answer: a slot per query of the plan,
     // in plan order.
-    let mut mailbox = Vec::with_capacity(plan.queries.len() * mailbox_slot_bytes(k));
+    mailbox.clear();
     for (&q, heap) in plan.queries.iter().zip(query_heaps) {
         mailbox.extend_from_slice(&(q as u32).to_le_bytes());
         let sorted = heap.into_sorted();
@@ -591,7 +627,7 @@ fn run_with_scratch(
         mailbox.len(),
         store.mailbox_bytes
     );
-    ctx.mram_write(Stage::ResultWrite, store.mailbox_addr, &mailbox)
+    ctx.mram_write(Stage::ResultWrite, store.mailbox_addr, mailbox)
         .expect("the mailbox is sized by the engine's launch");
     output.mailbox_bytes_written = mailbox.len();
     output

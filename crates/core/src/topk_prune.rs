@@ -90,8 +90,10 @@ pub fn merge_thread_local(locals: &[TopK], k: usize, prune: bool) -> (TopK, Merg
 /// is full with a threshold `T` that is not NaN and the range holds no NaN,
 /// the candidates it offers are a prefix of its candidates below `T`,
 /// sorted, at most `k` of them; the rest of the `min(k, len)` count as
-/// pruned. In every other case (the first range, the naive merge, a NaN)
-/// the range's heap is built and merged as the reference does.
+/// pruned. A range no longer than the DPU heap's free slots is all
+/// inserted, so it is sorted and pushed without building its heap. In every
+/// other case (a longer first range, the naive merge, a NaN) the range's
+/// heap is built and merged as the reference does.
 #[derive(Debug)]
 pub(crate) struct RangeMerge {
     /// The DPU heap, holding what the ranges merged so far offered.
@@ -137,9 +139,23 @@ impl RangeMerge {
         }
         self.stats.semaphore_ops += 1;
         let k = self.global.k();
+        self.ascending.clear();
+        if distances.len() <= k - self.global.len() {
+            // The range's heap would hold all of it and the DPU heap has a
+            // free slot for each: every candidate is compared and inserted,
+            // in the ascending order the reference offers them.
+            self.ascending
+                .extend((base..).zip(distances).map(|(id, &d)| Neighbor::new(id, d)));
+            self.ascending.sort_unstable_by(Neighbor::cmp);
+            for n in &self.ascending {
+                self.global.push(n.id, n.distance);
+            }
+            self.stats.comparisons += distances.len() as u64;
+            self.stats.insertions += distances.len() as u64;
+            return;
+        }
         let held = distances.len().min(k);
         let threshold = self.global.threshold();
-        self.ascending.clear();
         let cut = self.prune && self.global.len() == k && !threshold.is_nan() && {
             // Below the threshold, and every NaN, so one pass also finds them.
             self.ascending.extend(
@@ -309,15 +325,18 @@ mod tests {
         /// Range by range, the merge leaves the DPU heap and the counts
         /// that per-tasklet heaps and `merge_thread_local` give, bit for
         /// bit: with ties, NaNs, ranges shorter than `k`, empty ranges, 1–24
-        /// tasklets, pruned or naive, and again after `begin`.
+        /// tasklets, pruned or naive, and again after `begin`. Three cases
+        /// in four keep at most `2k` candidates, the serving lists' shape,
+        /// where ranges fit the DPU heap's free slots.
         #[test]
         fn the_range_merge_is_the_thread_local_merge(
             raw in prop::collection::vec(0u32..1_000_000, 0..400),
             shape in (1u32..64, 0u32..4, 1usize..=24, 1usize..=24),
-            prune in any::<bool>(),
+            merge in (any::<bool>(), 0u32..4),
         ) {
-            let (levels, nans, tasklets, k) = shape;
-            let distances = distances_of(&raw, levels, nans);
+            let ((levels, nans, tasklets, k), (prune, short)) = (shape, merge);
+            let kept = if short > 0 { raw.len() % (2 * k + 1) } else { raw.len() };
+            let distances = distances_of(&raw[..kept], levels, nans);
             let n = distances.len();
             let locals: Vec<TopK> = (0..tasklets)
                 .map(|t| {

@@ -12,7 +12,9 @@
 //! per-record reference (`CaeList::adc_distance` + `TopK::push` per tasklet
 //! range, one `l2_squared` per LUT entry): ids, distance bits and the
 //! launch's summed `AssignmentWork` — every count, `MergeStats` included —
-//! must all agree.
+//! must all agree. Two list shapes are staged: 150-vector lists, and the
+//! serving fixtures' short lists (1–20 vectors, many shorter than `k`, most
+//! tasklet ranges one vector or empty).
 
 use annkit::distance::l2_squared;
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
@@ -25,7 +27,7 @@ use pim_sim::config::PimConfig;
 use pim_sim::host::PimSystem;
 use pim_sim::stats::Stage;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 use upanns::config::UpAnnsConfig;
 use upanns::cooccurrence::{mine_cluster_combos, ComboTable, MiningParams};
 use upanns::encoding::CaeList;
@@ -38,20 +40,59 @@ use upanns::topk_prune::merge_thread_local;
 
 const QUERY_ROWS: [usize; 3] = [7, 250, 800];
 
-fn fixture() -> (Dataset, IvfPqIndex) {
+/// The inverted lists a fixture is trained into: 1 200 vectors drawn around
+/// `clusters` centres in `nlist` lists, each query probing 8.
+#[derive(Clone, Copy)]
+struct Lists {
+    clusters: usize,
+    nlist: usize,
+}
+
+/// 150 vectors a list.
+const LONG: Lists = Lists {
+    clusters: 8,
+    nlist: 8,
+};
+/// 1–13 vectors in each probed list.
+const SHORT: Lists = Lists {
+    clusters: 300,
+    nlist: 300,
+};
+
+fn fixture(lists: Lists) -> (Dataset, IvfPqIndex) {
     let data = SyntheticSpec::sift_like(1200)
-        .with_clusters(8)
+        .with_clusters(lists.clusters)
         .with_seed(19)
         .generate();
-    let index = IvfPqIndex::train(&data, &IvfPqParams::new(8, 16).with_train_size(600), 3);
+    let params = IvfPqParams::new(lists.nlist, 16).with_train_size(600);
+    let index = IvfPqIndex::train(&data, &params, 3);
     (data, index)
 }
 
+/// Pins this process's dispatcher to the fallback before anything else
+/// resolves it, whichever test runs first: the engines and the host
+/// reference index then run on the scalar path even on AVX2 hardware.
+fn pin_scalar() {
+    static PIN: Once = Once::new();
+    PIN.call_once(|| {
+        assert!(
+            simd::force_backend(Backend::Scalar),
+            "dispatch was resolved before the test could pin it"
+        );
+    });
+    assert_eq!(simd::active(), Backend::Scalar);
+}
+
+/// Each query's assignments to the non-empty lists among its 8 probes (the
+/// engine stages no empty list).
 fn plan_for(data: &Dataset, index: &IvfPqIndex) -> DpuBatchPlan {
     let mut plan = DpuBatchPlan::default();
     for (qi, &row) in QUERY_ROWS.iter().enumerate() {
         let q = data.vector(row);
         for (c, _) in index.filter_clusters(q, 8) {
+            if index.list(c).is_empty() {
+                continue;
+            }
             plan.assignments.push(Assignment {
                 query: qi,
                 cluster: c,
@@ -84,8 +125,8 @@ type Answers = (Vec<(usize, Vec<Neighbor>)>, AssignmentWork);
 
 /// Runs the kernel and reads its answers as the engine does: parsed from
 /// the mailbox it staged.
-fn run_kernel(backend: Backend, k: usize, cae: bool) -> Answers {
-    let (data, index) = fixture();
+fn run_kernel(lists: Lists, backend: Backend, k: usize, cae: bool) -> Answers {
+    let (data, index) = fixture(lists);
     let (combos, mut cae_lists) = if cae {
         encode_lists(&index)
     } else {
@@ -186,8 +227,8 @@ fn run_kernel(backend: Backend, k: usize, cae: bool) -> Answers {
 /// What the kernel must compute on the `CaeU16` arm, one record at a time:
 /// every LUT entry its own `l2_squared`, every record `adc_distance` +
 /// `push` into its tasklet's heap, then the pruned merge and the id lookup.
-fn cae_reference(k: usize) -> Answers {
-    let (data, index) = fixture();
+fn cae_reference(lists: Lists, k: usize) -> Answers {
+    let (data, index) = fixture(lists);
     let (combos, cae_lists) = encode_lists(&index);
     let plan = plan_for(&data, &index);
     let config = UpAnnsConfig::upanns();
@@ -272,22 +313,14 @@ fn assert_same_answers(a: &[(usize, Vec<Neighbor>)], b: &[(usize, Vec<Neighbor>)
 
 #[test]
 fn kernel_answers_identical_across_backends_and_dispatch() {
-    // Pin this process's dispatcher to the fallback before anything else
-    // resolves it: the engines and the host reference index now run on the
-    // scalar path even on AVX2 hardware.
-    assert!(
-        simd::force_backend(Backend::Scalar),
-        "dispatch was resolved before the test could pin it"
-    );
-    assert_eq!(simd::active(), Backend::Scalar);
-
-    let (scalar, scalar_work) = run_kernel(Backend::Scalar, 10, false);
-    let (vectorized, vectorized_work) = run_kernel(simd::detect(), 10, false);
+    pin_scalar();
+    let (scalar, scalar_work) = run_kernel(LONG, Backend::Scalar, 10, false);
+    let (vectorized, vectorized_work) = run_kernel(LONG, simd::detect(), 10, false);
     assert_same_answers(&scalar, &vectorized, "SIMD routing");
     assert_eq!(scalar_work, vectorized_work, "SIMD routing changed a count");
 
     // The CaeU16 arm, on both backends, against the per-record reference.
-    let (reference, reference_work) = cae_reference(10);
+    let (reference, reference_work) = cae_reference(LONG, 10);
     assert!(
         reference_work.lut_lookups < reference_work.vectors * 16,
         "the fixture must exercise combination entries"
@@ -297,8 +330,40 @@ fn kernel_answers_identical_across_backends_and_dispatch() {
         "the fixture must exercise pruning"
     );
     for backend in [Backend::Scalar, simd::detect()] {
-        let (got, work) = run_kernel(backend, 10, true);
+        let (got, work) = run_kernel(LONG, backend, 10, true);
         assert_same_answers(&got, &reference, "the blocked CAE scan");
         assert_eq!(work, reference_work, "{backend:?}");
+    }
+}
+
+/// Lists shorter than `k` and tasklet ranges of one vector: a range that
+/// fits the DPU heap's free slots, ranges that fill it part-way, and lists
+/// whose ranges are cut from one scan, at k 10 and k 20 on both encodings.
+#[test]
+fn short_lists_answer_like_both_references() {
+    pin_scalar();
+    let (data, index) = fixture(SHORT);
+    let sizes = index.list_sizes();
+    let plan = plan_for(&data, &index);
+    let probed: Vec<usize> = plan.assignments.iter().map(|a| sizes[a.cluster]).collect();
+    let tasklets = UpAnnsConfig::upanns().tasklets;
+    assert!(probed.iter().all(|&n| (1..=20).contains(&n)), "{probed:?}");
+    assert!(probed.contains(&1), "a one-vector list");
+    assert!(probed.iter().any(|&n| n < 10), "a list shorter than k");
+    assert!(
+        probed.iter().any(|&n| n > tasklets),
+        "a list of multi-vector ranges"
+    );
+    for k in [10, 20] {
+        let (scalar, scalar_work) = run_kernel(SHORT, Backend::Scalar, k, false);
+        let (vectorized, vectorized_work) = run_kernel(SHORT, simd::detect(), k, false);
+        assert_same_answers(&scalar, &vectorized, "SIMD routing");
+        assert_eq!(scalar_work, vectorized_work, "k {k}");
+        let (reference, reference_work) = cae_reference(SHORT, k);
+        for backend in [Backend::Scalar, simd::detect()] {
+            let (got, work) = run_kernel(SHORT, backend, k, true);
+            assert_same_answers(&got, &reference, "the blocked CAE scan");
+            assert_eq!(work, reference_work, "k {k}, {backend:?}");
+        }
     }
 }

@@ -264,21 +264,22 @@ impl PimSystem {
         kernel: impl Fn(&mut DpuKernelCtx<'_>) -> T + Sync,
     ) -> (ExecReport, Vec<T>) {
         let every_dpu = vec![1; self.dpus.len()];
-        let (report, outputs) = self.execute_scheduled(stage, &every_dpu, kernel);
-        (report, outputs.into_iter().flatten().collect())
+        self.execute_scheduled(stage, &every_dpu, kernel)
     }
 
-    /// Launches a kernel on the DPUs whose `work` is non-zero. The closure
-    /// runs once per such DPU with a fresh [`DpuKernelCtx`]; the other DPUs
-    /// are idle: not visited, 0 cycles, no output, and their launch is still
-    /// counted in the DPU's `DpuStats::launches`.
+    /// Launches a kernel on the DPUs whose `work` is non-zero and returns
+    /// their outputs in DPU order. The closure runs once per such DPU with a
+    /// fresh [`DpuKernelCtx`]; the other DPUs are idle: not visited, 0
+    /// cycles, no output, and their launch is still counted in the DPU's
+    /// `DpuStats::launches`.
     /// The simulated launch time is the slowest DPU's time plus a fixed
     /// launch overhead, added to the system clock under `stage`.
     ///
-    /// `work[d]` estimates DPU `d`'s host cost in units of about 30 ns (one
-    /// ADC-scanned candidate in `upanns`). A launch whose total covers
-    /// several grains of 32 768 runs its busy DPUs on one host thread per
-    /// grain, as far as cores are free of other in-flight launches. The
+    /// `work[d]` estimates DPU `d`'s host cost in `FAN_OUT_GRAIN`'s unit,
+    /// about 20 ns of one core (one ADC-scanned candidate in `upanns`). A
+    /// launch whose total covers several grains of 32 768 runs its busy
+    /// DPUs on one host thread per grain, as far as cores are free of other
+    /// in-flight launches. The
     /// outputs and every field of the report are gathered in DPU order, so
     /// they do not depend on the thread count.
     pub fn execute_scheduled<T: Send>(
@@ -286,7 +287,7 @@ impl PimSystem {
         stage: impl Into<Stage>,
         work: &[u64],
         kernel: impl Fn(&mut DpuKernelCtx<'_>) -> T + Sync,
-    ) -> (ExecReport, Vec<Option<T>>) {
+    ) -> (ExecReport, Vec<T>) {
         let n = self.dpus.len();
         assert_eq!(work.len(), n, "one work estimate per DPU");
         let mut busy: Vec<&mut Dpu> = self
@@ -319,7 +320,7 @@ impl PimSystem {
         // all are idle — is the largest (cycles, id); an idle DPU is 0
         // cycles and no stage.
         let mut per_dpu_cycles = vec![0; n];
-        let mut outputs: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut outputs = Vec::with_capacity(ran.len());
         let (mut critical_dpu, mut max_cycles) = (n.saturating_sub(1), 0);
         let mut breakdown = StageBreakdown::new();
         for (id, cycles, stage_seconds, output) in ran {
@@ -327,7 +328,7 @@ impl PimSystem {
                 (critical_dpu, max_cycles, breakdown) = (id, cycles, stage_seconds);
             }
             per_dpu_cycles[id] = cycles;
-            outputs[id] = Some(output);
+            outputs.push(output);
         }
         for dpu in &mut self.dpus {
             dpu.stats_mut().launches += 1;
@@ -496,7 +497,8 @@ mod tests {
                 let (report, outputs) = sys.execute_scheduled(Stage::DpuSearch, &[0; 6], |_| {
                     unreachable!("idle DPU visited")
                 });
-                assert!(outputs.iter().all(|&o: &Option<()>| o.is_none()));
+                let outputs: Vec<()> = outputs;
+                assert!(outputs.is_empty());
                 assert!(
                     (0..6).all(|d| sys.dpu(d).stats().launches == 1),
                     "an idle DPU counts the launch"

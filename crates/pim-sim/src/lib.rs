@@ -60,9 +60,8 @@
 //!     ctx.close_region(Stage::DistanceCalc, &[tasklet; 4]);
 //!     sum
 //! });
-//! // Outputs come back in DPU order, whatever host threads ran them.
-//! assert_eq!(outputs[0], Some(4 * 256 * 7));
-//! assert!(outputs[1..].iter().all(Option::is_none));
+//! // One output per busy DPU, in DPU order, whatever host threads ran them.
+//! assert_eq!(outputs, [4 * 256 * 7]);
 //! assert_eq!(report.critical_dpu, 0);
 //! assert!(report.max_dpu_seconds > 0.0);
 //! assert!(sys.elapsed_seconds() > 0.0);

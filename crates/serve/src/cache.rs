@@ -16,11 +16,14 @@
 
 use annkit::topk::Neighbor;
 use baselines::engine::QueryOptions;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
+/// A clone shares the query's bits, so the recency index holds no second
+/// copy of them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
-    query_bits: Vec<u32>,
+    query_bits: Arc<[u32]>,
     k: usize,
     nprobe: usize,
 }
@@ -51,6 +54,9 @@ struct CacheEntry {
 pub struct ResultCache {
     capacity: usize,
     entries: HashMap<CacheKey, CacheEntry>,
+    /// Every entry's key by its `last_used` tick, oldest first. Ticks are
+    /// unique, so the first is the one least-recently-used entry.
+    recency: BTreeMap<u64, CacheKey>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -63,6 +69,7 @@ impl ResultCache {
         Self {
             capacity,
             entries: HashMap::new(),
+            recency: BTreeMap::new(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -102,11 +109,15 @@ impl ResultCache {
         let key = CacheKey::new(query, options);
         match self.entries.get_mut(&key) {
             Some(entry) if entry.epoch < current_epoch => {
+                self.recency.remove(&entry.last_used);
                 self.entries.remove(&key);
                 self.invalidated += 1;
                 None
             }
             Some(entry) => {
+                if let Some(key) = self.recency.remove(&entry.last_used) {
+                    self.recency.insert(self.clock, key);
+                }
                 entry.last_used = self.clock;
                 self.hits += 1;
                 Some((entry.neighbors.clone(), entry.ready_at))
@@ -146,20 +157,14 @@ impl ResultCache {
         }
         self.clock += 1;
         let key = CacheKey::new(query, options);
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            // Scanning the map in hash order is safe here: `last_used` ticks
-            // are unique per entry, so the minimum is unique and the scan
-            // order cannot affect which key wins.
-            #[expect(clippy::disallowed_methods, reason = "min over unique ticks")]
-            let lru = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            if let Some(lru) = lru {
+        if let Some(entry) = self.entries.get(&key) {
+            self.recency.remove(&entry.last_used);
+        } else if self.entries.len() >= self.capacity {
+            if let Some((_, lru)) = self.recency.pop_first() {
                 self.entries.remove(&lru);
             }
         }
+        self.recency.insert(self.clock, key.clone());
         self.entries.insert(
             key,
             CacheEntry {
@@ -258,6 +263,55 @@ mod tests {
         assert!(cache.lookup(&a, &opts(10, 8)).is_some(), "a survived");
         assert!(cache.lookup(&b, &opts(10, 8)).is_none(), "b was evicted");
         assert!(cache.lookup(&c, &opts(10, 8)).is_some(), "c is resident");
+    }
+
+    /// A mixed stream of lookups, inserts and epoch bumps leaves the cache
+    /// holding what an LRU that scans for the smallest tick holds, with one
+    /// recency entry per cached entry.
+    #[test]
+    fn the_ordered_index_evicts_what_a_scan_for_the_oldest_tick_would() {
+        let mut cache = ResultCache::new(8);
+        // Reference: (key, last used tick, epoch), scanned for the minimum.
+        let mut model: Vec<(u32, u64, u64)> = Vec::new();
+        let (mut tick, mut epoch, mut state) = (0u64, 0u64, 7u64);
+        for _ in 0..4_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = (state >> 33) as u32 % 20;
+            let q = [key as f32];
+            if (state >> 20) % 97 == 0 {
+                epoch += 1;
+            }
+            tick += 1;
+            if (state >> 12) % 3 == 0 {
+                cache.insert_at_epoch(&q, &opts(10, 8), hit(key.into()), 0.0, epoch);
+                if let Some(at) = model.iter().position(|e| e.0 == key) {
+                    model.remove(at);
+                } else if model.len() == 8 {
+                    let oldest = (0..model.len()).min_by_key(|&i| model[i].1).unwrap();
+                    model.remove(oldest);
+                }
+                model.push((key, tick, epoch));
+            } else {
+                let found = cache.lookup_at_epoch(&q, &opts(10, 8), epoch).is_some();
+                let at = model.iter().position(|e| e.0 == key);
+                match at {
+                    Some(at) if model[at].2 < epoch => {
+                        model.remove(at);
+                        assert!(!found);
+                    }
+                    Some(at) => {
+                        model[at].1 = tick;
+                        assert!(found);
+                    }
+                    None => assert!(!found),
+                }
+            }
+            assert_eq!(cache.len(), model.len());
+            assert_eq!(cache.recency.len(), cache.len());
+        }
+        assert!(cache.invalidated() > 0 && cache.hits() > 0 && cache.misses() > 0);
     }
 
     #[test]
