@@ -74,6 +74,7 @@ impl LookupTable {
     /// # Panics
     /// Panics if `residual.len() != pq.dim()`.
     pub fn rebuild(&mut self, pq: &ProductQuantizer, residual: &[f32]) {
+        self.table.resize(pq.m() * KSUB, 0.0);
         build_blocks(pq, residual, std::iter::repeat(u32::MAX), &mut self.table);
         self.m = pq.m();
     }
@@ -92,6 +93,7 @@ impl LookupTable {
     /// # Panics
     /// Panics if `residual.len() != pq.dim()` or `mask.len() != pq.m()`.
     pub fn rebuild_masked(&mut self, pq: &ProductQuantizer, residual: &[f32], mask: &[u32]) {
+        self.table.resize(pq.m() * KSUB, 0.0);
         build_masked_into(pq, residual, mask, &mut self.table);
         self.m = pq.m();
     }
@@ -165,19 +167,16 @@ impl LookupTable {
     }
 }
 
-/// [`LookupTable::rebuild_masked`] into a caller's buffer: `table` becomes
-/// the flat `m · 256` table (entry `(sub, code)` at `sub · 256 + code`),
-/// valid on the mask's blocks only, so a caller can keep more entries after
-/// it in the same allocation (the UpANNS kernel's combination partial sums).
+/// [`LookupTable::rebuild_masked`] into a caller's slice: its first
+/// `m · 256` entries become the flat table (entry `(sub, code)` at
+/// `sub · 256 + code`), valid on the mask's blocks only, and the entries
+/// after them are left as they are, so a caller can keep more after the
+/// table in the same region (the UpANNS kernel's combination partial sums).
 ///
 /// # Panics
-/// Panics if `residual.len() != pq.dim()` or `mask.len() != pq.m()`.
-pub fn build_masked_into(
-    pq: &ProductQuantizer,
-    residual: &[f32],
-    mask: &[u32],
-    table: &mut Vec<f32>,
-) {
+/// Panics if `residual.len() != pq.dim()`, `mask.len() != pq.m()` or
+/// `table` is shorter than `m · 256`.
+pub fn build_masked_into(pq: &ProductQuantizer, residual: &[f32], mask: &[u32], table: &mut [f32]) {
     assert_eq!(mask.len(), pq.m(), "one mask word per sub-quantizer");
     build_blocks(pq, residual, mask.iter().copied(), table);
 }
@@ -186,11 +185,11 @@ fn build_blocks(
     pq: &ProductQuantizer,
     residual: &[f32],
     mask: impl Iterator<Item = u32>,
-    table: &mut Vec<f32>,
+    table: &mut [f32],
 ) {
     assert_eq!(residual.len(), pq.dim(), "LUT residual dimension mismatch");
     let dsub = pq.dsub();
-    table.resize(pq.m() * KSUB, 0.0);
+    let table = &mut table[..pq.m() * KSUB];
     for (((rv, centroids), row), blocks) in residual
         .chunks_exact(dsub)
         .zip(pq.codebooks_cols().chunks_exact(KSUB * dsub))
@@ -258,6 +257,23 @@ mod tests {
         for (i, code) in codes.iter().enumerate() {
             assert_eq!(scanned[i], lut.adc_distance(code));
         }
+    }
+
+    #[test]
+    fn a_masked_build_into_a_longer_slice_writes_its_head_only() {
+        let (pq, ds) = setup(8, 4);
+        let mask = [0b1, 0b110, u32::MAX, 1 << 31];
+        let mut lut = LookupTable::default();
+        lut.rebuild_masked(&pq, ds.vector(2), &mask);
+        let mut space = vec![-1.0f32; 4 * KSUB + 3];
+        build_masked_into(&pq, ds.vector(2), &mask, &mut space);
+        for (sub, &bits) in mask.iter().enumerate() {
+            for b in (0..32).filter(|b| bits & (1 << b) != 0) {
+                let block = sub * KSUB + b * SCAN_LANES..sub * KSUB + (b + 1) * SCAN_LANES;
+                assert_eq!(space[block.clone()], lut.as_flat()[block]);
+            }
+        }
+        assert_eq!(space[4 * KSUB..], [-1.0; 3]);
     }
 
     #[test]

@@ -119,14 +119,22 @@ impl ComboTable {
         self.combos.iter().map(|c| c.sum_over(flat)).collect()
     }
 
-    /// Appends [`partial_sums`](Self::partial_sums) of the flat LUT that
-    /// `unified` holds to it, which forms the unified table the encoded
-    /// stream addresses (§4.3).
-    pub(crate) fn append_partial_sums(&self, unified: &mut Vec<f32>) {
-        for combo in self.combos.iter() {
-            let sum = combo.sum_over(unified);
-            unified.push(sum);
+    /// Writes [`partial_sums`](Self::partial_sums) of the flat `m · 256`
+    /// LUT at the head of `space` right after it, combination `i` at
+    /// `256 · m + i`, which forms the unified table the encoded stream
+    /// addresses (§4.3). Returns the end of what is built:
+    /// `256 · m + self.len()`.
+    ///
+    /// # Panics
+    /// Panics if `space` is shorter than that end.
+    pub(crate) fn write_partial_sums(&self, m: usize, space: &mut [f32]) -> usize {
+        let end = 256 * m + self.len();
+        assert!(end <= space.len(), "partial sums past the address space");
+        let (lut, sums) = space[..end].split_at_mut(256 * m);
+        for (sum, combo) in sums.iter_mut().zip(self.combos.iter()) {
+            *sum = combo.sum_over(lut);
         }
+        end
     }
 }
 
@@ -519,6 +527,13 @@ mod tests {
         let sums = table.partial_sums(&lut);
         let expected = lut.get(1, 10) + lut.get(3, 200);
         assert!((sums[0] - expected).abs() < 1e-6);
+
+        // In a space, the sum lands right after the LUT and nothing past it
+        // is written.
+        let mut space = [lut.as_flat(), &[f32::NAN; 2]].concat();
+        assert_eq!(table.write_partial_sums(4, &mut space), 4 * 256 + 1);
+        assert_eq!(space[4 * 256].to_bits(), sums[0].to_bits());
+        assert!(space[4 * 256 + 1].is_nan());
     }
 
     #[test]

@@ -18,6 +18,26 @@ use crate::cooccurrence::ComboTable;
 use annkit::lut::{mark_code_blocks, LookupTable};
 use annkit::simd::SCAN_LANES;
 
+/// Entries of §4.3's unified WRAM region as the DPU addresses it: one per
+/// `u16` value.
+const ADDRESS_SPACE: usize = 1 << 16;
+
+/// §4.3's unified region as a fixed space that any `u16` of an encoded
+/// stream indexes without a check: a list's flat LUT at `[0, 256·m)`, its
+/// cluster's combination partial sums at `256·m + i`, and past them
+/// whatever an earlier list left, which the stream never addresses.
+pub(crate) type AddressSpace = [f32; ADDRESS_SPACE];
+
+/// A zeroed [`AddressSpace`] on the heap. It is allocated zeroed rather
+/// than filled, so where the allocator maps fresh pages for it, the pages
+/// no list writes are never made resident.
+pub(crate) fn zeroed_space() -> Box<AddressSpace> {
+    let Ok(space) = vec![0.0; ADDRESS_SPACE].into_boxed_slice().try_into() else {
+        unreachable!("the vector has ADDRESS_SPACE entries")
+    };
+    space
+}
+
 /// A co-occurrence-aware encoded inverted list (one cluster).
 #[derive(Debug, Clone)]
 pub struct CaeList {
@@ -100,6 +120,13 @@ impl CaeList {
         &self.blocks
     }
 
+    /// The entries of an [`AddressSpace`] the stream can address,
+    /// `256·m + num_combos`: the LUT and the partial sums an assignment must
+    /// build before [`adc_scan_range`](Self::adc_scan_range).
+    pub(crate) fn addresses(&self) -> usize {
+        256 * self.m + self.num_combos
+    }
+
     /// Number of vectors in the list.
     pub fn len(&self) -> usize {
         self.offsets.len()
@@ -175,22 +202,23 @@ impl CaeList {
     /// The ADC scan of records `[start, end)`: clears `out` and appends one
     /// distance per record.
     ///
-    /// `unified` is §4.3's single WRAM region — the flat LUT (`256·m`
-    /// entries) followed by the cluster's combination partial sums — so every
-    /// entry of the stream, direct or combination, is one load and one add
-    /// with no branch on its kind. The scan walks the entry stream itself
-    /// (one `offsets` lookup for the whole range) with [`SCAN_LANES`]
-    /// records in flight, so the float adds of different records overlap;
-    /// each record still sums its own entries in stream order from `0.0`,
-    /// which keeps every distance bitwise-equal to
-    /// [`adc_distance`](Self::adc_distance).
+    /// `space` is §4.3's unified WRAM region as the DPU addresses it — the
+    /// flat LUT (`256·m` entries) followed by the cluster's combination
+    /// partial sums, in a space any `u16` indexes — so every entry of the
+    /// stream, direct or combination, is one load and one add with no
+    /// branch on its kind and no bounds check. The stream reads
+    /// `[0, 256·m + num_combos)` only; what lies past it is never read. The
+    /// scan walks the entry stream itself (one `offsets` lookup for the
+    /// whole range) with [`SCAN_LANES`] records in flight, so the float
+    /// adds of different records overlap; each record still sums its own
+    /// entries in stream order from `0.0`, which keeps every distance
+    /// bitwise-equal to [`adc_distance`](Self::adc_distance).
     ///
     /// # Panics
-    /// Panics if the range is not within the list or `unified` is shorter
-    /// than `256·m + num_combos`.
+    /// Panics if the range is not within the list.
     pub(crate) fn adc_scan_range(
         &self,
-        unified: &[f32],
+        space: &AddressSpace,
         start: usize,
         end: usize,
         out: &mut Vec<f32>,
@@ -198,10 +226,6 @@ impl CaeList {
         assert!(
             start <= end && end <= self.len(),
             "record range out of bounds"
-        );
-        assert!(
-            unified.len() >= 256 * self.m + self.num_combos,
-            "unified table shorter than the list's address space"
         );
         out.clear();
         if start == end {
@@ -211,7 +235,7 @@ impl CaeList {
         let stream = &self.entries[self.offsets[start] as usize..];
         let sum_record = |record: &[u16], mut sum: f32| {
             for &entry in record {
-                sum += unified[entry as usize];
+                sum += space[entry as usize];
             }
             sum
         };
@@ -228,10 +252,16 @@ impl CaeList {
                 common = common.min(len);
                 pos += 1 + len;
             }
+            // Every head is `common` entries long, so the interleaved loop
+            // indexes them with no check.
+            let mut heads = records;
+            for head in &mut heads {
+                *head = &head[..common];
+            }
             let mut acc = [0.0f32; SCAN_LANES];
             for j in 0..common {
-                for (a, record) in acc.iter_mut().zip(&records) {
-                    *a += unified[record[j] as usize];
+                for (a, head) in acc.iter_mut().zip(&heads) {
+                    *a += space[head[j] as usize];
                 }
             }
             for (a, record) in acc.iter_mut().zip(&records) {
@@ -252,6 +282,7 @@ impl CaeList {
 mod tests {
     use super::*;
     use crate::cooccurrence::{mine_cluster_combos, MiningParams};
+    use annkit::lut::build_masked_into;
     use annkit::pq::ProductQuantizer;
     use annkit::vector::Dataset;
     use proptest::prelude::*;
@@ -426,7 +457,12 @@ mod tests {
             let residual: Vec<f32> = (0..m).map(|_| rng.gen_range(-9.0f32..9.0)).collect();
             let lut = LookupTable::build(&pq, &residual);
             let combo_sums: Vec<f32> = (0..num_combos).map(|_| rng.gen_range(0.0f32..500.0)).collect();
-            let unified = [lut.as_flat(), &combo_sums[..]].concat();
+            // NaN past the entries the stream addresses: reading one turns
+            // the bitwise comparison red.
+            let mut space = zeroed_space();
+            space.fill(f32::NAN);
+            space[..256 * m].copy_from_slice(lut.as_flat());
+            space[256 * m..][..num_combos].copy_from_slice(&combo_sums);
 
             let mut entries = Vec::new();
             let mut offsets = Vec::new();
@@ -443,7 +479,7 @@ mod tests {
             let (a, b) = (cut.0 % (n + 1), cut.1 % (n + 1));
             let mut out = vec![f32::NAN; 3]; // stale contents must be cleared
             for (start, end) in [(a.min(b), a.max(b)), (0, n), (a, a)] {
-                cae.adc_scan_range(&unified, start, end, &mut out);
+                cae.adc_scan_range(&space, start, end, &mut out);
                 prop_assert_eq!(out.len(), end - start);
                 for (i, got) in (start..end).zip(&out) {
                     prop_assert_eq!(got.to_bits(), cae.adc_distance(i, &lut, &combo_sums).to_bits());
@@ -456,7 +492,54 @@ mod tests {
     #[should_panic(expected = "record range out of bounds")]
     fn range_scan_rejects_a_range_past_the_list() {
         let cae = CaeList::encode(&patterned_codes(4, 8), 8, &ComboTable::empty());
-        cae.adc_scan_range(&vec![0.0; 8 * 256], 2, 5, &mut Vec::new());
+        cae.adc_scan_range(&zeroed_space(), 2, 5, &mut Vec::new());
+    }
+
+    /// The scan reads only what an assignment builds: against a space that
+    /// is NaN past `256·m + num_combos` and on every LUT block outside the
+    /// list's code mask, each distance is bitwise `adc_distance` over the
+    /// dense LUT, for lists with many combinations, few and none.
+    #[test]
+    fn the_scan_reads_only_the_entries_an_assignment_builds() {
+        let m = 8;
+        let (pq, _) = trained_lut(m, 16);
+        let residual: Vec<f32> = (0..16).map(|i| i as f32 * 0.1 - 0.7).collect();
+        let dense = LookupTable::build(&pq, &residual);
+        let mut space = zeroed_space();
+        let mut combo_counts = Vec::new();
+        // Codes below `rows` only: 9 rows leave most LUT blocks unmasked.
+        for (n, rows) in [(203, 9), (500, 240), (37, 240), (1, 240)] {
+            let codes: Vec<u8> = patterned_codes(n, m).iter().map(|&c| c % rows).collect();
+            let combos = mine_cluster_combos(&codes, m, &MiningParams::default());
+            let cae = CaeList::encode(&codes, m, &combos);
+            combo_counts.push(combos.len());
+
+            space.fill(f32::NAN);
+            build_masked_into(&pq, &residual, cae.code_blocks(), &mut space[..]);
+            for (row, &bits) in space.chunks_exact_mut(256).zip(cae.code_blocks()) {
+                for (b, block) in row.chunks_exact_mut(SCAN_LANES).enumerate() {
+                    if bits & (1 << b) == 0 {
+                        block.fill(f32::NAN);
+                    }
+                }
+            }
+            assert_eq!(
+                combos.write_partial_sums(m, &mut space[..]),
+                cae.addresses()
+            );
+
+            let sums = combos.partial_sums(&dense);
+            let mut out = Vec::new();
+            cae.adc_scan_range(&space, 0, cae.len(), &mut out);
+            assert_eq!(out.len(), n);
+            for (i, got) in out.iter().enumerate() {
+                let want = cae.adc_distance(i, &dense, &sums);
+                assert!(!want.is_nan(), "list of {n}: vector {i}");
+                assert_eq!(got.to_bits(), want.to_bits(), "list of {n}: vector {i}");
+            }
+        }
+        assert!(combo_counts[0] > 100, "combinations: {combo_counts:?}");
+        assert_eq!(combo_counts[3], 0, "combinations: {combo_counts:?}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::config::UpAnnsConfig;
 use crate::cooccurrence::ComboTable;
-use crate::encoding::CaeList;
+use crate::encoding::{zeroed_space, AddressSpace, CaeList};
 use crate::scheduling::Assignment;
 use crate::topk_prune::{MergeStats, RangeMerge};
 use crate::wram_layout::{WramPlan, WramPlanInput};
@@ -359,16 +359,19 @@ pub fn parse_mailbox(bytes: &[u8], queries: usize, k: usize) -> Vec<(usize, Vec<
 
 /// Host-side buffers the functional half of the kernel reuses across the
 /// assignments (and DPUs) it runs on one host thread, so the simulator's
-/// steady state allocates nothing per assignment. Holds no state between
-/// uses: every buffer is rebuilt before it is read.
+/// steady state allocates nothing per assignment or per DPU. Every buffer
+/// is rebuilt before it is read, and of the address space an assignment
+/// reads only the entries it built: nothing past them is ever read.
 #[derive(Debug, Default)]
 struct KernelScratch {
     /// The dense LUT of a plain list.
     lut: LookupTable,
-    /// §4.3's unified WRAM region of an encoded list: its masked flat LUT,
-    /// built in place, followed by the cluster's combination partial sums,
-    /// addressed directly by the encoded stream.
-    unified: Vec<f32>,
+    /// §4.3's unified WRAM region of an encoded list, the 64 K entries any
+    /// `u16` of its stream addresses: its masked flat LUT, built in place,
+    /// then the cluster's combination partial sums. Past those lie an
+    /// earlier list's entries, which the stream does not address. Allocated
+    /// zeroed on the thread's first encoded list.
+    space: Option<Box<AddressSpace>>,
     /// Distances of one `read_bytes` transfer of plain codes.
     chunk: Vec<f32>,
     /// Distances of the records scanned: a plain tasklet range, or a whole
@@ -378,8 +381,25 @@ struct KernelScratch {
     /// as it is scanned, and the counts of Figure 9's merge of the
     /// tasklets' heaps; built for the launch's `k`.
     merge: Option<RangeMerge>,
+    /// Each assignment's combination table (`None` when its cluster has
+    /// none), looked up once per DPU; empty between DPUs, kept for its
+    /// allocation (see [`recycle`]).
+    tables: Vec<Option<&'static ComboTable>>,
+    /// The DPU's per-query partial heaps, one per query of its plan,
+    /// cleared per DPU; built for the launch's `k`.
+    query_heaps: Vec<TopK>,
+    /// One query heap's neighbors, closest first, as the mailbox holds them.
+    ascending: Vec<Neighbor>,
     /// The launch's result mailbox, written back to MRAM at the end.
     mailbox: Vec<u8>,
+}
+
+/// `tables`, emptied, with its allocation lent to references of another
+/// lifetime: an empty vector collected in place into one of the same
+/// layout keeps its buffer.
+fn recycle<'b>(mut tables: Vec<Option<&ComboTable>>) -> Vec<Option<&'b ComboTable>> {
+    tables.clear();
+    tables.into_iter().map(|_| None).collect()
 }
 
 thread_local! {
@@ -425,10 +445,13 @@ fn run_with_scratch(
     let tasklets = config.tasklets;
     let KernelScratch {
         lut,
-        unified,
+        space,
         chunk,
         distances,
         merge,
+        tables,
+        query_heaps,
+        ascending,
         mailbox,
     } = scratch;
     if merge.as_ref().is_some_and(|m| m.k() != k) {
@@ -436,14 +459,23 @@ fn run_with_scratch(
     }
     let merge = merge.get_or_insert_with(|| RangeMerge::new(k));
 
+    // Each assignment's combination table, looked up once: the WRAM plan
+    // below needs the largest, the assignment its own.
+    let mut combo_tables = recycle(std::mem::take(tables));
+    combo_tables.extend(plan.assignments.iter().map(|a| {
+        shared
+            .combos
+            .get(&a.cluster)
+            .filter(|table| !table.is_empty())
+    }));
+
     // Verify the WRAM reuse plan fits before doing anything (the layout of
     // Figure 6): the codebook's space is reused by the combination sums, the
     // read buffers and the heaps, and every assignment below follows that one
     // schedule, so its peak is the launch's.
-    let max_combos = plan
-        .assignments
+    let max_combos = combo_tables
         .iter()
-        .filter_map(|a| shared.combos.get(&a.cluster).map(|t| t.len()))
+        .map(|table| table.map_or(0, ComboTable::len))
         .max()
         .unwrap_or(0);
     let read_bytes = config.mram_read_bytes(m);
@@ -466,9 +498,21 @@ fn run_with_scratch(
     // Per-query partial heaps, local to this DPU, in mailbox order (held in
     // the WRAM heap region; co-located clusters of the same query merge here
     // without any host round-trip — insight 3 of §4.1.1).
-    let mut query_heaps: Vec<TopK> = plan.queries.iter().map(|_| TopK::new(k)).collect();
+    if query_heaps.first().is_some_and(|heap| heap.k() != k) {
+        query_heaps.clear();
+    }
+    if query_heaps.len() < plan.queries.len() {
+        query_heaps.resize_with(plan.queries.len(), || TopK::new(k));
+    }
+    let query_heaps = &mut query_heaps[..plan.queries.len()];
+    query_heaps.iter_mut().for_each(TopK::clear);
 
-    for (assignment, residual) in plan.assignments.iter().zip(&plan.residuals) {
+    for ((assignment, residual), &combos) in plan
+        .assignments
+        .iter()
+        .zip(&plan.residuals)
+        .zip(&combo_tables)
+    {
         let replica = store.replicas.get(&assignment.cluster).unwrap_or_else(|| {
             panic!(
                 "DPU {} was assigned cluster {} it does not host",
@@ -476,10 +520,6 @@ fn run_with_scratch(
                 assignment.cluster
             )
         });
-        let combos = shared
-            .combos
-            .get(&assignment.cluster)
-            .filter(|table| !table.is_empty());
         let n = replica.num_vectors;
         let mut work = AssignmentWork {
             // Staged by the host transfer.
@@ -495,15 +535,23 @@ fn run_with_scratch(
         // ---- Stages 1 and 2: LUT construction, combination partial sums --
         //
         // An encoded list's LUT holds only the blocks its codes can read and
-        // is built in the unified region, its partial sums after it; the
-        // work counts the dense table either way, as the modeled list
-        // references every block.
+        // is built at the head of the address space, its partial sums after
+        // it; the work counts the dense table either way, as the modeled
+        // list references every block.
         match &replica.encoding {
             ListEncoding::CaeU16(cae) => {
-                build_masked_into(shared.pq, residual, cae.code_blocks(), unified);
-                if let Some(table) = combos {
-                    table.append_partial_sums(unified);
-                }
+                let space = &mut space.get_or_insert_with(zeroed_space)[..];
+                build_masked_into(shared.pq, residual, cae.code_blocks(), space);
+                let built = combos.map_or(256 * m, |table| table.write_partial_sums(m, space));
+                // The scan reads the space unchecked: every entry the stream
+                // can address must be this assignment's, not a stale one.
+                assert_eq!(
+                    built,
+                    cae.addresses(),
+                    "DPU {}: cluster {} built {built} entries of the address space its stream reads",
+                    ctx.dpu_id(),
+                    assignment.cluster
+                );
             }
             ListEncoding::PlainU8 => lut.rebuild(shared.pq, residual),
         }
@@ -546,7 +594,7 @@ fn run_with_scratch(
                 work.lut_lookups = work.code_bytes;
             }
             ListEncoding::CaeU16(cae) if n > 0 => {
-                // The whole list against the unified table, SCAN_LANES
+                // The whole list against the address space, SCAN_LANES
                 // records in flight: each record is bitwise a per-record
                 // `adc_distance` whatever range it is scanned in, so the
                 // tasklet ranges are cut from one scan. The stream is
@@ -555,7 +603,8 @@ fn run_with_scratch(
                 let (first_b, _) = cae.record_byte_range(0);
                 let (_, last_b) = cae.record_byte_range(n - 1);
                 let _ = ctx.mram_read(replica.codes_addr + first_b, (last_b - first_b).max(2));
-                cae.adc_scan_range(unified, 0, n, distances);
+                let space = space.as_deref().expect("stage 1 built the address space");
+                cae.adc_scan_range(space, 0, n, distances);
                 for range in ranges {
                     let start = range.start as u64;
                     merge.merge_range(shared.scan_backend, start, &distances[range]);
@@ -606,12 +655,15 @@ fn run_with_scratch(
     // ---- Result write-back ------------------------------------------------
     // The mailbox is the kernel's one answer: a slot per query of the plan,
     // in plan order.
+    *tables = recycle(combo_tables);
     mailbox.clear();
     for (&q, heap) in plan.queries.iter().zip(query_heaps) {
         mailbox.extend_from_slice(&(q as u32).to_le_bytes());
-        let sorted = heap.into_sorted();
+        ascending.clear();
+        ascending.extend_from_slice(heap.as_heap_slice());
+        ascending.sort_by(Neighbor::cmp);
         for i in 0..k {
-            if let Some(n) = sorted.get(i) {
+            if let Some(n) = ascending.get(i) {
                 mailbox.extend_from_slice(&n.id.to_le_bytes());
                 mailbox.extend_from_slice(&n.distance.to_le_bytes());
             } else {
@@ -643,7 +695,7 @@ mod tests {
     use pim_sim::config::PimConfig;
     use pim_sim::host::PimSystem;
     use proptest::prelude::*;
-    use std::sync::OnceLock;
+    use std::sync::{Mutex, OnceLock};
 
     struct Fixture {
         index: IvfPqIndex,
@@ -825,6 +877,55 @@ mod tests {
         // CAE reduces LUT lookups below m per candidate.
         assert!(output.work.lut_lookups < output.work.vectors * 16);
         assert!(output.work.merge.pruned > 0, "pruning should trigger");
+    }
+
+    /// The address space past what an assignment builds is never read: on
+    /// one thread's scratch, an assignment on the list with the most
+    /// combinations and then one on the list with the fewest answers the
+    /// second exactly as a fresh scratch does.
+    #[test]
+    fn a_list_after_one_with_more_combinations_answers_like_a_fresh_scratch() {
+        let fix = fixture();
+        let (k, config) = (10, UpAnnsConfig::upanns());
+        let mut sys = PimSystem::new(PimConfig::with_dpus(1));
+        let (store, combos) = build_store(&mut sys, &fix.index, true, k, 4);
+        let counts: Vec<(usize, usize)> = (0..fix.index.nlist())
+            .filter_map(|c| combos.get(&c).map(|table| (table.len(), c)))
+            .collect();
+        let (Some(&(most, many)), Some(&(fewest, few))) =
+            (counts.iter().max(), counts.iter().min())
+        else {
+            unreachable!("the fixture's lists are not empty")
+        };
+        assert!(most > fewest, "combinations per list: {counts:?}");
+        let shared = KernelShared {
+            pq: fix.index.pq(),
+            combos: &combos,
+            config: &config,
+            k,
+            scan_backend: annkit::simd::active(),
+        };
+        let mut run_on = |scratch: &Mutex<KernelScratch>, cluster: usize| {
+            let q = fix.data.vector(300);
+            let plan = DpuBatchPlan {
+                assignments: vec![Assignment { query: 0, cluster }],
+                residuals: vec![residual(q, fix.index.coarse().centroid(cluster))],
+                queries: vec![0],
+            };
+            let (_, mut outputs) = sys.execute(Stage::DpuSearch, |ctx| {
+                run_with_scratch(ctx, &store, &plan, &shared, &mut scratch.lock().unwrap())
+            });
+            let output = outputs.remove(0);
+            let mram = sys.dpu(0).mram();
+            let mailbox = mram.read(store.mailbox_addr, output.mailbox_bytes_written);
+            (mailbox.unwrap().to_vec(), output.work)
+        };
+        let used = Mutex::new(KernelScratch::default());
+        let _ = run_on(&used, many);
+        let after_many = run_on(&used, few);
+        let fresh = run_on(&Mutex::new(KernelScratch::default()), few);
+        assert_eq!(parse_mailbox(&fresh.0, 1, k)[0].1.len(), k);
+        assert_eq!(after_many, fresh);
     }
 
     #[test]
