@@ -128,7 +128,7 @@ impl LookupTable {
 
     /// Scans a packed code buffer (`n` codes of `m` bytes each) and returns
     /// the ADC distance of every code. This is the memory-bound inner loop
-    /// that dominates billion-scale IVFPQ (Figure 1 / Figure 19).
+    /// that dominates billion-scale IVFPQ (Figure 19).
     ///
     /// Runs the one cache-blocked scan, [`simd::adc_scan_blocked`] (8 records
     /// in flight), bitwise-equal to the naive record-major scan.

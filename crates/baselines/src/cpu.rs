@@ -7,13 +7,11 @@
 //! compressed codes from DRAM with an essentially random access pattern into
 //! the per-cluster LUTs, so its throughput is a fraction of peak bandwidth —
 //! this is the "CPUs become memory bandwidth-limited" observation the whole
-//! paper is built on (Figure 1a / Figure 19: distance calculation is ~99.5 %
-//! of CPU time).
+//! paper is built on (Figure 19: distance calculation is ~99.5 % of CPU
+//! time).
 //!
-//! The model applies the *billion-scale regime* (working set ≫ LLC) unless
-//! [`CpuSpec::billion_scale_regime`] is off: the cache-aware variant the
-//! Figure 1 scale sweep uses reads the effective-bandwidth curve
-//! `effective_scan_bandwidth` instead.
+//! The model always applies that billion-scale regime (working set ≫ LLC),
+//! whatever the reduced dataset's actual size.
 
 use crate::faiss::{FaissEngine, FunctionalRun, Roofline};
 use crate::hardware::HardwareSpec;
@@ -38,9 +36,6 @@ pub const PARALLEL_EFFICIENCY: f64 = 0.75;
 pub const CYCLES_PER_LOOKUP: f64 = 1.0;
 /// Cycles per candidate offered to the top-k heap.
 pub const CYCLES_PER_TOPK_CANDIDATE: f64 = 1.5;
-/// Last-level cache size in bytes (2 × 11 MB); only used by the cache-aware
-/// effective-bandwidth curve for the Figure 1 sweep.
-pub const LLC_BYTES: f64 = 22.0 * 1024.0 * 1024.0;
 
 /// Aggregate compute throughput in FLOPs/s for SIMD-friendly stages.
 pub const COMPUTE_FLOPS: f64 = CORES as f64 * FREQ_HZ * FLOPS_PER_CYCLE * PARALLEL_EFFICIENCY;
@@ -49,51 +44,12 @@ pub const COMPUTE_FLOPS: f64 = CORES as f64 * FREQ_HZ * FLOPS_PER_CYCLE * PARALL
 /// loops.
 const SCALAR_CYCLES_PER_SECOND: f64 = CORES as f64 * FREQ_HZ * PARALLEL_EFFICIENCY;
 
-/// Effective bandwidth of the ADC scan when the per-query working set is
-/// `working_set_bytes`: close to LLC bandwidth when everything fits in cache
-/// (million-scale), degrading to `SCAN_EFFICIENCY × DRAM` when it does not
-/// (billion-scale). Used by the Figure 1 scale sweep.
-fn effective_scan_bandwidth(working_set_bytes: f64) -> f64 {
-    let dram = DRAM_BANDWIDTH * SCAN_EFFICIENCY;
-    let llc = DRAM_BANDWIDTH * 3.0; // cache-resident scans are ~3× faster
-    if working_set_bytes <= LLC_BYTES {
-        llc
-    } else {
-        // Smooth transition: the cached fraction of the working set is
-        // served at LLC speed, the rest at DRAM speed.
-        let cached_fraction = LLC_BYTES / working_set_bytes;
-        1.0 / (cached_fraction / llc + (1.0 - cached_fraction) / dram)
-    }
-}
-
-/// The CPU roofline: the constants above, in one of two regimes.
-#[derive(Debug, Clone)]
-pub struct CpuSpec {
-    /// When `true` (default) the distance-calculation stage is modeled in the
-    /// billion-scale (DRAM-bound) regime regardless of the actual reduced
-    /// dataset size; when `false` the cache-aware curve is used.
-    pub billion_scale_regime: bool,
-}
-
-impl Default for CpuSpec {
-    fn default() -> Self {
-        Self {
-            billion_scale_regime: true,
-        }
-    }
-}
+/// The CPU roofline: the constants above.
+#[derive(Debug, Clone, Default)]
+pub struct CpuSpec;
 
 /// The Faiss-CPU-like engine: exact IVFPQ results, dual-Xeon timing.
 pub type CpuFaissEngine = FaissEngine<CpuSpec>;
-
-impl CpuFaissEngine {
-    /// Selects between the billion-scale (DRAM-bound) regime and the
-    /// cache-aware model (used by the Figure 1 sweep).
-    pub fn with_billion_scale_regime(mut self, enabled: bool) -> Self {
-        self.spec.billion_scale_regime = enabled;
-        self
-    }
-}
 
 impl Roofline for CpuSpec {
     const NAME: &'static str = "Faiss-CPU";
@@ -120,17 +76,7 @@ impl Roofline for CpuSpec {
 
         // Stage (c): distance calculation — the memory-bound ADC scan.
         // Per-candidate quantities are projected by the work-scale factor.
-        let scan_bw = if self.billion_scale_regime {
-            DRAM_BANDWIDTH * SCAN_EFFICIENCY
-        } else {
-            let per_query_ws = if stats.queries > 0 {
-                stats.code_bytes_read as f64 * scale / stats.queries as f64
-            } else {
-                0.0
-            };
-            effective_scan_bandwidth(per_query_ws)
-        };
-        let t_mem = stats.code_bytes_read as f64 * scale / scan_bw;
+        let t_mem = stats.code_bytes_read as f64 * scale / (DRAM_BANDWIDTH * SCAN_EFFICIENCY);
         let t_compute =
             stats.lut_lookups as f64 * scale * CYCLES_PER_LOOKUP / SCALAR_CYCLES_PER_SECOND;
         b.add(Stage::DistanceCalc, t_mem.max(t_compute));
@@ -217,25 +163,5 @@ mod tests {
         assert!(wide.seconds > narrow.seconds);
         assert!(wide.qps() < narrow.qps());
         assert!(wide.stats.candidates_scanned > narrow.stats.candidates_scanned);
-    }
-
-    #[test]
-    fn cache_aware_bandwidth_degrades_with_working_set() {
-        let small = effective_scan_bandwidth(1.0 * 1024.0 * 1024.0);
-        let large = effective_scan_bandwidth(16.0 * 1024.0 * 1024.0 * 1024.0);
-        assert!(small > 4.0 * large, "small {small} vs large {large}");
-        // The billion-scale value approaches SCAN_EFFICIENCY × DRAM.
-        assert!((large - DRAM_BANDWIDTH * SCAN_EFFICIENCY).abs() / large < 0.2);
-    }
-
-    #[test]
-    fn cache_aware_mode_is_faster_at_small_scale() {
-        let (index, data) = engine_fixture();
-        let queries = data.gather(&(0..10).collect::<Vec<_>>());
-        let mut billion = CpuFaissEngine::new(&index);
-        let mut cached = CpuFaissEngine::new(&index).with_billion_scale_regime(false);
-        let t_billion = billion.search_batch(&queries, 8, 10).seconds;
-        let t_cached = cached.search_batch(&queries, 8, 10).seconds;
-        assert!(t_cached < t_billion);
     }
 }

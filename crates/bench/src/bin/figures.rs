@@ -1,15 +1,16 @@
-//! Regenerates every table and figure of the UpANNS paper's evaluation
+//! Regenerates the tables and figures of the UpANNS paper's evaluation
 //! section on the reduced-scale, simulated reproduction.
 //!
 //! ```text
 //! cargo run -p upanns-bench --release --bin figures -- all
 //! cargo run -p upanns-bench --release --bin figures -- fig10 fig12
-//! cargo run -p upanns-bench --release --bin figures -- fig10 --full   # full IVF sweep
 //! ```
 //!
 //! Each experiment prints a markdown table and writes a CSV under
-//! `results/`. Experiment ids are the paper's table and figure numbers; an
-//! unknown id exits 2 before anything is built.
+//! `results/`; every one of them is a committed record. Experiment ids are
+//! the paper's table and figure numbers; an unknown id exits 2 before
+//! anything is built, and a CSV that cannot be written exits 1 after the
+//! remaining tables are written.
 
 #![forbid(unsafe_code)]
 
@@ -23,7 +24,7 @@ use baselines::hardware::{hardware_table_markdown, HardwareSpec};
 use pim_sim::config::{PimConfig, CLOCK_HZ};
 use pim_sim::cost::mram_transfer_cycles;
 use pim_sim::energy::EnergyModel;
-use pim_sim::stats::{Stage, StageBreakdown};
+use pim_sim::stats::Stage;
 use std::collections::HashMap;
 use upanns::config::UpAnnsConfig;
 use upanns_bench::{balance_study, fmt, EvalContext, EvalParams, ResultTable};
@@ -59,12 +60,10 @@ impl ContextCache {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let full = raw.iter().any(|a| a == "--full");
-    let mut ids: Vec<String> = raw.into_iter().filter(|a| a != "--full").collect();
+    let mut ids: Vec<String> = std::env::args().skip(1).collect();
     let all_ids = [
-        "tab1", "fig1", "fig4", "fig7", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-        "fig16", "fig17", "fig18", "fig19", "fig20", "headline", "drift", "balance",
+        "tab1", "fig7", "fig10", "fig11", "fig12", "fig14", "fig15", "fig16", "fig17", "fig18",
+        "fig19", "fig20", "headline", "drift", "balance",
     ];
     // Every id is checked before any context is built: a typo in the last
     // one must not cost the minutes the ids before it take.
@@ -90,16 +89,14 @@ fn main() {
         cache.params.work_scale()
     );
 
+    let mut write_failed = false;
     for id in &ids {
-        let tables = match id.as_str() {
+        let table = match id.as_str() {
             "tab1" => tab1(),
-            "fig1" => fig1(&mut cache),
-            "fig4" => fig4(&mut cache),
             "fig7" => fig7(),
-            "fig10" => fig10(&mut cache, full),
+            "fig10" => fig10(&mut cache),
             "fig11" => fig11(&mut cache),
             "fig12" => fig12(&mut cache),
-            "fig13" => fig13(&mut cache),
             "fig14" => fig14(&mut cache),
             "fig15" => fig15(&mut cache),
             "fig16" => fig16(&mut cache),
@@ -112,17 +109,23 @@ fn main() {
             "balance" => balance(&mut cache),
             other => unreachable!("'{other}' passed the id check above"),
         };
-        for table in tables {
-            print!("{}", table.to_markdown());
-            match table.write_csv("results") {
-                Ok(path) => println!("\n(csv: {})", path.display()),
-                Err(e) => eprintln!("failed to write CSV for {}: {e}", table.name),
+        print!("{}", table.to_markdown());
+        match table.write_csv("results") {
+            Ok(path) => println!("\n(csv: {})", path.display()),
+            Err(e) => {
+                eprintln!("failed to write CSV for {}: {e}", table.name);
+                write_failed = true;
             }
         }
     }
+    // A table that was not written leaves the committed record stale, so
+    // the run must not read as a success.
+    if write_failed {
+        std::process::exit(1);
+    }
 }
 
-/// The four stages Figures 1 and 19 split a search into.
+/// The four stages Figure 19 splits a search into.
 const PAPER_STAGES: [Stage; 4] = [
     Stage::ClusterFiltering,
     Stage::LutConstruction,
@@ -130,22 +133,8 @@ const PAPER_STAGES: [Stage; 4] = [
     Stage::TopK,
 ];
 
-/// `lead` followed by one column per paper stage.
-fn stage_share_header<'a>(lead: &[&'a str]) -> Vec<&'a str> {
-    lead.iter()
-        .copied()
-        .chain(PAPER_STAGES.map(Stage::label))
-        .collect()
-}
-
-/// `lead` followed by each paper stage's share of `breakdown`.
-fn stage_share_row(mut lead: Vec<String>, breakdown: &StageBreakdown) -> Vec<String> {
-    lead.extend(PAPER_STAGES.map(|s| fmt(breakdown.fraction(s), 3)));
-    lead
-}
-
 /// Table 1: hardware specifications.
-fn tab1() -> Vec<ResultTable> {
+fn tab1() -> ResultTable {
     let mut t = ResultTable::new(
         "tab1_hardware",
         &[
@@ -166,84 +155,11 @@ fn tab1() -> Vec<ResultTable> {
         ]);
     }
     println!("{}", hardware_table_markdown());
-    vec![t]
-}
-
-/// Figure 1: CPU/GPU stage breakdown as the dataset scales 1M → 100M → 1B.
-fn fig1(cache: &mut ContextCache) -> Vec<ResultTable> {
-    let nlist = cache.default_nlist();
-    let nprobe = *cache.params.nprobes.last().unwrap_or(&16);
-    let k = cache.params.k;
-    let ctx = cache.get(DatasetKind::SiftLike, nlist);
-    let mut t = ResultTable::new(
-        "fig1_breakdown_vs_scale",
-        &stage_share_header(&["device", "modeled_scale"]),
-    );
-    for &(label, modeled) in &[("1M", 1e6), ("100M", 1e8), ("1B", 1e9)] {
-        let scale = ctx.params.work_scale_to(modeled);
-        let mut cpu = baselines::cpu::CpuFaissEngine::new(&ctx.index)
-            .with_billion_scale_regime(false)
-            .with_work_scale(scale);
-        let out = cpu.search_batch(&ctx.queries, nprobe, k);
-        t.push_row(stage_share_row(
-            vec!["CPU".into(), label.into()],
-            &out.breakdown,
-        ));
-        let mut gpu = GpuFaissEngine::new(&ctx.index).with_work_scale(scale);
-        let out = gpu.search_batch(&ctx.queries, nprobe, k);
-        t.push_row(stage_share_row(
-            vec!["GPU".into(), label.into()],
-            &out.breakdown,
-        ));
-    }
-    vec![t]
-}
-
-/// Figure 4: skew of access frequency, cluster size and workload (SPACEV-like).
-fn fig4(cache: &mut ContextCache) -> Vec<ResultTable> {
-    let nlist = cache.default_nlist();
-    let batch = cache.params.batch;
-    let seed = cache.params.seed;
-    let ctx = cache.get(DatasetKind::SpacevLike, nlist);
-    let history = WorkloadSpec::new(batch * 8)
-        .with_seed(seed + 9)
-        .generate(&ctx.dataset);
-    let freq = upanns::builder::frequencies_from_queries(&ctx.index, &history.queries, 16);
-    let sizes = ctx.index.list_sizes();
-    let workloads: Vec<f64> = sizes
-        .iter()
-        .zip(&freq)
-        .map(|(&s, &f)| s as f64 * f)
-        .collect();
-
-    let mut t = ResultTable::new(
-        "fig4_skew",
-        &["distribution", "min", "p50", "p99", "max", "max_over_min"],
-    );
-    let mut add = |name: &str, values: Vec<f64>| {
-        let mut v: Vec<f64> = values.into_iter().filter(|&x| x > 0.0).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        if v.is_empty() {
-            return;
-        }
-        let pick = |p: f64| v[((v.len() - 1) as f64 * p) as usize];
-        t.push_row(vec![
-            name.into(),
-            fmt(v[0], 3),
-            fmt(pick(0.5), 3),
-            fmt(pick(0.99), 3),
-            fmt(v[v.len() - 1], 3),
-            fmt(v[v.len() - 1] / v[0], 1),
-        ]);
-    };
-    add("access_frequency", freq.clone());
-    add("cluster_size", sizes.iter().map(|&s| s as f64).collect());
-    add("workload", workloads);
-    vec![t]
+    t
 }
 
 /// Figure 7: MRAM read latency vs transfer size.
-fn fig7() -> Vec<ResultTable> {
+fn fig7() -> ResultTable {
     let mut t = ResultTable::new(
         "fig7_mram_latency",
         &["bytes", "latency_cycles", "latency_ns", "bandwidth_mb_s"],
@@ -261,17 +177,12 @@ fn fig7() -> Vec<ResultTable> {
         ]);
         bytes *= 2;
     }
-    vec![t]
+    t
 }
 
-/// Figures 10: QPS of UpANNS / PIM-naive / Faiss-CPU (normalized to CPU).
-fn fig10(cache: &mut ContextCache, full: bool) -> Vec<ResultTable> {
-    let base_nlist = cache.default_nlist();
-    let nlists: Vec<usize> = if full {
-        vec![base_nlist, base_nlist * 2, base_nlist * 4]
-    } else {
-        vec![base_nlist]
-    };
+/// Figure 10: QPS of UpANNS / PIM-naive / Faiss-CPU (normalized to CPU).
+fn fig10(cache: &mut ContextCache) -> ResultTable {
+    let nlist = cache.default_nlist();
     let nprobes = cache.params.nprobes.clone();
     let k = cache.params.k;
     let mut t = ResultTable::new(
@@ -288,33 +199,31 @@ fn fig10(cache: &mut ContextCache, full: bool) -> Vec<ResultTable> {
         ],
     );
     for kind in DatasetKind::all() {
-        for &nlist in &nlists {
-            let ctx = cache.get(kind, nlist);
-            let mut cpu = ctx.cpu();
-            let mut naive = ctx.pim_naive();
-            let mut upanns = ctx.upanns();
-            for &nprobe in &nprobes {
-                let c = cpu.search_batch(&ctx.queries, nprobe, k);
-                let nv = naive.search_batch(&ctx.queries, nprobe, k);
-                let u = upanns.search_batch(&ctx.queries, nprobe, k);
-                t.push_row(vec![
-                    kind.name().into(),
-                    nlist.to_string(),
-                    nprobe.to_string(),
-                    fmt(c.qps(), 1),
-                    fmt(nv.qps(), 1),
-                    fmt(u.qps(), 1),
-                    fmt(nv.qps() / c.qps(), 2),
-                    fmt(u.qps() / c.qps(), 2),
-                ]);
-            }
+        let ctx = cache.get(kind, nlist);
+        let mut cpu = ctx.cpu();
+        let mut naive = ctx.pim_naive();
+        let mut upanns = ctx.upanns();
+        for &nprobe in &nprobes {
+            let c = cpu.search_batch(&ctx.queries, nprobe, k);
+            let nv = naive.search_batch(&ctx.queries, nprobe, k);
+            let u = upanns.search_batch(&ctx.queries, nprobe, k);
+            t.push_row(vec![
+                kind.name().into(),
+                nlist.to_string(),
+                nprobe.to_string(),
+                fmt(c.qps(), 1),
+                fmt(nv.qps(), 1),
+                fmt(u.qps(), 1),
+                fmt(nv.qps() / c.qps(), 2),
+                fmt(u.qps() / c.qps(), 2),
+            ]);
         }
     }
-    vec![t]
+    t
 }
 
 /// Figure 11: max/avg DPU workload ratio, PIM-aware placement vs naive.
-fn fig11(cache: &mut ContextCache) -> Vec<ResultTable> {
+fn fig11(cache: &mut ContextCache) -> ResultTable {
     let nlist = cache.default_nlist();
     let nprobes = cache.params.nprobes.clone();
     let k = cache.params.k;
@@ -342,11 +251,11 @@ fn fig11(cache: &mut ContextCache) -> Vec<ResultTable> {
             ]);
         }
     }
-    vec![t]
+    t
 }
 
 /// Figure 12: QPS and QPS/W of UpANNS vs Faiss-GPU (with the DEEP OOM case).
-fn fig12(cache: &mut ContextCache) -> Vec<ResultTable> {
+fn fig12(cache: &mut ContextCache) -> ResultTable {
     let nlist = cache.default_nlist();
     let nprobes = cache.params.nprobes.clone();
     let k = cache.params.k;
@@ -396,38 +305,11 @@ fn fig12(cache: &mut ContextCache) -> Vec<ResultTable> {
             ]);
         }
     }
-    vec![t]
-}
-
-/// Figure 13: QPS vs tasklets per DPU (saturation at 11).
-fn fig13(cache: &mut ContextCache) -> Vec<ResultTable> {
-    let nlist = cache.default_nlist();
-    let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
-    let k = cache.params.k;
-    let ctx = cache.get(DatasetKind::SiftLike, nlist);
-    let mut t = ResultTable::new(
-        "fig13_tasklets",
-        &["tasklets", "qps", "speedup_vs_1_tasklet"],
-    );
-    let mut base_qps = 0.0;
-    for &tasklets in &[1usize, 2, 4, 6, 8, 11, 16, 24] {
-        let config = UpAnnsConfig::upanns().with_tasklets(tasklets);
-        let mut engine = ctx.upanns_with(config, ctx.params.dpus);
-        let out = engine.search_batch(&ctx.queries, nprobe, k);
-        if tasklets == 1 {
-            base_qps = out.qps();
-        }
-        t.push_row(vec![
-            tasklets.to_string(),
-            fmt(out.qps(), 1),
-            fmt(out.qps() / base_qps.max(1e-9), 2),
-        ]);
-    }
-    vec![t]
+    t
 }
 
 /// Figure 14: co-occurrence aware encoding gains vs length reduction rate.
-fn fig14(cache: &mut ContextCache) -> Vec<ResultTable> {
+fn fig14(cache: &mut ContextCache) -> ResultTable {
     let nlist = cache.default_nlist();
     let nprobes = cache.params.nprobes.clone();
     let k = cache.params.k;
@@ -463,11 +345,11 @@ fn fig14(cache: &mut ContextCache) -> Vec<ResultTable> {
             ]);
         }
     }
-    vec![t]
+    t
 }
 
 /// Figure 15: top-k stage time with and without pruning, k = 10..100.
-fn fig15(cache: &mut ContextCache) -> Vec<ResultTable> {
+fn fig15(cache: &mut ContextCache) -> ResultTable {
     let nlist = cache.default_nlist();
     let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
     let ctx = cache.get(DatasetKind::SiftLike, nlist);
@@ -500,11 +382,11 @@ fn fig15(cache: &mut ContextCache) -> Vec<ResultTable> {
             fmt(on.stats.topk_rejection_rate(), 3),
         ]);
     }
-    vec![t]
+    t
 }
 
 /// Figure 16: per-query latency vs batch size for UpANNS / PIM-naive / CPU.
-fn fig16(cache: &mut ContextCache) -> Vec<ResultTable> {
+fn fig16(cache: &mut ContextCache) -> ResultTable {
     let nlist = cache.default_nlist();
     let nprobe = cache.params.nprobes[0];
     let k = cache.params.k;
@@ -541,11 +423,11 @@ fn fig16(cache: &mut ContextCache) -> Vec<ResultTable> {
             ]);
         }
     }
-    vec![t]
+    t
 }
 
 /// Figure 17: QPS vs MRAM read size (vectors per read).
-fn fig17(cache: &mut ContextCache) -> Vec<ResultTable> {
+fn fig17(cache: &mut ContextCache) -> ResultTable {
     let nlist = cache.default_nlist();
     let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
     let k = cache.params.k;
@@ -568,11 +450,11 @@ fn fig17(cache: &mut ContextCache) -> Vec<ResultTable> {
             ]);
         }
     }
-    vec![t]
+    t
 }
 
 /// Figure 18: QPS vs top-k size for UpANNS / Faiss-CPU / Faiss-GPU.
-fn fig18(cache: &mut ContextCache) -> Vec<ResultTable> {
+fn fig18(cache: &mut ContextCache) -> ResultTable {
     let nlist = cache.default_nlist();
     let nprobe = cache.params.nprobes[0];
     let mut t = ResultTable::new(
@@ -607,21 +489,19 @@ fn fig18(cache: &mut ContextCache) -> Vec<ResultTable> {
             ]);
         }
     }
-    vec![t]
+    t
 }
 
 /// Figure 19: stage time breakdown of CPU / GPU / UpANNS.
-fn fig19(cache: &mut ContextCache) -> Vec<ResultTable> {
+fn fig19(cache: &mut ContextCache) -> ResultTable {
     let nlist = cache.default_nlist();
     let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
-    let mut t = ResultTable::new(
-        "fig19_breakdown",
-        &[
-            stage_share_header(&["dataset", "engine", "k"]),
-            vec!["other"],
-        ]
-        .concat(),
-    );
+    let header: Vec<&str> = ["dataset", "engine", "k"]
+        .into_iter()
+        .chain(PAPER_STAGES.map(Stage::label))
+        .chain(["other"])
+        .collect();
+    let mut t = ResultTable::new("fig19_breakdown", &header);
     for kind in DatasetKind::all() {
         let ctx = cache.get(kind, nlist);
         for &k in &[10usize, 100] {
@@ -637,21 +517,19 @@ fn fig19(cache: &mut ContextCache) -> Vec<ResultTable> {
                     .iter()
                     .map(|&s| out.breakdown.fraction(s))
                     .sum();
-                let mut row = stage_share_row(
-                    vec![kind.name().into(), name.into(), k.to_string()],
-                    &out.breakdown,
-                );
+                let mut row = vec![kind.name().into(), name.into(), k.to_string()];
+                row.extend(PAPER_STAGES.map(|s| fmt(out.breakdown.fraction(s), 3)));
                 row.push(fmt((1.0 - main).max(0.0), 3));
                 t.push_row(row);
             }
         }
     }
-    vec![t]
+    t
 }
 
 /// §4.1.2: drifted traffic on a stale placement against the two adaptation
 /// tiers ([`EvalContext::drift_study`]).
-fn drift(cache: &mut ContextCache) -> Vec<ResultTable> {
+fn drift(cache: &mut ContextCache) -> ResultTable {
     let nlist = cache.default_nlist();
     let ctx = cache.get(DatasetKind::SiftLike, nlist);
     let mut t = ResultTable::new(
@@ -674,14 +552,14 @@ fn drift(cache: &mut ContextCache) -> Vec<ResultTable> {
             row.replicas_restaged.to_string(),
         ]);
     }
-    vec![t]
+    t
 }
 
 /// What Opt1 reaches on the full fleet from far fewer lists than DPUs to
 /// several per DPU ([`balance_study`]: placement and scheduling, no engine).
 /// nprobe is the benchmark fixtures' 8 up to 512 lists and the paper's
 /// 64-of-4 096 ratio above.
-fn balance(cache: &mut ContextCache) -> Vec<ResultTable> {
+fn balance(cache: &mut ContextCache) -> ResultTable {
     let mut t = ResultTable::new(
         "balance_by_nlist",
         &[
@@ -716,11 +594,11 @@ fn balance(cache: &mut ContextCache) -> Vec<ResultTable> {
             fmt(row.granularity_floor, 3),
         ]);
     }
-    vec![t]
+    t
 }
 
 /// Figure 20: scalability with the number of DPUs + linear extrapolation.
-fn fig20(cache: &mut ContextCache) -> Vec<ResultTable> {
+fn fig20(cache: &mut ContextCache) -> ResultTable {
     let nlist = cache.default_nlist();
     let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
     let k = cache.params.k;
@@ -769,16 +647,11 @@ fn fig20(cache: &mut ContextCache) -> Vec<ResultTable> {
             fmt(qps / gpu_out.qps(), 2),
         ]);
     }
-    let mut g = ResultTable::new("fig20_gpu_reference", &["gpu_qps", "gpu_watts"]);
-    g.push_row(vec![
-        fmt(gpu_out.qps(), 1),
-        fmt(HardwareSpec::gpu().peak_watts, 0),
-    ]);
-    vec![t, g]
+    t
 }
 
 /// The headline claims of §1 / §5.2.
-fn headline(cache: &mut ContextCache) -> Vec<ResultTable> {
+fn headline(cache: &mut ContextCache) -> ResultTable {
     let nlist = cache.default_nlist();
     let nprobe = cache.params.nprobes[cache.params.nprobes.len() / 2];
     let k = cache.params.k;
@@ -844,7 +717,7 @@ fn headline(cache: &mut ContextCache) -> Vec<ResultTable> {
             ),
         ]);
     }
-    vec![t]
+    t
 }
 
 /// Ordinary least squares for y = a·x + b.

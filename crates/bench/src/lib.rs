@@ -2,7 +2,7 @@
 //! figures.
 //!
 //! The `figures` binary (`cargo run -p upanns-bench --release --bin figures --
-//! <id>|all [--full]`) uses the [`EvalContext`] built here: one synthetic
+//! <id>|all`) uses the [`EvalContext`] built here: one synthetic
 //! dataset + trained IVFPQ index + historical workload per dataset kind, with
 //! all engines constructed on demand. Results are printed as markdown tables
 //! and written as CSV under `results/`.

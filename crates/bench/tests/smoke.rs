@@ -99,28 +99,55 @@ fn figures_binary_runs_the_cheap_experiments() {
 
 #[test]
 fn figures_binary_rejects_an_unknown_id_before_any_work() {
-    // The typo comes *after* a valid id: nothing may run or be written, and
-    // the status is exactly 2 (a panic's 101 is not a rejection).
+    // The unknown id comes *after* a valid one: nothing may run or be
+    // written, and the status is exactly 2 (a panic's 101 is not a
+    // rejection). `fig99` is a typo; `fig1`, `fig4` and `fig13` are paper
+    // figures with no generator, and `--full` is not a flag.
     let out_dir = std::env::temp_dir().join("upanns_figures_unknown_id");
     std::fs::create_dir_all(&out_dir).expect("create temp dir");
+    for unknown in ["fig99", "fig1", "fig4", "fig13", "--full"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(["tab1", unknown])
+            .current_dir(&out_dir)
+            .output()
+            .expect("figures binary runs");
+        assert_eq!(output.status.code(), Some(2), "{unknown}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: unknown experiment id '{unknown}'")),
+            "stderr: {stderr}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "work was done before the id check of {unknown}"
+        );
+        assert!(
+            !out_dir.join("results").exists(),
+            "a CSV was written before the id check of {unknown}"
+        );
+    }
+    std::fs::remove_dir_all(&out_dir).ok();
+}
+
+#[test]
+fn figures_binary_fails_when_a_csv_cannot_be_written() {
+    // `results` is a regular file, so no CSV can be written under it. The
+    // committed records would then be stale, so the run must fail (not 0)
+    // and name the table it could not write.
+    let out_dir = std::env::temp_dir().join("upanns_figures_unwritable");
+    std::fs::create_dir_all(&out_dir).expect("create temp dir");
+    std::fs::write(out_dir.join("results"), b"not a directory").expect("create results file");
     let output = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["tab1", "fig99"])
+        .arg("tab1")
         .current_dir(&out_dir)
         .output()
         .expect("figures binary runs");
-    assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
-        stderr.starts_with("error: unknown experiment id 'fig99'"),
-        "stderr: {stderr}"
+        !output.status.success(),
+        "figures exited with {:?}",
+        output.status
     );
-    assert!(
-        output.stdout.is_empty(),
-        "work was done before the id check"
-    );
-    assert!(
-        !out_dir.join("results").exists(),
-        "a CSV was written before the id check"
-    );
+    assert!(stderr.contains("tab1_hardware"), "stderr: {stderr}");
     std::fs::remove_dir_all(&out_dir).ok();
 }

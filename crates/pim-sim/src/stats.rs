@@ -2,8 +2,8 @@
 //!
 //! Every transfer, host step, DPU kernel region, interconnect leg and
 //! baseline roofline term is charged to a [`Stage`]. The breakdown of
-//! simulated time by stage is what reproduces the paper's Figure 1 and
-//! Figure 19 stage-breakdown plots.
+//! simulated time by stage is what reproduces the paper's Figure 19
+//! stage-breakdown plot.
 //!
 //! **Variant order is label order.** A [`StageBreakdown`] lists, prints and
 //! sums its stages in variant order, and the sum *is* the modeled `seconds`
