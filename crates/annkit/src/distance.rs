@@ -30,26 +30,23 @@ pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
 /// Finds the index of the closest of `k = distances.len()` centroids to `v`
 /// over their *column-major* twin (component `j` of centroid `r` at
 /// `cols[j * k + r]`, see [`to_columns`]), returning `(index, distance)`:
-/// k-means assignment and PQ encode. `distances` is the caller's scratch,
-/// left holding every centroid's distance.
+/// k-means assignment, PQ encode and `KMeans::assign`. `distances` is the
+/// caller's scratch, left holding every centroid's distance.
 ///
-/// The distances come from `simd::l2_squared_cols`, bitwise what one
-/// [`l2_squared`] per centroid returns. The first strict minimum wins, so of
-/// several equally close centroids the first is taken and a NaN distance is
-/// never selected.
+/// The distances come from the column kernel, bitwise what one
+/// [`l2_squared`] per centroid returns, and the choice is the serial scan
+/// `if d < best.1 { best = (i, d) }` from `(0, ∞)`, run in SIMD lanes
+/// (`simd::l2_squared_cols_argmin`) with the same answer:
+/// - of several equally close centroids the first is taken (`-0.0` and
+///   `0.0` are equally close);
+/// - a NaN distance is never selected;
+/// - when no distance is below `∞` (all NaN or `∞`), `(0, ∞)` is returned.
 ///
 /// # Panics
 /// Panics if `v` or `distances` is empty or `cols.len() != k * v.len()`.
 pub fn nearest_centroid(v: &[f32], cols: &[f32], distances: &mut [f32]) -> (usize, f32) {
     assert!(!distances.is_empty(), "no centroids");
-    simd::l2_squared_cols(v, cols, distances);
-    let mut best = (0usize, f32::INFINITY);
-    for (i, &d) in distances.iter().enumerate() {
-        if d < best.1 {
-            best = (i, d);
-        }
-    }
-    best
+    simd::l2_squared_cols_argmin(v, cols, distances)
 }
 
 /// Finds the indices of the `n` closest of `k` centroids to `v`, ordered

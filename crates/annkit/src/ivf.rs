@@ -182,10 +182,16 @@ impl IvfPqIndex {
         let kparams = KMeansParams::new(params.nlist).with_max_iterations(params.coarse_iterations);
         let coarse = KMeans::train(train, &kparams, seed);
 
-        // PQ is trained on residuals, as in Faiss's IndexIVFPQ.
+        // PQ is trained on residuals, as in Faiss's IndexIVFPQ. The
+        // assignments go out in row blocks; the residuals are pushed in row
+        // order.
+        let nearest = par::map_rows(
+            train.len(),
+            || vec![0.0f32; coarse.k()],
+            |distances, i| coarse.assign(train.vector(i), distances).0,
+        );
         let mut residuals = Dataset::with_capacity(dim, train.len());
-        for v in train.iter() {
-            let (c, _) = coarse.assign(v);
+        for (v, &c) in train.iter().zip(&nearest) {
             residuals.push(&residual(v, coarse.centroid(c)));
         }
         let pq = ProductQuantizer::train(&residuals, params.m, seed.wrapping_add(1));
@@ -204,25 +210,22 @@ impl IvfPqIndex {
     /// Adds all vectors of `data` to the index, assigning row ids
     /// `id_offset..id_offset + data.len()`.
     pub fn add(&mut self, data: &Dataset, id_offset: u64) {
-        /// Rows per work item: enough that a worker thread pays for itself,
-        /// and a single-digit ingest stays on the calling thread.
-        const BLOCK: usize = 256;
         assert_eq!(data.dim(), self.dim, "add dimension mismatch");
         // Assign + encode is independent per row; the lists are then filled
         // serially in row order, exactly as the one-loop version filled them.
         let (coarse, pq) = (&*self.coarse, &*self.pq);
-        let blocks = par::map_indexed(data.len().div_ceil(BLOCK), |block| {
-            (block * BLOCK..data.len().min((block + 1) * BLOCK))
-                .map(|i| {
-                    let v = data.vector(i);
-                    let (c, _) = coarse.assign(v);
-                    (c, pq.encode(&residual(v, coarse.centroid(c))))
-                })
-                .collect::<Vec<_>>()
-        });
+        let encoded = par::map_rows(
+            data.len(),
+            || vec![0.0f32; coarse.k()],
+            |distances, i| {
+                let v = data.vector(i);
+                let (c, _) = coarse.assign(v, distances);
+                (c, pq.encode(&residual(v, coarse.centroid(c))))
+            },
+        );
         // A list still shared with a clone is copied before it is written.
         let mut lists: Vec<&mut InvertedList> = self.lists.iter_mut().map(Arc::make_mut).collect();
-        for (i, (c, code)) in blocks.into_iter().flatten().enumerate() {
+        for (i, (c, code)) in encoded.into_iter().enumerate() {
             lists[c].push(id_offset + i as u64, &code);
         }
         self.ntotal += data.len() as u64;
@@ -511,7 +514,9 @@ mod tests {
     /// One worker, several workers and the machine's own count must all
     /// reproduce them, on either backend. The second and third shapes train
     /// on a sample, so they also pin the sampler's draw sequence; all three
-    /// add more rows than one `add` block. The third is the serving width —
+    /// train on and add more rows than one 256-row block, so at 2 and 5
+    /// workers the coarse Lloyd step, the residual assignment and `add` fan
+    /// out, while each PQ sub-quantizer's k-means stays on its worker. The third is the serving width —
     /// 128-d, `m` 16, so `dsub` 8 — with an `nlist` of one 32-row column
     /// block plus a 5-row tail; the first two have `dsub` 4.
     #[test]

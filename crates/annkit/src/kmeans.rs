@@ -5,6 +5,7 @@
 //! implementation, mirroring Faiss's `Clustering` object.
 
 use crate::distance::{l2_squared, nearest_centroid, to_columns_into};
+use crate::par;
 use crate::vector::Dataset;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -88,8 +89,6 @@ impl KMeans {
 
         let dim = train.dim();
         let mut centroids = kmeanspp_init(train, params.k, &mut rng);
-        let mut assignments = vec![0usize; train.len()];
-        let mut distances = vec![0.0f32; params.k];
         let mut cols = vec![0.0f32; centroids.len()];
         let mut sums = vec![0.0f64; params.k * dim];
         let mut counts = vec![0usize; params.k];
@@ -100,21 +99,22 @@ impl KMeans {
         for _iter in 0..params.max_iterations {
             iterations_run += 1;
             // Assignment step, over this iteration's column-major twin: a
-            // `k × dim` copy against the step's `n × k × dim` distances.
+            // `k × dim` copy against the step's `n × k × dim` distances. Rows
+            // are independent, so they go out in blocks (serially inside a
+            // PQ sub-quantizer's worker); the error is summed in row order.
             to_columns_into(&centroids, dim, &mut cols);
-            let mut total = 0.0f64;
-            for (i, v) in train.iter().enumerate() {
-                let (c, d) = nearest_centroid(v, &cols, &mut distances);
-                assignments[i] = c;
-                total += d as f64;
-            }
+            let nearest = par::map_rows(
+                train.len(),
+                || vec![0.0f32; params.k],
+                |distances, i| nearest_centroid(train.vector(i), &cols, distances),
+            );
+            let total = nearest.iter().fold(0.0f64, |t, &(_, d)| t + d as f64);
             mse = (total / train.len() as f64) as f32;
 
             // Update step.
             sums.fill(0.0);
             counts.fill(0);
-            for (i, v) in train.iter().enumerate() {
-                let c = assignments[i];
+            for (v, &(c, _)) in train.iter().zip(&nearest) {
                 counts[c] += 1;
                 for (s, x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(v) {
                     *s += *x as f64;
@@ -167,12 +167,19 @@ impl KMeans {
         &self.cols
     }
 
-    /// Assigns a single vector to its nearest centroid, returning
-    /// `(centroid index, squared distance)`.
+    /// Number of centroids: the length of [`assign`](Self::assign)'s
+    /// scratch.
     #[inline]
-    pub(crate) fn assign(&self, v: &[f32]) -> (usize, f32) {
-        let k = self.centroids.len() / self.dim;
-        nearest_centroid(v, &self.cols, &mut vec![0.0; k])
+    pub(crate) fn k(&self) -> usize {
+        self.centroids.len() / self.dim
+    }
+
+    /// Assigns a single vector to its nearest centroid, returning
+    /// `(centroid index, squared distance)`; `distances` is the caller's
+    /// scratch of [`k`](Self::k) floats, reused across calls.
+    #[inline]
+    pub(crate) fn assign(&self, v: &[f32], distances: &mut [f32]) -> (usize, f32) {
+        nearest_centroid(v, &self.cols, distances)
     }
 }
 
@@ -283,7 +290,7 @@ mod tests {
         assert_eq!(km.centroids_cols(), cols);
         for v in ds.iter() {
             let (c, _) = nearest_centroid(v, &cols, &mut [0.0; 3]);
-            assert_eq!(km.assign(v).0, c);
+            assert_eq!(km.assign(v, &mut [0.0; 3]).0, c);
         }
     }
 

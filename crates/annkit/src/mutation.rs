@@ -49,6 +49,9 @@ pub struct MutableIvf {
     locations: HashMap<u64, usize>,
     /// `written[c]`: list `c` changed since the last compaction.
     written: Vec<bool>,
+    /// The coarse assignment's scratch: one distance per list, reused by
+    /// every upsert.
+    distances: Vec<f32>,
 }
 
 impl Deref for MutableIvf {
@@ -72,6 +75,7 @@ impl MutableIvf {
             index: index.clone(),
             locations,
             written: vec![false; index.nlist()],
+            distances: vec![0.0; index.nlist()],
         }
     }
 
@@ -86,7 +90,7 @@ impl MutableIvf {
     pub fn upsert(&mut self, vector: &[f32], id: u64) {
         assert_eq!(vector.len(), self.dim(), "upsert dimension mismatch");
         self.remove_entry(id);
-        let (c, _) = self.coarse().assign(vector);
+        let (c, _) = self.index.coarse().assign(vector, &mut self.distances);
         let code = self
             .pq()
             .encode(&residual(vector, self.coarse().centroid(c)));
@@ -369,7 +373,9 @@ mod tests {
         }
         let answers = before.search(data.vector(5), 8, 10);
 
-        let (target, _) = index.coarse().assign(data.vector(5));
+        let (target, _) = index
+            .coarse()
+            .assign(data.vector(5), &mut vec![0.0; index.nlist()]);
         live.upsert(data.vector(5), 9000);
         assert!(!shares(&index, &live, target), "first write");
         let copy: *const crate::ivf::InvertedList = live.list(target);
@@ -394,7 +400,9 @@ mod tests {
     fn compaction_counts_the_lists_written_since_the_last_one() {
         let (index, data) = fixture();
         let m = index.m();
-        let (a, _) = index.coarse().assign(data.vector(5));
+        let (a, _) = index
+            .coarse()
+            .assign(data.vector(5), &mut vec![0.0; index.nlist()]);
         let b = (0..index.nlist())
             .find(|&c| c != a && !index.list(c).is_empty())
             .expect("a second populated list");

@@ -1,16 +1,48 @@
 //! Index-ordered fan-out of independent work items over scoped threads.
 //!
 //! The offline phase has loops whose items do not depend on each other — the
-//! `m` PQ sub-quantizers (each with its own seed), the assign + encode of
-//! every added vector, and (in `upanns`) the placement of each snapshot of an
-//! installed timeline and the mining of each of its distinct lists. The
-//! online phase has one: a kernel launch, one item per busy DPU
-//! (`pim_sim::host`). [`map_mut`] runs such a loop on several threads and
-//! hands the results back **in index order**, so what is built from them
-//! (codebooks, inverted lists, launch reports) is byte-identical to the
-//! serial loop's whatever the worker count or the interleaving was.
+//! `m` PQ sub-quantizers (each with its own seed), the coarse quantizer's
+//! Lloyd assignment and residual assignment of every training vector, the
+//! assign + encode of every added vector, and (in `upanns`) the placement of
+//! each snapshot of an installed timeline and the mining of each of its
+//! distinct lists. The online phase has one: a kernel launch, one item per
+//! busy DPU (`pim_sim::host`). [`map_mut`] runs such a loop on several
+//! threads and hands the results back **in index order**, so what is built
+//! from them (codebooks, inverted lists, launch reports) is byte-identical to
+//! the serial loop's whatever the worker count or the interleaving was.
+//!
+//! Maps do not nest: a map called while this thread runs an item of a
+//! fanned-out map runs serially on this thread. So the k-means of each PQ
+//! sub-quantizer, already one per worker, keeps its Lloyd step on that
+//! worker, and one training run holds at most [`cores`] threads.
 
+use std::cell::Cell;
 use std::sync::{Mutex, OnceLock, PoisonError};
+
+/// Rows per work item of [`map_rows`]: enough that a worker thread pays for
+/// itself, and a single-digit ingest stays on the calling thread.
+const ROWS_PER_ITEM: usize = 256;
+
+thread_local! {
+    /// Whether this thread is running an item of a fanned-out map.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks this thread as a worker until dropped, then restores the mark it
+/// found (the calling thread of a map is a worker only while it runs items).
+struct WorkerMark(bool);
+
+impl WorkerMark {
+    fn enter() -> Self {
+        Self(IN_WORKER.replace(true))
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_WORKER.set(self.0);
+    }
+}
 
 /// The machine's cores: `available_parallelism()` (which honours CPU
 /// affinity), read once per process — on Linux each call parses cgroup
@@ -25,18 +57,39 @@ pub fn map_indexed<T: Send>(items: usize, f: impl Fn(usize) -> T + Sync) -> Vec<
     map_mut(&mut vec![(); items], workers(), |i, ()| f(i))
 }
 
+/// `(0..rows).map(|row| f(&mut scratch, row)).collect()`, in blocks of
+/// `ROWS_PER_ITEM` rows over [`map_indexed`], each block with a fresh
+/// `scratch()`: per-row work over a table (assignment, encode), with one
+/// distance buffer per block rather than per row.
+pub(crate) fn map_rows<S, T: Send>(
+    rows: usize,
+    scratch: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    map_indexed(rows.div_ceil(ROWS_PER_ITEM), |b| {
+        let mut scratch = scratch();
+        (b * ROWS_PER_ITEM..rows.min((b + 1) * ROWS_PER_ITEM))
+            .map(|row| f(&mut scratch, row))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 /// `items.iter_mut().enumerate().map(|(i, item)| f(i, item)).collect()`,
 /// with `f` called from up to `workers` threads: the calling thread and
 /// `workers − 1` scoped helpers (never more threads than items; the calling
-/// thread alone when that is one). A panic in `f` on any thread resurfaces
-/// on the caller with its own payload.
+/// thread alone when that is one, or when it is running an item of a
+/// fanned-out map already). A panic in `f` on any thread resurfaces on the
+/// caller with its own payload.
 pub fn map_mut<I: Send, T: Send>(
     items: &mut [I],
     workers: usize,
     f: impl Fn(usize, &mut I) -> T + Sync,
 ) -> Vec<T> {
     let len = items.len();
-    let workers = workers.min(len);
+    let workers = if IN_WORKER.get() { 1 } else { workers.min(len) };
     if workers <= 1 {
         return items
             .iter_mut()
@@ -50,6 +103,7 @@ pub fn map_mut<I: Send, T: Send>(
     // Results travel back through each worker's own list.
     let queue = Mutex::new(items.iter_mut().enumerate());
     let work = || {
+        let _worker = WorkerMark::enter();
         let mut done = Vec::new();
         loop {
             let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
@@ -136,6 +190,57 @@ mod tests {
                 (0..len).map(|i| (i, i as u64 + 100)).collect::<Vec<_>>()
             );
             assert_eq!(items, (100..100 + len as u64).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_nested_map_starts_no_thread_and_returns_the_serial_result() {
+        let thread = || std::thread::current().id();
+        // Four workers for every map this thread starts, the nested ones
+        // included: only the nesting rule keeps those on one thread. Each
+        // worker holds one item of every round of four, so this thread runs
+        // two of the eight.
+        let rounds = std::sync::Barrier::new(4);
+        let outer = with_workers(4, || {
+            map_indexed(8, |i| {
+                rounds.wait();
+                let here = thread();
+                // Items long enough that fanned-out helpers would claim
+                // some.
+                let inner = map_indexed(9, |j| {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    (i * j, thread())
+                });
+                assert!(inner.iter().all(|&(_, t)| t == here), "item {i}");
+                inner.into_iter().map(|(x, _)| x).collect::<Vec<_>>()
+            })
+        });
+        let serial: Vec<Vec<usize>> = (0..8).map(|i| (0..9).map(|j| i * j).collect()).collect();
+        assert_eq!(outer, serial);
+        // The mark ends with the map, so the caller fans out again.
+        assert!(!IN_WORKER.get());
+    }
+
+    #[test]
+    fn map_rows_is_the_row_loop_in_order() {
+        for workers in [1, 2, 3] {
+            for rows in [0usize, 1, 255, 256, 257, 1000] {
+                let got = with_workers(workers, || {
+                    map_rows(
+                        rows,
+                        || 0usize,
+                        |seen, row| {
+                            *seen += 1;
+                            (row, *seen)
+                        },
+                    )
+                });
+                // Each block's scratch is fresh: the count restarts per block.
+                let want: Vec<_> = (0..rows)
+                    .map(|row| (row, row % ROWS_PER_ITEM + 1))
+                    .collect();
+                assert_eq!(got, want, "{workers} worker(s), {rows} rows");
+            }
         }
     }
 

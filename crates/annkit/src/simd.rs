@@ -1,8 +1,9 @@
 //! The hot kernels, each one portable implementation: the one-vector-
 //! against-many-rows distance block over a column-major table (dense or
-//! block-masked) and the top-k pre-filter mask, each compiled twice — as
-//! is, and with AVX2 enabled behind runtime feature detection — plus the
-//! pair distance and the ADC scan, compiled once.
+//! block-masked), the nearest-row argmin over it and the top-k pre-filter
+//! mask, each compiled twice — as is, and with AVX2 enabled behind runtime
+//! feature detection — plus the pair distance and the ADC scan, compiled
+//! once.
 //!
 //! Neither the pair distance nor the ADC scan has a vector path: an AVX2
 //! gather over the `m × 256` f32 LUT measured 1.15–1.30× *slower* than the
@@ -32,26 +33,29 @@
 //!   whose order could differ — and Rust never contracts a multiply and an
 //!   add into an FMA, so both compilations round alike; which rows it
 //!   computes (a block mask, a block width) never changes a row's bits;
-//! * the top-k pre-filter compares exactly (no rounding is involved).
+//! * the argmin and the top-k pre-filter compare exactly (no rounding is
+//!   involved), and the argmin's lanes are merged so that it returns what
+//!   the serial first-minimum scan returns.
 //!
 //! # Where `unsafe` lives
 //!
 //! This module is the **only** place in the workspace where `unsafe` is
 //! permitted: the workspace lints deny `unsafe_code` in every target and
 //! this file alone re-allows it, so `cargo build` rejects the keyword
-//! anywhere else. There are two unsafe blocks, each a call into a
+//! anywhere else. There are three unsafe blocks, each a call into a
 //! `#[target_feature(enable = "avx2")]` wrapper over portable,
 //! bounds-checked code, whose one precondition — the CPU has AVX2 — the
 //! dispatcher establishes:
 //!
-//! * the column kernel, one call for both of its shapes — k-means
-//!   assignment and PQ encode
-//!   ([`nearest_centroid`](crate::distance::nearest_centroid)), cluster
+//! * the column kernel, one call for both of its shapes — cluster
 //!   filtering ([`nearest_centroids`](crate::distance::nearest_centroids),
 //!   run by [`IvfPqIndex::filter_clusters`](crate::ivf::IvfPqIndex::filter_clusters))
 //!   and LUT construction
 //!   ([`LookupTable::rebuild_masked`](crate::lut::LookupTable::rebuild_masked)
 //!   and its all-blocks form `rebuild`);
+//! * the column kernel followed by the argmin, in one AVX2 call — k-means
+//!   assignment, PQ encode and `KMeans::assign`
+//!   ([`nearest_centroid`](crate::distance::nearest_centroid));
 //! * the top-k pre-filter mask — [`TopK::push_batch_with`](crate::topk::TopK::push_batch_with).
 //!
 //! # Dispatch policy
@@ -151,11 +155,10 @@ pub fn l2_squared_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// Squared L2 distance from `query` to each of `out.len()` rows of a
 /// *column-major* table: component `j` of row `r` is `cols[j * out.len() +
 /// r]` ([`to_columns`](crate::distance::to_columns)) — one vector against
-/// the centroids of one quantizer, the kernel of k-means assignment, PQ
-/// encode ([`nearest_centroid`](crate::distance::nearest_centroid)) and
-/// cluster filtering
-/// ([`nearest_centroids`](crate::distance::nearest_centroids)).
-/// Runs on the best runtime-detected backend.
+/// the centroids of one quantizer, the kernel of cluster filtering
+/// ([`nearest_centroids`](crate::distance::nearest_centroids)) and, with an
+/// argmin after it, of k-means assignment and PQ encode
+/// ([`l2_squared_cols_argmin`]). Runs on the best runtime-detected backend.
 ///
 /// Each SIMD lane is one row running [`l2_squared_scalar`]'s reduction tree
 /// on its own, so every entry is bitwise-equal to
@@ -230,12 +233,7 @@ fn l2_squared_cols_dispatch(
     blocks: Option<u32>,
     out: &mut [f32],
 ) {
-    assert!(!query.is_empty(), "column distance needs a non-empty query");
-    assert_eq!(
-        cols.len(),
-        out.len() * query.len(),
-        "column buffer size mismatch"
-    );
+    assert_column_shape(query, cols, out);
     #[cfg(target_arch = "x86_64")]
     if backend == Backend::Avx2 {
         // SAFETY: the Avx2 backend is only handed out by `detect()` (which
@@ -247,6 +245,17 @@ fn l2_squared_cols_dispatch(
     }
     let _ = backend;
     l2_squared_cols_lanes(query, cols, blocks, out)
+}
+
+/// The column kernel's one precondition: a non-empty query and `out.len()`
+/// columns of it in `cols`.
+fn assert_column_shape(query: &[f32], cols: &[f32], out: &[f32]) {
+    assert!(!query.is_empty(), "column distance needs a non-empty query");
+    assert_eq!(
+        cols.len(),
+        out.len() * query.len(),
+        "column buffer size mismatch"
+    );
 }
 
 /// The column kernel. Plain Rust, compiled twice — as is, and inlined into
@@ -314,6 +323,92 @@ fn l2_squared_cols_block<const L: usize>(
             *sum += d * d;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Nearest row
+// ---------------------------------------------------------------------------
+
+/// The nearest of `out.len()` rows of a column-major table to `query`, as
+/// `(row, distance)`: [`l2_squared_cols`] into `out`, which is left holding
+/// every row's distance, then the argmin over it, in one call — k-means
+/// assignment and PQ encode
+/// ([`nearest_centroid`](crate::distance::nearest_centroid)). Runs on the
+/// best runtime-detected backend.
+///
+/// # Panics
+/// Panics if `query` is empty or `cols.len() != out.len() * query.len()`.
+#[inline]
+pub(crate) fn l2_squared_cols_argmin(query: &[f32], cols: &[f32], out: &mut [f32]) -> (usize, f32) {
+    l2_squared_cols_argmin_with(active(), query, cols, out)
+}
+
+/// `l2_squared_cols_argmin` on an explicit backend. On every backend it
+/// returns what the serial scan `if d < best.1 { best = (i, d) }` from
+/// `(0, ∞)` over the distances returns: the first row of the least distance
+/// (of `-0.0` and `0.0` too, the first), never a NaN, and `(0, ∞)` when no
+/// distance is below `∞`.
+pub fn l2_squared_cols_argmin_with(
+    backend: Backend,
+    query: &[f32],
+    cols: &[f32],
+    out: &mut [f32],
+) -> (usize, f32) {
+    assert_column_shape(query, cols, out);
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Avx2 {
+        // SAFETY: feature availability as in `l2_squared_cols_dispatch`;
+        // the callee is `l2_squared_cols_lanes` and `argmin_lanes` compiled
+        // with AVX2 enabled.
+        return unsafe { x86::l2_squared_cols_argmin_avx2(query, cols, out) };
+    }
+    let _ = backend;
+    l2_squared_cols_lanes(query, cols, None, out);
+    argmin_lanes(out)
+}
+
+/// The serial first-minimum scan over `values`, in [`SCAN_LANES`] lanes:
+/// lane `l` runs `if v < least { least = v; at = i }` over every
+/// `SCAN_LANES`-th value from `l`, a compare and two selects that compile
+/// to vector instructions. A lane keeps the first index of its least value
+/// and never takes a NaN, so the least lane value, the lowest lane index
+/// among equal ones, is the serial scan's answer over the whole blocks; the
+/// `values.len() % SCAN_LANES` tail continues it serially. Plain Rust,
+/// compiled twice like [`l2_squared_cols_lanes`].
+#[inline(always)]
+fn argmin_lanes(values: &[f32]) -> (usize, f32) {
+    assert!(values.len() < 1 << 31, "fewer than 2^31 values");
+    let (blocks, tail) = values.as_chunks::<SCAN_LANES>();
+    let mut least = [f32::INFINITY; SCAN_LANES];
+    let mut at = [0u32; SCAN_LANES];
+    let mut index: [u32; SCAN_LANES] = std::array::from_fn(|l| l as u32);
+    for block in blocks {
+        for l in 0..SCAN_LANES {
+            // Selects through an all-ones mask: with AVX2 a compare, a min
+            // and a blend per block, 68 ns over 256 values where `if take`
+            // selects, which round-trip the mask through bytes, took 249 ns
+            // and the serial scan 318 ns (one core of a 2-vCPU Xeon VM).
+            let take = u32::from(block[l] < least[l]).wrapping_neg();
+            least[l] = f32::from_bits(block[l].to_bits() & take | least[l].to_bits() & !take);
+            at[l] = index[l] & take | at[l] & !take;
+            index[l] += SCAN_LANES as u32;
+        }
+    }
+    // A lane that took nothing holds (∞, 0), which changes nothing here.
+    let mut best = (0usize, f32::INFINITY);
+    for (&v, &i) in least.iter().zip(&at) {
+        let i = i as usize;
+        if v < best.1 || (v == best.1 && i < best.0) {
+            best = (i, v);
+        }
+    }
+    let whole = values.len() - tail.len();
+    for (i, &v) in tail.iter().enumerate() {
+        if v < best.1 {
+            best = (whole + i, v);
+        }
+    }
+    best
 }
 
 // ---------------------------------------------------------------------------
@@ -445,6 +540,22 @@ mod x86 {
         out: &mut [f32],
     ) {
         super::l2_squared_cols_lanes(query, cols, blocks, out)
+    }
+
+    /// `l2_squared_cols_lanes` over every row, then `argmin_lanes`,
+    /// compiled with AVX2 enabled: a vector compare, a min and a blend per
+    /// 8 distances.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn l2_squared_cols_argmin_avx2(
+        query: &[f32],
+        cols: &[f32],
+        out: &mut [f32],
+    ) -> (usize, f32) {
+        super::l2_squared_cols_lanes(query, cols, None, out);
+        super::argmin_lanes(out)
     }
 
     /// `le_mask_lanes` over one full block, compiled with AVX2 enabled.

@@ -3,7 +3,8 @@
 //! therefore the replay twin and every committed bench record) identical
 //! across machines with and without AVX2.
 //!
-//! The column-distance (dense and block-masked) and top-k tests exercise
+//! The column-distance (dense, block-masked and followed by the nearest-row
+//! argmin) and top-k tests exercise
 //! both `Backend::Scalar` and the runtime-detected backend through the
 //! explicit `*_with` entry points, so on AVX2 hardware the AVX2 compilation
 //! is proven against the plain one in one process, and on non-AVX2 hardware
@@ -286,6 +287,60 @@ proptest! {
         let mut distances = vec![0.0f32; rows];
         let got =
             annkit::distance::nearest_centroid(&query, &transposed(&table, dim), &mut distances);
+        prop_assert_eq!(got.0, want.0);
+        prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
+    }
+
+    /// The lane-wise argmin after the column kernel, on both backends and
+    /// through `nearest_centroid`, returns the serial first-minimum scan's
+    /// index and distance bits, and leaves every row's distance in the
+    /// scratch: 1–600 rows, so tails fall off the 8-lane grid; components
+    /// from a few integers, so distances tie heavily; NaN and +∞ rows among
+    /// them (`mode` 0), every row NaN (1), every row +∞ (2), or none (3).
+    #[test]
+    fn nearest_centroid_argmin_equals_the_serial_scan(
+        dim_pick in 0usize..4,
+        rows in 1usize..=600,
+        levels in 1u32..5,
+        mode in 0usize..4,
+        special_stride in 2usize..40,
+        seed in 0u64..1_000_000,
+    ) {
+        let dim = [1usize, 2, 8, 13][dim_pick];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut level = || rng.gen_range(0..levels) as f32;
+        let query: Vec<f32> = (0..dim).map(|_| level()).collect();
+        let mut table: Vec<f32> = (0..dim * rows).map(|_| level()).collect();
+        for (r, row) in table.chunks_exact_mut(dim).enumerate() {
+            let special = match mode {
+                0 if r % special_stride == 0 => [f32::NAN, f32::INFINITY][r / special_stride % 2],
+                1 => f32::NAN,
+                2 => f32::INFINITY,
+                _ => continue,
+            };
+            row[r % dim] = special;
+        }
+        let serial: Vec<f32> = table
+            .chunks_exact(dim)
+            .map(|row| simd::l2_squared_scalar(&query, row))
+            .collect();
+        let mut want = (0usize, f32::INFINITY);
+        for (i, &d) in serial.iter().enumerate() {
+            if d < want.1 {
+                want = (i, d);
+            }
+        }
+        let cols = transposed(&table, dim);
+        for backend in backends() {
+            let mut out = vec![0.5f32; rows];
+            let got = simd::l2_squared_cols_argmin_with(backend, &query, &cols, &mut out);
+            prop_assert_eq!(got.0, want.0, "{:?}", backend);
+            prop_assert_eq!(got.1.to_bits(), want.1.to_bits(), "{:?}", backend);
+            for (o, d) in out.iter().zip(&serial) {
+                prop_assert_eq!(o.to_bits(), d.to_bits());
+            }
+        }
+        let got = annkit::distance::nearest_centroid(&query, &cols, &mut vec![0.0; rows]);
         prop_assert_eq!(got.0, want.0);
         prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
     }
